@@ -22,11 +22,11 @@ fn bench_minss(c: &mut Criterion) {
                 strategy: AllocationStrategy::Dp,
             },
         );
-        let _ = handler.get_sample(&trivial);
+        let _ = handler.try_get_sample(&trivial).expect("in-memory table");
         group.bench_with_input(BenchmarkId::from_parameter(minss), &minss, |b, _| {
             let brs = Brs::new(&SizeWeight).with_max_weight(5.0);
             b.iter(|| {
-                let s = handler.get_sample(&trivial);
+                let s = handler.try_get_sample(&trivial).expect("in-memory table");
                 std::hint::black_box(brs.run(&s.view.as_view(), 4))
             })
         });

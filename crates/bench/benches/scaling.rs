@@ -27,7 +27,7 @@ fn bench_scaling(c: &mut Criterion) {
                         strategy: AllocationStrategy::Dp,
                     },
                 );
-                let s = h.get_sample(&trivial);
+                let s = h.try_get_sample(&trivial).expect("in-memory table");
                 std::hint::black_box(brs.run(&s.view.as_view(), 4))
             })
         });

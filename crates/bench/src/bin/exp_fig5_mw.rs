@@ -104,7 +104,7 @@ fn expand_via_sampler(
                 strategy: AllocationStrategy::Dp,
             },
         );
-        let sample = handler.get_sample(&trivial);
+        let sample = handler.try_get_sample(&trivial).expect("in-memory table");
         let brs = Brs::new(weight).with_max_weight(mw);
         std::hint::black_box(brs.run(&sample.view.as_view(), 4));
     })

@@ -100,7 +100,7 @@ fn one_expansion(
                 strategy: AllocationStrategy::Dp,
             },
         );
-        let sample = handler.get_sample(&trivial);
+        let sample = handler.try_get_sample(&trivial).expect("in-memory table");
         Brs::new(weight)
             .with_max_weight(mw)
             .run(&sample.view.as_view(), K)

@@ -47,16 +47,16 @@ fn main() {
                     strategy: AllocationStrategy::Dp,
                 },
             );
-            let s = h.get_sample(&trivial);
+            let s = h.try_get_sample(&trivial).expect("in-memory table");
             std::hint::black_box(brs.run(&s.view.as_view(), 4));
         });
 
         // Warm: reuse one handler; after the first call every expansion is
         // a Find.
         let mut h = SampleHandler::new(table.clone(), SampleHandlerConfig::default());
-        let _ = h.get_sample(&trivial);
+        let _ = h.try_get_sample(&trivial).expect("in-memory table");
         let warm = timing::time_mean(reps, || {
-            let s = h.get_sample(&trivial);
+            let s = h.try_get_sample(&trivial).expect("in-memory table");
             std::hint::black_box(brs.run(&s.view.as_view(), 4));
         });
 

@@ -23,7 +23,7 @@
 //! (default 3).
 
 use sdd_core::{
-    covered_rows_sharded, find_best_marginal_rule, find_best_marginal_rule_sharded, Rule,
+    find_best_marginal_rule, try_covered_rows_sharded, try_find_best_marginal_rule_sharded, Rule,
     SearchOptions, SearchScratch, SizeWeight,
 };
 use sdd_table::{ShardConfig, ShardedTable, ShardedView};
@@ -87,7 +87,8 @@ fn main() {
 
             let mut scratch = SearchScratch::new();
             let got =
-                find_best_marginal_rule_sharded(&sview, &SizeWeight, &cov, &opts, &mut scratch)
+                try_find_best_marginal_rule_sharded(&sview, &SizeWeight, &cov, &opts, &mut scratch)
+                    .expect("spill files decode")
                     .expect("sharded search yields a rule");
             assert_eq!(
                 got.marginal_value.to_bits(),
@@ -96,11 +97,16 @@ fn main() {
             );
             let t_search = best_of(reps, || {
                 let mut scratch = SearchScratch::new();
-                let _ =
-                    find_best_marginal_rule_sharded(&sview, &SizeWeight, &cov, &opts, &mut scratch);
+                let _ = try_find_best_marginal_rule_sharded(
+                    &sview,
+                    &SizeWeight,
+                    &cov,
+                    &opts,
+                    &mut scratch,
+                );
             });
             let t_scan = best_of(reps, || {
-                let _ = covered_rows_sharded(&st, &scan_rule);
+                let _ = try_covered_rows_sharded(&st, &scan_rule);
             });
             let (loads, evictions) = (st.loads(), st.evictions());
             println!(

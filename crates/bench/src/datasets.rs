@@ -26,8 +26,7 @@ pub fn census7(n: usize) -> Arc<Table> {
 }
 
 /// A census-shaped dataset with `n` rows, projected to 3 columns — the
-/// few-free-columns regime where task-per-column parallelism cannot occupy
-/// the machine and the kernel's row-sliced mode matters (`exp_rowslice`).
+/// few-free-columns regime the shard, spill and ingest sweeps run on.
 pub fn census3(n: usize) -> Arc<Table> {
     Arc::new(sdd_datagen::census(n, 1990).project_first_columns(3))
 }

@@ -168,61 +168,6 @@ impl<'w> Brs<'w> {
         self.run_inner(view, base, k, &mut |_, _| true)
     }
 
-    /// Expands the trivial rule over a **sharded** view — the sharded twin
-    /// of [`Brs::run`], executing the per-shard counting kernel
-    /// ([`crate::shard`]). Bit-identical to running [`Brs::run`] on the
-    /// equivalent monolithic view, for any shard count and resident budget.
-    pub fn run_sharded(&self, view: &sdd_table::ShardedView, k: usize) -> BrsResult {
-        self.run_sharded_with_base(view, None, k)
-    }
-
-    /// The sharded greedy loop with an optional drill-down base (the view
-    /// must already be filtered to base-covered tuples — see
-    /// [`crate::shard::drill_down_sharded`]).
-    pub(crate) fn run_sharded_with_base(
-        &self,
-        view: &sdd_table::ShardedView,
-        base: Option<Rule>,
-        k: usize,
-    ) -> BrsResult {
-        let header = view.table().header();
-        let mw = self
-            .max_weight
-            .unwrap_or_else(|| self.weight.max_weight(header));
-        let mut opts = SearchOptions::new(mw);
-        opts.pruning = self.pruning;
-        opts.max_rule_size = self.max_rule_size;
-        opts.base = base;
-        if let Some(parallel) = self.parallel {
-            opts.parallel = parallel;
-        }
-
-        let mut covered = vec![0.0f64; view.len()];
-        let mut selection: Vec<Rule> = Vec::with_capacity(k);
-        let mut stats = SearchStats::default();
-        let mut scratch = SearchScratch::new();
-        for _ in 0..k {
-            let Some(best) = crate::shard::find_best_marginal_rule_sharded(
-                view,
-                &self.weight,
-                &covered,
-                &opts,
-                &mut scratch,
-            ) else {
-                break;
-            };
-            stats.absorb(&best.stats);
-            for p in crate::shard::covered_positions_sharded(view, &best.rule) {
-                let slot = &mut covered[p as usize];
-                if best.weight > *slot {
-                    *slot = best.weight;
-                }
-            }
-            selection.push(best.rule);
-        }
-        crate::shard::finish_sharded_brs(view, &self.weight, selection, stats)
-    }
-
     fn run_inner(
         &self,
         view: &TableView<'_>,
@@ -261,7 +206,7 @@ impl<'w> Brs<'w> {
             };
             stats.absorb(&best.stats);
             // Update per-tuple best covering weight. The position list comes
-            // from the chunked columnar scan (row-sliced on large views when
+            // from the chunked columnar scan (sliced on large views when
             // `opts.parallel` allows, byte-identical on any thread count);
             // the max-update itself is cheap and order-insensitive, so it
             // stays serial.

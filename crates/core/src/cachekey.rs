@@ -15,8 +15,8 @@
 //!   search based on the trivial (all-`?`) rule filter the same tuples and
 //!   return the same rules; [`KeyHasher::write_base`] folds both spellings
 //!   to the trivial rule.
-//! * **Execution strategy is excluded.** `SearchOptions::parallel`,
-//!   `parallel_min_rows`, and `row_slice` select *how* the kernel runs, and
+//! * **Execution strategy is excluded.** `SearchOptions::parallel` and
+//!   `parallel_min_rows` select *how* the kernel runs, and
 //!   the determinism contract (docs/DETERMINISM.md) guarantees they cannot
 //!   change a result bit — so they must not fragment the key space.
 //! * **The view is keyed by content, not identity.** Sample views are pure
@@ -137,9 +137,9 @@ impl KeyHasher {
 
     /// Absorbs every result-determining field of [`SearchOptions`]:
     /// `max_weight` by canonical bits, `pruning`, `max_rule_size`, and the
-    /// normalized `base`. Deliberately excludes `parallel`,
-    /// `parallel_min_rows`, and `row_slice` — execution strategy that the
-    /// determinism contract guarantees cannot change a result.
+    /// normalized `base`. Deliberately excludes `parallel` and
+    /// `parallel_min_rows` — execution strategy that the determinism
+    /// contract guarantees cannot change a result.
     pub fn write_search_options(&mut self, opts: &SearchOptions, n_columns: usize) {
         self.write_f64(opts.max_weight);
         self.write_u64(opts.pruning as u64);

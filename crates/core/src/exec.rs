@@ -9,11 +9,10 @@
 //!
 //! * [`parallel_map`] returns outputs **in job order** no matter which
 //!   worker ran which job, so consumers can merge partials positionally;
-//! * [`reduce_pairwise`] folds per-chunk partials with a fixed
-//!   adjacent-pairs tree over the *input order* (chunk order), so
-//!   float reductions associate the same way on every thread count —
-//!   the "float-merge story" behind the row-sliced kernel mode (see
-//!   [`crate::kernel`]);
+//! * [`reduce_pairwise`] folds partials with a fixed adjacent-pairs tree
+//!   over the *input order*, so a reduction associates the same way on
+//!   every thread count (the segment kernel merges its per-shard integer
+//!   pass-1 counts with it — see [`crate::shard`]);
 //! * [`worker_threads`] is the one place thread counts come from
 //!   (`SDD_THREADS` overrides detection, which is also how tests pin the
 //!   schedule on single-core machines).
@@ -179,9 +178,9 @@ impl Drop for TaskPool {
 
 /// Reduces `parts` with a fixed adjacent-pairs tree: `[p0⊕p1, p2⊕p3, …]`,
 /// repeated until one value remains. The association depends only on the
-/// *order and number* of `parts` (chunk order for the kernel's row-sliced
-/// partials), never on thread count or scheduling — so float merges are
-/// deterministic, and the O(log n) error growth beats a left fold's O(n).
+/// *order and number* of `parts`, never on thread count or scheduling — so
+/// merges are deterministic (and a float merge's O(log n) error growth
+/// beats a left fold's O(n)).
 ///
 /// Panics on an empty input.
 pub fn reduce_pairwise<T>(mut parts: Vec<T>, mut merge: impl FnMut(&mut T, T)) -> T {

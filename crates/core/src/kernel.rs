@@ -1,69 +1,52 @@
-//! The columnar counting kernel behind Algorithm 2 (paper §3.5).
+//! The columnar counting kernel behind Algorithm 2 (paper §3.5), and the
+//! columnar rule scans over global codes.
 //!
-//! [`crate::marginal::find_best_marginal_rule`] historically counted
-//! candidates row-at-a-time: every row gathered its full code vector, built
-//! a [`Rule`] per (row × free column) probe, and hit a `FxHashMap<Rule, _>`
-//! on the hot path. This module replaces that inner loop with a columnar
-//! kernel that:
+//! ## The search kernel
 //!
-//! * **pass 1** — accumulates per-column count/marginal histograms by
+//! [`crate::marginal::find_best_marginal_rule`] runs here. Per level:
+//!
+//! * **pass 1** — per-column count/marginal histograms accumulated by
 //!   scanning each dictionary-encoded column slice directly (one `f64` slot
 //!   per code, no `Rule` construction, no hashing); rules materialize only
 //!   at the candidate boundary, one per distinct surviving `(column, code)`;
-//! * **pass j ≥ 2** — groups the level's candidates by their instantiated
+//! * **pass j ≥ 2** — the level's candidates are grouped by instantiated
 //!   column set. A group whose column-cardinality product fits
 //!   [`DENSE_CELL_CAP`] is counted **probe-free** into a dense
 //!   count/marginal histogram indexed by the mixed-radix cell of the row's
 //!   codes; larger groups pack each candidate's codes into a `u64` (or a
 //!   flat `u32` tuple beyond 64 bits) and binary-search a sorted flat
-//!   `Vec`. Either way the `Rule`-keyed map survives only at the API
-//!   boundary;
-//! * **task parallelism** — pass-1 columns and pass-j groups are
-//!   independent tasks with disjoint accumulators, executed on
-//!   `std::thread::scope` workers via [`crate::exec::parallel_map`] (gated
-//!   behind the `parallel` cargo feature and [`SearchOptions::parallel`]).
-//!   Because no accumulator is ever split across tasks, every
-//!   per-candidate sum is formed in exactly the same (row) order as the
-//!   scalar sweep: **parallel results are bit-identical to scalar
-//!   results**, on any thread count. The build environment has no registry
-//!   access, so this uses scoped threads directly rather than depending on
-//!   `rayon`;
-//! * **row-sliced parallelism** — when a level has fewer columns/groups
-//!   than workers (the common drill-down regime: a handful of free
-//!   columns over a large view), task parallelism stalls. With
-//!   [`crate::marginal::RowSlice`] engaged, the view is split into
-//!   [`sdd_table::chunk_spans`] chunks and every (column-or-group × chunk)
-//!   pair becomes a task with a *private* partial accumulator — `u64`
-//!   counts on unit-weight views, `f64` partials otherwise. Partials are
-//!   reduced **in fixed chunk order** with a pairwise tree
-//!   ([`crate::exec::reduce_pairwise`]), so row-sliced results are
-//!   bit-identical on every thread count; unit-weight counts are exact
-//!   integers and bit-identical even to the unsliced sweep, while weighted
-//!   float sums may differ from it in the last ulp (re-association).
+//!   `Vec`. The `Rule`-keyed map survives only at the API boundary.
 //!
-//! **Parity.** Scalar and (unsliced) parallel kernel results are
-//! bit-identical to the row-at-a-time reference
-//! [`crate::marginal::find_best_marginal_rule_rowwise`]: every accumulator
-//! receives its additions in the same row order, and winner selection uses
-//! the same strict total order. Row-sliced results are additionally
-//! bit-identical across thread counts for any fixed chunk cap.
-//! `tests/kernel_parity.rs` asserts both on randomized instances.
+//! **Parallelism is task-per-column (pass 1) and task-per-group (pass j)**
+//! on [`crate::exec::parallel_map`], gated behind the `parallel` cargo
+//! feature and [`SearchOptions::parallel`]. No accumulator is ever split
+//! across tasks: every per-candidate sum is formed by one task scanning the
+//! whole view in row order, so results are **bit-identical on any thread
+//! count** — and bit-identical to the row-at-a-time reference
+//! [`crate::marginal::find_best_marginal_rule_rowwise`], whose winner
+//! selection uses the same strict total order. `tests/kernel_parity.rs`
+//! asserts both.
 //!
 //! [`SearchScratch`] owns the per-search buffers so the `k` searches of one
-//! BRS run reuse allocations on the scalar path; worker tasks allocate
-//! their own (candidate-bounded, not row-bounded) accumulators.
+//! BRS run reuse allocations; worker tasks allocate their own
+//! (candidate-bounded, not row-bounded) accumulators.
 //!
-//! The columnar rule-coverage scans at the bottom of this module
-//! ([`covered_rows`], [`covered_positions`], [`for_each_covered_position`])
-//! use the same chunked plan: each slice is filtered independently and the
-//! per-slice hit lists are concatenated in slice order, so their (integer)
-//! output is byte-identical on any thread count. They back the BRS
-//! covered-weight update, drill-down filtering, and the sampling layer's
-//! create/prefetch scans.
+//! ## Rule scans over global codes
+//!
+//! Two span-level routines are the single implementation of "which rows of
+//! a span does a rule cover" and "how many": `covered_rows_span` and
+//! `count_rule_span`, over any [`Table`] holding global codes — the
+//! monolithic table (span = a slice of it) or one decoded shard segment
+//! (span = all of it; see [`crate::shard`]). [`covered_rows`] and
+//! [`count_rules`] are the whole-table forms; [`covered_positions`] is the
+//! view form behind the BRS covered-weight update and drill-down filtering.
+//! Large inputs are filtered in [`sdd_table::chunk_spans`] slices whose hit
+//! lists concatenate in slice order — integer output, byte-identical on any
+//! thread count.
 
 use crate::accel;
 use crate::exec;
-use crate::marginal::{planned_row_chunks, scan_chunks, BestMarginal, SearchOptions, SearchStats};
+use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
 use crate::{Rule, WeightFn};
 use rustc_hash::FxHashMap;
 use sdd_table::{chunk_spans, RowId, Table, TableView, ViewChunk};
@@ -94,29 +77,18 @@ const DENSE_CELL_CAP: usize = 1 << 17;
 struct ColumnHist {
     counts: Vec<f64>,
     marginals: Vec<f64>,
-    /// `W(base + (col, code))` for candidate codes, `0.0` for codes that are
-    /// unsupported or over the weight cap (their marginal slots are ignored).
-    wtab: Vec<f64>,
-}
-
-/// Result of one pass-1 column task.
-struct Pass1Out {
-    hist: ColumnHist,
-    /// Level-1 candidate rules of this column, code-ascending.
-    rules: Vec<Rule>,
-    generated: usize,
-    pruned: usize,
 }
 
 /// The pass-1 candidate boundary of one free column: the surviving size-1
 /// rules (code-ascending) plus the code → weight table.
 ///
-/// Shared by the task-per-column kernel, the row-sliced kernel, and the
-/// sharded kernel ([`crate::shard`]) — all three count first and then call
-/// this on the finished per-code histogram, so candidate sets are identical
-/// across execution modes by construction.
+/// Shared by this kernel and the segment kernel ([`crate::shard`]) — both
+/// count first and then call this on the finished per-code histogram, so
+/// candidate sets are identical by construction.
 pub(crate) struct Pass1Cands {
     pub(crate) rules: Vec<Rule>,
+    /// `W(base + (col, code))` for candidate codes, `0.0` for codes that are
+    /// unsupported or over the weight cap (their marginal slots are ignored).
     pub(crate) wtab: Vec<f64>,
     pub(crate) generated: usize,
     pub(crate) pruned: usize,
@@ -182,8 +154,8 @@ pub(crate) fn level_blocks(level: &[Rule], base: &Rule) -> Vec<(usize, u32)> {
 /// support/bound/weight prunes. Returns the next level's candidates with
 /// their weights (empty → the search is done).
 ///
-/// Pure candidate bookkeeping — no row access — so the columnar, row-sliced,
-/// and sharded kernels share it verbatim.
+/// Pure candidate bookkeeping — no row access — so this kernel and the
+/// segment kernel share it verbatim.
 ///
 /// det-order: single-threaded sweep in level order; the `+=` accumulators
 /// are integer search stats, never float partials.
@@ -349,7 +321,7 @@ impl SearchScratch {
 /// both scalar and parallel mode.
 ///
 /// det-order: this orchestrator's own `+=` are integer stats; every float
-/// partial merge happens inside the pass helpers via `exec::reduce_pairwise`.
+/// accumulator is owned by one pass-helper task that scans in row order.
 pub(crate) fn find_best_marginal_rule_columnar(
     view: &TableView<'_>,
     weight: &dyn WeightFn,
@@ -374,16 +346,11 @@ pub(crate) fn find_best_marginal_rule_columnar(
         return None;
     }
 
-    let parallel_enabled =
-        cfg!(feature = "parallel") && opts.parallel && view.len() >= opts.parallel_min_rows.max(1);
-    let threads = if parallel_enabled {
+    let threads = if cfg!(feature = "parallel")
+        && opts.parallel
+        && view.len() >= opts.parallel_min_rows.max(1)
+    {
         exec::worker_threads()
-    } else {
-        1
-    };
-    // Row-slicing plan for pass 1 (pass-j levels re-plan per group count).
-    let p1_chunks = if parallel_enabled {
-        planned_row_chunks(opts, free_cols.len(), view.len(), threads)
     } else {
         1
     };
@@ -392,79 +359,63 @@ pub(crate) fn find_best_marginal_rule_columnar(
     let mut counted: FxHashMap<Rule, CandStat> = FxHashMap::default();
     let mut best_h = 0.0f64;
 
-    // ---- Pass 1: columnar per-code histograms — one task per free column,
-    // or per (column × chunk) in row-sliced mode. ----
+    // ---- Pass 1: columnar per-code histograms, one task per free column. ----
     stats.passes = 1;
     scratch.hists.resize_with(free_cols.len(), Default::default);
     let chunk = view.as_chunk();
-    let pass1: Vec<Pass1Out> = if p1_chunks > 1 {
-        pass1_row_sliced(
+    let jobs: Vec<(usize, ColumnHist)> = free_cols
+        .iter()
+        .enumerate()
+        .map(|(fi, _)| (fi, std::mem::take(&mut scratch.hists[fi])))
+        .collect();
+    let pass1 = exec::parallel_map(threads, jobs, |(fi, mut hist)| {
+        let c = free_cols[fi];
+        let card = table.cardinality(c);
+        hist.counts.clear();
+        hist.counts.resize(card, 0.0);
+        hist.marginals.clear();
+        hist.marginals.resize(card, 0.0);
+
+        count_column(table, &chunk, c, &mut hist.counts);
+
+        // Candidate boundary: materialize rules for supported codes,
+        // gate on weight, fill the code → weight table.
+        let cands = pass1_candidates(table, &base, c, &hist.counts, weight, opts);
+
+        // Marginal sweep: m[code] += w_t · (W − min(W, cov_t)). Over-cap
+        // and unsupported codes have W = 0 in wtab, contributing 0 to
+        // slots that are never read back.
+        marginal_column(
             table,
-            view,
-            &base,
-            &free_cols,
-            weight,
+            &chunk,
+            c,
             covered_weight,
-            opts,
-            threads,
-            p1_chunks,
-        )
-    } else {
-        let jobs: Vec<(usize, ColumnHist)> = free_cols
-            .iter()
-            .enumerate()
-            .map(|(fi, _)| (fi, std::mem::take(&mut scratch.hists[fi])))
-            .collect();
-        exec::parallel_map(threads, jobs, |(fi, mut hist)| {
-            let c = free_cols[fi];
-            let card = table.cardinality(c);
-            hist.counts.clear();
-            hist.counts.resize(card, 0.0);
-            hist.marginals.clear();
-            hist.marginals.resize(card, 0.0);
-
-            count_column(table, &chunk, c, &mut hist.counts);
-
-            // Candidate boundary: materialize rules for supported codes,
-            // gate on weight, fill the code → weight table.
-            let cands = pass1_candidates(table, &base, c, &hist.counts, weight, opts);
-            hist.wtab = cands.wtab;
-
-            // Marginal sweep: m[code] += w_t · (W − min(W, cov_t)). Over-cap
-            // and unsupported codes have W = 0 in wtab, contributing 0 to
-            // slots that are never read back.
-            let cov = &covered_weight[chunk.offset()..chunk.offset() + chunk.len()];
-            marginal_column(table, &chunk, c, cov, &hist.wtab, &mut hist.marginals);
-
-            Pass1Out {
-                hist,
-                rules: cands.rules,
-                generated: cands.generated,
-                pruned: cands.pruned,
-            }
-        })
-    };
+            &cands.wtab,
+            &mut hist.marginals,
+        );
+        (hist, cands)
+    });
 
     let mut level: Vec<Rule> = Vec::new();
-    for (fi, out) in pass1.into_iter().enumerate() {
-        stats.generated += out.generated;
-        stats.pruned += out.pruned;
-        stats.counted += out.rules.len();
+    for (fi, (hist, cands)) in pass1.into_iter().enumerate() {
+        stats.generated += cands.generated;
+        stats.pruned += cands.pruned;
+        stats.counted += cands.rules.len();
         let c = free_cols[fi];
-        for rule in &out.rules {
+        for rule in &cands.rules {
             let code = rule.code(c) as usize;
             let stat = CandStat {
-                count: out.hist.counts[code],
-                marginal: out.hist.marginals[code],
-                weight: out.hist.wtab[code],
+                count: hist.counts[code],
+                marginal: hist.marginals[code],
+                weight: cands.wtab[code],
             };
             counted.insert(rule.clone(), stat);
             if stat.marginal > best_h {
                 best_h = stat.marginal;
             }
         }
-        level.extend(out.rules);
-        scratch.hists[fi] = out.hist;
+        level.extend(cands.rules);
+        scratch.hists[fi] = hist;
     }
 
     // ---- Passes 2..: a-priori extension, grouped columnar counting. ----
@@ -482,20 +433,7 @@ pub(crate) fn find_best_marginal_rule_columnar(
         stats.counted += next.len();
 
         build_groups(scratch, table, &base, &next, view.len());
-        let pj_chunks = if parallel_enabled {
-            planned_row_chunks(opts, scratch.groups.len(), view.len(), threads)
-        } else {
-            1
-        };
-        count_level(
-            view,
-            table,
-            covered_weight,
-            scratch,
-            &cand_weights,
-            threads,
-            pj_chunks,
-        );
+        count_level(view, covered_weight, scratch, &cand_weights, threads);
 
         for (cand, stat) in next.iter().zip(&scratch.cstats) {
             if stat.marginal > best_h {
@@ -509,10 +447,9 @@ pub(crate) fn find_best_marginal_rule_columnar(
     pick_winner(&counted, stats)
 }
 
-/// `counts[code] += w` over one chunk of one column.
+/// `counts[code] += w` over one column.
 ///
-/// det-order: sequential scan in row order within the chunk; cross-chunk
-/// partials merge in fixed order via `exec::reduce_pairwise` in the caller.
+/// det-order: sequential scan in row order.
 fn count_column(table: &Table, chunk: &ViewChunk<'_>, col: usize, counts: &mut [f64]) {
     let codes = table.column(col);
     match (chunk.contiguous_rows(), chunk.weights()) {
@@ -571,152 +508,6 @@ fn marginal_column(
             }
         }
     }
-}
-
-/// `counts[code] += 1` over one unit-weight chunk of one column — the exact
-/// `u64` accumulator of the row-sliced mode (integer partials merge
-/// associatively, so sliced counts are bit-identical to the scalar sweep).
-fn count_column_u64(table: &Table, chunk: &ViewChunk<'_>, col: usize, counts: &mut [u64]) {
-    let codes = table.column(col);
-    debug_assert!(chunk.weights().is_none(), "u64 counting needs unit weights");
-    match chunk.contiguous_rows() {
-        Some(range) => {
-            for &code in &codes[range] {
-                counts[code as usize] += 1;
-            }
-        }
-        None => {
-            let ids = chunk.row_ids().expect("non-contiguous chunk has row ids");
-            for &r in ids {
-                counts[codes[r as usize] as usize] += 1;
-            }
-        }
-    }
-}
-
-/// One pass-1 count partial: exact integers on unit-weight views, float
-/// partials (merged pairwise in chunk order) on weighted views.
-enum CountPartial {
-    Ints(Vec<u64>),
-    Floats(Vec<f64>),
-}
-
-/// Merges one column's per-chunk count partials (chunk order) into the
-/// final per-code `f64` histogram.
-fn merge_count_partials(parts: Vec<CountPartial>) -> Vec<f64> {
-    let merged = exec::reduce_pairwise(parts, |a, b| match (a, b) {
-        (CountPartial::Ints(a), CountPartial::Ints(b)) => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-        (CountPartial::Floats(a), CountPartial::Floats(b)) => {
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += y;
-            }
-        }
-        _ => unreachable!("count partials of one view share a representation"),
-    });
-    match merged {
-        CountPartial::Ints(v) => v.into_iter().map(|c| c as f64).collect(),
-        CountPartial::Floats(v) => v,
-    }
-}
-
-/// Row-sliced pass 1: three phases over (free column × chunk) tasks.
-///
-/// 1. **count** — private per-chunk per-code partials, merged per column in
-///    fixed chunk order ([`merge_count_partials`]);
-/// 2. **candidate boundary** — per column (cheap): materialize rules for
-///    supported codes, gate on weight, fill the code → weight table;
-/// 3. **marginal** — private per-chunk marginal partials against the
-///    aligned covered-weight slice, merged pairwise in chunk order.
-///
-/// Output is shaped exactly like the task-per-column path so the caller's
-/// candidate consumption is shared.
-#[allow(clippy::too_many_arguments)]
-fn pass1_row_sliced(
-    table: &Table,
-    view: &TableView<'_>,
-    base: &Rule,
-    free_cols: &[usize],
-    weight: &dyn WeightFn,
-    covered_weight: &[f64],
-    opts: &SearchOptions,
-    threads: usize,
-    max_chunks: usize,
-) -> Vec<Pass1Out> {
-    let chunks = view.chunks(max_chunks);
-    let k = chunks.len();
-    let unit_weights = view.weights().is_none();
-    // Column-major job order keeps each column's chunk partials contiguous
-    // (and in chunk order) in the parallel_map output.
-    let jobs: Vec<(usize, usize)> = (0..free_cols.len())
-        .flat_map(|fi| (0..k).map(move |ck| (fi, ck)))
-        .collect();
-
-    let count_parts = exec::parallel_map(threads, jobs.clone(), |(fi, ck)| {
-        let c = free_cols[fi];
-        let card = table.cardinality(c);
-        if unit_weights {
-            let mut counts = vec![0u64; card];
-            count_column_u64(table, &chunks[ck], c, &mut counts);
-            CountPartial::Ints(counts)
-        } else {
-            let mut counts = vec![0.0f64; card];
-            count_column(table, &chunks[ck], c, &mut counts);
-            CountPartial::Floats(counts)
-        }
-    });
-    let mut part_it = count_parts.into_iter();
-    let col_counts: Vec<Vec<f64>> = (0..free_cols.len())
-        .map(|_| {
-            let parts: Vec<CountPartial> = (0..k)
-                .map(|_| part_it.next().expect("k per column"))
-                .collect();
-            merge_count_partials(parts)
-        })
-        .collect();
-
-    let cands: Vec<Pass1Cands> =
-        exec::parallel_map(threads, (0..free_cols.len()).collect(), |fi| {
-            pass1_candidates(table, base, free_cols[fi], &col_counts[fi], weight, opts)
-        });
-
-    let marg_parts = exec::parallel_map(threads, jobs, |(fi, ck)| {
-        let c = free_cols[fi];
-        let chunk = &chunks[ck];
-        let cov = &covered_weight[chunk.offset()..chunk.offset() + chunk.len()];
-        let mut marginals = vec![0.0f64; table.cardinality(c)];
-        marginal_column(table, chunk, c, cov, &cands[fi].wtab, &mut marginals);
-        marginals
-    });
-    let mut marg_it = marg_parts.into_iter();
-
-    col_counts
-        .into_iter()
-        .zip(cands)
-        .map(|(counts, cc)| {
-            let parts: Vec<Vec<f64>> = (0..k)
-                .map(|_| marg_it.next().expect("k per column"))
-                .collect();
-            let marginals = exec::reduce_pairwise(parts, |a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-            });
-            Pass1Out {
-                hist: ColumnHist {
-                    counts,
-                    marginals,
-                    wtab: cc.wtab,
-                },
-                rules: cc.rules,
-                generated: cc.generated,
-                pruned: cc.pruned,
-            }
-        })
-        .collect()
 }
 
 /// Groups a level's candidates by instantiated-column signature and builds
@@ -844,40 +635,25 @@ pub(crate) fn build_groups(
     }
 }
 
-/// Counts one level's candidates over the view — one task per
-/// (group × chunk) — writing per-candidate stats into `scratch.cstats`.
-///
-/// With `max_chunks == 1` this is exactly the PR-1 task-per-group kernel
-/// (a single chunk spanning the view, merge a no-op). With more chunks,
-/// each task's private per-candidate partials are reduced per group in
-/// fixed chunk order ([`crate::exec::reduce_pairwise`]), so results do not
-/// depend on thread count.
-#[allow(clippy::too_many_arguments)]
+/// Counts one level's candidates over the view — one task per group —
+/// writing per-candidate stats into `scratch.cstats`. Every group owns its
+/// accumulators and scans the whole view in row order, so the result does
+/// not depend on the thread count.
 fn count_level(
     view: &TableView<'_>,
-    table: &Table,
     covered_weight: &[f64],
     scratch: &mut SearchScratch,
     cand_weights: &[f64],
     threads: usize,
-    max_chunks: usize,
 ) {
-    let chunks = view.chunks(max_chunks);
-    let k = chunks.len();
+    let table = view.table();
+    let chunk = view.as_chunk();
     let groups = &scratch.groups;
-    // Group-major job order: each group's chunk partials come back
-    // contiguous and in chunk order.
-    let jobs: Vec<(usize, usize)> = (0..groups.len())
-        .flat_map(|gi| (0..k).map(move |ck| (gi, ck)))
-        .collect();
-    let outputs = exec::parallel_map(threads, jobs, |(gi, ck)| {
-        let g = &groups[gi];
-        let chunk = &chunks[ck];
-        let cov = &covered_weight[chunk.offset()..chunk.offset() + chunk.len()];
+    let outputs = exec::parallel_map(threads, groups.iter().collect(), |g: &Group| {
         if g.is_dense() {
-            count_group_dense(table, chunk, cov, g, cand_weights)
+            count_group_dense(table, &chunk, covered_weight, g, cand_weights)
         } else {
-            count_group_sparse(table, chunk, cov, g, cand_weights)
+            count_group_sparse(table, &chunk, covered_weight, g, cand_weights)
         }
     });
 
@@ -889,33 +665,17 @@ fn count_level(
             marginal: 0.0,
             weight: w,
         }));
-    let mut out_it = outputs.into_iter();
-    for _gi in 0..groups.len() {
-        let parts: Vec<Vec<(u32, f64, f64)>> = (0..k)
-            .map(|_| out_it.next().expect("k per group"))
-            .collect();
-        // Per-group candidate lists are identical across chunks (dense:
-        // `cand_cells` order; sparse: `order`), so merge positionally.
-        let merged = exec::reduce_pairwise(parts, |a, b| {
-            for (x, y) in a.iter_mut().zip(b) {
-                debug_assert_eq!(x.0, y.0, "chunk partials misaligned");
-                x.1 += y.1;
-                x.2 += y.2;
-            }
-        });
-        for (ci, count, marginal) in merged {
-            let stat = &mut scratch.cstats[ci as usize];
-            stat.count = count;
-            stat.marginal = marginal;
-        }
+    for (ci, count, marginal) in outputs.into_iter().flatten() {
+        let stat = &mut scratch.cstats[ci as usize];
+        stat.count = count;
+        stat.marginal = marginal;
     }
 }
 
 /// Probe-free dense counting of one group: a mixed-radix cell histogram over
 /// the group's columns, then candidate cells read off.
 ///
-/// det-order: sequential scan in row order within the chunk; per-group
-/// chunk partials merge positionally via `exec::reduce_pairwise` upstream.
+/// det-order: sequential scan in row order.
 fn count_group_dense(
     table: &Table,
     chunk: &ViewChunk<'_>,
@@ -970,8 +730,7 @@ fn count_group_dense(
 /// Sparse counting of one group via packed-key binary search (groups whose
 /// cell space exceeds [`DENSE_CELL_CAP`]).
 ///
-/// det-order: sequential scan in row order within the chunk; per-group
-/// chunk partials merge positionally via `exec::reduce_pairwise` upstream.
+/// det-order: sequential scan in row order.
 fn count_group_sparse(
     table: &Table,
     chunk: &ViewChunk<'_>,
@@ -1054,19 +813,40 @@ pub(crate) fn pick_winner(
 }
 
 // ---------------------------------------------------------------------------
-// Columnar rule-coverage scans (shared by BRS, drill-down filtering, and the
-// sampling layer's full-table scans).
+// Columnar rule scans over global codes (shared by BRS, drill-down filtering,
+// the sampling layer's full-table scans, and the decoded arm of the segment
+// scans in `crate::shard`).
 // ---------------------------------------------------------------------------
+
+/// Rows per slice targeted by the coverage scans (task startup is per
+/// slice, so slices are kept coarse).
+const ROWS_PER_SLICE: usize = 8 * 1024;
+/// Upper bound on the number of slices of one coverage scan.
+const MAX_SLICES: usize = 64;
+/// Inputs smaller than this are scanned in one piece.
+const SLICE_MIN_ROWS: usize = 32 * 1024;
+
+/// Slice count for the coverage scans ([`covered_rows`],
+/// [`covered_positions`]): slices whenever the scan is large enough to
+/// amortize task startup. Output is integer hit lists concatenated in slice
+/// order, so slicing never changes a byte of the result.
+fn scan_chunks(len: usize) -> usize {
+    if len < SLICE_MIN_ROWS {
+        1
+    } else {
+        (len / ROWS_PER_SLICE).clamp(1, MAX_SLICES)
+    }
+}
 
 /// View positions (ascending) whose rows are covered by `rule`, evaluating
 /// one instantiated column at a time over column slices (progressive
 /// candidate filtering) instead of row-at-a-time probing.
 ///
-/// Large views are scanned **row-sliced**: each [`TableView::chunks`] chunk
-/// is filtered independently and the per-chunk hit lists are concatenated
-/// in chunk order, so the output is byte-identical on any thread count
-/// (positions are integers — no float-merge caveat applies). This is the
-/// scan behind the BRS covered-weight update and drill-down filtering.
+/// Large views are scanned in slices: each [`TableView::chunks`] chunk is
+/// filtered independently and the per-chunk hit lists are concatenated in
+/// chunk order, so the output is byte-identical on any thread count. This
+/// is the scan behind the BRS covered-weight update and drill-down
+/// filtering.
 pub fn covered_positions(view: &TableView<'_>, rule: &Rule) -> Vec<u32> {
     covered_positions_with_threads(view, rule, exec::worker_threads())
 }
@@ -1161,10 +941,10 @@ pub fn for_each_covered_position(view: &TableView<'_>, rule: &Rule, mut f: impl 
 }
 
 /// All row ids of `table` covered by `rule` (ascending), via progressive
-/// columnar filtering — the fast path for the sampling layer's full-table
-/// scans. Large tables are scanned row-sliced ([`sdd_table::chunk_spans`]
-/// slices, concatenated in slice order), so the output is byte-identical
-/// on any thread count.
+/// columnar filtering — the sampling layer's full-table scan over
+/// monolithic storage. Large tables are scanned in
+/// [`sdd_table::chunk_spans`] slices concatenated in slice order, so the
+/// output is byte-identical on any thread count.
 pub fn covered_rows(table: &Table, rule: &Rule) -> Vec<RowId> {
     covered_rows_with_threads(table, rule, exec::worker_threads())
 }
@@ -1180,10 +960,11 @@ pub fn covered_rows_with_threads(table: &Table, rule: &Rule, threads: usize) -> 
     }
     let k = if threads > 1 { scan_chunks(n) } else { 1 };
     if k <= 1 {
-        return covered_rows_span(table, rule, &cols, 0..n);
+        return covered_rows_span(table, rule, &cols, 0..n, 0);
     }
     let parts = exec::parallel_map(threads, chunk_spans(n, k), |span| {
-        covered_rows_span(table, rule, &cols, span)
+        let base = span.start as RowId;
+        covered_rows_span(table, rule, &cols, span, base)
     });
     let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
     for p in parts {
@@ -1192,24 +973,62 @@ pub fn covered_rows_with_threads(table: &Table, rule: &Rule, threads: usize) -> 
     out
 }
 
-/// Progressive columnar filtering of one row span of the full table.
-fn covered_rows_span(
+/// The rows of `span` (row indices of `table`, which holds **global**
+/// codes) covered by `rule`, ascending, numbered from `base` — row
+/// `span.start + i` is reported as `base + i`. `cols` are the rule's
+/// instantiated columns (non-empty). First column via the SIMD equality
+/// scan, remaining columns by survivor filtering.
+///
+/// The one implementation of this filter: [`covered_rows`] runs it over
+/// slices of the monolithic table (`base = span.start`), the segment scans
+/// of [`crate::shard`] over a decoded segment's own table (`span` = all of
+/// it, `base` = the segment's first global row).
+pub(crate) fn covered_rows_span(
     table: &Table,
     rule: &Rule,
     cols: &[usize],
     span: std::ops::Range<usize>,
+    base: RowId,
 ) -> Vec<RowId> {
     let (&first, rest) = cols.split_first().expect("non-empty");
-    let codes = table.column(first);
-    let want = rule.code(first);
     let mut rows: Vec<RowId> = Vec::new();
-    accel::positions_eq_u32(&codes[span.clone()], want, span.start as u32, &mut rows);
+    accel::positions_eq_u32(
+        &table.column(first)[span.clone()],
+        rule.code(first),
+        base,
+        &mut rows,
+    );
     for &c in rest {
-        let codes = table.column(c);
+        let codes = &table.column(c)[span.clone()];
         let want = rule.code(c);
-        rows.retain(|&r| codes[r as usize] == want);
+        rows.retain(|&r| codes[(r - base) as usize] == want);
     }
     rows
+}
+
+/// How many rows of `span` (row indices of `table`, global codes) `rule`
+/// covers — the one implementation of the exact count, shared like
+/// [`covered_rows_span`]. Single-column rules use the vectorized count
+/// kernel directly; wider rules count the survivors of the span filter.
+pub(crate) fn count_rule_span(table: &Table, rule: &Rule, span: std::ops::Range<usize>) -> u64 {
+    let cols: Vec<usize> = rule.instantiated_columns().collect();
+    match cols[..] {
+        [] => span.len() as u64,
+        [c] => accel::count_eq_u32(&table.column(c)[span], rule.code(c)) as u64,
+        _ => covered_rows_span(table, rule, &cols, span, 0).len() as u64,
+    }
+}
+
+/// Exact `Count` of every rule over the full table — the scan behind the
+/// explorer's exact-count refresh over monolithic storage
+/// ([`crate::shard::try_count_rules_sharded`] is the segment-tier form).
+/// Counts are exact integers, so how the rows are partitioned can never
+/// change a bit of the result.
+pub fn count_rules(table: &Table, rules: &[Rule]) -> Vec<f64> {
+    rules
+        .iter()
+        .map(|r| count_rule_span(table, r, 0..table.n_rows()) as f64)
+        .collect()
 }
 
 #[cfg(test)]
@@ -1248,6 +1067,16 @@ mod tests {
         let table = t();
         let rule = Rule::trivial(3);
         assert_eq!(covered_rows(&table, &rule).len(), table.n_rows());
+    }
+
+    #[test]
+    fn count_rules_matches_per_rule_counts() {
+        let table = t();
+        let a = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
+        let ax = Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap();
+        let rules = [Rule::trivial(3), a, ax];
+        assert_eq!(count_rules(&table, &rules), vec![5.0, 3.0, 2.0]);
+        assert_eq!(count_rules(&table, &[]), Vec::<f64>::new());
     }
 
     #[test]

@@ -19,15 +19,25 @@
 //! reduction); `Score` is submodular (Lemma 3), so a greedy algorithm gives
 //! a `1 − 1/e` approximation.
 //!
+//! ## Shape (paper §3–§4)
+//!
+//! Searches — BRS, Algorithm 2, rule and star drill-down — always run over
+//! an in-memory [`sdd_table::TableView`]; in the product that view is a
+//! materialised sample. The full table, however it is stored, is only ever
+//! scanned for covered rows, counted exactly, and gathered from. There is
+//! one search stack and one fallible scan API; results are bit-identical
+//! for any thread count, shard layout, residency budget and SIMD setting.
+//!
 //! ## Modules
 //!
 //! * [`rule`] — the [`Rule`] pattern type and the sub-/super-rule lattice,
 //! * [`weight`] — the [`WeightFn`] trait and the paper's weighting functions,
 //! * [`score`] — `Count`/`MCount`/`Score` over rule lists and sets,
 //! * [`marginal`] — Algorithm 2: the a-priori-style best-marginal-rule search,
-//! * [`kernel`] — the columnar (optionally multi-threaded, optionally
-//!   row-sliced) counting kernel behind Algorithm 2, plus chunked columnar
-//!   rule-coverage scans,
+//! * [`kernel`] — the columnar counting kernel behind Algorithm 2
+//!   (task-per-column/group parallel, bit-identical on any thread count),
+//!   plus the one columnar implementation of "covered rows" and "exact
+//!   count" over a span of global codes,
 //! * [`exec`] — deterministic parallel-map / pairwise-merge utilities shared
 //!   by the kernel and the sampling layer's prefetch scan,
 //! * [`accel`] — runtime-dispatched SIMD equality-scan kernels (AVX2 with a
@@ -38,10 +48,10 @@
 //!   drill-down result caches (floats keyed by bits, normalized bases,
 //!   content-digested views),
 //! * [`drilldown`] — rule and star drill-down (Problem 1 → 2/3 reductions),
-//! * [`shard`] — bit-compatible twins of the hot paths over sharded
-//!   (`sdd_table::ShardedTable`) storage: per-shard counting passes,
-//!   coverage scans, scoring, and drill-downs for larger-than-memory
-//!   tables,
+//! * [`shard`] — the segment tier: the three scans the product runs over
+//!   sharded (`sdd_table::ShardedTable`) storage — covered rows, covered
+//!   rows of an appended range, exact counts — their store-kind dispatch,
+//!   and the per-shard Algorithm 2 kernel kept as a measured candidate,
 //! * [`session`] — the interactive exploration tree with paper-style rendering,
 //! * [`exact`] — brute-force oracle for tests and ablations,
 //! * [`mw_estimate`] — sampling-based estimation of the `mw` parameter (§6.1),
@@ -73,28 +83,23 @@ pub use drilldown::{
 };
 pub use exact::{enumerate_support_rules, exact_best_rule_set, greedy_guarantee};
 pub use kernel::{
-    covered_positions, covered_positions_with_threads, covered_rows, covered_rows_with_threads,
-    for_each_covered_position, SearchScratch,
+    count_rules, covered_positions, covered_positions_with_threads, covered_rows,
+    covered_rows_with_threads, for_each_covered_position, SearchScratch,
 };
 pub use marginal::{
     find_best_marginal_rule, find_best_marginal_rule_rowwise, find_best_marginal_rule_with_scratch,
-    BestMarginal, RowSlice, SearchOptions, SearchStats,
+    BestMarginal, SearchOptions, SearchStats,
 };
 pub use mw_estimate::estimate_mw;
 pub use reduction::{McpInstance, McpWeight};
 pub use rule::{Rule, RuleValue, STAR};
 pub use score::{
-    count_rules, rule_count, score_list, score_set, sort_by_weight_desc, top_assignment, ListScore,
-    RuleScore,
+    rule_count, score_list, score_set, sort_by_weight_desc, top_assignment, ListScore, RuleScore,
 };
 pub use session::{Node, Session, SessionError};
 pub use shard::{
-    count_rules_sharded, covered_positions_sharded, covered_rows_sharded, drill_down_sharded,
-    filter_to_rule_sharded, find_best_marginal_rule_sharded, rule_count_sharded,
-    score_list_sharded, sort_by_weight_desc_sharded, star_drill_down_sharded,
-    try_count_rules_sharded, try_covered_positions_sharded, try_covered_rows_sharded,
-    try_covered_rows_sharded_range, try_filter_to_rule_sharded,
-    try_find_best_marginal_rule_sharded, try_rule_count_sharded, try_score_list_sharded,
+    try_count_rules_in_store, try_count_rules_sharded, try_covered_rows_in_store,
+    try_covered_rows_sharded, try_covered_rows_sharded_range, try_find_best_marginal_rule_sharded,
 };
 pub use weight::{
     check_monotone_on, BitsWeight, ColumnWeight, RequireColumn, SizeMinusOne, SizeWeight,

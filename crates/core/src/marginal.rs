@@ -21,83 +21,20 @@
 //! for every super-rule of `R'` with weight ≤ `mw`; see the module tests for
 //! a brute-force check). Because only the single best rule is needed, `H`
 //! rises quickly and the search typically terminates after 2–4 passes.
+//!
+//! **Execution.** [`find_best_marginal_rule`] always runs over an in-memory
+//! [`TableView`] — in the product, a materialised sample (paper §4) —
+//! through the columnar kernel of [`crate::kernel`]. [`SearchOptions`]
+//! selects *how hard* to search (`max_weight`, pruning, size cap, base) and
+//! whether the counting passes fan out task-per-column/group; no option
+//! changes a bit of the result, and neither does the thread count.
+//! [`find_best_marginal_rule_rowwise`] is the row-at-a-time reference the
+//! parity tests compare against.
 
 use crate::kernel::{self, CandStat, SearchScratch};
 use crate::{Rule, WeightFn};
 use rustc_hash::FxHashMap;
 use sdd_table::TableView;
-
-/// How the counting kernel slices *rows* across workers (on top of the
-/// task-per-column/group parallelism that PR 1 introduced).
-///
-/// Row slicing splits the view into [`sdd_table::chunk_spans`] chunks; each
-/// (column-or-group × chunk) task accumulates a private partial, and
-/// partials are reduced **in fixed chunk order** with a pairwise tree
-/// ([`crate::exec::reduce_pairwise`]). Because both the chunk plan and the
-/// merge order are pure functions of the view length and the chunk cap —
-/// never of thread count — row-sliced results are bit-identical on any
-/// thread count. They can differ from the unsliced scalar sweep in the last
-/// ulp of float sums (re-association); unit-weight counts are exact
-/// integers and therefore always identical.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RowSlice {
-    /// Engage row slicing when the level's task count (free columns in pass
-    /// 1, candidate groups in pass j) cannot use the available workers and
-    /// the view is large enough to amortize the merge. The chunk count is
-    /// data-driven (`len / 8192`, capped), so results for a given decision
-    /// are machine-independent; the *decision* consults
-    /// [`crate::exec::worker_threads`], so pin `SDD_THREADS` for bit-exact
-    /// cross-machine reproducibility of large weighted scans.
-    Auto,
-    /// Never slice rows: exactly the PR-1 task-per-column/group kernel,
-    /// bit-identical to the scalar and row-at-a-time reference paths.
-    Off,
-    /// Always slice into at most this many chunks (≥ 1; `Force(1)` is
-    /// equivalent to [`RowSlice::Off`]). Used by the parity suite and the
-    /// thread-scaling benchmark.
-    Force(usize),
-}
-
-/// Rows per chunk targeted by [`RowSlice::Auto`] (the merge cost is per
-/// candidate per chunk, so chunks are kept coarse).
-const ROWS_PER_CHUNK: usize = 8 * 1024;
-/// Upper bound on the number of row chunks in [`RowSlice::Auto`].
-const MAX_ROW_CHUNKS: usize = 64;
-/// Views smaller than this never engage [`RowSlice::Auto`] slicing.
-const ROW_SLICE_MIN_ROWS: usize = 32 * 1024;
-
-/// The work-scheduling heuristic: how many row chunks a counting pass with
-/// `units` independent column/group tasks over `len` rows should use, given
-/// `threads` available workers. Returns `1` (no slicing) unless the pass
-/// cannot otherwise occupy the workers.
-pub(crate) fn planned_row_chunks(
-    opts: &SearchOptions,
-    units: usize,
-    len: usize,
-    threads: usize,
-) -> usize {
-    let cap = match opts.row_slice {
-        RowSlice::Off => return 1,
-        RowSlice::Force(k) => return k.clamp(1, len.max(1)),
-        RowSlice::Auto => MAX_ROW_CHUNKS,
-    };
-    if threads <= 1 || len < ROW_SLICE_MIN_ROWS || units >= threads {
-        return 1;
-    }
-    (len / ROWS_PER_CHUNK).clamp(1, cap)
-}
-
-/// Chunk count for the standalone coverage scans (`covered_rows`,
-/// `covered_positions`): slices whenever the scan is large enough to
-/// amortize task startup. Output there is integer hit lists concatenated
-/// in slice order, so slicing never changes a byte of the result.
-pub(crate) fn scan_chunks(len: usize) -> usize {
-    if len < ROW_SLICE_MIN_ROWS {
-        1
-    } else {
-        (len / ROWS_PER_CHUNK).clamp(1, MAX_ROW_CHUNKS)
-    }
-}
 
 /// Tuning knobs for the marginal-rule search.
 #[derive(Debug, Clone)]
@@ -117,21 +54,16 @@ pub struct SearchOptions {
     /// search space (see DESIGN.md §6.3). The view must already be filtered
     /// to base-covered tuples.
     pub base: Option<Rule>,
-    /// Run the counting passes on multiple threads (requires the `parallel`
-    /// cargo feature; no-op without it). Parallel merges change float
-    /// association, so marginal values may differ from the scalar path in
-    /// the last ulp — see [`crate::kernel`].
+    /// Run the counting passes task-per-column / task-per-group on multiple
+    /// threads (requires the `parallel` cargo feature; no-op without it).
+    /// Every accumulator is owned by one task, so results are bit-identical
+    /// to the single-threaded sweep on any thread count — see
+    /// [`crate::kernel`].
     pub parallel: bool,
-    /// Views smaller than this stay on the scalar path even when
-    /// [`SearchOptions::parallel`] is set (thread spawn/merge overhead
-    /// dominates below it, and small searches stay bit-identical to the
-    /// scalar kernel).
+    /// Views smaller than this stay single-threaded even when
+    /// [`SearchOptions::parallel`] is set (thread spawn overhead dominates
+    /// below it).
     pub parallel_min_rows: usize,
-    /// Row-sliced execution mode (see [`RowSlice`]): lets counting passes
-    /// scale past the column/group count by also splitting rows into
-    /// deterministic chunks. Only consulted when [`SearchOptions::parallel`]
-    /// engages the parallel kernel.
-    pub row_slice: RowSlice,
 }
 
 impl SearchOptions {
@@ -145,7 +77,6 @@ impl SearchOptions {
             base: None,
             parallel: cfg!(feature = "parallel"),
             parallel_min_rows: 16 * 1024,
-            row_slice: RowSlice::Auto,
         }
     }
 }

@@ -10,7 +10,7 @@
 //! `Sum`/`MSum` (measure weights, §6.3), and scaled sample estimates (§4).
 
 use crate::{Rule, WeightFn};
-use sdd_table::{Table, TableView};
+use sdd_table::TableView;
 
 /// Per-rule breakdown of a scored rule list.
 #[derive(Debug, Clone, PartialEq)]
@@ -130,14 +130,6 @@ pub fn rule_count(view: &TableView<'_>, rule: &Rule) -> f64 {
         .sum()
 }
 
-/// Exact `Count` of every rule over the full table — the monolithic twin
-/// of [`crate::shard::count_rules_sharded`] (the scan behind the
-/// explorer's exact-count refresh).
-pub fn count_rules(table: &Table, rules: &[Rule]) -> Vec<f64> {
-    let view = table.view();
-    rules.iter().map(|r| rule_count(&view, r)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -240,15 +232,6 @@ mod tests {
         let s = score_list(&view, &SizeWeight, &[a.clone(), a]);
         assert_eq!(s.rules[0].mcount, 7.0);
         assert_eq!(s.rules[1].mcount, 0.0);
-    }
-
-    #[test]
-    fn count_rules_matches_per_rule_counts() {
-        let table = t();
-        let a = rule(&table, &[("A", "a")]);
-        let ax = rule(&table, &[("A", "a"), ("B", "x")]);
-        assert_eq!(count_rules(&table, &[a, ax]), vec![7.0, 4.0]);
-        assert_eq!(count_rules(&table, &[]), Vec::<f64>::new());
     }
 
     #[test]

@@ -1,96 +1,100 @@
-//! Sharded compute: the drill-down hot paths over [`ShardedTable`] /
-//! [`ShardedView`] storage (see `sdd_table::shard` for the substrate).
+//! The segment tier: the scans that run over [`ShardedTable`] storage
+//! (see `sdd_table::shard` for the substrate).
 //!
-//! Every function here is a **bit-compatible twin** of its monolithic
-//! counterpart. The contract rests on two facts:
+//! The paper's architecture (§3–§4) runs BRS and Algorithm 2 over an
+//! **in-memory sample**; the big table is only ever scanned for covered
+//! rows (Create, prefetch, live maintenance), counted exactly (refresh) and
+//! gathered from. That is all the product asks of segmented storage, so
+//! that is all this module serves:
+//!
+//! * [`try_covered_rows_sharded`] / [`try_covered_rows_sharded_range`] —
+//!   the row ids a rule covers, over the whole table or one appended range;
+//! * [`try_count_rules_sharded`] — exact counts of a rule list;
+//! * [`try_covered_rows_in_store`] / [`try_count_rules_in_store`] — the same
+//!   two scans over any [`TableStore`]: the **one place** that dispatches on
+//!   the store kind (monolithic → [`crate::kernel`], segmented → here), so
+//!   the sampling layer and the explorer never match on it;
+//! * [`try_find_best_marginal_rule_sharded`] — Algorithm 2 run directly
+//!   over segments, bit-identical to [`crate::find_best_marginal_rule`] on
+//!   the equivalent monolithic view. No product path calls it (searches run
+//!   on samples); it is kept as the measured candidate for a single
+//!   segment-run kernel (the benchmark's `core.search_sharded_ratio`).
+//!
+//! Everything is **fallible-only**: a damaged spill file surfaces as
+//! [`TableError::Corrupt`]/[`TableError::Io`], so a session gets an error
+//! response instead of a crash.
+//!
+//! ## Bit-parity with the monolithic scans
 //!
 //! 1. the shard layout partitions the row range in order, so iterating
 //!    shards in index order visits rows (or view positions) in exactly the
 //!    monolithic order;
-//! 2. every float accumulator is updated **shard-after-shard into one
-//!    shared accumulator** — the same operation sequence the monolithic
+//! 2. coverage and count scans produce integers — hit lists concatenate in
+//!    shard order, counts add exactly;
+//! 3. the search updates every float accumulator **shard-after-shard into
+//!    one shared accumulator** — the same operation sequence the monolithic
 //!    scan performs — while parallelism comes from *disjoint* accumulators
 //!    (one per column or candidate group, threaded through the shard loop
 //!    by [`crate::exec::parallel_map`], which returns them in job order).
-//!    Integer quantities additionally fan out per (column × shard) with
-//!    private `u64` partials merged by the chunk-ordered
-//!    [`crate::exec::reduce_pairwise`] — associative, hence still exact.
+//!    Unit-weight pass-1 counts additionally fan out per shard run with
+//!    private `u64` partials merged by [`crate::exec::reduce_pairwise`] —
+//!    integer addition, hence still exact.
+//!
+//! So results are identical for any shard count, resident budget, eviction
+//! policy, construction path and thread count: eviction and spill reload
+//! only change when bytes are in memory, never which bytes. Segment `Arc`s
+//! a scan holds in flight are **pinned** in the residency cache (they count
+//! against the budget rather than escaping it), which throttles memory,
+//! never results. `tests/shard_parity.rs` asserts all of this.
 //!
 //! ## Spill-tier predicate pushdown
 //!
-//! Scans here never force a shard's local→global decode. Each shard is
-//! consumed **in whichever form the residency cache holds**
-//! ([`sdd_table::SegmentData`]): decoded segments scan global codes;
-//! raw segments scan the packed 1/2/4-byte local codes straight out of the
-//! spill coding, after translating each rule predicate into the shard's
-//! local code space through its `remap` — a predicate value absent from
-//! `remap` covers zero rows, so the whole shard is skipped without touching
-//! a single row. Coverage scans that miss the cache range-read only the
-//! rule's columns ([`ShardedTable::read_columns`]) and leave residency
-//! undisturbed; the marginal-search passes load the raw form into the cache
+//! Scans never force a shard's local→global decode. Each shard is consumed
+//! **in whichever form the residency cache holds**
+//! ([`sdd_table::SegmentData`]):
+//!
+//! * a **decoded** segment is a small table of global codes, scanned by the
+//!   same span routines the monolithic scans use (`covered_rows_span`,
+//!   `count_rule_span` in [`crate::kernel`]) — there is no second
+//!   implementation;
+//! * a **raw** segment is scanned as packed 1/2/4-byte local codes straight
+//!   out of the spill coding, after translating each rule predicate into
+//!   the shard's local code space through its `remap` — a predicate value
+//!   absent from `remap` covers zero rows, so the whole shard is skipped
+//!   without touching a row. This arm hides the spill format and stays
+//!   separate.
+//!
+//! Coverage and count scans that miss the cache range-read only the rule's
+//! columns ([`ShardedTable::read_columns`]) and leave residency
+//! undisturbed; the search loads the raw form into the cache
 //! ([`ShardedTable::segment_data`]) so later passes rescan it for free.
-//! Bit-parity is preserved by construction:
-//!
-//! * **positions/counts** are integers — a local-code equality scan hits
-//!   exactly the rows the global-code scan hits;
-//! * **histograms** remap back to global slots. Unit-weight counts scatter
-//!   local `u64` histograms through `remap` (integer addition, exact).
-//!   Weighted `f64` histograms use *swap-in/swap-out*: at shard entry each
-//!   local slot borrows its global slot's running value
-//!   (`lacc[l] = acc[remap[l]]`), rows accumulate into local slots in row
-//!   order, and shard exit writes the values back — `remap` is injective,
-//!   so every global slot's float operation sequence is exactly the
-//!   monolithic one;
-//! * **pass-j dense cells** premultiply `remap` by the group strides
-//!   (`lcell[l] = remap[l] * stride`, integer) so cell indices are
-//!   identical to the decoded scan's.
-//!
-//! The equality-compare inner loops dispatch through [`crate::accel`]
-//! (AVX2 with scalar fallback); SIMD changes neither positions nor order.
-//!
-//! Consequently the sharded search, BRS, coverage scans, and scoring are
-//! **bit-identical to the monolithic path for any shard count and any
-//! resident budget** — eviction and spill reload only change when bytes
-//! are in memory, never which bytes. The same holds for *how the storage
-//! was built* (`ShardedTable::from_table` vs the streaming
-//! `ShardBuilder`) and for the *eviction policy* (`Residency::Lru` vs
-//! `Sweep`): a stream-built table holds byte-identical segments and the
-//! policy only reorders spill traffic. Segment `Arc`s these scans hold
-//! in flight are **pinned** in the residency cache (they count against
-//! the budget rather than escaping it), which throttles memory, never
-//! results. `tests/shard_parity.rs` asserts all of this end to end
-//! (search winners, sample stores, server transcripts) across shard
-//! counts 1..=8 × both builds, including budgets that force spill.
-//!
-//! ## Fallibility
-//!
-//! Every scan comes in two forms: a `try_*` variant returning
-//! `Result<_, TableError>` (a damaged spill file surfaces as
-//! [`TableError::Corrupt`]/[`TableError::Io`] — the server stack uses
-//! these so a session gets an error response instead of a crash) and the
-//! original infallible name, which `expect`s — appropriate for embedded
-//! use where the table's own spill files are trusted.
+//! Raw-form parity holds by construction: a local-code equality scan hits
+//! exactly the rows the global-code scan hits; unit-weight histograms
+//! scatter local `u64` counts through `remap`; weighted `f64` histograms
+//! use *swap-in/swap-out* (at shard entry each local slot borrows its
+//! global slot's running value, rows accumulate in row order, shard exit
+//! writes the values back — `remap` is injective, so every global slot's
+//! float operation sequence is exactly the monolithic one); pass-j dense
+//! cells premultiply `remap` by the group strides so cell indices are
+//! identical to the decoded scan's. The equality-compare inner loops
+//! dispatch through [`crate::accel`] (AVX2 with scalar fallback); SIMD
+//! changes neither positions nor order.
 
 use crate::accel;
-use crate::brs::{Brs, BrsResult, ScoredRule};
 use crate::exec;
 use crate::kernel::{
-    build_groups, generate_level, level_blocks, pass1_candidates, pick_winner, CandStat, Group,
-    Pass1Cands, SearchScratch,
+    build_groups, count_rule_span, covered_rows_span, covered_rows_with_threads, generate_level,
+    level_blocks, pass1_candidates, pick_winner, CandStat, Group, Pass1Cands, SearchScratch,
 };
 use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
-use crate::score::ListScore;
-use crate::weight::RequireColumn;
 use crate::{Rule, WeightFn};
 use rustc_hash::FxHashMap;
 use sdd_table::{
     LocalCodes, RawColumn, RawSegment, RowId, SegmentData, ShardRun, ShardSegment, ShardedTable,
-    ShardedView, TableError,
+    ShardedView, TableError, TableStore,
 };
 use std::ops::Range;
 use std::sync::Arc;
-
-const SPILL_EXPECT: &str = "shard spill file must decode (written by this table)";
 
 // ---------------------------------------------------------------------------
 // Pushdown plumbing: fetching shard columns in their cheapest form and
@@ -200,84 +204,54 @@ fn count_eq_local(codes: &LocalCodes, want: u32) -> usize {
     }
 }
 
-/// Appends the ids (`span.start + local`) of `rule`'s covered rows in one
-/// full shard to `out`, ascending — for all-rows views these are equally
-/// view positions. First column via the SIMD equality scan, remaining
-/// columns by survivor filtering; the raw form scans packed local codes
-/// after predicate translation.
+/// The ids (`span.start + local`) of `rule`'s covered rows in one full
+/// shard, ascending. The decoded form runs the shared span filter over the
+/// segment's own table; the raw form scans packed local codes after
+/// predicate translation (first column via the SIMD equality scan,
+/// remaining columns by survivor filtering).
 fn covered_in_shard(
     f: &ShardCols<'_>,
     rule: &Rule,
     cols: &[usize],
     span: &Range<usize>,
-    out: &mut Vec<u32>,
-) {
+) -> Vec<RowId> {
     let base = span.start as u32;
-    let mut hits: Vec<u32> = Vec::new();
     if let Some(seg) = f.decoded() {
-        let (&first, rest) = cols.split_first().expect("non-empty");
-        accel::positions_eq_u32(seg.col(first), rule.code(first), base, &mut hits);
-        for &c in rest {
-            let codes = seg.col(c);
-            let want = rule.code(c);
-            hits.retain(|&r| codes[(r - base) as usize] == want);
-        }
-    } else {
-        let Some(preds) = local_predicates(f, rule, cols) else {
-            return; // zero-count shard: predicate value absent from remap
-        };
+        return covered_rows_span(seg.table(), rule, cols, 0..span.len(), base);
+    }
+    let mut hits: Vec<u32> = Vec::new();
+    // `None`: a predicate value is absent from remap — a zero-count shard.
+    if let Some(preds) = local_predicates(f, rule, cols) {
         let (&(first_codes, first_want), rest) = preds.split_first().expect("non-empty");
         positions_eq_local(first_codes, first_want, base, &mut hits);
         for &(codes, want) in rest {
             hits.retain(|&r| codes.at((r - base) as usize) == want);
         }
     }
-    out.extend(hits);
+    hits
 }
 
 // ---------------------------------------------------------------------------
 // Coverage scans
 // ---------------------------------------------------------------------------
 
-/// All row ids of `table` covered by `rule` (ascending) — the sharded twin
-/// of [`crate::covered_rows`]: shards are filtered in index order and the
-/// per-shard hit lists concatenate, so the output is byte-identical to the
-/// monolithic scan on any shard count. Infallible wrapper over
-/// [`try_covered_rows_sharded`].
-pub fn covered_rows_sharded(table: &ShardedTable, rule: &Rule) -> Vec<RowId> {
-    try_covered_rows_sharded(table, rule).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`covered_rows_sharded`]. Cached shards are scanned in place
-/// (decoded or raw); misses range-read only the rule's columns.
+/// All row ids of `table` covered by `rule` (ascending) — the segment-tier
+/// form of [`crate::covered_rows`]: shards are filtered in index order and
+/// the per-shard hit lists concatenate, so the output is byte-identical to
+/// the monolithic scan on any shard count. Cached shards are scanned in
+/// place (decoded or raw); misses range-read only the rule's columns.
 pub fn try_covered_rows_sharded(
     table: &ShardedTable,
     rule: &Rule,
 ) -> Result<Vec<RowId>, TableError> {
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    let n = table.n_rows();
-    if cols.is_empty() {
-        return Ok((0..n as RowId).collect());
-    }
-    let mut out: Vec<RowId> = Vec::new();
-    for i in 0..table.n_shards() {
-        let span = table.spans()[i].clone();
-        if span.is_empty() {
-            continue;
-        }
-        let f = fetch_cols(table, i, &cols)?;
-        covered_in_shard(&f, rule, &cols, &span, &mut out);
-    }
-    Ok(out)
+    try_covered_rows_sharded_range(table, rule, 0..table.n_rows())
 }
 
-/// All row ids in `range` covered by `rule` (ascending): the ranged twin
-/// of [`try_covered_rows_sharded`], scanning only the shards that overlap
-/// the range. This is what incremental sample maintenance uses to offer
-/// exactly one epoch's appended rows (`epoch_rows[e-1]..epoch_rows[e]`)
-/// without rescanning the table. The full-range call returns byte-identical
-/// output to [`try_covered_rows_sharded`] by construction: shards are
-/// visited in index order and per-shard hits are ascending either way.
+/// All row ids in `range` covered by `rule` (ascending), scanning only the
+/// shards that overlap the range (out-of-bounds ranges clamp). This is what
+/// incremental sample maintenance uses to offer exactly one epoch's
+/// appended rows (`epoch_rows[e-1]..epoch_rows[e]`) without rescanning the
+/// table; [`try_covered_rows_sharded`] is the full-range call.
 pub fn try_covered_rows_sharded_range(
     table: &ShardedTable,
     rule: &Rule,
@@ -298,123 +272,23 @@ pub fn try_covered_rows_sharded_range(
         if span.is_empty() || span.end <= lo || span.start >= hi {
             continue;
         }
-        let f = fetch_cols(table, i, &cols)?;
-        let before = out.len();
-        covered_in_shard(&f, rule, &cols, &span, &mut out);
+        let mut hits = covered_in_shard(&fetch_cols(table, i, &cols)?, rule, &cols, &span);
         if span.start < lo || span.end > hi {
             // Boundary shard: keep only the in-range hits.
-            let (lo32, hi32) = (lo as RowId, hi as RowId);
-            let mut w = before;
-            for r in before..out.len() {
-                let v = out[r];
-                if (lo32..hi32).contains(&v) {
-                    out[w] = v;
-                    w += 1;
-                }
-            }
-            out.truncate(w);
+            hits.retain(|&r| (lo..hi).contains(&(r as usize)));
         }
+        out.extend(hits);
     }
     Ok(out)
 }
 
-/// View positions (ascending) whose rows are covered by `rule` — the
-/// sharded twin of [`crate::covered_positions`]. Byte-identical output.
-/// Infallible wrapper over [`try_covered_positions_sharded`].
-pub fn covered_positions_sharded(view: &ShardedView, rule: &Rule) -> Vec<u32> {
-    try_covered_positions_sharded(view, rule).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`covered_positions_sharded`]. All-rows views use the
-/// contiguous per-shard SIMD scan (position = row id); subset views probe
-/// row-at-a-time with per-shard predicate translation.
-pub fn try_covered_positions_sharded(
-    view: &ShardedView,
-    rule: &Rule,
-) -> Result<Vec<u32>, TableError> {
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    if cols.is_empty() {
-        return Ok((0..view.len() as u32).collect());
-    }
-    let st = view.table();
-    let mut out: Vec<u32> = Vec::new();
-    if view.row_ids().is_none() {
-        // All-rows view: one contiguous run per shard, position == row id.
-        for run in view.shard_runs() {
-            let span = st.spans()[run.shard].clone();
-            let f = fetch_cols(st, run.shard, &cols)?;
-            covered_in_shard(&f, rule, &cols, &span, &mut out);
-        }
-        return Ok(out);
-    }
-    // Subset view: fetch each touched shard once (runs may revisit).
-    let mut fetched: FxHashMap<usize, ShardCols<'_>> = FxHashMap::default();
-    for run in view.shard_runs() {
-        if let std::collections::hash_map::Entry::Vacant(e) = fetched.entry(run.shard) {
-            e.insert(fetch_cols(st, run.shard, &cols)?);
-        }
-        let f = &fetched[&run.shard];
-        let start = st.spans()[run.shard].start;
-        if let Some(seg) = f.decoded() {
-            for pos in run.positions.clone() {
-                let local = seg.local(view.row_at(pos));
-                if cols.iter().all(|&c| seg.col(c)[local] == rule.code(c)) {
-                    out.push(pos as u32);
-                }
-            }
-        } else if let Some(preds) = local_predicates(f, rule, &cols) {
-            for pos in run.positions.clone() {
-                let local = view.row_at(pos) as usize - start;
-                if preds.iter().all(|&(codes, want)| codes.at(local) == want) {
-                    out.push(pos as u32);
-                }
-            }
-        }
-        // else: predicate value absent from this shard — no positions.
-    }
-    Ok(out)
-}
-
-/// Filters `view` to the positions covered by `base` — the sharded twin of
-/// [`crate::filter_to_rule`]. Row order and weights are preserved.
-/// Infallible wrapper over [`try_filter_to_rule_sharded`].
-pub fn filter_to_rule_sharded(view: &ShardedView, base: &Rule) -> ShardedView {
-    try_filter_to_rule_sharded(view, base).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`filter_to_rule_sharded`].
-pub fn try_filter_to_rule_sharded(
-    view: &ShardedView,
-    base: &Rule,
-) -> Result<ShardedView, TableError> {
-    let positions = try_covered_positions_sharded(view, base)?;
-    let rows: Vec<RowId> = positions.iter().map(|&p| view.row_at(p as usize)).collect();
-    Ok(match view.weights() {
-        Some(_) => {
-            let weights: Vec<f64> = positions
-                .iter()
-                .map(|&p| view.weight_at(p as usize))
-                .collect();
-            ShardedView::with_rows_and_weights(view.table().clone(), rows, weights)
-        }
-        None => ShardedView::with_rows(view.table().clone(), rows),
-    })
-}
-
-/// Exact counts of every rule in one pass over the sharded table — the scan
-/// behind the explorer's sharded `refresh`. Infallible wrapper over
-/// [`try_count_rules_sharded`].
-pub fn count_rules_sharded(table: &ShardedTable, rules: &[Rule]) -> Vec<f64> {
-    try_count_rules_sharded(table, rules).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`count_rules_sharded`].
+/// Exact counts of every rule in one pass over the sharded table — the
+/// segment-tier form of [`crate::count_rules`], the scan behind the
+/// explorer's exact-count refresh.
 ///
-/// det-order: counts are exact integers (a sum of `k` unit additions is
-/// exactly `k` in f64 for `k < 2^53`), so per-shard `u64` subtotals
-/// reproduce the monolithic unit-accumulation bitwise —
-/// which frees each shard to use the SIMD count kernels over whichever
-/// form it holds.
+/// det-order: counts are exact integers, so per-shard `u64` subtotals add
+/// up to the monolithic count bitwise — which frees each shard to use the
+/// SIMD count kernels over whichever form it holds.
 pub fn try_count_rules_sharded(
     table: &ShardedTable,
     rules: &[Rule],
@@ -446,212 +320,61 @@ pub fn try_count_rules_sharded(
     Ok(counts.into_iter().map(|c| c as f64).collect())
 }
 
-/// One rule's covered-row count in one shard. Single-column rules use the
-/// vectorized count kernel directly; wider rules filter survivors.
+/// One rule's covered-row count in one shard: the shared span count over a
+/// decoded segment's table; over the raw form, the vectorized local-code
+/// count for single-column rules and the survivor count of
+/// [`covered_in_shard`] for wider ones.
 fn count_rule_in_shard(f: &ShardCols<'_>, rule: &Rule, n_rows: usize) -> u64 {
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    if cols.is_empty() {
-        return n_rows as u64;
-    }
     if let Some(seg) = f.decoded() {
-        if let [c] = cols[..] {
-            return accel::count_eq_u32(seg.col(c), rule.code(c)) as u64;
-        }
-        let (&first, rest) = cols.split_first().expect("non-empty");
-        let mut hits: Vec<u32> = Vec::new();
-        accel::positions_eq_u32(seg.col(first), rule.code(first), 0, &mut hits);
-        for &c in rest {
-            let codes = seg.col(c);
-            let want = rule.code(c);
-            hits.retain(|&r| codes[r as usize] == want);
-        }
-        hits.len() as u64
-    } else {
-        let Some(preds) = local_predicates(f, rule, &cols) else {
-            return 0; // zero-count shard
-        };
-        if let [(codes, want)] = preds[..] {
-            return count_eq_local(codes, want) as u64;
-        }
-        let (&(first_codes, first_want), rest) = preds.split_first().expect("non-empty");
-        let mut hits: Vec<u32> = Vec::new();
-        positions_eq_local(first_codes, first_want, 0, &mut hits);
-        for &(codes, want) in rest {
-            hits.retain(|&r| codes.at(r as usize) == want);
-        }
-        hits.len() as u64
+        return count_rule_span(seg.table(), rule, 0..n_rows);
+    }
+    let cols: Vec<usize> = rule.instantiated_columns().collect();
+    match cols[..] {
+        [] => n_rows as u64,
+        // A value absent from remap covers zero rows in this shard.
+        [_] => local_predicates(f, rule, &cols)
+            .map_or(0, |preds| count_eq_local(preds[0].0, preds[0].1) as u64),
+        _ => covered_in_shard(f, rule, &cols, &(0..n_rows)).len() as u64,
     }
 }
 
-/// The (weighted) `Count` of one rule over a sharded view — twin of
-/// [`crate::rule_count`]. Infallible wrapper over
-/// [`try_rule_count_sharded`].
-pub fn rule_count_sharded(view: &ShardedView, rule: &Rule) -> f64 {
-    try_rule_count_sharded(view, rule).expect(SPILL_EXPECT)
-}
+// ---------------------------------------------------------------------------
+// Store-kind dispatch
+// ---------------------------------------------------------------------------
 
-/// Fallible [`rule_count_sharded`].
-pub fn try_rule_count_sharded(view: &ShardedView, rule: &Rule) -> Result<f64, TableError> {
-    Ok(try_covered_positions_sharded(view, rule)?
-        .into_iter()
-        .map(|p| view.weight_at(p as usize))
-        .sum())
-}
-
-/// Sorts rules in descending weight order — twin of
-/// [`crate::sort_by_weight_desc`]; weights come from the always-resident
-/// header (same dictionaries and cardinalities as the monolithic table).
-pub fn sort_by_weight_desc_sharded(
-    table: &ShardedTable,
-    weight: &dyn WeightFn,
-    rules: &[Rule],
-) -> Vec<Rule> {
-    let header = table.header();
-    let mut keyed: Vec<(f64, &Rule)> = rules
-        .iter()
-        .map(|r| (weight.weight(r, header), r))
-        .collect();
-    keyed.sort_by(|(wa, ra), (wb, rb)| {
-        wb.partial_cmp(wa)
-            .expect("weights must be finite")
-            .then_with(|| ra.codes().cmp(rb.codes()))
-    });
-    keyed.into_iter().map(|(_, r)| r.clone()).collect()
-}
-
-/// Scores `rules` in the given order against a sharded view — twin of
-/// [`crate::score_list`]. Infallible wrapper over
-/// [`try_score_list_sharded`].
-pub fn score_list_sharded(view: &ShardedView, weight: &dyn WeightFn, rules: &[Rule]) -> ListScore {
-    try_score_list_sharded(view, weight, rules).expect(SPILL_EXPECT)
-}
-
-/// Fallible [`score_list_sharded`].
-///
-/// det-order: positions are visited in order (shard runs partition them in
-/// order), so every accumulator receives the same additions in the same
-/// order as the monolithic scan. `MCount` is
-/// first-rule-wins per row, which forces the row-at-a-time sweep; the
-/// pushdown contribution is per-shard predicate translation (raw shards
-/// test packed local codes, and a rule whose value is absent from a
-/// shard's remap is skipped for that shard wholesale).
-pub fn try_score_list_sharded(
-    view: &ShardedView,
-    weight: &dyn WeightFn,
-    rules: &[Rule],
-) -> Result<ListScore, TableError> {
-    let st = view.table();
-    let header = st.header();
-    let weights: Vec<f64> = rules.iter().map(|r| weight.weight(r, header)).collect();
-    let mut counts = vec![0.0f64; rules.len()];
-    let mut mcounts = vec![0.0f64; rules.len()];
-    let mut uncovered = 0.0f64;
-
-    let mut needed: Vec<usize> = rules
-        .iter()
-        .flat_map(|r| r.instantiated_columns())
-        .collect();
-    needed.sort_unstable();
-    needed.dedup();
-
-    let mut fetched: FxHashMap<usize, ShardCols<'_>> = FxHashMap::default();
-    let n_cols = st.n_columns();
-    let mut codes: Vec<u32> = Vec::with_capacity(n_cols);
-    for run in view.shard_runs() {
-        if let std::collections::hash_map::Entry::Vacant(e) = fetched.entry(run.shard) {
-            e.insert(fetch_cols(st, run.shard, &needed)?);
-        }
-        let f = &fetched[&run.shard];
-        if let Some(seg) = f.decoded() {
-            for pos in run.positions.clone() {
-                let local = seg.local(view.row_at(pos));
-                codes.clear();
-                codes.extend((0..n_cols).map(|c| seg.col(c)[local]));
-                let w = view.weight_at(pos);
-                let mut assigned = false;
-                for (i, rule) in rules.iter().enumerate() {
-                    if rule.covers_codes(&codes) {
-                        counts[i] += w;
-                        if !assigned {
-                            mcounts[i] += w;
-                            assigned = true;
-                        }
-                    }
-                }
-                if !assigned {
-                    uncovered += w;
-                }
-            }
-        } else {
-            // Per-rule local predicates; `None` = rule dead in this shard.
-            let preds: Vec<Option<Vec<(&LocalCodes, u32)>>> = rules
-                .iter()
-                .map(|rule| {
-                    let cols: Vec<usize> = rule.instantiated_columns().collect();
-                    local_predicates(f, rule, &cols)
-                })
-                .collect();
-            let start = st.spans()[run.shard].start;
-            for pos in run.positions.clone() {
-                let local = view.row_at(pos) as usize - start;
-                let w = view.weight_at(pos);
-                let mut assigned = false;
-                for (i, pred) in preds.iter().enumerate() {
-                    let covered = pred
-                        .as_ref()
-                        .is_some_and(|ps| ps.iter().all(|&(codes, want)| codes.at(local) == want));
-                    if covered {
-                        counts[i] += w;
-                        if !assigned {
-                            mcounts[i] += w;
-                            assigned = true;
-                        }
-                    }
-                }
-                if !assigned {
-                    uncovered += w;
-                }
-            }
-        }
+/// All row ids of `store` covered by `rule` (ascending), at the pinned
+/// epoch for live storage: [`crate::covered_rows_with_threads`] over a
+/// monolithic table (`threads` is its worker budget), else
+/// [`try_covered_rows_sharded`]. Both emit the identical row stream for
+/// identical rows, so whatever consumes it (a reservoir) is
+/// storage-agnostic.
+pub fn try_covered_rows_in_store(
+    store: &TableStore,
+    rule: &Rule,
+    threads: usize,
+) -> Result<Vec<RowId>, TableError> {
+    match store.as_sharded() {
+        None => Ok(covered_rows_with_threads(store.header(), rule, threads)),
+        Some(st) => try_covered_rows_sharded(st, rule),
     }
+}
 
-    let total = weights.iter().zip(&mcounts).map(|(w, m)| w * m).sum();
-    let rules = rules
-        .iter()
-        .zip(weights)
-        .zip(counts.iter().zip(&mcounts))
-        .map(
-            |((rule, weight), (&count, &mcount))| crate::score::RuleScore {
-                rule: rule.clone(),
-                weight,
-                count,
-                mcount,
-            },
-        )
-        .collect();
-    Ok(ListScore {
-        rules,
-        total,
-        uncovered,
-    })
+/// Exact counts of `rules` over `store` (at the pinned epoch for live
+/// storage): [`crate::count_rules`] over a monolithic table, else
+/// [`try_count_rules_sharded`].
+pub fn try_count_rules_in_store(
+    store: &TableStore,
+    rules: &[Rule],
+) -> Result<Vec<f64>, TableError> {
+    match store.as_sharded() {
+        None => Ok(crate::count_rules(store.header(), rules)),
+        Some(st) => try_count_rules_sharded(st, rules),
+    }
 }
 
 // ---------------------------------------------------------------------------
 // Algorithm 2 over sharded storage
 // ---------------------------------------------------------------------------
-
-/// Runs Algorithm 2 over a sharded view — the per-shard counting kernel.
-/// Infallible wrapper over [`try_find_best_marginal_rule_sharded`].
-pub fn find_best_marginal_rule_sharded(
-    view: &ShardedView,
-    weight: &dyn WeightFn,
-    covered_weight: &[f64],
-    opts: &SearchOptions,
-    scratch: &mut SearchScratch,
-) -> Option<BestMarginal> {
-    try_find_best_marginal_rule_sharded(view, weight, covered_weight, opts, scratch)
-        .expect(SPILL_EXPECT)
-}
 
 /// Runs Algorithm 2 over a sharded view — the per-shard counting kernel.
 ///
@@ -1142,64 +865,6 @@ fn count_group_run(
     }
 }
 
-// ---------------------------------------------------------------------------
-// Drill-downs
-// ---------------------------------------------------------------------------
-
-/// Rule drill-down over a sharded view — twin of [`crate::drill_down_with`].
-pub fn drill_down_sharded(brs: &Brs<'_>, view: &ShardedView, base: &Rule, k: usize) -> BrsResult {
-    let filtered = filter_to_rule_sharded(view, base);
-    brs.run_sharded_with_base(&filtered, Some(base.clone()), k)
-}
-
-/// Star drill-down over a sharded view — twin of
-/// [`crate::star_drill_down_with`].
-///
-/// # Panics
-/// If `base` already instantiates `column`.
-pub fn star_drill_down_sharded(
-    brs: &Brs<'_>,
-    view: &ShardedView,
-    base: &Rule,
-    column: usize,
-    k: usize,
-) -> BrsResult {
-    assert!(
-        base.is_star(column),
-        "star drill-down requires a ? in the clicked column"
-    );
-    let filtered = filter_to_rule_sharded(view, base);
-    let wrapped = RequireColumn::new(brs.weight_fn(), column);
-    let inner = Brs::new(&wrapped).inherit_config(brs);
-    inner.run_sharded_with_base(&filtered, Some(base.clone()), k)
-}
-
-/// The tail shared by the sharded BRS runner: display sort + scoring.
-pub(crate) fn finish_sharded_brs(
-    view: &ShardedView,
-    weight: &dyn WeightFn,
-    selection: Vec<Rule>,
-    stats: SearchStats,
-) -> BrsResult {
-    let display = sort_by_weight_desc_sharded(view.table(), weight, &selection);
-    let scored = score_list_sharded(view, weight, &display);
-    BrsResult {
-        rules: scored
-            .rules
-            .into_iter()
-            .map(|rs| ScoredRule {
-                rule: rs.rule,
-                weight: rs.weight,
-                count: rs.count,
-                mcount: rs.mcount,
-            })
-            .collect(),
-        selection_order: selection,
-        total_score: scored.total,
-        stats,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1232,43 +897,29 @@ mod tests {
     }
 
     #[test]
-    fn covered_rows_matches_monolithic_for_every_shard_count() {
+    fn covered_rows_matches_monolithic_on_resident_and_spilled_storage() {
         let table = t();
         for rule in [
             Rule::trivial(3),
             Rule::from_pairs(&table, &[("A", "a")]).unwrap(),
             Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap(),
-        ] {
-            let expect = covered_rows(&table, &rule);
-            for shards in 1..=5 {
-                let st = sharded(&table, shards);
-                assert_eq!(covered_rows_sharded(&st, &rule), expect, "{shards} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn pushdown_covered_rows_matches_monolithic_on_spilled_storage() {
-        let table = t();
-        for rule in [
-            Rule::trivial(3),
-            Rule::from_pairs(&table, &[("A", "a")]).unwrap(),
-            Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap(),
-            // "c"/"z" occur only in the last row: every earlier shard takes
-            // the remap-absence skip.
+            // "c"/"z" occur only in the last row: every earlier raw shard
+            // takes the remap-absence skip.
             Rule::from_pairs(&table, &[("A", "c")]).unwrap(),
             Rule::from_pairs(&table, &[("A", "c"), ("B", "z")]).unwrap(),
         ] {
             let expect = covered_rows(&table, &rule);
             for shards in 1..=6 {
-                let st = spilled(&table, shards);
-                assert_eq!(
-                    try_covered_rows_sharded(&st, &rule).unwrap(),
-                    expect,
-                    "{shards} spilled shards"
-                );
-                if shards > 1 && rule.instantiated_columns().next().is_some() {
-                    assert!(st.loads() > 0, "spilled scan must read spill files");
+                for st in [sharded(&table, shards), spilled(&table, shards)] {
+                    assert_eq!(
+                        try_covered_rows_sharded(&st, &rule).unwrap(),
+                        expect,
+                        "{shards} shards"
+                    );
+                    let spills = st.spill_path(0).is_some();
+                    if spills && shards > 1 && rule.instantiated_columns().next().is_some() {
+                        assert!(st.loads() > 0, "spilled scan must read spill files");
+                    }
                 }
             }
         }
@@ -1312,29 +963,7 @@ mod tests {
     }
 
     #[test]
-    fn covered_positions_on_subset_views() {
-        let table = t();
-        let st = sharded(&table, 3);
-        let view = ShardedView::with_rows(st, vec![9, 0, 4, 8, 1]);
-        let rule = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
-        // Rows 0 (a), 4 (a), 1 (a) are covered → positions 1, 2, 4.
-        assert_eq!(covered_positions_sharded(&view, &rule), vec![1, 2, 4]);
-    }
-
-    #[test]
-    fn covered_positions_on_subset_views_spilled() {
-        let table = t();
-        let st = spilled(&table, 3);
-        let view = ShardedView::with_rows(st, vec![9, 0, 4, 8, 1]);
-        let rule = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
-        assert_eq!(
-            try_covered_positions_sharded(&view, &rule).unwrap(),
-            vec![1, 2, 4]
-        );
-    }
-
-    #[test]
-    fn search_matches_monolithic_bitwise() {
+    fn search_matches_monolithic_bitwise_on_resident_and_spilled_storage() {
         let table = t();
         let view = table.view();
         let cov: Vec<f64> = (0..view.len()).map(|i| (i % 3) as f64 * 0.7).collect();
@@ -1342,42 +971,27 @@ mod tests {
         opts.parallel = false;
         let mono = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts).unwrap();
         for shards in 1..=6 {
-            let st = sharded(&table, shards);
-            let sv = ShardedView::all(st);
-            let mut scratch = SearchScratch::new();
-            let got = find_best_marginal_rule_sharded(&sv, &SizeWeight, &cov, &opts, &mut scratch)
+            for st in [sharded(&table, shards), spilled(&table, shards)] {
+                let sv = ShardedView::all(st);
+                let mut scratch = SearchScratch::new();
+                let got = try_find_best_marginal_rule_sharded(
+                    &sv,
+                    &SizeWeight,
+                    &cov,
+                    &opts,
+                    &mut scratch,
+                )
+                .unwrap()
                 .unwrap();
-            assert_eq!(got.rule, mono.rule, "{shards} shards");
-            assert_eq!(
-                got.marginal_value.to_bits(),
-                mono.marginal_value.to_bits(),
-                "{shards} shards"
-            );
-            assert_eq!(got.count.to_bits(), mono.count.to_bits());
-            assert_eq!(got.stats, mono.stats, "work counters must match too");
-        }
-    }
-
-    #[test]
-    fn pushdown_search_matches_monolithic_bitwise_on_spilled_storage() {
-        let table = t();
-        let view = table.view();
-        let cov: Vec<f64> = (0..view.len()).map(|i| (i % 3) as f64 * 0.7).collect();
-        let mut opts = SearchOptions::new(2.0);
-        opts.parallel = false;
-        let mono = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts).unwrap();
-        for shards in 1..=6 {
-            let st = spilled(&table, shards);
-            let sv = ShardedView::all(st);
-            let mut scratch = SearchScratch::new();
-            let got =
-                try_find_best_marginal_rule_sharded(&sv, &SizeWeight, &cov, &opts, &mut scratch)
-                    .unwrap()
-                    .unwrap();
-            assert_eq!(got.rule, mono.rule, "{shards} spilled shards");
-            assert_eq!(got.marginal_value.to_bits(), mono.marginal_value.to_bits());
-            assert_eq!(got.count.to_bits(), mono.count.to_bits());
-            assert_eq!(got.stats, mono.stats);
+                assert_eq!(got.rule, mono.rule, "{shards} shards");
+                assert_eq!(
+                    got.marginal_value.to_bits(),
+                    mono.marginal_value.to_bits(),
+                    "{shards} shards"
+                );
+                assert_eq!(got.count.to_bits(), mono.count.to_bits());
+                assert_eq!(got.stats, mono.stats, "work counters must match too");
+            }
         }
     }
 
@@ -1406,67 +1020,6 @@ mod tests {
     }
 
     #[test]
-    fn brs_matches_monolithic_bitwise() {
-        let table = t();
-        let mono = Brs::new(&SizeWeight)
-            .with_max_weight(2.0)
-            .run(&table.view(), 3);
-        for shards in [1, 2, 4, 7] {
-            let st = sharded(&table, shards);
-            let got = Brs::new(&SizeWeight)
-                .with_max_weight(2.0)
-                .with_parallel(false)
-                .run_sharded(&ShardedView::all(st), 3);
-            assert_eq!(got.rules_only(), mono.rules_only(), "{shards} shards");
-            assert_eq!(got.total_score.to_bits(), mono.total_score.to_bits());
-            for (a, b) in got.rules.iter().zip(&mono.rules) {
-                assert_eq!(a.count.to_bits(), b.count.to_bits());
-                assert_eq!(a.mcount.to_bits(), b.mcount.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn brs_matches_monolithic_bitwise_on_spilled_storage() {
-        let table = t();
-        let mono = Brs::new(&SizeWeight)
-            .with_max_weight(2.0)
-            .run(&table.view(), 3);
-        for shards in [2, 4, 7] {
-            let st = spilled(&table, shards);
-            let got = Brs::new(&SizeWeight)
-                .with_max_weight(2.0)
-                .with_parallel(false)
-                .run_sharded(&ShardedView::all(st), 3);
-            assert_eq!(
-                got.rules_only(),
-                mono.rules_only(),
-                "{shards} spilled shards"
-            );
-            assert_eq!(got.total_score.to_bits(), mono.total_score.to_bits());
-            for (a, b) in got.rules.iter().zip(&mono.rules) {
-                assert_eq!(a.count.to_bits(), b.count.to_bits());
-                assert_eq!(a.mcount.to_bits(), b.mcount.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn drill_down_filters_to_base() {
-        let table = t();
-        let st = sharded(&table, 4);
-        let base = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
-        let mono = crate::drill_down(&table.view(), &SizeWeight, &base, 2);
-        let got = drill_down_sharded(
-            &Brs::new(&SizeWeight).with_parallel(false),
-            &ShardedView::all(st),
-            &base,
-            2,
-        );
-        assert_eq!(got.rules_only(), mono.rules_only());
-    }
-
-    #[test]
     fn count_rules_matches_refresh_semantics() {
         let table = t();
         for st in [sharded(&table, 3), spilled(&table, 3)] {
@@ -1479,6 +1032,32 @@ mod tests {
             let counts = try_count_rules_sharded(&st, &rules).unwrap();
             for (rule, &count) in rules.iter().zip(&counts) {
                 assert_eq!(count, crate::rule_count(&table.view(), rule), "{rule:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn store_dispatch_agrees_across_store_kinds() {
+        let table = Arc::new(t());
+        let rules = vec![
+            Rule::trivial(3),
+            Rule::from_pairs(&table, &[("A", "a")]).unwrap(),
+            Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap(),
+        ];
+        let whole = TableStore::Whole(table.clone());
+        let want_counts = try_count_rules_in_store(&whole, &rules).unwrap();
+        assert_eq!(want_counts, vec![10.0, 7.0, 4.0]);
+        for st in [sharded(&table, 3), spilled(&table, 4)] {
+            let store = TableStore::Sharded(st);
+            assert_eq!(
+                try_count_rules_in_store(&store, &rules).unwrap(),
+                want_counts
+            );
+            for rule in &rules {
+                assert_eq!(
+                    try_covered_rows_in_store(&store, rule, 1).unwrap(),
+                    try_covered_rows_in_store(&whole, rule, 2).unwrap(),
+                );
             }
         }
     }

@@ -38,7 +38,7 @@ pub enum PrefetchMode {
     Inline,
     /// Record a [`PrefetchJob`] instead of running it; a background worker
     /// (or the next handler-touching call, whichever comes first) runs it
-    /// via [`Explorer::run_prefetch`]. This is how a server overlaps the
+    /// via [`Explorer::try_run_prefetch`]. This is how a server overlaps the
     /// scan with analyst think-time **without** changing any observable
     /// result: the job always executes after the expansion that produced it
     /// and before the next operation that reads handler state, exactly
@@ -155,15 +155,15 @@ impl Explorer {
         Self::with_store(TableStore::Whole(table), weight, config)
     }
 
-    /// Opens an explorer over any [`TableStore`] — monolithic or sharded.
+    /// Opens an explorer over any [`TableStore`] — monolithic, sharded or
+    /// live.
     ///
-    /// Sharded stores change *where bytes live*, never results: the
-    /// sampling layer's scans stream shard-by-shard (identical covered-row
-    /// streams → identical samples), served samples are materialized into
-    /// the global code space (identical BRS inputs), and the exact-count
-    /// refresh runs per shard in row order (identical counts). The shard
-    /// parity suite asserts byte-identical behavior against a monolithic
-    /// explorer over the same data.
+    /// The store kind changes *where bytes live*, never results: the
+    /// sampling layer's scans emit identical covered-row streams (identical
+    /// samples), every served sample is materialised into the global code
+    /// space (identical BRS inputs), and the exact-count refresh counts
+    /// integers (identical counts). The shard parity suite asserts
+    /// byte-identical behavior across store kinds over the same data.
     pub fn with_store(
         store: TableStore,
         weight: Box<dyn WeightFn>,
@@ -236,19 +236,15 @@ impl Explorer {
 
     /// Takes the deferred prefetch job, if any — the handoff point for a
     /// background worker. The caller must eventually feed the job to
-    /// [`Explorer::run_prefetch`] (or drop the determinism guarantee of
+    /// [`Explorer::try_run_prefetch`] (or drop the determinism guarantee of
     /// [`PrefetchMode::Deferred`]).
     pub fn take_pending_prefetch(&mut self) -> Option<PrefetchJob> {
         self.pending_prefetch.take()
     }
 
-    /// Runs a prefetch job against this explorer's sample store.
-    pub fn run_prefetch(&mut self, job: &PrefetchJob) -> f64 {
-        self.handler.run_prefetch_job(job)
-    }
-
-    /// Fallible [`Explorer::run_prefetch`]: a damaged spill file under a
-    /// sharded store surfaces as [`SessionError::Storage`].
+    /// Runs a prefetch job against this explorer's sample store: a damaged
+    /// spill file under a segmented store surfaces as
+    /// [`SessionError::Storage`].
     pub fn try_run_prefetch(&mut self, job: &PrefetchJob) -> Result<f64, SessionError> {
         self.handler
             .try_run_prefetch_job(job)
@@ -475,7 +471,7 @@ impl Explorer {
             };
             match self.config.prefetch {
                 PrefetchMode::Inline => {
-                    self.handler.run_prefetch_job(&job);
+                    self.try_run_prefetch(&job)?;
                 }
                 PrefetchMode::Deferred => self.pending_prefetch = Some(job),
                 PrefetchMode::Off => unreachable!("guarded above"),
@@ -591,11 +587,9 @@ impl Explorer {
 
     /// Replaces every displayed estimate with its exact count in **one**
     /// pass over the table at the pinned epoch (the paper's background
-    /// refresh, §4.3). The sharded one-pass count surfaces a damaged spill
-    /// file as [`SessionError::Storage`]; displayed estimates are left
-    /// untouched on failure. (This is deliberately fallible-only: the old
-    /// infallible wrapper turned refresh-time spill faults into panics on
-    /// the server's request path.)
+    /// refresh, §4.3). A damaged spill file surfaces as
+    /// [`SessionError::Storage`]; displayed estimates are left untouched on
+    /// failure.
     pub fn try_refresh_exact_counts(&mut self) -> Result<(), SessionError> {
         self.stats.refreshes += 1;
         // Collect visible rules.
@@ -608,28 +602,10 @@ impl Explorer {
         }
         collect(&self.root, &mut rules);
 
-        // One scan counting all of them. Sharded stores scan shard-by-shard
-        // in row order — unit additions, so the counts are identical to the
-        // monolithic pass.
-        let counts = match &self.store {
-            TableStore::Whole(table) => {
-                let mut counts = vec![0.0f64; rules.len()];
-                let mut codes: Vec<u32> = Vec::with_capacity(table.n_columns());
-                for row in 0..table.n_rows() as u32 {
-                    table.row_codes(row, &mut codes);
-                    for (i, rule) in rules.iter().enumerate() {
-                        if rule.covers_codes(&codes) {
-                            counts[i] += 1.0;
-                        }
-                    }
-                }
-                counts
-            }
-            TableStore::Sharded(st) => sdd_core::try_count_rules_sharded(st, &rules)
-                .map_err(|e| SessionError::Storage(e.to_string()))?,
-            TableStore::Live(l) => sdd_core::try_count_rules_sharded(&l.pinned().table, &rules)
-                .map_err(|e| SessionError::Storage(e.to_string()))?,
-        };
+        // One scan counting all of them (exact integers, whatever the
+        // store kind).
+        let counts = sdd_core::try_count_rules_in_store(&self.store, &rules)
+            .map_err(|e| SessionError::Storage(e.to_string()))?;
 
         // Write back in the same traversal order.
         fn write_back(node: &mut Node, counts: &[f64], idx: &mut usize) {
@@ -932,7 +908,7 @@ mod tests {
                 // Simulate the background worker winning the race during
                 // think-time: claim and run the job between requests.
                 if let Some(job) = ex.take_pending_prefetch() {
-                    ex.run_prefetch(&job);
+                    ex.try_run_prefetch(&job).unwrap();
                 }
             }
         }

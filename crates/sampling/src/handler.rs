@@ -14,22 +14,36 @@
 //! 3. **Create** — a full pass over the table (the expensive case the
 //!    allocator tries to avoid), using reservoir sampling.
 //!
-//! [`SampleHandler::prefetch`] implements §4.3's background pre-fetching:
-//! given the rules the analyst may drill into next and their probabilities,
-//! it solves the allocation problem (§4.1/§4.2) and materializes all
-//! planned samples in a single scan.
+//! [`SampleHandler::try_prefetch`] implements §4.3's background
+//! pre-fetching: given the rules the analyst may drill into next and their
+//! probabilities, it solves the allocation problem (§4.1/§4.2) and
+//! materializes all planned samples in a single scan.
+//!
+//! **One sample form.** Whatever the store kind, a stored sample is its
+//! reservoir's row ids plus those rows **materialised** into a small
+//! in-memory table in the store's global code space
+//! ([`TableStore::try_gather_rows`]). A served [`SampleView`] is always
+//! "all rows of its own small table, in order, plus weights": searches scan
+//! contiguous column slices of a few thousand rows and never touch the
+//! full table, Find and Combine never touch the shard tier, and everything
+//! downstream of the Create scan is storage-agnostic. The handler's only
+//! contact with the full table is the covered-row scan
+//! ([`sdd_core::try_covered_rows_in_store`]) and the gather.
+//!
+//! **Fallible-only.** Every operation that may scan or gather returns
+//! `Result<_, TableError>`: a damaged spill file is an error the session
+//! layer turns into an error response, never a panic.
 //!
 //! **Parallel, reproducible scans.** The create/prefetch scan runs
 //! task-per-rule on [`sdd_core::exec::parallel_map`]: each requested rule
 //! gets its own reservoir, with every draw derived statelessly from the
 //! rule's key and the offer index ([`Reservoir::offer_keyed`], keyed by a
 //! SplitMix64 fold of `(config.seed, rule)`) — there is no shared
-//! sequential RNG, so the stored samples are identical on any thread count
-//! (and each rule's columnar [`sdd_core::covered_rows`] scan is itself
-//! row-sliced). A batch is stored atomically: same-filter replacement and
-//! LRU eviction happen *before* any new sample is pushed, so freshly
-//! stored batch members are never evicted by their own batch and the
-//! returned store indices stay valid.
+//! sequential RNG, so the stored samples are identical on any thread count.
+//! A batch is stored atomically: same-filter replacement and LRU eviction
+//! happen *before* any new sample is pushed, so freshly stored batch
+//! members are never evicted by their own batch and the returned store
+//! indices stay valid.
 //!
 //! **Live tables.** A handler over a [`TableStore::Live`] store is pinned
 //! to one epoch's snapshot; [`SampleHandler::try_sync_to_snapshot`]
@@ -58,7 +72,7 @@ pub struct SampleHandlerConfig {
     pub min_sample_size: usize,
     /// RNG seed (sampling is deterministic per seed).
     pub seed: u64,
-    /// Which allocation solver [`SampleHandler::prefetch`] uses.
+    /// Which allocation solver [`SampleHandler::try_prefetch`] uses.
     pub strategy: AllocationStrategy,
 }
 
@@ -87,9 +101,11 @@ pub enum FetchMechanism {
 
 /// A sample returned to the caller, ready to feed into BRS.
 ///
-/// The view is **owned** ([`OwnedTableView`]): it shares the table by `Arc`
-/// and can outlive the handler borrow that produced it, cross threads, or
-/// seed an owned `Session` directly.
+/// The view is **owned** ([`OwnedTableView`]) and self-contained: all rows,
+/// in order, of the sample's own small materialised table (shared by
+/// `Arc`), plus weights — it carries no row-id vector, can outlive the
+/// handler borrow that produced it, cross threads, or seed an owned
+/// `Session` directly.
 #[derive(Debug, Clone)]
 pub struct SampleView {
     /// The tuples, weighted so that BRS counts are full-table estimates.
@@ -119,13 +135,10 @@ pub struct HandlerStats {
 struct StoredSample {
     filter: Rule,
     rows: Vec<RowId>,
-    /// Segmented (sharded or live) stores materialize each sample's rows
-    /// into a small table in the **global** code space at store time (same
-    /// dictionaries and cardinalities as the full table, rows in sample
-    /// order), so serving and combining samples never touches the shard
-    /// tier. `None` for monolithic stores, which serve views over the
-    /// shared table directly.
-    local: Option<Arc<Table>>,
+    /// `rows` materialised at store time into a small table in the store's
+    /// **global** code space (same dictionaries and cardinalities as the
+    /// full table, rows in sample order): what every served view scans.
+    local: Arc<Table>,
     /// `N_s`: covered-population count / sample size.
     scale: f64,
     /// True when the sample holds *every* covered tuple (the rule covers
@@ -140,7 +153,7 @@ struct StoredSample {
     last_used: u64,
 }
 
-/// One next-drill-down candidate for [`SampleHandler::prefetch`].
+/// One next-drill-down candidate for [`SampleHandler::try_prefetch`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct PrefetchEntry {
     /// The rule the analyst may drill into.
@@ -156,7 +169,7 @@ pub struct PrefetchEntry {
 /// "pre-fetching ... while the analyst is still examining the display"):
 /// the parent rule plus the likely next drill-downs. Produced by the
 /// session layer after an expansion, consumed by
-/// [`SampleHandler::run_prefetch_job`] on whichever thread gets there first
+/// [`SampleHandler::try_run_prefetch_job`] on whichever thread gets there first
 /// — the result is identical either way because the scan's reservoirs are
 /// seeded per `(config.seed, rule)`, never from scheduling.
 #[derive(Debug, Clone, PartialEq)]
@@ -217,12 +230,10 @@ impl SampleHandler {
         Self::with_store(TableStore::Whole(table), config)
     }
 
-    /// Creates a handler over any [`TableStore`] — monolithic or sharded.
-    /// Sharded stores run their scans shard-by-shard (the covered-row
-    /// stream is identical to the monolithic scan, so the drawn samples
-    /// are bit-identical) and materialize each stored sample's rows into a
-    /// small in-memory table, so everything downstream of the scan is
-    /// storage-agnostic.
+    /// Creates a handler over any [`TableStore`] — monolithic, sharded or
+    /// live. The covered-row stream of a scan is identical for identical
+    /// rows however they are stored, so the drawn samples are bit-identical
+    /// across store kinds, and so is everything served from them.
     pub fn with_store(store: TableStore, config: SampleHandlerConfig) -> Self {
         assert!(config.min_sample_size > 0, "minSS must be positive");
         assert!(
@@ -255,25 +266,10 @@ impl SampleHandler {
         &self.store
     }
 
-    /// The weighted [`OwnedTableView`] serving a stored sample: over the
-    /// shared table (global row ids) for monolithic stores, over the
-    /// sample's materialized table (positional rows, same global codes —
-    /// identical scan sequences) for sharded ones.
-    fn stored_view(store: &TableStore, s: &StoredSample) -> OwnedTableView {
-        let weights = vec![s.scale; s.rows.len()];
-        match (&s.local, store) {
-            (Some(mini), _) => OwnedTableView::with_rows_and_weights(
-                mini.clone(),
-                (0..s.rows.len() as RowId).collect(),
-                weights,
-            ),
-            (None, TableStore::Whole(t)) => {
-                OwnedTableView::with_rows_and_weights(t.clone(), s.rows.clone(), weights)
-            }
-            (None, TableStore::Sharded(_) | TableStore::Live(_)) => {
-                unreachable!("segmented stores materialize every stored sample")
-            }
-        }
+    /// The weighted [`OwnedTableView`] serving a stored sample: every row
+    /// of its materialised table, in order, at the sample's scale.
+    fn stored_view(s: &StoredSample) -> OwnedTableView {
+        OwnedTableView::all_with_weights(s.local.clone(), vec![s.scale; s.rows.len()])
     }
 
     /// Snapshots every stored sample (store order). Intended for the
@@ -316,7 +312,7 @@ impl SampleHandler {
             .iter()
             .find(|s| s.filter == *rule && (s.rows.len() >= min_ss || s.exact))?;
         Some(SampleView {
-            view: Self::stored_view(&self.store, s),
+            view: Self::stored_view(s),
             mechanism: FetchMechanism::Find,
             scale: s.scale,
         })
@@ -324,19 +320,9 @@ impl SampleHandler {
 
     /// Returns a (weighted) sample of the tuples covered by `rule`, at least
     /// `minSS` tuples when the data allows, trying Find → Combine → Create.
-    /// Infallible wrapper over [`SampleHandler::try_get_sample`]: panicking
-    /// on a damaged spill file is this method's documented contract, for
-    /// lab callers without an error path — serve paths use the `try_` twin.
-    pub fn get_sample(&mut self, rule: &Rule) -> SampleView {
-        self.try_get_sample(rule)
-            // sdd-lint: allow(P001) the infallible wrapper's contract is to panic; serve paths use try_get_sample
-            .expect("shard spill file must decode (written by this table)")
-    }
-
-    /// Fallible [`SampleHandler::get_sample`]: a Create that has to scan a
-    /// sharded store surfaces a damaged spill file as the error instead of
-    /// panicking (Find and Combine never touch the shard tier — stored
-    /// samples are materialized in memory at store time).
+    /// A Create scans (and gathers from) the store, so a damaged spill file
+    /// surfaces as the error; Find and Combine only read the stored
+    /// samples' materialised tables.
     pub fn try_get_sample(&mut self, rule: &Rule) -> Result<SampleView, TableError> {
         self.clock += 1;
         let min_ss = self.config.min_sample_size;
@@ -352,7 +338,7 @@ impl SampleHandler {
             let s = &self.samples[idx];
             self.stats.finds += 1;
             return Ok(SampleView {
-                view: Self::stored_view(&self.store, s),
+                view: Self::stored_view(s),
                 mechanism: FetchMechanism::Find,
                 scale: s.scale,
             });
@@ -366,11 +352,11 @@ impl SampleHandler {
 
         // --- Create ---
         self.stats.creates += 1;
-        let target = min_ss;
-        let stored = self.create_sample(rule, target)?;
+        self.stats.full_scans += 1;
+        let stored = self.scan_and_store(&[(rule.clone(), min_ss)])?[0];
         let s = &self.samples[stored];
         Ok(SampleView {
-            view: Self::stored_view(&self.store, s),
+            view: Self::stored_view(s),
             mechanism: FetchMechanism::Create,
             scale: s.scale,
         })
@@ -378,10 +364,9 @@ impl SampleHandler {
 
     fn try_combine(&mut self, rule: &Rule) -> Option<SampleView> {
         let min_ss = self.config.min_sample_size;
-        let mut rows: Vec<RowId> = Vec::new();
-        // Sharded stores pool tuples out of the contributing samples'
-        // materialized tables: (source, local rows) parts in pool order.
-        let mut parts: Vec<(Arc<Table>, Vec<RowId>)> = Vec::new();
+        // (source table, covered local rows) parts, in pool order.
+        let mut parts: Vec<(&Table, Vec<RowId>)> = Vec::new();
+        let mut pooled = 0usize;
         let mut rate_sum = 0.0f64; // Σ 1/N_s over contributing samples
         let mut used: Vec<usize> = Vec::new();
         for (i, s) in self.samples.iter().enumerate() {
@@ -397,22 +382,10 @@ impl SampleHandler {
             if !(s.scale.is_finite() && s.scale > 0.0) {
                 continue;
             }
-            match (&s.local, &self.store) {
-                (Some(mini), _) => {
-                    let locals: Vec<RowId> = (0..s.rows.len() as RowId)
-                        .filter(|&li| rule.covers_row(mini, li))
-                        .collect();
-                    rows.extend(locals.iter().map(|&li| s.rows[li as usize]));
-                    if !locals.is_empty() {
-                        parts.push((mini.clone(), locals));
-                    }
-                }
-                (None, TableStore::Whole(t)) => {
-                    rows.extend(s.rows.iter().copied().filter(|&r| rule.covers_row(t, r)));
-                }
-                (None, TableStore::Sharded(_) | TableStore::Live(_)) => {
-                    unreachable!("segmented stores materialize every stored sample")
-                }
+            let locals = sdd_core::covered_rows_with_threads(&s.local, rule, 1);
+            pooled += locals.len();
+            if !locals.is_empty() {
+                parts.push((&s.local, locals));
             }
             // Every qualifying sub-rule sample contributes its rate, even
             // when it happens to hold zero `rule`-covered rows: each covered
@@ -423,31 +396,23 @@ impl SampleHandler {
             rate_sum += 1.0 / s.scale;
             used.push(i);
         }
-        if rows.len() < min_ss || rate_sum <= 0.0 {
+        if pooled < min_ss || rate_sum <= 0.0 {
             return None;
         }
+        // Gather the pooled tuples (in pool order) into one table sharing
+        // the global code space. (Live stores re-gather every stored sample
+        // at each sync, so all sources share the pinned epoch's
+        // dictionaries.)
+        let borrowed: Vec<(&Table, &[RowId])> = parts
+            .iter()
+            .map(|(t, locals)| (*t, locals.as_slice()))
+            .collect();
+        let table = Arc::new(Table::gather_multi(&borrowed));
+        let scale = 1.0 / rate_sum;
+        let view = OwnedTableView::all_with_weights(table, vec![scale; pooled]);
         for &i in &used {
             self.samples[i].last_used = self.clock;
         }
-        let scale = 1.0 / rate_sum;
-        let weights = vec![scale; rows.len()];
-        let view = match &self.store {
-            TableStore::Whole(t) => OwnedTableView::with_rows_and_weights(t.clone(), rows, weights),
-            TableStore::Sharded(_) | TableStore::Live(_) => {
-                // Gather the pooled tuples (in pool order) into one table
-                // sharing the global code space — the same codes the
-                // monolithic view would scan, in the same order. (Live
-                // stores re-gather every stored sample at each sync, so
-                // all sources share the pinned epoch's dictionaries.)
-                let borrowed: Vec<(&Table, &[RowId])> = parts
-                    .iter()
-                    .map(|(t, locals)| (&**t, locals.as_slice()))
-                    .collect();
-                let pooled = Arc::new(Table::gather_multi(&borrowed));
-                let n = pooled.n_rows() as RowId;
-                OwnedTableView::with_rows_and_weights(pooled, (0..n).collect(), weights)
-            }
-        };
         Some(SampleView {
             view,
             mechanism: FetchMechanism::Combine,
@@ -455,23 +420,13 @@ impl SampleHandler {
         })
     }
 
-    /// Creates (and stores) a reservoir sample for `rule` with the given
-    /// target size, scanning the full table once. Returns the store index.
-    fn create_sample(&mut self, rule: &Rule, target: usize) -> Result<usize, TableError> {
-        self.stats.full_scans += 1;
-        let idx = self.scan_and_store(&[(rule.clone(), target)])?;
-        Ok(idx[0])
-    }
-
     /// The Create phase (§4.3: "it creates a sample of size n_r for each
-    /// displayed r"). Rule matching runs column-at-a-time over the
-    /// dictionary-encoded column slices ([`sdd_core::covered_rows`], itself
-    /// row-sliced on large tables): one columnar scan per requested rule,
-    /// with the rules of a batch scanned **task-per-rule in parallel** —
-    /// each reservoir draws from its own `StdRng` seeded by
-    /// `(config.seed, rule)` ([`sample_seed`]), so the result is identical
-    /// on any thread count. Counted as one logical full scan in
-    /// [`HandlerStats`].
+    /// displayed r"). One columnar covered-row scan per requested rule
+    /// ([`sdd_core::try_covered_rows_in_store`]), with the rules of a batch
+    /// scanned **task-per-rule in parallel** — each reservoir's draws are
+    /// keyed by `(config.seed, rule)` ([`sample_seed`]) and the offer
+    /// index, so the result is identical on any thread count. Counted as
+    /// one logical full scan in [`HandlerStats`].
     ///
     /// Storage is batch-atomic: same-filter replacement and LRU eviction
     /// run *before* any push, so (a) a batch never evicts its own freshly
@@ -502,7 +457,7 @@ impl SampleHandler {
         let seed = self.config.seed;
         let threads = sdd_core::exec::worker_threads().min(dedup.len());
         // When the batch itself fans out task-per-rule, each rule's
-        // coverage scan runs serially — otherwise the nested row-sliced
+        // coverage scan runs serially — otherwise the nested sliced
         // scan would oversubscribe the machine (threads × chunks workers).
         let scan_threads = if threads > 1 {
             1
@@ -513,28 +468,11 @@ impl SampleHandler {
             sdd_core::exec::parallel_map(threads, dedup.clone(), |(rule, n)| {
                 let key = sample_seed(seed, &rule);
                 let mut res = Reservoir::new(n);
-                // Sharded and monolithic scans emit the identical ascending
-                // covered-row stream, so the reservoir draws the identical
-                // sample either way; a live store scans its pinned epoch's
-                // frozen snapshot, whose stream equals a frozen table grown
-                // to the same rows.
-                let covered = match &store {
-                    TableStore::Whole(t) => {
-                        sdd_core::covered_rows_with_threads(t, &rule, scan_threads)
-                    }
-                    TableStore::Sharded(_) | TableStore::Live(_) => {
-                        // Unreachable given the arm — both variants expose
-                        // segments — but routed through the error path
-                        // rather than a panic (P001).
-                        let Some(st) = store.as_sharded() else {
-                            debug_assert!(false, "sharded/live store must expose segments");
-                            return Err(TableError::Io(
-                                "store lost its segment view mid-scan".to_owned(),
-                            ));
-                        };
-                        sdd_core::try_covered_rows_sharded(st, &rule)?
-                    }
-                };
+                // Every store kind emits the identical ascending covered-row
+                // stream for identical rows (a live store scans its pinned
+                // epoch's frozen snapshot), so the reservoir draws the
+                // identical sample whatever the storage.
+                let covered = sdd_core::try_covered_rows_in_store(&store, &rule, scan_threads)?;
                 for row in covered {
                     res.offer_keyed(row, key);
                 }
@@ -556,10 +494,7 @@ impl SampleHandler {
         let base = self.samples.len();
         for ((rule, target), (rows, seen, scale)) in dedup.iter().zip(drawn) {
             let exact = seen as usize == rows.len();
-            let local = match self.store.as_sharded() {
-                None => None,
-                Some(st) => Some(Arc::new(st.try_gather_rows(&rows)?)),
-            };
+            let local = Arc::new(self.store.try_gather_rows(&rows)?);
             self.samples.push(StoredSample {
                 filter: rule.clone(),
                 rows,
@@ -627,14 +562,7 @@ impl SampleHandler {
     /// materializes every planned sample in **one** scan.
     ///
     /// Returns the hit probability the allocator expects for the next
-    /// drill-down. Infallible wrapper over [`SampleHandler::try_prefetch`].
-    pub fn prefetch(&mut self, parent: &Rule, entries: &[PrefetchEntry]) -> f64 {
-        self.try_prefetch(parent, entries)
-            // sdd-lint: allow(P001) the infallible wrapper's contract is to panic; serve paths use try_prefetch
-            .expect("shard spill file must decode (written by this table)")
-    }
-
-    /// Fallible [`SampleHandler::prefetch`].
+    /// drill-down.
     pub fn try_prefetch(
         &mut self,
         parent: &Rule,
@@ -661,15 +589,9 @@ impl SampleHandler {
     }
 
     /// Runs a handed-off [`PrefetchJob`] — the background half of §4.3's
-    /// pre-fetching. Equivalent to calling [`SampleHandler::prefetch`] with
-    /// the job's fields: which thread executes the job does not change the
-    /// stored samples, only *when* the work happens relative to the
-    /// analyst's think-time.
-    pub fn run_prefetch_job(&mut self, job: &PrefetchJob) -> f64 {
-        self.prefetch(&job.parent, &job.entries)
-    }
-
-    /// Fallible [`SampleHandler::run_prefetch_job`].
+    /// pre-fetching: [`SampleHandler::try_prefetch`] with the job's fields.
+    /// Which thread executes the job does not change the stored samples,
+    /// only *when* the work happens relative to the analyst's think-time.
     pub fn try_run_prefetch_job(&mut self, job: &PrefetchJob) -> Result<f64, TableError> {
         self.try_prefetch(&job.parent, &job.entries)
     }
@@ -687,7 +609,7 @@ impl SampleHandler {
     /// reservoir resumed from its stored `(items, seen, target)`. Draws are
     /// keyed by offer index ([`Reservoir::offer_keyed`]), so the result is
     /// bit-identical to discarding the sample and re-scanning the whole
-    /// table at the new epoch. Every sample's materialized local table is
+    /// table at the new epoch. Every sample's materialised table is
     /// re-gathered against the new epoch's dictionaries (Combine's pooling
     /// requires all sources to share dictionary lengths).
     ///
@@ -734,7 +656,7 @@ impl SampleHandler {
             }
             // Re-gather at the new epoch unconditionally — the old local
             // shares the old header's (shorter) dictionaries.
-            ns.local = Some(Arc::new(st.try_gather_rows(&ns.rows)?));
+            ns.local = Arc::new(st.try_gather_rows(&ns.rows)?);
             updated.push(ns);
         }
         self.samples = updated;
@@ -777,10 +699,10 @@ mod tests {
         let t = Arc::new(retail(1));
         let mut h = handler(&t);
         let trivial = Rule::trivial(3);
-        let a = h.get_sample(&trivial);
+        let a = h.try_get_sample(&trivial).unwrap();
         assert_eq!(a.mechanism, FetchMechanism::Create);
         assert_eq!(a.view.len(), 500);
-        let b = h.get_sample(&trivial);
+        let b = h.try_get_sample(&trivial).unwrap();
         assert_eq!(b.mechanism, FetchMechanism::Find);
         assert_eq!(h.stats.full_scans, 1);
     }
@@ -798,7 +720,7 @@ mod tests {
             },
         );
         let trivial = Rule::trivial(3);
-        let s = h.get_sample(&trivial);
+        let s = h.try_get_sample(&trivial).unwrap();
         // Estimated total = Σ weights ≈ 6000.
         let est = s.view.total_weight();
         assert!((est - 6000.0).abs() < 1.0, "total estimate {est}");
@@ -807,7 +729,7 @@ mod tests {
         let est_w: f64 = s
             .view
             .iter()
-            .filter(|wr| walmart.covers_row(&t, wr.row))
+            .filter(|wr| walmart.covers_row(s.view.table(), wr.row))
             .map(|wr| wr.weight)
             .sum();
         let truth = rule_count(&t.view(), &walmart);
@@ -835,7 +757,7 @@ mod tests {
         // Now a Walmart request should combine from the trivial sample:
         // 4000 of 6000 rows → ~666 Walmart rows ≥ minSS 200.
         let walmart = Rule::from_pairs(&t, &[("Store", "Walmart")]).unwrap();
-        let s = h.get_sample(&walmart);
+        let s = h.try_get_sample(&walmart).unwrap();
         assert_eq!(s.mechanism, FetchMechanism::Combine);
         assert_eq!(h.stats.creates, 0); // no disk pass triggered by the request
                                         // Unbiased: estimated Walmart count ≈ 1000.
@@ -851,7 +773,7 @@ mod tests {
                                  // < minSS → must Create.
         h.scan_and_store(&[(Rule::trivial(3), 600)]).unwrap();
         let walmart = Rule::from_pairs(&t, &[("Store", "Walmart")]).unwrap();
-        let s = h.get_sample(&walmart);
+        let s = h.try_get_sample(&walmart).unwrap();
         assert_eq!(s.mechanism, FetchMechanism::Create);
         assert_eq!(s.view.len(), 500);
     }
@@ -863,7 +785,7 @@ mod tests {
         // (Walmart, cookies) covers only 200 < minSS 500: Create returns all
         // of them at scale 1.
         let r = Rule::from_pairs(&t, &[("Store", "Walmart"), ("Product", "cookies")]).unwrap();
-        let s = h.get_sample(&r);
+        let s = h.try_get_sample(&r).unwrap();
         assert_eq!(s.mechanism, FetchMechanism::Create);
         assert_eq!(s.view.len(), 200);
         assert!((s.scale - 1.0).abs() < 1e-12);
@@ -887,7 +809,7 @@ mod tests {
             Rule::from_pairs(&t, &[("Region", "MA-3")]).unwrap(),
         ];
         for r in &rules {
-            let _ = h.get_sample(r);
+            let _ = h.try_get_sample(r).unwrap();
         }
         assert!(h.memory_used() <= 1_200);
         assert!(h.stats.evictions > 0);
@@ -907,25 +829,27 @@ mod tests {
         );
         let walmart = Rule::from_pairs(&t, &[("Store", "Walmart")]).unwrap();
         let target = Rule::from_pairs(&t, &[("Store", "Target")]).unwrap();
-        let hit = h.prefetch(
-            &Rule::trivial(3),
-            &[
-                PrefetchEntry {
-                    rule: walmart.clone(),
-                    probability: 0.5,
-                    selectivity: 1000.0 / 6000.0,
-                },
-                PrefetchEntry {
-                    rule: target.clone(),
-                    probability: 0.5,
-                    selectivity: 200.0 / 6000.0,
-                },
-            ],
-        );
+        let hit = h
+            .try_prefetch(
+                &Rule::trivial(3),
+                &[
+                    PrefetchEntry {
+                        rule: walmart.clone(),
+                        probability: 0.5,
+                        selectivity: 1000.0 / 6000.0,
+                    },
+                    PrefetchEntry {
+                        rule: target.clone(),
+                        probability: 0.5,
+                        selectivity: 200.0 / 6000.0,
+                    },
+                ],
+            )
+            .unwrap();
         assert!(hit > 0.99, "allocator should serve both: {hit}");
         let scans_after_prefetch = h.stats.full_scans;
-        let s1 = h.get_sample(&walmart);
-        let s2 = h.get_sample(&target);
+        let s1 = h.try_get_sample(&walmart).unwrap();
+        let s2 = h.try_get_sample(&target).unwrap();
         assert_ne!(s1.mechanism, FetchMechanism::Create);
         assert_ne!(s2.mechanism, FetchMechanism::Create);
         assert_eq!(h.stats.full_scans, scans_after_prefetch);
@@ -963,7 +887,7 @@ mod tests {
         h.samples.push(StoredSample {
             filter: Rule::trivial(2),
             rows: vec![0, 10, 11],
-            local: None,
+            local: Arc::new(t.gather_rows(&[0, 10, 11])),
             scale: 2.0,
             exact: false,
             seen: 6,
@@ -975,14 +899,14 @@ mod tests {
         h.samples.push(StoredSample {
             filter: Rule::from_pairs(&t, &[("Store", "w")]).unwrap(),
             rows: vec![1, 2],
-            local: None,
+            local: Arc::new(t.gather_rows(&[1, 2])),
             scale: 4.0,
             exact: false,
             seen: 8,
             target: 2,
             last_used: 0,
         });
-        let s = h.get_sample(&target);
+        let s = h.try_get_sample(&target).unwrap();
         assert_eq!(s.mechanism, FetchMechanism::Combine);
         // rate_sum = 1/2 + 1/4 → scale 4/3 (the buggy code returned 2).
         assert!((s.scale - 4.0 / 3.0).abs() < 1e-12, "scale {}", s.scale);
@@ -1014,7 +938,7 @@ mod tests {
             );
             h.scan_and_store(&[(w.clone(), 10)]).unwrap(); // exact, rate 1
             h.scan_and_store(&[(Rule::trivial(2), 15)]).unwrap(); // rate 1/2
-            let s = h.get_sample(&target);
+            let s = h.try_get_sample(&target).unwrap();
             assert_eq!(s.mechanism, FetchMechanism::Combine, "seed {seed}");
             sum += s.view.total_weight();
         }
@@ -1056,7 +980,7 @@ mod tests {
         h.samples.push(StoredSample {
             filter: Rule::trivial(2),
             rows: vec![],
-            local: None,
+            local: Arc::new(t.gather_rows(&[])),
             scale: f64::INFINITY,
             exact: false,
             seen: 5,
@@ -1064,7 +988,7 @@ mod tests {
             last_used: 0,
         });
         let target = Rule::from_pairs(&t, &[("Store", "w"), ("Product", "c")]).unwrap();
-        let s = h.get_sample(&target);
+        let s = h.try_get_sample(&target).unwrap();
         assert_eq!(s.mechanism, FetchMechanism::Combine);
         // Only the exact (w) sample contributes: rate_sum = 1 → scale 1,
         // and the estimate equals the true count 2.
@@ -1104,7 +1028,7 @@ mod tests {
             1,
             "rehydration must not duplicate the sample"
         );
-        let s = h.get_sample(&ra);
+        let s = h.try_get_sample(&ra).unwrap();
         assert_eq!(s.mechanism, FetchMechanism::Combine);
         // Contributors: the exact-ish (a) sample isn't stored any more
         // (evicted by the rehydrations? capacity 2000 holds 1000 + 1200 is
@@ -1219,9 +1143,9 @@ mod tests {
         let draw = |threads: &str| {
             std::env::set_var("SDD_THREADS", threads);
             let mut h = handler(&t);
-            let s = h.get_sample(&walmart);
+            let s = h.try_get_sample(&walmart).unwrap();
             std::env::remove_var("SDD_THREADS");
-            s.view.row_ids().unwrap().to_vec()
+            (h.stored_samples(), sdd_core::view_digest(&s.view.as_view()))
         };
         assert_eq!(draw("1"), draw("7"));
     }
@@ -1381,7 +1305,7 @@ mod tests {
     fn clear_resets_store() {
         let t = Arc::new(retail(1));
         let mut h = handler(&t);
-        let _ = h.get_sample(&Rule::trivial(3));
+        let _ = h.try_get_sample(&Rule::trivial(3)).unwrap();
         assert!(h.n_samples() > 0);
         h.clear();
         assert_eq!(h.n_samples(), 0);

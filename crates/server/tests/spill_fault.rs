@@ -8,13 +8,17 @@ use sdd_table::{LiveTable, LiveTableConfig, Schema, ShardConfig, ShardedTable, T
 use std::sync::Arc;
 
 fn spilling_engine() -> (Engine, Arc<ShardedTable>) {
+    spilling_engine_with(EngineConfig::default())
+}
+
+fn spilling_engine_with(config: EngineConfig) -> (Engine, Arc<ShardedTable>) {
     let table = sdd_datagen::retail(42);
     let st = Arc::new(
         ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, std::env::temp_dir()))
             .unwrap(),
     );
     (
-        Engine::with_store(TableStore::Sharded(st.clone()), EngineConfig::default()),
+        Engine::with_store(TableStore::Sharded(st.clone()), config),
         st,
     )
 }
@@ -82,6 +86,66 @@ fn truncated_spill_file_yields_error_response_not_crash() {
         session: "s".to_owned(),
         path: vec![],
     });
+    assert!(
+        matches!(resp, Response::Expanded { .. }),
+        "session must recover once the file is intact: {resp:?}"
+    );
+}
+
+/// Inline prefetch (single-threaded replay mode) scans the store *after*
+/// the expansion's sample was served from memory. A damaged spill file at
+/// that point must be an error response — it used to reach a panicking
+/// wrapper and kill the session — and the next request on an intact store
+/// succeeds.
+#[test]
+fn inline_prefetch_over_truncated_spill_file_is_an_error_response() {
+    let mut config = EngineConfig::default();
+    config.session.prefetch = sdd_explorer::PrefetchMode::Inline;
+    let (engine, st) = spilling_engine_with(config);
+    assert!(matches!(open(&engine, "s"), Response::Opened { .. }));
+    let expand = |path: Vec<usize>| {
+        engine
+            .handle(&Request::Expand {
+                session: "s".to_owned(),
+                path,
+            })
+            .0
+    };
+    let creates = || match engine
+        .handle(&Request::Stats {
+            session: "s".to_owned(),
+        })
+        .0
+    {
+        Response::Stats { stats } => stats.creates,
+        other => panic!("expected stats, got {other:?}"),
+    };
+    assert!(matches!(expand(vec![]), Response::Expanded { .. }));
+    let creates_before = creates();
+
+    let path = st.spill_path(2).unwrap().to_path_buf();
+    let bytes = std::fs::read(&path).unwrap();
+    std::fs::write(&path, &bytes[..16]).unwrap();
+    st.evict_all();
+
+    // The root's prefetch stored this child's sample: the drill-down is
+    // served from memory, and only its own inline prefetch touches disk.
+    match expand(vec![0]) {
+        Response::Error { message } => assert!(
+            message.contains("storage error"),
+            "expected a storage error, got: {message}"
+        ),
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    assert_eq!(
+        creates(),
+        creates_before,
+        "the fault must come from the prefetch scan, not a Create"
+    );
+    assert!(matches!(engine.handle(&Request::Ping).0, Response::Pong));
+
+    std::fs::write(&path, &bytes).unwrap();
+    let resp = expand(vec![0]);
     assert!(
         matches!(resp, Response::Expanded { .. }),
         "session must recover once the file is intact: {resp:?}"

@@ -802,46 +802,59 @@ impl ShardedTable {
     /// in-memory [`Table`] that preserves the global dictionaries — see
     /// [`Table::gather_rows`].
     ///
-    /// Every distinct shard's segment is pinned **once** up front (reservoir
-    /// samples arrive in arbitrary order, so per-transition fetching would
-    /// reload a tiny-budget cache on nearly every row); the pins are
-    /// released when the gather returns. The output is independent of the
-    /// fetch strategy — rows are emitted strictly in the given order.
+    /// The gather runs **shard by shard**: output positions are bucketed by
+    /// shard, then each touched segment is fetched once, its rows are
+    /// scattered into their output positions, and the segment is released
+    /// before the next fetch — so a gather pins at most one segment at a
+    /// time, whatever the resident budget and however the rows are ordered
+    /// (reservoir samples arrive in arbitrary order). Segments already
+    /// resident are visited first (a plain index-order sweep is LRU's cyclic
+    /// worst case: it would evict each resident segment just before
+    /// reaching it), so a gather loads exactly the touched shards that were
+    /// not resident when it began. The output is independent of the fetch
+    /// order: row `i` of the result is `rows[i]`.
     ///
     /// # Errors
     ///
     /// As [`ShardedTable::try_segment`].
     pub fn try_gather_rows(&self, rows: &[RowId]) -> Result<Table, TableError> {
-        if rows.is_empty() {
-            return Ok(self.header.header_only());
+        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.n_shards()];
+        for (pos, &row) in rows.iter().enumerate() {
+            by_shard[self.shard_of_row(row)].push(pos as u32);
         }
-        let mut segs: FxHashMap<usize, Arc<ShardSegment>> = FxHashMap::default();
-        for &row in rows {
-            let shard = self.shard_of_row(row);
-            if let std::collections::hash_map::Entry::Vacant(slot) = segs.entry(shard) {
-                slot.insert(self.try_segment(shard)?);
-            }
-        }
-        // Group consecutive rows by shard (gather_multi part order = row
-        // order).
-        let mut parts: Vec<(&Arc<ShardSegment>, Vec<RowId>)> = Vec::new();
-        for &row in rows {
-            let seg = &segs[&self.shard_of_row(row)];
-            match parts.last_mut() {
-                Some((ps, locals)) if Arc::ptr_eq(ps, seg) => {
-                    locals.push(ps.local(row) as RowId);
-                }
-                _ => {
-                    let local = seg.local(row) as RowId;
-                    parts.push((seg, vec![local]));
-                }
-            }
-        }
-        let borrowed: Vec<(&Table, &[RowId])> = parts
-            .iter()
-            .map(|(seg, locals)| (seg.table(), locals.as_slice()))
+        let mut order: Vec<usize> = (0..by_shard.len())
+            .filter(|&shard| !by_shard[shard].is_empty())
             .collect();
-        Ok(Table::gather_multi(&borrowed))
+        {
+            let cache = self.cache();
+            order.sort_by_key(|shard| !cache.resident.contains_key(shard));
+        }
+        let mut cols: Vec<Vec<u32>> = vec![vec![0; rows.len()]; self.n_columns()];
+        for shard in order {
+            let positions = &by_shard[shard];
+            let seg = self.try_segment(shard)?;
+            for (c, out) in cols.iter_mut().enumerate() {
+                let codes = seg.col(c);
+                for &p in positions {
+                    out[p as usize] = codes[seg.local(rows[p as usize])];
+                }
+            }
+        }
+        let measures = self
+            .measures
+            .iter()
+            .map(|(name, vals)| {
+                let picked = rows.iter().map(|&r| vals[r as usize]).collect();
+                (name.clone(), picked)
+            })
+            .collect();
+        Ok(Table::from_parts(
+            self.header.schema().clone(),
+            self.header.dictionaries().to_vec(),
+            cols,
+            measures,
+            rows.len(),
+        ))
     }
 
     /// Number of segments currently resident in the cache.
@@ -2320,8 +2333,10 @@ impl LiveStore {
 /// [`Table`], a [`ShardedTable`] whose segments may live on disk, or a
 /// pinned snapshot of an append-only [`LiveTable`].
 ///
-/// The sampling layer, explorer, and server hold a `TableStore` and
-/// dispatch their full-table scans on it; all *metadata* access (schema,
+/// The sampling layer, explorer, and server hold a `TableStore`; the
+/// full-table scans over it (covered rows, exact counts) dispatch on the
+/// store kind in one place, `sdd_core::shard`, and row materialisation in
+/// [`TableStore::try_gather_rows`]; all *metadata* access (schema,
 /// dictionaries, cardinalities — everything weight functions and display
 /// need) goes through [`TableStore::header`], which for sharded storage is
 /// the always-resident zero-row header table.
@@ -2400,6 +2415,24 @@ impl TableStore {
             TableStore::Whole(_) => None,
             TableStore::Sharded(s) => Some(s),
             TableStore::Live(l) => Some(&l.pinned.table),
+        }
+    }
+
+    /// Materializes `rows` (global ids, in the given order) into a small
+    /// in-memory [`Table`] sharing the store's dictionaries and code space
+    /// — [`Table::gather_rows`] for monolithic storage,
+    /// [`ShardedTable::try_gather_rows`] for segmented storage. The two
+    /// produce identical tables for identical rows, so everything
+    /// downstream of a gather (the sampling layer's stored samples) is
+    /// storage-agnostic.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedTable::try_segment`]; monolithic storage never fails.
+    pub fn try_gather_rows(&self, rows: &[RowId]) -> Result<Table, TableError> {
+        match self.as_sharded() {
+            None => Ok(self.header().gather_rows(rows)),
+            Some(st) => st.try_gather_rows(rows),
         }
     }
 

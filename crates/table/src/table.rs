@@ -195,7 +195,7 @@ impl Table {
     /// same per-column cardinalities as `self`.
     ///
     /// This is the bit-compatibility primitive behind the sharded substrate
-    /// ([`crate::ShardedTable::gather_rows`] and the sampling layer's
+    /// ([`crate::ShardedTable::try_gather_rows`] and the sampling layer's
     /// materialized samples): any computation over the gathered rows sees
     /// exactly the code sequence, weights, and cardinalities the same rows
     /// would produce in `self`, so rule weights, candidate layouts, and

@@ -171,7 +171,7 @@ impl<'a> TableView<'a> {
     /// [`chunk_spans`] and depend only on `len` and `max_chunks`, so
     /// per-chunk processing merged in chunk order is deterministic
     /// regardless of the executing thread count — the foundation of the
-    /// row-sliced kernel mode in `sdd-core`.
+    /// sliced coverage scans in `sdd-core`.
     pub fn chunks(&self, max_chunks: usize) -> Vec<ViewChunk<'_>> {
         chunk_spans(self.len(), max_chunks)
             .into_iter()
@@ -263,6 +263,25 @@ impl OwnedTableView {
             table,
             rows: Rows::All(n),
             weights: None,
+        }
+    }
+
+    /// A view over every row of `table` in order, with per-tuple weights —
+    /// the shape of a materialised sample: position `i` *is* row `i`, so
+    /// no row-id vector exists and column scans read contiguous slices.
+    ///
+    /// Panics if `weights` does not hold one weight per row.
+    pub fn all_with_weights(table: Arc<Table>, weights: Vec<f64>) -> Self {
+        assert_eq!(
+            table.n_rows(),
+            weights.len(),
+            "rows/weights length mismatch"
+        );
+        let n = table.n_rows() as u32;
+        Self {
+            table,
+            rows: Rows::All(n),
+            weights: Some(weights),
         }
     }
 
@@ -390,7 +409,7 @@ impl OwnedTableView {
 /// span, even when `n == 0`; never an empty span when `n > 0`).
 ///
 /// This is the **chunk plan** shared by [`TableView::chunks`] and the
-/// row-sliced scans in `sdd-core`: boundaries are a pure function of `n`
+/// sliced coverage scans in `sdd-core`: boundaries are a pure function of `n`
 /// and `max_chunks` — never of thread count — so any per-span computation
 /// merged back in span order is reproducible on every machine.
 pub fn chunk_spans(n: usize, max_chunks: usize) -> Vec<std::ops::Range<usize>> {

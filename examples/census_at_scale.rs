@@ -45,7 +45,7 @@ fn main() {
     // First drill-down: no samples exist → Create (one full scan).
     let trivial = Rule::trivial(table.n_columns());
     let t1 = Instant::now();
-    let sample = handler.get_sample(&trivial);
+    let sample = handler.try_get_sample(&trivial).expect("in-memory table");
     let brs = Brs::new(&SizeWeight).with_max_weight(4.0);
     let result = brs.run(&sample.view.as_view(), 4);
     println!(
@@ -75,7 +75,9 @@ fn main() {
         })
         .collect();
     let t2 = Instant::now();
-    let hit = handler.prefetch(&trivial, &entries);
+    let hit = handler
+        .try_prefetch(&trivial, &entries)
+        .expect("in-memory table");
     println!(
         "\nPre-fetched {} candidate drill-downs in {:.1?} (expected hit prob {:.2})",
         entries.len(),
@@ -87,7 +89,7 @@ fn main() {
     let target = result.rules[0].rule.clone();
     let scans_before = handler.stats.full_scans;
     let t3 = Instant::now();
-    let sample2 = handler.get_sample(&target);
+    let sample2 = handler.try_get_sample(&target).expect("in-memory table");
     // The sample is already filtered to the target's coverage; constrain the
     // optimizer to strict super-rules of the clicked rule (drill-down
     // semantics, §3.1).

@@ -108,11 +108,11 @@ fn handler_stateful_random_ops() {
                     })
                     .filter(|e| parent.is_sub_rule_of(&e.rule))
                     .collect();
-                let _ = handler.prefetch(&parent, &entries);
+                let _ = handler.try_prefetch(&parent, &entries).unwrap();
             }
             _ => {
                 let rule = &rules[rng.gen_range(0..rules.len())];
-                let sample = handler.get_sample(rule);
+                let sample = handler.try_get_sample(rule).unwrap();
                 let est = sample.view.total_weight();
                 let truth = smart_drilldown::core::rule_count(&view, rule);
                 assert!(

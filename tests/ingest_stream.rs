@@ -9,7 +9,7 @@
 //! (what is in memory, when) that parity alone cannot see.
 
 use smart_drilldown::core::{
-    find_best_marginal_rule, find_best_marginal_rule_sharded, SearchOptions, SearchScratch,
+    find_best_marginal_rule, try_find_best_marginal_rule_sharded, SearchOptions, SearchScratch,
     SizeWeight,
 };
 use smart_drilldown::datagen::{census, retail};
@@ -85,6 +85,46 @@ fn streaming_ingest_with_resident_one_is_memory_bound() {
 // ---------------------------------------------------------------------------
 // Pin-aware budget accounting
 // ---------------------------------------------------------------------------
+
+/// A gather fetches its shards one at a time — bucket the rows by shard,
+/// load one segment, scatter its rows into output order, release it — so
+/// under `resident = 1` a gather over rows from *every* shard, in a
+/// reservoir's scrambled order, never holds more than the resident segment
+/// plus the one in flight, leaves nothing pinned, and pays exactly one load
+/// per shard that was not already resident.
+#[test]
+fn gather_pins_one_segment_at_a_time() {
+    let table = census(8_000, 1990).project_first_columns(3);
+    let st = ShardedTable::from_table(&table, &spilling(10, 1)).expect("shard build");
+    let n = table.n_rows();
+    let rows: Vec<u32> = (0..400).map(|i| ((i * 7919) % n) as u32).collect();
+    let touched: std::collections::BTreeSet<usize> =
+        rows.iter().map(|&r| st.shard_of_row(r)).collect();
+    assert_eq!(
+        touched.len(),
+        st.n_shards(),
+        "rows must come from every shard"
+    );
+
+    let got = st.try_gather_rows(&rows).expect("gather");
+    let want = table.gather_rows(&rows);
+    assert_eq!(got.n_rows(), rows.len());
+    for c in 0..table.n_columns() {
+        assert_eq!(got.column(c), want.column(c), "col {c}");
+    }
+    assert!(
+        st.peak_resident() <= 2,
+        "gather held {} segments under a budget of 1",
+        st.peak_resident()
+    );
+    assert_eq!(st.pinned(), 0, "gather left segments pinned");
+    assert_eq!(st.loads(), 10, "cold cache: one load per touched shard");
+
+    // Warm cache: the one resident segment is visited first, not evicted
+    // on the way to it.
+    st.try_gather_rows(&rows).expect("gather");
+    assert_eq!(st.loads(), 19, "a resident shard must not be reloaded");
+}
 
 /// Regression for the ROADMAP known issue: in-flight segment `Arc`s used to
 /// leave the cache's resident count dishonest (evicted-but-held segments
@@ -164,7 +204,8 @@ fn sweep_residency_is_bit_identical_with_fewer_loads() {
         for _pass in 0..3 {
             let mut scratch = SearchScratch::new();
             let got =
-                find_best_marginal_rule_sharded(&view, &SizeWeight, &cov, &opts, &mut scratch)
+                try_find_best_marginal_rule_sharded(&view, &SizeWeight, &cov, &opts, &mut scratch)
+                    .expect("spill files decode")
                     .expect("sharded search yields a rule");
             assert_eq!(got.rule, mono.rule, "{residency:?}: winner differs");
             assert_eq!(

@@ -1,15 +1,16 @@
 //! Parity suite for the columnar counting kernel (see `sdd_core::kernel`):
 //! the columnar scalar path must be **bit-identical** to the historical
 //! row-at-a-time implementation, the parallel path must be bit-identical to
-//! scalar (task-per-column/group design — no float-merge reordering), and
-//! k=1 greedy must match the exhaustive oracle on small instances.
+//! scalar on any thread count (task-per-column/group design — no
+//! float-merge reordering), and k=1 greedy must match the exhaustive oracle
+//! on small instances.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
     exact_best_rule_set, find_best_marginal_rule, find_best_marginal_rule_rowwise, BestMarginal,
-    BitsWeight, RowSlice, Rule, SearchOptions, SizeWeight, WeightFn,
+    BitsWeight, Rule, SearchOptions, SizeWeight, WeightFn,
 };
-use smart_drilldown::table::{Schema, Table, TableView};
+use smart_drilldown::table::{OwnedTableView, Schema, Table, TableView};
 
 /// Serializes tests that set the process-global `SDD_THREADS` variable:
 /// without it, concurrent test threads could flip the worker count under
@@ -149,110 +150,52 @@ fn kernel_matches_rowwise_bitwise_on_randomized_instances() {
     }
 }
 
-/// Property: row-sliced execution is **bit-identical to scalar** — counts
-/// *and* f64 weight sums — for every chunk cap in `1..=16`, on data whose
-/// per-tuple weights and covered weights are dyadic rationals (multiples of
-/// 1/4). On such data every partial sum is exactly representable, so the
-/// chunk-ordered pairwise merge reproduces the scalar sweep bit for bit no
-/// matter how the rows are sliced. (`SizeWeight` keeps rule weights
-/// integral; arbitrary weights keep *determinism* — see the thread-
-/// invariance test below — but may re-associate the last ulp.)
+/// Default options are thread-count invariant on the views the product
+/// searches: a weighted (sample-shaped) view of 65 536 rows over three free
+/// columns — fewer columns than workers, the regime where a row-slicing
+/// strategy once re-associated float partials depending on `SDD_THREADS`.
+/// Every accumulator now belongs to one task scanning in row order, so the
+/// result is bit-identical for any worker count, equal to the row-at-a-time
+/// reference, and the same whether the view names its rows by id or is the
+/// contiguous "all rows + weights" form a materialised sample is served in.
 #[test]
-fn row_sliced_is_bit_identical_to_scalar_for_any_chunk_count() {
+fn default_search_is_thread_invariant_on_weighted_views() {
     let _env = env_lock();
-    std::env::set_var("SDD_THREADS", "4");
-    let mut rng = StdRng::seed_from_u64(0x51_1CED);
-    for trial in 0..40 {
-        let table = random_table(&mut rng);
-        // Dyadic per-tuple weights (k/4 for k in 1..16) on a shuffled subset.
-        let use_weights = rng.gen_range(0..2) == 0;
-        let rows: Vec<u32> = (0..table.n_rows() as u32)
-            .filter(|_| rng.gen_range(0..5) != 0)
-            .collect();
-        if rows.is_empty() {
-            continue;
-        }
-        let view = if use_weights {
-            let weights: Vec<f64> = rows
-                .iter()
-                .map(|_| rng.gen_range(1..16) as f64 / 4.0)
-                .collect();
-            TableView::with_rows_and_weights(&table, rows, weights)
-        } else {
-            TableView::with_rows(&table, rows)
-        };
-        let cov: Vec<f64> = (0..view.len())
-            .map(|_| rng.gen_range(0..12) as f64 / 4.0)
-            .collect();
-        let mw = rng.gen_range(1..8) as f64;
+    let mut rng = StdRng::seed_from_u64(0x7AEAD);
+    let n = 64 * 1024;
+    let rows: Vec<[String; 3]> = (0..n)
+        .map(|_| {
+            [
+                format!("a{}", rng.gen_range(0..7)),
+                format!("b{}", rng.gen_range(0..11)),
+                format!("c{}", rng.gen_range(0..5)),
+            ]
+        })
+        .collect();
+    let table = std::sync::Arc::new(
+        Table::from_rows(Schema::new(["A", "B", "C"]).unwrap(), &rows).unwrap(),
+    );
+    let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.25..4.0)).collect();
+    let cov: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..3.0)).collect();
+    let by_id = TableView::with_rows_and_weights(&table, (0..n as u32).collect(), weights.clone());
+    let contiguous = OwnedTableView::all_with_weights(table.clone(), weights);
+    assert!(contiguous.row_ids().is_none());
+    let opts = SearchOptions::new(3.0);
 
-        let mut scalar_opts = SearchOptions::new(mw);
-        scalar_opts.parallel = false;
-        scalar_opts.pruning = rng.gen_range(0..4) != 0;
-        let scalar = find_best_marginal_rule(&view, &SizeWeight, &cov, &scalar_opts);
-        let rowwise = find_best_marginal_rule_rowwise(&view, &SizeWeight, &cov, &scalar_opts);
-        assert_bitwise_equal(
-            &format!("trial {trial}: scalar vs rowwise"),
-            &scalar,
-            &rowwise,
-        );
-
-        for max_chunks in 1..=16 {
-            let mut sliced_opts = scalar_opts.clone();
-            sliced_opts.parallel = true;
-            sliced_opts.parallel_min_rows = 1;
-            sliced_opts.row_slice = RowSlice::Force(max_chunks);
-            let sliced = find_best_marginal_rule(&view, &SizeWeight, &cov, &sliced_opts);
+    let reference = find_best_marginal_rule_rowwise(&by_id, &SizeWeight, &cov, &opts);
+    assert!(reference.is_some(), "the scenario must yield a rule");
+    for threads in ["1", "2", "8"] {
+        std::env::set_var("SDD_THREADS", threads);
+        for (shape, view) in [("by id", &by_id), ("contiguous", &contiguous.as_view())] {
+            let got = find_best_marginal_rule(view, &SizeWeight, &cov, &opts);
             assert_bitwise_equal(
-                &format!("trial {trial}: row-sliced (chunks={max_chunks}) vs scalar"),
-                &sliced,
-                &scalar,
+                &format!("SDD_THREADS={threads}, {shape} view vs rowwise reference"),
+                &got,
+                &reference,
             );
         }
     }
-}
-
-/// Property: for a fixed chunk cap, row-sliced results on **arbitrary**
-/// float weights are bit-identical across thread counts — the chunk plan
-/// and the pairwise merge order depend only on the view length and the
-/// cap, never on which worker ran which chunk.
-#[test]
-fn row_sliced_is_thread_invariant_on_arbitrary_weights() {
-    let _env = env_lock();
-    let mut rng = StdRng::seed_from_u64(0x7AEAD);
-    // (table, rows, weights, covered weights, mw)
-    type Scenario = (Table, Vec<u32>, Vec<f64>, Vec<f64>, f64);
-    let mut scenarios: Vec<Scenario> = Vec::new();
-    for _ in 0..15 {
-        let table = random_table(&mut rng);
-        let rows: Vec<u32> = (0..table.n_rows() as u32).collect();
-        let weights: Vec<f64> = rows.iter().map(|_| rng.gen_range(0.25..4.0)).collect();
-        let cov: Vec<f64> = rows.iter().map(|_| rng.gen_range(0.0..3.0)).collect();
-        let mw = rng.gen_range(1.0..8.0);
-        scenarios.push((table, rows, weights, cov, mw));
-    }
-    let run_all = |threads: &str| -> Vec<Option<BestMarginal>> {
-        std::env::set_var("SDD_THREADS", threads);
-        scenarios
-            .iter()
-            .flat_map(|(table, rows, weights, cov, mw)| {
-                let view = TableView::with_rows_and_weights(table, rows.clone(), weights.clone());
-                [2usize, 3, 8].into_iter().map(move |max_chunks| {
-                    let mut opts = SearchOptions::new(*mw);
-                    opts.parallel = true;
-                    opts.parallel_min_rows = 1;
-                    opts.row_slice = RowSlice::Force(max_chunks);
-                    find_best_marginal_rule(&view, &SizeWeight, cov, &opts)
-                })
-            })
-            .collect()
-    };
-    let single = run_all("1");
-    let multi = run_all("5");
     std::env::set_var("SDD_THREADS", "4"); // restore the suite-wide pin
-    for (i, (a, b)) in single.iter().zip(&multi).enumerate() {
-        assert_bitwise_equal(&format!("scenario {i}: 1 thread vs 5 threads"), a, b);
-    }
 }
 
 #[test]

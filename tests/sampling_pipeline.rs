@@ -30,7 +30,7 @@ fn sampled_expansion_approximates_exact_expansion() {
     let trials = 5usize;
     for seed in 0..trials as u64 {
         let mut handler = SampleHandler::new(table.clone(), handler_cfg(20_000, 3_000, seed));
-        let sample = handler.get_sample(&Rule::trivial(3));
+        let sample = handler.try_get_sample(&Rule::trivial(3)).unwrap();
         let approx = Brs::new(&SizeWeight)
             .with_max_weight(3.0)
             .run(&sample.view.as_view(), 3);
@@ -64,26 +64,29 @@ fn find_combine_create_ladder() {
 
     // 1st: nothing cached → Create.
     assert_eq!(
-        handler.get_sample(&trivial).mechanism,
+        handler.try_get_sample(&trivial).unwrap().mechanism,
         FetchMechanism::Create
     );
     // 2nd same rule → Find.
-    assert_eq!(handler.get_sample(&trivial).mechanism, FetchMechanism::Find);
+    assert_eq!(
+        handler.try_get_sample(&trivial).unwrap().mechanism,
+        FetchMechanism::Find
+    );
     // Sub-rule coverage insufficient? trivial sample is only 800 tuples →
     // Walmart portion ≈ 133 < 800 → Create.
     assert_eq!(
-        handler.get_sample(&walmart).mechanism,
+        handler.try_get_sample(&walmart).unwrap().mechanism,
         FetchMechanism::Create
     );
     // Now a Walmart super-rule can Combine from the Walmart sample:
     // cookies ≈ 20% of Walmart's 800 = 160... still < 800 → Create (exact).
     let cookies =
         Rule::from_pairs(&table, &[("Store", "Walmart"), ("Product", "cookies")]).unwrap();
-    let s = handler.get_sample(&cookies);
+    let s = handler.try_get_sample(&cookies).unwrap();
     assert_eq!(s.mechanism, FetchMechanism::Create);
     // The cookies rule covers only 200 tuples < minSS 800: the stored
     // sample is exact, so asking again is a Find with scale 1.
-    let again = handler.get_sample(&cookies);
+    let again = handler.try_get_sample(&cookies).unwrap();
     assert_eq!(again.mechanism, FetchMechanism::Find);
     assert!((again.scale - 1.0).abs() < 1e-12);
     assert_eq!(again.view.len(), 200);
@@ -98,11 +101,11 @@ fn combine_merges_multiple_sources_unbiased() {
     let walmart = Rule::from_pairs(&table, &[("Store", "Walmart")]).unwrap();
     let cookies = Rule::from_pairs(&table, &[("Product", "cookies")]).unwrap();
     // Force creation of both parent samples (minSS 100 → reservoirs of 100).
-    let _ = handler.get_sample(&walmart);
-    let _ = handler.get_sample(&cookies);
+    let _ = handler.try_get_sample(&walmart).unwrap();
+    let _ = handler.try_get_sample(&cookies).unwrap();
 
     let both = Rule::from_pairs(&table, &[("Store", "Walmart"), ("Product", "cookies")]).unwrap();
-    let s = handler.get_sample(&both);
+    let s = handler.try_get_sample(&both).unwrap();
     // Walmart sample: ~20 cookies rows; cookies sample: 100 rows all
     // Walmart (cookies only sold by Walmart) → combined ≥ 100 ≥ minSS.
     assert_eq!(s.mechanism, FetchMechanism::Combine);
@@ -119,7 +122,7 @@ fn prefetch_then_drill_without_disk() {
     let table = std::sync::Arc::new(retail(42));
     let mut handler = SampleHandler::new(table.clone(), handler_cfg(30_000, 1_000, 17));
     let trivial = Rule::trivial(3);
-    let first = handler.get_sample(&trivial);
+    let first = handler.try_get_sample(&trivial).unwrap();
     let result = Brs::new(&SizeWeight)
         .with_max_weight(3.0)
         .run(&first.view.as_view(), 3);
@@ -133,11 +136,11 @@ fn prefetch_then_drill_without_disk() {
             selectivity: (s.count / 6000.0).min(1.0),
         })
         .collect();
-    handler.prefetch(&trivial, &entries);
+    handler.try_prefetch(&trivial, &entries).unwrap();
     let scans = handler.stats.full_scans;
 
     for e in &entries {
-        let s = handler.get_sample(&e.rule);
+        let s = handler.try_get_sample(&e.rule).unwrap();
         assert_ne!(
             s.mechanism,
             FetchMechanism::Create,
@@ -176,21 +179,18 @@ fn prefetch_is_reproducible_across_thread_counts() {
     let run = |threads: &str| {
         std::env::set_var("SDD_THREADS", threads);
         let mut handler = SampleHandler::new(table.clone(), handler_cfg(20_000, 500, 77));
-        let hit = handler.prefetch(&trivial, &entries);
+        let hit = handler.try_prefetch(&trivial, &entries).unwrap();
         let mut fetched = Vec::new();
         for rule in [&walmart, &target] {
-            let s = handler.get_sample(rule);
+            let s = handler.try_get_sample(rule).unwrap();
             fetched.push((
                 s.mechanism == FetchMechanism::Create,
                 s.scale.to_bits(),
-                s.view
-                    .row_ids()
-                    .expect("sampled view has explicit rows")
-                    .to_vec(),
+                smart_drilldown::core::view_digest(&s.view.as_view()),
             ));
         }
         std::env::remove_var("SDD_THREADS");
-        (hit.to_bits(), fetched)
+        (hit.to_bits(), fetched, handler.stored_samples())
     };
     assert_eq!(
         run("1"),
@@ -203,7 +203,7 @@ fn prefetch_is_reproducible_across_thread_counts() {
 fn session_over_sampled_view_reproduces_walkthrough_shape() {
     let table = std::sync::Arc::new(retail(42));
     let mut handler = SampleHandler::new(table.clone(), handler_cfg(20_000, 4_000, 23));
-    let sample = handler.get_sample(&Rule::trivial(3));
+    let sample = handler.try_get_sample(&Rule::trivial(3)).unwrap();
     // Run a session over the scaled sample view: counts are estimates.
     let mut session = Session::with_view(sample.view, Box::new(SizeWeight), 3);
     session.expand(&[]).unwrap();
@@ -245,7 +245,7 @@ fn prefetch_script_samples(
         // In deferred mode, play the background worker: claim and run the
         // job between requests (the server's think-time overlap).
         if let Some(job) = ex.take_pending_prefetch() {
-            ex.run_prefetch(&job);
+            ex.try_run_prefetch(&job).unwrap();
         }
     }
     std::env::remove_var("SDD_THREADS");
@@ -308,7 +308,7 @@ fn background_prefetch_reduces_request_blocking_scans() {
         for path in [vec![], vec![0], vec![1], vec![2]] {
             ex.expand(&path).expect("scripted expansion");
             if let Some(job) = ex.take_pending_prefetch() {
-                ex.run_prefetch(&job);
+                ex.try_run_prefetch(&job).unwrap();
             }
         }
         ex.handler_stats()
@@ -345,7 +345,7 @@ fn eviction_under_pressure_keeps_serving_correct_samples() {
     ];
     for round in 0..3 {
         for r in &rules {
-            let s = handler.get_sample(r);
+            let s = handler.try_get_sample(r).unwrap();
             assert!(
                 handler.memory_used() <= 1_500,
                 "round {round}: over capacity"

@@ -1,6 +1,7 @@
-//! Cross-shard parity suite: the full drill-down pipeline over a
+//! Cross-shard parity suite: everything the product runs over a
 //! [`ShardedTable`] must be **bit-identical** to the monolithic [`Table`]
-//! path — marginal search, BRS, drill-downs, sample stores, explorer
+//! path — the segment-tier scans (covered rows, exact counts, the per-shard
+//! marginal search), sample stores and every served sample view, explorer
 //! sessions, and server transcripts — across shard counts 1..=8 and
 //! resident-shard budgets that force segments to spill to disk and be
 //! evicted/reloaded mid-pipeline.
@@ -17,21 +18,19 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
-    count_rules, count_rules_sharded, covered_positions, covered_positions_sharded, covered_rows,
-    covered_rows_sharded, drill_down_sharded, drill_down_with, filter_to_rule,
-    filter_to_rule_sharded, find_best_marginal_rule, find_best_marginal_rule_sharded, rule_count,
-    rule_count_sharded, score_list, score_list_sharded, sort_by_weight_desc,
-    sort_by_weight_desc_sharded, star_drill_down_sharded, star_drill_down_with, BitsWeight, Brs,
-    ListScore, Rule, SearchOptions, SearchScratch, SizeWeight, WeightFn,
+    count_rules, covered_rows, find_best_marginal_rule, try_count_rules_sharded,
+    try_covered_rows_sharded, try_covered_rows_sharded_range, try_find_best_marginal_rule_sharded,
+    view_digest, BitsWeight, Rule, SearchOptions, SearchScratch, SizeWeight, WeightFn,
 };
 use smart_drilldown::datagen::retail;
 use smart_drilldown::explorer::{Explorer, ExplorerConfig, PrefetchMode};
 use smart_drilldown::sampling::{
-    AllocationStrategy, SampleHandler, SampleHandlerConfig, StoredSampleInfo,
+    AllocationStrategy, FetchMechanism, SampleHandler, SampleHandlerConfig, StoredSampleInfo,
 };
 use smart_drilldown::server::{Engine, EngineConfig, OpenOptions, Request};
 use smart_drilldown::table::{
-    Schema, ShardBuilder, ShardConfig, ShardedTable, ShardedView, Table, TableStore, TableView,
+    LiveTable, LiveTableConfig, Schema, ShardBuilder, ShardConfig, ShardedTable, ShardedView,
+    Table, TableStore, TableView,
 };
 use std::sync::Arc;
 
@@ -138,7 +137,7 @@ fn random_table(rng: &mut StdRng) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Marginal search + BRS + drill-downs
+// Marginal search
 // ---------------------------------------------------------------------------
 
 #[test]
@@ -190,8 +189,14 @@ fn marginal_search_is_bit_identical_across_shard_layouts() {
                         None => ShardedView::all(st.clone()),
                     };
                     let mut scratch = SearchScratch::new();
-                    let got =
-                        find_best_marginal_rule_sharded(&view, weight, &cov, &opts, &mut scratch);
+                    let got = try_find_best_marginal_rule_sharded(
+                        &view,
+                        weight,
+                        &cov,
+                        &opts,
+                        &mut scratch,
+                    )
+                    .expect("spill files decode");
                     let label = format!("trial {trial}, {} ({how})", cfg_label(&cfg));
                     match (&mono, &got) {
                         (None, None) => {}
@@ -217,73 +222,6 @@ fn marginal_search_is_bit_identical_across_shard_layouts() {
     }
 }
 
-#[test]
-fn brs_and_drilldowns_are_bit_identical_across_shard_layouts() {
-    let _env = env_lock();
-    let mut rng = StdRng::seed_from_u64(0x5AAD_0002);
-    for trial in 0..8 {
-        let table = random_table(&mut rng);
-        let k = rng.gen_range(1..4);
-        let mw = rng.gen_range(1.5..4.0);
-        let brs = Brs::new(&SizeWeight)
-            .with_max_weight(mw)
-            .with_parallel(false);
-
-        let mono_run = brs.run(&table.view(), k);
-        // A drill-down base from a random row's first column.
-        let base_row = rng.gen_range(0..table.n_rows()) as u32;
-        let base = Rule::trivial(table.n_columns()).with_value(0, table.code(base_row, 0));
-        let mono_drill = drill_down_with(&brs, &table.view(), &base, k);
-        let star_col = table.n_columns() - 1;
-        let mono_star = star_drill_down_with(&brs, &table.view(), &base, star_col, k);
-
-        for shards in [1, 2, 3, 5, 8] {
-            for cfg in shard_configs(shards) {
-                for (st, how) in builds(&table, &cfg) {
-                    let view = ShardedView::all(st.clone());
-                    let label = format!("trial {trial}, {} ({how})", cfg_label(&cfg));
-
-                    let got = brs.run_sharded(&view, k);
-                    assert_eq!(
-                        got.rules_only(),
-                        mono_run.rules_only(),
-                        "{label}: BRS rules"
-                    );
-                    assert_eq!(
-                        got.total_score.to_bits(),
-                        mono_run.total_score.to_bits(),
-                        "{label}: score bits"
-                    );
-                    for (a, b) in got.rules.iter().zip(&mono_run.rules) {
-                        assert_eq!(a.count.to_bits(), b.count.to_bits(), "{label}: counts");
-                        assert_eq!(a.mcount.to_bits(), b.mcount.to_bits(), "{label}: mcounts");
-                        assert_eq!(a.weight.to_bits(), b.weight.to_bits(), "{label}: weights");
-                    }
-
-                    let got_drill = drill_down_sharded(&brs, &view, &base, k);
-                    assert_eq!(
-                        got_drill.rules_only(),
-                        mono_drill.rules_only(),
-                        "{label}: drill-down rules"
-                    );
-                    assert_eq!(
-                        got_drill.total_score.to_bits(),
-                        mono_drill.total_score.to_bits(),
-                        "{label}: drill-down score"
-                    );
-
-                    let got_star = star_drill_down_sharded(&brs, &view, &base, star_col, k);
-                    assert_eq!(
-                        got_star.rules_only(),
-                        mono_star.rules_only(),
-                        "{label}: star rules"
-                    );
-                }
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Sample stores
 // ---------------------------------------------------------------------------
@@ -297,21 +235,85 @@ fn handler_config(seed: u64) -> SampleHandlerConfig {
     }
 }
 
-/// Drives the same request sequence and snapshots the stored samples.
-fn drive_handler(mut h: SampleHandler, rules: &[Rule]) -> (Vec<StoredSampleInfo>, String) {
-    let mut served = String::new();
-    for rule in rules {
-        let s = h.get_sample(rule);
-        // Record everything observable about the served view.
-        served.push_str(&format!(
-            "{:?} {} {} {:x}\n",
-            s.mechanism,
-            s.view.len(),
-            s.scale.to_bits(),
-            s.view.total_weight().to_bits(),
-        ));
-    }
+/// Everything observable about one served view: mechanism, length, scale
+/// bits, total-weight bits, content digest.
+type Served = (FetchMechanism, usize, u64, u64, [u64; 2]);
+
+/// Drives a request sequence; snapshots the stored samples and every served
+/// view. Every served view must be the self-contained "all rows of its own
+/// table" form — no row-id vector.
+fn drive_handler(mut h: SampleHandler, rules: &[Rule]) -> (Vec<StoredSampleInfo>, Vec<Served>) {
+    let served = rules
+        .iter()
+        .map(|rule| {
+            let s = h.try_get_sample(rule).unwrap();
+            assert!(
+                s.view.row_ids().is_none(),
+                "{:?}: row-id vector",
+                s.mechanism
+            );
+            assert_eq!(s.view.table().n_rows(), s.view.len());
+            (
+                s.mechanism,
+                s.view.len(),
+                s.scale.to_bits(),
+                s.view.total_weight().to_bits(),
+                view_digest(&s.view.as_view()),
+            )
+        })
+        .collect();
     (h.stored_samples(), served)
+}
+
+/// A live table holding `table`'s rows (appended in two batches, so the
+/// pinned snapshot has sealed segments and a tail), spilling with one
+/// resident segment when `spill`.
+fn live_store(table: &Table, spill: bool) -> TableStore {
+    let rows: Vec<Vec<&str>> = (0..table.n_rows() as u32)
+        .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
+        .collect();
+    let per_segment = (table.n_rows() / 5).max(1);
+    let cfg = if spill {
+        LiveTableConfig::spilling(per_segment, 1, std::env::temp_dir())
+    } else {
+        LiveTableConfig::in_memory(per_segment)
+    };
+    let live = Arc::new(LiveTable::new(table.schema().clone(), vec![], &cfg).expect("live table"));
+    let (head, tail) = rows.split_at(rows.len() / 2);
+    live.try_append(head, &[]).expect("append");
+    live.try_append(tail, &[]).expect("append");
+    TableStore::from(live)
+}
+
+/// One request sequence over every store kind — monolithic, sharded
+/// (resident and spilling, both builds), live (resident and spill-1): the
+/// stored samples and every served view must agree with the monolithic
+/// handler's. Returns the mechanisms that served.
+fn assert_stores_agree(
+    table: &Arc<Table>,
+    rules: &[Rule],
+    config: &SampleHandlerConfig,
+    what: &str,
+) -> Vec<FetchMechanism> {
+    let mono = drive_handler(SampleHandler::new(table.clone(), config.clone()), rules);
+    let mut others = vec![
+        (live_store(table, false), "live, resident".to_owned()),
+        (live_store(table, true), "live, spill-1".to_owned()),
+    ];
+    for shards in [1, 3, 8] {
+        for cfg in shard_configs(shards) {
+            for (st, how) in builds(table, &cfg) {
+                let label = format!("{} ({how})", cfg_label(&cfg));
+                others.push((TableStore::Sharded(st), label));
+            }
+        }
+    }
+    for (store, label) in others {
+        let got = drive_handler(SampleHandler::with_store(store, config.clone()), rules);
+        assert_eq!(got.0, mono.0, "{what}, {label}: stored samples differ");
+        assert_eq!(got.1, mono.1, "{what}, {label}: served views differ");
+    }
+    mono.1.iter().map(|served| served.0).collect()
 }
 
 #[test]
@@ -334,26 +336,39 @@ fn sample_stores_are_bit_identical_between_monolithic_and_sharded() {
             rules.push(r);
         }
         let seed = rng.gen::<u64>();
-
-        let (mono_store, mono_served) = drive_handler(
-            SampleHandler::new(table.clone(), handler_config(seed)),
+        assert_stores_agree(
+            &table,
             &rules,
+            &handler_config(seed),
+            &format!("trial {trial}"),
         );
-
-        for shards in [1, 3, 8] {
-            for cfg in shard_configs(shards) {
-                for (st, how) in builds(&table, &cfg) {
-                    let (got_store, got_served) = drive_handler(
-                        SampleHandler::with_store(TableStore::Sharded(st), handler_config(seed)),
-                        &rules,
-                    );
-                    let label = format!("trial {trial}, {} ({how})", cfg_label(&cfg));
-                    assert_eq!(got_store, mono_store, "{label}: stored samples differ");
-                    assert_eq!(got_served, mono_served, "{label}: served views differ");
-                }
-            }
-        }
     }
+
+    // A fixed ladder that serves by all three mechanisms: two single-column
+    // samples whose pooled Walmart×cookies rows reach minSS → Combine.
+    let table = Arc::new(retail(42));
+    let walmart = Rule::from_pairs(&table, &[("Store", "Walmart")]).unwrap();
+    let cookies = Rule::from_pairs(&table, &[("Product", "cookies")]).unwrap();
+    let both = Rule::from_pairs(&table, &[("Store", "Walmart"), ("Product", "cookies")]).unwrap();
+    let ladder = [
+        Rule::trivial(3),
+        Rule::trivial(3),
+        walmart,
+        cookies,
+        both.clone(),
+        both,
+    ];
+    let config = SampleHandlerConfig {
+        capacity: 50_000,
+        min_sample_size: 100,
+        seed: 11,
+        strategy: AllocationStrategy::Dp,
+    };
+    use FetchMechanism::{Combine, Create, Find};
+    assert_eq!(
+        assert_stores_agree(&table, &ladder, &config, "retail ladder"),
+        vec![Create, Find, Create, Create, Combine, Combine]
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -533,7 +548,8 @@ fn sharded_search_is_thread_invariant() {
         std::env::set_var("SDD_THREADS", threads);
         let view = ShardedView::all(st);
         let mut scratch = SearchScratch::new();
-        let r = find_best_marginal_rule_sharded(&view, &SizeWeight, &cov, &opts, &mut scratch)
+        let r = try_find_best_marginal_rule_sharded(&view, &SizeWeight, &cov, &opts, &mut scratch)
+            .expect("spill files decode")
             .expect("retail yields a rule");
         std::env::remove_var("SDD_THREADS");
         (r.rule, r.marginal_value.to_bits(), r.count.to_bits())
@@ -616,7 +632,7 @@ fn stream_built_tables_are_byte_identical_to_from_table() {
 }
 
 // ---------------------------------------------------------------------------
-// Coverage + scoring scan parity
+// Coverage + exact-count scan parity
 // ---------------------------------------------------------------------------
 
 /// `f64`s compared as bit patterns: parity here means *bitwise* equality,
@@ -625,104 +641,92 @@ fn bits(vals: &[f64]) -> Vec<u64> {
     vals.iter().map(|v| v.to_bits()).collect()
 }
 
-fn assert_score_bits_eq(got: &ListScore, want: &ListScore, label: &str) {
-    assert_eq!(got.total.to_bits(), want.total.to_bits(), "{label}: total");
-    assert_eq!(
-        got.uncovered.to_bits(),
-        want.uncovered.to_bits(),
-        "{label}: uncovered"
-    );
-    assert_eq!(got.rules.len(), want.rules.len(), "{label}: rule count");
-    for (g, w) in got.rules.iter().zip(&want.rules) {
-        assert_eq!(g.rule, w.rule, "{label}: rule order");
-        assert_eq!(g.weight.to_bits(), w.weight.to_bits(), "{label}: weight");
-        assert_eq!(g.count.to_bits(), w.count.to_bits(), "{label}: count");
-        assert_eq!(g.mcount.to_bits(), w.mcount.to_bits(), "{label}: mcount");
+/// The row-at-a-time exact count (the loop the explorer's refresh used to
+/// carry privately): the oracle both columnar count scans must equal.
+fn count_rules_rowwise(table: &Table, rules: &[Rule]) -> Vec<f64> {
+    let mut counts = vec![0.0f64; rules.len()];
+    let mut codes: Vec<u32> = Vec::with_capacity(table.n_columns());
+    for row in 0..table.n_rows() as u32 {
+        table.row_codes(row, &mut codes);
+        for (i, rule) in rules.iter().enumerate() {
+            if rule.covers_codes(&codes) {
+                counts[i] += 1.0;
+            }
+        }
     }
+    counts
 }
 
-/// Every public coverage/scoring scan — `covered_rows_sharded`,
-/// `covered_positions_sharded`, `filter_to_rule_sharded`,
-/// `count_rules_sharded`, `rule_count_sharded`, `score_list_sharded`, and
-/// `sort_by_weight_desc_sharded` — is bit-identical to its monolithic twin
-/// for every shard layout and both construction paths (lint rule X001
-/// requires each `*_sharded` entry point exercised here by name).
+/// The scans the product runs over segments — `try_covered_rows_sharded`,
+/// `try_covered_rows_sharded_range` and `try_count_rules_sharded` — are
+/// bit-identical to their monolithic forms for every shard layout and both
+/// construction paths, and both count scans equal the row-at-a-time oracle
+/// on rules with 0, 1 and ≥ 2 instantiated columns, down to an empty table
+/// (lint rule X001 requires each `*_sharded` entry point exercised here by
+/// name).
 #[test]
 fn coverage_and_scoring_scans_are_bit_identical_across_shard_layouts() {
     let _env = env_lock();
     let mut rng = StdRng::seed_from_u64(0x5AAD_0007);
-    for _trial in 0..6 {
-        let table = random_table(&mut rng);
-        // Real rules built off the table's own dictionaries: one size-1,
-        // one size-2 (often sparse or empty), and a second size-1 for
-        // scoring overlap.
-        let val = |c: usize, k: usize| {
-            let card = table.cardinality(c);
-            let (_, v) = table.dictionary(c).iter().nth(k % card).expect("in range");
-            v.to_string()
-        };
-        let (v00, v01, v10) = (val(0, 0), val(0, 1), val(1, 0));
-        let rules = vec![
-            Rule::from_pairs(&table, &[("c0", v00.as_str())]).expect("dict value"),
-            Rule::from_pairs(&table, &[("c0", v01.as_str()), ("c1", v10.as_str())])
-                .expect("dict value"),
-            Rule::from_pairs(&table, &[("c1", v10.as_str())]).expect("dict value"),
-        ];
-        let base = &rules[0];
+    let mut tables: Vec<Table> = (0..6).map(|_| random_table(&mut rng)).collect();
+    let no_rows: [[&str; 2]; 0] = [];
+    tables.push(Table::from_rows(Schema::new(["c0", "c1"]).unwrap(), &no_rows).unwrap());
+    for table in &tables {
+        // Real rules built off the table's own dictionaries (when it has
+        // any rows): the trivial rule, one size-1, one size-2 (often sparse
+        // or empty), and a second size-1.
+        let mut rules = vec![Rule::trivial(table.n_columns())];
+        if table.n_rows() > 0 {
+            let val = |c: usize, k: usize| {
+                let card = table.cardinality(c);
+                let (_, v) = table.dictionary(c).iter().nth(k % card).expect("in range");
+                v.to_string()
+            };
+            let (v00, v01, v10) = (val(0, 0), val(0, 1), val(1, 0));
+            rules.extend([
+                Rule::from_pairs(table, &[("c0", v00.as_str())]).expect("dict value"),
+                Rule::from_pairs(table, &[("c0", v01.as_str()), ("c1", v10.as_str())])
+                    .expect("dict value"),
+                Rule::from_pairs(table, &[("c1", v10.as_str())]).expect("dict value"),
+            ]);
+        }
 
-        let mono_view = table.view();
-        let mono_rows = covered_rows(&table, base);
-        let mono_pos = covered_positions(&mono_view, base);
-        let mono_counts = count_rules(&table, &rules);
-        let mono_one = rule_count(&mono_view, &rules[2]);
-        let mono_sorted = sort_by_weight_desc(&mono_view, &BitsWeight, &rules);
-        let mono_score = score_list(&mono_view, &BitsWeight, &mono_sorted);
-        let mono_filtered = filter_to_rule(&mono_view, base);
-        let mono_filtered_rows: Vec<u32> = mono_filtered.iter().map(|wr| wr.row).collect();
+        let n = table.n_rows();
+        let mono_counts = count_rules(table, &rules);
+        assert_eq!(
+            bits(&mono_counts),
+            bits(&count_rules_rowwise(table, &rules)),
+            "count_rules vs row-at-a-time oracle"
+        );
+        let (lo, hi) = (n / 3, n - n / 4);
 
         for shards in SHARD_COUNTS {
             for cfg in shard_configs(shards) {
-                for (st, how) in builds(&table, &cfg) {
+                for (st, how) in builds(table, &cfg) {
                     let label = format!("{} [{how}]", cfg_label(&cfg));
-                    let view = ShardedView::all(st.clone());
-
                     assert_eq!(
-                        covered_rows_sharded(&st, base),
-                        mono_rows,
-                        "{label}: covered_rows"
-                    );
-                    assert_eq!(
-                        covered_positions_sharded(&view, base),
-                        mono_pos,
-                        "{label}: covered_positions"
-                    );
-                    assert_eq!(
-                        bits(&count_rules_sharded(&st, &rules)),
+                        bits(&try_count_rules_sharded(&st, &rules).unwrap()),
                         bits(&mono_counts),
                         "{label}: count_rules"
                     );
-                    assert_eq!(
-                        rule_count_sharded(&view, &rules[2]).to_bits(),
-                        mono_one.to_bits(),
-                        "{label}: rule_count"
-                    );
-                    assert_eq!(
-                        sort_by_weight_desc_sharded(&st, &BitsWeight, &rules),
-                        mono_sorted,
-                        "{label}: sort_by_weight_desc"
-                    );
-                    assert_score_bits_eq(
-                        &score_list_sharded(&view, &BitsWeight, &mono_sorted),
-                        &mono_score,
-                        &label,
-                    );
-                    let filtered = filter_to_rule_sharded(&view, base);
-                    let filtered_rows: Vec<u32> =
-                        (0..filtered.len()).map(|p| filtered.row_at(p)).collect();
-                    assert_eq!(
-                        filtered_rows, mono_filtered_rows,
-                        "{label}: filter_to_rule row set"
-                    );
+                    for rule in &rules {
+                        let mono_rows = covered_rows(table, rule);
+                        assert_eq!(
+                            try_covered_rows_sharded(&st, rule).unwrap(),
+                            mono_rows,
+                            "{label}: covered_rows"
+                        );
+                        let in_range: Vec<u32> = mono_rows
+                            .iter()
+                            .copied()
+                            .filter(|&r| (lo..hi).contains(&(r as usize)))
+                            .collect();
+                        assert_eq!(
+                            try_covered_rows_sharded_range(&st, rule, lo..hi).unwrap(),
+                            in_range,
+                            "{label}: covered_rows over {lo}..{hi}"
+                        );
+                    }
                 }
             }
         }

@@ -12,8 +12,9 @@
 
 use proptest::prelude::*;
 use smart_drilldown::core::{
-    accel, covered_rows, find_best_marginal_rule, rule_count, try_covered_rows_sharded,
-    try_find_best_marginal_rule_sharded, Rule, SearchOptions, SearchScratch, SizeWeight,
+    accel, covered_rows, find_best_marginal_rule, rule_count, try_count_rules_sharded,
+    try_covered_rows_sharded, try_find_best_marginal_rule_sharded, Rule, SearchOptions,
+    SearchScratch, SizeWeight,
 };
 use smart_drilldown::table::{Schema, ShardConfig, ShardedTable, ShardedView, Table};
 use std::sync::Arc;
@@ -215,9 +216,8 @@ proptest! {
             covered_rows(&table, &rule)
         );
         prop_assert_eq!(
-            rule_count(&table.view(), &rule),
-            smart_drilldown::core::try_rule_count_sharded(
-                &ShardedView::all(st.clone()), &rule).unwrap()
+            vec![rule_count(&table.view(), &rule)],
+            try_count_rules_sharded(&st, std::slice::from_ref(&rule)).unwrap()
         );
 
         let view = table.view();
