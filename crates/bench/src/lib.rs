@@ -35,30 +35,3 @@ pub fn reps() -> usize {
         .and_then(|v| v.parse().ok())
         .unwrap_or(5)
 }
-
-/// Hardware threads on this host (1 when the query fails). Every `BENCH_*`
-/// artifact records this so timings from differently-sized machines are
-/// never compared as like-for-like.
-pub fn host_parallelism() -> usize {
-    std::thread::available_parallelism()
-        .map(usize::from)
-        .unwrap_or(1)
-}
-
-/// The active SIMD dispatch level (`"avx2"` or `"scalar"`) — recorded in
-/// every `BENCH_*` artifact so a speedup claim can be tied to the kernels
-/// that actually ran (see [`sdd_core::accel`]).
-pub fn simd_level() -> &'static str {
-    sdd_core::accel::feature_level()
-}
-
-/// The shared host-provenance fragment for `BENCH_*` JSON artifacts:
-/// `"host_parallelism": N,\n  "simd": "<level>",` (no trailing newline,
-/// two-space indent to slot into the top-level object).
-pub fn host_json_fields() -> String {
-    format!(
-        "  \"host_parallelism\": {},\n  \"simd\": \"{}\",",
-        host_parallelism(),
-        simd_level()
-    )
-}

@@ -4,7 +4,7 @@
 use crate::command::parse_path;
 use crate::repl::{load, Source};
 use sdd_server::{Client, OpenOptions, Request, Response, Server, ServerConfig, TailConfig};
-use sdd_table::{LiveTable, LiveTableConfig, Residency, ShardConfig, ShardedTable, TableStore};
+use sdd_table::{LiveTable, LiveTableConfig, ShardConfig, ShardedTable, TableStore};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -31,11 +31,9 @@ usage: sdd serve [options]
                        to disk (requires --shards; results are identical,
                        only memory use changes)
   --spill <dir>        spill directory (default: the system temp dir)
-  --residency <p>      eviction policy under the budget: lru (default) or
-                       sweep (best for sequential full-table scans)
   --cache <mib>        shared cross-session result-cache budget in MiB
                        (default 64; 0 disables — responses are identical
-                       either way; SDD_NO_CACHE=1 also disables)
+                       either way)
   --http <port>        also serve the HTTP/1.1 front-end on this port
                        (same host as --addr): POST /v1/line, GET /metrics,
                        GET /healthz — see PROTOCOL.md
@@ -101,7 +99,6 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
     let mut shards: Option<usize> = None;
     let mut resident: usize = 0;
     let mut spill: Option<String> = None;
-    let mut residency: Option<Residency> = None;
     let mut ingest: Option<String> = None;
     let mut tail: Option<usize> = None;
     let mut http_port: Option<u16> = None;
@@ -155,16 +152,6 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
                 })?
             }
             "spill" => spill = Some(need("dir")?),
-            "residency" => {
-                residency = match need("policy")?.to_ascii_lowercase().as_str() {
-                    "lru" => Some(Residency::Lru),
-                    "sweep" => Some(Residency::Sweep),
-                    other => {
-                        writeln!(output, "error: unknown residency {other:?} (lru|sweep)")?;
-                        return Ok(());
-                    }
-                }
-            }
             "ingest" => ingest = Some(need("path")?),
             "tail" => {
                 tail = Some(need("rows-per-segment")?.parse().map_err(|_| {
@@ -271,18 +258,8 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
         )?;
         return Ok(());
     }
-    if residency.is_some() && resident == 0 {
-        // A policy with no budget never evicts — the operator believes
-        // sweep eviction is active when nothing is.
-        writeln!(
-            output,
-            "error: --residency requires --resident (an eviction policy needs a budget to evict against)\n{SERVE_USAGE}"
-        )?;
-        return Ok(());
-    }
-    let residency = residency.unwrap_or(Residency::Lru);
     let shard_config = |n: usize| {
-        let cfg = if resident > 0 {
+        if resident > 0 {
             let dir = spill
                 .clone()
                 .map(std::path::PathBuf::from)
@@ -290,8 +267,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
             ShardConfig::spilling(n, resident, dir)
         } else {
             ShardConfig::in_memory(n)
-        };
-        cfg.with_residency(residency)
+        }
     };
     let layout_of = |sharded: &ShardedTable, streamed: bool| {
         let how = if streamed { "streamed into " } else { "" };
@@ -325,7 +301,6 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
                     .map(std::path::PathBuf::from)
                     .unwrap_or_else(std::env::temp_dir)
             }),
-            residency,
         };
         let live = match LiveTable::new(table.schema().clone(), measure_names.clone(), &live_config)
         {
@@ -428,7 +403,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
     }
     let server = Server::bind_store(store.clone(), config, addr.as_str())?;
     // Surface whether the cross-session result cache is live — an
-    // operator throwing the SDD_NO_CACHE kill switch should see it took.
+    // operator passing `--cache 0` should see it took.
     let cache_note = match server.engine().cache_capacity() {
         Some(bytes) => format!(", result cache {} MiB", bytes >> 20),
         None => ", result cache off".to_owned(),
@@ -870,23 +845,6 @@ mod tests {
         .unwrap();
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("--ingest requires --shards"), "{out}");
-    }
-
-    #[test]
-    fn serve_rejects_residency_without_resident() {
-        let mut out = Vec::new();
-        serve(
-            &[
-                "--shards".to_owned(),
-                "4".to_owned(),
-                "--residency".to_owned(),
-                "sweep".to_owned(),
-            ],
-            &mut out,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("--residency requires --resident"), "{out}");
     }
 
     #[test]

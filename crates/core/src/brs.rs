@@ -6,7 +6,7 @@
 //! (Problem 3). Each greedy step delegates to
 //! [`crate::marginal::find_best_marginal_rule`] (Algorithm 2).
 
-use crate::kernel::{covered_positions_with_threads, SearchScratch};
+use crate::kernel::{covered_positions, SearchScratch};
 use crate::marginal::{find_best_marginal_rule_with_scratch, SearchOptions, SearchStats};
 use crate::{score_list, sort_by_weight_desc, Rule, WeightFn};
 use sdd_table::TableView;
@@ -63,7 +63,6 @@ pub struct Brs<'w> {
     max_weight: Option<f64>,
     pruning: bool,
     max_rule_size: Option<usize>,
-    parallel: Option<bool>,
 }
 
 impl<'w> Brs<'w> {
@@ -76,7 +75,6 @@ impl<'w> Brs<'w> {
             max_weight: None,
             pruning: true,
             max_rule_size: None,
-            parallel: None,
         }
     }
 
@@ -102,15 +100,6 @@ impl<'w> Brs<'w> {
         self
     }
 
-    /// Forces the counting kernel's multi-threading on or off (the default
-    /// follows [`SearchOptions::new`]: on for large views when the
-    /// `parallel` feature is compiled in). Used by benchmarks to ablate the
-    /// parallel speedup.
-    pub fn with_parallel(mut self, parallel: bool) -> Self {
-        self.parallel = Some(parallel);
-        self
-    }
-
     /// The configured weight function.
     pub fn weight_fn(&self) -> &'w dyn WeightFn {
         self.weight
@@ -123,7 +112,6 @@ impl<'w> Brs<'w> {
         self.max_weight = other.max_weight;
         self.pruning = other.pruning;
         self.max_rule_size = other.max_rule_size;
-        self.parallel = other.parallel;
         self
     }
 
@@ -183,9 +171,6 @@ impl<'w> Brs<'w> {
         opts.pruning = self.pruning;
         opts.max_rule_size = self.max_rule_size;
         opts.base = base;
-        if let Some(parallel) = self.parallel {
-            opts.parallel = parallel;
-        }
 
         let mut covered = vec![0.0f64; view.len()];
         let mut selection: Vec<Rule> = Vec::with_capacity(k);
@@ -206,16 +191,10 @@ impl<'w> Brs<'w> {
             };
             stats.absorb(&best.stats);
             // Update per-tuple best covering weight. The position list comes
-            // from the chunked columnar scan (sliced on large views when
-            // `opts.parallel` allows, byte-identical on any thread count);
-            // the max-update itself is cheap and order-insensitive, so it
-            // stays serial.
-            let scan_threads = if opts.parallel {
-                crate::exec::worker_threads()
-            } else {
-                1
-            };
-            for p in covered_positions_with_threads(view, &best.rule, scan_threads) {
+            // from the chunked columnar scan (sliced on large views,
+            // byte-identical on any thread count); the max-update itself is
+            // cheap and order-insensitive, so it stays serial.
+            for p in covered_positions(view, &best.rule) {
                 let slot = &mut covered[p as usize];
                 if best.weight > *slot {
                     *slot = best.weight;

@@ -15,10 +15,10 @@
 //!   search based on the trivial (all-`?`) rule filter the same tuples and
 //!   return the same rules; [`KeyHasher::write_base`] folds both spellings
 //!   to the trivial rule.
-//! * **Execution strategy is excluded.** `SearchOptions::parallel` and
-//!   `parallel_min_rows` select *how* the kernel runs, and
-//!   the determinism contract (docs/DETERMINISM.md) guarantees they cannot
-//!   change a result bit — so they must not fragment the key space.
+//! * **Execution strategy is excluded.** Thread count and SIMD level
+//!   select *how* the kernel runs, and the determinism contract
+//!   (docs/DETERMINISM.md) guarantees they cannot change a result bit — so
+//!   nothing here reads them, and they cannot fragment the key space.
 //! * **The view is keyed by content, not identity.** Sample views are pure
 //!   functions of `(store, seed, rule, history)`, so sessions replaying the
 //!   same drill path produce byte-identical views; digesting row codes and
@@ -137,9 +137,7 @@ impl KeyHasher {
 
     /// Absorbs every result-determining field of [`SearchOptions`]:
     /// `max_weight` by canonical bits, `pruning`, `max_rule_size`, and the
-    /// normalized `base`. Deliberately excludes `parallel` and
-    /// `parallel_min_rows` — execution strategy that the determinism
-    /// contract guarantees cannot change a result.
+    /// normalized `base`.
     pub fn write_search_options(&mut self, opts: &SearchOptions, n_columns: usize) {
         self.write_f64(opts.max_weight);
         self.write_u64(opts.pruning as u64);
@@ -295,11 +293,13 @@ mod tests {
 
     #[test]
     fn execution_strategy_is_excluded_from_the_key() {
-        let serial = opts(2.0);
-        let mut parallel = opts(2.0);
-        parallel.parallel = !serial.parallel;
-        parallel.parallel_min_rows = 1;
-        assert_eq!(options_key(&serial, 3), options_key(&parallel, 3));
+        let _guard = crate::test_env_lock();
+        std::env::set_var("SDD_THREADS", "1");
+        let serial = options_key(&opts(2.0), 3);
+        std::env::set_var("SDD_THREADS", "8");
+        let parallel = options_key(&opts(2.0), 3);
+        std::env::remove_var("SDD_THREADS");
+        assert_eq!(serial, parallel);
     }
 
     #[test]

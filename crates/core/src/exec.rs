@@ -2,10 +2,9 @@
 //! kernel, the coverage scans, and the sampling layer's prefetch scan.
 //!
 //! Everything here is built on `std::thread::scope` (the build environment
-//! has no registry access, so no `rayon`), gated behind the `parallel`
-//! cargo feature: without it every function degrades to a sequential loop
-//! with **bit-identical results** — determinism is the contract of this
-//! module, not an accident:
+//! has no registry access, so no `rayon`). On one thread every function
+//! degrades to a sequential loop with **bit-identical results** —
+//! determinism is the contract of this module, not an accident:
 //!
 //! * [`parallel_map`] returns outputs **in job order** no matter which
 //!   worker ran which job, so consumers can merge partials positionally;
@@ -15,17 +14,23 @@
 //!   pass-1 counts with it — see [`crate::shard`]);
 //! * [`worker_threads`] is the one place thread counts come from
 //!   (`SDD_THREADS` overrides detection, which is also how tests pin the
-//!   schedule on single-core machines).
+//!   schedule on single-core machines), and [`threads_for_rows`] the one
+//!   place that decides whether an input is worth fanning out at all.
+//!   `SDD_THREADS=1` is the single-threaded build: there is no cargo
+//!   feature and no per-search switch beside it.
 
 use std::sync::Mutex;
 
+/// Inputs below this many rows run on one thread: spawning scoped workers
+/// costs more than it saves there (the whole-view search gains 1.8–1.95×
+/// on two cores at 1 M rows and 1.05× at 9 409, and the task-per-rule
+/// prefetch scan *loses* at 9 409: 0.63×).
+const PARALLEL_MIN_ROWS: usize = 16 * 1024;
+
 /// Number of worker threads to use: the `SDD_THREADS` environment variable
-/// when set, else [`std::thread::available_parallelism`]. Always ≥ 1; `1`
-/// whenever the `parallel` feature is compiled out.
+/// when it parses as a number, else [`std::thread::available_parallelism`].
+/// Always ≥ 1.
 pub fn worker_threads() -> usize {
-    if !cfg!(feature = "parallel") {
-        return 1;
-    }
     if let Some(n) = std::env::var("SDD_THREADS")
         .ok()
         .and_then(|v| v.parse::<usize>().ok())
@@ -35,6 +40,17 @@ pub fn worker_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// The worker budget for one pass over `n_rows` rows: [`worker_threads`]
+/// when the input is large enough to pay for the fan-out, else `1`. Worked
+/// out from the input, never set: results are thread-invariant either way.
+pub fn threads_for_rows(n_rows: usize) -> usize {
+    if n_rows >= PARALLEL_MIN_ROWS {
+        worker_threads()
+    } else {
+        1
+    }
 }
 
 /// Runs `work` over every job on up to `threads` scoped workers, returning
@@ -47,7 +63,7 @@ where
     T: Send,
     F: Fn(J) -> T + Sync,
 {
-    if !cfg!(feature = "parallel") || threads <= 1 || jobs.len() < 2 {
+    if threads <= 1 || jobs.len() < 2 {
         return jobs.into_iter().map(work).collect();
     }
     let n_workers = threads.min(jobs.len());
@@ -86,10 +102,6 @@ where
 /// **no determinism promises**: anything executed on it must synchronize its
 /// own state (the drill-down server serializes per-session work behind a
 /// per-session lock, which is where its determinism comes from).
-///
-/// Unlike the rest of this module the pool is *not* gated on the `parallel`
-/// feature: serving concurrent connections needs real threads regardless of
-/// whether the counting kernels run sliced.
 pub struct TaskPool {
     sender: Option<std::sync::mpsc::Sender<Job>>,
     workers: Vec<std::thread::JoinHandle<()>>,
@@ -228,8 +240,19 @@ mod tests {
     }
 
     #[test]
-    fn worker_threads_is_positive() {
-        assert!(worker_threads() >= 1);
+    fn worker_threads_is_positive_for_any_sdd_threads_value() {
+        let _guard = crate::test_env_lock();
+        let detected = std::thread::available_parallelism().map_or(1, |n| n.get());
+        std::env::remove_var("SDD_THREADS");
+        assert_eq!(worker_threads(), detected);
+        for (value, want) in [("0", 1), ("garbage", detected), ("", detected), ("8", 8)] {
+            std::env::set_var("SDD_THREADS", value);
+            assert_eq!(worker_threads(), want, "SDD_THREADS={value:?}");
+        }
+        // The row gate only ever lowers the budget.
+        assert_eq!(threads_for_rows(PARALLEL_MIN_ROWS - 1), 1);
+        assert_eq!(threads_for_rows(PARALLEL_MIN_ROWS), 8);
+        std::env::remove_var("SDD_THREADS");
     }
 
     #[test]

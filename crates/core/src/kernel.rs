@@ -18,8 +18,8 @@
 //!   `Vec`. The `Rule`-keyed map survives only at the API boundary.
 //!
 //! **Parallelism is task-per-column (pass 1) and task-per-group (pass j)**
-//! on [`crate::exec::parallel_map`], gated behind the `parallel` cargo
-//! feature and [`SearchOptions::parallel`]. No accumulator is ever split
+//! on [`crate::exec::parallel_map`], with the worker budget of
+//! [`crate::exec::threads_for_rows`]. No accumulator is ever split
 //! across tasks: every per-candidate sum is formed by one task scanning the
 //! whole view in row order, so results are **bit-identical on any thread
 //! count** — and bit-identical to the row-at-a-time reference
@@ -317,8 +317,8 @@ impl SearchScratch {
 }
 
 /// Columnar implementation of Algorithm 2. See the module docs; results are
-/// bit-identical to [`crate::marginal::find_best_marginal_rule_rowwise`] in
-/// both scalar and parallel mode.
+/// bit-identical to [`crate::marginal::find_best_marginal_rule_rowwise`] on
+/// any thread count.
 ///
 /// det-order: this orchestrator's own `+=` are integer stats; every float
 /// accumulator is owned by one pass-helper task that scans in row order.
@@ -346,14 +346,7 @@ pub(crate) fn find_best_marginal_rule_columnar(
         return None;
     }
 
-    let threads = if cfg!(feature = "parallel")
-        && opts.parallel
-        && view.len() >= opts.parallel_min_rows.max(1)
-    {
-        exec::worker_threads()
-    } else {
-        1
-    };
+    let threads = exec::threads_for_rows(view.len());
 
     let mut stats = SearchStats::default();
     let mut counted: FxHashMap<Rule, CandStat> = FxHashMap::default();
@@ -848,23 +841,11 @@ fn scan_chunks(len: usize) -> usize {
 /// is the scan behind the BRS covered-weight update and drill-down
 /// filtering.
 pub fn covered_positions(view: &TableView<'_>, rule: &Rule) -> Vec<u32> {
-    covered_positions_with_threads(view, rule, exec::worker_threads())
-}
-
-/// [`covered_positions`] with an explicit worker budget (`1` = fully
-/// serial). Callers already inside a parallel region — or honoring a
-/// caller-level parallelism switch, as BRS does with
-/// [`SearchOptions::parallel`] — pass `1` to avoid nested fan-out; the
-/// output is byte-identical either way.
-pub fn covered_positions_with_threads(
-    view: &TableView<'_>,
-    rule: &Rule,
-    threads: usize,
-) -> Vec<u32> {
     let cols: Vec<usize> = rule.instantiated_columns().collect();
     if cols.is_empty() {
         return (0..view.len() as u32).collect();
     }
+    let threads = exec::worker_threads();
     let k = if threads > 1 {
         scan_chunks(view.len())
     } else {

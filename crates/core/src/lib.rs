@@ -83,8 +83,8 @@ pub use drilldown::{
 };
 pub use exact::{enumerate_support_rules, exact_best_rule_set, greedy_guarantee};
 pub use kernel::{
-    count_rules, covered_positions, covered_positions_with_threads, covered_rows,
-    covered_rows_with_threads, for_each_covered_position, SearchScratch,
+    count_rules, covered_positions, covered_rows, covered_rows_with_threads,
+    for_each_covered_position, SearchScratch,
 };
 pub use marginal::{
     find_best_marginal_rule, find_best_marginal_rule_rowwise, find_best_marginal_rule_with_scratch,
@@ -105,3 +105,10 @@ pub use weight::{
     check_monotone_on, BitsWeight, ColumnWeight, RequireColumn, SizeMinusOne, SizeWeight,
     TraditionalEmulation, WeightFn,
 };
+
+/// Serializes the unit tests that set the process-global `SDD_THREADS`.
+#[cfg(test)]
+pub(crate) fn test_env_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|e| e.into_inner())
+}

@@ -25,9 +25,10 @@
 //! **Execution.** [`find_best_marginal_rule`] always runs over an in-memory
 //! [`TableView`] — in the product, a materialised sample (paper §4) —
 //! through the columnar kernel of [`crate::kernel`]. [`SearchOptions`]
-//! selects *how hard* to search (`max_weight`, pruning, size cap, base) and
-//! whether the counting passes fan out task-per-column/group; no option
-//! changes a bit of the result, and neither does the thread count.
+//! selects *how hard* to search (`max_weight`, pruning, size cap, base);
+//! whether the counting passes fan out task-per-column/group is worked out
+//! from the view's size and [`crate::exec::worker_threads`], and never
+//! changes a bit of the result.
 //! [`find_best_marginal_rule_rowwise`] is the row-at-a-time reference the
 //! parity tests compare against.
 
@@ -54,29 +55,16 @@ pub struct SearchOptions {
     /// search space (see DESIGN.md §6.3). The view must already be filtered
     /// to base-covered tuples.
     pub base: Option<Rule>,
-    /// Run the counting passes task-per-column / task-per-group on multiple
-    /// threads (requires the `parallel` cargo feature; no-op without it).
-    /// Every accumulator is owned by one task, so results are bit-identical
-    /// to the single-threaded sweep on any thread count — see
-    /// [`crate::kernel`].
-    pub parallel: bool,
-    /// Views smaller than this stay single-threaded even when
-    /// [`SearchOptions::parallel`] is set (thread spawn overhead dominates
-    /// below it).
-    pub parallel_min_rows: usize,
 }
 
 impl SearchOptions {
-    /// Defaults: given `mw`, pruning on, no size cap, no base, parallel
-    /// counting enabled (when compiled in) for views of ≥ 16k rows.
+    /// Defaults: given `mw`, pruning on, no size cap, no base.
     pub fn new(max_weight: f64) -> Self {
         Self {
             max_weight,
             pruning: true,
             max_rule_size: None,
             base: None,
-            parallel: cfg!(feature = "parallel"),
-            parallel_min_rows: 16 * 1024,
         }
     }
 }

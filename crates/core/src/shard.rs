@@ -415,14 +415,7 @@ pub fn try_find_best_marginal_rule_sharded(
     }
 
     let runs = view.shard_runs();
-    let threads = if cfg!(feature = "parallel")
-        && opts.parallel
-        && view.len() >= opts.parallel_min_rows.max(1)
-    {
-        exec::worker_threads()
-    } else {
-        1
-    };
+    let threads = exec::threads_for_rows(view.len());
 
     let mut stats = SearchStats::default();
     let mut counted: FxHashMap<Rule, CandStat> = FxHashMap::default();
@@ -967,8 +960,7 @@ mod tests {
         let table = t();
         let view = table.view();
         let cov: Vec<f64> = (0..view.len()).map(|i| (i % 3) as f64 * 0.7).collect();
-        let mut opts = SearchOptions::new(2.0);
-        opts.parallel = false;
+        let opts = SearchOptions::new(2.0);
         let mono = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts).unwrap();
         for shards in 1..=6 {
             for st in [sharded(&table, shards), spilled(&table, shards)] {
@@ -1002,8 +994,7 @@ mod tests {
         let weights: Vec<f64> = rows.iter().map(|&r| 0.25 + r as f64 * 0.5).collect();
         let cov: Vec<f64> = rows.iter().map(|&r| (r % 4) as f64 * 0.3).collect();
         let mview = TableView::with_rows_and_weights(&table, rows.clone(), weights.clone());
-        let mut opts = SearchOptions::new(4.0);
-        opts.parallel = false;
+        let opts = SearchOptions::new(4.0);
         let mono = find_best_marginal_rule(&mview, &SizeWeight, &cov, &opts).unwrap();
         for shards in [2, 3, 5] {
             let st = spilled(&table, shards);
@@ -1077,8 +1068,7 @@ mod tests {
         assert!(try_count_rules_sharded(&st, std::slice::from_ref(&rule)).is_err());
         let sv = ShardedView::all(st.clone());
         let mut scratch = SearchScratch::new();
-        let mut opts = SearchOptions::new(2.0);
-        opts.parallel = false;
+        let opts = SearchOptions::new(2.0);
         let cov = vec![0.0; sv.len()];
         assert!(
             try_find_best_marginal_rule_sharded(&sv, &SizeWeight, &cov, &opts, &mut scratch)

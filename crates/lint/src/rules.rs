@@ -14,6 +14,7 @@
 //! | D003 | float accumulation loops in kernel/shard use ordered reduction |
 //! | P001 | no `unwrap`/`expect`/`panic!` in spill-I/O code |
 //! | U001 | every `unsafe` block carries a `// SAFETY:` comment |
+//! | E001 | product crates read the environment in two files only |
 //! | X001 | every `pub fn *_sharded` has a monolithic twin + parity test |
 
 use crate::lexer::{Tok, TokKind};
@@ -56,6 +57,23 @@ pub const P001_FILES: &[&str] = &[
     "crates/sampling/src/reservoir.rs",
 ];
 
+/// Crates that make up the product (everything but bench, datagen, lint):
+/// E001 keeps environment reads out of them.
+pub const PRODUCT_CRATES: &[&str] = &[
+    "crates/table/src/",
+    "crates/core/src/",
+    "crates/sampling/src/",
+    "crates/explorer/src/",
+    "crates/olap/src/",
+    "crates/server/src/",
+    "crates/cli/src/",
+];
+
+/// The two files that may read the environment: `SDD_THREADS` and
+/// `SDD_NO_SIMD` live here and nowhere else.
+pub const E001_ALLOWED_FILES: &[&str] =
+    &["crates/core/src/exec.rs", "crates/core/src/accel/cpu.rs"];
+
 /// The cross-file parity suite X001 requires `*_sharded` APIs to appear in.
 pub const PARITY_SUITE: &str = "tests/shard_parity.rs";
 
@@ -89,6 +107,10 @@ pub const RULES: &[RuleInfo] = &[
     RuleInfo {
         id: "U001",
         summary: "every unsafe block carries a // SAFETY: comment (unsafe fns a # Safety doc)",
+    },
+    RuleInfo {
+        id: "E001",
+        summary: "no std::env::var* in product crates outside core::exec and core::accel::cpu; a new setting needs a number, not a variable",
     },
     RuleInfo {
         id: "X001",
@@ -139,6 +161,9 @@ pub fn lint_file(path: &str, m: &FileModel, enabled: &dyn Fn(&str) -> bool) -> V
     }
     if enabled("U001") {
         u001(path, m, &mut out);
+    }
+    if enabled("E001") {
+        e001(path, m, &mut out);
     }
     out
 }
@@ -386,6 +411,41 @@ fn u001(path: &str, m: &FileModel, out: &mut Vec<Finding>) {
                 format!(
                     "unsafe fn {} without a `# Safety` doc section stating caller obligations",
                     f.name
+                ),
+            ));
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// E001 — environment reads in product crates
+// ---------------------------------------------------------------------------
+
+/// Every environment variable is a setting CI must re-prove the
+/// determinism contract under. The product reads two (`SDD_THREADS`,
+/// `SDD_NO_SIMD`), each in one file; anywhere else `env::var*` is a finding.
+fn e001(path: &str, m: &FileModel, out: &mut Vec<Finding>) {
+    if !PRODUCT_CRATES.iter().any(|p| path.starts_with(p)) || E001_ALLOWED_FILES.contains(&path) {
+        return;
+    }
+    let toks = m.toks();
+    for i in 0..toks.len().saturating_sub(2) {
+        if ident(&toks[i], "env")
+            && punct(&toks[i + 1], "::")
+            && toks[i + 2].kind == TokKind::Ident
+            && toks[i + 2].text.starts_with("var")
+            && !m.in_test(i)
+            && !m.allows("E001", toks[i].line)
+        {
+            out.push(finding(
+                path,
+                toks[i].line,
+                "E001",
+                format!(
+                    "env::{} reads the environment in a product crate; thread count comes from \
+                     sdd_core::exec::worker_threads and the SIMD switch from sdd_core::accel — \
+                     anything else is a config field or a value worked out from the input",
+                    toks[i + 2].text
                 ),
             ));
         }

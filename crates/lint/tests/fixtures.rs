@@ -188,6 +188,42 @@ fn u001_silent_on_known_good() {
 }
 
 // ---------------------------------------------------------------------------
+// E001 — environment reads in product crates
+// ---------------------------------------------------------------------------
+
+#[test]
+fn e001_fires_on_known_bad() {
+    let findings = lint(
+        "crates/server/src/fixture.rs",
+        include_str!("../fixtures/e001_bad.rs"),
+    );
+    assert_eq!(rules_of(&findings), vec!["E001", "E001"], "{findings:?}");
+    assert!(findings[0].message.contains("env::var "), "{findings:?}");
+    assert!(findings[1].message.contains("env::var_os"), "{findings:?}");
+}
+
+#[test]
+fn e001_silent_on_known_good() {
+    let findings = lint(
+        "crates/server/src/fixture.rs",
+        include_str!("../fixtures/e001_good.rs"),
+    );
+    assert!(findings.is_empty(), "{findings:?}");
+}
+
+#[test]
+fn e001_exempts_the_two_owners_and_non_product_crates() {
+    for path in [
+        "crates/core/src/exec.rs",
+        "crates/core/src/accel/cpu.rs",
+        "crates/bench/src/lib.rs",
+    ] {
+        let findings = lint(path, include_str!("../fixtures/e001_bad.rs"));
+        assert!(findings.is_empty(), "{path}: {findings:?}");
+    }
+}
+
+// ---------------------------------------------------------------------------
 // X001 — sharded/monolithic API parity
 // ---------------------------------------------------------------------------
 

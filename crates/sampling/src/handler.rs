@@ -455,7 +455,9 @@ impl SampleHandler {
 
         let store = self.store.clone();
         let seed = self.config.seed;
-        let threads = sdd_core::exec::worker_threads().min(dedup.len());
+        // Task-per-rule only pays over a table large enough to amortize
+        // the workers (at 9 409 rows it ran 0.63× the serial batch).
+        let threads = sdd_core::exec::threads_for_rows(store.n_rows()).min(dedup.len());
         // When the batch itself fans out task-per-rule, each rule's
         // coverage scan runs serially — otherwise the nested sliced
         // scan would oversubscribe the machine (threads × chunks workers).

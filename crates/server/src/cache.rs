@@ -10,11 +10,11 @@
 //! is a safe miss.
 //!
 //! **Transparency**: the cache accelerates the BRS search only; sampling,
-//! counters, and transcripts are byte-identical with the cache on, off, or
-//! disabled mid-flight (`SDD_NO_CACHE=1`, the kill switch mirroring
-//! `SDD_NO_SIMD`). The cache-parity suite (`tests/cache_parity.rs`)
-//! asserts this end to end, and under debug assertions every hit is
-//! re-verified bit-for-bit inside the explorer.
+//! counters, and transcripts are byte-identical with the cache on or off
+//! (`EngineConfig::cache_bytes = 0`, `sdd serve --cache 0` — the one off
+//! switch). The cache-parity suite (`tests/cache_parity.rs`) asserts this
+//! end to end, and under debug assertions every hit is re-verified
+//! bit-for-bit inside the explorer.
 //!
 //! **Multi-tenancy**: every entry is charged to the tenant whose session
 //! inserted it ([`TenantCacheView`] carries the tag through the
@@ -23,13 +23,14 @@
 //! would exceed its byte quota evicts **only its own entries**, so one
 //! tenant's burst can never push another tenant's hot entries out past
 //! its own quota (the eviction-isolation test pins this). The global
-//! stripe budget still backstops total memory; *how* an overflowing
-//! stripe makes room is the selectable [`EvictionMode`] (default LRU,
-//! `SDD_CACHE_EVICT` overrides, `exp_cache` benches the policies head to
-//! head) — under either policy the inserting tenant's entries fall
-//! first, and other tenants' only when the inserting tenant alone still
-//! overflows the stripe (possible only when quotas oversubscribe the
-//! budget).
+//! stripe budget still backstops total memory: an overflowing stripe
+//! evicts least-recently-hit entries one at a time until the new entry
+//! fits — the inserting tenant's entries first, other tenants' only when
+//! the inserting tenant alone still overflows the stripe (possible only
+//! when quotas oversubscribe the budget). LRU is the only policy: the
+//! wholesale "stripe epoch" clear it replaced lost head to head with the
+//! budget at half the working set (64.5 % hits / 25 evictions vs 68.4 % /
+//! 20), because a clear discards hot entries alongside cold.
 //!
 //! Like every striped structure here, striping affects contention only —
 //! a key lands on one fixed stripe. This file is panic-free (lint rule
@@ -41,73 +42,6 @@ use sdd_core::DrillKey;
 use sdd_explorer::{CachedRules, ResultCache};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-
-/// True unless the `SDD_NO_CACHE` kill switch is thrown (any value but
-/// `"0"`). Mirrors `SDD_NO_SIMD`: an operator can rule the result cache
-/// out in production without a rebuild, and CI runs the parity suites
-/// under both settings.
-pub fn cache_enabled() -> bool {
-    !std::env::var("SDD_NO_CACHE").is_ok_and(|v| v != "0")
-}
-
-/// Stripe-overflow eviction policy. Both policies honour the same
-/// tenant-isolation contract — the inserting tenant's entries always go
-/// first, and another tenant's entries fall only when the inserting
-/// tenant alone cannot make room (possible only when quotas oversubscribe
-/// the stripe budget). They differ in *which* and *how many* entries
-/// survive an overflow. Eviction policy never changes a response byte
-/// (the cache-parity suites pin that); it only moves the hit rate.
-///
-/// `exp_cache` benches the two head to head on a Zipf session mix with
-/// the budget squeezed below the working set; the kept default is
-/// documented on the variants below.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionMode {
-    /// Shed the inserting tenant from the overflowing stripe wholesale,
-    /// and fall back to clearing the whole stripe ("epoch") if that is
-    /// not enough. O(tenant's entries) per overflow, no bookkeeping on
-    /// the hit path — but a burst discards hot entries with the cold.
-    StripeEpoch,
-    /// Evict the coldest entries (least-recently-hit) one at a time until
-    /// the new entry fits — inserting tenant's entries first, everyone
-    /// else's only as the oversubscription fallback. Keeps the Zipf head
-    /// resident under budget pressure at the cost of a stamp per hit and
-    /// a linear victim scan per eviction. This is the **default** policy:
-    /// with the budget squeezed to half the working set on the Zipf mix,
-    /// `BENCH_cache.json` shows LRU matching or beating the epoch
-    /// policy's hit rate at equal bytes (the epoch clear discards hot
-    /// entries alongside cold, which LRU never does), with fewer
-    /// evictions and lower mean latency — and the hit-path stamp is not
-    /// measurable at serve latencies.
-    #[default]
-    Lru,
-}
-
-impl EvictionMode {
-    /// Parses an override string: `"lru"` selects [`EvictionMode::Lru`],
-    /// `"epoch"` (or `"stripe-epoch"`) selects
-    /// [`EvictionMode::StripeEpoch`]; anything else — including `None` —
-    /// falls back to the compiled default.
-    fn parse(value: Option<&str>) -> Self {
-        match value {
-            Some(v) if v.eq_ignore_ascii_case("lru") => Self::Lru,
-            Some(v)
-                if v.eq_ignore_ascii_case("epoch") || v.eq_ignore_ascii_case("stripe-epoch") =>
-            {
-                Self::StripeEpoch
-            }
-            _ => Self::default(),
-        }
-    }
-
-    /// Reads the `SDD_CACHE_EVICT` environment override (see
-    /// [`EvictionMode::parse`]). Mirrors the `SDD_NO_CACHE`/`SDD_NO_SIMD`
-    /// pattern: an operator can flip policies without a rebuild, and the
-    /// bench drives both legs through it.
-    pub fn from_env() -> Self {
-        Self::parse(std::env::var("SDD_CACHE_EVICT").ok().as_deref())
-    }
-}
 
 /// A snapshot of the cache's work counters. Counters never influence
 /// results (the parity suites pin that); they exist for observability —
@@ -131,8 +65,7 @@ struct Entry {
     tenant: TenantId,
     bytes: u64,
     /// Last-hit tick of the owning stripe's clock (insert counts as a
-    /// hit). Only the LRU policy reads it; both policies maintain it so
-    /// flipping the policy never needs a rebuild of resident entries.
+    /// hit): the LRU victim order.
     stamp: u64,
 }
 
@@ -148,7 +81,6 @@ struct Stripe {
 pub struct SearchCache {
     stripes: Vec<Mutex<Stripe>>,
     stripe_budget: u64,
-    mode: EvictionMode,
     /// Per-tenant byte quotas, indexed by [`TenantId`]. A tenant beyond
     /// the table falls back to the anonymous quota (entry 0).
     tenant_quotas: Vec<u64>,
@@ -191,7 +123,6 @@ impl SearchCache {
         };
         Self {
             stripe_budget: (budget_bytes as u64 / stripes as u64).max(1),
-            mode: EvictionMode::default(),
             stripes: (0..stripes)
                 .map(|_| {
                     Mutex::new(Stripe {
@@ -211,18 +142,6 @@ impl SearchCache {
             evictions: AtomicU64::new(0),
             bytes: AtomicU64::new(0),
         }
-    }
-
-    /// Selects the stripe-overflow eviction policy (builder style, before
-    /// the cache is shared). See [`EvictionMode`].
-    pub fn eviction(mut self, mode: EvictionMode) -> Self {
-        self.mode = mode;
-        self
-    }
-
-    /// The stripe-overflow eviction policy in force.
-    pub fn eviction_mode(&self) -> EvictionMode {
-        self.mode
     }
 
     fn stripe(&self, key: &DrillKey) -> &Mutex<Stripe> {
@@ -277,10 +196,10 @@ impl SearchCache {
 
     /// LRU stripe-overflow eviction: removes the coldest entries
     /// (ascending last-hit stamp) until `need` more bytes fit under the
-    /// stripe budget. Two passes keep the tenant-isolation order of the
-    /// epoch policy: the inserting tenant's entries fall first, and other
-    /// tenants' only when the inserting tenant alone cannot make room
-    /// (quotas oversubscribing the budget). The linear victim scan per
+    /// stripe budget. Two passes keep the tenant-isolation order: the
+    /// inserting tenant's entries fall first, and other tenants' only when
+    /// the inserting tenant alone cannot make room (quotas
+    /// oversubscribing the budget). The linear victim scan per
     /// eviction is fine at stripe sizes (a stripe holds a slice of the
     /// budget, and overflow is the rare path by construction).
     fn shed_lru_from(&self, stripe: &mut Stripe, tenant: usize, need: u64) {
@@ -341,30 +260,9 @@ impl SearchCache {
             return; // raced with an identical insert while unlocked
         }
         if stripe.bytes + size > self.stripe_budget && !stripe.map.is_empty() {
-            match self.mode {
-                // Evict coldest-first until the new entry fits (inserting
-                // tenant before anyone else — see shed_lru_from).
-                EvictionMode::Lru => self.shed_lru_from(&mut stripe, tenant, size),
-                // Stripe over its global budget: shed the inserting
-                // tenant's entries here first — isolation again — and only
-                // if the *other* tenants alone still overflow the stripe
-                // (quotas oversubscribing the budget) fall back to a full
-                // epoch clear.
-                EvictionMode::StripeEpoch => {
-                    self.shed_tenant_from(&mut stripe, tenant);
-                    if stripe.bytes + size > self.stripe_budget && !stripe.map.is_empty() {
-                        self.evictions
-                            .fetch_add(stripe.map.len() as u64, Ordering::Relaxed);
-                        self.bytes.fetch_sub(stripe.bytes, Ordering::Relaxed);
-                        for e in stripe.map.values() {
-                            self.tenant_bytes[self.slot(e.tenant)]
-                                .fetch_sub(e.bytes, Ordering::Relaxed);
-                        }
-                        stripe.map.clear();
-                        stripe.bytes = 0;
-                    }
-                }
-            }
+            // Evict coldest-first until the new entry fits (inserting
+            // tenant before anyone else — see shed_lru_from).
+            self.shed_lru_from(&mut stripe, tenant, size);
         }
         stripe.clock += 1;
         let stamp = stripe.clock;
@@ -428,8 +326,6 @@ impl ResultCache for SearchCache {
             stripe.clock += 1;
             let tick = stripe.clock;
             stripe.map.get_mut(key).map(|e| {
-                // Recency stamp for the LRU policy (maintained under both
-                // policies so a flip never rebuilds resident state).
                 e.stamp = tick;
                 Arc::clone(&e.value)
             })
@@ -538,10 +434,9 @@ mod tests {
     }
 
     #[test]
-    fn budget_overflow_clears_the_stripe_and_keeps_serving() {
-        // Tiny budget: every entry overflows. Pin the epoch policy — the
-        // default may be LRU, and this test is about the wholesale clear.
-        let c = SearchCache::new(1, 64).eviction(EvictionMode::StripeEpoch);
+    fn budget_smaller_than_one_entry_evicts_and_keeps_serving() {
+        // Tiny budget: every entry overflows.
+        let c = SearchCache::new(1, 64);
         c.insert(key(1), rules(1.0));
         c.insert(key(2), rules(2.0));
         assert!(c.counters().evictions >= 1, "{:?}", c.counters());
@@ -609,34 +504,6 @@ mod tests {
         assert!(c.counters().evictions > 0);
     }
 
-    /// Stripe-budget overflow sheds the inserting tenant before touching
-    /// anyone else, and global accounting stays consistent.
-    #[test]
-    fn stripe_overflow_sheds_the_inserting_tenant_first() {
-        // Stripe budget 400; quotas larger than the stripe, so only the
-        // stripe budget can trigger. Pinned to the epoch policy (the LRU
-        // twin of this contract has its own test below).
-        let c = SearchCache::with_tenants(1, 400, vec![1 << 20, 1 << 20, 1 << 20])
-            .eviction(EvictionMode::StripeEpoch);
-        c.insert_for(2, key(1), rules(1.0));
-        let t2_bytes = c.tenant_bytes(2);
-        // Tenant 1 fills the stripe past its budget repeatedly.
-        for i in 10..30u64 {
-            c.insert_for(1, key(i), rules(1.0));
-        }
-        assert!(
-            c.contains(&key(1)),
-            "tenant 2's entry fell to tenant 1's stripe overflow"
-        );
-        assert_eq!(c.tenant_bytes(2), t2_bytes);
-        let counters = c.counters();
-        assert_eq!(
-            counters.bytes,
-            c.tenant_bytes(1) + c.tenant_bytes(2),
-            "global bytes must equal the sum of tenant bytes"
-        );
-    }
-
     /// LRU overflow evicts the coldest entry, not the whole stripe: a
     /// recently-hit entry outlives an older, colder sibling.
     #[test]
@@ -649,9 +516,7 @@ mod tests {
         };
         // Quota far above the budget so only the stripe path can trigger
         // (with `new`, quota == budget and the tenant sweep fires first).
-        let c = SearchCache::with_tenants(1, (2 * per_entry) as usize, vec![1 << 20])
-            .eviction(EvictionMode::Lru);
-        assert_eq!(c.eviction_mode(), EvictionMode::Lru);
+        let c = SearchCache::with_tenants(1, (2 * per_entry) as usize, vec![1 << 20]);
         c.insert(key(1), rules(1.0));
         c.insert(key(2), rules(2.0));
         // Touch the older entry: it is now the hotter of the two.
@@ -669,8 +534,7 @@ mod tests {
     /// tenant's — even when the other tenant's entry is the coldest.
     #[test]
     fn lru_overflow_spares_other_tenants_entries() {
-        let c = SearchCache::with_tenants(1, 500, vec![1 << 20, 1 << 20, 1 << 20])
-            .eviction(EvictionMode::Lru);
+        let c = SearchCache::with_tenants(1, 500, vec![1 << 20, 1 << 20, 1 << 20]);
         c.insert_for(2, key(100), rules(2.0));
         let t2_bytes = c.tenant_bytes(2);
         // Tenant 1 floods well past the stripe budget; every overflow must
@@ -689,24 +553,6 @@ mod tests {
             c.tenant_bytes(1) + c.tenant_bytes(2),
             "global bytes must equal the sum of tenant bytes"
         );
-    }
-
-    /// The env override parses both spellings (case-insensitive) and
-    /// anything unrecognised falls back to the compiled default.
-    #[test]
-    fn eviction_mode_override_parsing() {
-        assert_eq!(EvictionMode::parse(Some("lru")), EvictionMode::Lru);
-        assert_eq!(EvictionMode::parse(Some("LRU")), EvictionMode::Lru);
-        assert_eq!(
-            EvictionMode::parse(Some("epoch")),
-            EvictionMode::StripeEpoch
-        );
-        assert_eq!(
-            EvictionMode::parse(Some("stripe-epoch")),
-            EvictionMode::StripeEpoch
-        );
-        assert_eq!(EvictionMode::parse(Some("bogus")), EvictionMode::default());
-        assert_eq!(EvictionMode::parse(None), EvictionMode::default());
     }
 
     #[test]

@@ -18,7 +18,7 @@
 //! other's results — the property the stress harness pins down.
 
 use crate::auth::TenantRegistry;
-use crate::cache::{cache_enabled, CacheCounters, EvictionMode, SearchCache, TenantCacheView};
+use crate::cache::{CacheCounters, SearchCache, TenantCacheView};
 use crate::predict::{PredictCounters, TransitionModel};
 use crate::protocol::{Request, Response, RuleInfo, StatsInfo};
 use crate::registry::{Registry, RegistryError, TenantId, ANONYMOUS_TENANT};
@@ -65,15 +65,9 @@ pub struct EngineConfig {
     /// open port).
     pub max_sessions: usize,
     /// Byte budget of the shared cross-session result cache; `0` disables
-    /// it (as does the `SDD_NO_CACHE` environment kill switch). The cache
-    /// is transparent — responses are byte-identical either way.
+    /// it. The cache is transparent — responses are byte-identical either
+    /// way.
     pub cache_bytes: usize,
-    /// Stripe-overflow eviction policy of the result cache. The default
-    /// honours the `SDD_CACHE_EVICT` environment override and otherwise
-    /// keeps the policy the cache-module bench selected (see
-    /// [`EvictionMode`]). Policy never changes a response byte — only the
-    /// hit rate under budget pressure.
-    pub cache_eviction: EvictionMode,
     /// Tenant directory (auth tokens + per-tenant quotas). The default is
     /// an open registry: one anonymous tenant, no auth, no quotas beyond
     /// `max_sessions` — exactly the lab behavior every existing caller
@@ -96,7 +90,6 @@ impl Default for EngineConfig {
             stripes: 16,
             max_sessions: 10_000,
             cache_bytes: 64 << 20,
-            cache_eviction: EvictionMode::from_env(),
             tenants: Arc::new(TenantRegistry::open()),
             tail: None,
         }
@@ -109,7 +102,7 @@ pub struct Engine {
     sessions: Registry<Explorer>,
     config: EngineConfig,
     /// Shared cross-session result cache; `None` when disabled by config
-    /// (`cache_bytes == 0`) or the `SDD_NO_CACHE` kill switch.
+    /// (`cache_bytes == 0`).
     cache: Option<Arc<SearchCache>>,
     /// Parent→child drill-down frequency model feeding think-time
     /// speculation. Advisory only: never changes a response byte.
@@ -134,15 +127,12 @@ impl Engine {
     /// monolithic table (the sharded stress harness asserts the transcript
     /// equality).
     pub fn with_store(store: TableStore, config: EngineConfig) -> Self {
-        let cache = (config.cache_bytes > 0 && cache_enabled()).then(|| {
-            Arc::new(
-                SearchCache::with_tenants(
-                    config.stripes,
-                    config.cache_bytes,
-                    config.tenants.cache_quotas(config.cache_bytes as u64),
-                )
-                .eviction(config.cache_eviction),
-            )
+        let cache = (config.cache_bytes > 0).then(|| {
+            Arc::new(SearchCache::with_tenants(
+                config.stripes,
+                config.cache_bytes,
+                config.tenants.cache_quotas(config.cache_bytes as u64),
+            ))
         });
         Self {
             store,
@@ -197,8 +187,8 @@ impl Engine {
     }
 
     /// Shared result-cache counters, `None` when the cache is disabled
-    /// (`cache_bytes == 0` or `SDD_NO_CACHE`). Like
-    /// [`Engine::storage_counters`] these are observability only — the
+    /// (`cache_bytes == 0`). Like [`Engine::storage_counters`] these are
+    /// observability only — the
     /// cache-parity suites pin that they never influence response bytes,
     /// which is also why they are not part of the wire `stats` reply.
     pub fn cache_counters(&self) -> Option<CacheCounters> {

@@ -46,7 +46,7 @@ pub mod registry;
 pub mod server;
 
 pub use auth::{Tenant, TenantQuota, TenantRegistry};
-pub use cache::{cache_enabled, CacheCounters, EvictionMode, SearchCache, TenantCacheView};
+pub use cache::{CacheCounters, SearchCache, TenantCacheView};
 pub use engine::{Engine, EngineConfig, TailConfig};
 pub use http::{HttpClient, HttpReply};
 pub use json::Json;

@@ -455,24 +455,24 @@ mod tests {
             "sdd_queue_depth 7",
             "sdd_sessions 0",
             "sdd_tenant_sessions{tenant=\"anonymous\"} 0",
+            "sdd_cache_hits_total 0",
+            "sdd_tenant_cache_bytes{tenant=\"anonymous\"} 0",
         ] {
             assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-        }
-        // The cache families track the engine's cache, absent under
-        // SDD_NO_CACHE=1 (CI runs this suite both ways).
-        if engine.cache_counters().is_some() {
-            for needle in [
-                "sdd_cache_hits_total 0",
-                "sdd_tenant_cache_bytes{tenant=\"anonymous\"} 0",
-            ] {
-                assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
-            }
-        } else {
-            assert!(!text.contains("sdd_cache_hits_total"), "{text}");
         }
         // Monolithic store: no storage family, no live gauges.
         assert!(!text.contains("sdd_storage_loads_total"), "{text}");
         assert!(!text.contains("sdd_live_epoch"), "{text}");
+        // A disabled cache drops its families from the exposition.
+        let uncached = Engine::new(
+            Arc::new(sdd_datagen::retail(42)),
+            EngineConfig {
+                cache_bytes: 0,
+                ..EngineConfig::default()
+            },
+        );
+        let text = m.render(&uncached, 0);
+        assert!(!text.contains("sdd_cache_hits_total"), "{text}");
     }
 
     #[test]

@@ -164,15 +164,10 @@ fn metrics_scrape_exposes_all_families() {
         "sdd_sessions_swept_total 0",
         "sdd_tenant_sessions{tenant=\"anonymous\"} 1",
         "sdd_tenant_cache_bytes{tenant=\"anonymous\"}",
+        "sdd_cache_hits_total",
     ] {
         assert!(text.contains(needle), "missing {needle:?} in:\n{text}");
     }
-    // Cache families appear exactly when the result cache is live (the
-    // SDD_NO_CACHE kill switch also drops them from the exposition).
-    assert_eq!(
-        text.contains("sdd_cache_hits_total"),
-        server.engine().cache_counters().is_some()
-    );
 }
 
 #[test]

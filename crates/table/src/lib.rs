@@ -21,8 +21,8 @@
 //! * [`bucketize`] — equi-width / equi-depth bucketization of numeric data,
 //! * [`shard`] — the larger-than-memory tier: [`ShardedTable`] partitions
 //!   rows into fixed columnar shard segments (optionally spilled to disk
-//!   under a resident-shard budget with LRU or sweep-aware eviction,
-//!   [`Residency`]), [`ShardBuilder`] streams rows in without materializing
+//!   under a resident-shard budget with LRU eviction), [`ShardBuilder`]
+//!   streams rows in without materializing
 //!   the monolithic table, [`ShardedView`] presents the familiar
 //!   positional view surface over it, and [`TableStore`] lets the session
 //!   stack hold either storage form behind one handle. The shard layout and
@@ -50,8 +50,8 @@ pub use error::TableError;
 pub use schema::{ColumnDef, Schema};
 pub use shard::{
     LiveSnapshot, LiveStore, LiveTable, LiveTableConfig, LocalCodes, RawColumn, RawSegment,
-    Residency, SegmentData, ShardBuilder, ShardConfig, ShardRun, ShardSegment, ShardedTable,
-    ShardedView, TableStore,
+    SegmentData, ShardBuilder, ShardConfig, ShardRun, ShardSegment, ShardedTable, ShardedView,
+    TableStore,
 };
 pub use table::{Table, TableBuilder};
 pub use view::{chunk_spans, OwnedTableView, RowId, TableView, ViewChunk, WeightedRow};

@@ -25,10 +25,12 @@
 //!
 //! Residency is governed by a **resident-shard budget**: at most that many
 //! segments are cached at once (segments are immutable, so eviction can
-//! never change a result — a reload decodes identical bytes). Two eviction
-//! policies exist ([`Residency`]): `Lru` (default, for random/skewed
-//! access) and `Sweep` (evict most-recently-used — the right policy for
-//! cyclic sequential shard sweeps, which are LRU's worst case). Callers
+//! never change a result — a reload decodes identical bytes). A full cache
+//! evicts its least-recently-used unpinned segment. LRU's one bad access
+//! pattern, a cyclic index-order sweep, is avoided by the readers rather
+//! than by a second policy: range reads bypass the cache
+//! ([`ShardedTable::read_columns`]) and the gather visits resident
+//! segments first ([`ShardedTable::try_gather_rows`]). Callers
 //! hold segments by `Arc`; a held segment is **pinned** — it stays in the
 //! cache, counts against the budget, and is never evicted, so the resident
 //! count honestly tracks decoded-segment memory
@@ -66,22 +68,6 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Which resident segment a full cache evicts. Results never depend on the
-/// policy (segments are immutable); only spill traffic does.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Residency {
-    /// Evict the least-recently-used segment. The safe default for random
-    /// or skewed access (drill-downs revisiting hot shards).
-    #[default]
-    Lru,
-    /// Evict the **most**-recently-used unpinned segment. The sequential
-    /// shard sweep (`for i in 0..n_shards`) is LRU's documented worst case:
-    /// under a budget of `k`, LRU evicts exactly the segment the cyclic
-    /// scan needs next and misses on every access, while Sweep retains a
-    /// stable prefix of `k - 1` segments that hit on every subsequent pass.
-    Sweep,
-}
-
 /// Configuration of a [`ShardedTable`].
 #[derive(Debug, Clone, Default)]
 pub struct ShardConfig {
@@ -95,10 +81,6 @@ pub struct ShardConfig {
     /// Directory for spill files. Each `ShardedTable` creates a unique
     /// subdirectory inside it and removes that subdirectory on drop.
     pub spill_dir: Option<PathBuf>,
-    /// Eviction policy under the resident budget (default [`Residency::Lru`];
-    /// pick [`Residency::Sweep`] for workloads dominated by sequential
-    /// full-table scans).
-    pub residency: Residency,
 }
 
 impl ShardConfig {
@@ -108,7 +90,6 @@ impl ShardConfig {
             shards,
             resident: 0,
             spill_dir: None,
-            residency: Residency::Lru,
         }
     }
 
@@ -119,14 +100,7 @@ impl ShardConfig {
             shards,
             resident: resident.max(1),
             spill_dir: Some(dir.into()),
-            residency: Residency::Lru,
         }
-    }
-
-    /// The same layout with `residency` as the eviction policy.
-    pub fn with_residency(mut self, residency: Residency) -> Self {
-        self.residency = residency;
-        self
     }
 }
 
@@ -374,25 +348,17 @@ impl Cache {
     /// candidates: a spill-less resident segment — a live table's unsealed
     /// tail, or any fully-resident layout — could never be reloaded, so
     /// evicting it would lose rows, not memory.
-    fn evict_over_budget(
-        &mut self,
-        budget: usize,
-        policy: Residency,
-        spill: &[Option<Arc<SpillFile>>],
-    ) {
+    fn evict_over_budget(&mut self, budget: usize, spill: &[Option<Arc<SpillFile>>]) {
         if budget == 0 {
             return;
         }
         while self.resident.len() > budget {
-            let unpinned = self
+            let victim = self
                 .resident
                 .iter()
-                .filter(|(&k, e)| spill[k].is_some() && !e.seg.is_pinned());
-            let victim = match policy {
-                Residency::Lru => unpinned.min_by_key(|(_, e)| e.last_used),
-                Residency::Sweep => unpinned.max_by_key(|(_, e)| e.last_used),
-            }
-            .map(|(&k, _)| k);
+                .filter(|(&k, e)| spill[k].is_some() && !e.seg.is_pinned())
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(&k, _)| k);
             match victim {
                 Some(k) => {
                     self.resident.remove(&k);
@@ -404,6 +370,27 @@ impl Cache {
             }
         }
     }
+}
+
+/// A resident budget evicts, and only a spilled segment can be reloaded.
+fn require_spill_dir(resident: usize, spill_dir: &Option<PathBuf>) -> io::Result<()> {
+    if resident > 0 && spill_dir.is_none() {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            "a resident-shard budget requires a spill directory",
+        ));
+    }
+    Ok(())
+}
+
+/// Measure names must differ from every categorical column and each other.
+fn require_distinct_measures(schema: &Schema, measures: &[String]) -> Result<(), TableError> {
+    for (i, name) in measures.iter().enumerate() {
+        if schema.index_of(name).is_ok() || measures[..i].contains(name) {
+            return Err(TableError::DuplicateColumn(name.clone()));
+        }
+    }
+    Ok(())
 }
 
 /// The private spill subdirectory of one table, builder, or live table,
@@ -460,7 +447,6 @@ pub struct ShardedTable {
     spill: Vec<Option<Arc<SpillFile>>>,
     spill_root: Option<Arc<SpillRoot>>,
     resident_budget: usize,
-    residency: Residency,
     cache: Mutex<Cache>,
 }
 
@@ -473,12 +459,7 @@ impl ShardedTable {
     /// Without one, `config.resident` must be `0` (nothing could be evicted)
     /// and all segments stay resident.
     pub fn from_table(table: &Table, config: &ShardConfig) -> io::Result<ShardedTable> {
-        if config.resident > 0 && config.spill_dir.is_none() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                "a resident-shard budget requires a spill directory",
-            ));
-        }
+        require_spill_dir(config.resident, &config.spill_dir)?;
         let spans = chunk_spans(table.n_rows(), config.shards.max(1));
         let header = Arc::new(table.header_only());
         let measures: Vec<(String, Vec<f64>)> = table
@@ -536,7 +517,6 @@ impl ShardedTable {
             spill,
             spill_root,
             resident_budget: config.resident,
-            residency: config.residency,
             cache: Mutex::new(cache),
         })
     }
@@ -637,7 +617,7 @@ impl ShardedTable {
                 // otherwise linger as permanent hits (the budget never
                 // re-honored, eviction never firing again). The clone above
                 // pins `i`, so the pass cannot drop the returned segment.
-                cache.evict_over_budget(self.resident_budget, self.residency, &self.spill);
+                cache.evict_over_budget(self.resident_budget, &self.spill);
                 return Ok(seg);
             }
         }
@@ -701,7 +681,7 @@ impl ShardedTable {
         cache.note_size();
         // The caller's `seg` clone pins shard `i` (strong count ≥ 2), so the
         // eviction pass can never drop the segment being returned.
-        cache.evict_over_budget(self.resident_budget, self.residency, &self.spill);
+        cache.evict_over_budget(self.resident_budget, &self.spill);
         Ok(seg)
     }
 
@@ -750,7 +730,7 @@ impl ShardedTable {
             }
         };
         cache.note_size();
-        cache.evict_over_budget(self.resident_budget, self.residency, &self.spill);
+        cache.evict_over_budget(self.resident_budget, &self.spill);
         Ok(data)
     }
 
@@ -766,7 +746,7 @@ impl ShardedTable {
             entry.last_used = clock;
             entry.seg.data()
         };
-        cache.evict_over_budget(self.resident_budget, self.residency, &self.spill);
+        cache.evict_over_budget(self.resident_budget, &self.spill);
         Some(data)
     }
 
@@ -916,7 +896,7 @@ impl ShardedTable {
     pub fn resident_and_pinned(&self) -> (usize, usize) {
         let mut cache = self.cache();
         loop {
-            cache.evict_over_budget(self.resident_budget, self.residency, &self.spill);
+            cache.evict_over_budget(self.resident_budget, &self.spill);
             // Spill-less entries (a live table's resident tail) can never be
             // evicted, so they count like pins for the budget invariant.
             let pinned = cache
@@ -933,11 +913,6 @@ impl ShardedTable {
     /// The configured resident-shard budget (`0` = unlimited).
     pub fn resident_budget(&self) -> usize {
         self.resident_budget
-    }
-
-    /// The configured eviction policy.
-    pub fn residency(&self) -> Residency {
-        self.residency
     }
 
     /// The spill file of shard `i`, if this table spills.
@@ -1028,7 +1003,6 @@ pub struct ShardBuilder {
     spans: Vec<Range<usize>>,
     total_rows: usize,
     resident_budget: usize,
-    residency: Residency,
     spill_root: Option<Arc<SpillRoot>>,
     spill: Vec<Option<Arc<SpillFile>>>,
     /// Sealed segment columns, kept only for fully-resident builds (a
@@ -1052,16 +1026,8 @@ impl ShardBuilder {
         total_rows: usize,
         config: &ShardConfig,
     ) -> Result<ShardBuilder, TableError> {
-        if config.resident > 0 && config.spill_dir.is_none() {
-            return Err(TableError::Io(
-                "a resident-shard budget requires a spill directory".to_owned(),
-            ));
-        }
-        for (i, name) in measures.iter().enumerate() {
-            if schema.index_of(name).is_ok() || measures[..i].contains(name) {
-                return Err(TableError::DuplicateColumn(name.clone()));
-            }
-        }
+        require_spill_dir(config.resident, &config.spill_dir)?;
+        require_distinct_measures(&schema, &measures)?;
         let spans = chunk_spans(total_rows, config.shards.max(1));
         let spill_root = config
             .spill_dir
@@ -1084,7 +1050,6 @@ impl ShardBuilder {
             spans,
             total_rows,
             resident_budget: config.resident,
-            residency: config.residency,
             spill_root,
             schema,
             cur_shard: 0,
@@ -1257,7 +1222,6 @@ impl ShardBuilder {
             spill: std::mem::take(&mut self.spill),
             spill_root: self.spill_root.take(),
             resident_budget: self.resident_budget,
-            residency: self.residency,
             cache: Mutex::new(cache),
         })
     }
@@ -1300,8 +1264,6 @@ pub struct LiveTableConfig {
     /// Spill directory for sealed segments (`None` = fully resident). As
     /// with [`ShardConfig`], a non-zero budget requires a spill directory.
     pub spill_dir: Option<PathBuf>,
-    /// Eviction policy under the resident budget.
-    pub residency: Residency,
 }
 
 impl LiveTableConfig {
@@ -1311,7 +1273,6 @@ impl LiveTableConfig {
             rows_per_segment,
             resident: 0,
             spill_dir: None,
-            residency: Residency::Lru,
         }
     }
 
@@ -1322,7 +1283,6 @@ impl LiveTableConfig {
             rows_per_segment,
             resident: resident.max(1),
             spill_dir: Some(dir.into()),
-            residency: Residency::Lru,
         }
     }
 }
@@ -1353,8 +1313,10 @@ enum StagedSeg {
     Resident(Vec<Vec<u32>>),
 }
 
+/// The rows of a [`LiveTable`] as they grow: everything a snapshot is
+/// frozen from.
 #[derive(Debug)]
-struct LiveState {
+struct LiveRows {
     /// The master mutable dictionaries; snapshots get frozen clones.
     dicts: Vec<Dictionary>,
     /// Full measure columns (cloned into each snapshot).
@@ -1367,7 +1329,12 @@ struct LiveState {
     tail: Vec<Vec<u32>>,
     /// Visible row count at each epoch (`epoch_rows[e]`, `e` = epoch).
     epoch_rows: Vec<usize>,
-    /// The current frozen snapshot.
+}
+
+#[derive(Debug)]
+struct LiveState {
+    rows: LiveRows,
+    /// The current frozen snapshot of `rows`.
     current: LiveSnapshot,
     /// Storage counters folded in from superseded snapshots, so the
     /// reported totals never move backwards across epochs.
@@ -1402,9 +1369,8 @@ pub struct LiveTable {
     measure_names: Vec<String>,
     rows_per_segment: usize,
     resident_budget: usize,
-    residency: Residency,
     spill_root: Option<Arc<SpillRoot>>,
-    /// Mirrors `state.epoch_rows.len() - 1`; readable without the lock.
+    /// Mirrors `state.rows.epoch_rows.len() - 1`; readable without the lock.
     epoch: AtomicU64,
     state: Mutex<LiveState>,
 }
@@ -1416,71 +1382,46 @@ impl LiveTable {
         measures: Vec<String>,
         config: &LiveTableConfig,
     ) -> Result<LiveTable, TableError> {
-        if config.resident > 0 && config.spill_dir.is_none() {
-            return Err(TableError::Io(
-                "a resident-shard budget requires a spill directory".to_owned(),
-            ));
-        }
-        for (i, name) in measures.iter().enumerate() {
-            if schema.index_of(name).is_ok() || measures[..i].contains(name) {
-                return Err(TableError::DuplicateColumn(name.clone()));
-            }
-        }
+        require_spill_dir(config.resident, &config.spill_dir)?;
+        require_distinct_measures(&schema, &measures)?;
         let spill_root = config
             .spill_dir
             .as_deref()
             .map(make_spill_root)
             .transpose()?;
         let n_cols = schema.n_columns();
-        let live = LiveTable {
-            measure_names: measures.clone(),
-            rows_per_segment: config.rows_per_segment.max(1),
+        let rows = LiveRows {
+            dicts: vec![Dictionary::new(); n_cols],
+            measure_vals: vec![Vec::new(); measures.len()],
+            sealed_spill: Vec::new(),
+            sealed_cols: Vec::new(),
+            tail: vec![Vec::new(); n_cols],
+            epoch_rows: vec![0],
+        };
+        let rows_per_segment = config.rows_per_segment.max(1);
+        let current = rows.freeze(
+            &schema,
+            &measures,
+            rows_per_segment,
+            config.resident,
+            spill_root.as_ref(),
+        );
+        Ok(LiveTable {
+            schema,
+            measure_names: measures,
+            rows_per_segment,
             resident_budget: config.resident,
-            residency: config.residency,
             spill_root,
             epoch: AtomicU64::new(0),
             state: Mutex::new(LiveState {
-                dicts: vec![Dictionary::new(); n_cols],
-                measure_vals: vec![Vec::new(); measures.len()],
-                sealed_spill: Vec::new(),
-                sealed_cols: Vec::new(),
-                tail: vec![Vec::new(); n_cols],
-                epoch_rows: vec![0],
-                // Placeholder; replaced by the real epoch-0 snapshot below.
-                current: LiveSnapshot {
-                    table: Arc::new(ShardedTable {
-                        header: Arc::new(Table::from_parts(
-                            schema.clone(),
-                            (0..n_cols).map(|_| Arc::new(Dictionary::new())).collect(),
-                            vec![Vec::new(); n_cols],
-                            measures.iter().map(|n| (n.clone(), Vec::new())).collect(),
-                            0,
-                        )),
-                        measures: Vec::new(),
-                        // One empty segment (rows 0..0), not an empty Vec —
-                        // spelled via `once` so clippy sees the intent.
-                        spans: std::iter::once(0..0).collect(),
-                        spill: vec![None],
-                        spill_root: None,
-                        resident_budget: 0,
-                        residency: config.residency,
-                        cache: Mutex::new(Cache::default()),
-                    }),
-                    epoch: 0,
-                    epoch_rows: Arc::new(vec![0]),
-                },
+                rows,
+                current,
                 base_loads: 0,
                 base_evictions: 0,
                 base_peak: 0,
                 total_spills: 0,
             }),
-            schema,
-        };
-        {
-            let mut state = live.state();
-            live.rebuild_snapshot(&mut state);
-        }
-        Ok(live)
+        })
     }
 
     /// The schema.
@@ -1507,7 +1448,11 @@ impl LiveTable {
     /// Sealed segments so far.
     pub fn segments_sealed(&self) -> usize {
         let state = self.state();
-        state.sealed_spill.len().max(state.sealed_cols.len())
+        state
+            .rows
+            .sealed_spill
+            .len()
+            .max(state.rows.sealed_cols.len())
     }
 
     /// The current frozen snapshot (cheap: clones three `Arc`s).
@@ -1584,18 +1529,18 @@ impl LiveTable {
 
         let mut state = self.state();
         // Rollback marks (everything before this point is read-only).
-        let dict_lens: Vec<usize> = state.dicts.iter().map(Dictionary::len).collect();
-        let old_tail_len = state.tail.first().map_or(0, Vec::len);
-        let old_measure_len = state.measure_vals.first().map_or(0, Vec::len);
+        let dict_lens: Vec<usize> = state.rows.dicts.iter().map(Dictionary::len).collect();
+        let old_tail_len = state.rows.tail.first().map_or(0, Vec::len);
+        let old_measure_len = state.rows.measure_vals.first().map_or(0, Vec::len);
 
         // Intern + buffer (infallible after the arity checks above).
         for (r, row) in cats.iter().enumerate() {
             for (c, v) in row.as_ref().iter().enumerate() {
-                let code = state.dicts[c].intern(v.as_ref());
-                state.tail[c].push(code);
+                let code = state.rows.dicts[c].intern(v.as_ref());
+                state.rows.tail[c].push(code);
             }
             if let Some(m) = measures.get(r) {
-                for (slot, &v) in state.measure_vals.iter_mut().zip(m) {
+                for (slot, &v) in state.rows.measure_vals.iter_mut().zip(m) {
                     slot.push(v);
                 }
             }
@@ -1605,8 +1550,9 @@ impl LiveTable {
         let c = self.rows_per_segment;
         let mut staged: Vec<StagedSeg> = Vec::new();
         let seal_result: Result<(), TableError> = (|| {
-            while state.tail.first().map_or(0, Vec::len) >= c {
+            while state.rows.tail.first().map_or(0, Vec::len) >= c {
                 let cols: Vec<Vec<u32>> = state
+                    .rows
                     .tail
                     .iter_mut()
                     .map(|col| {
@@ -1616,11 +1562,11 @@ impl LiveTable {
                     .collect();
                 match &self.spill_root {
                     Some(root) => {
-                        let i = state.sealed_spill.len() + staged.len();
+                        let i = state.rows.sealed_spill.len() + staged.len();
                         let path = root.dir.join(segment_file_name(i));
                         if let Err(e) = write_segment(&path, &cols, c) {
                             // Put the drained rows back before surfacing.
-                            for (col, sealed) in state.tail.iter_mut().zip(cols) {
+                            for (col, sealed) in state.rows.tail.iter_mut().zip(cols) {
                                 let rest = std::mem::replace(col, sealed);
                                 col.extend(rest);
                             }
@@ -1648,18 +1594,18 @@ impl LiveTable {
                 let cols = match seg {
                     StagedSeg::Spilled(_, cols) | StagedSeg::Resident(cols) => cols,
                 };
-                for (col, sealed) in state.tail.iter_mut().zip(cols) {
+                for (col, sealed) in state.rows.tail.iter_mut().zip(cols) {
                     let rest = std::mem::replace(col, sealed);
                     col.extend(rest);
                 }
             }
-            for col in state.tail.iter_mut() {
+            for col in state.rows.tail.iter_mut() {
                 col.truncate(old_tail_len);
             }
-            for m in state.measure_vals.iter_mut() {
+            for m in state.rows.measure_vals.iter_mut() {
                 m.truncate(old_measure_len);
             }
-            for (d, &len) in state.dicts.iter_mut().zip(&dict_lens) {
+            for (d, &len) in state.rows.dicts.iter_mut().zip(&dict_lens) {
                 d.truncate(len);
             }
             return Err(e);
@@ -1669,52 +1615,69 @@ impl LiveTable {
         for seg in staged {
             match seg {
                 StagedSeg::Spilled(file, _cols) => {
-                    state.sealed_spill.push(file);
+                    state.rows.sealed_spill.push(file);
                     state.total_spills += 1;
                 }
-                StagedSeg::Resident(cols) => state.sealed_cols.push(cols),
+                StagedSeg::Resident(cols) => state.rows.sealed_cols.push(cols),
             }
         }
         let n_rows = state.current.table.n_rows() + cats.len();
-        state.epoch_rows.push(n_rows);
+        state.rows.epoch_rows.push(n_rows);
         self.rebuild_snapshot(&mut state);
         Ok(state.current.clone())
     }
 
-    /// Builds and installs the frozen snapshot for the state's newest epoch,
+    /// Freezes and installs the snapshot for the state's newest epoch,
     /// folding the superseded snapshot's storage counters into the bases.
     fn rebuild_snapshot(&self, state: &mut LiveState) {
-        {
-            let old = &state.current.table;
-            state.base_loads += old.loads();
-            state.base_evictions += old.evictions();
-            state.base_peak = state.base_peak.max(old.peak_resident());
-        }
+        let old = &state.current.table;
+        state.base_loads += old.loads();
+        state.base_evictions += old.evictions();
+        state.base_peak = state.base_peak.max(old.peak_resident());
+        state.current = state.rows.freeze(
+            &self.schema,
+            &self.measure_names,
+            self.rows_per_segment,
+            self.resident_budget,
+            self.spill_root.as_ref(),
+        );
+        self.epoch.store(state.current.epoch, Ordering::Release);
+    }
+}
 
-        let n_cols = self.schema.n_columns();
-        let dicts: Vec<Arc<Dictionary>> = state.dicts.iter().cloned().map(Arc::new).collect();
-        let header_measures: Vec<(String, Vec<f64>)> = self
-            .measure_names
+impl LiveRows {
+    /// The frozen snapshot of these rows at their newest epoch, for a live
+    /// table of the given shape.
+    fn freeze(
+        &self,
+        schema: &Schema,
+        measure_names: &[String],
+        rows_per_segment: usize,
+        resident_budget: usize,
+        spill_root: Option<&Arc<SpillRoot>>,
+    ) -> LiveSnapshot {
+        let n_cols = schema.n_columns();
+        let dicts: Vec<Arc<Dictionary>> = self.dicts.iter().cloned().map(Arc::new).collect();
+        let header_measures: Vec<(String, Vec<f64>)> = measure_names
             .iter()
             .map(|n| (n.clone(), Vec::new()))
             .collect();
         let header = Arc::new(Table::from_parts(
-            self.schema.clone(),
+            schema.clone(),
             dicts,
             vec![Vec::new(); n_cols],
             header_measures,
             0,
         ));
-        let measures: Vec<(String, Vec<f64>)> = self
-            .measure_names
+        let measures: Vec<(String, Vec<f64>)> = measure_names
             .iter()
             .cloned()
-            .zip(state.measure_vals.iter().cloned())
+            .zip(self.measure_vals.iter().cloned())
             .collect();
 
-        let c = self.rows_per_segment;
-        let sealed_n = state.sealed_spill.len().max(state.sealed_cols.len());
-        let tail_len = state.tail.first().map_or(0, Vec::len);
+        let c = rows_per_segment;
+        let sealed_n = self.sealed_spill.len().max(self.sealed_cols.len());
+        let tail_len = self.tail.first().map_or(0, Vec::len);
         let mut spans: Vec<Range<usize>> = (0..sealed_n).map(|i| i * c..(i + 1) * c).collect();
         // The tail span exists whenever it holds rows — and for the empty
         // table, so the snapshot has the canonical single `0..0` span.
@@ -1722,7 +1685,7 @@ impl LiveTable {
             spans.push(sealed_n * c..sealed_n * c + tail_len);
         }
         let mut spill: Vec<Option<Arc<SpillFile>>> =
-            state.sealed_spill.iter().cloned().map(Some).collect();
+            self.sealed_spill.iter().cloned().map(Some).collect();
         spill.resize(spans.len(), None);
 
         let mut cache = Cache::default();
@@ -1740,31 +1703,28 @@ impl LiveTable {
             );
             cache.note_size();
         };
-        if self.spill_root.is_none() {
-            for (i, cols) in state.sealed_cols.iter().enumerate() {
+        if spill_root.is_none() {
+            for (i, cols) in self.sealed_cols.iter().enumerate() {
                 insert_resident(&mut cache, i, cols.clone());
             }
         }
         if tail_len > 0 || sealed_n == 0 {
-            insert_resident(&mut cache, spans.len() - 1, state.tail.clone());
+            insert_resident(&mut cache, spans.len() - 1, self.tail.clone());
         }
 
-        let epoch = (state.epoch_rows.len() - 1) as u64;
-        state.current = LiveSnapshot {
+        LiveSnapshot {
             table: Arc::new(ShardedTable {
                 header,
                 measures,
                 spans,
                 spill,
-                spill_root: self.spill_root.clone(),
-                resident_budget: self.resident_budget,
-                residency: self.residency,
+                spill_root: spill_root.cloned(),
+                resident_budget,
                 cache: Mutex::new(cache),
             }),
-            epoch,
-            epoch_rows: Arc::new(state.epoch_rows.clone()),
-        };
-        self.epoch.store(epoch, Ordering::Release);
+            epoch: (self.epoch_rows.len() - 1) as u64,
+            epoch_rows: Arc::new(self.epoch_rows.clone()),
+        }
     }
 }
 
@@ -2602,7 +2562,6 @@ mod tests {
             shards: 2,
             resident: 1,
             spill_dir: None,
-            residency: Residency::Lru,
         };
         assert!(ShardedTable::from_table(&table, &cfg).is_err());
     }
@@ -2773,28 +2732,18 @@ mod tests {
     }
 
     #[test]
-    fn sweep_residency_beats_lru_on_cyclic_scans() {
+    fn full_cache_evicts_the_least_recently_used_segment() {
         let table = t(90);
-        let loads_with = |residency: Residency| {
-            let cfg = ShardConfig::spilling(6, 3, spill_dir()).with_residency(residency);
-            let st = ShardedTable::from_table(&table, &cfg).unwrap();
-            for _pass in 0..4 {
-                for i in 0..st.n_shards() {
-                    let seg = st.try_segment(i).unwrap();
-                    assert_eq!(seg.span(), st.spans()[i].clone());
-                }
-            }
-            st.loads()
-        };
-        let lru = loads_with(Residency::Lru);
-        let sweep = loads_with(Residency::Sweep);
-        // LRU misses on every access of a cyclic sweep; Sweep retains a
-        // stable prefix of budget-1 segments that hit on later passes.
-        assert_eq!(lru, 4 * 6, "cyclic sweep is LRU's worst case");
-        assert!(
-            sweep < lru,
-            "sweep ({sweep} loads) must beat LRU ({lru} loads)"
-        );
+        let st =
+            ShardedTable::from_table(&table, &ShardConfig::spilling(3, 2, spill_dir())).unwrap();
+        for i in [0, 1, 0, 2] {
+            st.try_segment(i).unwrap(); // 0 is re-touched, so 2 evicts 1
+        }
+        assert_eq!((st.loads(), st.evictions()), (3, 1));
+        st.try_segment(0).unwrap();
+        assert_eq!(st.loads(), 3, "the recently used segment stayed resident");
+        st.try_segment(1).unwrap();
+        assert_eq!(st.loads(), 4, "the least recently used segment was evicted");
     }
 
     #[test]

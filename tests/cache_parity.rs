@@ -155,25 +155,17 @@ fn cached_visits_match_uncached_across_all_store_layouts() {
             assert_eq!(first, reference, "{cell}: first cached visit diverged");
             assert_eq!(second, reference, "{cell}: cache replay diverged");
 
-            // Under the SDD_NO_CACHE kill switch the "cached" engine is
-            // legitimately uncached — the parity assertions above still
-            // ran, which is exactly what the kill-switch CI leg checks.
-            match cached.cache_counters() {
-                Some(counters) => {
-                    assert!(
-                        counters.hits > 0,
-                        "{cell}: replay never hit the cache ({counters:?})"
-                    );
-                    assert!(
-                        counters.inserts > 0,
-                        "{cell}: first visit never populated the cache ({counters:?})"
-                    );
-                }
-                None => assert!(
-                    !smart_drilldown::server::cache_enabled(),
-                    "{cell}: cache_bytes > 0 yet no cache and no kill switch"
-                ),
-            }
+            let counters = cached
+                .cache_counters()
+                .unwrap_or_else(|| panic!("{cell}: cache_bytes > 0 must enable the cache"));
+            assert!(
+                counters.hits > 0,
+                "{cell}: replay never hit the cache ({counters:?})"
+            );
+            assert!(
+                counters.inserts > 0,
+                "{cell}: first visit never populated the cache ({counters:?})"
+            );
         }
     }
 }
@@ -197,6 +189,33 @@ fn different_seeds_miss_instead_of_colliding() {
     // Sanity: the two seeds genuinely produce different estimates
     // somewhere, or this test proves nothing.
     assert_ne!(a, b, "seeds 7 and 1234 produced identical transcripts");
+}
+
+#[test]
+fn a_cache_squeezed_into_evicting_still_answers_like_no_cache() {
+    // A budget of a few entries per stripe, far below what eight visits
+    // with distinct seeds insert: LRU eviction runs throughout, and a
+    // revisit finds some of its entries gone and some still there. Eviction
+    // may only change which searches are recomputed, never a reply byte.
+    let table = Arc::new(retail(42));
+    let squeezed = engine_for(
+        TableStore::Whole(table.clone()),
+        8 << 10,
+        PrefetchMode::Inline,
+    );
+    let uncached = engine_for(TableStore::Whole(table), 0, PrefetchMode::Inline);
+    for round in 0..2 {
+        for seed in 1..=8 {
+            assert_eq!(
+                replay(&squeezed, "visit", seed),
+                replay(&uncached, "visit", seed),
+                "round {round}, seed {seed}: transcript differs under eviction"
+            );
+        }
+    }
+    let counters = squeezed.cache_counters().expect("cache is on");
+    assert!(counters.evictions > 0, "never evicted: {counters:?}");
+    assert!(counters.hits > 0, "never hit: {counters:?}");
 }
 
 #[test]
@@ -254,14 +273,9 @@ fn concurrent_same_seed_clients_share_the_cache_transparently() {
              uncached single-threaded replay"
         );
     }
-    match counters {
-        Some(counters) => assert!(
-            counters.hits > 0,
-            "same-seed clients never shared a result ({counters:?})"
-        ),
-        None => assert!(
-            !smart_drilldown::server::cache_enabled(),
-            "default config must enable the cache unless SDD_NO_CACHE is set"
-        ),
-    }
+    let counters = counters.expect("the default config enables the cache");
+    assert!(
+        counters.hits > 0,
+        "same-seed clients never shared a result ({counters:?})"
+    );
 }

@@ -1,6 +1,6 @@
 //! Streaming out-of-core ingest suite: the memory-bound build guarantee
 //! (ingest never materializes the monolithic table), pin-aware residency
-//! accounting under concurrent scans, the sweep eviction policy, and the
+//! accounting under concurrent scans, and the
 //! CSV-file end-to-end path (stream ingest ⇔ materialize-then-shard
 //! bit-identity, up through served engine transcripts).
 //!
@@ -8,16 +8,10 @@
 //! case on both construction paths; this file owns the *resource* contracts
 //! (what is in memory, when) that parity alone cannot see.
 
-use smart_drilldown::core::{
-    find_best_marginal_rule, try_find_best_marginal_rule_sharded, SearchOptions, SearchScratch,
-    SizeWeight,
-};
 use smart_drilldown::datagen::{census, retail};
 use smart_drilldown::server::{Engine, EngineConfig, OpenOptions, Request};
 use smart_drilldown::table::csv::{read_csv_with_measures, stream_csv_file, write_csv};
-use smart_drilldown::table::{
-    Residency, ShardConfig, ShardedTable, ShardedView, Table, TableStore,
-};
+use smart_drilldown::table::{ShardConfig, ShardedTable, Table, TableStore};
 use std::sync::{Arc, Barrier};
 
 /// Writes `table` as a CSV fixture under the temp dir, named uniquely per
@@ -177,56 +171,6 @@ fn concurrent_scans_stay_within_resident_plus_pinned() {
     let (resident, pinned) = st.resident_and_pinned();
     assert_eq!(pinned, 0);
     assert!(resident <= st.resident_budget());
-}
-
-// ---------------------------------------------------------------------------
-// Sweep residency
-// ---------------------------------------------------------------------------
-
-/// `Residency::Sweep` changes spill traffic only: the marginal search over
-/// a sweep-evicting table is bit-identical to the monolithic kernel, while
-/// repeated sequential scans pay strictly fewer loads than LRU (whose
-/// cyclic-sweep behavior — evict exactly what is needed next — is the
-/// policy's documented worst case).
-#[test]
-fn sweep_residency_is_bit_identical_with_fewer_loads() {
-    let table = retail(42);
-    let cov = vec![0.0f64; table.n_rows()];
-    let mut opts = SearchOptions::new(3.0);
-    opts.parallel = false;
-    let mono = find_best_marginal_rule(&table.view(), &SizeWeight, &cov, &opts)
-        .expect("retail yields a rule");
-
-    let loads_for = |residency: Residency| {
-        let cfg = spilling(8, 3).with_residency(residency);
-        let st = Arc::new(ShardedTable::from_table(&table, &cfg).expect("shard build"));
-        let view = ShardedView::all(st.clone());
-        for _pass in 0..3 {
-            let mut scratch = SearchScratch::new();
-            let got =
-                try_find_best_marginal_rule_sharded(&view, &SizeWeight, &cov, &opts, &mut scratch)
-                    .expect("spill files decode")
-                    .expect("sharded search yields a rule");
-            assert_eq!(got.rule, mono.rule, "{residency:?}: winner differs");
-            assert_eq!(
-                got.marginal_value.to_bits(),
-                mono.marginal_value.to_bits(),
-                "{residency:?}: marginal bits differ"
-            );
-            assert_eq!(
-                got.count.to_bits(),
-                mono.count.to_bits(),
-                "{residency:?}: count bits"
-            );
-        }
-        st.loads()
-    };
-    let lru = loads_for(Residency::Lru);
-    let sweep = loads_for(Residency::Sweep);
-    assert!(
-        sweep < lru,
-        "sweep must beat LRU on repeated sequential scans: {sweep} vs {lru} loads"
-    );
 }
 
 // ---------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 //! Parity suite for the columnar counting kernel (see `sdd_core::kernel`):
-//! the columnar scalar path must be **bit-identical** to the historical
-//! row-at-a-time implementation, the parallel path must be bit-identical to
-//! scalar on any thread count (task-per-column/group design — no
-//! float-merge reordering), and k=1 greedy must match the exhaustive oracle
-//! on small instances.
+//! the columnar kernel must be **bit-identical** to the historical
+//! row-at-a-time implementation on any thread count (task-per-column/group
+//! design — no float-merge reordering), and k=1 greedy must match the
+//! exhaustive oracle on small instances.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
-    exact_best_rule_set, find_best_marginal_rule, find_best_marginal_rule_rowwise, BestMarginal,
-    BitsWeight, Rule, SearchOptions, SizeWeight, WeightFn,
+    exact_best_rule_set, filter_to_rule, find_best_marginal_rule, find_best_marginal_rule_rowwise,
+    BestMarginal, BitsWeight, Rule, SearchOptions, SizeWeight, WeightFn,
 };
 use smart_drilldown::table::{OwnedTableView, Schema, Table, TableView};
 
@@ -104,7 +103,7 @@ fn run_scenario(rng: &mut StdRng, trial: usize) {
         let col = rng.gen_range(0..table.n_columns());
         let row = rng.gen_range(0..table.n_rows()) as u32;
         let base = Rule::trivial(table.n_columns()).with_value(col, table.code(row, col));
-        based_view = smart_drilldown::core::filter_to_rule(&view, &base);
+        based_view = filter_to_rule(&view, &base);
         let mut o = opts.clone();
         o.base = Some(base);
         (&based_view, o)
@@ -117,52 +116,40 @@ fn run_scenario(rng: &mut StdRng, trial: usize) {
         .collect();
 
     let rowwise = find_best_marginal_rule_rowwise(view_ref, weight, &cov, &opts);
-
-    let mut scalar_opts = opts.clone();
-    scalar_opts.parallel = false;
-    let scalar = find_best_marginal_rule(view_ref, weight, &cov, &scalar_opts);
+    let columnar = find_best_marginal_rule(view_ref, weight, &cov, &opts);
     assert_bitwise_equal(
-        &format!("trial {trial}: scalar vs rowwise"),
-        &scalar,
+        &format!("trial {trial}: columnar vs rowwise"),
+        &columnar,
         &rowwise,
-    );
-
-    let mut parallel_opts = opts.clone();
-    parallel_opts.parallel = true;
-    parallel_opts.parallel_min_rows = 1; // force the parallel path on tiny views
-    let parallel = find_best_marginal_rule(view_ref, weight, &cov, &parallel_opts);
-    assert_bitwise_equal(
-        &format!("trial {trial}: parallel vs scalar"),
-        &parallel,
-        &scalar,
     );
 }
 
+/// Views this small always run on one thread (`exec` keeps inputs under
+/// 16 Ki rows serial); the multi-worker schedule is pinned on large views
+/// by `default_search_is_thread_invariant_on_weighted_views` below.
 #[test]
 fn kernel_matches_rowwise_bitwise_on_randomized_instances() {
-    // Force multi-worker execution even on single-core CI machines so the
-    // parallel task scheduling is actually exercised.
-    let _env = env_lock();
-    std::env::set_var("SDD_THREADS", "4");
     let mut rng = StdRng::seed_from_u64(0x5EED_2016);
     for trial in 0..150 {
         run_scenario(&mut rng, trial);
     }
 }
 
-/// Default options are thread-count invariant on the views the product
-/// searches: a weighted (sample-shaped) view of 65 536 rows over three free
-/// columns — fewer columns than workers, the regime where a row-slicing
-/// strategy once re-associated float partials depending on `SDD_THREADS`.
-/// Every accumulator now belongs to one task scanning in row order, so the
-/// result is bit-identical for any worker count, equal to the row-at-a-time
-/// reference, and the same whether the view names its rows by id or is the
-/// contiguous "all rows + weights" form a materialised sample is served in.
+/// The search is thread-count invariant on views large enough to fan out
+/// (`exec` runs anything under 16 Ki rows on one thread, so every case here
+/// is above that): a weighted (sample-shaped) view of 128 Ki rows over three
+/// free columns — fewer columns than workers, the regime where a
+/// row-slicing strategy once re-associated float partials depending on
+/// `SDD_THREADS`. Every accumulator now belongs to one task scanning in row
+/// order, so the result is bit-identical for any worker count and equal to
+/// the row-at-a-time reference — whether the view names its rows by id or
+/// is the contiguous "all rows + weights" form a materialised sample is
+/// served in, with pruning on or off, and under a drill-down base.
 #[test]
 fn default_search_is_thread_invariant_on_weighted_views() {
     let _env = env_lock();
     let mut rng = StdRng::seed_from_u64(0x7AEAD);
-    let n = 64 * 1024;
+    let n = 128 * 1024;
     let rows: Vec<[String; 3]> = (0..n)
         .map(|_| {
             [
@@ -181,13 +168,30 @@ fn default_search_is_thread_invariant_on_weighted_views() {
     let contiguous = OwnedTableView::all_with_weights(table.clone(), weights);
     assert!(contiguous.row_ids().is_none());
     let opts = SearchOptions::new(3.0);
+    let mut unpruned = opts.clone();
+    unpruned.pruning = false;
+    let base = Rule::trivial(3).with_value(2, table.code(0, 2));
+    let based = filter_to_rule(&by_id, &base);
+    let mut under_base = opts.clone();
+    under_base.base = Some(base);
 
-    let reference = find_best_marginal_rule_rowwise(&by_id, &SizeWeight, &cov, &opts);
-    assert!(reference.is_some(), "the scenario must yield a rule");
-    for threads in ["1", "2", "8"] {
-        std::env::set_var("SDD_THREADS", threads);
-        for (shape, view) in [("by id", &by_id), ("contiguous", &contiguous.as_view())] {
-            let got = find_best_marginal_rule(view, &SizeWeight, &cov, &opts);
+    let cases: [(&str, &TableView<'_>, &dyn WeightFn, &SearchOptions); 4] = [
+        ("by id", &by_id, &SizeWeight, &opts),
+        ("contiguous", &contiguous.as_view(), &SizeWeight, &opts),
+        ("unpruned, bits weight", &by_id, &BitsWeight, &unpruned),
+        ("under a base", &based, &SizeWeight, &under_base),
+    ];
+    for (shape, view, weight, opts) in cases {
+        assert!(view.len() >= 16 * 1024, "{shape}: too small to fan out");
+        let cov = &cov[..view.len()];
+        let reference = find_best_marginal_rule_rowwise(view, weight, cov, opts);
+        assert!(
+            reference.is_some(),
+            "{shape}: the scenario must yield a rule"
+        );
+        for threads in ["1", "2", "8"] {
+            std::env::set_var("SDD_THREADS", threads);
+            let got = find_best_marginal_rule(view, weight, cov, opts);
             assert_bitwise_equal(
                 &format!("SDD_THREADS={threads}, {shape} view vs rowwise reference"),
                 &got,
@@ -195,7 +199,7 @@ fn default_search_is_thread_invariant_on_weighted_views() {
             );
         }
     }
-    std::env::set_var("SDD_THREADS", "4"); // restore the suite-wide pin
+    std::env::remove_var("SDD_THREADS");
 }
 
 #[test]

@@ -19,6 +19,15 @@ fn handler_cfg(capacity: usize, min_ss: usize, seed: u64) -> SampleHandlerConfig
     }
 }
 
+/// `retail(seed)` three times over (18 000 rows): past the 16 Ki rows below
+/// which `exec` keeps every scan on one thread, so `SDD_THREADS` really
+/// selects the schedule in the thread-invariance tests.
+fn retail_x3(seed: u64) -> Table {
+    let t = retail(seed);
+    let n = t.n_rows() as u32;
+    t.gather_rows(&(0..3 * n).map(|r| r % n).collect::<Vec<_>>())
+}
+
 #[test]
 fn sampled_expansion_approximates_exact_expansion() {
     let table = std::sync::Arc::new(retail(42));
@@ -160,7 +169,7 @@ fn prefetch_is_reproducible_across_thread_counts() {
     // from (config.seed, rule): the stored samples — rows, order, scales,
     // and serving mechanisms — must be identical whether the scan ran on
     // one worker or many.
-    let table = std::sync::Arc::new(retail(42));
+    let table = std::sync::Arc::new(retail_x3(42));
     let trivial = Rule::trivial(3);
     let walmart = Rule::from_pairs(&table, &[("Store", "Walmart")]).unwrap();
     let target = Rule::from_pairs(&table, &[("Store", "Target")]).unwrap();
@@ -258,7 +267,7 @@ fn background_prefetch_is_deterministic_across_workers() {
     // inline in the expansion call, on a single background worker, or with
     // the scan fanned out over 8 workers — rows, order, scales, and the
     // resulting display must all match.
-    let table = Arc::new(retail(42));
+    let table = Arc::new(retail_x3(42));
     let (inline_samples, inline_render) =
         prefetch_script_samples(&table, PrefetchMode::Inline, "1");
     let (worker1_samples, worker1_render) =

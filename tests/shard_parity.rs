@@ -12,9 +12,9 @@
 //! order, and spill round-trips reproduce segments bit-for-bit — so *where
 //! bytes live* (RAM vs disk, one shard vs eight) can never change a result.
 //!
-//! `SDD_SHARD_RESIDENT` (CI knob) caps the spilling budget so the suite
-//! exercises maximal eviction churn: `SDD_SHARD_RESIDENT=1` keeps at most
-//! one segment in memory at any time.
+//! Every spilling configuration runs under resident budgets 1 and 2, so the
+//! suite always includes the maximal eviction churn (at most one segment in
+//! memory at any time).
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
@@ -36,7 +36,7 @@ use std::sync::Arc;
 
 /// Serializes every test in this binary: `sharded_search_is_thread_invariant`
 /// writes the process-global `SDD_THREADS` while every other test reads the
-/// environment (`worker_threads`, `SDD_SHARD_RESIDENT`) — and concurrent
+/// environment (`worker_threads`) — and concurrent
 /// `setenv`/`getenv` is undefined behavior on glibc, not merely a race. All
 /// tests take this lock; other test *binaries* are separate processes.
 fn env_lock() -> std::sync::MutexGuard<'static, ()> {
@@ -50,22 +50,14 @@ fn env_lock() -> std::sync::MutexGuard<'static, ()> {
 const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=8;
 
 /// The spilling resident budgets to exercise (both force eviction for any
-/// shard count above them). `SDD_SHARD_RESIDENT` overrides with one budget.
-fn spill_budgets() -> Vec<usize> {
-    match std::env::var("SDD_SHARD_RESIDENT")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        Some(cap) => vec![cap.max(1)],
-        None => vec![1, 2],
-    }
-}
+/// shard count above them).
+const SPILL_BUDGETS: [usize; 2] = [1, 2];
 
 /// All shard configurations for a given shard count: fully resident plus
 /// every spilling budget strictly below the shard count.
 fn shard_configs(shards: usize) -> Vec<ShardConfig> {
     let mut cfgs = vec![ShardConfig::in_memory(shards)];
-    for b in spill_budgets() {
+    for b in SPILL_BUDGETS {
         if b < shards {
             cfgs.push(ShardConfig::spilling(shards, b, std::env::temp_dir()));
         }
@@ -174,8 +166,7 @@ fn marginal_search_is_bit_identical_across_shard_layouts() {
             None if use_subset => TableView::with_rows(&table, rows.clone()),
             None => table.view(),
         };
-        let mut opts = SearchOptions::new(mw);
-        opts.parallel = false;
+        let opts = SearchOptions::new(mw);
         let mono = find_best_marginal_rule(&mono_view, weight, &cov, &opts);
 
         for shards in SHARD_COUNTS {
@@ -538,11 +529,16 @@ fn sharded_search_is_thread_invariant() {
     // process-global and read concurrently by sibling tests, so every test
     // in this binary serializes on `env_lock`.
     let _env = env_lock();
-    let table = retail(42);
+    // Retail three times over: 18 000 rows, past the 16 Ki rows below which
+    // `exec` keeps a search on one thread whatever `SDD_THREADS` says.
+    let table = {
+        let retail = retail(42);
+        let n = retail.n_rows() as u32;
+        retail.gather_rows(&(0..3 * n).map(|r| r % n).collect::<Vec<_>>())
+    };
+    assert!(table.n_rows() >= 16 * 1024);
     let cov: Vec<f64> = (0..table.n_rows()).map(|i| (i % 5) as f64 * 0.3).collect();
-    let mut opts = SearchOptions::new(3.0);
-    opts.parallel = true;
-    opts.parallel_min_rows = 1;
+    let opts = SearchOptions::new(3.0);
 
     let run_with = |threads: &str, st: Arc<ShardedTable>| {
         std::env::set_var("SDD_THREADS", threads);

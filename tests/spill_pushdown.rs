@@ -70,8 +70,7 @@ fn assert_width_boundary_parity(card: usize) {
     // A full search crosses the seam in pass-1 histograms and pass-j cells.
     let view = table.view();
     let cov = vec![0.0f64; view.len()];
-    let mut opts = SearchOptions::new(3.0);
-    opts.parallel = false;
+    let opts = SearchOptions::new(3.0);
     let mono = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts).unwrap();
     let sview = ShardedView::all(st);
     let mut scratch = SearchScratch::new();
@@ -222,8 +221,7 @@ proptest! {
 
         let view = table.view();
         let cov = vec![0.0f64; view.len()];
-        let mut opts = SearchOptions::new(3.0);
-        opts.parallel = false;
+        let opts = SearchOptions::new(3.0);
         let mono = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts);
         let mut scratch = SearchScratch::new();
         let got = try_find_best_marginal_rule_sharded(
