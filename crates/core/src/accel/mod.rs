@@ -14,7 +14,7 @@
 //! [`cpu`] probes the host once (`is_x86_feature_detected!("avx2")`) and
 //! caches the answer; every public function here branches on that cached
 //! level and calls either the `#[target_feature(enable = "avx2")]` kernel
-//! in [`simd`] or the scalar fallback. The scalar path is always compiled
+//! in `simd` or the scalar fallback. The scalar path is always compiled
 //! (and is the only path off x86-64), so results never depend on the host:
 //! the SIMD kernels produce **identical output** to the scalar loops — the
 //! same positions in the same order, the same counts — which the parity

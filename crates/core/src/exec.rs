@@ -8,10 +8,6 @@
 //!
 //! * [`parallel_map`] returns outputs **in job order** no matter which
 //!   worker ran which job, so consumers can merge partials positionally;
-//! * [`reduce_pairwise`] folds partials with a fixed adjacent-pairs tree
-//!   over the *input order*, so a reduction associates the same way on
-//!   every thread count (the segment kernel merges its per-shard integer
-//!   pass-1 counts with it — see [`crate::shard`]);
 //! * [`worker_threads`] is the one place thread counts come from
 //!   (`SDD_THREADS` overrides detection, which is also how tests pin the
 //!   schedule on single-core machines), and [`threads_for_rows`] the one
@@ -188,29 +184,6 @@ impl Drop for TaskPool {
     }
 }
 
-/// Reduces `parts` with a fixed adjacent-pairs tree: `[p0⊕p1, p2⊕p3, …]`,
-/// repeated until one value remains. The association depends only on the
-/// *order and number* of `parts`, never on thread count or scheduling — so
-/// merges are deterministic (and a float merge's O(log n) error growth
-/// beats a left fold's O(n)).
-///
-/// Panics on an empty input.
-pub fn reduce_pairwise<T>(mut parts: Vec<T>, mut merge: impl FnMut(&mut T, T)) -> T {
-    assert!(!parts.is_empty(), "reduce_pairwise on empty input");
-    while parts.len() > 1 {
-        let mut next = Vec::with_capacity(parts.len().div_ceil(2));
-        let mut it = parts.into_iter();
-        while let Some(mut a) = it.next() {
-            if let Some(b) = it.next() {
-                merge(&mut a, b);
-            }
-            next.push(a);
-        }
-        parts = next;
-    }
-    parts.pop().expect("non-empty by construction")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,22 +194,6 @@ mod tests {
             let out = parallel_map(threads, (0..17).collect::<Vec<_>>(), |j| j * 10);
             assert_eq!(out, (0..17).map(|j| j * 10).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn reduce_pairwise_merges_in_fixed_tree_order() {
-        // Strings expose the association: ((ab)(cd))e.
-        let parts: Vec<String> = ["a", "b", "c", "d", "e"]
-            .iter()
-            .map(|s| format!("({s})"))
-            .collect();
-        let merged = reduce_pairwise(parts, |a, b| *a = format!("({a}{b})"));
-        assert_eq!(merged, "((((a)(b))((c)(d)))(e))");
-    }
-
-    #[test]
-    fn reduce_pairwise_single_part_is_identity() {
-        assert_eq!(reduce_pairwise(vec![42.0f64], |a, b| *a += b), 42.0);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!   at the candidate boundary, one per distinct surviving `(column, code)`;
 //! * **pass j ≥ 2** — the level's candidates are grouped by instantiated
 //!   column set. A group whose column-cardinality product fits
-//!   [`DENSE_CELL_CAP`] is counted **probe-free** into a dense
+//!   `DENSE_CELL_CAP` is counted **probe-free** into a dense
 //!   count/marginal histogram indexed by the mixed-radix cell of the row's
 //!   codes; larger groups pack each candidate's codes into a `u64` (or a
 //!   flat `u32` tuple beyond 64 bits) and binary-search a sorted flat
@@ -81,17 +81,13 @@ struct ColumnHist {
 
 /// The pass-1 candidate boundary of one free column: the surviving size-1
 /// rules (code-ascending) plus the code → weight table.
-///
-/// Shared by this kernel and the segment kernel ([`crate::shard`]) — both
-/// count first and then call this on the finished per-code histogram, so
-/// candidate sets are identical by construction.
-pub(crate) struct Pass1Cands {
-    pub(crate) rules: Vec<Rule>,
+struct Pass1Cands {
+    rules: Vec<Rule>,
     /// `W(base + (col, code))` for candidate codes, `0.0` for codes that are
     /// unsupported or over the weight cap (their marginal slots are ignored).
-    pub(crate) wtab: Vec<f64>,
-    pub(crate) generated: usize,
-    pub(crate) pruned: usize,
+    wtab: Vec<f64>,
+    generated: usize,
+    pruned: usize,
 }
 
 /// Materializes rules for the supported codes of column `col`, gates them
@@ -100,7 +96,7 @@ pub(crate) struct Pass1Cands {
 ///
 /// det-order: one sequential code-ascending scan; the `+=` accumulators
 /// are integer generation stats, and each weight slot is written once.
-pub(crate) fn pass1_candidates(
+fn pass1_candidates(
     table: &Table,
     base: &Rule,
     col: usize,
@@ -135,7 +131,7 @@ pub(crate) fn pass1_candidates(
 
 /// The frequent size-1 building blocks of a level-1 candidate list: one
 /// `(free column, code)` pair per rule, in level order.
-pub(crate) fn level_blocks(level: &[Rule], base: &Rule) -> Vec<(usize, u32)> {
+fn level_blocks(level: &[Rule], base: &Rule) -> Vec<(usize, u32)> {
     level
         .iter()
         .map(|r| {
@@ -154,13 +150,12 @@ pub(crate) fn level_blocks(level: &[Rule], base: &Rule) -> Vec<(usize, u32)> {
 /// support/bound/weight prunes. Returns the next level's candidates with
 /// their weights (empty → the search is done).
 ///
-/// Pure candidate bookkeeping — no row access — so this kernel and the
-/// segment kernel share it verbatim.
+/// Pure candidate bookkeeping — no row access.
 ///
 /// det-order: single-threaded sweep in level order; the `+=` accumulators
 /// are integer search stats, never float partials.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn generate_level(
+fn generate_level(
     table: &Table,
     base: &Rule,
     blocks: &[(usize, u32)],
@@ -227,18 +222,17 @@ pub(crate) fn generate_level(
 }
 
 /// One level-j candidate group: all candidates instantiating the same set of
-/// free columns. Shared with the sharded kernel in [`crate::shard`], which
-/// reuses the same group layout over per-shard column slices.
+/// free columns.
 #[derive(Debug, Default)]
-pub(crate) struct Group {
+struct Group {
     /// Absolute column indices, ascending.
-    pub(crate) cols: Vec<usize>,
+    cols: Vec<usize>,
     /// Mixed-radix strides per column (dense mode).
-    pub(crate) strides: Vec<usize>,
+    strides: Vec<usize>,
     /// Total dense cells (`Π` cardinalities); `0` when overflowed.
-    pub(crate) cells: usize,
+    cells: usize,
     /// Candidate (dense cell, candidate index) pairs (dense mode).
-    pub(crate) cand_cells: Vec<(usize, u32)>,
+    cand_cells: Vec<(usize, u32)>,
     /// Per-column left-shifts when packing fits in 64 bits (sparse mode).
     shifts: Vec<u32>,
     /// True when sparse keys fit a single `u64`.
@@ -249,13 +243,13 @@ pub(crate) struct Group {
     /// (sparse wide mode).
     wide_keys: Vec<u32>,
     /// Candidate index per sorted key (sparse modes).
-    pub(crate) order: Vec<u32>,
+    order: Vec<u32>,
 }
 
 impl Group {
     /// True when this group counts via the dense histogram.
     #[inline]
-    pub(crate) fn is_dense(&self) -> bool {
+    fn is_dense(&self) -> bool {
         self.cells != 0
     }
 
@@ -264,7 +258,7 @@ impl Group {
     /// only); map through `order` for the candidate index. `wide_scratch`
     /// is a reusable buffer for the wide path; untouched in packed mode.
     #[inline]
-    pub(crate) fn probe(
+    fn probe(
         &self,
         wide_scratch: &mut Vec<u32>,
         mut fetch: impl FnMut(usize) -> u32,
@@ -303,8 +297,8 @@ impl Group {
 #[derive(Debug, Default)]
 pub struct SearchScratch {
     hists: Vec<ColumnHist>,
-    pub(crate) cstats: Vec<CandStat>,
-    pub(crate) groups: Vec<Group>,
+    cstats: Vec<CandStat>,
+    groups: Vec<Group>,
     /// Maps a level's column-set signature to its group index.
     group_ix: FxHashMap<Vec<u16>, usize>,
 }
@@ -505,7 +499,7 @@ fn marginal_column(
 
 /// Groups a level's candidates by instantiated-column signature and builds
 /// each group's dense cell map or sorted probe keys.
-pub(crate) fn build_groups(
+fn build_groups(
     scratch: &mut SearchScratch,
     table: &Table,
     base: &Rule,
@@ -772,10 +766,7 @@ fn count_group_sparse(
 /// Selects the winner from the counted set: max marginal, ties broken toward
 /// higher weight then lexicographically smaller codes (identical to the
 /// reference implementation).
-pub(crate) fn pick_winner(
-    counted: &FxHashMap<Rule, CandStat>,
-    stats: SearchStats,
-) -> Option<BestMarginal> {
+fn pick_winner(counted: &FxHashMap<Rule, CandStat>, stats: SearchStats) -> Option<BestMarginal> {
     let mut best: Option<(&Rule, &CandStat)> = None;
     for (rule, stat) in counted {
         if stat.marginal <= 0.0 {

@@ -38,8 +38,8 @@
 //!   (task-per-column/group parallel, bit-identical on any thread count),
 //!   plus the one columnar implementation of "covered rows" and "exact
 //!   count" over a span of global codes,
-//! * [`exec`] — deterministic parallel-map / pairwise-merge utilities shared
-//!   by the kernel and the sampling layer's prefetch scan,
+//! * [`exec`] — the deterministic parallel map and the one source of worker
+//!   counts, shared by the kernel and the sampling layer's prefetch scan,
 //! * [`accel`] — runtime-dispatched SIMD equality-scan kernels (AVX2 with a
 //!   scalar fallback and a kill switch) behind the coverage scans of both
 //!   the resident kernel and the spill-tier pushdown path,
@@ -50,8 +50,8 @@
 //! * [`drilldown`] — rule and star drill-down (Problem 1 → 2/3 reductions),
 //! * [`shard`] — the segment tier: the three scans the product runs over
 //!   sharded (`sdd_table::ShardedTable`) storage — covered rows, covered
-//!   rows of an appended range, exact counts — their store-kind dispatch,
-//!   and the per-shard Algorithm 2 kernel kept as a measured candidate,
+//!   rows of an appended range, exact counts — and their store-kind
+//!   dispatch,
 //! * [`session`] — the interactive exploration tree with paper-style rendering,
 //! * [`exact`] — brute-force oracle for tests and ablations,
 //! * [`mw_estimate`] — sampling-based estimation of the `mw` parameter (§6.1),

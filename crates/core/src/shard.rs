@@ -14,11 +14,12 @@
 //!   two scans over any [`TableStore`]: the **one place** that dispatches on
 //!   the store kind (monolithic → [`crate::kernel`], segmented → here), so
 //!   the sampling layer and the explorer never match on it;
-//! * [`try_find_best_marginal_rule_sharded`] — Algorithm 2 run directly
-//!   over segments, bit-identical to [`crate::find_best_marginal_rule`] on
-//!   the equivalent monolithic view. No product path calls it (searches run
-//!   on samples); it is kept as the measured candidate for a single
-//!   segment-run kernel (the benchmark's `core.search_sharded_ratio`).
+//! * [`try_find_best_marginal_rule_sharded`] — *not* a second Algorithm 2:
+//!   it gathers a [`ShardedView`]'s rows and runs the one search
+//!   ([`crate::find_best_marginal_rule_with_scratch`]) on the gathered
+//!   table, the two calls the sampling layer and BRS make for every real
+//!   request. Kept because the repository benchmark's
+//!   `core.search_sharded_ratio` probe compiles against it.
 //!
 //! Everything is **fallible-only**: a damaged spill file surfaces as
 //! [`TableError::Corrupt`]/[`TableError::Io`], so a session gets an error
@@ -27,71 +28,48 @@
 //! ## Bit-parity with the monolithic scans
 //!
 //! 1. the shard layout partitions the row range in order, so iterating
-//!    shards in index order visits rows (or view positions) in exactly the
-//!    monolithic order;
+//!    shards in index order visits rows in exactly the monolithic order;
 //! 2. coverage and count scans produce integers — hit lists concatenate in
 //!    shard order, counts add exactly;
-//! 3. the search updates every float accumulator **shard-after-shard into
-//!    one shared accumulator** — the same operation sequence the monolithic
-//!    scan performs — while parallelism comes from *disjoint* accumulators
-//!    (one per column or candidate group, threaded through the shard loop
-//!    by [`crate::exec::parallel_map`], which returns them in job order).
-//!    Unit-weight pass-1 counts additionally fan out per shard run with
-//!    private `u64` partials merged by [`crate::exec::reduce_pairwise`] —
-//!    integer addition, hence still exact.
+//! 3. a gather copies global codes, so the gathered table *is* the rows a
+//!    monolithic row-id view names, and the search over it performs the
+//!    same float operations in the same order.
 //!
-//! So results are identical for any shard count, resident budget, eviction
-//! policy, construction path and thread count: eviction and spill reload
-//! only change when bytes are in memory, never which bytes. Segment `Arc`s
-//! a scan holds in flight are **pinned** in the residency cache (they count
-//! against the budget rather than escaping it), which throttles memory,
-//! never results. `tests/shard_parity.rs` asserts all of this.
+//! So results are identical for any shard count, resident budget and
+//! construction path: eviction and spill reload only change when bytes are
+//! in memory, never which bytes. `tests/shard_parity.rs` asserts all of
+//! this.
 //!
 //! ## Spill-tier predicate pushdown
 //!
-//! Scans never force a shard's local→global decode. Each shard is consumed
-//! **in whichever form the residency cache holds**
-//! ([`sdd_table::SegmentData`]):
+//! A scan sees each shard in one of two forms and never forces a
+//! local→global decode:
 //!
-//! * a **decoded** segment is a small table of global codes, scanned by the
-//!   same span routines the monolithic scans use (`covered_rows_span`,
-//!   `count_rule_span` in [`crate::kernel`]) — there is no second
-//!   implementation;
-//! * a **raw** segment is scanned as packed 1/2/4-byte local codes straight
-//!   out of the spill coding, after translating each rule predicate into
-//!   the shard's local code space through its `remap` — a predicate value
-//!   absent from `remap` covers zero rows, so the whole shard is skipped
-//!   without touching a row. This arm hides the spill format and stays
-//!   separate.
+//! * a **cached** segment ([`ShardedTable::cached_data`]) is a small table
+//!   of global codes, scanned by the same span routines the monolithic
+//!   scans use (`covered_rows_span`, `count_rule_span` in
+//!   [`crate::kernel`]) — there is no second implementation;
+//! * a **miss** range-reads only the rule's columns
+//!   ([`ShardedTable::read_columns`]) as packed 1/2/4-byte local codes
+//!   straight out of the spill coding, transiently — residency is left
+//!   undisturbed — and scans them after translating each rule predicate
+//!   into the shard's local code space through its `remap`. A predicate
+//!   value absent from `remap` covers zero rows, so the whole shard is
+//!   skipped without touching a row. This arm hides the spill format and
+//!   stays separate.
 //!
-//! Coverage and count scans that miss the cache range-read only the rule's
-//! columns ([`ShardedTable::read_columns`]) and leave residency
-//! undisturbed; the search loads the raw form into the cache
-//! ([`ShardedTable::segment_data`]) so later passes rescan it for free.
-//! Raw-form parity holds by construction: a local-code equality scan hits
-//! exactly the rows the global-code scan hits; unit-weight histograms
-//! scatter local `u64` counts through `remap`; weighted `f64` histograms
-//! use *swap-in/swap-out* (at shard entry each local slot borrows its
-//! global slot's running value, rows accumulate in row order, shard exit
-//! writes the values back — `remap` is injective, so every global slot's
-//! float operation sequence is exactly the monolithic one); pass-j dense
-//! cells premultiply `remap` by the group strides so cell indices are
-//! identical to the decoded scan's. The equality-compare inner loops
-//! dispatch through [`crate::accel`] (AVX2 with scalar fallback); SIMD
-//! changes neither positions nor order.
+//! Parity of the second form holds by construction: a local-code equality
+//! scan hits exactly the rows the global-code scan hits. The
+//! equality-compare inner loops dispatch through [`crate::accel`] (AVX2
+//! with scalar fallback); SIMD changes neither positions nor order.
 
 use crate::accel;
-use crate::exec;
-use crate::kernel::{
-    build_groups, count_rule_span, covered_rows_span, covered_rows_with_threads, generate_level,
-    level_blocks, pass1_candidates, pick_winner, CandStat, Group, Pass1Cands, SearchScratch,
-};
-use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
+use crate::kernel::{count_rule_span, covered_rows_span, covered_rows_with_threads, SearchScratch};
+use crate::marginal::{find_best_marginal_rule_with_scratch, BestMarginal, SearchOptions};
 use crate::{Rule, WeightFn};
-use rustc_hash::FxHashMap;
 use sdd_table::{
-    LocalCodes, RawColumn, RawSegment, RowId, SegmentData, ShardRun, ShardSegment, ShardedTable,
-    ShardedView, TableError, TableStore,
+    LocalCodes, OwnedTableView, RawColumn, RowId, ShardSegment, ShardedTable, ShardedView,
+    TableError, TableStore,
 };
 use std::ops::Range;
 use std::sync::Arc;
@@ -101,86 +79,42 @@ use std::sync::Arc;
 // translating rule predicates into local code space.
 // ---------------------------------------------------------------------------
 
-/// The column data one coverage scan obtained for one shard, in whatever
-/// form was cheapest to get.
-enum FetchedCols {
+/// The column data one scan obtained for one shard, in whichever form was
+/// cheapest to get.
+enum ShardCols {
     /// The cached decoded segment (global codes).
     Decoded(Arc<ShardSegment>),
-    /// The cached raw segment (every column, packed local codes).
-    Raw(Arc<RawSegment>),
-    /// A transient range read of just the requested columns, in request
-    /// order — never enters the residency cache.
-    Transient(Vec<RawColumn>),
+    /// A transient range read of just the requested columns, each paired
+    /// with its column index — never enters the residency cache.
+    Transient(Vec<(usize, RawColumn)>),
 }
 
-/// One shard's fetched columns plus the request list (which indexes the
-/// transient form).
-struct ShardCols<'a> {
-    cols: &'a [usize],
-    data: FetchedCols,
-}
-
-impl ShardCols<'_> {
-    /// The decoded segment, when that form was cached.
-    fn decoded(&self) -> Option<&ShardSegment> {
-        match &self.data {
-            FetchedCols::Decoded(seg) => Some(seg),
-            _ => None,
-        }
-    }
-
-    /// Column `c` in spill coding (`None` when the decoded form is held).
-    /// `c` must be one of the requested columns.
-    fn raw_col(&self, c: usize) -> Option<&RawColumn> {
-        match &self.data {
-            FetchedCols::Decoded(_) => None,
-            FetchedCols::Raw(r) => Some(r.col(c)),
-            FetchedCols::Transient(v) => {
-                let k = self
-                    .cols
-                    .iter()
-                    .position(|&x| x == c)
-                    .expect("column was fetched");
-                Some(&v[k])
-            }
-        }
-    }
-}
-
-/// Fetches `cols` of one shard for a coverage scan: whatever form is
-/// cached, else a transient range read of only those columns (residency
-/// undisturbed).
-fn fetch_cols<'a>(
-    st: &ShardedTable,
-    shard: usize,
-    cols: &'a [usize],
-) -> Result<ShardCols<'a>, TableError> {
-    let data = match st.cached_data(shard) {
-        Some(SegmentData::Decoded(seg)) => FetchedCols::Decoded(seg),
-        Some(SegmentData::Raw(raw)) => FetchedCols::Raw(raw),
+/// Fetches `cols` of one shard: the cached segment, else a transient range
+/// read of only those columns (residency undisturbed).
+fn fetch_cols(st: &ShardedTable, shard: usize, cols: &[usize]) -> Result<ShardCols, TableError> {
+    Ok(match st.cached_data(shard) {
+        Some(seg) => ShardCols::Decoded(seg),
         None if st.spill_path(shard).is_some() => {
-            FetchedCols::Transient(st.read_columns(shard, cols)?)
+            let raw = st.read_columns(shard, cols)?;
+            ShardCols::Transient(cols.iter().copied().zip(raw).collect())
         }
         // Fully-resident tables always hit the cache; kept total anyway.
-        None => FetchedCols::Decoded(st.try_segment(shard)?),
-    };
-    Ok(ShardCols { cols, data })
+        None => ShardCols::Decoded(st.try_segment(shard)?),
+    })
 }
 
-/// Translates `rule`'s predicates on `cols` into the shard's local code
-/// space. `None` ⇒ some predicate value never occurs in this shard
-/// (absent from the column's `remap`): the rule covers zero rows here and
-/// the caller skips the shard without touching its rows.
+/// Translates `rule`'s predicates on the fetched columns (which include
+/// every column the rule instantiates) into the shard's local code space,
+/// in column order. `None` ⇒ some predicate value never occurs in this
+/// shard (absent from the column's `remap`): the rule covers zero rows here
+/// and the caller skips the shard without touching its rows.
 fn local_predicates<'a>(
-    f: &'a ShardCols<'_>,
+    raw: &'a [(usize, RawColumn)],
     rule: &Rule,
-    cols: &[usize],
 ) -> Option<Vec<(&'a LocalCodes, u32)>> {
-    cols.iter()
-        .map(|&c| {
-            let rc = f.raw_col(c).expect("raw form");
-            rc.local_of_global(rule.code(c)).map(|l| (rc.codes(), l))
-        })
+    raw.iter()
+        .filter(|(c, _)| !rule.is_star(*c))
+        .map(|(c, rc)| rc.local_of_global(rule.code(*c)).map(|l| (rc.codes(), l)))
         .collect()
 }
 
@@ -204,31 +138,35 @@ fn count_eq_local(codes: &LocalCodes, want: u32) -> usize {
     }
 }
 
-/// The ids (`span.start + local`) of `rule`'s covered rows in one full
-/// shard, ascending. The decoded form runs the shared span filter over the
-/// segment's own table; the raw form scans packed local codes after
-/// predicate translation (first column via the SIMD equality scan,
-/// remaining columns by survivor filtering).
-fn covered_in_shard(
-    f: &ShardCols<'_>,
-    rule: &Rule,
-    cols: &[usize],
-    span: &Range<usize>,
-) -> Vec<RowId> {
-    let base = span.start as u32;
-    if let Some(seg) = f.decoded() {
-        return covered_rows_span(seg.table(), rule, cols, 0..span.len(), base);
-    }
-    let mut hits: Vec<u32> = Vec::new();
-    // `None`: a predicate value is absent from remap — a zero-count shard.
-    if let Some(preds) = local_predicates(f, rule, cols) {
-        let (&(first_codes, first_want), rest) = preds.split_first().expect("non-empty");
-        positions_eq_local(first_codes, first_want, base, &mut hits);
-        for &(codes, want) in rest {
-            hits.retain(|&r| codes.at((r - base) as usize) == want);
-        }
+/// The rows of one `n_rows`-row shard that satisfy every local-code
+/// predicate, ascending, numbered from `base`: first column via the SIMD
+/// equality scan, remaining columns by survivor filtering. No predicate at
+/// all covers every row.
+fn covered_by_local(preds: &[(&LocalCodes, u32)], base: RowId, n_rows: usize) -> Vec<RowId> {
+    let Some((&(first_codes, first_want), rest)) = preds.split_first() else {
+        return (base..base + n_rows as RowId).collect();
+    };
+    let mut hits: Vec<RowId> = Vec::new();
+    positions_eq_local(first_codes, first_want, base, &mut hits);
+    for &(codes, want) in rest {
+        hits.retain(|&r| codes.at((r - base) as usize) == want);
     }
     hits
+}
+
+/// The ids (`span.start + local`) of `rule`'s covered rows in one full
+/// shard, ascending; `cols` are the rule's instantiated columns
+/// (non-empty). The decoded form runs the shared span filter over the
+/// segment's own table; the transient form scans packed local codes after
+/// predicate translation.
+fn covered_in_shard(f: &ShardCols, rule: &Rule, cols: &[usize], span: &Range<usize>) -> Vec<RowId> {
+    let base = span.start as RowId;
+    match f {
+        ShardCols::Decoded(seg) => covered_rows_span(seg.table(), rule, cols, 0..span.len(), base),
+        // `None`: a predicate value is absent from remap — a zero-count shard.
+        ShardCols::Transient(raw) => local_predicates(raw, rule)
+            .map_or_else(Vec::new, |preds| covered_by_local(&preds, base, span.len())),
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -239,7 +177,7 @@ fn covered_in_shard(
 /// form of [`crate::covered_rows`]: shards are filtered in index order and
 /// the per-shard hit lists concatenate, so the output is byte-identical to
 /// the monolithic scan on any shard count. Cached shards are scanned in
-/// place (decoded or raw); misses range-read only the rule's columns.
+/// place; misses range-read only the rule's columns.
 pub fn try_covered_rows_sharded(
     table: &ShardedTable,
     rule: &Rule,
@@ -286,9 +224,9 @@ pub fn try_covered_rows_sharded_range(
 /// segment-tier form of [`crate::count_rules`], the scan behind the
 /// explorer's exact-count refresh.
 ///
-/// det-order: counts are exact integers, so per-shard `u64` subtotals add
-/// up to the monolithic count bitwise — which frees each shard to use the
-/// SIMD count kernels over whichever form it holds.
+/// Counts are exact integers, so per-shard `u64` subtotals add up to the
+/// monolithic count bitwise — which frees each shard to use the SIMD count
+/// kernels over whichever form it holds.
 pub fn try_count_rules_sharded(
     table: &ShardedTable,
     rules: &[Rule],
@@ -321,20 +259,20 @@ pub fn try_count_rules_sharded(
 }
 
 /// One rule's covered-row count in one shard: the shared span count over a
-/// decoded segment's table; over the raw form, the vectorized local-code
-/// count for single-column rules and the survivor count of
-/// [`covered_in_shard`] for wider ones.
-fn count_rule_in_shard(f: &ShardCols<'_>, rule: &Rule, n_rows: usize) -> u64 {
-    if let Some(seg) = f.decoded() {
-        return count_rule_span(seg.table(), rule, 0..n_rows);
-    }
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    match cols[..] {
-        [] => n_rows as u64,
+/// decoded segment's table; over the transient form, the vectorized
+/// local-code count for single-column rules and the survivor count of
+/// [`covered_by_local`] for wider ones.
+fn count_rule_in_shard(f: &ShardCols, rule: &Rule, n_rows: usize) -> u64 {
+    let raw = match f {
+        ShardCols::Decoded(seg) => return count_rule_span(seg.table(), rule, 0..n_rows),
+        ShardCols::Transient(raw) => raw,
+    };
+    match local_predicates(raw, rule).as_deref() {
         // A value absent from remap covers zero rows in this shard.
-        [_] => local_predicates(f, rule, &cols)
-            .map_or(0, |preds| count_eq_local(preds[0].0, preds[0].1) as u64),
-        _ => covered_in_shard(f, rule, &cols, &(0..n_rows)).len() as u64,
+        None => 0,
+        Some(&[]) => n_rows as u64,
+        Some(&[(codes, want)]) => count_eq_local(codes, want) as u64,
+        Some(preds) => covered_by_local(preds, 0, n_rows).len() as u64,
     }
 }
 
@@ -373,22 +311,20 @@ pub fn try_count_rules_in_store(
 }
 
 // ---------------------------------------------------------------------------
-// Algorithm 2 over sharded storage
+// Searching rows of a segmented store
 // ---------------------------------------------------------------------------
 
-/// Runs Algorithm 2 over a sharded view — the per-shard counting kernel.
+/// Algorithm 2 over the rows a [`ShardedView`] names: gathers them into an
+/// in-memory table ([`ShardedTable::try_gather_rows`] — one pinned segment
+/// at a time, resident segments first) and runs the one search kernel on
+/// it, which is what the sampling layer and BRS do for every request over
+/// segmented storage. Position `i` of the gathered table is position `i`
+/// of the view, so `covered_weight` and the view's weights carry over
+/// unchanged and the result is bit-identical to
+/// [`crate::find_best_marginal_rule`] on the equivalent monolithic row-id
+/// view, for any shard count and resident budget.
 ///
-/// Candidate generation, pruning, group layout, and winner selection are
-/// the exact code the monolithic kernel runs
-/// ([`crate::kernel`] shares them); only the row scans differ, and those
-/// follow the determinism contract in the module docs — so the result is
-/// bit-identical to [`crate::find_best_marginal_rule`] on the equivalent
-/// monolithic view, for any shard count, resident budget, and thread count
-/// (det-order: float merges delegate to the pass helpers below, which
-/// replay the monolithic operation order or reduce pairwise).
-/// Shards are consumed in whichever cached form they hold; spilled shards
-/// are counted straight off their packed local codes (see the module docs'
-/// pushdown section).
+/// Panics if `covered_weight` does not align with the view.
 pub fn try_find_best_marginal_rule_sharded(
     view: &ShardedView,
     weight: &dyn WeightFn,
@@ -396,466 +332,22 @@ pub fn try_find_best_marginal_rule_sharded(
     opts: &SearchOptions,
     scratch: &mut SearchScratch,
 ) -> Result<Option<BestMarginal>, TableError> {
-    assert_eq!(
-        covered_weight.len(),
-        view.len(),
-        "covered_weight must align with view"
-    );
     let st = view.table();
-    let header = st.header();
-    let n_cols = st.n_columns();
-    let base = opts.base.clone().unwrap_or_else(|| Rule::trivial(n_cols));
-    let free_cols: Vec<usize> = (0..n_cols).filter(|&c| base.is_star(c)).collect();
-    let max_size = opts
-        .max_rule_size
-        .unwrap_or(free_cols.len())
-        .min(free_cols.len());
-    if max_size == 0 || view.is_empty() {
-        return Ok(None);
-    }
-
-    let runs = view.shard_runs();
-    let threads = exec::threads_for_rows(view.len());
-
-    let mut stats = SearchStats::default();
-    let mut counted: FxHashMap<Rule, CandStat> = FxHashMap::default();
-    let mut best_h = 0.0f64;
-
-    // ---- Pass 1: per-shard columnar counting. ----
-    stats.passes = 1;
-    let col_counts = pass1_counts_sharded(view, &runs, &free_cols, threads)?;
-    let cands: Vec<Pass1Cands> = free_cols
-        .iter()
-        .enumerate()
-        .map(|(fi, &c)| pass1_candidates(header, &base, c, &col_counts[fi], weight, opts))
-        .collect();
-    let col_marginals =
-        pass1_marginals_sharded(view, &runs, &free_cols, &cands, covered_weight, threads)?;
-
-    let mut level: Vec<Rule> = Vec::new();
-    for (fi, cand) in cands.iter().enumerate() {
-        stats.generated += cand.generated;
-        stats.pruned += cand.pruned;
-        stats.counted += cand.rules.len();
-        let c = free_cols[fi];
-        for rule in &cand.rules {
-            let code = rule.code(c) as usize;
-            let stat = CandStat {
-                count: col_counts[fi][code],
-                marginal: col_marginals[fi][code],
-                weight: cand.wtab[code],
-            };
-            counted.insert(rule.clone(), stat);
-            if stat.marginal > best_h {
-                best_h = stat.marginal;
-            }
-        }
-        level.extend(cand.rules.iter().cloned());
-    }
-
-    // ---- Passes 2..: shared a-priori generation, per-shard counting. ----
-    let blocks = level_blocks(&level, &base);
-    let mut current = level;
-    for _pass in 2..=max_size {
-        let (next, cand_weights) = generate_level(
-            header, &base, &blocks, &current, &counted, weight, opts, best_h, &mut stats,
-        );
-        if next.is_empty() {
-            break;
-        }
-        stats.passes += 1;
-        stats.counted += next.len();
-
-        build_groups(scratch, header, &base, &next, view.len());
-        count_level_sharded(view, &runs, scratch, &cand_weights, covered_weight, threads)?;
-
-        for (cand, stat) in next.iter().zip(&scratch.cstats) {
-            if stat.marginal > best_h {
-                best_h = stat.marginal;
-            }
-            counted.insert(cand.clone(), *stat);
-        }
-        current = next;
-    }
-
-    Ok(pick_winner(&counted, stats))
-}
-
-/// One column's pass-1 unit count over one run, as exact `u64` partials.
-/// Raw shards histogram in local code space and scatter through `remap`
-/// (integer addition — associative, exact).
-fn pass1_unit_counts_run(
-    view: &ShardedView,
-    run: &ShardRun,
-    data: &SegmentData,
-    col: usize,
-    card: usize,
-) -> Vec<u64> {
-    let mut counts = vec![0u64; card];
-    match data {
-        SegmentData::Decoded(seg) => {
-            let codes = seg.col(col);
-            for pos in run.positions.clone() {
-                counts[codes[seg.local(view.row_at(pos))] as usize] += 1;
-            }
-        }
-        SegmentData::Raw(raw) => {
-            let rc = raw.col(col);
-            let start = raw.span().start;
-            let codes = rc.codes();
-            let mut lhist = vec![0u64; rc.cardinality()];
-            for pos in run.positions.clone() {
-                let local = view.row_at(pos) as usize - start;
-                lhist[codes.at(local) as usize] += 1;
-            }
-            for (l, &g) in rc.remap().iter().enumerate() {
-                counts[g as usize] += lhist[l];
-            }
-        }
-    }
-    counts
-}
-
-/// One column's weighted pass-1 count accumulation over one run, in row
-/// order (det-order: runs arrive in position order, so the float operation
-/// sequence is the monolithic one). Raw shards use the swap-in/swap-out
-/// trick (module docs): local
-/// accumulators borrow and return the global slots' running values, so the
-/// float operation sequence matches the decoded scan exactly.
-fn pass1_count_run(
-    view: &ShardedView,
-    run: &ShardRun,
-    data: &SegmentData,
-    col: usize,
-    counts: &mut [f64],
-) {
-    match data {
-        SegmentData::Decoded(seg) => {
-            let codes = seg.col(col);
-            for pos in run.positions.clone() {
-                counts[codes[seg.local(view.row_at(pos))] as usize] += view.weight_at(pos);
-            }
-        }
-        SegmentData::Raw(raw) => {
-            let rc = raw.col(col);
-            let start = raw.span().start;
-            let codes = rc.codes();
-            let remap = rc.remap();
-            let mut lacc: Vec<f64> = remap.iter().map(|&g| counts[g as usize]).collect();
-            for pos in run.positions.clone() {
-                let local = view.row_at(pos) as usize - start;
-                lacc[codes.at(local) as usize] += view.weight_at(pos);
-            }
-            for (l, &g) in remap.iter().enumerate() {
-                counts[g as usize] = lacc[l];
-            }
-        }
-    }
-}
-
-/// Pass-1 counts per free column.
-///
-/// Unit-weight views fan out **one task per shard run** — the task fetches
-/// its segment data exactly once and counts every free column over it —
-/// with private `u64` partials, merged per column in run order by
-/// [`exec::reduce_pairwise`]: integer addition is associative, so this is
-/// exact and identical to the serial sweep, and at most `threads` segments
-/// are pinned at a time. Weighted views thread one `f64` accumulator per
-/// column through the runs in order (columns in parallel, runs
-/// sequential), reproducing the monolithic float operation order.
-fn pass1_counts_sharded(
-    view: &ShardedView,
-    runs: &[ShardRun],
-    free_cols: &[usize],
-    threads: usize,
-) -> Result<Vec<Vec<f64>>, TableError> {
-    let st = view.table();
-    if view.weights().is_none() && threads > 1 {
-        let per_run: Vec<Result<Vec<Vec<u64>>, TableError>> =
-            exec::parallel_map(threads, runs.to_vec(), |run| {
-                let data = st.segment_data(run.shard)?;
-                Ok(free_cols
-                    .iter()
-                    .map(|&c| pass1_unit_counts_run(view, &run, &data, c, st.cardinality(c)))
-                    .collect())
-            });
-        // Transpose to per-column partial lists (run order preserved).
-        let mut col_parts: Vec<Vec<Vec<u64>>> = (0..free_cols.len())
-            .map(|_| Vec::with_capacity(runs.len()))
-            .collect();
-        for run_out in per_run {
-            for (fi, counts) in run_out?.into_iter().enumerate() {
-                col_parts[fi].push(counts);
-            }
-        }
-        return Ok(col_parts
-            .into_iter()
-            .map(|parts| {
-                let merged = exec::reduce_pairwise(parts, |a, b| {
-                    for (x, y) in a.iter_mut().zip(b) {
-                        *x += y;
-                    }
-                });
-                merged.into_iter().map(|c| c as f64).collect()
-            })
-            .collect());
-    }
-
-    let mut accs: Vec<(usize, Vec<f64>)> = free_cols
-        .iter()
-        .enumerate()
-        .map(|(fi, &c)| (fi, vec![0.0f64; st.cardinality(c)]))
-        .collect();
-    for run in runs {
-        let data = st.segment_data(run.shard)?;
-        accs = exec::parallel_map(threads, accs, |(fi, mut counts)| {
-            pass1_count_run(view, run, &data, free_cols[fi], &mut counts);
-            (fi, counts)
-        });
-    }
-    Ok(accs.into_iter().map(|(_, c)| c).collect())
-}
-
-/// Pass-1 marginal sweep: one shared `f64` accumulator per column, runs in
-/// order (columns in parallel) — det-order: the monolithic operation order
-/// exactly, one run at a time.
-/// Raw shards swap the accumulator and the weight table into local code
-/// space for the run (`lw[l] = wtab[remap[l]]` is a pure relabeling).
-fn pass1_marginals_sharded(
-    view: &ShardedView,
-    runs: &[ShardRun],
-    free_cols: &[usize],
-    cands: &[Pass1Cands],
-    covered_weight: &[f64],
-    threads: usize,
-) -> Result<Vec<Vec<f64>>, TableError> {
-    let st = view.table();
-    let mut accs: Vec<(usize, Vec<f64>)> = free_cols
-        .iter()
-        .enumerate()
-        .map(|(fi, &c)| (fi, vec![0.0f64; st.cardinality(c)]))
-        .collect();
-    for run in runs {
-        let data = st.segment_data(run.shard)?;
-        accs = exec::parallel_map(threads, accs, |(fi, mut marginals)| {
-            let wtab = &cands[fi].wtab;
-            match &data {
-                SegmentData::Decoded(seg) => {
-                    let codes = seg.col(free_cols[fi]);
-                    for pos in run.positions.clone() {
-                        let code = codes[seg.local(view.row_at(pos))] as usize;
-                        let w = wtab[code];
-                        marginals[code] += view.weight_at(pos) * (w - w.min(covered_weight[pos]));
-                    }
-                }
-                SegmentData::Raw(raw) => {
-                    let rc = raw.col(free_cols[fi]);
-                    let start = raw.span().start;
-                    let codes = rc.codes();
-                    let remap = rc.remap();
-                    let mut lacc: Vec<f64> = remap.iter().map(|&g| marginals[g as usize]).collect();
-                    let lw: Vec<f64> = remap.iter().map(|&g| wtab[g as usize]).collect();
-                    for pos in run.positions.clone() {
-                        let local = view.row_at(pos) as usize - start;
-                        let code = codes.at(local) as usize;
-                        let w = lw[code];
-                        lacc[code] += view.weight_at(pos) * (w - w.min(covered_weight[pos]));
-                    }
-                    for (l, &g) in remap.iter().enumerate() {
-                        marginals[g as usize] = lacc[l];
-                    }
-                }
-            }
-            (fi, marginals)
-        });
-    }
-    Ok(accs.into_iter().map(|(_, m)| m).collect())
-}
-
-/// One pass-j group's accumulator, threaded through the shard runs.
-enum GroupAcc {
-    Dense {
-        counts: Vec<f64>,
-        marginals: Vec<f64>,
-        wvec: Vec<f64>,
-    },
-    Sparse {
-        acc: Vec<(f64, f64)>,
-    },
-}
-
-/// Counts one level's candidate groups over the sharded view, writing
-/// per-candidate stats into `scratch.cstats`. Groups run in parallel; each
-/// group's accumulator sees the runs sequentially in order, so the float
-/// operation order matches the monolithic [`crate::kernel`] `count_level`.
-/// Raw shards premultiply each group column's `remap` by its stride
-/// (`lcell[l] = remap[l] * stride`, integers), so dense cell indices — and
-/// hence the accumulation sequence — are identical to the decoded scan's.
-fn count_level_sharded(
-    view: &ShardedView,
-    runs: &[ShardRun],
-    scratch: &mut SearchScratch,
-    cand_weights: &[f64],
-    covered_weight: &[f64],
-    threads: usize,
-) -> Result<(), TableError> {
-    let st = view.table();
-    let groups: &Vec<Group> = &scratch.groups;
-    let mut accs: Vec<(usize, GroupAcc)> = groups
-        .iter()
-        .enumerate()
-        .map(|(gi, g)| {
-            let acc = if g.is_dense() {
-                let mut wvec = vec![0.0f64; g.cells];
-                for &(cell, ci) in &g.cand_cells {
-                    wvec[cell] = cand_weights[ci as usize];
-                }
-                GroupAcc::Dense {
-                    counts: vec![0.0; g.cells],
-                    marginals: vec![0.0; g.cells],
-                    wvec,
-                }
-            } else {
-                GroupAcc::Sparse {
-                    acc: vec![(0.0, 0.0); g.order.len()],
-                }
-            };
-            (gi, acc)
-        })
-        .collect();
-
-    for run in runs {
-        let data = st.segment_data(run.shard)?;
-        accs = exec::parallel_map(threads, accs, |(gi, mut acc)| {
-            let g = &groups[gi];
-            count_group_run(view, run, &data, g, &mut acc, cand_weights, covered_weight);
-            (gi, acc)
-        });
-    }
-
-    let cstats = &mut scratch.cstats;
-    cstats.clear();
-    cstats.extend(cand_weights.iter().map(|&w| CandStat {
-        count: 0.0,
-        marginal: 0.0,
-        weight: w,
-    }));
-    for (gi, acc) in accs {
-        let g = &groups[gi];
-        match acc {
-            GroupAcc::Dense {
-                counts, marginals, ..
-            } => {
-                for &(cell, ci) in &g.cand_cells {
-                    let s = &mut cstats[ci as usize];
-                    s.count = counts[cell];
-                    s.marginal = marginals[cell];
-                }
-            }
-            GroupAcc::Sparse { acc } => {
-                for (&ci, (c, m)) in g.order.iter().zip(acc) {
-                    let s = &mut cstats[ci as usize];
-                    s.count = c;
-                    s.marginal = m;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// One group × one run of the pass-j count, over either segment form.
-fn count_group_run(
-    view: &ShardedView,
-    run: &ShardRun,
-    data: &SegmentData,
-    g: &Group,
-    acc: &mut GroupAcc,
-    cand_weights: &[f64],
-    covered_weight: &[f64],
-) {
-    match acc {
-        GroupAcc::Dense {
-            counts,
-            marginals,
-            wvec,
-        } => match data {
-            SegmentData::Decoded(seg) => {
-                for pos in run.positions.clone() {
-                    let local = seg.local(view.row_at(pos));
-                    let mut cell = 0usize;
-                    for (&c, &stride) in g.cols.iter().zip(&g.strides) {
-                        cell += seg.col(c)[local] as usize * stride;
-                    }
-                    let w_t = view.weight_at(pos);
-                    let w = wvec[cell];
-                    counts[cell] += w_t;
-                    marginals[cell] += w_t * (w - w.min(covered_weight[pos]));
-                }
-            }
-            SegmentData::Raw(raw) => {
-                let start = raw.span().start;
-                // Premultiplied per-column cell contributions in local code
-                // space: cell = Σ remap[l] * stride, computed once per
-                // (shard-local code) instead of once per row.
-                let lcells: Vec<Vec<usize>> = g
-                    .cols
-                    .iter()
-                    .zip(&g.strides)
-                    .map(|(&c, &stride)| {
-                        raw.col(c)
-                            .remap()
-                            .iter()
-                            .map(|&gcode| gcode as usize * stride)
-                            .collect()
-                    })
-                    .collect();
-                let lcodes: Vec<&LocalCodes> = g.cols.iter().map(|&c| raw.col(c).codes()).collect();
-                for pos in run.positions.clone() {
-                    let local = view.row_at(pos) as usize - start;
-                    let mut cell = 0usize;
-                    for (lc, codes) in lcells.iter().zip(&lcodes) {
-                        cell += lc[codes.at(local) as usize];
-                    }
-                    let w_t = view.weight_at(pos);
-                    let w = wvec[cell];
-                    counts[cell] += w_t;
-                    marginals[cell] += w_t * (w - w.min(covered_weight[pos]));
-                }
-            }
-        },
-        GroupAcc::Sparse { acc } => {
-            let mut wide: Vec<u32> = Vec::new();
-            match data {
-                SegmentData::Decoded(seg) => {
-                    for pos in run.positions.clone() {
-                        let local = seg.local(view.row_at(pos));
-                        if let Some(p) = g.probe(&mut wide, |gc| seg.col(g.cols[gc])[local]) {
-                            let w = cand_weights[g.order[p] as usize];
-                            let w_t = view.weight_at(pos);
-                            let slot = &mut acc[p];
-                            slot.0 += w_t;
-                            slot.1 += w_t * (w - w.min(covered_weight[pos]));
-                        }
-                    }
-                }
-                SegmentData::Raw(raw) => {
-                    let start = raw.span().start;
-                    let cols_raw: Vec<&RawColumn> = g.cols.iter().map(|&c| raw.col(c)).collect();
-                    for pos in run.positions.clone() {
-                        let local = view.row_at(pos) as usize - start;
-                        if let Some(p) = g.probe(&mut wide, |gc| cols_raw[gc].global_at(local)) {
-                            let w = cand_weights[g.order[p] as usize];
-                            let w_t = view.weight_at(pos);
-                            let slot = &mut acc[p];
-                            slot.0 += w_t;
-                            slot.1 += w_t * (w - w.min(covered_weight[pos]));
-                        }
-                    }
-                }
-            }
-        }
-    }
+    let gathered = Arc::new(match view.row_ids() {
+        Some(rows) => st.try_gather_rows(rows)?,
+        None => st.try_gather_rows(&(0..st.n_rows() as RowId).collect::<Vec<_>>())?,
+    });
+    let rows = match view.weights() {
+        Some(w) => OwnedTableView::all_with_weights(gathered, w.to_vec()),
+        None => OwnedTableView::all(gathered),
+    };
+    Ok(find_best_marginal_rule_with_scratch(
+        &rows.as_view(),
+        weight,
+        covered_weight,
+        opts,
+        scratch,
+    ))
 }
 
 #[cfg(test)]
@@ -1025,6 +517,31 @@ mod tests {
                 assert_eq!(count, crate::rule_count(&table.view(), rule), "{rule:?}");
             }
         }
+    }
+
+    #[test]
+    fn cold_scans_leave_the_cache_as_found_and_hits_share_one_arc() {
+        let table = t();
+        let st = spilled(&table, 5);
+        let rules = vec![
+            Rule::from_pairs(&table, &[("A", "a")]).unwrap(),
+            Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap(),
+        ];
+        // Misses range-read their columns transiently: one load per shard
+        // per scan, nothing enters the cache.
+        let n = st.n_shards() as u64;
+        try_covered_rows_sharded(&st, &rules[1]).unwrap();
+        assert_eq!((st.resident_count(), st.loads()), (0, n));
+        try_count_rules_sharded(&st, &rules).unwrap();
+        assert_eq!((st.resident_count(), st.loads()), (0, 2 * n));
+        // A decoded load enters the cache once; hits hand out the same Arc,
+        // and scans use it in place instead of reading again.
+        let first = st.try_segment(0).unwrap();
+        let again = st.try_segment(0).unwrap();
+        assert!(Arc::ptr_eq(&first, &again));
+        assert_eq!(st.loads(), 2 * n + 1);
+        try_covered_rows_sharded(&st, &rules[0]).unwrap();
+        assert_eq!(st.loads(), 3 * n, "the cached shard was not re-read");
     }
 
     #[test]

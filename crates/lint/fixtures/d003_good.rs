@@ -1,6 +1,5 @@
-//! Known-good fixture for D003: one loop justifies its fixed operation
-//! order with a `det-order:` doc line, the other delegates merging to the
-//! ordered pairwise reducer.
+//! Known-good fixture for D003: the loop justifies its fixed operation
+//! order with a `det-order:` doc line.
 
 /// Sums a slice front to back.
 ///
@@ -12,22 +11,4 @@ pub fn total(xs: &[f64]) -> f64 {
         acc += *x;
     }
     acc
-}
-
-/// Sums per-chunk partials, merging in fixed order.
-pub fn total_chunked(xs: &[f64]) -> f64 {
-    let partials: Vec<f64> = xs.chunks(8).map(total).collect();
-    let mut merged = vec![0.0f64];
-    for p in partials {
-        merged.push(p);
-    }
-    reduce_pairwise(&merged)
-}
-
-fn reduce_pairwise(xs: &[f64]) -> f64 {
-    match xs.len() {
-        0 => 0.0,
-        1 => xs[0],
-        n => reduce_pairwise(&xs[..n / 2]) + reduce_pairwise(&xs[n / 2..]),
-    }
 }

@@ -44,7 +44,7 @@ impl std::fmt::Display for Finding {
 /// `fixtures` holds the linter's own known-bad test inputs.
 const SKIP_DIRS: &[&str] = &["target", "vendor", ".git", "fixtures", "node_modules"];
 
-/// Collects every `.rs` file under `root` (skipping [`SKIP_DIRS`]),
+/// Collects every `.rs` file under `root` (skipping `SKIP_DIRS`),
 /// returning workspace-relative `/`-separated paths in sorted order so
 /// report order never depends on directory-iteration order.
 pub fn collect_sources(root: &Path) -> std::io::Result<Vec<String>> {

@@ -94,7 +94,7 @@ fn d002_silent_on_known_good() {
 }
 
 // ---------------------------------------------------------------------------
-// D003 — ordered float reduction
+// D003 — fixed float operation order
 // ---------------------------------------------------------------------------
 
 #[test]

@@ -730,6 +730,7 @@ mod tests {
         let walmart = Rule::from_pairs(&t, &[("Store", "Walmart")]).unwrap();
         let est_w: f64 = s
             .view
+            .as_view()
             .iter()
             .filter(|wr| walmart.covers_row(s.view.table(), wr.row))
             .map(|wr| wr.weight)

@@ -23,8 +23,7 @@
 //!   rows into fixed columnar shard segments (optionally spilled to disk
 //!   under a resident-shard budget with LRU eviction), [`ShardBuilder`]
 //!   streams rows in without materializing
-//!   the monolithic table, [`ShardedView`] presents the familiar
-//!   positional view surface over it, and [`TableStore`] lets the session
+//!   the monolithic table, and [`TableStore`] lets the session
 //!   stack hold either storage form behind one handle. The shard layout and
 //!   spill round-trip are deterministic, so sharded scans reproduce the
 //!   monolithic results bit-for-bit (see the module docs for the contract).
@@ -49,9 +48,8 @@ pub use dictionary::Dictionary;
 pub use error::TableError;
 pub use schema::{ColumnDef, Schema};
 pub use shard::{
-    LiveSnapshot, LiveStore, LiveTable, LiveTableConfig, LocalCodes, RawColumn, RawSegment,
-    SegmentData, ShardBuilder, ShardConfig, ShardRun, ShardSegment, ShardedTable, ShardedView,
-    TableStore,
+    LiveSnapshot, LiveStore, LiveTable, LiveTableConfig, LocalCodes, RawColumn, ShardBuilder,
+    ShardConfig, ShardSegment, ShardedTable, ShardedView, TableStore,
 };
 pub use table::{Table, TableBuilder};
 pub use view::{chunk_spans, OwnedTableView, RowId, TableView, ViewChunk, WeightedRow};

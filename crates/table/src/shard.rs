@@ -17,11 +17,11 @@
 //!   per-column offset table in the header lets readers fetch individual
 //!   columns with positioned range reads. Loading remaps local → global, so
 //!   a spill → load round-trip reproduces the resident segment bit-for-bit.
-//!   The spill coding is also directly scannable **without** decoding: a
-//!   [`RawSegment`] exposes each column's `remap` and packed [`LocalCodes`],
-//!   and `sdd-core`'s pushdown scans translate predicates into local code
-//!   space and run over the packed bytes (see [`SegmentData`],
-//!   [`ShardedTable::segment_data`], [`ShardedTable::read_columns`]).
+//!   The spill coding is also directly scannable **without** decoding:
+//!   [`ShardedTable::read_columns`] range-reads individual columns as
+//!   [`RawColumn`]s (`remap` + packed [`LocalCodes`]), and `sdd-core`'s
+//!   pushdown scans translate predicates into local code space and run
+//!   over the packed bytes.
 //!
 //! Residency is governed by a **resident-shard budget**: at most that many
 //! segments are cached at once (segments are immutable, so eviction can
@@ -47,13 +47,12 @@
 //! ## Determinism contract
 //!
 //! The shard layout partitions `[0, n_rows)` in order, so iterating shards
-//! in index order visits rows in exactly the monolithic row order. Every
-//! sharded compute path in `sdd-core` exploits this: scans accumulate
-//! shard-after-shard into shared accumulators (identical float operation
-//! order → bit-identical results to the monolithic path, for **any** shard
-//! count and **any** resident budget), and integer partials may additionally
-//! fan out per shard because integer addition is associative. Eviction and
-//! reload affect only *when* bytes are in memory, never which bytes.
+//! in index order visits rows in exactly the monolithic row order. The
+//! segment scans in `sdd-core` exploit this: per-shard hit lists
+//! concatenate and per-shard integer counts add up to exactly the
+//! monolithic result, for **any** shard count and **any** resident budget.
+//! Eviction and reload affect only *when* bytes are in memory, never which
+//! bytes.
 //!
 //! Measure columns stay fully resident inside the [`ShardedTable`] (8 bytes
 //! per row per measure); only the dictionary-coded categorical columns
@@ -190,8 +189,8 @@ impl LocalCodes {
 
 /// One spilled column in its on-disk coding: the `remap` array (local →
 /// global codes, in first-appearance order within the shard) plus the rows
-/// as packed [`LocalCodes`]. This is the raw-segment access path the
-/// spill-tier predicate pushdown scans — no global-code materialization.
+/// as packed [`LocalCodes`]. This is what the spill-tier predicate
+/// pushdown scans — no global-code materialization.
 ///
 /// Loaded columns are validated once (every local code `< remap.len()`),
 /// so `remap[code as usize]` indexing never faults afterwards.
@@ -214,11 +213,6 @@ impl RawColumn {
         &self.codes
     }
 
-    /// Shard-local cardinality (`remap().len()`).
-    pub fn cardinality(&self) -> usize {
-        self.remap.len()
-    }
-
     /// The local code for global code `g`, or `None` when `g` never occurs
     /// in this shard — the pushdown zero-count test: a predicate whose
     /// value is absent from `remap` covers no row of the shard, so the
@@ -226,94 +220,20 @@ impl RawColumn {
     pub fn local_of_global(&self, g: u32) -> Option<u32> {
         self.remap.iter().position(|&x| x == g).map(|p| p as u32)
     }
-
-    /// The global code at row `i`.
-    #[inline]
-    pub fn global_at(&self, i: usize) -> u32 {
-        self.remap[self.codes.at(i) as usize]
-    }
-}
-
-/// One shard in spill coding: the global row span plus every column as a
-/// [`RawColumn`]. The raw twin of [`ShardSegment`].
-#[derive(Debug)]
-pub struct RawSegment {
-    span: Range<usize>,
-    cols: Vec<RawColumn>,
-}
-
-impl RawSegment {
-    /// The global row range `[start, end)` this segment holds.
-    pub fn span(&self) -> Range<usize> {
-        self.span.clone()
-    }
-
-    /// Column `c` in spill coding.
-    pub fn col(&self, c: usize) -> &RawColumn {
-        &self.cols[c]
-    }
-
-    /// Maps a global row id inside [`RawSegment::span`] to the local row
-    /// index.
-    #[inline]
-    pub fn local(&self, row: RowId) -> usize {
-        debug_assert!(self.span.contains(&(row as usize)), "row outside span");
-        row as usize - self.span.start
-    }
-}
-
-/// A shard's data in whichever form the residency cache holds — decoded
-/// (global codes, a small [`Table`]) or raw (spill coding). Scans that can
-/// run over either form ask for this via
-/// [`ShardedTable::segment_data`] and never force a decode.
-#[derive(Debug, Clone)]
-pub enum SegmentData {
-    /// The decoded, global-code resident form.
-    Decoded(Arc<ShardSegment>),
-    /// The spill-coded raw form (local codes + remap, no `Table`).
-    Raw(Arc<RawSegment>),
-}
-
-impl SegmentData {
-    /// The global row span.
-    pub fn span(&self) -> Range<usize> {
-        match self {
-            SegmentData::Decoded(s) => s.span(),
-            SegmentData::Raw(r) => r.span(),
-        }
-    }
-}
-
-/// The cached form of one shard. A raw entry is *upgraded* in place to the
-/// decoded form when a caller needs a [`ShardSegment`]; both forms count
-/// equally against the resident budget and pin the same way (the cache's
-/// own `Arc` is the baseline count of 1).
-#[derive(Debug)]
-enum CachedSeg {
-    Decoded(Arc<ShardSegment>),
-    Raw(Arc<RawSegment>),
-}
-
-impl CachedSeg {
-    fn is_pinned(&self) -> bool {
-        match self {
-            CachedSeg::Decoded(a) => Arc::strong_count(a) > 1,
-            CachedSeg::Raw(a) => Arc::strong_count(a) > 1,
-        }
-    }
-
-    fn data(&self) -> SegmentData {
-        match self {
-            CachedSeg::Decoded(a) => SegmentData::Decoded(Arc::clone(a)),
-            CachedSeg::Raw(a) => SegmentData::Raw(Arc::clone(a)),
-        }
-    }
 }
 
 #[derive(Debug)]
 struct CacheEntry {
-    seg: CachedSeg,
+    seg: Arc<ShardSegment>,
     last_used: u64,
+}
+
+impl CacheEntry {
+    /// Pinned while any caller still holds the segment's `Arc` (the cache's
+    /// own reference is the baseline count of 1).
+    fn is_pinned(&self) -> bool {
+        Arc::strong_count(&self.seg) > 1
+    }
 }
 
 #[derive(Debug, Default)]
@@ -336,13 +256,12 @@ impl Cache {
         self.peak_resident = self.peak_resident.max(self.resident.len());
     }
 
-    /// Evicts unpinned segments until the budget is met. An entry is
-    /// *pinned* while any caller still holds its `Arc` (the cache's own
-    /// reference is the baseline count of 1): evicting it would drop the
-    /// map entry but not the bytes, so the resident counter would undercount
-    /// true memory use — instead pinned segments stay in the map and count
-    /// against the budget, and the cache only overshoots by the number of
-    /// concurrently pinned segments (`resident.len() ≤ budget + pinned`).
+    /// Evicts unpinned segments until the budget is met. Evicting a pinned
+    /// entry would drop the map entry but not the bytes, so the resident
+    /// counter would undercount true memory use — instead pinned segments
+    /// stay in the map and count against the budget, and the cache only
+    /// overshoots by the number of concurrently pinned segments
+    /// (`resident.len() ≤ budget + pinned`).
     ///
     /// Only segments with a spill file (`spill[i].is_some()`) are eviction
     /// candidates: a spill-less resident segment — a live table's unsealed
@@ -356,7 +275,7 @@ impl Cache {
             let victim = self
                 .resident
                 .iter()
-                .filter(|(&k, e)| spill[k].is_some() && !e.seg.is_pinned())
+                .filter(|(&k, e)| spill[k].is_some() && !e.is_pinned())
                 .min_by_key(|(_, e)| e.last_used)
                 .map(|(&k, _)| k);
             match victim {
@@ -499,10 +418,10 @@ impl ShardedTable {
                 cache.resident.insert(
                     i,
                     CacheEntry {
-                        seg: CachedSeg::Decoded(Arc::new(ShardSegment {
+                        seg: Arc::new(ShardSegment {
                             span: span.clone(),
                             table: segment_table(&header, &measures, span, cols),
-                        })),
+                        }),
                         last_used: cache.clock,
                     },
                 );
@@ -580,16 +499,14 @@ impl ShardedTable {
         self.cache.lock().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// The segment for shard `i` in decoded (global-code) form, loading —
-    /// or upgrading a cached raw entry — as needed.
+    /// The segment for shard `i` in decoded (global-code) form, loading it
+    /// from its spill file on a miss.
     ///
     /// The cache lock is **not** held across the disk read or the
     /// local→global decode: a cache hit on one shard never waits behind
     /// another thread's in-flight load. Two threads missing the same shard
     /// may both read the file — segments are immutable, so the loser's copy
     /// is simply dropped (both reads count in [`ShardedTable::loads`]).
-    /// Upgrading a cached [`SegmentData::Raw`] entry re-codes in memory and
-    /// does **not** count as a load.
     ///
     /// # Errors
     ///
@@ -597,81 +514,44 @@ impl ShardedTable {
     /// magic, truncation, shape mismatch, out-of-range local code),
     /// [`TableError::Io`] when reading it fails.
     pub fn try_segment(&self, i: usize) -> Result<Arc<ShardSegment>, TableError> {
-        let span = self.spans[i].clone();
-        let mut raw_hit: Option<Arc<RawSegment>> = None;
-        {
-            let mut cache = self.cache();
-            cache.clock += 1;
-            let clock = cache.clock;
-            let mut decoded_hit: Option<Arc<ShardSegment>> = None;
-            if let Some(entry) = cache.resident.get_mut(&i) {
-                entry.last_used = clock;
-                match &entry.seg {
-                    CachedSeg::Decoded(a) => decoded_hit = Some(Arc::clone(a)),
-                    CachedSeg::Raw(a) => raw_hit = Some(Arc::clone(a)),
-                }
-            }
-            if let Some(seg) = decoded_hit {
-                // Hits reclaim too: a burst of concurrent pins can grow the
-                // cache past the budget, and the released segments would
-                // otherwise linger as permanent hits (the budget never
-                // re-honored, eviction never firing again). The clone above
-                // pins `i`, so the pass cannot drop the returned segment.
-                cache.evict_over_budget(self.resident_budget, &self.spill);
-                return Ok(seg);
-            }
+        if let Some(seg) = self.cached_data(i) {
+            return Ok(seg);
         }
-        // Miss (or raw upgrade): read + decode outside the lock.
-        let cols: Vec<Vec<u32>> = match &raw_hit {
-            Some(raw) => globalize(&raw.cols),
-            None => {
-                let Some(path) = self.spill[i].as_ref() else {
-                    // Unreachable by construction: a shard is either resident
-                    // or spilled. Surface as an error, not a panic.
-                    debug_assert!(false, "non-resident shard {i} has no spill file");
-                    return Err(TableError::Io(format!(
-                        "shard {i} is neither resident nor spilled"
-                    )));
-                };
-                globalize(&read_raw_segment(
-                    path.path(),
-                    self.n_columns(),
-                    span.len(),
-                )?)
-            }
+        // Miss: read + decode outside the lock.
+        let span = self.spans[i].clone();
+        let Some(path) = self.spill[i].as_ref() else {
+            // Unreachable by construction: a shard is either resident or
+            // spilled. Surface as an error, not a panic.
+            debug_assert!(false, "non-resident shard {i} has no spill file");
+            return Err(TableError::Io(format!(
+                "shard {i} is neither resident nor spilled"
+            )));
         };
-        let from_disk = raw_hit.is_none();
+        let cols = globalize(&read_raw_segment(
+            path.path(),
+            self.n_columns(),
+            span.len(),
+        )?);
         let seg = Arc::new(ShardSegment {
-            span: span.clone(),
             table: segment_table(&self.header, &self.measures, &span, cols),
+            span,
         });
 
         let mut cache = self.cache();
         cache.clock += 1;
         let clock = cache.clock;
-        if from_disk {
-            cache.loads += 1;
-        }
+        cache.loads += 1;
         let seg = match cache.resident.get_mut(&i) {
+            // A concurrent loader won the race; keep its copy (ours drops).
             Some(entry) => {
                 entry.last_used = clock;
-                match &entry.seg {
-                    // A concurrent loader won the race; keep its copy (ours
-                    // drops).
-                    CachedSeg::Decoded(other) => Arc::clone(other),
-                    // Upgrade the raw entry in place; the packed form drops
-                    // when the last raw pin releases.
-                    CachedSeg::Raw(_) => {
-                        entry.seg = CachedSeg::Decoded(Arc::clone(&seg));
-                        seg
-                    }
-                }
+                Arc::clone(&entry.seg)
             }
             None => {
                 cache.resident.insert(
                     i,
                     CacheEntry {
-                        seg: CachedSeg::Decoded(Arc::clone(&seg)),
+                        seg: Arc::clone(&seg),
                         last_used: clock,
                     },
                 );
@@ -685,69 +565,24 @@ impl ShardedTable {
         Ok(seg)
     }
 
-    /// The shard's data in **whichever form the cache holds**, loading the
-    /// raw (spill-coded) form on a miss — never forcing a local→global
-    /// decode. This is the pushdown scan entry point: a miss costs one file
-    /// read into packed codes; a later [`ShardedTable::try_segment`] on the
-    /// same shard upgrades the entry in place.
-    ///
-    /// # Errors
-    ///
-    /// As [`ShardedTable::try_segment`].
-    pub fn segment_data(&self, i: usize) -> Result<SegmentData, TableError> {
-        if let Some(d) = self.cached_data(i) {
-            return Ok(d);
-        }
-        let span = self.spans[i].clone();
-        let Some(path) = self.spill[i].as_ref() else {
-            debug_assert!(false, "non-resident shard {i} has no spill file");
-            return Err(TableError::Io(format!(
-                "shard {i} is neither resident nor spilled"
-            )));
-        };
-        let cols = read_raw_segment(path.path(), self.n_columns(), span.len())?;
-        let raw = Arc::new(RawSegment { span, cols });
-
+    /// The shard's cached segment, or `None` on a miss — never touches
+    /// disk. Lets a scan use what is already resident before deciding how
+    /// to read ([`ShardedTable::read_columns`] for a few columns,
+    /// [`ShardedTable::try_segment`] for the whole shard).
+    pub fn cached_data(&self, i: usize) -> Option<Arc<ShardSegment>> {
         let mut cache = self.cache();
         cache.clock += 1;
         let clock = cache.clock;
-        cache.loads += 1;
-        let data = match cache.resident.get_mut(&i) {
-            // A concurrent loader won the race; use whatever form it cached.
-            Some(entry) => {
-                entry.last_used = clock;
-                entry.seg.data()
-            }
-            None => {
-                cache.resident.insert(
-                    i,
-                    CacheEntry {
-                        seg: CachedSeg::Raw(Arc::clone(&raw)),
-                        last_used: clock,
-                    },
-                );
-                SegmentData::Raw(raw)
-            }
-        };
-        cache.note_size();
+        let entry = cache.resident.get_mut(&i)?;
+        entry.last_used = clock;
+        let seg = Arc::clone(&entry.seg);
+        // Hits reclaim too: a burst of concurrent pins can grow the cache
+        // past the budget, and the released segments would otherwise linger
+        // as permanent hits (the budget never re-honored, eviction never
+        // firing again). The clone above pins `i`, so the pass cannot drop
+        // the returned segment.
         cache.evict_over_budget(self.resident_budget, &self.spill);
-        Ok(data)
-    }
-
-    /// The shard's cached data in whichever form, or `None` on a miss —
-    /// never touches disk. Lets a scan prefer whatever is already resident
-    /// before deciding how to read.
-    pub fn cached_data(&self, i: usize) -> Option<SegmentData> {
-        let mut cache = self.cache();
-        cache.clock += 1;
-        let clock = cache.clock;
-        let data = {
-            let entry = cache.resident.get_mut(&i)?;
-            entry.last_used = clock;
-            entry.seg.data()
-        };
-        cache.evict_over_budget(self.resident_budget, &self.spill);
-        Some(data)
+        Some(seg)
     }
 
     /// Range-reads **only** `cols` of shard `i`'s spill file (one `pread`
@@ -873,7 +708,7 @@ impl ShardedTable {
         self.cache()
             .resident
             .values()
-            .filter(|e| e.seg.is_pinned())
+            .filter(|e| e.is_pinned())
             .count()
     }
 
@@ -902,7 +737,7 @@ impl ShardedTable {
             let pinned = cache
                 .resident
                 .iter()
-                .filter(|(&i, e)| e.seg.is_pinned() || self.spill[i].is_none())
+                .filter(|(&i, e)| e.is_pinned() || self.spill[i].is_none())
                 .count();
             if self.resident_budget == 0 || cache.resident.len() <= self.resident_budget + pinned {
                 return (cache.resident.len(), pinned);
@@ -936,7 +771,7 @@ impl ShardedTable {
         let mut cache = self.cache();
         let mut dropped = 0u64;
         cache.resident.retain(|&i, e| {
-            let keep = self.spill[i].is_none() || e.seg.is_pinned();
+            let keep = self.spill[i].is_none() || e.is_pinned();
             if !keep {
                 dropped += 1;
             }
@@ -1203,10 +1038,10 @@ impl ShardBuilder {
                 cache.resident.insert(
                     i,
                     CacheEntry {
-                        seg: CachedSeg::Decoded(Arc::new(ShardSegment {
+                        seg: Arc::new(ShardSegment {
                             span: span.clone(),
                             table: segment_table(&header, &measures, span, cols),
-                        })),
+                        }),
                         last_used: cache.clock,
                     },
                 );
@@ -1349,7 +1184,7 @@ struct LiveState {
 /// monotonic **epoch** and publishes a new frozen [`LiveSnapshot`].
 ///
 /// * Sealing reuses the streaming builder's spill machinery
-///   ([`write_segment`], same `SDDSHRD2` encoding): every
+///   (`write_segment`, same `SDDSHRD2` encoding): every
 ///   `rows_per_segment` rows become an immutable sealed segment, written to
 ///   disk exactly once; the remainder stays in an always-resident tail.
 /// * Snapshots are plain [`ShardedTable`]s sharing the sealed spill files
@@ -1694,10 +1529,10 @@ impl LiveRows {
             cache.resident.insert(
                 i,
                 CacheEntry {
-                    seg: CachedSeg::Decoded(Arc::new(ShardSegment {
+                    seg: Arc::new(ShardSegment {
                         span: spans[i].clone(),
                         table: segment_table(&header, &measures, &spans[i], cols),
-                    })),
+                    }),
                     last_used: cache.clock,
                 },
             );
@@ -2062,24 +1897,11 @@ fn globalize(cols: &[RawColumn]) -> Vec<Vec<u32>> {
 // ShardedView
 // ---------------------------------------------------------------------------
 
-/// One maximal run of consecutive view positions whose rows live in a
-/// single shard — the unit sharded scans iterate.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardRun {
-    /// Shard index.
-    pub shard: usize,
-    /// Global view positions `[start, end)` of the run.
-    pub positions: Range<usize>,
-}
-
-/// An owned, `Send + Sync` view over a [`ShardedTable`]'s rows — the
-/// sharded counterpart of [`crate::OwnedTableView`], presenting the same
-/// positional surface (`len` / `row_at` / `weight_at` / `row_ids` /
-/// `weights` / `chunks`).
-///
-/// Chunk boundaries come from [`chunk_spans`] of the view length alone, so
-/// [`ShardedView::chunks`] is independent of the shard layout — the same
-/// chunk plan the monolithic view produces.
+/// Rows of a [`ShardedTable`] named by id, with optional per-row weights:
+/// every row in order ([`ShardedView::all`]) or an explicit subset. It
+/// carries no scan surface — searches run on gathered rows
+/// ([`ShardedTable::try_gather_rows`]); this type only names which rows,
+/// for `sdd_core::try_find_best_marginal_rule_sharded`.
 #[derive(Debug, Clone)]
 pub struct ShardedView {
     table: Arc<ShardedTable>,
@@ -2142,32 +1964,6 @@ impl ShardedView {
         self.len() == 0
     }
 
-    /// The row id at position `i`.
-    #[inline]
-    pub fn row_at(&self, i: usize) -> RowId {
-        match &self.rows {
-            None => i as RowId,
-            Some(v) => v[i],
-        }
-    }
-
-    /// The weight at position `i`.
-    #[inline]
-    pub fn weight_at(&self, i: usize) -> f64 {
-        match &self.weights {
-            Some(w) => w[i],
-            None => 1.0,
-        }
-    }
-
-    /// Sum of all weights.
-    pub fn total_weight(&self) -> f64 {
-        match &self.weights {
-            Some(w) => w.iter().sum(),
-            None => self.len() as f64,
-        }
-    }
-
     /// The explicit row-id slice, or `None` when the view covers all rows
     /// in order.
     #[inline]
@@ -2179,51 +1975,6 @@ impl ShardedView {
     #[inline]
     pub fn weights(&self) -> Option<&[f64]> {
         self.weights.as_deref()
-    }
-
-    /// Splits the view's **positions** into at most `max_chunks` spans via
-    /// [`chunk_spans`] — a pure function of `len` and `max_chunks`,
-    /// independent of the shard layout (asserted by the substrate property
-    /// suite).
-    pub fn chunks(&self, max_chunks: usize) -> Vec<Range<usize>> {
-        chunk_spans(self.len(), max_chunks)
-    }
-
-    /// The view's positions grouped into maximal per-shard runs, in
-    /// position order. For an all-rows view this is exactly one run per
-    /// non-empty shard; for subsets, consecutive positions sharing a shard
-    /// coalesce. Iterating runs in order visits positions `0..len` exactly
-    /// once, in order.
-    pub fn shard_runs(&self) -> Vec<ShardRun> {
-        match &self.rows {
-            None => self
-                .table
-                .spans()
-                .iter()
-                .enumerate()
-                .filter(|(_, s)| !s.is_empty())
-                .map(|(shard, s)| ShardRun {
-                    shard,
-                    positions: s.clone(),
-                })
-                .collect(),
-            Some(rows) => {
-                let mut runs: Vec<ShardRun> = Vec::new();
-                for (pos, &row) in rows.iter().enumerate() {
-                    let shard = self.table.shard_of_row(row);
-                    match runs.last_mut() {
-                        Some(r) if r.shard == shard && r.positions.end == pos => {
-                            r.positions.end = pos + 1;
-                        }
-                        _ => runs.push(ShardRun {
-                            shard,
-                            positions: pos..pos + 1,
-                        }),
-                    }
-                }
-                runs
-            }
-        }
     }
 }
 
@@ -2352,12 +2103,6 @@ impl TableStore {
         }
     }
 
-    /// True for segmented storage (sharded or live) — every sharded scan
-    /// path applies to the live pinned snapshot as well.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, TableStore::Sharded(_) | TableStore::Live(_))
-    }
-
     /// The pinned epoch: `0` for frozen storage (a frozen table is a live
     /// table that never appends), the holder's pinned epoch for live.
     pub fn epoch(&self) -> u64 {
@@ -2369,7 +2114,8 @@ impl TableStore {
 
     /// The pinned [`ShardedTable`] view for segmented storage (`None` for
     /// [`TableStore::Whole`]): the shared table for `Sharded`, the pinned
-    /// snapshot for `Live`. Scans that match on `is_sharded` use this.
+    /// snapshot for `Live`. The store-kind dispatch in `sdd_core::shard`
+    /// matches on this.
     pub fn as_sharded(&self) -> Option<&Arc<ShardedTable>> {
         match self {
             TableStore::Whole(_) => None,
@@ -2519,43 +2265,6 @@ mod tests {
     }
 
     #[test]
-    fn sharded_view_chunks_follow_chunk_spans() {
-        let table = t(29);
-        let st = Arc::new(ShardedTable::from_table(&table, &ShardConfig::in_memory(7)).unwrap());
-        let v = ShardedView::all(st.clone());
-        assert_eq!(v.chunks(4), chunk_spans(29, 4));
-        let sub = ShardedView::with_rows(st, vec![3, 4, 5, 20]);
-        assert_eq!(sub.chunks(3), chunk_spans(4, 3));
-    }
-
-    #[test]
-    fn shard_runs_cover_positions_in_order() {
-        let table = t(30);
-        let st = Arc::new(ShardedTable::from_table(&table, &ShardConfig::in_memory(4)).unwrap());
-        let all = ShardedView::all(st.clone());
-        let runs = all.shard_runs();
-        assert_eq!(runs.len(), 4);
-        let mut pos = 0;
-        for r in &runs {
-            assert_eq!(r.positions.start, pos);
-            pos = r.positions.end;
-        }
-        assert_eq!(pos, 30);
-
-        let sub = ShardedView::with_rows(st, vec![0, 1, 29, 2, 8, 9]);
-        let runs = sub.shard_runs();
-        let mut pos = 0;
-        for r in &runs {
-            assert_eq!(r.positions.start, pos);
-            pos = r.positions.end;
-            for p in r.positions.clone() {
-                assert_eq!(sub.table().shard_of_row(sub.row_at(p)), r.shard);
-            }
-        }
-        assert_eq!(pos, sub.len());
-    }
-
-    #[test]
     fn resident_budget_requires_spill() {
         let table = t(10);
         let cfg = ShardConfig {
@@ -2571,9 +2280,7 @@ mod tests {
         let table = t(0);
         let st = ShardedTable::from_table(&table, &ShardConfig::in_memory(3)).unwrap();
         assert_eq!(st.n_rows(), 0);
-        let v = ShardedView::all(Arc::new(st));
-        assert!(v.is_empty());
-        assert!(v.shard_runs().is_empty());
+        assert!(ShardedView::all(Arc::new(st)).is_empty());
     }
 
     #[test]
@@ -2768,46 +2475,6 @@ mod tests {
     }
 
     #[test]
-    fn segment_data_serves_raw_form_and_upgrades_in_place() {
-        let table = t(50);
-        let st =
-            ShardedTable::from_table(&table, &ShardConfig::spilling(5, 2, spill_dir())).unwrap();
-        for i in 0..st.n_shards() {
-            let data = st.segment_data(i).unwrap();
-            let raw = match &data {
-                SegmentData::Raw(r) => r,
-                SegmentData::Decoded(_) => panic!("cold miss must load the raw form"),
-            };
-            assert_eq!(raw.span(), st.spans()[i].clone());
-            for c in 0..table.n_columns() {
-                let col = raw.col(c);
-                assert_eq!(col.codes().len(), st.spans()[i].len());
-                for (local, global) in st.spans()[i].clone().enumerate() {
-                    assert_eq!(col.global_at(local), table.code(global as RowId, c));
-                }
-                // Every remapped global code round-trips through the local
-                // translation, and absent codes report None.
-                for (l, &g) in col.remap().iter().enumerate() {
-                    assert_eq!(col.local_of_global(g), Some(l as u32));
-                }
-                let absent = table.cardinality(c) as u32 + 7;
-                assert_eq!(col.local_of_global(absent), None);
-            }
-        }
-        let loads = st.loads();
-        assert!(loads >= st.n_shards() as u64);
-        // Upgrading a still-cached raw entry decodes in memory: no new load.
-        let last = st.n_shards() - 1;
-        let seg = st.try_segment(last).unwrap();
-        assert_eq!(st.loads(), loads, "raw upgrade must not re-read the file");
-        assert_eq!(seg.col(0), &table.column(0)[st.spans()[last].clone()]);
-        match st.cached_data(last) {
-            Some(SegmentData::Decoded(_)) => {}
-            other => panic!("entry must be upgraded in place, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn read_columns_is_transient_and_counts_loads() {
         let table = t(60);
         let st =
@@ -2815,9 +2482,18 @@ mod tests {
         let loads0 = st.loads();
         let cols = st.read_columns(2, &[1]).unwrap();
         assert_eq!(cols.len(), 1);
+        assert_eq!(cols[0].codes().len(), st.spans()[2].len());
         for (local, global) in st.spans()[2].clone().enumerate() {
-            assert_eq!(cols[0].global_at(local), table.code(global as RowId, 1));
+            let code = cols[0].remap()[cols[0].codes().at(local) as usize];
+            assert_eq!(code, table.code(global as RowId, 1));
         }
+        // Every remapped global code round-trips through the local
+        // translation, and absent codes report None.
+        for (l, &g) in cols[0].remap().iter().enumerate() {
+            assert_eq!(cols[0].local_of_global(g), Some(l as u32));
+        }
+        let absent = table.cardinality(1) as u32 + 7;
+        assert_eq!(cols[0].local_of_global(absent), None);
         assert_eq!(
             st.loads(),
             loads0 + 1,
@@ -2844,7 +2520,6 @@ mod tests {
             Err(TableError::Corrupt(_)) => {}
             other => panic!("expected Corrupt, got {other:?}"),
         }
-        assert!(st.segment_data(1).is_err());
         // The pread path hits the same wall one column at a time.
         let last_col = table.n_columns() - 1;
         assert!(matches!(
@@ -2872,10 +2547,8 @@ mod tests {
         let table = Arc::new(t(9));
         let whole = TableStore::from(table.clone());
         assert_eq!(whole.n_rows(), 9);
-        assert!(!whole.is_sharded());
         let st = Arc::new(ShardedTable::from_table(&table, &ShardConfig::in_memory(2)).unwrap());
         let sharded = TableStore::from(st);
-        assert!(sharded.is_sharded());
         assert_eq!(sharded.n_rows(), 9);
         assert_eq!(sharded.n_columns(), 2);
         assert_eq!(sharded.header().n_rows(), 0, "header carries no rows");
@@ -3177,7 +2850,10 @@ mod tests {
             .unwrap(),
         );
         let mut store = TableStore::from(Arc::clone(&live));
-        assert!(store.is_sharded(), "live stores scan via the sharded paths");
+        assert!(
+            store.as_sharded().is_some(),
+            "live stores scan via the sharded paths"
+        );
         assert_eq!(store.epoch(), 0);
         let rows = live_rows(5);
         live.try_append(&rows, &[]).unwrap();

@@ -237,38 +237,34 @@ impl<'a> TableView<'a> {
     }
 }
 
-/// An **owned**, `Send + Sync` counterpart of [`TableView`]: the table is
-/// held by [`Arc`] rather than borrowed, so the view can live inside
-/// long-lived session state (a server registry entry, a background prefetch
-/// job) and cross thread boundaries freely.
+/// An **owned**, `Send + Sync` view over every row of its own table, with
+/// optional per-tuple weights — the shape of a materialised sample. The
+/// table is held by [`Arc`] rather than borrowed, so the view can live
+/// inside long-lived session state (a server registry entry, a background
+/// prefetch job) and cross thread boundaries freely.
 ///
-/// Owned views are the *state* representation; all computation still runs on
+/// Owned views are the *state* representation; all computation runs on
 /// borrowed [`TableView`]s — call [`OwnedTableView::as_view`] at the point of
-/// use. The two hold identical row/weight data, so converting carries no
-/// semantic drift (`as_view` copies the subset row/weight vectors — cheap
-/// next to any scan that follows, and free of allocation for all-rows views).
+/// use. Position `i` *is* row `i`, so no row-id vector exists and column
+/// scans read contiguous slices (`as_view` copies the weight vector — cheap
+/// next to any scan that follows).
 #[derive(Debug, Clone)]
 pub struct OwnedTableView {
     table: Arc<Table>,
-    rows: Rows,
-    /// Parallel to the row sequence; `None` means unit weights.
+    /// One weight per row; `None` means unit weights.
     weights: Option<Vec<f64>>,
 }
 
 impl OwnedTableView {
     /// A view over every row of `table`, unit weights.
     pub fn all(table: Arc<Table>) -> Self {
-        let n = table.n_rows() as u32;
         Self {
             table,
-            rows: Rows::All(n),
             weights: None,
         }
     }
 
-    /// A view over every row of `table` in order, with per-tuple weights —
-    /// the shape of a materialised sample: position `i` *is* row `i`, so
-    /// no row-id vector exists and column scans read contiguous slices.
+    /// A view over every row of `table` in order, with per-tuple weights.
     ///
     /// Panics if `weights` does not hold one weight per row.
     pub fn all_with_weights(table: Arc<Table>, weights: Vec<f64>) -> Self {
@@ -277,50 +273,9 @@ impl OwnedTableView {
             weights.len(),
             "rows/weights length mismatch"
         );
-        let n = table.n_rows() as u32;
         Self {
             table,
-            rows: Rows::All(n),
             weights: Some(weights),
-        }
-    }
-
-    /// A view over an explicit row subset, unit weights.
-    pub fn with_rows(table: Arc<Table>, rows: Vec<RowId>) -> Self {
-        debug_assert!(rows.iter().all(|&r| (r as usize) < table.n_rows()));
-        Self {
-            table,
-            rows: Rows::Subset(rows),
-            weights: None,
-        }
-    }
-
-    /// A view over an explicit row subset with per-tuple weights.
-    ///
-    /// Panics if lengths differ.
-    pub fn with_rows_and_weights(table: Arc<Table>, rows: Vec<RowId>, weights: Vec<f64>) -> Self {
-        assert_eq!(rows.len(), weights.len(), "rows/weights length mismatch");
-        debug_assert!(rows.iter().all(|&r| (r as usize) < table.n_rows()));
-        Self {
-            table,
-            rows: Rows::Subset(rows),
-            weights: Some(weights),
-        }
-    }
-
-    /// Copies a borrowed view's row/weight data into an owned view over
-    /// `table`.
-    ///
-    /// Panics if `view` does not reference the same table.
-    pub fn from_view(table: Arc<Table>, view: &TableView<'_>) -> Self {
-        assert!(
-            std::ptr::eq(&*table, view.table),
-            "cannot adopt a view over a different table"
-        );
-        Self {
-            table,
-            rows: view.rows.clone(),
-            weights: view.weights.clone(),
         }
     }
 
@@ -330,7 +285,7 @@ impl OwnedTableView {
     pub fn as_view(&self) -> TableView<'_> {
         TableView {
             table: &self.table,
-            rows: self.rows.clone(),
+            rows: Rows::All(self.table.n_rows() as u32),
             weights: self.weights.clone(),
         }
     }
@@ -343,10 +298,7 @@ impl OwnedTableView {
 
     /// Number of (row, weight) entries in the view.
     pub fn len(&self) -> usize {
-        match &self.rows {
-            Rows::All(n) => *n as usize,
-            Rows::Subset(v) => v.len(),
-        }
+        self.table.n_rows()
     }
 
     /// True if the view holds no rows.
@@ -354,47 +306,11 @@ impl OwnedTableView {
         self.len() == 0
     }
 
-    /// The row id at position `i` of the view.
-    #[inline]
-    pub fn row_at(&self, i: usize) -> RowId {
-        match &self.rows {
-            Rows::All(_) => i as RowId,
-            Rows::Subset(v) => v[i],
-        }
-    }
-
-    /// The weight at position `i` of the view.
-    #[inline]
-    pub fn weight_at(&self, i: usize) -> f64 {
-        match &self.weights {
-            Some(w) => w[i],
-            None => 1.0,
-        }
-    }
-
     /// Sum of all weights — the view's total (estimated) count or sum.
     pub fn total_weight(&self) -> f64 {
         match &self.weights {
             Some(w) => w.iter().sum(),
             None => self.len() as f64,
-        }
-    }
-
-    /// Iterates `(row, weight)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = WeightedRow> + '_ {
-        (0..self.len()).map(move |i| WeightedRow {
-            row: self.row_at(i),
-            weight: self.weight_at(i),
-        })
-    }
-
-    /// The explicit row-id slice, or `None` when the view covers all rows
-    /// in order (position `i` *is* row `i`).
-    #[inline]
-    pub fn row_ids(&self) -> Option<&[RowId]> {
-        match &self.rows {
-            Rows::All(_) => None,
-            Rows::Subset(v) => Some(v),
         }
     }
 
@@ -686,42 +602,17 @@ mod tests {
         assert!((owned.total_weight() - 4.0).abs() < 1e-12);
         let v = owned.as_view();
         assert_eq!(v.len(), owned.len());
-        for i in 0..owned.len() {
-            assert_eq!(v.row_at(i), owned.row_at(i));
-            assert_eq!(v.weight_at(i), owned.weight_at(i));
-        }
+        assert!(v.row_ids().is_none() && v.weights().is_none());
 
-        let subset =
-            OwnedTableView::with_rows_and_weights(table.clone(), vec![3, 1], vec![0.5, 2.5]);
-        assert_eq!(subset.row_ids(), Some(&[3, 1][..]));
-        assert_eq!(subset.weights(), Some(&[0.5, 2.5][..]));
-        let sv = subset.as_view();
-        assert_eq!(sv.row_ids(), Some(&[3, 1][..]));
-        assert!((sv.total_weight() - 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn owned_view_adopts_filtered_view() {
-        let table = Arc::new(t());
-        let cookies = table.dictionary(1).code_of("cookies").unwrap();
-        let filtered = {
-            let v = table.view().filter(|r| table.code(r, 1) == cookies);
-            OwnedTableView::from_view(table.clone(), &v)
-        };
-        assert_eq!(filtered.len(), 2);
-        assert_eq!(filtered.row_ids(), Some(&[0, 3][..]));
-        // The owned view is independent of the borrow it was built from and
-        // is Send + Sync (compile-time check).
+        let weighted = OwnedTableView::all_with_weights(table, vec![0.5, 2.5, 1.0, 1.0]);
+        assert_eq!(weighted.weights(), Some(&[0.5, 2.5, 1.0, 1.0][..]));
+        let wv = weighted.as_view();
+        assert!(wv.row_ids().is_none(), "position i is row i");
+        assert_eq!(wv.weights(), weighted.weights());
+        assert!((wv.total_weight() - 5.0).abs() < 1e-12);
+        // Owned views are Send + Sync (compile-time check).
         fn assert_send_sync<T: Send + Sync>(_: &T) {}
-        assert_send_sync(&filtered);
-    }
-
-    #[test]
-    #[should_panic(expected = "different table")]
-    fn owned_view_rejects_foreign_table() {
-        let a = Arc::new(t());
-        let b = t();
-        let _ = OwnedTableView::from_view(a, &b.view());
+        assert_send_sync(&weighted);
     }
 
     #[test]

@@ -8,10 +8,14 @@
 //! case on both construction paths; this file owns the *resource* contracts
 //! (what is in memory, when) that parity alone cannot see.
 
+use smart_drilldown::core::{
+    find_best_marginal_rule, try_find_best_marginal_rule_sharded, SearchOptions, SearchScratch,
+    SizeWeight,
+};
 use smart_drilldown::datagen::{census, retail};
 use smart_drilldown::server::{Engine, EngineConfig, OpenOptions, Request};
 use smart_drilldown::table::csv::{read_csv_with_measures, stream_csv_file, write_csv};
-use smart_drilldown::table::{ShardConfig, ShardedTable, Table, TableStore};
+use smart_drilldown::table::{ShardConfig, ShardedTable, ShardedView, Table, TableStore};
 use std::sync::{Arc, Barrier};
 
 /// Writes `table` as a CSV fixture under the temp dir, named uniquely per
@@ -118,6 +122,42 @@ fn gather_pins_one_segment_at_a_time() {
     // on the way to it.
     st.try_gather_rows(&rows).expect("gather");
     assert_eq!(st.loads(), 19, "a resident shard must not be reloaded");
+}
+
+/// A search over rows of a segmented store is a gather plus the one kernel,
+/// so it inherits the gather's residency contract: over a cold 8-shard
+/// table at `resident = 1`, an all-rows search loads every shard exactly
+/// once — not once per counting pass — never holds more than the resident
+/// segment plus the one in flight, and leaves nothing pinned.
+#[test]
+fn search_over_sharded_rows_loads_each_shard_once() {
+    let table = census(8_000, 1990).project_first_columns(3);
+    let st = Arc::new(ShardedTable::from_table(&table, &spilling(8, 1)).expect("shard build"));
+    let cov = vec![0.0f64; table.n_rows()];
+    let opts = SearchOptions::new(3.0);
+    let mono = find_best_marginal_rule(&table.view(), &SizeWeight, &cov, &opts).expect("a rule");
+    assert!(
+        mono.stats.passes > 1,
+        "the search must count more than once"
+    );
+
+    let view = ShardedView::all(st.clone());
+    let mut scratch = SearchScratch::new();
+    let got = try_find_best_marginal_rule_sharded(&view, &SizeWeight, &cov, &opts, &mut scratch)
+        .expect("spill files decode")
+        .expect("a rule");
+    assert_eq!(got.rule, mono.rule);
+    assert_eq!(got.marginal_value.to_bits(), mono.marginal_value.to_bits());
+    assert_eq!(got.count.to_bits(), mono.count.to_bits());
+    assert_eq!(got.stats, mono.stats);
+
+    assert_eq!(st.loads(), st.n_shards() as u64, "one load per shard");
+    assert!(
+        st.peak_resident() <= 2,
+        "search held {} segments under a budget of 1",
+        st.peak_resident()
+    );
+    assert_eq!(st.pinned(), 0, "search left segments pinned");
 }
 
 /// Regression for the ROADMAP known issue: in-flight segment `Arc`s used to

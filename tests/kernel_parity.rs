@@ -166,7 +166,7 @@ fn default_search_is_thread_invariant_on_weighted_views() {
     let cov: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..3.0)).collect();
     let by_id = TableView::with_rows_and_weights(&table, (0..n as u32).collect(), weights.clone());
     let contiguous = OwnedTableView::all_with_weights(table.clone(), weights);
-    assert!(contiguous.row_ids().is_none());
+    assert!(contiguous.as_view().row_ids().is_none());
     let opts = SearchOptions::new(3.0);
     let mut unpruned = opts.clone();
     unpruned.pruning = false;

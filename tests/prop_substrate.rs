@@ -10,9 +10,7 @@ use smart_drilldown::sampling::{
 };
 use smart_drilldown::table::bucketize::{equal_depth, equal_width};
 use smart_drilldown::table::csv::{read_csv, write_csv};
-use smart_drilldown::table::{
-    chunk_spans, Schema, ShardBuilder, ShardConfig, ShardedTable, ShardedView, Table,
-};
+use smart_drilldown::table::{chunk_spans, Schema, ShardBuilder, ShardConfig, ShardedTable, Table};
 use std::sync::Arc;
 
 fn arb_cells() -> impl Strategy<Value = Vec<Vec<String>>> {
@@ -200,35 +198,6 @@ proptest! {
             }
         }
         prop_assert!(st.loads() >= st.n_shards() as u64, "cold cache must load from disk");
-    }
-
-    /// `ShardedView::chunks` agrees with `chunk_spans` of the view length —
-    /// the chunk plan is independent of the shard layout.
-    #[test]
-    fn sharded_view_chunks_agree_with_chunk_spans(
-        n_rows in 1usize..150,
-        shards in 1usize..10,
-        max_chunks in 1usize..12,
-        subset_stride in 1usize..4,
-    ) {
-        let rows: Vec<[String; 1]> = (0..n_rows).map(|i| [format!("v{}", i % 5)]).collect();
-        let table = Table::from_rows(Schema::new(["A"]).unwrap(), &rows).unwrap();
-        let st = Arc::new(ShardedTable::from_table(&table, &ShardConfig::in_memory(shards)).unwrap());
-
-        let all = ShardedView::all(st.clone());
-        prop_assert_eq!(all.chunks(max_chunks), chunk_spans(all.len(), max_chunks));
-
-        let subset: Vec<u32> = (0..n_rows as u32).step_by(subset_stride).collect();
-        let sub = ShardedView::with_rows(st, subset.clone());
-        prop_assert_eq!(sub.chunks(max_chunks), chunk_spans(subset.len(), max_chunks));
-
-        // And the shard runs cover the positions exactly once, in order.
-        let mut pos = 0usize;
-        for run in sub.shard_runs() {
-            prop_assert_eq!(run.positions.start, pos);
-            pos = run.positions.end;
-        }
-        prop_assert_eq!(pos, sub.len());
     }
 
     /// The streaming builder seals segments exactly on `chunk_spans`

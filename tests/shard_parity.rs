@@ -1,16 +1,17 @@
 //! Cross-shard parity suite: everything the product runs over a
 //! [`ShardedTable`] must be **bit-identical** to the monolithic [`Table`]
-//! path — the segment-tier scans (covered rows, exact counts, the per-shard
-//! marginal search), sample stores and every served sample view, explorer
-//! sessions, and server transcripts — across shard counts 1..=8 and
-//! resident-shard budgets that force segments to spill to disk and be
+//! path — the segment-tier scans (covered rows, exact counts), a search
+//! over gathered rows, sample stores and every served sample view,
+//! explorer sessions, and server transcripts — across shard counts 1..=8
+//! and resident-shard budgets that force segments to spill to disk and be
 //! evicted/reloaded mid-pipeline.
 //!
 //! The determinism contract under test (see `sdd_table::shard` and
-//! `sdd_core::shard`): the shard layout partitions rows in order, sharded
-//! scans accumulate shard-after-shard in exactly the monolithic operation
-//! order, and spill round-trips reproduce segments bit-for-bit — so *where
-//! bytes live* (RAM vs disk, one shard vs eight) can never change a result.
+//! `sdd_core::shard`): the shard layout partitions rows in order, segment
+//! scans concatenate hit lists and add integer counts shard after shard, a
+//! gather copies global codes, and spill round-trips reproduce segments
+//! bit-for-bit — so *where bytes live* (RAM vs disk, one shard vs eight)
+//! can never change a result.
 //!
 //! Every spilling configuration runs under resident budgets 1 and 2, so the
 //! suite always includes the maximal eviction churn (at most one segment in
@@ -33,18 +34,6 @@ use smart_drilldown::table::{
     Table, TableStore, TableView,
 };
 use std::sync::Arc;
-
-/// Serializes every test in this binary: `sharded_search_is_thread_invariant`
-/// writes the process-global `SDD_THREADS` while every other test reads the
-/// environment (`worker_threads`) — and concurrent
-/// `setenv`/`getenv` is undefined behavior on glibc, not merely a race. All
-/// tests take this lock; other test *binaries* are separate processes.
-fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .expect("env lock poisoned")
-}
 
 /// Shard counts the whole suite sweeps (the acceptance range).
 const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=8;
@@ -134,7 +123,6 @@ fn random_table(rng: &mut StdRng) -> Table {
 
 #[test]
 fn marginal_search_is_bit_identical_across_shard_layouts() {
-    let _env = env_lock();
     let mut rng = StdRng::seed_from_u64(0x5AAD_0001);
     for trial in 0..12 {
         let table = random_table(&mut rng);
@@ -239,7 +227,7 @@ fn drive_handler(mut h: SampleHandler, rules: &[Rule]) -> (Vec<StoredSampleInfo>
         .map(|rule| {
             let s = h.try_get_sample(rule).unwrap();
             assert!(
-                s.view.row_ids().is_none(),
+                s.view.as_view().row_ids().is_none(),
                 "{:?}: row-id vector",
                 s.mechanism
             );
@@ -309,7 +297,6 @@ fn assert_stores_agree(
 
 #[test]
 fn sample_stores_are_bit_identical_between_monolithic_and_sharded() {
-    let _env = env_lock();
     let mut rng = StdRng::seed_from_u64(0x5AAD_0003);
     for trial in 0..6 {
         let table = Arc::new(random_table(&mut rng));
@@ -403,7 +390,6 @@ fn drive_explorer(mut ex: Explorer) -> (String, Vec<StoredSampleInfo>, String) {
 
 #[test]
 fn explorer_sessions_are_byte_identical_on_sharded_spilling_tables() {
-    let _env = env_lock();
     let table = Arc::new(retail(42));
     let mono = drive_explorer(Explorer::new(
         table.clone(),
@@ -483,7 +469,6 @@ fn session_script(name: &str) -> Vec<String> {
 
 #[test]
 fn server_transcripts_are_byte_identical_on_sharded_spilling_tables() {
-    let _env = env_lock();
     let table = Arc::new(retail(42));
     let script: Vec<String> = session_script("parity");
     let run = |engine: &Engine| -> Vec<String> {
@@ -519,56 +504,6 @@ fn server_transcripts_are_byte_identical_on_sharded_spilling_tables() {
 }
 
 // ---------------------------------------------------------------------------
-// Thread invariance of the sharded kernel
-// ---------------------------------------------------------------------------
-
-#[test]
-fn sharded_search_is_thread_invariant() {
-    // The sharded kernel's parallel modes (u64 count fan-out, threaded
-    // accumulators) must not depend on the worker count. `SDD_THREADS` is
-    // process-global and read concurrently by sibling tests, so every test
-    // in this binary serializes on `env_lock`.
-    let _env = env_lock();
-    // Retail three times over: 18 000 rows, past the 16 Ki rows below which
-    // `exec` keeps a search on one thread whatever `SDD_THREADS` says.
-    let table = {
-        let retail = retail(42);
-        let n = retail.n_rows() as u32;
-        retail.gather_rows(&(0..3 * n).map(|r| r % n).collect::<Vec<_>>())
-    };
-    assert!(table.n_rows() >= 16 * 1024);
-    let cov: Vec<f64> = (0..table.n_rows()).map(|i| (i % 5) as f64 * 0.3).collect();
-    let opts = SearchOptions::new(3.0);
-
-    let run_with = |threads: &str, st: Arc<ShardedTable>| {
-        std::env::set_var("SDD_THREADS", threads);
-        let view = ShardedView::all(st);
-        let mut scratch = SearchScratch::new();
-        let r = try_find_best_marginal_rule_sharded(&view, &SizeWeight, &cov, &opts, &mut scratch)
-            .expect("spill files decode")
-            .expect("retail yields a rule");
-        std::env::remove_var("SDD_THREADS");
-        (r.rule, r.marginal_value.to_bits(), r.count.to_bits())
-    };
-
-    for cfg in [
-        ShardConfig::in_memory(6),
-        ShardConfig::spilling(6, 2, std::env::temp_dir()),
-    ] {
-        for (st, how) in builds(&table, &cfg) {
-            let one = run_with("1", st.clone());
-            let many = run_with("7", st);
-            assert_eq!(
-                one,
-                many,
-                "{} ({how}): thread count changed the result",
-                cfg_label(&cfg)
-            );
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
 // Streaming build ⇔ from_table byte equality
 // ---------------------------------------------------------------------------
 
@@ -579,7 +514,6 @@ fn sharded_search_is_thread_invariant() {
 /// suites above, which run every case on both builds.)
 #[test]
 fn stream_built_tables_are_byte_identical_to_from_table() {
-    let _env = env_lock();
     let mut rng = StdRng::seed_from_u64(0x5AAD_0005);
     let mut tables: Vec<Table> = (0..4).map(|_| random_table(&mut rng)).collect();
     tables.push(retail(42));
@@ -662,7 +596,6 @@ fn count_rules_rowwise(table: &Table, rules: &[Rule]) -> Vec<f64> {
 /// name).
 #[test]
 fn coverage_and_scoring_scans_are_bit_identical_across_shard_layouts() {
-    let _env = env_lock();
     let mut rng = StdRng::seed_from_u64(0x5AAD_0007);
     let mut tables: Vec<Table> = (0..6).map(|_| random_table(&mut rng)).collect();
     let no_rows: [[&str; 2]; 0] = [];

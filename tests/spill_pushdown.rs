@@ -5,10 +5,11 @@
 //! The spill coding packs each column's shard-local codes at 1, 2, or
 //! 4 bytes depending on the shard-local cardinality — so cardinalities
 //! 255/256/257 and 65535/65536/65537 are the exact seams where a column
-//! flips from one width to the next. The pushdown scans those packed codes
-//! directly; these tests pin that every width (and both sides of every
-//! seam) produces byte-identical results to the monolithic global-code
-//! scan.
+//! flips from one width to the next. The coverage and count scans read
+//! those packed codes directly, and a search over the store's rows goes
+//! through the gather's local→global decode; these tests pin that every
+//! width (and both sides of every seam) produces byte-identical results to
+//! the monolithic global-code scan and search.
 
 use proptest::prelude::*;
 use smart_drilldown::core::{
@@ -67,7 +68,7 @@ fn assert_width_boundary_parity(card: usize) {
         "card {card}, joint rule"
     );
 
-    // A full search crosses the seam in pass-1 histograms and pass-j cells.
+    // A full search crosses the seam in the gather's decode of every width.
     let view = table.view();
     let cov = vec![0.0f64; view.len()];
     let opts = SearchOptions::new(3.0);
