@@ -6,7 +6,7 @@
 //! (Problem 3). Each greedy step delegates to
 //! [`crate::marginal::find_best_marginal_rule`] (Algorithm 2).
 
-use crate::kernel::{covered_positions, SearchScratch};
+use crate::kernel::{covered_rows, SearchScratch};
 use crate::marginal::{find_best_marginal_rule_with_scratch, SearchOptions, SearchStats};
 use crate::{score_list, sort_by_weight_desc, Rule, WeightFn};
 use sdd_table::TableView;
@@ -147,12 +147,7 @@ impl<'w> Brs<'w> {
     /// Runs the greedy loop with an optional drill-down base rule. The view
     /// must already be filtered to base-covered tuples (the drill-down
     /// helpers in [`crate::drilldown`] do this).
-    pub(crate) fn run_with_base(
-        &self,
-        view: &TableView<'_>,
-        base: Option<Rule>,
-        k: usize,
-    ) -> BrsResult {
+    pub fn run_with_base(&self, view: &TableView<'_>, base: Option<Rule>, k: usize) -> BrsResult {
         self.run_inner(view, base, k, &mut |_, _| true)
     }
 
@@ -190,11 +185,11 @@ impl<'w> Brs<'w> {
                 break;
             };
             stats.absorb(&best.stats);
-            // Update per-tuple best covering weight. The position list comes
-            // from the chunked columnar scan (sliced on large views,
-            // byte-identical on any thread count); the max-update itself is
-            // cheap and order-insensitive, so it stays serial.
-            for p in covered_positions(view, &best.rule) {
+            // Update per-tuple best covering weight. The row list comes
+            // from the sliced columnar scan (byte-identical on any thread
+            // count); the max-update itself is cheap and order-insensitive,
+            // so it stays serial.
+            for p in covered_rows(table, &best.rule) {
                 let slot = &mut covered[p as usize];
                 if best.weight > *slot {
                     *slot = best.weight;

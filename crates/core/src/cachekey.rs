@@ -168,12 +168,12 @@ pub fn view_digest(view: &TableView<'_>) -> [u64; 2] {
     let mut h = KeyHasher::new(0x51DD_71E3);
     h.write_u64(view.len() as u64);
     let mut codes: Vec<u32> = Vec::with_capacity(table.n_columns());
-    for i in 0..view.len() {
-        table.row_codes(view.row_at(i), &mut codes);
+    for wr in view.iter() {
+        table.row_codes(wr.row, &mut codes);
         for &c in &codes {
             h.write_u32(c);
         }
-        h.write_f64(view.weight_at(i));
+        h.write_f64(wr.weight);
     }
     h.finish()
 }
@@ -327,11 +327,17 @@ mod tests {
         let all = view_digest(&table.view());
         let again = view_digest(&table.view());
         assert_eq!(all, again, "same content must digest identically");
-        let subset = TableView::with_rows(&table, vec![0, 1]);
-        assert_ne!(all, view_digest(&subset));
-        let reordered = TableView::with_rows(&table, vec![1, 0, 2]);
-        assert_ne!(all, view_digest(&reordered), "row order is content");
-        let weighted = TableView::with_rows_and_weights(&table, vec![0, 1, 2], vec![2.0; 3]);
+        let regathered = table.gather_rows(&[0, 1, 2]);
+        assert_eq!(
+            all,
+            view_digest(&regathered.view()),
+            "content, not identity"
+        );
+        let subset = table.gather_rows(&[0, 1]);
+        assert_ne!(all, view_digest(&subset.view()));
+        let reordered = table.gather_rows(&[1, 0, 2]);
+        assert_ne!(all, view_digest(&reordered.view()), "row order is content");
+        let weighted = TableView::all_with_weights(&table, &[2.0; 3]);
         assert_ne!(all, view_digest(&weighted), "weights are content");
     }
 

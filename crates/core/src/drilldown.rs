@@ -10,9 +10,15 @@
 //!
 //! Both return a [`BrsResult`] whose rules are full rules (base values
 //! merged in), ready for display.
+//!
+//! Both first reduce the view to `T_{r'}` with [`filter_to_rule`]: the view
+//! itself when `r'` covers all of it — always, for a sample served for
+//! `r'` — and otherwise the covered tuples gathered into a table of their
+//! own. Either way the search scans whole column slices.
 
+use crate::kernel::covered_rows;
 use crate::{Brs, BrsResult, RequireColumn, Rule, WeightFn};
-use sdd_table::TableView;
+use sdd_table::{OwnedTableView, TableView};
 
 /// Which drill-down the analyst performed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,29 +29,49 @@ pub enum DrillDownKind {
     Star(usize),
 }
 
+/// The paper's `T_{r'}` as [`filter_to_rule`] hands it back.
+#[derive(Debug, Clone)]
+pub enum FilteredView<'a> {
+    /// The rule covers every tuple: the input view itself, nothing copied.
+    Whole(TableView<'a>),
+    /// The covered tuples and their weights, gathered in view order into a
+    /// table of their own.
+    Gathered(OwnedTableView),
+}
+
+impl FilteredView<'_> {
+    /// The filtered tuples as a view.
+    pub fn as_view(&self) -> TableView<'_> {
+        match self {
+            FilteredView::Whole(view) => *view,
+            FilteredView::Gathered(owned) => owned.as_view(),
+        }
+    }
+}
+
 /// Filters `view` to the tuples covered by `base` (the paper's `T_{r'}`),
 /// evaluating the rule column-at-a-time over the dictionary-encoded column
-/// slices (see [`crate::kernel::for_each_covered_position`]).
-pub fn filter_to_rule<'a>(view: &TableView<'a>, base: &Rule) -> TableView<'a> {
-    let table = view.table();
-    let mut rows = Vec::new();
-    let mut weights = view.weights().map(|_| Vec::new());
-    crate::kernel::for_each_covered_position(view, base, |i| {
-        rows.push(view.row_at(i));
-        if let Some(w) = &mut weights {
-            w.push(view.weight_at(i));
-        }
-    });
-    match weights {
-        Some(w) => TableView::with_rows_and_weights(table, rows, w),
-        None => TableView::with_rows(table, rows),
+/// slices ([`covered_rows`]).
+///
+/// A sample served for `base` holds only tuples `base` covers, so in the
+/// product this is the identity and the search that follows reads the
+/// sample's own columns. Otherwise (the exact [`crate::Session`] drilling
+/// into the full table) the covered tuples are gathered in view order, so
+/// the search performs the same float operations in the same order either
+/// way.
+pub fn filter_to_rule<'a>(view: &TableView<'a>, base: &Rule) -> FilteredView<'a> {
+    let covered = covered_rows(view.table(), base);
+    if covered.len() == view.len() {
+        FilteredView::Whole(*view)
+    } else {
+        FilteredView::Gathered(view.gather(&covered))
     }
 }
 
 /// Rule drill-down with explicit optimizer configuration.
 pub fn drill_down_with(brs: &Brs<'_>, view: &TableView<'_>, base: &Rule, k: usize) -> BrsResult {
     let filtered = filter_to_rule(view, base);
-    brs.run_with_base(&filtered, Some(base.clone()), k)
+    brs.run_with_base(&filtered.as_view(), Some(base.clone()), k)
 }
 
 /// Star drill-down with explicit optimizer configuration.
@@ -67,7 +93,7 @@ pub fn star_drill_down_with(
     // W'(r) = 0 when column is starred (paper §3.1).
     let wrapped = RequireColumn::new(brs.weight_fn(), column);
     let inner = Brs::new(&wrapped).inherit_config(brs);
-    inner.run_with_base(&filtered, Some(base.clone()), k)
+    inner.run_with_base(&filtered.as_view(), Some(base.clone()), k)
 }
 
 /// Rule drill-down with default configuration (`mw` = max possible weight).
@@ -188,10 +214,46 @@ mod tests {
     }
 
     #[test]
-    fn filter_to_rule_matches_coverage() {
+    fn filter_to_rule_lends_a_fully_covered_view_and_gathers_a_partial_one() {
         let table = t();
+        let weights: Vec<f64> = (0..table.n_rows()).map(|i| 0.5 + i as f64).collect();
+        let view = TableView::all_with_weights(&table, &weights);
+
+        // Partially covered: exactly the covered rows and their weights, in
+        // view order, in the source's code space.
         let base = Rule::from_pairs(&table, &[("Region", "MA-3")]).unwrap();
-        let filtered = filter_to_rule(&table.view(), &base);
-        assert_eq!(filtered.len(), 8);
+        let covered = covered_rows(&table, &base);
+        assert_eq!(covered.len(), 8);
+        let FilteredView::Gathered(got) = filter_to_rule(&view, &base) else {
+            panic!("a partially covered view must be gathered");
+        };
+        let want = table.gather_rows(&covered);
+        for c in 0..table.n_columns() {
+            assert_eq!(got.table().column(c), want.column(c));
+            assert!(std::sync::Arc::ptr_eq(
+                got.table().dictionary_arc(c),
+                table.dictionary_arc(c)
+            ));
+        }
+        let want_weights: Vec<f64> = covered.iter().map(|&r| weights[r as usize]).collect();
+        assert_eq!(got.weights(), Some(&want_weights[..]));
+
+        // Fully covered (a sample served for `base`): the same table and the
+        // same weight slice come back — no row or weight is copied.
+        let sample = got.as_view();
+        for rule in [&base, &Rule::trivial(3)] {
+            let same = filter_to_rule(&sample, rule);
+            assert!(matches!(same, FilteredView::Whole(_)));
+            assert!(std::ptr::eq(same.as_view().table(), sample.table()));
+            assert!(std::ptr::eq(
+                same.as_view().weights().unwrap(),
+                sample.weights().unwrap()
+            ));
+        }
+
+        // Nothing covered: an empty table of the same shape.
+        let none =
+            Rule::from_pairs(&table, &[("Store", "Target"), ("Product", "cookies")]).unwrap();
+        assert!(filter_to_rule(&view, &none).as_view().is_empty());
     }
 }

@@ -27,6 +27,12 @@
 //! selection uses the same strict total order. `tests/kernel_parity.rs`
 //! asserts both.
 //!
+//! A [`TableView`] is every row of its table, so each loop below has one
+//! arm: it walks whole column slices, position `i` = row `i`. A search over
+//! a subset of rows is a search over the table gathered from them
+//! ([`sdd_table::TableView::gather`]); the gather preserves row order, so
+//! the float operations and their order are those of the subset.
+//!
 //! [`SearchScratch`] owns the per-search buffers so the `k` searches of one
 //! BRS run reuse allocations; worker tasks allocate their own
 //! (candidate-bounded, not row-bounded) accumulators.
@@ -38,8 +44,9 @@
 //! `count_rule_span`, over any [`Table`] holding global codes — the
 //! monolithic table (span = a slice of it) or one decoded shard segment
 //! (span = all of it; see [`crate::shard`]). [`covered_rows`] and
-//! [`count_rules`] are the whole-table forms; [`covered_positions`] is the
-//! view form behind the BRS covered-weight update and drill-down filtering.
+//! [`count_rules`] are the whole-table forms; "covered positions of a view"
+//! is [`covered_rows`] of the view's table, which is what the BRS
+//! covered-weight update and drill-down filtering call.
 //! Large inputs are filtered in [`sdd_table::chunk_spans`] slices whose hit
 //! lists concatenate in slice order — integer output, byte-identical on any
 //! thread count.
@@ -49,7 +56,7 @@ use crate::exec;
 use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
 use crate::{Rule, WeightFn};
 use rustc_hash::FxHashMap;
-use sdd_table::{chunk_spans, RowId, Table, TableView, ViewChunk};
+use sdd_table::{chunk_spans, RowId, Table, TableView};
 
 /// Count/marginal/weight accumulator for one candidate rule (the paper's
 /// per-candidate state in set `C`).
@@ -349,7 +356,6 @@ pub(crate) fn find_best_marginal_rule_columnar(
     // ---- Pass 1: columnar per-code histograms, one task per free column. ----
     stats.passes = 1;
     scratch.hists.resize_with(free_cols.len(), Default::default);
-    let chunk = view.as_chunk();
     let jobs: Vec<(usize, ColumnHist)> = free_cols
         .iter()
         .enumerate()
@@ -363,7 +369,7 @@ pub(crate) fn find_best_marginal_rule_columnar(
         hist.marginals.clear();
         hist.marginals.resize(card, 0.0);
 
-        count_column(table, &chunk, c, &mut hist.counts);
+        count_column(view, c, &mut hist.counts);
 
         // Candidate boundary: materialize rules for supported codes,
         // gate on weight, fill the code → weight table.
@@ -372,14 +378,7 @@ pub(crate) fn find_best_marginal_rule_columnar(
         // Marginal sweep: m[code] += w_t · (W − min(W, cov_t)). Over-cap
         // and unsupported codes have W = 0 in wtab, contributing 0 to
         // slots that are never read back.
-        marginal_column(
-            table,
-            &chunk,
-            c,
-            covered_weight,
-            &cands.wtab,
-            &mut hist.marginals,
-        );
+        marginal_column(view, c, covered_weight, &cands.wtab, &mut hist.marginals);
         (hist, cands)
     });
 
@@ -437,63 +436,34 @@ pub(crate) fn find_best_marginal_rule_columnar(
 /// `counts[code] += w` over one column.
 ///
 /// det-order: sequential scan in row order.
-fn count_column(table: &Table, chunk: &ViewChunk<'_>, col: usize, counts: &mut [f64]) {
-    let codes = table.column(col);
-    match (chunk.contiguous_rows(), chunk.weights()) {
-        (Some(range), None) => {
-            for &code in &codes[range] {
+fn count_column(view: &TableView<'_>, col: usize, counts: &mut [f64]) {
+    let codes = view.table().column(col);
+    match view.weights() {
+        None => {
+            for &code in codes {
                 counts[code as usize] += 1.0;
             }
         }
-        (Some(range), Some(ws)) => {
-            for (&code, &w) in codes[range].iter().zip(ws) {
+        Some(ws) => {
+            for (&code, &w) in codes.iter().zip(ws) {
                 counts[code as usize] += w;
-            }
-        }
-        (None, _) => {
-            let ids = chunk.row_ids().expect("non-contiguous chunk has row ids");
-            match chunk.weights() {
-                None => {
-                    for &r in ids {
-                        counts[codes[r as usize] as usize] += 1.0;
-                    }
-                }
-                Some(ws) => {
-                    for (&r, &w) in ids.iter().zip(ws) {
-                        counts[codes[r as usize] as usize] += w;
-                    }
-                }
             }
         }
     }
 }
 
 /// `marginals[code] += w_t · (wtab[code] − min(wtab[code], cov_t))` over one
-/// chunk of one column.
+/// column.
 fn marginal_column(
-    table: &Table,
-    chunk: &ViewChunk<'_>,
+    view: &TableView<'_>,
     col: usize,
     cov: &[f64],
     wtab: &[f64],
     marginals: &mut [f64],
 ) {
-    let codes = table.column(col);
-    match chunk.contiguous_rows() {
-        Some(range) => {
-            for (i, &code) in codes[range].iter().enumerate() {
-                let w = wtab[code as usize];
-                marginals[code as usize] += chunk.weight_at(i) * (w - w.min(cov[i]));
-            }
-        }
-        None => {
-            let ids = chunk.row_ids().expect("non-contiguous chunk has row ids");
-            for (i, &r) in ids.iter().enumerate() {
-                let code = codes[r as usize];
-                let w = wtab[code as usize];
-                marginals[code as usize] += chunk.weight_at(i) * (w - w.min(cov[i]));
-            }
-        }
+    for (i, &code) in view.table().column(col).iter().enumerate() {
+        let w = wtab[code as usize];
+        marginals[code as usize] += view.weight_at(i) * (w - w.min(cov[i]));
     }
 }
 
@@ -633,14 +603,12 @@ fn count_level(
     cand_weights: &[f64],
     threads: usize,
 ) {
-    let table = view.table();
-    let chunk = view.as_chunk();
     let groups = &scratch.groups;
     let outputs = exec::parallel_map(threads, groups.iter().collect(), |g: &Group| {
         if g.is_dense() {
-            count_group_dense(table, &chunk, covered_weight, g, cand_weights)
+            count_group_dense(view, covered_weight, g, cand_weights)
         } else {
-            count_group_sparse(table, &chunk, covered_weight, g, cand_weights)
+            count_group_sparse(view, covered_weight, g, cand_weights)
         }
     });
 
@@ -664,8 +632,7 @@ fn count_level(
 ///
 /// det-order: sequential scan in row order.
 fn count_group_dense(
-    table: &Table,
-    chunk: &ViewChunk<'_>,
+    view: &TableView<'_>,
     cov: &[f64],
     g: &Group,
     cand_weights: &[f64],
@@ -676,36 +643,17 @@ fn count_group_dense(
     for &(cell, ci) in &g.cand_cells {
         wvec[cell] = cand_weights[ci as usize];
     }
-    let cols: Vec<&[u32]> = g.cols.iter().map(|&c| table.column(c)).collect();
+    let cols: Vec<&[u32]> = g.cols.iter().map(|&c| view.table().column(c)).collect();
 
-    match chunk.contiguous_rows() {
-        Some(range) => {
-            let start = range.start;
-            for (i, &cov_i) in cov.iter().enumerate().take(chunk.len()) {
-                let row = start + i;
-                let mut cell = 0usize;
-                for (col, &stride) in cols.iter().zip(&g.strides) {
-                    cell += col[row] as usize * stride;
-                }
-                let w_t = chunk.weight_at(i);
-                let w = wvec[cell];
-                counts[cell] += w_t;
-                marginals[cell] += w_t * (w - w.min(cov_i));
-            }
+    for (row, &cov_t) in cov.iter().enumerate() {
+        let mut cell = 0usize;
+        for (col, &stride) in cols.iter().zip(&g.strides) {
+            cell += col[row] as usize * stride;
         }
-        None => {
-            let ids = chunk.row_ids().expect("non-contiguous chunk has row ids");
-            for (i, &r) in ids.iter().enumerate() {
-                let mut cell = 0usize;
-                for (col, &stride) in cols.iter().zip(&g.strides) {
-                    cell += col[r as usize] as usize * stride;
-                }
-                let w_t = chunk.weight_at(i);
-                let w = wvec[cell];
-                counts[cell] += w_t;
-                marginals[cell] += w_t * (w - w.min(cov[i]));
-            }
-        }
+        let w_t = view.weight_at(row);
+        let w = wvec[cell];
+        counts[cell] += w_t;
+        marginals[cell] += w_t * (w - w.min(cov_t));
     }
 
     g.cand_cells
@@ -719,8 +667,7 @@ fn count_group_dense(
 ///
 /// det-order: sequential scan in row order.
 fn count_group_sparse(
-    table: &Table,
-    chunk: &ViewChunk<'_>,
+    view: &TableView<'_>,
     cov: &[f64],
     g: &Group,
     cand_weights: &[f64],
@@ -728,31 +675,15 @@ fn count_group_sparse(
     // Accumulate per sorted-key position — dense in the group's candidate
     // count, no hashing on the row loop.
     let mut acc: Vec<(f64, f64)> = vec![(0.0, 0.0); g.order.len()];
-    let cols: Vec<&[u32]> = g.cols.iter().map(|&c| table.column(c)).collect();
+    let cols: Vec<&[u32]> = g.cols.iter().map(|&c| view.table().column(c)).collect();
     let mut wide_scratch: Vec<u32> = Vec::new();
-    let mut hit = |pos: usize, w_t: f64, cov_i: f64| {
-        let w = cand_weights[g.order[pos] as usize];
-        let slot = &mut acc[pos];
-        slot.0 += w_t;
-        slot.1 += w_t * (w - w.min(cov_i));
-    };
-    match chunk.contiguous_rows() {
-        Some(range) => {
-            let start = range.start;
-            for (i, &cov_i) in cov.iter().enumerate().take(chunk.len()) {
-                let row = start + i;
-                if let Some(pos) = g.probe(&mut wide_scratch, |gi| cols[gi][row]) {
-                    hit(pos, chunk.weight_at(i), cov_i);
-                }
-            }
-        }
-        None => {
-            let ids = chunk.row_ids().expect("non-contiguous chunk has row ids");
-            for (i, &r) in ids.iter().enumerate() {
-                if let Some(pos) = g.probe(&mut wide_scratch, |gi| cols[gi][r as usize]) {
-                    hit(pos, chunk.weight_at(i), cov[i]);
-                }
-            }
+    for (row, &cov_t) in cov.iter().enumerate() {
+        if let Some(pos) = g.probe(&mut wide_scratch, |gi| cols[gi][row]) {
+            let w = cand_weights[g.order[pos] as usize];
+            let w_t = view.weight_at(row);
+            let slot = &mut acc[pos];
+            slot.0 += w_t;
+            slot.1 += w_t * (w - w.min(cov_t));
         }
     }
     // Consumer writes by candidate index; no ordering required.
@@ -810,8 +741,7 @@ const MAX_SLICES: usize = 64;
 /// Inputs smaller than this are scanned in one piece.
 const SLICE_MIN_ROWS: usize = 32 * 1024;
 
-/// Slice count for the coverage scans ([`covered_rows`],
-/// [`covered_positions`]): slices whenever the scan is large enough to
+/// Slice count for [`covered_rows`]: slices whenever the scan is large enough to
 /// amortize task startup. Output is integer hit lists concatenated in slice
 /// order, so slicing never changes a byte of the result.
 fn scan_chunks(len: usize) -> usize {
@@ -822,99 +752,10 @@ fn scan_chunks(len: usize) -> usize {
     }
 }
 
-/// View positions (ascending) whose rows are covered by `rule`, evaluating
-/// one instantiated column at a time over column slices (progressive
-/// candidate filtering) instead of row-at-a-time probing.
-///
-/// Large views are scanned in slices: each [`TableView::chunks`] chunk is
-/// filtered independently and the per-chunk hit lists are concatenated in
-/// chunk order, so the output is byte-identical on any thread count. This
-/// is the scan behind the BRS covered-weight update and drill-down
-/// filtering.
-pub fn covered_positions(view: &TableView<'_>, rule: &Rule) -> Vec<u32> {
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    if cols.is_empty() {
-        return (0..view.len() as u32).collect();
-    }
-    let threads = exec::worker_threads();
-    let k = if threads > 1 {
-        scan_chunks(view.len())
-    } else {
-        1
-    };
-    if k <= 1 {
-        return covered_positions_chunk(view.table(), &view.as_chunk(), rule, &cols);
-    }
-    let chunks = view.chunks(k);
-    let parts = exec::parallel_map(threads, chunks, |chunk| {
-        covered_positions_chunk(view.table(), &chunk, rule, &cols)
-    });
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        out.extend(p);
-    }
-    out
-}
-
-/// Progressive columnar filtering of one chunk; returned positions are
-/// global view positions, ascending.
-fn covered_positions_chunk(
-    table: &Table,
-    chunk: &ViewChunk<'_>,
-    rule: &Rule,
-    cols: &[usize],
-) -> Vec<u32> {
-    let (first, rest) = cols.split_first().expect("non-empty");
-    let first_codes = table.column(*first);
-    let want = rule.code(*first);
-    let offset = chunk.offset();
-
-    // Survivor positions after the first column's scan. (A contiguous
-    // chunk comes from an all-rows view, where position == row id.)
-    let mut positions: Vec<u32> = Vec::new();
-    match chunk.contiguous_rows() {
-        Some(range) => {
-            accel::positions_eq_u32(&first_codes[range], want, offset as u32, &mut positions);
-        }
-        None => {
-            let ids = chunk.row_ids().expect("non-contiguous chunk has row ids");
-            for (i, &r) in ids.iter().enumerate() {
-                if first_codes[r as usize] == want {
-                    positions.push((offset + i) as u32);
-                }
-            }
-        }
-    }
-    // Each further column filters the shrinking survivor list.
-    for &c in rest {
-        let codes = table.column(c);
-        let want = rule.code(c);
-        match chunk.row_ids() {
-            None => positions.retain(|&p| codes[p as usize] == want),
-            Some(ids) => positions.retain(|&p| codes[ids[p as usize - offset] as usize] == want),
-        }
-    }
-    positions
-}
-
-/// Calls `f(position)` for every view position whose row is covered by
-/// `rule`, in ascending position order — [`covered_positions`] with a
-/// callback (the trivial rule streams without materializing).
-pub fn for_each_covered_position(view: &TableView<'_>, rule: &Rule, mut f: impl FnMut(usize)) {
-    if rule.instantiated_columns().next().is_none() {
-        for i in 0..view.len() {
-            f(i);
-        }
-        return;
-    }
-    for p in covered_positions(view, rule) {
-        f(p as usize);
-    }
-}
-
 /// All row ids of `table` covered by `rule` (ascending), via progressive
 /// columnar filtering — the sampling layer's full-table scan over
-/// monolithic storage. Large tables are scanned in
+/// monolithic storage, and over a sample's own table the scan behind the
+/// BRS covered-weight update and drill-down filtering. Large tables are scanned in
 /// [`sdd_table::chunk_spans`] slices concatenated in slice order, so the
 /// output is byte-identical on any thread count.
 pub fn covered_rows(table: &Table, rule: &Rule) -> Vec<RowId> {
@@ -1052,37 +893,21 @@ mod tests {
     }
 
     #[test]
-    fn for_each_covered_position_on_subset_views() {
+    fn covered_rows_of_a_gathered_permutation_match_rowwise_coverage() {
         let table = t();
-        let view = TableView::with_rows(&table, vec![4, 0, 3, 2]);
-        let rule = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
-        let mut got = Vec::new();
-        for_each_covered_position(&view, &rule, |i| got.push(i));
-        // Positions 1 (row 0) and 2 (row 3) hold "a" rows.
-        assert_eq!(got, vec![1, 2]);
-    }
-
-    #[test]
-    fn for_each_covered_position_trivial_rule_hits_all_positions() {
-        let table = t();
-        let view = table.view();
-        let mut got = Vec::new();
-        for_each_covered_position(&view, &Rule::trivial(3), |i| got.push(i));
-        assert_eq!(got, (0..view.len()).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn covered_positions_matches_for_each() {
-        let table = t();
-        let view = TableView::with_rows(&table, vec![4, 0, 3, 2, 1]);
+        let a = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
+        // Rows 0 and 3 hold "a"; gathered as [4, 0, 3, 2] they sit at 1 and 2.
+        assert_eq!(covered_rows(&table.gather_rows(&[4, 0, 3, 2]), &a), [1, 2]);
+        let gathered = table.gather_rows(&[4, 0, 3, 2, 1]);
         for rule in [
             Rule::trivial(3),
-            Rule::from_pairs(&table, &[("A", "a")]).unwrap(),
+            a,
             Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap(),
         ] {
-            let mut via_callback = Vec::new();
-            for_each_covered_position(&view, &rule, |i| via_callback.push(i as u32));
-            assert_eq!(covered_positions(&view, &rule), via_callback);
+            let slow: Vec<RowId> = (0..gathered.n_rows() as RowId)
+                .filter(|&r| rule.covers_row(&gathered, r))
+                .collect();
+            assert_eq!(covered_rows(&gathered, &rule), slow);
         }
     }
 
@@ -1098,14 +923,13 @@ mod tests {
         let cand_weights = vec![2.0; cands.len()];
         let view = table.view();
         let cov = vec![0.5; view.len()];
-        let chunk = view.as_chunk();
 
         let mut scratch = SearchScratch::new();
         build_groups(&mut scratch, &table, &base, &cands, table.n_rows());
         assert_eq!(scratch.groups.len(), 1);
         let g = &scratch.groups[0];
         assert!(g.is_dense());
-        let dense = count_group_dense(&table, &chunk, &cov, g, &cand_weights);
+        let dense = count_group_dense(&view, &cov, g, &cand_weights);
 
         // Sparse twin of the same group.
         let sparse_group = {
@@ -1138,7 +962,7 @@ mod tests {
             }
             sg
         };
-        let sparse = count_group_sparse(&table, &chunk, &cov, &sparse_group, &cand_weights);
+        let sparse = count_group_sparse(&view, &cov, &sparse_group, &cand_weights);
 
         let norm = |mut v: Vec<(u32, f64, f64)>| {
             v.sort_by_key(|&(ci, _, _)| ci);

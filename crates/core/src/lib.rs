@@ -22,8 +22,10 @@
 //! ## Shape (paper §3–§4)
 //!
 //! Searches — BRS, Algorithm 2, rule and star drill-down — always run over
-//! an in-memory [`sdd_table::TableView`]; in the product that view is a
-//! materialised sample. The full table, however it is stored, is only ever
+//! an in-memory [`sdd_table::TableView`]: every row of one table, scanned
+//! as contiguous column slices. In the product that table is a materialised
+//! sample; a drill-down into rows the view's table does not consist of
+//! gathers them into one first ([`filter_to_rule`]). The full table, however it is stored, is only ever
 //! scanned for covered rows, counted exactly, and gathered from. There is
 //! one search stack and one fallible scan API; results are bit-identical
 //! for any thread count, shard layout, residency budget and SIMD setting.
@@ -79,13 +81,10 @@ pub use brs::{Brs, BrsResult, ScoredRule};
 pub use cachekey::{canonical_f64_bits, drill_key, view_digest, DrillKey, KeyHasher};
 pub use drilldown::{
     drill_down, drill_down_with, filter_to_rule, star_drill_down, star_drill_down_with,
-    DrillDownKind,
+    DrillDownKind, FilteredView,
 };
 pub use exact::{enumerate_support_rules, exact_best_rule_set, greedy_guarantee};
-pub use kernel::{
-    count_rules, covered_positions, covered_rows, covered_rows_with_threads,
-    for_each_covered_position, SearchScratch,
-};
+pub use kernel::{count_rules, covered_rows, covered_rows_with_threads, SearchScratch};
 pub use marginal::{
     find_best_marginal_rule, find_best_marginal_rule_rowwise, find_best_marginal_rule_with_scratch,
     BestMarginal, SearchOptions, SearchStats,

@@ -551,7 +551,8 @@ mod tests {
     fn base_constrains_to_strict_super_rules() {
         let table = t();
         let base = Rule::from_pairs(&table, &[("A", "a")]).unwrap();
-        let view = table.view().filter(|r| base.covers_row(&table, r));
+        let filtered = crate::filter_to_rule(&table.view(), &base);
+        let view = filtered.as_view();
         let cov = vec![0.0; view.len()];
         let mut opts = SearchOptions::new(2.0);
         opts.base = Some(base.clone());
@@ -587,9 +588,10 @@ mod tests {
     #[test]
     fn empty_view_returns_none() {
         let table = t();
-        let view = table.view().filter(|_| false);
+        let empty = table.gather_rows(&[]);
         assert!(
-            find_best_marginal_rule(&view, &SizeWeight, &[], &SearchOptions::new(2.0)).is_none()
+            find_best_marginal_rule(&empty.view(), &SizeWeight, &[], &SearchOptions::new(2.0))
+                .is_none()
         );
     }
 
@@ -622,9 +624,8 @@ mod tests {
     #[test]
     fn weighted_tuples_scale_marginals() {
         let table = t();
-        let rows: Vec<u32> = (0..table.n_rows() as u32).collect();
         let weights = vec![10.0; table.n_rows()];
-        let view = sdd_table::TableView::with_rows_and_weights(&table, rows, weights);
+        let view = TableView::all_with_weights(&table, &weights);
         let cov = vec![0.0; view.len()];
         let best =
             find_best_marginal_rule(&view, &SizeWeight, &cov, &SearchOptions::new(2.0)).unwrap();

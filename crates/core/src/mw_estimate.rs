@@ -8,7 +8,7 @@
 use crate::{Brs, WeightFn};
 use rand::seq::index::sample as index_sample;
 use rand::{rngs::StdRng, SeedableRng};
-use sdd_table::TableView;
+use sdd_table::{RowId, TableView};
 
 /// Estimates a safe `mw` for expanding `view` with `weight` and `k` rules.
 ///
@@ -23,27 +23,22 @@ pub fn estimate_mw(
     sample_size: usize,
     seed: u64,
 ) -> f64 {
-    let table = view.table();
-    let fallback = weight.max_weight(table);
+    let fallback = weight.max_weight(view.table());
     if view.is_empty() || sample_size == 0 {
         return fallback;
     }
 
-    let sample_view = if sample_size >= view.len() {
-        view.clone()
+    let brs = Brs::new(weight);
+    let result = if sample_size >= view.len() {
+        brs.run(view, k)
     } else {
         let mut rng = StdRng::seed_from_u64(seed);
-        let picks = index_sample(&mut rng, view.len(), sample_size);
-        let mut rows = Vec::with_capacity(sample_size);
-        let mut weights = Vec::with_capacity(sample_size);
-        for i in picks {
-            rows.push(view.row_at(i));
-            weights.push(view.weight_at(i));
-        }
-        TableView::with_rows_and_weights(table, rows, weights)
+        let picks: Vec<RowId> = index_sample(&mut rng, view.len(), sample_size)
+            .into_iter()
+            .map(|i| i as RowId)
+            .collect();
+        brs.run(&view.gather(&picks).as_view(), k)
     };
-
-    let result = Brs::new(weight).run(&sample_view, k);
     let max_out = result.rules.iter().map(|s| s.weight).fold(0.0f64, f64::max);
     if max_out <= 0.0 {
         fallback
@@ -90,8 +85,8 @@ mod tests {
     #[test]
     fn empty_view_falls_back() {
         let table = skewed_table();
-        let empty = table.view().filter(|_| false);
-        let est = estimate_mw(&empty, &SizeWeight, 3, 10, 1);
+        let empty = table.gather_rows(&[]);
+        let est = estimate_mw(&empty.view(), &SizeWeight, 3, 10, 1);
         assert_eq!(est, 3.0);
     }
 

@@ -206,9 +206,8 @@ mod tests {
     fn weighted_view_scales_counts() {
         let table = t();
         // Weight every row by 2.
-        let rows: Vec<u32> = (0..table.n_rows() as u32).collect();
         let weights = vec![2.0; table.n_rows()];
-        let view = sdd_table::TableView::with_rows_and_weights(&table, rows, weights);
+        let view = TableView::all_with_weights(&table, &weights);
         let a = rule(&table, &[("A", "a")]);
         assert_eq!(rule_count(&view, &a), 14.0);
         let s = score_list(&view, &SizeWeight, &[a]);

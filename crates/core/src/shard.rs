@@ -31,9 +31,9 @@
 //!    shards in index order visits rows in exactly the monolithic order;
 //! 2. coverage and count scans produce integers — hit lists concatenate in
 //!    shard order, counts add exactly;
-//! 3. a gather copies global codes, so the gathered table *is* the rows a
-//!    monolithic row-id view names, and the search over it performs the
-//!    same float operations in the same order.
+//! 3. a gather copies global codes in the order asked for, so the gathered
+//!    table equals the same rows gathered from a monolithic table, and the
+//!    search over it performs the same float operations in the same order.
 //!
 //! So results are identical for any shard count, resident budget and
 //! construction path: eviction and spill reload only change when bytes are
@@ -321,8 +321,8 @@ pub fn try_count_rules_in_store(
 /// segmented storage. Position `i` of the gathered table is position `i`
 /// of the view, so `covered_weight` and the view's weights carry over
 /// unchanged and the result is bit-identical to
-/// [`crate::find_best_marginal_rule`] on the equivalent monolithic row-id
-/// view, for any shard count and resident budget.
+/// [`crate::find_best_marginal_rule`] on the same rows gathered from the
+/// equivalent monolithic table, for any shard count and resident budget.
 ///
 /// Panics if `covered_weight` does not align with the view.
 pub fn try_find_best_marginal_rule_sharded(
@@ -485,7 +485,8 @@ mod tests {
         let rows: Vec<RowId> = vec![0, 2, 3, 5, 6, 7, 9];
         let weights: Vec<f64> = rows.iter().map(|&r| 0.25 + r as f64 * 0.5).collect();
         let cov: Vec<f64> = rows.iter().map(|&r| (r % 4) as f64 * 0.3).collect();
-        let mview = TableView::with_rows_and_weights(&table, rows.clone(), weights.clone());
+        let gathered = table.gather_rows(&rows);
+        let mview = TableView::all_with_weights(&gathered, &weights);
         let opts = SearchOptions::new(4.0);
         let mono = find_best_marginal_rule(&mview, &SizeWeight, &cov, &opts).unwrap();
         for shards in [2, 3, 5] {

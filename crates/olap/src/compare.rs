@@ -8,7 +8,7 @@
 
 use crate::drilldown::drill_down_all_values;
 use sdd_core::{Brs, Rule, WeightFn};
-use sdd_table::{Table, TableView};
+use sdd_table::Table;
 
 /// Analyst effort: interface clicks plus rows that had to be displayed
 /// (an upper bound on rows the analyst must scan).
@@ -28,9 +28,8 @@ pub fn traditional_effort(table: &Table, target: &Rule) -> Effort {
     let mut rows_displayed = 0usize;
     let mut filter = Rule::trivial(table.n_columns());
     for col in target.instantiated_columns() {
-        let f = filter.clone();
-        let view: TableView<'_> = table.view().filter(|row| f.covers_row(table, row));
-        let level = drill_down_all_values(&view, col);
+        let selection = sdd_core::filter_to_rule(&table.view(), &filter);
+        let level = drill_down_all_values(&selection.as_view(), col);
         clicks += 1;
         rows_displayed += level.n_rows();
         filter = filter.with_value(col, target.code(col));

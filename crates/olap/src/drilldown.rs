@@ -5,7 +5,7 @@
 //! values are displayed", which is precisely the scalability problem smart
 //! drill-down addresses.
 
-use sdd_core::Rule;
+use sdd_core::{filter_to_rule, FilteredView, Rule};
 use sdd_table::{Table, TableView};
 
 /// One group of a traditional drill-down: a value and its count.
@@ -63,8 +63,7 @@ impl<'t> TraditionalDrillDown<'t> {
 
     /// Groups the current selection by `column`, listing **all** values.
     pub fn drill(&self, column: usize) -> DrillDownLevel {
-        let view = self.current_view();
-        drill_down_all_values(&view, column)
+        drill_down_all_values(&self.current_view().as_view(), column)
     }
 
     /// Drills on `column` and then narrows the filter to `value` (the
@@ -92,13 +91,10 @@ impl<'t> TraditionalDrillDown<'t> {
         }
     }
 
-    /// Tuples matching the current filter.
-    pub fn current_view(&self) -> TableView<'t> {
-        let table = self.table;
-        let filter = self.filter.clone();
-        table
-            .view()
-            .filter(move |row| filter.covers_row(table, row))
+    /// Tuples matching the current filter: the table itself while nothing
+    /// is filtered out, else the matching rows gathered into their own.
+    pub fn current_view(&self) -> FilteredView<'t> {
+        filter_to_rule(&self.table.view(), &self.filter)
     }
 }
 
@@ -168,14 +164,14 @@ mod tests {
         let table = t();
         let mut dd = TraditionalDrillDown::new(&table);
         dd.drill_and_select(0, "Walmart").unwrap();
-        assert_eq!(dd.current_view().len(), 3);
+        assert_eq!(dd.current_view().as_view().len(), 3);
         let level = dd.drill(1);
         assert_eq!(level.n_rows(), 2); // cookies, soap within Walmart
         assert_eq!(level.groups[0].label, "cookies");
         dd.roll_up();
-        assert_eq!(dd.current_view().len(), 5);
+        assert_eq!(dd.current_view().as_view().len(), 5);
         dd.roll_up(); // no-op at the top
-        assert_eq!(dd.current_view().len(), 5);
+        assert_eq!(dd.current_view().as_view().len(), 5);
     }
 
     #[test]
@@ -188,9 +184,8 @@ mod tests {
     #[test]
     fn weighted_view_weights_the_groups() {
         let table = t();
-        let rows: Vec<u32> = (0..5).collect();
-        let weights = vec![10.0, 1.0, 10.0, 1.0, 1.0];
-        let view = TableView::with_rows_and_weights(&table, rows, weights);
+        let weights = [10.0, 1.0, 10.0, 1.0, 1.0];
+        let view = TableView::all_with_weights(&table, &weights);
         let level = drill_down_all_values(&view, 1);
         let cookies = level.groups.iter().find(|g| g.label == "cookies").unwrap();
         assert_eq!(cookies.count, 20.0);
@@ -199,8 +194,8 @@ mod tests {
     #[test]
     fn drill_down_on_empty_view() {
         let table = t();
-        let view = table.view().filter(|_| false);
-        let level = drill_down_all_values(&view, 0);
+        let empty = table.gather_rows(&[]);
+        let level = drill_down_all_values(&empty.view(), 0);
         assert_eq!(level.n_rows(), 0);
     }
 }

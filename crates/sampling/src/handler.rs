@@ -23,10 +23,15 @@
 //! reservoir's row ids plus those rows **materialised** into a small
 //! in-memory table in the store's global code space
 //! ([`TableStore::try_gather_rows`]). A served [`SampleView`] is always
-//! "all rows of its own small table, in order, plus weights": searches scan
-//! contiguous column slices of a few thousand rows and never touch the
-//! full table, Find and Combine never touch the shard tier, and everything
-//! downstream of the Create scan is storage-agnostic. The handler's only
+//! "all rows of its own small table, in order, plus weights" — the only
+//! form a [`sdd_table::TableView`] has — and every one of those rows is
+//! covered by the requested rule (Find matches the filter exactly, Combine
+//! pools *covered* tuples, Create samples covered rows). So the drill-down
+//! that follows filters nothing ([`sdd_core::filter_to_rule`] lends the
+//! view back uncopied), searches scan contiguous column slices of a few
+//! thousand rows and never touch the full table, Find and Combine never
+//! touch the shard tier, and everything downstream of the Create scan is
+//! storage-agnostic. The handler's only
 //! contact with the full table is the covered-row scan
 //! ([`sdd_core::try_covered_rows_in_store`]) and the gather.
 //!
@@ -103,9 +108,8 @@ pub enum FetchMechanism {
 ///
 /// The view is **owned** ([`OwnedTableView`]) and self-contained: all rows,
 /// in order, of the sample's own small materialised table (shared by
-/// `Arc`), plus weights — it carries no row-id vector, can outlive the
-/// handler borrow that produced it, cross threads, or seed an owned
-/// `Session` directly.
+/// `Arc`), plus weights — it can outlive the handler borrow that produced
+/// it, cross threads, or seed an owned `Session` directly.
 #[derive(Debug, Clone)]
 pub struct SampleView {
     /// The tuples, weighted so that BRS counts are full-table estimates.

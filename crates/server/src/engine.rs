@@ -161,13 +161,7 @@ impl Engine {
     /// verify a served dataset actually exercised the spill tier (counters
     /// never influence results; the parity suites pin that).
     pub fn storage_counters(&self) -> Option<(u64, u64, u64, usize)> {
-        match &self.store {
-            TableStore::Sharded(s) => {
-                Some((s.loads(), s.evictions(), s.spills(), s.peak_resident()))
-            }
-            TableStore::Live(l) => Some(l.live().storage_counters()),
-            TableStore::Whole(_) => None,
-        }
+        self.store.storage_counters()
     }
 
     /// Live-table gauges `(epoch, visible_rows)` when the served store is
@@ -175,10 +169,7 @@ impl Engine {
     /// not any session's pin — this is what `/metrics` exports so an
     /// operator can watch ingest advance.
     pub fn live_info(&self) -> Option<(u64, usize)> {
-        match &self.store {
-            TableStore::Live(l) => Some((l.live().epoch(), l.live().n_rows())),
-            _ => None,
-        }
+        self.store.latest()
     }
 
     /// Number of live sessions.

@@ -12,9 +12,11 @@
 //! * [`Table`] / [`TableBuilder`] — immutable dictionary-encoded columnar
 //!   storage with optional numeric *measure* columns (for the `Sum` aggregate
 //!   of §6.3),
-//! * [`TableView`] — a borrowed subset of rows with optional per-tuple
-//!   weights (the mechanism that lets one algorithm code path serve Count,
-//!   Sum, and scale-weighted samples),
+//! * [`TableView`] / [`OwnedTableView`] — every row of a table with optional
+//!   per-tuple weights (the mechanism that lets one algorithm code path
+//!   serve Count, Sum, and scale-weighted samples); a subset of rows is a
+//!   gathered small table ([`Table::gather_rows`]) viewed whole, never an
+//!   index vector,
 //! * [`stats`] — per-column frequency statistics used by weighting functions
 //!   and the `minSS` guidance,
 //! * [`csv`] — a small self-contained CSV reader/writer,
@@ -52,4 +54,4 @@ pub use shard::{
     ShardConfig, ShardSegment, ShardedTable, ShardedView, TableStore,
 };
 pub use table::{Table, TableBuilder};
-pub use view::{chunk_spans, OwnedTableView, RowId, TableView, ViewChunk, WeightedRow};
+pub use view::{chunk_spans, OwnedTableView, RowId, TableView, WeightedRow};

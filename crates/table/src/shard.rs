@@ -256,6 +256,14 @@ impl Cache {
         self.peak_resident = self.peak_resident.max(self.resident.len());
     }
 
+    /// Makes `seg` shard `i`'s resident segment, most recently used.
+    fn insert_resident(&mut self, i: usize, seg: Arc<ShardSegment>) {
+        self.clock += 1;
+        let last_used = self.clock;
+        self.resident.insert(i, CacheEntry { seg, last_used });
+        self.note_size();
+    }
+
     /// Evicts unpinned segments until the budget is met. Evicting a pinned
     /// entry would drop the map entry but not the bytes, so the resident
     /// counter would undercount true memory use — instead pinned segments
@@ -405,27 +413,11 @@ impl ShardedTable {
                 .map(|c| table.column(c)[span.clone()].to_vec())
                 .collect();
             if let Some(root) = &spill_root {
-                let path = root.dir.join(segment_file_name(i));
-                write_segment(&path, &cols, span.len())?;
-                spill[i] = Some(Arc::new(SpillFile {
-                    path,
-                    _root: Arc::clone(root),
-                }));
+                spill[i] = Some(spill_segment(root, i, &cols, span.len())?);
                 cache.spills += 1;
                 // Cold cache: segments are rebuilt from spill on first use.
             } else {
-                cache.clock += 1;
-                cache.resident.insert(
-                    i,
-                    CacheEntry {
-                        seg: Arc::new(ShardSegment {
-                            span: span.clone(),
-                            table: segment_table(&header, &measures, span, cols),
-                        }),
-                        last_used: cache.clock,
-                    },
-                );
-                cache.note_size();
+                cache.insert_resident(i, segment(&header, &measures, span, cols));
             }
         }
 
@@ -532,10 +524,7 @@ impl ShardedTable {
             self.n_columns(),
             span.len(),
         )?);
-        let seg = Arc::new(ShardSegment {
-            table: segment_table(&self.header, &self.measures, &span, cols),
-            span,
-        });
+        let seg = segment(&self.header, &self.measures, &span, cols);
 
         let mut cache = self.cache();
         cache.clock += 1;
@@ -793,6 +782,23 @@ fn segment_file_name(i: usize) -> String {
     format!("shard-{i:05}.seg")
 }
 
+/// Encodes segment `i` (`cols`, `n_rows` rows of global codes) into its
+/// file under `root` and returns the handle that deletes the file when its
+/// last owner drops.
+fn spill_segment(
+    root: &Arc<SpillRoot>,
+    i: usize,
+    cols: &[Vec<u32>],
+    n_rows: usize,
+) -> io::Result<Arc<SpillFile>> {
+    let path = root.dir.join(segment_file_name(i));
+    write_segment(&path, cols, n_rows)?;
+    Ok(Arc::new(SpillFile {
+        path,
+        _root: Arc::clone(root),
+    }))
+}
+
 // Spill cleanup is reference-counted, not tied to the table's drop: each
 // spill file deletes itself when its last `Arc` owner releases it, and the
 // `SpillRoot` removes the (by then empty) directory when the last file and
@@ -963,12 +969,7 @@ impl ShardBuilder {
             .collect();
         debug_assert!(cols.iter().all(|c| c.len() == span.len()));
         if let Some(root) = &self.spill_root {
-            let path = root.dir.join(segment_file_name(i));
-            write_segment(&path, &cols, span.len())?;
-            self.spill[i] = Some(Arc::new(SpillFile {
-                path,
-                _root: Arc::clone(root),
-            }));
+            self.spill[i] = Some(spill_segment(root, i, &cols, span.len())?);
             self.spills += 1;
             // `cols` drops here: a spilling build never retains sealed codes.
         } else {
@@ -1034,18 +1035,7 @@ impl ShardBuilder {
                         "internal: segment {i} was never sealed"
                     )));
                 };
-                cache.clock += 1;
-                cache.resident.insert(
-                    i,
-                    CacheEntry {
-                        seg: Arc::new(ShardSegment {
-                            span: span.clone(),
-                            table: segment_table(&header, &measures, span, cols),
-                        }),
-                        last_used: cache.clock,
-                    },
-                );
-                cache.note_size();
+                cache.insert_resident(i, segment(&header, &measures, span, cols));
             }
         }
 
@@ -1398,22 +1388,17 @@ impl LiveTable {
                 match &self.spill_root {
                     Some(root) => {
                         let i = state.rows.sealed_spill.len() + staged.len();
-                        let path = root.dir.join(segment_file_name(i));
-                        if let Err(e) = write_segment(&path, &cols, c) {
-                            // Put the drained rows back before surfacing.
-                            for (col, sealed) in state.rows.tail.iter_mut().zip(cols) {
-                                let rest = std::mem::replace(col, sealed);
-                                col.extend(rest);
+                        match spill_segment(root, i, &cols, c) {
+                            Ok(file) => staged.push(StagedSeg::Spilled(file, cols)),
+                            Err(e) => {
+                                // Put the drained rows back before surfacing.
+                                for (col, sealed) in state.rows.tail.iter_mut().zip(cols) {
+                                    let rest = std::mem::replace(col, sealed);
+                                    col.extend(rest);
+                                }
+                                return Err(e.into());
                             }
-                            return Err(e.into());
                         }
-                        staged.push(StagedSeg::Spilled(
-                            Arc::new(SpillFile {
-                                path,
-                                _root: Arc::clone(root),
-                            }),
-                            cols,
-                        ));
                     }
                     None => staged.push(StagedSeg::Resident(cols)),
                 }
@@ -1524,27 +1509,14 @@ impl LiveRows {
         spill.resize(spans.len(), None);
 
         let mut cache = Cache::default();
-        let insert_resident = |cache: &mut Cache, i: usize, cols: Vec<Vec<u32>>| {
-            cache.clock += 1;
-            cache.resident.insert(
-                i,
-                CacheEntry {
-                    seg: Arc::new(ShardSegment {
-                        span: spans[i].clone(),
-                        table: segment_table(&header, &measures, &spans[i], cols),
-                    }),
-                    last_used: cache.clock,
-                },
-            );
-            cache.note_size();
-        };
         if spill_root.is_none() {
             for (i, cols) in self.sealed_cols.iter().enumerate() {
-                insert_resident(&mut cache, i, cols.clone());
+                cache.insert_resident(i, segment(&header, &measures, &spans[i], cols.clone()));
             }
         }
         if tail_len > 0 || sealed_n == 0 {
-            insert_resident(&mut cache, spans.len() - 1, self.tail.clone());
+            let i = spans.len() - 1;
+            cache.insert_resident(i, segment(&header, &measures, &spans[i], self.tail.clone()));
         }
 
         LiveSnapshot {
@@ -1563,28 +1535,31 @@ impl LiveRows {
     }
 }
 
-/// Builds the resident [`Table`] of one segment: global-coded columns plus
-/// the span's measure slices, sharing the header's schema and — by `Arc`,
-/// not by clone — its global dictionaries: every segment of a table holds
-/// pointer-identical dictionary handles, so segment count never multiplies
-/// dictionary memory.
-fn segment_table(
+/// Builds the decoded segment of `span`: a resident [`Table`] of the
+/// global-coded columns plus the span's measure slices, sharing the
+/// header's schema and — by `Arc`, not by clone — its global dictionaries:
+/// every segment of a table holds pointer-identical dictionary handles, so
+/// segment count never multiplies dictionary memory.
+fn segment(
     header: &Table,
     measures: &[(String, Vec<f64>)],
     span: &Range<usize>,
     cols: Vec<Vec<u32>>,
-) -> Table {
+) -> Arc<ShardSegment> {
     let sliced: Vec<(String, Vec<f64>)> = measures
         .iter()
         .map(|(n, vals)| (n.clone(), vals[span.clone()].to_vec()))
         .collect();
-    Table::from_parts(
-        header.schema().clone(),
-        header.dictionaries().to_vec(),
-        cols,
-        sliced,
-        span.len(),
-    )
+    Arc::new(ShardSegment {
+        span: span.clone(),
+        table: Table::from_parts(
+            header.schema().clone(),
+            header.dictionaries().to_vec(),
+            cols,
+            sliced,
+            span.len(),
+        ),
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -2112,6 +2087,26 @@ impl TableStore {
         }
     }
 
+    /// Storage-tier counters `(loads, evictions, spills, peak_resident)`:
+    /// the table's own for `Sharded`, the lifetime totals across epochs
+    /// ([`LiveTable::storage_counters`]) for `Live`, `None` for
+    /// [`TableStore::Whole`], which has no tier to count.
+    pub fn storage_counters(&self) -> Option<(u64, u64, u64, usize)> {
+        match self {
+            TableStore::Whole(_) => None,
+            TableStore::Sharded(s) => {
+                Some((s.loads(), s.evictions(), s.spills(), s.peak_resident()))
+            }
+            TableStore::Live(l) => Some(l.live.storage_counters()),
+        }
+    }
+
+    /// `(epoch, visible_rows)` of the **latest** published state of live
+    /// storage — not this holder's pin — and `None` for frozen storage.
+    pub fn latest(&self) -> Option<(u64, usize)> {
+        self.as_live().map(|l| (l.live.epoch(), l.live.n_rows()))
+    }
+
     /// The pinned [`ShardedTable`] view for segmented storage (`None` for
     /// [`TableStore::Whole`]): the shared table for `Sharded`, the pinned
     /// snapshot for `Live`. The store-kind dispatch in `sdd_core::shard`
@@ -2553,6 +2548,10 @@ mod tests {
         assert_eq!(sharded.n_columns(), 2);
         assert_eq!(sharded.header().n_rows(), 0, "header carries no rows");
         assert_eq!(sharded.header().cardinality(0), table.cardinality(0));
+        // Only a segmented store has a tier to count; only a live one moves.
+        assert_eq!(whole.storage_counters(), None);
+        assert_eq!(sharded.storage_counters(), Some((0, 0, 0, 2)));
+        assert_eq!((whole.latest(), sharded.latest()), (None, None));
     }
 
     // -----------------------------------------------------------------------
@@ -2861,6 +2860,8 @@ mod tests {
         assert_eq!(store.epoch(), 0);
         assert_eq!(store.n_rows(), 0);
         assert_eq!(store.as_live().unwrap().latest_epoch(), 1);
+        assert_eq!(store.latest(), Some((1, 5)), "the head, not the pin");
+        assert_eq!(store.storage_counters(), Some(live.storage_counters()));
         let e = store.as_live_mut().unwrap().re_pin();
         assert_eq!(e, 1);
         assert_eq!(store.n_rows(), 5);

@@ -6,7 +6,7 @@
 //! * §4.2's `minSS` guidance and §6.1's weight-family analysis need `f_c`,
 //!   the frequency of each column's most common value.
 
-use crate::{Table, TableView};
+use crate::Table;
 
 /// Frequency statistics for one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,18 +29,6 @@ pub fn column_stats(table: &Table, col: usize) -> ColumnStats {
         counts[code as usize] += 1;
     }
     finish(counts, table.n_rows() as u64)
-}
-
-/// Computes [`ColumnStats`] for column `col` over a (possibly weighted) view.
-/// Weights are rounded into counts only for `top_fraction`; `counts` holds
-/// occurrence counts of view entries.
-pub fn column_stats_view(view: &TableView<'_>, col: usize) -> ColumnStats {
-    let table = view.table();
-    let mut counts = vec![0u64; table.cardinality(col)];
-    for wr in view.iter() {
-        counts[table.code(wr.row, col) as usize] += 1;
-    }
-    finish(counts, view.len() as u64)
 }
 
 fn finish(counts: Vec<u64>, total: u64) -> ColumnStats {
@@ -110,10 +98,9 @@ mod tests {
     }
 
     #[test]
-    fn stats_over_view_respects_subset() {
+    fn stats_over_gathered_subset_keep_the_code_space() {
         let table = t();
-        let v = TableView::with_rows(&table, vec![3]);
-        let s = column_stats_view(&v, 0);
+        let s = column_stats(&table.gather_rows(&[3]), 0);
         assert_eq!(s.distinct, 1);
         assert!((s.top_fraction - 1.0).abs() < 1e-12);
         assert_eq!(

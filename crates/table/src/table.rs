@@ -155,14 +155,10 @@ impl Table {
     }
 
     /// A view over all rows weighted by measure column `name`
-    /// (`Sum` semantics, §6.3 of the paper).
+    /// (`Sum` semantics, §6.3 of the paper). The view borrows the measure
+    /// column as its weights.
     pub fn view_weighted_by(&self, name: &str) -> Result<TableView<'_>, TableError> {
-        let w = self.measure(name)?.to_vec();
-        Ok(TableView::with_rows_and_weights(
-            self,
-            (0..self.n_rows as u32).collect(),
-            w,
-        ))
+        Ok(TableView::all_with_weights(self, self.measure(name)?))
     }
 
     /// Materializes a new `Table` keeping only the first `n` columns —

@@ -70,8 +70,10 @@ fn assert_bitwise_equal(label: &str, a: &Option<BestMarginal>, b: &Option<BestMa
 fn run_scenario(rng: &mut StdRng, trial: usize) {
     let table = random_table(rng);
 
-    // Optionally a weighted subset view (samples), else the full view.
+    // Optionally a weighted subset (a sample: the rows gathered into their
+    // own table), else the full view.
     let use_subset = rng.gen_range(0..3) == 0;
+    let (gathered, weights);
     let view: TableView<'_> = if use_subset {
         let rows: Vec<u32> = (0..table.n_rows() as u32)
             .filter(|_| rng.gen_range(0..4) != 0)
@@ -79,8 +81,12 @@ fn run_scenario(rng: &mut StdRng, trial: usize) {
         if rows.is_empty() {
             return;
         }
-        let weights: Vec<f64> = rows.iter().map(|_| rng.gen_range(0.25..4.0)).collect();
-        TableView::with_rows_and_weights(&table, rows, weights)
+        weights = rows
+            .iter()
+            .map(|_| rng.gen_range(0.25..4.0))
+            .collect::<Vec<f64>>();
+        gathered = table.gather_rows(&rows);
+        TableView::all_with_weights(&gathered, &weights)
     } else {
         table.view()
     };
@@ -98,19 +104,19 @@ fn run_scenario(rng: &mut StdRng, trial: usize) {
 
     // Occasionally search under a drill-down base (view filtered first, per
     // the SearchOptions contract).
-    let based_view;
-    let (view_ref, opts) = if rng.gen_range(0..4) == 0 && table.n_rows() > 0 {
+    let filtered;
+    let (based_view, opts) = if rng.gen_range(0..4) == 0 && table.n_rows() > 0 {
         let col = rng.gen_range(0..table.n_columns());
         let row = rng.gen_range(0..table.n_rows()) as u32;
         let base = Rule::trivial(table.n_columns()).with_value(col, table.code(row, col));
-        based_view = filter_to_rule(&view, &base);
+        filtered = filter_to_rule(&view, &base);
         let mut o = opts.clone();
         o.base = Some(base);
-        (&based_view, o)
+        (filtered.as_view(), o)
     } else {
-        based_view = view.clone();
-        (&based_view, opts)
+        (view, opts)
     };
+    let view_ref = &based_view;
     let cov: Vec<f64> = (0..view_ref.len())
         .map(|i| cov[i % cov.len().max(1)])
         .collect();
@@ -142,9 +148,9 @@ fn kernel_matches_rowwise_bitwise_on_randomized_instances() {
 /// row-slicing strategy once re-associated float partials depending on
 /// `SDD_THREADS`. Every accumulator now belongs to one task scanning in row
 /// order, so the result is bit-identical for any worker count and equal to
-/// the row-at-a-time reference — whether the view names its rows by id or
-/// is the contiguous "all rows + weights" form a materialised sample is
-/// served in, with pruning on or off, and under a drill-down base.
+/// the row-at-a-time reference — whether the view borrows its table and
+/// weights or is the owned form a materialised sample is served in, with
+/// pruning on or off, and under a drill-down base (a gathered subset).
 #[test]
 fn default_search_is_thread_invariant_on_weighted_views() {
     let _env = env_lock();
@@ -164,22 +170,21 @@ fn default_search_is_thread_invariant_on_weighted_views() {
     );
     let weights: Vec<f64> = (0..n).map(|_| rng.gen_range(0.25..4.0)).collect();
     let cov: Vec<f64> = (0..n).map(|_| rng.gen_range(0.0..3.0)).collect();
-    let by_id = TableView::with_rows_and_weights(&table, (0..n as u32).collect(), weights.clone());
-    let contiguous = OwnedTableView::all_with_weights(table.clone(), weights);
-    assert!(contiguous.as_view().row_ids().is_none());
+    let borrowed = TableView::all_with_weights(&table, &weights);
+    let owned = OwnedTableView::all_with_weights(table.clone(), weights.clone());
     let opts = SearchOptions::new(3.0);
     let mut unpruned = opts.clone();
     unpruned.pruning = false;
     let base = Rule::trivial(3).with_value(2, table.code(0, 2));
-    let based = filter_to_rule(&by_id, &base);
+    let based = filter_to_rule(&borrowed, &base);
     let mut under_base = opts.clone();
     under_base.base = Some(base);
 
     let cases: [(&str, &TableView<'_>, &dyn WeightFn, &SearchOptions); 4] = [
-        ("by id", &by_id, &SizeWeight, &opts),
-        ("contiguous", &contiguous.as_view(), &SizeWeight, &opts),
-        ("unpruned, bits weight", &by_id, &BitsWeight, &unpruned),
-        ("under a base", &based, &SizeWeight, &under_base),
+        ("borrowed", &borrowed, &SizeWeight, &opts),
+        ("owned", &owned.as_view(), &SizeWeight, &opts),
+        ("unpruned, bits weight", &borrowed, &BitsWeight, &unpruned),
+        ("under a base", &based.as_view(), &SizeWeight, &under_base),
     ];
     for (shape, view, weight, opts) in cases {
         assert!(view.len() >= 16 * 1024, "{shape}: too small to fan out");

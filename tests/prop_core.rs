@@ -3,11 +3,12 @@
 
 use proptest::prelude::*;
 use smart_drilldown::core::{
-    find_best_marginal_rule, marginal::brute_force_best_marginal, score_list, score_set,
-    sort_by_weight_desc, BitsWeight, Brs, ColumnWeight, Rule, SearchOptions, SizeMinusOne,
-    SizeWeight, WeightFn,
+    drill_down_with, find_best_marginal_rule, find_best_marginal_rule_rowwise,
+    marginal::brute_force_best_marginal, score_list, score_set, sort_by_weight_desc, BitsWeight,
+    Brs, BrsResult, ColumnWeight, Rule, SearchOptions, SearchStats, SizeMinusOne, SizeWeight,
+    WeightFn,
 };
-use smart_drilldown::table::{Schema, Table};
+use smart_drilldown::table::{Schema, Table, TableView};
 
 /// A random small categorical table: 3 columns with cardinalities ≤ 4.
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -29,8 +30,91 @@ fn rule_from_row(table: &Table, row_idx: usize, mask: u8) -> Rule {
     Rule::from_row_columns(table, row, &cols)
 }
 
+/// Every float a drill-down returns, by bit pattern: per displayed rule
+/// its weight, count and mcount, then the total score.
+fn float_bits(r: &BrsResult) -> Vec<u64> {
+    r.rules
+        .iter()
+        .flat_map(|s| [s.weight, s.count, s.mcount])
+        .chain([r.total_score])
+        .map(f64::to_bits)
+        .collect()
+}
+
+/// Algorithm 1 spelled out over the row-at-a-time reference search: the
+/// greedy picks, their summed work counters and the final score.
+fn rowwise_greedy(
+    view: &TableView<'_>,
+    weight: &dyn WeightFn,
+    base: &Rule,
+    k: usize,
+) -> (Vec<Rule>, u64, SearchStats) {
+    let table = view.table();
+    let mut opts = SearchOptions::new(weight.max_weight(table));
+    opts.base = Some(base.clone());
+    let mut covered = vec![0.0f64; view.len()];
+    let mut picks = Vec::new();
+    let mut stats = SearchStats::default();
+    for _ in 0..k {
+        let Some(best) = find_best_marginal_rule_rowwise(view, weight, &covered, &opts) else {
+            break;
+        };
+        stats.absorb(&best.stats);
+        for wr in view.iter() {
+            if best.rule.covers_row(table, wr.row) {
+                let slot = &mut covered[wr.row as usize];
+                *slot = slot.max(best.weight);
+            }
+        }
+        picks.push(best.rule);
+    }
+    let display = sort_by_weight_desc(view, weight, &picks);
+    let total = score_list(view, weight, &display).total;
+    (picks, total.to_bits(), stats)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Drill-down filtering is a gather: over a sample-shaped view (rows of
+    /// a table gathered in arbitrary order, repeats allowed, each with its
+    /// own weight) `drill_down_with` ≡ BRS over the hand-gathered covered
+    /// rows ≡ greedy over the row-at-a-time reference, bit for bit.
+    #[test]
+    fn drill_down_is_brs_over_the_gathered_covered_rows(
+        table in arb_table(),
+        picks in proptest::collection::vec((0usize..1000, 0.25f64..4.0), 1..80),
+        base_pick in (0usize..1000, 0u8..8),
+        bits in 0u8..2,
+        k in 1usize..4,
+    ) {
+        let rows: Vec<u32> = picks.iter().map(|&(i, _)| (i % table.n_rows()) as u32).collect();
+        let weights: Vec<f64> = picks.iter().map(|&(_, w)| w).collect();
+        let sample = table.gather_rows(&rows);
+        let view = TableView::all_with_weights(&sample, &weights);
+        let base = rule_from_row(&sample, base_pick.0, base_pick.1);
+        let weight: &dyn WeightFn = if bits == 0 { &SizeWeight } else { &BitsWeight };
+        let brs = Brs::new(weight);
+
+        let whole = drill_down_with(&brs, &view, &base, k);
+
+        let covered: Vec<u32> = (0..sample.n_rows() as u32)
+            .filter(|&r| base.covers_row(&sample, r))
+            .collect();
+        let hand = sample.gather_rows(&covered);
+        let hand_weights: Vec<f64> = covered.iter().map(|&r| weights[r as usize]).collect();
+        let hand_view = TableView::all_with_weights(&hand, &hand_weights);
+        let gathered = brs.run_with_base(&hand_view, Some(base.clone()), k);
+        prop_assert_eq!(whole.rules_only(), gathered.rules_only());
+        prop_assert_eq!(&whole.selection_order, &gathered.selection_order);
+        prop_assert_eq!(float_bits(&whole), float_bits(&gathered));
+        prop_assert_eq!(whole.stats, gathered.stats);
+
+        let (oracle_picks, oracle_total, oracle_stats) = rowwise_greedy(&hand_view, weight, &base, k);
+        prop_assert_eq!(&whole.selection_order, &oracle_picks);
+        prop_assert_eq!(whole.total_score.to_bits(), oracle_total);
+        prop_assert_eq!(whole.stats, oracle_stats);
+    }
 
     /// Lemma 1: sorting a rule list by descending weight never lowers Score.
     #[test]

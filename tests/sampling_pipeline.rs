@@ -3,7 +3,9 @@
 //! ladder must engage in the documented order, and prefetching must
 //! eliminate disk passes.
 
-use smart_drilldown::core::{rule_count, Rule, SizeWeight};
+use smart_drilldown::core::{
+    covered_rows, filter_to_rule, rule_count, FilteredView, Rule, SizeWeight,
+};
 use smart_drilldown::explorer::PrefetchMode;
 use smart_drilldown::prelude::*;
 use smart_drilldown::sampling::{FetchMechanism, PrefetchEntry, StoredSampleInfo};
@@ -124,6 +126,48 @@ fn combine_merges_multiple_sources_unbiased() {
         (est - truth).abs() / truth < 0.5,
         "combined estimate {est} too far from {truth}"
     );
+}
+
+/// The invariant that makes drill-down filtering free in the product:
+/// whichever mechanism serves a sample for a rule — Find (a stored sample of
+/// that very rule), Combine (the *covered* rows of stored sub-rule samples)
+/// or Create (a reservoir over the rule's covered rows) — every row of the
+/// served view is covered by the rule, so `filter_to_rule` lends the view
+/// back (same table, same weights) instead of copying it.
+#[test]
+fn every_served_sample_is_fully_covered_by_its_requested_rule() {
+    let table = Arc::new(retail(42));
+    let mut handler = SampleHandler::new(table.clone(), handler_cfg(50_000, 100, 11));
+    let walmart = Rule::from_pairs(&table, &[("Store", "Walmart")]).unwrap();
+    let cookies = Rule::from_pairs(&table, &[("Product", "cookies")]).unwrap();
+    let both = Rule::from_pairs(&table, &[("Store", "Walmart"), ("Product", "cookies")]).unwrap();
+    let requests = [
+        (Rule::trivial(3), FetchMechanism::Create),
+        (walmart.clone(), FetchMechanism::Create),
+        (cookies, FetchMechanism::Create),
+        (walmart, FetchMechanism::Find),
+        (both.clone(), FetchMechanism::Combine),
+        (both, FetchMechanism::Combine),
+    ];
+    for (rule, mechanism) in requests {
+        let s = handler.try_get_sample(&rule).unwrap();
+        assert_eq!(s.mechanism, mechanism, "{}", rule.display(&table));
+        assert!(!s.view.is_empty());
+        assert_eq!(
+            covered_rows(s.view.table(), &rule).len(),
+            s.view.len(),
+            "{mechanism:?}: a served row is not covered by {}",
+            rule.display(&table)
+        );
+        let view = s.view.as_view();
+        let filtered = filter_to_rule(&view, &rule);
+        assert!(matches!(filtered, FilteredView::Whole(_)), "{mechanism:?}");
+        assert!(std::ptr::eq(filtered.as_view().table(), view.table()));
+        assert!(std::ptr::eq(
+            filtered.as_view().weights().unwrap(),
+            view.weights().unwrap()
+        ));
+    }
 }
 
 #[test]

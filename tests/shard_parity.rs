@@ -149,9 +149,11 @@ fn marginal_search_is_bit_identical_across_shard_layouts() {
         }
         let cov: Vec<f64> = (0..rows.len()).map(|_| rng.gen_range(0.0..2.5)).collect();
 
+        // The monolithic reference for a subset is the rows gathered from
+        // the monolithic table, in the same order.
+        let gathered = table.gather_rows(&rows);
         let mono_view: TableView<'_> = match &weights {
-            Some(w) => TableView::with_rows_and_weights(&table, rows.clone(), w.clone()),
-            None if use_subset => TableView::with_rows(&table, rows.clone()),
+            Some(w) => TableView::all_with_weights(&gathered, w),
             None => table.view(),
         };
         let opts = SearchOptions::new(mw);
@@ -219,19 +221,12 @@ fn handler_config(seed: u64) -> SampleHandlerConfig {
 type Served = (FetchMechanism, usize, u64, u64, [u64; 2]);
 
 /// Drives a request sequence; snapshots the stored samples and every served
-/// view. Every served view must be the self-contained "all rows of its own
-/// table" form — no row-id vector.
+/// view (by type the self-contained "all rows of its own table" form).
 fn drive_handler(mut h: SampleHandler, rules: &[Rule]) -> (Vec<StoredSampleInfo>, Vec<Served>) {
     let served = rules
         .iter()
         .map(|rule| {
             let s = h.try_get_sample(rule).unwrap();
-            assert!(
-                s.view.as_view().row_ids().is_none(),
-                "{:?}: row-id vector",
-                s.mechanism
-            );
-            assert_eq!(s.view.table().n_rows(), s.view.len());
             (
                 s.mechanism,
                 s.view.len(),
