@@ -741,10 +741,11 @@ const MAX_SLICES: usize = 64;
 /// Inputs smaller than this are scanned in one piece.
 const SLICE_MIN_ROWS: usize = 32 * 1024;
 
-/// Slice count for [`covered_rows`]: slices whenever the scan is large enough to
-/// amortize task startup. Output is integer hit lists concatenated in slice
-/// order, so slicing never changes a byte of the result.
-fn scan_chunks(len: usize) -> usize {
+/// Slice count for [`covered_rows`] and for a [`crate::shard`] sweep of a
+/// monolithic table: slices whenever the scan is large enough to amortize
+/// task startup. Output is integer hit lists concatenated in slice order, so
+/// slicing never changes a byte of the result.
+pub(crate) fn scan_chunks(len: usize) -> usize {
     if len < SLICE_MIN_ROWS {
         1
     } else {

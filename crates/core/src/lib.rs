@@ -97,8 +97,8 @@ pub use score::{
 };
 pub use session::{Node, Session, SessionError};
 pub use shard::{
-    try_count_rules_in_store, try_count_rules_sharded, try_covered_rows_in_store,
-    try_covered_rows_sharded, try_covered_rows_sharded_range, try_find_best_marginal_rule_sharded,
+    try_count_rules_in_store, try_count_rules_sharded, try_covered_rows_sharded,
+    try_covered_rows_sharded_range, try_find_best_marginal_rule_sharded, try_scan_rules_in_store,
 };
 pub use weight::{
     check_monotone_on, BitsWeight, ColumnWeight, RequireColumn, SizeMinusOne, SizeWeight,

@@ -1,113 +1,140 @@
-//! The segment tier: the scans that run over [`ShardedTable`] storage
-//! (see `sdd_table::shard` for the substrate).
+//! The segment tier: the one sweep that scans a table a segment at a time,
+//! over monolithic and segmented storage alike (see `sdd_table::shard` for
+//! the substrate).
 //!
 //! The paper's architecture (§3–§4) runs BRS and Algorithm 2 over an
 //! **in-memory sample**; the big table is only ever scanned for covered
 //! rows (Create, prefetch, live maintenance), counted exactly (refresh) and
-//! gathered from. That is all the product asks of segmented storage, so
-//! that is all this module serves:
+//! gathered from. Every such scan is the **same loop** (`sweep`): segments
+//! are visited in row order (a shard of a [`ShardedTable`] or live
+//! snapshot, or a [`chunk_spans`] slice of a monolithic [`Table`]), the
+//! union of the batch's rule columns is fetched **once per segment**, and
+//! each rule's hits in that segment go to a sink:
 //!
-//! * [`try_covered_rows_sharded`] / [`try_covered_rows_sharded_range`] —
-//!   the row ids a rule covers, over the whole table or one appended range;
-//! * [`try_count_rules_sharded`] — exact counts of a rule list;
-//! * [`try_covered_rows_in_store`] / [`try_count_rules_in_store`] — the same
-//!   two scans over any [`TableStore`]: the **one place** that dispatches on
-//!   the store kind (monolithic → [`crate::kernel`], segmented → here), so
-//!   the sampling layer and the explorer never match on it;
-//! * [`try_find_best_marginal_rule_sharded`] — *not* a second Algorithm 2:
-//!   it gathers a [`ShardedView`]'s rows and runs the one search
-//!   ([`crate::find_best_marginal_rule_with_scratch`]) on the gathered
-//!   table, the two calls the sampling layer and BRS make for every real
-//!   request. Kept because the repository benchmark's
-//!   `core.search_sharded_ratio` probe compiles against it.
+//! * *collect ids* — [`try_covered_rows_sharded`] and
+//!   [`try_covered_rows_sharded_range`];
+//! * *count* — [`try_count_rules_sharded`], [`try_count_rules_in_store`];
+//! * *the caller's* — [`try_scan_rules_in_store`], through which the
+//!   sampling layer offers a whole batch of rules' covered rows to their
+//!   reservoirs in a single pass (§4.3), no covered-row vector in between.
 //!
-//! Everything is **fallible-only**: a damaged spill file surfaces as
-//! [`TableError::Corrupt`]/[`TableError::Io`], so a session gets an error
-//! response instead of a crash.
+//! The `*_in_store` entries are the **one place** that dispatches on the
+//! store kind. [`try_find_best_marginal_rule_sharded`] is *not* a second
+//! Algorithm 2: it gathers a [`ShardedView`]'s rows and runs the one search
+//! on the gathered table (kept because the repository benchmark's
+//! `core.search_sharded_ratio` probe compiles against it). Everything is
+//! **fallible-only**: a damaged spill file surfaces as
+//! [`TableError::Corrupt`]/[`TableError::Io`], never a crash.
 //!
-//! ## Bit-parity with the monolithic scans
+//! ## Bit-parity across layouts, batches and thread counts
 //!
-//! 1. the shard layout partitions the row range in order, so iterating
-//!    shards in index order visits rows in exactly the monolithic order;
-//! 2. coverage and count scans produce integers — hit lists concatenate in
-//!    shard order, counts add exactly;
-//! 3. a gather copies global codes in the order asked for, so the gathered
-//!    table equals the same rows gathered from a monolithic table, and the
-//!    search over it performs the same float operations in the same order.
+//! 1. segments partition the row range in order, so visiting them in index
+//!    order visits rows in exactly the monolithic order;
+//! 2. a rule's hits in a segment are a function of that rule and those
+//!    rows alone — which other rules share the batch changes what is
+//!    *fetched*, never what is *found*;
+//! 3. with more than one thread, segments are scanned in parallel waves
+//!    but their hits reach the sink strictly in segment order, so every
+//!    rule's hit stream is the ascending monolithic one: hit lists
+//!    concatenate, integer counts add exactly, and a reservoir fed by the
+//!    stream draws what a rule-at-a-time scan would give it
+//!    (`docs/DETERMINISM.md` has the argument in full);
+//! 4. a gather copies global codes in the order asked for, so the search
+//!    over a gathered table performs the same float operations in the same
+//!    order as over the same rows of a monolithic table.
 //!
-//! So results are identical for any shard count, resident budget and
-//! construction path: eviction and spill reload only change when bytes are
-//! in memory, never which bytes. `tests/shard_parity.rs` asserts all of
-//! this.
+//! So results are identical for any shard count, resident budget, batch
+//! composition and construction path (`tests/shard_parity.rs`).
 //!
 //! ## Spill-tier predicate pushdown
 //!
-//! A scan sees each shard in one of two forms and never forces a
-//! local→global decode:
-//!
-//! * a **cached** segment ([`ShardedTable::cached_data`]) is a small table
-//!   of global codes, scanned by the same span routines the monolithic
-//!   scans use (`covered_rows_span`, `count_rule_span` in
-//!   [`crate::kernel`]) — there is no second implementation;
-//! * a **miss** range-reads only the rule's columns
-//!   ([`ShardedTable::read_columns`]) as packed 1/2/4-byte local codes
-//!   straight out of the spill coding, transiently — residency is left
-//!   undisturbed — and scans them after translating each rule predicate
-//!   into the shard's local code space through its `remap`. A predicate
-//!   value absent from `remap` covers zero rows, so the whole shard is
-//!   skipped without touching a row. This arm hides the spill format and
-//!   stays separate.
-//!
-//! Parity of the second form holds by construction: a local-code equality
-//! scan hits exactly the rows the global-code scan hits. The
-//! equality-compare inner loops dispatch through [`crate::accel`] (AVX2
-//! with scalar fallback); SIMD changes neither positions nor order.
+//! A sweep never forces a local→global decode. A slice of the monolithic
+//! table and a **cached** segment ([`ShardedTable::cached_data`]) hold
+//! global codes and are scanned by the same span routines
+//! (`covered_rows_span`, `count_rule_span` in [`crate::kernel`]). A **miss**
+//! range-reads only the batch's columns ([`ShardedTable::read_columns`]) as
+//! packed 1/2/4-byte local codes, transiently — residency is left
+//! undisturbed — and scans them after translating each rule predicate into
+//! the shard's local code space through its `remap`; a value absent from
+//! `remap` covers zero rows there. A batch of trivial rules reads nothing.
+//! A local-code equality scan hits exactly the rows the global-code scan
+//! hits, and the compare loops dispatch through [`crate::accel`] (AVX2 with
+//! scalar fallback), which changes neither positions nor order.
 
-use crate::accel;
-use crate::kernel::{count_rule_span, covered_rows_span, covered_rows_with_threads, SearchScratch};
+use crate::kernel::{count_rule_span, covered_rows_span, scan_chunks, SearchScratch};
 use crate::marginal::{find_best_marginal_rule_with_scratch, BestMarginal, SearchOptions};
-use crate::{Rule, WeightFn};
+use crate::{accel, exec, Rule, WeightFn};
 use sdd_table::{
-    LocalCodes, OwnedTableView, RawColumn, RowId, ShardSegment, ShardedTable, ShardedView,
-    TableError, TableStore,
+    chunk_spans, LocalCodes, OwnedTableView, RawColumn, RowId, ShardSegment, ShardedTable,
+    ShardedView, Table, TableError, TableStore,
 };
+use std::borrow::Cow;
 use std::ops::Range;
 use std::sync::Arc;
 
 // ---------------------------------------------------------------------------
-// Pushdown plumbing: fetching shard columns in their cheapest form and
-// translating rule predicates into local code space.
+// One segment of a sweep, and the scans over each form it comes in
 // ---------------------------------------------------------------------------
 
-/// The column data one scan obtained for one shard, in whichever form was
-/// cheapest to get.
-enum ShardCols {
-    /// The cached decoded segment (global codes).
+/// The batch's columns of one segment, in whichever form was cheapest to get.
+enum Codes<'a> {
+    /// Global codes in place: the monolithic table, or a cached segment.
+    Table(&'a Table),
     Decoded(Arc<ShardSegment>),
-    /// A transient range read of just the requested columns, each paired
-    /// with its column index — never enters the residency cache.
-    Transient(Vec<(usize, RawColumn)>),
+    /// A transient range read of just the batch's columns, each with its
+    /// column index. Empty when the batch instantiates no column.
+    Packed(Vec<(usize, RawColumn)>),
 }
 
-/// Fetches `cols` of one shard: the cached segment, else a transient range
-/// read of only those columns (residency undisturbed).
-fn fetch_cols(st: &ShardedTable, shard: usize, cols: &[usize]) -> Result<ShardCols, TableError> {
-    Ok(match st.cached_data(shard) {
-        Some(seg) => ShardCols::Decoded(seg),
-        None if st.spill_path(shard).is_some() => {
-            let raw = st.read_columns(shard, cols)?;
-            ShardCols::Transient(cols.iter().copied().zip(raw).collect())
+/// One segment as a sweep hands it to a scan.
+struct Segment<'a> {
+    codes: Codes<'a>,
+    /// Global id of the row `codes` calls row 0.
+    start: usize,
+    /// The global rows to scan: the segment's span clipped to the range.
+    rows: Range<usize>,
+}
+
+impl Segment<'_> {
+    /// `self.rows` as row indices of `codes`.
+    fn local_rows(&self) -> Range<usize> {
+        self.rows.start - self.start..self.rows.end - self.start
+    }
+
+    /// The global ids of `rule`'s covered rows among `self.rows`, ascending
+    /// (`cols`: the rule's instantiated columns).
+    fn covered(&self, rule: &Rule, cols: &[usize]) -> Vec<RowId> {
+        let (base, rows) = (self.rows.start as RowId, self.local_rows());
+        match &self.codes {
+            _ if cols.is_empty() => (base..self.rows.end as RowId).collect(),
+            Codes::Table(t) => covered_rows_span(t, rule, cols, rows, base),
+            Codes::Decoded(seg) => covered_rows_span(seg.table(), rule, cols, rows, base),
+            Codes::Packed(raw) => local_predicates(raw, rule)
+                .map_or_else(Vec::new, |preds| covered_by_local(&preds, base, rows)),
         }
-        // Fully-resident tables always hit the cache; kept total anyway.
-        None => ShardCols::Decoded(st.try_segment(shard)?),
-    })
+    }
+
+    /// How many of `self.rows` `rule` covers: single-column rules through
+    /// the vectorized count kernels, wider ones by counting survivors.
+    fn count(&self, rule: &Rule) -> u64 {
+        let rows = self.local_rows();
+        match &self.codes {
+            Codes::Table(t) => count_rule_span(t, rule, rows),
+            Codes::Decoded(seg) => count_rule_span(seg.table(), rule, rows),
+            Codes::Packed(raw) => match local_predicates(raw, rule).as_deref() {
+                None => 0,
+                Some(&[]) => rows.len() as u64,
+                Some(&[(codes, want)]) => count_eq_local(codes, want, rows) as u64,
+                Some(preds) => covered_by_local(preds, 0, rows).len() as u64,
+            },
+        }
+    }
 }
 
 /// Translates `rule`'s predicates on the fetched columns (which include
 /// every column the rule instantiates) into the shard's local code space,
 /// in column order. `None` ⇒ some predicate value never occurs in this
-/// shard (absent from the column's `remap`): the rule covers zero rows here
-/// and the caller skips the shard without touching its rows.
+/// shard (absent from the column's `remap`): the rule covers no row here.
 fn local_predicates<'a>(
     raw: &'a [(usize, RawColumn)],
     rule: &Rule,
@@ -118,66 +145,164 @@ fn local_predicates<'a>(
         .collect()
 }
 
-/// Width-dispatched equality position scan over packed local codes.
-fn positions_eq_local(codes: &LocalCodes, want: u32, base: u32, out: &mut Vec<u32>) {
+/// Width-dispatched equality count over `rows` of packed local codes.
+fn count_eq_local(codes: &LocalCodes, want: u32, rows: Range<usize>) -> usize {
     match codes {
+        LocalCodes::W1(v) => accel::count_eq_u8(&v[rows], want as u8),
+        LocalCodes::W2(v) => accel::count_eq_u16(&v[rows], want as u16),
+        LocalCodes::W4(v) => accel::count_eq_u32(&v[rows], want),
+    }
+}
+
+/// The rows among `rows` (indices into the packed columns) that satisfy
+/// every local-code predicate, ascending, numbered from `base`: first
+/// column via the SIMD equality scan, the rest by survivor filtering. No
+/// predicate at all covers every row.
+fn covered_by_local(preds: &[(&LocalCodes, u32)], base: RowId, rows: Range<usize>) -> Vec<RowId> {
+    let Some((&(first_codes, first_want), rest)) = preds.split_first() else {
+        return (base..base + rows.len() as RowId).collect();
+    };
+    let (mut hits, first) = (Vec::new(), rows.clone());
+    match first_codes {
         // Local codes were validated against `remap`, so a 1-byte column's
         // codes — and any `want` produced by `local_of_global` — fit u8/u16.
-        LocalCodes::W1(v) => accel::positions_eq_u8(v, want as u8, base, out),
-        LocalCodes::W2(v) => accel::positions_eq_u16(v, want as u16, base, out),
-        LocalCodes::W4(v) => accel::positions_eq_u32(v, want, base, out),
+        LocalCodes::W1(v) => accel::positions_eq_u8(&v[first], first_want as u8, base, &mut hits),
+        LocalCodes::W2(v) => accel::positions_eq_u16(&v[first], first_want as u16, base, &mut hits),
+        LocalCodes::W4(v) => accel::positions_eq_u32(&v[first], first_want, base, &mut hits),
     }
-}
-
-/// Width-dispatched equality count over packed local codes.
-fn count_eq_local(codes: &LocalCodes, want: u32) -> usize {
-    match codes {
-        LocalCodes::W1(v) => accel::count_eq_u8(v, want as u8),
-        LocalCodes::W2(v) => accel::count_eq_u16(v, want as u16),
-        LocalCodes::W4(v) => accel::count_eq_u32(v, want),
-    }
-}
-
-/// The rows of one `n_rows`-row shard that satisfy every local-code
-/// predicate, ascending, numbered from `base`: first column via the SIMD
-/// equality scan, remaining columns by survivor filtering. No predicate at
-/// all covers every row.
-fn covered_by_local(preds: &[(&LocalCodes, u32)], base: RowId, n_rows: usize) -> Vec<RowId> {
-    let Some((&(first_codes, first_want), rest)) = preds.split_first() else {
-        return (base..base + n_rows as RowId).collect();
-    };
-    let mut hits: Vec<RowId> = Vec::new();
-    positions_eq_local(first_codes, first_want, base, &mut hits);
     for &(codes, want) in rest {
-        hits.retain(|&r| codes.at((r - base) as usize) == want);
+        hits.retain(|&r| codes.at(rows.start + (r - base) as usize) == want);
     }
     hits
 }
 
-/// The ids (`span.start + local`) of `rule`'s covered rows in one full
-/// shard, ascending; `cols` are the rule's instantiated columns
-/// (non-empty). The decoded form runs the shared span filter over the
-/// segment's own table; the transient form scans packed local codes after
-/// predicate translation.
-fn covered_in_shard(f: &ShardCols, rule: &Rule, cols: &[usize], span: &Range<usize>) -> Vec<RowId> {
-    let base = span.start as RowId;
-    match f {
-        ShardCols::Decoded(seg) => covered_rows_span(seg.table(), rule, cols, 0..span.len(), base),
-        // `None`: a predicate value is absent from remap — a zero-count shard.
-        ShardCols::Transient(raw) => local_predicates(raw, rule)
-            .map_or_else(Vec::new, |preds| covered_by_local(&preds, base, span.len())),
+// ---------------------------------------------------------------------------
+// The sweep
+// ---------------------------------------------------------------------------
+
+/// Where a sweep reads its rows: a monolithic table, swept in
+/// [`chunk_spans`] slices, or segmented storage — a sharded table or a live
+/// snapshot — swept shard by shard.
+#[derive(Clone, Copy)]
+enum Source<'a> {
+    Whole(&'a Table),
+    Sharded(&'a ShardedTable),
+}
+
+impl<'a> Source<'a> {
+    /// The rows behind `store` (the pinned snapshot's, for live storage).
+    fn of(store: &'a TableStore) -> Self {
+        store
+            .as_sharded()
+            .map_or(Source::Whole(store.header()), |st| Source::Sharded(st))
+    }
+
+    /// The segment spans, in row order. A monolithic table under
+    /// `SLICE_MIN_ROWS` rows is one segment.
+    fn spans(self) -> Cow<'a, [Range<usize>]> {
+        match self {
+            Source::Whole(t) => Cow::Owned(chunk_spans(t.n_rows(), scan_chunks(t.n_rows()))),
+            Source::Sharded(st) => Cow::Borrowed(st.spans()),
+        }
+    }
+
+    /// The columns `cols` of segment `i`: the cached segment if resident,
+    /// else one transient range read of only those columns.
+    fn fetch(self, i: usize, cols: &[usize]) -> Result<Codes<'a>, TableError> {
+        Ok(match self {
+            Source::Whole(t) => Codes::Table(t),
+            Source::Sharded(_) if cols.is_empty() => Codes::Packed(Vec::new()),
+            Source::Sharded(st) => match st.cached_data(i) {
+                Some(seg) => Codes::Decoded(seg),
+                None if st.spill_path(i).is_some() => {
+                    let raw = st.read_columns(i, cols)?;
+                    Codes::Packed(cols.iter().copied().zip(raw).collect())
+                }
+                // Fully-resident tables always hit the cache; kept total.
+                None => Codes::Decoded(st.try_segment(i)?),
+            },
+        })
     }
 }
 
+/// Segments a worker scans per wave when a sweep fans out: enough that the
+/// scoped-thread start-up is paid once per several segments, few enough that
+/// a wave's hit lists stay small beside the table.
+const WAVE_SEGMENTS_PER_THREAD: usize = 4;
+
+/// The one loop over segments. Visits every segment of `src` that overlaps
+/// `range` (out-of-bounds ranges clamp) in row order, fetches the union of
+/// `rules`' columns once per segment, runs `scan` for every rule over the
+/// in-range rows, and hands `(rule index, scan result)` to `sink` — per
+/// rule strictly in segment order on any thread count: past the
+/// [`exec::threads_for_rows`] gate a wave of segments is scanned in
+/// parallel, then replayed into the sink in order.
+fn sweep<'a, P: Send>(
+    src: Source<'a>,
+    rules: &[Rule],
+    range: Range<usize>,
+    scan: impl Fn(&Segment<'a>, &Rule, &[usize]) -> P + Sync,
+    mut sink: impl FnMut(usize, P),
+) -> Result<(), TableError> {
+    let rule_cols: Vec<Vec<usize>> = rules
+        .iter()
+        .map(|r| r.instantiated_columns().collect())
+        .collect();
+    let mut cols: Vec<usize> = rule_cols.iter().flatten().copied().collect();
+    cols.sort_unstable();
+    cols.dedup();
+    let spans = src.spans();
+    let clip = |i: usize| spans[i].start.max(range.start)..spans[i].end.min(range.end);
+    let todo: Vec<usize> = (0..spans.len()).filter(|&i| !clip(i).is_empty()).collect();
+    let visit = |i: usize| -> Result<Vec<P>, TableError> {
+        let codes = src.fetch(i, &cols)?;
+        // The monolithic table's row 0 is global row 0, a shard's its span's.
+        let start = match codes {
+            Codes::Table(_) => 0,
+            _ => spans[i].start,
+        };
+        let rows = clip(i);
+        let seg = Segment { codes, start, rows };
+        Ok(rules
+            .iter()
+            .zip(&rule_cols)
+            .map(|(rule, cols)| scan(&seg, rule, cols))
+            .collect())
+    };
+    let threads = exec::threads_for_rows(todo.iter().map(|&i| clip(i).len()).sum());
+    let per_wave = match threads {
+        1 => 1,
+        n => n * WAVE_SEGMENTS_PER_THREAD,
+    };
+    for wave in todo.chunks(per_wave) {
+        for parts in exec::parallel_map(threads, wave.to_vec(), visit) {
+            for (rule, part) in parts?.into_iter().enumerate() {
+                sink(rule, part);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The count sink. Counts are exact integers, so per-segment `u64`
+/// subtotals add up to the monolithic count bitwise.
+fn count_rules_in(src: Source<'_>, rules: &[Rule]) -> Result<Vec<f64>, TableError> {
+    let mut counts = vec![0u64; rules.len()];
+    let count = |seg: &Segment<'_>, rule: &Rule, _: &[usize]| seg.count(rule);
+    sweep(src, rules, 0..usize::MAX, count, |rule, c| {
+        counts[rule] += c
+    })?;
+    Ok(counts.into_iter().map(|c| c as f64).collect())
+}
+
 // ---------------------------------------------------------------------------
-// Coverage scans
+// The scans
 // ---------------------------------------------------------------------------
 
 /// All row ids of `table` covered by `rule` (ascending) — the segment-tier
-/// form of [`crate::covered_rows`]: shards are filtered in index order and
-/// the per-shard hit lists concatenate, so the output is byte-identical to
-/// the monolithic scan on any shard count. Cached shards are scanned in
-/// place; misses range-read only the rule's columns.
+/// form of [`crate::covered_rows`], byte-identical to it on any shard
+/// count. Cached shards are scanned in place; misses range-read only the
+/// rule's columns.
 pub fn try_covered_rows_sharded(
     table: &ShardedTable,
     rule: &Rule,
@@ -185,129 +310,61 @@ pub fn try_covered_rows_sharded(
     try_covered_rows_sharded_range(table, rule, 0..table.n_rows())
 }
 
-/// All row ids in `range` covered by `rule` (ascending), scanning only the
-/// shards that overlap the range (out-of-bounds ranges clamp). This is what
-/// incremental sample maintenance uses to offer exactly one epoch's
-/// appended rows (`epoch_rows[e-1]..epoch_rows[e]`) without rescanning the
-/// table; [`try_covered_rows_sharded`] is the full-range call.
+/// All row ids in `range` covered by `rule` (ascending), reading only the
+/// shards that overlap the range and scanning only the in-range rows of
+/// those (out-of-bounds ranges clamp) — one epoch's appended rows, say,
+/// without rescanning the table.
 pub fn try_covered_rows_sharded_range(
     table: &ShardedTable,
     rule: &Rule,
     range: Range<usize>,
 ) -> Result<Vec<RowId>, TableError> {
-    let lo = range.start.min(table.n_rows());
-    let hi = range.end.min(table.n_rows());
-    if lo >= hi {
-        return Ok(Vec::new());
-    }
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    if cols.is_empty() {
-        return Ok((lo as RowId..hi as RowId).collect());
-    }
+    let (src, rule) = (Source::Sharded(table), std::slice::from_ref(rule));
     let mut out: Vec<RowId> = Vec::new();
-    for i in 0..table.n_shards() {
-        let span = table.spans()[i].clone();
-        if span.is_empty() || span.end <= lo || span.start >= hi {
-            continue;
-        }
-        let mut hits = covered_in_shard(&fetch_cols(table, i, &cols)?, rule, &cols, &span);
-        if span.start < lo || span.end > hi {
-            // Boundary shard: keep only the in-range hits.
-            hits.retain(|&r| (lo..hi).contains(&(r as usize)));
-        }
-        out.extend(hits);
-    }
+    sweep(src, rule, range, Segment::covered, |_, hits| {
+        out.extend(hits)
+    })?;
     Ok(out)
 }
 
 /// Exact counts of every rule in one pass over the sharded table — the
-/// segment-tier form of [`crate::count_rules`], the scan behind the
-/// explorer's exact-count refresh.
-///
-/// Counts are exact integers, so per-shard `u64` subtotals add up to the
-/// monolithic count bitwise — which frees each shard to use the SIMD count
-/// kernels over whichever form it holds.
+/// segment-tier form of [`crate::count_rules`], bit-identical to it.
 pub fn try_count_rules_sharded(
     table: &ShardedTable,
     rules: &[Rule],
 ) -> Result<Vec<f64>, TableError> {
-    let mut counts = vec![0u64; rules.len()];
-    let mut needed: Vec<usize> = rules
-        .iter()
-        .flat_map(|r| r.instantiated_columns())
-        .collect();
-    needed.sort_unstable();
-    needed.dedup();
-    for i in 0..table.n_shards() {
-        let span = table.spans()[i].clone();
-        if span.is_empty() {
-            continue;
-        }
-        if needed.is_empty() {
-            // Only trivial rules: every rule covers the whole shard.
-            for c in counts.iter_mut() {
-                *c += span.len() as u64;
-            }
-            continue;
-        }
-        let f = fetch_cols(table, i, &needed)?;
-        for (ri, rule) in rules.iter().enumerate() {
-            counts[ri] += count_rule_in_shard(&f, rule, span.len());
-        }
-    }
-    Ok(counts.into_iter().map(|c| c as f64).collect())
-}
-
-/// One rule's covered-row count in one shard: the shared span count over a
-/// decoded segment's table; over the transient form, the vectorized
-/// local-code count for single-column rules and the survivor count of
-/// [`covered_by_local`] for wider ones.
-fn count_rule_in_shard(f: &ShardCols, rule: &Rule, n_rows: usize) -> u64 {
-    let raw = match f {
-        ShardCols::Decoded(seg) => return count_rule_span(seg.table(), rule, 0..n_rows),
-        ShardCols::Transient(raw) => raw,
-    };
-    match local_predicates(raw, rule).as_deref() {
-        // A value absent from remap covers zero rows in this shard.
-        None => 0,
-        Some(&[]) => n_rows as u64,
-        Some(&[(codes, want)]) => count_eq_local(codes, want) as u64,
-        Some(preds) => covered_by_local(preds, 0, n_rows).len() as u64,
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Store-kind dispatch
-// ---------------------------------------------------------------------------
-
-/// All row ids of `store` covered by `rule` (ascending), at the pinned
-/// epoch for live storage: [`crate::covered_rows_with_threads`] over a
-/// monolithic table (`threads` is its worker budget), else
-/// [`try_covered_rows_sharded`]. Both emit the identical row stream for
-/// identical rows, so whatever consumes it (a reservoir) is
-/// storage-agnostic.
-pub fn try_covered_rows_in_store(
-    store: &TableStore,
-    rule: &Rule,
-    threads: usize,
-) -> Result<Vec<RowId>, TableError> {
-    match store.as_sharded() {
-        None => Ok(covered_rows_with_threads(store.header(), rule, threads)),
-        Some(st) => try_covered_rows_sharded(st, rule),
-    }
+    count_rules_in(Source::Sharded(table), rules)
 }
 
 /// Exact counts of `rules` over `store` (at the pinned epoch for live
-/// storage): [`crate::count_rules`] over a monolithic table, else
-/// [`try_count_rules_sharded`].
+/// storage), equal to [`crate::count_rules`] over the same rows — the scan
+/// behind the explorer's exact-count refresh.
 pub fn try_count_rules_in_store(
     store: &TableStore,
     rules: &[Rule],
 ) -> Result<Vec<f64>, TableError> {
-    match store.as_sharded() {
-        None => Ok(crate::count_rules(store.header(), rules)),
-        Some(st) => try_count_rules_sharded(st, rules),
-    }
+    count_rules_in(Source::of(store), rules)
+}
+
+/// Sweeps `range` of `store` **once for a whole batch of rules** (paper
+/// §4.3: all of a drill-down's samples "in a single pass through the
+/// table"): `sink(i, rows)` receives `rules[i]`'s covered rows in one
+/// segment, ascending. Per rule, the slices arrive in segment order and
+/// concatenate to exactly [`crate::covered_rows`] of the same rows clipped
+/// to `range`, whichever rules share the batch, however the rows are
+/// stored and on any thread count — so a consumer that folds the stream in
+/// order (a keyed reservoir) ends where a rule-at-a-time scan would leave
+/// it.
+pub fn try_scan_rules_in_store(
+    store: &TableStore,
+    rules: &[Rule],
+    range: Range<usize>,
+    mut sink: impl FnMut(usize, &[RowId]),
+) -> Result<(), TableError> {
+    let src = Source::of(store);
+    sweep(src, rules, range, Segment::covered, |i, rows| {
+        sink(i, &rows)
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -315,8 +372,8 @@ pub fn try_count_rules_in_store(
 // ---------------------------------------------------------------------------
 
 /// Algorithm 2 over the rows a [`ShardedView`] names: gathers them into an
-/// in-memory table ([`ShardedTable::try_gather_rows`] — one pinned segment
-/// at a time, resident segments first) and runs the one search kernel on
+/// in-memory table ([`ShardedTable::try_gather_rows`] — one segment at a
+/// time, non-resident ones read transiently) and runs the one search kernel on
 /// it, which is what the sampling layer and BRS do for every request over
 /// segmented storage. Position `i` of the gathered table is position `i`
 /// of the view, so `covered_weight` and the view's weights carry over
@@ -535,14 +592,25 @@ mod tests {
         assert_eq!((st.resident_count(), st.loads()), (0, n));
         try_count_rules_sharded(&st, &rules).unwrap();
         assert_eq!((st.resident_count(), st.loads()), (0, 2 * n));
+        // A batch shares the fetch — one read per shard, not per rule — and
+        // a batch of trivial rules reads nothing.
+        let store = TableStore::Sharded(st.clone());
+        let mut hits = [0usize; 2];
+        try_scan_rules_in_store(&store, &rules, 0..10, |i, rows| hits[i] += rows.len()).unwrap();
+        assert_eq!((hits, st.loads()), ([7, 4], 3 * n));
+        try_scan_rules_in_store(&store, &[Rule::trivial(3)], 0..10, |_, rows| {
+            hits[0] += rows.len()
+        })
+        .unwrap();
+        assert_eq!((hits[0], st.resident_count(), st.loads()), (17, 0, 3 * n));
         // A decoded load enters the cache once; hits hand out the same Arc,
         // and scans use it in place instead of reading again.
         let first = st.try_segment(0).unwrap();
         let again = st.try_segment(0).unwrap();
         assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(st.loads(), 2 * n + 1);
+        assert_eq!(st.loads(), 3 * n + 1);
         try_covered_rows_sharded(&st, &rules[0]).unwrap();
-        assert_eq!(st.loads(), 3 * n, "the cached shard was not re-read");
+        assert_eq!(st.loads(), 4 * n, "the cached shard was not re-read");
     }
 
     #[test]
@@ -554,19 +622,32 @@ mod tests {
             Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap(),
         ];
         let whole = TableStore::Whole(table.clone());
-        let want_counts = try_count_rules_in_store(&whole, &rules).unwrap();
-        assert_eq!(want_counts, vec![10.0, 7.0, 4.0]);
-        for st in [sharded(&table, 3), spilled(&table, 4)] {
-            let store = TableStore::Sharded(st);
+        assert_eq!(
+            try_count_rules_in_store(&whole, &rules).unwrap(),
+            vec![10.0, 7.0, 4.0]
+        );
+        for store in [
+            whole,
+            TableStore::Sharded(sharded(&table, 3)),
+            TableStore::Sharded(spilled(&table, 4)),
+        ] {
             assert_eq!(
                 try_count_rules_in_store(&store, &rules).unwrap(),
-                want_counts
+                vec![10.0, 7.0, 4.0]
             );
-            for rule in &rules {
-                assert_eq!(
-                    try_covered_rows_in_store(&store, rule, 1).unwrap(),
-                    try_covered_rows_in_store(&whole, rule, 2).unwrap(),
-                );
+            // The batched scan, whole and clipped to a range: per rule the
+            // slices concatenate to the monolithic scan.
+            for range in [0..10, 3..8, 6..99] {
+                let mut streams: Vec<Vec<RowId>> = vec![Vec::new(); rules.len()];
+                try_scan_rules_in_store(&store, &rules, range.clone(), |i, rows| {
+                    streams[i].extend_from_slice(rows)
+                })
+                .unwrap();
+                for (rule, stream) in rules.iter().zip(&streams) {
+                    let mut want = covered_rows(&table, rule);
+                    want.retain(|&r| range.contains(&(r as usize)));
+                    assert_eq!(stream, &want, "{rule:?} over {range:?}");
+                }
             }
         }
     }

@@ -17,12 +17,12 @@
 //! [`SampleHandler::try_prefetch`] implements §4.3's background
 //! pre-fetching: given the rules the analyst may drill into next and their
 //! probabilities, it solves the allocation problem (§4.1/§4.2) and
-//! materializes all planned samples in a single scan.
+//! materializes all planned samples in a single pass through the table.
 //!
 //! **One sample form.** Whatever the store kind, a stored sample is its
 //! reservoir's row ids plus those rows **materialised** into a small
 //! in-memory table in the store's global code space
-//! ([`TableStore::try_gather_rows`]). A served [`SampleView`] is always
+//! ([`TableStore::try_gather_batch`]). A served [`SampleView`] is always
 //! "all rows of its own small table, in order, plus weights" — the only
 //! form a [`sdd_table::TableView`] has — and every one of those rows is
 //! covered by the requested rule (Find matches the filter exactly, Combine
@@ -31,34 +31,41 @@
 //! view back uncopied), searches scan contiguous column slices of a few
 //! thousand rows and never touch the full table, Find and Combine never
 //! touch the shard tier, and everything downstream of the Create scan is
-//! storage-agnostic. The handler's only
-//! contact with the full table is the covered-row scan
-//! ([`sdd_core::try_covered_rows_in_store`]) and the gather.
+//! storage-agnostic.
 //!
-//! **Fallible-only.** Every operation that may scan or gather returns
-//! `Result<_, TableError>`: a damaged spill file is an error the session
-//! layer turns into an error response, never a panic.
+//! **One visit per segment per batch.** The handler's only contact with
+//! the full table is two sweeps shared by every sample of a batch — a lone
+//! Create, a prefetch's five or six rules, or every stored filter at a live
+//! sync: one scan ([`sdd_core::try_scan_rules_in_store`]: the union of the
+//! batch's rule columns fetched once per segment, every rule's hits offered
+//! straight into its reservoir) and one gather
+//! ([`TableStore::try_gather_batch`]). Over a spilling store that is at
+//! most two reads per non-resident segment per batch, whatever its size.
 //!
-//! **Parallel, reproducible scans.** The create/prefetch scan runs
-//! task-per-rule on [`sdd_core::exec::parallel_map`]: each requested rule
-//! gets its own reservoir, with every draw derived statelessly from the
-//! rule's key and the offer index ([`Reservoir::offer_keyed`], keyed by a
-//! SplitMix64 fold of `(config.seed, rule)`) — there is no shared
-//! sequential RNG, so the stored samples are identical on any thread count.
-//! A batch is stored atomically: same-filter replacement and LRU eviction
-//! happen *before* any new sample is pushed, so freshly stored batch
-//! members are never evicted by their own batch and the returned store
-//! indices stay valid.
+//! **Fallible-only, batch-atomic.** Every operation that may scan or
+//! gather returns `Result<_, TableError>`: a damaged spill file is an error
+//! the session layer turns into an error response, never a panic. A batch
+//! draws and gathers everything first and only then touches the stored
+//! samples and the counters, so a fault leaves the handler exactly as it
+//! was and a retry is clean.
+//!
+//! **Reproducible draws.** Each requested rule gets its own reservoir, with
+//! every draw derived statelessly from the rule's key and the offer index
+//! ([`Reservoir::offer_keyed`], keyed by a SplitMix64 fold of
+//! `(config.seed, rule)`) — there is no shared sequential RNG, and a rule's
+//! hits reach its reservoir in ascending row order whichever rules share
+//! the sweep and however many threads scan segments. So the stored samples
+//! are identical for any batch composition and any thread count
+//! (`docs/DETERMINISM.md`).
 //!
 //! **Live tables.** A handler over a [`TableStore::Live`] store is pinned
 //! to one epoch's snapshot; [`SampleHandler::try_sync_to_snapshot`]
-//! advances it, maintaining every stored reservoir **incrementally**: only
-//! the appended row range is scanned
-//! ([`sdd_core::try_covered_rows_sharded_range`]) and offered into the
-//! stored reservoir resumed via [`Reservoir::from_parts`]. Because draws
-//! are keyed by offer index, the maintained sample is bit-identical to a
-//! full re-scan at the new epoch — and to a scan of a frozen table
-//! pre-grown to the same rows (the parity tests pin both).
+//! advances it, maintaining every stored reservoir **incrementally**: the
+//! appended row range is swept once for all stored filters and offered
+//! into the stored reservoirs resumed via [`Reservoir::from_parts`].
+//! Because draws are keyed by offer index, the maintained sample is
+//! bit-identical to a full re-scan at the new epoch — and to a scan of a
+//! frozen table pre-grown to the same rows (the parity tests pin both).
 
 use crate::alloc::{solve_uniform, Allocation, AllocationProblem, AllocationStrategy};
 use crate::alloc_convex::solve_convex;
@@ -129,7 +136,9 @@ pub struct HandlerStats {
     pub combines: usize,
     /// Requests served by Create.
     pub creates: usize,
-    /// Full passes over the table (Create + prefetch scans).
+    /// Full passes over the table: one per Create and one per prefetch
+    /// batch, each a single sweep — every segment visited once for the scan
+    /// and once for the gather — whatever the number of rules in the batch.
     pub full_scans: usize,
     /// Samples evicted to respect the memory cap.
     pub evictions: usize,
@@ -226,6 +235,50 @@ fn sample_seed(seed: u64, rule: &Rule) -> u64 {
         h = splitmix64(h ^ (code as u64).wrapping_add(1));
     }
     h
+}
+
+/// The one pass every batch makes over `store`: sweeps `range` once,
+/// offering each rule's covered rows (ascending, whatever the batch and
+/// the thread count) into its reservoir, then gathers every reservoir's
+/// rows in one batched gather, and returns the samples ready to store. A
+/// batch member is `(filter, reservoir to offer into, last_used stamp)`.
+/// Every store kind emits the identical covered-row stream for identical
+/// rows (a live store scans its pinned epoch's frozen snapshot), so the
+/// samples are identical whatever the storage.
+fn draw_and_gather(
+    store: &TableStore,
+    seed: u64,
+    range: std::ops::Range<usize>,
+    mut batch: Vec<(Rule, Reservoir<RowId>, u64)>,
+) -> Result<Vec<StoredSample>, TableError> {
+    let rules: Vec<Rule> = batch.iter().map(|(rule, ..)| rule.clone()).collect();
+    let keys: Vec<u64> = rules.iter().map(|rule| sample_seed(seed, rule)).collect();
+    sdd_core::try_scan_rules_in_store(store, &rules, range, |i, rows| {
+        let (res, key) = (&mut batch[i].1, keys[i]);
+        for &row in rows {
+            res.offer_keyed(row, key);
+        }
+    })?;
+    let drawn: Vec<&[RowId]> = batch.iter().map(|(_, res, _)| res.items()).collect();
+    let locals = store.try_gather_batch(&drawn)?;
+    Ok(batch
+        .into_iter()
+        .zip(locals)
+        .map(|((filter, res, last_used), local)| {
+            let (scale, target) = (res.scale(), res.capacity());
+            let (rows, seen) = res.into_parts();
+            StoredSample {
+                filter,
+                exact: seen as usize == rows.len(),
+                rows,
+                local: Arc::new(local),
+                scale,
+                seen,
+                target,
+                last_used,
+            }
+        })
+        .collect())
 }
 
 impl SampleHandler {
@@ -355,9 +408,9 @@ impl SampleHandler {
         }
 
         // --- Create ---
+        let stored = self.scan_and_store(&[(rule.clone(), min_ss)])?[0];
         self.stats.creates += 1;
         self.stats.full_scans += 1;
-        let stored = self.scan_and_store(&[(rule.clone(), min_ss)])?[0];
         let s = &self.samples[stored];
         Ok(SampleView {
             view: Self::stored_view(s),
@@ -424,94 +477,58 @@ impl SampleHandler {
         })
     }
 
-    /// The Create phase (§4.3: "it creates a sample of size n_r for each
-    /// displayed r"). One columnar covered-row scan per requested rule
-    /// ([`sdd_core::try_covered_rows_in_store`]), with the rules of a batch
-    /// scanned **task-per-rule in parallel** — each reservoir's draws are
-    /// keyed by `(config.seed, rule)` ([`sample_seed`]) and the offer
-    /// index, so the result is identical on any thread count. Counted as
-    /// one logical full scan in [`HandlerStats`].
+    /// Creates (or replaces) one sample per `(rule, size)` request in a
+    /// single batch — the Create phase of §4.3 ("it creates a sample of
+    /// size n_r for each displayed r ... in a single pass through the
+    /// table"), and what [`SampleHandler::try_prefetch`] runs once the
+    /// allocator has chosen the sizes. Counted as one full scan. A repeated
+    /// filter stores once, its last size winning.
+    pub fn try_create_batch(&mut self, requests: &[(Rule, usize)]) -> Result<(), TableError> {
+        self.scan_and_store(requests)?;
+        self.stats.full_scans += 1;
+        Ok(())
+    }
+
+    /// [`SampleHandler::try_create_batch`] minus the counter, returning
+    /// each request's store index.
     ///
-    /// Storage is batch-atomic: same-filter replacement and LRU eviction
-    /// run *before* any push, so (a) a batch never evicts its own freshly
-    /// stored members, and (b) the returned store indices are valid when
-    /// this method returns — the historical per-push interleaving could
-    /// evict an earlier batch member and leave stale indices behind.
+    /// Storage is batch-atomic. Everything fallible — the sweep that draws
+    /// and the gather that materialises — runs before `self.samples` is
+    /// touched, so a storage fault leaves the store as it was. Then
+    /// same-filter replacement and LRU eviction run *before* any push, so
+    /// (a) a batch never evicts its own freshly stored members, and (b) the
+    /// returned store indices are valid when this method returns.
     fn scan_and_store(&mut self, requests: &[(Rule, usize)]) -> Result<Vec<usize>, TableError> {
         // Deduplicate same-filter requests, last target size winning — the
-        // store holds at most one sample per filter, and the historical
-        // per-push replacement gave later requests precedence. `slot[i]`
-        // maps original request `i` to its deduplicated position.
-        let mut dedup: Vec<(Rule, usize)> = Vec::with_capacity(requests.len());
+        // store holds at most one sample per filter. `slot[i]` maps
+        // original request `i` to its deduplicated position.
+        let mut batch: Vec<(Rule, Reservoir<RowId>, u64)> = Vec::with_capacity(requests.len());
         let mut slot: Vec<usize> = Vec::with_capacity(requests.len());
         for (rule, n) in requests {
-            match dedup.iter().position(|(r, _)| r == rule) {
+            let member = (rule.clone(), Reservoir::new(*n), self.clock);
+            match batch.iter().position(|(r, ..)| r == rule) {
                 Some(pos) => {
-                    dedup[pos].1 = *n;
+                    batch[pos] = member;
                     slot.push(pos);
                 }
                 None => {
-                    dedup.push((rule.clone(), *n));
-                    slot.push(dedup.len() - 1);
+                    slot.push(batch.len());
+                    batch.push(member);
                 }
             }
         }
+        let all_rows = 0..self.store.n_rows();
+        let fresh = draw_and_gather(&self.store, self.config.seed, all_rows, batch)?;
 
-        let store = self.store.clone();
-        let seed = self.config.seed;
-        // Task-per-rule only pays over a table large enough to amortize
-        // the workers (at 9 409 rows it ran 0.63× the serial batch).
-        let threads = sdd_core::exec::threads_for_rows(store.n_rows()).min(dedup.len());
-        // When the batch itself fans out task-per-rule, each rule's
-        // coverage scan runs serially — otherwise the nested sliced
-        // scan would oversubscribe the machine (threads × chunks workers).
-        let scan_threads = if threads > 1 {
-            1
-        } else {
-            sdd_core::exec::worker_threads()
-        };
-        let drawn: Vec<(Vec<RowId>, u64, f64)> =
-            sdd_core::exec::parallel_map(threads, dedup.clone(), |(rule, n)| {
-                let key = sample_seed(seed, &rule);
-                let mut res = Reservoir::new(n);
-                // Every store kind emits the identical ascending covered-row
-                // stream for identical rows (a live store scans its pinned
-                // epoch's frozen snapshot), so the reservoir draws the
-                // identical sample whatever the storage.
-                let covered = sdd_core::try_covered_rows_in_store(&store, &rule, scan_threads)?;
-                for row in covered {
-                    res.offer_keyed(row, key);
-                }
-                let scale = res.scale();
-                let (rows, seen) = res.into_parts();
-                Ok::<_, TableError>((rows, seen, scale))
-            })
-            .into_iter()
-            .collect::<Result<_, _>>()?;
-
-        // Replace any existing sample whose filter is re-requested, then
-        // make room for the whole batch against the *pre-existing* store
-        // only. Pushes come last, so indices recorded here stay stable.
+        // Commit. Replace any existing sample whose filter is re-requested,
+        // then make room for the whole batch against the *pre-existing*
+        // store only. Pushes come last, so indices recorded here stay
+        // stable.
         self.samples
-            .retain(|s| !dedup.iter().any(|(rule, _)| s.filter == *rule));
-        let incoming: usize = drawn.iter().map(|(rows, _, _)| rows.len()).sum();
-        self.ensure_room(incoming);
-
+            .retain(|s| !fresh.iter().any(|f| s.filter == f.filter));
+        self.ensure_room(fresh.iter().map(|f| f.rows.len()).sum());
         let base = self.samples.len();
-        for ((rule, target), (rows, seen, scale)) in dedup.iter().zip(drawn) {
-            let exact = seen as usize == rows.len();
-            let local = Arc::new(self.store.try_gather_rows(&rows)?);
-            self.samples.push(StoredSample {
-                filter: rule.clone(),
-                rows,
-                local,
-                scale,
-                exact,
-                seen,
-                target: *target,
-                last_used: self.clock,
-            });
-        }
+        self.samples.extend(fresh);
         Ok(slot.into_iter().map(|s| base + s).collect())
     }
 
@@ -565,7 +582,8 @@ impl SampleHandler {
 
     /// Pre-fetches samples for the likely next drill-downs under `parent`
     /// (paper §4.3, "Pre-fetching"): solves the allocation problem, then
-    /// materializes every planned sample in **one** scan.
+    /// materializes every planned sample in **one** pass
+    /// ([`SampleHandler::try_create_batch`]).
     ///
     /// Returns the hit probability the allocator expects for the next
     /// drill-down.
@@ -588,8 +606,7 @@ impl SampleHandler {
             }
         }
         if !requests.is_empty() {
-            self.stats.full_scans += 1;
-            self.scan_and_store(&requests)?;
+            self.try_create_batch(&requests)?;
         }
         Ok(alloc.value)
     }
@@ -609,14 +626,14 @@ impl SampleHandler {
 
     /// Advances a live handler to `snap`'s epoch — §4.3's dynamic
     /// maintenance extended across **data** changes. Every stored reservoir
-    /// is maintained *incrementally*: only the appended row range
-    /// (`old epoch's rows .. snap's rows`) is scanned
-    /// ([`sdd_core::try_covered_rows_sharded_range`]) and offered into the
-    /// reservoir resumed from its stored `(items, seen, target)`. Draws are
-    /// keyed by offer index ([`Reservoir::offer_keyed`]), so the result is
-    /// bit-identical to discarding the sample and re-scanning the whole
-    /// table at the new epoch. Every sample's materialised table is
-    /// re-gathered against the new epoch's dictionaries (Combine's pooling
+    /// is maintained *incrementally*: the appended row range
+    /// (`old epoch's rows .. snap's rows`) is swept **once for all stored
+    /// filters** and offered into each reservoir resumed from its stored
+    /// `(items, seen, target)`. Draws are keyed by offer index
+    /// ([`Reservoir::offer_keyed`]), so the result is bit-identical to
+    /// discarding the sample and re-scanning the whole table at the new
+    /// epoch. Every sample's materialised table is re-gathered, in one
+    /// batch, against the new epoch's dictionaries (Combine's pooling
     /// requires all sources to share dictionary lengths).
     ///
     /// No-op for frozen stores and for snapshots at or behind the pinned
@@ -634,38 +651,24 @@ impl SampleHandler {
         // missing tail can only mean "no rows yet" — exactly what 0 says.
         let old_rows = ls.pinned().epoch_rows.last().copied().unwrap_or(0);
         let new_rows = snap.epoch_rows.last().copied().unwrap_or(0);
-        let st = Arc::clone(&snap.table);
-        let seed = self.config.seed;
 
         // Stage every update, then commit atomically: a fault mid-sync
         // must not leave some reservoirs advanced past the pinned epoch
         // (a retry would then offer the same rows twice).
-        let mut updated: Vec<StoredSample> = Vec::with_capacity(self.samples.len());
-        for s in &self.samples {
-            let mut ns = s.clone();
-            if new_rows > old_rows {
-                let covered =
-                    sdd_core::try_covered_rows_sharded_range(&st, &ns.filter, old_rows..new_rows)?;
-                if !covered.is_empty() {
-                    let key = sample_seed(seed, &ns.filter);
-                    let mut res =
-                        Reservoir::from_parts(std::mem::take(&mut ns.rows), ns.seen, ns.target);
-                    for row in covered {
-                        res.offer_keyed(row, key);
-                    }
-                    ns.scale = res.scale();
-                    let (rows, seen) = res.into_parts();
-                    ns.exact = seen as usize == rows.len();
-                    ns.rows = rows;
-                    ns.seen = seen;
-                }
-            }
-            // Re-gather at the new epoch unconditionally — the old local
-            // shares the old header's (shorter) dictionaries.
-            ns.local = Arc::new(st.try_gather_rows(&ns.rows)?);
-            updated.push(ns);
-        }
-        self.samples = updated;
+        let resumed = self
+            .samples
+            .iter()
+            .map(|s| {
+                let res = Reservoir::from_parts(s.rows.clone(), s.seen, s.target);
+                (s.filter.clone(), res, s.last_used)
+            })
+            .collect();
+        self.samples = draw_and_gather(
+            &TableStore::Sharded(Arc::clone(&snap.table)),
+            self.config.seed,
+            old_rows..new_rows,
+            resumed,
+        )?;
         // The entry guard already proved the store is live; route the
         // impossible miss through debug_assert instead of a panic (P001).
         let Some(ls) = self.store.as_live_mut() else {

@@ -97,6 +97,11 @@ impl<T> Reservoir<T> {
         }
     }
 
+    /// The most items the reservoir holds.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Number of stream items observed so far.
     pub fn seen(&self) -> u64 {
         self.seen

@@ -152,6 +152,97 @@ fn inline_prefetch_over_truncated_spill_file_is_an_error_response() {
     );
 }
 
+/// A batch is atomic under faults. With stored samples that a five-rule
+/// prefetch would replace and evict, a spill fault — during the scan, or
+/// only once the drawn samples are gathered — must leave the stored
+/// samples and the counters exactly as they were, and the retry after the
+/// file is restored must store what a handler that never faulted stores.
+#[test]
+fn a_faulted_prefetch_batch_changes_nothing_and_retries_cleanly() {
+    use sdd_core::Rule;
+    use sdd_sampling::{AllocationStrategy, PrefetchEntry, SampleHandler, SampleHandlerConfig};
+
+    let table = sdd_datagen::retail(42);
+    let st = Arc::new(
+        ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, std::env::temp_dir()))
+            .unwrap(),
+    );
+    let handler = || {
+        let config = SampleHandlerConfig {
+            capacity: 2_000,
+            min_sample_size: 400,
+            seed: 7,
+            strategy: AllocationStrategy::Dp,
+        };
+        let mut h = SampleHandler::with_store(TableStore::Sharded(st.clone()), config);
+        // One sample the batch replaces, and enough beside it that the
+        // batch must evict to fit.
+        for pairs in [&[("Store", "Walmart")][..], &[("Region", "MA-3")], &[]] {
+            let rule = Rule::from_pairs(h.table(), pairs).unwrap();
+            h.try_create_batch(&[(rule, 600)]).unwrap();
+        }
+        h
+    };
+    let entries: Vec<PrefetchEntry> = [
+        (&[("Store", "Walmart")][..], 1.0 / 6.0),
+        (&[("Store", "Target")], 1.0 / 30.0),
+        (&[("Product", "cookies")], 0.2),
+        (&[("Product", "bicycles")], 0.1),
+    ]
+    .into_iter()
+    .map(|(pairs, selectivity)| PrefetchEntry {
+        rule: Rule::from_pairs(st.header(), pairs).unwrap(),
+        probability: 0.25,
+        selectivity,
+    })
+    .collect();
+    let trivial = Rule::trivial(3);
+
+    // What the batch does when nothing goes wrong.
+    let mut clean = handler();
+    clean.try_prefetch(&trivial, &entries).unwrap();
+    assert_eq!(
+        (clean.n_samples(), clean.stats.evictions),
+        (5, 1),
+        "the batch must replace one stored sample and evict another"
+    );
+
+    let path = st.spill_path(2).unwrap().to_path_buf();
+    let intact = std::fs::read(&path).unwrap();
+    // Fault 1 — the scan fails: the file is cut short inside its header.
+    let truncated = intact[..16].to_vec();
+    // Fault 2 — only the gather fails: the batch's rules read `Store` and
+    // `Product`, so a bad width byte in `Region`'s blob (column 2; header:
+    // 16 bytes, then u64 column offsets; blob: u32 remap length, remap,
+    // width) passes every range read and trips the whole-file validation.
+    let mut bad_region = intact.clone();
+    let offset = |c: usize| {
+        let at = 16 + 8 * c;
+        u64::from_le_bytes(intact[at..at + 8].try_into().unwrap()) as usize
+    };
+    let remap_len = u32::from_le_bytes(intact[offset(2)..offset(2) + 4].try_into().unwrap());
+    bad_region[offset(2) + 4 + 4 * remap_len as usize] = 3;
+
+    for (fault, label) in [(truncated, "scan fault"), (bad_region, "gather fault")] {
+        let mut h = handler();
+        let (samples, stats) = (h.stored_samples(), h.stats);
+        std::fs::write(&path, &fault).unwrap();
+        st.evict_all();
+        let err = h.try_prefetch(&trivial, &entries).unwrap_err();
+        assert!(
+            matches!(err, sdd_table::TableError::Corrupt(_)),
+            "{label}: {err}"
+        );
+        assert_eq!(h.stored_samples(), samples, "{label}: the store moved");
+        assert_eq!(h.stats, stats, "{label}: the counters moved");
+
+        std::fs::write(&path, &intact).unwrap();
+        h.try_prefetch(&trivial, &entries).unwrap();
+        assert_eq!(h.stored_samples(), clean.stored_samples(), "{label}: retry");
+        assert_eq!(h.stats, clean.stats, "{label}: retry counters");
+    }
+}
+
 #[test]
 fn refresh_surfaces_spill_errors_as_responses() {
     let (engine, st) = spilling_engine();

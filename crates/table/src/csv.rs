@@ -14,7 +14,7 @@
 use crate::shard::{ShardBuilder, ShardConfig, ShardedTable};
 use crate::{Schema, Table, TableBuilder, TableError};
 use std::fs::File;
-use std::io::{self, BufRead, BufReader};
+use std::io::{BufRead, BufReader};
 
 /// Parses CSV text (first record = header) into a [`Table`].
 ///
@@ -53,25 +53,25 @@ fn route_columns(header: &[String], measures: &[&str]) -> Result<ColumnRouting, 
 /// Checks one data record's arity against the header, reporting the input
 /// line the record started on — shared by both ingest paths so identical
 /// malformed input yields identical errors.
-fn check_arity(record: &[String], header_len: usize, start_line: usize) -> Result<(), TableError> {
-    if record.len() != header_len {
+fn check_arity(n_fields: usize, header_len: usize, start_line: usize) -> Result<(), TableError> {
+    if n_fields != header_len {
         return Err(TableError::Csv {
             line: start_line,
-            message: format!("expected {header_len} fields, got {}", record.len()),
+            message: format!("expected {header_len} fields, got {n_fields}"),
         });
     }
     Ok(())
 }
 
-/// Parses one record's measure fields in route order into `out`.
-fn parse_measures(
-    record: &[String],
+/// Parses the current record's measure fields in route order into `out`.
+fn parse_measures<R: BufRead>(
+    reader: &RecordReader<R>,
     measure_idx: &[(usize, String)],
     out: &mut Vec<f64>,
 ) -> Result<(), TableError> {
     out.clear();
     for (i, _) in measure_idx {
-        let raw = record[*i].trim();
+        let raw = reader.field(*i).trim();
         let v: f64 = raw
             .parse()
             .map_err(|_| TableError::ParseNumber(raw.to_owned()))?;
@@ -92,12 +92,11 @@ pub fn read_csv_with_measures(input: &str, measures: &[&str]) -> Result<Table, T
     let mut measure_vals: Vec<Vec<f64>> = vec![Vec::new(); measure_idx.len()];
     let mut measure_buf: Vec<f64> = Vec::with_capacity(measure_idx.len());
 
-    while let Some(record) = reader.next() {
-        let record = record?;
-        check_arity(&record, header.len(), reader.record_line())?;
-        let row_buf: Vec<&str> = cat_idx.iter().map(|&i| record[i].as_str()).collect();
+    while reader.read_record(true)? {
+        check_arity(reader.n_fields(), header.len(), reader.record_line())?;
+        let row_buf: Vec<&str> = cat_idx.iter().map(|&i| reader.field(i)).collect();
         builder.push_row(&row_buf)?;
-        parse_measures(&record, &measure_idx, &mut measure_buf)?;
+        parse_measures(&reader, &measure_idx, &mut measure_buf)?;
         for (slot, &v) in measure_vals.iter_mut().zip(&measure_buf) {
             slot.push(v);
         }
@@ -157,11 +156,10 @@ pub fn stream_csv_file(
     let measure_names: Vec<String> = measure_idx.iter().map(|(_, n)| n.clone()).collect();
     let mut builder = ShardBuilder::new(schema, measure_names, total, config)?;
     let mut measure_buf: Vec<f64> = Vec::with_capacity(measure_idx.len());
-    while let Some(record) = reader.next() {
-        let record = record?;
-        check_arity(&record, header.len(), reader.record_line())?;
-        let row_buf: Vec<&str> = cat_idx.iter().map(|&i| record[i].as_str()).collect();
-        parse_measures(&record, &measure_idx, &mut measure_buf)?;
+    while reader.read_record(true)? {
+        check_arity(reader.n_fields(), header.len(), reader.record_line())?;
+        let row_buf: Vec<&str> = cat_idx.iter().map(|&i| reader.field(i)).collect();
+        parse_measures(&reader, &measure_idx, &mut measure_buf)?;
         builder.push_row(&row_buf, &measure_buf)?;
     }
     builder.finish()
@@ -247,11 +245,39 @@ fn write_field(out: &mut String, field: &str) {
 /// passes). Quoting metacharacters are all ASCII, so the state machine
 /// runs on bytes; multi-byte UTF-8 sequences pass through fields
 /// untouched (and are validated once per field).
+///
+/// The machine walks each buffered slice the input lends
+/// ([`BufRead::fill_buf`]) run by run, and keeps the current record in one
+/// reused byte buffer plus field end offsets; only the [`Iterator`] surface
+/// allocates a `String` per field.
 pub struct RecordReader<R: BufRead> {
     input: R,
     line: usize,
     record_line: usize,
     done: bool,
+    /// The current record's field bytes back to back, quoting resolved.
+    buf: Vec<u8>,
+    /// The end offset in `buf` of each field of the current record.
+    ends: Vec<usize>,
+}
+
+/// Ends the current field of the record in `buf`: validates it as UTF-8 and
+/// records its end offset. `line` is the line an error is reported on.
+fn end_field(buf: &[u8], ends: &mut Vec<usize>, line: usize) -> Result<(), TableError> {
+    let start = ends.last().copied().unwrap_or(0);
+    if std::str::from_utf8(&buf[start..]).is_err() {
+        return Err(TableError::Csv {
+            line,
+            message: "invalid UTF-8 in field".to_owned(),
+        });
+    }
+    ends.push(buf.len());
+    Ok(())
+}
+
+/// Bytes that end a run of plain field bytes outside quotes.
+fn is_special(b: u8) -> bool {
+    matches!(b, b',' | b'"' | b'\n' | b'\r')
 }
 
 impl<R: BufRead> RecordReader<R> {
@@ -262,6 +288,8 @@ impl<R: BufRead> RecordReader<R> {
             line: 1,
             record_line: 1,
             done: false,
+            buf: Vec::new(),
+            ends: Vec::new(),
         }
     }
 
@@ -277,16 +305,173 @@ impl<R: BufRead> RecordReader<R> {
         self.record_line
     }
 
-    fn peek_byte(&mut self) -> io::Result<Option<u8>> {
-        Ok(self.input.fill_buf()?.first().copied())
+    /// Number of fields of the current record.
+    fn n_fields(&self) -> usize {
+        self.ends.len()
     }
 
-    fn next_byte(&mut self) -> io::Result<Option<u8>> {
-        let b = self.peek_byte()?;
-        if b.is_some() {
-            self.input.consume(1);
+    /// Field `i` of the current record.
+    fn field(&self, i: usize) -> &str {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        std::str::from_utf8(&self.buf[start..self.ends[i]]).expect("validated when the field ended")
+    }
+
+    /// Advances to the next record, skipping blank lines; `false` at end of
+    /// input. With `keep`, the record's fields are stored (and validated as
+    /// UTF-8) for [`RecordReader::field`]; without, only the record
+    /// boundaries and the quote structure are checked. Every error ends the
+    /// reader.
+    fn read_record(&mut self, keep: bool) -> Result<bool, TableError> {
+        if self.done {
+            return Ok(false);
         }
-        Ok(b)
+        let out = self.scan_record(keep);
+        if !matches!(out, Ok(true)) {
+            self.done = true;
+        }
+        out
+    }
+
+    /// The record state machine behind [`RecordReader::read_record`]: one
+    /// `fill_buf` per buffered slice, plain runs copied whole, `consume`
+    /// once per slice. A quote inside a quoted field and a `\r` both need
+    /// the byte after them, which may sit in the next slice — they are
+    /// carried across as `quote_pending` / `cr_pending`.
+    fn scan_record(&mut self, keep: bool) -> Result<bool, TableError> {
+        self.buf.clear();
+        self.ends.clear();
+        let mut in_quotes = false;
+        let mut quote_pending = false;
+        let mut cr_pending = false;
+        // True once the current record has any content (field bytes, a
+        // quote or a comma) — a blank line yields no record.
+        let mut any_content = false;
+        // Bytes in the current field so far: a quote may only open one.
+        let mut field_len = 0usize;
+        loop {
+            let chunk = self.input.fill_buf()?;
+            if chunk.is_empty() {
+                // A pending quote was the closing one; a pending `\r` ended
+                // its line at end of input.
+                if in_quotes && !quote_pending {
+                    return Err(TableError::Csv {
+                        line: self.line,
+                        message: "unterminated quoted field".to_owned(),
+                    });
+                }
+                if cr_pending {
+                    self.line += 1;
+                }
+                if !any_content {
+                    return Ok(false);
+                }
+                if keep {
+                    let line = if cr_pending { self.line - 1 } else { self.line };
+                    end_field(&self.buf, &mut self.ends, line)?;
+                }
+                // The input is spent: the record stands, the reader is done.
+                self.done = true;
+                return Ok(true);
+            }
+            let mut i = 0;
+            // `Some(n)`: the line ended `n` bytes into the chunk.
+            let mut line_end: Option<usize> = None;
+            while i < chunk.len() {
+                let b = chunk[i];
+                if cr_pending {
+                    // The byte after a `\r`: swallow the `\n` of a CRLF.
+                    line_end = Some(if b == b'\n' { i + 1 } else { i });
+                    break;
+                }
+                if quote_pending {
+                    quote_pending = false;
+                    if b == b'"' {
+                        // A doubled quote is one literal quote.
+                        if keep {
+                            self.buf.push(b'"');
+                        }
+                        field_len += 1;
+                        i += 1;
+                        continue;
+                    }
+                    in_quotes = false;
+                }
+                if in_quotes {
+                    let run = chunk[i..]
+                        .iter()
+                        .position(|&b| b == b'"')
+                        .unwrap_or(chunk.len() - i);
+                    let bytes = &chunk[i..i + run];
+                    self.line += bytes.iter().filter(|&&b| b == b'\n').count();
+                    if keep {
+                        self.buf.extend_from_slice(bytes);
+                    }
+                    field_len += run;
+                    i += run;
+                    if i < chunk.len() {
+                        quote_pending = true;
+                        i += 1;
+                    }
+                    continue;
+                }
+                match b {
+                    b'"' => {
+                        if field_len > 0 {
+                            return Err(TableError::Csv {
+                                line: self.line,
+                                message: "quote in the middle of an unquoted field".to_owned(),
+                            });
+                        }
+                        in_quotes = true;
+                        i += 1;
+                    }
+                    b',' => {
+                        if keep {
+                            end_field(&self.buf, &mut self.ends, self.line)?;
+                        }
+                        field_len = 0;
+                        i += 1;
+                    }
+                    b'\r' => {
+                        cr_pending = true;
+                        i += 1;
+                        continue;
+                    }
+                    b'\n' => {
+                        line_end = Some(i + 1);
+                        break;
+                    }
+                    _ => {
+                        let run = chunk[i..]
+                            .iter()
+                            .position(|&b| is_special(b))
+                            .unwrap_or(chunk.len() - i);
+                        if keep {
+                            self.buf.extend_from_slice(&chunk[i..i + run]);
+                        }
+                        field_len += run;
+                        i += run;
+                    }
+                }
+                if !any_content {
+                    self.record_line = self.line;
+                    any_content = true;
+                }
+            }
+            let used = line_end.unwrap_or(i);
+            self.input.consume(used);
+            if line_end.is_some() {
+                cr_pending = false;
+                self.line += 1;
+                if any_content {
+                    if keep {
+                        end_field(&self.buf, &mut self.ends, self.line - 1)?;
+                    }
+                    return Ok(true);
+                }
+                // Blank line: keep scanning for the next record.
+            }
+        }
     }
 
     /// Counts the remaining records without materializing a single field —
@@ -298,203 +483,23 @@ impl<R: BufRead> RecordReader<R> {
     /// row-count contract.
     pub fn count_remaining(&mut self) -> Result<usize, TableError> {
         let mut count = 0usize;
-        let mut in_quotes = false;
-        let mut any_content = false;
-        let mut field_len = 0usize; // only to detect mid-field stray quotes
-        loop {
-            let b = self.next_byte()?;
-            let Some(b) = b else {
-                self.done = true;
-                if in_quotes {
-                    return Err(TableError::Csv {
-                        line: self.line,
-                        message: "unterminated quoted field".to_owned(),
-                    });
-                }
-                if any_content {
-                    count += 1;
-                }
-                return Ok(count);
-            };
-            if in_quotes {
-                match b {
-                    b'"' => {
-                        if self.peek_byte()? == Some(b'"') {
-                            self.input.consume(1);
-                            field_len += 1;
-                        } else {
-                            in_quotes = false;
-                        }
-                    }
-                    b'\n' => {
-                        self.line += 1;
-                        field_len += 1;
-                    }
-                    _ => field_len += 1,
-                }
-                continue;
-            }
-            match b {
-                b'"' => {
-                    if field_len > 0 {
-                        return Err(TableError::Csv {
-                            line: self.line,
-                            message: "quote in the middle of an unquoted field".to_owned(),
-                        });
-                    }
-                    in_quotes = true;
-                    any_content = true;
-                }
-                b',' => {
-                    any_content = true;
-                    field_len = 0;
-                }
-                b'\r' | b'\n' => {
-                    if b == b'\r' && self.peek_byte()? == Some(b'\n') {
-                        self.input.consume(1);
-                    }
-                    self.line += 1;
-                    if any_content {
-                        count += 1;
-                        any_content = false;
-                    }
-                    field_len = 0;
-                }
-                _ => {
-                    field_len += 1;
-                    any_content = true;
-                }
-            }
+        while self.read_record(false)? {
+            count += 1;
         }
+        Ok(count)
     }
-}
-
-fn finish_field(field: &mut Vec<u8>, line: usize) -> Result<String, TableError> {
-    String::from_utf8(std::mem::take(field)).map_err(|_| TableError::Csv {
-        line,
-        message: "invalid UTF-8 in field".to_owned(),
-    })
 }
 
 impl<R: BufRead> Iterator for RecordReader<R> {
     type Item = Result<Vec<String>, TableError>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done {
-            return None;
-        }
-        let mut record: Vec<String> = Vec::new();
-        let mut field: Vec<u8> = Vec::new();
-        let mut in_quotes = false;
-        // True once the current record has any content (field bytes or a
-        // comma) — a blank line yields no record.
-        let mut any_content = false;
-        loop {
-            let b = match self.next_byte() {
-                Ok(b) => b,
-                Err(e) => {
-                    self.done = true;
-                    return Some(Err(e.into()));
-                }
-            };
-            let Some(b) = b else {
-                self.done = true;
-                if in_quotes {
-                    return Some(Err(TableError::Csv {
-                        line: self.line,
-                        message: "unterminated quoted field".to_owned(),
-                    }));
-                }
-                if any_content || !record.is_empty() {
-                    match finish_field(&mut field, self.line) {
-                        Ok(s) => record.push(s),
-                        Err(e) => return Some(Err(e)),
-                    }
-                    return Some(Ok(record));
-                }
-                return None;
-            };
-            if in_quotes {
-                match b {
-                    b'"' => match self.peek_byte() {
-                        Ok(Some(b'"')) => {
-                            self.input.consume(1);
-                            field.push(b'"');
-                        }
-                        Ok(_) => in_quotes = false,
-                        Err(e) => {
-                            self.done = true;
-                            return Some(Err(e.into()));
-                        }
-                    },
-                    b'\n' => {
-                        self.line += 1;
-                        field.push(b);
-                    }
-                    _ => field.push(b),
-                }
-                continue;
-            }
-            match b {
-                b'"' => {
-                    if !field.is_empty() {
-                        self.done = true;
-                        return Some(Err(TableError::Csv {
-                            line: self.line,
-                            message: "quote in the middle of an unquoted field".to_owned(),
-                        }));
-                    }
-                    in_quotes = true;
-                    if !any_content {
-                        self.record_line = self.line;
-                    }
-                    any_content = true;
-                }
-                b',' => {
-                    match finish_field(&mut field, self.line) {
-                        Ok(s) => record.push(s),
-                        Err(e) => {
-                            self.done = true;
-                            return Some(Err(e));
-                        }
-                    }
-                    if !any_content {
-                        self.record_line = self.line;
-                    }
-                    any_content = true;
-                }
-                b'\r' | b'\n' => {
-                    if b == b'\r' {
-                        match self.peek_byte() {
-                            Ok(Some(b'\n')) => self.input.consume(1),
-                            Ok(_) => {}
-                            Err(e) => {
-                                self.done = true;
-                                return Some(Err(e.into()));
-                            }
-                        }
-                    }
-                    self.line += 1;
-                    if any_content || !record.is_empty() {
-                        match finish_field(&mut field, self.line - 1) {
-                            Ok(s) => record.push(s),
-                            Err(e) => {
-                                self.done = true;
-                                return Some(Err(e));
-                            }
-                        }
-                        return Some(Ok(record));
-                    }
-                    // Blank line: keep scanning for the next record.
-                }
-                _ => {
-                    field.push(b);
-                    if !any_content {
-                        self.record_line = self.line;
-                    }
-                    any_content = true;
-                }
-            }
+        match self.read_record(true) {
+            Ok(true) => Some(Ok((0..self.n_fields())
+                .map(|i| self.field(i).to_owned())
+                .collect())),
+            Ok(false) => None,
+            Err(e) => Some(Err(e)),
         }
     }
 }

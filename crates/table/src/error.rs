@@ -38,6 +38,13 @@ pub enum TableError {
     ///
     /// [`Io`]: TableError::Io
     Corrupt(String),
+    /// A row id named a row the table does not hold.
+    RowOutOfRange {
+        /// The offending row id.
+        row: usize,
+        /// Rows the table holds.
+        n_rows: usize,
+    },
     /// A streaming shard build received a different number of rows than it
     /// declared up front (the span layout is a function of the total).
     RowCount {
@@ -71,6 +78,9 @@ impl fmt::Display for TableError {
             TableError::Empty => write!(f, "input is empty"),
             TableError::Io(message) => write!(f, "i/o error: {message}"),
             TableError::Corrupt(message) => write!(f, "corrupt spill file: {message}"),
+            TableError::RowOutOfRange { row, n_rows } => {
+                write!(f, "row {row} out of range: the table holds {n_rows} rows")
+            }
             TableError::RowCount { declared, got } => {
                 write!(f, "row count mismatch: declared {declared} rows, got {got}")
             }

@@ -28,9 +28,10 @@
 //! never change a result — a reload decodes identical bytes). A full cache
 //! evicts its least-recently-used unpinned segment. LRU's one bad access
 //! pattern, a cyclic index-order sweep, is avoided by the readers rather
-//! than by a second policy: range reads bypass the cache
-//! ([`ShardedTable::read_columns`]) and the gather visits resident
-//! segments first ([`ShardedTable::try_gather_rows`]). Callers
+//! than by a second policy: scans and gathers use a resident segment in
+//! place and read any other transiently ([`ShardedTable::read_columns`],
+//! [`ShardedTable::try_gather_batch`]), so only
+//! [`ShardedTable::try_segment`] ever fills the cache. Callers
 //! hold segments by `Arc`; a held segment is **pinned** — it stays in the
 //! cache, counts against the budget, and is never evicted, so the resident
 //! count honestly tracks decoded-segment memory
@@ -127,14 +128,6 @@ impl ShardSegment {
     /// The shard-local column slice of column `c`, in global codes.
     pub fn col(&self, c: usize) -> &[u32] {
         self.table.column(c)
-    }
-
-    /// Maps a global row id inside [`ShardSegment::span`] to the local row
-    /// index. Panics (in debug) when the row is outside the span.
-    #[inline]
-    pub fn local(&self, row: RowId) -> usize {
-        debug_assert!(self.span.contains(&(row as usize)), "row outside span");
-        row as usize - self.span.start
     }
 }
 
@@ -482,6 +475,16 @@ impl ShardedTable {
         self.spans.partition_point(|s| s.end <= r)
     }
 
+    /// [`ShardedTable::shard_of_row`] for ids that arrive through a
+    /// fallible path: an out-of-range id is an error, not a panic.
+    fn try_shard_of_row(&self, row: RowId) -> Result<usize, TableError> {
+        let (row, n_rows) = (row as usize, self.n_rows());
+        if row >= n_rows {
+            return Err(TableError::RowOutOfRange { row, n_rows });
+        }
+        Ok(self.spans.partition_point(|s| s.end <= row))
+    }
+
     /// Locks the residency cache, tolerating a poisoned lock: the cache is
     /// bookkeeping (clock, counters, resident map) mutated in small
     /// always-consistent steps, so a peer that panicked while holding the
@@ -510,26 +513,12 @@ impl ShardedTable {
             return Ok(seg);
         }
         // Miss: read + decode outside the lock.
-        let span = self.spans[i].clone();
-        let Some(path) = self.spill[i].as_ref() else {
-            // Unreachable by construction: a shard is either resident or
-            // spilled. Surface as an error, not a panic.
-            debug_assert!(false, "non-resident shard {i} has no spill file");
-            return Err(TableError::Io(format!(
-                "shard {i} is neither resident nor spilled"
-            )));
-        };
-        let cols = globalize(&read_raw_segment(
-            path.path(),
-            self.n_columns(),
-            span.len(),
-        )?);
-        let seg = segment(&self.header, &self.measures, &span, cols);
+        let cols = globalize(&self.read_raw(i)?);
+        let seg = segment(&self.header, &self.measures, &self.spans[i], cols);
 
         let mut cache = self.cache();
         cache.clock += 1;
         let clock = cache.clock;
-        cache.loads += 1;
         let seg = match cache.resident.get_mut(&i) {
             // A concurrent loader won the race; keep its copy (ours drops).
             Some(entry) => {
@@ -552,6 +541,23 @@ impl ShardedTable {
         // eviction pass can never drop the segment being returned.
         cache.evict_over_budget(self.resident_budget, &self.spill);
         Ok(seg)
+    }
+
+    /// Reads shard `i`'s whole spill file in its on-disk coding — validated
+    /// like every load, transient (nothing enters the residency cache),
+    /// counted in [`ShardedTable::loads`].
+    fn read_raw(&self, i: usize) -> Result<Vec<RawColumn>, TableError> {
+        let Some(file) = self.spill[i].as_ref() else {
+            // Unreachable by construction: a shard is either resident or
+            // spilled. Surface as an error, not a panic.
+            debug_assert!(false, "non-resident shard {i} has no spill file");
+            return Err(TableError::Io(format!(
+                "shard {i} is neither resident nor spilled"
+            )));
+        };
+        let raw = read_raw_segment(file.path(), self.n_columns(), self.spans[i].len())?;
+        self.cache().loads += 1;
+        Ok(raw)
     }
 
     /// The shard's cached segment, or `None` on a miss — never touches
@@ -604,61 +610,103 @@ impl ShardedTable {
 
     /// Materializes `rows` (global ids, in the given order) into a new
     /// in-memory [`Table`] that preserves the global dictionaries — see
-    /// [`Table::gather_rows`].
-    ///
-    /// The gather runs **shard by shard**: output positions are bucketed by
-    /// shard, then each touched segment is fetched once, its rows are
-    /// scattered into their output positions, and the segment is released
-    /// before the next fetch — so a gather pins at most one segment at a
-    /// time, whatever the resident budget and however the rows are ordered
-    /// (reservoir samples arrive in arbitrary order). Segments already
-    /// resident are visited first (a plain index-order sweep is LRU's cyclic
-    /// worst case: it would evict each resident segment just before
-    /// reaching it), so a gather loads exactly the touched shards that were
-    /// not resident when it began. The output is independent of the fetch
-    /// order: row `i` of the result is `rows[i]`.
+    /// [`Table::gather_rows`]. A [`ShardedTable::try_gather_batch`] of one.
     ///
     /// # Errors
     ///
-    /// As [`ShardedTable::try_segment`].
+    /// As [`ShardedTable::try_gather_batch`].
     pub fn try_gather_rows(&self, rows: &[RowId]) -> Result<Table, TableError> {
-        let mut by_shard: Vec<Vec<u32>> = vec![Vec::new(); self.n_shards()];
-        for (pos, &row) in rows.iter().enumerate() {
-            by_shard[self.shard_of_row(row)].push(pos as u32);
+        // One table per row list, by construction.
+        Ok(self.try_gather_batch(&[rows])?.swap_remove(0))
+    }
+
+    /// Materializes every row list of `batch` — the samples one scan drew —
+    /// into its own in-memory [`Table`] (row `i` of table `s` is
+    /// `batch[s][i]`; global dictionaries preserved, as
+    /// [`Table::gather_rows`]), visiting each touched shard **once for the
+    /// whole batch**.
+    ///
+    /// Output positions are bucketed by shard, whatever order the rows
+    /// arrive in (reservoir samples are scrambled). A shard that is resident
+    /// is copied from in place; any other is read **transiently** in its
+    /// spill coding, fully validated, and only the picked rows are
+    /// translated through `remap` — no segment is decoded, nothing enters
+    /// or leaves the residency cache, and at most one segment is pinned at
+    /// a time. A gather therefore costs one load per touched non-resident
+    /// shard however many samples share it.
+    ///
+    /// # Errors
+    ///
+    /// As [`ShardedTable::try_segment`]; [`TableError::RowOutOfRange`] for
+    /// a row id the table does not hold.
+    pub fn try_gather_batch(&self, batch: &[&[RowId]]) -> Result<Vec<Table>, TableError> {
+        /// One output cell: row `local` of its shard goes to position `pos`
+        /// of sample `sample`.
+        struct Pick {
+            sample: u32,
+            pos: u32,
+            local: u32,
         }
-        let mut order: Vec<usize> = (0..by_shard.len())
-            .filter(|&shard| !by_shard[shard].is_empty())
+        let mut by_shard: Vec<Vec<Pick>> = Vec::new();
+        by_shard.resize_with(self.n_shards(), Vec::new);
+        for (sample, rows) in batch.iter().enumerate() {
+            for (pos, &row) in rows.iter().enumerate() {
+                let shard = self.try_shard_of_row(row)?;
+                by_shard[shard].push(Pick {
+                    sample: sample as u32,
+                    pos: pos as u32,
+                    local: row - self.spans[shard].start as RowId,
+                });
+            }
+        }
+        let n_cols = self.n_columns();
+        let mut cols: Vec<Vec<Vec<u32>>> = batch
+            .iter()
+            .map(|rows| vec![vec![0; rows.len()]; n_cols])
             .collect();
-        {
-            let cache = self.cache();
-            order.sort_by_key(|shard| !cache.resident.contains_key(shard));
-        }
-        let mut cols: Vec<Vec<u32>> = vec![vec![0; rows.len()]; self.n_columns()];
-        for shard in order {
-            let positions = &by_shard[shard];
-            let seg = self.try_segment(shard)?;
-            for (c, out) in cols.iter_mut().enumerate() {
-                let codes = seg.col(c);
-                for &p in positions {
-                    out[p as usize] = codes[seg.local(rows[p as usize])];
+        for (shard, picks) in by_shard.iter().enumerate() {
+            if picks.is_empty() {
+                continue;
+            }
+            match self.cached_data(shard) {
+                Some(seg) => {
+                    for (c, codes) in (0..n_cols).map(|c| (c, seg.col(c))) {
+                        for p in picks {
+                            cols[p.sample as usize][c][p.pos as usize] = codes[p.local as usize];
+                        }
+                    }
+                }
+                None => {
+                    for (c, col) in self.read_raw(shard)?.iter().enumerate() {
+                        for p in picks {
+                            cols[p.sample as usize][c][p.pos as usize] =
+                                col.remap[col.codes.at(p.local as usize) as usize];
+                        }
+                    }
                 }
             }
         }
-        let measures = self
-            .measures
+        Ok(batch
             .iter()
-            .map(|(name, vals)| {
-                let picked = rows.iter().map(|&r| vals[r as usize]).collect();
-                (name.clone(), picked)
+            .zip(cols)
+            .map(|(rows, cols)| {
+                let measures = self
+                    .measures
+                    .iter()
+                    .map(|(name, vals)| {
+                        let picked = rows.iter().map(|&r| vals[r as usize]).collect();
+                        (name.clone(), picked)
+                    })
+                    .collect();
+                Table::from_parts(
+                    self.header.schema().clone(),
+                    self.header.dictionaries().to_vec(),
+                    cols,
+                    measures,
+                    rows.len(),
+                )
             })
-            .collect();
-        Ok(Table::from_parts(
-            self.header.schema().clone(),
-            self.header.dictionaries().to_vec(),
-            cols,
-            measures,
-            rows.len(),
-        ))
+            .collect())
     }
 
     /// Number of segments currently resident in the cache.
@@ -1847,7 +1895,9 @@ fn read_spill_columns(
     wanted
         .iter()
         .map(|&c| {
-            assert!(c < expect_cols, "column {c} out of range");
+            if c >= expect_cols {
+                return Err(TableError::UnknownColumn(format!("column index {c}")));
+            }
             let (start, end) = (offsets[c], offsets[c + 1]);
             let mut blob = vec![0u8; (end - start) as usize];
             read_at(&f, start, &mut blob)?;
@@ -2022,7 +2072,7 @@ impl LiveStore {
 /// The sampling layer, explorer, and server hold a `TableStore`; the
 /// full-table scans over it (covered rows, exact counts) dispatch on the
 /// store kind in one place, `sdd_core::shard`, and row materialisation in
-/// [`TableStore::try_gather_rows`]; all *metadata* access (schema,
+/// [`TableStore::try_gather_batch`]; all *metadata* access (schema,
 /// dictionaries, cardinalities — everything weight functions and display
 /// need) goes through [`TableStore::header`], which for sharded storage is
 /// the always-resident zero-row header table.
@@ -2119,21 +2169,26 @@ impl TableStore {
         }
     }
 
-    /// Materializes `rows` (global ids, in the given order) into a small
-    /// in-memory [`Table`] sharing the store's dictionaries and code space
-    /// — [`Table::gather_rows`] for monolithic storage,
-    /// [`ShardedTable::try_gather_rows`] for segmented storage. The two
-    /// produce identical tables for identical rows, so everything
+    /// Materializes every row list of `batch` (global ids, in the given
+    /// order) into its own small in-memory [`Table`] sharing the store's
+    /// dictionaries and code space — [`Table::gather_rows`] per list for
+    /// monolithic storage, [`ShardedTable::try_gather_batch`] (one visit
+    /// per touched shard for the whole batch) for segmented storage. The
+    /// two produce identical tables for identical rows, so everything
     /// downstream of a gather (the sampling layer's stored samples) is
     /// storage-agnostic.
     ///
     /// # Errors
     ///
-    /// As [`ShardedTable::try_segment`]; monolithic storage never fails.
-    pub fn try_gather_rows(&self, rows: &[RowId]) -> Result<Table, TableError> {
+    /// As [`ShardedTable::try_gather_batch`]; monolithic storage never
+    /// fails.
+    pub fn try_gather_batch(&self, batch: &[&[RowId]]) -> Result<Vec<Table>, TableError> {
         match self.as_sharded() {
-            None => Ok(self.header().gather_rows(rows)),
-            Some(st) => st.try_gather_rows(rows),
+            None => Ok(batch
+                .iter()
+                .map(|rows| self.header().gather_rows(rows))
+                .collect()),
+            Some(st) => st.try_gather_batch(batch),
         }
     }
 
@@ -2237,6 +2292,31 @@ mod tests {
         for r in 0..17u32 {
             let s = st.shard_of_row(r);
             assert!(st.spans()[s].contains(&(r as usize)));
+        }
+    }
+
+    #[test]
+    fn out_of_range_ids_and_columns_are_errors_on_the_fallible_paths() {
+        let table = t(20);
+        for st in [
+            ShardedTable::from_table(&table, &ShardConfig::in_memory(3)).unwrap(),
+            ShardedTable::from_table(&table, &ShardConfig::spilling(3, 1, spill_dir())).unwrap(),
+        ] {
+            assert_eq!(
+                st.try_gather_rows(&[3, 20]).unwrap_err(),
+                TableError::RowOutOfRange {
+                    row: 20,
+                    n_rows: 20
+                }
+            );
+            assert!(st.try_gather_batch(&[&[0], &[u32::MAX]]).is_err());
+            if st.spill_path(0).is_some() {
+                assert_eq!(
+                    st.read_columns(0, &[0, 2]).unwrap_err(),
+                    TableError::UnknownColumn("column index 2".to_owned())
+                );
+                assert_eq!(st.loads(), 0, "a rejected read is not a load");
+            }
         }
     }
 

@@ -8,10 +8,322 @@ use smart_drilldown::core::{Rule, SizeWeight};
 use smart_drilldown::prelude::*;
 use smart_drilldown::sampling::PrefetchEntry;
 use smart_drilldown::table::bucketize::{equal_depth, equal_width, hierarchy};
-use smart_drilldown::table::csv::read_csv;
+use smart_drilldown::table::csv::{read_csv, RecordReader};
+use smart_drilldown::table::TableError;
+use std::io::{self, BufRead, BufReader};
+
+/// The CSV record reader as it was before it walked buffered slices: one
+/// `fill_buf()`/`consume(1)` per byte, a `Vec<u8>` → `String` per field.
+/// Kept verbatim as the differential oracle for [`RecordReader`] — records,
+/// `record_line()`, `count_remaining` and every error with its line number
+/// must agree on any input.
+struct OracleReader<R: BufRead> {
+    input: R,
+    line: usize,
+    record_line: usize,
+    done: bool,
+}
+
+impl<R: BufRead> OracleReader<R> {
+    fn new(input: R) -> Self {
+        Self {
+            input,
+            line: 1,
+            record_line: 1,
+            done: false,
+        }
+    }
+
+    fn line(&self) -> usize {
+        self.line
+    }
+
+    fn record_line(&self) -> usize {
+        self.record_line
+    }
+
+    fn peek_byte(&mut self) -> io::Result<Option<u8>> {
+        Ok(self.input.fill_buf()?.first().copied())
+    }
+
+    fn next_byte(&mut self) -> io::Result<Option<u8>> {
+        let b = self.peek_byte()?;
+        if b.is_some() {
+            self.input.consume(1);
+        }
+        Ok(b)
+    }
+
+    fn count_remaining(&mut self) -> Result<usize, TableError> {
+        let mut count = 0usize;
+        let mut in_quotes = false;
+        let mut any_content = false;
+        let mut field_len = 0usize; // only to detect mid-field stray quotes
+        loop {
+            let b = self.next_byte()?;
+            let Some(b) = b else {
+                self.done = true;
+                if in_quotes {
+                    return Err(TableError::Csv {
+                        line: self.line,
+                        message: "unterminated quoted field".to_owned(),
+                    });
+                }
+                if any_content {
+                    count += 1;
+                }
+                return Ok(count);
+            };
+            if in_quotes {
+                match b {
+                    b'"' => {
+                        if self.peek_byte()? == Some(b'"') {
+                            self.input.consume(1);
+                            field_len += 1;
+                        } else {
+                            in_quotes = false;
+                        }
+                    }
+                    b'\n' => {
+                        self.line += 1;
+                        field_len += 1;
+                    }
+                    _ => field_len += 1,
+                }
+                continue;
+            }
+            match b {
+                b'"' => {
+                    if field_len > 0 {
+                        return Err(TableError::Csv {
+                            line: self.line,
+                            message: "quote in the middle of an unquoted field".to_owned(),
+                        });
+                    }
+                    in_quotes = true;
+                    any_content = true;
+                }
+                b',' => {
+                    any_content = true;
+                    field_len = 0;
+                }
+                b'\r' | b'\n' => {
+                    if b == b'\r' && self.peek_byte()? == Some(b'\n') {
+                        self.input.consume(1);
+                    }
+                    self.line += 1;
+                    if any_content {
+                        count += 1;
+                        any_content = false;
+                    }
+                    field_len = 0;
+                }
+                _ => {
+                    field_len += 1;
+                    any_content = true;
+                }
+            }
+        }
+    }
+}
+
+fn oracle_finish_field(field: &mut Vec<u8>, line: usize) -> Result<String, TableError> {
+    String::from_utf8(std::mem::take(field)).map_err(|_| TableError::Csv {
+        line,
+        message: "invalid UTF-8 in field".to_owned(),
+    })
+}
+
+impl<R: BufRead> Iterator for OracleReader<R> {
+    type Item = Result<Vec<String>, TableError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.done {
+            return None;
+        }
+        let mut record: Vec<String> = Vec::new();
+        let mut field: Vec<u8> = Vec::new();
+        let mut in_quotes = false;
+        let mut any_content = false;
+        loop {
+            let b = match self.next_byte() {
+                Ok(b) => b,
+                Err(e) => {
+                    self.done = true;
+                    return Some(Err(e.into()));
+                }
+            };
+            let Some(b) = b else {
+                self.done = true;
+                if in_quotes {
+                    return Some(Err(TableError::Csv {
+                        line: self.line,
+                        message: "unterminated quoted field".to_owned(),
+                    }));
+                }
+                if any_content || !record.is_empty() {
+                    match oracle_finish_field(&mut field, self.line) {
+                        Ok(s) => record.push(s),
+                        Err(e) => return Some(Err(e)),
+                    }
+                    return Some(Ok(record));
+                }
+                return None;
+            };
+            if in_quotes {
+                match b {
+                    b'"' => match self.peek_byte() {
+                        Ok(Some(b'"')) => {
+                            self.input.consume(1);
+                            field.push(b'"');
+                        }
+                        Ok(_) => in_quotes = false,
+                        Err(e) => {
+                            self.done = true;
+                            return Some(Err(e.into()));
+                        }
+                    },
+                    b'\n' => {
+                        self.line += 1;
+                        field.push(b);
+                    }
+                    _ => field.push(b),
+                }
+                continue;
+            }
+            match b {
+                b'"' => {
+                    if !field.is_empty() {
+                        self.done = true;
+                        return Some(Err(TableError::Csv {
+                            line: self.line,
+                            message: "quote in the middle of an unquoted field".to_owned(),
+                        }));
+                    }
+                    in_quotes = true;
+                    if !any_content {
+                        self.record_line = self.line;
+                    }
+                    any_content = true;
+                }
+                b',' => {
+                    match oracle_finish_field(&mut field, self.line) {
+                        Ok(s) => record.push(s),
+                        Err(e) => {
+                            self.done = true;
+                            return Some(Err(e));
+                        }
+                    }
+                    if !any_content {
+                        self.record_line = self.line;
+                    }
+                    any_content = true;
+                }
+                b'\r' | b'\n' => {
+                    if b == b'\r' {
+                        match self.peek_byte() {
+                            Ok(Some(b'\n')) => self.input.consume(1),
+                            Ok(_) => {}
+                            Err(e) => {
+                                self.done = true;
+                                return Some(Err(e.into()));
+                            }
+                        }
+                    }
+                    self.line += 1;
+                    if any_content || !record.is_empty() {
+                        match oracle_finish_field(&mut field, self.line - 1) {
+                            Ok(s) => record.push(s),
+                            Err(e) => {
+                                self.done = true;
+                                return Some(Err(e));
+                            }
+                        }
+                        return Some(Ok(record));
+                    }
+                    // Blank line: keep scanning for the next record.
+                }
+                _ => {
+                    field.push(b);
+                    if !any_content {
+                        self.record_line = self.line;
+                    }
+                    any_content = true;
+                }
+            }
+        }
+    }
+}
+
+/// Everything observable about reading `input` through a `cap`-byte
+/// buffer: each yielded item with the `record_line()` and `line()` after
+/// it, then `count_remaining` from the start and from after the first
+/// record (the streaming ingest's pass 1).
+type ReadTrace = (
+    Vec<(Result<Vec<String>, TableError>, usize, usize)>,
+    Result<usize, TableError>,
+    Result<usize, TableError>,
+);
+
+macro_rules! read_trace {
+    ($reader:ident, $input:expr, $cap:expr) => {{
+        let open = || $reader::new(BufReader::with_capacity($cap, $input));
+        let mut r = open();
+        let mut items = Vec::new();
+        while let Some(item) = r.next() {
+            items.push((item, r.record_line(), r.line()));
+        }
+        // Counting resumes a reader only after a good header; past an error
+        // a reader is finished and has no count worth comparing.
+        let mut after_header = open();
+        let counted_after_header = match after_header.next() {
+            Some(Err(_)) => Ok(0),
+            _ => after_header.count_remaining(),
+        };
+        (items, open().count_remaining(), counted_after_header)
+    }};
+}
+
+/// Pieces of CSV: mostly well-formed fields and separators (so records run
+/// long), every line ending, quoted fields holding commas, newlines, CRs and
+/// doubled quotes, a two-byte UTF-8 sequence (which a small buffer splits),
+/// and the breakage — a stray quote, an invalid byte.
+const CSV_SOUP: [&[u8]; 16] = [
+    b"a",
+    b"bc",
+    b" ",
+    b",",
+    b",",
+    b"\n",
+    b"\r\n",
+    b"\r",
+    b"\"x,y\"",
+    b"\"l1\nl2\"",
+    b"\"q\"\"q\r\"",
+    b"\"\"",
+    b"\xC3\xA9",
+    b"\n\n",
+    b"\"",
+    b"\xFF",
+];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The slice-walking reader agrees with the per-byte oracle on
+    /// quote/CR/LF/blank-line soup — records, `record_line()`, `line()`,
+    /// `count_remaining` and every error with its line number — through
+    /// buffers small enough to split every lookahead and large enough to
+    /// hold the input whole.
+    #[test]
+    fn csv_reader_matches_the_per_byte_oracle(picks in proptest::collection::vec(0usize..CSV_SOUP.len(), 0..60)) {
+        let input: Vec<u8> = picks.iter().flat_map(|&i| CSV_SOUP[i]).copied().collect();
+        for cap in [1usize, 2, 3, 7, 8192] {
+            let want: ReadTrace = read_trace!(OracleReader, input.as_slice(), cap);
+            let got: ReadTrace = read_trace!(RecordReader, input.as_slice(), cap);
+            prop_assert_eq!(&got, &want, "buffer of {}, input {:?}", cap, String::from_utf8_lossy(&input));
+        }
+    }
 
     /// Arbitrary bytes-as-text never panic the CSV parser.
     #[test]

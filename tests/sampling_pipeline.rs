@@ -252,6 +252,75 @@ fn prefetch_is_reproducible_across_thread_counts() {
     );
 }
 
+/// The §4.3 single pass is invisible in what it stores: the samples a
+/// prefetch batch draws while sharing one sweep of the table are the
+/// samples one Create per rule draws, whether segments are scanned on one
+/// thread or seven, with SIMD or scalar kernels, over one table or eight
+/// spilled shards.
+#[test]
+fn a_prefetch_batch_stores_what_one_create_per_rule_stores() {
+    use smart_drilldown::table::{ShardConfig, ShardedTable, TableStore};
+    let table = Arc::new(retail_x3(42));
+    let walmart = Rule::from_pairs(&table, &[("Store", "Walmart")]).unwrap();
+    let target = Rule::from_pairs(&table, &[("Store", "Target")]).unwrap();
+    let cookies = Rule::from_pairs(&table, &[("Product", "cookies")]).unwrap();
+    let entries: Vec<PrefetchEntry> = [
+        (&walmart, 1.0 / 6.0),
+        (&target, 1.0 / 30.0),
+        (&cookies, 0.2),
+    ]
+    .into_iter()
+    .map(|(rule, selectivity)| PrefetchEntry {
+        rule: rule.clone(),
+        probability: 0.3,
+        selectivity,
+    })
+    .collect();
+    let sorted = |h: &SampleHandler| {
+        let mut stored = h.stored_samples();
+        stored.sort_by(|a, b| a.filter.codes().cmp(b.filter.codes()));
+        let digests: Vec<_> = stored
+            .iter()
+            .map(|s| {
+                h.peek_stored(&s.filter)
+                    .map(|v| smart_drilldown::core::view_digest(&v.view.as_view()))
+            })
+            .collect();
+        (stored, digests)
+    };
+    let stores = || {
+        let spill = ShardConfig::spilling(8, 2, std::env::temp_dir());
+        [
+            TableStore::Whole(table.clone()),
+            TableStore::Sharded(Arc::new(ShardedTable::from_table(&table, &spill).unwrap())),
+        ]
+    };
+
+    let mut reference = None;
+    for (threads, simd) in [("1", true), ("7", true), ("7", false)] {
+        std::env::set_var("SDD_THREADS", threads);
+        smart_drilldown::core::accel::set_simd_enabled(simd);
+        for store in stores() {
+            let mut batch = SampleHandler::with_store(store.clone(), handler_cfg(20_000, 500, 77));
+            batch.try_prefetch(&Rule::trivial(3), &entries).unwrap();
+            assert_eq!(batch.stats.full_scans, 1);
+            let got = sorted(&batch);
+            assert!(got.0.len() >= 3, "the allocator must plan a real batch");
+
+            let mut singles = SampleHandler::with_store(store, handler_cfg(20_000, 500, 77));
+            for s in &got.0 {
+                singles
+                    .try_create_batch(&[(s.filter.clone(), s.rows.len())])
+                    .unwrap();
+            }
+            assert_eq!(sorted(&singles), got, "{threads} thread(s), simd {simd}");
+            assert_eq!(reference.get_or_insert(got.clone()), &got);
+        }
+        smart_drilldown::core::accel::set_simd_enabled(true);
+        std::env::remove_var("SDD_THREADS");
+    }
+}
+
 #[test]
 fn session_over_sampled_view_reproduces_walkthrough_shape() {
     let table = std::sync::Arc::new(retail(42));

@@ -19,9 +19,10 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
-    count_rules, covered_rows, find_best_marginal_rule, try_count_rules_sharded,
-    try_covered_rows_sharded, try_covered_rows_sharded_range, try_find_best_marginal_rule_sharded,
-    view_digest, BitsWeight, Rule, SearchOptions, SearchScratch, SizeWeight, WeightFn,
+    count_rules, covered_rows, find_best_marginal_rule, try_count_rules_in_store,
+    try_count_rules_sharded, try_covered_rows_sharded, try_covered_rows_sharded_range,
+    try_find_best_marginal_rule_sharded, try_scan_rules_in_store, view_digest, BitsWeight, Rule,
+    SearchOptions, SearchScratch, SizeWeight, WeightFn,
 };
 use smart_drilldown::datagen::retail;
 use smart_drilldown::explorer::{Explorer, ExplorerConfig, PrefetchMode};
@@ -344,6 +345,183 @@ fn sample_stores_are_bit_identical_between_monolithic_and_sharded() {
     );
 }
 
+/// `retail(seed)` three times over (18 000 rows): past the 16 Ki rows below
+/// which every scan stays on one thread, so `SDD_THREADS` really selects
+/// the schedule.
+fn retail_x3(seed: u64) -> Table {
+    let t = retail(seed);
+    let n = t.n_rows() as u32;
+    t.gather_rows(&(0..3 * n).map(|r| r % n).collect::<Vec<_>>())
+}
+
+/// Everything a handler holds, by filter: the stored sample and — through
+/// `peek_stored`, the stored table itself at the stored scale — its
+/// materialised columns' digest.
+fn stored_by_filter(h: &SampleHandler) -> Vec<(StoredSampleInfo, [u64; 2])> {
+    let mut all: Vec<(StoredSampleInfo, [u64; 2])> = h
+        .stored_samples()
+        .into_iter()
+        .map(|info| {
+            let view = h.peek_stored(&info.filter).expect("stored at minSS").view;
+            assert_eq!(view.len(), info.rows.len());
+            (info, view_digest(&view.as_view()))
+        })
+        .collect();
+    all.sort_by(|a, b| a.0.filter.codes().cmp(b.0.filter.codes()));
+    all
+}
+
+/// One pass for a whole batch (§4.3) changes what is *fetched*, never what
+/// is *drawn*: a k-rule batch — with the trivial rule and a repeated filter
+/// in it — stores exactly the samples, materialised tables and digests
+/// that k single-rule Creates store, on every store kind, on 1 and 7
+/// threads, and costs a spilling store at most two reads per non-resident
+/// shard however large k is.
+#[test]
+fn batched_creates_match_single_creates_and_share_their_fetches() {
+    let table = Arc::new(retail_x3(42));
+    let rule = |pairs: &[(&str, &str)]| Rule::from_pairs(&table, pairs).unwrap();
+    let requests = [
+        (Rule::trivial(3), 900),
+        (rule(&[("Store", "Walmart")]), 700),
+        (rule(&[("Store", "Walmart"), ("Product", "cookies")]), 650),
+        (rule(&[("Region", "MA-3")]), 600),
+        // The repeated filter: the later size wins.
+        (rule(&[("Store", "Walmart")]), 800),
+        (rule(&[("Product", "comforters")]), 600),
+    ];
+    let config = SampleHandlerConfig {
+        capacity: 50_000,
+        min_sample_size: 600,
+        seed: 19,
+        strategy: AllocationStrategy::Dp,
+    };
+    let spilling = |budget: usize| {
+        let cfg = ShardConfig::spilling(8, budget, std::env::temp_dir());
+        let st = sharded(&table, &cfg);
+        // Fill the budget, so a batch meets resident shards too.
+        for i in 0..st.n_shards() {
+            st.try_segment(i).expect("spill files decode");
+        }
+        TableStore::Sharded(st)
+    };
+    let stores = || -> Vec<(TableStore, String)> {
+        vec![
+            (TableStore::Whole(table.clone()), "whole".to_owned()),
+            (
+                TableStore::Sharded(sharded(&table, &ShardConfig::in_memory(8))),
+                "8 shards, all resident".to_owned(),
+            ),
+            (spilling(1), "8 shards, 1 resident (spill)".to_owned()),
+            (spilling(3), "8 shards, 3 resident (spill)".to_owned()),
+            (live_store(&table, false), "live, resident".to_owned()),
+            (live_store(&table, true), "live, spill-1".to_owned()),
+        ]
+    };
+
+    for k in [1usize, 3, 6] {
+        let batch = &requests[..k];
+        // The reference: k single-rule Creates over the monolithic table.
+        let mut singles = SampleHandler::new(table.clone(), config.clone());
+        for request in batch {
+            singles
+                .try_create_batch(std::slice::from_ref(request))
+                .unwrap();
+        }
+        let want = stored_by_filter(&singles);
+        assert_eq!(want.len(), k.min(5), "one sample per distinct filter");
+
+        for threads in ["1", "7"] {
+            std::env::set_var("SDD_THREADS", threads);
+            for (store, label) in stores() {
+                let label = format!("k = {k}, {threads} thread(s), {label}");
+                let counters = |store: &TableStore| match store {
+                    TableStore::Sharded(st) => {
+                        Some((st.loads(), st.n_shards() - st.resident_count()))
+                    }
+                    _ => None,
+                };
+                let before = counters(&store);
+                let mut h = SampleHandler::with_store(store.clone(), config.clone());
+                h.try_create_batch(batch).unwrap();
+                assert_eq!(stored_by_filter(&h), want, "{label}");
+                assert_eq!(h.stats.full_scans, 1, "{label}: a batch is one pass");
+                if let (Some((loads, cold)), Some((after, _))) = (before, counters(&store)) {
+                    assert!(
+                        after - loads <= 2 * cold as u64,
+                        "{label}: {} reads for {cold} non-resident shards",
+                        after - loads
+                    );
+                    if cold > 0 {
+                        assert!(after > loads, "{label}: spill never exercised");
+                    }
+                }
+            }
+            std::env::remove_var("SDD_THREADS");
+        }
+    }
+}
+
+/// A live sync offers one append to every stored filter in a single sweep
+/// and re-gathers every sample in a single batch: the new snapshot's
+/// segments are each read at most once for the scan (only the appended
+/// ones) and once for the gather, whether one sample is stored or five —
+/// and the result is what a rebuild at the new epoch stores.
+#[test]
+fn live_sync_touches_each_appended_segment_once() {
+    let table = retail(42);
+    let rows: Vec<Vec<&str>> = (0..table.n_rows() as u32)
+        .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
+        .collect();
+    let filters = |header: &Table| {
+        vec![
+            Rule::from_pairs(header, &[("Store", "Walmart")]).unwrap(),
+            Rule::trivial(3),
+            Rule::from_pairs(header, &[("Product", "cookies")]).unwrap(),
+            Rule::from_pairs(header, &[("Store", "Walmart"), ("Product", "cookies")]).unwrap(),
+            Rule::from_pairs(header, &[("Region", "MA-3")]).unwrap(),
+        ]
+    };
+    let config = SampleHandlerConfig {
+        capacity: 5_000,
+        min_sample_size: 300,
+        seed: 23,
+        strategy: AllocationStrategy::Dp,
+    };
+    for k in [1usize, 5] {
+        let cfg = LiveTableConfig::spilling(500, 1, std::env::temp_dir());
+        let live = Arc::new(LiveTable::new(table.schema().clone(), vec![], &cfg).unwrap());
+        live.try_append(&rows[..3_200], &[]).unwrap();
+        let mut h = SampleHandler::with_store(TableStore::from(live.clone()), config.clone());
+        let header = h.table().clone();
+        for f in &filters(&header)[..k] {
+            h.try_get_sample(f).unwrap();
+        }
+        // 3 200 → 4 700 rows: the append finishes segment 6, fills 7 and 8
+        // and leaves a 200-row tail — the scan has three sealed segments
+        // to read, the gather all nine (every sample has rows in each).
+        let snap = live.try_append(&rows[3_200..4_700], &[]).unwrap();
+        assert_eq!((snap.table.n_shards(), snap.table.loads()), (10, 0));
+        h.try_sync_to_snapshot(&snap).unwrap();
+        assert_eq!(
+            snap.table.loads(),
+            3 + 9,
+            "k = {k}: one read per appended segment, one per segment gathered from"
+        );
+        assert_eq!(
+            snap.table.evictions(),
+            0,
+            "k = {k}: a sync must not churn the cache"
+        );
+
+        let mut rebuilt = SampleHandler::with_store(TableStore::from(live.clone()), config.clone());
+        for f in &filters(&header)[..k] {
+            rebuilt.try_get_sample(f).unwrap();
+        }
+        assert_eq!(stored_by_filter(&h), stored_by_filter(&rebuilt), "k = {k}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Explorer sessions and server transcripts
 // ---------------------------------------------------------------------------
@@ -395,19 +573,37 @@ fn explorer_sessions_are_byte_identical_on_sharded_spilling_tables() {
     for shards in [1, 4, 8] {
         for cfg in shard_configs(shards) {
             for (st, how) in builds(&table, &cfg) {
+                let label = format!("{} ({how})", cfg_label(&cfg));
+                let spills = cfg.resident > 0 && shards > cfg.resident;
+                if spills {
+                    // A session's scans and gathers read a non-resident
+                    // shard transiently, so nothing it runs fills the
+                    // cache. Fill it here: the session then meets both
+                    // forms — `resident` decoded shards, the rest packed on
+                    // disk — under a budget that has already evicted.
+                    for i in 0..st.n_shards() {
+                        st.try_segment(i).expect("spill files decode");
+                    }
+                    assert!(
+                        st.evictions() > 0,
+                        "{label}: eviction never fired (budget untested)"
+                    );
+                }
+                let (warm_loads, warm_evictions) = (st.loads(), st.evictions());
                 let got = drive_explorer(Explorer::with_store(
                     TableStore::Sharded(st.clone()),
                     Box::new(SizeWeight),
                     explorer_config(7),
                 ));
-                let label = format!("{} ({how})", cfg_label(&cfg));
                 assert_eq!(got.0, mono.0, "{label}: rendered transcripts differ");
                 assert_eq!(got.1, mono.1, "{label}: stored samples differ");
                 assert_eq!(got.2, mono.2, "{label}: counters differ");
-                if cfg.resident > 0 && shards > cfg.resident {
-                    assert!(
-                        st.evictions() > 0,
-                        "{label}: eviction never fired (budget untested)"
+                if spills {
+                    assert!(st.loads() > warm_loads, "{label}: spill never exercised");
+                    assert_eq!(
+                        (st.resident_count(), st.evictions()),
+                        (cfg.resident, warm_evictions),
+                        "{label}: the session must leave residency as it found it"
                     );
                 }
             }
@@ -582,6 +778,21 @@ fn count_rules_rowwise(table: &Table, rules: &[Rule]) -> Vec<f64> {
     counts
 }
 
+/// Every rule's covered rows in `range` of `store`, as the one batched
+/// sweep streams them (per rule, the slices concatenated in arrival order).
+fn batched_scan(
+    store: &TableStore,
+    rules: &[Rule],
+    range: std::ops::Range<usize>,
+) -> Vec<Vec<u32>> {
+    let mut streams: Vec<Vec<u32>> = vec![Vec::new(); rules.len()];
+    try_scan_rules_in_store(store, rules, range, |i, rows| {
+        streams[i].extend_from_slice(rows)
+    })
+    .unwrap();
+    streams
+}
+
 /// The scans the product runs over segments — `try_covered_rows_sharded`,
 /// `try_covered_rows_sharded_range` and `try_count_rules_sharded` — are
 /// bit-identical to their monolithic forms for every shard layout and both
@@ -624,6 +835,21 @@ fn coverage_and_scoring_scans_are_bit_identical_across_shard_layouts() {
         );
         let (lo, hi) = (n / 3, n - n / 4);
 
+        // The monolithic table behind the store dispatch runs the same
+        // sweep over row slices: it too must equal the twins.
+        let whole = TableStore::Whole(Arc::new(table.clone()));
+        assert_eq!(
+            bits(&try_count_rules_in_store(&whole, &rules).unwrap()),
+            bits(&mono_counts),
+            "monolithic store: count_rules"
+        );
+        let mono_rows: Vec<Vec<u32>> = rules.iter().map(|r| covered_rows(table, r)).collect();
+        assert_eq!(
+            batched_scan(&whole, &rules, 0..n),
+            mono_rows,
+            "monolithic store: batched scan"
+        );
+
         for shards in SHARD_COUNTS {
             for cfg in shard_configs(shards) {
                 for (st, how) in builds(table, &cfg) {
@@ -633,10 +859,24 @@ fn coverage_and_scoring_scans_are_bit_identical_across_shard_layouts() {
                         bits(&mono_counts),
                         "{label}: count_rules"
                     );
-                    for rule in &rules {
-                        let mono_rows = covered_rows(table, rule);
+                    // The same sweep behind the store dispatch, and with
+                    // the whole rule list sharing one pass: per rule, the
+                    // slices the sink receives concatenate to the
+                    // monolithic scan whatever else is in the batch.
+                    let store = TableStore::Sharded(st.clone());
+                    assert_eq!(
+                        bits(&try_count_rules_in_store(&store, &rules).unwrap()),
+                        bits(&mono_counts),
+                        "{label}: count_rules through the store"
+                    );
+                    assert_eq!(
+                        batched_scan(&store, &rules, 0..n),
+                        mono_rows,
+                        "{label}: batched scan"
+                    );
+                    for (rule, mono_rows) in rules.iter().zip(&mono_rows) {
                         assert_eq!(
-                            try_covered_rows_sharded(&st, rule).unwrap(),
+                            &try_covered_rows_sharded(&st, rule).unwrap(),
                             mono_rows,
                             "{label}: covered_rows"
                         );
