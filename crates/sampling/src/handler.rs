@@ -40,7 +40,9 @@
 //! batch's rule columns fetched once per segment, every rule's hits offered
 //! straight into its reservoir) and one gather
 //! ([`TableStore::try_gather_batch`]). Over a spilling store that is at
-//! most two reads per non-resident segment per batch, whatever its size.
+//! most two reads per non-resident segment per batch, whatever its size —
+//! and a live sync scans only the segments that overlap the appended range
+//! and gathers only from those that hold a newly drawn row.
 //!
 //! **Fallible-only, batch-atomic.** Every operation that may scan or
 //! gather returns `Result<_, TableError>`: a damaged spill file is an error
@@ -66,6 +68,13 @@
 //! Because draws are keyed by offer index, the maintained sample is
 //! bit-identical to a full re-scan at the new epoch — and to a scan of a
 //! frozen table pre-grown to the same rows (the parity tests pin both).
+//! The materialised tables follow at the same cost: Algorithm R replaces
+//! ≈ `n·Δ/N` of a sample's `n` slots when `Δ` rows join `N`, so a sync
+//! gathers just the rows of the slots that changed and patches them into
+//! the stored columns ([`LiveSnapshot::patch_gathered`]) — slot `p` of a
+//! materialised table depends on `rows[p]` alone, so that is the table a
+//! gather of the whole new sample would build (`docs/DETERMINISM.md`,
+//! *Epoch consistency*).
 
 use crate::alloc::{solve_uniform, Allocation, AllocationProblem, AllocationStrategy};
 use crate::alloc_convex::solve_convex;
@@ -237,20 +246,22 @@ fn sample_seed(seed: u64, rule: &Rule) -> u64 {
     h
 }
 
-/// The one pass every batch makes over `store`: sweeps `range` once,
+/// One member of a batch: `(filter, reservoir to offer into, last_used
+/// stamp)`.
+type BatchMember = (Rule, Reservoir<RowId>, u64);
+
+/// The one scan every batch makes over `store`: sweeps `range` once,
 /// offering each rule's covered rows (ascending, whatever the batch and
-/// the thread count) into its reservoir, then gathers every reservoir's
-/// rows in one batched gather, and returns the samples ready to store. A
-/// batch member is `(filter, reservoir to offer into, last_used stamp)`.
-/// Every store kind emits the identical covered-row stream for identical
-/// rows (a live store scans its pinned epoch's frozen snapshot), so the
-/// samples are identical whatever the storage.
-fn draw_and_gather(
+/// the thread count) into its reservoir. Every store kind emits the
+/// identical covered-row stream for identical rows (a live store scans its
+/// pinned epoch's frozen snapshot), so the draws are identical whatever
+/// the storage.
+fn draw(
     store: &TableStore,
     seed: u64,
     range: std::ops::Range<usize>,
-    mut batch: Vec<(Rule, Reservoir<RowId>, u64)>,
-) -> Result<Vec<StoredSample>, TableError> {
+    batch: &mut [BatchMember],
+) -> Result<(), TableError> {
     let rules: Vec<Rule> = batch.iter().map(|(rule, ..)| rule.clone()).collect();
     let keys: Vec<u64> = rules.iter().map(|rule| sample_seed(seed, rule)).collect();
     sdd_core::try_scan_rules_in_store(store, &rules, range, |i, rows| {
@@ -258,27 +269,26 @@ fn draw_and_gather(
         for &row in rows {
             res.offer_keyed(row, key);
         }
-    })?;
-    let drawn: Vec<&[RowId]> = batch.iter().map(|(_, res, _)| res.items()).collect();
-    let locals = store.try_gather_batch(&drawn)?;
-    Ok(batch
-        .into_iter()
-        .zip(locals)
-        .map(|((filter, res, last_used), local)| {
-            let (scale, target) = (res.scale(), res.capacity());
-            let (rows, seen) = res.into_parts();
-            StoredSample {
-                filter,
-                exact: seen as usize == rows.len(),
-                rows,
-                local: Arc::new(local),
-                scale,
-                seen,
-                target,
-                last_used,
-            }
-        })
-        .collect())
+    })
+}
+
+impl StoredSample {
+    /// The sample a batch member's reservoir holds, `local` being its rows
+    /// materialised.
+    fn new((filter, res, last_used): BatchMember, local: Arc<Table>) -> Self {
+        let (scale, target) = (res.scale(), res.capacity());
+        let (rows, seen) = res.into_parts();
+        StoredSample {
+            filter,
+            exact: seen as usize == rows.len(),
+            rows,
+            local,
+            scale,
+            seen,
+            target,
+            last_used,
+        }
+    }
 }
 
 impl SampleHandler {
@@ -457,9 +467,8 @@ impl SampleHandler {
             return None;
         }
         // Gather the pooled tuples (in pool order) into one table sharing
-        // the global code space. (Live stores re-gather every stored sample
-        // at each sync, so all sources share the pinned epoch's
-        // dictionaries.)
+        // the global code space. (A live sync leaves every stored table
+        // under the pinned epoch's dictionaries, so all sources share them.)
         let borrowed: Vec<(&Table, &[RowId])> = parts
             .iter()
             .map(|(t, locals)| (*t, locals.as_slice()))
@@ -502,7 +511,7 @@ impl SampleHandler {
         // Deduplicate same-filter requests, last target size winning — the
         // store holds at most one sample per filter. `slot[i]` maps
         // original request `i` to its deduplicated position.
-        let mut batch: Vec<(Rule, Reservoir<RowId>, u64)> = Vec::with_capacity(requests.len());
+        let mut batch: Vec<BatchMember> = Vec::with_capacity(requests.len());
         let mut slot: Vec<usize> = Vec::with_capacity(requests.len());
         for (rule, n) in requests {
             let member = (rule.clone(), Reservoir::new(*n), self.clock);
@@ -518,7 +527,14 @@ impl SampleHandler {
             }
         }
         let all_rows = 0..self.store.n_rows();
-        let fresh = draw_and_gather(&self.store, self.config.seed, all_rows, batch)?;
+        draw(&self.store, self.config.seed, all_rows, &mut batch)?;
+        let drawn: Vec<&[RowId]> = batch.iter().map(|(_, res, _)| res.items()).collect();
+        let locals = self.store.try_gather_batch(&drawn)?;
+        let fresh: Vec<StoredSample> = batch
+            .into_iter()
+            .zip(locals)
+            .map(|(member, local)| StoredSample::new(member, Arc::new(local)))
+            .collect();
 
         // Commit. Replace any existing sample whose filter is re-requested,
         // then make room for the whole batch against the *pre-existing*
@@ -632,9 +648,13 @@ impl SampleHandler {
     /// `(items, seen, target)`. Draws are keyed by offer index
     /// ([`Reservoir::offer_keyed`]), so the result is bit-identical to
     /// discarding the sample and re-scanning the whole table at the new
-    /// epoch. Every sample's materialised table is re-gathered, in one
-    /// batch, against the new epoch's dictionaries (Combine's pooling
-    /// requires all sources to share dictionary lengths).
+    /// epoch. The materialised tables are **patched**, not re-gathered:
+    /// only the positions whose row id changed are fetched, in one batched
+    /// gather for all samples, and written into a copy of the stored
+    /// columns under the new epoch's dictionary handles
+    /// ([`LiveSnapshot::patch_gathered`]; Combine's pooling requires all
+    /// sources to share dictionary lengths). A sample no appended row
+    /// touched keeps its table when no dictionary grew either.
     ///
     /// No-op for frozen stores and for snapshots at or behind the pinned
     /// epoch (pins never move backwards). On error (spill fault mid-scan)
@@ -647,15 +667,12 @@ impl SampleHandler {
         if snap.epoch <= ls.epoch() {
             return Ok(());
         }
-        // `epoch_rows` always carries entry 0 (the empty epoch), so a
-        // missing tail can only mean "no rows yet" — exactly what 0 says.
-        let old_rows = ls.pinned().epoch_rows.last().copied().unwrap_or(0);
-        let new_rows = snap.epoch_rows.last().copied().unwrap_or(0);
+        let appended = ls.pinned().table.n_rows()..snap.table.n_rows();
 
         // Stage every update, then commit atomically: a fault mid-sync
         // must not leave some reservoirs advanced past the pinned epoch
         // (a retry would then offer the same rows twice).
-        let resumed = self
+        let mut resumed: Vec<BatchMember> = self
             .samples
             .iter()
             .map(|s| {
@@ -663,12 +680,29 @@ impl SampleHandler {
                 (s.filter.clone(), res, s.last_used)
             })
             .collect();
-        self.samples = draw_and_gather(
-            &TableStore::Sharded(Arc::clone(&snap.table)),
-            self.config.seed,
-            old_rows..new_rows,
-            resumed,
-        )?;
+        let new_store = TableStore::Sharded(Arc::clone(&snap.table));
+        draw(&new_store, self.config.seed, appended, &mut resumed)?;
+        // Slot `p` of a materialised table is a function of `rows[p]`
+        // alone, so only the slots whose row id moved need fetching.
+        let (changed, wanted): (Vec<Vec<usize>>, Vec<Vec<RowId>>) = resumed
+            .iter()
+            .zip(&self.samples)
+            .map(|((_, res, _), s)| {
+                let moved = |&(p, row): &(usize, &RowId)| s.rows.get(p) != Some(row);
+                let slots = res.items().iter().enumerate().filter(moved);
+                slots.map(|(p, &row)| (p, row)).unzip()
+            })
+            .unzip();
+        let wanted: Vec<&[RowId]> = wanted.iter().map(Vec::as_slice).collect();
+        let fetched = new_store.try_gather_batch(&wanted)?;
+        self.samples = resumed
+            .into_iter()
+            .zip(&self.samples)
+            .zip(changed.iter().zip(&fetched))
+            .map(|((member, s), (at, fresh))| {
+                StoredSample::new(member, snap.patch_gathered(&s.local, at, fresh))
+            })
+            .collect();
         // The entry guard already proved the store is live; route the
         // impossible miss through debug_assert instead of a panic (P001).
         let Some(ls) = self.store.as_live_mut() else {
@@ -1275,11 +1309,63 @@ mod tests {
         assert_eq!(fh.pinned_epoch(), 0);
     }
 
+    /// A sync copies a stored table only when it has something to write
+    /// into it: a slot whose row moved, or a dictionary that grew.
+    #[test]
+    fn sync_keeps_the_table_of_a_sample_nothing_touched() {
+        use sdd_table::{LiveTable, LiveTableConfig};
+        let schema = sdd_table::Schema::new(["Store", "Product"]).unwrap();
+        let live =
+            Arc::new(LiveTable::new(schema, vec![], &LiveTableConfig::in_memory(16)).unwrap());
+        live.try_append(&live_test_rows(0, 100), &[]).unwrap();
+        let mut h = live_handler(TableStore::from(Arc::clone(&live)), 3);
+        let s1 = Rule::from_pairs(h.table(), &[("Store", "s1")]).unwrap();
+        h.try_create_batch(&[(Rule::trivial(2), 40), (s1, 40)])
+            .unwrap();
+        let at_create: Vec<StoredSample> = h.samples.clone();
+
+        // Only `s0` rows, every product already known: no dictionary grows
+        // and nothing is offered to the `s1` sample.
+        let s0_rows = |n: usize| -> Vec<[String; 2]> {
+            (0..n)
+                .map(|i| ["s0".to_owned(), format!("p{}", i % 7)])
+                .collect()
+        };
+        let snap = live.try_append(&s0_rows(30), &[]).unwrap();
+        h.try_sync_to_snapshot(&snap).unwrap();
+        assert_ne!(
+            h.samples[0].rows, at_create[0].rows,
+            "the trivial sample drew"
+        );
+        assert!(!Arc::ptr_eq(&h.samples[0].local, &at_create[0].local));
+        assert_eq!(h.samples[1].rows, at_create[1].rows);
+        assert!(Arc::ptr_eq(&h.samples[1].local, &at_create[1].local));
+
+        // A new product: the untouched sample is re-issued under the grown
+        // dictionary's handle (Combine pools tables of equal cardinality),
+        // columns as they were.
+        let mut rows = s0_rows(5);
+        rows[2][1] = "pNEW".to_owned();
+        let snap = live.try_append(&rows, &[]).unwrap();
+        h.try_sync_to_snapshot(&snap).unwrap();
+        let (now, then) = (&h.samples[1].local, &at_create[1].local);
+        assert!(!Arc::ptr_eq(now, then));
+        for c in 0..2 {
+            assert_eq!(now.column(c), then.column(c));
+            assert!(Arc::ptr_eq(
+                now.dictionary_arc(c),
+                h.table().dictionary_arc(c)
+            ));
+        }
+        assert_eq!((then.cardinality(1), now.cardinality(1)), (7, 8));
+    }
+
     #[test]
     fn combine_works_across_epochs_after_sync() {
-        // The re-gather-on-sync invariant: after appends introduce new
-        // dictionary values, pooling stored samples (gather_multi) must not
-        // trip its dictionary-length assertion, and estimates stay sane.
+        // After appends introduce new dictionary values, a sync re-issues
+        // every stored table under the new epoch's dictionaries, so pooling
+        // stored samples (gather_multi) must not trip its dictionary-length
+        // assertion, and estimates stay sane.
         use sdd_table::{LiveTable, LiveTableConfig};
         let schema = sdd_table::Schema::new(["Store", "Product"]).unwrap();
         let live =

@@ -243,6 +243,91 @@ fn a_faulted_prefetch_batch_changes_nothing_and_retries_cleanly() {
     }
 }
 
+/// A live sync is atomic under faults too. With three stored samples over
+/// a spilling live table, damage to a segment the append sealed — caught by
+/// the scan of the appended range, or only by the (smaller) gather of the
+/// newly drawn rows — must leave the samples, the pinned epoch and the
+/// counters exactly as they were, and the retry after the file is restored
+/// must leave what a handler that never faulted holds.
+#[test]
+fn a_faulted_sync_changes_nothing_and_retries_cleanly() {
+    use sdd_core::{view_digest, Rule};
+    use sdd_sampling::{AllocationStrategy, SampleHandler, SampleHandlerConfig};
+
+    let table = sdd_datagen::retail(42);
+    let rows: Vec<Vec<&str>> = (0..4_700u32)
+        .map(|r| (0..3).map(|c| table.value(r, c)).collect())
+        .collect();
+    let cfg = LiveTableConfig::spilling(500, 1, std::env::temp_dir());
+    let live = Arc::new(LiveTable::new(table.schema().clone(), vec![], &cfg).unwrap());
+    live.try_append(&rows[..3_200], &[]).unwrap();
+    let handler = || {
+        let config = SampleHandlerConfig {
+            capacity: 5_000,
+            min_sample_size: 300,
+            seed: 7,
+            strategy: AllocationStrategy::Dp,
+        };
+        let mut h = SampleHandler::with_store(TableStore::from(live.clone()), config);
+        for pairs in [&[("Store", "Walmart")][..], &[], &[("Product", "cookies")]] {
+            let rule = Rule::from_pairs(h.table(), pairs).unwrap();
+            h.try_create_batch(&[(rule, 300)]).unwrap();
+        }
+        h
+    };
+    let mut faulted = [handler(), handler()];
+    let mut clean = handler();
+    // The append finishes segment 6 and seals 7 and 8.
+    let snap = live.try_append(&rows[3_200..], &[]).unwrap();
+    clean.try_sync_to_snapshot(&snap).unwrap();
+    let held = |h: &SampleHandler| {
+        let tables: Vec<[u64; 2]> = h
+            .stored_samples()
+            .iter()
+            .map(|s| view_digest(&h.peek_stored(&s.filter).unwrap().view.as_view()))
+            .collect();
+        (h.stored_samples(), tables, h.pinned_epoch(), h.stats)
+    };
+
+    let path = snap.table.spill_path(7).unwrap().to_path_buf();
+    let intact = std::fs::read(&path).unwrap();
+    // Fault 1 — the scan fails: the file is cut short inside its header.
+    let truncated = intact[..16].to_vec();
+    // Fault 2 — only the gather fails: the stored filters read `Store` and
+    // `Product`, so a bad width byte in `Region`'s blob (column 2; layout
+    // as in the prefetch test above) passes every range read of the scan
+    // and trips the gather's whole-file validation.
+    let mut bad_region = intact.clone();
+    let offset = |c: usize| {
+        let at = 16 + 8 * c;
+        u64::from_le_bytes(intact[at..at + 8].try_into().unwrap()) as usize
+    };
+    let remap_len = u32::from_le_bytes(intact[offset(2)..offset(2) + 4].try_into().unwrap());
+    bad_region[offset(2) + 4 + 4 * remap_len as usize] = 3;
+
+    // (damaged bytes, label, whether the scan's three reads complete first)
+    let faults = [
+        (truncated, "scan fault", false),
+        (bad_region, "gather fault", true),
+    ];
+    for (h, (fault, label, scan_completes)) in faulted.iter_mut().zip(faults) {
+        let before = held(h);
+        let loads = snap.table.loads();
+        std::fs::write(&path, &fault).unwrap();
+        let err = h.try_sync_to_snapshot(&snap).unwrap_err();
+        assert!(
+            matches!(err, sdd_table::TableError::Corrupt(_)),
+            "{label}: {err}"
+        );
+        assert_eq!(held(h), before, "{label}: the handler moved");
+        assert_eq!(snap.table.loads() - loads >= 3, scan_completes, "{label}");
+
+        std::fs::write(&path, &intact).unwrap();
+        h.try_sync_to_snapshot(&snap).unwrap();
+        assert_eq!(held(h), held(&clean), "{label}: retry");
+    }
+}
+
 #[test]
 fn refresh_surfaces_spill_errors_as_responses() {
     let (engine, st) = spilling_engine();

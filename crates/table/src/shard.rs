@@ -105,12 +105,27 @@ impl ShardConfig {
 }
 
 /// One resident shard: the shard's rows as a small [`Table`] in the
-/// **global** code space (same dictionaries, same cardinalities, same codes
-/// as the monolithic table), plus the global row span it covers.
+/// **global** code space (same codes as the monolithic table), plus the
+/// global row span it covers.
+///
+/// A decoded or sliced segment owns its table and shares its
+/// [`ShardedTable`]'s dictionary handles. A live table's sealed segment is
+/// built once, when it seals, and every later snapshot's segment holds that
+/// one table: its handles are the seal epoch's — a prefix of every later
+/// epoch's dictionaries that covers every code in the segment — so read
+/// codes from a segment and metadata from [`ShardedTable::header`].
 #[derive(Debug)]
 pub struct ShardSegment {
     span: Range<usize>,
-    table: Table,
+    table: SegmentTable,
+}
+
+/// Where a segment's table lives. Sharing sits *below* the per-table
+/// `Arc<ShardSegment>`, whose strong count still means "a scan holds it".
+#[derive(Debug)]
+enum SegmentTable {
+    Owned(Table),
+    Sealed(Arc<Table>),
 }
 
 impl ShardSegment {
@@ -122,12 +137,15 @@ impl ShardSegment {
     /// The segment's rows as a table (row `i` is global row
     /// `span().start + i`).
     pub fn table(&self) -> &Table {
-        &self.table
+        match &self.table {
+            SegmentTable::Owned(table) => table,
+            SegmentTable::Sealed(table) => table,
+        }
     }
 
     /// The shard-local column slice of column `c`, in global codes.
     pub fn col(&self, c: usize) -> &[u32] {
-        self.table.column(c)
+        self.table().column(c)
     }
 }
 
@@ -1162,20 +1180,74 @@ impl LiveTableConfig {
 
 /// One epoch's frozen view of a [`LiveTable`]: an ordinary immutable
 /// [`ShardedTable`] (every sharded scan, parity, and caching path works on
-/// it unchanged) plus the epoch it captures and the visible-row count at
-/// every epoch up to it (what the sampling layer's per-epoch reservoir
-/// folds partition on).
+/// it unchanged) plus the epoch it captures. The rows an epoch added are
+/// `older.table.n_rows()..newer.table.n_rows()` of two snapshots — the
+/// range the sampling layer's reservoir maintenance sweeps.
 #[derive(Debug, Clone)]
 pub struct LiveSnapshot {
-    /// The frozen table. Sealed segments are shared (by `Arc`-owned spill
-    /// files) across snapshots; the unsealed tail is copied per snapshot
-    /// and always resident.
+    /// The frozen table. A snapshot copies what its append changed and
+    /// shares the rest with its predecessors by `Arc`: sealed segments
+    /// (spill files, or the decoded tables of a resident table) and the
+    /// dictionary of every column that interned nothing. Only the unsealed
+    /// tail (< `rows_per_segment` rows, always resident), the dictionaries
+    /// that grew and the measure columns are copied per snapshot.
     pub table: Arc<ShardedTable>,
     /// The epoch this snapshot captures (number of appends so far).
     pub epoch: u64,
-    /// `epoch_rows[e]` = total visible rows at epoch `e`, for `e ≤ epoch`
-    /// (`epoch_rows[0]` is the construction-time row count, `0`).
-    pub epoch_rows: Arc<Vec<usize>>,
+}
+
+impl LiveSnapshot {
+    /// Carries `base` — rows gathered from an **earlier** snapshot of the
+    /// same live table — to this epoch: `base` with row `i` of `fresh`
+    /// written at position `at[i]` (positions past `base`'s end extend it),
+    /// under this snapshot's dictionary handles. With `fresh` this
+    /// snapshot's gather of the rows that differ from the ones `base` was
+    /// gathered for, the result equals this snapshot's gather of the whole
+    /// new row list: a gathered row is a function of its row id alone, and
+    /// dictionaries only append, so every kept code means what it meant.
+    /// Nothing to write and no dictionary grown ⇒ `base` itself.
+    pub fn patch_gathered(&self, base: &Arc<Table>, at: &[usize], fresh: &Table) -> Arc<Table> {
+        fn patched<T: Copy + Default>(base: &[T], n: usize, at: &[usize], fresh: &[T]) -> Vec<T> {
+            let mut out = Vec::with_capacity(n);
+            out.extend_from_slice(base);
+            out.resize(n, T::default());
+            for (&p, &v) in at.iter().zip(fresh) {
+                out[p] = v;
+            }
+            out
+        }
+        debug_assert_eq!(at.len(), fresh.n_rows());
+        let header = self.table.header();
+        let dicts = header.dictionaries();
+        if at.is_empty()
+            && base
+                .dictionaries()
+                .iter()
+                .zip(dicts)
+                .all(|(a, b)| Arc::ptr_eq(a, b))
+        {
+            return Arc::clone(base);
+        }
+        let n_rows = at.iter().fold(base.n_rows(), |n, &p| n.max(p + 1));
+        let cols = (0..header.n_columns())
+            .map(|c| patched(base.column(c), n_rows, at, fresh.column(c)))
+            .collect();
+        let measures = base
+            .measure_names()
+            .filter_map(|name| {
+                let (old, new) = (base.measure(name).ok()?, fresh.measure(name).ok()?);
+                Some((name.to_owned(), patched(old, n_rows, at, new)))
+            })
+            .collect();
+        let schema = header.schema().clone();
+        Arc::new(Table::from_parts(
+            schema,
+            dicts.to_vec(),
+            cols,
+            measures,
+            n_rows,
+        ))
+    }
 }
 
 /// A sealed-or-pending segment staged during one append batch; holds the
@@ -1190,18 +1262,24 @@ enum StagedSeg {
 /// frozen from.
 #[derive(Debug)]
 struct LiveRows {
-    /// The master mutable dictionaries; snapshots get frozen clones.
+    /// The master mutable dictionaries.
     dicts: Vec<Dictionary>,
+    /// The newest snapshot's frozen copies of `dicts`. Dictionaries only
+    /// append, so a column whose length did not move since keeps its handle
+    /// and every older handle is a prefix of every newer one.
+    frozen_dicts: Vec<Arc<Dictionary>>,
     /// Full measure columns (cloned into each snapshot).
     measure_vals: Vec<Vec<f64>>,
     /// Sealed segments' spill files, in segment order (spilling mode).
     sealed_spill: Vec<Arc<SpillFile>>,
-    /// Sealed segments' decoded columns, in segment order (resident mode).
-    sealed_cols: Vec<Vec<Vec<u32>>>,
+    /// Sealed segments' decoded tables, in segment order (resident mode):
+    /// each built once, by the freeze that follows its seal, and held by
+    /// that snapshot and every later one.
+    sealed: Vec<Arc<Table>>,
     /// Unsealed tail columns in global codes (< `rows_per_segment` rows).
     tail: Vec<Vec<u32>>,
-    /// Visible row count at each epoch (`epoch_rows[e]`, `e` = epoch).
-    epoch_rows: Vec<usize>,
+    /// Appends committed so far.
+    epoch: u64,
 }
 
 #[derive(Debug)]
@@ -1224,11 +1302,14 @@ struct LiveState {
 /// * Sealing reuses the streaming builder's spill machinery
 ///   (`write_segment`, same `SDDSHRD2` encoding): every
 ///   `rows_per_segment` rows become an immutable sealed segment, written to
-///   disk exactly once; the remainder stays in an always-resident tail.
-/// * Snapshots are plain [`ShardedTable`]s sharing the sealed spill files
-///   by `Arc`, so every existing sharded scan path works on them unchanged
-///   and a superseded snapshot can outlive its successors without
-///   invalidating their files.
+///   disk (or, fully resident, wrapped in its table) exactly once; the
+///   remainder stays in an always-resident tail.
+/// * Snapshots are plain [`ShardedTable`]s sharing the sealed segments and
+///   the unchanged dictionaries by `Arc`, so an append costs what it adds
+///   (tail, grown dictionaries, measure columns — see [`LiveSnapshot`]),
+///   every existing sharded scan path works on them unchanged and a
+///   superseded snapshot can outlive its successors without invalidating
+///   their files.
 /// * Global codes are interned in first-appearance order (exactly as the
 ///   builders do), so a live table grown by any sequence of appends holds
 ///   the same codes — and byte-identical sealed spill files — as one grown
@@ -1243,7 +1324,7 @@ pub struct LiveTable {
     rows_per_segment: usize,
     resident_budget: usize,
     spill_root: Option<Arc<SpillRoot>>,
-    /// Mirrors `state.rows.epoch_rows.len() - 1`; readable without the lock.
+    /// Mirrors `state.rows.epoch`; readable without the lock.
     epoch: AtomicU64,
     state: Mutex<LiveState>,
 }
@@ -1263,16 +1344,18 @@ impl LiveTable {
             .map(make_spill_root)
             .transpose()?;
         let n_cols = schema.n_columns();
-        let rows = LiveRows {
+        let mut rows = LiveRows {
             dicts: vec![Dictionary::new(); n_cols],
+            frozen_dicts: (0..n_cols).map(|_| Arc::default()).collect(),
             measure_vals: vec![Vec::new(); measures.len()],
             sealed_spill: Vec::new(),
-            sealed_cols: Vec::new(),
+            sealed: Vec::new(),
             tail: vec![Vec::new(); n_cols],
-            epoch_rows: vec![0],
+            epoch: 0,
         };
         let rows_per_segment = config.rows_per_segment.max(1);
         let current = rows.freeze(
+            Vec::new(),
             &schema,
             &measures,
             rows_per_segment,
@@ -1321,14 +1404,10 @@ impl LiveTable {
     /// Sealed segments so far.
     pub fn segments_sealed(&self) -> usize {
         let state = self.state();
-        state
-            .rows
-            .sealed_spill
-            .len()
-            .max(state.rows.sealed_cols.len())
+        state.rows.sealed_spill.len().max(state.rows.sealed.len())
     }
 
-    /// The current frozen snapshot (cheap: clones three `Arc`s).
+    /// The current frozen snapshot (cheap: clones an `Arc`).
     pub fn snapshot(&self) -> LiveSnapshot {
         self.state().current.clone()
     }
@@ -1480,29 +1559,31 @@ impl LiveTable {
         }
 
         // Commit: adopt staged segments, bump the epoch, publish a snapshot.
+        let mut sealed_now: Vec<Vec<Vec<u32>>> = Vec::new();
         for seg in staged {
             match seg {
                 StagedSeg::Spilled(file, _cols) => {
                     state.rows.sealed_spill.push(file);
                     state.total_spills += 1;
                 }
-                StagedSeg::Resident(cols) => state.rows.sealed_cols.push(cols),
+                StagedSeg::Resident(cols) => sealed_now.push(cols),
             }
         }
-        let n_rows = state.current.table.n_rows() + cats.len();
-        state.rows.epoch_rows.push(n_rows);
-        self.rebuild_snapshot(&mut state);
+        state.rows.epoch += 1;
+        self.rebuild_snapshot(&mut state, sealed_now);
         Ok(state.current.clone())
     }
 
-    /// Freezes and installs the snapshot for the state's newest epoch,
+    /// Freezes and installs the snapshot for the state's newest epoch
+    /// (`sealed_now`: the segments this append sealed, resident mode),
     /// folding the superseded snapshot's storage counters into the bases.
-    fn rebuild_snapshot(&self, state: &mut LiveState) {
+    fn rebuild_snapshot(&self, state: &mut LiveState, sealed_now: Vec<Vec<Vec<u32>>>) {
         let old = &state.current.table;
         state.base_loads += old.loads();
         state.base_evictions += old.evictions();
         state.base_peak = state.base_peak.max(old.peak_resident());
         state.current = state.rows.freeze(
+            sealed_now,
             &self.schema,
             &self.measure_names,
             self.rows_per_segment,
@@ -1515,9 +1596,14 @@ impl LiveTable {
 
 impl LiveRows {
     /// The frozen snapshot of these rows at their newest epoch, for a live
-    /// table of the given shape.
+    /// table of the given shape. Copies only what the epoch changed: the
+    /// tail, the dictionaries that grew, and `sealed_now` — the columns of
+    /// the resident segments the epoch sealed, which become tables here,
+    /// under this epoch's dictionary handles, once and for every later
+    /// snapshot. (Measure columns are still cloned whole.)
     fn freeze(
-        &self,
+        &mut self,
+        sealed_now: Vec<Vec<Vec<u32>>>,
         schema: &Schema,
         measure_names: &[String],
         rows_per_segment: usize,
@@ -1525,14 +1611,18 @@ impl LiveRows {
         spill_root: Option<&Arc<SpillRoot>>,
     ) -> LiveSnapshot {
         let n_cols = schema.n_columns();
-        let dicts: Vec<Arc<Dictionary>> = self.dicts.iter().cloned().map(Arc::new).collect();
+        for (frozen, dict) in self.frozen_dicts.iter_mut().zip(&self.dicts) {
+            if frozen.len() != dict.len() {
+                *frozen = Arc::new(dict.clone());
+            }
+        }
         let header_measures: Vec<(String, Vec<f64>)> = measure_names
             .iter()
             .map(|n| (n.clone(), Vec::new()))
             .collect();
         let header = Arc::new(Table::from_parts(
             schema.clone(),
-            dicts,
+            self.frozen_dicts.clone(),
             vec![Vec::new(); n_cols],
             header_measures,
             0,
@@ -1544,7 +1634,12 @@ impl LiveRows {
             .collect();
 
         let c = rows_per_segment;
-        let sealed_n = self.sealed_spill.len().max(self.sealed_cols.len());
+        for cols in sealed_now {
+            let span = self.sealed.len() * c..(self.sealed.len() + 1) * c;
+            let table = segment_table(&header, &measures, &span, cols);
+            self.sealed.push(Arc::new(table));
+        }
+        let sealed_n = self.sealed_spill.len().max(self.sealed.len());
         let tail_len = self.tail.first().map_or(0, Vec::len);
         let mut spans: Vec<Range<usize>> = (0..sealed_n).map(|i| i * c..(i + 1) * c).collect();
         // The tail span exists whenever it holds rows — and for the empty
@@ -1557,10 +1652,9 @@ impl LiveRows {
         spill.resize(spans.len(), None);
 
         let mut cache = Cache::default();
-        if spill_root.is_none() {
-            for (i, cols) in self.sealed_cols.iter().enumerate() {
-                cache.insert_resident(i, segment(&header, &measures, &spans[i], cols.clone()));
-            }
+        for (i, table) in self.sealed.iter().enumerate() {
+            let (span, table) = (spans[i].clone(), SegmentTable::Sealed(Arc::clone(table)));
+            cache.insert_resident(i, Arc::new(ShardSegment { span, table }));
         }
         if tail_len > 0 || sealed_n == 0 {
             let i = spans.len() - 1;
@@ -1577,8 +1671,7 @@ impl LiveRows {
                 resident_budget,
                 cache: Mutex::new(cache),
             }),
-            epoch: (self.epoch_rows.len() - 1) as u64,
-            epoch_rows: Arc::new(self.epoch_rows.clone()),
+            epoch: self.epoch,
         }
     }
 }
@@ -1594,20 +1687,30 @@ fn segment(
     span: &Range<usize>,
     cols: Vec<Vec<u32>>,
 ) -> Arc<ShardSegment> {
+    Arc::new(ShardSegment {
+        span: span.clone(),
+        table: SegmentTable::Owned(segment_table(header, measures, span, cols)),
+    })
+}
+
+/// The table of [`segment`].
+fn segment_table(
+    header: &Table,
+    measures: &[(String, Vec<f64>)],
+    span: &Range<usize>,
+    cols: Vec<Vec<u32>>,
+) -> Table {
     let sliced: Vec<(String, Vec<f64>)> = measures
         .iter()
         .map(|(n, vals)| (n.clone(), vals[span.clone()].to_vec()))
         .collect();
-    Arc::new(ShardSegment {
-        span: span.clone(),
-        table: Table::from_parts(
-            header.schema().clone(),
-            header.dictionaries().to_vec(),
-            cols,
-            sliced,
-            span.len(),
-        ),
-    })
+    Table::from_parts(
+        header.schema().clone(),
+        header.dictionaries().to_vec(),
+        cols,
+        sliced,
+        span.len(),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -2674,7 +2777,7 @@ mod tests {
         assert_eq!((snap1.epoch, snap1.table.n_rows()), (1, 3));
         let snap2 = live.try_append(&rows[3..], &[]).unwrap();
         assert_eq!((snap2.epoch, snap2.table.n_rows()), (2, 6));
-        assert_eq!(&*snap2.epoch_rows, &[0, 3, 6]);
+        assert_eq!((live.epoch(), live.n_rows()), (2, 6));
 
         let expect: Vec<Vec<String>> = rows.iter().map(|r| r.to_vec()).collect();
         assert_eq!(gather_all(&snap2.table), expect);
@@ -2892,6 +2995,103 @@ mod tests {
         assert_eq!(gather_all(&old.table), expect);
         drop(old);
         assert!(!dir.exists(), "last holder dropped ⇒ dir removed");
+    }
+
+    /// A dictionary is re-frozen only when its column interned something:
+    /// otherwise the new snapshot holds the old handle, and a grown
+    /// dictionary extends the old one.
+    #[test]
+    fn live_snapshots_share_unchanged_dictionaries() {
+        let live = LiveTable::new(
+            Schema::new(["A", "B"]).unwrap(),
+            vec![],
+            &LiveTableConfig::in_memory(4),
+        )
+        .unwrap();
+        let rows = live_rows(5);
+        let first = live.try_append(&rows[..3], &[]).unwrap();
+        // The same three rows again: nothing new in either column.
+        let same = live.try_append(&rows[..3], &[]).unwrap();
+        // a3 and a4 are new; b0 and b1 are not.
+        let grown = live.try_append(&rows[3..], &[]).unwrap();
+        let handle = |snap: &LiveSnapshot, c: usize| snap.table.header().dictionary_arc(c).clone();
+        for c in 0..2 {
+            assert!(Arc::ptr_eq(&handle(&first, c), &handle(&same, c)));
+        }
+        assert!(Arc::ptr_eq(&handle(&same, 1), &handle(&grown, 1)));
+        let (old, new) = (handle(&same, 0), handle(&grown, 0));
+        assert_eq!((old.len(), new.len()), (3, 5));
+        assert!(old.iter().eq(new.iter().take(old.len())), "old is a prefix");
+        // A tail segment holds its own snapshot's handles.
+        let tail = grown.table.try_segment(grown.table.n_shards() - 1).unwrap();
+        assert!(Arc::ptr_eq(tail.table().dictionary_arc(0), &new));
+    }
+
+    /// The freeze copies the tail, not the table: a resident sealed
+    /// segment's columns are one allocation held by every snapshot from
+    /// its seal on, below the per-snapshot `Arc<ShardSegment>` — so pins
+    /// stay per snapshot — and a value first interned after the seal reads
+    /// through the shared segment exactly as through a frozen twin.
+    #[test]
+    fn live_resident_snapshots_share_sealed_segments_not_pins() {
+        let c = 4usize;
+        let live = LiveTable::new(
+            Schema::new(["A", "B"]).unwrap(),
+            vec![],
+            &LiveTableConfig::in_memory(c),
+        )
+        .unwrap();
+        // a4 is first seen at row 4, an append after segment 0 (rows 0..4)
+        // sealed.
+        let rows = live_rows(11);
+        let snaps: Vec<LiveSnapshot> = [&rows[..4], &rows[4..6], &rows[6..10], &rows[10..]]
+            .into_iter()
+            .map(|batch| live.try_append(batch, &[]).unwrap())
+            .collect();
+        let sealed: Vec<usize> = snaps.iter().map(|s| s.table.n_rows() / c).collect();
+        assert_eq!(sealed, [1, 1, 2, 2], "three appends seal two segments");
+
+        let col_ptrs = |snap: &LiveSnapshot, i: usize| -> Vec<*const u32> {
+            let seg = snap.table.try_segment(i).unwrap();
+            (0..2).map(|col| seg.col(col).as_ptr()).collect()
+        };
+        for (older, newer) in snaps.iter().zip(&snaps[1..]) {
+            for i in 0..older.table.n_rows() / c {
+                assert_eq!(col_ptrs(older, i), col_ptrs(newer, i), "segment {i}");
+            }
+        }
+        assert!(snaps.iter().all(|s| s.table.pinned() == 0));
+        // A scan holding segment 0 of one snapshot pins it there only.
+        let held = snaps[2].table.try_segment(0).unwrap();
+        let pins: Vec<usize> = snaps.iter().map(|s| s.table.pinned()).collect();
+        assert_eq!(pins, [0, 0, 1, 0]);
+        // The shared table keeps its seal epoch's dictionary (a0..a3); the
+        // snapshot's header has the grown one.
+        assert_eq!(held.table().cardinality(0), 4);
+        drop(held);
+
+        // The newest snapshot outlives the table and every older snapshot.
+        let newest = snaps.into_iter().next_back().unwrap();
+        drop(live);
+        let twin = Table::from_rows(Schema::new(["A", "B"]).unwrap(), &rows).unwrap();
+        assert_eq!(newest.table.header().cardinality(0), 5);
+        for i in 0..newest.table.n_shards() {
+            let seg = newest.table.try_segment(i).unwrap();
+            for col in 0..2 {
+                assert_eq!(seg.col(col), &twin.column(col)[seg.span()], "segment {i}");
+            }
+        }
+        let all: Vec<RowId> = (0..rows.len() as RowId).collect();
+        let (got, want) = (
+            newest.table.try_gather_rows(&all).unwrap(),
+            twin.gather_rows(&all),
+        );
+        for col in 0..2 {
+            assert_eq!(got.column(col), want.column(col));
+            assert_eq!(got.cardinality(col), want.cardinality(col));
+        }
+        let expect: Vec<Vec<String>> = rows.iter().map(|r| r.to_vec()).collect();
+        assert_eq!(gather_all(&newest.table), expect);
     }
 
     #[test]
