@@ -7,13 +7,12 @@
 //! * Fig. 3: plain expansion of a displayed rule.
 
 use sdd_bench::report::write_csv;
-use sdd_bench::row;
-use sdd_core::{Session, SizeWeight};
+use sdd_bench::{exact_explorer, row};
+use sdd_core::SizeWeight;
 
 fn main() {
     let table = sdd_bench::datasets::marketing7();
-    let mut session = Session::new(table.clone(), Box::new(SizeWeight), 4);
-    session.set_max_weight(5.0);
+    let mut session = exact_explorer(&table, Box::new(SizeWeight), 4, Some(5.0));
 
     session.expand(&[]).expect("root expansion");
     println!("== Figure 1: summary after clicking the empty rule ==");
@@ -21,35 +20,35 @@ fn main() {
 
     // Shape assertions (synthetic data, same correlations the paper shows):
     // single-gender rules and gender × >10-years rules dominate.
-    let children = session.root().children();
+    let children = session.children_at(&[]).unwrap();
     assert_eq!(children.len(), 4);
     let years = table.schema().index_of("YearsInBayArea").unwrap();
     assert!(
-        children.iter().any(|n| !n.rule.is_star(years)),
+        children.iter().any(|r| !r.rule.is_star(years)),
         "expected a long-residence rule in the top 4"
     );
 
     let mut rows = vec![row!["figure", "rule", "count", "weight"]];
-    for n in children {
-        rows.push(row!["fig1", n.rule.display(&table), n.count, n.weight]);
+    for r in children {
+        rows.push(row!["fig1", r.rule.display(&table), r.count, r.weight]);
     }
 
     // Figure 2: star-expand Education on the first rule that leaves it ?.
     let education = table.schema().index_of("Education").unwrap();
     let idx = session
-        .root()
-        .children()
+        .children_at(&[])
+        .unwrap()
         .iter()
-        .position(|n| n.rule.is_star(education))
+        .position(|r| r.rule.is_star(education))
         .expect("some displayed rule leaves Education starred");
     session
         .expand_star(&[idx], education)
         .expect("star expansion");
     println!("== Figure 2: star expansion on 'Education' ==");
     println!("{}", session.render());
-    for n in session.node(&[idx]).unwrap().children() {
-        assert!(!n.rule.is_star(education));
-        rows.push(row!["fig2", n.rule.display(&table), n.count, n.weight]);
+    for r in session.children_at(&[idx]).unwrap() {
+        assert!(!r.rule.is_star(education));
+        rows.push(row!["fig2", r.rule.display(&table), r.count, r.weight]);
     }
     session.collapse(&[idx]).unwrap();
 
@@ -57,8 +56,8 @@ fn main() {
     session.expand(&[0]).expect("rule expansion");
     println!("== Figure 3: expanding a displayed rule ==");
     println!("{}", session.render());
-    for n in session.node(&[0]).unwrap().children() {
-        rows.push(row!["fig3", n.rule.display(&table), n.count, n.weight]);
+    for r in session.children_at(&[0]).unwrap() {
+        rows.push(row!["fig3", r.rule.display(&table), r.count, r.weight]);
     }
 
     let path = write_csv("fig1_2_3.csv", &rows);

@@ -7,8 +7,8 @@
 //!   displayed rule has ≥ 2 instantiated columns.
 
 use sdd_bench::report::write_csv;
-use sdd_bench::row;
-use sdd_core::{BitsWeight, Session, SizeMinusOne, SizeWeight};
+use sdd_bench::{exact_explorer, row};
+use sdd_core::{BitsWeight, SizeMinusOne, SizeWeight};
 
 fn main() {
     let table = sdd_bench::datasets::marketing7();
@@ -16,30 +16,22 @@ fn main() {
     let mut rows = vec![row!["figure", "rule", "count", "weight"]];
 
     // Reference: Size weighting (Figure 1) for contrast.
-    let mut size_session = Session::new(table.clone(), Box::new(SizeWeight), 4);
-    size_session.set_max_weight(5.0);
-    size_session.expand(&[]).unwrap();
+    let mut size_session = exact_explorer(&table, Box::new(SizeWeight), 4, Some(5.0));
     let size_uses_sex = size_session
-        .root()
-        .children()
+        .expand(&[])
+        .unwrap()
         .iter()
-        .filter(|n| !n.rule.is_star(sex))
+        .filter(|r| !r.rule.is_star(sex))
         .count();
 
     // Figure 6: Bits weighting, mw = 20 (paper §5).
-    let mut session = Session::new(table.clone(), Box::new(BitsWeight), 4);
-    session.set_max_weight(20.0);
-    session.expand(&[]).unwrap();
+    let mut session = exact_explorer(&table, Box::new(BitsWeight), 4, Some(20.0));
+    let shown = session.expand(&[]).unwrap();
     println!("== Figure 6: Bits weighting ==");
     println!("{}", session.render());
-    let bits_uses_sex = session
-        .root()
-        .children()
-        .iter()
-        .filter(|n| !n.rule.is_star(sex))
-        .count();
-    for n in session.root().children() {
-        rows.push(row!["fig6-bits", n.rule.display(&table), n.count, n.weight]);
+    let bits_uses_sex = shown.iter().filter(|r| !r.rule.is_star(sex)).count();
+    for r in &shown {
+        rows.push(row!["fig6-bits", r.rule.display(&table), r.count, r.weight]);
     }
     // The paper's observation: Bits weighting moves away from the binary
     // Gender column relative to Size weighting.
@@ -49,22 +41,21 @@ fn main() {
     );
 
     // Figure 7: max(0, Size−1) weighting.
-    let mut session = Session::new(table.clone(), Box::new(SizeMinusOne), 4);
-    session.set_max_weight(4.0);
-    session.expand(&[]).unwrap();
+    let mut session = exact_explorer(&table, Box::new(SizeMinusOne), 4, Some(4.0));
+    let shown = session.expand(&[]).unwrap();
     println!("== Figure 7: max(0, Size−1) weighting ==");
     println!("{}", session.render());
-    for n in session.root().children() {
+    for r in &shown {
         assert!(
-            n.rule.size() >= 2,
+            r.rule.size() >= 2,
             "size-1 rules have zero weight and must not appear: {:?}",
-            n.rule
+            r.rule
         );
         rows.push(row![
             "fig7-size-1",
-            n.rule.display(&table),
-            n.count,
-            n.weight
+            r.rule.display(&table),
+            r.count,
+            r.weight
         ]);
     }
     println!("Every Figure-7 rule instantiates ≥ 2 columns ✓");

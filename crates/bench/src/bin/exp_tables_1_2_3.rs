@@ -5,12 +5,12 @@
 //! asserted so a regression is loud.
 
 use sdd_bench::report::{print_table, write_csv};
-use sdd_bench::row;
-use sdd_core::{Session, SizeWeight};
+use sdd_bench::{exact_explorer, row};
+use sdd_core::SizeWeight;
 
 fn main() {
     let table = sdd_bench::datasets::retail();
-    let mut session = Session::new(table.clone(), Box::new(SizeWeight), 3);
+    let mut session = exact_explorer(&table, Box::new(SizeWeight), 3, None);
 
     println!("== Table 1: initial summary ==");
     println!("{}", session.render());
@@ -21,10 +21,10 @@ fn main() {
 
     // Assert the paper's Table 2 shape.
     let displays: Vec<String> = session
-        .root()
-        .children()
+        .children_at(&[])
+        .unwrap()
         .iter()
-        .map(|n| format!("{} count={}", n.rule.display(&table), n.count))
+        .map(|r| format!("{} count={}", r.rule.display(&table), r.count))
         .collect();
     assert!(
         displays
@@ -43,22 +43,19 @@ fn main() {
         "missing Walmart: {displays:?}"
     );
 
-    let walmart = session
-        .root()
-        .children()
+    let walmart = displays
         .iter()
-        .position(|n| n.rule.display(&table).contains("Walmart"))
+        .position(|d| d.contains("Walmart"))
         .expect("Walmart rule displayed");
     session.expand(&[walmart]).expect("Walmart expansion");
     println!("== Table 3: after drilling into the Walmart rule ==");
     println!("{}", session.render());
 
     let children: Vec<String> = session
-        .node(&[walmart])
+        .children_at(&[walmart])
         .unwrap()
-        .children()
         .iter()
-        .map(|n| format!("{} count={}", n.rule.display(&table), n.count))
+        .map(|r| format!("{} count={}", r.rule.display(&table), r.count))
         .collect();
     assert!(
         children
@@ -77,12 +74,12 @@ fn main() {
 
     // Summary row for EXPERIMENTS.md.
     let mut rows = vec![row!["table", "rule", "count", "weight"]];
-    for (depth, node) in session.visible().iter().skip(1) {
+    for (depth, r) in session.visible().iter().skip(1) {
         rows.push(row![
             if *depth == 1 { "T2" } else { "T3" },
-            node.rule.display(&table),
-            node.count,
-            node.weight
+            r.rule.display(&table),
+            r.count,
+            r.weight
         ]);
     }
     print_table(&rows);

@@ -20,6 +20,23 @@ pub mod datasets;
 pub mod report;
 pub mod timing;
 
+/// An explorer whose every displayed count is exact
+/// ([`sdd_explorer::ExplorerConfig::exact`]): the tree the paper's
+/// qualitative tables and figures show.
+pub fn exact_explorer(
+    table: &std::sync::Arc<sdd_table::Table>,
+    weight: Box<dyn sdd_core::WeightFn>,
+    k: usize,
+    max_weight: Option<f64>,
+) -> sdd_explorer::Explorer {
+    let config = sdd_explorer::ExplorerConfig {
+        k,
+        max_weight,
+        ..sdd_explorer::ExplorerConfig::exact(table.n_rows())
+    };
+    sdd_explorer::Explorer::new(table.clone(), weight, config)
+}
+
 /// Reads `SDD_CENSUS_ROWS` (default 250k).
 pub fn census_rows() -> usize {
     std::env::var("SDD_CENSUS_ROWS")

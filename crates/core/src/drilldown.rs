@@ -55,10 +55,9 @@ impl FilteredView<'_> {
 ///
 /// A sample served for `base` holds only tuples `base` covers, so in the
 /// product this is the identity and the search that follows reads the
-/// sample's own columns. Otherwise (the exact [`crate::Session`] drilling
-/// into the full table) the covered tuples are gathered in view order, so
-/// the search performs the same float operations in the same order either
-/// way.
+/// sample's own columns. Otherwise (a one-shot [`drill_down`] into a full
+/// table) the covered tuples are gathered in view order, so the search
+/// performs the same float operations in the same order either way.
 pub fn filter_to_rule<'a>(view: &TableView<'a>, base: &Rule) -> FilteredView<'a> {
     let covered = covered_rows(view.table(), base);
     if covered.len() == view.len() {

@@ -30,6 +30,11 @@
 //! one search stack and one fallible scan API; results are bit-identical
 //! for any thread count, shard layout, residency budget and SIMD setting.
 //!
+//! This crate holds the operator, not the interaction: the displayed rule
+//! tree the analyst expands, star-expands and rolls up (§2.3, §4's `U`)
+//! is `sdd_explorer::Explorer`, which serves exact counts when built with
+//! `ExplorerConfig::exact`.
+//!
 //! ## Modules
 //!
 //! * [`rule`] — the [`Rule`] pattern type and the sub-/super-rule lattice,
@@ -54,7 +59,6 @@
 //!   sharded (`sdd_table::ShardedTable`) storage — covered rows, covered
 //!   rows of an appended range, exact counts — and their store-kind
 //!   dispatch,
-//! * [`session`] — the interactive exploration tree with paper-style rendering,
 //! * [`exact`] — brute-force oracle for tests and ablations,
 //! * [`mw_estimate`] — sampling-based estimation of the `mw` parameter (§6.1),
 //! * [`reduction`] — Lemma 2's MCP reduction, executable.
@@ -73,7 +77,6 @@ pub mod mw_estimate;
 pub mod reduction;
 pub mod rule;
 pub mod score;
-pub mod session;
 pub mod shard;
 pub mod weight;
 
@@ -95,7 +98,6 @@ pub use rule::{Rule, RuleValue, STAR};
 pub use score::{
     rule_count, score_list, score_set, sort_by_weight_desc, top_assignment, ListScore, RuleScore,
 };
-pub use session::{Node, Session, SessionError};
 pub use shard::{
     try_count_rules_in_store, try_count_rules_sharded, try_covered_rows_sharded,
     try_covered_rows_sharded_range, try_find_best_marginal_rule_sharded, try_scan_rules_in_store,

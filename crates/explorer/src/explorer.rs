@@ -2,16 +2,43 @@
 
 use crate::cache::{CachedRules, SharedResultCache};
 use sdd_core::{
-    drill_down_with, star_drill_down_with, Brs, DrillKey, Rule, RuleValue, ScoredRule,
-    SessionError, WeightFn,
+    drill_down_with, star_drill_down_with, Brs, DrillKey, Rule, RuleValue, ScoredRule, WeightFn,
 };
 use sdd_sampling::{
     count_estimate, FetchMechanism, PrefetchEntry, PrefetchJob, SampleHandler, SampleHandlerConfig,
 };
 use sdd_table::TableView;
 use sdd_table::{Table, TableStore};
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// Errors from session navigation.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum SessionError {
+    /// The node path does not address an existing node.
+    InvalidPath(Vec<usize>),
+    /// Star drill-down on a column the rule already instantiates.
+    ColumnNotStarred(usize),
+    /// The storage tier failed underneath the session (a spill file could
+    /// not be read or decoded). The session itself remains usable; the
+    /// operation that needed the damaged shard is the one that fails.
+    Storage(String),
+}
+
+impl fmt::Display for SessionError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            SessionError::InvalidPath(p) => write!(f, "no node at path {p:?}"),
+            SessionError::ColumnNotStarred(c) => {
+                write!(f, "column {c} is already instantiated in this rule")
+            }
+            SessionError::Storage(m) => write!(f, "storage error: {m}"),
+        }
+    }
+}
+
+impl std::error::Error for SessionError {}
 
 /// Process-wide allocator for default table identities. Never reused, so
 /// two sessions that did not explicitly agree on a [`ExplorerConfig`]
@@ -85,6 +112,27 @@ impl Default for ExplorerConfig {
             confidence_z: 1.96,
             cache: None,
             table_id: None,
+        }
+    }
+}
+
+impl ExplorerConfig {
+    /// The exact configuration for a table of `n_rows` rows: sample memory
+    /// and `minSS` both hold the whole table, and nothing is prefetched. A
+    /// reservoir whose capacity covers its offers keeps every covered row,
+    /// in ascending order, at scale 1 — so every drill-down searches the
+    /// complete covered set and every [`DisplayedRule`] is `exact`. Set `k`
+    /// and `max_weight` with struct-update syntax.
+    pub fn exact(n_rows: usize) -> Self {
+        let n = n_rows.max(1);
+        Self {
+            handler: SampleHandlerConfig {
+                capacity: n,
+                min_sample_size: n,
+                ..SampleHandlerConfig::default()
+            },
+            prefetch: PrefetchMode::Off,
+            ..Self::default()
         }
     }
 }

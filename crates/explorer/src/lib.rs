@@ -21,6 +21,11 @@
 //!   [`sdd_table::LiveTable`] advances to the newest epoch at each
 //!   operation prologue ([`Explorer::try_advance_epoch`]), incrementally
 //!   maintaining its stored samples over the appended rows.
+//!
+//! It is the workspace's one session tree. Built with
+//! [`ExplorerConfig::exact`], every sample is the complete covered set at
+//! scale 1, so the same tree shows the paper's exact tables (Tables 1–3,
+//! Figs. 1–3, 6–7); navigation errors are [`SessionError`].
 
 #![warn(missing_docs)]
 
@@ -32,4 +37,5 @@ pub use cache::{rules_bit_identical, CachedRules, ResultCache, SharedResultCache
 pub use click_model::ClickModel;
 pub use explorer::{
     allocate_table_id, DisplayedRule, Explorer, ExplorerConfig, ExplorerStats, PrefetchMode,
+    SessionError,
 };

@@ -12,7 +12,7 @@
 //! | D001 | no std `HashMap`/`HashSet` in deterministic crates |
 //! | D002 | no wall-clock / thread-identity reads in deterministic crates |
 //! | D003 | float accumulation loops in the kernel state their fixed order |
-//! | P001 | no `unwrap`/`expect`/`panic!` in spill-I/O and scan code |
+//! | P001 | no `unwrap`/`expect`/`panic!`/`assert!` family in spill-I/O and scan code |
 //! | U001 | every `unsafe` block carries a `// SAFETY:` comment |
 //! | E001 | product crates read the environment in two files only |
 //! | X001 | every `pub fn *_sharded` has a monolithic twin + parity test |
@@ -106,7 +106,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "P001",
-        summary: "no unwrap()/expect()/panic! in spill-I/O and segment-scan code; route errors through TableError",
+        summary: "no unwrap()/expect()/panic!/assert!/assert_eq!/assert_ne!/unreachable!/todo!/unimplemented! in spill-I/O and segment-scan code; route errors through TableError",
     },
     RuleInfo {
         id: "U001",
@@ -338,6 +338,18 @@ fn d003(path: &str, m: &FileModel, out: &mut Vec<Finding>) {
 // P001 — panic-freedom in spill-I/O code
 // ---------------------------------------------------------------------------
 
+/// Macros that panic in release builds. `debug_assert*` is not here: it
+/// compiles out of release code.
+const PANIC_MACROS: &[&str] = &[
+    "panic",
+    "assert",
+    "assert_eq",
+    "assert_ne",
+    "unreachable",
+    "todo",
+    "unimplemented",
+];
+
 fn p001(path: &str, m: &FileModel, out: &mut Vec<Finding>) {
     if !P001_FILES.contains(&path) {
         return;
@@ -358,8 +370,15 @@ fn p001(path: &str, m: &FileModel, out: &mut Vec<Finding>) {
                  (or downgrade a genuinely unreachable invariant to debug_assert!)",
                 toks[i + 1].text
             ))
-        } else if i + 1 < toks.len() && ident(&toks[i], "panic") && punct(&toks[i + 1], "!") {
-            Some("panic! in a spill-I/O path; route the failure through TableError".to_owned())
+        } else if i + 1 < toks.len()
+            && PANIC_MACROS.iter().any(|name| ident(&toks[i], name))
+            && punct(&toks[i + 1], "!")
+        {
+            Some(format!(
+                "{}! in a spill-I/O path; route the failure through TableError (debug_assert! \
+                 stays allowed for invariants an error return also covers)",
+                toks[i].text
+            ))
         } else {
             None
         };

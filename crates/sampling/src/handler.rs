@@ -125,7 +125,7 @@ pub enum FetchMechanism {
 /// The view is **owned** ([`OwnedTableView`]) and self-contained: all rows,
 /// in order, of the sample's own small materialised table (shared by
 /// `Arc`), plus weights — it can outlive the handler borrow that produced
-/// it, cross threads, or seed an owned `Session` directly.
+/// it, cross threads, or feed a drill-down directly.
 #[derive(Debug, Clone)]
 pub struct SampleView {
     /// The tuples, weighted so that BRS counts are full-table estimates.
@@ -302,7 +302,9 @@ impl SampleHandler {
     /// rows however they are stored, so the drawn samples are bit-identical
     /// across store kinds, and so is everything served from them.
     pub fn with_store(store: TableStore, config: SampleHandlerConfig) -> Self {
+        // sdd-lint: allow(P001) constructor preconditions on caller config; the engine rejects a client's bad config before it builds a handler
         assert!(config.min_sample_size > 0, "minSS must be positive");
+        // sdd-lint: allow(P001) as above
         assert!(
             config.capacity >= config.min_sample_size,
             "capacity must hold at least one minimum-size sample"

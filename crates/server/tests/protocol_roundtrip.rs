@@ -2,7 +2,7 @@
 //! JSON text → value must be the identity, and error payloads built from
 //! the library error types' `Display` impls must survive the wire.
 
-use sdd_core::SessionError;
+use sdd_explorer::SessionError;
 use sdd_server::{Json, OpenOptions, Request, Response, RuleInfo, StatsInfo};
 use sdd_table::TableError;
 
@@ -211,7 +211,7 @@ fn session_error_payloads_round_trip() {
     let errors = [
         SessionError::InvalidPath(vec![0, 9]),
         SessionError::ColumnNotStarred(2),
-        SessionError::UnknownColumn("Price".to_owned()),
+        SessionError::Storage("spill file truncated".to_owned()),
     ];
     for e in errors {
         let resp = Response::error(&e);

@@ -45,6 +45,13 @@ pub enum TableError {
         /// Rows the table holds.
         n_rows: usize,
     },
+    /// A shard index named a shard the table does not have.
+    ShardOutOfRange {
+        /// The offending shard index.
+        shard: usize,
+        /// Shards the table has.
+        n_shards: usize,
+    },
     /// A streaming shard build received a different number of rows than it
     /// declared up front (the span layout is a function of the total).
     RowCount {
@@ -80,6 +87,12 @@ impl fmt::Display for TableError {
             TableError::Corrupt(message) => write!(f, "corrupt spill file: {message}"),
             TableError::RowOutOfRange { row, n_rows } => {
                 write!(f, "row {row} out of range: the table holds {n_rows} rows")
+            }
+            TableError::ShardOutOfRange { shard, n_shards } => {
+                write!(
+                    f,
+                    "shard {shard} out of range: the table has {n_shards} shards"
+                )
             }
             TableError::RowCount { declared, got } => {
                 write!(f, "row count mismatch: declared {declared} rows, got {got}")

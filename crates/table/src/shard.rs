@@ -485,22 +485,33 @@ impl ShardedTable {
         &self.spans
     }
 
-    /// The shard holding global row `row`. Panics when out of range.
-    pub fn shard_of_row(&self, row: RowId) -> usize {
-        let r = row as usize;
-        assert!(r < self.n_rows(), "row {r} out of range");
-        // First span whose end exceeds r.
-        self.spans.partition_point(|s| s.end <= r)
-    }
-
-    /// [`ShardedTable::shard_of_row`] for ids that arrive through a
-    /// fallible path: an out-of-range id is an error, not a panic.
-    fn try_shard_of_row(&self, row: RowId) -> Result<usize, TableError> {
+    /// The shard holding global row `row`.
+    ///
+    /// # Errors
+    ///
+    /// [`TableError::RowOutOfRange`] for a row the table does not hold.
+    pub fn shard_of_row(&self, row: RowId) -> Result<usize, TableError> {
         let (row, n_rows) = (row as usize, self.n_rows());
         if row >= n_rows {
             return Err(TableError::RowOutOfRange { row, n_rows });
         }
+        // First span whose end exceeds row.
         Ok(self.spans.partition_point(|s| s.end <= row))
+    }
+
+    /// Shard `i`'s span and spill file (`None` when it does not spill).
+    ///
+    /// # Errors
+    ///
+    /// [`TableError::ShardOutOfRange`] for `i >= n_shards()`.
+    fn shard(&self, i: usize) -> Result<(Range<usize>, Option<&SpillFile>), TableError> {
+        match (self.spans.get(i), self.spill.get(i)) {
+            (Some(span), Some(file)) => Ok((span.clone(), file.as_deref())),
+            _ => Err(TableError::ShardOutOfRange {
+                shard: i,
+                n_shards: self.n_shards(),
+            }),
+        }
     }
 
     /// Locks the residency cache, tolerating a poisoned lock: the cache is
@@ -525,7 +536,8 @@ impl ShardedTable {
     ///
     /// [`TableError::Corrupt`] when the spill file fails validation (bad
     /// magic, truncation, shape mismatch, out-of-range local code),
-    /// [`TableError::Io`] when reading it fails.
+    /// [`TableError::Io`] when reading it fails,
+    /// [`TableError::ShardOutOfRange`] for `i >= n_shards()`.
     pub fn try_segment(&self, i: usize) -> Result<Arc<ShardSegment>, TableError> {
         if let Some(seg) = self.cached_data(i) {
             return Ok(seg);
@@ -565,7 +577,8 @@ impl ShardedTable {
     /// like every load, transient (nothing enters the residency cache),
     /// counted in [`ShardedTable::loads`].
     fn read_raw(&self, i: usize) -> Result<Vec<RawColumn>, TableError> {
-        let Some(file) = self.spill[i].as_ref() else {
+        let (span, file) = self.shard(i)?;
+        let Some(file) = file else {
             // Unreachable by construction: a shard is either resident or
             // spilled. Surface as an error, not a panic.
             debug_assert!(false, "non-resident shard {i} has no spill file");
@@ -573,7 +586,7 @@ impl ShardedTable {
                 "shard {i} is neither resident nor spilled"
             )));
         };
-        let raw = read_raw_segment(file.path(), self.n_columns(), self.spans[i].len())?;
+        let raw = read_raw_segment(file.path(), self.n_columns(), span.len())?;
         self.cache().loads += 1;
         Ok(raw)
     }
@@ -614,8 +627,8 @@ impl ShardedTable {
     /// when the table does not spill (fully-resident tables always hit
     /// `cached_data`, so a miss here means the caller skipped it).
     pub fn read_columns(&self, i: usize, cols: &[usize]) -> Result<Vec<RawColumn>, TableError> {
-        let span = self.spans[i].clone();
-        let Some(path) = self.spill[i].as_ref() else {
+        let (span, file) = self.shard(i)?;
+        let Some(path) = file else {
             debug_assert!(false, "read_columns on a non-spilling table");
             return Err(TableError::Io(format!(
                 "shard {i} has no spill file to range-read; use cached_data first"
@@ -669,7 +682,7 @@ impl ShardedTable {
         by_shard.resize_with(self.n_shards(), Vec::new);
         for (sample, rows) in batch.iter().enumerate() {
             for (pos, &row) in rows.iter().enumerate() {
-                let shard = self.try_shard_of_row(row)?;
+                let shard = self.shard_of_row(row)?;
                 by_shard[shard].push(Pick {
                     sample: sample as u32,
                     pos: pos as u32,
@@ -805,9 +818,9 @@ impl ShardedTable {
         self.resident_budget
     }
 
-    /// The spill file of shard `i`, if this table spills.
+    /// The spill file of shard `i`, if this table spills and has shard `i`.
     pub fn spill_path(&self, i: usize) -> Option<&std::path::Path> {
-        self.spill[i].as_ref().map(|f| f.path())
+        self.spill.get(i)?.as_ref().map(|f| f.path())
     }
 
     /// The spill directory this table keeps alive, if any. Spill files are
@@ -2065,6 +2078,7 @@ impl ShardedView {
         rows: Vec<RowId>,
         weights: Vec<f64>,
     ) -> Self {
+        // sdd-lint: allow(P001) precondition on two vectors the caller builds together; no I/O or request path constructs a view
         assert_eq!(rows.len(), weights.len(), "rows/weights length mismatch");
         debug_assert!(rows.iter().all(|&r| (r as usize) < table.n_rows()));
         Self {
@@ -2393,7 +2407,7 @@ mod tests {
         let table = t(17);
         let st = ShardedTable::from_table(&table, &ShardConfig::in_memory(5)).unwrap();
         for r in 0..17u32 {
-            let s = st.shard_of_row(r);
+            let s = st.shard_of_row(r).unwrap();
             assert!(st.spans()[s].contains(&(r as usize)));
         }
     }

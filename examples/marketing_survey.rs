@@ -20,8 +20,7 @@ fn main() {
     );
 
     // Figure 1: expand the empty rule, Size weighting, k = 4.
-    let mut session = Session::new(narrow.clone(), Box::new(SizeWeight), 4);
-    session.set_max_weight(5.0); // the paper's mw for Size weighting
+    let mut session = exact_explorer(&narrow, Box::new(SizeWeight), 5.0); // the paper's mw for Size
     session.expand(&[]).expect("root expansion");
     println!("== Figure 1: summary after clicking the empty rule (Size) ==");
     println!("{}", session.render());
@@ -29,10 +28,10 @@ fn main() {
     // Figure 2: star expansion on the Education column of a displayed rule.
     let education = narrow.schema().index_of("Education").expect("column");
     if let Some(idx) = session
-        .root()
-        .children()
+        .children_at(&[])
+        .expect("root exists")
         .iter()
-        .position(|n| n.rule.is_star(education))
+        .position(|r| r.rule.is_star(education))
     {
         session
             .expand_star(&[idx], education)
@@ -99,9 +98,18 @@ fn main() {
     );
 }
 
+/// An exact (every count a full-table count) explorer with `k = 4`.
+fn exact_explorer(table: &std::sync::Arc<Table>, weight: Box<dyn WeightFn>, mw: f64) -> Explorer {
+    let config = ExplorerConfig {
+        k: 4,
+        max_weight: Some(mw),
+        ..ExplorerConfig::exact(table.n_rows())
+    };
+    Explorer::new(table.clone(), weight, config)
+}
+
 fn show_weighted(table: &std::sync::Arc<Table>, weight: Box<dyn WeightFn>, mw: f64, title: &str) {
-    let mut session = Session::new(table.clone(), weight, 4);
-    session.set_max_weight(mw);
+    let mut session = exact_explorer(table, weight, mw);
     session.expand(&[]).expect("root expansion");
     println!("== {title} ==");
     println!("{}", session.render());

@@ -44,8 +44,12 @@ Costco,towels,NY-2
     }
     println!("  total score = {}\n", result.total_score);
 
-    // --- Interactive API: the paper's click-driven session. ---
-    let mut session = Session::new(table.clone(), Box::new(SizeWeight), 3);
+    // --- Interactive API: the paper's click-driven session, exact. ---
+    let config = ExplorerConfig {
+        k: 3,
+        ..ExplorerConfig::exact(table.n_rows())
+    };
+    let mut session = Explorer::new(table.clone(), Box::new(SizeWeight), config);
     session.expand(&[]).expect("root exists");
     println!("Session after expanding the trivial rule:");
     println!("{}", session.render());
@@ -58,8 +62,8 @@ Costco,towels,NY-2
     // Star drill-down: force the Region column open on the first rule.
     let region = table.schema().index_of("Region").expect("column exists");
     if session
-        .node(&[0])
-        .map(|n| n.rule.is_star(region))
+        .rule_at(&[0])
+        .map(|r| r.rule.is_star(region))
         .unwrap_or(false)
     {
         session.expand_star(&[0], region).expect("star expansion");

@@ -11,7 +11,11 @@ use smart_drilldown::prelude::*;
 
 fn main() {
     let table = std::sync::Arc::new(retail(42));
-    let mut session = Session::new(table.clone(), Box::new(SizeWeight), 3);
+    let config = ExplorerConfig {
+        k: 3,
+        ..ExplorerConfig::exact(table.n_rows())
+    };
+    let mut session = Explorer::new(table.clone(), Box::new(SizeWeight), config);
 
     // Table 1: the initial display — one trivial rule with the total count.
     println!("== Table 1: initial summary ==");
@@ -24,10 +28,10 @@ fn main() {
 
     // Table 3: the analyst clicks the Walmart rule.
     let walmart_idx = session
-        .root()
-        .children()
+        .children_at(&[])
+        .expect("root exists")
         .iter()
-        .position(|n| n.rule.display(&table).contains("Walmart"))
+        .position(|r| r.rule.display(&table).contains("Walmart"))
         .expect("the Walmart rule is planted with count 1000");
     session.expand(&[walmart_idx]).expect("walmart expansion");
     println!("== Table 3: after drilling into the Walmart rule ==");

@@ -16,10 +16,10 @@
 //! |---|---|---|
 //! | [`table`] | `sdd-table` | dictionary-encoded columnar table, views, CSV, bucketization |
 //! | [`datagen`] | `sdd-datagen` | synthetic retail / Marketing / Census datasets |
-//! | [`core`] | `sdd-core` | rules, weighting functions, Score, the BRS optimizer, drill-down ops, sessions |
+//! | [`core`] | `sdd-core` | rules, weighting functions, Score, the BRS optimizer, drill-down ops |
 //! | [`sampling`] | `sdd-sampling` | SampleHandler, reservoir sampling, DP/convex sample-memory allocation |
 //! | [`olap`] | `sdd-olap` | traditional drill-down baseline and comparison utilities |
-//! | [`explorer`] | `sdd-explorer` | sampled, prefetching, CI-annotated interactive sessions |
+//! | [`explorer`] | `sdd-explorer` | the interactive session tree: sampled, prefetching and CI-annotated, or exact (`ExplorerConfig::exact`) |
 //! | [`server`] | `sdd-server` | concurrent multi-session TCP server (line-delimited JSON, background prefetch) |
 //!
 //! ## Quickstart
@@ -59,7 +59,7 @@ pub use sdd_table as table;
 pub mod prelude {
     pub use sdd_core::{
         drill_down, star_drill_down, BitsWeight, Brs, BrsResult, DrillDownKind, Rule, RuleValue,
-        ScoredRule, Session, SizeMinusOne, SizeWeight, WeightFn,
+        ScoredRule, SizeMinusOne, SizeWeight, WeightFn,
     };
     pub use sdd_datagen::{census, marketing, retail};
     pub use sdd_explorer::{Explorer, ExplorerConfig};

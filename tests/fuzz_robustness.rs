@@ -361,19 +361,28 @@ proptest! {
             ],
         ).unwrap();
         let table = std::sync::Arc::new(table);
-        let mut session = Session::new(table.clone(), Box::new(SizeWeight), 2);
+        let config = ExplorerConfig { k: 2, ..ExplorerConfig::exact(table.n_rows()) };
+        let mut ex = Explorer::new(table.clone(), Box::new(SizeWeight), config);
         for (op, path) in &ops {
             match op {
-                0 => { let _ = session.expand(path); }
-                1 => { let _ = session.expand_star(path, path.first().copied().unwrap_or(0) % 2); }
-                2 => { let _ = session.collapse(path); }
-                _ => { let _ = session.render(); }
+                0 => { let _ = ex.expand(path); }
+                1 => { let _ = ex.expand_star(path, path.first().copied().unwrap_or(0) % 2); }
+                2 => { let _ = ex.collapse(path); }
+                _ => { let _ = ex.render(); }
             }
             // Invariants: every visible child is a strict super-rule of its
-            // parent; counts do not exceed the table size.
-            let visible = session.visible();
-            for (_, node) in &visible {
-                prop_assert!(node.count <= table.n_rows() as f64 + 1e-9);
+            // parent and covers no more rows than it; counts are exact and
+            // do not exceed the table size.
+            let visible = ex.visible();
+            for (i, (depth, r)) in visible.iter().enumerate() {
+                prop_assert!(r.exact);
+                prop_assert!(r.count <= table.n_rows() as f64 + 1e-9);
+                if *depth == 0 {
+                    continue;
+                }
+                let parent = visible[..i].iter().rev().find(|(d, _)| d + 1 == *depth).unwrap().1;
+                prop_assert!(r.rule.is_strict_super_rule_of(&parent.rule));
+                prop_assert!(r.count <= parent.count + 1e-9);
             }
         }
     }
@@ -458,9 +467,13 @@ fn degenerate_tables_are_handled() {
     assert_eq!(res.rules[0].count, 1.0);
     assert_eq!(res.rules[0].rule.size(), 2);
 
-    let mut session = Session::new(std::sync::Arc::new(single), Box::new(SizeWeight), 3);
-    session.expand(&[]).unwrap();
-    assert_eq!(session.visible().len(), 2);
+    let config = ExplorerConfig {
+        k: 3,
+        ..ExplorerConfig::exact(single.n_rows())
+    };
+    let mut ex = Explorer::new(std::sync::Arc::new(single), Box::new(SizeWeight), config);
+    ex.expand(&[]).unwrap();
+    assert_eq!(ex.visible().len(), 2);
 }
 
 /// A table with one column and one value: the optimizer terminates with

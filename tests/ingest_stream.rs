@@ -97,7 +97,7 @@ fn gather_pins_one_segment_at_a_time() {
     let n = table.n_rows();
     let rows: Vec<u32> = (0..400).map(|i| ((i * 7919) % n) as u32).collect();
     let touched: std::collections::BTreeSet<usize> =
-        rows.iter().map(|&r| st.shard_of_row(r)).collect();
+        rows.iter().map(|&r| st.shard_of_row(r).unwrap()).collect();
     assert_eq!(
         touched.len(),
         st.n_shards(),

@@ -165,7 +165,7 @@ proptest! {
         prop_assert_eq!(pos, n_rows);
         // Every row maps back into its span.
         for r in 0..n_rows as u32 {
-            let s = st.shard_of_row(r);
+            let s = st.shard_of_row(r).unwrap();
             prop_assert!(st.spans()[s].contains(&(r as usize)));
         }
     }

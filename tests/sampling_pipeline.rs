@@ -324,20 +324,26 @@ fn a_prefetch_batch_stores_what_one_create_per_rule_stores() {
 #[test]
 fn session_over_sampled_view_reproduces_walkthrough_shape() {
     let table = std::sync::Arc::new(retail(42));
-    let mut handler = SampleHandler::new(table.clone(), handler_cfg(20_000, 4_000, 23));
-    let sample = handler.try_get_sample(&Rule::trivial(3)).unwrap();
-    // Run a session over the scaled sample view: counts are estimates.
-    let mut session = Session::with_view(sample.view, Box::new(SizeWeight), 3);
-    session.expand(&[]).unwrap();
-    let shown: Vec<String> = session
-        .root()
-        .children()
+    let mut ex = Explorer::new(
+        table.clone(),
+        Box::new(SizeWeight),
+        ExplorerConfig {
+            k: 3,
+            handler: handler_cfg(20_000, 4_000, 23),
+            prefetch: PrefetchMode::Off,
+            ..ExplorerConfig::default()
+        },
+    );
+    // The root drill-down runs over a scaled sample: counts are estimates.
+    let shown = ex.expand(&[]).unwrap();
+    assert!(shown.iter().all(|r| !r.exact), "{shown:?}");
+    let walmart = shown
         .iter()
-        .map(|n| n.rule.display(&table))
-        .collect();
-    assert!(shown.contains(&"(Walmart, ?, ?)".to_owned()), "{shown:?}");
-    // Estimated root count ≈ 6000.
-    assert!((session.root().count - 6000.0).abs() < 300.0);
+        .find(|r| r.rule.display(&table) == "(Walmart, ?, ?)")
+        .unwrap_or_else(|| panic!("{shown:?}"));
+    // Estimated Walmart count ≈ 1000, inside its interval.
+    assert!((walmart.count - 1000.0).abs() < 150.0, "{walmart:?}");
+    assert!(walmart.ci_lo <= walmart.count && walmart.count <= walmart.ci_hi);
 }
 
 /// Drives a fixed three-level drill script through an [`Explorer`] and

@@ -1051,3 +1051,23 @@ fn coverage_and_scoring_scans_are_bit_identical_across_shard_layouts() {
         }
     }
 }
+
+/// Every fallible per-shard call turns a shard index past the last shard
+/// into an error (`None` for `spill_path`) on resident and spilling tables
+/// alike, and reads nothing.
+#[test]
+fn out_of_range_shard_indices_are_errors_not_panics() {
+    let table = retail(42);
+    for cfg in shard_configs(3) {
+        let st = sharded(&table, &cfg);
+        let n = st.n_shards();
+        for i in [n, n + 1, usize::MAX] {
+            let want = Some(format!("shard {i} out of range: the table has {n} shards"));
+            let segment = st.try_segment(i).err().map(|e| e.to_string());
+            assert_eq!(segment, want, "{}", cfg_label(&cfg));
+            assert_eq!(st.read_columns(i, &[0]).err().map(|e| e.to_string()), want);
+            assert!(st.spill_path(i).is_none());
+        }
+        assert_eq!(st.loads(), 0, "a rejected index is not a load");
+    }
+}
