@@ -18,7 +18,7 @@ usage:
   sdd connect [addr]      connect a REPL to a running server
 
 global options:
-  --no-simd               force the scalar scan kernels (also: SDD_NO_SIMD=1)
+  --no-simd               force the scalar count kernels (also: SDD_NO_SIMD=1)
 ";
 
 fn main() -> std::io::Result<()> {

@@ -1,10 +1,8 @@
-//! AVX2 equality-scan kernels (x86-64 only).
+//! AVX2 equality-count kernels (x86-64 only).
 //!
 //! Each kernel compares a full vector of codes per iteration, extracts the
-//! lane-equality mask with `movemask`, and iterates set bits in ascending
-//! order (`trailing_zeros` + clear-lowest-bit), so positions come out in
-//! exactly the scalar loop's order. Remainder rows fall through to the
-//! scalar tail. Counting kernels just `popcnt` the masks.
+//! lane-equality mask with `movemask` and `popcnt`s it. Remainder rows fall
+//! through to the scalar tail.
 //!
 //! Safety: every function here is `#[target_feature(enable = "avx2")]` and
 //! must only be called after runtime detection (`super::cpu::avx2()`).
@@ -15,104 +13,6 @@
 #![allow(unsafe_code)]
 
 use std::arch::x86_64::*;
-
-/// AVX2 body of [`super::positions_eq_u8`]: 32 lanes per iteration.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports AVX2.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn positions_eq_u8_avx2(codes: &[u8], want: u8, base: u32, out: &mut Vec<u32>) {
-    const LANES: usize = 32;
-    let needle = _mm256_set1_epi8(want as i8);
-    let chunks = codes.len() / LANES;
-    for ci in 0..chunks {
-        let i = ci * LANES;
-        // SAFETY: `i + LANES <= codes.len()`; unaligned load is allowed.
-        let v = _mm256_loadu_si256(codes.as_ptr().add(i) as *const __m256i);
-        let mut m = _mm256_movemask_epi8(_mm256_cmpeq_epi8(v, needle)) as u32;
-        while m != 0 {
-            let lane = m.trailing_zeros();
-            out.push(base + (i as u32) + lane);
-            m &= m - 1;
-        }
-    }
-    for (j, &c) in codes[chunks * LANES..].iter().enumerate() {
-        if c == want {
-            out.push(base + (chunks * LANES + j) as u32);
-        }
-    }
-}
-
-/// AVX2 body of [`super::positions_eq_u16`]: 16 lanes per iteration. The
-/// byte-granular `movemask` yields two bits per 16-bit lane; masking to the
-/// even bits leaves one bit per lane at position `2 * lane`.
-///
-/// # Safety
-///
-/// Caller must ensure the host supports AVX2.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn positions_eq_u16_avx2(
-    codes: &[u16],
-    want: u16,
-    base: u32,
-    out: &mut Vec<u32>,
-) {
-    const LANES: usize = 16;
-    let needle = _mm256_set1_epi16(want as i16);
-    let chunks = codes.len() / LANES;
-    for ci in 0..chunks {
-        let i = ci * LANES;
-        // SAFETY: `i + LANES <= codes.len()`; unaligned load is allowed.
-        let v = _mm256_loadu_si256(codes.as_ptr().add(i) as *const __m256i);
-        let mut m = _mm256_movemask_epi8(_mm256_cmpeq_epi16(v, needle)) as u32 & 0x5555_5555;
-        while m != 0 {
-            let lane = m.trailing_zeros() >> 1;
-            out.push(base + (i as u32) + lane);
-            m &= m - 1;
-        }
-    }
-    for (j, &c) in codes[chunks * LANES..].iter().enumerate() {
-        if c == want {
-            out.push(base + (chunks * LANES + j) as u32);
-        }
-    }
-}
-
-/// AVX2 body of [`super::positions_eq_u32`]: 8 lanes per iteration, mask
-/// via the float-lane `movemask` (one bit per 32-bit lane).
-///
-/// # Safety
-///
-/// Caller must ensure the host supports AVX2.
-#[target_feature(enable = "avx2")]
-pub(crate) unsafe fn positions_eq_u32_avx2(
-    codes: &[u32],
-    want: u32,
-    base: u32,
-    out: &mut Vec<u32>,
-) {
-    const LANES: usize = 8;
-    let needle = _mm256_set1_epi32(want as i32);
-    let chunks = codes.len() / LANES;
-    for ci in 0..chunks {
-        let i = ci * LANES;
-        // SAFETY: `i + LANES <= codes.len()`; unaligned load is allowed.
-        let v = _mm256_loadu_si256(codes.as_ptr().add(i) as *const __m256i);
-        let eq = _mm256_cmpeq_epi32(v, needle);
-        let mut m = _mm256_movemask_ps(_mm256_castsi256_ps(eq)) as u32;
-        while m != 0 {
-            let lane = m.trailing_zeros();
-            out.push(base + (i as u32) + lane);
-            m &= m - 1;
-        }
-    }
-    for (j, &c) in codes[chunks * LANES..].iter().enumerate() {
-        if c == want {
-            out.push(base + (chunks * LANES + j) as u32);
-        }
-    }
-}
 
 /// AVX2 body of [`super::count_eq_u8`].
 ///

@@ -39,19 +39,18 @@
 //!
 //! ## Rule scans over global codes
 //!
-//! Two span-level routines are the single implementation of "which rows of
-//! a span does a rule cover" and "how many": `covered_rows_span` and
-//! `count_rule_span`, over any [`Table`] holding global codes — the
-//! monolithic table (span = a slice of it) or one decoded shard segment
-//! (span = all of it; see [`crate::shard`]). [`covered_rows`] and
-//! [`count_rules`] are the whole-table forms; "covered positions of a view"
-//! is [`covered_rows`] of the view's table, which is what the BRS
-//! covered-weight update and drill-down filtering call.
-//! Large inputs are filtered in [`sdd_table::chunk_spans`] slices whose hit
-//! lists concatenate in slice order — integer output, byte-identical on any
-//! thread count.
+//! "Which rows of a span does a rule cover" and "how many" are the
+//! block-mask scans of [`crate::accel`] over the rule's predicates on the
+//! span's global codes (`span_preds`), over any [`Table`] — the monolithic
+//! table (span = a slice of it) or one decoded shard segment (span = all of
+//! it; see [`crate::shard`]). [`covered_rows`] and [`count_rules`] are the
+//! whole-table forms; "covered positions of a view" is [`covered_rows`] of
+//! the view's table, which is what the BRS covered-weight update and
+//! drill-down filtering call. Large inputs are filtered in
+//! [`sdd_table::chunk_spans`] slices whose hit lists concatenate in slice
+//! order — integer output, byte-identical on any thread count.
 
-use crate::accel;
+use crate::accel::{self, EqPred};
 use crate::exec;
 use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
 use crate::{Rule, WeightFn};
@@ -753,10 +752,10 @@ pub(crate) fn scan_chunks(len: usize) -> usize {
     }
 }
 
-/// All row ids of `table` covered by `rule` (ascending), via progressive
-/// columnar filtering — the sampling layer's full-table scan over
-/// monolithic storage, and over a sample's own table the scan behind the
-/// BRS covered-weight update and drill-down filtering. Large tables are scanned in
+/// All row ids of `table` covered by `rule` (ascending), via the block-mask
+/// scan — the sampling layer's full-table scan over monolithic storage,
+/// and over a sample's own table the scan behind the BRS covered-weight
+/// update and drill-down filtering. Large tables are scanned in
 /// [`sdd_table::chunk_spans`] slices concatenated in slice order, so the
 /// output is byte-identical on any thread count.
 pub fn covered_rows(table: &Table, rule: &Rule) -> Vec<RowId> {
@@ -764,73 +763,36 @@ pub fn covered_rows(table: &Table, rule: &Rule) -> Vec<RowId> {
 }
 
 /// [`covered_rows`] with an explicit worker budget (`1` = fully serial).
-/// The sampling layer's batch prefetch passes `1` when it already fans out
-/// task-per-rule, keeping total thread use bounded by the machine.
+/// Combine passes `1` when it filters a stored sample: samples are small,
+/// and one slice per sample keeps the scan off the thread pool.
 pub fn covered_rows_with_threads(table: &Table, rule: &Rule, threads: usize) -> Vec<RowId> {
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
     let n = table.n_rows();
-    if cols.is_empty() {
-        return (0..n as RowId).collect();
-    }
     let k = if threads > 1 { scan_chunks(n) } else { 1 };
-    if k <= 1 {
-        return covered_rows_span(table, rule, &cols, 0..n, 0);
-    }
     let parts = exec::parallel_map(threads, chunk_spans(n, k), |span| {
-        let base = span.start as RowId;
-        covered_rows_span(table, rule, &cols, span, base)
+        let preds = span_preds(table, rule, span.clone());
+        accel::hits(&preds, span.len(), span.start as RowId)
     });
-    let mut out = Vec::with_capacity(parts.iter().map(Vec::len).sum());
-    for p in parts {
-        out.extend(p);
-    }
-    out
+    parts
+        .into_iter()
+        .reduce(|mut out, part| {
+            out.extend(part);
+            out
+        })
+        .unwrap_or_default()
 }
 
-/// The rows of `span` (row indices of `table`, which holds **global**
-/// codes) covered by `rule`, ascending, numbered from `base` — row
-/// `span.start + i` is reported as `base + i`. `cols` are the rule's
-/// instantiated columns (non-empty). First column via the SIMD equality
-/// scan, remaining columns by survivor filtering.
-///
-/// The one implementation of this filter: [`covered_rows`] runs it over
-/// slices of the monolithic table (`base = span.start`), the segment scans
-/// of [`crate::shard`] over a decoded segment's own table (`span` = all of
-/// it, `base` = the segment's first global row).
-pub(crate) fn covered_rows_span(
-    table: &Table,
+/// `rule`'s predicates over rows `span` of `table` (which holds **global**
+/// codes), one per instantiated column — what [`covered_rows`],
+/// [`count_rules`] and the segment scans of [`crate::shard`] over a decoded
+/// segment hand to the block-mask scan.
+pub(crate) fn span_preds<'a>(
+    table: &'a Table,
     rule: &Rule,
-    cols: &[usize],
     span: std::ops::Range<usize>,
-    base: RowId,
-) -> Vec<RowId> {
-    let (&first, rest) = cols.split_first().expect("non-empty");
-    let mut rows: Vec<RowId> = Vec::new();
-    accel::positions_eq_u32(
-        &table.column(first)[span.clone()],
-        rule.code(first),
-        base,
-        &mut rows,
-    );
-    for &c in rest {
-        let codes = &table.column(c)[span.clone()];
-        let want = rule.code(c);
-        rows.retain(|&r| codes[(r - base) as usize] == want);
-    }
-    rows
-}
-
-/// How many rows of `span` (row indices of `table`, global codes) `rule`
-/// covers — the one implementation of the exact count, shared like
-/// [`covered_rows_span`]. Single-column rules use the vectorized count
-/// kernel directly; wider rules count the survivors of the span filter.
-pub(crate) fn count_rule_span(table: &Table, rule: &Rule, span: std::ops::Range<usize>) -> u64 {
-    let cols: Vec<usize> = rule.instantiated_columns().collect();
-    match cols[..] {
-        [] => span.len() as u64,
-        [c] => accel::count_eq_u32(&table.column(c)[span], rule.code(c)) as u64,
-        _ => covered_rows_span(table, rule, &cols, span, 0).len() as u64,
-    }
+) -> Vec<EqPred<'a>> {
+    rule.instantiated_columns()
+        .map(|c| EqPred::U32(&table.column(c)[span.clone()], rule.code(c)))
+        .collect()
 }
 
 /// Exact `Count` of every rule over the full table — the scan behind the
@@ -841,7 +803,7 @@ pub(crate) fn count_rule_span(table: &Table, rule: &Rule, span: std::ops::Range<
 pub fn count_rules(table: &Table, rules: &[Rule]) -> Vec<f64> {
     rules
         .iter()
-        .map(|r| count_rule_span(table, r, 0..table.n_rows()) as f64)
+        .map(|r| accel::count(&span_preds(table, r, 0..table.n_rows()), table.n_rows()) as f64)
         .collect()
 }
 

@@ -47,9 +47,10 @@
 //!   count" over a span of global codes,
 //! * [`exec`] — the deterministic parallel map and the one source of worker
 //!   counts, shared by the kernel and the sampling layer's prefetch scan,
-//! * [`accel`] — runtime-dispatched SIMD equality-scan kernels (AVX2 with a
-//!   scalar fallback and a kill switch) behind the coverage scans of both
-//!   the resident kernel and the spill-tier pushdown path,
+//! * [`accel`] — the block-mask scan behind every covered-row and exact
+//!   count scan, resident and spill-tier pushdown alike (portable, generic
+//!   over the 1/2/4-byte code widths), plus the runtime-dispatched AVX2
+//!   single-predicate counts with a scalar fallback and a kill switch,
 //! * [`brs`] — Algorithm 1: the greedy BRS optimizer,
 //! * [`cachekey`] — canonical NaN-safe key derivation for shared
 //!   drill-down result caches (floats keyed by bits, normalized bases,

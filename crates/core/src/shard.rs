@@ -50,20 +50,20 @@
 //!
 //! A sweep never forces a local→global decode. A slice of the monolithic
 //! table and a **cached** segment ([`ShardedTable::cached_data`]) hold
-//! global codes and are scanned by the same span routines
-//! (`covered_rows_span`, `count_rule_span` in [`crate::kernel`]). A **miss**
-//! range-reads only the batch's columns ([`ShardedTable::read_columns`]) as
-//! packed 1/2/4-byte local codes, transiently — residency is left
-//! undisturbed — and scans them after translating each rule predicate into
-//! the shard's local code space through its `remap`; a value absent from
-//! `remap` covers zero rows there. A batch of trivial rules reads nothing.
-//! A local-code equality scan hits exactly the rows the global-code scan
-//! hits, and the compare loops dispatch through [`crate::accel`] (AVX2 with
-//! scalar fallback), which changes neither positions nor order.
+//! global codes. A **miss** range-reads only the batch's columns
+//! ([`ShardedTable::read_columns`]) as packed 1/2/4-byte local codes,
+//! transiently — residency is left undisturbed — and translates each rule
+//! predicate into the shard's local code space through its `remap`; a value
+//! absent from `remap` covers zero rows there. A batch of trivial rules
+//! reads nothing. Either way the predicates go to the one block-mask scan
+//! of [`crate::accel`], generic over the code width: a local-code equality
+//! hits exactly the rows the global-code one hits, and the mask yields them
+//! ascending, so the coding changes neither positions nor order.
 
-use crate::kernel::{count_rule_span, covered_rows_span, scan_chunks, SearchScratch};
+use crate::accel::{self, EqPred};
+use crate::kernel::{scan_chunks, span_preds, SearchScratch};
 use crate::marginal::{find_best_marginal_rule_with_scratch, BestMarginal, SearchOptions};
-use crate::{accel, exec, Rule, WeightFn};
+use crate::{exec, Rule, WeightFn};
 use sdd_table::{
     chunk_spans, LocalCodes, OwnedTableView, RawColumn, RowId, ShardSegment, ShardedTable,
     ShardedView, Table, TableError, TableStore,
@@ -96,84 +96,55 @@ struct Segment<'a> {
 }
 
 impl Segment<'_> {
-    /// `self.rows` as row indices of `codes`.
-    fn local_rows(&self) -> Range<usize> {
-        self.rows.start - self.start..self.rows.end - self.start
-    }
-
-    /// The global ids of `rule`'s covered rows among `self.rows`, ascending
-    /// (`cols`: the rule's instantiated columns).
-    fn covered(&self, rule: &Rule, cols: &[usize]) -> Vec<RowId> {
-        let (base, rows) = (self.rows.start as RowId, self.local_rows());
+    /// `rule`'s predicates over `self.rows`, in whichever coding the
+    /// segment came in. `None` ⇒ some predicate value never occurs in this
+    /// shard (absent from the column's `remap`): the rule covers no row here.
+    fn preds(&self, rule: &Rule) -> Option<Vec<EqPred<'_>>> {
+        let rows = self.rows.start - self.start..self.rows.end - self.start;
         match &self.codes {
-            _ if cols.is_empty() => (base..self.rows.end as RowId).collect(),
-            Codes::Table(t) => covered_rows_span(t, rule, cols, rows, base),
-            Codes::Decoded(seg) => covered_rows_span(seg.table(), rule, cols, rows, base),
-            Codes::Packed(raw) => local_predicates(raw, rule)
-                .map_or_else(Vec::new, |preds| covered_by_local(&preds, base, rows)),
+            Codes::Table(t) => Some(span_preds(t, rule, rows)),
+            Codes::Decoded(seg) => Some(span_preds(seg.table(), rule, rows)),
+            Codes::Packed(raw) => local_predicates(raw, rule, rows),
         }
     }
 
-    /// How many of `self.rows` `rule` covers: single-column rules through
-    /// the vectorized count kernels, wider ones by counting survivors.
+    /// The global ids of `rule`'s covered rows among `self.rows`, ascending.
+    fn covered(&self, rule: &Rule) -> Vec<RowId> {
+        let (n, base) = (self.rows.len(), self.rows.start as RowId);
+        self.preds(rule)
+            .map_or_else(Vec::new, |preds| accel::hits(&preds, n, base))
+    }
+
+    /// How many of `self.rows` `rule` covers.
     fn count(&self, rule: &Rule) -> u64 {
-        let rows = self.local_rows();
-        match &self.codes {
-            Codes::Table(t) => count_rule_span(t, rule, rows),
-            Codes::Decoded(seg) => count_rule_span(seg.table(), rule, rows),
-            Codes::Packed(raw) => match local_predicates(raw, rule).as_deref() {
-                None => 0,
-                Some(&[]) => rows.len() as u64,
-                Some(&[(codes, want)]) => count_eq_local(codes, want, rows) as u64,
-                Some(preds) => covered_by_local(preds, 0, rows).len() as u64,
-            },
-        }
+        self.preds(rule)
+            .map_or(0, |preds| accel::count(&preds, self.rows.len()))
     }
 }
 
 /// Translates `rule`'s predicates on the fetched columns (which include
-/// every column the rule instantiates) into the shard's local code space,
-/// in column order. `None` ⇒ some predicate value never occurs in this
-/// shard (absent from the column's `remap`): the rule covers no row here.
+/// every column the rule instantiates) into the shard's local code space
+/// over `rows`, in column order; `None` when a value is absent from a
+/// column's `remap`.
 fn local_predicates<'a>(
     raw: &'a [(usize, RawColumn)],
     rule: &Rule,
-) -> Option<Vec<(&'a LocalCodes, u32)>> {
+    rows: Range<usize>,
+) -> Option<Vec<EqPred<'a>>> {
     raw.iter()
         .filter(|(c, _)| !rule.is_star(*c))
-        .map(|(c, rc)| rc.local_of_global(rule.code(*c)).map(|l| (rc.codes(), l)))
+        .map(|(c, rc)| {
+            let want = rc.local_of_global(rule.code(*c))?;
+            // Local codes were validated against `remap`, so a 1-byte
+            // column's codes — and any `want` produced by
+            // `local_of_global` — fit u8/u16.
+            Some(match rc.codes() {
+                LocalCodes::W1(v) => EqPred::U8(&v[rows.clone()], want as u8),
+                LocalCodes::W2(v) => EqPred::U16(&v[rows.clone()], want as u16),
+                LocalCodes::W4(v) => EqPred::U32(&v[rows.clone()], want),
+            })
+        })
         .collect()
-}
-
-/// Width-dispatched equality count over `rows` of packed local codes.
-fn count_eq_local(codes: &LocalCodes, want: u32, rows: Range<usize>) -> usize {
-    match codes {
-        LocalCodes::W1(v) => accel::count_eq_u8(&v[rows], want as u8),
-        LocalCodes::W2(v) => accel::count_eq_u16(&v[rows], want as u16),
-        LocalCodes::W4(v) => accel::count_eq_u32(&v[rows], want),
-    }
-}
-
-/// The rows among `rows` (indices into the packed columns) that satisfy
-/// every local-code predicate, ascending, numbered from `base`: first
-/// column via the SIMD equality scan, the rest by survivor filtering. No
-/// predicate at all covers every row.
-fn covered_by_local(preds: &[(&LocalCodes, u32)], base: RowId, rows: Range<usize>) -> Vec<RowId> {
-    let Some((&(first_codes, first_want), rest)) = preds.split_first() else {
-        return (base..base + rows.len() as RowId).collect();
-    };
-    let (mut hits, first) = (Vec::new(), rows.clone());
-    match first_codes {
-        // Local codes were validated against `remap`, so a 1-byte column's
-        // codes — and any `want` produced by `local_of_global` — fit u8/u16.
-        LocalCodes::W1(v) => accel::positions_eq_u8(&v[first], first_want as u8, base, &mut hits),
-        LocalCodes::W2(v) => accel::positions_eq_u16(&v[first], first_want as u16, base, &mut hits),
-        LocalCodes::W4(v) => accel::positions_eq_u32(&v[first], first_want, base, &mut hits),
-    }
-    for &(codes, want) in rest {
-        hits.retain(|&r| codes.at(rows.start + (r - base) as usize) == want);
-    }
-    hits
 }
 
 // ---------------------------------------------------------------------------
@@ -241,14 +212,10 @@ fn sweep<'a, P: Send>(
     src: Source<'a>,
     rules: &[Rule],
     range: Range<usize>,
-    scan: impl Fn(&Segment<'a>, &Rule, &[usize]) -> P + Sync,
+    scan: impl Fn(&Segment<'a>, &Rule) -> P + Sync,
     mut sink: impl FnMut(usize, P),
 ) -> Result<(), TableError> {
-    let rule_cols: Vec<Vec<usize>> = rules
-        .iter()
-        .map(|r| r.instantiated_columns().collect())
-        .collect();
-    let mut cols: Vec<usize> = rule_cols.iter().flatten().copied().collect();
+    let mut cols: Vec<usize> = rules.iter().flat_map(Rule::instantiated_columns).collect();
     cols.sort_unstable();
     cols.dedup();
     let spans = src.spans();
@@ -263,11 +230,7 @@ fn sweep<'a, P: Send>(
         };
         let rows = clip(i);
         let seg = Segment { codes, start, rows };
-        Ok(rules
-            .iter()
-            .zip(&rule_cols)
-            .map(|(rule, cols)| scan(&seg, rule, cols))
-            .collect())
+        Ok(rules.iter().map(|rule| scan(&seg, rule)).collect())
     };
     let threads = exec::threads_for_rows(todo.iter().map(|&i| clip(i).len()).sum());
     let per_wave = match threads {
@@ -288,8 +251,7 @@ fn sweep<'a, P: Send>(
 /// subtotals add up to the monolithic count bitwise.
 fn count_rules_in(src: Source<'_>, rules: &[Rule]) -> Result<Vec<f64>, TableError> {
     let mut counts = vec![0u64; rules.len()];
-    let count = |seg: &Segment<'_>, rule: &Rule, _: &[usize]| seg.count(rule);
-    sweep(src, rules, 0..usize::MAX, count, |rule, c| {
+    sweep(src, rules, 0..usize::MAX, Segment::count, |rule, c| {
         counts[rule] += c
     })?;
     Ok(counts.into_iter().map(|c| c as f64).collect())

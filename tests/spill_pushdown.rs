@@ -1,6 +1,6 @@
 //! Property-based tests of the spill-tier fast path: local-code predicate
-//! pushdown at the packed-width boundaries, and SIMD/scalar bit-parity on
-//! every tail length the vector kernels can see.
+//! pushdown at the packed-width boundaries, and the block-mask scans
+//! against a row-at-a-time oracle on every tail length they can see.
 //!
 //! The spill coding packs each column's shard-local codes at 1, 2, or
 //! 4 bytes depending on the shard-local cardinality — so cardinalities
@@ -13,11 +13,14 @@
 
 use proptest::prelude::*;
 use smart_drilldown::core::{
-    accel, covered_rows, find_best_marginal_rule, rule_count, try_count_rules_sharded,
-    try_covered_rows_sharded, try_find_best_marginal_rule_sharded, Rule, SearchOptions,
+    covered_rows, find_best_marginal_rule, rule_count, try_count_rules_in_store,
+    try_count_rules_sharded, try_covered_rows_sharded, try_covered_rows_sharded_range,
+    try_find_best_marginal_rule_sharded, try_scan_rules_in_store, Rule, SearchOptions,
     SearchScratch, SizeWeight,
 };
-use smart_drilldown::table::{Schema, ShardConfig, ShardedTable, ShardedView, Table};
+use smart_drilldown::table::{
+    LocalCodes, Schema, ShardConfig, ShardedTable, ShardedView, Table, TableStore,
+};
 use std::sync::Arc;
 
 /// A two-column table whose first column runs through `card` distinct
@@ -62,10 +65,26 @@ fn assert_width_boundary_parity(card: usize) {
         );
     }
     let joint = Rule::from_pairs(&table, &[("V", "v1"), ("G", "g1")]).unwrap();
+    let joint_rows = covered_rows(&table, &joint);
     assert_eq!(
         try_covered_rows_sharded(&st, &joint).unwrap(),
-        covered_rows(&table, &joint),
+        joint_rows,
         "card {card}, joint rule"
+    );
+    // The joint rule's block masks over the packed columns, counted and
+    // clipped mid-shard across a block seam.
+    assert_eq!(
+        try_count_rules_sharded(&st, std::slice::from_ref(&joint)).unwrap(),
+        [joint_rows.len() as f64],
+        "card {card}, joint count"
+    );
+    let clip = 1000..1000 + 2 * 2049;
+    let mut clipped: Vec<u32> = joint_rows.clone();
+    clipped.retain(|&r| clip.contains(&(r as usize)));
+    assert_eq!(
+        try_covered_rows_sharded_range(&st, &joint, clip).unwrap(),
+        clipped,
+        "card {card}, clipped joint rule"
     );
 
     // A full search crosses the seam in the gather's decode of every width.
@@ -101,57 +120,130 @@ fn pushdown_parity_at_2_to_4_byte_seam() {
     }
 }
 
-/// The SIMD kernels' position/count output must equal the scalar
-/// reference on EVERY tail length 0..64 — covering all remainder paths of
-/// the 32/16/8-lane loops — for all three widths. The reference is
-/// computed inline so the assertion is independent of the dispatch state.
+/// Rows per shard of [`mask_table`]: past one 2 048-row block.
+const MASK_SHARD_ROWS: usize = 3_000;
+
+/// Three shards' worth of rows whose columns spill at one and two bytes:
+/// `A` (5 values), `B` (301 values, 2 bytes), `C` (7 values) and `D`, whose
+/// value `d2` occurs in the last shard only.
+fn mask_table() -> Table {
+    let data: Vec<[String; 4]> = (0..3 * MASK_SHARD_ROWS)
+        .map(|i| {
+            let b = if i % 2 == 0 { 0 } else { i % 301 };
+            let d = if i < 2 * MASK_SHARD_ROWS {
+                i % 2
+            } else {
+                i % 3
+            };
+            [
+                format!("a{}", (i / 3) % 5),
+                format!("b{b}"),
+                format!("c{}", i % 7),
+                format!("d{d}"),
+            ]
+        })
+        .collect();
+    Table::from_rows(Schema::new(["A", "B", "C", "D"]).unwrap(), &data).unwrap()
+}
+
+/// The block-mask scans' covered rows and counts must equal a row-at-a-time
+/// oracle, computed inline, on every span length 0..=130 and on both sides
+/// of the 64-row word and 2 048-row block seams, for ranges clipped
+/// mid-segment and across a shard seam, and for rules of 0–4 predicates —
+/// three of them naming a value absent from two shards. The code widths: 1- and
+/// 2-byte local codes on the spilling store, 4-byte global codes on the
+/// monolithic one (the spilled 4-byte arm is pinned at the 2→4 byte seam
+/// above).
 #[test]
 fn simd_tail_parity_on_all_lengths() {
-    let mut x = 0x2545F491_4F6CDD1Du64;
-    let mut next = move || {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        x
+    let table = Arc::new(mask_table());
+    let st = spilled(&table, 3);
+    let widths: Vec<&str> = st
+        .read_columns(0, &[0, 1, 2, 3])
+        .unwrap()
+        .iter()
+        .map(|c| match c.codes() {
+            LocalCodes::W1(_) => "u8",
+            LocalCodes::W2(_) => "u16",
+            LocalCodes::W4(_) => "u32",
+        })
+        .collect();
+    assert_eq!(widths, ["u8", "u16", "u8", "u8"], "spilled code widths");
+
+    let rule = |pairs: &[(&str, &str)]| Rule::from_pairs(&table, pairs).unwrap();
+    let rules = [
+        Rule::trivial(4),
+        rule(&[("C", "c0")]),
+        rule(&[("D", "d2")]),
+        rule(&[("A", "a0"), ("B", "b0")]),
+        // `b300` is the last of 301 values to appear: a 2-byte local code.
+        rule(&[("A", "a1"), ("B", "b300")]),
+        rule(&[("B", "b0"), ("C", "c0")]),
+        rule(&[("A", "a1"), ("D", "d2")]),
+        rule(&[("A", "a0"), ("B", "b0"), ("C", "c0")]),
+        rule(&[("A", "a0"), ("B", "b0"), ("C", "c0"), ("D", "d0")]),
+        rule(&[("A", "a2"), ("B", "b0"), ("C", "c0"), ("D", "d2")]),
+    ];
+    let oracle = |t: &Table, rule: &Rule, rows: std::ops::Range<usize>| -> Vec<u32> {
+        rows.map(|r| r as u32)
+            .filter(|&r| (0..4).all(|c| rule.is_star(c) || t.code(r, c) == rule.code(c)))
+            .collect()
     };
-    for n in 0..64usize {
-        let v8: Vec<u8> = (0..n).map(|_| (next() % 5) as u8).collect();
-        let v16: Vec<u16> = (0..n).map(|_| (next() % 5) as u16).collect();
-        let v32: Vec<u32> = (0..n).map(|_| (next() % 5) as u32).collect();
-        for want in 0..5u32 {
-            let base = 1000;
-            let mut out = Vec::new();
-            accel::positions_eq_u8(&v8, want as u8, base, &mut out);
-            let expect: Vec<u32> = v8
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c as u32 == want)
-                .map(|(i, _)| base + i as u32)
-                .collect();
-            assert_eq!(out, expect, "u8 n={n} want={want}");
-            assert_eq!(accel::count_eq_u8(&v8, want as u8), expect.len());
+    let stores = [TableStore::Whole(table.clone()), TableStore::Sharded(st)];
 
-            let mut out = Vec::new();
-            accel::positions_eq_u16(&v16, want as u16, base, &mut out);
-            let expect: Vec<u32> = v16
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c as u32 == want)
-                .map(|(i, _)| base + i as u32)
-                .collect();
-            assert_eq!(out, expect, "u16 n={n} want={want}");
-            assert_eq!(accel::count_eq_u16(&v16, want as u16), expect.len());
-
-            let mut out = Vec::new();
-            accel::positions_eq_u32(&v32, want, base, &mut out);
-            let expect: Vec<u32> = v32
-                .iter()
-                .enumerate()
-                .filter(|&(_, &c)| c == want)
-                .map(|(i, _)| base + i as u32)
-                .collect();
-            assert_eq!(out, expect, "u32 n={n} want={want}");
-            assert_eq!(accel::count_eq_u32(&v32, want), expect.len());
+    let n = table.n_rows();
+    for store in &stores {
+        let counts: Vec<f64> = rules
+            .iter()
+            .map(|r| oracle(&table, r, 0..n).len() as f64)
+            .collect();
+        assert_eq!(try_count_rules_in_store(store, &rules).unwrap(), counts);
+    }
+    let seams = [191, 192, 193, 2047, 2048, 2049, 4095, 4096, 4097];
+    for len in (0..=130).chain(seams) {
+        // Mid-word in the first shard, and straddling each shard seam.
+        for lo in [37, MASK_SHARD_ROWS - len / 2, 2 * MASK_SHARD_ROWS - len / 2] {
+            let range = lo..lo + len;
+            for store in &stores {
+                let mut got = vec![Vec::new(); rules.len()];
+                try_scan_rules_in_store(store, &rules, range.clone(), |i, rows| {
+                    got[i].extend_from_slice(rows)
+                })
+                .unwrap();
+                for (rule, got) in rules.iter().zip(&got) {
+                    assert_eq!(
+                        got,
+                        &oracle(&table, rule, range.clone()),
+                        "{rule:?} {range:?}"
+                    );
+                }
+            }
+        }
+        // The span as a table of its own: resident scans from row 0, and
+        // spilled counts over segments of the span's length.
+        let lo = (2 * MASK_SHARD_ROWS - len / 2) as u32;
+        let ids: Vec<u32> = (lo..lo + len as u32).collect();
+        let part = Arc::new(table.gather_rows(&ids));
+        for rule in &rules {
+            assert_eq!(
+                covered_rows(&part, rule),
+                oracle(&part, rule, 0..len),
+                "{rule:?} len {len}"
+            );
+        }
+        let counts: Vec<f64> = rules
+            .iter()
+            .map(|r| oracle(&part, r, 0..len).len() as f64)
+            .collect();
+        for store in [
+            TableStore::Whole(part.clone()),
+            TableStore::Sharded(spilled(&part, 1)),
+        ] {
+            assert_eq!(
+                try_count_rules_in_store(&store, &rules).unwrap(),
+                counts,
+                "len {len}"
+            );
         }
     }
 }
