@@ -217,6 +217,25 @@ mod tests {
                     EqPred::U16(&b16, want as u16),
                     EqPred::U32(&b32, want),
                 ];
+                // Each width's single-predicate count kernel on its own.
+                let scalar = [
+                    b8.iter().filter(|&&c| u32::from(c) == want).count(),
+                    b16.iter().filter(|&&c| u32::from(c) == want).count(),
+                    b32.iter().filter(|&&c| c == want).count(),
+                ];
+                assert_eq!(
+                    [
+                        count_eq_u8(&b8, want as u8),
+                        count_eq_u16(&b16, want as u16),
+                        count_eq_u32(&b32, want),
+                    ],
+                    scalar,
+                    "n={n} want={want}"
+                );
+                for (p, &exp) in preds.iter().zip(&scalar) {
+                    assert_eq!(count(&[*p], n), exp as u64, "n={n} want={want}");
+                    assert_eq!(hits(&[*p], n, 0).len(), exp, "n={n} want={want}");
+                }
                 for k in 0..=preds.len() {
                     let exp: Vec<u32> = (0..n)
                         .filter(|&i| {

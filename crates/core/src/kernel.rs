@@ -768,17 +768,14 @@ pub fn covered_rows(table: &Table, rule: &Rule) -> Vec<RowId> {
 pub fn covered_rows_with_threads(table: &Table, rule: &Rule, threads: usize) -> Vec<RowId> {
     let n = table.n_rows();
     let k = if threads > 1 { scan_chunks(n) } else { 1 };
-    let parts = exec::parallel_map(threads, chunk_spans(n, k), |span| {
+    let scan = |span: std::ops::Range<usize>| {
         let preds = span_preds(table, rule, span.clone());
         accel::hits(&preds, span.len(), span.start as RowId)
-    });
-    parts
-        .into_iter()
-        .reduce(|mut out, part| {
-            out.extend(part);
-            out
-        })
-        .unwrap_or_default()
+    };
+    if k <= 1 {
+        return scan(0..n);
+    }
+    exec::parallel_map(threads, chunk_spans(n, k), scan).concat()
 }
 
 /// `rule`'s predicates over rows `span` of `table` (which holds **global**

@@ -175,6 +175,11 @@ fn simd_tail_parity_on_all_lengths() {
         Rule::trivial(4),
         rule(&[("C", "c0")]),
         rule(&[("D", "d2")]),
+        // Single predicates on the 2-byte column take its own count kernel:
+        // `b0` holds every even row, so every vector tail has hits, and
+        // `b300` needs the high byte of its code.
+        rule(&[("B", "b0")]),
+        rule(&[("B", "b300")]),
         rule(&[("A", "a0"), ("B", "b0")]),
         // `b300` is the last of 301 values to appear: a 2-byte local code.
         rule(&[("A", "a1"), ("B", "b300")]),
