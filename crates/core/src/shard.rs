@@ -55,7 +55,11 @@
 //! transiently — residency is left undisturbed — and translates each rule
 //! predicate into the shard's local code space through its `remap`; a value
 //! absent from `remap` covers zero rows there. A batch of trivial rules
-//! reads nothing. Either way the predicates go to the one block-mask scan
+//! reads nothing. That read is the spill tier's one reader, the same one a
+//! gather and a segment load use: it sizes every buffer from the file's
+//! validated offset table and validates codes with one vectorized
+//! max-reduction, so a miss costs about what it copies.
+//! Either way the predicates go to the one block-mask scan
 //! of [`crate::accel`], generic over the code width: a local-code equality
 //! hits exactly the rows the global-code one hits, and the mask yields them
 //! ascending, so the coding changes neither positions nor order.

@@ -21,7 +21,11 @@
 //!   [`ShardedTable::read_columns`] range-reads individual columns as
 //!   [`RawColumn`]s (`remap` + packed [`LocalCodes`]), and `sdd-core`'s
 //!   pushdown scans translate predicates into local code space and run
-//!   over the packed bytes.
+//!   over the packed bytes. It is the **one** spill reader: a segment load
+//!   and a gather read every column through it. Each read validates the
+//!   header and checks the file length against the offset table before
+//!   reading a blob, so every buffer is sized from validated offsets and a
+//!   read allocates what the format allows, never what the file holds.
 //!
 //! Residency is governed by a **resident-shard budget**: at most that many
 //! segments are cached at once (segments are immutable, so eviction can
@@ -62,7 +66,7 @@
 use crate::view::chunk_spans;
 use crate::{Dictionary, RowId, Schema, Table, TableError};
 use rustc_hash::FxHashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 use std::ops::Range;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -151,8 +155,9 @@ impl ShardSegment {
 
 /// One spilled column's packed local codes at their stored byte width —
 /// exactly the bytes on disk, decoded to the matching integer type (the
-/// 1-byte form is the raw file bytes verbatim). Scans over these touch
-/// 1/4th–1/2 the memory a decoded global-code (`u32`) scan would.
+/// 1-byte form is the read buffer itself, its remap prefix dropped in
+/// place: no second allocation). Scans over these touch 1/4th–1/2 the
+/// memory a decoded global-code (`u32`) scan would.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LocalCodes {
     /// Shard-local cardinality ≤ 256: one byte per row.
@@ -196,6 +201,16 @@ impl LocalCodes {
             LocalCodes::W4(v) => v[i],
         }
     }
+
+    /// The largest code (0 when empty), as a `fold` the compiler
+    /// vectorizes — an early-exit `any` scan does not.
+    fn max(&self) -> u32 {
+        match self {
+            LocalCodes::W1(v) => v.iter().fold(0, |m, &c| m.max(c)).into(),
+            LocalCodes::W2(v) => v.iter().fold(0, |m, &c| m.max(c)).into(),
+            LocalCodes::W4(v) => v.iter().fold(0, |m, &c| m.max(c)),
+        }
+    }
 }
 
 /// One spilled column in its on-disk coding: the `remap` array (local →
@@ -203,8 +218,9 @@ impl LocalCodes {
 /// as packed [`LocalCodes`]. This is what the spill-tier predicate
 /// pushdown scans — no global-code materialization.
 ///
-/// Loaded columns are validated once (every local code `< remap.len()`),
-/// so `remap[code as usize]` indexing never faults afterwards.
+/// Loaded columns are validated once — the largest local code, found by a
+/// vectorized max-reduction, is `< remap.len()` — so `remap[code as usize]`
+/// indexing never faults afterwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawColumn {
     remap: Vec<u32>,
@@ -535,7 +551,8 @@ impl ShardedTable {
     /// # Errors
     ///
     /// [`TableError::Corrupt`] when the spill file fails validation (bad
-    /// magic, truncation, shape mismatch, out-of-range local code),
+    /// magic, shape mismatch, bad offsets, a length other than the offset
+    /// table's, a bad width, an out-of-range local code, trailing bytes),
     /// [`TableError::Io`] when reading it fails,
     /// [`TableError::ShardOutOfRange`] for `i >= n_shards()`.
     pub fn try_segment(&self, i: usize) -> Result<Arc<ShardSegment>, TableError> {
@@ -573,22 +590,10 @@ impl ShardedTable {
         Ok(seg)
     }
 
-    /// Reads shard `i`'s whole spill file in its on-disk coding — validated
-    /// like every load, transient (nothing enters the residency cache),
-    /// counted in [`ShardedTable::loads`].
+    /// Reads shard `i`'s whole spill file in its on-disk coding: a
+    /// [`ShardedTable::read_columns`] of every column.
     fn read_raw(&self, i: usize) -> Result<Vec<RawColumn>, TableError> {
-        let (span, file) = self.shard(i)?;
-        let Some(file) = file else {
-            // Unreachable by construction: a shard is either resident or
-            // spilled. Surface as an error, not a panic.
-            debug_assert!(false, "non-resident shard {i} has no spill file");
-            return Err(TableError::Io(format!(
-                "shard {i} is neither resident nor spilled"
-            )));
-        };
-        let raw = read_raw_segment(file.path(), self.n_columns(), span.len())?;
-        self.cache().loads += 1;
-        Ok(raw)
+        self.read_columns(i, &(0..self.n_columns()).collect::<Vec<_>>())
     }
 
     /// The shard's cached segment, or `None` on a miss — never touches
@@ -612,11 +617,13 @@ impl ShardedTable {
     }
 
     /// Range-reads **only** `cols` of shard `i`'s spill file (one `pread`
-    /// per column via the file's offset table) and returns them in request
-    /// order. The result is *transient*: it is never inserted into the
-    /// residency cache, so a covered-rows scan that needs two of fifty
-    /// columns neither decodes the other forty-eight nor disturbs what is
-    /// resident. Counts as a load in [`ShardedTable::loads`].
+    /// per column via the file's offset table, each buffer sized from the
+    /// validated offsets) and returns them in request order. Segment loads
+    /// and gathers are this read of every column. The result is
+    /// *transient*: it is never inserted into the residency cache, so a
+    /// covered-rows scan that needs two of fifty columns neither decodes
+    /// the other forty-eight nor disturbs what is resident. Counts as a
+    /// load in [`ShardedTable::loads`].
     ///
     /// Callers should prefer [`ShardedTable::cached_data`] first; this is
     /// the miss path for scans that touch few columns.
@@ -1884,90 +1891,56 @@ fn parse_header(
 /// Parses one column blob (remap + width + packed codes), validating that
 /// every local code indexes `remap` — after this, `remap[code as usize]`
 /// never faults, which is what lets the pushdown scans index unchecked.
-fn parse_column_blob(blob: &[u8], n_rows: usize) -> Result<RawColumn, TableError> {
-    let mut pos = 0usize;
-    let mut take = |n: usize| -> Result<&[u8], TableError> {
-        let s = blob
-            .get(pos..pos + n)
-            .ok_or_else(|| corrupt("truncated spill file"))?;
-        pos += n;
-        Ok(s)
-    };
-    let remap_len = le_u32(take(4)?) as usize;
+/// A 1-byte column keeps `blob`'s allocation as its codes.
+fn parse_column_blob(mut blob: Vec<u8>, n_rows: usize) -> Result<RawColumn, TableError> {
+    let truncated = || corrupt("truncated spill file");
+    let remap_len = le_u32(blob.get(..4).ok_or_else(truncated)?) as usize;
     if remap_len > n_rows {
         // First-appearance order caps local cardinality at the row count.
         return Err(corrupt("remap larger than row count"));
     }
-    let remap: Vec<u32> = take(remap_len * 4)?.chunks_exact(4).map(le_u32).collect();
-    let width = take(1)?[0];
+    let width_at = 4 + 4 * remap_len;
+    let remap: Vec<u32> = blob
+        .get(4..width_at)
+        .ok_or_else(truncated)?
+        .chunks_exact(4)
+        .map(le_u32)
+        .collect();
+    let width = *blob.get(width_at).ok_or_else(truncated)?;
     if !matches!(width, 1 | 2 | 4) {
         return Err(corrupt("bad code width"));
     }
-    let data = take(n_rows * width as usize)?;
-    let trailing = pos != blob.len();
+    let data = width_at + 1;
+    let end = data + n_rows * width as usize;
+    if blob.len() != end {
+        return Err(if blob.len() < end {
+            truncated()
+        } else {
+            corrupt("spill column blob has trailing bytes")
+        });
+    }
     let codes = match width {
         1 => {
-            let v = data.to_vec();
-            if remap_len < 0x100 && v.iter().any(|&c| c as usize >= remap_len) {
-                return Err(corrupt("local code out of range"));
-            }
-            LocalCodes::W1(v)
+            blob.drain(..data);
+            LocalCodes::W1(blob)
         }
-        2 => {
-            let v: Vec<u16> = data
+        2 => LocalCodes::W2(
+            blob[data..]
                 .chunks_exact(2)
                 .map(|c| u16::from_le_bytes([c[0], c[1]]))
-                .collect();
-            if remap_len < 0x1_0000 && v.iter().any(|&c| c as usize >= remap_len) {
-                return Err(corrupt("local code out of range"));
-            }
-            LocalCodes::W2(v)
-        }
-        _ => {
-            let v: Vec<u32> = data.chunks_exact(4).map(le_u32).collect();
-            if v.iter().any(|&c| c as usize >= remap_len) {
-                return Err(corrupt("local code out of range"));
-            }
-            LocalCodes::W4(v)
-        }
+                .collect(),
+        ),
+        _ => LocalCodes::W4(blob[data..].chunks_exact(4).map(le_u32).collect()),
     };
-    if trailing {
-        return Err(corrupt("spill column blob has trailing bytes"));
+    if !codes.is_empty() && codes.max() as usize >= remap_len {
+        return Err(corrupt("local code out of range"));
     }
     Ok(RawColumn { remap, codes })
 }
 
-/// Parses a whole spill file into raw (spill-coded) columns.
-fn parse_segment(
-    bytes: &[u8],
-    expect_cols: usize,
-    expect_rows: usize,
-) -> Result<Vec<RawColumn>, TableError> {
-    let offsets = parse_header(bytes, expect_cols, expect_rows)?;
-    // parse_header returns exactly `expect_cols + 1` offsets.
-    if offsets[expect_cols] != bytes.len() as u64 {
-        return Err(corrupt("spill file length mismatch"));
-    }
-    (0..expect_cols)
-        .map(|c| {
-            let blob = &bytes[offsets[c] as usize..offsets[c + 1] as usize];
-            parse_column_blob(blob, expect_rows)
-        })
-        .collect()
-}
-
-fn read_raw_segment(
-    path: &std::path::Path,
-    expect_cols: usize,
-    expect_rows: usize,
-) -> Result<Vec<RawColumn>, TableError> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    parse_segment(&bytes, expect_cols, expect_rows)
-}
-
 /// Maps a short read to [`TableError::Corrupt`] (the file is shorter than
-/// its offset table claims), anything else to [`TableError::Io`].
+/// its header, or shrank after its length was checked), anything else to
+/// [`TableError::Io`].
 fn map_read_err(e: io::Error) -> TableError {
     if e.kind() == io::ErrorKind::UnexpectedEof {
         corrupt("truncated spill file")
@@ -1987,37 +1960,44 @@ fn read_at(f: &std::fs::File, offset: u64, buf: &mut [u8]) -> Result<(), TableEr
     }
     #[cfg(not(unix))]
     {
-        use std::io::{Seek, SeekFrom};
+        use std::io::{Read, Seek, SeekFrom};
         let mut f = f;
         f.seek(SeekFrom::Start(offset))?;
         f.read_exact(buf).map_err(map_read_err)
     }
 }
 
-/// Range-reads only `wanted` columns of a spill file: the fixed header and
-/// offset table first, then one positioned read per requested column blob —
-/// a residency miss that touches two columns costs two column reads, not a
-/// whole-file parse.
+/// Range-reads `wanted` columns of a spill file — the one spill reader; a
+/// whole-segment read asks for every column. The fixed header is read and
+/// validated first, and a file whose length is not `offsets[n_cols]` is
+/// rejected before any blob is read, so every buffer is sized from a
+/// validated offset table, never from the file. Then one positioned read
+/// per requested blob: a miss that touches two columns costs two column
+/// reads, not a whole-file parse.
 fn read_spill_columns(
     path: &std::path::Path,
     wanted: &[usize],
     expect_cols: usize,
     expect_rows: usize,
 ) -> Result<Vec<RawColumn>, TableError> {
+    if let Some(c) = wanted.iter().find(|&&c| c >= expect_cols) {
+        return Err(TableError::UnknownColumn(format!("column index {c}")));
+    }
     let f = std::fs::File::open(path)?;
     let mut hdr = vec![0u8; header_len(expect_cols)];
     read_at(&f, 0, &mut hdr)?;
     let offsets = parse_header(&hdr, expect_cols, expect_rows)?;
+    // parse_header returns exactly `expect_cols + 1` offsets.
+    if offsets[expect_cols] != f.metadata()?.len() {
+        return Err(corrupt("spill file length mismatch"));
+    }
     wanted
         .iter()
         .map(|&c| {
-            if c >= expect_cols {
-                return Err(TableError::UnknownColumn(format!("column index {c}")));
-            }
             let (start, end) = (offsets[c], offsets[c + 1]);
             let mut blob = vec![0u8; (end - start) as usize];
             read_at(&f, start, &mut blob)?;
-            parse_column_blob(&blob, expect_rows)
+            parse_column_blob(blob, expect_rows)
         })
         .collect()
 }
@@ -2725,6 +2705,24 @@ mod tests {
         std::fs::write(&path, &garbled).unwrap();
         assert!(matches!(st.try_segment(1), Err(TableError::Corrupt(m)) if m.contains("magic")));
 
+        // Bytes past the last offset: the full read, through a segment load
+        // or a gather, checks the file length before reading any blob.
+        let long = [&bytes[..], &[0; 5]].concat();
+        std::fs::write(&path, &long).unwrap();
+        let length_mismatch = Err(corrupt("spill file length mismatch"));
+        assert_eq!(st.try_segment(1).map(|_| ()), length_mismatch);
+        let row = st.spans()[1].start as RowId;
+        assert_eq!(st.try_gather_batch(&[&[row]]).map(|_| ()), length_mismatch);
+
+        // A blob longer than its column needs, with the offsets kept
+        // consistent: only the blob parse can tell.
+        let padded = with_blob(&bytes, 0, |blob| [blob, &[0]].concat());
+        std::fs::write(&path, &padded).unwrap();
+        let trailing = Err(corrupt("spill column blob has trailing bytes"));
+        assert_eq!(st.read_columns(1, &[0]).map(|_| ()), trailing);
+        assert_eq!(st.try_segment(1).map(|_| ()), trailing);
+        assert_eq!(st.try_gather_batch(&[&[row]]).map(|_| ()), trailing);
+
         // Restoring the bytes restores the segment: errors are not sticky.
         std::fs::write(&path, &bytes).unwrap();
         let seg = st.try_segment(1).unwrap();
@@ -2732,6 +2730,87 @@ mod tests {
         // Other shards were never affected.
         let s0 = st.try_segment(0).unwrap();
         assert_eq!(s0.span(), st.spans()[0].clone());
+    }
+
+    /// `bytes` (a spill file) with column `c`'s blob replaced by
+    /// `edit(blob)` and the offset table laid out again around it.
+    fn with_blob(bytes: &[u8], c: usize, edit: impl FnOnce(&[u8]) -> Vec<u8>) -> Vec<u8> {
+        let n_cols = le_u32(&bytes[8..]) as usize;
+        let offset = |k: usize| le_u64(&bytes[16 + 8 * k..]) as usize;
+        let mut blobs: Vec<Vec<u8>> = (0..n_cols)
+            .map(|k| bytes[offset(k)..offset(k + 1)].to_vec())
+            .collect();
+        blobs[c] = edit(&blobs[c]);
+        let mut out = bytes[..16].to_vec();
+        let mut at = header_len(n_cols) as u64;
+        out.extend_from_slice(&at.to_le_bytes());
+        for blob in &blobs {
+            at += blob.len() as u64;
+            out.extend_from_slice(&at.to_le_bytes());
+        }
+        out.extend(blobs.concat());
+        out
+    }
+
+    /// `blob` (a column blob) with its local codes packed at `width` bytes
+    /// after `patch` ran on them. The decoder accepts any width that holds
+    /// the codes, so this reaches every width's validation with a small
+    /// remap.
+    fn repack(blob: &[u8], width: usize, patch: impl FnOnce(&mut [u32])) -> Vec<u8> {
+        let width_at = 4 + 4 * le_u32(blob) as usize;
+        let stored = blob[width_at] as usize;
+        let mut codes: Vec<u32> = blob[width_at + 1..]
+            .chunks_exact(stored)
+            .map(|b| b.iter().rev().fold(0, |v, &byte| v << 8 | byte as u32))
+            .collect();
+        patch(&mut codes);
+        let mut out = blob[..width_at].to_vec();
+        out.push(width as u8);
+        for code in codes {
+            out.extend_from_slice(&code.to_le_bytes()[..width]);
+        }
+        out
+    }
+
+    #[test]
+    fn out_of_range_local_codes_are_corrupt_at_every_width_and_row() {
+        let table = t(40);
+        let st =
+            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, spill_dir())).unwrap();
+        let path = st.spill_path(1).unwrap().to_path_buf();
+        let intact = std::fs::read(&path).unwrap();
+        let rows: Vec<RowId> = st.spans()[1].clone().map(|r| r as RowId).collect();
+        let remap = st.read_columns(1, &[0]).unwrap()[0].remap().to_vec();
+        let remap_len = remap.len() as u32;
+        for width in [1, 2, 4] {
+            for row in [0, rows.len() / 2, rows.len() - 1] {
+                // One past the last local code is rejected; the last is not.
+                for (code, valid) in [(remap_len, false), (remap_len - 1, true)] {
+                    let file = with_blob(&intact, 0, |blob| {
+                        repack(blob, width, |codes| codes[row] = code)
+                    });
+                    std::fs::write(&path, &file).unwrap();
+                    st.evict_all();
+                    let case = format!("width {width}, row {row}, code {code}");
+                    let cols = st.read_columns(1, &[0]);
+                    let gathered = st.try_gather_batch(&[&rows]);
+                    let seg = st.try_segment(1);
+                    if valid {
+                        let cols = cols.unwrap();
+                        assert_eq!(cols[0].codes().width(), width, "{case}");
+                        assert_eq!(cols[0].codes().at(row), code, "{case}");
+                        let global = remap[code as usize];
+                        assert_eq!(gathered.unwrap()[0].column(0)[row], global, "{case}");
+                        assert_eq!(seg.unwrap().col(0)[row], global, "{case}");
+                    } else {
+                        let out_of_range = Some(corrupt("local code out of range"));
+                        assert_eq!(cols.err(), out_of_range, "{case}: read_columns");
+                        assert_eq!(gathered.err(), out_of_range, "{case}: gather");
+                        assert_eq!(seg.err(), out_of_range, "{case}: try_segment");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
