@@ -9,6 +9,7 @@
 //! unit-testable with string buffers; `src/main.rs` wires it to
 //! stdin/stdout.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod command;

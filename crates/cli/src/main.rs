@@ -9,26 +9,19 @@
 //! sdd> star 2 Region
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::{stdin, stdout};
 
 const USAGE: &str = "\
 usage:
-  sdd [--no-simd]         local single-user REPL
+  sdd                     local single-user REPL
   sdd serve [options]     host a concurrent multi-session server
   sdd connect [addr]      connect a REPL to a running server
-
-global options:
-  --no-simd               force the scalar count kernels (also: SDD_NO_SIMD=1)
 ";
 
 fn main() -> std::io::Result<()> {
-    let mut args: Vec<String> = std::env::args().skip(1).collect();
-    // Global flag, honored in every mode (results are bit-identical either
-    // way — the switch exists for debugging and A/B timing).
-    if let Some(i) = args.iter().position(|a| a == "--no-simd") {
-        args.remove(i);
-        sdd_core::accel::set_simd_enabled(false);
-    }
+    let args: Vec<String> = std::env::args().skip(1).collect();
     let mut stdout = stdout().lock();
     match args.first().map(String::as_str) {
         None => {

@@ -15,10 +15,10 @@
 //!   search based on the trivial (all-`?`) rule filter the same tuples and
 //!   return the same rules; [`KeyHasher::write_base`] folds both spellings
 //!   to the trivial rule.
-//! * **Execution strategy is excluded.** Thread count and SIMD level
-//!   select *how* the kernel runs, and the determinism contract
-//!   (docs/DETERMINISM.md) guarantees they cannot change a result bit — so
-//!   nothing here reads them, and they cannot fragment the key space.
+//! * **Execution strategy is excluded.** The thread count selects *how*
+//!   the kernel runs, and the determinism contract (docs/DETERMINISM.md)
+//!   guarantees it cannot change a result bit — so nothing here reads it,
+//!   and it cannot fragment the key space.
 //! * **The view is keyed by content, not identity.** Sample views are pure
 //!   functions of `(store, seed, rule, history)`, so sessions replaying the
 //!   same drill path produce byte-identical views; digesting row codes and

@@ -28,7 +28,7 @@
 //! gathers them into one first ([`filter_to_rule`]). The full table, however it is stored, is only ever
 //! scanned for covered rows, counted exactly, and gathered from. There is
 //! one search stack and one fallible scan API; results are bit-identical
-//! for any thread count, shard layout, residency budget and SIMD setting.
+//! for any thread count, shard layout and residency budget.
 //!
 //! This crate holds the operator, not the interaction: the displayed rule
 //! tree the analyst expands, star-expands and rolls up (§2.3, §4's `U`)
@@ -49,8 +49,8 @@
 //!   counts, shared by the kernel and the sampling layer's prefetch scan,
 //! * [`accel`] — the block-mask scan behind every covered-row and exact
 //!   count scan, resident and spill-tier pushdown alike (portable, generic
-//!   over the 1/2/4-byte code widths), plus the runtime-dispatched AVX2
-//!   single-predicate counts with a scalar fallback and a kill switch,
+//!   over the 1/2/4-byte code widths), plus the chunked single-predicate
+//!   counts,
 //! * [`brs`] — Algorithm 1: the greedy BRS optimizer,
 //! * [`cachekey`] — canonical NaN-safe key derivation for shared
 //!   drill-down result caches (floats keyed by bits, normalized bases,
@@ -64,6 +64,7 @@
 //! * [`mw_estimate`] — sampling-based estimation of the `mw` parameter (§6.1),
 //! * [`reduction`] — Lemma 2's MCP reduction, executable.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod accel;

@@ -27,6 +27,7 @@
 //! scale 1, so the same tree shows the paper's exact tables (Tables 1–3,
 //! Figs. 1–3, 6–7); navigation errors are [`SessionError`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod cache;

@@ -14,7 +14,7 @@
 //! | D003 | float accumulation loops in the kernel state their fixed order |
 //! | P001 | no `unwrap`/`expect`/`panic!`/`assert!` family in spill-I/O and scan code |
 //! | U001 | every `unsafe` block carries a `// SAFETY:` comment |
-//! | E001 | product crates read the environment in two files only |
+//! | E001 | product crates read the environment in one file only |
 //! | X001 | every `pub fn *_sharded` has a monolithic twin + parity test |
 
 use crate::lexer::{Tok, TokKind};
@@ -22,7 +22,7 @@ use crate::walker::FileModel;
 use crate::Finding;
 
 /// Crates whose results must be bit-identical for any thread count, shard
-/// count, residency budget, or SIMD setting. `bench`/`server`/`cli` are
+/// count, or residency budget. `bench`/`server`/`cli` are
 /// deliberately outside: timing and host introspection belong there.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/core/src/",
@@ -73,10 +73,9 @@ pub const PRODUCT_CRATES: &[&str] = &[
     "crates/cli/src/",
 ];
 
-/// The two files that may read the environment: `SDD_THREADS` and
-/// `SDD_NO_SIMD` live here and nowhere else.
-pub const E001_ALLOWED_FILES: &[&str] =
-    &["crates/core/src/exec.rs", "crates/core/src/accel/cpu.rs"];
+/// The one file that may read the environment: `SDD_THREADS` lives here
+/// and nowhere else.
+pub const E001_ALLOWED_FILES: &[&str] = &["crates/core/src/exec.rs"];
 
 /// The cross-file parity suite X001 requires `*_sharded` APIs to appear in.
 pub const PARITY_SUITE: &str = "tests/shard_parity.rs";
@@ -114,7 +113,7 @@ pub const RULES: &[RuleInfo] = &[
     },
     RuleInfo {
         id: "E001",
-        summary: "no std::env::var* in product crates outside core::exec and core::accel::cpu; a new setting needs a number, not a variable",
+        summary: "no std::env::var* in product crates outside core::exec; a new setting needs a number, not a variable",
     },
     RuleInfo {
         id: "X001",
@@ -439,8 +438,8 @@ fn u001(path: &str, m: &FileModel, out: &mut Vec<Finding>) {
 // ---------------------------------------------------------------------------
 
 /// Every environment variable is a setting CI must re-prove the
-/// determinism contract under. The product reads two (`SDD_THREADS`,
-/// `SDD_NO_SIMD`), each in one file; anywhere else `env::var*` is a finding.
+/// determinism contract under. The product reads one (`SDD_THREADS`), in
+/// one file; anywhere else `env::var*` is a finding.
 fn e001(path: &str, m: &FileModel, out: &mut Vec<Finding>) {
     if !PRODUCT_CRATES.iter().any(|p| path.starts_with(p)) || E001_ALLOWED_FILES.contains(&path) {
         return;
@@ -460,8 +459,8 @@ fn e001(path: &str, m: &FileModel, out: &mut Vec<Finding>) {
                 "E001",
                 format!(
                     "env::{} reads the environment in a product crate; thread count comes from \
-                     sdd_core::exec::worker_threads and the SIMD switch from sdd_core::accel — \
-                     anything else is a config field or a value worked out from the input",
+                     sdd_core::exec::worker_threads — anything else is a config field or a \
+                     value worked out from the input",
                     toks[i + 2].text
                 ),
             ));

@@ -11,6 +11,7 @@
 //! clicks and displayed rows needed to reach a target pattern under each
 //! operator.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod compare;

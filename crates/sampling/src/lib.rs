@@ -21,6 +21,7 @@
 //! * [`estimate`] — count estimates with confidence intervals,
 //! * [`minss`] — guidance for choosing `minSS` (§4.2).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod alloc;

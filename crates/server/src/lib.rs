@@ -32,6 +32,7 @@
 //! stack: N concurrent TCP clients replayed single-threaded through a
 //! fresh [`Engine`] must produce byte-identical transcripts.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod auth;

@@ -34,6 +34,7 @@
 //! modelled as full passes over a [`Table`] (or, in the sharded tier, real
 //! per-segment spill reads).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod bucketize;

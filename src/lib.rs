@@ -47,6 +47,8 @@
 //! }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use sdd_core as core;
 pub use sdd_datagen as datagen;
 pub use sdd_explorer as explorer;

@@ -255,8 +255,7 @@ fn prefetch_is_reproducible_across_thread_counts() {
 /// The §4.3 single pass is invisible in what it stores: the samples a
 /// prefetch batch draws while sharing one sweep of the table are the
 /// samples one Create per rule draws, whether segments are scanned on one
-/// thread or seven, with SIMD or scalar kernels, over one table or eight
-/// spilled shards.
+/// thread or seven, over one table or eight spilled shards.
 #[test]
 fn a_prefetch_batch_stores_what_one_create_per_rule_stores() {
     use smart_drilldown::table::{ShardConfig, ShardedTable, TableStore};
@@ -297,9 +296,8 @@ fn a_prefetch_batch_stores_what_one_create_per_rule_stores() {
     };
 
     let mut reference = None;
-    for (threads, simd) in [("1", true), ("7", true), ("7", false)] {
+    for threads in ["1", "7"] {
         std::env::set_var("SDD_THREADS", threads);
-        smart_drilldown::core::accel::set_simd_enabled(simd);
         for store in stores() {
             let mut batch = SampleHandler::with_store(store.clone(), handler_cfg(20_000, 500, 77));
             batch.try_prefetch(&Rule::trivial(3), &entries).unwrap();
@@ -313,10 +311,9 @@ fn a_prefetch_batch_stores_what_one_create_per_rule_stores() {
                     .try_create_batch(&[(s.filter.clone(), s.rows.len())])
                     .unwrap();
             }
-            assert_eq!(sorted(&singles), got, "{threads} thread(s), simd {simd}");
+            assert_eq!(sorted(&singles), got, "{threads} thread(s)");
             assert_eq!(reference.get_or_insert(got.clone()), &got);
         }
-        smart_drilldown::core::accel::set_simd_enabled(true);
         std::env::remove_var("SDD_THREADS");
     }
 }
