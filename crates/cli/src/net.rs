@@ -23,14 +23,14 @@ usage: sdd serve [options]
                        the authenticated `append` request and seal into
                        immutable segments every n rows; the loaded table
                        becomes epoch 1 and every append bumps the epoch
-                       (conflicts with --shards/--ingest; --resident and
-                       --spill bound the resident sealed segments)
+                       (conflicts with --shards/--ingest)
   --threads <n>        connection worker threads (default: cores, min 4)
   --shards <n>         partition the table into n columnar shards
-  --resident <m>       keep at most m shards in memory, spilling the rest
-                       to disk (requires --shards; results are identical,
-                       only memory use changes)
-  --spill <dir>        spill directory (default: the system temp dir)
+  --spill <dir>        spill every shard (with --tail: every sealed
+                       segment) to a file under dir, read back on demand
+                       and never kept decoded (requires --shards or
+                       --tail; results are identical, only memory use
+                       changes)
   --cache <mib>        shared cross-session result-cache budget in MiB
                        (default 64; 0 disables — responses are identical
                        either way)
@@ -97,8 +97,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
     let mut source_flag: Option<&'static str> = None;
     let mut rows: Option<usize> = None;
     let mut shards: Option<usize> = None;
-    let mut resident: usize = 0;
-    let mut spill: Option<String> = None;
+    let mut spill: Option<std::path::PathBuf> = None;
     let mut ingest: Option<String> = None;
     let mut tail: Option<usize> = None;
     let mut http_port: Option<u16> = None;
@@ -146,12 +145,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
                     std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --shards")
                 })?)
             }
-            "resident" => {
-                resident = need("count")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --resident")
-                })?
-            }
-            "spill" => spill = Some(need("dir")?),
+            "spill" => spill = Some(need("dir")?.into()),
             "ingest" => ingest = Some(need("path")?),
             "tail" => {
                 tail = Some(need("rows-per-segment")?.parse().map_err(|_| {
@@ -241,44 +235,24 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
         )?;
         return Ok(());
     }
-    if resident > 0 && shards.is_none() && tail.is_none() {
+    if spill.is_some() && shards.is_none() && tail.is_none() {
+        // A monolithic table has no shards to spill: serving it whole while
+        // the operator expects disk relief is the one silent-OOM
+        // combination, so reject it loudly.
         writeln!(
             output,
-            "error: --resident requires --shards or --tail\n{SERVE_USAGE}"
+            "error: --spill requires --shards or --tail\n{SERVE_USAGE}"
         )?;
         return Ok(());
     }
-    if spill.is_some() && resident == 0 {
-        // Without a budget nothing would ever spill — serving fully
-        // resident while the operator expects disk relief is the one
-        // silent-OOM combination, so reject it loudly.
-        writeln!(
-            output,
-            "error: --spill requires --resident (the in-memory shard budget to spill against)\n{SERVE_USAGE}"
-        )?;
-        return Ok(());
-    }
-    let shard_config = |n: usize| {
-        if resident > 0 {
-            let dir = spill
-                .clone()
-                .map(std::path::PathBuf::from)
-                .unwrap_or_else(std::env::temp_dir);
-            ShardConfig::spilling(n, resident, dir)
-        } else {
-            ShardConfig::in_memory(n)
-        }
+    let shard_config = |n: usize| ShardConfig {
+        shards: n,
+        spill_dir: spill.clone(),
     };
+    let spilling = if spill.is_some() { ", spilled" } else { "" };
     let layout_of = |sharded: &ShardedTable, streamed: bool| {
         let how = if streamed { "streamed into " } else { "" };
-        if resident > 0 {
-            format!(
-                " ({how}{} shards, ≤ {resident} resident, spilling)",
-                sharded.n_shards()
-            )
-        } else {
-            format!(" ({how}{} shards)", sharded.n_shards())
-        }
+        format!(" ({how}{} shards{spilling})", sharded.n_shards())
     };
     let (store, layout) = if let Some(seg_rows) = tail {
         // Live serving mode: the loaded table's rows become epoch 1 of an
@@ -294,13 +268,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
         let measure_names: Vec<String> = table.measure_names().map(str::to_owned).collect();
         let live_config = LiveTableConfig {
             rows_per_segment: seg_rows,
-            resident,
-            spill_dir: (resident > 0).then(|| {
-                spill
-                    .clone()
-                    .map(std::path::PathBuf::from)
-                    .unwrap_or_else(std::env::temp_dir)
-            }),
+            spill_dir: spill.clone(),
         };
         let live = match LiveTable::new(table.schema().clone(), measure_names.clone(), &live_config)
         {
@@ -338,17 +306,10 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
             }
         }
         config.engine.tail = Some(TailConfig::default());
-        let layout = if resident > 0 {
-            format!(
-                " (live, epoch {}, sealing every {seg_rows} rows, ≤ {resident} segments resident, spilling)",
-                live.epoch()
-            )
-        } else {
-            format!(
-                " (live, epoch {}, sealing every {seg_rows} rows)",
-                live.epoch()
-            )
-        };
+        let layout = format!(
+            " (live, epoch {}, sealing every {seg_rows} rows{spilling})",
+            live.epoch()
+        );
         (TableStore::from(Arc::new(live)), layout)
     } else {
         match (&ingest, shards) {
@@ -426,7 +387,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
     output.flush()?;
     if smoke_scrape {
         let handle = server.spawn()?;
-        let result = run_smoke_scrape(&handle, output);
+        let result = run_smoke_scrape(&handle, store.as_sharded().is_some(), output);
         handle.shutdown();
         return result;
     }
@@ -435,9 +396,11 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
 
 /// Drives one session over the HTTP front-end, scrapes `/metrics`, and
 /// checks the exposition is well-formed Prometheus text with every core
-/// family present. Used by `--smoke-scrape` (the CI self-test).
+/// family present — and the storage families when the store is
+/// `segmented`. Used by `--smoke-scrape` (the CI self-test).
 fn run_smoke_scrape(
     handle: &sdd_server::ServerHandle,
+    segmented: bool,
     output: &mut impl Write,
 ) -> std::io::Result<()> {
     let bail = |msg: String| std::io::Error::new(std::io::ErrorKind::InvalidData, msg);
@@ -469,7 +432,7 @@ fn run_smoke_scrape(
     if reply.status != 200 {
         return Err(bail(format!("GET /metrics returned {}", reply.status)));
     }
-    let (families, samples) = validate_prometheus(&reply.body_str()).map_err(bail)?;
+    let (families, samples) = validate_prometheus(&reply.body_str(), segmented).map_err(bail)?;
     writeln!(
         output,
         "smoke-scrape ok: {samples} samples across {families} families"
@@ -479,9 +442,9 @@ fn run_smoke_scrape(
 
 /// Checks Prometheus text-format exposition: every sample's family must
 /// carry `# HELP` and `# TYPE` lines, every sample value must parse, and
-/// the core server families must all be present. Returns (families,
-/// samples) on success.
-fn validate_prometheus(text: &str) -> Result<(usize, usize), String> {
+/// the core server families — plus, over a `segmented` store, the storage
+/// families — must all be present. Returns (families, samples) on success.
+fn validate_prometheus(text: &str, segmented: bool) -> Result<(usize, usize), String> {
     use std::collections::HashSet;
     let mut help: HashSet<&str> = HashSet::new();
     let mut typed: HashSet<&str> = HashSet::new();
@@ -526,7 +489,12 @@ fn validate_prometheus(text: &str) -> Result<(usize, usize), String> {
         let _ = value;
         samples += 1;
     }
-    for family in [
+    let storage: &[&str] = if segmented {
+        &["sdd_storage_loads_total", "sdd_storage_spills_total"]
+    } else {
+        &[]
+    };
+    for &family in [
         "sdd_request_latency_seconds",
         "sdd_requests_total",
         "sdd_requests_shed_total",
@@ -535,7 +503,10 @@ fn validate_prometheus(text: &str) -> Result<(usize, usize), String> {
         "sdd_sessions",
         "sdd_http_connections",
         "sdd_tcp_connections",
-    ] {
+    ]
+    .iter()
+    .chain(storage)
+    {
         if !typed.contains(family) {
             return Err(format!("family {family} missing from /metrics"));
         }
@@ -778,11 +749,11 @@ mod tests {
     #[test]
     fn connect_drives_a_session_against_a_spilling_sharded_server() {
         // End-to-end over the sharded tier: a server whose table is split
-        // into 8 shards with only 2 resident must serve the same session
-        // flow (and the same row/column banner counts) as a monolithic one.
+        // into 8 spilled shards must serve the same session flow (and the
+        // same row/column banner counts) as a monolithic one.
         let table = Arc::new(sdd_datagen::retail(42));
         let sharded = Arc::new(
-            ShardedTable::from_table(&table, &ShardConfig::spilling(8, 2, std::env::temp_dir()))
+            ShardedTable::from_table(&table, &ShardConfig::spilling(8, 0, std::env::temp_dir()))
                 .unwrap(),
         );
         let server = Server::bind_store(
@@ -809,30 +780,14 @@ mod tests {
     }
 
     #[test]
-    fn serve_rejects_resident_without_shards() {
+    fn serve_rejects_spill_without_shards_or_tail() {
+        // --spill over a monolithic table would silently serve it whole —
+        // the one silent-OOM flag combination; it must be loud.
         let mut out = Vec::new();
-        serve(&["--resident".to_owned(), "2".to_owned()], &mut out).unwrap();
+        let dir = std::env::temp_dir().display().to_string();
+        serve(&["--spill".to_owned(), dir], &mut out).unwrap();
         let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("--resident requires --shards"), "{out}");
-    }
-
-    #[test]
-    fn serve_rejects_spill_without_resident() {
-        // --shards 4 --spill dir with no budget would silently serve fully
-        // resident — the one silent-OOM flag combination; it must be loud.
-        let mut out = Vec::new();
-        serve(
-            &[
-                "--shards".to_owned(),
-                "4".to_owned(),
-                "--spill".to_owned(),
-                "/tmp".to_owned(),
-            ],
-            &mut out,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("--spill requires --resident"), "{out}");
+        assert!(out.contains("--spill requires --shards or --tail"), "{out}");
     }
 
     #[test]
@@ -904,7 +859,7 @@ mod tests {
             sdd_table::csv::stream_csv_file(
                 &csv_path,
                 &["Sales"],
-                &ShardConfig::spilling(8, 2, std::env::temp_dir()),
+                &ShardConfig::spilling(8, 0, std::env::temp_dir()),
             )
             .unwrap(),
         );
@@ -1040,6 +995,37 @@ mod tests {
     }
 
     #[test]
+    fn smoke_scrape_over_a_spilling_store_requires_the_storage_families() {
+        let mut out = Vec::new();
+        let dir = std::env::temp_dir().display().to_string();
+        let args: Vec<String> = [
+            "--addr",
+            "127.0.0.1:0",
+            "--shards",
+            "8",
+            "--spill",
+            &dir,
+            "--http",
+            "0",
+            "--smoke-scrape",
+        ]
+        .map(str::to_owned)
+        .to_vec();
+        serve(&args, &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        assert!(out.contains("(8 shards, spilled)"), "{out}");
+        assert!(out.contains("smoke-scrape ok:"), "{out}");
+        // The same check fails a monolithic store's scrape, which has no
+        // storage families.
+        let engine =
+            sdd_server::Engine::new(Arc::new(sdd_datagen::retail(42)), EngineConfig::default());
+        let text = sdd_server::Metrics::default().render(&engine, 0);
+        assert!(validate_prometheus(&text, false).is_ok());
+        let err = validate_prometheus(&text, true).unwrap_err();
+        assert!(err.contains("sdd_storage_loads_total"), "{err}");
+    }
+
+    #[test]
     fn serve_rejects_smoke_scrape_without_http() {
         let mut out = Vec::new();
         serve(&["--smoke-scrape".to_owned()], &mut out).unwrap();
@@ -1051,15 +1037,15 @@ mod tests {
     fn validate_prometheus_rejects_malformed_expositions() {
         // A family sampled without HELP/TYPE, an unparsable value, and a
         // missing core family must each be caught.
-        assert!(validate_prometheus("orphan_total 1\n")
+        assert!(validate_prometheus("orphan_total 1\n", false)
             .unwrap_err()
             .contains("missing # HELP/# TYPE"));
         let bad_value = "# HELP x y\n# TYPE x counter\nx notanumber\n";
-        assert!(validate_prometheus(bad_value)
+        assert!(validate_prometheus(bad_value, false)
             .unwrap_err()
             .contains("unparsable value"));
         let incomplete = "# HELP sdd_sessions s\n# TYPE sdd_sessions gauge\nsdd_sessions 0\n";
-        assert!(validate_prometheus(incomplete)
+        assert!(validate_prometheus(incomplete, false)
             .unwrap_err()
             .contains("missing from /metrics"));
     }

@@ -28,7 +28,8 @@
 //! gathers them into one first ([`filter_to_rule`]). The full table, however it is stored, is only ever
 //! scanned for covered rows, counted exactly, and gathered from. There is
 //! one search stack and one fallible scan API; results are bit-identical
-//! for any thread count, shard layout and residency budget.
+//! for any thread count and shard layout, whether shards are resident or
+//! spilled.
 //!
 //! This crate holds the operator, not the interaction: the displayed rule
 //! tree the analyst expands, star-expands and rolls up (§2.3, §4's `U`)
@@ -59,7 +60,8 @@
 //! * [`shard`] — the segment tier: the three scans the product runs over
 //!   sharded (`sdd_table::ShardedTable`) storage — covered rows, covered
 //!   rows of an appended range, exact counts — and their store-kind
-//!   dispatch,
+//!   dispatch; a resident shard is scanned in place, a spilled one
+//!   range-read and scanned in its packed spill coding,
 //! * [`exact`] — brute-force oracle for tests and ablations,
 //! * [`mw_estimate`] — sampling-based estimation of the `mw` parameter (§6.1),
 //! * [`reduction`] — Lemma 2's MCP reduction, executable.

@@ -43,22 +43,24 @@
 //!    over a gathered table performs the same float operations in the same
 //!    order as over the same rows of a monolithic table.
 //!
-//! So results are identical for any shard count, resident budget, batch
-//! composition and construction path (`tests/shard_parity.rs`).
+//! So results are identical for any shard count, resident or spilled
+//! shards, batch composition and construction path
+//! (`tests/shard_parity.rs`).
 //!
 //! ## Spill-tier predicate pushdown
 //!
 //! A sweep never forces a local→global decode. A slice of the monolithic
-//! table and a **cached** segment ([`ShardedTable::cached_data`]) hold
-//! global codes. A **miss** range-reads only the batch's columns
-//! ([`ShardedTable::read_columns`]) as packed 1/2/4-byte local codes,
-//! transiently — residency is left undisturbed — and translates each rule
-//! predicate into the shard's local code space through its `remap`; a value
-//! absent from `remap` covers zero rows there. A batch of trivial rules
-//! reads nothing. That read is the spill tier's one reader, the same one a
-//! gather and a segment load use: it sizes every buffer from the file's
-//! validated offset table and validates codes with one vectorized
-//! max-reduction, so a miss costs about what it copies.
+//! table and a **resident** segment ([`ShardedTable::resident_segment`])
+//! hold global codes. A **spilled** shard is range-read for only the
+//! batch's columns ([`ShardedTable::read_columns`]) as packed 1/2/4-byte
+//! local codes, transiently — the read is dropped with the segment's
+//! hits — and each rule predicate is translated into the shard's local
+//! code space through its `remap`; a value absent from `remap` covers zero
+//! rows there. A batch of trivial rules reads nothing. That read is the
+//! spill tier's one reader, the same one a gather and a segment decode
+//! use: it sizes every buffer from the file's validated offset table and
+//! validates codes with one vectorized max-reduction, so a read costs
+//! about what it copies.
 //! Either way the predicates go to the one block-mask scan
 //! of [`crate::accel`], generic over the code width: a local-code equality
 //! hits exactly the rows the global-code one hits, and the mask yields them
@@ -69,8 +71,8 @@ use crate::kernel::{scan_chunks, span_preds, SearchScratch};
 use crate::marginal::{find_best_marginal_rule_with_scratch, BestMarginal, SearchOptions};
 use crate::{exec, Rule, WeightFn};
 use sdd_table::{
-    chunk_spans, LocalCodes, OwnedTableView, RawColumn, RowId, ShardSegment, ShardedTable,
-    ShardedView, Table, TableError, TableStore,
+    chunk_spans, LocalCodes, OwnedTableView, RawColumn, RowId, ShardedTable, ShardedView, Table,
+    TableError, TableStore,
 };
 use std::borrow::Cow;
 use std::ops::Range;
@@ -80,13 +82,13 @@ use std::sync::Arc;
 // One segment of a sweep, and the scans over each form it comes in
 // ---------------------------------------------------------------------------
 
-/// The batch's columns of one segment, in whichever form was cheapest to get.
+/// The batch's columns of one segment, in the form its shard keeps.
 enum Codes<'a> {
-    /// Global codes in place: the monolithic table, or a cached segment.
+    /// Global codes in place: the monolithic table, or a resident segment.
     Table(&'a Table),
-    Decoded(Arc<ShardSegment>),
-    /// A transient range read of just the batch's columns, each with its
-    /// column index. Empty when the batch instantiates no column.
+    /// A transient range read of just the batch's columns of a spilled
+    /// shard, each with its column index. Empty when the batch instantiates
+    /// no column.
     Packed(Vec<(usize, RawColumn)>),
 }
 
@@ -107,7 +109,6 @@ impl Segment<'_> {
         let rows = self.rows.start - self.start..self.rows.end - self.start;
         match &self.codes {
             Codes::Table(t) => Some(span_preds(t, rule, rows)),
-            Codes::Decoded(seg) => Some(span_preds(seg.table(), rule, rows)),
             Codes::Packed(raw) => local_predicates(raw, rule, rows),
         }
     }
@@ -181,20 +182,18 @@ impl<'a> Source<'a> {
         }
     }
 
-    /// The columns `cols` of segment `i`: the cached segment if resident,
-    /// else one transient range read of only those columns.
+    /// The columns `cols` of segment `i`: a resident segment in place, a
+    /// spilled one as one transient range read of only those columns.
     fn fetch(self, i: usize, cols: &[usize]) -> Result<Codes<'a>, TableError> {
         Ok(match self {
             Source::Whole(t) => Codes::Table(t),
-            Source::Sharded(_) if cols.is_empty() => Codes::Packed(Vec::new()),
-            Source::Sharded(st) => match st.cached_data(i) {
-                Some(seg) => Codes::Decoded(seg),
-                None if st.spill_path(i).is_some() => {
+            Source::Sharded(st) => match st.resident_segment(i) {
+                Some(seg) => Codes::Table(seg.table()),
+                None if cols.is_empty() => Codes::Packed(Vec::new()),
+                None => {
                     let raw = st.read_columns(i, cols)?;
                     Codes::Packed(cols.iter().copied().zip(raw).collect())
                 }
-                // Fully-resident tables always hit the cache; kept total.
-                None => Codes::Decoded(st.try_segment(i)?),
             },
         })
     }
@@ -228,9 +227,9 @@ fn sweep<'a, P: Send>(
     let visit = |i: usize| -> Result<Vec<P>, TableError> {
         let codes = src.fetch(i, &cols)?;
         // The monolithic table's row 0 is global row 0, a shard's its span's.
-        let start = match codes {
-            Codes::Table(_) => 0,
-            _ => spans[i].start,
+        let start = match src {
+            Source::Whole(_) => 0,
+            Source::Sharded(_) => spans[i].start,
         };
         let rows = clip(i);
         let seg = Segment { codes, start, rows };
@@ -267,8 +266,8 @@ fn count_rules_in(src: Source<'_>, rules: &[Rule]) -> Result<Vec<f64>, TableErro
 
 /// All row ids of `table` covered by `rule` (ascending) — the segment-tier
 /// form of [`crate::covered_rows`], byte-identical to it on any shard
-/// count. Cached shards are scanned in place; misses range-read only the
-/// rule's columns.
+/// count. Resident shards are scanned in place; spilled ones range-read
+/// only the rule's columns.
 pub fn try_covered_rows_sharded(
     table: &ShardedTable,
     rule: &Rule,
@@ -339,13 +338,13 @@ pub fn try_scan_rules_in_store(
 
 /// Algorithm 2 over the rows a [`ShardedView`] names: gathers them into an
 /// in-memory table ([`ShardedTable::try_gather_rows`] — one segment at a
-/// time, non-resident ones read transiently) and runs the one search kernel on
+/// time, spilled ones read transiently) and runs the one search kernel on
 /// it, which is what the sampling layer and BRS do for every request over
 /// segmented storage. Position `i` of the gathered table is position `i`
 /// of the view, so `covered_weight` and the view's weights carry over
 /// unchanged and the result is bit-identical to
 /// [`crate::find_best_marginal_rule`] on the same rows gathered from the
-/// equivalent monolithic table, for any shard count and resident budget.
+/// equivalent monolithic table, for any shard count, resident or spilled.
 ///
 /// Panics if `covered_weight` does not align with the view.
 pub fn try_find_best_marginal_rule_sharded(
@@ -392,13 +391,12 @@ mod tests {
         Arc::new(ShardedTable::from_table(table, &ShardConfig::in_memory(shards)).unwrap())
     }
 
-    /// A spilling layout with a budget of 1: every scan runs against the
-    /// raw (pushdown) path except the single resident shard.
+    /// A spilling layout: every scan runs against the raw (pushdown) path.
     fn spilled(table: &Table, shards: usize) -> Arc<ShardedTable> {
         Arc::new(
             ShardedTable::from_table(
                 table,
-                &ShardConfig::spilling(shards, 1, std::env::temp_dir()),
+                &ShardConfig::spilling(shards, 0, std::env::temp_dir()),
             )
             .unwrap(),
         )
@@ -544,20 +542,20 @@ mod tests {
     }
 
     #[test]
-    fn cold_scans_leave_the_cache_as_found_and_hits_share_one_arc() {
+    fn spilled_scans_read_each_shard_once_per_batch_and_resident_ones_never() {
         let table = t();
         let st = spilled(&table, 5);
         let rules = vec![
             Rule::from_pairs(&table, &[("A", "a")]).unwrap(),
             Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap(),
         ];
-        // Misses range-read their columns transiently: one load per shard
-        // per scan, nothing enters the cache.
+        // Spilled shards are range-read transiently: one load per shard per
+        // scan, and a shard stays spilled however often it is read.
         let n = st.n_shards() as u64;
         try_covered_rows_sharded(&st, &rules[1]).unwrap();
-        assert_eq!((st.resident_count(), st.loads()), (0, n));
+        assert_eq!(st.loads(), n);
         try_count_rules_sharded(&st, &rules).unwrap();
-        assert_eq!((st.resident_count(), st.loads()), (0, 2 * n));
+        assert_eq!(st.loads(), 2 * n);
         // A batch shares the fetch — one read per shard, not per rule — and
         // a batch of trivial rules reads nothing.
         let store = TableStore::Sharded(st.clone());
@@ -568,15 +566,12 @@ mod tests {
             hits[0] += rows.len()
         })
         .unwrap();
-        assert_eq!((hits[0], st.resident_count(), st.loads()), (17, 0, 3 * n));
-        // A decoded load enters the cache once; hits hand out the same Arc,
-        // and scans use it in place instead of reading again.
-        let first = st.try_segment(0).unwrap();
-        let again = st.try_segment(0).unwrap();
-        assert!(Arc::ptr_eq(&first, &again));
-        assert_eq!(st.loads(), 3 * n + 1);
-        try_covered_rows_sharded(&st, &rules[0]).unwrap();
-        assert_eq!(st.loads(), 4 * n, "the cached shard was not re-read");
+        assert_eq!((hits[0], st.loads()), (17, 3 * n));
+        assert!((0..st.n_shards()).all(|i| st.resident_segment(i).is_none()));
+        // Resident shards are scanned in place: no load at all.
+        let resident = sharded(&table, 5);
+        try_count_rules_sharded(&resident, &rules).unwrap();
+        assert_eq!(resident.loads(), 0);
     }
 
     #[test]

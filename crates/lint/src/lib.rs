@@ -1,7 +1,7 @@
 //! `sdd-lint` — the workspace determinism & panic-freedom lint pass.
 //!
 //! The smart-drill-down workspace promises bit-identical results for any
-//! thread count, shard count, or residency budget, and
+//! thread count, shard count, or resident-or-spilled shard form, and
 //! panic-free spill I/O. Those promises are invariants of *code shape*,
 //! not of any one test input, so they are enforced statically: a std-only
 //! token scanner ([`lexer`]) feeds a lightweight item walker ([`walker`])

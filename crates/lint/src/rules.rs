@@ -22,7 +22,7 @@ use crate::walker::FileModel;
 use crate::Finding;
 
 /// Crates whose results must be bit-identical for any thread count, shard
-/// count, or residency budget. `bench`/`server`/`cli` are
+/// count, or resident-or-spilled shard form. `bench`/`server`/`cli` are
 /// deliberately outside: timing and host introspection belong there.
 pub const DETERMINISTIC_CRATES: &[&str] = &[
     "crates/core/src/",

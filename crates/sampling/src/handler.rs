@@ -40,7 +40,7 @@
 //! batch's rule columns fetched once per segment, every rule's hits offered
 //! straight into its reservoir) and one gather
 //! ([`TableStore::try_gather_batch`]). Over a spilling store that is at
-//! most two reads per non-resident segment per batch, whatever its size —
+//! most two reads per spilled segment per batch, whatever its size —
 //! and a live sync scans only the segments that overlap the appended range
 //! and gathers only from those that hold a newly drawn row.
 //!

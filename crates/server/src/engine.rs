@@ -156,10 +156,11 @@ impl Engine {
     }
 
     /// Storage-tier counters `(loads, evictions, spills, peak_resident)`
-    /// when the served store is sharded, `None` for a monolithic store —
-    /// the observability hook front-ends and the ingest test suites use to
-    /// verify a served dataset actually exercised the spill tier (counters
-    /// never influence results; the parity suites pin that).
+    /// when the served store is segmented, `None` for a monolithic store
+    /// (see [`TableStore::storage_counters`]) — the observability hook
+    /// front-ends and the ingest test suites use to verify a served dataset
+    /// actually exercised the spill tier (counters never influence results;
+    /// the parity suites pin that).
     pub fn storage_counters(&self) -> Option<(u64, u64, u64, usize)> {
         self.store.storage_counters()
     }

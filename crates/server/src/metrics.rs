@@ -25,7 +25,7 @@
 //! | `sdd_tenant_sessions` | gauge | `tenant` |
 //! | `sdd_tenant_cache_bytes` | gauge | `tenant` |
 //! | `sdd_cache_{hits,misses,inserts,evictions}_total`, `sdd_cache_bytes` | counter/gauge | — |
-//! | `sdd_storage_{loads,evictions,spills}_total`, `sdd_storage_peak_resident` | counter/gauge | — |
+//! | `sdd_storage_{loads,spills}_total` | counter | — (segmented stores only) |
 //! | `sdd_live_epoch`, `sdd_live_rows` | gauge | — (live tables only) |
 //!
 //! This file is panic-free outside tests (lint rule P001): a scrape or a
@@ -321,36 +321,14 @@ impl Metrics {
             }
         }
 
-        if let Some((loads, evictions, spills, peak)) = engine.storage_counters() {
-            for (name, help, kind, value) in [
-                (
-                    "sdd_storage_loads_total",
-                    "Shard segment loads.",
-                    "counter",
-                    loads,
-                ),
-                (
-                    "sdd_storage_evictions_total",
-                    "Shard evictions.",
-                    "counter",
-                    evictions,
-                ),
-                (
-                    "sdd_storage_spills_total",
-                    "Shard spill writes.",
-                    "counter",
-                    spills,
-                ),
-                (
-                    "sdd_storage_peak_resident",
-                    "Peak resident shards.",
-                    "gauge",
-                    peak as u64,
-                ),
+        if let Some((loads, _, spills, _)) = engine.storage_counters() {
+            for (name, help, value) in [
+                ("sdd_storage_loads_total", "Spilled shard reads.", loads),
+                ("sdd_storage_spills_total", "Shard spill writes.", spills),
             ] {
                 let _ = writeln!(
                     out,
-                    "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {value}"
+                    "# HELP {name} {help}\n# TYPE {name} counter\n{name} {value}"
                 );
             }
         }

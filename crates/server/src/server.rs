@@ -91,8 +91,8 @@ impl Server {
     }
 
     /// [`Server::bind`] over any [`TableStore`] — the entry point for
-    /// serving a sharded table whose segments spill to disk (`sdd serve
-    /// --shards N --resident M`), so the served dataset can exceed RAM.
+    /// serving a sharded table whose shards are spilled to disk (`sdd serve
+    /// --shards N --spill DIR`), so the served dataset can exceed RAM.
     pub fn bind_store(
         store: TableStore,
         config: ServerConfig,

@@ -14,7 +14,7 @@ fn spilling_engine() -> (Engine, Arc<ShardedTable>) {
 fn spilling_engine_with(config: EngineConfig) -> (Engine, Arc<ShardedTable>) {
     let table = sdd_datagen::retail(42);
     let st = Arc::new(
-        ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, std::env::temp_dir()))
+        ShardedTable::from_table(&table, &ShardConfig::spilling(4, 0, std::env::temp_dir()))
             .unwrap(),
     );
     (
@@ -44,15 +44,11 @@ fn truncated_spill_file_yields_error_response_not_crash() {
     let (engine, st) = spilling_engine();
     assert!(matches!(open(&engine, "s"), Response::Opened { .. }));
 
-    // Damage a spilled shard behind the engine's back (shard 0 may be the
-    // resident one, so pick the last — with budget 1 it is spilled out
-    // after construction... unless it was just written; damage a shard
-    // that is definitely not resident by checking the spill path exists).
+    // Damage a spilled shard behind the engine's back; nothing keeps it
+    // decoded, so the next scan reads the damaged file.
     let path = st.spill_path(0).unwrap().to_path_buf();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..16]).unwrap();
-    // Drop any cached copy so the next scan must hit the damaged file.
-    st.evict_all();
 
     // The expansion needs a Create scan over every shard → error response.
     let (resp, _) = engine.handle(&Request::Expand {
@@ -86,6 +82,48 @@ fn truncated_spill_file_yields_error_response_not_crash() {
         session: "s".to_owned(),
         path: vec![],
     });
+    assert!(
+        matches!(resp, Response::Expanded { .. }),
+        "session must recover once the file is intact: {resp:?}"
+    );
+}
+
+/// A remap entry naming a global code the dictionary does not hold reads
+/// back as corrupt, so the root expansion — whose gather decodes it —
+/// answers an error response instead of indexing a per-value count array
+/// out of bounds in the search that follows.
+#[test]
+fn a_damaged_remap_entry_yields_error_response_not_crash() {
+    let (engine, st) = spilling_engine();
+    assert!(matches!(open(&engine, "s"), Response::Opened { .. }));
+    // Column 0's first remap entry (header: 16 bytes, then u64 column
+    // offsets; blob: u32 remap length, then the remap).
+    let path = st.spill_path(0).unwrap().to_path_buf();
+    let intact = std::fs::read(&path).unwrap();
+    let at = u64::from_le_bytes(intact[16..24].try_into().unwrap()) as usize + 4;
+    let mut damaged = intact.clone();
+    damaged[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+    std::fs::write(&path, &damaged).unwrap();
+
+    let expand = || {
+        engine
+            .handle(&Request::Expand {
+                session: "s".to_owned(),
+                path: vec![],
+            })
+            .0
+    };
+    match expand() {
+        Response::Error { message } => assert!(
+            message.contains("global code out of range"),
+            "expected the damaged remap to read as corrupt, got: {message}"
+        ),
+        other => panic!("expected an error response, got {other:?}"),
+    }
+    assert!(matches!(engine.handle(&Request::Ping).0, Response::Pong));
+
+    std::fs::write(&path, &intact).unwrap();
+    let resp = expand();
     assert!(
         matches!(resp, Response::Expanded { .. }),
         "session must recover once the file is intact: {resp:?}"
@@ -126,7 +164,6 @@ fn inline_prefetch_over_truncated_spill_file_is_an_error_response() {
     let path = st.spill_path(2).unwrap().to_path_buf();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..16]).unwrap();
-    st.evict_all();
 
     // The root's prefetch stored this child's sample: the drill-down is
     // served from memory, and only its own inline prefetch touches disk.
@@ -164,7 +201,7 @@ fn a_faulted_prefetch_batch_changes_nothing_and_retries_cleanly() {
 
     let table = sdd_datagen::retail(42);
     let st = Arc::new(
-        ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, std::env::temp_dir()))
+        ShardedTable::from_table(&table, &ShardConfig::spilling(4, 0, std::env::temp_dir()))
             .unwrap(),
     );
     let handler = || {
@@ -227,7 +264,6 @@ fn a_faulted_prefetch_batch_changes_nothing_and_retries_cleanly() {
         let mut h = handler();
         let (samples, stats) = (h.stored_samples(), h.stats);
         std::fs::write(&path, &fault).unwrap();
-        st.evict_all();
         let err = h.try_prefetch(&trivial, &entries).unwrap_err();
         assert!(
             matches!(err, sdd_table::TableError::Corrupt(_)),
@@ -258,7 +294,7 @@ fn a_faulted_sync_changes_nothing_and_retries_cleanly() {
     let rows: Vec<Vec<&str>> = (0..4_700u32)
         .map(|r| (0..3).map(|c| table.value(r, c)).collect())
         .collect();
-    let cfg = LiveTableConfig::spilling(500, 1, std::env::temp_dir());
+    let cfg = LiveTableConfig::spilling(500, std::env::temp_dir());
     let live = Arc::new(LiveTable::new(table.schema().clone(), vec![], &cfg).unwrap());
     live.try_append(&rows[..3_200], &[]).unwrap();
     let handler = || {
@@ -341,7 +377,6 @@ fn refresh_surfaces_spill_errors_as_responses() {
     let path = st.spill_path(1).unwrap().to_path_buf();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, b"SDDSHRD2garbage").unwrap();
-    st.evict_all();
 
     let (resp, _) = engine.handle(&Request::Refresh {
         session: "s".to_owned(),
@@ -370,12 +405,7 @@ fn deferred_refresh_fault_during_append_is_an_error_response() {
     std::fs::create_dir_all(&dir).unwrap();
     let schema = Schema::new(["Store", "Product"]).unwrap();
     let live = Arc::new(
-        LiveTable::new(
-            schema,
-            vec![],
-            &LiveTableConfig::spilling(16, 1, dir.clone()),
-        )
-        .unwrap(),
+        LiveTable::new(schema, vec![], &LiveTableConfig::spilling(16, dir.clone())).unwrap(),
     );
     let engine = Engine::with_store(
         TableStore::from(live.clone()),
@@ -420,7 +450,6 @@ fn deferred_refresh_fault_during_append_is_an_error_response() {
         .expect("a sealed segment must have spilled");
     let bytes = std::fs::read(&damaged).unwrap();
     std::fs::write(&damaged, &bytes[..8]).unwrap();
-    snap.table.evict_all();
 
     // The worker tick swallows the fault (best-effort, refresh stays
     // scheduled); the session's next operation surfaces it as a response.

@@ -22,13 +22,13 @@
 //! * [`csv`] — a small self-contained CSV reader/writer,
 //! * [`bucketize`] — equi-width / equi-depth bucketization of numeric data,
 //! * [`shard`] — the larger-than-memory tier: [`ShardedTable`] partitions
-//!   rows into fixed columnar shard segments (optionally spilled to disk
-//!   under a resident-shard budget with LRU eviction), [`ShardBuilder`]
-//!   streams rows in without materializing
-//!   the monolithic table, and [`TableStore`] lets the session
-//!   stack hold either storage form behind one handle. The shard layout and
-//!   spill round-trip are deterministic, so sharded scans reproduce the
-//!   monolithic results bit-for-bit (see the module docs for the contract).
+//!   rows into fixed columnar shards, each resident (a decoded segment) or
+//!   spilled (a file on disk, read on demand and never kept decoded),
+//!   [`ShardBuilder`] streams rows in without materializing the monolithic
+//!   table, and [`TableStore`] lets the session stack hold either storage
+//!   form behind one handle. The shard layout and spill round-trip are
+//!   deterministic, so sharded scans reproduce the monolithic results
+//!   bit-for-bit (see the module docs for the contract).
 //!
 //! Everything is deterministic; "disk scans" in the sampling layer are
 //! modelled as full passes over a [`Table`] (or, in the sharded tier, real

@@ -3,44 +3,39 @@
 //! A [`ShardedTable`] partitions a table's rows into **fixed, deterministic
 //! contiguous segments** (the shard *layout* is [`chunk_spans`] of the row
 //! count and shard count — a pure function of both, never of machine or
-//! thread count). Each shard holds its own dictionary-coded column slices:
+//! thread count). Each shard is, for the table's whole life, **resident or
+//! spilled**:
 //!
-//! * **resident form** — a [`ShardSegment`]: a small [`Table`] whose columns
+//! * **resident** — a [`ShardSegment`]: a small [`Table`] whose columns
 //!   are the shard's rows in the **global** code space (codes identical to
 //!   the monolithic table's), so any scan over a segment performs exactly
-//!   the operations the same rows would produce in the monolithic table;
-//! * **spill form** — an optional on-disk file per shard, written once at
-//!   construction. The spill format (`SDDSHRD2`) is local-dictionary coded:
+//!   the operations the same rows would produce in the monolithic table.
+//!   Every shard of a table built without a spill directory is resident, as
+//!   are a live table's unsealed tail and, without a spill directory, its
+//!   sealed segments;
+//! * **spilled** — a file on disk, written once at construction and read
+//!   on demand. The spill format (`SDDSHRD2`) is local-dictionary coded:
 //!   per column a `remap` array lists the global codes in first-appearance
 //!   order within the shard, and the rows store local codes at the
 //!   narrowest byte width (1/2/4) that fits the shard-local cardinality; a
 //!   per-column offset table in the header lets readers fetch individual
-//!   columns with positioned range reads. Loading remaps local → global, so
-//!   a spill → load round-trip reproduces the resident segment bit-for-bit.
+//!   columns with positioned range reads. Decoding remaps local → global,
+//!   so a spill → decode round-trip reproduces the segment bit-for-bit.
 //!   The spill coding is also directly scannable **without** decoding:
 //!   [`ShardedTable::read_columns`] range-reads individual columns as
 //!   [`RawColumn`]s (`remap` + packed [`LocalCodes`]), and `sdd-core`'s
 //!   pushdown scans translate predicates into local code space and run
-//!   over the packed bytes. It is the **one** spill reader: a segment load
-//!   and a gather read every column through it. Each read validates the
-//!   header and checks the file length against the offset table before
+//!   over the packed bytes. It is the **one** spill reader: a segment
+//!   decode and a gather read every column through it. Each read validates
+//!   the header and checks the file length against the offset table before
 //!   reading a blob, so every buffer is sized from validated offsets and a
 //!   read allocates what the format allows, never what the file holds.
 //!
-//! Residency is governed by a **resident-shard budget**: at most that many
-//! segments are cached at once (segments are immutable, so eviction can
-//! never change a result — a reload decodes identical bytes). A full cache
-//! evicts its least-recently-used unpinned segment. LRU's one bad access
-//! pattern, a cyclic index-order sweep, is avoided by the readers rather
-//! than by a second policy: scans and gathers use a resident segment in
-//! place and read any other transiently ([`ShardedTable::read_columns`],
-//! [`ShardedTable::try_gather_batch`]), so only
-//! [`ShardedTable::try_segment`] ever fills the cache. Callers
-//! hold segments by `Arc`; a held segment is **pinned** — it stays in the
-//! cache, counts against the budget, and is never evicted, so the resident
-//! count honestly tracks decoded-segment memory
-//! (`resident_count ≤ budget + pinned`, never budget + unbounded in-flight
-//! copies).
+//! A read of a spilled shard is **transient**: scans and gathers drop what
+//! they read, and [`ShardedTable::try_segment`] decodes a fresh segment on
+//! every call and hands it over. No spilled shard is ever decoded and kept,
+//! so a spilling table holds its header, its measure columns and its
+//! resident shards — nothing that grows with use.
 //!
 //! Construction comes in two forms: [`ShardedTable::from_table`] slices an
 //! already-materialized [`Table`], and [`ShardBuilder`] **streams** rows in
@@ -55,9 +50,8 @@
 //! in index order visits rows in exactly the monolithic row order. The
 //! segment scans in `sdd-core` exploit this: per-shard hit lists
 //! concatenate and per-shard integer counts add up to exactly the
-//! monolithic result, for **any** shard count and **any** resident budget.
-//! Eviction and reload affect only *when* bytes are in memory, never which
-//! bytes.
+//! monolithic result, for **any** shard count, resident or spilled: a
+//! spilled shard decodes to exactly the resident segment's bytes.
 //!
 //! Measure columns stay fully resident inside the [`ShardedTable`] (8 bytes
 //! per row per measure); only the dictionary-coded categorical columns
@@ -78,11 +72,8 @@ pub struct ShardConfig {
     /// Number of shards (clamped to ≥ 1; also clamped to the row count by
     /// the layout, which never creates empty shards for non-empty tables).
     pub shards: usize,
-    /// Resident-shard budget: at most this many segments cached in memory.
-    /// `0` means unlimited (everything stays resident and no spill files
-    /// are ever read back). A non-zero budget requires `spill_dir`.
-    pub resident: usize,
-    /// Directory for spill files. Each `ShardedTable` creates a unique
+    /// Directory for spill files: `Some` spills every shard, `None` keeps
+    /// every shard resident. Each `ShardedTable` creates a unique
     /// subdirectory inside it and removes that subdirectory on drop.
     pub spill_dir: Option<PathBuf>,
 }
@@ -92,17 +83,16 @@ impl ShardConfig {
     pub fn in_memory(shards: usize) -> Self {
         Self {
             shards,
-            resident: 0,
             spill_dir: None,
         }
     }
 
-    /// A spilling layout: `shards` shards, at most `resident` of them in
-    /// memory, spill files under `dir`.
-    pub fn spilling(shards: usize, resident: usize, dir: impl Into<PathBuf>) -> Self {
+    /// A spilling layout: `shards` shards, every one spilled under `dir`.
+    /// The middle argument is ignored; the repository benchmark still
+    /// passes it (drop it with ROADMAP item 1(d)).
+    pub fn spilling(shards: usize, _ignored: usize, dir: impl Into<PathBuf>) -> Self {
         Self {
             shards,
-            resident: resident.max(1),
             spill_dir: Some(dir.into()),
         }
     }
@@ -112,24 +102,16 @@ impl ShardConfig {
 /// **global** code space (same codes as the monolithic table), plus the
 /// global row span it covers.
 ///
-/// A decoded or sliced segment owns its table and shares its
-/// [`ShardedTable`]'s dictionary handles. A live table's sealed segment is
-/// built once, when it seals, and every later snapshot's segment holds that
-/// one table: its handles are the seal epoch's — a prefix of every later
-/// epoch's dictionaries that covers every code in the segment — so read
-/// codes from a segment and metadata from [`ShardedTable::header`].
+/// A segment shares its [`ShardedTable`]'s dictionary handles. A live
+/// table's sealed segment is built once, when it seals, and every later
+/// snapshot holds that one segment: its handles are the seal epoch's — a
+/// prefix of every later epoch's dictionaries that covers every code in the
+/// segment — so read codes from a segment and metadata from
+/// [`ShardedTable::header`].
 #[derive(Debug)]
 pub struct ShardSegment {
     span: Range<usize>,
-    table: SegmentTable,
-}
-
-/// Where a segment's table lives. Sharing sits *below* the per-table
-/// `Arc<ShardSegment>`, whose strong count still means "a scan holds it".
-#[derive(Debug)]
-enum SegmentTable {
-    Owned(Table),
-    Sealed(Arc<Table>),
+    table: Table,
 }
 
 impl ShardSegment {
@@ -141,10 +123,7 @@ impl ShardSegment {
     /// The segment's rows as a table (row `i` is global row
     /// `span().start + i`).
     pub fn table(&self) -> &Table {
-        match &self.table {
-            SegmentTable::Owned(table) => table,
-            SegmentTable::Sealed(table) => table,
-        }
+        &self.table
     }
 
     /// The shard-local column slice of column `c`, in global codes.
@@ -249,92 +228,13 @@ impl RawColumn {
     }
 }
 
-#[derive(Debug)]
-struct CacheEntry {
-    seg: Arc<ShardSegment>,
-    last_used: u64,
-}
-
-impl CacheEntry {
-    /// Pinned while any caller still holds the segment's `Arc` (the cache's
-    /// own reference is the baseline count of 1).
-    fn is_pinned(&self) -> bool {
-        Arc::strong_count(&self.seg) > 1
-    }
-}
-
-#[derive(Debug, Default)]
-struct Cache {
-    resident: FxHashMap<usize, CacheEntry>,
-    clock: u64,
-    loads: u64,
-    evictions: u64,
-    /// Segments encoded to disk (once per shard at build time; a segment is
-    /// never re-written).
-    spills: u64,
-    /// High-water mark of `resident.len()` — the honest "how many decoded
-    /// segments were ever in memory at once" gauge the memory-bound ingest
-    /// test asserts on.
-    peak_resident: usize,
-}
-
-impl Cache {
-    fn note_size(&mut self) {
-        self.peak_resident = self.peak_resident.max(self.resident.len());
-    }
-
-    /// Makes `seg` shard `i`'s resident segment, most recently used.
-    fn insert_resident(&mut self, i: usize, seg: Arc<ShardSegment>) {
-        self.clock += 1;
-        let last_used = self.clock;
-        self.resident.insert(i, CacheEntry { seg, last_used });
-        self.note_size();
-    }
-
-    /// Evicts unpinned segments until the budget is met. Evicting a pinned
-    /// entry would drop the map entry but not the bytes, so the resident
-    /// counter would undercount true memory use — instead pinned segments
-    /// stay in the map and count against the budget, and the cache only
-    /// overshoots by the number of concurrently pinned segments
-    /// (`resident.len() ≤ budget + pinned`).
-    ///
-    /// Only segments with a spill file (`spill[i].is_some()`) are eviction
-    /// candidates: a spill-less resident segment — a live table's unsealed
-    /// tail, or any fully-resident layout — could never be reloaded, so
-    /// evicting it would lose rows, not memory.
-    fn evict_over_budget(&mut self, budget: usize, spill: &[Option<Arc<SpillFile>>]) {
-        if budget == 0 {
-            return;
-        }
-        while self.resident.len() > budget {
-            let victim = self
-                .resident
-                .iter()
-                .filter(|(&k, e)| spill[k].is_some() && !e.is_pinned())
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(&k, _)| k);
-            match victim {
-                Some(k) => {
-                    self.resident.remove(&k);
-                    self.evictions += 1;
-                }
-                // Everything over budget is pinned by in-flight scans or
-                // not reloadable; the overshoot is bounded by those counts.
-                None => break,
-            }
-        }
-    }
-}
-
-/// A resident budget evicts, and only a spilled segment can be reloaded.
-fn require_spill_dir(resident: usize, spill_dir: &Option<PathBuf>) -> io::Result<()> {
-    if resident > 0 && spill_dir.is_none() {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "a resident-shard budget requires a spill directory",
-        ));
-    }
-    Ok(())
+/// One shard, in the form it keeps for its table's whole life.
+#[derive(Debug, Clone)]
+enum Shard {
+    /// Decoded in memory, scanned and gathered in place.
+    Resident(Arc<ShardSegment>),
+    /// On disk, read on demand and never kept decoded.
+    Spilled(Arc<SpillFile>),
 }
 
 /// Measure names must differ from every categorical column and each other.
@@ -398,22 +298,18 @@ pub struct ShardedTable {
     header: Arc<Table>,
     measures: Vec<(String, Vec<f64>)>,
     spans: Vec<Range<usize>>,
-    spill: Vec<Option<Arc<SpillFile>>>,
+    /// One per span, fixed at build.
+    shards: Vec<Shard>,
     spill_root: Option<Arc<SpillRoot>>,
-    resident_budget: usize,
-    cache: Mutex<Cache>,
+    /// Spill reads since construction.
+    loads: AtomicU64,
 }
 
 impl ShardedTable {
-    /// Partitions `table` according to `config`.
-    ///
-    /// With a spill directory, every shard is encoded to disk immediately
-    /// and the cache starts **cold** (the first access to each shard pays a
-    /// load), which keeps the resident budget honest from the first scan.
-    /// Without one, `config.resident` must be `0` (nothing could be evicted)
-    /// and all segments stay resident.
+    /// Partitions `table` according to `config`: with a spill directory
+    /// every shard is encoded to disk at once and spilled, without one every
+    /// shard is resident.
     pub fn from_table(table: &Table, config: &ShardConfig) -> io::Result<ShardedTable> {
-        require_spill_dir(config.resident, &config.spill_dir)?;
         let spans = chunk_spans(table.n_rows(), config.shards.max(1));
         let header = Arc::new(table.header_only());
         let measures: Vec<(String, Vec<f64>)> = table
@@ -433,29 +329,27 @@ impl ShardedTable {
             .map(make_spill_root)
             .transpose()?;
 
-        let mut spill: Vec<Option<Arc<SpillFile>>> = vec![None; spans.len()];
-        let mut cache = Cache::default();
-        for (i, span) in spans.iter().enumerate() {
-            let cols: Vec<Vec<u32>> = (0..table.n_columns())
-                .map(|c| table.column(c)[span.clone()].to_vec())
-                .collect();
-            if let Some(root) = &spill_root {
-                spill[i] = Some(spill_segment(root, i, &cols, span.len())?);
-                cache.spills += 1;
-                // Cold cache: segments are rebuilt from spill on first use.
-            } else {
-                cache.insert_resident(i, segment(&header, &measures, span, cols));
-            }
-        }
+        let shards = spans
+            .iter()
+            .enumerate()
+            .map(|(i, span)| {
+                let cols: Vec<Vec<u32>> = (0..table.n_columns())
+                    .map(|c| table.column(c)[span.clone()].to_vec())
+                    .collect();
+                Ok(match &spill_root {
+                    Some(root) => Shard::Spilled(spill_segment(root, i, &cols, span.len())?),
+                    None => Shard::Resident(segment(&header, &measures, span, cols)),
+                })
+            })
+            .collect::<io::Result<_>>()?;
 
         Ok(ShardedTable {
             header,
             measures,
             spans,
-            spill,
+            shards,
             spill_root,
-            resident_budget: config.resident,
-            cache: Mutex::new(cache),
+            loads: AtomicU64::new(0),
         })
     }
 
@@ -515,79 +409,38 @@ impl ShardedTable {
         Ok(self.spans.partition_point(|s| s.end <= row))
     }
 
-    /// Shard `i`'s span and spill file (`None` when it does not spill).
+    /// Shard `i`.
     ///
     /// # Errors
     ///
     /// [`TableError::ShardOutOfRange`] for `i >= n_shards()`.
-    fn shard(&self, i: usize) -> Result<(Range<usize>, Option<&SpillFile>), TableError> {
-        match (self.spans.get(i), self.spill.get(i)) {
-            (Some(span), Some(file)) => Ok((span.clone(), file.as_deref())),
-            _ => Err(TableError::ShardOutOfRange {
-                shard: i,
-                n_shards: self.n_shards(),
-            }),
-        }
+    fn shard(&self, i: usize) -> Result<&Shard, TableError> {
+        self.shards.get(i).ok_or(TableError::ShardOutOfRange {
+            shard: i,
+            n_shards: self.n_shards(),
+        })
     }
 
-    /// Locks the residency cache, tolerating a poisoned lock: the cache is
-    /// bookkeeping (clock, counters, resident map) mutated in small
-    /// always-consistent steps, so a peer that panicked while holding the
-    /// lock cannot have left it torn — continuing is strictly better than
-    /// cascading the panic into spill-I/O paths that promise not to.
-    fn cache(&self) -> std::sync::MutexGuard<'_, Cache> {
-        self.cache.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// The segment for shard `i` in decoded (global-code) form, loading it
-    /// from its spill file on a miss.
-    ///
-    /// The cache lock is **not** held across the disk read or the
-    /// local→global decode: a cache hit on one shard never waits behind
-    /// another thread's in-flight load. Two threads missing the same shard
-    /// may both read the file — segments are immutable, so the loser's copy
-    /// is simply dropped (both reads count in [`ShardedTable::loads`]).
+    /// The segment for shard `i` in decoded (global-code) form: the resident
+    /// segment itself, or a spilled shard decoded from its file — a fresh
+    /// copy on every call, counted in [`ShardedTable::loads`] and never
+    /// kept, so it lives exactly as long as the caller holds it.
     ///
     /// # Errors
     ///
     /// [`TableError::Corrupt`] when the spill file fails validation (bad
     /// magic, shape mismatch, bad offsets, a length other than the offset
-    /// table's, a bad width, an out-of-range local code, trailing bytes),
-    /// [`TableError::Io`] when reading it fails,
+    /// table's, a bad width, an out-of-range local or global code, trailing
+    /// bytes), [`TableError::Io`] when reading it fails,
     /// [`TableError::ShardOutOfRange`] for `i >= n_shards()`.
     pub fn try_segment(&self, i: usize) -> Result<Arc<ShardSegment>, TableError> {
-        if let Some(seg) = self.cached_data(i) {
-            return Ok(seg);
+        match self.shard(i)? {
+            Shard::Resident(seg) => Ok(Arc::clone(seg)),
+            Shard::Spilled(_) => {
+                let cols = globalize(&self.read_raw(i)?);
+                Ok(segment(&self.header, &self.measures, &self.spans[i], cols))
+            }
         }
-        // Miss: read + decode outside the lock.
-        let cols = globalize(&self.read_raw(i)?);
-        let seg = segment(&self.header, &self.measures, &self.spans[i], cols);
-
-        let mut cache = self.cache();
-        cache.clock += 1;
-        let clock = cache.clock;
-        let seg = match cache.resident.get_mut(&i) {
-            // A concurrent loader won the race; keep its copy (ours drops).
-            Some(entry) => {
-                entry.last_used = clock;
-                Arc::clone(&entry.seg)
-            }
-            None => {
-                cache.resident.insert(
-                    i,
-                    CacheEntry {
-                        seg: Arc::clone(&seg),
-                        last_used: clock,
-                    },
-                );
-                seg
-            }
-        };
-        cache.note_size();
-        // The caller's `seg` clone pins shard `i` (strong count ≥ 2), so the
-        // eviction pass can never drop the segment being returned.
-        cache.evict_over_budget(self.resident_budget, &self.spill);
-        Ok(seg)
     }
 
     /// Reads shard `i`'s whole spill file in its on-disk coding: a
@@ -596,53 +449,39 @@ impl ShardedTable {
         self.read_columns(i, &(0..self.n_columns()).collect::<Vec<_>>())
     }
 
-    /// The shard's cached segment, or `None` on a miss — never touches
-    /// disk. Lets a scan use what is already resident before deciding how
-    /// to read ([`ShardedTable::read_columns`] for a few columns,
-    /// [`ShardedTable::try_segment`] for the whole shard).
-    pub fn cached_data(&self, i: usize) -> Option<Arc<ShardSegment>> {
-        let mut cache = self.cache();
-        cache.clock += 1;
-        let clock = cache.clock;
-        let entry = cache.resident.get_mut(&i)?;
-        entry.last_used = clock;
-        let seg = Arc::clone(&entry.seg);
-        // Hits reclaim too: a burst of concurrent pins can grow the cache
-        // past the budget, and the released segments would otherwise linger
-        // as permanent hits (the budget never re-honored, eviction never
-        // firing again). The clone above pins `i`, so the pass cannot drop
-        // the returned segment.
-        cache.evict_over_budget(self.resident_budget, &self.spill);
-        Some(seg)
+    /// Shard `i`'s segment when it is resident, `None` when it is spilled
+    /// (or past the last shard) — a lookup, never I/O. Lets a scan use a
+    /// resident segment in place before deciding how to read a spilled one
+    /// ([`ShardedTable::read_columns`]).
+    pub fn resident_segment(&self, i: usize) -> Option<&Arc<ShardSegment>> {
+        match self.shards.get(i)? {
+            Shard::Resident(seg) => Some(seg),
+            Shard::Spilled(_) => None,
+        }
     }
 
-    /// Range-reads **only** `cols` of shard `i`'s spill file (one `pread`
-    /// per column via the file's offset table, each buffer sized from the
-    /// validated offsets) and returns them in request order. Segment loads
+    /// Range-reads **only** `cols` of spilled shard `i` (one `pread` per
+    /// column via the file's offset table, each buffer sized from the
+    /// validated offsets) and returns them in request order. Segment decodes
     /// and gathers are this read of every column. The result is
-    /// *transient*: it is never inserted into the residency cache, so a
-    /// covered-rows scan that needs two of fifty columns neither decodes
-    /// the other forty-eight nor disturbs what is resident. Counts as a
-    /// load in [`ShardedTable::loads`].
-    ///
-    /// Callers should prefer [`ShardedTable::cached_data`] first; this is
-    /// the miss path for scans that touch few columns.
+    /// *transient*, so a covered-rows scan that needs two of fifty columns
+    /// neither reads nor decodes the other forty-eight. Counts as a load in
+    /// [`ShardedTable::loads`].
     ///
     /// # Errors
     ///
     /// As [`ShardedTable::try_segment`]; additionally [`TableError::Io`]
-    /// when the table does not spill (fully-resident tables always hit
-    /// `cached_data`, so a miss here means the caller skipped it).
+    /// for a resident shard, which has no file (scans ask
+    /// [`ShardedTable::resident_segment`] first).
     pub fn read_columns(&self, i: usize, cols: &[usize]) -> Result<Vec<RawColumn>, TableError> {
-        let (span, file) = self.shard(i)?;
-        let Some(path) = file else {
-            debug_assert!(false, "read_columns on a non-spilling table");
+        let Shard::Spilled(file) = self.shard(i)? else {
+            debug_assert!(false, "read_columns on a resident shard");
             return Err(TableError::Io(format!(
-                "shard {i} has no spill file to range-read; use cached_data first"
+                "shard {i} is resident: it has no spill file to range-read"
             )));
         };
-        let out = read_spill_columns(path.path(), cols, self.n_columns(), span.len())?;
-        self.cache().loads += 1;
+        let out = read_spill_columns(file.path(), cols, &self.header, self.spans[i].len())?;
+        self.loads.fetch_add(1, Ordering::Relaxed);
         Ok(out)
     }
 
@@ -665,13 +504,12 @@ impl ShardedTable {
     /// whole batch**.
     ///
     /// Output positions are bucketed by shard, whatever order the rows
-    /// arrive in (reservoir samples are scrambled). A shard that is resident
-    /// is copied from in place; any other is read **transiently** in its
+    /// arrive in (reservoir samples are scrambled). A resident shard is
+    /// copied from in place; a spilled one is read **transiently** in its
     /// spill coding, fully validated, and only the picked rows are
-    /// translated through `remap` — no segment is decoded, nothing enters
-    /// or leaves the residency cache, and at most one segment is pinned at
-    /// a time. A gather therefore costs one load per touched non-resident
-    /// shard however many samples share it.
+    /// translated through `remap` — no segment is decoded, and at most one
+    /// shard's read is held at a time. A gather therefore costs one load per
+    /// touched spilled shard however many samples share it.
     ///
     /// # Errors
     ///
@@ -706,7 +544,7 @@ impl ShardedTable {
             if picks.is_empty() {
                 continue;
             }
-            match self.cached_data(shard) {
+            match self.resident_segment(shard) {
                 Some(seg) => {
                     for (c, codes) in (0..n_cols).map(|c| (c, seg.col(c))) {
                         for p in picks {
@@ -747,87 +585,41 @@ impl ShardedTable {
             .collect())
     }
 
-    /// Number of segments currently resident in the cache.
-    pub fn resident_count(&self) -> usize {
-        self.cache().resident.len()
-    }
-
-    /// Cumulative spill-file loads (cache misses) since construction.
+    /// Spill reads since construction: one per [`ShardedTable::read_columns`],
+    /// so one per spilled shard a scan, gather or segment decode visits.
     pub fn loads(&self) -> u64 {
-        self.cache().loads
+        self.loads.load(Ordering::Relaxed)
     }
 
-    /// Cumulative evictions since construction.
+    /// Always `0`: nothing is cached, so nothing is evicted. Kept only for
+    /// the repository benchmark; delete it with ROADMAP item 1(d).
     pub fn evictions(&self) -> u64 {
-        self.cache().evictions
+        0
     }
 
-    /// Cumulative segments encoded to disk (exactly once per shard for a
-    /// spilling table; `0` for a fully-resident one). A streaming build
-    /// that truly streams writes each segment once and never rewrites —
-    /// `spills() == n_shards()` with `loads() == 0` until the first scan.
+    /// Segments encoded to disk: the spilled shards, each written exactly
+    /// once (`0` for a fully-resident table). A streaming build writes each
+    /// segment as it seals and never reads it back — `spills() ==
+    /// n_shards()` with `loads() == 0` until the first scan.
     pub fn spills(&self) -> u64 {
-        self.cache().spills
+        self.shards
+            .iter()
+            .filter(|s| matches!(s, Shard::Spilled(_)))
+            .count() as u64
     }
 
-    /// High-water mark of simultaneously resident (decoded) segments.
+    /// The number of resident segments. Kept only for the repository
+    /// benchmark's `table.peak_resident`; delete it with ROADMAP item 1(d).
     pub fn peak_resident(&self) -> usize {
-        self.cache().peak_resident
+        self.n_shards() - self.spills() as usize
     }
 
-    /// Number of resident segments currently pinned by in-flight scans
-    /// (callers still holding the segment `Arc`). Pinned segments count
-    /// against the resident budget and are never evicted, so
-    /// `resident_count() ≤ resident_budget + pinned()` at all times.
-    pub fn pinned(&self) -> usize {
-        self.cache()
-            .resident
-            .values()
-            .filter(|e| e.is_pinned())
-            .count()
-    }
-
-    /// `(resident segments, pinned segments)` observed under **one** cache
-    /// lock acquisition — the atomic snapshot concurrency tests assert the
-    /// budget invariant on: `resident ≤ resident_budget + pinned`.
-    ///
-    /// The call runs an eviction pass (eviction otherwise only runs on
-    /// segment access, so unpinned over-budget entries whose pins were just
-    /// released may linger until the next touch) and then counts pins —
-    /// repeating until the two passes agree, because a scan thread can drop
-    /// its segment `Arc` *between* them without taking the cache lock
-    /// (un-pinning an entry the eviction pass had just spared). New pins on
-    /// cached entries require this lock, so each retry can only observe
-    /// fewer pinned entries and evicts at least one of them: the loop
-    /// terminates, and every returned snapshot satisfies the invariant.
-    /// Sampling [`ShardedTable::resident_count`] and
-    /// [`ShardedTable::pinned`] separately instead could race a concurrent
-    /// pin release between the two reads.
-    pub fn resident_and_pinned(&self) -> (usize, usize) {
-        let mut cache = self.cache();
-        loop {
-            cache.evict_over_budget(self.resident_budget, &self.spill);
-            // Spill-less entries (a live table's resident tail) can never be
-            // evicted, so they count like pins for the budget invariant.
-            let pinned = cache
-                .resident
-                .iter()
-                .filter(|(&i, e)| e.is_pinned() || self.spill[i].is_none())
-                .count();
-            if self.resident_budget == 0 || cache.resident.len() <= self.resident_budget + pinned {
-                return (cache.resident.len(), pinned);
-            }
-        }
-    }
-
-    /// The configured resident-shard budget (`0` = unlimited).
-    pub fn resident_budget(&self) -> usize {
-        self.resident_budget
-    }
-
-    /// The spill file of shard `i`, if this table spills and has shard `i`.
+    /// The spill file of shard `i`, if shard `i` is spilled.
     pub fn spill_path(&self, i: usize) -> Option<&std::path::Path> {
-        self.spill.get(i)?.as_ref().map(|f| f.path())
+        match self.shards.get(i)? {
+            Shard::Spilled(file) => Some(file.path()),
+            Shard::Resident(_) => None,
+        }
     }
 
     /// The spill directory this table keeps alive, if any. Spill files are
@@ -838,22 +630,9 @@ impl ShardedTable {
         self.spill_root.as_deref().map(|r| r.dir.as_path())
     }
 
-    /// Drops every cached segment that can be reloaded from its spill file
-    /// and is not pinned by an in-flight scan. Memory-pressure relief for
-    /// embedders and fault-injection hook for tests; the next access to a
-    /// dropped shard pays one spill read.
-    pub fn evict_all(&self) {
-        let mut cache = self.cache();
-        let mut dropped = 0u64;
-        cache.resident.retain(|&i, e| {
-            let keep = self.spill[i].is_none() || e.is_pinned();
-            if !keep {
-                dropped += 1;
-            }
-            keep
-        });
-        cache.evictions += dropped;
-    }
+    /// Does nothing: no spilled shard is kept decoded. Kept only for the
+    /// repository benchmark; delete it with ROADMAP item 1(d).
+    pub fn evict_all(&self) {}
 }
 
 /// Creates the unique spill subdirectory for one table or builder.
@@ -917,8 +696,9 @@ fn spill_segment(
 /// have, producing identical codes, identical segment columns, and — since
 /// the spill encoder is a pure function of a segment's global codes —
 /// byte-identical spill files. The cross-shard parity suite pins this for
-/// every shard count and budget: a stream-built table is indistinguishable
-/// from a materialize-then-shard build in every drill-down transcript.
+/// every shard count, resident or spilled: a stream-built table is
+/// indistinguishable from a materialize-then-shard build in every
+/// drill-down transcript.
 ///
 /// [`TableBuilder`]: crate::TableBuilder
 #[derive(Debug)]
@@ -929,17 +709,22 @@ pub struct ShardBuilder {
     measure_vals: Vec<Vec<f64>>,
     spans: Vec<Range<usize>>,
     total_rows: usize,
-    resident_budget: usize,
     spill_root: Option<Arc<SpillRoot>>,
-    spill: Vec<Option<Arc<SpillFile>>>,
-    /// Sealed segment columns, kept only for fully-resident builds (a
-    /// spilling build drops a segment's codes as soon as they hit disk).
-    sealed: Vec<Option<Vec<Vec<u32>>>>,
+    /// The segments sealed so far, in span order.
+    sealed: Vec<Sealed>,
     cur: Vec<Vec<u32>>,
-    cur_shard: usize,
     rows_pushed: usize,
-    spills: u64,
     finished: bool,
+}
+
+/// A segment a [`ShardBuilder`] has sealed.
+#[derive(Debug)]
+enum Sealed {
+    /// Written to disk; a spilling build never retains sealed codes.
+    Spilled(Arc<SpillFile>),
+    /// Held until [`ShardBuilder::finish`] can give it the final
+    /// dictionaries.
+    Codes(Vec<Vec<u32>>),
 }
 
 impl ShardBuilder {
@@ -953,7 +738,6 @@ impl ShardBuilder {
         total_rows: usize,
         config: &ShardConfig,
     ) -> Result<ShardBuilder, TableError> {
-        require_spill_dir(config.resident, &config.spill_dir)?;
         require_distinct_measures(&schema, &measures)?;
         let spans = chunk_spans(total_rows, config.shards.max(1));
         let spill_root = config
@@ -971,17 +755,13 @@ impl ShardBuilder {
                 .map(|_| Vec::with_capacity(total_rows))
                 .collect(),
             measure_names: measures,
-            spill: vec![None; spans.len()],
-            sealed: vec![None; spans.len()],
+            sealed: Vec::with_capacity(spans.len()),
             cur: (0..n_cols).map(|_| Vec::with_capacity(first_len)).collect(),
             spans,
             total_rows,
-            resident_budget: config.resident,
             spill_root,
             schema,
-            cur_shard: 0,
             rows_pushed: 0,
-            spills: 0,
             finished: false,
         })
     }
@@ -998,7 +778,7 @@ impl ShardBuilder {
 
     /// Segments sealed (and, for a spilling build, written to disk) so far.
     pub fn segments_sealed(&self) -> usize {
-        self.cur_shard
+        self.sealed.len()
     }
 
     /// Appends one row: `cats` are the categorical values in schema order,
@@ -1036,7 +816,7 @@ impl ShardBuilder {
             slot.push(v);
         }
         self.rows_pushed += 1;
-        if self.rows_pushed == self.spans[self.cur_shard].end {
+        if self.rows_pushed == self.spans[self.sealed.len()].end {
             self.seal_current()?;
         }
         Ok(())
@@ -1045,7 +825,7 @@ impl ShardBuilder {
     /// Seals the current segment: spills it immediately (spilling build) or
     /// parks its columns for [`ShardBuilder::finish`] (fully resident).
     fn seal_current(&mut self) -> Result<(), TableError> {
-        let i = self.cur_shard;
+        let i = self.sealed.len();
         let span = self.spans[i].clone();
         let next_len = self.spans.get(i + 1).map_or(0, |s| s.len());
         let cols: Vec<Vec<u32>> = self
@@ -1054,14 +834,10 @@ impl ShardBuilder {
             .map(|c| std::mem::replace(c, Vec::with_capacity(next_len)))
             .collect();
         debug_assert!(cols.iter().all(|c| c.len() == span.len()));
-        if let Some(root) = &self.spill_root {
-            self.spill[i] = Some(spill_segment(root, i, &cols, span.len())?);
-            self.spills += 1;
-            // `cols` drops here: a spilling build never retains sealed codes.
-        } else {
-            self.sealed[i] = Some(cols);
-        }
-        self.cur_shard += 1;
+        self.sealed.push(match &self.spill_root {
+            Some(root) => Sealed::Spilled(spill_segment(root, i, &cols, span.len())?),
+            None => Sealed::Codes(cols),
+        });
         Ok(())
     }
 
@@ -1076,8 +852,8 @@ impl ShardBuilder {
         }
         // For an empty table the single `0..0` span never fills via
         // `push_row`; seal it here so the layout matches `from_table`.
-        while self.cur_shard < self.spans.len() {
-            debug_assert!(self.spans[self.cur_shard].is_empty());
+        while self.sealed.len() < self.spans.len() {
+            debug_assert!(self.spans[self.sealed.len()].is_empty());
             self.seal_current()?;
         }
 
@@ -1104,36 +880,26 @@ impl ShardBuilder {
             .zip(std::mem::take(&mut self.measure_vals))
             .collect();
 
-        let mut cache = Cache {
-            spills: self.spills,
-            ..Cache::default()
-        };
-        if self.spill_root.is_none() {
-            // Segment tables can only exist now: they share the *final*
-            // global dictionaries (built online during the stream), so an
-            // early segment sees the same cardinalities as a late one.
-            for (i, span) in self.spans.iter().enumerate() {
-                let Some(cols) = self.sealed[i].take() else {
-                    // Unreachable: push_row/finish seal every span in order
-                    // before this loop runs.
-                    debug_assert!(false, "segment {i} was never sealed");
-                    return Err(TableError::Io(format!(
-                        "internal: segment {i} was never sealed"
-                    )));
-                };
-                cache.insert_resident(i, segment(&header, &measures, span, cols));
-            }
-        }
+        // Resident segments can only exist now: they share the *final*
+        // global dictionaries (built online during the stream), so an early
+        // segment sees the same cardinalities as a late one.
+        let shards = std::mem::take(&mut self.sealed)
+            .into_iter()
+            .zip(&self.spans)
+            .map(|(sealed, span)| match sealed {
+                Sealed::Spilled(file) => Shard::Spilled(file),
+                Sealed::Codes(cols) => Shard::Resident(segment(&header, &measures, span, cols)),
+            })
+            .collect();
 
         self.finished = true;
         Ok(ShardedTable {
             header,
             measures,
             spans: std::mem::take(&mut self.spans),
-            spill: std::mem::take(&mut self.spill),
+            shards,
             spill_root: self.spill_root.take(),
-            resident_budget: self.resident_budget,
-            cache: Mutex::new(cache),
+            loads: AtomicU64::new(0),
         })
     }
 }
@@ -1168,12 +934,9 @@ pub struct LiveTableConfig {
     /// row count and `C`, so a from-scratch rebuild of the same rows (in
     /// any append batching) produces byte-identical sealed spill files.
     pub rows_per_segment: usize,
-    /// Resident-segment budget each snapshot enforces (`0` = unlimited).
-    /// The unsealed tail has no spill file, so it is never evicted and is
-    /// exempt from the budget (like a pinned segment).
-    pub resident: usize,
-    /// Spill directory for sealed segments (`None` = fully resident). As
-    /// with [`ShardConfig`], a non-zero budget requires a spill directory.
+    /// Spill directory for sealed segments: `Some` spills every sealed
+    /// segment, `None` keeps them resident. The unsealed tail has no file
+    /// and is always resident.
     pub spill_dir: Option<PathBuf>,
 }
 
@@ -1182,17 +945,14 @@ impl LiveTableConfig {
     pub fn in_memory(rows_per_segment: usize) -> Self {
         Self {
             rows_per_segment,
-            resident: 0,
             spill_dir: None,
         }
     }
 
-    /// A spilling live table: sealed segments on disk under `dir`, at most
-    /// `resident` of them decoded at once per snapshot.
-    pub fn spilling(rows_per_segment: usize, resident: usize, dir: impl Into<PathBuf>) -> Self {
+    /// A spilling live table: sealed segments spilled under `dir`.
+    pub fn spilling(rows_per_segment: usize, dir: impl Into<PathBuf>) -> Self {
         Self {
             rows_per_segment,
-            resident: resident.max(1),
             spill_dir: Some(dir.into()),
         }
     }
@@ -1290,12 +1050,10 @@ struct LiveRows {
     frozen_dicts: Vec<Arc<Dictionary>>,
     /// Full measure columns (cloned into each snapshot).
     measure_vals: Vec<Vec<f64>>,
-    /// Sealed segments' spill files, in segment order (spilling mode).
-    sealed_spill: Vec<Arc<SpillFile>>,
-    /// Sealed segments' decoded tables, in segment order (resident mode):
-    /// each built once, by the freeze that follows its seal, and held by
-    /// that snapshot and every later one.
-    sealed: Vec<Arc<Table>>,
+    /// Sealed segments, in segment order: spill files, or (without a spill
+    /// directory) segments each built once, by the freeze that follows its
+    /// seal, and held by that snapshot and every later one.
+    sealed: Vec<Shard>,
     /// Unsealed tail columns in global codes (< `rows_per_segment` rows).
     tail: Vec<Vec<u32>>,
     /// Appends committed so far.
@@ -1307,13 +1065,9 @@ struct LiveState {
     rows: LiveRows,
     /// The current frozen snapshot of `rows`.
     current: LiveSnapshot,
-    /// Storage counters folded in from superseded snapshots, so the
-    /// reported totals never move backwards across epochs.
+    /// Loads of superseded snapshots, so the reported total never moves
+    /// backwards across epochs.
     base_loads: u64,
-    base_evictions: u64,
-    base_peak: usize,
-    /// Lifetime sealed-segment writes (one per seal, spilling mode).
-    total_spills: u64,
 }
 
 /// An append-only table: rows arrive in batches, each batch bumps a
@@ -1342,7 +1096,6 @@ pub struct LiveTable {
     schema: Schema,
     measure_names: Vec<String>,
     rows_per_segment: usize,
-    resident_budget: usize,
     spill_root: Option<Arc<SpillRoot>>,
     /// Mirrors `state.rows.epoch`; readable without the lock.
     epoch: AtomicU64,
@@ -1356,7 +1109,6 @@ impl LiveTable {
         measures: Vec<String>,
         config: &LiveTableConfig,
     ) -> Result<LiveTable, TableError> {
-        require_spill_dir(config.resident, &config.spill_dir)?;
         require_distinct_measures(&schema, &measures)?;
         let spill_root = config
             .spill_dir
@@ -1368,7 +1120,6 @@ impl LiveTable {
             dicts: vec![Dictionary::new(); n_cols],
             frozen_dicts: (0..n_cols).map(|_| Arc::default()).collect(),
             measure_vals: vec![Vec::new(); measures.len()],
-            sealed_spill: Vec::new(),
             sealed: Vec::new(),
             tail: vec![Vec::new(); n_cols],
             epoch: 0,
@@ -1379,23 +1130,18 @@ impl LiveTable {
             &schema,
             &measures,
             rows_per_segment,
-            config.resident,
             spill_root.as_ref(),
         );
         Ok(LiveTable {
             schema,
             measure_names: measures,
             rows_per_segment,
-            resident_budget: config.resident,
             spill_root,
             epoch: AtomicU64::new(0),
             state: Mutex::new(LiveState {
                 rows,
                 current,
                 base_loads: 0,
-                base_evictions: 0,
-                base_peak: 0,
-                total_spills: 0,
             }),
         })
     }
@@ -1423,8 +1169,7 @@ impl LiveTable {
 
     /// Sealed segments so far.
     pub fn segments_sealed(&self) -> usize {
-        let state = self.state();
-        state.rows.sealed_spill.len().max(state.rows.sealed.len())
+        self.state().rows.sealed.len()
     }
 
     /// The current frozen snapshot (cheap: clones an `Arc`).
@@ -1432,23 +1177,21 @@ impl LiveTable {
         self.state().current.clone()
     }
 
-    /// Lifetime storage counters `(loads, evictions, spills, peak_resident)`
-    /// across all epochs: the current snapshot's counters on top of the
-    /// totals folded in from superseded snapshots. Monotonic.
+    /// Storage counters `(loads, evictions, spills, peak_resident)` as
+    /// [`TableStore::storage_counters`] reports them: loads across all
+    /// epochs (the current snapshot's on top of its predecessors', so
+    /// monotonic), the rest the current snapshot's.
     pub fn storage_counters(&self) -> (u64, u64, u64, usize) {
         let state = self.state();
         let t = &state.current.table;
-        (
-            state.base_loads + t.loads(),
-            state.base_evictions + t.evictions(),
-            state.total_spills,
-            state.base_peak.max(t.peak_resident()),
-        )
+        let loads = state.base_loads + t.loads();
+        (loads, t.evictions(), t.spills(), t.peak_resident())
     }
 
-    /// Locks the live state; poisoning tolerated as in
-    /// [`ShardedTable::cache`] (every mutation either commits a consistent
-    /// epoch or rolls back before unwinding).
+    /// Locks the live state, tolerating a poisoned lock: every mutation
+    /// either commits a consistent epoch or rolls back before unwinding, so
+    /// continuing is strictly better than cascading the panic into spill-I/O
+    /// paths that promise not to.
     fn state(&self) -> std::sync::MutexGuard<'_, LiveState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -1534,7 +1277,7 @@ impl LiveTable {
                     .collect();
                 match &self.spill_root {
                     Some(root) => {
-                        let i = state.rows.sealed_spill.len() + staged.len();
+                        let i = state.rows.sealed.len() + staged.len();
                         match spill_segment(root, i, &cols, c) {
                             Ok(file) => staged.push(StagedSeg::Spilled(file, cols)),
                             Err(e) => {
@@ -1582,10 +1325,7 @@ impl LiveTable {
         let mut sealed_now: Vec<Vec<Vec<u32>>> = Vec::new();
         for seg in staged {
             match seg {
-                StagedSeg::Spilled(file, _cols) => {
-                    state.rows.sealed_spill.push(file);
-                    state.total_spills += 1;
-                }
+                StagedSeg::Spilled(file, _cols) => state.rows.sealed.push(Shard::Spilled(file)),
                 StagedSeg::Resident(cols) => sealed_now.push(cols),
             }
         }
@@ -1596,18 +1336,14 @@ impl LiveTable {
 
     /// Freezes and installs the snapshot for the state's newest epoch
     /// (`sealed_now`: the segments this append sealed, resident mode),
-    /// folding the superseded snapshot's storage counters into the bases.
+    /// folding the superseded snapshot's loads into the base.
     fn rebuild_snapshot(&self, state: &mut LiveState, sealed_now: Vec<Vec<Vec<u32>>>) {
-        let old = &state.current.table;
-        state.base_loads += old.loads();
-        state.base_evictions += old.evictions();
-        state.base_peak = state.base_peak.max(old.peak_resident());
+        state.base_loads += state.current.table.loads();
         state.current = state.rows.freeze(
             sealed_now,
             &self.schema,
             &self.measure_names,
             self.rows_per_segment,
-            self.resident_budget,
             self.spill_root.as_ref(),
         );
         self.epoch.store(state.current.epoch, Ordering::Release);
@@ -1618,7 +1354,7 @@ impl LiveRows {
     /// The frozen snapshot of these rows at their newest epoch, for a live
     /// table of the given shape. Copies only what the epoch changed: the
     /// tail, the dictionaries that grew, and `sealed_now` — the columns of
-    /// the resident segments the epoch sealed, which become tables here,
+    /// the resident segments the epoch sealed, which become segments here,
     /// under this epoch's dictionary handles, once and for every later
     /// snapshot. (Measure columns are still cloned whole.)
     fn freeze(
@@ -1627,7 +1363,6 @@ impl LiveRows {
         schema: &Schema,
         measure_names: &[String],
         rows_per_segment: usize,
-        resident_budget: usize,
         spill_root: Option<&Arc<SpillRoot>>,
     ) -> LiveSnapshot {
         let n_cols = schema.n_columns();
@@ -1656,29 +1391,20 @@ impl LiveRows {
         let c = rows_per_segment;
         for cols in sealed_now {
             let span = self.sealed.len() * c..(self.sealed.len() + 1) * c;
-            let table = segment_table(&header, &measures, &span, cols);
-            self.sealed.push(Arc::new(table));
+            let seg = segment(&header, &measures, &span, cols);
+            self.sealed.push(Shard::Resident(seg));
         }
-        let sealed_n = self.sealed_spill.len().max(self.sealed.len());
+        let sealed_n = self.sealed.len();
         let tail_len = self.tail.first().map_or(0, Vec::len);
         let mut spans: Vec<Range<usize>> = (0..sealed_n).map(|i| i * c..(i + 1) * c).collect();
+        let mut shards = self.sealed.clone();
         // The tail span exists whenever it holds rows — and for the empty
         // table, so the snapshot has the canonical single `0..0` span.
         if tail_len > 0 || sealed_n == 0 {
-            spans.push(sealed_n * c..sealed_n * c + tail_len);
-        }
-        let mut spill: Vec<Option<Arc<SpillFile>>> =
-            self.sealed_spill.iter().cloned().map(Some).collect();
-        spill.resize(spans.len(), None);
-
-        let mut cache = Cache::default();
-        for (i, table) in self.sealed.iter().enumerate() {
-            let (span, table) = (spans[i].clone(), SegmentTable::Sealed(Arc::clone(table)));
-            cache.insert_resident(i, Arc::new(ShardSegment { span, table }));
-        }
-        if tail_len > 0 || sealed_n == 0 {
-            let i = spans.len() - 1;
-            cache.insert_resident(i, segment(&header, &measures, &spans[i], self.tail.clone()));
+            let span = sealed_n * c..sealed_n * c + tail_len;
+            let tail = segment(&header, &measures, &span, self.tail.clone());
+            spans.push(span);
+            shards.push(Shard::Resident(tail));
         }
 
         LiveSnapshot {
@@ -1686,10 +1412,9 @@ impl LiveRows {
                 header,
                 measures,
                 spans,
-                spill,
+                shards,
                 spill_root: spill_root.cloned(),
-                resident_budget,
-                cache: Mutex::new(cache),
+                loads: AtomicU64::new(0),
             }),
             epoch: self.epoch,
         }
@@ -1707,30 +1432,21 @@ fn segment(
     span: &Range<usize>,
     cols: Vec<Vec<u32>>,
 ) -> Arc<ShardSegment> {
-    Arc::new(ShardSegment {
-        span: span.clone(),
-        table: SegmentTable::Owned(segment_table(header, measures, span, cols)),
-    })
-}
-
-/// The table of [`segment`].
-fn segment_table(
-    header: &Table,
-    measures: &[(String, Vec<f64>)],
-    span: &Range<usize>,
-    cols: Vec<Vec<u32>>,
-) -> Table {
     let sliced: Vec<(String, Vec<f64>)> = measures
         .iter()
         .map(|(n, vals)| (n.clone(), vals[span.clone()].to_vec()))
         .collect();
-    Table::from_parts(
+    let table = Table::from_parts(
         header.schema().clone(),
         header.dictionaries().to_vec(),
         cols,
         sliced,
         span.len(),
-    )
+    );
+    Arc::new(ShardSegment {
+        span: span.clone(),
+        table,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1888,11 +1604,18 @@ fn parse_header(
     Ok(offsets)
 }
 
-/// Parses one column blob (remap + width + packed codes), validating that
-/// every local code indexes `remap` — after this, `remap[code as usize]`
-/// never faults, which is what lets the pushdown scans index unchecked.
-/// A 1-byte column keeps `blob`'s allocation as its codes.
-fn parse_column_blob(mut blob: Vec<u8>, n_rows: usize) -> Result<RawColumn, TableError> {
+/// Parses one column blob (remap + width + packed codes) of a column with
+/// `cardinality` global values, validating that every local code indexes
+/// `remap` and every `remap` entry indexes the column's dictionary — after
+/// this, `remap[code as usize]` never faults, which is what lets the
+/// pushdown scans index unchecked, and a decoded code never faults a
+/// per-value array downstream. A 1-byte column keeps `blob`'s allocation
+/// as its codes.
+fn parse_column_blob(
+    mut blob: Vec<u8>,
+    n_rows: usize,
+    cardinality: usize,
+) -> Result<RawColumn, TableError> {
     let truncated = || corrupt("truncated spill file");
     let remap_len = le_u32(blob.get(..4).ok_or_else(truncated)?) as usize;
     if remap_len > n_rows {
@@ -1935,6 +1658,10 @@ fn parse_column_blob(mut blob: Vec<u8>, n_rows: usize) -> Result<RawColumn, Tabl
     if !codes.is_empty() && codes.max() as usize >= remap_len {
         return Err(corrupt("local code out of range"));
     }
+    let max_global = remap.iter().fold(0, |m, &g| m.max(g));
+    if !remap.is_empty() && max_global as usize >= cardinality {
+        return Err(corrupt("global code out of range"));
+    }
     Ok(RawColumn { remap, codes })
 }
 
@@ -1967,19 +1694,20 @@ fn read_at(f: &std::fs::File, offset: u64, buf: &mut [u8]) -> Result<(), TableEr
     }
 }
 
-/// Range-reads `wanted` columns of a spill file — the one spill reader; a
-/// whole-segment read asks for every column. The fixed header is read and
-/// validated first, and a file whose length is not `offsets[n_cols]` is
-/// rejected before any blob is read, so every buffer is sized from a
-/// validated offset table, never from the file. Then one positioned read
-/// per requested blob: a miss that touches two columns costs two column
-/// reads, not a whole-file parse.
+/// Range-reads `wanted` columns of a spill file of `header`'s table — the
+/// one spill reader; a whole-segment read asks for every column. The fixed
+/// header is read and validated first, and a file whose length is not
+/// `offsets[n_cols]` is rejected before any blob is read, so every buffer
+/// is sized from a validated offset table, never from the file. Then one
+/// positioned read per requested blob: a scan that touches two columns
+/// costs two column reads, not a whole-file parse.
 fn read_spill_columns(
     path: &std::path::Path,
     wanted: &[usize],
-    expect_cols: usize,
+    header: &Table,
     expect_rows: usize,
 ) -> Result<Vec<RawColumn>, TableError> {
+    let expect_cols = header.n_columns();
     if let Some(c) = wanted.iter().find(|&&c| c >= expect_cols) {
         return Err(TableError::UnknownColumn(format!("column index {c}")));
     }
@@ -1997,7 +1725,7 @@ fn read_spill_columns(
             let (start, end) = (offsets[c], offsets[c + 1]);
             let mut blob = vec![0u8; (end - start) as usize];
             read_at(&f, start, &mut blob)?;
-            parse_column_blob(blob, expect_rows)
+            parse_column_blob(blob, expect_rows, header.cardinality(c))
         })
         .collect()
 }
@@ -2235,9 +1963,10 @@ impl TableStore {
     }
 
     /// Storage-tier counters `(loads, evictions, spills, peak_resident)`:
-    /// the table's own for `Sharded`, the lifetime totals across epochs
-    /// ([`LiveTable::storage_counters`]) for `Live`, `None` for
-    /// [`TableStore::Whole`], which has no tier to count.
+    /// spill reads, `0`, spilled shards and resident shards — the table's
+    /// own for `Sharded`, [`LiveTable::storage_counters`] (loads across all
+    /// epochs) for `Live`, `None` for [`TableStore::Whole`], which has no
+    /// tier to count.
     pub fn storage_counters(&self) -> Option<(u64, u64, u64, usize)> {
         match self {
             TableStore::Whole(_) => None,
@@ -2360,11 +2089,11 @@ mod tests {
     }
 
     #[test]
-    fn spill_roundtrip_is_bit_identical_under_tiny_budget() {
+    fn spill_roundtrip_is_bit_identical() {
         let table = t(50);
         let st =
-            ShardedTable::from_table(&table, &ShardConfig::spilling(8, 1, spill_dir())).unwrap();
-        // Cold cache: every first touch loads from disk.
+            ShardedTable::from_table(&table, &ShardConfig::spilling(8, 0, spill_dir())).unwrap();
+        // Every touch of a spilled shard reads it from disk.
         for pass in 0..2 {
             for i in 0..st.n_shards() {
                 let seg = st.try_segment(i).unwrap();
@@ -2377,9 +2106,8 @@ mod tests {
                 }
             }
         }
-        assert!(st.resident_count() <= 1);
-        assert!(st.loads() >= st.n_shards() as u64, "loads {}", st.loads());
-        assert!(st.evictions() > 0);
+        assert_eq!(st.loads(), 2 * st.n_shards() as u64);
+        assert!((0..st.n_shards()).all(|i| st.resident_segment(i).is_none()));
     }
 
     #[test]
@@ -2397,7 +2125,7 @@ mod tests {
         let table = t(20);
         for st in [
             ShardedTable::from_table(&table, &ShardConfig::in_memory(3)).unwrap(),
-            ShardedTable::from_table(&table, &ShardConfig::spilling(3, 1, spill_dir())).unwrap(),
+            ShardedTable::from_table(&table, &ShardConfig::spilling(3, 0, spill_dir())).unwrap(),
         ] {
             assert_eq!(
                 st.try_gather_rows(&[3, 20]).unwrap_err(),
@@ -2421,7 +2149,7 @@ mod tests {
     fn gather_rows_preserves_codes_and_dictionaries() {
         let table = t(40);
         let st =
-            ShardedTable::from_table(&table, &ShardConfig::spilling(6, 2, spill_dir())).unwrap();
+            ShardedTable::from_table(&table, &ShardConfig::spilling(6, 0, spill_dir())).unwrap();
         let rows: Vec<RowId> = vec![39, 0, 17, 17, 5, 31];
         let mini = st.try_gather_rows(&rows).unwrap();
         assert_eq!(mini.n_rows(), rows.len());
@@ -2437,17 +2165,6 @@ mod tests {
     }
 
     #[test]
-    fn resident_budget_requires_spill() {
-        let table = t(10);
-        let cfg = ShardConfig {
-            shards: 2,
-            resident: 1,
-            spill_dir: None,
-        };
-        assert!(ShardedTable::from_table(&table, &cfg).is_err());
-    }
-
-    #[test]
     fn empty_table_shards_cleanly() {
         let table = t(0);
         let st = ShardedTable::from_table(&table, &ShardConfig::in_memory(3)).unwrap();
@@ -2460,7 +2177,7 @@ mod tests {
         let table = t(12);
         let dir;
         {
-            let st = ShardedTable::from_table(&table, &ShardConfig::spilling(3, 1, spill_dir()))
+            let st = ShardedTable::from_table(&table, &ShardConfig::spilling(3, 0, spill_dir()))
                 .unwrap();
             dir = st.spill_dir().unwrap().to_path_buf();
             assert!(dir.exists());
@@ -2507,7 +2224,7 @@ mod tests {
         for shards in [1, 3, 8] {
             for cfg in [
                 ShardConfig::in_memory(shards),
-                ShardConfig::spilling(shards, 1, spill_dir()),
+                ShardConfig::spilling(shards, 0, spill_dir()),
             ] {
                 let a = ShardedTable::from_table(&table, &cfg).unwrap();
                 let b = stream_clone(&table, &cfg);
@@ -2542,18 +2259,21 @@ mod tests {
     #[test]
     fn stream_build_spills_each_segment_exactly_once_and_stays_cold() {
         let table = t(60);
-        let st = stream_clone(&table, &ShardConfig::spilling(6, 1, spill_dir()));
+        let st = stream_clone(&table, &ShardConfig::spilling(6, 0, spill_dir()));
         assert_eq!(st.spills(), 6, "one spill write per shard");
         assert_eq!(st.loads(), 0, "a streaming build never reads back");
-        assert_eq!(st.evictions(), 0);
-        assert_eq!(st.peak_resident(), 0, "no segment was decoded in memory");
-        // First scan pays the cold loads, one decoded segment at a time.
+        assert!(
+            (0..st.n_shards()).all(|i| st.resident_segment(i).is_none()),
+            "no segment was decoded in memory"
+        );
+        // A scan pays one load per shard and holds the only copy of each
+        // decoded segment.
         for i in 0..st.n_shards() {
             let seg = st.try_segment(i).unwrap();
             assert_eq!(seg.span(), st.spans()[i].clone());
+            assert_eq!(Arc::strong_count(&seg), 1, "shard {i} was kept");
         }
         assert_eq!(st.loads(), 6);
-        assert!(st.peak_resident() <= 2, "budget 1 + the in-flight pin");
     }
 
     #[test]
@@ -2598,7 +2318,7 @@ mod tests {
     fn segments_share_global_dictionaries_by_arc() {
         let table = t(24);
         let st =
-            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, spill_dir())).unwrap();
+            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 0, spill_dir())).unwrap();
         for i in 0..st.n_shards() {
             let seg = st.try_segment(i).unwrap();
             for c in 0..table.n_columns() {
@@ -2610,47 +2330,38 @@ mod tests {
         }
     }
 
+    /// A resident shard hands out its one segment; a spilled shard is
+    /// decoded afresh on every call, counted as a load, and dropped with the
+    /// caller's last handle.
     #[test]
-    fn full_cache_evicts_the_least_recently_used_segment() {
+    fn try_segment_keeps_no_spilled_shard_decoded() {
         let table = t(90);
-        let st =
-            ShardedTable::from_table(&table, &ShardConfig::spilling(3, 2, spill_dir())).unwrap();
-        for i in [0, 1, 0, 2] {
-            st.try_segment(i).unwrap(); // 0 is re-touched, so 2 evicts 1
-        }
-        assert_eq!((st.loads(), st.evictions()), (3, 1));
-        st.try_segment(0).unwrap();
-        assert_eq!(st.loads(), 3, "the recently used segment stayed resident");
-        st.try_segment(1).unwrap();
-        assert_eq!(st.loads(), 4, "the least recently used segment was evicted");
-    }
+        let resident = ShardedTable::from_table(&table, &ShardConfig::in_memory(3)).unwrap();
+        let (a, b) = (
+            resident.try_segment(1).unwrap(),
+            resident.try_segment(1).unwrap(),
+        );
+        assert!(Arc::ptr_eq(&a, &b));
+        assert!(Arc::ptr_eq(&a, resident.resident_segment(1).unwrap()));
+        assert_eq!((resident.loads(), resident.spills()), (0, 0));
 
-    #[test]
-    fn pinned_segments_stay_resident_and_count_against_budget() {
-        let table = t(40);
         let st =
-            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, spill_dir())).unwrap();
-        let s0 = st.try_segment(0).unwrap();
-        let s1 = st.try_segment(1).unwrap();
-        // Both are pinned: the cache must keep both (evicting would lie
-        // about memory) and report the overshoot as pins.
-        assert_eq!(st.pinned(), 2);
-        assert_eq!(st.resident_count(), 2);
-        assert!(st.resident_count() <= st.resident_budget() + st.pinned());
-        assert_eq!(st.evictions(), 0, "pinned segments must not be evicted");
-        drop(s0);
-        drop(s1);
-        // With pins released, the next access shrinks back to the budget.
-        let _s2 = st.try_segment(2).unwrap();
-        assert_eq!(st.resident_count(), 1);
-        assert_eq!(st.pinned(), 1);
+            ShardedTable::from_table(&table, &ShardConfig::spilling(3, 0, spill_dir())).unwrap();
+        let (a, b) = (st.try_segment(1).unwrap(), st.try_segment(1).unwrap());
+        assert!(!Arc::ptr_eq(&a, &b), "a decoded copy was shared");
+        assert_eq!(a.col(0), b.col(0));
+        let weak = Arc::downgrade(&a);
+        drop(a);
+        assert!(weak.upgrade().is_none(), "the table kept a decoded copy");
+        assert!(st.resident_segment(1).is_none());
+        assert_eq!((st.loads(), st.spills()), (2, 3));
     }
 
     #[test]
     fn read_columns_is_transient_and_counts_loads() {
         let table = t(60);
         let st =
-            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, spill_dir())).unwrap();
+            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 0, spill_dir())).unwrap();
         let loads0 = st.loads();
         let cols = st.read_columns(2, &[1]).unwrap();
         assert_eq!(cols.len(), 1);
@@ -2672,17 +2383,16 @@ mod tests {
             "a range read still counts as a load"
         );
         assert!(
-            st.cached_data(2).is_none(),
-            "transient reads must not populate the cache"
+            st.resident_segment(2).is_none(),
+            "a read must not leave the shard decoded"
         );
-        assert_eq!(st.resident_count(), 0);
     }
 
     #[test]
     fn corrupt_spill_files_error_instead_of_panicking() {
         let table = t(40);
         let st =
-            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, spill_dir())).unwrap();
+            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 0, spill_dir())).unwrap();
         let path = st.spill_path(1).unwrap().to_path_buf();
         let bytes = std::fs::read(&path).unwrap();
 
@@ -2776,12 +2486,23 @@ mod tests {
     fn out_of_range_local_codes_are_corrupt_at_every_width_and_row() {
         let table = t(40);
         let st =
-            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 1, spill_dir())).unwrap();
+            ShardedTable::from_table(&table, &ShardConfig::spilling(4, 0, spill_dir())).unwrap();
         let path = st.spill_path(1).unwrap().to_path_buf();
         let intact = std::fs::read(&path).unwrap();
         let rows: Vec<RowId> = st.spans()[1].clone().map(|r| r as RowId).collect();
         let remap = st.read_columns(1, &[0]).unwrap()[0].remap().to_vec();
         let remap_len = remap.len() as u32;
+        // Column 0's global code at `row` of the shard, through each reader:
+        // a range read (remapped here), a gather and a segment decode.
+        let read_back = |row: usize| -> [Result<u32, TableError>; 3] {
+            [
+                st.read_columns(1, &[0])
+                    .map(|c| c[0].remap()[c[0].codes().at(row) as usize]),
+                st.try_gather_batch(&[&rows]).map(|t| t[0].column(0)[row]),
+                st.try_segment(1).map(|seg| seg.col(0)[row]),
+            ]
+        };
+        let rejected = |msg: &str| [(); 3].map(|_| Some(corrupt(msg)));
         for width in [1, 2, 4] {
             for row in [0, rows.len() / 2, rows.len() - 1] {
                 // One past the last local code is rejected; the last is not.
@@ -2790,25 +2511,39 @@ mod tests {
                         repack(blob, width, |codes| codes[row] = code)
                     });
                     std::fs::write(&path, &file).unwrap();
-                    st.evict_all();
                     let case = format!("width {width}, row {row}, code {code}");
-                    let cols = st.read_columns(1, &[0]);
-                    let gathered = st.try_gather_batch(&[&rows]);
-                    let seg = st.try_segment(1);
                     if valid {
-                        let cols = cols.unwrap();
+                        let cols = st.read_columns(1, &[0]).unwrap();
                         assert_eq!(cols[0].codes().width(), width, "{case}");
                         assert_eq!(cols[0].codes().at(row), code, "{case}");
                         let global = remap[code as usize];
-                        assert_eq!(gathered.unwrap()[0].column(0)[row], global, "{case}");
-                        assert_eq!(seg.unwrap().col(0)[row], global, "{case}");
+                        assert_eq!(read_back(row), [(); 3].map(|_| Ok(global)), "{case}");
                     } else {
-                        let out_of_range = Some(corrupt("local code out of range"));
-                        assert_eq!(cols.err(), out_of_range, "{case}: read_columns");
-                        assert_eq!(gathered.err(), out_of_range, "{case}: gather");
-                        assert_eq!(seg.err(), out_of_range, "{case}: try_segment");
+                        let got = read_back(row).map(Result::err);
+                        assert_eq!(got, rejected("local code out of range"), "{case}");
                     }
                 }
+            }
+        }
+        // A remap entry is a global code, so it must index the reading
+        // table's dictionary: the cardinality is rejected, one below reads
+        // back. Row 0 holds the shard's first value, local code 0.
+        let cardinality = table.cardinality(0) as u32;
+        for (global, valid) in [(cardinality, false), (cardinality - 1, true)] {
+            let file = with_blob(&intact, 0, |blob| {
+                [&blob[..4], &global.to_le_bytes()[..], &blob[8..]].concat()
+            });
+            std::fs::write(&path, &file).unwrap();
+            let got = read_back(0);
+            if valid {
+                assert_eq!(got, [(); 3].map(|_| Ok(global)), "remap[0] = {global}");
+            } else {
+                let got = got.map(Result::err);
+                assert_eq!(
+                    got,
+                    rejected("global code out of range"),
+                    "remap[0] = {global}"
+                );
             }
         }
     }
@@ -2940,7 +2675,7 @@ mod tests {
         let c = 8usize;
         let k = 3usize;
         let all = live_rows(k * c); // 24 rows; boundaries at 8 and 16
-        let cfg = LiveTableConfig::spilling(c, 1, spill_dir());
+        let cfg = LiveTableConfig::spilling(c, spill_dir());
 
         // Grow with batches landing one-before / exactly-on / one-after
         // segment boundaries: 7, +1 (=8), +1 (=9), +7 (=16), +8 (=24).
@@ -2959,7 +2694,7 @@ mod tests {
         let rows_owned: Vec<[String; 2]> = all.clone();
         let frozen_src = Table::from_rows(Schema::new(["A", "B"]).unwrap(), &rows_owned).unwrap();
         let frozen =
-            ShardedTable::from_table(&frozen_src, &ShardConfig::spilling(k, 1, spill_dir()))
+            ShardedTable::from_table(&frozen_src, &ShardConfig::spilling(k, 0, spill_dir()))
                 .unwrap();
 
         let gs = grown.snapshot().table;
@@ -2977,15 +2712,16 @@ mod tests {
         assert_eq!(gather_all(&frozen), expect);
     }
 
-    /// The unsealed tail has no spill file and must never be evicted, even
-    /// under the tightest resident budget.
+    /// A spilling live snapshot holds both forms: its sealed segments are
+    /// spilled and its tail, which has no file, is resident — and stays so
+    /// however often the table is read.
     #[test]
-    fn live_tail_survives_eviction_pressure() {
+    fn live_tail_is_resident_beside_spilled_sealed_segments() {
         let c = 4usize;
         let live = LiveTable::new(
             Schema::new(["A", "B"]).unwrap(),
             vec![],
-            &LiveTableConfig::spilling(c, 1, spill_dir()),
+            &LiveTableConfig::spilling(c, spill_dir()),
         )
         .unwrap();
         let rows = live_rows(3 * c + 2); // 3 sealed segments + 2-row tail
@@ -2994,16 +2730,13 @@ mod tests {
         assert_eq!(st.n_shards(), 4);
         assert!(st.spill_path(3).is_none(), "tail has no spill file");
 
-        // Sweep all shards several times under resident budget 1.
         let expect: Vec<Vec<String>> = rows.iter().map(|r| r.to_vec()).collect();
         for _ in 0..3 {
             assert_eq!(&gather_all(st), &expect);
         }
-        st.evict_all();
-        // The tail is still resident (evict_all skips spill-less shards)…
-        let (resident, _) = st.resident_and_pinned();
-        assert!(resident >= 1, "tail must stay resident");
-        // …and still serves its rows.
+        assert_eq!(st.loads(), 3 * 3, "one read per sealed segment per gather");
+        let resident: Vec<bool> = (0..4).map(|i| st.resident_segment(i).is_some()).collect();
+        assert_eq!(resident, [false, false, false, true]);
         let tail = st.try_segment(3).unwrap();
         assert_eq!(tail.span(), 3 * c..3 * c + 2);
     }
@@ -3017,7 +2750,7 @@ mod tests {
         let live = LiveTable::new(
             Schema::new(["A", "B"]).unwrap(),
             vec![],
-            &LiveTableConfig::spilling(c, 1, spill_dir()),
+            &LiveTableConfig::spilling(c, spill_dir()),
         )
         .unwrap();
         let rows = live_rows(c + 1);
@@ -3044,7 +2777,7 @@ mod tests {
         let rebuilt = LiveTable::new(
             Schema::new(["A", "B"]).unwrap(),
             vec![],
-            &LiveTableConfig::spilling(c, 1, spill_dir()),
+            &LiveTableConfig::spilling(c, spill_dir()),
         )
         .unwrap();
         let rsnap = rebuilt.try_append(&rows, &[]).unwrap();
@@ -3070,7 +2803,7 @@ mod tests {
             let live = LiveTable::new(
                 Schema::new(["A", "B"]).unwrap(),
                 vec![],
-                &LiveTableConfig::spilling(c, 1, spill_dir()),
+                &LiveTableConfig::spilling(c, spill_dir()),
             )
             .unwrap();
             old = live.try_append(&rows[..c + 1], &[]).unwrap();
@@ -3121,12 +2854,11 @@ mod tests {
     }
 
     /// The freeze copies the tail, not the table: a resident sealed
-    /// segment's columns are one allocation held by every snapshot from
-    /// its seal on, below the per-snapshot `Arc<ShardSegment>` — so pins
-    /// stay per snapshot — and a value first interned after the seal reads
-    /// through the shared segment exactly as through a frozen twin.
+    /// segment is one allocation held by every snapshot from its seal on,
+    /// and a value first interned after the seal reads through the shared
+    /// segment exactly as through a frozen twin.
     #[test]
-    fn live_resident_snapshots_share_sealed_segments_not_pins() {
+    fn live_resident_snapshots_share_sealed_segments() {
         let c = 4usize;
         let live = LiveTable::new(
             Schema::new(["A", "B"]).unwrap(),
@@ -3144,24 +2876,18 @@ mod tests {
         let sealed: Vec<usize> = snaps.iter().map(|s| s.table.n_rows() / c).collect();
         assert_eq!(sealed, [1, 1, 2, 2], "three appends seal two segments");
 
-        let col_ptrs = |snap: &LiveSnapshot, i: usize| -> Vec<*const u32> {
-            let seg = snap.table.try_segment(i).unwrap();
-            (0..2).map(|col| seg.col(col).as_ptr()).collect()
-        };
+        let segment = |snap: &LiveSnapshot, i: usize| snap.table.try_segment(i).unwrap();
         for (older, newer) in snaps.iter().zip(&snaps[1..]) {
             for i in 0..older.table.n_rows() / c {
-                assert_eq!(col_ptrs(older, i), col_ptrs(newer, i), "segment {i}");
+                assert!(
+                    Arc::ptr_eq(&segment(older, i), &segment(newer, i)),
+                    "segment {i}"
+                );
             }
         }
-        assert!(snaps.iter().all(|s| s.table.pinned() == 0));
-        // A scan holding segment 0 of one snapshot pins it there only.
-        let held = snaps[2].table.try_segment(0).unwrap();
-        let pins: Vec<usize> = snaps.iter().map(|s| s.table.pinned()).collect();
-        assert_eq!(pins, [0, 0, 1, 0]);
-        // The shared table keeps its seal epoch's dictionary (a0..a3); the
+        // The shared segment keeps its seal epoch's dictionary (a0..a3); the
         // snapshot's header has the grown one.
-        assert_eq!(held.table().cardinality(0), 4);
-        drop(held);
+        assert_eq!(segment(&snaps[2], 0).table().cardinality(0), 4);
 
         // The newest snapshot outlives the table and every older snapshot.
         let newest = snaps.into_iter().next_back().unwrap();
@@ -3193,19 +2919,19 @@ mod tests {
         let live = LiveTable::new(
             Schema::new(["A", "B"]).unwrap(),
             vec![],
-            &LiveTableConfig::spilling(c, 1, spill_dir()),
+            &LiveTableConfig::spilling(c, spill_dir()),
         )
         .unwrap();
         let rows = live_rows(3 * c);
         let mut last = (0u64, 0u64, 0u64, 0usize);
         for batch in rows.chunks(c + 1) {
             let snap = live.try_append(batch, &[]).unwrap();
-            let _ = gather_all(&snap.table); // force loads/evictions
+            let _ = gather_all(&snap.table); // force loads
             let now = live.storage_counters();
-            assert!(now.0 >= last.0, "loads must not go backwards");
-            assert!(now.1 >= last.1, "evictions must not go backwards");
+            assert!(now.0 > last.0, "loads must grow across epochs");
             assert!(now.2 >= last.2, "spills must not go backwards");
-            assert!(now.3 >= last.3, "peak must not go backwards");
+            let resident = usize::from(snap.table.spill_path(snap.table.n_shards() - 1).is_none());
+            assert_eq!((now.1, now.3), (0, resident), "only the tail is resident");
             last = now;
         }
         assert_eq!(last.2, 3, "one spill per sealed segment");

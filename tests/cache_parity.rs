@@ -8,10 +8,11 @@
 //!
 //! Three layers of assertion:
 //!
-//! 1. **Per-cell sweep** over shard counts × residency budgets (the
-//!    `tests/shard_parity.rs` grid): replaying the same session twice on a
-//!    cache-enabled engine must produce byte-identical transcripts to a
-//!    cache-disabled engine, *and* actually hit the cache on the replay.
+//! 1. **Per-cell sweep** over shard counts × resident or spilled shards
+//!    (the `tests/shard_parity.rs` grid), plus a spilling live table:
+//!    replaying the same session twice on a cache-enabled engine must
+//!    produce byte-identical transcripts to a cache-disabled engine, *and*
+//!    actually hit the cache on the replay.
 //! 2. **Runtime bit-parity**: these tests run with debug assertions, so
 //!    every cache hit inside the explorer is re-verified bit-for-bit
 //!    against a fresh computation (`debug_assert!` in
@@ -25,7 +26,9 @@ use smart_drilldown::explorer::{ExplorerConfig, PrefetchMode};
 use smart_drilldown::server::{
     Client, Engine, EngineConfig, OpenOptions, Request, Server, ServerConfig,
 };
-use smart_drilldown::table::{ShardConfig, ShardedTable, TableStore};
+use smart_drilldown::table::{
+    LiveTable, LiveTableConfig, ShardConfig, ShardedTable, Table, TableStore,
+};
 use std::ops::RangeInclusive;
 use std::sync::Arc;
 
@@ -33,16 +36,17 @@ use std::sync::Arc;
 /// `tests/shard_parity.rs`.
 const SHARD_COUNTS: RangeInclusive<usize> = 1..=8;
 
-/// Residency budgets for the spilling configs (`None` = fully in memory).
-fn residency_budgets() -> Vec<Option<usize>> {
-    vec![None, Some(1), Some(2)]
-}
-
-fn shard_config(shards: usize, resident: Option<usize>) -> ShardConfig {
-    match resident {
-        None => ShardConfig::in_memory(shards),
-        Some(m) => ShardConfig::spilling(shards, m.min(shards), std::env::temp_dir()),
-    }
+/// A spilling live table holding `table`'s rows, sealed every 1 000 rows:
+/// spilled sealed segments beside a resident tail.
+fn spilling_live(table: &Table) -> TableStore {
+    let cfg = LiveTableConfig::spilling(1_000, std::env::temp_dir());
+    let live = LiveTable::new(table.schema().clone(), vec![], &cfg).expect("live table");
+    let rows: Vec<Vec<&str>> = (0..table.n_rows() as u32)
+        .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
+        .collect();
+    live.try_append(&rows[..2_500], &[]).expect("append");
+    live.try_append(&rows[2_500..], &[]).expect("append");
+    TableStore::from(Arc::new(live))
 }
 
 fn engine_for(store: TableStore, cache_bytes: usize, prefetch: PrefetchMode) -> Engine {
@@ -120,54 +124,58 @@ fn replay(engine: &Engine, session: &str, seed: u64) -> Vec<String> {
         .collect()
 }
 
+/// One cell of the sweep: a visit on a cache-disabled engine over
+/// `build_store()`, and the same visit twice on a cache-enabled one.
+fn assert_cache_transparent(cell: &str, build_store: impl Fn() -> TableStore) {
+    // Reference: cache disabled by config, one visit.
+    let uncached = engine_for(build_store(), 0, PrefetchMode::Inline);
+    assert!(
+        uncached.cache_counters().is_none(),
+        "{cell}: cache_bytes=0 must disable the cache"
+    );
+    let reference = replay(&uncached, "visit", 7);
+
+    // Cache enabled: the same visit twice. The second replay re-derives
+    // every key and must be served from the cache — with debug assertions
+    // re-verifying each hit bit-for-bit.
+    let cached = engine_for(build_store(), 64 << 20, PrefetchMode::Inline);
+    let first = replay(&cached, "visit", 7);
+    let second = replay(&cached, "visit", 7);
+    assert_eq!(first, reference, "{cell}: first cached visit diverged");
+    assert_eq!(second, reference, "{cell}: cache replay diverged");
+
+    let counters = cached
+        .cache_counters()
+        .unwrap_or_else(|| panic!("{cell}: cache_bytes > 0 must enable the cache"));
+    assert!(
+        counters.hits > 0,
+        "{cell}: replay never hit the cache ({counters:?})"
+    );
+    assert!(
+        counters.inserts > 0,
+        "{cell}: first visit never populated the cache ({counters:?})"
+    );
+}
+
 #[test]
 fn cached_visits_match_uncached_across_all_store_layouts() {
     let table = Arc::new(retail(42));
+    let sharded = |cfg: &ShardConfig| {
+        TableStore::Sharded(Arc::new(
+            ShardedTable::from_table(&table, cfg).expect("shard build"),
+        ))
+    };
+    // The monolithic cell of the grid stands in for one resident shard.
+    assert_cache_transparent("whole", || TableStore::Whole(table.clone()));
     for shards in SHARD_COUNTS {
-        for resident in residency_budgets() {
-            let build_store = || -> TableStore {
-                if shards == 1 && resident.is_none() {
-                    // The monolithic cell of the grid.
-                    TableStore::Whole(table.clone())
-                } else {
-                    TableStore::Sharded(Arc::new(
-                        ShardedTable::from_table(&table, &shard_config(shards, resident))
-                            .expect("shard build"),
-                    ))
-                }
-            };
-            let cell = format!("shards={shards} resident={resident:?}");
-
-            // Reference: cache disabled by config, one visit.
-            let uncached = engine_for(build_store(), 0, PrefetchMode::Inline);
-            assert!(
-                uncached.cache_counters().is_none(),
-                "{cell}: cache_bytes=0 must disable the cache"
-            );
-            let reference = replay(&uncached, "visit", 7);
-
-            // Cache enabled: the same visit twice. The second replay
-            // re-derives every key and must be served from the cache —
-            // with debug assertions re-verifying each hit bit-for-bit.
-            let cached = engine_for(build_store(), 64 << 20, PrefetchMode::Inline);
-            let first = replay(&cached, "visit", 7);
-            let second = replay(&cached, "visit", 7);
-            assert_eq!(first, reference, "{cell}: first cached visit diverged");
-            assert_eq!(second, reference, "{cell}: cache replay diverged");
-
-            let counters = cached
-                .cache_counters()
-                .unwrap_or_else(|| panic!("{cell}: cache_bytes > 0 must enable the cache"));
-            assert!(
-                counters.hits > 0,
-                "{cell}: replay never hit the cache ({counters:?})"
-            );
-            assert!(
-                counters.inserts > 0,
-                "{cell}: first visit never populated the cache ({counters:?})"
-            );
+        if shards > 1 {
+            let cfg = ShardConfig::in_memory(shards);
+            assert_cache_transparent(&format!("{shards} shards, resident"), || sharded(&cfg));
         }
+        let cfg = ShardConfig::spilling(shards, 0, std::env::temp_dir());
+        assert_cache_transparent(&format!("{shards} shards, spilled"), || sharded(&cfg));
     }
+    assert_cache_transparent("live, spilling", || spilling_live(&table));
 }
 
 #[test]

@@ -1,8 +1,9 @@
 //! Streaming out-of-core ingest suite: the memory-bound build guarantee
-//! (ingest never materializes the monolithic table), pin-aware residency
-//! accounting under concurrent scans, and the
-//! CSV-file end-to-end path (stream ingest ⇔ materialize-then-shard
-//! bit-identity, up through served engine transcripts).
+//! (ingest never materializes the monolithic table), the guarantee that no
+//! scan, gather, search or served session leaves a spilled shard decoded —
+//! alone or under concurrent scans — and the CSV-file end-to-end path
+//! (stream ingest ⇔ materialize-then-shard bit-identity, up through served
+//! engine transcripts).
 //!
 //! Complements `tests/shard_parity.rs`, which runs every cross-shard parity
 //! case on both construction paths; this file owns the *resource* contracts
@@ -26,43 +27,46 @@ fn csv_fixture(table: &Table, tag: &str) -> std::path::PathBuf {
     path
 }
 
-fn spilling(shards: usize, resident: usize) -> ShardConfig {
-    ShardConfig::spilling(shards, resident, std::env::temp_dir())
+fn spilling(shards: usize) -> ShardConfig {
+    ShardConfig::spilling(shards, 0, std::env::temp_dir())
+}
+
+/// No shard of `st` is held decoded by the table: every one is spilled.
+fn nothing_decoded(st: &ShardedTable) -> bool {
+    (0..st.n_shards()).all(|i| st.resident_segment(i).is_none())
 }
 
 // ---------------------------------------------------------------------------
 // Memory-bound build
 // ---------------------------------------------------------------------------
 
-/// The acceptance-criterion test: an ingest with `resident = 1` completes
-/// without ever materializing the monolithic table. The counters pin the
-/// whole story — every segment is spilled exactly once as it seals
-/// (`spills == n_shards`), nothing is ever read back or decoded during the
-/// build (`loads == 0`, `evictions == 0`, `peak_resident == 0`), and the
-/// first scan afterwards holds at most `resident + 1` decoded segments at
-/// a time (the resident one plus the in-flight pin).
+/// The acceptance-criterion test: a spilling ingest completes without ever
+/// materializing the monolithic table. The counters pin the whole story —
+/// every segment is spilled exactly once as it seals (`spills ==
+/// n_shards`), nothing is read back during the build (`loads == 0`), no
+/// shard is held decoded — and a full scan afterwards decodes one segment
+/// at a time, each a copy only the scan holds, and leaves none behind.
 #[test]
 fn streaming_ingest_with_resident_one_is_memory_bound() {
     let table = census(8_000, 1990).project_first_columns(3);
     let path = csv_fixture(&table, "membound");
-    let st = stream_csv_file(&path, &[], &spilling(10, 1)).expect("stream ingest");
+    let st = stream_csv_file(&path, &[], &spilling(10)).expect("stream ingest");
     assert_eq!(st.n_rows(), table.n_rows());
     assert_eq!(st.n_shards(), 10);
 
     // Build-time counters: the build streamed.
     assert_eq!(st.spills(), 10, "each segment spilled exactly once");
     assert_eq!(st.loads(), 0, "the build never read a segment back");
-    assert_eq!(st.evictions(), 0, "nothing was cached, so nothing evicted");
-    assert_eq!(
-        st.peak_resident(),
-        0,
-        "no decoded segment existed during the build — the monolithic table was never materialized"
+    assert!(
+        nothing_decoded(&st),
+        "a decoded segment outlived the build — the monolithic table was materialized"
     );
 
-    // A full sequential scan decodes segments one at a time under the
-    // budget and reproduces the reference columns exactly.
+    // A full sequential scan reproduces the reference columns exactly; the
+    // table keeps no reference to any segment it decodes.
     for i in 0..st.n_shards() {
         let seg = st.try_segment(i).unwrap();
+        assert_eq!(Arc::strong_count(&seg), 1, "shard {i} was kept decoded");
         for c in 0..table.n_columns() {
             assert_eq!(
                 seg.col(c),
@@ -71,29 +75,24 @@ fn streaming_ingest_with_resident_one_is_memory_bound() {
             );
         }
     }
-    assert_eq!(st.loads(), 10, "cold cache: one load per shard");
-    assert!(
-        st.peak_resident() <= 1 + 1,
-        "scan held {} decoded segments; budget 1 allows resident + 1",
-        st.peak_resident()
-    );
+    assert_eq!(st.loads(), 10, "one load per shard");
+    assert!(nothing_decoded(&st));
     let _ = std::fs::remove_file(&path);
 }
 
 // ---------------------------------------------------------------------------
-// Pin-aware budget accounting
+// Nothing spilled stays decoded
 // ---------------------------------------------------------------------------
 
 /// A gather fetches its shards one at a time — bucket the rows by shard,
-/// read one segment transiently, scatter its rows into output order,
-/// release it — so under `resident = 1` a gather over rows from *every*
-/// shard, in a reservoir's scrambled order, holds nothing resident that
-/// was not already, leaves nothing pinned, pays exactly one load per shard
-/// that was not already resident, and neither fills nor churns the cache.
+/// read one shard transiently, scatter its rows into output order, drop
+/// the read — so a gather over rows from *every* shard, in a reservoir's
+/// scrambled order, pays exactly one load per shard, leaves no shard
+/// decoded, and pays the same again next time: nothing it read was kept.
 #[test]
 fn gather_pins_one_segment_at_a_time() {
     let table = census(8_000, 1990).project_first_columns(3);
-    let st = ShardedTable::from_table(&table, &spilling(10, 1)).expect("shard build");
+    let st = ShardedTable::from_table(&table, &spilling(10)).expect("shard build");
     let n = table.n_rows();
     let rows: Vec<u32> = (0..400).map(|i| ((i * 7919) % n) as u32).collect();
     let touched: std::collections::BTreeSet<usize> =
@@ -104,36 +103,21 @@ fn gather_pins_one_segment_at_a_time() {
         "rows must come from every shard"
     );
 
-    let got = st.try_gather_rows(&rows).expect("gather");
     let want = table.gather_rows(&rows);
-    assert_eq!(got.n_rows(), rows.len());
-    for c in 0..table.n_columns() {
-        assert_eq!(got.column(c), want.column(c), "col {c}");
+    for pass in 1..=2u64 {
+        let got = st.try_gather_rows(&rows).expect("gather");
+        assert_eq!(got.n_rows(), rows.len());
+        for c in 0..table.n_columns() {
+            assert_eq!(got.column(c), want.column(c), "pass {pass}, col {c}");
+        }
+        assert_eq!(st.loads(), 10 * pass, "one load per touched shard");
+        assert!(nothing_decoded(&st), "a gather left a shard decoded");
     }
-    assert_eq!(st.pinned(), 0, "gather left segments pinned");
-    assert_eq!(st.loads(), 10, "cold cache: one load per touched shard");
-    assert_eq!(
-        (st.resident_count(), st.peak_resident(), st.evictions()),
-        (0, 0, 0),
-        "a gather reads transiently: it must not fill or churn the cache"
-    );
-
-    // Warm cache: the one resident segment is copied from in place — not
-    // reloaded, and not evicted on the way to it.
-    let resident = st.try_segment(4).expect("load");
-    drop(resident);
-    assert_eq!(st.loads(), 11);
-    let again = st.try_gather_rows(&rows).expect("gather");
-    for c in 0..table.n_columns() {
-        assert_eq!(again.column(c), want.column(c), "col {c}, warm");
-    }
-    assert_eq!(st.loads(), 20, "a resident shard must not be reloaded");
-    assert_eq!((st.resident_count(), st.evictions()), (1, 0));
 
     // A batch shares the visit: three samples cost what one does.
     let halves = [&rows[..200], &rows[200..], &rows[100..300]];
     let tables = st.try_gather_batch(&halves).expect("batched gather");
-    assert_eq!(st.loads(), 29, "one load per non-resident shard per batch");
+    assert_eq!(st.loads(), 30, "one load per shard per batch");
     for (rows, got) in halves.iter().zip(&tables) {
         let want = table.gather_rows(rows);
         for c in 0..table.n_columns() {
@@ -143,14 +127,13 @@ fn gather_pins_one_segment_at_a_time() {
 }
 
 /// A search over rows of a segmented store is a gather plus the one kernel,
-/// so it inherits the gather's residency contract: over a cold 8-shard
-/// table at `resident = 1`, an all-rows search loads every shard exactly
-/// once — not once per counting pass — never holds more than the resident
-/// segment plus the one in flight, and leaves nothing pinned.
+/// so it inherits the gather's contract: over an 8-shard spilling table, an
+/// all-rows search loads every shard exactly once — not once per counting
+/// pass — and leaves no shard decoded.
 #[test]
 fn search_over_sharded_rows_loads_each_shard_once() {
     let table = census(8_000, 1990).project_first_columns(3);
-    let st = Arc::new(ShardedTable::from_table(&table, &spilling(8, 1)).expect("shard build"));
+    let st = Arc::new(ShardedTable::from_table(&table, &spilling(8)).expect("shard build"));
     let cov = vec![0.0f64; table.n_rows()];
     let opts = SearchOptions::new(3.0);
     let mono = find_best_marginal_rule(&table.view(), &SizeWeight, &cov, &opts).expect("a rule");
@@ -170,36 +153,30 @@ fn search_over_sharded_rows_loads_each_shard_once() {
     assert_eq!(got.stats, mono.stats);
 
     assert_eq!(st.loads(), st.n_shards() as u64, "one load per shard");
-    assert!(
-        st.peak_resident() <= 2,
-        "search held {} segments under a budget of 1",
-        st.peak_resident()
-    );
-    assert_eq!(st.pinned(), 0, "search left segments pinned");
+    assert!(nothing_decoded(&st), "the search left a shard decoded");
 }
 
-/// Regression for the ROADMAP known issue: in-flight segment `Arc`s used to
-/// leave the cache's resident count dishonest (evicted-but-held segments
-/// occupied memory the budget never saw). Pinned segments now stay in the
-/// cache and count against the budget: under `resident = 1` with
-/// concurrent scans, every atomic snapshot satisfies
-/// `resident ≤ resident_budget + pinned`.
+/// Concurrent scans decode spilled shards independently: every segment a
+/// thread gets is its own copy — the table holds no reference to it, not
+/// even while other threads decode the same shard — every decode is one
+/// counted load, and once the scans finish no shard is left decoded.
 #[test]
 fn concurrent_scans_stay_within_resident_plus_pinned() {
     let table = Arc::new(census(3_000, 7).project_first_columns(3));
-    let st = Arc::new(ShardedTable::from_table(&table, &spilling(6, 1)).expect("shard build"));
-    let threads = 4usize;
+    let st = Arc::new(ShardedTable::from_table(&table, &spilling(6)).expect("shard build"));
+    let (threads, passes) = (4usize, 3usize);
     let barrier = Arc::new(Barrier::new(threads + 1));
     let mut handles = Vec::new();
     for t in 0..threads {
         let (st, table, barrier) = (st.clone(), table.clone(), barrier.clone());
         handles.push(std::thread::spawn(move || {
             barrier.wait();
-            for pass in 0..3 {
+            for pass in 0..passes {
                 for i in 0..st.n_shards() {
-                    // Hold the pin across the verification scan, as a real
-                    // kernel pass does.
+                    // Hold the segment across the verification scan, as a
+                    // real kernel pass does.
                     let seg = st.try_segment(i).unwrap();
+                    assert_eq!(Arc::strong_count(&seg), 1, "thread {t}: shard {i} shared");
                     for c in 0..table.n_columns() {
                         assert_eq!(
                             seg.col(c),
@@ -212,23 +189,18 @@ fn concurrent_scans_stay_within_resident_plus_pinned() {
         }));
     }
     barrier.wait();
-    // Sample the invariant while the scans churn the cache.
+    // Sample the invariant while the scans run.
     for _ in 0..2_000 {
-        let (resident, pinned) = st.resident_and_pinned();
         assert!(
-            resident <= st.resident_budget() + pinned,
-            "budget busted: {resident} resident with {pinned} pinned under budget {}",
-            st.resident_budget()
+            nothing_decoded(&st),
+            "a concurrent scan left a shard decoded"
         );
-        assert!(pinned <= threads + 1, "more pins than pinners");
     }
     for h in handles {
         h.join().expect("scan thread");
     }
-    // All pins released: the cache settles back to the budget.
-    let (resident, pinned) = st.resident_and_pinned();
-    assert_eq!(pinned, 0);
-    assert!(resident <= st.resident_budget());
+    assert_eq!(st.loads(), (threads * passes * st.n_shards()) as u64);
+    assert!(nothing_decoded(&st));
 }
 
 // ---------------------------------------------------------------------------
@@ -286,7 +258,7 @@ fn csv_stream_ingest_matches_materialized_ingest_up_to_served_transcripts() {
     let text = std::fs::read_to_string(&path).expect("fixture readable");
     let materialized = read_csv_with_measures(&text, &["Sales"]).expect("parse CSV");
 
-    for cfg in [spilling(8, 2), ShardConfig::in_memory(5), spilling(4, 1)] {
+    for cfg in [spilling(8), ShardConfig::in_memory(5), spilling(4)] {
         let streamed = Arc::new(stream_csv_file(&path, &["Sales"], &cfg).expect("stream ingest"));
         let reference =
             Arc::new(ShardedTable::from_table(&materialized, &cfg).expect("shard build"));
@@ -333,22 +305,15 @@ fn csv_stream_ingest_matches_materialized_ingest_up_to_served_transcripts() {
             run(&mono_engine),
             "served transcripts diverge on the streamed store"
         );
-        let (loads, _evictions, spills, peak) = stream_engine
+        let (loads, _, spills, _) = stream_engine
             .storage_counters()
             .expect("sharded store has counters");
-        if cfg.resident > 0 {
+        if cfg.spill_dir.is_some() {
             assert!(loads > 0, "the served session never touched the spill tier");
             assert_eq!(spills, streamed.n_shards() as u64);
-            // The honest peak bound for a served session is budget + the
-            // most segments any operation pins at once: `gather_rows`
-            // (sample materialization) deliberately pins every distinct
-            // shard of a reservoir up front — under the old accounting the
-            // same bytes were in flight but invisible to the counter.
             assert!(
-                peak <= cfg.resident + streamed.n_shards(),
-                "peak {peak} exceeds budget {} + {} pinnable shards",
-                cfg.resident,
-                streamed.n_shards()
+                nothing_decoded(&streamed),
+                "the served session left a shard decoded"
             );
         }
     }
@@ -370,7 +335,7 @@ fn stream_ingest_surfaces_csv_errors() {
     for (text, what) in cases {
         let path = csv_fixture_text(text, what);
         let measures: &[&str] = if *what == "measure" { &["Sales"] } else { &[] };
-        let got = stream_csv_file(&path, measures, &spilling(3, 1));
+        let got = stream_csv_file(&path, measures, &spilling(3));
         match (what, got) {
             (&"arity", Err(TableError::Csv { line, .. })) => assert_eq!(line, 3),
             (&"quote", Err(TableError::Csv { .. })) => {}

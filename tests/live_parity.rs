@@ -10,8 +10,8 @@
 //!
 //! Three layers of assertion:
 //!
-//! 1. **Per-cell sweep** over segment sizes × residency budgets × cache
-//!    on/off: seeded scripts interleaving appends with drill-down visits
+//! 1. **Per-cell sweep** over segment sizes × resident or spilled sealed
+//!    segments × cache on/off: seeded scripts interleaving appends with drill-down visits
 //!    must produce, at every epoch, transcripts byte-identical to the same
 //!    visit replayed against a frozen monolithic table holding exactly
 //!    that epoch's rows (cache off, inline prefetch — the canonical
@@ -157,15 +157,16 @@ fn assert_visit_parity(live: &[String], frozen: &[String], cell: &str) {
 }
 
 /// The live-store configurations swept: segment sizes around and far from
-/// the batch size, fully resident and spilling under a tight budget.
+/// the batch size, with sealed segments resident or spilled (the tail is
+/// resident either way; 4 096 rows never seal here, so it is resident only).
 fn live_configs() -> Vec<LiveTableConfig> {
     let dir = std::env::temp_dir();
     vec![
         LiveTableConfig::in_memory(7),
         LiveTableConfig::in_memory(64),
         LiveTableConfig::in_memory(4096),
-        LiveTableConfig::spilling(7, 1, dir.clone()),
-        LiveTableConfig::spilling(64, 2, dir),
+        LiveTableConfig::spilling(7, dir.clone()),
+        LiveTableConfig::spilling(64, dir),
     ]
 }
 
@@ -217,8 +218,10 @@ fn live_visits_match_frozen_pregrown_tables_at_every_epoch() {
     for config in &live_configs() {
         for cache_bytes in [0usize, 64 << 20] {
             let cell = format!(
-                "segment={} resident={} cache={}",
-                config.rows_per_segment, config.resident, cache_bytes
+                "segment={} spilled={} cache={}",
+                config.rows_per_segment,
+                config.spill_dir.is_some(),
+                cache_bytes
             );
             let engine = live_engine(config, cache_bytes);
             let mut previous_epoch: Option<Vec<String>> = None;

@@ -288,7 +288,7 @@ fn a_prefetch_batch_stores_what_one_create_per_rule_stores() {
         (stored, digests)
     };
     let stores = || {
-        let spill = ShardConfig::spilling(8, 2, std::env::temp_dir());
+        let spill = ShardConfig::spilling(8, 0, std::env::temp_dir());
         [
             TableStore::Whole(table.clone()),
             TableStore::Sharded(Arc::new(ShardedTable::from_table(&table, &spill).unwrap())),

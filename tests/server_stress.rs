@@ -275,24 +275,16 @@ fn concurrent_sessions_match_sequential_replay_byte_for_byte() {
 #[test]
 fn sharded_spilling_server_matches_monolithic_sequential_replay() {
     // The same concurrent-client harness, but the served table is split
-    // into 8 shards with only 2 resident at a time — every sample scan and
-    // refresh streams through the spill tier while N clients hammer their
-    // sessions concurrently. Transcripts must stay byte-identical to the
-    // *monolithic* single-threaded replay: sharding + spilling + eviction
-    // + concurrency together must not move a single byte.
+    // into 8 spilled shards — every sample scan, gather and refresh streams
+    // through the spill tier while N clients hammer their sessions
+    // concurrently. Transcripts must stay byte-identical to the
+    // *monolithic* single-threaded replay: sharding + spilling +
+    // concurrency together must not move a single byte.
     let table = Arc::new(retail(42));
     let sharded = Arc::new(
-        ShardedTable::from_table(&table, &ShardConfig::spilling(8, 2, std::env::temp_dir()))
+        ShardedTable::from_table(&table, &ShardConfig::spilling(8, 0, std::env::temp_dir()))
             .expect("shard build"),
     );
-
-    // Requests read a non-resident shard transiently and never fill the
-    // cache, so fill it here: the sessions then meet both forms — two
-    // decoded shards, six packed on disk — under a budget that has evicted.
-    for i in 0..sharded.n_shards() {
-        sharded.try_segment(i).expect("spill files decode");
-    }
-    let warm_loads = sharded.loads();
 
     let server = Server::bind_store(
         TableStore::Sharded(sharded.clone()),
@@ -321,11 +313,10 @@ fn sharded_spilling_server_matches_monolithic_sequential_replay() {
         .map(|h| h.join().expect("client thread"))
         .collect();
     server.shutdown();
+    assert!(sharded.loads() > 0, "the spill path was never exercised");
     assert!(
-        sharded.loads() > warm_loads && sharded.evictions() > 0,
-        "the spill/eviction path was never exercised (loads {}, evictions {})",
-        sharded.loads(),
-        sharded.evictions()
+        (0..sharded.n_shards()).all(|i| sharded.resident_segment(i).is_none()),
+        "concurrent sessions left a spilled shard decoded"
     );
 
     // Reference: the same scripts through a *monolithic* in-process engine,

@@ -2,9 +2,10 @@
 //! [`ShardedTable`] must be **bit-identical** to the monolithic [`Table`]
 //! path — the segment-tier scans (covered rows, exact counts), a search
 //! over gathered rows, sample stores and every served sample view,
-//! explorer sessions, and server transcripts — across shard counts 1..=8
-//! and resident-shard budgets that force segments to spill to disk and be
-//! evicted/reloaded mid-pipeline.
+//! explorer sessions, and server transcripts — across shard counts 1..=8,
+//! with every shard resident or every shard spilled to disk, and over the
+//! snapshot of a spilling live table, whose sealed segments are spilled and
+//! whose tail is resident.
 //!
 //! The determinism contract under test (see `sdd_table::shard` and
 //! `sdd_core::shard`): the shard layout partitions rows in order, segment
@@ -12,10 +13,6 @@
 //! gather copies global codes, and spill round-trips reproduce segments
 //! bit-for-bit — so *where bytes live* (RAM vs disk, one shard vs eight)
 //! can never change a result.
-//!
-//! Every spilling configuration runs under resident budgets 1 and 2, so the
-//! suite always includes the maximal eviction churn (at most one segment in
-//! memory at any time).
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
@@ -39,20 +36,13 @@ use std::sync::Arc;
 /// Shard counts the whole suite sweeps (the acceptance range).
 const SHARD_COUNTS: std::ops::RangeInclusive<usize> = 1..=8;
 
-/// The spilling resident budgets to exercise (both force eviction for any
-/// shard count above them).
-const SPILL_BUDGETS: [usize; 2] = [1, 2];
-
-/// All shard configurations for a given shard count: fully resident plus
-/// every spilling budget strictly below the shard count.
-fn shard_configs(shards: usize) -> Vec<ShardConfig> {
-    let mut cfgs = vec![ShardConfig::in_memory(shards)];
-    for b in SPILL_BUDGETS {
-        if b < shards {
-            cfgs.push(ShardConfig::spilling(shards, b, std::env::temp_dir()));
-        }
-    }
-    cfgs
+/// Both shard configurations for a given shard count: every shard
+/// resident, and every shard spilled.
+fn shard_configs(shards: usize) -> [ShardConfig; 2] {
+    [
+        ShardConfig::in_memory(shards),
+        ShardConfig::spilling(shards, 0, std::env::temp_dir()),
+    ]
 }
 
 fn sharded(table: &Table, cfg: &ShardConfig) -> Arc<ShardedTable> {
@@ -84,22 +74,50 @@ fn stream_built(table: &Table, cfg: &ShardConfig) -> Arc<ShardedTable> {
     Arc::new(b.finish().expect("stream finish"))
 }
 
-/// Both construction paths for one config: every parity case below runs on
-/// each, so "stream-built" joins "where bytes live" in the set of things
-/// that can never change a result.
-fn builds(table: &Table, cfg: &ShardConfig) -> [(Arc<ShardedTable>, &'static str); 2] {
-    [
+/// A live table under `cfg` holding `table`'s rows, appended in two
+/// batches: its snapshot has segments sealed at both epochs, dictionaries
+/// grown between them and — unless the rows divide evenly — a tail.
+fn grow_live(table: &Table, cfg: &LiveTableConfig) -> Arc<LiveTable> {
+    let rows: Vec<Vec<&str>> = (0..table.n_rows() as u32)
+        .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
+        .collect();
+    let live = Arc::new(LiveTable::new(table.schema().clone(), vec![], cfg).expect("live table"));
+    let (head, tail) = rows.split_at(rows.len() / 2);
+    live.try_append(head, &[]).expect("append");
+    live.try_append(tail, &[]).expect("append");
+    live
+}
+
+/// The snapshot of a spilling live table sealing every `n_rows / shards +
+/// 1` rows: spilled sealed segments beside a resident tail (all tail for
+/// one shard).
+fn live_built(table: &Table, shards: usize) -> Arc<ShardedTable> {
+    let per_segment = table.n_rows() / shards + 1;
+    let cfg = LiveTableConfig::spilling(per_segment, std::env::temp_dir());
+    grow_live(table, &cfg).snapshot().table
+}
+
+/// Every construction path for one config: every parity case below runs on
+/// each, so "stream-built" and "a live snapshot" join "where bytes live" in
+/// the set of things that can never change a result.
+fn builds(table: &Table, cfg: &ShardConfig) -> Vec<(Arc<ShardedTable>, &'static str)> {
+    let mut builds = vec![
         (sharded(table, cfg), "from_table"),
         (stream_built(table, cfg), "stream"),
-    ]
+    ];
+    if cfg.spill_dir.is_some() {
+        builds.push((live_built(table, cfg.shards), "live"));
+    }
+    builds
 }
 
 fn cfg_label(cfg: &ShardConfig) -> String {
-    if cfg.resident > 0 {
-        format!("{} shards, {} resident (spill)", cfg.shards, cfg.resident)
+    let form = if cfg.spill_dir.is_some() {
+        "spilled"
     } else {
-        format!("{} shards, all resident", cfg.shards)
-    }
+        "resident"
+    };
+    format!("{} shards, {form}", cfg.shards)
 }
 
 /// A random categorical table: 2..=4 columns with cardinality ≤ 6.
@@ -195,7 +213,7 @@ fn marginal_search_is_bit_identical_across_shard_layouts() {
                         }
                         (a, b) => panic!("{label}: disagreement {a:?} vs {b:?}"),
                     }
-                    if cfg.resident > 0 && shards > cfg.resident {
+                    if st.spills() > 0 {
                         assert!(st.loads() > 0, "{label}: spill path never exercised");
                     }
                 }
@@ -240,28 +258,20 @@ fn drive_handler(mut h: SampleHandler, rules: &[Rule]) -> (Vec<StoredSampleInfo>
     (h.stored_samples(), served)
 }
 
-/// A live table holding `table`'s rows (appended in two batches, so the
-/// pinned snapshot has sealed segments and a tail), spilling with one
-/// resident segment when `spill`.
+/// A live store holding `table`'s rows ([`grow_live`]), its sealed
+/// segments spilled when `spill`.
 fn live_store(table: &Table, spill: bool) -> TableStore {
-    let rows: Vec<Vec<&str>> = (0..table.n_rows() as u32)
-        .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
-        .collect();
     let per_segment = (table.n_rows() / 5).max(1);
     let cfg = if spill {
-        LiveTableConfig::spilling(per_segment, 1, std::env::temp_dir())
+        LiveTableConfig::spilling(per_segment, std::env::temp_dir())
     } else {
         LiveTableConfig::in_memory(per_segment)
     };
-    let live = Arc::new(LiveTable::new(table.schema().clone(), vec![], &cfg).expect("live table"));
-    let (head, tail) = rows.split_at(rows.len() / 2);
-    live.try_append(head, &[]).expect("append");
-    live.try_append(tail, &[]).expect("append");
-    TableStore::from(live)
+    TableStore::from(grow_live(table, &cfg))
 }
 
 /// One request sequence over every store kind — monolithic, sharded
-/// (resident and spilling, both builds), live (resident and spill-1): the
+/// (resident and spilling, every build), live (resident and spilling): the
 /// stored samples and every served view must agree with the monolithic
 /// handler's. Returns the mechanisms that served.
 fn assert_stores_agree(
@@ -273,7 +283,7 @@ fn assert_stores_agree(
     let mono = drive_handler(SampleHandler::new(table.clone(), config.clone()), rules);
     let mut others = vec![
         (live_store(table, false), "live, resident".to_owned()),
-        (live_store(table, true), "live, spill-1".to_owned()),
+        (live_store(table, true), "live, spilling".to_owned()),
     ];
     for shards in [1, 3, 8] {
         for cfg in shard_configs(shards) {
@@ -375,8 +385,8 @@ fn stored_by_filter(h: &SampleHandler) -> Vec<(StoredSampleInfo, [u64; 2])> {
 /// is *drawn*: a k-rule batch — with the trivial rule and a repeated filter
 /// in it — stores exactly the samples, materialised tables and digests
 /// that k single-rule Creates store, on every store kind, on 1 and 7
-/// threads, and costs a spilling store at most two reads per non-resident
-/// shard however large k is.
+/// threads, and costs a spilling store at most two reads per spilled shard
+/// however large k is.
 #[test]
 fn batched_creates_match_single_creates_and_share_their_fetches() {
     let table = Arc::new(retail_x3(42));
@@ -396,26 +406,25 @@ fn batched_creates_match_single_creates_and_share_their_fetches() {
         seed: 19,
         strategy: AllocationStrategy::Dp,
     };
-    let spilling = |budget: usize| {
-        let cfg = ShardConfig::spilling(8, budget, std::env::temp_dir());
-        let st = sharded(&table, &cfg);
-        // Fill the budget, so a batch meets resident shards too.
-        for i in 0..st.n_shards() {
-            st.try_segment(i).expect("spill files decode");
-        }
-        TableStore::Sharded(st)
-    };
     let stores = || -> Vec<(TableStore, String)> {
+        let sharded = |cfg| TableStore::Sharded(sharded(&table, &cfg));
         vec![
             (TableStore::Whole(table.clone()), "whole".to_owned()),
             (
-                TableStore::Sharded(sharded(&table, &ShardConfig::in_memory(8))),
-                "8 shards, all resident".to_owned(),
+                sharded(shard_configs(8)[0].clone()),
+                "8 shards, resident".to_owned(),
             ),
-            (spilling(1), "8 shards, 1 resident (spill)".to_owned()),
-            (spilling(3), "8 shards, 3 resident (spill)".to_owned()),
+            (
+                sharded(shard_configs(8)[1].clone()),
+                "8 shards, spilled".to_owned(),
+            ),
+            // A batch meets spilled and resident shards in one sweep.
+            (
+                TableStore::Sharded(live_built(&table, 8)),
+                "live snapshot, spilled and resident".to_owned(),
+            ),
             (live_store(&table, false), "live, resident".to_owned()),
-            (live_store(&table, true), "live, spill-1".to_owned()),
+            (live_store(&table, true), "live, spilling".to_owned()),
         ]
     };
 
@@ -436,9 +445,7 @@ fn batched_creates_match_single_creates_and_share_their_fetches() {
             for (store, label) in stores() {
                 let label = format!("k = {k}, {threads} thread(s), {label}");
                 let counters = |store: &TableStore| match store {
-                    TableStore::Sharded(st) => {
-                        Some((st.loads(), st.n_shards() - st.resident_count()))
-                    }
+                    TableStore::Sharded(st) => Some((st.loads(), st.spills())),
                     _ => None,
                 };
                 let before = counters(&store);
@@ -448,8 +455,8 @@ fn batched_creates_match_single_creates_and_share_their_fetches() {
                 assert_eq!(h.stats.full_scans, 1, "{label}: a batch is one pass");
                 if let (Some((loads, cold)), Some((after, _))) = (before, counters(&store)) {
                     assert!(
-                        after - loads <= 2 * cold as u64,
-                        "{label}: {} reads for {cold} non-resident shards",
+                        after - loads <= 2 * cold,
+                        "{label}: {} reads for {cold} spilled shards",
                         after - loads
                     );
                     if cold > 0 {
@@ -490,7 +497,7 @@ fn live_sync_touches_each_appended_segment_once() {
         strategy: AllocationStrategy::Dp,
     };
     for k in [1usize, 5] {
-        let cfg = LiveTableConfig::spilling(500, 1, std::env::temp_dir());
+        let cfg = LiveTableConfig::spilling(500, std::env::temp_dir());
         let live = Arc::new(LiveTable::new(table.schema().clone(), vec![], &cfg).unwrap());
         live.try_append(&rows[..3_200], &[]).unwrap();
         let mut h = SampleHandler::with_store(TableStore::from(live.clone()), config.clone());
@@ -510,10 +517,10 @@ fn live_sync_touches_each_appended_segment_once() {
             "k = {k}: {loads} reads — one per appended segment, at most one more \
              for each that holds a newly drawn row, none for the six before them"
         );
-        assert_eq!(
-            snap.table.evictions(),
-            0,
-            "k = {k}: a sync must not churn the cache"
+        let resident = (0..10).filter(|&i| snap.table.resident_segment(i).is_some());
+        assert!(
+            resident.eq([9]),
+            "k = {k}: only the tail is resident — a sync leaves nothing decoded"
         );
 
         let mut rebuilt = SampleHandler::with_store(TableStore::from(live.clone()), config.clone());
@@ -547,7 +554,7 @@ fn materialised(h: &SampleHandler, filter: &Rule) -> Option<Materialised> {
 /// new epoch: row ids, scales, columns, dictionary lengths and measures.
 /// One sync across four appends (18 000 rows, so `SDD_THREADS` selects the
 /// sweep's schedule) and a sync per append agree with it, over a resident
-/// and a spill-1 live table, for samples that are overwritten in place by
+/// and a spilling live table, for samples that are overwritten in place by
 /// rows carrying a value no dictionary held before, that grow while
 /// under capacity, that are drained, and that no appended row touches.
 /// The frozen pre-grown twin closes the chain: scans, counts and Creates
@@ -597,10 +604,10 @@ fn a_synced_sample_is_the_sample_a_create_at_the_new_epoch_stores() {
             (rule(&[("Store", "Closed")]), 60),
         ]
     };
-    let spill = LiveTableConfig::spilling(2_000, 1, std::env::temp_dir());
+    let spill = LiveTableConfig::spilling(2_000, std::env::temp_dir());
     for (cfg, label) in [
         (LiveTableConfig::in_memory(2_000), "resident"),
-        (spill, "spill-1"),
+        (spill, "spilling"),
     ] {
         for threads in ["1", "7"] {
             std::env::set_var("SDD_THREADS", threads);
@@ -716,6 +723,13 @@ fn drive_explorer(mut ex: Explorer) -> (String, Vec<StoredSampleInfo>, String) {
     (transcript, ex.handler().stored_samples(), stats)
 }
 
+/// Which shards of `st` are resident (the rest are spilled).
+fn resident_shards(st: &ShardedTable) -> Vec<bool> {
+    (0..st.n_shards())
+        .map(|i| st.resident_segment(i).is_some())
+        .collect()
+}
+
 #[test]
 fn explorer_sessions_are_byte_identical_on_sharded_spilling_tables() {
     let table = Arc::new(retail(42));
@@ -729,22 +743,7 @@ fn explorer_sessions_are_byte_identical_on_sharded_spilling_tables() {
         for cfg in shard_configs(shards) {
             for (st, how) in builds(&table, &cfg) {
                 let label = format!("{} ({how})", cfg_label(&cfg));
-                let spills = cfg.resident > 0 && shards > cfg.resident;
-                if spills {
-                    // A session's scans and gathers read a non-resident
-                    // shard transiently, so nothing it runs fills the
-                    // cache. Fill it here: the session then meets both
-                    // forms — `resident` decoded shards, the rest packed on
-                    // disk — under a budget that has already evicted.
-                    for i in 0..st.n_shards() {
-                        st.try_segment(i).expect("spill files decode");
-                    }
-                    assert!(
-                        st.evictions() > 0,
-                        "{label}: eviction never fired (budget untested)"
-                    );
-                }
-                let (warm_loads, warm_evictions) = (st.loads(), st.evictions());
+                let forms = resident_shards(&st);
                 let got = drive_explorer(Explorer::with_store(
                     TableStore::Sharded(st.clone()),
                     Box::new(SizeWeight),
@@ -753,14 +752,14 @@ fn explorer_sessions_are_byte_identical_on_sharded_spilling_tables() {
                 assert_eq!(got.0, mono.0, "{label}: rendered transcripts differ");
                 assert_eq!(got.1, mono.1, "{label}: stored samples differ");
                 assert_eq!(got.2, mono.2, "{label}: counters differ");
-                if spills {
-                    assert!(st.loads() > warm_loads, "{label}: spill never exercised");
-                    assert_eq!(
-                        (st.resident_count(), st.evictions()),
-                        (cfg.resident, warm_evictions),
-                        "{label}: the session must leave residency as it found it"
-                    );
+                if st.spills() > 0 {
+                    assert!(st.loads() > 0, "{label}: spill never exercised");
                 }
+                assert_eq!(
+                    resident_shards(&st),
+                    forms,
+                    "{label}: the session left a spilled shard decoded"
+                );
             }
         }
     }
@@ -841,7 +840,7 @@ fn server_transcripts_are_byte_identical_on_sharded_spilling_tables() {
                 for (step, (a, b)) in got.iter().zip(&mono).enumerate() {
                     assert_eq!(a, b, "{label}: transcript diverges at step {step}");
                 }
-                if cfg.resident > 0 && shards > cfg.resident {
+                if st.spills() > 0 {
                     assert!(st.loads() > 0, "{label}: spill never exercised");
                 }
             }
@@ -856,7 +855,7 @@ fn server_transcripts_are_byte_identical_on_sharded_spilling_tables() {
 /// The structural half of the streaming contract: beyond producing equal
 /// *results*, a stream-built table holds byte-identical segments — decoded
 /// columns, spill files on disk, dictionaries, and measure slices — for
-/// every shard count and budget. (The transcript half is covered by the
+/// every shard count, resident or spilled. (The transcript half is covered by the
 /// suites above, which run every case on both builds.)
 #[test]
 fn stream_built_tables_are_byte_identical_to_from_table() {
