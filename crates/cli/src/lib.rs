@@ -9,7 +9,8 @@
 //! unit-testable with string buffers; `src/main.rs` wires it to
 //! stdin/stdout.
 
-#![forbid(unsafe_code)]
+// D002, E001 (docs/DETERMINISM.md); the banned lists are in clippy.toml.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod command;

@@ -9,7 +9,8 @@
 //! sdd> star 2 Region
 //! ```
 
-#![forbid(unsafe_code)]
+// D002, E001 (docs/DETERMINISM.md); the banned lists are in clippy.toml.
+#![cfg_attr(not(test), deny(clippy::disallowed_methods))]
 
 use std::io::{stdin, stdout};
 

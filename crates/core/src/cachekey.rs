@@ -30,6 +30,11 @@
 //! deterministic across platforms and processes, with no unspecified
 //! iteration order anywhere (lint rule D001 applies to this crate).
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::marginal::SearchOptions;
 use crate::Rule;
 use sdd_table::TableView;
@@ -194,7 +199,10 @@ pub fn view_digest(view: &TableView<'_>) -> [u64; 2] {
 /// `weight_tag` is the weight function's stable identity
 /// ([`crate::WeightFn::cache_tag`]); callers must not derive keys for
 /// weights without one.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "one argument per key component; a struct would only rename them"
+)]
 pub fn drill_key(
     table_id: u64,
     epoch: u64,

@@ -26,6 +26,10 @@ const PARALLEL_MIN_ROWS: usize = 16 * 1024;
 /// Number of worker threads to use: the `SDD_THREADS` environment variable
 /// when it parses as a number, else [`std::thread::available_parallelism`].
 /// Always ≥ 1.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "E001: SDD_THREADS is the one environment variable the product reads"
+)]
 pub fn worker_threads() -> usize {
     if let Some(n) = std::env::var("SDD_THREADS")
         .ok()

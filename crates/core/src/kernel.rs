@@ -160,7 +160,10 @@ fn level_blocks(level: &[Rule], base: &Rule) -> Vec<(usize, u32)> {
 ///
 /// det-order: single-threaded sweep in level order; the `+=` accumulators
 /// are integer search stats, never float partials.
-#[allow(clippy::too_many_arguments)]
+#[allow(
+    clippy::too_many_arguments,
+    reason = "the level sweep's inputs and outputs, passed once per level"
+)]
 fn generate_level(
     table: &Table,
     base: &Rule,

@@ -66,6 +66,11 @@
 //! hits exactly the rows the global-code one hits, and the mask yields them
 //! ascending, so the coding changes neither positions nor order.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::accel::{self, EqPred};
 use crate::kernel::{scan_chunks, span_preds, SearchScratch};
 use crate::marginal::{find_best_marginal_rule_with_scratch, BestMarginal, SearchOptions};

@@ -18,6 +18,11 @@
 //! every hit against a fresh computation when debug assertions are
 //! enabled, and the cache-parity suites assert it end to end.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use sdd_core::{DrillKey, ScoredRule};
 use std::sync::Arc;
 

@@ -220,7 +220,10 @@ fn enumerate_configs(
         }
 
         // Advance the ternary counter.
-        #[allow(clippy::needless_range_loop)] // advances a ternary counter in place
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "advances a ternary counter in place"
+        )]
         for i in 0..d {
             if cats[i] < 2 {
                 cats[i] += 1;

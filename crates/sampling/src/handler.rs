@@ -76,6 +76,11 @@
 //! gather of the whole new sample would build (`docs/DETERMINISM.md`,
 //! *Epoch consistency*).
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::alloc::{solve_uniform, Allocation, AllocationProblem, AllocationStrategy};
 use crate::alloc_convex::solve_convex;
 use crate::alloc_dp::solve_dp;
@@ -302,9 +307,9 @@ impl SampleHandler {
     /// rows however they are stored, so the drawn samples are bit-identical
     /// across store kinds, and so is everything served from them.
     pub fn with_store(store: TableStore, config: SampleHandlerConfig) -> Self {
-        // sdd-lint: allow(P001) constructor preconditions on caller config; the engine rejects a client's bad config before it builds a handler
+        // source-rules: allow(P001) constructor preconditions on caller config; the engine rejects a client's bad config before it builds a handler
         assert!(config.min_sample_size > 0, "minSS must be positive");
-        // sdd-lint: allow(P001) as above
+        // source-rules: allow(P001) as above
         assert!(
             config.capacity >= config.min_sample_size,
             "capacity must hold at least one minimum-size sample"

@@ -31,7 +31,10 @@ impl Knapsack {
         // best[j] = max value with weight ≤ j; take[i][j] = item i taken.
         let mut best = vec![0.0f64; cap + 1];
         let mut take = vec![vec![false; cap + 1]; n];
-        #[allow(clippy::needless_range_loop)] // indexes weights, values, and take together
+        #[allow(
+            clippy::needless_range_loop,
+            reason = "indexes weights, values, and take together"
+        )]
         for i in 0..n {
             let w = self.weights[i];
             if w > cap {

@@ -17,6 +17,11 @@
 //!   turn equals a scan of a pre-grown frozen table — bit-identical, with
 //!   no epoch bookkeeping inside the reservoir at all.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use rand::Rng;
 
 /// One round of the SplitMix64 mixing function — the crate's stateless

@@ -25,6 +25,11 @@
 //! is consulted on every request, and a panic here would take the
 //! front-end down.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::registry::{TenantId, ANONYMOUS_TENANT};
 use rustc_hash::FxHashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};

@@ -36,6 +36,11 @@
 //! a key lands on one fixed stripe. This file is panic-free (lint rule
 //! P001): lock poisoning is absorbed with `into_inner`, never unwrapped.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::registry::{TenantId, ANONYMOUS_TENANT};
 use rustc_hash::FxHashMap;
 use sdd_core::DrillKey;

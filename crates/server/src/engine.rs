@@ -17,6 +17,11 @@
 //! click model, and counters), so concurrent sessions cannot perturb each
 //! other's results — the property the stress harness pins down.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::auth::TenantRegistry;
 use crate::cache::{CacheCounters, SearchCache, TenantCacheView};
 use crate::predict::{PredictCounters, TransitionModel};

@@ -32,6 +32,11 @@
 //! This file is panic-free outside tests (lint rule P001): it parses
 //! attacker-controlled bytes on every request.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::engine::Engine;
 use crate::metrics::{Metrics, Transport};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -303,6 +308,10 @@ fn response_is_ok(line: &str) -> bool {
 /// caller has already applied admission control and the socket read
 /// timeout; sessions opened here are *not* reaped at connection end — the
 /// idle sweep owns their lifecycle (see module docs).
+#[allow(
+    clippy::disallowed_methods,
+    reason = "times each request for the latency metrics"
+)]
 pub(crate) fn serve_http_connection(
     engine: &Arc<Engine>,
     metrics: &Arc<Metrics>,
@@ -508,7 +517,10 @@ fn write_unauthorized(writer: &mut TcpStream, close: bool) -> std::io::Result<()
 
 /// Reads the request body per `Content-Length`. The inner `Err` carries a
 /// ready-to-send refusal `(status, reason, message)`.
-#[allow(clippy::type_complexity)]
+#[allow(
+    clippy::type_complexity,
+    reason = "an I/O result around a ready-to-send refusal, used here only"
+)]
 fn read_body(
     reader: &mut BufReader<TcpStream>,
     head: &RequestHead,

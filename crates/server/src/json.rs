@@ -13,6 +13,11 @@
 //! * The parser is a recursive-descent reader over bytes with a depth
 //!   limit; errors carry the byte offset.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use std::fmt;
 
 /// Maximum nesting depth accepted by the parser (stack-overflow guard for
@@ -407,10 +412,11 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number run");
-        text.parse::<f64>()
+        std::str::from_utf8(&self.bytes[start..self.pos])
+            .ok()
+            .and_then(|text| text.parse::<f64>().ok())
             .map(Json::Num)
-            .map_err(|_| self.err("invalid number"))
+            .ok_or_else(|| self.err("invalid number"))
     }
 }
 

@@ -31,6 +31,11 @@
 //! This file is panic-free outside tests (lint rule P001): a scrape or a
 //! latency record must never be able to take the server down.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::engine::Engine;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;

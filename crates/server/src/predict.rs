@@ -23,6 +23,11 @@
 //! Panic-free (lint rule P001): lock poisoning is absorbed, never
 //! unwrapped.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use rustc_hash::{FxHashMap, FxHasher};
 use sdd_core::Rule;
 use std::hash::{Hash, Hasher};

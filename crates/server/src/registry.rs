@@ -51,6 +51,10 @@ pub struct Registry<T> {
 
 impl<T> Registry<T> {
     /// Creates a registry with `stripes.max(1)` stripes.
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "idle ages are wall-clock time since creation"
+    )]
     pub fn new(stripes: usize) -> Self {
         Self {
             stripes: (0..stripes.max(1))

@@ -141,6 +141,10 @@ impl Server {
         self.run_until(Arc::new(AtomicBool::new(false)))
     }
 
+    #[allow(
+        clippy::disallowed_methods,
+        reason = "the idle sweep ticks on the wall clock"
+    )]
     fn run_until(self, stop: Arc<AtomicBool>) -> std::io::Result<()> {
         let pool = Arc::new(TaskPool::new(self.config.threads));
         let queue_gauge = pool.pending_gauge();
@@ -406,6 +410,10 @@ fn serve_connection(
     result
 }
 
+#[allow(
+    clippy::disallowed_methods,
+    reason = "times each request for the latency metrics"
+)]
 fn serve_lines(
     engine: &Engine,
     metrics: &Metrics,

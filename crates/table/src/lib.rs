@@ -34,7 +34,8 @@
 //! modelled as full passes over a [`Table`] (or, in the sharded tier, real
 //! per-segment spill reads).
 
-#![forbid(unsafe_code)]
+// D001, D002, E001 (docs/DETERMINISM.md); the banned lists are in clippy.toml.
+#![cfg_attr(not(test), deny(clippy::disallowed_types, clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod bucketize;

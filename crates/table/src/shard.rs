@@ -57,6 +57,11 @@
 //! per row per measure); only the dictionary-coded categorical columns
 //! shard and spill.
 
+// P001: no panics outside tests (docs/DETERMINISM.md).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
+#![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
+
 use crate::view::chunk_spans;
 use crate::{Dictionary, RowId, Schema, Table, TableError};
 use rustc_hash::FxHashMap;
@@ -1786,7 +1791,7 @@ impl ShardedView {
         rows: Vec<RowId>,
         weights: Vec<f64>,
     ) -> Self {
-        // sdd-lint: allow(P001) precondition on two vectors the caller builds together; no I/O or request path constructs a view
+        // source-rules: allow(P001) precondition on two vectors the caller builds together; no I/O or request path constructs a view
         assert_eq!(rows.len(), weights.len(), "rows/weights length mismatch");
         debug_assert!(rows.iter().all(|&r| (r as usize) < table.n_rows()));
         Self {

@@ -47,8 +47,6 @@
 //! }
 //! ```
 
-#![forbid(unsafe_code)]
-
 pub use sdd_core as core;
 pub use sdd_datagen as datagen;
 pub use sdd_explorer as explorer;

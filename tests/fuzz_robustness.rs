@@ -7,6 +7,7 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{Rule, SizeWeight};
 use smart_drilldown::prelude::*;
 use smart_drilldown::sampling::PrefetchEntry;
+use smart_drilldown::server::Json;
 use smart_drilldown::table::bucketize::{equal_depth, equal_width, hierarchy};
 use smart_drilldown::table::csv::{read_csv, RecordReader};
 use smart_drilldown::table::TableError;
@@ -307,6 +308,35 @@ const CSV_SOUP: [&[u8]; 16] = [
     b"\xFF",
 ];
 
+/// Pieces of the JSON grammar and its breakage — truncated literals and
+/// escapes, a lone surrogate, a control byte, invalid UTF-8.
+const JSON_SOUP: [&[u8]; 24] = [
+    b"{",
+    b"}",
+    b"[",
+    b"]",
+    b",",
+    b":",
+    b"\"k\"",
+    b"\"",
+    b"\\",
+    b"\\u",
+    b"\\ud83d",
+    b"\\ude00",
+    b"null",
+    b"tru",
+    b"-",
+    b"0",
+    b"12",
+    b".",
+    b"e",
+    b"E+",
+    b" ",
+    b"\x01",
+    b"\xC3\xA9",
+    b"\xFF",
+];
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -336,6 +366,29 @@ proptest! {
     fn csv_parser_survives_quote_soup(parts in proptest::collection::vec("[\",\\n\\r a-z]{0,12}", 0..20)) {
         let input = parts.join("");
         let _ = read_csv(&input);
+    }
+
+    /// The protocol's JSON parser reads raw client bytes: soup of its own
+    /// grammar, arbitrary bytes, and deep nesting around a long number run
+    /// each parse or fail with an in-bounds offset, never panic, and what
+    /// parses prints back to parseable text. Nesting past the depth limit
+    /// (64) is an error, never a stack overflow.
+    #[test]
+    fn json_parser_never_panics(
+        picks in proptest::collection::vec(0usize..JSON_SOUP.len(), 0..80),
+        bytes in proptest::collection::vec(any::<u8>(), 0..64),
+        depth in 0usize..200,
+        digits in 1usize..2000,
+    ) {
+        let soup: Vec<u8> = picks.iter().flat_map(|&i| JSON_SOUP[i]).copied().collect();
+        let deep = format!("{}-{}.5e-3{}", "[".repeat(depth), "9".repeat(digits), "]".repeat(depth));
+        prop_assert_eq!(Json::parse(&deep).is_ok(), depth <= 64, "depth {}", depth);
+        for text in [String::from_utf8_lossy(&soup), String::from_utf8_lossy(&bytes), deep.into()] {
+            match Json::parse(&text) {
+                Ok(v) => prop_assert!(Json::parse(&v.to_string()).is_ok(), "{:?} -> {}", text, v),
+                Err(e) => prop_assert!(e.offset <= text.len(), "{:?}: {}", text, e),
+            }
+        }
     }
 
     /// Bucketizers reject or handle any finite input without panicking.
