@@ -185,10 +185,8 @@ impl<'w> Brs<'w> {
                 break;
             };
             stats.absorb(&best.stats);
-            // Update per-tuple best covering weight. The row list comes
-            // from the sliced columnar scan (byte-identical on any thread
-            // count); the max-update itself is cheap and order-insensitive,
-            // so it stays serial.
+            // Update per-tuple best covering weight from the columnar
+            // scan's row list; the max-update is cheap and order-insensitive.
             for p in covered_rows(table, &best.rule) {
                 let slot = &mut covered[p as usize];
                 if best.weight > *slot {

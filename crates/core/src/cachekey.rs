@@ -15,10 +15,6 @@
 //!   search based on the trivial (all-`?`) rule filter the same tuples and
 //!   return the same rules; [`KeyHasher::write_base`] folds both spellings
 //!   to the trivial rule.
-//! * **Execution strategy is excluded.** The thread count selects *how*
-//!   the kernel runs, and the determinism contract (docs/DETERMINISM.md)
-//!   guarantees it cannot change a result bit — so nothing here reads it,
-//!   and it cannot fragment the key space.
 //! * **The view is keyed by content, not identity.** Sample views are pure
 //!   functions of `(store, seed, rule, history)`, so sessions replaying the
 //!   same drill path produce byte-identical views; digesting row codes and
@@ -297,17 +293,6 @@ mod tests {
         let mut with_base = opts(2.0);
         with_base.base = Some(Rule::from_codes(vec![1, crate::STAR, crate::STAR]));
         assert_ne!(options_key(&with_none, 3), options_key(&with_base, 3));
-    }
-
-    #[test]
-    fn execution_strategy_is_excluded_from_the_key() {
-        let _guard = crate::test_env_lock();
-        std::env::set_var("SDD_THREADS", "1");
-        let serial = options_key(&opts(2.0), 3);
-        std::env::set_var("SDD_THREADS", "8");
-        let parallel = options_key(&opts(2.0), 3);
-        std::env::remove_var("SDD_THREADS");
-        assert_eq!(serial, parallel);
     }
 
     #[test]

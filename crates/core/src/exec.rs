@@ -1,101 +1,20 @@
-//! Deterministic parallel execution utilities shared by the counting
-//! kernel, the coverage scans, and the sampling layer's prefetch scan.
+//! The worker pool that runs independent jobs — server connections,
+//! background prefetch ticks.
 //!
-//! Everything here is built on `std::thread::scope` (the build environment
-//! has no registry access, so no `rayon`). On one thread every function
-//! degrades to a sequential loop with **bit-identical results** —
-//! determinism is the contract of this module, not an accident:
-//!
-//! * [`parallel_map`] returns outputs **in job order** no matter which
-//!   worker ran which job, so consumers can merge partials positionally;
-//! * [`worker_threads`] is the one place thread counts come from
-//!   (`SDD_THREADS` overrides detection, which is also how tests pin the
-//!   schedule on single-core machines), and [`threads_for_rows`] the one
-//!   place that decides whether an input is worth fanning out at all.
-//!   `SDD_THREADS=1` is the single-threaded build: there is no cargo
-//!   feature and no per-search switch beside it.
+//! A request never fans out: every scan and search runs on the thread
+//! that calls it, so there is one schedule and no thread count to pin.
 
 use std::sync::Mutex;
 
-/// Inputs below this many rows run on one thread: spawning scoped workers
-/// costs more than it saves there (the whole-view search gains 1.8–1.95×
-/// on two cores at 1 M rows and 1.05× at 9 409, and the task-per-rule
-/// prefetch scan *loses* at 9 409: 0.63×).
-const PARALLEL_MIN_ROWS: usize = 16 * 1024;
-
-/// Number of worker threads to use: the `SDD_THREADS` environment variable
-/// when it parses as a number, else [`std::thread::available_parallelism`].
-/// Always ≥ 1.
-#[allow(
-    clippy::disallowed_methods,
-    reason = "E001: SDD_THREADS is the one environment variable the product reads"
-)]
+/// Always `1`: every request runs on its calling thread. Kept only because
+/// the repository benchmark still records it; delete it with ROADMAP item
+/// 1(d), once the benchmark stops.
 pub fn worker_threads() -> usize {
-    if let Some(n) = std::env::var("SDD_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        return n.max(1);
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// The worker budget for one pass over `n_rows` rows: [`worker_threads`]
-/// when the input is large enough to pay for the fan-out, else `1`. Worked
-/// out from the input, never set: results are thread-invariant either way.
-pub fn threads_for_rows(n_rows: usize) -> usize {
-    if n_rows >= PARALLEL_MIN_ROWS {
-        worker_threads()
-    } else {
-        1
-    }
-}
-
-/// Runs `work` over every job on up to `threads` scoped workers, returning
-/// outputs **in job order**. Jobs must be independent (disjoint
-/// accumulators); because each output slot is produced by exactly one job,
-/// scheduling cannot affect the result, only the wall clock.
-pub fn parallel_map<J, T, F>(threads: usize, jobs: Vec<J>, work: F) -> Vec<T>
-where
-    J: Send,
-    T: Send,
-    F: Fn(J) -> T + Sync,
-{
-    if threads <= 1 || jobs.len() < 2 {
-        return jobs.into_iter().map(work).collect();
-    }
-    let n_workers = threads.min(jobs.len());
-    let queue: Mutex<Vec<(usize, J)>> = Mutex::new(jobs.into_iter().enumerate().rev().collect());
-    let mut tagged: Vec<(usize, T)> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..n_workers)
-            .map(|_| {
-                s.spawn(|| {
-                    let mut out: Vec<(usize, T)> = Vec::new();
-                    loop {
-                        let job = queue.lock().expect("exec queue poisoned").pop();
-                        match job {
-                            Some((i, j)) => out.push((i, work(j))),
-                            None => break,
-                        }
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("exec worker panicked"))
-            .collect()
-    });
-    tagged.sort_by_key(|(i, _)| *i);
-    tagged.into_iter().map(|(_, t)| t).collect()
+    1
 }
 
 /// A small fixed-size worker-thread pool for **long-lived, independent**
-/// jobs — server connections, background prefetch ticks — as opposed to
-/// [`parallel_map`]'s fork-join batches.
+/// jobs — server connections, background prefetch ticks.
 ///
 /// Jobs are boxed closures pulled from a shared queue; workers run until the
 /// pool is dropped (drop joins them after the queue drains). The pool makes
@@ -191,30 +110,6 @@ impl Drop for TaskPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parallel_map_preserves_job_order() {
-        for threads in [1, 2, 4] {
-            let out = parallel_map(threads, (0..17).collect::<Vec<_>>(), |j| j * 10);
-            assert_eq!(out, (0..17).map(|j| j * 10).collect::<Vec<_>>());
-        }
-    }
-
-    #[test]
-    fn worker_threads_is_positive_for_any_sdd_threads_value() {
-        let _guard = crate::test_env_lock();
-        let detected = std::thread::available_parallelism().map_or(1, |n| n.get());
-        std::env::remove_var("SDD_THREADS");
-        assert_eq!(worker_threads(), detected);
-        for (value, want) in [("0", 1), ("garbage", detected), ("", detected), ("8", 8)] {
-            std::env::set_var("SDD_THREADS", value);
-            assert_eq!(worker_threads(), want, "SDD_THREADS={value:?}");
-        }
-        // The row gate only ever lowers the budget.
-        assert_eq!(threads_for_rows(PARALLEL_MIN_ROWS - 1), 1);
-        assert_eq!(threads_for_rows(PARALLEL_MIN_ROWS), 8);
-        std::env::remove_var("SDD_THREADS");
-    }
 
     #[test]
     fn task_pool_runs_all_jobs() {

@@ -17,15 +17,13 @@
 //!   flat `u32` tuple beyond 64 bits) and binary-search a sorted flat
 //!   `Vec`. The `Rule`-keyed map survives only at the API boundary.
 //!
-//! **Parallelism is task-per-column (pass 1) and task-per-group (pass j)**
-//! on [`crate::exec::parallel_map`], with the worker budget of
-//! [`crate::exec::threads_for_rows`]. No accumulator is ever split
-//! across tasks: every per-candidate sum is formed by one task scanning the
-//! whole view in row order, so results are **bit-identical on any thread
-//! count** — and bit-identical to the row-at-a-time reference
+//! A search runs on its calling thread, one column (pass 1) or one group
+//! (pass j) at a time. Every per-candidate sum is formed by one scan of the
+//! whole view in row order, so results are **bit-identical** to the
+//! row-at-a-time reference
 //! [`crate::marginal::find_best_marginal_rule_rowwise`], whose winner
 //! selection uses the same strict total order. `tests/kernel_parity.rs`
-//! asserts both.
+//! asserts it.
 //!
 //! A [`TableView`] is every row of its table, so each loop below has one
 //! arm: it walks whole column slices, position `i` = row `i`. A search over
@@ -34,7 +32,7 @@
 //! the float operations and their order are those of the subset.
 //!
 //! [`SearchScratch`] owns the per-search buffers so the `k` searches of one
-//! BRS run reuse allocations; worker tasks allocate their own
+//! BRS run reuse allocations; each group's counting pass allocates its own
 //! (candidate-bounded, not row-bounded) accumulators.
 //!
 //! ## Rule scans over global codes
@@ -46,16 +44,13 @@
 //! it; see [`crate::shard`]). [`covered_rows`] and [`count_rules`] are the
 //! whole-table forms; "covered positions of a view" is [`covered_rows`] of
 //! the view's table, which is what the BRS covered-weight update and
-//! drill-down filtering call. Large inputs are filtered in
-//! [`sdd_table::chunk_spans`] slices whose hit lists concatenate in slice
-//! order — integer output, byte-identical on any thread count.
+//! drill-down filtering call.
 
 use crate::accel::{self, EqPred};
-use crate::exec;
 use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
 use crate::{Rule, WeightFn};
 use rustc_hash::FxHashMap;
-use sdd_table::{chunk_spans, RowId, Table, TableView};
+use sdd_table::{RowId, Table, TableView};
 
 /// Count/marginal/weight accumulator for one candidate rule (the paper's
 /// per-candidate state in set `C`).
@@ -320,11 +315,10 @@ impl SearchScratch {
 }
 
 /// Columnar implementation of Algorithm 2. See the module docs; results are
-/// bit-identical to [`crate::marginal::find_best_marginal_rule_rowwise`] on
-/// any thread count.
+/// bit-identical to [`crate::marginal::find_best_marginal_rule_rowwise`].
 ///
 /// det-order: this orchestrator's own `+=` are integer stats; every float
-/// accumulator is owned by one pass-helper task that scans in row order.
+/// accumulator is owned by one pass helper that scans in row order.
 pub(crate) fn find_best_marginal_rule_columnar(
     view: &TableView<'_>,
     weight: &dyn WeightFn,
@@ -349,22 +343,15 @@ pub(crate) fn find_best_marginal_rule_columnar(
         return None;
     }
 
-    let threads = exec::threads_for_rows(view.len());
-
     let mut stats = SearchStats::default();
     let mut counted: FxHashMap<Rule, CandStat> = FxHashMap::default();
     let mut best_h = 0.0f64;
 
-    // ---- Pass 1: columnar per-code histograms, one task per free column. ----
+    // ---- Pass 1: columnar per-code histograms, one free column at a time. ----
     stats.passes = 1;
     scratch.hists.resize_with(free_cols.len(), Default::default);
-    let jobs: Vec<(usize, ColumnHist)> = free_cols
-        .iter()
-        .enumerate()
-        .map(|(fi, _)| (fi, std::mem::take(&mut scratch.hists[fi])))
-        .collect();
-    let pass1 = exec::parallel_map(threads, jobs, |(fi, mut hist)| {
-        let c = free_cols[fi];
+    let mut level: Vec<Rule> = Vec::new();
+    for (&c, hist) in free_cols.iter().zip(&mut scratch.hists) {
         let card = table.cardinality(c);
         hist.counts.clear();
         hist.counts.resize(card, 0.0);
@@ -381,15 +368,10 @@ pub(crate) fn find_best_marginal_rule_columnar(
         // and unsupported codes have W = 0 in wtab, contributing 0 to
         // slots that are never read back.
         marginal_column(view, c, covered_weight, &cands.wtab, &mut hist.marginals);
-        (hist, cands)
-    });
 
-    let mut level: Vec<Rule> = Vec::new();
-    for (fi, (hist, cands)) in pass1.into_iter().enumerate() {
         stats.generated += cands.generated;
         stats.pruned += cands.pruned;
         stats.counted += cands.rules.len();
-        let c = free_cols[fi];
         for rule in &cands.rules {
             let code = rule.code(c) as usize;
             let stat = CandStat {
@@ -403,7 +385,6 @@ pub(crate) fn find_best_marginal_rule_columnar(
             }
         }
         level.extend(cands.rules);
-        scratch.hists[fi] = hist;
     }
 
     // ---- Passes 2..: a-priori extension, grouped columnar counting. ----
@@ -421,7 +402,7 @@ pub(crate) fn find_best_marginal_rule_columnar(
         stats.counted += next.len();
 
         build_groups(scratch, table, &base, &next, view.len());
-        count_level(view, covered_weight, scratch, &cand_weights, threads);
+        count_level(view, covered_weight, scratch, &cand_weights);
 
         for (cand, stat) in next.iter().zip(&scratch.cstats) {
             if stat.marginal > best_h {
@@ -594,26 +575,15 @@ fn build_groups(
     }
 }
 
-/// Counts one level's candidates over the view — one task per group —
+/// Counts one level's candidates over the view, one group at a time,
 /// writing per-candidate stats into `scratch.cstats`. Every group owns its
-/// accumulators and scans the whole view in row order, so the result does
-/// not depend on the thread count.
+/// accumulators and scans the whole view in row order.
 fn count_level(
     view: &TableView<'_>,
     covered_weight: &[f64],
     scratch: &mut SearchScratch,
     cand_weights: &[f64],
-    threads: usize,
 ) {
-    let groups = &scratch.groups;
-    let outputs = exec::parallel_map(threads, groups.iter().collect(), |g: &Group| {
-        if g.is_dense() {
-            count_group_dense(view, covered_weight, g, cand_weights)
-        } else {
-            count_group_sparse(view, covered_weight, g, cand_weights)
-        }
-    });
-
     scratch.cstats.clear();
     scratch
         .cstats
@@ -622,28 +592,25 @@ fn count_level(
             marginal: 0.0,
             weight: w,
         }));
-    for (ci, count, marginal) in outputs.into_iter().flatten() {
-        let stat = &mut scratch.cstats[ci as usize];
-        stat.count = count;
-        stat.marginal = marginal;
+    for g in &scratch.groups {
+        if g.is_dense() {
+            count_group_dense(view, covered_weight, g, &mut scratch.cstats);
+        } else {
+            count_group_sparse(view, covered_weight, g, &mut scratch.cstats);
+        }
     }
 }
 
 /// Probe-free dense counting of one group: a mixed-radix cell histogram over
-/// the group's columns, then candidate cells read off.
+/// the group's columns, then candidate cells read off into `cstats`.
 ///
 /// det-order: sequential scan in row order.
-fn count_group_dense(
-    view: &TableView<'_>,
-    cov: &[f64],
-    g: &Group,
-    cand_weights: &[f64],
-) -> Vec<(u32, f64, f64)> {
+fn count_group_dense(view: &TableView<'_>, cov: &[f64], g: &Group, cstats: &mut [CandStat]) {
     let mut counts = vec![0.0f64; g.cells];
     let mut marginals = vec![0.0f64; g.cells];
     let mut wvec = vec![0.0f64; g.cells];
     for &(cell, ci) in &g.cand_cells {
-        wvec[cell] = cand_weights[ci as usize];
+        wvec[cell] = cstats[ci as usize].weight;
     }
     let cols: Vec<&[u32]> = g.cols.iter().map(|&c| view.table().column(c)).collect();
 
@@ -658,22 +625,18 @@ fn count_group_dense(
         marginals[cell] += w_t * (w - w.min(cov_t));
     }
 
-    g.cand_cells
-        .iter()
-        .map(|&(cell, ci)| (ci, counts[cell], marginals[cell]))
-        .collect()
+    for &(cell, ci) in &g.cand_cells {
+        let stat = &mut cstats[ci as usize];
+        stat.count = counts[cell];
+        stat.marginal = marginals[cell];
+    }
 }
 
 /// Sparse counting of one group via packed-key binary search (groups whose
-/// cell space exceeds [`DENSE_CELL_CAP`]).
+/// cell space exceeds [`DENSE_CELL_CAP`]), written into `cstats`.
 ///
 /// det-order: sequential scan in row order.
-fn count_group_sparse(
-    view: &TableView<'_>,
-    cov: &[f64],
-    g: &Group,
-    cand_weights: &[f64],
-) -> Vec<(u32, f64, f64)> {
+fn count_group_sparse(view: &TableView<'_>, cov: &[f64], g: &Group, cstats: &mut [CandStat]) {
     // Accumulate per sorted-key position — dense in the group's candidate
     // count, no hashing on the row loop.
     let mut acc: Vec<(f64, f64)> = vec![(0.0, 0.0); g.order.len()];
@@ -681,19 +644,18 @@ fn count_group_sparse(
     let mut wide_scratch: Vec<u32> = Vec::new();
     for (row, &cov_t) in cov.iter().enumerate() {
         if let Some(pos) = g.probe(&mut wide_scratch, |gi| cols[gi][row]) {
-            let w = cand_weights[g.order[pos] as usize];
+            let w = cstats[g.order[pos] as usize].weight;
             let w_t = view.weight_at(row);
             let slot = &mut acc[pos];
             slot.0 += w_t;
             slot.1 += w_t * (w - w.min(cov_t));
         }
     }
-    // Consumer writes by candidate index; no ordering required.
-    g.order
-        .iter()
-        .zip(acc)
-        .map(|(&ci, (c, m))| (ci, c, m))
-        .collect()
+    for (&ci, (count, marginal)) in g.order.iter().zip(acc) {
+        let stat = &mut cstats[ci as usize];
+        stat.count = count;
+        stat.marginal = marginal;
+    }
 }
 
 /// Selects the winner from the counted set: max marginal, ties broken toward
@@ -735,50 +697,13 @@ fn pick_winner(counted: &FxHashMap<Rule, CandStat>, stats: SearchStats) -> Optio
 // scans in `crate::shard`).
 // ---------------------------------------------------------------------------
 
-/// Rows per slice targeted by the coverage scans (task startup is per
-/// slice, so slices are kept coarse).
-const ROWS_PER_SLICE: usize = 8 * 1024;
-/// Upper bound on the number of slices of one coverage scan.
-const MAX_SLICES: usize = 64;
-/// Inputs smaller than this are scanned in one piece.
-const SLICE_MIN_ROWS: usize = 32 * 1024;
-
-/// Slice count for [`covered_rows`] and for a [`crate::shard`] sweep of a
-/// monolithic table: slices whenever the scan is large enough to amortize
-/// task startup. Output is integer hit lists concatenated in slice order, so
-/// slicing never changes a byte of the result.
-pub(crate) fn scan_chunks(len: usize) -> usize {
-    if len < SLICE_MIN_ROWS {
-        1
-    } else {
-        (len / ROWS_PER_SLICE).clamp(1, MAX_SLICES)
-    }
-}
-
 /// All row ids of `table` covered by `rule` (ascending), via the block-mask
 /// scan — the sampling layer's full-table scan over monolithic storage,
 /// and over a sample's own table the scan behind the BRS covered-weight
-/// update and drill-down filtering. Large tables are scanned in
-/// [`sdd_table::chunk_spans`] slices concatenated in slice order, so the
-/// output is byte-identical on any thread count.
+/// update, drill-down filtering and Combine.
 pub fn covered_rows(table: &Table, rule: &Rule) -> Vec<RowId> {
-    covered_rows_with_threads(table, rule, exec::worker_threads())
-}
-
-/// [`covered_rows`] with an explicit worker budget (`1` = fully serial).
-/// Combine passes `1` when it filters a stored sample: samples are small,
-/// and one slice per sample keeps the scan off the thread pool.
-pub fn covered_rows_with_threads(table: &Table, rule: &Rule, threads: usize) -> Vec<RowId> {
     let n = table.n_rows();
-    let k = if threads > 1 { scan_chunks(n) } else { 1 };
-    let scan = |span: std::ops::Range<usize>| {
-        let preds = span_preds(table, rule, span.clone());
-        accel::hits(&preds, span.len(), span.start as RowId)
-    };
-    if k <= 1 {
-        return scan(0..n);
-    }
-    exec::parallel_map(threads, chunk_spans(n, k), scan).concat()
+    accel::hits(&span_preds(table, rule, 0..n), n, 0)
 }
 
 /// `rule`'s predicates over rows `span` of `table` (which holds **global**
@@ -892,7 +817,18 @@ mod tests {
         assert_eq!(scratch.groups.len(), 1);
         let g = &scratch.groups[0];
         assert!(g.is_dense());
-        let dense = count_group_dense(&view, &cov, g, &cand_weights);
+        let fresh = || -> Vec<CandStat> {
+            cand_weights
+                .iter()
+                .map(|&weight| CandStat {
+                    count: 0.0,
+                    marginal: 0.0,
+                    weight,
+                })
+                .collect()
+        };
+        let mut dense = fresh();
+        count_group_dense(&view, &cov, g, &mut dense);
 
         // Sparse twin of the same group.
         let sparse_group = {
@@ -925,13 +861,13 @@ mod tests {
             }
             sg
         };
-        let sparse = count_group_sparse(&view, &cov, &sparse_group, &cand_weights);
+        let mut sparse = fresh();
+        count_group_sparse(&view, &cov, &sparse_group, &mut sparse);
 
-        let norm = |mut v: Vec<(u32, f64, f64)>| {
-            v.sort_by_key(|&(ci, _, _)| ci);
-            v
+        let sums = |v: Vec<CandStat>| -> Vec<(f64, f64)> {
+            v.iter().map(|s| (s.count, s.marginal)).collect()
         };
-        assert_eq!(norm(dense), norm(sparse));
+        assert_eq!(sums(dense), sums(sparse));
     }
 
     #[test]

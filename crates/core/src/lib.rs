@@ -27,9 +27,9 @@
 //! sample; a drill-down into rows the view's table does not consist of
 //! gathers them into one first ([`filter_to_rule`]). The full table, however it is stored, is only ever
 //! scanned for covered rows, counted exactly, and gathered from. There is
-//! one search stack and one fallible scan API; results are bit-identical
-//! for any thread count and shard layout, whether shards are resident or
-//! spilled.
+//! one search stack and one fallible scan API, and every request runs on
+//! its calling thread; results are bit-identical for any shard layout,
+//! whether shards are resident or spilled.
 //!
 //! This crate holds the operator, not the interaction: the displayed rule
 //! tree the analyst expands, star-expands and rolls up (§2.3, §4's `U`)
@@ -43,11 +43,11 @@
 //! * [`score`] — `Count`/`MCount`/`Score` over rule lists and sets,
 //! * [`marginal`] — Algorithm 2: the a-priori-style best-marginal-rule search,
 //! * [`kernel`] — the columnar counting kernel behind Algorithm 2
-//!   (task-per-column/group parallel, bit-identical on any thread count),
-//!   plus the one columnar implementation of "covered rows" and "exact
-//!   count" over a span of global codes,
-//! * [`exec`] — the deterministic parallel map and the one source of worker
-//!   counts, shared by the kernel and the sampling layer's prefetch scan,
+//!   (column by column, group by group, bit-identical to the row-at-a-time
+//!   reference), plus the one columnar implementation of "covered rows"
+//!   and "exact count" over a span of global codes,
+//! * [`exec`] — the worker pool that runs independent jobs (server
+//!   connections, background prefetch), never one request,
 //! * [`accel`] — the block-mask scan behind every covered-row and exact
 //!   count scan, resident and spill-tier pushdown alike (portable, generic
 //!   over the 1/2/4-byte code widths), plus the chunked single-predicate
@@ -92,7 +92,7 @@ pub use drilldown::{
     DrillDownKind, FilteredView,
 };
 pub use exact::{enumerate_support_rules, exact_best_rule_set, greedy_guarantee};
-pub use kernel::{count_rules, covered_rows, covered_rows_with_threads, SearchScratch};
+pub use kernel::{count_rules, covered_rows, SearchScratch};
 pub use marginal::{
     find_best_marginal_rule, find_best_marginal_rule_rowwise, find_best_marginal_rule_with_scratch,
     BestMarginal, SearchOptions, SearchStats,
@@ -111,10 +111,3 @@ pub use weight::{
     check_monotone_on, BitsWeight, ColumnWeight, RequireColumn, SizeMinusOne, SizeWeight,
     TraditionalEmulation, WeightFn,
 };
-
-/// Serializes the unit tests that set the process-global `SDD_THREADS`.
-#[cfg(test)]
-pub(crate) fn test_env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    LOCK.lock().unwrap_or_else(|e| e.into_inner())
-}

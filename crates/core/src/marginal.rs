@@ -26,9 +26,7 @@
 //! [`TableView`] — in the product, a materialised sample (paper §4) —
 //! through the columnar kernel of [`crate::kernel`]. [`SearchOptions`]
 //! selects *how hard* to search (`max_weight`, pruning, size cap, base);
-//! whether the counting passes fan out task-per-column/group is worked out
-//! from the view's size and [`crate::exec::worker_threads`], and never
-//! changes a bit of the result.
+//! the search runs on its calling thread, one column or group at a time.
 //! [`find_best_marginal_rule_rowwise`] is the row-at-a-time reference the
 //! parity tests compare against.
 

@@ -26,19 +26,19 @@
 //! **fallible-only**: a damaged spill file surfaces as
 //! [`TableError::Corrupt`]/[`TableError::Io`], never a crash.
 //!
-//! ## Bit-parity across layouts, batches and thread counts
+//! ## Bit-parity across layouts and batches
 //!
 //! 1. segments partition the row range in order, so visiting them in index
 //!    order visits rows in exactly the monolithic order;
 //! 2. a rule's hits in a segment are a function of that rule and those
 //!    rows alone — which other rules share the batch changes what is
 //!    *fetched*, never what is *found*;
-//! 3. with more than one thread, segments are scanned in parallel waves
-//!    but their hits reach the sink strictly in segment order, so every
-//!    rule's hit stream is the ascending monolithic one: hit lists
-//!    concatenate, integer counts add exactly, and a reservoir fed by the
-//!    stream draws what a rule-at-a-time scan would give it
-//!    (`docs/DETERMINISM.md` has the argument in full);
+//! 3. a sweep runs on its calling thread and hands each segment's hits to
+//!    the sink as it scans them, so every rule's hit stream is the
+//!    ascending monolithic one: hit lists concatenate, integer counts add
+//!    exactly, and a reservoir fed by the stream draws what a
+//!    rule-at-a-time scan would give it (`docs/DETERMINISM.md` has the
+//!    argument in full);
 //! 4. a gather copies global codes in the order asked for, so the search
 //!    over a gathered table performs the same float operations in the same
 //!    order as over the same rows of a monolithic table.
@@ -72,9 +72,9 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use crate::accel::{self, EqPred};
-use crate::kernel::{scan_chunks, span_preds, SearchScratch};
+use crate::kernel::{span_preds, SearchScratch};
 use crate::marginal::{find_best_marginal_rule_with_scratch, BestMarginal, SearchOptions};
-use crate::{exec, Rule, WeightFn};
+use crate::{Rule, WeightFn};
 use sdd_table::{
     chunk_spans, LocalCodes, OwnedTableView, RawColumn, RowId, ShardedTable, ShardedView, Table,
     TableError, TableStore,
@@ -161,6 +161,25 @@ fn local_predicates<'a>(
 // The sweep
 // ---------------------------------------------------------------------------
 
+/// Rows per slice targeted by a sweep of a monolithic table.
+const ROWS_PER_SLICE: usize = 8 * 1024;
+/// Upper bound on the number of slices of one sweep.
+const MAX_SLICES: usize = 64;
+/// Inputs smaller than this are swept in one piece.
+const SLICE_MIN_ROWS: usize = 32 * 1024;
+
+/// Slice count for a sweep of a monolithic table: slicing bounds the hit
+/// list one slice holds at a time (a whole 10⁶-row table's trivial-rule
+/// hits would be 4 MB). Output is integer hit lists in slice order, so
+/// slicing never changes a byte of the result.
+fn scan_chunks(len: usize) -> usize {
+    if len < SLICE_MIN_ROWS {
+        1
+    } else {
+        (len / ROWS_PER_SLICE).clamp(1, MAX_SLICES)
+    }
+}
+
 /// Where a sweep reads its rows: a monolithic table, swept in
 /// [`chunk_spans`] slices, or segmented storage — a sharded table or a live
 /// snapshot — swept shard by shard.
@@ -204,52 +223,35 @@ impl<'a> Source<'a> {
     }
 }
 
-/// Segments a worker scans per wave when a sweep fans out: enough that the
-/// scoped-thread start-up is paid once per several segments, few enough that
-/// a wave's hit lists stay small beside the table.
-const WAVE_SEGMENTS_PER_THREAD: usize = 4;
-
 /// The one loop over segments. Visits every segment of `src` that overlaps
 /// `range` (out-of-bounds ranges clamp) in row order, fetches the union of
 /// `rules`' columns once per segment, runs `scan` for every rule over the
 /// in-range rows, and hands `(rule index, scan result)` to `sink` — per
-/// rule strictly in segment order on any thread count: past the
-/// [`exec::threads_for_rows`] gate a wave of segments is scanned in
-/// parallel, then replayed into the sink in order.
-fn sweep<'a, P: Send>(
+/// rule strictly in segment order.
+fn sweep<'a, P>(
     src: Source<'a>,
     rules: &[Rule],
     range: Range<usize>,
-    scan: impl Fn(&Segment<'a>, &Rule) -> P + Sync,
+    scan: impl Fn(&Segment<'a>, &Rule) -> P,
     mut sink: impl FnMut(usize, P),
 ) -> Result<(), TableError> {
     let mut cols: Vec<usize> = rules.iter().flat_map(Rule::instantiated_columns).collect();
     cols.sort_unstable();
     cols.dedup();
-    let spans = src.spans();
-    let clip = |i: usize| spans[i].start.max(range.start)..spans[i].end.min(range.end);
-    let todo: Vec<usize> = (0..spans.len()).filter(|&i| !clip(i).is_empty()).collect();
-    let visit = |i: usize| -> Result<Vec<P>, TableError> {
+    for (i, span) in src.spans().iter().enumerate() {
+        let rows = span.start.max(range.start)..span.end.min(range.end);
+        if rows.is_empty() {
+            continue;
+        }
         let codes = src.fetch(i, &cols)?;
         // The monolithic table's row 0 is global row 0, a shard's its span's.
         let start = match src {
             Source::Whole(_) => 0,
-            Source::Sharded(_) => spans[i].start,
+            Source::Sharded(_) => span.start,
         };
-        let rows = clip(i);
         let seg = Segment { codes, start, rows };
-        Ok(rules.iter().map(|rule| scan(&seg, rule)).collect())
-    };
-    let threads = exec::threads_for_rows(todo.iter().map(|&i| clip(i).len()).sum());
-    let per_wave = match threads {
-        1 => 1,
-        n => n * WAVE_SEGMENTS_PER_THREAD,
-    };
-    for wave in todo.chunks(per_wave) {
-        for parts in exec::parallel_map(threads, wave.to_vec(), visit) {
-            for (rule, part) in parts?.into_iter().enumerate() {
-                sink(rule, part);
-            }
+        for (r, rule) in rules.iter().enumerate() {
+            sink(r, scan(&seg, rule));
         }
     }
     Ok(())
@@ -321,10 +323,9 @@ pub fn try_count_rules_in_store(
 /// table"): `sink(i, rows)` receives `rules[i]`'s covered rows in one
 /// segment, ascending. Per rule, the slices arrive in segment order and
 /// concatenate to exactly [`crate::covered_rows`] of the same rows clipped
-/// to `range`, whichever rules share the batch, however the rows are
-/// stored and on any thread count — so a consumer that folds the stream in
-/// order (a keyed reservoir) ends where a rule-at-a-time scan would leave
-/// it.
+/// to `range`, whichever rules share the batch and however the rows are
+/// stored — so a consumer that folds the stream in order (a keyed
+/// reservoir) ends where a rule-at-a-time scan would leave it.
 pub fn try_scan_rules_in_store(
     store: &TableStore,
     rules: &[Rule],

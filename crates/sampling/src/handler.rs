@@ -56,9 +56,8 @@
 //! ([`Reservoir::offer_keyed`], keyed by a SplitMix64 fold of
 //! `(config.seed, rule)`) — there is no shared sequential RNG, and a rule's
 //! hits reach its reservoir in ascending row order whichever rules share
-//! the sweep and however many threads scan segments. So the stored samples
-//! are identical for any batch composition and any thread count
-//! (`docs/DETERMINISM.md`).
+//! the sweep. So the stored samples are identical for any batch
+//! composition (`docs/DETERMINISM.md`).
 //!
 //! **Live tables.** A handler over a [`TableStore::Live`] store is pinned
 //! to one epoch's snapshot; [`SampleHandler::try_sync_to_snapshot`]
@@ -208,7 +207,7 @@ pub struct PrefetchJob {
 }
 
 /// A read-only snapshot of one stored sample — determinism harnesses
-/// compare these across thread counts and prefetch scheduling modes.
+/// compare these across store layouts and prefetch scheduling modes.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredSampleInfo {
     /// The filter rule the sample was drawn for.
@@ -237,8 +236,8 @@ pub struct SampleHandler {
 
 /// The per-rule reservoir key: a SplitMix64 fold of the handler seed and
 /// the rule's codes. Stable across platforms and independent of scan
-/// order, so parallel prefetch draws the same sample for a rule no matter
-/// how many rules share the batch or how many threads run it. Each draw of
+/// order, so prefetch draws the same sample for a rule no matter how many
+/// rules share the batch. Each draw of
 /// the rule's reservoir then mixes this key with the offer index
 /// ([`Reservoir::offer_keyed`]), making the stored sample a pure function
 /// of `(seed, rule, covered-row stream)` — the determinism the live-table
@@ -256,8 +255,8 @@ fn sample_seed(seed: u64, rule: &Rule) -> u64 {
 type BatchMember = (Rule, Reservoir<RowId>, u64);
 
 /// The one scan every batch makes over `store`: sweeps `range` once,
-/// offering each rule's covered rows (ascending, whatever the batch and
-/// the thread count) into its reservoir. Every store kind emits the
+/// offering each rule's covered rows (ascending, whatever the batch) into
+/// its reservoir. Every store kind emits the
 /// identical covered-row stream for identical rows (a live store scans its
 /// pinned epoch's frozen snapshot), so the draws are identical whatever
 /// the storage.
@@ -456,7 +455,7 @@ impl SampleHandler {
             if !(s.scale.is_finite() && s.scale > 0.0) {
                 continue;
             }
-            let locals = sdd_core::covered_rows_with_threads(&s.local, rule, 1);
+            let locals = sdd_core::covered_rows(&s.local, rule);
             pooled += locals.len();
             if !locals.is_empty() {
                 parts.push((&s.local, locals));
@@ -1183,22 +1182,6 @@ mod tests {
         assert_eq!(indices, vec![0, 0]);
         assert_eq!(h.samples[0].rows.len(), 800);
         assert_eq!(h.memory_used(), 800);
-    }
-
-    #[test]
-    fn create_is_reproducible_across_thread_counts() {
-        // The per-rule derived seed makes stored samples a function of
-        // (config.seed, rule) only — never of scan scheduling.
-        let t = Arc::new(retail(1));
-        let walmart = Rule::from_pairs(&t, &[("Store", "Walmart")]).unwrap();
-        let draw = |threads: &str| {
-            std::env::set_var("SDD_THREADS", threads);
-            let mut h = handler(&t);
-            let s = h.try_get_sample(&walmart).unwrap();
-            std::env::remove_var("SDD_THREADS");
-            (h.stored_samples(), sdd_core::view_digest(&s.view.as_view()))
-        };
-        assert_eq!(draw("1"), draw("7"));
     }
 
     /// Rows `lo..hi` of the deterministic stream used by the live tests.

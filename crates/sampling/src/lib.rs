@@ -15,9 +15,9 @@
 //! * [`knapsack`] — Lemma 4's NP-hardness reduction, executable,
 //! * [`handler`] — the SampleHandler: Find / Combine / Create mechanisms,
 //!   LRU eviction, and one-scan pre-fetching (§4.3); the create/prefetch
-//!   scan runs task-per-rule on `sdd_core::exec` with per-reservoir seeds
-//!   derived from `(config.seed, rule)`, so stored samples are identical
-//!   on any thread count,
+//!   scan offers every rule's hits to a reservoir seeded from
+//!   `(config.seed, rule)`, so stored samples are identical for any batch
+//!   composition,
 //! * [`estimate`] — count estimates with confidence intervals,
 //! * [`minss`] — guidance for choosing `minSS` (§4.2).
 

@@ -24,8 +24,8 @@
 //! * deferred prefetch jobs always run between the expansion that created
 //!   them and the next operation on that session
 //!   ([`sdd_explorer::PrefetchMode::Deferred`]);
-//! * sample draws are seeded per `(seed, rule)` and all kernel scans are
-//!   bit-identical across thread counts (PR 1/2 groundwork);
+//! * sample draws are seeded per `(seed, rule)`, and every scan and
+//!   search of a request runs on the thread that handles it;
 //! * JSON objects serialize in construction order ([`json::Json`]).
 //!
 //! The workspace-level `tests/server_stress.rs` harness pins the whole

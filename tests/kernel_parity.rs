@@ -1,8 +1,8 @@
 //! Parity suite for the columnar counting kernel (see `sdd_core::kernel`):
 //! the columnar kernel must be **bit-identical** to the historical
-//! row-at-a-time implementation on any thread count (task-per-column/group
-//! design — no float-merge reordering), and k=1 greedy must match the
-//! exhaustive oracle on small instances.
+//! row-at-a-time implementation (one row-order scan per column or group —
+//! no float-merge reordering), and k=1 greedy must match the exhaustive
+//! oracle on small instances.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
@@ -10,16 +10,6 @@ use smart_drilldown::core::{
     BestMarginal, BitsWeight, Rule, SearchOptions, SizeWeight, WeightFn,
 };
 use smart_drilldown::table::{OwnedTableView, Schema, Table, TableView};
-
-/// Serializes tests that set the process-global `SDD_THREADS` variable:
-/// without it, concurrent test threads could flip the worker count under
-/// each other mid-run, making the thread-pinned comparisons vacuous.
-fn env_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: std::sync::OnceLock<std::sync::Mutex<()>> = std::sync::OnceLock::new();
-    LOCK.get_or_init(|| std::sync::Mutex::new(()))
-        .lock()
-        .expect("env lock poisoned")
-}
 
 /// A random categorical table: `n_cols` ≤ 4 columns with cardinality ≤ 5.
 fn random_table(rng: &mut StdRng) -> Table {
@@ -130,9 +120,8 @@ fn run_scenario(rng: &mut StdRng, trial: usize) {
     );
 }
 
-/// Views this small always run on one thread (`exec` keeps inputs under
-/// 16 Ki rows serial); the multi-worker schedule is pinned on large views
-/// by `default_search_is_thread_invariant_on_weighted_views` below.
+/// Small random views; large ones are pinned by
+/// `default_search_matches_rowwise_on_large_weighted_views` below.
 #[test]
 fn kernel_matches_rowwise_bitwise_on_randomized_instances() {
     let mut rng = StdRng::seed_from_u64(0x5EED_2016);
@@ -141,19 +130,15 @@ fn kernel_matches_rowwise_bitwise_on_randomized_instances() {
     }
 }
 
-/// The search is thread-count invariant on views large enough to fan out
-/// (`exec` runs anything under 16 Ki rows on one thread, so every case here
-/// is above that): a weighted (sample-shaped) view of 128 Ki rows over three
-/// free columns — fewer columns than workers, the regime where a
-/// row-slicing strategy once re-associated float partials depending on
-/// `SDD_THREADS`. Every accumulator now belongs to one task scanning in row
-/// order, so the result is bit-identical for any worker count and equal to
-/// the row-at-a-time reference — whether the view borrows its table and
-/// weights or is the owned form a materialised sample is served in, with
-/// pruning on or off, and under a drill-down base (a gathered subset).
+/// The search equals the row-at-a-time reference bitwise on a weighted
+/// (sample-shaped) view of 128 Ki rows over three free columns — long
+/// enough that any re-association of the float sums (a row-sliced
+/// accumulator, say) would show. Every accumulator is one scan in row
+/// order, whether the view borrows its table and weights or is the owned
+/// form a materialised sample is served in, with pruning on or off, and
+/// under a drill-down base (a gathered subset).
 #[test]
-fn default_search_is_thread_invariant_on_weighted_views() {
-    let _env = env_lock();
+fn default_search_matches_rowwise_on_large_weighted_views() {
     let mut rng = StdRng::seed_from_u64(0x7AEAD);
     let n = 128 * 1024;
     let rows: Vec<[String; 3]> = (0..n)
@@ -187,24 +172,19 @@ fn default_search_is_thread_invariant_on_weighted_views() {
         ("under a base", &based.as_view(), &SizeWeight, &under_base),
     ];
     for (shape, view, weight, opts) in cases {
-        assert!(view.len() >= 16 * 1024, "{shape}: too small to fan out");
         let cov = &cov[..view.len()];
         let reference = find_best_marginal_rule_rowwise(view, weight, cov, opts);
         assert!(
             reference.is_some(),
             "{shape}: the scenario must yield a rule"
         );
-        for threads in ["1", "2", "8"] {
-            std::env::set_var("SDD_THREADS", threads);
-            let got = find_best_marginal_rule(view, weight, cov, opts);
-            assert_bitwise_equal(
-                &format!("SDD_THREADS={threads}, {shape} view vs rowwise reference"),
-                &got,
-                &reference,
-            );
-        }
+        let got = find_best_marginal_rule(view, weight, cov, opts);
+        assert_bitwise_equal(
+            &format!("{shape} view vs rowwise reference"),
+            &got,
+            &reference,
+        );
     }
-    std::env::remove_var("SDD_THREADS");
 }
 
 #[test]

@@ -21,9 +21,8 @@ fn handler_cfg(capacity: usize, min_ss: usize, seed: u64) -> SampleHandlerConfig
     }
 }
 
-/// `retail(seed)` three times over (18 000 rows): past the 16 Ki rows below
-/// which `exec` keeps every scan on one thread, so `SDD_THREADS` really
-/// selects the schedule in the thread-invariance tests.
+/// `retail(seed)` three times over (18 000 rows): the same rules and
+/// values, each covering three times the rows.
 fn retail_x3(seed: u64) -> Table {
     let t = retail(seed);
     let n = t.n_rows() as u32;
@@ -207,55 +206,10 @@ fn prefetch_then_drill_without_disk() {
     );
 }
 
-#[test]
-fn prefetch_is_reproducible_across_thread_counts() {
-    // The prefetch scan runs task-per-rule with per-reservoir RNGs seeded
-    // from (config.seed, rule): the stored samples — rows, order, scales,
-    // and serving mechanisms — must be identical whether the scan ran on
-    // one worker or many.
-    let table = std::sync::Arc::new(retail_x3(42));
-    let trivial = Rule::trivial(3);
-    let walmart = Rule::from_pairs(&table, &[("Store", "Walmart")]).unwrap();
-    let target = Rule::from_pairs(&table, &[("Store", "Target")]).unwrap();
-    let entries = [
-        PrefetchEntry {
-            rule: walmart.clone(),
-            probability: 0.6,
-            selectivity: 1000.0 / 6000.0,
-        },
-        PrefetchEntry {
-            rule: target.clone(),
-            probability: 0.4,
-            selectivity: 200.0 / 6000.0,
-        },
-    ];
-    let run = |threads: &str| {
-        std::env::set_var("SDD_THREADS", threads);
-        let mut handler = SampleHandler::new(table.clone(), handler_cfg(20_000, 500, 77));
-        let hit = handler.try_prefetch(&trivial, &entries).unwrap();
-        let mut fetched = Vec::new();
-        for rule in [&walmart, &target] {
-            let s = handler.try_get_sample(rule).unwrap();
-            fetched.push((
-                s.mechanism == FetchMechanism::Create,
-                s.scale.to_bits(),
-                smart_drilldown::core::view_digest(&s.view.as_view()),
-            ));
-        }
-        std::env::remove_var("SDD_THREADS");
-        (hit.to_bits(), fetched, handler.stored_samples())
-    };
-    assert_eq!(
-        run("1"),
-        run("6"),
-        "prefetch results depend on thread count"
-    );
-}
-
 /// The §4.3 single pass is invisible in what it stores: the samples a
 /// prefetch batch draws while sharing one sweep of the table are the
-/// samples one Create per rule draws, whether segments are scanned on one
-/// thread or seven, over one table or eight spilled shards.
+/// samples one Create per rule draws, over one table or eight spilled
+/// shards.
 #[test]
 fn a_prefetch_batch_stores_what_one_create_per_rule_stores() {
     use smart_drilldown::table::{ShardConfig, ShardedTable, TableStore};
@@ -296,25 +250,21 @@ fn a_prefetch_batch_stores_what_one_create_per_rule_stores() {
     };
 
     let mut reference = None;
-    for threads in ["1", "7"] {
-        std::env::set_var("SDD_THREADS", threads);
-        for store in stores() {
-            let mut batch = SampleHandler::with_store(store.clone(), handler_cfg(20_000, 500, 77));
-            batch.try_prefetch(&Rule::trivial(3), &entries).unwrap();
-            assert_eq!(batch.stats.full_scans, 1);
-            let got = sorted(&batch);
-            assert!(got.0.len() >= 3, "the allocator must plan a real batch");
+    for store in stores() {
+        let mut batch = SampleHandler::with_store(store.clone(), handler_cfg(20_000, 500, 77));
+        batch.try_prefetch(&Rule::trivial(3), &entries).unwrap();
+        assert_eq!(batch.stats.full_scans, 1);
+        let got = sorted(&batch);
+        assert!(got.0.len() >= 3, "the allocator must plan a real batch");
 
-            let mut singles = SampleHandler::with_store(store, handler_cfg(20_000, 500, 77));
-            for s in &got.0 {
-                singles
-                    .try_create_batch(&[(s.filter.clone(), s.rows.len())])
-                    .unwrap();
-            }
-            assert_eq!(sorted(&singles), got, "{threads} thread(s)");
-            assert_eq!(reference.get_or_insert(got.clone()), &got);
+        let mut singles = SampleHandler::with_store(store, handler_cfg(20_000, 500, 77));
+        for s in &got.0 {
+            singles
+                .try_create_batch(&[(s.filter.clone(), s.rows.len())])
+                .unwrap();
         }
-        std::env::remove_var("SDD_THREADS");
+        assert_eq!(sorted(&singles), got);
+        assert_eq!(reference.get_or_insert(got.clone()), &got);
     }
 }
 
@@ -345,13 +295,11 @@ fn session_over_sampled_view_reproduces_walkthrough_shape() {
 
 /// Drives a fixed three-level drill script through an [`Explorer`] and
 /// snapshots the sample store afterwards. `mode` controls prefetch
-/// scheduling; `threads` pins the scan worker count via `SDD_THREADS`.
+/// scheduling.
 fn prefetch_script_samples(
     table: &Arc<Table>,
     mode: PrefetchMode,
-    threads: &str,
 ) -> (Vec<StoredSampleInfo>, String) {
-    std::env::set_var("SDD_THREADS", threads);
     let mut ex = Explorer::new(
         table.clone(),
         Box::new(SizeWeight),
@@ -373,37 +321,26 @@ fn prefetch_script_samples(
             ex.try_run_prefetch(&job).unwrap();
         }
     }
-    std::env::remove_var("SDD_THREADS");
     (ex.handler().stored_samples(), ex.render())
 }
 
 #[test]
 fn background_prefetch_is_deterministic_across_workers() {
     // The §4.3 prefetch must store bit-identical samples whether it runs
-    // inline in the expansion call, on a single background worker, or with
-    // the scan fanned out over 8 workers — rows, order, scales, and the
-    // resulting display must all match.
+    // inline in the expansion call or on a background worker — rows,
+    // order, scales, and the resulting display must all match.
     let table = Arc::new(retail_x3(42));
-    let (inline_samples, inline_render) =
-        prefetch_script_samples(&table, PrefetchMode::Inline, "1");
-    let (worker1_samples, worker1_render) =
-        prefetch_script_samples(&table, PrefetchMode::Deferred, "1");
-    let (worker8_samples, worker8_render) =
-        prefetch_script_samples(&table, PrefetchMode::Deferred, "8");
+    let (inline_samples, inline_render) = prefetch_script_samples(&table, PrefetchMode::Inline);
+    let (worker1_samples, worker1_render) = prefetch_script_samples(&table, PrefetchMode::Deferred);
 
     assert!(!inline_samples.is_empty(), "script must store samples");
     assert_eq!(
         inline_samples, worker1_samples,
         "deferred(1 worker) differs from inline"
     );
-    assert_eq!(
-        inline_samples, worker8_samples,
-        "deferred(8 workers) differs from inline"
-    );
     assert_eq!(inline_render, worker1_render);
-    assert_eq!(inline_render, worker8_render);
     // Scales must match to the bit, not approximately.
-    for (a, b) in inline_samples.iter().zip(&worker8_samples) {
+    for (a, b) in inline_samples.iter().zip(&worker1_samples) {
         assert_eq!(a.scale.to_bits(), b.scale.to_bits());
     }
 }

@@ -355,9 +355,8 @@ fn sample_stores_are_bit_identical_between_monolithic_and_sharded() {
     );
 }
 
-/// `retail(seed)` three times over (18 000 rows): past the 16 Ki rows below
-/// which every scan stays on one thread, so `SDD_THREADS` really selects
-/// the schedule.
+/// `retail(seed)` three times over (18 000 rows): the same rules and
+/// values, each covering three times the rows.
 fn retail_x3(seed: u64) -> Table {
     let t = retail(seed);
     let n = t.n_rows() as u32;
@@ -384,9 +383,8 @@ fn stored_by_filter(h: &SampleHandler) -> Vec<(StoredSampleInfo, [u64; 2])> {
 /// One pass for a whole batch (§4.3) changes what is *fetched*, never what
 /// is *drawn*: a k-rule batch — with the trivial rule and a repeated filter
 /// in it — stores exactly the samples, materialised tables and digests
-/// that k single-rule Creates store, on every store kind, on 1 and 7
-/// threads, and costs a spilling store at most two reads per spilled shard
-/// however large k is.
+/// that k single-rule Creates store, on every store kind, and costs a
+/// spilling store at most two reads per spilled shard however large k is.
 #[test]
 fn batched_creates_match_single_creates_and_share_their_fetches() {
     let table = Arc::new(retail_x3(42));
@@ -440,31 +438,27 @@ fn batched_creates_match_single_creates_and_share_their_fetches() {
         let want = stored_by_filter(&singles);
         assert_eq!(want.len(), k.min(5), "one sample per distinct filter");
 
-        for threads in ["1", "7"] {
-            std::env::set_var("SDD_THREADS", threads);
-            for (store, label) in stores() {
-                let label = format!("k = {k}, {threads} thread(s), {label}");
-                let counters = |store: &TableStore| match store {
-                    TableStore::Sharded(st) => Some((st.loads(), st.spills())),
-                    _ => None,
-                };
-                let before = counters(&store);
-                let mut h = SampleHandler::with_store(store.clone(), config.clone());
-                h.try_create_batch(batch).unwrap();
-                assert_eq!(stored_by_filter(&h), want, "{label}");
-                assert_eq!(h.stats.full_scans, 1, "{label}: a batch is one pass");
-                if let (Some((loads, cold)), Some((after, _))) = (before, counters(&store)) {
-                    assert!(
-                        after - loads <= 2 * cold,
-                        "{label}: {} reads for {cold} spilled shards",
-                        after - loads
-                    );
-                    if cold > 0 {
-                        assert!(after > loads, "{label}: spill never exercised");
-                    }
+        for (store, label) in stores() {
+            let label = format!("k = {k}, {label}");
+            let counters = |store: &TableStore| match store {
+                TableStore::Sharded(st) => Some((st.loads(), st.spills())),
+                _ => None,
+            };
+            let before = counters(&store);
+            let mut h = SampleHandler::with_store(store.clone(), config.clone());
+            h.try_create_batch(batch).unwrap();
+            assert_eq!(stored_by_filter(&h), want, "{label}");
+            assert_eq!(h.stats.full_scans, 1, "{label}: a batch is one pass");
+            if let (Some((loads, cold)), Some((after, _))) = (before, counters(&store)) {
+                assert!(
+                    after - loads <= 2 * cold,
+                    "{label}: {} reads for {cold} spilled shards",
+                    after - loads
+                );
+                if cold > 0 {
+                    assert!(after > loads, "{label}: spill never exercised");
                 }
             }
-            std::env::remove_var("SDD_THREADS");
         }
     }
 }
@@ -552,8 +546,8 @@ fn materialised(h: &SampleHandler, filter: &Rule) -> Option<Materialised> {
 /// A sync patches the stored tables instead of re-gathering them — and
 /// what it leaves is, byte for byte, what a fresh handler Creates at the
 /// new epoch: row ids, scales, columns, dictionary lengths and measures.
-/// One sync across four appends (18 000 rows, so `SDD_THREADS` selects the
-/// sweep's schedule) and a sync per append agree with it, over a resident
+/// One sync across four appends (18 000 rows) and a sync per append agree
+/// with it, over a resident
 /// and a spilling live table, for samples that are overwritten in place by
 /// rows carrying a value no dictionary held before, that grow while
 /// under capacity, that are drained, and that no appended row touches.
@@ -609,77 +603,71 @@ fn a_synced_sample_is_the_sample_a_create_at_the_new_epoch_stores() {
         (LiveTableConfig::in_memory(2_000), "resident"),
         (spill, "spilling"),
     ] {
-        for threads in ["1", "7"] {
-            std::env::set_var("SDD_THREADS", threads);
-            let label = format!("{label}, {threads} thread(s)");
-            let measures = vec!["Sales".to_owned()];
-            let live = Arc::new(LiveTable::new(retail.schema().clone(), measures, &cfg).unwrap());
-            live.try_append(&rows[..base], &sales[..base]).unwrap();
-            let created = || {
-                let mut h =
-                    SampleHandler::with_store(TableStore::from(live.clone()), config.clone());
-                let requests = requests(h.table());
-                h.try_create_batch(&requests).unwrap();
-                h
-            };
-            let (mut jumped, mut stepped) = (created(), created());
-            let before = jumped.stored_samples();
-            let mut snap = live.snapshot();
-            for lo in (base..total).step_by((total - base) / 4) {
-                let hi = lo + (total - base) / 4;
-                snap = live.try_append(&rows[lo..hi], &sales[lo..hi]).unwrap();
-                stepped.try_sync_to_snapshot(&snap).unwrap();
-            }
-            assert_eq!(snap.epoch, 5, "{label}: four epochs past the handlers' pin");
-            jumped.try_sync_to_snapshot(&snap).unwrap();
-            let fresh = created();
-            assert_eq!(fresh.pinned_epoch(), 5);
+        let measures = vec!["Sales".to_owned()];
+        let live = Arc::new(LiveTable::new(retail.schema().clone(), measures, &cfg).unwrap());
+        live.try_append(&rows[..base], &sales[..base]).unwrap();
+        let created = || {
+            let mut h = SampleHandler::with_store(TableStore::from(live.clone()), config.clone());
+            let requests = requests(h.table());
+            h.try_create_batch(&requests).unwrap();
+            h
+        };
+        let (mut jumped, mut stepped) = (created(), created());
+        let before = jumped.stored_samples();
+        let mut snap = live.snapshot();
+        for lo in (base..total).step_by((total - base) / 4) {
+            let hi = lo + (total - base) / 4;
+            snap = live.try_append(&rows[lo..hi], &sales[lo..hi]).unwrap();
+            stepped.try_sync_to_snapshot(&snap).unwrap();
+        }
+        assert_eq!(snap.epoch, 5, "{label}: four epochs past the handlers' pin");
+        jumped.try_sync_to_snapshot(&snap).unwrap();
+        let fresh = created();
+        assert_eq!(fresh.pinned_epoch(), 5);
 
-            let mut frozen = SampleHandler::new(twin.clone(), config.clone());
-            frozen.try_create_batch(&requests(&twin)).unwrap();
-            let want = frozen.stored_samples();
-            let handlers = [
-                (&jumped, "one sync"),
-                (&stepped, "a sync per append"),
-                (&fresh, "a fresh Create"),
-            ];
-            for (h, how) in handlers {
-                assert_eq!(h.stored_samples(), want, "{label}, {how}");
-                for info in &want {
-                    assert_eq!(
-                        materialised(h, &info.filter),
-                        materialised(&frozen, &info.filter),
-                        "{label}, {how}: the table of {:?}",
-                        info.filter
-                    );
-                }
-            }
-            // The scenarios happened: slots overwritten by rows with the
-            // new value, growth under capacity, a drained sample, and one
-            // whose rows no append moved.
-            let costco = twin.dictionary(0).code_of("Costco").expect("appended");
-            let (trivial, ..) = materialised(&jumped, &want[0].filter).unwrap();
-            assert!(trivial[0].contains(&costco), "{label}");
-            assert!(want[2].exact && want[2].rows.len() > before[2].rows.len());
-            assert!(want[3].rows.is_empty() && want[3].scale.is_infinite());
-            assert!(materialised(&jumped, &want[3].filter).is_none());
-            assert_eq!(want[4].rows, before[4].rows, "{label}");
-
-            let rules: Vec<Rule> = requests(&twin).into_iter().map(|(rule, _)| rule).collect();
-            let rules = [&rules[..], &[Rule::trivial(3).with_value(0, costco)]].concat();
-            assert_eq!(
-                bits(&try_count_rules_sharded(&snap.table, &rules).unwrap()),
-                bits(&count_rules(&twin, &rules)),
-                "{label}: counts"
-            );
-            for rule in &rules {
+        let mut frozen = SampleHandler::new(twin.clone(), config.clone());
+        frozen.try_create_batch(&requests(&twin)).unwrap();
+        let want = frozen.stored_samples();
+        let handlers = [
+            (&jumped, "one sync"),
+            (&stepped, "a sync per append"),
+            (&fresh, "a fresh Create"),
+        ];
+        for (h, how) in handlers {
+            assert_eq!(h.stored_samples(), want, "{label}, {how}");
+            for info in &want {
                 assert_eq!(
-                    try_covered_rows_sharded(&snap.table, rule).unwrap(),
-                    covered_rows(&twin, rule),
-                    "{label}: covered rows of {rule:?}"
+                    materialised(h, &info.filter),
+                    materialised(&frozen, &info.filter),
+                    "{label}, {how}: the table of {:?}",
+                    info.filter
                 );
             }
-            std::env::remove_var("SDD_THREADS");
+        }
+        // The scenarios happened: slots overwritten by rows with the
+        // new value, growth under capacity, a drained sample, and one
+        // whose rows no append moved.
+        let costco = twin.dictionary(0).code_of("Costco").expect("appended");
+        let (trivial, ..) = materialised(&jumped, &want[0].filter).unwrap();
+        assert!(trivial[0].contains(&costco), "{label}");
+        assert!(want[2].exact && want[2].rows.len() > before[2].rows.len());
+        assert!(want[3].rows.is_empty() && want[3].scale.is_infinite());
+        assert!(materialised(&jumped, &want[3].filter).is_none());
+        assert_eq!(want[4].rows, before[4].rows, "{label}");
+
+        let rules: Vec<Rule> = requests(&twin).into_iter().map(|(rule, _)| rule).collect();
+        let rules = [&rules[..], &[Rule::trivial(3).with_value(0, costco)]].concat();
+        assert_eq!(
+            bits(&try_count_rules_sharded(&snap.table, &rules).unwrap()),
+            bits(&count_rules(&twin, &rules)),
+            "{label}: counts"
+        );
+        for rule in &rules {
+            assert_eq!(
+                try_covered_rows_sharded(&snap.table, rule).unwrap(),
+                covered_rows(&twin, rule),
+                "{label}: covered rows of {rule:?}"
+            );
         }
     }
 }

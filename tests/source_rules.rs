@@ -4,7 +4,9 @@
 //! * **X001**: a `pub fn *_sharded` in `sdd-core` has a monolithic twin and is called by name
 //!   in `tests/shard_parity.rs`;
 //! * **P001, asserts**: a file that denies `clippy::unwrap_used` has no `assert!`/`assert_eq!`/
-//!   `assert_ne!` outside tests unless the line above is `// source-rules: allow(P001) <reason>`.
+//!   `assert_ne!` outside tests unless the line above is `// source-rules: allow(P001) <reason>`;
+//! * **E001, no exceptions**: no product source outside tests names `std::env::var*`, so an
+//!   `#[allow(clippy::disallowed_methods)]` cannot quietly add a setting.
 
 use std::fs;
 use std::ops::Range;
@@ -130,6 +132,15 @@ fn p001_asserts(src: &str) -> Vec<String> {
     out
 }
 
+fn e001(src: &str) -> Vec<String> {
+    let code = code_only(src);
+    let line = |at: usize| src[..at].lines().count();
+    let reads = code.match_indices("env::var").map(|(at, _)| at);
+    reads
+        .map(|at| format!("E001: an environment read on line {}", line(at)))
+        .collect()
+}
+
 #[test]
 fn the_workspace_keeps_the_source_rules() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -154,6 +165,15 @@ fn the_workspace_keeps_the_source_rules() {
     }
     let parity = fs::read_to_string(root.join("tests/shard_parity.rs")).unwrap();
     assert_eq!(x001(&core, &parity), none);
+
+    // Every crate but `sdd-bench` (the paper-figure bins and their knobs) is product.
+    for (path, src) in files.iter().filter(|(p, _)| !p.contains("crates/bench/")) {
+        if !path.contains("/tests/") {
+            assert_eq!(e001(src), none, "{path}");
+        }
+    }
+    let facade = fs::read_to_string(root.join("src/lib.rs")).unwrap();
+    assert_eq!(e001(&facade), none, "src/lib.rs");
 
     let mut p001 = 0;
     for (path, src) in files.iter().filter(|(_, s)| s.contains(P001_DENY)) {
@@ -197,4 +217,9 @@ fn the_rules_flag_known_bad_and_pass_known_good_sources() {
     for (src, want) in p001_cases {
         assert_eq!(p001_asserts(&src).len(), want, "{src}");
     }
+    let read = "#[allow(clippy::disallowed_methods, reason = \"one knob\")]\nfn threads() -> usize {\n    std::env::var(\"N\").map_or(1, |v| v.len())\n}";
+    assert_eq!(e001(read), ["E001: an environment read on line 3"]);
+    let no_read = "fn f() -> usize {\n    // std::env::var(\"N\")\n    std::env::args().count() + \"env::var\".len()\n}";
+    assert_eq!(e001(no_read).len(), 0);
+    assert_eq!(e001(&format!("#[cfg(test)]\n{read}")).len(), 0);
 }
