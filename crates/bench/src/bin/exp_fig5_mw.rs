@@ -14,7 +14,7 @@
 use sdd_bench::report::{print_table, write_csv};
 use sdd_bench::{row, timing};
 use sdd_core::{BitsWeight, Brs, Rule, SizeWeight, WeightFn};
-use sdd_sampling::{AllocationStrategy, SampleHandler, SampleHandlerConfig};
+use sdd_sampling::{SampleHandler, SampleHandlerConfig};
 use sdd_table::Table;
 
 fn main() {
@@ -101,7 +101,6 @@ fn expand_via_sampler(
                 capacity: 50_000,
                 min_sample_size: 5_000,
                 seed,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let sample = handler.try_get_sample(&trivial).expect("in-memory table");

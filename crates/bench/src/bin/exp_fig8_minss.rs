@@ -13,7 +13,7 @@
 use sdd_bench::report::{print_table, write_csv};
 use sdd_bench::{row, timing};
 use sdd_core::{rule_count, BitsWeight, Brs, BrsResult, Rule, SizeWeight, WeightFn};
-use sdd_sampling::{percent_error, AllocationStrategy, SampleHandler, SampleHandlerConfig};
+use sdd_sampling::{percent_error, SampleHandler, SampleHandlerConfig};
 use sdd_table::Table;
 
 const K: usize = 4;
@@ -97,7 +97,6 @@ fn one_expansion(
                 capacity: 50_000.max(minss),
                 min_sample_size: minss,
                 seed: 1000 + rep,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let sample = handler.try_get_sample(&trivial).expect("in-memory table");

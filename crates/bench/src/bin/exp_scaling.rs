@@ -13,7 +13,7 @@
 use sdd_bench::report::{print_table, write_csv};
 use sdd_bench::{row, timing};
 use sdd_core::{Brs, Rule, SizeWeight};
-use sdd_sampling::{AllocationStrategy, SampleHandler, SampleHandlerConfig};
+use sdd_sampling::{SampleHandler, SampleHandlerConfig};
 
 fn main() {
     let reps = sdd_bench::reps();
@@ -44,7 +44,6 @@ fn main() {
                     capacity: 50_000,
                     min_sample_size: 5_000,
                     seed,
-                    strategy: AllocationStrategy::Dp,
                 },
             );
             let s = h.try_get_sample(&trivial).expect("in-memory table");

@@ -5,7 +5,6 @@
 //!
 //! * Experiment binaries live in `src/bin/exp_*.rs`; each prints a
 //!   human-readable report and writes CSV under `target/experiments/`.
-//! * Criterion micro-benchmarks live in `benches/`.
 //!
 //! Environment knobs (all optional):
 //!

@@ -80,7 +80,7 @@ pub struct ExplorerConfig {
     pub k: usize,
     /// The optimizer's `mw` parameter (`None` = maximum possible weight).
     pub max_weight: Option<f64>,
-    /// Sampling layer settings (`M`, `minSS`, allocation strategy).
+    /// Sampling layer settings (`M`, `minSS`, seed).
     pub handler: SampleHandlerConfig,
     /// How samples for the displayed rules are pre-fetched after each
     /// expansion.
@@ -765,7 +765,6 @@ mod tests {
     use super::*;
     use sdd_core::SizeWeight;
     use sdd_datagen::retail;
-    use sdd_sampling::AllocationStrategy;
 
     fn config(min_ss: usize) -> ExplorerConfig {
         ExplorerConfig {
@@ -775,7 +774,6 @@ mod tests {
                 capacity: 30_000,
                 min_sample_size: min_ss,
                 seed: 7,
-                strategy: AllocationStrategy::Dp,
             },
             prefetch: PrefetchMode::Inline,
             confidence_z: 1.96,

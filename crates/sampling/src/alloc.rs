@@ -146,18 +146,6 @@ pub struct Allocation {
     pub value: f64,
 }
 
-/// Which allocation solver the [`crate::SampleHandler`] should use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AllocationStrategy {
-    /// The paper's DP over locally-optimal per-node configurations (§4.1).
-    #[default]
-    Dp,
-    /// The convex hinge-loss relaxation with projected subgradient (§4.2).
-    Convex,
-    /// Naïve baseline: split `M` equally across leaves (ablation A3).
-    Uniform,
-}
-
 /// Uniform baseline: split the budget equally among leaves (no parent
 /// samples). Ablation A3's straw man.
 pub fn solve_uniform(problem: &AllocationProblem) -> Allocation {

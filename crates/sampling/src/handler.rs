@@ -80,8 +80,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-use crate::alloc::{solve_uniform, Allocation, AllocationProblem, AllocationStrategy};
-use crate::alloc_convex::solve_convex;
+use crate::alloc::{Allocation, AllocationProblem};
 use crate::alloc_dp::solve_dp;
 use crate::reservoir::{splitmix64, Reservoir};
 use sdd_core::Rule;
@@ -97,8 +96,6 @@ pub struct SampleHandlerConfig {
     pub min_sample_size: usize,
     /// RNG seed (sampling is deterministic per seed).
     pub seed: u64,
-    /// Which allocation solver [`SampleHandler::try_prefetch`] uses.
-    pub strategy: AllocationStrategy,
 }
 
 impl Default for SampleHandlerConfig {
@@ -108,7 +105,6 @@ impl Default for SampleHandlerConfig {
             capacity: 50_000,
             min_sample_size: 5_000,
             seed: 0xD2_11,
-            strategy: AllocationStrategy::Dp,
         }
     }
 }
@@ -593,13 +589,9 @@ impl SampleHandler {
         }
     }
 
-    /// Solves an allocation problem with the configured strategy.
+    /// Solves an allocation problem with the paper's DP (§4.1).
     pub fn solve_allocation(&self, problem: &AllocationProblem) -> Allocation {
-        match self.config.strategy {
-            AllocationStrategy::Dp => solve_dp(problem),
-            AllocationStrategy::Convex => solve_convex(problem),
-            AllocationStrategy::Uniform => solve_uniform(problem),
-        }
+        solve_dp(problem)
     }
 
     /// Pre-fetches samples for the likely next drill-downs under `parent`
@@ -738,7 +730,6 @@ mod tests {
                 capacity: 5_000,
                 min_sample_size: 500,
                 seed: 7,
-                strategy: AllocationStrategy::Dp,
             },
         )
     }
@@ -765,7 +756,6 @@ mod tests {
                 capacity: 20_000,
                 min_sample_size: 2_000,
                 seed: 3,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let trivial = Rule::trivial(3);
@@ -798,7 +788,6 @@ mod tests {
                 capacity: 50_000,
                 min_sample_size: 200,
                 seed: 11,
-                strategy: AllocationStrategy::Dp,
             },
         );
         // Seed a big sample of the trivial rule directly in the store.
@@ -850,7 +839,6 @@ mod tests {
                 capacity: 1_200,
                 min_sample_size: 500,
                 seed: 5,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let rules = [
@@ -874,7 +862,6 @@ mod tests {
                 capacity: 20_000,
                 min_sample_size: 500,
                 seed: 13,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let walmart = Rule::from_pairs(&t, &[("Store", "Walmart")]).unwrap();
@@ -929,7 +916,6 @@ mod tests {
                 capacity: 100,
                 min_sample_size: 1,
                 seed: 1,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let target = Rule::from_pairs(&t, &[("Store", "w"), ("Product", "c")]).unwrap();
@@ -983,7 +969,6 @@ mod tests {
                     capacity: 100,
                     min_sample_size: 1,
                     seed,
-                    strategy: AllocationStrategy::Dp,
                 },
             );
             h.scan_and_store(&[(w.clone(), 10)]).unwrap(); // exact, rate 1
@@ -1022,7 +1007,6 @@ mod tests {
                 capacity: 100,
                 min_sample_size: 1,
                 seed: 3,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let w = Rule::from_pairs(&t, &[("Store", "w")]).unwrap();
@@ -1061,7 +1045,6 @@ mod tests {
                 capacity: 2_000,
                 min_sample_size: 100,
                 seed: 21,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let trivial = Rule::trivial(1);
@@ -1107,7 +1090,6 @@ mod tests {
                 capacity: 1_500,
                 min_sample_size: 500,
                 seed: 9,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let trivial = Rule::trivial(1);
@@ -1144,7 +1126,6 @@ mod tests {
                 capacity: 1_500,
                 min_sample_size: 500,
                 seed: 9,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let trivial = Rule::trivial(1);
@@ -1171,7 +1152,6 @@ mod tests {
                 capacity: 4_000,
                 min_sample_size: 500,
                 seed: 9,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let ra = Rule::from_pairs(&t, &[("A", "a")]).unwrap();
@@ -1198,7 +1178,6 @@ mod tests {
                 capacity: 400,
                 min_sample_size: 40,
                 seed,
-                strategy: AllocationStrategy::Dp,
             },
         )
     }
@@ -1367,7 +1346,6 @@ mod tests {
                 capacity: 1_000,
                 min_sample_size: 10,
                 seed: 5,
-                strategy: AllocationStrategy::Dp,
             },
         );
         let header = h.table().clone();
@@ -1408,7 +1386,6 @@ mod tests {
                 capacity: 100,
                 min_sample_size: 500,
                 seed: 1,
-                strategy: AllocationStrategy::Dp,
             },
         );
     }

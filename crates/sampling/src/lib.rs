@@ -34,7 +34,7 @@ pub mod knapsack;
 pub mod minss;
 pub mod reservoir;
 
-pub use alloc::{solve_uniform, Allocation, AllocationProblem, AllocationStrategy};
+pub use alloc::{solve_uniform, Allocation, AllocationProblem};
 pub use alloc_convex::{project_capped_simplex, solve_convex, solve_convex_with, ConvexConfig};
 pub use alloc_dp::solve_dp;
 pub use estimate::{count_estimate, percent_error, CountEstimate};

@@ -197,7 +197,7 @@ fn inline_prefetch_over_truncated_spill_file_is_an_error_response() {
 #[test]
 fn a_faulted_prefetch_batch_changes_nothing_and_retries_cleanly() {
     use sdd_core::Rule;
-    use sdd_sampling::{AllocationStrategy, PrefetchEntry, SampleHandler, SampleHandlerConfig};
+    use sdd_sampling::{PrefetchEntry, SampleHandler, SampleHandlerConfig};
 
     let table = sdd_datagen::retail(42);
     let st = Arc::new(
@@ -209,7 +209,6 @@ fn a_faulted_prefetch_batch_changes_nothing_and_retries_cleanly() {
             capacity: 2_000,
             min_sample_size: 400,
             seed: 7,
-            strategy: AllocationStrategy::Dp,
         };
         let mut h = SampleHandler::with_store(TableStore::Sharded(st.clone()), config);
         // One sample the batch replaces, and enough beside it that the
@@ -288,7 +287,7 @@ fn a_faulted_prefetch_batch_changes_nothing_and_retries_cleanly() {
 #[test]
 fn a_faulted_sync_changes_nothing_and_retries_cleanly() {
     use sdd_core::{view_digest, Rule};
-    use sdd_sampling::{AllocationStrategy, SampleHandler, SampleHandlerConfig};
+    use sdd_sampling::{SampleHandler, SampleHandlerConfig};
 
     let table = sdd_datagen::retail(42);
     let rows: Vec<Vec<&str>> = (0..4_700u32)
@@ -302,7 +301,6 @@ fn a_faulted_sync_changes_nothing_and_retries_cleanly() {
             capacity: 5_000,
             min_sample_size: 300,
             seed: 7,
-            strategy: AllocationStrategy::Dp,
         };
         let mut h = SampleHandler::with_store(TableStore::from(live.clone()), config);
         for pairs in [&[("Store", "Walmart")][..], &[], &[("Product", "cookies")]] {

@@ -8,8 +8,9 @@
 //! Two ingest surfaces share one record parser ([`RecordReader`], a
 //! pull-based reader over any [`BufRead`]): [`read_csv`] materializes a
 //! monolithic [`Table`], and [`stream_csv_file`] streams a file straight
-//! into a [`ShardedTable`] through a [`ShardBuilder`] — never holding more
-//! than one unsealed segment (plus dictionaries) in memory.
+//! into a [`ShardedTable`] through a [`ShardBuilder`] (the segment writer
+//! every sharded table is built with) — never holding more than one
+//! unsealed segment (plus dictionaries) in memory.
 
 use crate::shard::{ShardBuilder, ShardConfig, ShardedTable};
 use crate::{Schema, Table, TableBuilder, TableError};
@@ -127,9 +128,12 @@ pub fn read_csv_with_measures(input: &str, measures: &[&str]) -> Result<Table, T
 /// errors surface here, everything per-field (UTF-8, arity, numbers) in
 /// pass 2; the count fixes the deterministic span layout. Pass 2
 /// re-reads the file and pushes each row through a [`ShardBuilder`], which
-/// interns global codes in first-appearance order and spills every segment
-/// the moment it seals. Peak memory is therefore one unsealed segment plus
-/// the growing dictionaries and measure columns — never O(rows).
+/// drives the one segment writer every sharded and live table is built
+/// with: it interns global codes in first-appearance order and spills every
+/// segment the moment it seals, through the same seal
+/// `ShardedTable::from_table` uses. Peak memory is therefore one unsealed
+/// segment plus the growing dictionaries and measure columns — never
+/// O(rows).
 ///
 /// Because global codes are assigned in the same first-appearance order the
 /// materializing reader uses, the result is **bit-identical** (segment

@@ -37,12 +37,17 @@
 //! so a spilling table holds its header, its measure columns and its
 //! resident shards — nothing that grows with use.
 //!
-//! Construction comes in two forms: [`ShardedTable::from_table`] slices an
-//! already-materialized [`Table`], and [`ShardBuilder`] **streams** rows in
-//! without ever materializing the monolithic table — sealing and spilling
-//! each segment the moment its span fills, so ingest peak memory is one
-//! segment plus dictionaries (see the builder docs for why the two builds
-//! are bit-identical).
+//! Every table is built by **one segment writer**, which interns rows,
+//! seals each full segment through one function that spills it or keeps
+//! it resident, and freezes its sealed segments and open rows into a
+//! [`ShardedTable`]. Three producers drive it: [`ShardedTable::from_table`]
+//! slices an already-materialized [`Table`] over that table's
+//! dictionaries; [`ShardBuilder`] **streams** rows in without ever
+//! materializing the monolithic table — sealing and spilling each segment
+//! the moment its span fills, so ingest peak memory is one segment plus
+//! dictionaries (see the builder docs for why the two builds are
+//! bit-identical); and [`LiveTable`] seals every `rows_per_segment` rows
+//! and freezes once per append.
 //!
 //! ## Determinism contract
 //!
@@ -313,11 +318,10 @@ pub struct ShardedTable {
 impl ShardedTable {
     /// Partitions `table` according to `config`: with a spill directory
     /// every shard is encoded to disk at once and spilled, without one every
-    /// shard is resident.
+    /// shard is resident. The shards are sealed by the same segment writer
+    /// as a streaming build's, over `table`'s own dictionaries.
     pub fn from_table(table: &Table, config: &ShardConfig) -> io::Result<ShardedTable> {
-        let spans = chunk_spans(table.n_rows(), config.shards.max(1));
-        let header = Arc::new(table.header_only());
-        let measures: Vec<(String, Vec<f64>)> = table
+        let measures = table
             .measure_names()
             .filter_map(|n| {
                 // Listed names always resolve on their own table; the filter
@@ -327,35 +331,21 @@ impl ShardedTable {
                 Some((n.to_owned(), m.ok()?.to_vec()))
             })
             .collect();
-
-        let spill_root = config
-            .spill_dir
-            .as_deref()
-            .map(make_spill_root)
-            .transpose()?;
-
-        let shards = spans
-            .iter()
-            .enumerate()
-            .map(|(i, span)| {
-                let cols: Vec<Vec<u32>> = (0..table.n_columns())
-                    .map(|c| table.column(c)[span.clone()].to_vec())
-                    .collect();
-                Ok(match &spill_root {
-                    Some(root) => Shard::Spilled(spill_segment(root, i, &cols, span.len())?),
-                    None => Shard::Resident(segment(&header, &measures, span, cols)),
-                })
-            })
-            .collect::<io::Result<_>>()?;
-
-        Ok(ShardedTable {
-            header,
+        let mut writer = SegmentWriter::new(
+            table.schema().clone(),
+            table.dictionaries().to_vec(),
             measures,
-            spans,
-            shards,
-            spill_root,
-            loads: AtomicU64::new(0),
-        })
+            config.spill_dir.as_deref(),
+        )?;
+        for span in chunk_spans(table.n_rows(), config.shards.max(1)) {
+            let segs = &mut writer.segments;
+            for (c, col) in segs.open.iter_mut().enumerate() {
+                col.extend_from_slice(&table.column(c)[span.clone()]);
+            }
+            segs.open_rows += span.len();
+            writer.seal(span.len())?;
+        }
+        Ok(writer.freeze())
     }
 
     /// The always-resident header: a zero-row [`Table`] carrying the
@@ -640,33 +630,26 @@ impl ShardedTable {
     pub fn evict_all(&self) {}
 }
 
-/// Creates the unique spill subdirectory for one table or builder.
-fn make_spill_root(dir: &std::path::Path) -> io::Result<Arc<SpillRoot>> {
-    let tag = SPILL_TAG.fetch_add(1, Ordering::Relaxed);
-    let root = dir.join(format!("sdd-shards-{}-{tag:04}", std::process::id()));
-    std::fs::create_dir_all(&root)?;
-    Ok(Arc::new(SpillRoot { dir: root }))
-}
-
 fn segment_file_name(i: usize) -> String {
     format!("shard-{i:05}.seg")
 }
 
-/// Encodes segment `i` (`cols`, `n_rows` rows of global codes) into its
-/// file under `root` and returns the handle that deletes the file when its
-/// last owner drops.
+/// Encodes segment `i` (the first `n_rows` global codes of each of `cols`)
+/// into its file under `root` and returns the handle that deletes the file
+/// when its last owner drops. The handle exists before the first byte is
+/// written, so a failed write deletes whatever it left behind.
 fn spill_segment(
     root: &Arc<SpillRoot>,
     i: usize,
     cols: &[Vec<u32>],
     n_rows: usize,
 ) -> io::Result<Arc<SpillFile>> {
-    let path = root.dir.join(segment_file_name(i));
-    write_segment(&path, cols, n_rows)?;
-    Ok(Arc::new(SpillFile {
-        path,
+    let file = SpillFile {
+        path: root.dir.join(segment_file_name(i)),
         _root: Arc::clone(root),
-    }))
+    };
+    write_segment(file.path(), cols, n_rows)?;
+    Ok(Arc::new(file))
 }
 
 // Spill cleanup is reference-counted, not tied to the table's drop: each
@@ -677,6 +660,188 @@ fn spill_segment(
 // snapshots can share sealed segments and drop in any order.
 
 // ---------------------------------------------------------------------------
+// The segment writer
+// ---------------------------------------------------------------------------
+
+/// The sealed segments of a [`SegmentWriter`] and the open rows after them:
+/// the part of the writer a live append stages on a copy of.
+#[derive(Debug, Clone)]
+struct Segments {
+    /// The sealed spans, in row order.
+    spans: Vec<Range<usize>>,
+    /// One shard per sealed span, except the spans still in `parked`.
+    sealed: Vec<Shard>,
+    /// The codes of the last sealed spans of a writer without a spill
+    /// directory, waiting for the next freeze to make them resident.
+    parked: Vec<Vec<Vec<u32>>>,
+    /// The open rows' global codes, one vector per column.
+    open: Vec<Vec<u32>>,
+    /// The number of open rows (a table may have no categorical column).
+    open_rows: usize,
+}
+
+impl Segments {
+    /// Rows sealed or open.
+    fn n_rows(&self) -> usize {
+        self.spans.last().map_or(0, |s| s.end) + self.open_rows
+    }
+
+    /// Interns one row's categorical values into `dicts` and appends their
+    /// codes to the open rows.
+    fn push<S: AsRef<str>>(&mut self, dicts: &mut [Dictionary], cats: &[S]) {
+        for ((col, dict), v) in self.open.iter_mut().zip(dicts.iter_mut()).zip(cats) {
+            col.push(dict.intern(v.as_ref()));
+        }
+        self.open_rows += 1;
+    }
+
+    /// Seals the first `len` open rows as the next segment. This is where
+    /// every build decides spilled or resident: under a spill root the
+    /// segment's file is written now, and the rows leave the open set only
+    /// once it is; without one its codes are parked until the next freeze,
+    /// which makes them a resident segment under that freeze's
+    /// dictionaries.
+    fn seal(&mut self, root: Option<&Arc<SpillRoot>>, len: usize) -> io::Result<()> {
+        debug_assert!(len <= self.open_rows);
+        let start = self.spans.last().map_or(0, |s| s.end);
+        match root {
+            Some(root) => {
+                let file = spill_segment(root, self.spans.len(), &self.open, len)?;
+                for col in &mut self.open {
+                    col.drain(..len);
+                }
+                self.sealed.push(Shard::Spilled(file));
+            }
+            None => {
+                let cols = self.open.iter_mut().map(|col| col.drain(..len).collect());
+                self.parked.push(cols.collect());
+            }
+        }
+        self.spans.push(start..start + len);
+        self.open_rows -= len;
+        Ok(())
+    }
+}
+
+/// The one segment writer: [`ShardedTable::from_table`], [`ShardBuilder`]
+/// and [`LiveTable`] all build their tables with it. It interns rows in
+/// first-appearance order, seals segments through [`Segments::seal`], and
+/// [`SegmentWriter::freeze`]s its sealed segments and open rows into a
+/// [`ShardedTable`] — once for a build, once per epoch for a live table.
+#[derive(Debug)]
+struct SegmentWriter {
+    schema: Schema,
+    /// This writer's spill subdirectory: `Some` spills every sealed segment.
+    spill_root: Option<Arc<SpillRoot>>,
+    /// The growing dictionaries.
+    dicts: Vec<Dictionary>,
+    /// The last freeze's handles on `dicts`. Dictionaries only append, so a
+    /// column whose length did not move since keeps its handle and every
+    /// older handle is a prefix of every newer one.
+    frozen_dicts: Vec<Arc<Dictionary>>,
+    /// Every row's measure values, by measure name.
+    measures: Vec<(String, Vec<f64>)>,
+    segments: Segments,
+}
+
+impl SegmentWriter {
+    /// A writer with no segments and no open rows whose dictionaries start
+    /// as `dicts` and whose measure columns start as `measures`; with
+    /// `spill_dir` it spills every segment into a private subdirectory of
+    /// that directory.
+    fn new(
+        schema: Schema,
+        dicts: Vec<Arc<Dictionary>>,
+        measures: Vec<(String, Vec<f64>)>,
+        spill_dir: Option<&std::path::Path>,
+    ) -> io::Result<SegmentWriter> {
+        let spill_root = match spill_dir {
+            Some(dir) => {
+                let tag = SPILL_TAG.fetch_add(1, Ordering::Relaxed);
+                let root = dir.join(format!("sdd-shards-{}-{tag:04}", std::process::id()));
+                std::fs::create_dir_all(&root)?;
+                Some(Arc::new(SpillRoot { dir: root }))
+            }
+            None => None,
+        };
+        Ok(SegmentWriter {
+            segments: Segments {
+                spans: Vec::new(),
+                sealed: Vec::new(),
+                parked: Vec::new(),
+                open: vec![Vec::new(); schema.n_columns()],
+                open_rows: 0,
+            },
+            schema,
+            spill_root,
+            dicts: dicts.iter().map(|d| Dictionary::clone(d)).collect(),
+            frozen_dicts: dicts,
+            measures,
+        })
+    }
+
+    /// Appends one row of measure values, in declaration order.
+    fn push_measures(&mut self, values: &[f64]) {
+        for ((_, col), &v) in self.measures.iter_mut().zip(values) {
+            col.push(v);
+        }
+    }
+
+    /// [`Segments::seal`] under this writer's spill root.
+    fn seal(&mut self, len: usize) -> io::Result<()> {
+        self.segments.seal(self.spill_root.as_ref(), len)
+    }
+
+    /// The table of every row so far: a header under fresh handles of the
+    /// dictionaries that grew since the last freeze, the measure columns
+    /// (cloned whole), the sealed segments — the parked ones made resident
+    /// here, once — and the open rows as a resident segment of their own.
+    fn freeze(&mut self) -> ShardedTable {
+        for (frozen, dict) in self.frozen_dicts.iter_mut().zip(&self.dicts) {
+            if frozen.len() != dict.len() {
+                *frozen = Arc::new(dict.clone());
+            }
+        }
+        let header_measures = self
+            .measures
+            .iter()
+            .map(|(n, _)| (n.clone(), Vec::new()))
+            .collect();
+        let header = Arc::new(Table::from_parts(
+            self.schema.clone(),
+            self.frozen_dicts.clone(),
+            vec![Vec::new(); self.schema.n_columns()],
+            header_measures,
+            0,
+        ));
+        let measures = self.measures.clone();
+        let segs = &mut self.segments;
+        for cols in segs.parked.drain(..) {
+            let seg = segment(&header, &measures, &segs.spans[segs.sealed.len()], cols);
+            segs.sealed.push(Shard::Resident(seg));
+        }
+        let (mut spans, mut shards) = (segs.spans.clone(), segs.sealed.clone());
+        // The open rows get a span whenever there are any — and so does the
+        // empty table, whose layout is the canonical single `0..0` span.
+        if segs.open_rows > 0 || spans.is_empty() {
+            let start = spans.last().map_or(0, |s| s.end);
+            let span = start..start + segs.open_rows;
+            let open = segment(&header, &measures, &span, segs.open.clone());
+            spans.push(span);
+            shards.push(Shard::Resident(open));
+        }
+        ShardedTable {
+            header,
+            measures,
+            spans,
+            shards,
+            spill_root: self.spill_root.clone(),
+            loads: AtomicU64::new(0),
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Streaming builder
 // ---------------------------------------------------------------------------
 
@@ -685,13 +850,16 @@ fn spill_segment(
 /// dictionaries grow online, and each fixed-span segment is **sealed and
 /// spilled the moment its last row arrives** — so peak memory during a
 /// spilling build is one unsealed segment plus the dictionaries and measure
-/// columns, never the whole table.
+/// columns, never the whole table. The builder drives the segment writer
+/// [`ShardedTable::from_table`] and [`LiveTable`] use: it seals at the
+/// layout's span ends and freezes once, in [`ShardBuilder::finish`].
 ///
 /// The span layout is [`chunk_spans`]`(total_rows, shards)` — a function of
 /// the *total* row count — so the builder is told the total up front (the
 /// CSV path counts records in a cheap first streaming pass; see
 /// [`crate::csv::stream_csv_file`]) and [`ShardBuilder::finish`] rejects a
-/// stream that delivered a different count.
+/// stream that delivered a different count. An abandoned build deletes the
+/// spill files it wrote.
 ///
 /// ## Bit-identity with [`ShardedTable::from_table`]
 ///
@@ -708,28 +876,9 @@ fn spill_segment(
 /// [`TableBuilder`]: crate::TableBuilder
 #[derive(Debug)]
 pub struct ShardBuilder {
-    schema: Schema,
-    dicts: Vec<Dictionary>,
-    measure_names: Vec<String>,
-    measure_vals: Vec<Vec<f64>>,
+    writer: SegmentWriter,
+    /// The layout: [`chunk_spans`] of the declared row count.
     spans: Vec<Range<usize>>,
-    total_rows: usize,
-    spill_root: Option<Arc<SpillRoot>>,
-    /// The segments sealed so far, in span order.
-    sealed: Vec<Sealed>,
-    cur: Vec<Vec<u32>>,
-    rows_pushed: usize,
-    finished: bool,
-}
-
-/// A segment a [`ShardBuilder`] has sealed.
-#[derive(Debug)]
-enum Sealed {
-    /// Written to disk; a spilling build never retains sealed codes.
-    Spilled(Arc<SpillFile>),
-    /// Held until [`ShardBuilder::finish`] can give it the final
-    /// dictionaries.
-    Codes(Vec<Vec<u32>>),
 }
 
 impl ShardBuilder {
@@ -744,46 +893,30 @@ impl ShardBuilder {
         config: &ShardConfig,
     ) -> Result<ShardBuilder, TableError> {
         require_distinct_measures(&schema, &measures)?;
-        let spans = chunk_spans(total_rows, config.shards.max(1));
-        let spill_root = config
-            .spill_dir
-            .as_deref()
-            .map(make_spill_root)
-            .transpose()?;
-        let n_cols = schema.n_columns();
-        let first_len = spans.first().map_or(0, |s| s.len());
+        let dicts = (0..schema.n_columns()).map(|_| Arc::default()).collect();
+        let measures = measures
+            .into_iter()
+            .map(|n| (n, Vec::with_capacity(total_rows)))
+            .collect();
         Ok(ShardBuilder {
-            dicts: vec![Dictionary::new(); n_cols],
-            // NB: `vec![Vec::with_capacity(..); n]` would clone away the
-            // capacity for all but the last element.
-            measure_vals: (0..measures.len())
-                .map(|_| Vec::with_capacity(total_rows))
-                .collect(),
-            measure_names: measures,
-            sealed: Vec::with_capacity(spans.len()),
-            cur: (0..n_cols).map(|_| Vec::with_capacity(first_len)).collect(),
-            spans,
-            total_rows,
-            spill_root,
-            schema,
-            rows_pushed: 0,
-            finished: false,
+            writer: SegmentWriter::new(schema, dicts, measures, config.spill_dir.as_deref())?,
+            spans: chunk_spans(total_rows, config.shards.max(1)),
         })
     }
 
     /// The declared total row count.
     pub fn total_rows(&self) -> usize {
-        self.total_rows
+        self.spans.last().map_or(0, |s| s.end)
     }
 
     /// Rows pushed so far.
     pub fn rows_pushed(&self) -> usize {
-        self.rows_pushed
+        self.writer.segments.n_rows()
     }
 
     /// Segments sealed (and, for a spilling build, written to disk) so far.
     pub fn segments_sealed(&self) -> usize {
-        self.sealed.len()
+        self.writer.segments.spans.len()
     }
 
     /// Appends one row: `cats` are the categorical values in schema order,
@@ -795,133 +928,50 @@ impl ShardBuilder {
         cats: &[S],
         measures: &[f64],
     ) -> Result<(), TableError> {
-        if self.rows_pushed >= self.total_rows {
+        if self.rows_pushed() >= self.total_rows() {
             return Err(TableError::RowCount {
-                declared: self.total_rows,
-                got: self.rows_pushed + 1,
+                declared: self.total_rows(),
+                got: self.rows_pushed() + 1,
             });
         }
-        if cats.len() != self.schema.n_columns() {
+        let w = &mut self.writer;
+        if cats.len() != w.schema.n_columns() {
             return Err(TableError::ArityMismatch {
-                expected: self.schema.n_columns(),
+                expected: w.schema.n_columns(),
                 got: cats.len(),
             });
         }
-        if measures.len() != self.measure_names.len() {
+        if measures.len() != w.measures.len() {
             return Err(TableError::ArityMismatch {
-                expected: self.measure_names.len(),
+                expected: w.measures.len(),
                 got: measures.len(),
             });
         }
-        for (c, v) in cats.iter().enumerate() {
-            let code = self.dicts[c].intern(v.as_ref());
-            self.cur[c].push(code);
+        w.segments.push(&mut w.dicts, cats);
+        w.push_measures(measures);
+        let span = self.spans.get(w.segments.spans.len());
+        if let Some(span) = span.filter(|s| s.end == w.segments.n_rows()) {
+            w.seal(span.len())?;
         }
-        for (slot, &v) in self.measure_vals.iter_mut().zip(measures) {
-            slot.push(v);
-        }
-        self.rows_pushed += 1;
-        if self.rows_pushed == self.spans[self.sealed.len()].end {
-            self.seal_current()?;
-        }
-        Ok(())
-    }
-
-    /// Seals the current segment: spills it immediately (spilling build) or
-    /// parks its columns for [`ShardBuilder::finish`] (fully resident).
-    fn seal_current(&mut self) -> Result<(), TableError> {
-        let i = self.sealed.len();
-        let span = self.spans[i].clone();
-        let next_len = self.spans.get(i + 1).map_or(0, |s| s.len());
-        let cols: Vec<Vec<u32>> = self
-            .cur
-            .iter_mut()
-            .map(|c| std::mem::replace(c, Vec::with_capacity(next_len)))
-            .collect();
-        debug_assert!(cols.iter().all(|c| c.len() == span.len()));
-        self.sealed.push(match &self.spill_root {
-            Some(root) => Sealed::Spilled(spill_segment(root, i, &cols, span.len())?),
-            None => Sealed::Codes(cols),
-        });
         Ok(())
     }
 
     /// Completes the build. Fails with [`TableError::RowCount`] when fewer
-    /// rows arrived than declared (cleaning up any spill files written).
+    /// rows arrived than declared (dropping the builder deletes any spill
+    /// files written).
     pub fn finish(mut self) -> Result<ShardedTable, TableError> {
-        if self.rows_pushed != self.total_rows {
+        if self.rows_pushed() != self.total_rows() {
             return Err(TableError::RowCount {
-                declared: self.total_rows,
-                got: self.rows_pushed,
+                declared: self.total_rows(),
+                got: self.rows_pushed(),
             });
         }
         // For an empty table the single `0..0` span never fills via
         // `push_row`; seal it here so the layout matches `from_table`.
-        while self.sealed.len() < self.spans.len() {
-            debug_assert!(self.spans[self.sealed.len()].is_empty());
-            self.seal_current()?;
+        while let Some(span) = self.spans.get(self.writer.segments.spans.len()) {
+            self.writer.seal(span.len())?;
         }
-
-        let dicts: Vec<Arc<Dictionary>> = std::mem::take(&mut self.dicts)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let header_measures: Vec<(String, Vec<f64>)> = self
-            .measure_names
-            .iter()
-            .map(|n| (n.clone(), Vec::new()))
-            .collect();
-        let header = Arc::new(Table::from_parts(
-            self.schema.clone(),
-            dicts,
-            vec![Vec::new(); self.schema.n_columns()],
-            header_measures,
-            0,
-        ));
-        let measures: Vec<(String, Vec<f64>)> = self
-            .measure_names
-            .iter()
-            .cloned()
-            .zip(std::mem::take(&mut self.measure_vals))
-            .collect();
-
-        // Resident segments can only exist now: they share the *final*
-        // global dictionaries (built online during the stream), so an early
-        // segment sees the same cardinalities as a late one.
-        let shards = std::mem::take(&mut self.sealed)
-            .into_iter()
-            .zip(&self.spans)
-            .map(|(sealed, span)| match sealed {
-                Sealed::Spilled(file) => Shard::Spilled(file),
-                Sealed::Codes(cols) => Shard::Resident(segment(&header, &measures, span, cols)),
-            })
-            .collect();
-
-        self.finished = true;
-        Ok(ShardedTable {
-            header,
-            measures,
-            spans: std::mem::take(&mut self.spans),
-            shards,
-            spill_root: self.spill_root.take(),
-            loads: AtomicU64::new(0),
-        })
-    }
-}
-
-impl Drop for ShardBuilder {
-    fn drop(&mut self) {
-        // An abandoned build (error mid-stream, failed `finish`) must not
-        // leak its spill files; a successful `finish` hands the root to the
-        // `ShardedTable`, which owns cleanup from then on. The root is this
-        // builder's exclusively (unique per-process tag), so removing the
-        // whole tree also catches a partially-written segment left by a
-        // failed `write_segment` that never made it into `self.spill`.
-        if !self.finished {
-            if let Some(root) = &self.spill_root {
-                let _ = std::fs::remove_dir_all(&root.dir);
-            }
-        }
+        Ok(self.writer.freeze())
     }
 }
 
@@ -934,7 +984,7 @@ impl Drop for ShardBuilder {
 pub struct LiveTableConfig {
     /// Fixed rows per sealed segment (`C`, clamped to ≥ 1). Appended rows
     /// buffer in an always-resident tail until it fills, at which point the
-    /// segment is sealed through the same spill encoder the builders use.
+    /// segment is sealed through the same seal every build uses.
     /// The segment layout of a live table is a pure function of its total
     /// row count and `C`, so a from-scratch rebuild of the same rows (in
     /// any append batching) produces byte-identical sealed spill files.
@@ -1035,40 +1085,10 @@ impl LiveSnapshot {
     }
 }
 
-/// A sealed-or-pending segment staged during one append batch; holds the
-/// decoded columns until the whole batch commits so a failed seal can put
-/// them back into the tail.
-enum StagedSeg {
-    Spilled(Arc<SpillFile>, Vec<Vec<u32>>),
-    Resident(Vec<Vec<u32>>),
-}
-
-/// The rows of a [`LiveTable`] as they grow: everything a snapshot is
-/// frozen from.
-#[derive(Debug)]
-struct LiveRows {
-    /// The master mutable dictionaries.
-    dicts: Vec<Dictionary>,
-    /// The newest snapshot's frozen copies of `dicts`. Dictionaries only
-    /// append, so a column whose length did not move since keeps its handle
-    /// and every older handle is a prefix of every newer one.
-    frozen_dicts: Vec<Arc<Dictionary>>,
-    /// Full measure columns (cloned into each snapshot).
-    measure_vals: Vec<Vec<f64>>,
-    /// Sealed segments, in segment order: spill files, or (without a spill
-    /// directory) segments each built once, by the freeze that follows its
-    /// seal, and held by that snapshot and every later one.
-    sealed: Vec<Shard>,
-    /// Unsealed tail columns in global codes (< `rows_per_segment` rows).
-    tail: Vec<Vec<u32>>,
-    /// Appends committed so far.
-    epoch: u64,
-}
-
 #[derive(Debug)]
 struct LiveState {
-    rows: LiveRows,
-    /// The current frozen snapshot of `rows`.
+    writer: SegmentWriter,
+    /// The current frozen snapshot of the writer's rows.
     current: LiveSnapshot,
     /// Loads of superseded snapshots, so the reported total never moves
     /// backwards across epochs.
@@ -1078,31 +1098,33 @@ struct LiveState {
 /// An append-only table: rows arrive in batches, each batch bumps a
 /// monotonic **epoch** and publishes a new frozen [`LiveSnapshot`].
 ///
-/// * Sealing reuses the streaming builder's spill machinery
-///   (`write_segment`, same `SDDSHRD2` encoding): every
-///   `rows_per_segment` rows become an immutable sealed segment, written to
-///   disk (or, fully resident, wrapped in its table) exactly once; the
-///   remainder stays in an always-resident tail.
-/// * Snapshots are plain [`ShardedTable`]s sharing the sealed segments and
-///   the unchanged dictionaries by `Arc`, so an append costs what it adds
-///   (tail, grown dictionaries, measure columns — see [`LiveSnapshot`]),
-///   every existing sharded scan path works on them unchanged and a
-///   superseded snapshot can outlive its successors without invalidating
-///   their files.
+/// * A live table drives the segment writer every [`ShardedTable`] is
+///   built with: every `rows_per_segment` rows seal into an immutable
+///   segment through the same seal as [`ShardedTable::from_table`] and
+///   [`ShardBuilder`] (the same `SDDSHRD2` encoding), written to disk — or,
+///   fully resident, wrapped in its table — exactly once; the remainder
+///   stays open in an always-resident tail.
+/// * Each append ends with one freeze of the writer. Snapshots are plain
+///   [`ShardedTable`]s sharing the sealed segments and the unchanged
+///   dictionaries by `Arc`, so an append costs what it adds (tail, grown
+///   dictionaries, measure columns — see [`LiveSnapshot`]), every existing
+///   sharded scan path works on them unchanged and a superseded snapshot
+///   can outlive its successors without invalidating their files.
 /// * Global codes are interned in first-appearance order (exactly as the
 ///   builders do), so a live table grown by any sequence of appends holds
 ///   the same codes — and byte-identical sealed spill files — as one grown
 ///   by a single append of all rows (the seal-boundary tests pin this).
-/// * A failed append (spill I/O error) rolls the table back to the prior
-///   epoch: dictionaries, tail, and measures are restored, staged files
-///   removed — a retry or a rebuild observes no trace of the failure.
+/// * An append is staged on a copy of the open rows and committed only
+///   once every segment it filled has spilled. A failed spill (I/O error)
+///   drops the copy, which deletes the files the batch wrote, and truncates
+///   the dictionaries to their prior lengths — a retry or a rebuild
+///   observes no trace of the failure.
 #[derive(Debug)]
 pub struct LiveTable {
     schema: Schema,
-    measure_names: Vec<String>,
+    n_measures: usize,
     rows_per_segment: usize,
-    spill_root: Option<Arc<SpillRoot>>,
-    /// Mirrors `state.rows.epoch`; readable without the lock.
+    /// Mirrors `state.current.epoch`; readable without the lock.
     epoch: AtomicU64,
     state: Mutex<LiveState>,
 }
@@ -1115,36 +1137,22 @@ impl LiveTable {
         config: &LiveTableConfig,
     ) -> Result<LiveTable, TableError> {
         require_distinct_measures(&schema, &measures)?;
-        let spill_root = config
-            .spill_dir
-            .as_deref()
-            .map(make_spill_root)
-            .transpose()?;
-        let n_cols = schema.n_columns();
-        let mut rows = LiveRows {
-            dicts: vec![Dictionary::new(); n_cols],
-            frozen_dicts: (0..n_cols).map(|_| Arc::default()).collect(),
-            measure_vals: vec![Vec::new(); measures.len()],
-            sealed: Vec::new(),
-            tail: vec![Vec::new(); n_cols],
+        let n_measures = measures.len();
+        let dicts = (0..schema.n_columns()).map(|_| Arc::default()).collect();
+        let measures = measures.into_iter().map(|n| (n, Vec::new())).collect();
+        let mut writer =
+            SegmentWriter::new(schema.clone(), dicts, measures, config.spill_dir.as_deref())?;
+        let current = LiveSnapshot {
+            table: Arc::new(writer.freeze()),
             epoch: 0,
         };
-        let rows_per_segment = config.rows_per_segment.max(1);
-        let current = rows.freeze(
-            Vec::new(),
-            &schema,
-            &measures,
-            rows_per_segment,
-            spill_root.as_ref(),
-        );
         Ok(LiveTable {
             schema,
-            measure_names: measures,
-            rows_per_segment,
-            spill_root,
+            n_measures,
+            rows_per_segment: config.rows_per_segment.max(1),
             epoch: AtomicU64::new(0),
             state: Mutex::new(LiveState {
-                rows,
+                writer,
                 current,
                 base_loads: 0,
             }),
@@ -1174,7 +1182,7 @@ impl LiveTable {
 
     /// Sealed segments so far.
     pub fn segments_sealed(&self) -> usize {
-        self.state().rows.sealed.len()
+        self.state().writer.segments.spans.len()
     }
 
     /// The current frozen snapshot (cheap: clones an `Arc`).
@@ -1194,9 +1202,9 @@ impl LiveTable {
     }
 
     /// Locks the live state, tolerating a poisoned lock: every mutation
-    /// either commits a consistent epoch or rolls back before unwinding, so
-    /// continuing is strictly better than cascading the panic into spill-I/O
-    /// paths that promise not to.
+    /// either commits a consistent epoch or leaves the state as it was
+    /// before unwinding, so continuing is strictly better than cascading
+    /// the panic into spill-I/O paths that promise not to.
     fn state(&self) -> std::sync::MutexGuard<'_, LiveState> {
         self.state.lock().unwrap_or_else(|e| e.into_inner())
     }
@@ -1211,7 +1219,7 @@ impl LiveTable {
     ///
     /// [`TableError::ArityMismatch`] on a malformed row (checked before any
     /// state changes); [`TableError::Io`] when sealing a segment fails —
-    /// the table rolls back to the previous epoch.
+    /// the table stays at the previous epoch.
     pub fn try_append<R, S>(
         &self,
         cats: &[R],
@@ -1230,7 +1238,7 @@ impl LiveTable {
                 });
             }
         }
-        if !(self.measure_names.is_empty() && measures.is_empty()) {
+        if !(self.n_measures == 0 && measures.is_empty()) {
             if measures.len() != cats.len() {
                 return Err(TableError::ArityMismatch {
                     expected: cats.len(),
@@ -1238,191 +1246,48 @@ impl LiveTable {
                 });
             }
             for m in measures {
-                if m.len() != self.measure_names.len() {
+                if m.len() != self.n_measures {
                     return Err(TableError::ArityMismatch {
-                        expected: self.measure_names.len(),
+                        expected: self.n_measures,
                         got: m.len(),
                     });
                 }
             }
         }
 
-        let mut state = self.state();
-        // Rollback marks (everything before this point is read-only).
-        let dict_lens: Vec<usize> = state.rows.dicts.iter().map(Dictionary::len).collect();
-        let old_tail_len = state.rows.tail.first().map_or(0, Vec::len);
-        let old_measure_len = state.rows.measure_vals.first().map_or(0, Vec::len);
-
-        // Intern + buffer (infallible after the arity checks above).
-        for (r, row) in cats.iter().enumerate() {
-            for (c, v) in row.as_ref().iter().enumerate() {
-                let code = state.rows.dicts[c].intern(v.as_ref());
-                state.rows.tail[c].push(code);
-            }
-            if let Some(m) = measures.get(r) {
-                for (slot, &v) in state.rows.measure_vals.iter_mut().zip(m) {
-                    slot.push(v);
+        let mut guard = self.state();
+        let state = &mut *guard;
+        let w = &mut state.writer;
+        let dict_lens: Vec<usize> = w.dicts.iter().map(Dictionary::len).collect();
+        // Stage on a copy of the segments: their handles plus the open rows
+        // (fewer than `rows_per_segment`). Interning grows the dictionaries
+        // in place, which is all a failed spill has to undo.
+        let mut staged = w.segments.clone();
+        for row in cats {
+            staged.push(&mut w.dicts, row.as_ref());
+        }
+        while staged.open_rows >= self.rows_per_segment {
+            if let Err(e) = staged.seal(w.spill_root.as_ref(), self.rows_per_segment) {
+                // Dropping `staged` deletes the files this batch spilled.
+                for (dict, &len) in w.dicts.iter_mut().zip(&dict_lens) {
+                    dict.truncate(len);
                 }
+                return Err(e.into());
             }
         }
 
-        // Seal every full segment, staging results until the batch commits.
-        let c = self.rows_per_segment;
-        let mut staged: Vec<StagedSeg> = Vec::new();
-        let seal_result: Result<(), TableError> = (|| {
-            while state.rows.tail.first().map_or(0, Vec::len) >= c {
-                let cols: Vec<Vec<u32>> = state
-                    .rows
-                    .tail
-                    .iter_mut()
-                    .map(|col| {
-                        let rest = col.split_off(c);
-                        std::mem::replace(col, rest)
-                    })
-                    .collect();
-                match &self.spill_root {
-                    Some(root) => {
-                        let i = state.rows.sealed.len() + staged.len();
-                        match spill_segment(root, i, &cols, c) {
-                            Ok(file) => staged.push(StagedSeg::Spilled(file, cols)),
-                            Err(e) => {
-                                // Put the drained rows back before surfacing.
-                                for (col, sealed) in state.rows.tail.iter_mut().zip(cols) {
-                                    let rest = std::mem::replace(col, sealed);
-                                    col.extend(rest);
-                                }
-                                return Err(e.into());
-                            }
-                        }
-                    }
-                    None => staged.push(StagedSeg::Resident(cols)),
-                }
-            }
-            Ok(())
-        })();
-
-        if let Err(e) = seal_result {
-            // Roll back: restore the tail (staged segments back in front,
-            // appended rows dropped), measures, and dictionaries. Dropping
-            // the staged `SpillFile`s removes their files.
-            for seg in staged.into_iter().rev() {
-                let cols = match seg {
-                    StagedSeg::Spilled(_, cols) | StagedSeg::Resident(cols) => cols,
-                };
-                for (col, sealed) in state.rows.tail.iter_mut().zip(cols) {
-                    let rest = std::mem::replace(col, sealed);
-                    col.extend(rest);
-                }
-            }
-            for col in state.rows.tail.iter_mut() {
-                col.truncate(old_tail_len);
-            }
-            for m in state.rows.measure_vals.iter_mut() {
-                m.truncate(old_measure_len);
-            }
-            for (d, &len) in state.rows.dicts.iter_mut().zip(&dict_lens) {
-                d.truncate(len);
-            }
-            return Err(e);
+        // Commit: adopt the staged segments, bump the epoch, publish.
+        w.segments = staged;
+        for m in measures {
+            w.push_measures(m);
         }
-
-        // Commit: adopt staged segments, bump the epoch, publish a snapshot.
-        let mut sealed_now: Vec<Vec<Vec<u32>>> = Vec::new();
-        for seg in staged {
-            match seg {
-                StagedSeg::Spilled(file, _cols) => state.rows.sealed.push(Shard::Spilled(file)),
-                StagedSeg::Resident(cols) => sealed_now.push(cols),
-            }
-        }
-        state.rows.epoch += 1;
-        self.rebuild_snapshot(&mut state, sealed_now);
-        Ok(state.current.clone())
-    }
-
-    /// Freezes and installs the snapshot for the state's newest epoch
-    /// (`sealed_now`: the segments this append sealed, resident mode),
-    /// folding the superseded snapshot's loads into the base.
-    fn rebuild_snapshot(&self, state: &mut LiveState, sealed_now: Vec<Vec<Vec<u32>>>) {
         state.base_loads += state.current.table.loads();
-        state.current = state.rows.freeze(
-            sealed_now,
-            &self.schema,
-            &self.measure_names,
-            self.rows_per_segment,
-            self.spill_root.as_ref(),
-        );
+        state.current = LiveSnapshot {
+            table: Arc::new(w.freeze()),
+            epoch: state.current.epoch + 1,
+        };
         self.epoch.store(state.current.epoch, Ordering::Release);
-    }
-}
-
-impl LiveRows {
-    /// The frozen snapshot of these rows at their newest epoch, for a live
-    /// table of the given shape. Copies only what the epoch changed: the
-    /// tail, the dictionaries that grew, and `sealed_now` — the columns of
-    /// the resident segments the epoch sealed, which become segments here,
-    /// under this epoch's dictionary handles, once and for every later
-    /// snapshot. (Measure columns are still cloned whole.)
-    fn freeze(
-        &mut self,
-        sealed_now: Vec<Vec<Vec<u32>>>,
-        schema: &Schema,
-        measure_names: &[String],
-        rows_per_segment: usize,
-        spill_root: Option<&Arc<SpillRoot>>,
-    ) -> LiveSnapshot {
-        let n_cols = schema.n_columns();
-        for (frozen, dict) in self.frozen_dicts.iter_mut().zip(&self.dicts) {
-            if frozen.len() != dict.len() {
-                *frozen = Arc::new(dict.clone());
-            }
-        }
-        let header_measures: Vec<(String, Vec<f64>)> = measure_names
-            .iter()
-            .map(|n| (n.clone(), Vec::new()))
-            .collect();
-        let header = Arc::new(Table::from_parts(
-            schema.clone(),
-            self.frozen_dicts.clone(),
-            vec![Vec::new(); n_cols],
-            header_measures,
-            0,
-        ));
-        let measures: Vec<(String, Vec<f64>)> = measure_names
-            .iter()
-            .cloned()
-            .zip(self.measure_vals.iter().cloned())
-            .collect();
-
-        let c = rows_per_segment;
-        for cols in sealed_now {
-            let span = self.sealed.len() * c..(self.sealed.len() + 1) * c;
-            let seg = segment(&header, &measures, &span, cols);
-            self.sealed.push(Shard::Resident(seg));
-        }
-        let sealed_n = self.sealed.len();
-        let tail_len = self.tail.first().map_or(0, Vec::len);
-        let mut spans: Vec<Range<usize>> = (0..sealed_n).map(|i| i * c..(i + 1) * c).collect();
-        let mut shards = self.sealed.clone();
-        // The tail span exists whenever it holds rows — and for the empty
-        // table, so the snapshot has the canonical single `0..0` span.
-        if tail_len > 0 || sealed_n == 0 {
-            let span = sealed_n * c..sealed_n * c + tail_len;
-            let tail = segment(&header, &measures, &span, self.tail.clone());
-            spans.push(span);
-            shards.push(Shard::Resident(tail));
-        }
-
-        LiveSnapshot {
-            table: Arc::new(ShardedTable {
-                header,
-                measures,
-                spans,
-                shards,
-                spill_root: spill_root.cloned(),
-                loads: AtomicU64::new(0),
-            }),
-            epoch: self.epoch,
-        }
+        Ok(state.current.clone())
     }
 }
 
@@ -1503,15 +1368,15 @@ fn corrupt(msg: &str) -> TableError {
     TableError::Corrupt(msg.to_owned())
 }
 
-/// Encodes one shard's global-coded columns into the spill format.
+/// Encodes one shard — the first `n_rows` global codes of each of `cols` —
+/// into the spill format.
 fn encode_segment(cols: &[Vec<u32>], n_rows: usize) -> Vec<u8> {
     let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(cols.len());
     let mut index: FxHashMap<u32, u32> = FxHashMap::default();
     for col in cols {
-        debug_assert_eq!(col.len(), n_rows);
         index.clear();
         let mut remap: Vec<u32> = Vec::new();
-        let locals: Vec<u32> = col
+        let locals: Vec<u32> = col[..n_rows]
             .iter()
             .map(|&g| {
                 *index.entry(g).or_insert_with(|| {
@@ -2793,6 +2658,70 @@ mod tests {
         );
         let expect: Vec<Vec<String>> = rows.iter().map(|r| r.to_vec()).collect();
         assert_eq!(gather_all(&snap.table), expect);
+    }
+
+    /// An append whose batch fills two segments and fails on the second
+    /// keeps nothing of the first: the epoch, rows and dictionaries are the
+    /// prior epoch's, the first segment's file is deleted, and a retry
+    /// writes exactly the files a one-shot rebuild writes.
+    #[test]
+    fn live_append_failing_after_a_seal_keeps_nothing_it_staged() {
+        let c = 4usize;
+        let cfg = LiveTableConfig::spilling(c, spill_dir());
+        let live = LiveTable::new(Schema::new(["A", "B"]).unwrap(), vec![], &cfg).unwrap();
+        let rows = live_rows(2 * c + 2);
+        live.try_append(&rows[..2], &[]).unwrap();
+
+        // Segment 0 can be written; segment 1's path is a directory.
+        let dir = live.snapshot().table.spill_dir().unwrap().to_path_buf();
+        let blocker = dir.join(segment_file_name(1));
+        std::fs::create_dir(&blocker).unwrap();
+        let err = live.try_append(&rows[2..], &[]);
+        assert!(matches!(err, Err(TableError::Io(_))), "got {err:?}");
+
+        assert_eq!((live.epoch(), live.n_rows()), (1, 2));
+        assert_eq!(live.segments_sealed(), 0);
+        let header = live.snapshot().table.header().clone();
+        assert_eq!((header.cardinality(0), header.cardinality(1)), (2, 2));
+        assert!(!dir.join(segment_file_name(0)).exists(), "segment 0 leaked");
+
+        std::fs::remove_dir(&blocker).unwrap();
+        let snap = live.try_append(&rows[2..], &[]).unwrap();
+        assert_eq!((snap.epoch, snap.table.n_rows()), (2, rows.len()));
+        let rebuilt = LiveTable::new(Schema::new(["A", "B"]).unwrap(), vec![], &cfg).unwrap();
+        let rsnap = rebuilt.try_append(&rows, &[]).unwrap();
+        for i in 0..2 {
+            assert_eq!(
+                std::fs::read(snap.table.spill_path(i).unwrap()).unwrap(),
+                std::fs::read(rsnap.table.spill_path(i).unwrap()).unwrap(),
+                "segment {i}: retry vs one-shot rebuild"
+            );
+        }
+        let expect: Vec<Vec<String>> = rows.iter().map(|r| r.to_vec()).collect();
+        assert_eq!(gather_all(&snap.table), expect);
+    }
+
+    /// A spill write that fails part-way (the file exists, the disk is
+    /// full) deletes its file, so the spill directory still goes with the
+    /// table.
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_spill_write_leaves_no_file_or_directory_behind() {
+        let c = 4usize;
+        let live = LiveTable::new(
+            Schema::new(["A", "B"]).unwrap(),
+            vec![],
+            &LiveTableConfig::spilling(c, spill_dir()),
+        )
+        .unwrap();
+        let dir = live.snapshot().table.spill_dir().unwrap().to_path_buf();
+        let file = dir.join(segment_file_name(0));
+        std::os::unix::fs::symlink("/dev/full", &file).unwrap();
+        let err = live.try_append(&live_rows(c), &[]);
+        assert!(matches!(err, Err(TableError::Io(_))), "got {err:?}");
+        assert!(file.symlink_metadata().is_err(), "the failed file was kept");
+        drop(live);
+        assert!(!dir.exists(), "the spill directory outlived its table");
     }
 
     /// Snapshots share sealed spill files by `Arc`: superseded epochs stay

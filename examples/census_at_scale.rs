@@ -38,7 +38,6 @@ fn main() {
             capacity: 50_000,       // the paper's M
             min_sample_size: 5_000, // the paper's minSS
             seed: 7,
-            strategy: AllocationStrategy::Dp,
         },
     );
 

@@ -64,6 +64,6 @@ pub mod prelude {
     pub use sdd_datagen::{census, marketing, retail};
     pub use sdd_explorer::{Explorer, ExplorerConfig};
     pub use sdd_olap::TraditionalDrillDown;
-    pub use sdd_sampling::{AllocationStrategy, SampleHandler, SampleHandlerConfig};
+    pub use sdd_sampling::{SampleHandler, SampleHandlerConfig};
     pub use sdd_table::{Schema, Table, TableBuilder, TableView};
 }

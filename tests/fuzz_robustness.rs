@@ -462,7 +462,6 @@ fn handler_stateful_random_ops() {
             capacity: 3_000,
             min_sample_size: 600,
             seed: 9,
-            strategy: AllocationStrategy::Dp,
         },
     );
 

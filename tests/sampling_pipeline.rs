@@ -17,7 +17,6 @@ fn handler_cfg(capacity: usize, min_ss: usize, seed: u64) -> SampleHandlerConfig
         capacity,
         min_sample_size: min_ss,
         seed,
-        strategy: AllocationStrategy::Dp,
     }
 }
 

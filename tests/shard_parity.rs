@@ -24,7 +24,7 @@ use smart_drilldown::core::{
 use smart_drilldown::datagen::retail;
 use smart_drilldown::explorer::{Explorer, ExplorerConfig, PrefetchMode};
 use smart_drilldown::sampling::{
-    AllocationStrategy, FetchMechanism, SampleHandler, SampleHandlerConfig, StoredSampleInfo,
+    FetchMechanism, SampleHandler, SampleHandlerConfig, StoredSampleInfo,
 };
 use smart_drilldown::server::{Engine, EngineConfig, OpenOptions, Request};
 use smart_drilldown::table::{
@@ -231,7 +231,6 @@ fn handler_config(seed: u64) -> SampleHandlerConfig {
         capacity: 3_000,
         min_sample_size: 50,
         seed,
-        strategy: AllocationStrategy::Dp,
     }
 }
 
@@ -346,7 +345,6 @@ fn sample_stores_are_bit_identical_between_monolithic_and_sharded() {
         capacity: 50_000,
         min_sample_size: 100,
         seed: 11,
-        strategy: AllocationStrategy::Dp,
     };
     use FetchMechanism::{Combine, Create, Find};
     assert_eq!(
@@ -402,7 +400,6 @@ fn batched_creates_match_single_creates_and_share_their_fetches() {
         capacity: 50_000,
         min_sample_size: 600,
         seed: 19,
-        strategy: AllocationStrategy::Dp,
     };
     let stores = || -> Vec<(TableStore, String)> {
         let sharded = |cfg| TableStore::Sharded(sharded(&table, &cfg));
@@ -488,7 +485,6 @@ fn live_sync_touches_each_appended_segment_once() {
         capacity: 5_000,
         min_sample_size: 300,
         seed: 23,
-        strategy: AllocationStrategy::Dp,
     };
     for k in [1usize, 5] {
         let cfg = LiveTableConfig::spilling(500, std::env::temp_dir());
@@ -583,7 +579,6 @@ fn a_synced_sample_is_the_sample_a_create_at_the_new_epoch_stores() {
         capacity: 50_000,
         min_sample_size: 50,
         seed: 29,
-        strategy: AllocationStrategy::Dp,
     };
     let requests = |header: &Table| {
         let rule = |pairs: &[(&str, &str)]| Rule::from_pairs(header, pairs).unwrap();
@@ -684,7 +679,6 @@ fn explorer_config(seed: u64) -> ExplorerConfig {
             capacity: 20_000,
             min_sample_size: 1_000,
             seed,
-            strategy: AllocationStrategy::Dp,
         },
         prefetch: PrefetchMode::Inline,
         confidence_z: 1.96,
