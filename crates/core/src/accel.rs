@@ -1,9 +1,9 @@
 //! Scan kernels for a rule's equality predicates over packed code columns.
 //!
 //! A rule is a conjunction of `column == code` predicates. The three code
-//! widths match the spill tier's packed local codes (1/2/4 bytes per row,
-//! `sdd_table::LocalCodes`); the `u32` form also serves the resident
-//! global-code columns. Two kernels answer "which rows satisfy every
+//! widths are those of `sdd_table::Codes` (1/2/4 bytes per row): a resident
+//! column's global codes and a spilled column's packed local codes alike
+//! are stored at the narrowest width their dictionary fits. Two kernels answer "which rows satisfy every
 //! predicate" and "how many":
 //!
 //! ## Block masks
@@ -32,6 +32,8 @@
 //! — faster than both the one-predicate mask popcount (0.11–0.19 /
 //! 0.13–0.24 / 0.25–0.36 ms) and the AVX2 kernel it replaced.
 
+use sdd_table::Codes;
+
 /// Rows per block of the mask scan: 32 words of 64 rows.
 const BLOCK_ROWS: usize = 2048;
 
@@ -44,7 +46,18 @@ pub(crate) enum EqPred<'a> {
     U32(&'a [u32], u32),
 }
 
-impl EqPred<'_> {
+impl<'a> EqPred<'a> {
+    /// `codes[rows] == want` at the column's width. `None` when `want` does
+    /// not fit that width: every code of the column is below its
+    /// dictionary's length, which the width fits, so no row can hold it.
+    pub(crate) fn of(codes: &'a Codes, rows: std::ops::Range<usize>, want: u32) -> Option<Self> {
+        Some(match codes {
+            Codes::W1(v) => EqPred::U8(&v[rows], u8::try_from(want).ok()?),
+            Codes::W2(v) => EqPred::U16(&v[rows], u16::try_from(want).ok()?),
+            Codes::W4(v) => EqPred::U32(&v[rows], want),
+        })
+    }
+
     /// ANDs the predicate's equality mask over `rows` into `acc`, one word
     /// per 64 rows.
     fn and_into(self, rows: std::ops::Range<usize>, acc: &mut [u64]) {

@@ -165,17 +165,14 @@ impl KeyHasher {
 /// BRS inputs; comparing by content (not identity) is what lets replica
 /// sessions share results.
 pub fn view_digest(view: &TableView<'_>) -> [u64; 2] {
-    let table = view.table();
     let mut h = KeyHasher::new(0x51DD_71E3);
     h.write_u64(view.len() as u64);
-    let mut codes: Vec<u32> = Vec::with_capacity(table.n_columns());
-    for wr in view.iter() {
-        table.row_codes(wr.row, &mut codes);
-        for &c in &codes {
+    view.table().for_each_row_codes(|row, codes| {
+        for &c in codes {
             h.write_u32(c);
         }
-        h.write_f64(wr.weight);
-    }
+        h.write_f64(view.weight_at(row));
+    });
     h.finish()
 }
 
@@ -332,6 +329,30 @@ mod tests {
         assert_ne!(all, view_digest(&reordered.view()), "row order is content");
         let weighted = TableView::all_with_weights(&table, &[2.0; 3]);
         assert_ne!(all, view_digest(&weighted), "weights are content");
+    }
+
+    #[test]
+    fn view_digest_hashes_each_row_in_order_at_every_width() {
+        // 700 rows (blocks of 256 plus a tail) over a one-byte and a
+        // two-byte column: the digest is the per-row hash of row_codes.
+        let rows: Vec<[String; 2]> = (0..700)
+            .map(|i| [format!("a{}", i % 5), format!("b{i}")])
+            .collect();
+        let table = Table::from_rows(Schema::new(["A", "B"]).unwrap(), &rows).unwrap();
+        assert_eq!((table.column(0).width(), table.column(1).width()), (1, 2));
+        let weights: Vec<f64> = (0..700).map(|i| 0.5 + i as f64).collect();
+        let view = TableView::all_with_weights(&table, &weights);
+        let mut h = KeyHasher::new(0x51DD_71E3);
+        h.write_u64(view.len() as u64);
+        let mut codes = Vec::new();
+        for wr in view.iter() {
+            table.row_codes(wr.row, &mut codes);
+            for &c in &codes {
+                h.write_u32(c);
+            }
+            h.write_f64(wr.weight);
+        }
+        assert_eq!(view_digest(&view), h.finish());
     }
 
     #[test]

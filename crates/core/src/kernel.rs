@@ -50,7 +50,7 @@ use crate::accel::{self, EqPred};
 use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
 use crate::{Rule, WeightFn};
 use rustc_hash::FxHashMap;
-use sdd_table::{RowId, Table, TableView};
+use sdd_table::{with_codes, Code, RowId, Table, TableView};
 
 /// Count/marginal/weight accumulator for one candidate rule (the paper's
 /// per-candidate state in set `C`).
@@ -257,43 +257,62 @@ impl Group {
         self.cells != 0
     }
 
-    /// Looks up the **sorted key position** of the candidate matching the
-    /// row codes gathered by `fetch(group_column_index)` (sparse modes
-    /// only); map through `order` for the candidate index. `wide_scratch`
-    /// is a reusable buffer for the wide path; untouched in packed mode.
-    #[inline]
-    fn probe(
-        &self,
-        wide_scratch: &mut Vec<u32>,
-        mut fetch: impl FnMut(usize) -> u32,
-    ) -> Option<usize> {
-        if self.packed {
-            let mut key = 0u64;
-            for (gi, &sh) in self.shifts.iter().enumerate() {
-                key |= (fetch(gi) as u64) << sh;
+    /// The **sorted key position** of the candidate matching each of the
+    /// first `n` rows of `table` ([`NO_MATCH`] for a row no candidate
+    /// matches; sparse modes only); map through `order` for the candidate
+    /// index. Every row's key is built one group column at a time (one loop
+    /// per column width), then each row is searched once.
+    fn probe_rows(&self, table: &Table, n: usize) -> Vec<u32> {
+        /// `keys[row] |= code << sh`.
+        fn or_shifted<T: Code>(keys: &mut [u64], codes: &[T], sh: u32) {
+            for (key, &code) in keys.iter_mut().zip(codes) {
+                *key |= u64::from(code.wide()) << sh;
             }
-            self.keys.binary_search(&key).ok()
+        }
+        /// Writes each row's code into slot `gi` of its `stride`-wide tuple.
+        fn scatter<T: Code>(tuples: &mut [u32], codes: &[T], gi: usize, stride: usize) {
+            for (slot, &code) in tuples.iter_mut().skip(gi).step_by(stride).zip(codes) {
+                *slot = code.wide();
+            }
+        }
+        let found = |pos: Option<usize>| pos.map_or(NO_MATCH, |p| p as u32);
+        if self.packed {
+            let mut keys = vec![0u64; n];
+            for (&c, &sh) in self.cols.iter().zip(&self.shifts) {
+                with_codes!(table.column(c), codes => or_shifted(&mut keys, codes, sh));
+            }
+            keys.iter()
+                .map(|key| found(self.keys.binary_search(key).ok()))
+                .collect()
         } else {
             let stride = self.cols.len();
-            wide_scratch.clear();
-            for gi in 0..stride {
-                wide_scratch.push(fetch(gi));
+            let mut tuples = vec![0u32; n * stride];
+            for (gi, &c) in self.cols.iter().enumerate() {
+                with_codes!(table.column(c), codes => scatter(&mut tuples, codes, gi, stride));
             }
-            // Binary search over the co-sorted flat key tuples.
-            let (mut lo, mut hi) = (0usize, self.order.len());
-            while lo < hi {
-                let mid = (lo + hi) / 2;
-                let cand = &self.wide_keys[mid * stride..(mid + 1) * stride];
-                match cand.cmp(&wide_scratch[..]) {
-                    std::cmp::Ordering::Less => lo = mid + 1,
-                    std::cmp::Ordering::Greater => hi = mid,
-                    std::cmp::Ordering::Equal => return Some(mid),
-                }
-            }
-            None
+            tuples
+                .chunks_exact(stride)
+                .map(|tuple| {
+                    // Binary search over the co-sorted flat key tuples.
+                    let (mut lo, mut hi) = (0usize, self.order.len());
+                    while lo < hi {
+                        let mid = (lo + hi) / 2;
+                        let cand = &self.wide_keys[mid * stride..(mid + 1) * stride];
+                        match cand.cmp(tuple) {
+                            std::cmp::Ordering::Less => lo = mid + 1,
+                            std::cmp::Ordering::Greater => hi = mid,
+                            std::cmp::Ordering::Equal => return found(Some(mid)),
+                        }
+                    }
+                    NO_MATCH
+                })
+                .collect()
         }
     }
 }
+
+/// [`Group::probe_rows`]' position of a row no candidate matches.
+const NO_MATCH: u32 = u32::MAX;
 
 /// Reusable buffers for one sequence of best-marginal searches. Thread one
 /// instance through the `k` greedy iterations of a BRS run (see
@@ -420,23 +439,28 @@ pub(crate) fn find_best_marginal_rule_columnar(
 ///
 /// det-order: sequential scan in row order.
 fn count_column(view: &TableView<'_>, col: usize, counts: &mut [f64]) {
-    let codes = view.table().column(col);
-    match view.weights() {
-        None => {
-            for &code in codes {
-                counts[code as usize] += 1.0;
+    /// One loop per code width.
+    fn count<T: Code>(codes: &[T], weights: Option<&[f64]>, counts: &mut [f64]) {
+        match weights {
+            None => {
+                for &code in codes {
+                    counts[code.idx()] += 1.0;
+                }
             }
-        }
-        Some(ws) => {
-            for (&code, &w) in codes.iter().zip(ws) {
-                counts[code as usize] += w;
+            Some(ws) => {
+                for (&code, &w) in codes.iter().zip(ws) {
+                    counts[code.idx()] += w;
+                }
             }
         }
     }
+    with_codes!(view.table().column(col), codes => count(codes, view.weights(), counts));
 }
 
 /// `marginals[code] += w_t · (wtab[code] − min(wtab[code], cov_t))` over one
 /// column.
+///
+/// det-order: sequential scan in row order.
 fn marginal_column(
     view: &TableView<'_>,
     col: usize,
@@ -444,10 +468,20 @@ fn marginal_column(
     wtab: &[f64],
     marginals: &mut [f64],
 ) {
-    for (i, &code) in view.table().column(col).iter().enumerate() {
-        let w = wtab[code as usize];
-        marginals[code as usize] += view.weight_at(i) * (w - w.min(cov[i]));
+    /// One loop per code width.
+    fn sweep<T: Code>(
+        codes: &[T],
+        view: &TableView<'_>,
+        cov: &[f64],
+        wtab: &[f64],
+        marginals: &mut [f64],
+    ) {
+        for (i, &code) in codes.iter().enumerate() {
+            let w = wtab[code.idx()];
+            marginals[code.idx()] += view.weight_at(i) * (w - w.min(cov[i]));
+        }
     }
+    with_codes!(view.table().column(col), codes => sweep(codes, view, cov, wtab, marginals));
 }
 
 /// Groups a level's candidates by instantiated-column signature and builds
@@ -612,13 +646,22 @@ fn count_group_dense(view: &TableView<'_>, cov: &[f64], g: &Group, cstats: &mut 
     for &(cell, ci) in &g.cand_cells {
         wvec[cell] = cstats[ci as usize].weight;
     }
-    let cols: Vec<&[u32]> = g.cols.iter().map(|&c| view.table().column(c)).collect();
-
-    for (row, &cov_t) in cov.iter().enumerate() {
-        let mut cell = 0usize;
-        for (col, &stride) in cols.iter().zip(&g.strides) {
-            cell += col[row] as usize * stride;
+    // Each row's cell, accumulated one column at a time in integer
+    // arithmetic (one loop per column width); `cells <= DENSE_CELL_CAP`, so
+    // every partial sum fits a `u32`.
+    fn add_cells<T: Code>(cells: &mut [u32], codes: &[T], stride: u32) {
+        for (cell, &code) in cells.iter_mut().zip(codes) {
+            *cell += code.wide() * stride;
         }
+    }
+    let mut row_cells = vec![0u32; cov.len()];
+    for (&c, &stride) in g.cols.iter().zip(&g.strides) {
+        let stride = stride as u32;
+        with_codes!(view.table().column(c), codes => add_cells(&mut row_cells, codes, stride));
+    }
+
+    for (row, (&cov_t, &cell)) in cov.iter().zip(&row_cells).enumerate() {
+        let cell = cell as usize;
         let w_t = view.weight_at(row);
         let w = wvec[cell];
         counts[cell] += w_t;
@@ -640,10 +683,10 @@ fn count_group_sparse(view: &TableView<'_>, cov: &[f64], g: &Group, cstats: &mut
     // Accumulate per sorted-key position — dense in the group's candidate
     // count, no hashing on the row loop.
     let mut acc: Vec<(f64, f64)> = vec![(0.0, 0.0); g.order.len()];
-    let cols: Vec<&[u32]> = g.cols.iter().map(|&c| view.table().column(c)).collect();
-    let mut wide_scratch: Vec<u32> = Vec::new();
-    for (row, &cov_t) in cov.iter().enumerate() {
-        if let Some(pos) = g.probe(&mut wide_scratch, |gi| cols[gi][row]) {
+    let positions = g.probe_rows(view.table(), cov.len());
+    for (row, (&cov_t, &pos)) in cov.iter().zip(&positions).enumerate() {
+        if pos != NO_MATCH {
+            let pos = pos as usize;
             let w = cstats[g.order[pos] as usize].weight;
             let w_t = view.weight_at(row);
             let slot = &mut acc[pos];
@@ -703,20 +746,22 @@ fn pick_winner(counted: &FxHashMap<Rule, CandStat>, stats: SearchStats) -> Optio
 /// update, drill-down filtering and Combine.
 pub fn covered_rows(table: &Table, rule: &Rule) -> Vec<RowId> {
     let n = table.n_rows();
-    accel::hits(&span_preds(table, rule, 0..n), n, 0)
+    span_preds(table, rule, 0..n).map_or_else(Vec::new, |preds| accel::hits(&preds, n, 0))
 }
 
 /// `rule`'s predicates over rows `span` of `table` (which holds **global**
-/// codes), one per instantiated column — what [`covered_rows`],
-/// [`count_rules`] and the segment scans of [`crate::shard`] over a decoded
-/// segment hand to the block-mask scan.
+/// codes), one per instantiated column at that column's width — what
+/// [`covered_rows`], [`count_rules`] and the segment scans of
+/// [`crate::shard`] over a decoded segment hand to the block-mask scan.
+/// `None` ⇒ a predicate's code is too wide for its column (a live table's
+/// older segment, whose dictionary predates the value): no row matches.
 pub(crate) fn span_preds<'a>(
     table: &'a Table,
     rule: &Rule,
     span: std::ops::Range<usize>,
-) -> Vec<EqPred<'a>> {
+) -> Option<Vec<EqPred<'a>>> {
     rule.instantiated_columns()
-        .map(|c| EqPred::U32(&table.column(c)[span.clone()], rule.code(c)))
+        .map(|c| EqPred::of(table.column(c), span.clone(), rule.code(c)))
         .collect()
 }
 
@@ -726,9 +771,10 @@ pub(crate) fn span_preds<'a>(
 /// Counts are exact integers, so how the rows are partitioned can never
 /// change a bit of the result.
 pub fn count_rules(table: &Table, rules: &[Rule]) -> Vec<f64> {
+    let n = table.n_rows();
     rules
         .iter()
-        .map(|r| accel::count(&span_preds(table, r, 0..table.n_rows()), table.n_rows()) as f64)
+        .map(|r| span_preds(table, r, 0..n).map_or(0, |preds| accel::count(&preds, n)) as f64)
         .collect()
 }
 
@@ -922,16 +968,15 @@ mod tests {
             }
             g
         };
-        let mut s1 = Vec::new();
-        let mut s2 = Vec::new();
-        for r in 0..table.n_rows() as RowId {
-            let a = packed
-                .probe(&mut s1, |gi| table.code(r, cols[gi]))
-                .map(|pos| packed.order[pos]);
-            let b = wide
-                .probe(&mut s2, |gi| table.code(r, cols[gi]))
-                .map(|pos| wide.order[pos]);
-            assert_eq!(a, b, "row {r}");
-        }
+        let n = table.n_rows();
+        let candidates = |g: &Group| -> Vec<Option<u32>> {
+            g.probe_rows(&table, n)
+                .iter()
+                .map(|&pos| (pos != NO_MATCH).then(|| g.order[pos as usize]))
+                .collect()
+        };
+        let (a, b) = (candidates(&packed), candidates(&wide));
+        assert_eq!(a, b);
+        assert!(a.iter().any(Option::is_some) && a.iter().any(Option::is_none));
     }
 }

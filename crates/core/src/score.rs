@@ -45,23 +45,22 @@ pub fn score_list(view: &TableView<'_>, weight: &dyn WeightFn, rules: &[Rule]) -
     let mut mcounts = vec![0.0f64; rules.len()];
     let mut uncovered = 0.0f64;
 
-    let mut codes: Vec<u32> = Vec::with_capacity(table.n_columns());
-    for wr in view.iter() {
-        table.row_codes(wr.row, &mut codes);
+    table.for_each_row_codes(|row, codes| {
+        let weight = view.weight_at(row);
         let mut assigned = false;
         for (i, rule) in rules.iter().enumerate() {
-            if rule.covers_codes(&codes) {
-                counts[i] += wr.weight;
+            if rule.covers_codes(codes) {
+                counts[i] += weight;
                 if !assigned {
-                    mcounts[i] += wr.weight;
+                    mcounts[i] += weight;
                     assigned = true;
                 }
             }
         }
         if !assigned {
-            uncovered += wr.weight;
+            uncovered += weight;
         }
-    }
+    });
 
     let total = weights.iter().zip(&mcounts).map(|(w, m)| w * m).sum();
     let rules = rules
@@ -111,13 +110,10 @@ pub fn sort_by_weight_desc(
 /// already be in descending weight order) of the first rule covering each
 /// tuple, or `None`.
 pub fn top_assignment(view: &TableView<'_>, rules: &[Rule]) -> Vec<Option<usize>> {
-    let table = view.table();
-    let mut codes: Vec<u32> = Vec::with_capacity(table.n_columns());
     let mut out = Vec::with_capacity(view.len());
-    for wr in view.iter() {
-        table.row_codes(wr.row, &mut codes);
-        out.push(rules.iter().position(|r| r.covers_codes(&codes)));
-    }
+    view.table().for_each_row_codes(|_, codes| {
+        out.push(rules.iter().position(|r| r.covers_codes(codes)));
+    });
     out
 }
 

@@ -76,8 +76,8 @@ use crate::kernel::{span_preds, SearchScratch};
 use crate::marginal::{find_best_marginal_rule_with_scratch, BestMarginal, SearchOptions};
 use crate::{Rule, WeightFn};
 use sdd_table::{
-    chunk_spans, LocalCodes, OwnedTableView, RawColumn, RowId, ShardedTable, ShardedView, Table,
-    TableError, TableStore,
+    chunk_spans, OwnedTableView, RawColumn, RowId, ShardedTable, ShardedView, Table, TableError,
+    TableStore,
 };
 use std::borrow::Cow;
 use std::ops::Range;
@@ -113,7 +113,7 @@ impl Segment<'_> {
     fn preds(&self, rule: &Rule) -> Option<Vec<EqPred<'_>>> {
         let rows = self.rows.start - self.start..self.rows.end - self.start;
         match &self.codes {
-            Codes::Table(t) => Some(span_preds(t, rule, rows)),
+            Codes::Table(t) => span_preds(t, rule, rows),
             Codes::Packed(raw) => local_predicates(raw, rule, rows),
         }
     }
@@ -145,14 +145,7 @@ fn local_predicates<'a>(
         .filter(|(c, _)| !rule.is_star(*c))
         .map(|(c, rc)| {
             let want = rc.local_of_global(rule.code(*c))?;
-            // Local codes were validated against `remap`, so a 1-byte
-            // column's codes — and any `want` produced by
-            // `local_of_global` — fit u8/u16.
-            Some(match rc.codes() {
-                LocalCodes::W1(v) => EqPred::U8(&v[rows.clone()], want as u8),
-                LocalCodes::W2(v) => EqPred::U16(&v[rows.clone()], want as u16),
-                LocalCodes::W4(v) => EqPred::U32(&v[rows.clone()], want),
-            })
+            EqPred::of(rc.codes(), rows.clone(), want)
         })
         .collect()
 }

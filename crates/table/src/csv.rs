@@ -106,8 +106,8 @@ pub fn read_csv_with_measures(input: &str, measures: &[&str]) -> Result<Table, T
 
     while reader.read_record(true)? {
         check_arity(reader.n_fields(), header.len(), reader.record_line())?;
-        let row_buf: Vec<&str> = cat_idx.iter().map(|&i| reader.field(i)).collect();
-        builder.push_row(&row_buf)?;
+        // `cat_idx` routes one field to each schema column.
+        builder.push_values(cat_idx.iter().map(|&i| reader.field(i)));
         parse_measures(&reader, &measure_idx, &mut measure_buf)?;
         for (slot, &v) in measure_vals.iter_mut().zip(&measure_buf) {
             slot.push(v);
@@ -173,9 +173,8 @@ pub fn stream_csv_file(
     let mut measure_buf: Vec<f64> = Vec::with_capacity(measure_idx.len());
     while reader.read_record(true)? {
         check_arity(reader.n_fields(), header.len(), reader.record_line())?;
-        let row_buf: Vec<&str> = cat_idx.iter().map(|&i| reader.field(i)).collect();
         parse_measures(&reader, &measure_idx, &mut measure_buf)?;
-        builder.push_row(&row_buf, &measure_buf)?;
+        builder.push_values(cat_idx.iter().map(|&i| reader.field(i)), &measure_buf)?;
     }
     builder.finish()
 }

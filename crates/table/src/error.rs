@@ -3,11 +3,12 @@ use std::fmt;
 /// Errors produced by table construction and I/O.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TableError {
-    /// A row had a different number of fields than the schema.
+    /// A row had a different number of fields than the schema, or a
+    /// measure column a different number of values than the table has rows.
     ArityMismatch {
-        /// Number of columns the schema declares.
+        /// Number of values expected (columns, or rows for a measure).
         expected: usize,
-        /// Number of fields the offending row carried.
+        /// Number of values the offending row or measure carried.
         got: usize,
     },
     /// A column name was referenced that does not exist in the schema.
@@ -72,10 +73,7 @@ impl fmt::Display for TableError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             TableError::ArityMismatch { expected, got } => {
-                write!(
-                    f,
-                    "row arity mismatch: schema has {expected} columns, row has {got}"
-                )
+                write!(f, "arity mismatch: expected {expected} values, got {got}")
             }
             TableError::UnknownColumn(name) => write!(f, "unknown column: {name:?}"),
             TableError::UnknownMeasure(name) => write!(f, "unknown measure column: {name:?}"),

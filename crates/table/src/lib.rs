@@ -8,6 +8,8 @@
 //! provides exactly that substrate, built from scratch:
 //!
 //! * [`Dictionary`] — per-column string ⇄ `u32` code interning,
+//! * [`Codes`] — a column of codes stored at the narrowest width (`u8`,
+//!   `u16` or `u32`) its dictionary fits,
 //! * [`Schema`] / [`ColumnDef`] — column metadata,
 //! * [`Table`] / [`TableBuilder`] — immutable dictionary-encoded columnar
 //!   storage with optional numeric *measure* columns (for the `Sum` aggregate
@@ -39,6 +41,7 @@
 #![warn(missing_docs)]
 
 pub mod bucketize;
+mod codes;
 pub mod csv;
 mod dictionary;
 mod error;
@@ -48,12 +51,13 @@ pub mod stats;
 mod table;
 mod view;
 
+pub use codes::{Code, Codes};
 pub use dictionary::Dictionary;
 pub use error::TableError;
 pub use schema::{ColumnDef, Schema};
 pub use shard::{
-    LiveSnapshot, LiveStore, LiveTable, LiveTableConfig, LocalCodes, RawColumn, ShardBuilder,
-    ShardConfig, ShardSegment, ShardedTable, ShardedView, TableStore,
+    LiveSnapshot, LiveStore, LiveTable, LiveTableConfig, RawColumn, ShardBuilder, ShardConfig,
+    ShardSegment, ShardedTable, ShardedView, TableStore,
 };
 pub use table::{Table, TableBuilder};
 pub use view::{chunk_spans, OwnedTableView, RowId, TableView, WeightedRow};

@@ -23,7 +23,7 @@
 //!   so a spill → decode round-trip reproduces the segment bit-for-bit.
 //!   The spill coding is also directly scannable **without** decoding:
 //!   [`ShardedTable::read_columns`] range-reads individual columns as
-//!   [`RawColumn`]s (`remap` + packed [`LocalCodes`]), and `sdd-core`'s
+//!   [`RawColumn`]s (`remap` + packed [`Codes`]), and `sdd-core`'s
 //!   pushdown scans translate predicates into local code space and run
 //!   over the packed bytes. It is the **one** spill reader: a segment
 //!   decode and a gather read every column through it. Each read validates
@@ -68,7 +68,7 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use crate::view::chunk_spans;
-use crate::{Dictionary, RowId, Schema, Table, TableError};
+use crate::{with_codes, Code, Codes, Dictionary, RowId, Schema, Table, TableError};
 use rustc_hash::FxHashMap;
 use std::io::{self, Write};
 use std::ops::Range;
@@ -136,75 +136,18 @@ impl ShardSegment {
         &self.table
     }
 
-    /// The shard-local column slice of column `c`, in global codes.
-    pub fn col(&self, c: usize) -> &[u32] {
+    /// The shard-local column of column `c`, in global codes.
+    pub fn col(&self, c: usize) -> &Codes {
         self.table().column(c)
-    }
-}
-
-/// One spilled column's packed local codes at their stored byte width —
-/// exactly the bytes on disk, decoded to the matching integer type (the
-/// 1-byte form is the read buffer itself, its remap prefix dropped in
-/// place: no second allocation). Scans over these touch 1/4th–1/2 the
-/// memory a decoded global-code (`u32`) scan would.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum LocalCodes {
-    /// Shard-local cardinality ≤ 256: one byte per row.
-    W1(Vec<u8>),
-    /// Shard-local cardinality ≤ 65 536: two bytes per row.
-    W2(Vec<u16>),
-    /// Anything larger: four bytes per row.
-    W4(Vec<u32>),
-}
-
-impl LocalCodes {
-    /// Number of rows.
-    pub fn len(&self) -> usize {
-        match self {
-            LocalCodes::W1(v) => v.len(),
-            LocalCodes::W2(v) => v.len(),
-            LocalCodes::W4(v) => v.len(),
-        }
-    }
-
-    /// True when the column holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// The stored byte width (1, 2, or 4).
-    pub fn width(&self) -> usize {
-        match self {
-            LocalCodes::W1(_) => 1,
-            LocalCodes::W2(_) => 2,
-            LocalCodes::W4(_) => 4,
-        }
-    }
-
-    /// The local code at row `i`, widened to `u32`.
-    #[inline]
-    pub fn at(&self, i: usize) -> u32 {
-        match self {
-            LocalCodes::W1(v) => v[i] as u32,
-            LocalCodes::W2(v) => v[i] as u32,
-            LocalCodes::W4(v) => v[i],
-        }
-    }
-
-    /// The largest code (0 when empty), as a `fold` the compiler
-    /// vectorizes — an early-exit `any` scan does not.
-    fn max(&self) -> u32 {
-        match self {
-            LocalCodes::W1(v) => v.iter().fold(0, |m, &c| m.max(c)).into(),
-            LocalCodes::W2(v) => v.iter().fold(0, |m, &c| m.max(c)).into(),
-            LocalCodes::W4(v) => v.iter().fold(0, |m, &c| m.max(c)),
-        }
     }
 }
 
 /// One spilled column in its on-disk coding: the `remap` array (local →
 /// global codes, in first-appearance order within the shard) plus the rows
-/// as packed [`LocalCodes`]. This is what the spill-tier predicate
+/// as packed [`Codes`] at the narrowest width the shard-local cardinality
+/// fits — exactly the bytes on disk, decoded to the matching integer type
+/// (the 1-byte form is the read buffer itself, its remap prefix dropped in
+/// place: no second allocation). This is what the spill-tier predicate
 /// pushdown scans — no global-code materialization.
 ///
 /// Loaded columns are validated once — the largest local code, found by a
@@ -213,7 +156,7 @@ impl LocalCodes {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawColumn {
     remap: Vec<u32>,
-    codes: LocalCodes,
+    codes: Codes,
 }
 
 impl RawColumn {
@@ -225,7 +168,7 @@ impl RawColumn {
     }
 
     /// The rows as packed local codes.
-    pub fn codes(&self) -> &LocalCodes {
+    pub fn codes(&self) -> &Codes {
         &self.codes
     }
 
@@ -340,7 +283,7 @@ impl ShardedTable {
         for span in chunk_spans(table.n_rows(), config.shards.max(1)) {
             let segs = &mut writer.segments;
             for (c, col) in segs.open.iter_mut().enumerate() {
-                col.extend_from_slice(&table.column(c)[span.clone()]);
+                col.extend_from(table.column(c), span.clone());
             }
             segs.open_rows += span.len();
             writer.seal(span.len())?;
@@ -432,7 +375,7 @@ impl ShardedTable {
         match self.shard(i)? {
             Shard::Resident(seg) => Ok(Arc::clone(seg)),
             Shard::Spilled(_) => {
-                let cols = globalize(&self.read_raw(i)?);
+                let cols = globalize(&self.read_raw(i)?, &self.header);
                 Ok(segment(&self.header, &self.measures, &self.spans[i], cols))
             }
         }
@@ -542,9 +485,12 @@ impl ShardedTable {
             match self.resident_segment(shard) {
                 Some(seg) => {
                     for (c, codes) in (0..n_cols).map(|c| (c, seg.col(c))) {
-                        for p in picks {
-                            cols[p.sample as usize][c][p.pos as usize] = codes[p.local as usize];
-                        }
+                        with_codes!(codes, codes => {
+                            for p in picks {
+                                cols[p.sample as usize][c][p.pos as usize] =
+                                    codes[p.local as usize].wide();
+                            }
+                        });
                     }
                 }
                 None => {
@@ -561,6 +507,11 @@ impl ShardedTable {
             .iter()
             .zip(cols)
             .map(|(rows, cols)| {
+                let cols = cols
+                    .iter()
+                    .enumerate()
+                    .map(|(c, col)| Codes::from_u32(self.cardinality(c), col))
+                    .collect();
                 let measures = self
                     .measures
                     .iter()
@@ -641,7 +592,7 @@ fn segment_file_name(i: usize) -> String {
 fn spill_segment(
     root: &Arc<SpillRoot>,
     i: usize,
-    cols: &[Vec<u32>],
+    cols: &[Codes],
     n_rows: usize,
 ) -> io::Result<Arc<SpillFile>> {
     let file = SpillFile {
@@ -673,9 +624,10 @@ struct Segments {
     sealed: Vec<Shard>,
     /// The codes of the last sealed spans of a writer without a spill
     /// directory, waiting for the next freeze to make them resident.
-    parked: Vec<Vec<Vec<u32>>>,
-    /// The open rows' global codes, one vector per column.
-    open: Vec<Vec<u32>>,
+    parked: Vec<Vec<Codes>>,
+    /// The open rows' global codes, one column each, each at the narrowest
+    /// width its dictionary fits.
+    open: Vec<Codes>,
     /// The number of open rows (a table may have no categorical column).
     open_rows: usize,
 }
@@ -686,11 +638,12 @@ impl Segments {
         self.spans.last().map_or(0, |s| s.end) + self.open_rows
     }
 
-    /// Interns one row's categorical values into `dicts` and appends their
-    /// codes to the open rows.
-    fn push<S: AsRef<str>>(&mut self, dicts: &mut [Dictionary], cats: &[S]) {
+    /// Interns one row's categorical values (one per column) into `dicts`
+    /// and appends their codes to the open rows. An open column whose
+    /// dictionary outgrows its width is widened once, then and there.
+    fn push<'v>(&mut self, dicts: &mut [Dictionary], cats: impl Iterator<Item = &'v str>) {
         for ((col, dict), v) in self.open.iter_mut().zip(dicts.iter_mut()).zip(cats) {
-            col.push(dict.intern(v.as_ref()));
+            col.push(dict.intern(v));
         }
         self.open_rows += 1;
     }
@@ -708,12 +661,12 @@ impl Segments {
             Some(root) => {
                 let file = spill_segment(root, self.spans.len(), &self.open, len)?;
                 for col in &mut self.open {
-                    col.drain(..len);
+                    col.split_front(len);
                 }
                 self.sealed.push(Shard::Spilled(file));
             }
             None => {
-                let cols = self.open.iter_mut().map(|col| col.drain(..len).collect());
+                let cols = self.open.iter_mut().map(|col| col.split_front(len));
                 self.parked.push(cols.collect());
             }
         }
@@ -769,7 +722,10 @@ impl SegmentWriter {
                 spans: Vec::new(),
                 sealed: Vec::new(),
                 parked: Vec::new(),
-                open: vec![Vec::new(); schema.n_columns()],
+                open: dicts
+                    .iter()
+                    .map(|d| Codes::for_cardinality(d.len()))
+                    .collect(),
                 open_rows: 0,
             },
             schema,
@@ -810,7 +766,7 @@ impl SegmentWriter {
         let header = Arc::new(Table::from_parts(
             self.schema.clone(),
             self.frozen_dicts.clone(),
-            vec![Vec::new(); self.schema.n_columns()],
+            vec![Codes::for_cardinality(0); self.schema.n_columns()],
             header_measures,
             0,
         ));
@@ -928,6 +884,22 @@ impl ShardBuilder {
         cats: &[S],
         measures: &[f64],
     ) -> Result<(), TableError> {
+        if cats.len() != self.writer.schema.n_columns() {
+            return Err(TableError::ArityMismatch {
+                expected: self.writer.schema.n_columns(),
+                got: cats.len(),
+            });
+        }
+        self.push_values(cats.iter().map(AsRef::as_ref), measures)
+    }
+
+    /// [`ShardBuilder::push_row`] of a row whose categorical values — one
+    /// per column, which the caller guarantees — arrive as an iterator.
+    pub(crate) fn push_values<'v>(
+        &mut self,
+        cats: impl Iterator<Item = &'v str>,
+        measures: &[f64],
+    ) -> Result<(), TableError> {
         if self.rows_pushed() >= self.total_rows() {
             return Err(TableError::RowCount {
                 declared: self.total_rows(),
@@ -935,12 +907,6 @@ impl ShardBuilder {
             });
         }
         let w = &mut self.writer;
-        if cats.len() != w.schema.n_columns() {
-            return Err(TableError::ArityMismatch {
-                expected: w.schema.n_columns(),
-                got: cats.len(),
-            });
-        }
         if measures.len() != w.measures.len() {
             return Err(TableError::ArityMismatch {
                 expected: w.measures.len(),
@@ -1051,6 +1017,13 @@ impl LiveSnapshot {
             }
             out
         }
+        /// `out` padded to `n` rows with row `i` of `fresh` at `at[i]`.
+        fn patch_codes<S: Code, D: Code>(out: &mut Vec<D>, n: usize, at: &[usize], fresh: &[S]) {
+            out.resize(n, D::default());
+            for (&p, &v) in at.iter().zip(fresh) {
+                out[p] = D::narrow(v.wide());
+            }
+        }
         debug_assert_eq!(at.len(), fresh.n_rows());
         let header = self.table.header();
         let dicts = header.dictionaries();
@@ -1065,7 +1038,15 @@ impl LiveSnapshot {
         }
         let n_rows = at.iter().fold(base.n_rows(), |n, &p| n.max(p + 1));
         let cols = (0..header.n_columns())
-            .map(|c| patched(base.column(c), n_rows, at, fresh.column(c)))
+            .map(|c| {
+                // The grown dictionary may need a wider column than `base`'s.
+                let mut out = Codes::with_capacity(dicts[c].len(), n_rows);
+                out.extend_from(base.column(c), 0..base.n_rows());
+                with_codes!(&mut out, dst => with_codes!(fresh.column(c), src => {
+                    patch_codes(dst, n_rows, at, src)
+                }));
+                out
+            })
             .collect();
         let measures = base
             .measure_names()
@@ -1264,7 +1245,7 @@ impl LiveTable {
         // in place, which is all a failed spill has to undo.
         let mut staged = w.segments.clone();
         for row in cats {
-            staged.push(&mut w.dicts, row.as_ref());
+            staged.push(&mut w.dicts, row.as_ref().iter().map(AsRef::as_ref));
         }
         while staged.open_rows >= self.rows_per_segment {
             if let Err(e) = staged.seal(w.spill_root.as_ref(), self.rows_per_segment) {
@@ -1300,7 +1281,7 @@ fn segment(
     header: &Table,
     measures: &[(String, Vec<f64>)],
     span: &Range<usize>,
-    cols: Vec<Vec<u32>>,
+    cols: Vec<Codes>,
 ) -> Arc<ShardSegment> {
     let sliced: Vec<(String, Vec<f64>)> = measures
         .iter()
@@ -1368,38 +1349,39 @@ fn corrupt(msg: &str) -> TableError {
     TableError::Corrupt(msg.to_owned())
 }
 
+/// One column's local coding: the `remap` (global codes in
+/// first-appearance order) and each row's local code.
+fn localize<T: Code>(codes: &[T], index: &mut FxHashMap<u32, u32>) -> (Vec<u32>, Vec<u32>) {
+    index.clear();
+    let mut remap: Vec<u32> = Vec::new();
+    let locals = codes
+        .iter()
+        .map(|&g| {
+            *index.entry(g.wide()).or_insert_with(|| {
+                remap.push(g.wide());
+                remap.len() as u32 - 1
+            })
+        })
+        .collect();
+    (remap, locals)
+}
+
 /// Encodes one shard — the first `n_rows` global codes of each of `cols` —
 /// into the spill format.
-fn encode_segment(cols: &[Vec<u32>], n_rows: usize) -> Vec<u8> {
+fn encode_segment(cols: &[Codes], n_rows: usize) -> Vec<u8> {
     let mut blobs: Vec<Vec<u8>> = Vec::with_capacity(cols.len());
     let mut index: FxHashMap<u32, u32> = FxHashMap::default();
     for col in cols {
-        index.clear();
-        let mut remap: Vec<u32> = Vec::new();
-        let locals: Vec<u32> = col[..n_rows]
-            .iter()
-            .map(|&g| {
-                *index.entry(g).or_insert_with(|| {
-                    remap.push(g);
-                    remap.len() as u32 - 1
-                })
-            })
-            .collect();
+        let (remap, locals) = with_codes!(col, v => localize(&v[..n_rows], &mut index));
         let mut blob = Vec::with_capacity(5 + 4 * remap.len() + locals.len());
         put_u32(&mut blob, remap.len() as u32);
         for &g in &remap {
             put_u32(&mut blob, g);
         }
-        let width: u8 = if remap.len() <= 0x100 {
-            1
-        } else if remap.len() <= 0x1_0000 {
-            2
-        } else {
-            4
-        };
-        blob.push(width);
+        let width = Codes::width_for(remap.len());
+        blob.push(width as u8);
         for &l in &locals {
-            blob.extend_from_slice(&l.to_le_bytes()[..width as usize]);
+            blob.extend_from_slice(&l.to_le_bytes()[..width]);
         }
         blobs.push(blob);
     }
@@ -1420,7 +1402,7 @@ fn encode_segment(cols: &[Vec<u32>], n_rows: usize) -> Vec<u8> {
     out
 }
 
-fn write_segment(path: &std::path::Path, cols: &[Vec<u32>], n_rows: usize) -> io::Result<()> {
+fn write_segment(path: &std::path::Path, cols: &[Codes], n_rows: usize) -> io::Result<()> {
     let bytes = encode_segment(cols, n_rows);
     let mut f = std::fs::File::create(path)?;
     f.write_all(&bytes)?;
@@ -1515,15 +1497,15 @@ fn parse_column_blob(
     let codes = match width {
         1 => {
             blob.drain(..data);
-            LocalCodes::W1(blob)
+            Codes::W1(blob)
         }
-        2 => LocalCodes::W2(
+        2 => Codes::W2(
             blob[data..]
                 .chunks_exact(2)
                 .map(|c| u16::from_le_bytes([c[0], c[1]]))
                 .collect(),
         ),
-        _ => LocalCodes::W4(blob[data..].chunks_exact(4).map(le_u32).collect()),
+        _ => Codes::W4(blob[data..].chunks_exact(4).map(le_u32).collect()),
     };
     if !codes.is_empty() && codes.max() as usize >= remap_len {
         return Err(corrupt("local code out of range"));
@@ -1600,14 +1582,23 @@ fn read_spill_columns(
         .collect()
 }
 
-/// Decodes raw spill columns into global-code columns via each column's
-/// `remap` (the loader validated every local code, so indexing is total).
-fn globalize(cols: &[RawColumn]) -> Vec<Vec<u32>> {
+/// Decodes raw spill columns into global-code columns of `header`'s
+/// table via each column's `remap` (the loader validated every local and
+/// global code, so indexing is total and every code fits its column's
+/// width).
+fn globalize(cols: &[RawColumn], header: &Table) -> Vec<Codes> {
+    /// `dst` = `remap[l]` for every local code `l` of `locals`.
+    fn remap_into<L: Code, G: Code>(dst: &mut Vec<G>, locals: &[L], remap: &[u32]) {
+        dst.extend(locals.iter().map(|&l| G::narrow(remap[l.idx()])));
+    }
     cols.iter()
-        .map(|col| match &col.codes {
-            LocalCodes::W1(v) => v.iter().map(|&l| col.remap[l as usize]).collect(),
-            LocalCodes::W2(v) => v.iter().map(|&l| col.remap[l as usize]).collect(),
-            LocalCodes::W4(v) => v.iter().map(|&l| col.remap[l as usize]).collect(),
+        .enumerate()
+        .map(|(c, col)| {
+            let mut out = Codes::with_capacity(header.cardinality(c), col.codes.len());
+            with_codes!(&mut out, dst => with_codes!(&col.codes, src => {
+                remap_into(dst, src, &col.remap)
+            }));
+            out
         })
         .collect()
 }
@@ -1951,7 +1942,7 @@ mod tests {
             let seg = st.try_segment(i).unwrap();
             assert_eq!(seg.span(), span.clone());
             for c in 0..table.n_columns() {
-                assert_eq!(seg.col(c), &table.column(c)[span.clone()]);
+                assert_eq!(seg.col(c), &table.column(c).slice(span.clone()));
             }
         }
         assert_eq!(pos, table.n_rows());
@@ -1970,7 +1961,7 @@ mod tests {
                 for c in 0..table.n_columns() {
                     assert_eq!(
                         seg.col(c),
-                        &table.column(c)[seg.span()],
+                        &table.column(c).slice(seg.span()),
                         "pass {pass} shard {i} col {c}"
                     );
                 }
@@ -2306,7 +2297,7 @@ mod tests {
         // Restoring the bytes restores the segment: errors are not sticky.
         std::fs::write(&path, &bytes).unwrap();
         let seg = st.try_segment(1).unwrap();
-        assert_eq!(seg.col(0), &table.column(0)[st.spans()[1].clone()]);
+        assert_eq!(seg.col(0), &table.column(0).slice(st.spans()[1].clone()));
         // Other shards were never affected.
         let s0 = st.try_segment(0).unwrap();
         assert_eq!(s0.span(), st.spans()[0].clone());
@@ -2368,8 +2359,9 @@ mod tests {
             [
                 st.read_columns(1, &[0])
                     .map(|c| c[0].remap()[c[0].codes().at(row) as usize]),
-                st.try_gather_batch(&[&rows]).map(|t| t[0].column(0)[row]),
-                st.try_segment(1).map(|seg| seg.col(0)[row]),
+                st.try_gather_batch(&[&rows])
+                    .map(|t| t[0].column(0).at(row)),
+                st.try_segment(1).map(|seg| seg.col(0).at(row)),
             ]
         };
         let rejected = |msg: &str| [(); 3].map(|_| Some(corrupt(msg)));
@@ -2831,7 +2823,11 @@ mod tests {
         for i in 0..newest.table.n_shards() {
             let seg = newest.table.try_segment(i).unwrap();
             for col in 0..2 {
-                assert_eq!(seg.col(col), &twin.column(col)[seg.span()], "segment {i}");
+                assert_eq!(
+                    seg.col(col),
+                    &twin.column(col).slice(seg.span()),
+                    "segment {i}"
+                );
             }
         }
         let all: Vec<RowId> = (0..rows.len() as RowId).collect();

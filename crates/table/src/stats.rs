@@ -6,7 +6,7 @@
 //! * §4.2's `minSS` guidance and §6.1's weight-family analysis need `f_c`,
 //!   the frequency of each column's most common value.
 
-use crate::Table;
+use crate::{with_codes, Code, Table};
 
 /// Frequency statistics for one column.
 #[derive(Debug, Clone, PartialEq)]
@@ -24,10 +24,14 @@ pub struct ColumnStats {
 
 /// Computes [`ColumnStats`] for column `col` over the whole table.
 pub fn column_stats(table: &Table, col: usize) -> ColumnStats {
-    let mut counts = vec![0u64; table.cardinality(col)];
-    for &code in table.column(col) {
-        counts[code as usize] += 1;
+    /// `counts[code] += 1` per row, one loop per code width.
+    fn count<T: Code>(codes: &[T], counts: &mut [u64]) {
+        for &code in codes {
+            counts[code.idx()] += 1;
+        }
     }
+    let mut counts = vec![0u64; table.cardinality(col)];
+    with_codes!(table.column(col), codes => count(codes, &mut counts));
     finish(counts, table.n_rows() as u64)
 }
 

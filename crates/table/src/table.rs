@@ -1,13 +1,14 @@
 use crate::view::{RowId, TableView};
-use crate::{Dictionary, Schema, TableError};
+use crate::{with_codes, Code, Codes, Dictionary, Schema, TableError};
 use std::sync::Arc;
 
 /// An immutable, dictionary-encoded, column-major relational table.
 ///
 /// This is the paper's denormalized table `D` (§2.1): every column is
 /// categorical (bucketize numeric data first, see [`crate::bucketize`]), and
-/// cell values are stored as dense `u32` dictionary codes for cache-friendly
-/// scans. Optional *measure* columns hold raw `f64` values for the `Sum`
+/// cell values are stored as dense dictionary codes for cache-friendly
+/// scans, each column at the narrowest width its dictionary fits ([`Codes`]:
+/// `u8` up to 256 values, `u16` up to 65 536, `u32` beyond). Optional *measure* columns hold raw `f64` values for the `Sum`
 /// aggregate of §6.3 — they are never instantiated by rules.
 ///
 /// Dictionaries are held by `Arc`, so derived tables that keep the same
@@ -18,7 +19,7 @@ use std::sync::Arc;
 pub struct Table {
     schema: Schema,
     dicts: Vec<Arc<Dictionary>>,
-    cols: Vec<Vec<u32>>,
+    cols: Vec<Codes>,
     measures: Vec<(String, Vec<f64>)>,
     n_rows: usize,
 }
@@ -31,14 +32,20 @@ impl Table {
 
     /// Assembles a table from pre-validated parts (the sharded substrate's
     /// segment loader). Callers guarantee that every code is within its
-    /// dictionary and all lengths equal `n_rows`.
+    /// dictionary and all lengths equal `n_rows`. A column narrower than its
+    /// dictionary needs — codes sealed before the dictionary outgrew their
+    /// width — is widened here, so every table's columns are exactly as wide
+    /// as its dictionaries.
     pub(crate) fn from_parts(
         schema: Schema,
         dicts: Vec<Arc<Dictionary>>,
-        cols: Vec<Vec<u32>>,
+        mut cols: Vec<Codes>,
         measures: Vec<(String, Vec<f64>)>,
         n_rows: usize,
     ) -> Table {
+        for (col, dict) in cols.iter_mut().zip(&dicts) {
+            col.fit(dict.len());
+        }
         debug_assert_eq!(cols.len(), schema.n_columns());
         debug_assert!(cols.iter().all(|c| c.len() == n_rows));
         debug_assert!(measures.iter().all(|(_, v)| v.len() == n_rows));
@@ -113,12 +120,13 @@ impl Table {
     /// The dictionary code at (`row`, `col`). Panics if out of range.
     #[inline]
     pub fn code(&self, row: RowId, col: usize) -> u32 {
-        self.cols[col][row as usize]
+        self.cols[col].at(row as usize)
     }
 
-    /// The raw code column `col` (one entry per row).
+    /// The raw code column `col` (one entry per row), at the narrowest width
+    /// its dictionary fits.
     #[inline]
-    pub fn column(&self, col: usize) -> &[u32] {
+    pub fn column(&self, col: usize) -> &Codes {
         &self.cols[col]
     }
 
@@ -132,7 +140,33 @@ impl Table {
     /// Copies the codes of `row` into `buf` (resized to `n_columns`).
     pub fn row_codes(&self, row: RowId, buf: &mut Vec<u32>) {
         buf.clear();
-        buf.extend(self.cols.iter().map(|c| c[row as usize]));
+        buf.extend(self.cols.iter().map(|c| c.at(row as usize)));
+    }
+
+    /// Calls `visit(row, codes)` for every row in order, `codes` holding the
+    /// row's code per column as [`Table::row_codes`] would. Rows are
+    /// transposed a block at a time, one column (and one loop per code
+    /// width) after another, so no code is read through a width match.
+    pub fn for_each_row_codes(&self, mut visit: impl FnMut(usize, &[u32])) {
+        /// Writes each of `codes` into slot `c` of its `stride`-wide row.
+        fn scatter<T: Code>(rows: &mut [u32], codes: &[T], c: usize, stride: usize) {
+            for (slot, &code) in rows.iter_mut().skip(c).step_by(stride).zip(codes) {
+                *slot = code.wide();
+            }
+        }
+        const BLOCK: usize = 256;
+        let n_cols = self.n_columns();
+        let mut block = vec![0u32; BLOCK * n_cols];
+        for lo in (0..self.n_rows).step_by(BLOCK) {
+            let hi = (lo + BLOCK).min(self.n_rows);
+            for (c, col) in self.cols.iter().enumerate() {
+                with_codes!(col, codes => scatter(&mut block, &codes[lo..hi], c, n_cols));
+            }
+            for row in lo..hi {
+                let at = (row - lo) * n_cols;
+                visit(row, &block[at..at + n_cols]);
+            }
+        }
     }
 
     /// Names of the measure columns, in declaration order.
@@ -213,7 +247,9 @@ impl Table {
         let (first, _) = parts.first().expect("gather_multi needs at least one part");
         let n_cols = first.n_columns();
         let total: usize = parts.iter().map(|(_, rows)| rows.len()).sum();
-        let mut cols: Vec<Vec<u32>> = vec![Vec::with_capacity(total); n_cols];
+        let mut cols: Vec<Codes> = (0..n_cols)
+            .map(|c| Codes::with_capacity(first.dicts[c].len(), total))
+            .collect();
         for (src, rows) in parts {
             assert_eq!(src.schema, first.schema, "gather_multi sources disagree");
             for (c, col) in cols.iter_mut().enumerate() {
@@ -222,8 +258,7 @@ impl Table {
                     first.dicts[c].len(),
                     "gather_multi sources must share one code space"
                 );
-                let codes = src.column(c);
-                col.extend(rows.iter().map(|&r| codes[r as usize]));
+                col.extend_gather(src.column(c), rows);
             }
         }
         let measures = first
@@ -262,7 +297,11 @@ impl Table {
         Table {
             schema: self.schema.clone(),
             dicts: self.dicts.clone(),
-            cols: vec![Vec::new(); self.n_columns()],
+            cols: self
+                .dicts
+                .iter()
+                .map(|d| Codes::for_cardinality(d.len()))
+                .collect(),
             measures: self
                 .measures
                 .iter()
@@ -299,7 +338,7 @@ impl Table {
 pub struct TableBuilder {
     schema: Schema,
     dicts: Vec<Dictionary>,
-    cols: Vec<Vec<u32>>,
+    cols: Vec<Codes>,
     measures: Vec<(String, Vec<f64>)>,
     n_rows: usize,
 }
@@ -311,7 +350,7 @@ impl TableBuilder {
         Self {
             schema,
             dicts: vec![Dictionary::new(); n],
-            cols: vec![Vec::new(); n],
+            cols: vec![Codes::for_cardinality(0); n],
             measures: Vec::new(),
             n_rows: 0,
         }
@@ -332,12 +371,19 @@ impl TableBuilder {
                 got: row.len(),
             });
         }
-        for (c, v) in row.iter().enumerate() {
-            let code = self.dicts[c].intern(v.as_ref());
-            self.cols[c].push(code);
+        self.push_values(row.iter().map(AsRef::as_ref));
+        Ok(())
+    }
+
+    /// Appends one row from its values in schema order; the caller
+    /// guarantees there is one per column. Each code goes into its column
+    /// at that column's width as it is interned; a column whose dictionary
+    /// outgrows its width is widened once, then and there.
+    pub(crate) fn push_values<'v>(&mut self, values: impl Iterator<Item = &'v str>) {
+        for ((col, dict), v) in self.cols.iter_mut().zip(&mut self.dicts).zip(values) {
+            col.push(dict.intern(v));
         }
         self.n_rows += 1;
-        Ok(())
     }
 
     /// Number of rows pushed so far.
@@ -362,19 +408,17 @@ impl TableBuilder {
     }
 
     /// Finalizes the table, validating measure lengths.
+    ///
+    /// # Errors
+    ///
+    /// [`TableError::ArityMismatch`] when a measure column does not hold
+    /// one value per row (`expected` rows, `got` values).
     pub fn build(self) -> Result<Table, TableError> {
-        for (name, vals) in &self.measures {
+        for (_, vals) in &self.measures {
             if vals.len() != self.n_rows {
                 return Err(TableError::ArityMismatch {
                     expected: self.n_rows,
                     got: vals.len(),
-                })
-                .map_err(|_| {
-                    TableError::UnknownMeasure(format!(
-                        "measure {name:?} has {} values for {} rows",
-                        vals.len(),
-                        self.n_rows
-                    ))
                 });
             }
         }
@@ -453,7 +497,13 @@ mod tests {
         let mut b = TableBuilder::new(Schema::new(["Store"]).unwrap());
         b.push_row(&["Walmart"]).unwrap();
         b.add_measure("Sales", vec![1.0, 2.0]).unwrap();
-        assert!(b.build().is_err());
+        assert_eq!(
+            b.build().unwrap_err(),
+            TableError::ArityMismatch {
+                expected: 1,
+                got: 2
+            }
+        );
     }
 
     #[test]

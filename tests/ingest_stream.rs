@@ -70,7 +70,7 @@ fn streaming_ingest_with_resident_one_is_memory_bound() {
         for c in 0..table.n_columns() {
             assert_eq!(
                 seg.col(c),
-                &table.column(c)[seg.span()],
+                &table.column(c).slice(seg.span()),
                 "shard {i} col {c}"
             );
         }
@@ -180,7 +180,7 @@ fn concurrent_scans_stay_within_resident_plus_pinned() {
                     for c in 0..table.n_columns() {
                         assert_eq!(
                             seg.col(c),
-                            &table.column(c)[seg.span()],
+                            &table.column(c).slice(seg.span()),
                             "thread {t} pass {pass} shard {i} col {c}"
                         );
                     }

@@ -6,10 +6,12 @@
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
-    exact_best_rule_set, filter_to_rule, find_best_marginal_rule, find_best_marginal_rule_rowwise,
-    BestMarginal, BitsWeight, Rule, SearchOptions, SizeWeight, WeightFn,
+    count_rules, covered_rows, exact_best_rule_set, filter_to_rule, find_best_marginal_rule,
+    find_best_marginal_rule_rowwise, BestMarginal, BitsWeight, Rule, SearchOptions, SizeWeight,
+    WeightFn,
 };
 use smart_drilldown::table::{OwnedTableView, Schema, Table, TableView};
+use std::sync::OnceLock;
 
 /// A random categorical table: `n_cols` ≤ 4 columns with cardinality ≤ 5.
 fn random_table(rng: &mut StdRng) -> Table {
@@ -243,4 +245,140 @@ fn scratch_reuse_across_searches_is_stateless() {
             &fresh,
         );
     }
+}
+
+/// A table whose columns are one (`A`, `D`), two (`B`) and four (`C`) bytes
+/// wide, and the rows of it the width tests search: the table's first
+/// 65 537 rows only fill `C`'s dictionary past what `u16` codes can name.
+/// The searched rows follow them in six clusters, each a value of every
+/// column: `B` codes on both sides of 255, `C` codes on both sides of
+/// 65 535.
+fn mixed_widths() -> &'static (Table, Vec<u32>) {
+    static TABLE: OnceLock<(Table, Vec<u32>)> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        const FILL: usize = 65_537;
+        let mut rows: Vec<[String; 4]> = (0..FILL)
+            .map(|i| {
+                [
+                    format!("a{}", i % 3),
+                    format!("b{}", i % 300),
+                    format!("c{i}"),
+                    format!("d{}", i % 4),
+                ]
+            })
+            .collect();
+        rows.extend((0..1_200).map(|r| {
+            let k = r % 6;
+            [
+                format!("a{}", k % 3),
+                format!("b{}", 254 + k),
+                format!("c{}", 65_532 + k),
+                format!("d{}", k % 4),
+            ]
+        }));
+        let table = Table::from_rows(Schema::new(["A", "B", "C", "D"]).unwrap(), &rows).unwrap();
+        let widths: Vec<usize> = (0..4).map(|c| table.column(c).width()).collect();
+        assert_eq!(widths, [1, 2, 4, 1], "the test needs every width");
+        let tail = (FILL as u32..rows.len() as u32).collect();
+        (table, tail)
+    })
+}
+
+/// The search equals the row-at-a-time reference bitwise whatever width
+/// its columns' codes are stored at. Every cluster's rules cover the same
+/// rows, so under a size cap the winner is the cluster's rule on the
+/// lowest columns: `(A, B)` (one and two bytes) at size 2 — counted dense
+/// on the 1 200-row view and sparse on the 24-row one (a cell space over 8
+/// cells per row) — `(B, C)` (two and four bytes, sparse) at size 2 under
+/// the base `A = a0`, and groups with `C` (65 540 values, always sparse)
+/// at sizes 3 and 4. Each runs weighted and unweighted, pruned and not.
+#[test]
+fn kernel_matches_rowwise_at_every_code_width() {
+    let (source, tail) = mixed_widths();
+    let mut rng = StdRng::seed_from_u64(0x71D7);
+    let mut trial = 0;
+    for n_rows in [1_200, 24] {
+        let table = source.gather_rows(&tail[..n_rows]);
+        let weights: Vec<f64> = (0..n_rows).map(|_| rng.gen_range(0.25..4.0)).collect();
+        let cov: Vec<f64> = (0..n_rows)
+            .map(|i| {
+                if i % 3 == 0 {
+                    rng.gen_range(0.0..3.0)
+                } else {
+                    0.0
+                }
+            })
+            .collect();
+        let unweighted = table.view();
+        let weighted = TableView::all_with_weights(&table, &weights);
+        for (shape, view) in [("unweighted", &unweighted), ("weighted", &weighted)] {
+            for base in [
+                None,
+                Some(Rule::from_pairs(&table, &[("A", "a0")]).unwrap()),
+            ] {
+                let filtered = base.as_ref().map(|b| filter_to_rule(view, b));
+                let view = filtered.as_ref().map_or(*view, |f| f.as_view());
+                let cov = &cov[..view.len()];
+                for max_rule_size in [Some(2), Some(3), None] {
+                    for (wname, weight) in [
+                        ("size", &SizeWeight as &dyn WeightFn),
+                        ("bits", &BitsWeight),
+                    ] {
+                        trial += 1;
+                        let mut opts = SearchOptions::new(4.0);
+                        opts.pruning = trial % 2 == 0;
+                        opts.max_rule_size = max_rule_size;
+                        opts.base = base.clone();
+                        let reference = find_best_marginal_rule_rowwise(&view, weight, cov, &opts);
+                        assert!(reference.is_some(), "the scenario must yield a rule");
+                        let got = find_best_marginal_rule(&view, weight, cov, &opts);
+                        assert_bitwise_equal(
+                            &format!(
+                                "{n_rows} rows, {shape}, base {base:?}, size {max_rule_size:?}, \
+                                 {wname} weight, pruning {}",
+                                opts.pruning
+                            ),
+                            &got,
+                            &reference,
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `covered_rows` and `count_rules` equal a row-by-row filter on columns of
+/// every width, for codes on both sides of each width's boundary and for a
+/// code the column's width cannot hold.
+#[test]
+fn rule_scans_match_rowwise_at_every_code_width() {
+    let (source, tail) = mixed_widths();
+    let table = source.gather_rows(tail);
+    let pairs: [&[(&str, &str)]; 7] = [
+        &[("A", "a1")],
+        &[("B", "b255")],
+        &[("B", "b256")],
+        &[("C", "c65535")],
+        &[("C", "c65537")],
+        &[("A", "a0"), ("B", "b257"), ("C", "c65535")],
+        &[("D", "d1"), ("C", "c65537")],
+    ];
+    let mut rules: Vec<Rule> = pairs
+        .iter()
+        .map(|p| Rule::from_pairs(&table, p).unwrap())
+        .collect();
+    // `a` codes are 0..3 in a one-byte column: code 256, whose low byte
+    // is `a0`'s code, cannot occur.
+    rules.push(Rule::trivial(4).with_value(0, 256));
+    let counts = count_rules(&table, &rules);
+    for (rule, &count) in rules.iter().zip(&counts) {
+        let want: Vec<u32> = (0..table.n_rows() as u32)
+            .filter(|&r| rule.covers_row(&table, r))
+            .collect();
+        assert_eq!(covered_rows(&table, rule), want, "{rule:?}");
+        assert_eq!(count, want.len() as f64, "{rule:?}");
+    }
+    assert!(counts[..7].iter().all(|&c| c > 0.0), "{counts:?}");
+    assert_eq!(counts[7], 0.0);
 }

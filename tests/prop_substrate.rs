@@ -197,7 +197,7 @@ proptest! {
         for i in 0..st.n_shards() {
             let seg = st.try_segment(i).unwrap();
             for c in 0..table.n_columns() {
-                prop_assert_eq!(seg.col(c), &table.column(c)[seg.span()]);
+                prop_assert_eq!(seg.col(c), &table.column(c).slice(seg.span()));
             }
         }
         prop_assert_eq!(st.loads(), st.n_shards() as u64, "every decode reads the disk");
@@ -278,8 +278,8 @@ proptest! {
                     Arc::ptr_eq(st.header().dictionary_arc(c), seg.table().dictionary_arc(c)),
                     "shard {} col {}: dictionary cloned instead of Arc-shared", i, c
                 );
-                prop_assert_eq!(seg.col(c), &reference.column(c)[seg.span()]);
-                for (local, &code) in seg.col(c).iter().enumerate() {
+                prop_assert_eq!(seg.col(c), &reference.column(c).slice(seg.span()));
+                for (local, code) in seg.col(c).iter().enumerate() {
                     let global_row = (seg.span().start + local) as u32;
                     prop_assert_eq!(
                         seg.table().dictionary(c).value_of(code),
@@ -328,7 +328,7 @@ proptest! {
 
         let fault = |e: &TableError| matches!(e, TableError::Corrupt(_) | TableError::Io(_));
         let known = |c: usize, codes: &[u32]| codes.iter().all(|&g| (g as usize) < table.cardinality(c));
-        let all_known = |t: &Table| (0..3).all(|c| known(c, t.column(c)));
+        let all_known = |t: &Table| (0..3).all(|c| known(c, &t.column(c).to_u32_vec()));
         match st.read_columns(shard, &[0, 1, 2]) {
             Ok(cols) => {
                 for (c, col) in cols.iter().enumerate() {

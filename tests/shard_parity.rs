@@ -531,7 +531,7 @@ fn materialised(h: &SampleHandler, filter: &Rule) -> Option<Materialised> {
     let t = view.table();
     let cols = 0..t.n_columns();
     Some((
-        cols.clone().map(|c| t.column(c).to_vec()).collect(),
+        cols.clone().map(|c| t.column(c).to_u32_vec()).collect(),
         cols.map(|c| t.cardinality(c)).collect(),
         t.measure_names()
             .map(|m| t.measure(m).unwrap().to_vec())

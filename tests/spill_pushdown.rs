@@ -19,7 +19,7 @@ use smart_drilldown::core::{
     SearchScratch, SizeWeight,
 };
 use smart_drilldown::table::{
-    LocalCodes, Schema, ShardConfig, ShardedTable, ShardedView, Table, TableStore,
+    Codes, Schema, ShardConfig, ShardedTable, ShardedView, Table, TableStore,
 };
 use std::sync::Arc;
 
@@ -163,9 +163,9 @@ fn simd_tail_parity_on_all_lengths() {
         .unwrap()
         .iter()
         .map(|c| match c.codes() {
-            LocalCodes::W1(_) => "u8",
-            LocalCodes::W2(_) => "u16",
-            LocalCodes::W4(_) => "u32",
+            Codes::W1(_) => "u8",
+            Codes::W2(_) => "u16",
+            Codes::W4(_) => "u32",
         })
         .collect();
     assert_eq!(widths, ["u8", "u16", "u8", "u8"], "spilled code widths");
