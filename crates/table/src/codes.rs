@@ -150,11 +150,6 @@ impl Codes {
         with_codes!(self, v => v[i].wide())
     }
 
-    /// Every code in row order, widened to `u32`.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
-        (0..self.len()).map(|i| self.at(i))
-    }
-
     /// Every code in row order as a `u32` vector.
     pub fn to_u32_vec(&self) -> Vec<u32> {
         let mut out = Vec::with_capacity(self.len());

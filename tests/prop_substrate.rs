@@ -279,7 +279,7 @@ proptest! {
                     "shard {} col {}: dictionary cloned instead of Arc-shared", i, c
                 );
                 prop_assert_eq!(seg.col(c), &reference.column(c).slice(seg.span()));
-                for (local, code) in seg.col(c).iter().enumerate() {
+                for (local, code) in seg.col(c).to_u32_vec().into_iter().enumerate() {
                     let global_row = (seg.span().start + local) as u32;
                     prop_assert_eq!(
                         seg.table().dictionary(c).value_of(code),
