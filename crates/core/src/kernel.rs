@@ -751,8 +751,7 @@ pub fn covered_rows(table: &Table, rule: &Rule) -> Vec<RowId> {
 
 /// `rule`'s predicates over rows `span` of `table` (which holds **global**
 /// codes), one per instantiated column at that column's width — what
-/// [`covered_rows`], [`count_rules`] and the segment scans of
-/// [`crate::shard`] over a decoded segment hand to the block-mask scan.
+/// [`covered_rows`] and [`count_rules`] hand to the block-mask scan.
 /// `None` ⇒ a predicate's code is too wide for its column (a live table's
 /// older segment, whose dictionary predates the value): no row matches.
 pub(crate) fn span_preds<'a>(

@@ -7,16 +7,22 @@
 //! rows (Create, prefetch, live maintenance), counted exactly (refresh) and
 //! gathered from. Every such scan is the **same loop** (`sweep`): segments
 //! are visited in row order (a shard of a [`ShardedTable`] or live
-//! snapshot, or a [`chunk_spans`] slice of a monolithic [`Table`]), the
-//! union of the batch's rule columns is fetched **once per segment**, and
-//! each rule's hits in that segment go to a sink:
+//! snapshot, or the whole of a monolithic [`Table`]), the union of the
+//! batch's rule columns is fetched **once per segment**, and the
+//! segment's rows go to a sink:
 //!
 //! * *collect ids* — [`try_covered_rows_sharded`] and
 //!   [`try_covered_rows_sharded_range`];
 //! * *count* — [`try_count_rules_sharded`], [`try_count_rules_in_store`];
 //! * *the caller's* — [`try_scan_rules_in_store`], through which the
 //!   sampling layer offers a whole batch of rules' covered rows to their
-//!   reservoirs in a single pass (§4.3), no covered-row vector in between.
+//!   reservoirs in a single pass (§4.3), a 2 048-row block at a time, no
+//!   covered-row vector in between.
+//!
+//! The hit sinks mask each block once for the `(column, code)` predicates
+//! every rule of the batch shares — a prefetch's children all repeat their
+//! parent's — and skip it for every rule when those empty it; each rule's
+//! own predicates are ANDed on a copy ([`crate::accel`]).
 //!
 //! The `*_in_store` entries are the **one place** that dispatches on the
 //! store kind. [`try_find_best_marginal_rule_sharded`] is *not* a second
@@ -32,8 +38,9 @@
 //!    order visits rows in exactly the monolithic order;
 //! 2. a rule's hits in a segment are a function of that rule and those
 //!    rows alone — which other rules share the batch changes what is
-//!    *fetched*, never what is *found*;
-//! 3. a sweep runs on its calling thread and hands each segment's hits to
+//!    *fetched*, and which of its predicates are masked once for all, never
+//!    what is *found* (AND is order-free);
+//! 3. a sweep runs on its calling thread and hands each block's hits to
 //!    the sink as it scans them, so every rule's hit stream is the
 //!    ascending monolithic one: hit lists concatenate, integer counts add
 //!    exactly, and a reservoir fed by the stream draws what a
@@ -53,14 +60,14 @@
 //! table and a **resident** segment ([`ShardedTable::resident_segment`])
 //! hold global codes. A **spilled** shard is range-read for only the
 //! batch's columns ([`ShardedTable::read_columns`]) as packed 1/2/4-byte
-//! local codes, transiently — the read is dropped with the segment's
-//! hits — and each rule predicate is translated into the shard's local
+//! local codes, transiently — the read is dropped once the segment is
+//! scanned — and each predicate is translated into the shard's local
 //! code space through its `remap`; a value absent from `remap` covers zero
-//! rows there. A batch of trivial rules reads nothing. That read is the
-//! spill tier's one reader, the same one a gather and a segment decode
-//! use: it sizes every buffer from the file's validated offset table and
-//! validates codes with one vectorized max-reduction, so a read costs
-//! about what it copies.
+//! rows there (a shared one, for the whole batch). A batch of trivial rules
+//! reads nothing. That read is the spill tier's one reader, the same one a
+//! gather and a segment decode use: it sizes every buffer from the file's
+//! validated offset table and validates codes with one vectorized
+//! max-reduction, so a read costs about what it copies.
 //! Either way the predicates go to the one block-mask scan
 //! of [`crate::accel`], generic over the code width: a local-code equality
 //! hits exactly the rows the global-code one hits, and the mask yields them
@@ -72,12 +79,11 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use crate::accel::{self, EqPred};
-use crate::kernel::{span_preds, SearchScratch};
+use crate::kernel::SearchScratch;
 use crate::marginal::{find_best_marginal_rule_with_scratch, BestMarginal, SearchOptions};
 use crate::{Rule, WeightFn};
 use sdd_table::{
-    chunk_spans, OwnedTableView, RawColumn, RowId, ShardedTable, ShardedView, Table, TableError,
-    TableStore,
+    OwnedTableView, RawColumn, RowId, ShardedTable, ShardedView, Table, TableError, TableStore,
 };
 use std::borrow::Cow;
 use std::ops::Range;
@@ -107,46 +113,52 @@ struct Segment<'a> {
 }
 
 impl Segment<'_> {
-    /// `rule`'s predicates over `self.rows`, in whichever coding the
-    /// segment came in. `None` ⇒ some predicate value never occurs in this
-    /// shard (absent from the column's `remap`): the rule covers no row here.
-    fn preds(&self, rule: &Rule) -> Option<Vec<EqPred<'_>>> {
+    /// The `(column, code)` predicates over `self.rows`, in whichever coding
+    /// the segment came in. `None` ⇒ some value never occurs in this shard
+    /// (absent from the column's `remap`, or too wide for the column): no
+    /// row here satisfies them all.
+    fn preds(&self, pairs: &[(usize, u32)]) -> Option<Vec<EqPred<'_>>> {
         let rows = self.rows.start - self.start..self.rows.end - self.start;
-        match &self.codes {
-            Codes::Table(t) => span_preds(t, rule, rows),
-            Codes::Packed(raw) => local_predicates(raw, rule, rows),
-        }
+        pairs
+            .iter()
+            .map(|&(c, code)| match &self.codes {
+                Codes::Table(t) => EqPred::of(t.column(c), rows.clone(), code),
+                Codes::Packed(raw) => {
+                    let (_, rc) = raw.iter().find(|(col, _)| *col == c)?;
+                    EqPred::of(rc.codes(), rows.clone(), rc.local_of_global(code)?)
+                }
+            })
+            .collect()
     }
 
-    /// The global ids of `rule`'s covered rows among `self.rows`, ascending.
-    fn covered(&self, rule: &Rule) -> Vec<RowId> {
+    /// A batch's hits among `self.rows` (see [`accel::hits_batch`]): the
+    /// `shared` predicates are translated and masked once for every rule,
+    /// each rule's `own` on top of them.
+    fn hits(
+        &self,
+        shared: &[(usize, u32)],
+        own: &[Vec<(usize, u32)>],
+        sink: impl FnMut(usize, &[RowId]),
+    ) {
+        let Some(shared) = self.preds(shared) else {
+            return;
+        };
+        let own: Vec<_> = own.iter().map(|pairs| self.preds(pairs)).collect();
         let (n, base) = (self.rows.len(), self.rows.start as RowId);
-        self.preds(rule)
-            .map_or_else(Vec::new, |preds| accel::hits(&preds, n, base))
+        accel::hits_batch(&shared, &own, n, base, sink);
     }
 
-    /// How many of `self.rows` `rule` covers.
-    fn count(&self, rule: &Rule) -> u64 {
-        self.preds(rule)
+    /// How many of `self.rows` satisfy every predicate of `pairs`.
+    fn count(&self, pairs: &[(usize, u32)]) -> u64 {
+        self.preds(pairs)
             .map_or(0, |preds| accel::count(&preds, self.rows.len()))
     }
 }
 
-/// Translates `rule`'s predicates on the fetched columns (which include
-/// every column the rule instantiates) into the shard's local code space
-/// over `rows`, in column order; `None` when a value is absent from a
-/// column's `remap`.
-fn local_predicates<'a>(
-    raw: &'a [(usize, RawColumn)],
-    rule: &Rule,
-    rows: Range<usize>,
-) -> Option<Vec<EqPred<'a>>> {
-    raw.iter()
-        .filter(|(c, _)| !rule.is_star(*c))
-        .map(|(c, rc)| {
-            let want = rc.local_of_global(rule.code(*c))?;
-            EqPred::of(rc.codes(), rows.clone(), want)
-        })
+/// `rule`'s `(column, code)` predicates, in column order.
+fn pairs(rule: &Rule) -> Vec<(usize, u32)> {
+    rule.instantiated_columns()
+        .map(|c| (c, rule.code(c)))
         .collect()
 }
 
@@ -154,28 +166,9 @@ fn local_predicates<'a>(
 // The sweep
 // ---------------------------------------------------------------------------
 
-/// Rows per slice targeted by a sweep of a monolithic table.
-const ROWS_PER_SLICE: usize = 8 * 1024;
-/// Upper bound on the number of slices of one sweep.
-const MAX_SLICES: usize = 64;
-/// Inputs smaller than this are swept in one piece.
-const SLICE_MIN_ROWS: usize = 32 * 1024;
-
-/// Slice count for a sweep of a monolithic table: slicing bounds the hit
-/// list one slice holds at a time (a whole 10⁶-row table's trivial-rule
-/// hits would be 4 MB). Output is integer hit lists in slice order, so
-/// slicing never changes a byte of the result.
-fn scan_chunks(len: usize) -> usize {
-    if len < SLICE_MIN_ROWS {
-        1
-    } else {
-        (len / ROWS_PER_SLICE).clamp(1, MAX_SLICES)
-    }
-}
-
-/// Where a sweep reads its rows: a monolithic table, swept in
-/// [`chunk_spans`] slices, or segmented storage — a sharded table or a live
-/// snapshot — swept shard by shard.
+/// Where a sweep reads its rows: a monolithic table, one segment, or
+/// segmented storage — a sharded table or a live snapshot — swept shard by
+/// shard.
 #[derive(Clone, Copy)]
 enum Source<'a> {
     Whole(&'a Table),
@@ -190,11 +183,10 @@ impl<'a> Source<'a> {
             .map_or(Source::Whole(store.header()), |st| Source::Sharded(st))
     }
 
-    /// The segment spans, in row order. A monolithic table under
-    /// `SLICE_MIN_ROWS` rows is one segment.
+    /// The segment spans, in row order.
     fn spans(self) -> Cow<'a, [Range<usize>]> {
         match self {
-            Source::Whole(t) => Cow::Owned(chunk_spans(t.n_rows(), scan_chunks(t.n_rows()))),
+            Source::Whole(t) => Cow::Owned(std::iter::once(0..t.n_rows()).collect()),
             Source::Sharded(st) => Cow::Borrowed(st.spans()),
         }
     }
@@ -218,15 +210,13 @@ impl<'a> Source<'a> {
 
 /// The one loop over segments. Visits every segment of `src` that overlaps
 /// `range` (out-of-bounds ranges clamp) in row order, fetches the union of
-/// `rules`' columns once per segment, runs `scan` for every rule over the
-/// in-range rows, and hands `(rule index, scan result)` to `sink` — per
-/// rule strictly in segment order.
-fn sweep<'a, P>(
+/// `rules`' columns once per segment, and hands `visit` the segment's
+/// in-range rows.
+fn sweep<'a>(
     src: Source<'a>,
     rules: &[Rule],
     range: Range<usize>,
-    scan: impl Fn(&Segment<'a>, &Rule) -> P,
-    mut sink: impl FnMut(usize, P),
+    mut visit: impl FnMut(&Segment<'a>),
 ) -> Result<(), TableError> {
     let mut cols: Vec<usize> = rules.iter().flat_map(Rule::instantiated_columns).collect();
     cols.sort_unstable();
@@ -242,20 +232,45 @@ fn sweep<'a, P>(
             Source::Whole(_) => 0,
             Source::Sharded(_) => span.start,
         };
-        let seg = Segment { codes, start, rows };
-        for (r, rule) in rules.iter().enumerate() {
-            sink(r, scan(&seg, rule));
-        }
+        visit(&Segment { codes, start, rows });
     }
     Ok(())
+}
+
+/// The hit sink: per segment, the predicates every rule shares are masked
+/// once per block and each rule's own ones on a copy (AND is order-free, so
+/// a rule finds the rows it would find alone). `sink(i, ids)` gets
+/// `rules[i]`'s hits a block at a time, ascending, in row order.
+fn scan_rules_in(
+    src: Source<'_>,
+    rules: &[Rule],
+    range: Range<usize>,
+    mut sink: impl FnMut(usize, &[RowId]),
+) -> Result<(), TableError> {
+    let all: Vec<_> = rules.iter().map(pairs).collect();
+    let shared: Vec<(usize, u32)> = all.first().map_or_else(Vec::new, |first| {
+        let every = |p: &(usize, u32)| all.iter().all(|q| q.contains(p));
+        first.iter().copied().filter(every).collect()
+    });
+    let own: Vec<Vec<(usize, u32)>> = all
+        .into_iter()
+        .map(|mut p| {
+            p.retain(|q| !shared.contains(q));
+            p
+        })
+        .collect();
+    sweep(src, rules, range, |seg| seg.hits(&shared, &own, &mut sink))
 }
 
 /// The count sink. Counts are exact integers, so per-segment `u64`
 /// subtotals add up to the monolithic count bitwise.
 fn count_rules_in(src: Source<'_>, rules: &[Rule]) -> Result<Vec<f64>, TableError> {
+    let all: Vec<_> = rules.iter().map(pairs).collect();
     let mut counts = vec![0u64; rules.len()];
-    sweep(src, rules, 0..usize::MAX, Segment::count, |rule, c| {
-        counts[rule] += c
+    sweep(src, rules, 0..usize::MAX, |seg| {
+        for (count, pairs) in counts.iter_mut().zip(&all) {
+            *count += seg.count(pairs);
+        }
     })?;
     Ok(counts.into_iter().map(|c| c as f64).collect())
 }
@@ -286,9 +301,7 @@ pub fn try_covered_rows_sharded_range(
 ) -> Result<Vec<RowId>, TableError> {
     let (src, rule) = (Source::Sharded(table), std::slice::from_ref(rule));
     let mut out: Vec<RowId> = Vec::new();
-    sweep(src, rule, range, Segment::covered, |_, hits| {
-        out.extend(hits)
-    })?;
+    scan_rules_in(src, rule, range, |_, hits| out.extend_from_slice(hits))?;
     Ok(out)
 }
 
@@ -314,7 +327,7 @@ pub fn try_count_rules_in_store(
 /// Sweeps `range` of `store` **once for a whole batch of rules** (paper
 /// §4.3: all of a drill-down's samples "in a single pass through the
 /// table"): `sink(i, rows)` receives `rules[i]`'s covered rows in one
-/// segment, ascending. Per rule, the slices arrive in segment order and
+/// 2 048-row block, ascending. Per rule, the slices arrive in row order and
 /// concatenate to exactly [`crate::covered_rows`] of the same rows clipped
 /// to `range`, whichever rules share the batch and however the rows are
 /// stored — so a consumer that folds the stream in order (a keyed
@@ -323,12 +336,9 @@ pub fn try_scan_rules_in_store(
     store: &TableStore,
     rules: &[Rule],
     range: Range<usize>,
-    mut sink: impl FnMut(usize, &[RowId]),
+    sink: impl FnMut(usize, &[RowId]),
 ) -> Result<(), TableError> {
-    let src = Source::of(store);
-    sweep(src, rules, range, Segment::covered, |i, rows| {
-        sink(i, &rows)
-    })
+    scan_rules_in(Source::of(store), rules, range, sink)
 }
 
 // ---------------------------------------------------------------------------

@@ -37,8 +37,9 @@
 //! the full table is two sweeps shared by every sample of a batch — a lone
 //! Create, a prefetch's five or six rules, or every stored filter at a live
 //! sync: one scan ([`sdd_core::try_scan_rules_in_store`]: the union of the
-//! batch's rule columns fetched once per segment, every rule's hits offered
-//! straight into its reservoir) and one gather
+//! batch's rule columns fetched once per segment, the predicates all its
+//! rules share masked once per 2 048-row block, and every rule's hits in a
+//! block offered straight into its reservoir) and one gather
 //! ([`TableStore::try_gather_batch`]). Over a spilling store that is at
 //! most two reads per spilled segment per batch, whatever its size —
 //! and a live sync scans only the segments that overlap the appended range
@@ -251,8 +252,8 @@ fn sample_seed(seed: u64, rule: &Rule) -> u64 {
 type BatchMember = (Rule, Reservoir<RowId>, u64);
 
 /// The one scan every batch makes over `store`: sweeps `range` once,
-/// offering each rule's covered rows (ascending, whatever the batch) into
-/// its reservoir. Every store kind emits the
+/// offering each rule's covered rows (ascending, a block at a time,
+/// whatever the batch) into its reservoir. Every store kind emits the
 /// identical covered-row stream for identical rows (a live store scans its
 /// pinned epoch's frozen snapshot), so the draws are identical whatever
 /// the storage.

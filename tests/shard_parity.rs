@@ -1033,6 +1033,155 @@ fn coverage_and_scoring_scans_are_bit_identical_across_shard_layouts() {
     }
 }
 
+/// A table for the batch-scan property: `lo` (one of three values), `blk`
+/// (clustered by row position, so most values are absent from most
+/// segments), `mid` (`mid_card` values: two bytes wide past 256) and `hi`
+/// (a new value per row for the first `hi_unique` rows, then a few repeats:
+/// four bytes wide past 65 536).
+fn batch_table(rng: &mut StdRng, n: usize, mid_card: u32, hi_unique: usize) -> Table {
+    let rows: Vec<[String; 4]> = (0..n)
+        .map(|i| {
+            let blk = (i * 6 / n.max(1) + usize::from(rng.gen_bool(0.05))) % 6;
+            [
+                format!("l{}", rng.gen_range(0..3)),
+                format!("k{blk}"),
+                format!("m{}", rng.gen_range(0..mid_card)),
+                format!("h{}", if i < hi_unique { i } else { i % 5 }),
+            ]
+        })
+        .collect();
+    Table::from_rows(Schema::new(["lo", "blk", "mid", "hi"]).unwrap(), &rows).unwrap()
+}
+
+/// A seeded batch over `table`: a base rule of 0–2 predicates and members
+/// that keep it (sharing all), extend it (sharing all, plus their own),
+/// drop or re-value one of its predicates (sharing some — a re-valued one
+/// shares the column but not the code), random rules and the trivial rule
+/// (sharing none), with one member repeated.
+fn random_batch(rng: &mut StdRng, table: &Table) -> Vec<Rule> {
+    let nc = table.n_columns();
+    let code = |rng: &mut StdRng, c: usize| rng.gen_range(0..table.cardinality(c) as u32);
+    let mut base = Rule::trivial(nc);
+    for _ in 0..rng.gen_range(0..3) {
+        let c = rng.gen_range(0..nc);
+        base = base.with_value(c, code(rng, c));
+    }
+    let mut batch = Vec::new();
+    for _ in 0..rng.gen_range(1..7) {
+        let c = rng.gen_range(0..nc);
+        let member = match rng.gen_range(0..6) {
+            0 => base.clone(),
+            1 | 2 => base.with_value(c, code(rng, c)),
+            3 => base.with_star(c),
+            4 => Rule::trivial(nc).with_value(c, code(rng, c)),
+            _ => Rule::trivial(nc),
+        };
+        batch.push(member);
+    }
+    if let Some(c) = base
+        .instantiated_columns()
+        .next()
+        .filter(|_| rng.gen_bool(0.5))
+    {
+        let other = (base.code(c) + 1) % table.cardinality(c) as u32;
+        batch.push(base.with_value(c, other));
+    }
+    let again = batch[rng.gen_range(0..batch.len())].clone();
+    batch.push(again);
+    batch
+}
+
+/// A batch shares one sweep, and the predicates all its rules have in
+/// common are masked once per block for all of them — yet each rule's
+/// hits from `try_scan_rules_in_store` concatenate to exactly its covered
+/// rows clipped to the range, as a row-at-a-time filter and a one-rule scan
+/// find them: on monolithic, sharded (resident and spilled) and live
+/// (resident and spilling) stores, over code columns of all three widths,
+/// shared values absent from some segments, and ranges straddling every
+/// segment seam.
+#[test]
+fn batched_scans_equal_per_rule_scans_on_every_store() {
+    let mut rng = StdRng::seed_from_u64(0xBA7C_4ED5);
+    let mut tables: Vec<(Table, usize)> = (0..4)
+        .map(|_| {
+            let n = rng.gen_range(300..3_000);
+            let mid_card = if rng.gen_bool(0.5) { 400 } else { 5 };
+            (batch_table(&mut rng, n, mid_card, 0), 6)
+        })
+        .collect();
+    tables.push((batch_table(&mut rng, 66_000, 300, 65_600), 2));
+    for (table, n_batches) in &tables {
+        let n = table.n_rows();
+        let mut stores = vec![
+            (
+                TableStore::Whole(Arc::new(table.clone())),
+                "whole".to_owned(),
+            ),
+            (live_store(table, false), "live, resident".to_owned()),
+            (live_store(table, true), "live, spilling".to_owned()),
+        ];
+        for shards in [1, 3, 7] {
+            for cfg in shard_configs(shards) {
+                stores.push((TableStore::Sharded(sharded(table, &cfg)), cfg_label(&cfg)));
+            }
+        }
+        // Beside the seeded batches, two pinned ones over every column.
+        // The first shares a `blk` value from the middle rows (absent from
+        // the outer segments) and, but for one rule that re-values it, a
+        // `mid` one; its rules add `lo` or an `hi` value from the last row
+        // (absent from the middle segments). The second shares nothing.
+        let (mid_row, last_row) = (n as u32 / 2, n as u32 - 1);
+        let base = Rule::trivial(4)
+            .with_value(1, table.code(mid_row, 1))
+            .with_value(2, table.code(mid_row, 2));
+        let hi = table.code(last_row, 3);
+        let mut batches = vec![
+            vec![
+                base.clone(),
+                base.with_value(0, table.code(mid_row, 0)),
+                base.with_value(3, hi),
+                base.with_value(2, table.code(0, 2)),
+                base.clone(),
+            ],
+            vec![
+                base.with_value(1, table.code(0, 1)),
+                Rule::trivial(4).with_value(3, hi),
+                Rule::trivial(4),
+            ],
+        ];
+        batches.extend((0..*n_batches).map(|_| random_batch(&mut rng, table)));
+        for batch in batches {
+            let covered: Vec<Vec<u32>> = batch.iter().map(|r| covered_rows(table, r)).collect();
+            for (rule, covered) in batch.iter().zip(&covered) {
+                let rowwise: Vec<u32> = (0..n as u32)
+                    .filter(|&r| rule.covers_row(table, r))
+                    .collect();
+                assert_eq!(covered, &rowwise, "covered_rows vs row-at-a-time: {rule:?}");
+            }
+            for (store, label) in &stores {
+                let seams: Vec<usize> = store
+                    .as_sharded()
+                    .map_or_else(Vec::new, |st| st.spans().iter().map(|s| s.start).collect());
+                let mut ranges = vec![0..n, rng.gen_range(0..n)..n + 9];
+                ranges.extend(seams.iter().map(|&s| s.saturating_sub(70)..s + 2_100));
+                for range in ranges {
+                    let streams = batched_scan(store, &batch, range.clone());
+                    for ((rule, stream), covered) in batch.iter().zip(&streams).zip(&covered) {
+                        let want: Vec<u32> = covered
+                            .iter()
+                            .copied()
+                            .filter(|&r| range.contains(&(r as usize)))
+                            .collect();
+                        assert_eq!(stream, &want, "{label}: {rule:?} over {range:?}");
+                        let alone = batched_scan(store, std::slice::from_ref(rule), range.clone());
+                        assert_eq!(alone[0], want, "{label}: {rule:?} alone over {range:?}");
+                    }
+                }
+            }
+        }
+    }
+}
+
 /// Every fallible per-shard call turns a shard index past the last shard
 /// into an error (`None` for `spill_path`) on resident and spilling tables
 /// alike, and reads nothing.
