@@ -71,12 +71,10 @@ proptest! {
 
     /// A reservoir never exceeds capacity and never invents items.
     #[test]
-    fn reservoir_holds_valid_subset(n_stream in 0usize..200, cap in 0usize..20, seed in any::<u64>()) {
-        use rand::{rngs::StdRng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(seed);
+    fn reservoir_holds_valid_subset(n_stream in 0usize..200, cap in 0usize..20, key in any::<u64>()) {
         let mut res = Reservoir::new(cap);
         for i in 0..n_stream {
-            res.offer(i, &mut rng);
+            res.offer_keyed(i, key);
         }
         prop_assert!(res.items().len() <= cap.min(n_stream));
         prop_assert!(res.items().iter().all(|&i| i < n_stream));
