@@ -66,7 +66,7 @@ impl<'a> EqPred<'a> {
 
     /// ANDs the predicate's equality mask over `rows` into `acc`, one word
     /// per 64 rows.
-    fn and_into(self, rows: std::ops::Range<usize>, acc: &mut [u64]) {
+    pub(crate) fn and_into(self, rows: std::ops::Range<usize>, acc: &mut [u64]) {
         match self {
             EqPred::U8(codes, want) => and_eq_mask(&codes[rows], want, acc),
             EqPred::U16(codes, want) => and_eq_mask(&codes[rows], want, acc),

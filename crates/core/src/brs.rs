@@ -6,8 +6,8 @@
 //! (Problem 3). Each greedy step delegates to
 //! [`crate::marginal::find_best_marginal_rule`] (Algorithm 2).
 
-use crate::kernel::{covered_rows, SearchScratch};
-use crate::marginal::{find_best_marginal_rule_with_scratch, SearchOptions, SearchStats};
+use crate::kernel::{covered_rows, RunIndex, SearchScratch};
+use crate::marginal::{SearchOptions, SearchStats};
 use crate::{score_list, sort_by_weight_desc, Rule, WeightFn};
 use sdd_table::TableView;
 
@@ -170,18 +170,14 @@ impl<'w> Brs<'w> {
         let mut covered = vec![0.0f64; view.len()];
         let mut selection: Vec<Rule> = Vec::with_capacity(k);
         let mut stats = SearchStats::default();
-        // One scratch for all k searches: steady-state iterations reuse the
-        // kernel's histogram/candidate buffers.
+        // The k searches share what does not depend on `covered`: pass 1's
+        // counts and the block masks, built for this one view and dropped
+        // with it.
+        let index = RunIndex::new(*view, self.weight, &opts);
         let mut scratch = SearchScratch::new();
 
         for _ in 0..k {
-            let Some(best) = find_best_marginal_rule_with_scratch(
-                view,
-                &self.weight,
-                &covered,
-                &opts,
-                &mut scratch,
-            ) else {
+            let Some(best) = index.search(&covered, &mut scratch) else {
                 break;
             };
             stats.absorb(&best.stats);

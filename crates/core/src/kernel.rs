@@ -3,37 +3,46 @@
 //!
 //! ## The search kernel
 //!
-//! [`crate::marginal::find_best_marginal_rule`] runs here. Per level:
+//! [`crate::marginal::find_best_marginal_rule`] runs here. What does not
+//! depend on the covered weights `cov` a BRS run builds once for its view
+//! (`RunIndex`): pass 1's per-column count histograms, scanned off the
+//! dictionary-encoded column slices, and the size-1 candidates they admit,
+//! each a *building block* `(free column, code)`; at the first level-2 pass,
+//! one row bitmask per block (bit `i % 64` of word `i / 64` is row `i`).
 //!
-//! * **pass 1** — per-column count/marginal histograms accumulated by
-//!   scanning each dictionary-encoded column slice directly (one `f64` slot
-//!   per code, no `Rule` construction, no hashing); rules materialize only
-//!   at the candidate boundary, one per distinct surviving `(column, code)`;
-//! * **pass j ≥ 2** — the level's candidates are grouped by instantiated
-//!   column set. A group whose column-cardinality product fits
-//!   `DENSE_CELL_CAP` is counted **probe-free** into a dense
-//!   count/marginal histogram indexed by the mixed-radix cell of the row's
-//!   codes; larger groups pack each candidate's codes into a `u64` (or a
-//!   flat `u32` tuple beyond 64 bits) and binary-search a sorted flat
-//!   `Vec`. The `Rule`-keyed map survives only at the API boundary.
+//! A search sweeps each free column once for the pass-1 marginals, then
+//! counts each later level *vertically* (Zaki's Eclat), one parent survivor
+//! at a time: a candidate's cover is its parent's cover — the AND of the
+//! parent's block masks, kept to its non-zero words — ANDed with one more
+//! block mask. Its sums take one of two forms:
 //!
-//! A search runs on its calling thread, one column (pass 1) or one group
-//! (pass j) at a time. Every per-candidate sum is formed by one scan of the
-//! whole view in row order, so results are **bit-identical** to the
-//! row-at-a-time reference
-//! [`crate::marginal::find_best_marginal_rule_rowwise`], whose winner
-//! selection uses the same strict total order. `tests/kernel_parity.rs`
-//! asserts it.
+//! * **row order** — one pass over the parent's rows per column its
+//!   candidates extend it by, each row adding `w_t` and `w_t · (W − min(W,
+//!   cov_t))` to the candidate it falls in: the operations of
+//!   [`crate::marginal::find_best_marginal_rule_rowwise`], in its order.
+//!   Views whose rows weigh differently (a SUM measure) and a `cov` of more
+//!   than `MAX_CLASSES` values always take it, as does a sparse parent.
+//! * **by class** — when every row weighs the same `s` (unit weights, or a
+//!   sample's `vec![scale; n]`). The count is `P[popcount]`, `s` added that
+//!   many times from `0.0`: the loop's own partial sum. `cov` takes few
+//!   values (in BRS `0` and the weights of earlier winners) and a row with
+//!   `cov ≥ W` adds exactly `+0.0`, so the marginal is `Σ n_c · s·(W − c)`
+//!   over the classes `c < W`, each `n_c` a popcount. That closed form
+//!   re-associates the loop's sum: widened by a relative `4·(n + 8)·ε`,
+//!   which bounds both roundings, it steers only the prune and a lower best
+//!   `H`, and after the last pass every candidate whose upper estimate
+//!   reaches the final best is re-summed in row order. No other can win.
 //!
-//! A [`TableView`] is every row of its table, so each loop below has one
-//! arm: it walks whole column slices, position `i` = row `i`. A search over
-//! a subset of rows is a search over the table gathered from them
-//! ([`sdd_table::TableView::gather`]); the gather preserves row order, so
-//! the float operations and their order are those of the subset.
-//!
-//! [`SearchScratch`] owns the per-search buffers so the `k` searches of one
-//! BRS run reuse allocations; each group's counting pass allocates its own
-//! (candidate-bounded, not row-bounded) accumulators.
+//! So the winner and every bit of its [`BestMarginal`] are the reference's,
+//! whose winner selection uses the same strict total order
+//! (`tests/kernel_parity.rs` asserts it); a widened bound only keeps more
+//! candidates, so the work counters differ from the reference's only when
+//! an estimate straddles a prune threshold. A [`TableView`] is every row of
+//! its table, and a search over a subset of rows is a search over the table
+//! gathered from them ([`sdd_table::TableView::gather`]), which keeps their
+//! order. [`SearchScratch`] holds buffers a search fills for its own `cov`;
+//! each search builds its own set `C` of counted candidates, a `Rule`-keyed
+//! map.
 //!
 //! ## Rule scans over global codes
 //!
@@ -51,6 +60,7 @@ use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
 use crate::{Rule, WeightFn};
 use rustc_hash::FxHashMap;
 use sdd_table::{with_codes, Code, RowId, Table, TableView};
+use std::cell::OnceCell;
 
 /// Count/marginal/weight accumulator for one candidate rule (the paper's
 /// per-candidate state in set `C`).
@@ -69,87 +79,27 @@ impl CandStat {
     }
 }
 
-/// Maximum cells (`Π` column cardinalities) for a pass-j group to use the
-/// probe-free dense histogram (3 `f64` arrays of this many cells ≈ 3 MB).
-const DENSE_CELL_CAP: usize = 1 << 17;
+/// Most distinct covered weights a search sums by class. BRS passes at most
+/// `k + 1`; a `cov` with more is summed in row order.
+const MAX_CLASSES: usize = 16;
 
-/// Per-free-column pass-1 state: one slot per dictionary code.
-#[derive(Debug, Default, Clone)]
-struct ColumnHist {
-    counts: Vec<f64>,
-    marginals: Vec<f64>,
-}
-
-/// The pass-1 candidate boundary of one free column: the surviving size-1
-/// rules (code-ascending) plus the code → weight table.
-struct Pass1Cands {
-    rules: Vec<Rule>,
-    /// `W(base + (col, code))` for candidate codes, `0.0` for codes that are
-    /// unsupported or over the weight cap (their marginal slots are ignored).
-    wtab: Vec<f64>,
-    generated: usize,
-    pruned: usize,
-}
-
-/// Materializes rules for the supported codes of column `col`, gates them
-/// on `opts.max_weight`, and fills the code → weight table (`0.0` for
-/// unsupported or over-cap codes).
-///
-/// det-order: one sequential code-ascending scan; the `+=` accumulators
-/// are integer generation stats, and each weight slot is written once.
-fn pass1_candidates(
-    table: &Table,
-    base: &Rule,
+/// Pass 1 of one free column, fixed for a run: its per-code counts, the
+/// code → weight table of its candidates (`0.0` for codes that are
+/// unsupported or over the weight cap: their marginal slots go unread),
+/// and where its candidates sit in `RunIndex::level1`.
+struct Pass1Column {
     col: usize,
-    counts: &[f64],
-    weight: &dyn WeightFn,
-    opts: &SearchOptions,
-) -> Pass1Cands {
-    let mut wtab = vec![0.0f64; counts.len()];
-    let mut rules: Vec<Rule> = Vec::new();
-    let (mut generated, mut pruned) = (0usize, 0usize);
-    for (code, &count) in counts.iter().enumerate() {
-        if count <= 0.0 {
-            continue;
-        }
-        generated += 1;
-        let rule = base.with_value(col, code as u32);
-        let w = weight.weight(&rule, table);
-        if w > opts.max_weight + 1e-12 {
-            pruned += 1;
-            continue;
-        }
-        wtab[code] = w;
-        rules.push(rule);
-    }
-    Pass1Cands {
-        rules,
-        wtab,
-        generated,
-        pruned,
-    }
-}
-
-/// The frequent size-1 building blocks of a level-1 candidate list: one
-/// `(free column, code)` pair per rule, in level order.
-fn level_blocks(level: &[Rule], base: &Rule) -> Vec<(usize, u32)> {
-    level
-        .iter()
-        .map(|r| {
-            let c = r
-                .instantiated_columns()
-                .find(|c| base.is_star(*c))
-                .expect("level-1 rule instantiates one free column");
-            (c, r.code(c))
-        })
-        .collect()
+    counts: Vec<f64>,
+    wtab: Vec<f64>,
+    rules: std::ops::Range<usize>,
 }
 
 /// One a-priori generation step (Algorithm 2, step 3.3): filters the
 /// current level to survivors whose super-rule bound can still beat
 /// `best_h`, extends each with later building blocks, and applies the
-/// support/bound/weight prunes. Returns the next level's candidates with
-/// their weights (empty → the search is done).
+/// support/bound/weight prunes. Returns the next level's candidates (empty
+/// → the search is done), a survivor's adjacent, each with its origin:
+/// the survivor's index in `current`, the block extending it, its weight.
 ///
 /// Pure candidate bookkeeping — no row access.
 ///
@@ -169,24 +119,21 @@ fn generate_level(
     opts: &SearchOptions,
     best_h: f64,
     stats: &mut SearchStats,
-) -> (Vec<Rule>, Vec<f64>) {
-    let survivors: Vec<&Rule> = current
-        .iter()
-        .filter(|r| {
-            let stat = counted[*r];
-            stat.count > 0.0 && (!opts.pruning || stat.super_rule_bound(opts.max_weight) >= best_h)
-        })
-        .collect();
+) -> (Vec<Rule>, Vec<(usize, usize, f64)>) {
+    let survivors = current.iter().enumerate().filter(|(_, r)| {
+        let stat = counted[*r];
+        stat.count > 0.0 && (!opts.pruning || stat.super_rule_bound(opts.max_weight) >= best_h)
+    });
 
     let mut next: Vec<Rule> = Vec::new();
-    let mut cand_weights: Vec<f64> = Vec::new();
-    for r in survivors {
+    let mut origins: Vec<(usize, usize, f64)> = Vec::new();
+    for (parent, r) in survivors {
         let max_free = r
             .instantiated_columns()
             .filter(|c| base.is_star(*c))
             .last()
             .expect("survivor instantiates at least one free column");
-        for &(c, v) in blocks {
+        for (block, &(c, v)) in blocks.iter().enumerate() {
             if c <= max_free {
                 continue;
             }
@@ -219,111 +166,124 @@ fn generate_level(
                 continue;
             }
             next.push(cand);
-            cand_weights.push(w);
+            origins.push((parent, block, w));
         }
     }
-    (next, cand_weights)
+    (next, origins)
 }
 
-/// One level-j candidate group: all candidates instantiating the same set of
-/// free columns.
+/// A run's block masks — block `b`'s is `bits[b·words..(b + 1)·words]` —
+/// and, when every row of its view weighs the same positive `scale`, the
+/// running sums `running[n]` of `scale` added `n` times from `0.0`.
+struct BlockMasks {
+    words: usize,
+    bits: Vec<u64>,
+    scale: Option<f64>,
+    running: Vec<f64>,
+}
+
+impl BlockMasks {
+    /// One mask per building block `blocks[b] = (column, code)`.
+    fn build(view: &TableView<'_>, blocks: &[(usize, u32)]) -> Self {
+        let n = view.len();
+        let words = n.div_ceil(64);
+        let mut bits = vec![u64::MAX; blocks.len() * words];
+        for (&(c, code), mask) in blocks.iter().zip(bits.chunks_exact_mut(words)) {
+            EqPred::of(view.table().column(c), 0..n, code)
+                .expect("a block's code is one of its column's")
+                .and_into(0..n, mask);
+        }
+        let ws = view.weights().unwrap_or(&[1.0]);
+        let scale = ws
+            .first()
+            .copied()
+            .filter(|&s| s > 0.0 && s.is_finite() && ws.iter().all(|w| w.to_bits() == s.to_bits()));
+        let running = scale.map_or_else(Vec::new, |s| running_sums(s, n));
+        BlockMasks {
+            words,
+            bits,
+            scale,
+            running,
+        }
+    }
+
+    fn mask(&self, block: usize) -> &[u64] {
+        &self.bits[block * self.words..(block + 1) * self.words]
+    }
+}
+
+/// `out[n]` is `x` added `n` times from `0.0`, for `n` in `0..=len`.
+///
+/// det-order: one sequential running sum, so `out[n]` is exactly the sum a
+/// loop adding `x` once per row forms after `n` rows.
+fn running_sums(x: f64, len: usize) -> Vec<f64> {
+    let mut out = Vec::with_capacity(len + 1);
+    let mut sum = 0.0f64;
+    out.push(sum);
+    for _ in 0..len {
+        sum += x;
+        out.push(sum);
+    }
+    out
+}
+
+/// A parent's cover compacted to its non-zero words — the only words its
+/// candidates' covers can have bits in — with the words of the class masks
+/// at the same positions: class `c`'s is `class_words[c · at.len() + i]`.
 #[derive(Debug, Default)]
-struct Group {
-    /// Absolute column indices, ascending.
-    cols: Vec<usize>,
-    /// Mixed-radix strides per column (dense mode).
-    strides: Vec<usize>,
-    /// Total dense cells (`Π` cardinalities); `0` when overflowed.
-    cells: usize,
-    /// Candidate (dense cell, candidate index) pairs (dense mode).
-    cand_cells: Vec<(usize, u32)>,
-    /// Per-column left-shifts when packing fits in 64 bits (sparse mode).
-    shifts: Vec<u32>,
-    /// True when sparse keys fit a single `u64`.
-    packed: bool,
-    /// Sorted packed keys (sparse packed mode).
-    keys: Vec<u64>,
-    /// Flat candidate code tuples in sorted order, stride `cols.len()`
-    /// (sparse wide mode).
-    wide_keys: Vec<u32>,
-    /// Candidate index per sorted key (sparse modes).
-    order: Vec<u32>,
+struct Cover {
+    at: Vec<u32>,
+    words: Vec<u64>,
+    class_words: Vec<u64>,
 }
 
-impl Group {
-    /// True when this group counts via the dense histogram.
-    #[inline]
-    fn is_dense(&self) -> bool {
-        self.cells != 0
-    }
+/// The distinct covered weights of one search, ascending, and one row mask
+/// per class: class `c`'s is `bits[c·words..(c + 1)·words]`.
+#[derive(Debug, Default)]
+struct Classes {
+    values: Vec<f64>,
+    bits: Vec<u64>,
+}
 
-    /// The **sorted key position** of the candidate matching each of the
-    /// first `n` rows of `table` ([`NO_MATCH`] for a row no candidate
-    /// matches; sparse modes only); map through `order` for the candidate
-    /// index. Every row's key is built one group column at a time (one loop
-    /// per column width), then each row is searched once.
-    fn probe_rows(&self, table: &Table, n: usize) -> Vec<u32> {
-        /// `keys[row] |= code << sh`.
-        fn or_shifted<T: Code>(keys: &mut [u64], codes: &[T], sh: u32) {
-            for (key, &code) in keys.iter_mut().zip(codes) {
-                *key |= u64::from(code.wide()) << sh;
+impl Classes {
+    /// The classes of `cov` over `words` mask words; `false` when `cov`
+    /// holds a NaN or more than [`MAX_CLASSES`] distinct values.
+    fn build(&mut self, cov: &[f64], words: usize) -> bool {
+        let same = |a: &f64, b: &f64| a.to_bits() == b.to_bits();
+        self.values.clear();
+        for c in cov {
+            // Branch-free membership: a miss is the rare case.
+            if !self.values.iter().fold(false, |hit, v| hit | same(v, c)) {
+                if c.is_nan() || self.values.len() == MAX_CLASSES {
+                    return false;
+                }
+                self.values.push(*c);
             }
         }
-        /// Writes each row's code into slot `gi` of its `stride`-wide tuple.
-        fn scatter<T: Code>(tuples: &mut [u32], codes: &[T], gi: usize, stride: usize) {
-            for (slot, &code) in tuples.iter_mut().skip(gi).step_by(stride).zip(codes) {
-                *slot = code.wide();
-            }
+        self.values.sort_by(f64::total_cmp);
+        self.bits.clear();
+        self.bits.reserve(words * self.values.len());
+        for v in &self.values {
+            self.bits.extend(cov.chunks(64).map(|rows| {
+                let bit = |(j, c)| u64::from(same(c, v)) << j;
+                rows.iter().enumerate().map(bit).fold(0, |word, b| word | b)
+            }));
         }
-        let found = |pos: Option<usize>| pos.map_or(NO_MATCH, |p| p as u32);
-        if self.packed {
-            let mut keys = vec![0u64; n];
-            for (&c, &sh) in self.cols.iter().zip(&self.shifts) {
-                with_codes!(table.column(c), codes => or_shifted(&mut keys, codes, sh));
-            }
-            keys.iter()
-                .map(|key| found(self.keys.binary_search(key).ok()))
-                .collect()
-        } else {
-            let stride = self.cols.len();
-            let mut tuples = vec![0u32; n * stride];
-            for (gi, &c) in self.cols.iter().enumerate() {
-                with_codes!(table.column(c), codes => scatter(&mut tuples, codes, gi, stride));
-            }
-            tuples
-                .chunks_exact(stride)
-                .map(|tuple| {
-                    // Binary search over the co-sorted flat key tuples.
-                    let (mut lo, mut hi) = (0usize, self.order.len());
-                    while lo < hi {
-                        let mid = (lo + hi) / 2;
-                        let cand = &self.wide_keys[mid * stride..(mid + 1) * stride];
-                        match cand.cmp(tuple) {
-                            std::cmp::Ordering::Less => lo = mid + 1,
-                            std::cmp::Ordering::Greater => hi = mid,
-                            std::cmp::Ordering::Equal => return found(Some(mid)),
-                        }
-                    }
-                    NO_MATCH
-                })
-                .collect()
-        }
+        true
     }
 }
 
-/// [`Group::probe_rows`]' position of a row no candidate matches.
-const NO_MATCH: u32 = u32::MAX;
-
-/// Reusable buffers for one sequence of best-marginal searches. Thread one
-/// instance through the `k` greedy iterations of a BRS run (see
-/// [`crate::Brs`]) so steady-state searches reuse allocations.
+/// Reusable buffers for best-marginal searches. A search fills them for its
+/// own view and `cov` and reads nothing an earlier one left, so a scratch
+/// serves any sequence of searches over any views; what a BRS run keeps
+/// across its `k` searches it builds for its one view.
 #[derive(Debug, Default)]
 pub struct SearchScratch {
-    hists: Vec<ColumnHist>,
-    cstats: Vec<CandStat>,
-    groups: Vec<Group>,
-    /// Maps a level's column-set signature to its group index.
-    group_ix: FxHashMap<Vec<u16>, usize>,
+    marginals: Vec<f64>,
+    classes: Classes,
+    parent: Cover,
+    child: Vec<u64>,
+    project: Projection,
 }
 
 impl SearchScratch {
@@ -333,106 +293,267 @@ impl SearchScratch {
     }
 }
 
-/// Columnar implementation of Algorithm 2. See the module docs; results are
-/// bit-identical to [`crate::marginal::find_best_marginal_rule_rowwise`].
-///
-/// det-order: this orchestrator's own `+=` are integer stats; every float
-/// accumulator is owned by one pass helper that scans in row order.
-pub(crate) fn find_best_marginal_rule_columnar(
-    view: &TableView<'_>,
-    weight: &dyn WeightFn,
-    covered_weight: &[f64],
-    opts: &SearchOptions,
-    scratch: &mut SearchScratch,
-) -> Option<BestMarginal> {
-    assert_eq!(
-        covered_weight.len(),
-        view.len(),
-        "covered_weight must align with view"
-    );
-    let table = view.table();
-    let n_cols = table.n_columns();
-    let base = opts.base.clone().unwrap_or_else(|| Rule::trivial(n_cols));
-    let free_cols: Vec<usize> = (0..n_cols).filter(|&c| base.is_star(c)).collect();
-    let max_size = opts
-        .max_rule_size
-        .unwrap_or(free_cols.len())
-        .min(free_cols.len());
-    if max_size == 0 || view.is_empty() {
-        return None;
+/// What Algorithm 2 does not take from `cov`, for one view, weight function
+/// and option set: the size-1 candidates pass 1's counts admit, and (at the
+/// first level-2 pass) the block masks. See the module docs.
+pub(crate) struct RunIndex<'a> {
+    view: TableView<'a>,
+    weight: &'a dyn WeightFn,
+    opts: &'a SearchOptions,
+    base: Rule,
+    max_size: usize,
+    /// One per free column; none when there is nothing to search.
+    columns: Vec<Pass1Column>,
+    /// The size-1 candidates in level order; candidate `b` is building
+    /// block `blocks[b]`, so `blocks` is sorted.
+    level1: Vec<Rule>,
+    blocks: Vec<(usize, u32)>,
+    /// Pass 1's work counters.
+    pass1: SearchStats,
+    masks: OnceCell<BlockMasks>,
+}
+
+impl<'a> RunIndex<'a> {
+    /// Counts pass 1 over `view`: per free column the code histogram, then
+    /// the supported codes as rules, gated on `opts.max_weight`.
+    ///
+    /// det-order: each histogram is one row-order scan; the `+=` here are
+    /// integer generation stats.
+    pub(crate) fn new(
+        view: TableView<'a>,
+        weight: &'a dyn WeightFn,
+        opts: &'a SearchOptions,
+    ) -> Self {
+        let table = view.table();
+        let base = opts
+            .base
+            .clone()
+            .unwrap_or_else(|| Rule::trivial(table.n_columns()));
+        let free_cols: Vec<usize> = (0..table.n_columns())
+            .filter(|&c| base.is_star(c))
+            .collect();
+        let max_size = opts
+            .max_rule_size
+            .unwrap_or(free_cols.len())
+            .min(free_cols.len());
+        let mut index = RunIndex {
+            view,
+            weight,
+            opts,
+            base,
+            max_size,
+            columns: Vec::new(),
+            level1: Vec::new(),
+            blocks: Vec::new(),
+            pass1: SearchStats {
+                passes: 1,
+                ..SearchStats::default()
+            },
+            masks: OnceCell::new(),
+        };
+        if max_size == 0 || view.is_empty() {
+            return index;
+        }
+        for col in free_cols {
+            let mut counts = vec![0.0f64; table.cardinality(col)];
+            count_column(&view, col, &mut counts);
+            let mut wtab = vec![0.0f64; counts.len()];
+            let start = index.level1.len();
+            for (code, &count) in counts.iter().enumerate() {
+                if count <= 0.0 {
+                    continue;
+                }
+                index.pass1.generated += 1;
+                let rule = index.base.with_value(col, code as u32);
+                let w = weight.weight(&rule, table);
+                if w > opts.max_weight + 1e-12 {
+                    index.pass1.pruned += 1;
+                    continue;
+                }
+                wtab[code] = w;
+                index.blocks.push((col, code as u32));
+                index.level1.push(rule);
+            }
+            let rules = start..index.level1.len();
+            index.columns.push(Pass1Column {
+                col,
+                counts,
+                wtab,
+                rules,
+            });
+        }
+        index.pass1.counted = index.level1.len();
+        index
     }
 
-    let mut stats = SearchStats::default();
-    let mut counted: FxHashMap<Rule, CandStat> = FxHashMap::default();
-    let mut best_h = 0.0f64;
+    /// The building blocks `rule` is made of, by column.
+    fn blocks_of<'r>(&'r self, rule: &'r Rule) -> impl Iterator<Item = usize> + 'r {
+        let free = rule
+            .instantiated_columns()
+            .filter(|&c| self.base.is_star(c));
+        free.map(|c| {
+            let block = self.blocks.binary_search(&(c, rule.code(c)));
+            block.expect("a candidate is built of blocks")
+        })
+    }
 
-    // ---- Pass 1: columnar per-code histograms, one free column at a time. ----
-    stats.passes = 1;
-    scratch.hists.resize_with(free_cols.len(), Default::default);
-    let mut level: Vec<Rule> = Vec::new();
-    for (&c, hist) in free_cols.iter().zip(&mut scratch.hists) {
-        let card = table.cardinality(c);
-        hist.counts.clear();
-        hist.counts.resize(card, 0.0);
-        hist.marginals.clear();
-        hist.marginals.resize(card, 0.0);
-
-        count_column(view, c, &mut hist.counts);
-
-        // Candidate boundary: materialize rules for supported codes,
-        // gate on weight, fill the code → weight table.
-        let cands = pass1_candidates(table, &base, c, &hist.counts, weight, opts);
-
-        // Marginal sweep: m[code] += w_t · (W − min(W, cov_t)). Over-cap
-        // and unsupported codes have W = 0 in wtab, contributing 0 to
-        // slots that are never read back.
-        marginal_column(view, c, covered_weight, &cands.wtab, &mut hist.marginals);
-
-        stats.generated += cands.generated;
-        stats.pruned += cands.pruned;
-        stats.counted += cands.rules.len();
-        for rule in &cands.rules {
-            let code = rule.code(c) as usize;
-            let stat = CandStat {
-                count: hist.counts[code],
-                marginal: hist.marginals[code],
-                weight: cands.wtab[code],
-            };
-            counted.insert(rule.clone(), stat);
-            if stat.marginal > best_h {
-                best_h = stat.marginal;
+    /// `rule`'s cover, the AND of its block masks, into `out`.
+    fn cover(&self, masks: &BlockMasks, rule: &Rule, out: &mut Cover) {
+        let blocks: Vec<&[u64]> = self.blocks_of(rule).map(|b| masks.mask(b)).collect();
+        out.at.clear();
+        out.words.clear();
+        for w in 0..masks.words {
+            let bits = blocks.iter().fold(u64::MAX, |bits, mask| bits & mask[w]);
+            if bits != 0 {
+                out.at.push(w as u32);
+                out.words.push(bits);
             }
         }
-        level.extend(cands.rules);
     }
 
-    // ---- Passes 2..: a-priori extension, grouped columnar counting. ----
-    let blocks = level_blocks(&level, &base);
-
-    let mut current = level;
-    for _pass in 2..=max_size {
-        let (next, cand_weights) = generate_level(
-            table, &base, &blocks, &current, &counted, weight, opts, best_h, &mut stats,
+    /// Algorithm 2 against the covered weights `cov`. See the module docs;
+    /// the result is bit-identical to
+    /// [`crate::marginal::find_best_marginal_rule_rowwise`].
+    ///
+    /// det-order: this orchestrator's own `+=` are integer stats; every
+    /// float accumulator is owned by one helper that sums in row order or
+    /// over classes in ascending order.
+    pub(crate) fn search(&self, cov: &[f64], scratch: &mut SearchScratch) -> Option<BestMarginal> {
+        assert_eq!(
+            cov.len(),
+            self.view.len(),
+            "covered_weight must align with view"
         );
-        if next.is_empty() {
-            break;
+        if self.level1.is_empty() {
+            return None;
         }
-        stats.passes += 1;
-        stats.counted += next.len();
+        let (view, base) = (&self.view, &self.base);
+        let mut stats = self.pass1;
+        let mut counted: FxHashMap<Rule, CandStat> = FxHashMap::default();
+        let mut best_h = 0.0f64;
 
-        build_groups(scratch, table, &base, &next, view.len());
-        count_level(view, covered_weight, scratch, &cand_weights);
-
-        for (cand, stat) in next.iter().zip(&scratch.cstats) {
-            if stat.marginal > best_h {
-                best_h = stat.marginal;
+        // ---- Pass 1: one marginal sweep per free column. ----
+        for column in &self.columns {
+            let marginals = &mut scratch.marginals;
+            marginals.clear();
+            marginals.resize(column.counts.len(), 0.0);
+            marginal_column(view, column.col, cov, &column.wtab, marginals);
+            for rule in &self.level1[column.rules.clone()] {
+                let code = rule.code(column.col) as usize;
+                let stat = CandStat {
+                    count: column.counts[code],
+                    marginal: marginals[code],
+                    weight: column.wtab[code],
+                };
+                counted.insert(rule.clone(), stat);
+                if stat.marginal > best_h {
+                    best_h = stat.marginal;
+                }
             }
-            counted.insert(cand.clone(), *stat);
         }
-        current = next;
-    }
 
-    pick_winner(&counted, stats)
+        // ---- Passes 2..: a-priori extension, vertical counting. ----
+        let mut by_class: Option<bool> = None;
+        let mut owned: Vec<Rule>;
+        let mut current: &[Rule] = &self.level1;
+        for _pass in 2..=self.max_size {
+            let (next, origins) = generate_level(
+                view.table(),
+                base,
+                &self.blocks,
+                current,
+                &counted,
+                self.weight,
+                self.opts,
+                best_h,
+                &mut stats,
+            );
+            if next.is_empty() {
+                break;
+            }
+            stats.passes += 1;
+            stats.counted += next.len();
+
+            let masks = self
+                .masks
+                .get_or_init(|| BlockMasks::build(view, &self.blocks));
+            let mut rules = next.iter();
+            for kids in origins.chunk_by(|a, b| a.0 == b.0) {
+                let cover = &mut scratch.parent;
+                self.cover(masks, &current[kids[0].0], cover);
+                // Class sums cost a few popcounts per kid and non-zero word,
+                // a pass over the parent's rows a lookup per row and column.
+                let rows: usize = cover.words.iter().map(|w| w.count_ones() as usize).sum();
+                let cols = kids.chunk_by(|a, b| self.blocks[a.1].0 == self.blocks[b.1].0);
+                let classes = &mut scratch.classes;
+                let scale = masks.scale.filter(|_| {
+                    kids.len() * cover.at.len() < rows * cols.count()
+                        && *by_class.get_or_insert_with(|| classes.build(cov, masks.words))
+                });
+                match scale {
+                    None => project(view, cov, cover, &self.blocks, kids, &mut scratch.project),
+                    Some(_) => {
+                        cover.class_words.clear();
+                        for class in classes.bits.chunks_exact(masks.words) {
+                            let at = cover.at.iter().map(|&w| class[w as usize]);
+                            cover.class_words.extend(at);
+                        }
+                    }
+                }
+                for (i, (&(_, block, weight), cand)) in kids.iter().zip(rules.by_ref()).enumerate()
+                {
+                    let (count, marginal, lower) = match scale {
+                        Some(s) => {
+                            let child = &mut scratch.child;
+                            child.clear();
+                            let mask = masks.mask(block);
+                            let at = cover.at.iter().map(|&w| mask[w as usize]);
+                            child.extend(at.zip(&cover.words).map(|(m, bits)| m & bits));
+                            class_stat(child, cover, weight, classes, s, &masks.running)
+                        }
+                        None => {
+                            let (count, marginal) = scratch.project.sums[i];
+                            (count, marginal, marginal)
+                        }
+                    };
+                    if lower > best_h {
+                        best_h = lower;
+                    }
+                    counted.insert(
+                        cand.clone(),
+                        CandStat {
+                            count,
+                            marginal,
+                            weight,
+                        },
+                    );
+                }
+            }
+            owned = next;
+            current = &owned;
+        }
+
+        // ---- Re-sum in row order every estimate that can still win. ----
+        if let (Some(true), Some(masks)) = (by_class, self.masks.get()) {
+            let level2 = base.size() + 2;
+            for (rule, stat) in &mut counted {
+                if rule.size() >= level2 && stat.marginal > 0.0 && stat.marginal >= best_h {
+                    let cover = &mut scratch.parent;
+                    self.cover(masks, rule, cover);
+                    // Every covered row holds the code of the rule's last block.
+                    let last = self
+                        .blocks_of(rule)
+                        .last()
+                        .expect("a candidate has a block");
+                    let kid = [(0, last, stat.weight)];
+                    project(view, cov, cover, &self.blocks, &kid, &mut scratch.project);
+                    stat.marginal = scratch.project.sums[0].1;
+                }
+            }
+        }
+
+        pick_winner(&counted, stats)
+    }
 }
 
 /// `counts[code] += w` over one column.
@@ -440,21 +561,12 @@ pub(crate) fn find_best_marginal_rule_columnar(
 /// det-order: sequential scan in row order.
 fn count_column(view: &TableView<'_>, col: usize, counts: &mut [f64]) {
     /// One loop per code width.
-    fn count<T: Code>(codes: &[T], weights: Option<&[f64]>, counts: &mut [f64]) {
-        match weights {
-            None => {
-                for &code in codes {
-                    counts[code.idx()] += 1.0;
-                }
-            }
-            Some(ws) => {
-                for (&code, &w) in codes.iter().zip(ws) {
-                    counts[code.idx()] += w;
-                }
-            }
+    fn count<T: Code>(codes: &[T], view: &TableView<'_>, counts: &mut [f64]) {
+        for (i, &code) in codes.iter().enumerate() {
+            counts[code.idx()] += view.weight_at(i);
         }
     }
-    with_codes!(view.table().column(col), codes => count(codes, view.weights(), counts));
+    with_codes!(view.table().column(col), codes => count(codes, view, counts));
 }
 
 /// `marginals[code] += w_t · (wtab[code] − min(wtab[code], cov_t))` over one
@@ -484,221 +596,108 @@ fn marginal_column(
     with_codes!(view.table().column(col), codes => sweep(codes, view, cov, wtab, marginals));
 }
 
-/// Groups a level's candidates by instantiated-column signature and builds
-/// each group's dense cell map or sorted probe keys.
-fn build_groups(
-    scratch: &mut SearchScratch,
-    table: &Table,
-    base: &Rule,
-    next: &[Rule],
-    view_rows: usize,
-) {
-    scratch.groups.clear();
-    scratch.group_ix.clear();
-
-    let mut sig: Vec<u16> = Vec::new();
-    let mut cand_group: Vec<u32> = Vec::with_capacity(next.len());
-    for cand in next {
-        sig.clear();
-        sig.extend(
-            cand.instantiated_columns()
-                .filter(|&c| base.is_star(c))
-                .map(|c| c as u16),
-        );
-        let gi = match scratch.group_ix.get(&sig) {
-            Some(&gi) => gi,
-            None => {
-                let gi = scratch.groups.len();
-                scratch.group_ix.insert(sig.clone(), gi);
-                let cols: Vec<usize> = sig.iter().map(|&c| c as usize).collect();
-
-                // Dense layout: mixed-radix strides over the cardinalities.
-                let mut strides = Vec::with_capacity(cols.len());
-                let mut cells: usize = 1;
-                for &c in &cols {
-                    strides.push(cells);
-                    cells = cells.saturating_mul(table.cardinality(c).max(1));
-                }
-                // Dense only when the cell space is bounded both
-                // absolutely and relative to the rows actually counted —
-                // a small drill-down view over wide columns must not pay
-                // O(cells) zeroing for O(rows) work.
-                let dense = cells <= DENSE_CELL_CAP && cells <= view_rows.saturating_mul(8).max(64);
-
-                // Sparse layout: packed bit widths.
-                let mut shifts = Vec::with_capacity(cols.len());
-                let mut total_bits = 0u32;
-                for &c in &cols {
-                    shifts.push(total_bits.min(63));
-                    let card = table.cardinality(c).max(2) as u64;
-                    total_bits += 64 - (card - 1).leading_zeros();
-                }
-
-                scratch.groups.push(Group {
-                    cols,
-                    strides,
-                    cells: if dense { cells } else { 0 },
-                    cand_cells: Vec::new(),
-                    shifts,
-                    packed: total_bits <= 64,
-                    keys: Vec::new(),
-                    wide_keys: Vec::new(),
-                    order: Vec::new(),
-                });
-                gi
-            }
-        };
-        cand_group.push(gi as u32);
-    }
-
-    for g in &mut scratch.groups {
-        g.cand_cells.clear();
-        g.keys.clear();
-        g.wide_keys.clear();
-        g.order.clear();
-    }
-    for (ci, cand) in next.iter().enumerate() {
-        let g = &mut scratch.groups[cand_group[ci] as usize];
-        if g.is_dense() {
-            let mut cell = 0usize;
-            for (&c, &stride) in g.cols.iter().zip(&g.strides) {
-                cell += cand.code(c) as usize * stride;
-            }
-            g.cand_cells.push((cell, ci as u32));
-        } else if g.packed {
-            let mut key = 0u64;
-            for (&c, &sh) in g.cols.iter().zip(&g.shifts) {
-                key |= (cand.code(c) as u64) << sh;
-            }
-            g.keys.push(key);
-            g.order.push(ci as u32);
-        } else {
-            for &c in &g.cols {
-                g.wide_keys.push(cand.code(c));
-            }
-            g.order.push(ci as u32);
-        }
-    }
-    // Sort sparse probe keys.
-    for g in &mut scratch.groups {
-        if g.is_dense() || g.order.is_empty() {
-            continue;
-        }
-        if g.packed {
-            let mut ix: Vec<u32> = (0..g.keys.len() as u32).collect();
-            ix.sort_by_key(|&i| g.keys[i as usize]);
-            g.keys = ix.iter().map(|&i| g.keys[i as usize]).collect();
-            g.order = ix.iter().map(|&i| g.order[i as usize]).collect();
-        } else {
-            let stride = g.cols.len();
-            let mut ix: Vec<u32> = (0..g.order.len() as u32).collect();
-            ix.sort_by(|&a, &b| {
-                let ka = &g.wide_keys[a as usize * stride..(a as usize + 1) * stride];
-                let kb = &g.wide_keys[b as usize * stride..(b as usize + 1) * stride];
-                ka.cmp(kb)
-            });
-            let mut sorted_keys = Vec::with_capacity(g.wide_keys.len());
-            for &i in &ix {
-                sorted_keys.extend_from_slice(
-                    &g.wide_keys[i as usize * stride..(i as usize + 1) * stride],
-                );
-            }
-            g.wide_keys = sorted_keys;
-            g.order = ix.iter().map(|&i| g.order[i as usize]).collect();
-        }
-    }
+/// The buffers of [`project`]: a parent's rows, a code → kid slot table
+/// (`u32::MAX` between uses), and the kids' weights and sums.
+#[derive(Debug, Default)]
+struct Projection {
+    rows: Vec<u32>,
+    slot: Vec<u32>,
+    w: Vec<f64>,
+    sums: Vec<(f64, f64)>,
 }
 
-/// Counts one level's candidates over the view, one group at a time,
-/// writing per-candidate stats into `scratch.cstats`. Every group owns its
-/// accumulators and scans the whole view in row order.
-fn count_level(
+/// The row-order sums `(Σ w_t, Σ w_t · (W − min(W, cov_t)))` of the
+/// candidates `kids` — `(parent, block, W)` in block order — extending the
+/// parent whose cover is `cover`, into `buf.sums`: one pass over the
+/// parent's rows per column the kids extend it by.
+///
+/// det-order: a kid's rows come ascending, so each sum is the reference's
+/// row-order loop over the kid's cover.
+fn project(
     view: &TableView<'_>,
-    covered_weight: &[f64],
-    scratch: &mut SearchScratch,
-    cand_weights: &[f64],
+    cov: &[f64],
+    cover: &Cover,
+    blocks: &[(usize, u32)],
+    kids: &[(usize, usize, f64)],
+    buf: &mut Projection,
 ) {
-    scratch.cstats.clear();
-    scratch
-        .cstats
-        .extend(cand_weights.iter().map(|&w| CandStat {
-            count: 0.0,
-            marginal: 0.0,
-            weight: w,
-        }));
-    for g in &scratch.groups {
-        if g.is_dense() {
-            count_group_dense(view, covered_weight, g, &mut scratch.cstats);
-        } else {
-            count_group_sparse(view, covered_weight, g, &mut scratch.cstats);
+    /// One loop per code width.
+    fn add<T: Code>(codes: &[T], buf: &mut Projection, view: &TableView<'_>, cov: &[f64]) {
+        for &r in &buf.rows {
+            let (r, s) = (r as usize, buf.slot[codes[r as usize].idx()] as usize);
+            if let Some(&w) = buf.w.get(s) {
+                let (w_t, sum) = (view.weight_at(r), &mut buf.sums[s]);
+                sum.0 += w_t;
+                sum.1 += w_t * (w - w.min(cov[r]));
+            }
         }
+    }
+    buf.rows.clear();
+    for (&w, mut bits) in cover.at.iter().zip(cover.words.iter().copied()) {
+        while bits != 0 {
+            buf.rows.push(w * 64 + bits.trailing_zeros());
+            bits &= bits - 1;
+        }
+    }
+    buf.sums.clear();
+    buf.sums.resize(kids.len(), (0.0, 0.0));
+    buf.w.clear();
+    buf.w.extend(kids.iter().map(|k| k.2));
+    let mut first = 0;
+    for col_kids in kids.chunk_by(|a, b| blocks[a.1].0 == blocks[b.1].0) {
+        let col = blocks[col_kids[0].1].0;
+        let card = view.table().cardinality(col);
+        if buf.slot.len() < card {
+            buf.slot.resize(card, u32::MAX);
+        }
+        for (i, kid) in col_kids.iter().enumerate() {
+            buf.slot[blocks[kid.1].1 as usize] = (first + i) as u32;
+        }
+        with_codes!(view.table().column(col), c => add(c, buf, view, cov));
+        for kid in col_kids {
+            buf.slot[blocks[kid.1].1 as usize] = u32::MAX;
+        }
+        first += col_kids.len();
     }
 }
 
-/// Probe-free dense counting of one group: a mixed-radix cell histogram over
-/// the group's columns, then candidate cells read off into `cstats`.
+/// A candidate's count and upper and lower marginal estimates by class:
+/// `child` holds its cover's words at `parent`'s non-zero words, and every
+/// row weighs `scale`. The count is exact.
 ///
-/// det-order: sequential scan in row order.
-fn count_group_dense(view: &TableView<'_>, cov: &[f64], g: &Group, cstats: &mut [CandStat]) {
-    let mut counts = vec![0.0f64; g.cells];
-    let mut marginals = vec![0.0f64; g.cells];
-    let mut wvec = vec![0.0f64; g.cells];
-    for &(cell, ci) in &g.cand_cells {
-        wvec[cell] = cstats[ci as usize].weight;
+/// det-order: the popcounts are integers, the count is read off the
+/// sequential running sums, and the closed form adds the classes in
+/// ascending order; it only bounds the row-order sum (see the module docs).
+fn class_stat(
+    child: &[u64],
+    parent: &Cover,
+    w: f64,
+    classes: &Classes,
+    scale: f64,
+    running: &[f64],
+) -> (f64, f64, f64) {
+    let k = classes.values.len();
+    // Rows of a class `c ≥ W` add +0.0; when every class adds, the last
+    // class's rows are the cover's less the others'.
+    let below = classes.values.iter().take_while(|&&c| c < w).count();
+    let ones = |x: u64| x.count_ones() as usize;
+    let n: usize = child.iter().map(|&x| ones(x)).sum();
+    let popped = if below == k { k - 1 } else { below } * usize::from(n > 0);
+    let mut hits = [0usize; MAX_CLASSES];
+    let class_words = parent.class_words.chunks_exact(child.len().max(1));
+    for (h, class) in hits[..popped].iter_mut().zip(class_words) {
+        *h = child.iter().zip(class).map(|(x, m)| ones(x & m)).sum();
     }
-    // Each row's cell, accumulated one column at a time in integer
-    // arithmetic (one loop per column width); `cells <= DENSE_CELL_CAP`, so
-    // every partial sum fits a `u32`.
-    fn add_cells<T: Code>(cells: &mut [u32], codes: &[T], stride: u32) {
-        for (cell, &code) in cells.iter_mut().zip(codes) {
-            *cell += code.wide() * stride;
-        }
+    if popped < below {
+        hits[popped] = n - hits[..popped].iter().sum::<usize>();
     }
-    let mut row_cells = vec![0u32; cov.len()];
-    for (&c, &stride) in g.cols.iter().zip(&g.strides) {
-        let stride = stride as u32;
-        with_codes!(view.table().column(c), codes => add_cells(&mut row_cells, codes, stride));
+    let mut estimate = 0.0f64;
+    for (&h, &c) in hits[..below].iter().zip(&classes.values) {
+        estimate += h as f64 * (scale * (w - w.min(c)));
     }
-
-    for (row, (&cov_t, &cell)) in cov.iter().zip(&row_cells).enumerate() {
-        let cell = cell as usize;
-        let w_t = view.weight_at(row);
-        let w = wvec[cell];
-        counts[cell] += w_t;
-        marginals[cell] += w_t * (w - w.min(cov_t));
-    }
-
-    for &(cell, ci) in &g.cand_cells {
-        let stat = &mut cstats[ci as usize];
-        stat.count = counts[cell];
-        stat.marginal = marginals[cell];
-    }
-}
-
-/// Sparse counting of one group via packed-key binary search (groups whose
-/// cell space exceeds [`DENSE_CELL_CAP`]), written into `cstats`.
-///
-/// det-order: sequential scan in row order.
-fn count_group_sparse(view: &TableView<'_>, cov: &[f64], g: &Group, cstats: &mut [CandStat]) {
-    // Accumulate per sorted-key position — dense in the group's candidate
-    // count, no hashing on the row loop.
-    let mut acc: Vec<(f64, f64)> = vec![(0.0, 0.0); g.order.len()];
-    let positions = g.probe_rows(view.table(), cov.len());
-    for (row, (&cov_t, &pos)) in cov.iter().zip(&positions).enumerate() {
-        if pos != NO_MATCH {
-            let pos = pos as usize;
-            let w = cstats[g.order[pos] as usize].weight;
-            let w_t = view.weight_at(row);
-            let slot = &mut acc[pos];
-            slot.0 += w_t;
-            slot.1 += w_t * (w - w.min(cov_t));
-        }
-    }
-    for (&ci, (count, marginal)) in g.order.iter().zip(acc) {
-        let stat = &mut cstats[ci as usize];
-        stat.count = count;
-        stat.marginal = marginal;
-    }
+    let slack = 4.0 * (n + 8) as f64 * f64::EPSILON;
+    let (upper, lower) = (estimate * (1.0 + slack), estimate * (1.0 - slack));
+    (running[n], upper, lower)
 }
 
 /// Selects the winner from the counted set: max marginal, ties broken toward
@@ -844,138 +843,82 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dense_and_sparse_group_counting_agree() {
-        let table = t();
-        let base = Rule::trivial(3);
-        let cands = vec![
-            Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap(),
-            Rule::from_pairs(&table, &[("A", "b"), ("B", "x")]).unwrap(),
-            Rule::from_pairs(&table, &[("A", "a"), ("B", "y")]).unwrap(),
-        ];
-        let cand_weights = vec![2.0; cands.len()];
-        let view = table.view();
-        let cov = vec![0.5; view.len()];
-
-        let mut scratch = SearchScratch::new();
-        build_groups(&mut scratch, &table, &base, &cands, table.n_rows());
-        assert_eq!(scratch.groups.len(), 1);
-        let g = &scratch.groups[0];
-        assert!(g.is_dense());
-        let fresh = || -> Vec<CandStat> {
-            cand_weights
-                .iter()
-                .map(|&weight| CandStat {
-                    count: 0.0,
-                    marginal: 0.0,
-                    weight,
-                })
-                .collect()
-        };
-        let mut dense = fresh();
-        count_group_dense(&view, &cov, g, &mut dense);
-
-        // Sparse twin of the same group.
-        let sparse_group = {
-            let mut sg = Group {
-                cols: g.cols.clone(),
-                strides: g.strides.clone(),
-                cells: 0, // force sparse
-                cand_cells: Vec::new(),
-                shifts: g.shifts.clone(),
-                packed: true,
-                keys: Vec::new(),
-                wide_keys: Vec::new(),
-                order: Vec::new(),
-            };
-            let mut keyed: Vec<(u64, u32)> = cands
-                .iter()
-                .enumerate()
-                .map(|(ci, cand)| {
-                    let mut key = 0u64;
-                    for (&c, &sh) in sg.cols.iter().zip(&sg.shifts) {
-                        key |= (cand.code(c) as u64) << sh;
-                    }
-                    (key, ci as u32)
-                })
-                .collect();
-            keyed.sort();
-            for (k, ci) in keyed {
-                sg.keys.push(k);
-                sg.order.push(ci);
-            }
-            sg
-        };
-        let mut sparse = fresh();
-        count_group_sparse(&view, &cov, &sparse_group, &mut sparse);
-
-        let sums = |v: Vec<CandStat>| -> Vec<(f64, f64)> {
-            v.iter().map(|s| (s.count, s.marginal)).collect()
-        };
-        assert_eq!(sums(dense), sums(sparse));
+    /// A one-column table of `n` rows, row `i` holding value `i % 3`, except
+    /// that the last row holds a value of its own.
+    fn striped(n: usize) -> Table {
+        let rows: Vec<[String; 1]> = (0..n)
+            .map(|i| {
+                [if i + 1 == n {
+                    "last".to_owned()
+                } else {
+                    format!("v{}", i % 3)
+                }]
+            })
+            .collect();
+        Table::from_rows(Schema::new(["A"]).unwrap(), &rows).unwrap()
     }
 
     #[test]
-    fn wide_key_probe_agrees_with_packed() {
-        let table = t();
-        let cands = [
-            Rule::from_pairs(&table, &[("A", "a"), ("B", "x")]).unwrap(),
-            Rule::from_pairs(&table, &[("A", "b"), ("B", "x")]).unwrap(),
-            Rule::from_pairs(&table, &[("A", "a"), ("B", "y")]).unwrap(),
-        ];
-        let cols = [0usize, 1];
-        let packed = {
-            let mut g = Group {
-                cols: cols.to_vec(),
-                shifts: vec![0, 2],
-                packed: true,
-                ..Default::default()
-            };
-            let mut keyed: Vec<(u64, u32)> = cands
-                .iter()
-                .enumerate()
-                .map(|(ci, cand)| {
-                    (
-                        (cand.code(0) as u64) | ((cand.code(1) as u64) << 2),
-                        ci as u32,
-                    )
-                })
-                .collect();
-            keyed.sort();
-            for (k, ci) in keyed {
-                g.keys.push(k);
-                g.order.push(ci);
+    fn block_masks_set_exactly_each_rows_bit_across_word_seams() {
+        for n in [63, 64, 65, 2_047, 2_049] {
+            let table = striped(n);
+            let blocks: Vec<(usize, u32)> =
+                (0..table.cardinality(0) as u32).map(|v| (0, v)).collect();
+            let masks = BlockMasks::build(&table.view(), &blocks);
+            assert_eq!(masks.words, n.div_ceil(64), "{n} rows");
+            for (b, &(_, code)) in blocks.iter().enumerate() {
+                for (w, &got) in masks.mask(b).iter().enumerate() {
+                    let want = (0..64)
+                        .filter(|j| w * 64 + j < n && table.code((w * 64 + j) as RowId, 0) == code)
+                        .fold(0u64, |acc, j| acc | 1 << j);
+                    assert_eq!(got, want, "{n} rows, block {b}, word {w}");
+                }
             }
-            g
-        };
-        let wide = {
-            let mut g = Group {
-                cols: cols.to_vec(),
-                shifts: vec![0, 2],
-                packed: false,
-                ..Default::default()
-            };
-            let mut keyed: Vec<(Vec<u32>, u32)> = cands
-                .iter()
-                .enumerate()
-                .map(|(ci, cand)| (vec![cand.code(0), cand.code(1)], ci as u32))
-                .collect();
-            keyed.sort();
-            for (codes, ci) in keyed {
-                g.wide_keys.extend(codes);
-                g.order.push(ci);
+            // Every row is in exactly one block; no bit past the last row.
+            let ones: u32 = masks.bits.iter().map(|w| w.count_ones()).sum();
+            assert_eq!(ones as usize, n, "{n} rows");
+            let last = masks.mask(table.code(n as RowId - 1, 0) as usize);
+            assert_eq!(last[masks.words - 1], 1 << ((n - 1) % 64), "{n} rows");
+        }
+    }
+
+    #[test]
+    fn running_sums_are_the_sequential_loop() {
+        let x = 1_000_000.0 / 5_003.0;
+        let n = 100_000;
+        let table = running_sums(x, n);
+        assert_eq!(table.len(), n + 1);
+        let mut sum = 0.0f64;
+        let mut rounded = 0;
+        for (i, &p) in table.iter().enumerate() {
+            assert_eq!(p.to_bits(), sum.to_bits(), "after {i} additions");
+            rounded += usize::from(p != i as f64 * x);
+            sum += x;
+        }
+        // A product is not the loop's sum: the table is needed.
+        assert!(rounded > 0);
+        assert_eq!(running_sums(1.0, 5), [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]);
+    }
+
+    #[test]
+    fn a_covered_row_adds_exactly_nothing() {
+        // The class sums drop rows whose cov ≥ W: their term is +0.0, which
+        // leaves every partial sum a search can form (finite, never -0.0)
+        // bit-for-bit unchanged.
+        let scales = [1.0, 1_000_000.0 / 5_003.0, 0.3, 7.5e-300];
+        let partials = [0.0, 5e-324, 0.1, 1.0 / 3.0, 199.88, 1e300, f64::MAX];
+        for &s in &scales {
+            for (w, c) in [(1.0, 1.0), (2.0, 3.0), (13.7, 20.0), (0.5, f64::MAX)] {
+                let term = s * (w - f64::min(w, c));
+                assert_eq!(
+                    term.to_bits(),
+                    0.0f64.to_bits(),
+                    "{s} · ({w} − min({w}, {c}))"
+                );
+                for &x in &partials {
+                    assert_eq!((x + term).to_bits(), x.to_bits(), "{x} + {term}");
+                }
             }
-            g
-        };
-        let n = table.n_rows();
-        let candidates = |g: &Group| -> Vec<Option<u32>> {
-            g.probe_rows(&table, n)
-                .iter()
-                .map(|&pos| (pos != NO_MATCH).then(|| g.order[pos as usize]))
-                .collect()
-        };
-        let (a, b) = (candidates(&packed), candidates(&wide));
-        assert_eq!(a, b);
-        assert!(a.iter().any(Option::is_some) && a.iter().any(Option::is_none));
+        }
     }
 }

@@ -26,11 +26,11 @@
 //! [`TableView`] — in the product, a materialised sample (paper §4) —
 //! through the columnar kernel of [`crate::kernel`]. [`SearchOptions`]
 //! selects *how hard* to search (`max_weight`, pruning, size cap, base);
-//! the search runs on its calling thread, one column or group at a time.
+//! the search runs on its calling thread.
 //! [`find_best_marginal_rule_rowwise`] is the row-at-a-time reference the
 //! parity tests compare against.
 
-use crate::kernel::{self, CandStat, SearchScratch};
+use crate::kernel::{CandStat, RunIndex, SearchScratch};
 use crate::{Rule, WeightFn};
 use rustc_hash::FxHashMap;
 use sdd_table::TableView;
@@ -112,21 +112,25 @@ pub struct BestMarginal {
 /// `covered_weight[i]` must hold `W(TOP(t_i, S))` for the tuple at view
 /// position `i` (`0.0` when uncovered) — the caller (BRS) maintains it.
 ///
-/// This runs the columnar counting kernel (see [`crate::kernel`]); repeated
-/// callers should prefer [`find_best_marginal_rule_with_scratch`] to reuse
-/// buffers across searches, which is what [`crate::Brs`] does.
+/// This runs the columnar counting kernel (see [`crate::kernel`]) and
+/// counts pass 1 afresh; [`crate::Brs`] counts it once for its `k`
+/// searches.
 pub fn find_best_marginal_rule(
     view: &TableView<'_>,
     weight: &dyn WeightFn,
     covered_weight: &[f64],
     opts: &SearchOptions,
 ) -> Option<BestMarginal> {
-    let mut scratch = SearchScratch::new();
-    kernel::find_best_marginal_rule_columnar(view, weight, covered_weight, opts, &mut scratch)
+    find_best_marginal_rule_with_scratch(
+        view,
+        weight,
+        covered_weight,
+        opts,
+        &mut SearchScratch::new(),
+    )
 }
 
-/// [`find_best_marginal_rule`] with caller-owned scratch buffers, so the `k`
-/// searches of one BRS run allocate once.
+/// [`find_best_marginal_rule`] with caller-owned scratch buffers.
 pub fn find_best_marginal_rule_with_scratch(
     view: &TableView<'_>,
     weight: &dyn WeightFn,
@@ -134,7 +138,7 @@ pub fn find_best_marginal_rule_with_scratch(
     opts: &SearchOptions,
     scratch: &mut SearchScratch,
 ) -> Option<BestMarginal> {
-    kernel::find_best_marginal_rule_columnar(view, weight, covered_weight, opts, scratch)
+    RunIndex::new(*view, weight, opts).search(covered_weight, scratch)
 }
 
 /// The original row-at-a-time implementation of Algorithm 2, kept verbatim

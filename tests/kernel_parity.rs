@@ -1,14 +1,15 @@
 //! Parity suite for the columnar counting kernel (see `sdd_core::kernel`):
 //! the columnar kernel must be **bit-identical** to the historical
-//! row-at-a-time implementation (one row-order scan per column or group —
-//! no float-merge reordering), and k=1 greedy must match the exhaustive
-//! oracle on small instances.
+//! row-at-a-time implementation (every sum it reports is one row-order
+//! scan of a column or of a candidate's cover; closed forms only steer the
+//! prune), and k=1 greedy must match the exhaustive oracle on small
+//! instances.
 
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
     count_rules, covered_rows, exact_best_rule_set, filter_to_rule, find_best_marginal_rule,
-    find_best_marginal_rule_rowwise, BestMarginal, BitsWeight, Rule, SearchOptions, SizeWeight,
-    WeightFn,
+    find_best_marginal_rule_rowwise, BestMarginal, BitsWeight, Brs, Rule, SearchOptions,
+    SearchStats, SizeWeight, WeightFn,
 };
 use smart_drilldown::table::{OwnedTableView, Schema, Table, TableView};
 use std::sync::OnceLock;
@@ -227,7 +228,7 @@ fn kernel_first_pick_matches_exact_oracle_on_small_instances() {
 #[test]
 fn scratch_reuse_across_searches_is_stateless() {
     // Re-running searches through one scratch must give the same answers as
-    // fresh scratches (Brs reuses one scratch across its k iterations).
+    // fresh scratches.
     use smart_drilldown::core::{find_best_marginal_rule_with_scratch, SearchScratch};
     let mut rng = StdRng::seed_from_u64(42);
     let mut scratch = SearchScratch::new();
@@ -244,6 +245,211 @@ fn scratch_reuse_across_searches_is_stateless() {
             &reused,
             &fresh,
         );
+    }
+
+    // Two tables of one length, searched in turn — through the shared
+    // scratch, through fresh ones, and by a BRS run — each dropped after its
+    // search and rebuilt for the next, most likely where the other one
+    // lived. Nothing of one may answer for the other: every search equals
+    // the row-at-a-time reference, and a BRS run equals the greedy loop
+    // over fresh searches.
+    let opts = SearchOptions::new(3.0);
+    let mut covs = vec![vec![0.0f64; 400]; 2];
+    let mut picks: Vec<Vec<Rule>> = vec![Vec::new(); 2];
+    let mut stats = [SearchStats::default(); 2];
+    for step in 0..3 {
+        for (t, cov) in covs.iter_mut().enumerate() {
+            let table = equal_length_table(t);
+            let view = table.view();
+            let label = format!("table {t}, step {step}");
+            let reference = find_best_marginal_rule_rowwise(&view, &SizeWeight, cov, &opts);
+            let fresh = find_best_marginal_rule(&view, &SizeWeight, cov, &opts);
+            assert_bitwise_equal(&format!("{label}: fresh scratch"), &fresh, &reference);
+            let reused =
+                find_best_marginal_rule_with_scratch(&view, &SizeWeight, cov, &opts, &mut scratch);
+            assert_bitwise_equal(&format!("{label}: reused scratch"), &reused, &reference);
+            let Some(best) = fresh else { continue };
+            for p in covered_rows(&table, &best.rule) {
+                let slot = &mut cov[p as usize];
+                *slot = slot.max(best.weight);
+            }
+            stats[t].absorb(&best.stats);
+            picks[t].push(best.rule);
+        }
+    }
+    for t in [0, 1, 0, 1] {
+        let table = equal_length_table(t);
+        let run = Brs::new(&SizeWeight)
+            .with_max_weight(3.0)
+            .run(&table.view(), 3);
+        assert_eq!(run.selection_order, picks[t], "table {t}");
+        assert_eq!(run.stats, stats[t], "table {t}");
+    }
+}
+
+/// One of two 400-row tables, `A` and `B` mostly agreeing, built afresh on
+/// every call.
+fn equal_length_table(which: usize) -> Table {
+    let mut rng = StdRng::seed_from_u64(0x5A7E + which as u64);
+    let rows: Vec<[String; 3]> = (0..400)
+        .map(|_| {
+            let a = rng.gen_range(0..3);
+            let b = if rng.gen_range(0..3) == 0 {
+                rng.gen_range(0..4)
+            } else {
+                a
+            };
+            [
+                format!("a{a}"),
+                format!("b{b}"),
+                format!("c{}", rng.gen_range(0..3)),
+            ]
+        })
+        .collect();
+    Table::from_rows(Schema::new(["A", "B", "C"]).unwrap(), &rows).unwrap()
+}
+
+/// Every row of a sample weighs the same non-dyadic scale (population over
+/// sample size).
+const SCALE: f64 = 1_000_000.0 / 5_003.0;
+
+/// Runs up to four greedy steps of BRS by hand over `view`, asserting the
+/// search equals the row-at-a-time reference bitwise at each: `cov` is `0`
+/// for the first search and then holds the weights of one to three prior
+/// winners.
+fn assert_greedy_steps_match(
+    label: &str,
+    view: &TableView<'_>,
+    weight: &dyn WeightFn,
+    opts: &SearchOptions,
+) {
+    let mut cov = vec![0.0f64; view.len()];
+    for step in 0..4 {
+        let reference = find_best_marginal_rule_rowwise(view, weight, &cov, opts);
+        let got = find_best_marginal_rule(view, weight, &cov, opts);
+        assert_bitwise_equal(&format!("{label}, step {step}"), &got, &reference);
+        let Some(best) = reference else { break };
+        for p in covered_rows(view.table(), &best.rule) {
+            let slot = &mut cov[p as usize];
+            *slot = slot.max(best.weight);
+        }
+    }
+}
+
+/// 72 000 rows over four skewed columns, long enough for row-order sums to
+/// round away from any closed form, every row weighing the same non-dyadic
+/// scale.
+fn constant_weight_table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(0xC1A55);
+        let rows: Vec<[String; 4]> = (0..72_000)
+            .map(|_| {
+                let a = rng.gen_range(0..4);
+                let b = if rng.gen_range(0..3) == 0 {
+                    rng.gen_range(0..9)
+                } else {
+                    a
+                };
+                let c = if rng.gen_range(0..2) == 0 {
+                    rng.gen_range(0..3)
+                } else {
+                    a % 3
+                };
+                [
+                    format!("a{a}"),
+                    format!("b{b}"),
+                    format!("c{c}"),
+                    format!("d{}", rng.gen_range(0..6)),
+                ]
+            })
+            .collect();
+        Table::from_rows(Schema::new(["A", "B", "C", "D"]).unwrap(), &rows).unwrap()
+    })
+}
+
+/// The class sums: with every row weighing the same, counts come from
+/// running sums and marginals are bounded by class and re-summed in row
+/// order only for contenders — which must leave every bit of the answer
+/// the reference's, pruned on the whole view and unpruned under a base.
+fn assert_class_sums_match_rowwise(weight: &dyn WeightFn, mw: f64) {
+    let table = constant_weight_table();
+    let weights = vec![SCALE; table.n_rows()];
+    let whole = TableView::all_with_weights(table, &weights);
+    let mut opts = SearchOptions::new(mw);
+    assert_greedy_steps_match("whole view, pruned", &whole, weight, &opts);
+
+    let base = Rule::trivial(4).with_value(3, table.code(0, 3));
+    let based = filter_to_rule(&whole, &base);
+    opts.pruning = false;
+    opts.base = Some(base);
+    assert_greedy_steps_match("under a base, unpruned", &based.as_view(), weight, &opts);
+}
+
+#[test]
+fn class_sums_match_rowwise_with_size_weight() {
+    assert_class_sums_match_rowwise(&SizeWeight, 3.0);
+}
+
+#[test]
+fn class_sums_match_rowwise_with_bits_weight() {
+    assert_class_sums_match_rowwise(&BitsWeight, 7.0);
+}
+
+/// A near-tie the class sums must not decide. `(xa, ya)` and `(xb, yb)`
+/// have the same marginal value in exact arithmetic, `3 001 · SCALE`, over
+/// rows covered at weight 0 (adding `2 · SCALE`) and at weight 1 (adding
+/// `SCALE`). Their closed forms `n₀·2·SCALE + n₁·SCALE` put `(xa, ya)` one
+/// ulp ahead; their row-order sums put `(xb, yb)` ahead. The reference
+/// picks `(xb, yb)`, and so must the search.
+#[test]
+fn a_near_tie_is_decided_in_row_order_not_by_the_closed_form() {
+    // (n₀, n₁, weight-0 rows first) for each rule.
+    let (a, b) = ((2usize, 2_997usize, true), (1_000usize, 1_001usize, false));
+    let covs = |(n0, n1, zeros_first): (usize, usize, bool)| -> Vec<f64> {
+        let (zeros, ones) = (vec![0.0; n0], vec![1.0; n1]);
+        if zeros_first {
+            [zeros, ones].concat()
+        } else {
+            [ones, zeros].concat()
+        }
+    };
+    let closed_form = |(n0, n1, _): (usize, usize, bool)| {
+        let mut sum = 0.0f64;
+        sum += n0 as f64 * (SCALE * 2.0);
+        sum += n1 as f64 * SCALE;
+        sum
+    };
+    let row_order = |cov: &[f64]| cov.iter().fold(0.0f64, |sum, &c| sum + SCALE * (2.0 - c));
+    let (cov_a, cov_b) = (covs(a), covs(b));
+    assert!(
+        closed_form(a) > closed_form(b),
+        "the closed form favours (xa, ya)"
+    );
+    assert!(
+        row_order(&cov_a) < row_order(&cov_b),
+        "row order favours (xb, yb)"
+    );
+
+    // The two rules' rows, then 64 000 filler rows whose best rule is worth
+    // 1 600 · SCALE.
+    let mut rows: Vec<[String; 2]> = Vec::new();
+    rows.extend(cov_a.iter().map(|_| ["xa".to_owned(), "ya".to_owned()]));
+    rows.extend(cov_b.iter().map(|_| ["xb".to_owned(), "yb".to_owned()]));
+    let filler = 64_000;
+    rows.extend((0..filler).map(|i| [format!("f{}", i % 40), format!("g{}", i % 37)]));
+    let table = Table::from_rows(Schema::new(["X", "Y"]).unwrap(), &rows).unwrap();
+    let weights = vec![SCALE; table.n_rows()];
+    let view = TableView::all_with_weights(&table, &weights);
+    let cov = [cov_a, cov_b, vec![0.0; filler]].concat();
+    let winner = Rule::from_pairs(&table, &[("X", "xb"), ("Y", "yb")]).unwrap();
+    for pruning in [true, false] {
+        let mut opts = SearchOptions::new(2.0);
+        opts.pruning = pruning;
+        let reference = find_best_marginal_rule_rowwise(&view, &SizeWeight, &cov, &opts);
+        assert_eq!(reference.as_ref().map(|b| &b.rule), Some(&winner));
+        let got = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts);
+        assert_bitwise_equal(&format!("near tie, pruning {pruning}"), &got, &reference);
     }
 }
 
@@ -287,11 +493,10 @@ fn mixed_widths() -> &'static (Table, Vec<u32>) {
 /// The search equals the row-at-a-time reference bitwise whatever width
 /// its columns' codes are stored at. Every cluster's rules cover the same
 /// rows, so under a size cap the winner is the cluster's rule on the
-/// lowest columns: `(A, B)` (one and two bytes) at size 2 — counted dense
-/// on the 1 200-row view and sparse on the 24-row one (a cell space over 8
-/// cells per row) — `(B, C)` (two and four bytes, sparse) at size 2 under
-/// the base `A = a0`, and groups with `C` (65 540 values, always sparse)
-/// at sizes 3 and 4. Each runs weighted and unweighted, pruned and not.
+/// lowest columns: `(A, B)` (one and two bytes) at size 2 on the 1 200-
+/// and the 24-row view, `(B, C)` (two and four bytes) at size 2 under the
+/// base `A = a0`, and rules with `C` (65 540 values) at sizes 3 and 4.
+/// Each runs weighted and unweighted, pruned and not.
 #[test]
 fn kernel_matches_rowwise_at_every_code_width() {
     let (source, tail) = mixed_widths();
