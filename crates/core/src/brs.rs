@@ -171,7 +171,7 @@ impl<'w> Brs<'w> {
         let mut selection: Vec<Rule> = Vec::with_capacity(k);
         let mut stats = SearchStats::default();
         // The k searches share what does not depend on `covered`: pass 1's
-        // counts and the block masks, built for this one view and dropped
+        // counts and the blocks' rows, built for this one view and dropped
         // with it.
         let index = RunIndex::new(*view, self.weight, &opts);
         let mut scratch = SearchScratch::new();

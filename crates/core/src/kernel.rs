@@ -8,30 +8,41 @@
 //! (`RunIndex`): pass 1's per-column count histograms, scanned off the
 //! dictionary-encoded column slices, and the size-1 candidates they admit,
 //! each a *building block* `(free column, code)`; at the first level-2 pass,
-//! one row bitmask per block (bit `i % 64` of word `i / 64` is row `i`).
+//! in one pass over each free column, its blocks in whichever layout takes
+//! less room: one row bitmask per block (bit `i % 64` of word `i / 64` is
+//! row `i`), or the column's rows grouped by block. A column of `b` blocks
+//! over `n` rows takes masks when `b·⌈n/64⌉ ≤ n` words, so the index is
+//! `O(n)` per column at any cardinality.
 //!
 //! A search sweeps each free column once for the pass-1 marginals, then
 //! counts each later level *vertically* (Zaki's Eclat), one parent survivor
 //! at a time: a candidate's cover is its parent's cover — the AND of the
-//! parent's block masks, kept to its non-zero words — ANDed with one more
-//! block mask. Its sums take one of two forms:
+//! parent's block masks, or the rows of its shortest row list that hold its
+//! other codes, kept to its non-zero words — restricted to one more block.
+//! Its sums take one of two forms:
 //!
 //! * **row order** — one pass over the parent's rows per column its
 //!   candidates extend it by, each row adding `w_t` and `w_t · (W − min(W,
 //!   cov_t))` to the candidate it falls in: the operations of
 //!   [`crate::marginal::find_best_marginal_rule_rowwise`], in its order.
-//!   Views whose rows weigh differently (a SUM measure) and a `cov` of more
-//!   than `MAX_CLASSES` values always take it, as does a sparse parent.
+//!   Views whose rows weigh differently (a SUM measure), a `cov` of more
+//!   than `MAX_CLASSES` values, a sparse parent and a column held as row
+//!   lists always take it.
 //! * **by class** — when every row weighs the same `s` (unit weights, or a
-//!   sample's `vec![scale; n]`). The count is `P[popcount]`, `s` added that
-//!   many times from `0.0`: the loop's own partial sum. `cov` takes few
-//!   values (in BRS `0` and the weights of earlier winners) and a row with
-//!   `cov ≥ W` adds exactly `+0.0`, so the marginal is `Σ n_c · s·(W − c)`
-//!   over the classes `c < W`, each `n_c` a popcount. That closed form
-//!   re-associates the loop's sum: widened by a relative `4·(n + 8)·ε`,
-//!   which bounds both roundings, it steers only the prune and a lower best
-//!   `H`, and after the last pass every candidate whose upper estimate
-//!   reaches the final best is re-summed in row order. No other can win.
+//!   sample's `vec![scale; n]`) and the column is held as masks. The count
+//!   is `P[popcount]`, `s` added that many times from `0.0`: the loop's own
+//!   partial sum. `cov` takes few values (in BRS `0` and the weights of
+//!   earlier winners) and a row with `cov ≥ W` adds exactly `+0.0`, so the
+//!   marginal is `Σ n_c · s·(W − c)` over the classes `c < W`, each `n_c` a
+//!   popcount. That closed form re-associates the loop's sum: widened by a
+//!   relative `4·(n + 8)·ε`, which bounds both roundings, it steers only the
+//!   prune and a lower best `H`, and after the last pass every candidate
+//!   whose upper estimate reaches the final best is re-summed in row order.
+//!   No other can win.
+//!
+//! A parent takes class sums when its candidates cost fewer popcount words
+//! (`kids × non-zero words`) than a row-order pass costs lookups (`rows ×
+//! extending columns`).
 //!
 //! So the winner and every bit of its [`BestMarginal`] are the reference's,
 //! whose winner selection uses the same strict total order
@@ -172,43 +183,101 @@ fn generate_level(
     (next, origins)
 }
 
-/// A run's block masks — block `b`'s is `bits[b·words..(b + 1)·words]` —
-/// and, when every row of its view weighs the same positive `scale`, the
-/// running sums `running[n]` of `scale` added `n` times from `0.0`.
-struct BlockMasks {
+/// One free column's building blocks, in whichever layout takes less room.
+/// Block `j` of the column (its `j`-th supported code) is row bitmask
+/// `masks[j·words..(j + 1)·words]`, or rows `rows[start[j]..start[j + 1]]`
+/// (ascending) of a row list grouped by block.
+enum Layout {
+    Masks(Vec<u64>),
+    Lists { start: Vec<u32>, rows: Vec<u32> },
+}
+
+/// One building block as [`Layout`] holds it.
+enum Block<'a> {
+    Mask(&'a [u64]),
+    Rows(&'a [u32]),
+}
+
+/// A run's blocks, one [`Layout`] per free column beside the index of its
+/// first block, and, when every row of its view weighs the same positive
+/// `scale`, the running sums `running[n]` of `scale` added `n` times from
+/// `0.0`.
+struct Vertical {
     words: usize,
-    bits: Vec<u64>,
+    columns: Vec<(usize, Layout)>,
     scale: Option<f64>,
     running: Vec<f64>,
 }
 
-impl BlockMasks {
-    /// One mask per building block `blocks[b] = (column, code)`.
-    fn build(view: &TableView<'_>, blocks: &[(usize, u32)]) -> Self {
-        let n = view.len();
-        let words = n.div_ceil(64);
-        let mut bits = vec![u64::MAX; blocks.len() * words];
-        for (&(c, code), mask) in blocks.iter().zip(bits.chunks_exact_mut(words)) {
-            EqPred::of(view.table().column(c), 0..n, code)
-                .expect("a block's code is one of its column's")
-                .and_into(0..n, mask);
+impl Vertical {
+    /// A column of `b` blocks over `n` rows takes masks when their
+    /// `b·⌈n/64⌉` words are at most one per row (so `b ≤ 64`), one
+    /// equality scan each; otherwise a row list, one counting pass. The
+    /// whole is at most `8·(n + 1)` bytes per column at any cardinality.
+    fn build(view: &TableView<'_>, columns: &[Pass1Column], blocks: &[(usize, u32)]) -> Self {
+        /// One loop per code width; `local[code]` is the code's block in
+        /// the column, or `u32::MAX`.
+        fn group<T: Code>(codes: &[T], local: &[u32], blocks: usize) -> Layout {
+            let block_of = |r: u32| local[codes[r as usize].idx()] as usize;
+            let mut rows: Vec<u32> = (0..codes.len() as u32)
+                .filter(|&r| block_of(r) < blocks)
+                .collect();
+            // A stable sort keeps each block's rows ascending.
+            rows.sort_by_key(|&r| block_of(r));
+            let start = (0..=blocks).map(|j| rows.partition_point(|&r| block_of(r) < j) as u32);
+            let start = start.collect();
+            Layout::Lists { start, rows }
         }
+        let (n, table) = (view.len(), view.table());
+        let words = n.div_ceil(64);
+        let mut local: Vec<u32> = Vec::new();
+        let columns = columns.iter().map(|column| {
+            let ids = &blocks[column.rules.clone()];
+            let codes = table.column(column.col);
+            if ids.len() * words <= n {
+                let mut masks = vec![u64::MAX; ids.len() * words];
+                for (&(_, code), mask) in ids.iter().zip(masks.chunks_exact_mut(words)) {
+                    let eq = EqPred::of(codes, 0..n, code);
+                    eq.expect("a block's code is one of its column's")
+                        .and_into(0..n, mask);
+                }
+                return (column.rules.start, Layout::Masks(masks));
+            }
+            local.clear();
+            local.resize(table.cardinality(column.col), u32::MAX);
+            for (j, &(_, code)) in ids.iter().enumerate() {
+                local[code as usize] = j as u32;
+            }
+            (
+                column.rules.start,
+                with_codes!(codes, c => group(c, &local, ids.len())),
+            )
+        });
+        let columns = columns.collect();
         let ws = view.weights().unwrap_or(&[1.0]);
         let scale = ws
             .first()
             .copied()
             .filter(|&s| s > 0.0 && s.is_finite() && ws.iter().all(|w| w.to_bits() == s.to_bits()));
         let running = scale.map_or_else(Vec::new, |s| running_sums(s, n));
-        BlockMasks {
+        Vertical {
             words,
-            bits,
+            columns,
             scale,
             running,
         }
     }
 
-    fn mask(&self, block: usize) -> &[u64] {
-        &self.bits[block * self.words..(block + 1) * self.words]
+    fn block(&self, block: usize) -> Block<'_> {
+        let at = self.columns.partition_point(|(first, _)| *first <= block) - 1;
+        let (first, layout) = &self.columns[at];
+        let j = block - first;
+        match layout {
+            Layout::Masks(masks) => Block::Mask(&masks[j * self.words..(j + 1) * self.words]),
+            Layout::Lists { start, rows } => {
+                Block::Rows(&rows[start[j] as usize..start[j + 1] as usize])
+            }
+        }
     }
 }
 
@@ -295,7 +364,7 @@ impl SearchScratch {
 
 /// What Algorithm 2 does not take from `cov`, for one view, weight function
 /// and option set: the size-1 candidates pass 1's counts admit, and (at the
-/// first level-2 pass) the block masks. See the module docs.
+/// first level-2 pass) their blocks' rows. See the module docs.
 pub(crate) struct RunIndex<'a> {
     view: TableView<'a>,
     weight: &'a dyn WeightFn,
@@ -310,7 +379,7 @@ pub(crate) struct RunIndex<'a> {
     blocks: Vec<(usize, u32)>,
     /// Pass 1's work counters.
     pass1: SearchStats,
-    masks: OnceCell<BlockMasks>,
+    vertical: OnceCell<Vertical>,
 }
 
 impl<'a> RunIndex<'a> {
@@ -349,7 +418,7 @@ impl<'a> RunIndex<'a> {
                 passes: 1,
                 ..SearchStats::default()
             },
-            masks: OnceCell::new(),
+            vertical: OnceCell::new(),
         };
         if max_size == 0 || view.is_empty() {
             return index;
@@ -397,17 +466,42 @@ impl<'a> RunIndex<'a> {
         })
     }
 
-    /// `rule`'s cover, the AND of its block masks, into `out`.
-    fn cover(&self, masks: &BlockMasks, rule: &Rule, out: &mut Cover) {
-        let blocks: Vec<&[u64]> = self.blocks_of(rule).map(|b| masks.mask(b)).collect();
+    /// `rule`'s cover, compacted to its non-zero words, into `out`: the AND
+    /// of its blocks' masks, or, when it has a block held as a row list, the
+    /// rows of its shortest list that every other block holds.
+    fn cover(&self, vertical: &Vertical, rule: &Rule, out: &mut Cover) {
+        let (mut masks, mut lists) = (Vec::new(), Vec::new());
+        for b in self.blocks_of(rule) {
+            match vertical.block(b) {
+                Block::Mask(mask) => masks.push(mask),
+                Block::Rows(rows) => lists.push((rows, self.blocks[b])),
+            }
+        }
         out.at.clear();
         out.words.clear();
-        for w in 0..masks.words {
-            let bits = blocks.iter().fold(u64::MAX, |bits, mask| bits & mask[w]);
-            if bits != 0 {
-                out.at.push(w as u32);
-                out.words.push(bits);
+        let Some(&(seed, _)) = lists.iter().min_by_key(|(rows, _)| rows.len()) else {
+            for w in 0..vertical.words {
+                let bits = masks.iter().fold(u64::MAX, |bits, mask| bits & mask[w]);
+                if bits != 0 {
+                    out.at.push(w as u32);
+                    out.words.push(bits);
+                }
             }
+            return;
+        };
+        let table = self.view.table();
+        let holds = |&r: &u32| {
+            masks
+                .iter()
+                .all(|mask| mask[r as usize / 64] >> (r % 64) & 1 == 1)
+                && lists.iter().all(|&(_, (c, code))| table.code(r, c) == code)
+        };
+        for r in seed.iter().copied().filter(holds) {
+            if out.at.last() != Some(&(r / 64)) {
+                out.at.push(r / 64);
+                out.words.push(0);
+            }
+            *out.words.last_mut().expect("a word was pushed") |= 1 << (r % 64);
         }
     }
 
@@ -474,27 +568,29 @@ impl<'a> RunIndex<'a> {
             stats.passes += 1;
             stats.counted += next.len();
 
-            let masks = self
-                .masks
-                .get_or_init(|| BlockMasks::build(view, &self.blocks));
+            let vertical = self
+                .vertical
+                .get_or_init(|| Vertical::build(view, &self.columns, &self.blocks));
             let mut rules = next.iter();
             for kids in origins.chunk_by(|a, b| a.0 == b.0) {
                 let cover = &mut scratch.parent;
-                self.cover(masks, &current[kids[0].0], cover);
-                // Class sums cost a few popcounts per kid and non-zero word,
-                // a pass over the parent's rows a lookup per row and column.
+                self.cover(vertical, &current[kids[0].0], cover);
+                // Class sums, which extend by masks only, cost a few popcounts
+                // per kid and non-zero word; a pass over the parent's rows costs a
+                // lookup per row and column.
                 let rows: usize = cover.words.iter().map(|w| w.count_ones() as usize).sum();
-                let cols = kids.chunk_by(|a, b| self.blocks[a.1].0 == self.blocks[b.1].0);
+                let mut cols = kids.chunk_by(|a, b| self.blocks[a.1].0 == self.blocks[b.1].0);
                 let classes = &mut scratch.classes;
-                let scale = masks.scale.filter(|_| {
-                    kids.len() * cover.at.len() < rows * cols.count()
-                        && *by_class.get_or_insert_with(|| classes.build(cov, masks.words))
+                let scale = vertical.scale.filter(|_| {
+                    kids.len() * cover.at.len() < rows * cols.clone().count()
+                        && cols.all(|col| matches!(vertical.block(col[0].1), Block::Mask(_)))
+                        && *by_class.get_or_insert_with(|| classes.build(cov, vertical.words))
                 });
                 match scale {
                     None => project(view, cov, cover, &self.blocks, kids, &mut scratch.project),
                     Some(_) => {
                         cover.class_words.clear();
-                        for class in classes.bits.chunks_exact(masks.words) {
+                        for class in classes.bits.chunks_exact(vertical.words) {
                             let at = cover.at.iter().map(|&w| class[w as usize]);
                             cover.class_words.extend(at);
                         }
@@ -502,16 +598,15 @@ impl<'a> RunIndex<'a> {
                 }
                 for (i, (&(_, block, weight), cand)) in kids.iter().zip(rules.by_ref()).enumerate()
                 {
-                    let (count, marginal, lower) = match scale {
-                        Some(s) => {
+                    let (count, marginal, lower) = match (scale, vertical.block(block)) {
+                        (Some(s), Block::Mask(mask)) => {
                             let child = &mut scratch.child;
                             child.clear();
-                            let mask = masks.mask(block);
                             let at = cover.at.iter().map(|&w| mask[w as usize]);
                             child.extend(at.zip(&cover.words).map(|(m, bits)| m & bits));
-                            class_stat(child, cover, weight, classes, s, &masks.running)
+                            class_stat(child, cover, weight, classes, s, &vertical.running)
                         }
-                        None => {
+                        _ => {
                             let (count, marginal) = scratch.project.sums[i];
                             (count, marginal, marginal)
                         }
@@ -534,12 +629,12 @@ impl<'a> RunIndex<'a> {
         }
 
         // ---- Re-sum in row order every estimate that can still win. ----
-        if let (Some(true), Some(masks)) = (by_class, self.masks.get()) {
+        if let (Some(true), Some(vertical)) = (by_class, self.vertical.get()) {
             let level2 = base.size() + 2;
             for (rule, stat) in &mut counted {
                 if rule.size() >= level2 && stat.marginal > 0.0 && stat.marginal >= best_h {
                     let cover = &mut scratch.parent;
-                    self.cover(masks, rule, cover);
+                    self.cover(vertical, rule, cover);
                     // Every covered row holds the code of the rule's last block.
                     let last = self
                         .blocks_of(rule)
@@ -779,6 +874,7 @@ pub fn count_rules(table: &Table, rules: &[Rule]) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SizeWeight;
     use sdd_table::Schema;
 
     fn t() -> Table {
@@ -843,43 +939,92 @@ mod tests {
         }
     }
 
-    /// A one-column table of `n` rows, row `i` holding value `i % 3`, except
-    /// that the last row holds a value of its own.
+    /// A table of `n` rows: row `i` holds `i % 3` in `A`, except that the
+    /// last row holds a value of its own, and a value of its own in `B`.
     fn striped(n: usize) -> Table {
-        let rows: Vec<[String; 1]> = (0..n)
+        let rows: Vec<[String; 2]> = (0..n)
             .map(|i| {
-                [if i + 1 == n {
+                let a = if i + 1 == n {
                     "last".to_owned()
                 } else {
                     format!("v{}", i % 3)
-                }]
+                };
+                [a, format!("r{i}")]
             })
             .collect();
-        Table::from_rows(Schema::new(["A"]).unwrap(), &rows).unwrap()
+        Table::from_rows(Schema::new(["A", "B"]).unwrap(), &rows).unwrap()
+    }
+
+    /// The rows of block `b`, ascending, whichever layout holds it.
+    fn rows_of(vertical: &Vertical, b: usize) -> Vec<u32> {
+        match vertical.block(b) {
+            Block::Rows(rows) => rows.to_vec(),
+            Block::Mask(mask) => (0..mask.len() * 64)
+                .filter(|&i| mask[i / 64] >> (i % 64) & 1 == 1)
+                .map(|i| i as u32)
+                .collect(),
+        }
+    }
+
+    impl Vertical {
+        /// The bytes its layouts hold.
+        fn bytes(&self) -> usize {
+            let layout = |(_, layout): &(usize, Layout)| match layout {
+                Layout::Masks(masks) => 8 * masks.len(),
+                Layout::Lists { start, rows } => 4 * (start.len() + rows.len()),
+            };
+            self.columns.iter().map(layout).sum()
+        }
     }
 
     #[test]
-    fn block_masks_set_exactly_each_rows_bit_across_word_seams() {
+    fn each_block_holds_exactly_its_rows_in_either_layout() {
+        let opts = SearchOptions::new(f64::INFINITY);
         for n in [63, 64, 65, 2_047, 2_049] {
             let table = striped(n);
-            let blocks: Vec<(usize, u32)> =
-                (0..table.cardinality(0) as u32).map(|v| (0, v)).collect();
-            let masks = BlockMasks::build(&table.view(), &blocks);
-            assert_eq!(masks.words, n.div_ceil(64), "{n} rows");
-            for (b, &(_, code)) in blocks.iter().enumerate() {
-                for (w, &got) in masks.mask(b).iter().enumerate() {
-                    let want = (0..64)
-                        .filter(|j| w * 64 + j < n && table.code((w * 64 + j) as RowId, 0) == code)
-                        .fold(0u64, |acc, j| acc | 1 << j);
-                    assert_eq!(got, want, "{n} rows, block {b}, word {w}");
-                }
+            let index = RunIndex::new(table.view(), &SizeWeight, &opts);
+            let vertical = Vertical::build(&index.view, &index.columns, &index.blocks);
+            assert_eq!(vertical.words, n.div_ceil(64), "{n} rows");
+            // `A`'s four blocks fit in masks; `B`'s n blocks fit in one
+            // word each only while n ≤ 64.
+            assert!(matches!(vertical.block(0), Block::Mask(_)), "{n} rows");
+            let listed = matches!(vertical.block(4), Block::Rows(_));
+            assert_eq!(listed, n > 64, "{n} rows");
+            for (b, &(c, code)) in index.blocks.iter().enumerate() {
+                let want: Vec<u32> = (0..n as u32)
+                    .filter(|&r| table.code(r, c) == code)
+                    .collect();
+                assert_eq!(rows_of(&vertical, b), want, "{n} rows, block {b}");
             }
-            // Every row is in exactly one block; no bit past the last row.
-            let ones: u32 = masks.bits.iter().map(|w| w.count_ones()).sum();
-            assert_eq!(ones as usize, n, "{n} rows");
-            let last = masks.mask(table.code(n as RowId - 1, 0) as usize);
-            assert_eq!(last[masks.words - 1], 1 << ((n - 1) % 64), "{n} rows");
+            // No bit past the last row.
+            let Block::Mask(last) = vertical.block(table.code(n as RowId - 1, 0) as usize) else {
+                panic!("`A` is masked")
+            };
+            assert_eq!(last[vertical.words - 1], 1 << ((n - 1) % 64), "{n} rows");
         }
+    }
+
+    #[test]
+    fn a_many_valued_column_costs_a_row_list_not_a_mask_per_value() {
+        // One mask per block would be 10⁵ masks of 1 563 words (1.25 GB).
+        let n = 100_000;
+        let rows: Vec<[String; 3]> = (0..n)
+            .map(|i| {
+                [
+                    format!("a{}", i % 3),
+                    format!("id{i}"),
+                    format!("h{}", i % 50_000),
+                ]
+            })
+            .collect();
+        let table = Table::from_rows(Schema::new(["A", "ID", "H"]).unwrap(), &rows).unwrap();
+        let opts = SearchOptions::new(f64::INFINITY);
+        let index = RunIndex::new(table.view(), &SizeWeight, &opts);
+        let vertical = Vertical::build(&index.view, &index.columns, &index.blocks);
+        let bound = 3 * 8 * (n + 1);
+        assert!(vertical.bytes() <= bound, "{} > {bound}", vertical.bytes());
+        assert!(matches!(vertical.block(0), Block::Mask(_)));
+        assert_eq!(rows_of(&vertical, 3 + 7), [7]);
     }
 
     #[test]

@@ -43,9 +43,10 @@
 //! * [`score`] — `Count`/`MCount`/`Score` over rule lists and sets,
 //! * [`marginal`] — Algorithm 2: the a-priori-style best-marginal-rule search,
 //! * [`kernel`] — the columnar counting kernel behind Algorithm 2 (pass 1
-//!   column by column, later passes over block-mask covers, bit-identical
-//!   to the row-at-a-time reference), plus the one columnar implementation
-//!   of "covered rows" and "exact count" over a span of global codes,
+//!   column by column, later passes over their parents' covers,
+//!   bit-identical to the row-at-a-time reference), plus the one columnar
+//!   implementation of "covered rows" and "exact count" over a span of
+//!   global codes,
 //! * [`exec`] — the worker pool that runs independent jobs (server
 //!   connections, background prefetch), never one request,
 //! * [`accel`] — the block-mask scan behind every covered-row and exact

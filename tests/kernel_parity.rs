@@ -453,6 +453,76 @@ fn a_near_tie_is_decided_in_row_order_not_by_the_closed_form() {
     }
 }
 
+/// 6 000 rows, every row weighing `SCALE`, with two many-valued columns —
+/// `H` (100 values, a third of the rows `h0`) and `I` (80 values, mostly
+/// `H`'s modulo 80) — beside two few-valued ones, `B` following `A` where
+/// `H` is `h0`. `H` and `I` have too many values to be held as masks, so a
+/// parent built of their blocks, one or both, beside an `A` mask or not, is
+/// read from row lists, and extended by class sums or in row order.
+fn many_valued_table() -> &'static Table {
+    static TABLE: OnceLock<Table> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        let mut rng = StdRng::seed_from_u64(0x4D41);
+        let rows: Vec<[String; 4]> = (0..6_000)
+            .map(|_| {
+                let a = rng.gen_range(0..4);
+                let h = if rng.gen_range(0..3) == 0 {
+                    0
+                } else {
+                    rng.gen_range(0..100)
+                };
+                let i = if rng.gen_range(0..4) == 0 {
+                    rng.gen_range(0..80)
+                } else {
+                    h % 80
+                };
+                let b = if h == 0 { a % 3 } else { rng.gen_range(0..3) };
+                [
+                    format!("a{a}"),
+                    format!("h{h}"),
+                    format!("i{i}"),
+                    format!("b{b}"),
+                ]
+            })
+            .collect();
+        Table::from_rows(Schema::new(["A", "H", "I", "B"]).unwrap(), &rows).unwrap()
+    })
+}
+
+/// Many-valued columns change how blocks are held, never a bit of the
+/// answer: size and bits weights, pruned on the whole view, and pruned and
+/// not under a base.
+#[test]
+fn many_valued_columns_match_rowwise() {
+    let table = many_valued_table();
+    let weights = vec![SCALE; table.n_rows()];
+    let whole = TableView::all_with_weights(table, &weights);
+    let base = Rule::from_pairs(table, &[("B", "b0")]).unwrap();
+    let based = filter_to_rule(&whole, &base);
+    // Under the base, `mw` admits every rule of the three free columns.
+    for (name, weight, mw, base_mw) in [
+        ("size", &SizeWeight as &dyn WeightFn, 3.0, 4.0),
+        ("bits", &BitsWeight, 14.0, 17.0),
+    ] {
+        let mut opts = SearchOptions::new(mw);
+        assert_greedy_steps_match(&format!("{name}, whole view"), &whole, weight, &opts);
+        opts.max_weight = base_mw;
+        opts.base = Some(base.clone());
+        let label = format!("{name}, under a base");
+        assert_greedy_steps_match(&label, &based.as_view(), weight, &opts);
+    }
+    // Unpruned, every one of them is counted: one search, as the reference
+    // takes seconds.
+    let mut opts = SearchOptions::new(4.0);
+    opts.pruning = false;
+    opts.base = Some(base);
+    let view = based.as_view();
+    let cov = vec![0.0f64; view.len()];
+    let reference = find_best_marginal_rule_rowwise(&view, &SizeWeight, &cov, &opts);
+    let got = find_best_marginal_rule(&view, &SizeWeight, &cov, &opts);
+    assert_bitwise_equal("unpruned, under a base", &got, &reference);
+}
+
 /// A table whose columns are one (`A`, `D`), two (`B`) and four (`C`) bytes
 /// wide, and the rows of it the width tests search: the table's first
 /// 65 537 rows only fill `C`'s dictionary past what `u16` codes can name.
