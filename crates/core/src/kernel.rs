@@ -8,11 +8,11 @@
 //! (`RunIndex`): pass 1's per-column count histograms, scanned off the
 //! dictionary-encoded column slices, and the size-1 candidates they admit,
 //! each a *building block* `(free column, code)`; at the first level-2 pass,
-//! in one pass over each free column, its blocks in whichever layout takes
-//! less room: one row bitmask per block (bit `i % 64` of word `i / 64` is
-//! row `i`), or the column's rows grouped by block. A column of `b` blocks
-//! over `n` rows takes masks when `b·⌈n/64⌉ ≤ n` words, so the index is
-//! `O(n)` per column at any cardinality.
+//! each free column's blocks in whichever layout takes less room: one row
+//! bitmask per block (bit `i % 64` of word `i / 64` is row `i`), or the
+//! column's rows sorted by block. A column of `b` blocks over `n` rows
+//! takes masks when `b·⌈n/64⌉ ≤ n` words (so `b ≤ 64`), which keeps the
+//! index within `8·(n + 1)` bytes per column at any cardinality.
 //!
 //! A search sweeps each free column once for the pass-1 marginals, then
 //! counts each later level *vertically* (Zaki's Eclat), one parent survivor
@@ -26,19 +26,19 @@
 //!   cov_t))` to the candidate it falls in: the operations of
 //!   [`crate::marginal::find_best_marginal_rule_rowwise`], in its order.
 //!   Views whose rows weigh differently (a SUM measure), a `cov` of more
-//!   than `MAX_CLASSES` values, a sparse parent and a column held as row
-//!   lists always take it.
+//!   than `MAX_CLASSES` values, a sparse parent and a parent extended by a
+//!   column held as row lists always take it.
 //! * **by class** — when every row weighs the same `s` (unit weights, or a
-//!   sample's `vec![scale; n]`) and the column is held as masks. The count
-//!   is `P[popcount]`, `s` added that many times from `0.0`: the loop's own
-//!   partial sum. `cov` takes few values (in BRS `0` and the weights of
-//!   earlier winners) and a row with `cov ≥ W` adds exactly `+0.0`, so the
-//!   marginal is `Σ n_c · s·(W − c)` over the classes `c < W`, each `n_c` a
-//!   popcount. That closed form re-associates the loop's sum: widened by a
-//!   relative `4·(n + 8)·ε`, which bounds both roundings, it steers only the
-//!   prune and a lower best `H`, and after the last pass every candidate
-//!   whose upper estimate reaches the final best is re-summed in row order.
-//!   No other can win.
+//!   sample's `vec![scale; n]`) and every column extending the parent is
+//!   held as masks. The count is `P[popcount]`, `s` added that many times
+//!   from `0.0`: the loop's own partial sum. `cov` takes few values (in BRS
+//!   `0` and the weights of earlier winners) and a row with `cov ≥ W` adds
+//!   exactly `+0.0`, so the marginal is `Σ n_c · s·(W − c)` over the
+//!   classes `c < W`, each `n_c` a popcount. That closed form re-associates
+//!   the loop's sum: widened by a relative `4·(n + 8)·ε`, which bounds both
+//!   roundings, it steers only the prune and a lower best `H`, and after
+//!   the last pass every candidate whose upper estimate reaches the final
+//!   best is re-summed in row order. No other can win.
 //!
 //! A parent takes class sums when its candidates cost fewer popcount words
 //! (`kids × non-zero words`) than a row-order pass costs lookups (`rows ×
@@ -212,8 +212,8 @@ struct Vertical {
 impl Vertical {
     /// A column of `b` blocks over `n` rows takes masks when their
     /// `b·⌈n/64⌉` words are at most one per row (so `b ≤ 64`), one
-    /// equality scan each; otherwise a row list, one counting pass. The
-    /// whole is at most `8·(n + 1)` bytes per column at any cardinality.
+    /// equality scan each; otherwise its rows, sorted by block. Either is
+    /// at most `8·(n + 1)` bytes per column at any cardinality.
     fn build(view: &TableView<'_>, columns: &[Pass1Column], blocks: &[(usize, u32)]) -> Self {
         /// One loop per code width; `local[code]` is the code's block in
         /// the column, or `u32::MAX`.
