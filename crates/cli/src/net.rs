@@ -14,16 +14,14 @@ usage: sdd serve [options]
   --addr <host:port>   bind address (default 127.0.0.1:7878)
   --demo <name>        retail | marketing | census  (default retail)
   --rows <n>           row count for the census demo
-  --open <file.csv>    serve a CSV file instead of a demo
-  --ingest <file.csv>  stream a CSV straight into shards without ever
-                       materializing the monolithic table (out-of-core
-                       ingest; requires --shards, results identical to
-                       --open with the same sharding)
+  --open <file.csv>    serve a CSV file instead of a demo; with --shards
+                       it streams straight into the shards without ever
+                       materializing the whole table (out-of-core ingest)
   --tail <n>           serve a live appendable store: new rows arrive via
                        the authenticated `append` request and seal into
                        immutable segments every n rows; the loaded table
                        becomes epoch 1 and every append bumps the epoch
-                       (conflicts with --shards/--ingest)
+                       (conflicts with --shards)
   --threads <n>        connection worker threads (default: cores, min 4)
   --shards <n>         partition the table into n columnar shards
   --spill <dir>        spill every shard (with --tail: every sealed
@@ -94,11 +92,9 @@ fn parse_flags(args: &[String]) -> Result<Vec<(String, Option<String>)>, String>
 pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
     let mut addr = "127.0.0.1:7878".to_owned();
     let mut source = Source::Demo("retail".to_owned(), None);
-    let mut source_flag: Option<&'static str> = None;
     let mut rows: Option<usize> = None;
     let mut shards: Option<usize> = None;
     let mut spill: Option<std::path::PathBuf> = None;
-    let mut ingest: Option<String> = None;
     let mut tail: Option<usize> = None;
     let mut http_port: Option<u16> = None;
     let mut idle_timeout: Option<u64> = None;
@@ -122,14 +118,8 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
         };
         match name.as_str() {
             "addr" => addr = need("host:port")?,
-            "demo" => {
-                source = Source::Demo(need("name")?, None);
-                source_flag = Some("--demo");
-            }
-            "open" => {
-                source = Source::Csv(need("path")?);
-                source_flag = Some("--open");
-            }
+            "demo" => source = Source::Demo(need("name")?, None),
+            "open" => source = Source::Csv(need("path")?),
             "rows" => {
                 rows = Some(need("count")?.parse().map_err(|_| {
                     std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --rows")
@@ -146,7 +136,6 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
                 })?)
             }
             "spill" => spill = Some(need("dir")?.into()),
-            "ingest" => ingest = Some(need("path")?),
             "tail" => {
                 tail = Some(need("rows-per-segment")?.parse().map_err(|_| {
                     std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --tail")
@@ -192,25 +181,6 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
     }
     if let (Source::Demo(_, demo_rows), Some(n)) = (&mut source, rows) {
         *demo_rows = Some(n);
-    }
-    if let (Some(_), Some(flag)) = (&ingest, source_flag) {
-        // Two table sources is operator confusion waiting to happen — the
-        // other conflicting combinations error loudly, so this one does too.
-        writeln!(
-            output,
-            "error: --ingest conflicts with {flag} (choose one table source)\n{SERVE_USAGE}"
-        )?;
-        return Ok(());
-    }
-    if tail.is_some() && ingest.is_some() {
-        // `--ingest` streams into a frozen sharded store; a live store has
-        // its own ingest path (the `append` request) — the two cannot both
-        // own the table.
-        writeln!(
-            output,
-            "error: --tail conflicts with --ingest (a live store ingests via the `append` request)\n{SERVE_USAGE}"
-        )?;
-        return Ok(());
     }
     if tail.is_some() && shards.is_some() {
         writeln!(
@@ -311,43 +281,31 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
             live.epoch()
         );
         (TableStore::from(Arc::new(live)), layout)
-    } else {
-        match (&ingest, shards) {
-            (Some(_), None) => {
-                writeln!(
-                output,
-                "error: --ingest requires --shards (the streaming build's layout)\n{SERVE_USAGE}"
-            )?;
+    } else if let (Source::Csv(path), Some(n)) = (&source, shards) {
+        // Out-of-core path: the monolithic table never exists.
+        let sharded = match sdd_table::csv::stream_csv_file(path, &[], &shard_config(n)) {
+            Ok(s) => Arc::new(s),
+            Err(e) => {
+                writeln!(output, "error: cannot ingest {path:?}: {e}")?;
                 return Ok(());
             }
-            (Some(path), Some(n)) => {
-                // Out-of-core path: the monolithic table never exists.
-                let sharded = match sdd_table::csv::stream_csv_file(path, &[], &shard_config(n)) {
-                    Ok(s) => Arc::new(s),
-                    Err(e) => {
-                        writeln!(output, "error: cannot ingest {path:?}: {e}")?;
-                        return Ok(());
-                    }
-                };
-                let layout = layout_of(&sharded, true);
-                (TableStore::Sharded(sharded), layout)
+        };
+        let layout = layout_of(&sharded, true);
+        (TableStore::Sharded(sharded), layout)
+    } else {
+        let table = match load(&source) {
+            Ok(t) => t,
+            Err(e) => {
+                writeln!(output, "error: {e}")?;
+                return Ok(());
             }
-            (None, shards) => {
-                let table = match load(&source) {
-                    Ok(t) => t,
-                    Err(e) => {
-                        writeln!(output, "error: {e}")?;
-                        return Ok(());
-                    }
-                };
-                match shards {
-                    None => (TableStore::Whole(table), String::new()),
-                    Some(n) => {
-                        let sharded = Arc::new(ShardedTable::from_table(&table, &shard_config(n))?);
-                        let layout = layout_of(&sharded, false);
-                        (TableStore::Sharded(sharded), layout)
-                    }
-                }
+        };
+        match shards {
+            None => (TableStore::Whole(table), String::new()),
+            Some(n) => {
+                let sharded = Arc::new(ShardedTable::from_table(&table, &shard_config(n))?);
+                let layout = layout_of(&sharded, false);
+                (TableStore::Sharded(sharded), layout)
             }
         }
     };
@@ -359,8 +317,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
     // not connection-scoped, so without the sweep they would live forever.
     let idle_secs = idle_timeout.unwrap_or(if http_port.is_some() { 300 } else { 0 });
     if idle_secs > 0 {
-        config.read_timeout = Some(std::time::Duration::from_secs(idle_secs));
-        config.session_ttl = Some(std::time::Duration::from_secs(idle_secs));
+        config.idle_timeout = Some(std::time::Duration::from_secs(idle_secs));
     }
     let server = Server::bind_store(store.clone(), config, addr.as_str())?;
     // Surface whether the cross-session result cache is live — an
@@ -791,47 +748,11 @@ mod tests {
     }
 
     #[test]
-    fn serve_rejects_ingest_without_shards() {
-        let mut out = Vec::new();
-        serve(
-            &["--ingest".to_owned(), "whatever.csv".to_owned()],
-            &mut out,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("--ingest requires --shards"), "{out}");
-    }
-
-    #[test]
-    fn serve_rejects_ingest_combined_with_open_or_demo() {
-        for (flag, value) in [("--open", "a.csv"), ("--demo", "retail")] {
-            let mut out = Vec::new();
-            serve(
-                &[
-                    flag.to_owned(),
-                    value.to_owned(),
-                    "--ingest".to_owned(),
-                    "b.csv".to_owned(),
-                    "--shards".to_owned(),
-                    "4".to_owned(),
-                ],
-                &mut out,
-            )
-            .unwrap();
-            let out = String::from_utf8(out).unwrap();
-            assert!(
-                out.contains(&format!("--ingest conflicts with {flag}")),
-                "{out}"
-            );
-        }
-    }
-
-    #[test]
     fn serve_reports_unreadable_ingest_file() {
         let mut out = Vec::new();
         serve(
             &[
-                "--ingest".to_owned(),
+                "--open".to_owned(),
                 "/no/such/file.csv".to_owned(),
                 "--shards".to_owned(),
                 "4".to_owned(),
@@ -888,34 +809,19 @@ mod tests {
     }
 
     #[test]
-    fn serve_rejects_tail_combined_with_shards_or_ingest() {
-        let mut out = Vec::new();
-        serve(
-            &[
-                "--tail".to_owned(),
-                "512".to_owned(),
-                "--shards".to_owned(),
-                "4".to_owned(),
-            ],
-            &mut out,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("--tail conflicts with --shards"), "{out}");
-
-        let mut out = Vec::new();
-        serve(
-            &[
-                "--tail".to_owned(),
-                "512".to_owned(),
-                "--ingest".to_owned(),
-                "b.csv".to_owned(),
-            ],
-            &mut out,
-        )
-        .unwrap();
-        let out = String::from_utf8(out).unwrap();
-        assert!(out.contains("--tail conflicts with --ingest"), "{out}");
+    fn serve_rejects_tail_combined_with_shards() {
+        // `--open --shards` would stream into a frozen sharded store; a
+        // live store grows through `append` instead.
+        for source in [&[][..], &["--open", "b.csv"]] {
+            let mut args: Vec<String> = ["--tail", "512", "--shards", "4"]
+                .map(str::to_owned)
+                .to_vec();
+            args.extend(source.iter().map(|s| (*s).to_owned()));
+            let mut out = Vec::new();
+            serve(&args, &mut out).unwrap();
+            let out = String::from_utf8(out).unwrap();
+            assert!(out.contains("--tail conflicts with --shards"), "{out}");
+        }
     }
 
     #[test]
@@ -1023,6 +929,39 @@ mod tests {
         assert!(validate_prometheus(&text, false).is_ok());
         let err = validate_prometheus(&text, true).unwrap_err();
         assert!(err.contains("sdd_storage_loads_total"), "{err}");
+    }
+
+    #[test]
+    fn smoke_scrape_over_an_opened_csv_streams_it_into_spilled_shards() {
+        let table = sdd_datagen::retail(42);
+        let csv_path = std::env::temp_dir().join(format!(
+            "sdd-cli-open-{}-{:x}.csv",
+            std::process::id(),
+            &table as *const _ as usize
+        ));
+        std::fs::write(&csv_path, sdd_table::csv::write_csv(&table)).unwrap();
+        let mut out = Vec::new();
+        let dir = std::env::temp_dir().display().to_string();
+        let args: Vec<String> = [
+            "--addr",
+            "127.0.0.1:0",
+            "--open",
+            &csv_path.display().to_string(),
+            "--shards",
+            "4",
+            "--spill",
+            &dir,
+            "--http",
+            "0",
+            "--smoke-scrape",
+        ]
+        .map(str::to_owned)
+        .to_vec();
+        serve(&args, &mut out).unwrap();
+        let _ = std::fs::remove_file(&csv_path);
+        let out = String::from_utf8(out).unwrap();
+        assert!(out.contains("(streamed into 4 shards, spilled)"), "{out}");
+        assert!(out.contains("smoke-scrape ok:"), "{out}");
     }
 
     #[test]

@@ -178,7 +178,6 @@ struct Node {
 /// in a concurrent server's session registry and hop between worker
 /// threads.
 pub struct Explorer {
-    store: TableStore,
     weight: Box<dyn WeightFn>,
     config: ExplorerConfig,
     handler: SampleHandler,
@@ -235,7 +234,6 @@ impl Explorer {
             .table_id
             .unwrap_or_else(|| NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed));
         Self {
-            store,
             weight,
             config,
             handler,
@@ -258,12 +256,13 @@ impl Explorer {
     /// the always-resident zero-row header for sharded ones. Carries the
     /// schema and dictionaries (everything display needs) — never scan it.
     pub fn table(&self) -> &Arc<Table> {
-        self.store.header()
+        self.handler.table()
     }
 
-    /// The storage this session explores.
+    /// The storage this session explores (the sample handler's pinned
+    /// store).
     pub fn store(&self) -> &TableStore {
-        &self.store
+        self.handler.store()
     }
 
     /// The sampling layer's work counters.
@@ -353,9 +352,8 @@ impl Explorer {
     }
 
     /// The operation prologue for live tables: runs deferred work at the
-    /// epoch it was scheduled under, then advances the session — the
-    /// explorer's pinned store and the sample handler together, onto one
-    /// fresh snapshot — to the table's newest epoch, incrementally
+    /// epoch it was scheduled under, then advances the session's one pin
+    /// (the sample handler's store) to the table's newest epoch, incrementally
     /// maintaining every stored sample over the appended rows. Returns the
     /// pinned epoch. Over frozen storage only the deferred work runs.
     ///
@@ -368,26 +366,23 @@ impl Explorer {
     pub fn try_advance_epoch(&mut self) -> Result<u64, SessionError> {
         self.try_drain_pending_prefetch()?;
         self.try_drain_pending_refresh()?;
-        let Some(live) = self.store.as_live() else {
+        let Some(live) = self.store().as_live() else {
             return Ok(0);
         };
-        if live.latest_epoch() > live.epoch() || self.handler.pinned_epoch() < live.latest_epoch() {
+        if live.latest_epoch() > live.epoch() {
             let snap = live.live().snapshot();
             self.handler
                 .try_sync_to_snapshot(&snap)
                 .map_err(|e| SessionError::Storage(e.to_string()))?;
-            if let Some(l) = self.store.as_live_mut() {
-                l.pin(snap);
-            }
             // The root count is metadata (total rows at the pinned epoch),
             // not a scan result: a session opened over the frozen twin of
             // this epoch would display exactly this number.
-            let n = self.store.n_rows() as f64;
+            let n = self.store().n_rows() as f64;
             self.root.info.count = n;
             self.root.info.ci_lo = n;
             self.root.info.ci_hi = n;
         }
-        Ok(self.store.epoch())
+        Ok(self.store().epoch())
     }
 
     /// The rule displayed at `path`.
@@ -593,7 +588,7 @@ impl Explorer {
             self.config.k,
             &weight_tag,
             self.config.max_weight,
-            self.store.n_columns(),
+            self.store().n_columns(),
         );
         Some((cache, key))
     }
@@ -652,7 +647,7 @@ impl Explorer {
 
         // One scan counting all of them (exact integers, whatever the
         // store kind).
-        let counts = sdd_core::try_count_rules_in_store(&self.store, &rules)
+        let counts = sdd_core::try_count_rules_in_store(self.store(), &rules)
             .map_err(|e| SessionError::Storage(e.to_string()))?;
 
         // Write back in the same traversal order.
@@ -688,10 +683,10 @@ impl Explorer {
     /// Renders the display: the paper's dotted-indent table with a
     /// confidence-interval column.
     pub fn render(&self) -> String {
-        let n_cols = self.store.n_columns();
+        let n_cols = self.store().n_columns();
         let mut rows: Vec<Vec<String>> = Vec::new();
         let mut header: Vec<String> = (0..n_cols)
-            .map(|c| self.store.schema().column_name(c).to_owned())
+            .map(|c| self.store().schema().column_name(c).to_owned())
             .collect();
         header.extend(["Count".to_owned(), "95% CI".to_owned(), "Weight".to_owned()]);
         rows.push(header);
@@ -702,8 +697,7 @@ impl Explorer {
                 let cell = match info.rule.get(c) {
                     RuleValue::Star => "?".to_owned(),
                     RuleValue::Value(code) => self
-                        .store
-                        .header()
+                        .table()
                         .dictionary(c)
                         .value_of(code)
                         .unwrap_or("<bad-code>")

@@ -303,16 +303,6 @@ impl SearchCache {
         self.tenant_bytes[self.slot(tenant)].load(Ordering::Relaxed)
     }
 
-    /// `tenant`'s configured byte quota.
-    pub fn tenant_quota(&self, tenant: TenantId) -> u64 {
-        self.tenant_quotas[self.slot(tenant)]
-    }
-
-    /// Number of tenants the quota table was built with.
-    pub fn n_tenants(&self) -> usize {
-        self.tenant_quotas.len()
-    }
-
     /// Number of entries currently cached (snapshot across stripes).
     pub fn len(&self) -> usize {
         self.stripes.iter().map(|s| Self::lock(s).map.len()).sum()

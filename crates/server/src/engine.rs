@@ -35,6 +35,14 @@ use sdd_sampling::PrefetchJob;
 use sdd_table::{Table, TableStore};
 use std::sync::Arc;
 
+/// Stripe count of the session registry, the result cache and the
+/// transition model: enough that concurrent sessions rarely share a lock.
+const STRIPES: usize = 16;
+
+/// Cap on concurrently registered sessions across all tenants
+/// (backpressure guard on the open port).
+const MAX_SESSIONS: usize = 10_000;
+
 /// Tail-ingest settings: accepting `append` requests against a live
 /// (appendable) served table. Absent from [`EngineConfig`] by default —
 /// a server that did not opt in (`sdd serve --tail`) rejects every
@@ -64,20 +72,15 @@ pub struct EngineConfig {
     /// prefetch worker, `Inline` for single-threaded replay — the two are
     /// observably identical.
     pub session: ExplorerConfig,
-    /// Stripe count of the session registry.
-    pub stripes: usize,
-    /// Cap on concurrently registered sessions (backpressure guard on the
-    /// open port).
-    pub max_sessions: usize,
     /// Byte budget of the shared cross-session result cache; `0` disables
     /// it. The cache is transparent — responses are byte-identical either
     /// way.
     pub cache_bytes: usize,
     /// Tenant directory (auth tokens + per-tenant quotas). The default is
     /// an open registry: one anonymous tenant, no auth, no quotas beyond
-    /// `max_sessions` — exactly the lab behavior every existing caller
-    /// expects. Quotas never change a response byte; they only decide
-    /// whether an `open` is admitted.
+    /// the engine's 10 000-session cap — exactly the lab behavior every
+    /// existing caller expects. Quotas never change a response byte; they
+    /// only decide whether an `open` is admitted.
     pub tenants: Arc<TenantRegistry>,
     /// Tail-ingest opt-in: `Some` accepts `append` requests (gated on the
     /// tenant's `ingest` capability and `max_batch_rows`), `None` — the
@@ -92,8 +95,6 @@ impl Default for EngineConfig {
                 prefetch: PrefetchMode::Deferred,
                 ..ExplorerConfig::default()
             },
-            stripes: 16,
-            max_sessions: 10_000,
             cache_bytes: 64 << 20,
             tenants: Arc::new(TenantRegistry::open()),
             tail: None,
@@ -134,16 +135,16 @@ impl Engine {
     pub fn with_store(store: TableStore, config: EngineConfig) -> Self {
         let cache = (config.cache_bytes > 0).then(|| {
             Arc::new(SearchCache::with_tenants(
-                config.stripes,
+                STRIPES,
                 config.cache_bytes,
                 config.tenants.cache_quotas(config.cache_bytes as u64),
             ))
         });
         Self {
             store,
-            sessions: Registry::new(config.stripes),
+            sessions: Registry::new(STRIPES),
             cache,
-            transitions: Arc::new(TransitionModel::new(config.stripes)),
+            transitions: Arc::new(TransitionModel::new(STRIPES)),
             config,
             table_id: sdd_explorer::allocate_table_id(),
         }
@@ -224,27 +225,15 @@ impl Engine {
         (response.to_json().to_string(), hint)
     }
 
-    /// [`Engine::handle_line`] plus connection-scoped session tracking: a
-    /// successful `open` appends the session name to `opened`, a
-    /// successful `close` removes it, so a transport can reap whatever is
-    /// left when its connection dies without a `close` (client crash,
-    /// abrupt TCP drop — see [`Engine::close_session`]). In-process
-    /// callers that want process-lifetime sessions keep using
-    /// [`Engine::handle_line`].
-    pub fn handle_line_tracked(
-        &self,
-        line: &str,
-        opened: &mut Vec<String>,
-    ) -> (String, Option<String>) {
-        self.handle_line_as(line, Some(opened), ANONYMOUS_TENANT)
-    }
-
     /// The fully general entry point: one raw request line, handled on
     /// behalf of `tenant` (session-quota enforcement at `open`; cache
     /// inserts charged to the tenant), with optional connection-scoped
-    /// session tracking via `opened` (pass `None` for transports whose
+    /// session tracking via `opened`: a successful `open` appends the
+    /// session name, a successful `close` removes it, so a transport can
+    /// reap whatever is left when its connection dies without a `close`
+    /// (see [`Engine::close_session`]). Pass `None` for transports whose
     /// sessions outlive connections — HTTP — and rely on the idle sweep
-    /// instead). Tenancy decides only whether an `open` is admitted: for
+    /// instead. Tenancy decides only whether an `open` is admitted: for
     /// any admitted request sequence the response bytes are identical for
     /// every tenant, which is what keeps HTTP transcripts byte-equal to
     /// line-JSON transcripts.
@@ -477,7 +466,7 @@ impl Engine {
         if session.is_empty() || session.len() > 128 {
             return Response::error("session name must be 1..=128 characters");
         }
-        if self.sessions.len() >= self.config.max_sessions {
+        if self.sessions.len() >= MAX_SESSIONS {
             return Response::error("session limit reached");
         }
         let owner = self.config.tenants.tenant(tenant);

@@ -27,7 +27,7 @@
 //! Unlike the TCP path, HTTP sessions are **not** connection-scoped — a
 //! session must survive across keep-alive connections from the same
 //! client. Their lifecycle is the idle sweep: `open` without `close`
-//! lives until it has been untouched for the server's session TTL.
+//! lives until it has been untouched for the server's idle timeout.
 //!
 //! This file is panic-free outside tests (lint rule P001): it parses
 //! attacker-controlled bytes on every request.
@@ -273,6 +273,9 @@ fn write_response(
     w.flush()
 }
 
+/// `Retry-After` seconds on shed (`429`) and draining (`503`) answers.
+const RETRY_AFTER_S: u32 = 1;
+
 /// Writes an admission-control shed response (`429`/`503` + `Retry-After`)
 /// **without reading the request** — called from the accept loop, which
 /// must never block on a client's bytes. Clients that already sent their
@@ -281,14 +284,13 @@ pub(crate) fn write_overload(
     stream: &mut TcpStream,
     status: u16,
     reason: &str,
-    retry_after_s: u32,
 ) -> std::io::Result<()> {
     write_response(
         stream,
         status,
         reason,
         "application/json",
-        &[("Retry-After", retry_after_s.to_string())],
+        &[("Retry-After", RETRY_AFTER_S.to_string())],
         format!(
             "{{\"ok\":false,\"error\":{:?}}}\n",
             reason.to_ascii_lowercase()
@@ -319,7 +321,6 @@ pub(crate) fn serve_http_connection(
     stopping: &AtomicBool,
     stream: TcpStream,
     prefetch_tx: &mpsc::Sender<String>,
-    retry_after_s: u32,
 ) -> std::io::Result<()> {
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
@@ -356,7 +357,7 @@ pub(crate) fn serve_http_connection(
         };
         // Draining: finish nothing new once shutdown has begun.
         if stopping.load(Ordering::SeqCst) {
-            let r = write_overload(&mut writer, 503, "Service Unavailable", retry_after_s);
+            let r = write_overload(&mut writer, 503, "Service Unavailable");
             drain_briefly(&mut reader);
             return r;
         }

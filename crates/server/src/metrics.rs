@@ -80,16 +80,6 @@ impl LatencyHistogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Mean latency in seconds (`NaN` with no observations) — `_sum` over
-    /// `_count`, exactly as a dashboard would compute it from `/metrics`.
-    pub fn mean_seconds(&self) -> f64 {
-        let count = self.count.load(Ordering::Relaxed);
-        if count == 0 {
-            return f64::NAN;
-        }
-        self.sum_ns.load(Ordering::Relaxed) as f64 / 1e9 / count as f64
-    }
-
     /// Cumulative bucket counts aligned with [`LATENCY_BUCKETS_S`], plus
     /// the total (the `+Inf` entry) — the exact numbers `/metrics`
     /// exports, which is also what the serve bench derives percentiles

@@ -14,6 +14,7 @@ use crate::engine::{Engine, EngineConfig};
 use crate::http::{self, LineRead};
 use crate::metrics::{Metrics, Transport};
 use crate::protocol::{Request, Response};
+use crate::registry::ANONYMOUS_TENANT;
 use sdd_core::exec::TaskPool;
 use sdd_table::{Table, TableStore};
 use std::io::{BufRead, BufReader, Write};
@@ -31,25 +32,20 @@ pub struct ServerConfig {
     /// the lifetime of its connection, so size this at or above the
     /// expected concurrent-client count.
     pub threads: usize,
-    /// Socket read timeout applied to every connection (TCP and HTTP). A
-    /// client silent past it is disconnected (and its connection-scoped
-    /// sessions reaped), so a stalled or half-open client cannot pin a
-    /// pool worker forever. `None` waits forever.
-    pub read_timeout: Option<Duration>,
+    /// Idle timeout, both for connections and for sessions. A connection
+    /// (TCP or HTTP) silent past it is disconnected (and its
+    /// connection-scoped sessions reaped), so a stalled or half-open client
+    /// cannot pin a pool worker forever; a session untouched past it is
+    /// evicted by a background sweep every `min(timeout / 4, 1 s)` — the
+    /// lifecycle for HTTP sessions, which are not connection-scoped.
+    /// `None` waits forever and runs no sweep.
+    pub idle_timeout: Option<Duration>,
     /// When set, also binds the HTTP front-end ([`crate::http`]) here.
     pub http_addr: Option<String>,
     /// Admission control: while more than this many accepted connections
     /// are queued for a pool worker, new HTTP connections are shed with
     /// `429` + `Retry-After` instead of queueing behind them.
     pub max_queue: usize,
-    /// `Retry-After` seconds on shed (`429`) and draining (`503`) answers.
-    pub retry_after_s: u32,
-    /// Background sweep: evict sessions idle beyond this TTL — the
-    /// lifecycle for HTTP sessions, which are not connection-scoped.
-    /// `None` disables the sweep.
-    pub session_ttl: Option<Duration>,
-    /// Idle-sweep cadence.
-    pub sweep_interval: Duration,
 }
 
 impl Default for ServerConfig {
@@ -60,14 +56,18 @@ impl Default for ServerConfig {
                 .map(|n| n.get())
                 .unwrap_or(4)
                 .max(4),
-            read_timeout: None,
+            idle_timeout: None,
             http_addr: None,
             max_queue: 1024,
-            retry_after_s: 1,
-            session_ttl: None,
-            sweep_interval: Duration::from_millis(1000),
         }
     }
+}
+
+/// How often the idle sweep runs for a session idle timeout of `ttl`: a
+/// quarter of the timeout, at most once a second, so a session is reaped
+/// at most a quarter-timeout late.
+fn sweep_interval(ttl: Duration) -> Duration {
+    (ttl / 4).min(Duration::from_secs(1))
 }
 
 /// A bound, not-yet-running server.
@@ -156,13 +156,13 @@ impl Server {
                 prefetch_engine.run_pending_prefetch(&session);
             }
         });
-        // The idle sweep: reaps sessions untouched past the TTL. Short
-        // poll ticks (not one long sleep) keep shutdown prompt.
-        let sweeper = self.config.session_ttl.map(|ttl| {
+        // The idle sweep: reaps sessions untouched past the idle timeout.
+        // Short poll ticks (not one long sleep) keep shutdown prompt.
+        let sweeper = self.config.idle_timeout.map(|ttl| {
             let engine = Arc::clone(&self.engine);
             let metrics = Arc::clone(&self.metrics);
             let stop = Arc::clone(&stop);
-            let interval = self.config.sweep_interval;
+            let interval = sweep_interval(ttl);
             std::thread::spawn(move || {
                 let mut last = Instant::now();
                 while !stop.load(Ordering::SeqCst) {
@@ -200,9 +200,8 @@ impl Server {
             let conns = Arc::clone(&conns);
             let next_conn_id = Arc::clone(&next_conn_id);
             let prefetch_tx = prefetch_tx.clone();
-            let read_timeout = self.config.read_timeout;
+            let idle_timeout = self.config.idle_timeout;
             let max_queue = self.config.max_queue;
-            let retry_after_s = self.config.retry_after_s;
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     if stop.load(Ordering::SeqCst) {
@@ -212,15 +211,10 @@ impl Server {
                     stream.set_nodelay(true).ok();
                     if pool.pending() > max_queue {
                         metrics.shed.fetch_add(1, Ordering::Relaxed);
-                        let _ = http::write_overload(
-                            &mut stream,
-                            429,
-                            "Too Many Requests",
-                            retry_after_s,
-                        );
+                        let _ = http::write_overload(&mut stream, 429, "Too Many Requests");
                         continue; // drop closes the shed connection
                     }
-                    stream.set_read_timeout(read_timeout).ok();
+                    stream.set_read_timeout(idle_timeout).ok();
                     let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
                     if let Ok(clone) = stream.try_clone() {
                         conns.lock().expect("conns poisoned").push((conn_id, clone));
@@ -240,7 +234,6 @@ impl Server {
                             &stop,
                             stream,
                             &prefetch_tx,
-                            retry_after_s,
                         );
                         metrics.http_connections.fetch_sub(1, Ordering::Relaxed);
                         conns_for_worker
@@ -263,7 +256,7 @@ impl Server {
             // One small response per request line: Nagle + delayed ACK
             // would add ~40 ms to every exchange.
             stream.set_nodelay(true).ok();
-            stream.set_read_timeout(self.config.read_timeout).ok();
+            stream.set_read_timeout(self.config.idle_timeout).ok();
             let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
             if let Ok(clone) = stream.try_clone() {
                 conns.lock().expect("conns poisoned").push((conn_id, clone));
@@ -473,7 +466,8 @@ fn serve_lines(
             continue;
         }
         let started = Instant::now();
-        let (response, prefetch_hint) = engine.handle_line_tracked(trimmed, opened);
+        let (response, prefetch_hint) =
+            engine.handle_line_as(trimmed, Some(opened), ANONYMOUS_TENANT);
         metrics.record(
             Transport::Tcp,
             started.elapsed(),
@@ -538,5 +532,20 @@ impl Client {
         let v = crate::json::Json::parse(&line)
             .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
         Response::from_json(&v).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::sweep_interval;
+    use std::time::Duration;
+
+    #[test]
+    fn the_sweep_runs_every_quarter_timeout_but_at_least_once_a_second() {
+        let ms = Duration::from_millis;
+        assert_eq!(sweep_interval(ms(150)), Duration::from_micros(37_500));
+        assert_eq!(sweep_interval(ms(4_000)), ms(1_000));
+        assert_eq!(sweep_interval(Duration::from_secs(300)), ms(1_000));
+        assert_eq!(sweep_interval(ms(0)), ms(0));
     }
 }

@@ -225,8 +225,7 @@ fn admission_control_sheds_with_429_and_accepted_work_is_unchanged() {
 fn idle_sweep_evicts_http_sessions_and_frees_their_quota() {
     let tenants = TenantRegistry::from_token_file("tok-a alpha 1 4\n").unwrap();
     let mut config = ServerConfig {
-        session_ttl: Some(Duration::from_millis(150)),
-        sweep_interval: Duration::from_millis(30),
+        idle_timeout: Some(Duration::from_millis(150)),
         ..ServerConfig::default()
     };
     config.engine.tenants = Arc::new(tenants);

@@ -12,7 +12,7 @@
 //! 2. **Stalled client pins a pool worker.** A client that connects and
 //!    goes silent (or whose network half-opens) used to park a connection
 //!    worker in `read` forever; enough of them starved the pool. With
-//!    `ServerConfig::read_timeout`, the silent connection is disconnected,
+//!    `ServerConfig::idle_timeout`, the silent connection is disconnected,
 //!    the worker freed, and connection-scoped sessions reaped.
 
 use sdd_server::{Client, OpenOptions, Request, Response, Server, ServerConfig};
@@ -105,7 +105,7 @@ fn stalled_client_is_disconnected_and_its_worker_reclaimed() {
     // could never be served.
     let server = start_server(ServerConfig {
         threads: 1,
-        read_timeout: Some(Duration::from_millis(150)),
+        idle_timeout: Some(Duration::from_millis(150)),
         ..ServerConfig::default()
     });
 
@@ -141,7 +141,7 @@ fn live_clients_survive_the_read_timeout_between_requests() {
     // The timeout bounds silence, not session length: a client that keeps
     // talking (slower than the tick, faster than the timeout) is fine.
     let server = start_server(ServerConfig {
-        read_timeout: Some(Duration::from_millis(400)),
+        idle_timeout: Some(Duration::from_millis(400)),
         ..ServerConfig::default()
     });
     let mut client = Client::connect(server.addr()).unwrap();

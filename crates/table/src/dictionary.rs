@@ -51,17 +51,6 @@ impl Dictionary {
         self.values.is_empty()
     }
 
-    /// Approximate heap bytes held by this dictionary (string storage plus
-    /// the intern index) — the resident-memory proxy the ingest bench uses
-    /// to compare streaming against materialize-then-shard builds.
-    pub fn heap_bytes(&self) -> usize {
-        let strings: usize = self.values.iter().map(|v| v.len()).sum();
-        // Each value is stored twice (value vec + index key) and the index
-        // additionally carries a code and hash-bucket overhead.
-        2 * strings
-            + self.values.len() * (2 * std::mem::size_of::<Box<str>>() + std::mem::size_of::<u64>())
-    }
-
     /// Discards every code `>= len`, restoring the dictionary to an earlier
     /// intern point. Supports the live-table append rollback: a failed
     /// append must not leak interned values (and thus column cardinality)

@@ -1730,20 +1730,11 @@ impl LiveStore {
         self.live.epoch()
     }
 
-    /// Re-pins to the table's current snapshot, returning the newly pinned
-    /// epoch. Holders advance only through this method, at points of their
-    /// choosing (the explorer syncs at operation prologues; see the
-    /// determinism notes there).
-    pub fn re_pin(&mut self) -> u64 {
-        self.pinned = self.live.snapshot();
-        self.pinned.epoch
-    }
-
-    /// Pins a specific snapshot — for holders that coordinate several
-    /// pinned views (explorer + sample handler) onto one epoch: take one
-    /// [`LiveTable::snapshot`] and pin it everywhere. The snapshot must
-    /// come from this store's live table; pins never move backwards (an
-    /// older snapshot is ignored).
+    /// Pins a specific snapshot. Holders advance only through this method,
+    /// at points of their choosing (a session's sample handler syncs to one
+    /// [`LiveTable::snapshot`] at operation prologues; see the determinism
+    /// notes there). The snapshot must come from this store's live table;
+    /// pins never move backwards (an older snapshot is ignored).
     pub fn pin(&mut self, snap: LiveSnapshot) {
         if snap.epoch >= self.pinned.epoch {
             self.pinned = snap;
@@ -1887,7 +1878,8 @@ impl TableStore {
         }
     }
 
-    /// Mutable live handle (for re-pinning), if this store is live.
+    /// Mutable live handle (for pinning a newer snapshot), if this store is
+    /// live.
     pub fn as_live_mut(&mut self) -> Option<&mut LiveStore> {
         match self {
             TableStore::Live(l) => Some(l),
@@ -2891,8 +2883,9 @@ mod tests {
         assert_eq!(store.as_live().unwrap().latest_epoch(), 1);
         assert_eq!(store.latest(), Some((1, 5)), "the head, not the pin");
         assert_eq!(store.storage_counters(), Some(live.storage_counters()));
-        let e = store.as_live_mut().unwrap().re_pin();
-        assert_eq!(e, 1);
+        let live_store = store.as_live_mut().unwrap();
+        live_store.pin(live.snapshot());
+        assert_eq!(live_store.epoch(), 1);
         assert_eq!(store.n_rows(), 5);
         assert_eq!(store.header().cardinality(0), 5);
         // A clone carries the pin, not the live head.

@@ -12,8 +12,8 @@ use std::sync::Arc;
 /// aggregate of §6.3 — they are never instantiated by rules.
 ///
 /// Dictionaries are held by `Arc`, so derived tables that keep the same
-/// code space — shard segments, [`Table::gather_rows`] outputs,
-/// [`Table::header_only`] headers — share one dictionary allocation with
+/// code space — shard segments, [`Table::gather_rows`] outputs, sharded
+/// tables' zero-row headers — share one dictionary allocation with
 /// their source instead of deep-cloning it per copy.
 #[derive(Debug, Clone)]
 pub struct Table {
@@ -229,9 +229,7 @@ impl Table {
     /// materialized samples): any computation over the gathered rows sees
     /// exactly the code sequence, weights, and cardinalities the same rows
     /// would produce in `self`, so rule weights, candidate layouts, and
-    /// float accumulation orders are identical. Contrast
-    /// [`Table::select_rows`], which re-interns values and drops unused
-    /// dictionary entries.
+    /// float accumulation orders are identical.
     pub fn gather_rows(&self, rows: &[RowId]) -> Table {
         Table::gather_multi(&[(self, rows)])
     }
@@ -281,55 +279,6 @@ impl Table {
             measures,
             n_rows: total,
         }
-    }
-
-    /// A zero-row table carrying this table's schema, dictionaries, and
-    /// measure names — the always-in-memory "header" of a sharded table.
-    ///
-    /// Weight functions, rule construction/display, and schema lookups all
-    /// consume only this metadata, so a header stands in for the full table
-    /// wherever no row is touched. **A header is not scannable**: direct
-    /// row access panics, but the common `for row in 0..table.n_rows()`
-    /// idiom sees zero rows and silently computes over nothing — callers
-    /// holding a `TableStore` must dispatch row scans on the store (the
-    /// sharded compute paths in `sdd-core`), never on the header.
-    pub fn header_only(&self) -> Table {
-        Table {
-            schema: self.schema.clone(),
-            dicts: self.dicts.clone(),
-            cols: self
-                .dicts
-                .iter()
-                .map(|d| Codes::for_cardinality(d.len()))
-                .collect(),
-            measures: self
-                .measures
-                .iter()
-                .map(|(n, _)| (n.clone(), Vec::new()))
-                .collect(),
-            n_rows: 0,
-        }
-    }
-
-    /// Materializes a new `Table` containing only `rows` (in the given
-    /// order). Dictionaries are shared logically (codes are re-interned, so
-    /// unused values are dropped). Measures are carried over.
-    pub fn select_rows(&self, rows: &[RowId]) -> Table {
-        let mut b = TableBuilder::new(self.schema.clone());
-        let mut buf: Vec<&str> = Vec::with_capacity(self.n_columns());
-        for &r in rows {
-            buf.clear();
-            for c in 0..self.n_columns() {
-                buf.push(self.value(r, c));
-            }
-            b.push_row(&buf).expect("arity preserved by construction");
-        }
-        for (name, vals) in &self.measures {
-            let picked: Vec<f64> = rows.iter().map(|&r| vals[r as usize]).collect();
-            b.add_measure(name.clone(), picked)
-                .expect("measure length matches selected rows");
-        }
-        b.build().expect("row count consistent by construction")
     }
 }
 
@@ -510,25 +459,6 @@ mod tests {
     fn measure_name_clashing_with_column_rejected() {
         let mut b = TableBuilder::new(Schema::new(["Store"]).unwrap());
         assert!(b.add_measure("Store", vec![]).is_err());
-    }
-
-    #[test]
-    fn select_rows_preserves_values_and_measures() {
-        let mut b = TableBuilder::new(Schema::new(["Store", "Product"]).unwrap());
-        b.push_row(&["Walmart", "cookies"]).unwrap();
-        b.push_row(&["Target", "bicycles"]).unwrap();
-        b.push_row(&["Walmart", "comforters"]).unwrap();
-        b.add_measure("Sales", vec![1.0, 2.0, 3.0]).unwrap();
-        let t = b.build().unwrap();
-
-        let sub = t.select_rows(&[2, 0]);
-        assert_eq!(sub.n_rows(), 2);
-        assert_eq!(sub.value(0, 0), "Walmart");
-        assert_eq!(sub.value(0, 1), "comforters");
-        assert_eq!(sub.value(1, 1), "cookies");
-        assert_eq!(sub.measure("Sales").unwrap(), &[3.0, 1.0]);
-        // Unused dictionary entries are dropped on re-intern.
-        assert_eq!(sub.cardinality(0), 1);
     }
 
     #[test]
