@@ -345,7 +345,7 @@ impl ShardedTable {
                     for (c, col) in self.read_raw(shard)?.iter().enumerate() {
                         for p in picks {
                             cols[p.sample as usize][c][p.pos as usize] =
-                                col.remap[col.codes.at(p.local as usize) as usize];
+                                col.remap()[col.codes().at(p.local as usize) as usize];
                         }
                     }
                 }
@@ -409,7 +409,7 @@ impl ShardedTable {
     /// segments); the directory itself is removed when the last holder —
     /// table or spill file — drops.
     pub fn spill_dir(&self) -> Option<&std::path::Path> {
-        self.spill_root.as_deref().map(|r| r.dir.as_path())
+        self.spill_root.as_deref().map(SpillRoot::dir)
     }
 }
 

@@ -9,8 +9,8 @@
 use crate::{with_codes, Code, Codes, Table, TableError};
 use rustc_hash::FxHashMap;
 use std::io::{self, Write};
-use std::path::PathBuf;
-use std::sync::atomic::AtomicU64;
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// One spilled column in its on-disk coding: the `remap` array (local →
@@ -26,8 +26,8 @@ use std::sync::Arc;
 /// indexing never faults afterwards.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RawColumn {
-    pub(super) remap: Vec<u32>,
-    pub(super) codes: Codes,
+    remap: Vec<u32>,
+    codes: Codes,
 }
 
 impl RawColumn {
@@ -57,7 +57,23 @@ impl RawColumn {
 /// live table's epoch snapshots can outlive each other in any order.
 #[derive(Debug)]
 pub(super) struct SpillRoot {
-    pub(super) dir: PathBuf,
+    dir: PathBuf,
+}
+
+impl SpillRoot {
+    /// Creates a fresh private subdirectory of `dir`, unique within the
+    /// process (a monotonic tag) and across processes (the pid).
+    pub(super) fn create(dir: &Path) -> io::Result<Arc<SpillRoot>> {
+        let tag = SPILL_TAG.fetch_add(1, Ordering::Relaxed);
+        let root = dir.join(format!("sdd-shards-{}-{tag:04}", std::process::id()));
+        std::fs::create_dir_all(&root)?;
+        Ok(Arc::new(SpillRoot { dir: root }))
+    }
+
+    /// The directory.
+    pub(super) fn dir(&self) -> &Path {
+        &self.dir
+    }
 }
 
 impl Drop for SpillRoot {
@@ -93,7 +109,7 @@ impl Drop for SpillFile {
 
 /// Monotonic tag making every `ShardedTable`'s spill subdirectory unique
 /// within the process (plus the pid across processes).
-pub(super) static SPILL_TAG: AtomicU64 = AtomicU64::new(0);
+static SPILL_TAG: AtomicU64 = AtomicU64::new(0);
 
 pub(super) fn segment_file_name(i: usize) -> String {
     format!("shard-{i:05}.seg")

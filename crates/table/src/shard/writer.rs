@@ -7,12 +7,12 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use super::sharded::{segment, Shard, ShardConfig, ShardedTable};
-use super::spill::{spill_segment, SpillRoot, SPILL_TAG};
+use super::spill::{spill_segment, SpillRoot};
 use crate::view::chunk_spans;
 use crate::{Codes, Dictionary, Schema, Table, TableError};
 use std::io;
 use std::ops::Range;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// Measure names must differ from every categorical column and each other.
@@ -126,15 +126,7 @@ impl SegmentWriter {
         measures: Vec<(String, Vec<f64>)>,
         spill_dir: Option<&std::path::Path>,
     ) -> io::Result<SegmentWriter> {
-        let spill_root = match spill_dir {
-            Some(dir) => {
-                let tag = SPILL_TAG.fetch_add(1, Ordering::Relaxed);
-                let root = dir.join(format!("sdd-shards-{}-{tag:04}", std::process::id()));
-                std::fs::create_dir_all(&root)?;
-                Some(Arc::new(SpillRoot { dir: root }))
-            }
-            None => None,
-        };
+        let spill_root = spill_dir.map(SpillRoot::create).transpose()?;
         Ok(SegmentWriter {
             segments: Segments {
                 spans: Vec::new(),
