@@ -195,10 +195,13 @@ fn explore<R: BufRead, W: Write>(
             Command::Demo(name, rows) => return Ok(Outcome::Reload(Source::Demo(name, rows))),
             Command::Help => writeln!(output, "{HELP}")?,
             Command::Show => writeln!(output, "{}", explorer.render())?,
-            Command::Stats => {
-                writeln!(output, "handler: {:?}", explorer.handler_stats())?;
-                writeln!(output, "explorer: {:?}", explorer.stats)?;
-            }
+            Command::Stats => match explorer.try_drain_pending_prefetch() {
+                Ok(()) => {
+                    writeln!(output, "handler: {:?}", explorer.handler_stats())?;
+                    writeln!(output, "explorer: {:?}", explorer.stats)?;
+                }
+                Err(e) => writeln!(output, "error: {e}")?,
+            },
             Command::Refresh => match explorer.try_refresh_exact_counts() {
                 Ok(()) => writeln!(output, "counts refreshed (exact)\n{}", explorer.render())?,
                 Err(e) => writeln!(output, "error: {e}")?,

@@ -54,22 +54,19 @@ pub fn allocate_table_id() -> u64 {
     NEXT_TABLE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// When the post-expansion §4.3 prefetch pass runs.
+/// Whether the post-expansion §4.3 prefetch pass runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PrefetchMode {
     /// Never prefetch (every fresh drill-down pays a Create scan).
     Off,
-    /// Prefetch synchronously inside the expansion call — the single-user
-    /// semantics every other mode must be indistinguishable from.
-    #[default]
-    Inline,
-    /// Record a [`PrefetchJob`] instead of running it; a background worker
+    /// Record a [`PrefetchJob`] after each expansion; a background worker
     /// (or the next handler-touching call, whichever comes first) runs it
     /// via [`Explorer::try_run_prefetch`]. This is how a server overlaps the
     /// scan with analyst think-time **without** changing any observable
     /// result: the job always executes after the expansion that produced it
-    /// and before the next operation that reads handler state, exactly
-    /// where `Inline` would have run it.
+    /// and before the next operation that reads handler state. A job that
+    /// fails surfaces as the error of that next operation.
+    #[default]
     Deferred,
 }
 
@@ -108,7 +105,7 @@ impl Default for ExplorerConfig {
             k: 4,
             max_weight: None,
             handler: SampleHandlerConfig::default(),
-            prefetch: PrefetchMode::Inline,
+            prefetch: PrefetchMode::Deferred,
             confidence_z: 1.96,
             cache: None,
             table_id: None,
@@ -299,9 +296,9 @@ impl Explorer {
     }
 
     /// Runs the deferred prefetch job now, if one is pending. Every
-    /// handler-touching operation calls this first, so deferred execution
-    /// is observably identical to [`PrefetchMode::Inline`] no matter
-    /// whether a background worker got to the job in time. A spill failure
+    /// handler-touching operation calls this first, so the result is the
+    /// same whether or not a background worker got to the job in time, and
+    /// the same as running it at the end of the expansion. A spill failure
     /// during the job turns into an error response instead of killing the
     /// worker; the job is consumed either way — prefetching is best-effort
     /// and the failure will resurface on the next operation that needs the
@@ -441,8 +438,8 @@ impl Explorer {
         star: Option<usize>,
     ) -> Result<Vec<DisplayedRule>, SessionError> {
         // Deferred work the background worker hasn't claimed yet must run
-        // before this expansion reads the sample store (or deferred mode
-        // would diverge from inline semantics), and a live session then
+        // before this expansion reads the sample store (or the result
+        // would depend on the worker's timing), and a live session then
         // advances to the table's newest epoch.
         let base = self.node(path)?.info.rule.clone();
         self.try_advance_epoch()?;
@@ -493,9 +490,9 @@ impl Explorer {
 
         // Pre-fetch for the likely next drill-downs (§4.3): uniform click
         // probability over the new rules, selectivities from the estimates.
-        // Inline runs the scan now; Deferred records the job for the
-        // background worker (or the next handler-touching call).
-        if self.config.prefetch != PrefetchMode::Off && !infos.is_empty() {
+        // The job is recorded for the background worker (or the next
+        // handler-touching call).
+        if self.config.prefetch == PrefetchMode::Deferred && !infos.is_empty() {
             let base_count = self.node(path)?.info.count.max(1.0);
             let rules: Vec<Rule> = infos.iter().map(|i| i.rule.clone()).collect();
             let probs = self.click_model.probabilities(&rules);
@@ -508,17 +505,10 @@ impl Explorer {
                     selectivity: (i.count / base_count).clamp(0.0, 1.0),
                 })
                 .collect();
-            let job = PrefetchJob {
+            self.pending_prefetch = Some(PrefetchJob {
                 parent: base,
                 entries,
-            };
-            match self.config.prefetch {
-                PrefetchMode::Inline => {
-                    self.try_run_prefetch(&job)?;
-                }
-                PrefetchMode::Deferred => self.pending_prefetch = Some(job),
-                PrefetchMode::Off => unreachable!("guarded above"),
-            }
+            });
         }
 
         self.node_mut(path)?.children = children;
@@ -769,7 +759,7 @@ mod tests {
                 min_sample_size: min_ss,
                 seed: 7,
             },
-            prefetch: PrefetchMode::Inline,
+            prefetch: PrefetchMode::Deferred,
             confidence_z: 1.96,
             cache: None,
             table_id: None,
@@ -931,17 +921,13 @@ mod tests {
         );
     }
 
-    /// Drives the same three-step drill script under a prefetch mode and
-    /// snapshots everything observable: rendered display, stored samples,
-    /// and handler counters.
+    /// Drives the same three-step drill script and snapshots everything
+    /// observable: rendered display, stored samples, and handler counters.
     fn drive_script(
         table: &Arc<Table>,
-        mode: PrefetchMode,
         drain_like_worker: bool,
     ) -> (String, Vec<sdd_sampling::StoredSampleInfo>, String) {
-        let mut cfg = config(1000);
-        cfg.prefetch = mode;
-        let mut ex = Explorer::new(table.clone(), Box::new(SizeWeight), cfg);
+        let mut ex = Explorer::new(table.clone(), Box::new(SizeWeight), config(1000));
         for path in [vec![], vec![0], vec![1]] {
             ex.expand(&path).unwrap();
             if drain_like_worker {
@@ -961,20 +947,17 @@ mod tests {
     }
 
     #[test]
-    fn deferred_prefetch_is_indistinguishable_from_inline() {
+    fn a_worker_run_prefetch_is_indistinguishable_from_a_lazy_drain() {
         let table = Arc::new(retail(42));
-        let inline = drive_script(&table, PrefetchMode::Inline, false);
-        // Deferred where the "worker" runs every job during think-time.
-        let deferred_worker = drive_script(&table, PrefetchMode::Deferred, true);
-        // Deferred where the worker never shows up and the next request
-        // drains the job itself.
-        let deferred_lazy = drive_script(&table, PrefetchMode::Deferred, false);
-        assert_eq!(inline.0, deferred_worker.0);
-        assert_eq!(inline.1, deferred_worker.1);
-        assert_eq!(inline.2, deferred_worker.2);
-        assert_eq!(inline.0, deferred_lazy.0);
-        assert_eq!(inline.1, deferred_lazy.1);
-        assert_eq!(inline.2, deferred_lazy.2);
+        // The "worker" runs every job during think-time.
+        let worker = drive_script(&table, true);
+        // The worker never shows up and the next request drains the job
+        // itself.
+        let lazy = drive_script(&table, false);
+        assert!(!worker.1.is_empty(), "the script must store samples");
+        assert_eq!(worker.0, lazy.0);
+        assert_eq!(worker.1, lazy.1);
+        assert_eq!(worker.2, lazy.2);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! * per-session ordering: every operation locks the session's own mutex;
 //! * prefetch equivalence: a deferred prefetch job is run by the background
 //!   worker during think-time, or — if a request arrives first — drained at
-//!   the start of that request, which is exactly where the inline mode
-//!   would have run it (see [`sdd_explorer::PrefetchMode`]).
+//!   the start of that request, so it always runs between the expansion
+//!   that created it and the next operation on that session (see
+//!   [`sdd_explorer::PrefetchMode`]).
 //!
 //! Sessions never share mutable state (each has its own sample store,
 //! click model, and counters), so concurrent sessions cannot perturb each
@@ -29,7 +30,7 @@ use crate::protocol::{Request, Response, RuleInfo, StatsInfo};
 use crate::registry::{Registry, RegistryError, TenantId, ANONYMOUS_TENANT};
 use sdd_core::{BitsWeight, SizeMinusOne, SizeWeight, WeightFn};
 use sdd_explorer::{
-    DisplayedRule, Explorer, ExplorerConfig, PrefetchMode, ResultCache, SharedResultCache,
+    DisplayedRule, Explorer, ExplorerConfig, ResultCache, SharedResultCache,
 };
 use sdd_sampling::PrefetchJob;
 use sdd_table::{Table, TableStore};
@@ -67,10 +68,9 @@ impl Default for TailConfig {
 /// Server-wide defaults for new sessions.
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Session defaults (`k`, `mw`, sampling layer). The `prefetch` field
-    /// selects the serving mode: `Deferred` for a server with a background
-    /// prefetch worker, `Inline` for single-threaded replay — the two are
-    /// observably identical.
+    /// Session defaults (`k`, `mw`, sampling layer, prefetch). A deferred
+    /// prefetch job runs on the server's background worker, or at the start
+    /// of the session's next request — the two are observably identical.
     pub session: ExplorerConfig,
     /// Byte budget of the shared cross-session result cache; `0` disables
     /// it. The cache is transparent — responses are byte-identical either
@@ -91,10 +91,7 @@ pub struct EngineConfig {
 impl Default for EngineConfig {
     fn default() -> Self {
         Self {
-            session: ExplorerConfig {
-                prefetch: PrefetchMode::Deferred,
-                ..ExplorerConfig::default()
-            },
+            session: ExplorerConfig::default(),
             cache_bytes: 64 << 20,
             tenants: Arc::new(TenantRegistry::open()),
             tail: None,
@@ -550,8 +547,8 @@ impl Engine {
 
     /// Locks the named session and runs `f` on it. Any deferred prefetch
     /// job the background worker has not claimed yet is drained **first**,
-    /// under the same lock, so every operation observes the state inline
-    /// prefetching would have produced.
+    /// under the same lock, so every operation observes the same state
+    /// whether or not the worker got to the job first.
     fn with_session(
         &self,
         session: &str,
@@ -606,8 +603,7 @@ impl Engine {
                     // Best-effort: a failed background prefetch stores
                     // nothing; the next request touching the damaged shard
                     // gets the error. (When no job remains, a request beat
-                    // us to it and drained it — the exact point inline
-                    // prefetching would have run it.)
+                    // us to it and drained it first.)
                     let _ = ex.try_run_prefetch(&job);
                     self.speculate(&ex, &job);
                 }

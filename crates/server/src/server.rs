@@ -7,8 +7,8 @@
 //! pings the prefetch worker over an mpsc channel; the worker claims and
 //! runs the job under the session lock during the client's think-time. If
 //! the next request for that session wins the race instead, it drains the
-//! job itself first — either way the observable results equal inline
-//! execution (the determinism harness asserts exactly this).
+//! job itself first — either way the observable results are the same (the
+//! determinism harness asserts exactly this).
 
 use crate::engine::{Engine, EngineConfig};
 use crate::http::{self, LineRead};

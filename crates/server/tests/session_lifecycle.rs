@@ -16,7 +16,6 @@
 //!    can produce and assert byte-identical transcripts against inline
 //!    execution, so a future regression cannot land silently.
 
-use sdd_explorer::{ExplorerConfig, PrefetchMode};
 use sdd_server::{
     Client, Engine, EngineConfig, OpenOptions, Request, Response, Server, ServerConfig,
 };
@@ -171,13 +170,9 @@ fn sessions_outlive_requests_but_not_their_connection() {
 // Deferred-prefetch claim race: deterministic interleaving replay
 // ---------------------------------------------------------------------------
 
-fn engine_with(mode: PrefetchMode, cache_bytes: usize) -> Engine {
+fn engine_with(cache_bytes: usize) -> Engine {
     let table = Arc::new(sdd_datagen::retail(42));
     let config = EngineConfig {
-        session: ExplorerConfig {
-            prefetch: mode,
-            ..ExplorerConfig::default()
-        },
         cache_bytes,
         ..EngineConfig::default()
     };
@@ -230,9 +225,9 @@ fn transcript(engine: &Engine, session: &str, ticks: usize) -> Vec<String> {
 
 #[test]
 fn duplicate_worker_claims_never_change_a_response_byte() {
-    // The reference: inline prefetch, no worker, no cache.
-    let inline_engine = engine_with(PrefetchMode::Inline, 0);
-    let reference = transcript(&inline_engine, "race", 0);
+    // The reference: no worker (each request drains the job the one
+    // before it left), no cache.
+    let reference = transcript(&engine_with(0), "race", 0);
     assert!(
         reference.iter().any(|l| l.contains("\"op\":\"expand\"")),
         "script never expanded: {reference:?}"
@@ -244,7 +239,7 @@ fn duplicate_worker_claims_never_change_a_response_byte() {
     // (ticks=2) — with the shared cache off and on.
     for cache_bytes in [0, 64 << 20] {
         for ticks in 0..=2 {
-            let engine = engine_with(PrefetchMode::Deferred, cache_bytes);
+            let engine = engine_with(cache_bytes);
             let got = transcript(&engine, "race", ticks);
             assert_eq!(
                 got, reference,
@@ -256,7 +251,7 @@ fn duplicate_worker_claims_never_change_a_response_byte() {
 
 #[test]
 fn worker_tick_on_missing_or_idle_session_is_a_no_op() {
-    let engine = engine_with(PrefetchMode::Deferred, 0);
+    let engine = engine_with(0);
     // Unknown session: nothing to claim, nothing to panic over.
     engine.run_pending_prefetch("nobody");
     let (line, hint) = engine.handle_line(

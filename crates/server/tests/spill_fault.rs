@@ -130,16 +130,14 @@ fn a_damaged_remap_entry_yields_error_response_not_crash() {
     );
 }
 
-/// Inline prefetch (single-threaded replay mode) scans the store *after*
-/// the expansion's sample was served from memory. A damaged spill file at
-/// that point must be an error response — it used to reach a panicking
-/// wrapper and kill the session — and the next request on an intact store
-/// succeeds.
+/// A deferred prefetch job scans the store *after* the expansion that
+/// scheduled it was answered from memory. A damaged spill file at that
+/// point must not panic the worker or poison the session: the job stores
+/// nothing, the next request that needs the damaged shard answers with an
+/// error response, and the session recovers once the file is intact.
 #[test]
-fn inline_prefetch_over_truncated_spill_file_is_an_error_response() {
-    let mut config = EngineConfig::default();
-    config.session.prefetch = sdd_explorer::PrefetchMode::Inline;
-    let (engine, st) = spilling_engine_with(config);
+fn a_prefetch_over_a_truncated_spill_file_is_an_error_response() {
+    let (engine, st) = spilling_engine();
     assert!(matches!(open(&engine, "s"), Response::Opened { .. }));
     let expand = |path: Vec<usize>| {
         engine
@@ -149,40 +147,39 @@ fn inline_prefetch_over_truncated_spill_file_is_an_error_response() {
             })
             .0
     };
-    let creates = || match engine
+    let stats = || match engine
         .handle(&Request::Stats {
             session: "s".to_owned(),
         })
         .0
     {
-        Response::Stats { stats } => stats.creates,
+        Response::Stats { stats } => (stats.creates, stats.stored_samples),
         other => panic!("expected stats, got {other:?}"),
     };
     assert!(matches!(expand(vec![]), Response::Expanded { .. }));
-    let creates_before = creates();
+    // The stats request drains the root's prefetch job over intact files.
+    let before = stats();
 
     let path = st.spill_path(2).unwrap().to_path_buf();
     let bytes = std::fs::read(&path).unwrap();
     std::fs::write(&path, &bytes[..16]).unwrap();
 
     // The root's prefetch stored this child's sample: the drill-down is
-    // served from memory, and only its own inline prefetch touches disk.
-    match expand(vec![0]) {
+    // served from memory, and only its own prefetch job touches disk.
+    assert!(matches!(expand(vec![0]), Response::Expanded { .. }));
+    engine.run_pending_prefetch("s");
+    assert_eq!(stats(), before, "the failed job must store nothing");
+    match expand(vec![0, 0]) {
         Response::Error { message } => assert!(
             message.contains("storage error"),
             "expected a storage error, got: {message}"
         ),
         other => panic!("expected an error response, got {other:?}"),
     }
-    assert_eq!(
-        creates(),
-        creates_before,
-        "the fault must come from the prefetch scan, not a Create"
-    );
     assert!(matches!(engine.handle(&Request::Ping).0, Response::Pong));
 
     std::fs::write(&path, &bytes).unwrap();
-    let resp = expand(vec![0]);
+    let resp = expand(vec![0, 0]);
     assert!(
         matches!(resp, Response::Expanded { .. }),
         "session must recover once the file is intact: {resp:?}"

@@ -40,6 +40,8 @@ fn main() {
     explorer.expand(&[0]).expect("child expansion");
     println!("after drilling into the first rule:");
     println!("{}", explorer.render());
+    // Run the prefetch the drill-down scheduled, so the counters include it.
+    explorer.try_drain_pending_prefetch().expect("prefetch");
     println!(
         "{} of {} expansions served from memory; handler: {:?}\n",
         explorer.stats.served_from_memory,

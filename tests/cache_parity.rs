@@ -22,7 +22,6 @@
 //!    single-threaded cache-off replay byte for byte.
 
 use smart_drilldown::datagen::retail;
-use smart_drilldown::explorer::{ExplorerConfig, PrefetchMode};
 use smart_drilldown::server::{
     Client, Engine, EngineConfig, OpenOptions, Request, Server, ServerConfig,
 };
@@ -49,14 +48,10 @@ fn spilling_live(table: &Table) -> TableStore {
     TableStore::from(Arc::new(live))
 }
 
-fn engine_for(store: TableStore, cache_bytes: usize, prefetch: PrefetchMode) -> Engine {
+fn engine_for(store: TableStore, cache_bytes: usize) -> Engine {
     Engine::with_store(
         store,
         EngineConfig {
-            session: ExplorerConfig {
-                prefetch,
-                ..ExplorerConfig::default()
-            },
             cache_bytes,
             ..EngineConfig::default()
         },
@@ -128,7 +123,7 @@ fn replay(engine: &Engine, session: &str, seed: u64) -> Vec<String> {
 /// `build_store()`, and the same visit twice on a cache-enabled one.
 fn assert_cache_transparent(cell: &str, build_store: impl Fn() -> TableStore) {
     // Reference: cache disabled by config, one visit.
-    let uncached = engine_for(build_store(), 0, PrefetchMode::Inline);
+    let uncached = engine_for(build_store(), 0);
     assert!(
         uncached.cache_counters().is_none(),
         "{cell}: cache_bytes=0 must disable the cache"
@@ -138,7 +133,7 @@ fn assert_cache_transparent(cell: &str, build_store: impl Fn() -> TableStore) {
     // Cache enabled: the same visit twice. The second replay re-derives
     // every key and must be served from the cache — with debug assertions
     // re-verifying each hit bit-for-bit.
-    let cached = engine_for(build_store(), 64 << 20, PrefetchMode::Inline);
+    let cached = engine_for(build_store(), 64 << 20);
     let first = replay(&cached, "visit", 7);
     let second = replay(&cached, "visit", 7);
     assert_eq!(first, reference, "{cell}: first cached visit diverged");
@@ -186,12 +181,10 @@ fn different_seeds_miss_instead_of_colliding() {
     let table = Arc::new(retail(42));
     let cached = engine_for(
         TableStore::Whole(table.clone()),
-        64 << 20,
-        PrefetchMode::Inline,
-    );
+        64 << 20);
     let a = replay(&cached, "visit", 7);
     let b = replay(&cached, "visit", 1234);
-    let uncached = engine_for(TableStore::Whole(table), 0, PrefetchMode::Inline);
+    let uncached = engine_for(TableStore::Whole(table), 0);
     assert_eq!(a, replay(&uncached, "visit", 7));
     assert_eq!(b, replay(&uncached, "visit", 1234));
     // Sanity: the two seeds genuinely produce different estimates
@@ -208,10 +201,8 @@ fn a_cache_squeezed_into_evicting_still_answers_like_no_cache() {
     let table = Arc::new(retail(42));
     let squeezed = engine_for(
         TableStore::Whole(table.clone()),
-        8 << 10,
-        PrefetchMode::Inline,
-    );
-    let uncached = engine_for(TableStore::Whole(table), 0, PrefetchMode::Inline);
+        8 << 10);
+    let uncached = engine_for(TableStore::Whole(table), 0);
     for round in 0..2 {
         for seed in 1..=8 {
             assert_eq!(
@@ -271,8 +262,8 @@ fn concurrent_same_seed_clients_share_the_cache_transparently() {
     let counters = server.engine().cache_counters();
     server.shutdown();
 
-    // Reference: cache off, inline prefetch, single-threaded.
-    let reference = engine_for(TableStore::Whole(table), 0, PrefetchMode::Inline);
+    // Reference: cache off, single-threaded.
+    let reference = engine_for(TableStore::Whole(table), 0);
     for (i, transcript) in concurrent.iter().enumerate() {
         let expected = replay(&reference, &format!("clone-{i}"), 7);
         assert_eq!(

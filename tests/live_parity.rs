@@ -35,7 +35,6 @@
 //! — both legs must show identical exact counts there — and the harness
 //! asserts the live refresh reply itself is a well-formed `rules` payload.
 
-use smart_drilldown::explorer::{ExplorerConfig, PrefetchMode};
 use smart_drilldown::server::{
     Client, Engine, EngineConfig, Request, Server, ServerConfig, TailConfig,
 };
@@ -78,7 +77,7 @@ fn schema() -> Schema {
 }
 
 /// The frozen reference at `epoch`: a monolithic table holding exactly the
-/// rows visible at that epoch, served cache-off with inline prefetch.
+/// rows visible at that epoch, served cache-off.
 fn frozen_reference(epoch: usize) -> Engine {
     let mut b = TableBuilder::new(schema());
     for i in 0..epoch * BATCH {
@@ -88,10 +87,6 @@ fn frozen_reference(epoch: usize) -> Engine {
     Engine::with_store(
         TableStore::Whole(table),
         EngineConfig {
-            session: ExplorerConfig {
-                prefetch: PrefetchMode::Inline,
-                ..ExplorerConfig::default()
-            },
             cache_bytes: 0,
             ..EngineConfig::default()
         },

@@ -293,12 +293,9 @@ fn session_over_sampled_view_reproduces_walkthrough_shape() {
 }
 
 /// Drives a fixed three-level drill script through an [`Explorer`] and
-/// snapshots the sample store afterwards. `mode` controls prefetch
-/// scheduling.
-fn prefetch_script_samples(
-    table: &Arc<Table>,
-    mode: PrefetchMode,
-) -> (Vec<StoredSampleInfo>, String) {
+/// snapshots the sample store afterwards. With `worker`, each prefetch job
+/// runs between requests; without, the next request drains it.
+fn prefetch_script_samples(table: &Arc<Table>, worker: bool) -> (Vec<StoredSampleInfo>, String) {
     let mut ex = Explorer::new(
         table.clone(),
         Box::new(SizeWeight),
@@ -306,7 +303,7 @@ fn prefetch_script_samples(
             k: 3,
             max_weight: Some(3.0),
             handler: handler_cfg(20_000, 1_000, 55),
-            prefetch: mode,
+            prefetch: PrefetchMode::Deferred,
             confidence_z: 1.96,
             cache: None,
             table_id: None,
@@ -314,32 +311,35 @@ fn prefetch_script_samples(
     );
     for path in [vec![], vec![0], vec![1], vec![0]] {
         ex.expand(&path).expect("scripted expansion");
-        // In deferred mode, play the background worker: claim and run the
-        // job between requests (the server's think-time overlap).
-        if let Some(job) = ex.take_pending_prefetch() {
-            ex.try_run_prefetch(&job).unwrap();
+        // Play the background worker: claim and run the job between
+        // requests (the server's think-time overlap).
+        if worker {
+            if let Some(job) = ex.take_pending_prefetch() {
+                ex.try_run_prefetch(&job).unwrap();
+            }
         }
     }
+    ex.try_drain_pending_prefetch().unwrap();
     (ex.handler().stored_samples(), ex.render())
 }
 
 #[test]
 fn background_prefetch_is_deterministic_across_workers() {
-    // The §4.3 prefetch must store bit-identical samples whether it runs
-    // inline in the expansion call or on a background worker — rows,
+    // The §4.3 prefetch must store bit-identical samples whether the next
+    // request drains it or a background worker runs it first — rows,
     // order, scales, and the resulting display must all match.
     let table = Arc::new(retail_x3(42));
-    let (inline_samples, inline_render) = prefetch_script_samples(&table, PrefetchMode::Inline);
-    let (worker1_samples, worker1_render) = prefetch_script_samples(&table, PrefetchMode::Deferred);
+    let (lazy_samples, lazy_render) = prefetch_script_samples(&table, false);
+    let (worker1_samples, worker1_render) = prefetch_script_samples(&table, true);
 
-    assert!(!inline_samples.is_empty(), "script must store samples");
+    assert!(!lazy_samples.is_empty(), "script must store samples");
     assert_eq!(
-        inline_samples, worker1_samples,
-        "deferred(1 worker) differs from inline"
+        lazy_samples, worker1_samples,
+        "deferred(1 worker) differs from a lazy drain"
     );
-    assert_eq!(inline_render, worker1_render);
+    assert_eq!(lazy_render, worker1_render);
     // Scales must match to the bit, not approximately.
-    for (a, b) in inline_samples.iter().zip(&worker1_samples) {
+    for (a, b) in lazy_samples.iter().zip(&worker1_samples) {
         assert_eq!(a.scale.to_bits(), b.scale.to_bits());
     }
 }

@@ -12,7 +12,6 @@
 //! schedule-dependent sample draw shows up as a transcript diff.
 
 use smart_drilldown::datagen::retail;
-use smart_drilldown::explorer::{ExplorerConfig, PrefetchMode};
 use smart_drilldown::server::{
     Client, Engine, EngineConfig, Json, OpenOptions, Request, Response, Server, ServerConfig,
 };
@@ -175,18 +174,10 @@ fn session_seed(i: usize) -> u64 {
 }
 
 /// Replays every client's script single-threaded through a fresh engine
-/// with **inline** prefetch — the reference semantics.
+/// with no background worker, so each prefetch job runs at the start of
+/// the session's next request — the reference semantics.
 fn sequential_reference(table: &Arc<Table>) -> Vec<Vec<String>> {
-    let engine = Engine::new(
-        table.clone(),
-        EngineConfig {
-            session: ExplorerConfig {
-                prefetch: PrefetchMode::Inline,
-                ..ExplorerConfig::default()
-            },
-            ..EngineConfig::default()
-        },
-    );
+    let engine = Engine::new(table.clone(), EngineConfig::default());
     (0..N_CLIENTS)
         .map(|i| drive_session(&mut Direct(&engine), &session_name(i), session_seed(i)))
         .collect()

@@ -680,7 +680,7 @@ fn explorer_config(seed: u64) -> ExplorerConfig {
             min_sample_size: 1_000,
             seed,
         },
-        prefetch: PrefetchMode::Inline,
+        prefetch: PrefetchMode::Deferred,
         confidence_z: 1.96,
         cache: None,
         table_id: None,
@@ -701,6 +701,7 @@ fn drive_explorer(mut ex: Explorer) -> (String, Vec<StoredSampleInfo>, String) {
     ex.collapse(&[0]).unwrap();
     ex.try_refresh_exact_counts().unwrap();
     transcript.push_str(&ex.render());
+    ex.try_drain_pending_prefetch().unwrap();
     let stats = format!("{:?} {:?}", ex.stats, ex.handler_stats());
     (transcript, ex.handler().stored_samples(), stats)
 }
