@@ -3,12 +3,8 @@
 //! A rule is a conjunction of `column == code` predicates. The three code
 //! widths are those of `sdd_table::Codes` (1/2/4 bytes per row): a resident
 //! column's global codes and a spilled column's packed local codes alike
-//! are stored at the narrowest width their dictionary fits. Two kernels answer "which rows satisfy every
-//! predicate" and "how many":
-//!
-//! ## Block masks
-//!
-//! One block loop serves every hit and multi-predicate count scan. It walks
+//! are stored at the narrowest width their dictionary fits. One block loop
+//! answers both "which rows satisfy every predicate" and "how many". It walks
 //! the rows in blocks of 2 048 (32 words). For a batch of rules it first
 //! ANDs, once per block, the equality bitmasks of the predicates every rule
 //! shares — bit `j` of word `w` is row `64w + j`'s boolean — and skips the
@@ -19,23 +15,15 @@
 //! filter produces, whatever the predicate order and whichever predicates
 //! were shared (AND is order-free). They reach the caller a block at a time
 //! from one reused buffer. A count is the popcount of the same words, and
-//! one rule alone is the batch of one. The kernel is portable safe Rust
+//! one rule alone is the batch of one. The loop is portable safe Rust
 //! that LLVM vectorises, with no dispatch. On a 10⁶-row, 7-column census
 //! table (2-vCPU x86-64 host, one thread), a prefetch-shaped batch of seven
 //! rules — a one-predicate parent and six children — finds every rule's
 //! covered rows in 2.8–3.2 ms against 4.2–5.8 ms for one mask scan per rule
 //! into a fresh list per segment, and a root batch — the trivial rule and
-//! six one-predicate rules — in 3.7–4.9 ms against 4.9–5.6 ms.
-//!
-//! ## Single-predicate counts
-//!
-//! A one-predicate count skips the masks: `count_eq_u8` / `count_eq_u16` /
-//! `count_eq_u32` add `x == want` into an accumulator as wide as the
-//! code, over chunks short enough that it cannot overflow, which LLVM
-//! vectorises at the baseline target with no dispatch. Per 10⁶ codes on
-//! the same host that is 0.035 / 0.055 / 0.16 ms for `u8` / `u16` / `u32`
-//! — faster than both the one-predicate mask popcount (0.11–0.19 /
-//! 0.13–0.24 / 0.25–0.36 ms) and the AVX2 kernel it replaced.
+//! six one-predicate rules — in 3.7–4.9 ms against 4.9–5.6 ms. A
+//! one-predicate count costs 0.11–0.19 / 0.13–0.24 / 0.25–0.36 ms per 10⁶
+//! `u8` / `u16` / `u32` codes there.
 
 use sdd_table::Codes;
 
@@ -71,15 +59,6 @@ impl<'a> EqPred<'a> {
             EqPred::U8(codes, want) => and_eq_mask(&codes[rows], want, acc),
             EqPred::U16(codes, want) => and_eq_mask(&codes[rows], want, acc),
             EqPred::U32(codes, want) => and_eq_mask(&codes[rows], want, acc),
-        }
-    }
-
-    /// How many rows hold the wanted code.
-    fn count(self) -> usize {
-        match self {
-            EqPred::U8(codes, want) => count_eq_u8(codes, want),
-            EqPred::U16(codes, want) => count_eq_u16(codes, want),
-            EqPred::U32(codes, want) => count_eq_u32(codes, want),
         }
     }
 }
@@ -197,52 +176,14 @@ pub(crate) fn hits(preds: &[EqPred<'_>], n: usize, base: u32) -> Vec<u32> {
     out
 }
 
-/// How many rows of `0..n` satisfy every predicate: a single predicate
-/// through its count kernel, more through the block masks' popcounts.
+/// How many rows of `0..n` satisfy every predicate (all `n` when there is
+/// none): the popcount of the block masks.
 pub(crate) fn count(preds: &[EqPred<'_>], n: usize) -> u64 {
-    match preds {
-        [] => n as u64,
-        [p] => p.count() as u64,
-        _ => {
-            let mut total = 0u64;
-            for_each_block(preds, &[Some(Vec::new())], n, |_, _, words| {
-                total += words.iter().map(|w| u64::from(w.count_ones())).sum::<u64>()
-            });
-            total
-        }
-    }
-}
-
-/// Counts entries equal to `want`, summing a `T` accumulator per chunk of
-/// at most `chunk` entries (so `chunk` must fit in `T`): a lane as wide as
-/// the code, which LLVM vectorises as compare-and-add.
-fn count_eq<T>(codes: &[T], want: T, chunk: usize) -> usize
-where
-    T: Copy + PartialEq + From<bool> + std::ops::Add<Output = T> + Into<u64>,
-{
-    let in_chunk = |c: &[T]| {
-        c.iter()
-            .fold(T::from(false), |n, &x| n + T::from(x == want))
-    };
-    codes
-        .chunks(chunk)
-        .map(|c| in_chunk(c).into() as usize)
-        .sum()
-}
-
-/// Counts entries equal to `want`, 255 per `u8` accumulator.
-pub(crate) fn count_eq_u8(codes: &[u8], want: u8) -> usize {
-    count_eq(codes, want, u8::MAX.into())
-}
-
-/// Counts entries equal to `want`, 65 535 per `u16` accumulator.
-pub(crate) fn count_eq_u16(codes: &[u16], want: u16) -> usize {
-    count_eq(codes, want, u16::MAX.into())
-}
-
-/// Counts entries equal to `want`, 2²⁰ per `u32` accumulator.
-pub(crate) fn count_eq_u32(codes: &[u32], want: u32) -> usize {
-    count_eq(codes, want, 1 << 20)
+    let mut total = 0u64;
+    for_each_block(preds, &[Some(Vec::new())], n, |_, _, words| {
+        total += words.iter().map(|w| u64::from(w.count_ones())).sum::<u64>()
+    });
+    total
 }
 
 /// Does nothing: every host runs the same count code. Kept only because
@@ -274,30 +215,9 @@ mod tests {
 
     #[test]
     fn dispatch_matches_scalar_on_all_tail_lengths() {
-        // An all-equal slice fills a chunk's narrow accumulator to the brim;
-        // one past a seam wraps it (or, with debug assertions, panics) if
-        // the chunk is a row too long.
-        for n in [254, 255, 256, 511] {
-            let all = vec![5u8; n];
-            let alt: Vec<u8> = (0..n).map(|i| 5 * (i % 2) as u8).collect();
-            for codes in [all, alt] {
-                let exp = codes.iter().filter(|&&c| c == 5).count();
-                assert_eq!(count_eq_u8(&codes, 5), exp, "u8 n={n}");
-            }
-        }
-        for n in [65_535, 65_536, 65_537] {
-            let all = vec![5u16; n];
-            let alt: Vec<u16> = (0..n).map(|i| 5 * (i % 2) as u16).collect();
-            for codes in [all, alt] {
-                let exp = codes.iter().filter(|&&c| c == 5).count();
-                assert_eq!(count_eq_u16(&codes, 5), exp, "u16 n={n}");
-            }
-        }
-        assert_eq!(count_eq_u32(&vec![5; (1 << 20) + 1], 5), (1 << 20) + 1);
-
         // 0..64 remainder rows exercise every partial word and every
-        // vector tail of the count kernels; the longer lengths straddle
-        // the block seam.
+        // vector tail of the block loop; the longer lengths straddle the
+        // block seam.
         let mut rng = lcg(42);
         for n in (0..64).chain([128, 255, 1000, BLOCK_ROWS - 1, BLOCK_ROWS + 65]) {
             let b8: Vec<u8> = (0..n).map(|_| (rng() % 3) as u8).collect();
@@ -309,21 +229,12 @@ mod tests {
                     EqPred::U16(&b16, want as u16),
                     EqPred::U32(&b32, want),
                 ];
-                // Each width's single-predicate count kernel on its own.
+                // Each width's single-predicate count on its own.
                 let scalar = [
                     b8.iter().filter(|&&c| u32::from(c) == want).count(),
                     b16.iter().filter(|&&c| u32::from(c) == want).count(),
                     b32.iter().filter(|&&c| c == want).count(),
                 ];
-                assert_eq!(
-                    [
-                        count_eq_u8(&b8, want as u8),
-                        count_eq_u16(&b16, want as u16),
-                        count_eq_u32(&b32, want),
-                    ],
-                    scalar,
-                    "n={n} want={want}"
-                );
                 for (p, &exp) in preds.iter().zip(&scalar) {
                     assert_eq!(count(&[*p], n), exp as u64, "n={n} want={want}");
                     assert_eq!(hits(&[*p], n, 0).len(), exp, "n={n} want={want}");
