@@ -29,9 +29,7 @@ use crate::predict::{PredictCounters, TransitionModel};
 use crate::protocol::{Request, Response, RuleInfo, StatsInfo};
 use crate::registry::{Registry, RegistryError, TenantId, ANONYMOUS_TENANT};
 use sdd_core::{BitsWeight, SizeMinusOne, SizeWeight, WeightFn};
-use sdd_explorer::{
-    DisplayedRule, Explorer, ExplorerConfig, ResultCache, SharedResultCache,
-};
+use sdd_explorer::{DisplayedRule, Explorer, ExplorerConfig, ResultCache, SharedResultCache};
 use sdd_sampling::PrefetchJob;
 use sdd_table::{Table, TableStore};
 use std::sync::Arc;
@@ -44,26 +42,18 @@ const STRIPES: usize = 16;
 /// (backpressure guard on the open port).
 const MAX_SESSIONS: usize = 10_000;
 
-/// Tail-ingest settings: accepting `append` requests against a live
+/// Largest accepted `append` batch, in rows. One request seals at least
+/// one segment, so unbounded batches would let a single client drive
+/// unbounded allocation; 10 000 rows comfortably fit the protocol's
+/// line-length budget.
+const MAX_APPEND_ROWS: usize = 10_000;
+
+/// Tail-ingest opt-in: accepting `append` requests against a live
 /// (appendable) served table. Absent from [`EngineConfig`] by default —
 /// a server that did not opt in (`sdd serve --tail`) rejects every
 /// `append` before touching the store.
-#[derive(Debug, Clone)]
-pub struct TailConfig {
-    /// Largest accepted `append` batch, in rows. One request seals at
-    /// least one segment, so unbounded batches would let a single client
-    /// drive unbounded allocation; the default (10 000) comfortably fits
-    /// the protocol's line-length budget.
-    pub max_batch_rows: usize,
-}
-
-impl Default for TailConfig {
-    fn default() -> Self {
-        Self {
-            max_batch_rows: 10_000,
-        }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct TailConfig {}
 
 /// Server-wide defaults for new sessions.
 #[derive(Debug, Clone)]
@@ -83,8 +73,8 @@ pub struct EngineConfig {
     /// only decide whether an `open` is admitted.
     pub tenants: Arc<TenantRegistry>,
     /// Tail-ingest opt-in: `Some` accepts `append` requests (gated on the
-    /// tenant's `ingest` capability and `max_batch_rows`), `None` — the
-    /// default — rejects them all.
+    /// tenant's `ingest` capability and a 10 000-row batch cap), `None` —
+    /// the default — rejects them all.
     pub tail: Option<TailConfig>,
 }
 
@@ -412,9 +402,9 @@ impl Engine {
     /// no cached result is ever served across the boundary (the epoch is
     /// part of every cache key).
     fn append(&self, rows: &[Vec<String>], measures: &[Vec<f64>], tenant: TenantId) -> Response {
-        let Some(tail) = &self.config.tail else {
+        if self.config.tail.is_none() {
             return Response::error("append rejected: tail ingest is not enabled on this server");
-        };
+        }
         let owner = self.config.tenants.tenant(tenant);
         if !owner.quota.ingest {
             return Response::error(format!(
@@ -422,11 +412,10 @@ impl Engine {
                 owner.name
             ));
         }
-        if rows.len() > tail.max_batch_rows {
+        if rows.len() > MAX_APPEND_ROWS {
             return Response::error(format!(
-                "append batch of {} rows exceeds the {}-row cap",
-                rows.len(),
-                tail.max_batch_rows
+                "append batch of {} rows exceeds the {MAX_APPEND_ROWS}-row cap",
+                rows.len()
             ));
         }
         let Some(live) = self.store.as_live() else {

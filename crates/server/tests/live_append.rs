@@ -74,18 +74,24 @@ fn append_is_rejected_on_frozen_stores() {
 
 #[test]
 fn append_batches_above_the_cap_are_rejected() {
-    let engine = live_engine(Some(TailConfig { max_batch_rows: 8 }));
-    let (resp, _) = engine.handle(&append_req(0, 9));
+    let engine = live_engine(Some(TailConfig::default()));
+    let (resp, _) = engine.handle(&append_req(0, 10_001));
     match resp {
         Response::Error { message } => assert!(
-            message.contains("9 rows exceeds the 8-row cap"),
+            message.contains("10001 rows exceeds the 10000-row cap"),
             "{message}"
         ),
         other => panic!("unexpected {other:?}"),
     }
     // At the cap is fine.
-    let (resp, _) = engine.handle(&append_req(0, 8));
-    assert_eq!(resp, Response::Appended { epoch: 1, rows: 8 });
+    let (resp, _) = engine.handle(&append_req(0, 10_000));
+    assert_eq!(
+        resp,
+        Response::Appended {
+            epoch: 1,
+            rows: 10_000
+        }
+    );
 }
 
 #[test]

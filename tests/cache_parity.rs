@@ -179,9 +179,7 @@ fn different_seeds_miss_instead_of_colliding() {
     // views; their keys must differ (content digest), so the cache serves
     // neither session the other's rules.
     let table = Arc::new(retail(42));
-    let cached = engine_for(
-        TableStore::Whole(table.clone()),
-        64 << 20);
+    let cached = engine_for(TableStore::Whole(table.clone()), 64 << 20);
     let a = replay(&cached, "visit", 7);
     let b = replay(&cached, "visit", 1234);
     let uncached = engine_for(TableStore::Whole(table), 0);
@@ -199,9 +197,7 @@ fn a_cache_squeezed_into_evicting_still_answers_like_no_cache() {
     // revisit finds some of its entries gone and some still there. Eviction
     // may only change which searches are recomputed, never a reply byte.
     let table = Arc::new(retail(42));
-    let squeezed = engine_for(
-        TableStore::Whole(table.clone()),
-        8 << 10);
+    let squeezed = engine_for(TableStore::Whole(table.clone()), 8 << 10);
     let uncached = engine_for(TableStore::Whole(table), 0);
     for round in 0..2 {
         for seed in 1..=8 {
