@@ -19,8 +19,8 @@ use sdd_core::exec::TaskPool;
 use sdd_table::{Table, TableStore};
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server front-end configuration.
@@ -146,8 +146,7 @@ impl Server {
         reason = "the idle sweep ticks on the wall clock"
     )]
     fn run_until(self, stop: Arc<AtomicBool>) -> std::io::Result<()> {
-        let pool = Arc::new(TaskPool::new(self.config.threads));
-        let queue_gauge = pool.pending_gauge();
+        let pool = TaskPool::new(self.config.threads);
         // The prefetch worker: claims deferred jobs during think-time.
         let (prefetch_tx, prefetch_rx) = mpsc::channel::<String>();
         let prefetch_engine = Arc::clone(&self.engine);
@@ -179,118 +178,38 @@ impl Server {
                 }
             })
         });
-        // Clones of live connections so shutdown can unblock workers
-        // parked in `read_line`, keyed by connection id so each worker can
-        // drop its own entry when the client disconnects (otherwise a
-        // long-lived server would leak one fd per past connection).
-        let conns: Arc<std::sync::Mutex<Vec<(u64, TcpStream)>>> =
-            Arc::new(std::sync::Mutex::new(Vec::new()));
-        let next_conn_id = Arc::new(AtomicU64::new(0));
-
-        // The HTTP accept loop, when configured: admission control on the
-        // accept thread (shedding must not depend on a free pool worker),
-        // everything else on the shared pool.
-        let http_addr = self.http_addr();
-        let http_thread = self.http_listener.map(|listener| {
-            let engine = Arc::clone(&self.engine);
-            let metrics = Arc::clone(&self.metrics);
-            let pool = Arc::clone(&pool);
-            let queue_gauge = Arc::clone(&queue_gauge);
-            let stop = Arc::clone(&stop);
-            let conns = Arc::clone(&conns);
-            let next_conn_id = Arc::clone(&next_conn_id);
-            let prefetch_tx = prefetch_tx.clone();
-            let idle_timeout = self.config.idle_timeout;
-            let max_queue = self.config.max_queue;
-            std::thread::spawn(move || {
-                for stream in listener.incoming() {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
-                    let Ok(mut stream) = stream else { continue };
-                    stream.set_nodelay(true).ok();
-                    if pool.pending() > max_queue {
-                        metrics.shed.fetch_add(1, Ordering::Relaxed);
-                        let _ = http::write_overload(&mut stream, 429, "Too Many Requests");
-                        continue; // drop closes the shed connection
-                    }
-                    stream.set_read_timeout(idle_timeout).ok();
-                    let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-                    if let Ok(clone) = stream.try_clone() {
-                        conns.lock().expect("conns poisoned").push((conn_id, clone));
-                    }
-                    metrics.http_connections.fetch_add(1, Ordering::Relaxed);
-                    let engine = Arc::clone(&engine);
-                    let metrics = Arc::clone(&metrics);
-                    let queue_gauge = Arc::clone(&queue_gauge);
-                    let stop = Arc::clone(&stop);
-                    let prefetch_tx = prefetch_tx.clone();
-                    let conns_for_worker = Arc::clone(&conns);
-                    pool.submit(move || {
-                        let _ = http::serve_http_connection(
-                            &engine,
-                            &metrics,
-                            &queue_gauge,
-                            &stop,
-                            stream,
-                            &prefetch_tx,
-                        );
-                        metrics.http_connections.fetch_sub(1, Ordering::Relaxed);
-                        conns_for_worker
-                            .lock()
-                            .expect("conns poisoned")
-                            .retain(|(id, _)| *id != conn_id);
-                    });
-                }
-            })
+        let shared = Arc::new(Shared {
+            engine: Arc::clone(&self.engine),
+            metrics: Arc::clone(&self.metrics),
+            queue_gauge: pool.pending_gauge(),
+            stop,
+            prefetch_tx,
+            conns: Mutex::new(Vec::new()),
+            next_conn_id: AtomicU64::new(0),
         });
-
-        for stream in self.listener.incoming() {
-            if stop.load(Ordering::SeqCst) {
-                break;
-            }
-            let stream = match stream {
-                Ok(s) => s,
-                Err(_) => continue,
+        let http_addr = self.http_addr();
+        std::thread::scope(|scope| {
+            let accept = |listener, transport| {
+                accept_loop(listener, transport, &shared, &pool, &self.config)
             };
-            // One small response per request line: Nagle + delayed ACK
-            // would add ~40 ms to every exchange.
-            stream.set_nodelay(true).ok();
-            stream.set_read_timeout(self.config.idle_timeout).ok();
-            let conn_id = next_conn_id.fetch_add(1, Ordering::Relaxed);
-            if let Ok(clone) = stream.try_clone() {
-                conns.lock().expect("conns poisoned").push((conn_id, clone));
+            if let Some(listener) = &self.http_listener {
+                scope.spawn(move || accept(listener, Transport::Http));
             }
-            self.metrics.tcp_connections.fetch_add(1, Ordering::Relaxed);
-            let engine = Arc::clone(&self.engine);
-            let metrics = Arc::clone(&self.metrics);
-            let prefetch_tx = prefetch_tx.clone();
-            let conns_for_worker = Arc::clone(&conns);
-            pool.submit(move || {
-                let _ = serve_connection(&engine, &metrics, stream, &prefetch_tx);
-                metrics.tcp_connections.fetch_sub(1, Ordering::Relaxed);
-                conns_for_worker
-                    .lock()
-                    .expect("conns poisoned")
-                    .retain(|(id, _)| *id != conn_id);
-            });
-        }
-        // Unblock and join the HTTP accept loop first, so nothing submits
-        // to the pool while it shuts down.
-        if let Some(t) = http_thread {
+            accept(&self.listener, Transport::Tcp);
+            // Unblock the HTTP accept loop before the scope joins it, so
+            // nothing submits to the pool while it shuts down.
             if let Some(addr) = http_addr {
                 let _ = TcpStream::connect(addr);
             }
-            let _ = t.join();
-        }
+        });
         // Force-close every still-live connection so pool workers blocked
         // on reads can exit, then join them.
-        for (_, c) in conns.lock().expect("conns poisoned").drain(..) {
+        for (_, c) in shared.conns.lock().expect("conns poisoned").drain(..) {
             let _ = c.shutdown(std::net::Shutdown::Both);
         }
-        drop(pool); // last handle: joins connection workers
-        drop(prefetch_tx); // close the channel …
-        let _ = prefetch_worker.join(); // … and join the worker
+        drop(pool); // joins connection workers
+        drop(shared); // closes the prefetch channel …
+        let _ = prefetch_worker.join(); // … and joins the worker
         if let Some(t) = sweeper {
             let _ = t.join();
         }
@@ -377,6 +296,93 @@ impl Drop for ServerHandle {
             self.unblock_accept_loops();
             let _ = t.join();
         }
+    }
+}
+
+/// What every connection worker shares, whichever listener accepted it.
+struct Shared {
+    engine: Arc<Engine>,
+    metrics: Arc<Metrics>,
+    /// The pool's pending-job gauge, which HTTP reports as queue depth.
+    queue_gauge: Arc<AtomicUsize>,
+    stop: Arc<AtomicBool>,
+    prefetch_tx: mpsc::Sender<String>,
+    /// Clones of live connections so shutdown can unblock workers parked
+    /// in `read_line`, keyed by connection id so each worker can drop its
+    /// own entry when the client disconnects (otherwise a long-lived server
+    /// would leak one fd per past connection).
+    conns: Mutex<Vec<(u64, TcpStream)>>,
+    next_conn_id: AtomicU64,
+}
+
+impl Shared {
+    /// The open-connection gauge of `transport`.
+    fn connections(&self, transport: Transport) -> &AtomicU64 {
+        match transport {
+            Transport::Http => &self.metrics.http_connections,
+            Transport::Tcp => &self.metrics.tcp_connections,
+        }
+    }
+}
+
+/// One listener's accept loop, until `stop`. Each connection gets
+/// `TCP_NODELAY` (one small response per request line: Nagle + delayed ACK
+/// would add ~40 ms to every exchange) and the idle read timeout, is
+/// registered for shutdown, counted in its transport's gauge and served on
+/// `pool`. HTTP alone has admission control, on the accept thread so that
+/// shedding does not depend on a free pool worker: while more than
+/// `max_queue` accepted connections wait for a worker, a new one is
+/// answered `429` and closed.
+fn accept_loop(
+    listener: &TcpListener,
+    transport: Transport,
+    shared: &Arc<Shared>,
+    pool: &TaskPool,
+    config: &ServerConfig,
+) {
+    for stream in listener.incoming() {
+        if shared.stop.load(Ordering::SeqCst) {
+            break;
+        }
+        let Ok(mut stream) = stream else { continue };
+        stream.set_nodelay(true).ok();
+        if transport == Transport::Http && pool.pending() > config.max_queue {
+            shared.metrics.shed.fetch_add(1, Ordering::Relaxed);
+            let _ = http::write_overload(&mut stream, 429, "Too Many Requests");
+            continue; // drop closes the shed connection
+        }
+        stream.set_read_timeout(config.idle_timeout).ok();
+        let conn_id = shared.next_conn_id.fetch_add(1, Ordering::Relaxed);
+        if let Ok(clone) = stream.try_clone() {
+            shared
+                .conns
+                .lock()
+                .expect("conns poisoned")
+                .push((conn_id, clone));
+        }
+        shared
+            .connections(transport)
+            .fetch_add(1, Ordering::Relaxed);
+        let shared = Arc::clone(shared);
+        pool.submit(move || {
+            let s = &*shared;
+            let _ = match transport {
+                Transport::Tcp => serve_connection(&s.engine, &s.metrics, stream, &s.prefetch_tx),
+                Transport::Http => http::serve_http_connection(
+                    &s.engine,
+                    &s.metrics,
+                    &s.queue_gauge,
+                    &s.stop,
+                    stream,
+                    &s.prefetch_tx,
+                ),
+            };
+            s.connections(transport).fetch_sub(1, Ordering::Relaxed);
+            s.conns
+                .lock()
+                .expect("conns poisoned")
+                .retain(|(id, _)| *id != conn_id);
+        });
     }
 }
 

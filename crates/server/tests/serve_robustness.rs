@@ -18,6 +18,7 @@
 use sdd_server::{Client, OpenOptions, Request, Response, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -150,4 +151,45 @@ fn live_clients_survive_the_read_timeout_between_requests() {
         let info = client.call(&Request::TableInfo).unwrap();
         assert!(matches!(info, Response::TableInfo { .. }));
     }
+}
+
+/// Admission control sheds only HTTP. With one worker busy and
+/// `max_queue: 0`, the connection queued behind the second would get `429`
+/// over HTTP; over TCP it waits for the worker and is served.
+#[test]
+fn tcp_connections_queued_past_max_queue_are_served_not_shed() {
+    let server = start_server(ServerConfig {
+        threads: 1,
+        max_queue: 0,
+        ..ServerConfig::default()
+    });
+    let ping = |stream: &mut TcpStream| -> String {
+        stream.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+        let mut line = String::new();
+        BufReader::new(stream.try_clone().unwrap())
+            .read_line(&mut line)
+            .unwrap();
+        line
+    };
+    // The first connection owns the lone worker once it has answered.
+    let mut first = TcpStream::connect(server.addr()).unwrap();
+    assert!(ping(&mut first).contains("pong"));
+    let mut queued: Vec<TcpStream> = (0..2)
+        .map(|_| TcpStream::connect(server.addr()).unwrap())
+        .collect();
+    // Both are accepted (counted) while the worker is busy: the second
+    // found one connection already waiting, past `max_queue`.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let open = || server.metrics().tcp_connections.load(Ordering::Relaxed);
+    while open() != 3 {
+        assert!(Instant::now() < deadline, "{} connections accepted", open());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(server.metrics().shed.load(Ordering::Relaxed), 0);
+    drop(first);
+    for (i, stream) in queued.iter_mut().enumerate() {
+        assert!(ping(stream).contains("pong"), "queued connection {i}");
+        stream.shutdown(std::net::Shutdown::Both).unwrap();
+    }
+    server.shutdown();
 }
