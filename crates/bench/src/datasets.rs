@@ -15,20 +15,9 @@ pub fn marketing7() -> Arc<Table> {
     Arc::new(sdd_datagen::marketing(2016).project_first_columns(7))
 }
 
-/// The full 14-column Marketing dataset.
-pub fn marketing_full() -> Arc<Table> {
-    Arc::new(sdd_datagen::marketing(2016))
-}
-
 /// A census-shaped dataset with `n` rows, projected to 7 columns.
 pub fn census7(n: usize) -> Arc<Table> {
     Arc::new(sdd_datagen::census(n, 1990).project_first_columns(7))
-}
-
-/// A census-shaped dataset with `n` rows, projected to 3 columns — the
-/// few-free-columns regime the shard, spill and ingest sweeps run on.
-pub fn census3(n: usize) -> Arc<Table> {
-    Arc::new(sdd_datagen::census(n, 1990).project_first_columns(3))
 }
 
 #[cfg(test)]
@@ -44,8 +33,5 @@ mod tests {
         let c = census7(1000);
         assert_eq!(c.n_rows(), 1000);
         assert_eq!(c.n_columns(), 7);
-        let c3 = census3(1000);
-        assert_eq!(c3.n_rows(), 1000);
-        assert_eq!(c3.n_columns(), 3);
     }
 }

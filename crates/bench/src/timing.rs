@@ -20,15 +20,6 @@ pub fn time_mean(reps: usize, mut f: impl FnMut()) -> f64 {
     total / reps as f64
 }
 
-/// Mean and standard deviation of per-rep elapsed milliseconds.
-pub fn time_stats(reps: usize, mut f: impl FnMut()) -> (f64, f64) {
-    assert!(reps > 0);
-    let samples: Vec<f64> = (0..reps).map(|_| time_once(&mut f).0).collect();
-    let mean = samples.iter().sum::<f64>() / reps as f64;
-    let var = samples.iter().map(|s| (s - mean).powi(2)).sum::<f64>() / reps as f64;
-    (mean, var.sqrt())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -46,14 +37,6 @@ mod tests {
         let ms = time_mean(3, || n += 1);
         assert_eq!(n, 3);
         assert!(ms >= 0.0);
-    }
-
-    #[test]
-    fn time_stats_sane() {
-        let (mean, sd) = time_stats(3, || {
-            std::hint::black_box(1 + 1);
-        });
-        assert!(mean >= 0.0 && sd >= 0.0);
     }
 
     #[test]

@@ -194,11 +194,6 @@ impl Rule {
         self != other && self.is_super_rule_of(other)
     }
 
-    /// All immediate sub-rules (one instantiated column starred out).
-    pub fn immediate_sub_rules(&self) -> impl Iterator<Item = Rule> + '_ {
-        self.instantiated_columns().map(move |c| self.with_star(c))
-    }
-
     /// All sub-rules, including `self` and the trivial rule (2^size of them).
     /// Intended for tests and the exact optimizer — exponential in size.
     pub fn all_sub_rules(&self) -> Vec<Rule> {
@@ -214,28 +209,6 @@ impl Rule {
             out.push(r);
         }
         out
-    }
-
-    /// Merges `self`'s instantiated values on top of `base`.
-    ///
-    /// Panics (debug) if both instantiate the same column with different
-    /// values — drill-down construction never does.
-    pub fn merged_onto(&self, base: &Rule) -> Rule {
-        debug_assert_eq!(self.n_columns(), base.n_columns());
-        let values: Box<[u32]> = self
-            .values
-            .iter()
-            .zip(base.values.iter())
-            .map(|(&a, &b)| {
-                debug_assert!(a == STAR || b == STAR || a == b, "conflicting merge");
-                if a == STAR {
-                    b
-                } else {
-                    a
-                }
-            })
-            .collect();
-        Rule { values }
     }
 
     /// The rule built from row `row`'s values on the instantiated columns of
@@ -373,14 +346,6 @@ mod tests {
     }
 
     #[test]
-    fn immediate_sub_rules_drop_one_column() {
-        let r = Rule::trivial(3).with_value(0, 1).with_value(2, 5);
-        let subs: Vec<Rule> = r.immediate_sub_rules().collect();
-        assert_eq!(subs.len(), 2);
-        assert!(subs.iter().all(|s| s.size() == 1 && s.is_sub_rule_of(&r)));
-    }
-
-    #[test]
     fn all_sub_rules_enumerates_lattice() {
         let r = Rule::trivial(3).with_value(0, 1).with_value(2, 5);
         let subs = r.all_sub_rules();
@@ -388,17 +353,6 @@ mod tests {
         assert!(subs.iter().any(|s| s.is_trivial()));
         assert!(subs.contains(&r));
         assert!(subs.iter().all(|s| s.is_sub_rule_of(&r)));
-    }
-
-    #[test]
-    fn merged_onto_combines_base_and_extension() {
-        let base = Rule::trivial(3).with_value(0, 2);
-        let ext = Rule::trivial(3).with_value(2, 9);
-        let merged = ext.merged_onto(&base);
-        assert_eq!(merged.code(0), 2);
-        assert_eq!(merged.code(2), 9);
-        assert!(merged.is_star(1));
-        assert!(merged.is_super_rule_of(&base));
     }
 
     #[test]

@@ -56,13 +56,6 @@ fn finish(counts: Vec<u64>, total: u64) -> ColumnStats {
     }
 }
 
-/// Stats for every column of the table.
-pub fn all_column_stats(table: &Table) -> Vec<ColumnStats> {
-    (0..table.n_columns())
-        .map(|c| column_stats(table, c))
-        .collect()
-}
-
 /// The column with the fewest distinct values and its cardinality —
 /// the `|c|` used in §4.2's `minSS` lower-bound argument.
 /// Returns `None` for a zero-column table.
@@ -127,13 +120,5 @@ mod tests {
         let table = t();
         // Store has 2 distinct, Product has 2 distinct: tie broken by index.
         assert_eq!(min_cardinality_column(&table), Some((0, 2)));
-    }
-
-    #[test]
-    fn all_column_stats_covers_every_column() {
-        let table = t();
-        let all = all_column_stats(&table);
-        assert_eq!(all.len(), 2);
-        assert_eq!(all[1].distinct, 2);
     }
 }
