@@ -51,8 +51,7 @@
 //!   connections, background prefetch), never one request,
 //! * [`accel`] — the block-mask scan behind every covered-row and exact
 //!   count scan, resident and spill-tier pushdown alike (portable, generic
-//!   over the 1/2/4-byte code widths), plus the chunked single-predicate
-//!   counts,
+//!   over the 1/2/4-byte code widths),
 //! * [`brs`] — Algorithm 1: the greedy BRS optimizer,
 //! * [`cachekey`] — canonical NaN-safe key derivation for shared
 //!   drill-down result caches (floats keyed by bits, normalized bases,
