@@ -1,5 +1,5 @@
-//! The one segment writer every table is built with, and its streaming
-//! driver [`ShardBuilder`].
+//! The one segment writer every table is built with, and [`ShardBuilder`],
+//! which streams rows into it.
 
 // P001: no panics outside tests (docs/DETERMINISM.md).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
