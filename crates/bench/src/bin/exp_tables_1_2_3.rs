@@ -72,7 +72,7 @@ fn main() {
         "{children:?}"
     );
 
-    // Summary row for EXPERIMENTS.md.
+    // Summary rows, one per displayed rule.
     let mut rows = vec![row!["table", "rule", "count", "weight"]];
     for (depth, r) in session.visible().iter().skip(1) {
         rows.push(row![

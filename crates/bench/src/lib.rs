@@ -1,7 +1,7 @@
 //! # sdd-bench
 //!
 //! The benchmark harness regenerating every table and figure of the paper's
-//! evaluation (§5). See DESIGN.md §4 for the experiment index.
+//! evaluation (§5); `PAPER.md` has the paper's abstract.
 //!
 //! * Experiment binaries live in `src/bin/exp_*.rs`; each prints a
 //!   human-readable report and writes CSV under `target/experiments/`.

@@ -1,5 +1,5 @@
 //! Report output: aligned text tables on stdout plus CSV files under
-//! `target/experiments/` so EXPERIMENTS.md can cite exact numbers.
+//! `target/experiments/` so a write-up can cite exact numbers.
 
 use std::fs;
 use std::path::PathBuf;

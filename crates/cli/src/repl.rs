@@ -3,7 +3,7 @@
 use crate::command::{parse_command, Command, WeightKind, HELP};
 use sdd_core::{BitsWeight, SizeMinusOne, SizeWeight, WeightFn};
 use sdd_explorer::{Explorer, ExplorerConfig};
-use sdd_table::Table;
+use sdd_table::{ShardConfig, ShardSegment, Table, TableError};
 use std::io::{BufRead, Write};
 use std::sync::Arc;
 
@@ -91,9 +91,16 @@ fn read_source<R: BufRead, W: Write>(
 pub(crate) fn load(source: &Source) -> Result<Arc<Table>, String> {
     let table = match source {
         Source::Csv(path) => {
-            let text =
-                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path:?}: {e}"))?;
-            sdd_table::csv::read_csv(&text).map_err(|e| e.to_string())?
+            // Streamed into one resident shard, whose segment is then moved
+            // out: the file's text is never held whole.
+            let config = ShardConfig::in_memory(1);
+            let st = sdd_table::csv::stream_csv_file(path, &[], &config).map_err(|e| match e {
+                TableError::Io(e) => format!("cannot read {path:?}: {e}"),
+                e => e.to_string(),
+            })?;
+            let segment = st.try_segment(0).map_err(|e| e.to_string())?;
+            drop(st);
+            Arc::try_unwrap(segment).map_or_else(|s| s.table().clone(), ShardSegment::into_table)
         }
         Source::Demo(name, rows) => match name.to_ascii_lowercase().as_str() {
             "retail" => sdd_datagen::retail(42),

@@ -31,7 +31,6 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-use crate::marginal::SearchOptions;
 use crate::Rule;
 use sdd_table::TableView;
 
@@ -70,8 +69,11 @@ pub struct KeyHasher {
     hi: u64,
 }
 
+/// One round of the SplitMix64 mixing function: the workspace's stateless
+/// deterministic mixer (cache keys here; reservoir draws and per-rule seeds
+/// in `sdd-sampling`).
 #[inline]
-fn splitmix(mut z: u64) -> u64 {
+pub fn splitmix64(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -83,16 +85,16 @@ impl KeyHasher {
     /// spaces (e.g. rule drill-down vs star drill-down).
     pub fn new(domain: u64) -> Self {
         Self {
-            lo: splitmix(domain ^ 0x5DD_CAC8E),
-            hi: splitmix(domain ^ 0xD16E_57D1_11D0),
+            lo: splitmix64(domain ^ 0x5DD_CAC8E),
+            hi: splitmix64(domain ^ 0xD16E_57D1_11D0),
         }
     }
 
     /// Absorbs one 64-bit word.
     #[inline]
     pub fn write_u64(&mut self, v: u64) {
-        self.lo = splitmix(self.lo ^ v);
-        self.hi = splitmix(self.hi ^ v.rotate_left(17));
+        self.lo = splitmix64(self.lo ^ v);
+        self.hi = splitmix64(self.hi ^ v.rotate_left(17));
     }
 
     /// Absorbs one 32-bit word.
@@ -136,27 +138,10 @@ impl KeyHasher {
         }
     }
 
-    /// Absorbs every result-determining field of [`SearchOptions`]:
-    /// `max_weight` by canonical bits, `pruning`, `max_rule_size`, and the
-    /// normalized `base`.
-    pub fn write_search_options(&mut self, opts: &SearchOptions, n_columns: usize) {
-        self.write_f64(opts.max_weight);
-        self.write_u64(opts.pruning as u64);
-        match opts.max_rule_size {
-            // Disambiguated from Some(n): a discriminant word precedes.
-            None => self.write_u64(0),
-            Some(n) => {
-                self.write_u64(1);
-                self.write_u64(n as u64);
-            }
-        }
-        self.write_base(opts.base.as_ref(), n_columns);
-    }
-
     /// The 128-bit digest of everything written so far.
     pub fn finish(&self) -> [u64; 2] {
         // One finalization round per lane so short inputs still diffuse.
-        [splitmix(self.lo), splitmix(self.hi)]
+        [splitmix64(self.lo), splitmix64(self.hi)]
     }
 }
 
@@ -222,7 +207,7 @@ pub fn drill_key(
     h.write_u64(k as u64);
     h.write_bytes(weight_tag.as_bytes());
     match max_weight {
-        // Discriminant-prefixed like max_rule_size above.
+        // Discriminant-prefixed: `None` never keys like any `Some`.
         None => h.write_u64(0),
         Some(mw) => {
             h.write_u64(1);
@@ -237,13 +222,15 @@ mod tests {
     use super::*;
     use sdd_table::{Schema, Table};
 
-    fn opts(mw: f64) -> SearchOptions {
-        SearchOptions::new(mw)
+    fn float_key(v: f64) -> [u64; 2] {
+        let mut h = KeyHasher::new(7);
+        h.write_f64(v);
+        h.finish()
     }
 
-    fn options_key(o: &SearchOptions, n_columns: usize) -> [u64; 2] {
+    fn base_key(base: Option<&Rule>) -> [u64; 2] {
         let mut h = KeyHasher::new(7);
-        h.write_search_options(o, n_columns);
+        h.write_base(base, 3);
         h.finish()
     }
 
@@ -252,7 +239,7 @@ mod tests {
         // Distinct keys are documented behavior: -0.0 and 0.0 are distinct
         // bit patterns, and distinct keys are always safe.
         assert_ne!(canonical_f64_bits(-0.0), canonical_f64_bits(0.0));
-        assert_ne!(options_key(&opts(-0.0), 3), options_key(&opts(0.0), 3));
+        assert_ne!(float_key(-0.0), float_key(0.0));
     }
 
     #[test]
@@ -264,47 +251,24 @@ mod tests {
         assert_eq!(canonical_f64_bits(quiet), CANONICAL_NAN_BITS);
         assert_eq!(canonical_f64_bits(payload), CANONICAL_NAN_BITS);
         assert_eq!(canonical_f64_bits(negative), CANONICAL_NAN_BITS);
-        assert_eq!(options_key(&opts(quiet), 3), options_key(&opts(payload), 3));
-        assert_eq!(
-            options_key(&opts(quiet), 3),
-            options_key(&opts(negative), 3)
-        );
+        assert_eq!(float_key(quiet), float_key(payload));
+        assert_eq!(float_key(quiet), float_key(negative));
     }
 
     #[test]
     fn ordinary_floats_key_by_exact_bits() {
-        assert_ne!(options_key(&opts(3.0), 3), options_key(&opts(3.5), 3));
+        assert_ne!(float_key(3.0), float_key(3.5));
         let tiny = f64::from_bits(3.0f64.to_bits() + 1); // next representable
-        assert_ne!(options_key(&opts(3.0), 3), options_key(&opts(tiny), 3));
-        assert_eq!(options_key(&opts(3.0), 3), options_key(&opts(3.0), 3));
+        assert_ne!(float_key(3.0), float_key(tiny));
+        assert_eq!(float_key(3.0), float_key(3.0));
     }
 
     #[test]
     fn none_base_normalizes_to_trivial() {
-        let mut with_none = opts(2.0);
-        with_none.base = None;
-        let mut with_trivial = opts(2.0);
-        with_trivial.base = Some(Rule::trivial(3));
-        assert_eq!(options_key(&with_none, 3), options_key(&with_trivial, 3));
+        assert_eq!(base_key(None), base_key(Some(&Rule::trivial(3))));
         // …but a real base keys differently.
-        let mut with_base = opts(2.0);
-        with_base.base = Some(Rule::from_codes(vec![1, crate::STAR, crate::STAR]));
-        assert_ne!(options_key(&with_none, 3), options_key(&with_base, 3));
-    }
-
-    #[test]
-    fn result_determining_options_are_all_keyed() {
-        let base = opts(2.0);
-        let mut no_pruning = opts(2.0);
-        no_pruning.pruning = false;
-        assert_ne!(options_key(&base, 3), options_key(&no_pruning, 3));
-        let mut capped = opts(2.0);
-        capped.max_rule_size = Some(2);
-        assert_ne!(options_key(&base, 3), options_key(&capped, 3));
-        // Some(0) must not collide with None (discriminant-prefixed).
-        let mut zero_cap = opts(2.0);
-        zero_cap.max_rule_size = Some(0);
-        assert_ne!(options_key(&base, 3), options_key(&zero_cap, 3));
+        let real = Rule::from_codes(vec![1, crate::STAR, crate::STAR]);
+        assert_ne!(base_key(None), base_key(Some(&real)));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Problem 3 is NP-hard (Lemma 2), so this module is exponential by nature
 //! and guarded against large inputs. It exists to (a) verify the greedy
 //! algorithm's `1 − 1/e` bound empirically, and (b) power the
-//! greedy-vs-exact ablation (A2 in DESIGN.md).
+//! greedy-vs-exact ablation.
 
 use crate::{score_set, Rule, WeightFn};
 use rustc_hash::FxHashSet;

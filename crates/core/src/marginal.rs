@@ -50,8 +50,8 @@ pub struct SearchOptions {
     pub max_rule_size: Option<usize>,
     /// Drill-down base `r'`: every candidate is a strict super-rule of the
     /// base; the base's instantiated columns are fixed and excluded from the
-    /// search space (see DESIGN.md §6.3). The view must already be filtered
-    /// to base-covered tuples.
+    /// search space. The view must already be filtered to base-covered
+    /// tuples.
     pub base: Option<Rule>,
 }
 

@@ -133,11 +133,6 @@ impl Rule {
             .map(|(i, _)| i)
     }
 
-    /// The largest instantiated column index, or `None` if trivial.
-    pub fn max_instantiated_column(&self) -> Option<usize> {
-        self.instantiated_columns().last()
-    }
-
     /// A copy of this rule with column `col` set to `code`.
     pub fn with_value(&self, col: usize, code: u32) -> Rule {
         let mut v = self.values.clone();
@@ -379,12 +374,5 @@ mod tests {
         set.insert(Rule::trivial(2).with_value(0, 3));
         assert!(set.contains(&Rule::trivial(2).with_value(0, 3)));
         assert!(!set.contains(&Rule::trivial(2).with_value(0, 4)));
-    }
-
-    #[test]
-    fn max_instantiated_column() {
-        let r = Rule::trivial(4).with_value(1, 0).with_value(3, 0);
-        assert_eq!(r.max_instantiated_column(), Some(3));
-        assert_eq!(Rule::trivial(4).max_instantiated_column(), None);
     }
 }

@@ -157,15 +157,6 @@ impl ColumnWeight {
             exponent,
         }
     }
-
-    /// Per-column weights matching [`BitsWeight`] but with exact (not
-    /// ceiled) `log2`, as analyzed in §6.1 (`w_c ∝ ln f_c` under uniformity).
-    pub fn bits_exact(table: &Table, exponent: f64) -> Self {
-        let w = (0..table.n_columns())
-            .map(|c| (table.cardinality(c).max(1) as f64).log2())
-            .collect();
-        Self::new(w, exponent)
-    }
 }
 
 impl WeightFn for ColumnWeight {
@@ -433,13 +424,5 @@ mod tests {
             &full,
             &table
         ));
-    }
-
-    #[test]
-    fn bits_exact_matches_cardinalities() {
-        let table = t();
-        let w = ColumnWeight::bits_exact(&table, 1.0);
-        let store = Rule::from_pairs(&table, &[("Store", "Walmart")]).unwrap();
-        assert!((w.weight(&store, &table) - 3.0f64.log2()).abs() < 1e-12);
     }
 }

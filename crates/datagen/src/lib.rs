@@ -7,8 +7,8 @@
 //! walkthrough example. None of those can be shipped here, so this crate
 //! generates synthetic equivalents that preserve the properties the
 //! algorithms are sensitive to — row counts, per-column cardinalities,
-//! frequency skew, and planted correlation structure. DESIGN.md §3 records
-//! each substitution and why it preserves the paper's behaviour.
+//! frequency skew, and planted correlation structure. Each generator module
+//! records its substitution and why it preserves the paper's behaviour.
 //!
 //! All generators are deterministic given their seed.
 

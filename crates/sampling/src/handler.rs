@@ -86,7 +86,8 @@
 
 use crate::alloc::{Allocation, AllocationProblem};
 use crate::alloc_dp::solve_dp;
-use crate::reservoir::{splitmix64, Reservoir};
+use crate::reservoir::Reservoir;
+use sdd_core::cachekey::splitmix64;
 use sdd_core::Rule;
 use sdd_table::{LiveSnapshot, OwnedTableView, RowId, Table, TableError, TableStore};
 use std::sync::Arc;

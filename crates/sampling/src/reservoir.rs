@@ -22,15 +22,7 @@
 #![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable))]
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
-/// One round of the SplitMix64 mixing function — the crate's stateless
-/// deterministic mixer (also used for per-rule seeds in the handler).
-#[inline]
-pub(crate) fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+use sdd_core::cachekey::splitmix64;
 
 /// A fixed-capacity uniform reservoir over a stream of items.
 ///

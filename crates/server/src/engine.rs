@@ -201,15 +201,12 @@ impl Engine {
         self.cache.as_ref().map_or(0, |c| c.tenant_bytes(tenant))
     }
 
-    /// Handles one raw request line and returns the serialized response
-    /// line (no trailing newline) plus, when a deferred prefetch job is now
-    /// pending, the session name to hand to the background worker.
+    /// Handles one raw request line as the anonymous tenant, without
+    /// session tracking, and returns the serialized response line (no
+    /// trailing newline) plus, when a deferred prefetch job is now pending,
+    /// the session name to hand to the background worker.
     pub fn handle_line(&self, line: &str) -> (String, Option<String>) {
-        let (response, hint) = match crate::protocol::parse_request_line(line) {
-            Ok(req) => self.handle(&req),
-            Err(e) => (Response::error(e), None),
-        };
-        (response.to_json().to_string(), hint)
+        self.handle_line_as(line, None, ANONYMOUS_TENANT)
     }
 
     /// The fully general entry point: one raw request line, handled on

@@ -123,15 +123,6 @@ impl<T> Registry<T> {
             })
     }
 
-    /// The owning tenant of `key`, if registered.
-    pub fn tenant_of(&self, key: &str) -> Option<TenantId> {
-        self.stripe(key)
-            .lock()
-            .expect("stripe poisoned")
-            .get(key)
-            .map(|e| e.tenant)
-    }
-
     /// Removes and returns the session handle for `key`.
     pub fn remove(&self, key: &str) -> Option<Arc<Mutex<T>>> {
         self.remove_tagged(key).map(|(v, _)| v)
@@ -260,11 +251,11 @@ mod tests {
         let r: Registry<u32> = Registry::new(4);
         r.insert_tagged("t1-a", 1, 1).unwrap();
         r.insert("anon", 2).unwrap();
-        assert_eq!(r.tenant_of("t1-a"), Some(1));
-        assert_eq!(r.tenant_of("anon"), Some(ANONYMOUS_TENANT));
-        assert_eq!(r.tenant_of("missing"), None);
         let (_, tenant) = r.remove_tagged("t1-a").unwrap();
         assert_eq!(tenant, 1);
+        let (_, tenant) = r.remove_tagged("anon").unwrap();
+        assert_eq!(tenant, ANONYMOUS_TENANT);
+        assert!(r.remove_tagged("missing").is_none());
     }
 
     #[test]

@@ -209,9 +209,9 @@ impl Codes {
         *self = wide;
     }
 
-    /// Reserves room for `additional` more codes.
+    /// Reserves room for exactly `additional` more codes.
     pub(crate) fn reserve(&mut self, additional: usize) {
-        with_codes!(self, v => v.reserve(additional));
+        with_codes!(self, v => v.reserve_exact(additional));
     }
 
     /// Appends rows `range` of `src`, widening first if `src` is wider.
@@ -228,11 +228,21 @@ impl Codes {
     }
 
     /// Removes the first `n` rows and returns them, at this column's width.
+    /// Taking every row of a column whose buffer holds exactly its rows
+    /// moves that buffer out and leaves an empty column at the same width;
+    /// any other split copies the rows into a buffer of exactly `n`.
     pub(crate) fn split_front(&mut self, n: usize) -> Codes {
+        fn split<T>(v: &mut Vec<T>, n: usize) -> Vec<T> {
+            if n == v.len() && n == v.capacity() {
+                std::mem::take(v)
+            } else {
+                v.drain(..n).collect()
+            }
+        }
         match self {
-            Codes::W1(v) => Codes::W1(v.drain(..n).collect()),
-            Codes::W2(v) => Codes::W2(v.drain(..n).collect()),
-            Codes::W4(v) => Codes::W4(v.drain(..n).collect()),
+            Codes::W1(v) => Codes::W1(split(v, n)),
+            Codes::W2(v) => Codes::W2(split(v, n)),
+            Codes::W4(v) => Codes::W4(split(v, n)),
         }
     }
 }
@@ -289,5 +299,31 @@ mod tests {
         let mut c = Codes::W1(vec![1, 2, 3]);
         assert_eq!(c.split_front(2), Codes::W1(vec![1, 2]));
         assert_eq!(c, Codes::W1(vec![3]));
+    }
+
+    #[test]
+    fn split_front_of_every_row_moves_an_exactly_sized_buffer() {
+        let mut c = Codes::W2(Vec::with_capacity(3));
+        c.extend_from(&Codes::W2(vec![4, 300, 5]), 0..3);
+        let Codes::W2(before) = &c else {
+            panic!("width changed")
+        };
+        let buffer = before.as_ptr();
+        let taken = c.split_front(3);
+        let Codes::W2(after) = &taken else {
+            panic!("width changed")
+        };
+        assert_eq!(after.as_ptr(), buffer, "the buffer was copied, not moved");
+        assert_eq!(taken, Codes::W2(vec![4, 300, 5]));
+        assert_eq!(c, Codes::W2(Vec::new()));
+        // A buffer with room to spare is copied into one of exactly the
+        // rows taken, so a split never hands out spare capacity.
+        let mut roomy = Codes::W1(Vec::with_capacity(8));
+        roomy.push(1);
+        let Codes::W1(copied) = roomy.split_front(1) else {
+            panic!("width changed")
+        };
+        assert_eq!((copied.capacity(), copied), (1, vec![1]));
+        assert_eq!(roomy, Codes::W1(Vec::new()));
     }
 }

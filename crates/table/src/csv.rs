@@ -3,19 +3,23 @@
 //! Supports the RFC-4180 essentials: comma separation, `"` quoting, embedded
 //! quotes doubled (`""`), embedded commas and newlines inside quoted fields,
 //! and both `\n` and `\r\n` record separators. Deliberately hand-rolled to
-//! keep the workspace dependency-free (see DESIGN.md §2).
+//! keep the workspace dependency-free.
 //!
-//! Two ingest surfaces share one record parser ([`RecordReader`], a
-//! pull-based reader over any [`BufRead`]): [`read_csv`] materializes a
-//! monolithic [`Table`], and [`stream_csv_file`] streams a file straight
-//! into a [`ShardedTable`] through a [`ShardBuilder`] (the segment writer
-//! every sharded table is built with) — never holding more than one
-//! unsealed segment (plus dictionaries) in memory.
+//! Both ingest surfaces run one record loop over one record parser
+//! ([`RecordReader`], a pull-based reader over any [`BufRead`]) and differ
+//! only in where the loop puts each row: [`read_csv`] interns it into a
+//! [`TableBuilder`] for a monolithic [`Table`], and [`stream_csv_file`]
+//! interns it into the segment writer every sharded table is built with,
+//! which seals each segment as its last row arrives — never holding more
+//! than one unsealed segment (plus dictionaries) in memory.
 
-use crate::shard::{ShardBuilder, ShardConfig, ShardedTable};
+use crate::shard::{SegmentWriter, ShardConfig, ShardedTable};
+use crate::view::chunk_spans;
 use crate::{Schema, Table, TableBuilder, TableError};
 use std::fs::File;
 use std::io::{BufRead, BufReader};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Parses CSV text (first record = header) into a [`Table`].
 ///
@@ -25,115 +29,201 @@ pub fn read_csv(input: &str) -> Result<Table, TableError> {
     read_csv_with_measures(input, &[])
 }
 
-/// Categorical column indices plus the `(record index, name)` routes of
-/// the requested measure columns.
-type ColumnRouting = (Vec<usize>, Vec<(usize, String)>);
-
-/// Splits a CSV header into the categorical column indices and the
-/// `(record index, name)` routes of the requested measure columns —
-/// shared by the materializing and streaming ingest paths so both produce
-/// the same schema and measure order for the same input.
-fn route_columns(header: &[String], measures: &[&str]) -> Result<ColumnRouting, TableError> {
-    let mut cat_idx: Vec<usize> = Vec::new();
-    let mut measure_idx: Vec<(usize, String)> = Vec::new();
-    for (i, name) in header.iter().enumerate() {
-        if measures.contains(&name.as_str()) {
-            measure_idx.push((i, name.clone()));
-        } else {
-            cat_idx.push(i);
-        }
-    }
-    for m in measures {
-        if !header.iter().any(|h| h == m) {
-            return Err(TableError::UnknownMeasure((*m).to_owned()));
-        }
-    }
-    Ok((cat_idx, measure_idx))
+/// Where the record loop puts each row: its categorical values in schema
+/// order and its measure values in record order.
+trait RowSink {
+    fn push<'v>(
+        &mut self,
+        cats: impl Iterator<Item = &'v str>,
+        measures: &[f64],
+    ) -> Result<(), TableError>;
 }
 
-/// Checks one data record's arity against the header, reporting the input
-/// line the record started on — shared by both ingest paths so identical
-/// malformed input yields identical errors.
-fn check_arity(n_fields: usize, header_len: usize, start_line: usize) -> Result<(), TableError> {
-    if n_fields != header_len {
-        return Err(TableError::Csv {
-            line: start_line,
-            message: format!("expected {header_len} fields, got {n_fields}"),
-        });
+impl RowSink for TableBuilder {
+    fn push<'v>(
+        &mut self,
+        cats: impl Iterator<Item = &'v str>,
+        measures: &[f64],
+    ) -> Result<(), TableError> {
+        self.push_values(cats, measures);
+        Ok(())
     }
-    Ok(())
 }
 
-/// Parses the current record's measure fields in route order into `out`.
-fn parse_measures<R: BufRead>(
-    reader: &RecordReader<R>,
-    measure_idx: &[(usize, String)],
-    out: &mut Vec<f64>,
-) -> Result<(), TableError> {
-    out.clear();
-    for (i, _) in measure_idx {
-        let raw = reader.field(*i).trim();
-        let v: f64 = raw
-            .parse()
-            .map_err(|_| TableError::ParseNumber(raw.to_owned()))?;
-        out.push(v);
+/// The streamed surface's sink: the segment writer, sealing each span of
+/// the [`chunk_spans`] layout of the declared row count the moment its
+/// last row arrives. Each span's open columns are reserved once, at the
+/// span's length, so a resident seal moves them instead of copying. An
+/// abandoned build deletes the spill files it wrote.
+struct SegmentSink {
+    writer: SegmentWriter,
+    /// The layout: [`chunk_spans`] of the declared row count.
+    spans: Vec<Range<usize>>,
+}
+
+impl SegmentSink {
+    /// A sink for `rows` rows under `config`; `measures` names the measure
+    /// columns, which stay fully resident (8 bytes per row each).
+    fn new(
+        schema: Schema,
+        measures: Vec<String>,
+        rows: usize,
+        config: &ShardConfig,
+    ) -> Result<SegmentSink, TableError> {
+        schema.require_distinct_measures(measures.iter().map(String::as_str))?;
+        let dicts = (0..schema.n_columns()).map(|_| Arc::default()).collect();
+        let measures = measures
+            .into_iter()
+            .map(|n| (n, Vec::with_capacity(rows)))
+            .collect();
+        Ok(SegmentSink {
+            writer: SegmentWriter::new(schema, dicts, measures, config.spill_dir.as_deref())?,
+            spans: chunk_spans(rows, config.shards.max(1)),
+        })
     }
-    Ok(())
+
+    /// The span the next row falls in, `None` once every span is sealed.
+    fn next_span(&self) -> Option<&Range<usize>> {
+        self.spans.get(self.writer.segments.spans.len())
+    }
+
+    /// The declared row count.
+    fn declared(&self) -> usize {
+        self.spans.last().map_or(0, |s| s.end)
+    }
+
+    /// Completes the build. Fails with [`TableError::RowCount`] when fewer
+    /// rows arrived than declared.
+    fn finish(mut self) -> Result<ShardedTable, TableError> {
+        let got = self.writer.segments.n_rows();
+        if got != self.declared() {
+            return Err(TableError::RowCount {
+                declared: self.declared(),
+                got,
+            });
+        }
+        // An empty table's single `0..0` span never fills: seal it here so
+        // the layout matches `from_table`'s.
+        while let Some(span) = self.next_span() {
+            self.writer.seal(span.len())?;
+        }
+        Ok(self.writer.freeze())
+    }
+}
+
+impl RowSink for SegmentSink {
+    fn push<'v>(
+        &mut self,
+        cats: impl Iterator<Item = &'v str>,
+        measures: &[f64],
+    ) -> Result<(), TableError> {
+        let rows = self.writer.segments.n_rows();
+        let Some(span) = self.next_span().filter(|s| s.end > rows).cloned() else {
+            return Err(TableError::RowCount {
+                declared: self.declared(),
+                got: rows + 1,
+            });
+        };
+        let w = &mut self.writer;
+        if rows == span.start {
+            for col in &mut w.segments.open {
+                col.reserve(span.len());
+            }
+        }
+        w.segments.push(&mut w.dicts, cats);
+        w.push_measures(measures);
+        if span.end == rows + 1 {
+            w.seal(span.len())?;
+        }
+        Ok(())
+    }
+}
+
+/// The one CSV record loop. Routes the header of `input` — the columns
+/// named in `measures` become measure columns, the rest the schema — and
+/// makes the sink from the schema and the measure names with `sink`. Then
+/// it checks each record's arity against the header, reporting the input
+/// line the record started on, parses its measure fields and hands the row
+/// to the sink.
+fn read_rows<R: BufRead, S: RowSink>(
+    input: R,
+    measures: &[&str],
+    sink: impl FnOnce(Schema, Vec<String>) -> Result<S, TableError>,
+) -> Result<S, TableError> {
+    let mut reader = RecordReader::new(input);
+    let header = reader.next().ok_or(TableError::Empty)??;
+    if let Some(m) = measures.iter().find(|m| !header.iter().any(|h| h == *m)) {
+        return Err(TableError::UnknownMeasure((*m).to_owned()));
+    }
+    let (measure_idx, cat_idx): (Vec<usize>, Vec<usize>) =
+        (0..header.len()).partition(|&i| measures.contains(&header[i].as_str()));
+    let schema = Schema::new(cat_idx.iter().map(|&i| header[i].clone()))?;
+    let mut sink = sink(
+        schema,
+        measure_idx.iter().map(|&i| header[i].clone()).collect(),
+    )?;
+    let mut values: Vec<f64> = Vec::with_capacity(measure_idx.len());
+    while reader.read_record(true)? {
+        if reader.n_fields() != header.len() {
+            return Err(TableError::Csv {
+                line: reader.record_line(),
+                message: format!(
+                    "expected {} fields, got {}",
+                    header.len(),
+                    reader.n_fields()
+                ),
+            });
+        }
+        values.clear();
+        for &i in &measure_idx {
+            let raw = reader.field(i).trim();
+            let v = raw
+                .parse()
+                .map_err(|_| TableError::ParseNumber(raw.to_owned()))?;
+            values.push(v);
+        }
+        sink.push(cat_idx.iter().map(|&i| reader.field(i)), &values)?;
+    }
+    Ok(sink)
 }
 
 /// Parses CSV text, routing the named columns into numeric measure columns
 /// instead of categorical columns.
 pub fn read_csv_with_measures(input: &str, measures: &[&str]) -> Result<Table, TableError> {
-    let mut reader = RecordReader::new(input.as_bytes());
-    let header = reader.next().ok_or(TableError::Empty)??;
-    let (cat_idx, measure_idx) = route_columns(&header, measures)?;
-
-    let schema = Schema::new(cat_idx.iter().map(|&i| header[i].clone()))?;
-    // Size every column once: growing them by doubling leaves each outgrown
-    // copy behind as a hole in the heap, and those holes, not the table, set
-    // the ingest's peak memory. Every record but the last ends in a newline
-    // and spends at least a byte per field, so this bounds the rows from
-    // above, and a hostile input cannot make it reserve more than a few
-    // bytes per input byte.
-    let newlines = input.bytes().filter(|&b| b == b'\n').count();
-    let rows = newlines.min(input.len() / header.len().max(1));
-    let mut builder = TableBuilder::new(schema);
-    builder.reserve(rows);
-    let mut measure_vals: Vec<Vec<f64>> = (0..measure_idx.len())
-        .map(|_| Vec::with_capacity(rows))
-        .collect();
-    let mut measure_buf: Vec<f64> = Vec::with_capacity(measure_idx.len());
-
-    while reader.read_record(true)? {
-        check_arity(reader.n_fields(), header.len(), reader.record_line())?;
-        // `cat_idx` routes one field to each schema column.
-        builder.push_values(cat_idx.iter().map(|&i| reader.field(i)));
-        parse_measures(&reader, &measure_idx, &mut measure_buf)?;
-        for (slot, &v) in measure_vals.iter_mut().zip(&measure_buf) {
-            slot.push(v);
+    let builder = read_rows(input.as_bytes(), measures, |schema, names| {
+        // Size every column once: growing them by doubling leaves each
+        // outgrown copy behind as a hole in the heap, and those holes, not
+        // the table, set the ingest's peak memory. Every record but the last
+        // ends in a newline and spends at least a byte per field, so this
+        // bounds the rows from above, and a hostile input cannot make it
+        // reserve more than a few bytes per input byte.
+        let fields = schema.n_columns() + names.len();
+        let newlines = input.bytes().filter(|&b| b == b'\n').count();
+        let rows = newlines.min(input.len() / fields.max(1));
+        let mut builder = TableBuilder::new(schema);
+        builder.reserve(rows);
+        for name in names {
+            builder.add_measure(name, Vec::with_capacity(rows))?;
         }
-    }
-
-    for (vals, (_, name)) in measure_vals.into_iter().zip(measure_idx) {
-        builder.add_measure(name, vals)?;
-    }
+        Ok(builder)
+    })?;
     builder.build()
 }
 
 /// Streams a CSV file into a [`ShardedTable`] without ever materializing
 /// the monolithic [`Table`] — the out-of-core ingest path.
 ///
-/// Pass 1 routes the header (a bad measure name fails immediately) and
-/// counts the data records with a field-free byte scan — quote-structure
-/// errors surface here, everything per-field (UTF-8, arity, numbers) in
-/// pass 2; the count fixes the deterministic span layout. Pass 2
-/// re-reads the file and pushes each row through a [`ShardBuilder`], which
-/// drives the one segment writer every sharded and live table is built
-/// with: it interns global codes in first-appearance order and spills every
-/// segment the moment it seals, through the same seal
+/// Pass 1 counts the data records with a field-free byte scan (quote
+/// structure errors surface here, everything else in pass 2); the count
+/// fixes the deterministic span layout. Pass 2 re-reads the file through
+/// the record loop [`read_csv`] uses and pushes each row into the one
+/// segment writer every sharded and live table is built with: it interns
+/// global codes in first-appearance order and seals every segment the
+/// moment its last row arrives, through the same seal
 /// `ShardedTable::from_table` uses. Peak memory is therefore one unsealed
 /// segment plus the growing dictionaries and measure columns — never
-/// O(rows).
+/// O(rows) — and a file whose record count changes between the passes is a
+/// [`TableError::RowCount`].
 ///
 /// Because global codes are assigned in the same first-appearance order the
 /// materializing reader uses, the result is **bit-identical** (segment
@@ -145,38 +235,18 @@ pub fn stream_csv_file(
     measures: &[&str],
     config: &ShardConfig,
 ) -> Result<ShardedTable, TableError> {
-    let path = path.as_ref();
-    let open = || -> Result<RecordReader<BufReader<File>>, TableError> {
-        Ok(RecordReader::new(BufReader::new(File::open(path)?)))
+    let open = || -> Result<BufReader<File>, TableError> {
+        Ok(BufReader::new(File::open(path.as_ref())?))
     };
-
-    // Pass 1: route the header (so a bad measure name fails before any
-    // full pass over the file), then count the remaining records without
-    // materializing a single field.
-    let mut reader = open()?;
-    let header = reader.next().ok_or(TableError::Empty)??;
-    let (cat_idx, measure_idx) = route_columns(&header, measures)?;
-    let total = reader.count_remaining()?;
-
-    // Pass 2: stream rows into the builder.
-    let mut reader = open()?;
-    let second_header = reader.next().ok_or(TableError::Empty)??;
-    if second_header != header {
-        return Err(TableError::Csv {
-            line: 1,
-            message: "file changed between ingest passes".to_owned(),
-        });
-    }
-    let schema = Schema::new(cat_idx.iter().map(|&i| header[i].clone()))?;
-    let measure_names: Vec<String> = measure_idx.iter().map(|(_, n)| n.clone()).collect();
-    let mut builder = ShardBuilder::new(schema, measure_names, total, config)?;
-    let mut measure_buf: Vec<f64> = Vec::with_capacity(measure_idx.len());
-    while reader.read_record(true)? {
-        check_arity(reader.n_fields(), header.len(), reader.record_line())?;
-        parse_measures(&reader, &measure_idx, &mut measure_buf)?;
-        builder.push_values(cat_idx.iter().map(|&i| reader.field(i)), &measure_buf)?;
-    }
-    builder.finish()
+    // Pass 1: skip the header, count the records.
+    let mut reader = RecordReader::new(open()?);
+    reader.next().ok_or(TableError::Empty)??;
+    let rows = reader.count_remaining()?;
+    // Pass 2: the record loop, into the segment writer.
+    let sink = read_rows(open()?, measures, |schema, names| {
+        SegmentSink::new(schema, names, rows, config)
+    })?;
+    sink.finish()
 }
 
 /// Serializes a table (categorical columns then measures) to CSV text.
@@ -254,11 +324,11 @@ fn write_field(out: &mut String, field: &str) {
 /// A pull-based CSV record reader over any byte stream, honoring quoting.
 ///
 /// Yields one record (a `Vec` of fields) at a time without buffering the
-/// rest of the input — the primitive behind both [`read_csv`] (collect
-/// everything) and [`stream_csv_file`] (two single-record-at-a-time
-/// passes). Quoting metacharacters are all ASCII, so the state machine
-/// runs on bytes; multi-byte UTF-8 sequences pass through fields
-/// untouched (and are validated once per field).
+/// rest of the input — the primitive behind both [`read_csv`] and
+/// [`stream_csv_file`] (a counting pass, then the same record loop).
+/// Quoting metacharacters are all ASCII, so the state machine runs on
+/// bytes; multi-byte UTF-8 sequences pass through fields untouched (and
+/// are validated once per field).
 ///
 /// The machine walks each buffered slice the input lends
 /// ([`BufRead::fill_buf`]) run by run, and keeps the current record in one
@@ -493,8 +563,8 @@ impl<R: BufRead> RecordReader<R> {
     /// machine as iteration (so the count always matches what a subsequent
     /// full read yields) and surfaces the same quote-structure errors;
     /// per-field validation (UTF-8, arity, numbers) is pass 2's job, and a
-    /// file changing between passes is caught by the builder's declared
-    /// row-count contract.
+    /// file changing between passes is caught by the segment sink's
+    /// declared row count.
     pub fn count_remaining(&mut self) -> Result<usize, TableError> {
         let mut count = 0usize;
         while self.read_record(false)? {
@@ -521,6 +591,203 @@ impl<R: BufRead> Iterator for RecordReader<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Codes;
+    use std::path::PathBuf;
+
+    /// Writes `text` to a file under the temp dir named for this process
+    /// and `tag`.
+    fn csv_file(text: &str, tag: &str) -> PathBuf {
+        let path =
+            std::env::temp_dir().join(format!("sdd-csv-unit-{}-{tag}.csv", std::process::id()));
+        std::fs::write(&path, text).unwrap();
+        path
+    }
+
+    fn t_measured(n: usize) -> Table {
+        let mut b = TableBuilder::new(Schema::new(["A", "B"]).unwrap());
+        for i in 0..n {
+            b.push_row(&[format!("a{}", i % 5), format!("b{}", i % 3)])
+                .unwrap();
+        }
+        b.add_measure("m", (0..n).map(|i| i as f64 * 0.5).collect())
+            .unwrap();
+        b.build().unwrap()
+    }
+
+    /// A segment sink for `rows` rows of two columns, no measures.
+    fn sink(rows: usize, config: &ShardConfig) -> SegmentSink {
+        SegmentSink::new(Schema::new(["A", "B"]).unwrap(), vec![], rows, config).unwrap()
+    }
+
+    /// Every span of the `chunk_spans` layout seals the moment its last row
+    /// arrives — after row `i`, as many segments are sealed as spans end
+    /// at or below `i + 1` — and a resident seal keeps its span's reserved
+    /// buffer, which holds exactly its rows.
+    #[test]
+    fn streamed_spans_seal_as_their_last_row_arrives() {
+        for n_rows in [0, 1, 5, 17, 37, 180] {
+            for shards in 1..10 {
+                for config in [
+                    ShardConfig::in_memory(shards),
+                    ShardConfig::spilling(shards, 0, std::env::temp_dir()),
+                ] {
+                    let spans = chunk_spans(n_rows, shards);
+                    let mut s = sink(n_rows, &config);
+                    for i in 0..n_rows {
+                        let (a, b) = (format!("v{}", i % 6), format!("w{}", i % 4));
+                        s.push([a.as_str(), b.as_str()].into_iter(), &[]).unwrap();
+                        let sealed = spans.iter().filter(|s| !s.is_empty() && s.end <= i + 1);
+                        assert_eq!(
+                            s.writer.segments.spans.len(),
+                            sealed.count(),
+                            "{n_rows} rows, {shards} shards: row {i} sealed off a span end"
+                        );
+                    }
+                    let st = s.finish().unwrap();
+                    assert_eq!(st.spans(), spans.as_slice());
+                    for i in 0..st.n_shards() {
+                        let Some(seg) = st.resident_segment(i) else {
+                            continue;
+                        };
+                        for c in 0..2 {
+                            let Codes::W1(codes) = seg.col(c) else {
+                                panic!("not one byte")
+                            };
+                            assert_eq!(codes.capacity(), codes.len(), "shard {i} col {c}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn segment_sink_rejects_row_count_mismatch() {
+        let config = ShardConfig::in_memory(2);
+        let mut s = sink(2, &config);
+        s.push(["x", "y"].into_iter(), &[]).unwrap();
+        assert!(matches!(
+            s.finish(),
+            Err(TableError::RowCount {
+                declared: 2,
+                got: 1
+            })
+        ));
+        for declared in [0, 1] {
+            let mut s = sink(declared, &config);
+            for _ in 0..declared {
+                s.push(["x", "y"].into_iter(), &[]).unwrap();
+            }
+            assert_eq!(
+                s.push(["x", "y"].into_iter(), &[]).unwrap_err(),
+                TableError::RowCount {
+                    declared,
+                    got: declared + 1
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn stream_matches_from_table_segments_and_spill_bytes() {
+        let table = t_measured(37);
+        let path = csv_file(&write_csv(&table), "parity");
+        for shards in [1, 3, 8] {
+            for config in [
+                ShardConfig::in_memory(shards),
+                ShardConfig::spilling(shards, 0, std::env::temp_dir()),
+            ] {
+                let a = ShardedTable::from_table(&table, &config).unwrap();
+                let b = stream_csv_file(&path, &["m"], &config).unwrap();
+                assert_eq!(a.spans(), b.spans());
+                for i in 0..a.n_shards() {
+                    if let (Some(pa), Some(pb)) = (a.spill_path(i), b.spill_path(i)) {
+                        assert_eq!(
+                            std::fs::read(pa).unwrap(),
+                            std::fs::read(pb).unwrap(),
+                            "shard {i}: spill files differ"
+                        );
+                    }
+                    let (sa, sb) = (a.try_segment(i).unwrap(), b.try_segment(i).unwrap());
+                    for c in 0..table.n_columns() {
+                        assert_eq!(sa.col(c), sb.col(c), "shard {i} col {c}");
+                    }
+                    assert_eq!(
+                        sa.table().measure("m").unwrap(),
+                        sb.table().measure("m").unwrap()
+                    );
+                }
+                for c in 0..table.n_columns() {
+                    assert_eq!(a.cardinality(c), b.cardinality(c));
+                    let da: Vec<_> = a.dictionary(c).iter().collect();
+                    let db: Vec<_> = b.dictionary(c).iter().collect();
+                    assert_eq!(da, db, "col {c}: dictionaries differ");
+                }
+            }
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn stream_spills_each_segment_exactly_once_and_stays_cold() {
+        let table = t_measured(60);
+        let path = csv_file(&write_csv(&table), "cold");
+        let config = ShardConfig::spilling(6, 0, std::env::temp_dir());
+        let st = stream_csv_file(&path, &[], &config).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(st.spills(), 6, "one spill write per shard");
+        assert_eq!(st.loads(), 0, "a streaming build never reads back");
+        assert!(
+            (0..st.n_shards()).all(|i| st.resident_segment(i).is_none()),
+            "no segment was decoded in memory"
+        );
+        // A scan pays one load per shard and holds the only copy of each
+        // decoded segment.
+        for i in 0..st.n_shards() {
+            let seg = st.try_segment(i).unwrap();
+            assert_eq!(seg.span(), st.spans()[i].clone());
+            assert_eq!(Arc::strong_count(&seg), 1, "shard {i} was kept");
+        }
+        assert_eq!(st.loads(), 6);
+    }
+
+    #[test]
+    fn stream_handles_zero_rows() {
+        let path = csv_file("A,B\n", "empty");
+        for config in [
+            ShardConfig::in_memory(3),
+            ShardConfig::spilling(3, 0, std::env::temp_dir()),
+        ] {
+            let st = stream_csv_file(&path, &[], &config).unwrap();
+            assert_eq!(st.n_rows(), 0);
+            let reference = ShardedTable::from_table(&t_measured(0), &config).unwrap();
+            assert_eq!(st.spans(), reference.spans());
+            assert_eq!(st.spills(), reference.spills());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The one segment of a streamed file in one resident shard, moved out
+    /// of its table, is the monolithic table: same codes at the same
+    /// widths, same dictionaries.
+    #[test]
+    fn one_resident_shard_is_the_monolithic_table() {
+        let text = write_csv(&t_measured(300));
+        let path = csv_file(&text, "whole");
+        let st = stream_csv_file(&path, &[], &ShardConfig::in_memory(1)).unwrap();
+        std::fs::remove_file(&path).ok();
+        let seg = st.try_segment(0).unwrap();
+        drop(st);
+        let streamed = Arc::try_unwrap(seg).unwrap().into_table();
+        let whole = read_csv(&text).unwrap();
+        assert_eq!(streamed.n_rows(), whole.n_rows());
+        for c in 0..whole.n_columns() {
+            assert_eq!(streamed.column(c), whole.column(c), "col {c}");
+            let da: Vec<_> = streamed.dictionary(c).iter().collect();
+            let db: Vec<_> = whole.dictionary(c).iter().collect();
+            assert_eq!(da, db, "col {c}: dictionaries differ");
+        }
+    }
 
     #[test]
     fn roundtrip_simple() {

@@ -26,8 +26,8 @@
 //! * [`shard`] — the larger-than-memory tier: [`ShardedTable`] partitions
 //!   rows into fixed columnar shards, each resident (a decoded segment) or
 //!   spilled (a file on disk, read on demand and never kept decoded),
-//!   [`ShardBuilder`] streams rows in without materializing the monolithic
-//!   table, and [`TableStore`] lets the session stack hold either storage
+//!   [`csv::stream_csv_file`] streams a file in without materializing the
+//!   monolithic table, and [`TableStore`] lets the session stack hold either storage
 //!   form behind one handle. The shard layout and spill round-trip are
 //!   deterministic, so sharded scans reproduce the monolithic results
 //!   bit-for-bit (see the module docs for the contract).
@@ -56,8 +56,8 @@ pub use dictionary::Dictionary;
 pub use error::TableError;
 pub use schema::{ColumnDef, Schema};
 pub use shard::{
-    LiveSnapshot, LiveStore, LiveTable, LiveTableConfig, RawColumn, ShardBuilder, ShardConfig,
-    ShardSegment, ShardedTable, ShardedView, TableStore,
+    LiveSnapshot, LiveStore, LiveTable, LiveTableConfig, RawColumn, ShardConfig, ShardSegment,
+    ShardedTable, ShardedView, TableStore,
 };
 pub use table::{Table, TableBuilder};
 pub use view::{chunk_spans, OwnedTableView, RowId, TableView, WeightedRow};

@@ -6,7 +6,7 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use super::sharded::ShardedTable;
-use super::writer::{require_distinct_measures, SegmentWriter};
+use super::writer::SegmentWriter;
 use crate::{with_codes, Code, Codes, Dictionary, Schema, Table, TableError};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -149,7 +149,7 @@ struct LiveState {
 /// * A live table drives the segment writer every [`ShardedTable`] is
 ///   built with: every `rows_per_segment` rows seal into an immutable
 ///   segment through the same seal as [`ShardedTable::from_table`] and
-///   [`ShardBuilder`] (the same `SDDSHRD2` encoding), written to disk — or,
+///   [`stream_csv_file`] (the same `SDDSHRD2` encoding), written to disk — or,
 ///   fully resident, wrapped in its table — exactly once; the remainder
 ///   stays open in an always-resident tail.
 /// * Each append ends with one freeze of the writer. Snapshots are plain
@@ -158,8 +158,8 @@ struct LiveState {
 ///   dictionaries, measure columns — see [`LiveSnapshot`]), every existing
 ///   sharded scan path works on them unchanged and a superseded snapshot
 ///   can outlive its successors without invalidating their files.
-/// * Global codes are interned in first-appearance order (exactly as the
-///   builders do), so a live table grown by any sequence of appends holds
+/// * Global codes are interned in first-appearance order (exactly as every
+///   other build does), so a live table grown by any sequence of appends holds
 ///   the same codes — and byte-identical sealed spill files — as one grown
 ///   by a single append of all rows (the seal-boundary tests pin this).
 /// * An append is staged on a copy of the open rows and committed only
@@ -168,7 +168,7 @@ struct LiveState {
 ///   the dictionaries to their prior lengths — a retry or a rebuild
 ///   observes no trace of the failure.
 ///
-/// [`ShardBuilder`]: super::ShardBuilder
+/// [`stream_csv_file`]: crate::csv::stream_csv_file
 #[derive(Debug)]
 pub struct LiveTable {
     schema: Schema,
@@ -186,7 +186,7 @@ impl LiveTable {
         measures: Vec<String>,
         config: &LiveTableConfig,
     ) -> Result<LiveTable, TableError> {
-        require_distinct_measures(&schema, &measures)?;
+        schema.require_distinct_measures(measures.iter().map(String::as_str))?;
         let n_measures = measures.len();
         let dicts = (0..schema.n_columns()).map(|_| Arc::default()).collect();
         let measures = measures.into_iter().map(|n| (n, Vec::new())).collect();

@@ -42,10 +42,10 @@
 //! it resident, and freezes its sealed segments and open rows into a
 //! [`ShardedTable`]. Three producers drive it: [`ShardedTable::from_table`]
 //! slices an already-materialized [`Table`] over that table's
-//! dictionaries; [`ShardBuilder`] **streams** rows in without ever
-//! materializing the monolithic table — sealing and spilling each segment
-//! the moment its span fills, so ingest peak memory is one segment plus
-//! dictionaries (see the builder docs for why the two builds are
+//! dictionaries; [`stream_csv_file`] **streams** a CSV file in without
+//! ever materializing the monolithic table — sealing and spilling each
+//! segment the moment its span fills, so ingest peak memory is one segment
+//! plus dictionaries (see its docs for why the two builds are
 //! bit-identical); and [`LiveTable`] seals every `rows_per_segment` rows
 //! and freezes once per append.
 //!
@@ -63,6 +63,7 @@
 //! shard and spill.
 //!
 //! [`chunk_spans`]: crate::chunk_spans
+//! [`stream_csv_file`]: crate::csv::stream_csv_file
 //! [`Codes`]: crate::Codes
 //! [`Table`]: crate::Table
 
@@ -83,7 +84,7 @@ pub use live::{LiveSnapshot, LiveTable, LiveTableConfig};
 pub use sharded::{ShardConfig, ShardSegment, ShardedTable};
 pub use spill::RawColumn;
 pub use store::{LiveStore, TableStore};
-pub use writer::ShardBuilder;
+pub(crate) use writer::SegmentWriter;
 
 #[cfg(test)]
 mod testutil {

@@ -80,6 +80,11 @@ impl ShardSegment {
     pub fn col(&self, c: usize) -> &Codes {
         self.table().column(c)
     }
+
+    /// The segment's rows as a table of their own, moved out, not copied.
+    pub fn into_table(self) -> Table {
+        self.table
+    }
 }
 
 /// One shard, in the form it keeps for its table's whole life.

@@ -282,6 +282,21 @@ impl Table {
     }
 }
 
+/// The one interning push every table is built with: interns one row's
+/// values (one per column, which the caller guarantees) into `dicts` in
+/// first-appearance order and appends each code to its column at that
+/// column's width. A column whose dictionary outgrows its width is widened
+/// once, then and there.
+pub(crate) fn push_interned<'v>(
+    cols: &mut [Codes],
+    dicts: &mut [Dictionary],
+    values: impl Iterator<Item = &'v str>,
+) {
+    for ((col, dict), v) in cols.iter_mut().zip(dicts).zip(values) {
+        col.push(dict.intern(v));
+    }
+}
+
 /// Incremental builder for [`Table`].
 #[derive(Debug)]
 pub struct TableBuilder {
@@ -320,17 +335,21 @@ impl TableBuilder {
                 got: row.len(),
             });
         }
-        self.push_values(row.iter().map(AsRef::as_ref));
+        self.push_values(row.iter().map(AsRef::as_ref), &[]);
         Ok(())
     }
 
-    /// Appends one row from its values in schema order; the caller
-    /// guarantees there is one per column. Each code goes into its column
-    /// at that column's width as it is interned; a column whose dictionary
-    /// outgrows its width is widened once, then and there.
-    pub(crate) fn push_values<'v>(&mut self, values: impl Iterator<Item = &'v str>) {
-        for ((col, dict), v) in self.cols.iter_mut().zip(&mut self.dicts).zip(values) {
-            col.push(dict.intern(v));
+    /// Appends one row from its values in schema order (the caller
+    /// guarantees there is one per column) and appends `measures` to the
+    /// measure columns added so far, in the order they were added.
+    pub(crate) fn push_values<'v>(
+        &mut self,
+        values: impl Iterator<Item = &'v str>,
+        measures: &[f64],
+    ) {
+        push_interned(&mut self.cols, &mut self.dicts, values);
+        for ((_, col), &v) in self.measures.iter_mut().zip(measures) {
+            col.push(v);
         }
         self.n_rows += 1;
     }
@@ -349,9 +368,9 @@ impl TableBuilder {
         values: Vec<f64>,
     ) -> Result<(), TableError> {
         let name = name.into();
-        if self.schema.index_of(&name).is_ok() || self.measures.iter().any(|(n, _)| *n == name) {
-            return Err(TableError::DuplicateColumn(name));
-        }
+        let names = self.measures.iter().map(|(n, _)| n.as_str());
+        self.schema
+            .require_distinct_measures(names.chain([name.as_str()]))?;
         self.measures.push((name, values));
         Ok(())
     }

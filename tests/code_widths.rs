@@ -1,15 +1,15 @@
 //! Every code column is exactly as wide as its dictionary needs: `u8` codes
 //! up to 256 values, `u16` up to 65 536, `u32` beyond — after every way a
 //! table comes to be (CSV ingest, `from_rows`, gathers, sharding, the
-//! streaming builder, live appends), with each column widened at the value
+//! streamed CSV ingest, live appends), with each column widened at the value
 //! that crosses a boundary and nowhere else. `code()` and `row_codes()` read
 //! back the `u32` codes a first-seen interning of the same rows assigns,
 //! whatever the width.
 
 use smart_drilldown::datagen::census;
-use smart_drilldown::table::csv::{read_csv, write_csv};
+use smart_drilldown::table::csv::{read_csv, stream_csv_file, write_csv};
 use smart_drilldown::table::{
-    LiveTable, LiveTableConfig, Schema, ShardBuilder, ShardConfig, ShardedTable, Table,
+    LiveTable, LiveTableConfig, Schema, ShardConfig, ShardedTable, Table,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -157,6 +157,8 @@ fn shards_are_as_narrow_as_their_dictionaries() {
     let want = reference(&rows);
     let table = Table::from_rows(schema(), &rows).unwrap();
     let dir = std::env::temp_dir();
+    let csv = dir.join(format!("sdd-code-widths-{}.csv", std::process::id()));
+    std::fs::write(&csv, write_csv(&table)).unwrap();
     for (label, config) in [
         ("resident", ShardConfig::in_memory(7)),
         ("spilled", ShardConfig::spilling(7, 0, &dir)),
@@ -164,13 +166,10 @@ fn shards_are_as_narrow_as_their_dictionaries() {
         let st = ShardedTable::from_table(&table, &config).unwrap();
         assert_shards(&format!("from_table, {label}"), &st, &want);
 
-        let mut b = ShardBuilder::new(schema(), vec![], rows.len(), &config).unwrap();
-        for row in &rows {
-            b.push_row(row, &[]).unwrap();
-        }
-        let streamed = b.finish().unwrap();
-        assert_shards(&format!("ShardBuilder, {label}"), &streamed, &want);
+        let streamed = stream_csv_file(&csv, &[], &config).unwrap();
+        assert_shards(&format!("stream_csv_file, {label}"), &streamed, &want);
     }
+    std::fs::remove_file(&csv).ok();
 }
 
 /// A live append widens only the open rows when a dictionary crosses a

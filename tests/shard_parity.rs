@@ -27,9 +27,10 @@ use smart_drilldown::sampling::{
     FetchMechanism, SampleHandler, SampleHandlerConfig, StoredSampleInfo,
 };
 use smart_drilldown::server::{Engine, EngineConfig, OpenOptions, Request};
+use smart_drilldown::table::csv::{stream_csv_file, write_csv};
 use smart_drilldown::table::{
-    LiveTable, LiveTableConfig, Schema, ShardBuilder, ShardConfig, ShardedTable, ShardedView,
-    Table, TableStore, TableView,
+    LiveTable, LiveTableConfig, Schema, ShardConfig, ShardedTable, ShardedView, Table, TableStore,
+    TableView,
 };
 use std::sync::Arc;
 
@@ -49,29 +50,21 @@ fn sharded(table: &Table, cfg: &ShardConfig) -> Arc<ShardedTable> {
     Arc::new(ShardedTable::from_table(table, cfg).expect("shard build"))
 }
 
-/// Builds the same sharded table by **streaming** `table`'s rows through a
-/// [`ShardBuilder`] in row order — the out-of-core ingest path. Codes are
-/// interned in first-appearance order by both paths, so the result must be
-/// bit-identical to [`ShardedTable::from_table`].
+/// Builds the same sharded table by **streaming** `table`'s rows, written
+/// out as CSV, through [`stream_csv_file`] — the out-of-core ingest path.
+/// Codes are interned in first-appearance order by both paths, so the
+/// result must be bit-identical to [`ShardedTable::from_table`].
 fn stream_built(table: &Table, cfg: &ShardConfig) -> Arc<ShardedTable> {
-    let measures: Vec<String> = table.measure_names().map(str::to_owned).collect();
-    let mut b = ShardBuilder::new(
-        table.schema().clone(),
-        measures.clone(),
-        table.n_rows(),
-        cfg,
-    )
-    .expect("stream builder");
-    let mvals: Vec<&[f64]> = measures
-        .iter()
-        .map(|n| table.measure(n).expect("own measure"))
-        .collect();
-    for r in 0..table.n_rows() as u32 {
-        let cats: Vec<&str> = (0..table.n_columns()).map(|c| table.value(r, c)).collect();
-        let ms: Vec<f64> = mvals.iter().map(|v| v[r as usize]).collect();
-        b.push_row(&cats, &ms).expect("stream push");
-    }
-    Arc::new(b.finish().expect("stream finish"))
+    let measures: Vec<&str> = table.measure_names().collect();
+    let path = std::env::temp_dir().join(format!(
+        "sdd-shard-parity-{}-{:?}.csv",
+        std::process::id(),
+        std::thread::current().id()
+    ));
+    std::fs::write(&path, write_csv(table)).expect("write CSV");
+    let built = stream_csv_file(&path, &measures, cfg).expect("stream ingest");
+    std::fs::remove_file(&path).ok();
+    Arc::new(built)
 }
 
 /// A live table under `cfg` holding `table`'s rows, appended in two
