@@ -19,9 +19,10 @@ usage: sdd serve [options]
                        materializing the whole table (out-of-core ingest)
   --tail <n>           serve a live appendable store: new rows arrive via
                        the authenticated `append` request and seal into
-                       immutable segments every n rows; the loaded table
-                       becomes epoch 1 and every append bumps the epoch
-                       (conflicts with --shards)
+                       immutable segments every n rows; the demo, or the
+                       --open file streamed in one pass, becomes epoch 1
+                       (a header-only file stays at epoch 0) and every
+                       append bumps the epoch (conflicts with --shards)
   --threads <n>        connection worker threads (default: cores, min 4)
   --shards <n>         partition the table into n columnar shards
   --spill <dir>        spill every shard (with --tail: every sealed
@@ -220,93 +221,53 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
         spill_dir: spill.clone(),
     };
     let spilling = if spill.is_some() { ", spilled" } else { "" };
-    let layout_of = |sharded: &ShardedTable, streamed: bool| {
+    let sharded = |st: ShardedTable, streamed: bool| {
         let how = if streamed { "streamed into " } else { "" };
-        format!(" ({how}{} shards{spilling})", sharded.n_shards())
+        let layout = format!(" ({how}{} shards{spilling})", st.n_shards());
+        (TableStore::Sharded(Arc::new(st)), layout)
     };
-    let (store, layout) = if let Some(seg_rows) = tail {
-        // Live serving mode: the loaded table's rows become epoch 1 of an
-        // appendable store (byte-identical segments to any other append
-        // batching of the same rows); `append` requests grow it from there.
-        let table = match load(&source) {
-            Ok(t) => t,
-            Err(e) => {
-                writeln!(output, "error: {e}")?;
-                return Ok(());
-            }
-        };
-        let measure_names: Vec<String> = table.measure_names().map(str::to_owned).collect();
-        let live_config = LiveTableConfig {
-            rows_per_segment: seg_rows,
-            spill_dir: spill.clone(),
-        };
-        let live = match LiveTable::new(table.schema().clone(), measure_names.clone(), &live_config)
-        {
-            Ok(l) => l,
-            Err(e) => {
-                writeln!(output, "error: {e}")?;
-                return Ok(());
-            }
-        };
-        if table.n_rows() > 0 {
-            let cats: Vec<Vec<&str>> = (0..table.n_rows())
-                .map(|r| {
-                    (0..table.n_columns())
-                        .map(|c| table.value(r as u32, c))
-                        .collect()
-                })
-                .collect();
-            let cols: Vec<&[f64]> = match measure_names
-                .iter()
-                .map(|n| table.measure(n))
-                .collect::<Result<_, _>>()
-            {
-                Ok(cols) => cols,
-                Err(e) => {
-                    writeln!(output, "error: {e}")?;
-                    return Ok(());
-                }
+    let built = match (tail, &source, shards) {
+        (Some(seg_rows), ..) => {
+            // Live serving mode: the source's rows, streamed through the
+            // append staging in one pass, become epoch 1 of an appendable
+            // store; `append` requests grow it from there.
+            let live_config = LiveTableConfig {
+                rows_per_segment: seg_rows,
+                spill_dir: spill.clone(),
             };
-            let by_row: Vec<Vec<f64>> = (0..table.n_rows())
-                .map(|r| cols.iter().map(|c| c[r]).collect())
-                .collect();
-            if let Err(e) = live.try_append(&cats, &by_row) {
-                writeln!(output, "error: cannot seal the loaded table: {e}")?;
-                return Ok(());
-            }
+            let live = match &source {
+                Source::Csv(path) => sdd_table::csv::stream_csv_live(path, &[], &live_config)
+                    .map_err(|e| format!("cannot ingest {path:?}: {e}")),
+                Source::Demo(..) => load(&source).and_then(|t| {
+                    LiveTable::from_table(&t, &live_config).map_err(|e| e.to_string())
+                }),
+            };
+            live.map(|live| {
+                config.engine.tail = Some(TailConfig::default());
+                let layout = format!(
+                    " (live, epoch {}, sealing every {seg_rows} rows{spilling})",
+                    live.epoch()
+                );
+                (TableStore::from(Arc::new(live)), layout)
+            })
         }
-        config.engine.tail = Some(TailConfig::default());
-        let layout = format!(
-            " (live, epoch {}, sealing every {seg_rows} rows{spilling})",
-            live.epoch()
-        );
-        (TableStore::from(Arc::new(live)), layout)
-    } else if let (Source::Csv(path), Some(n)) = (&source, shards) {
         // Out-of-core path: the monolithic table never exists.
-        let sharded = match sdd_table::csv::stream_csv_file(path, &[], &shard_config(n)) {
-            Ok(s) => Arc::new(s),
-            Err(e) => {
-                writeln!(output, "error: cannot ingest {path:?}: {e}")?;
-                return Ok(());
-            }
-        };
-        let layout = layout_of(&sharded, true);
-        (TableStore::Sharded(sharded), layout)
-    } else {
-        let table = match load(&source) {
-            Ok(t) => t,
-            Err(e) => {
-                writeln!(output, "error: {e}")?;
-                return Ok(());
-            }
-        };
-        match shards {
-            None => (TableStore::Whole(table), String::new()),
-            Some(n) => {
-                let sharded = Arc::new(ShardedTable::from_table(&table, &shard_config(n))?);
-                let layout = layout_of(&sharded, false);
-                (TableStore::Sharded(sharded), layout)
-            }
+        (None, Source::Csv(path), Some(n)) => {
+            sdd_table::csv::stream_csv_file(path, &[], &shard_config(n))
+                .map(|st| sharded(st, true))
+                .map_err(|e| format!("cannot ingest {path:?}: {e}"))
+        }
+        (None, _, None) => load(&source).map(|t| (TableStore::Whole(t), String::new())),
+        (None, _, Some(n)) => load(&source).and_then(|t| {
+            let st = ShardedTable::from_table(&t, &shard_config(n)).map_err(|e| e.to_string())?;
+            Ok(sharded(st, false))
+        }),
+    };
+    let (store, layout) = match built {
+        Ok(built) => built,
+        Err(e) => {
+            writeln!(output, "error: {e}")?;
+            return Ok(());
         }
     };
     if let Some(port) = http_port {
@@ -829,29 +790,8 @@ mod tests {
         // End-to-end live mode: a server whose table is an appendable live
         // store must accept `append` from the REPL, bump the epoch, and
         // serve drill-downs over the grown table.
-        let table = Arc::new(sdd_datagen::retail(42));
-        let measure_names: Vec<String> = table.measure_names().map(str::to_owned).collect();
-        let live = LiveTable::new(
-            table.schema().clone(),
-            measure_names.clone(),
-            &LiveTableConfig::in_memory(1024),
-        )
-        .unwrap();
-        let cats: Vec<Vec<&str>> = (0..table.n_rows())
-            .map(|r| {
-                (0..table.n_columns())
-                    .map(|c| table.value(r as u32, c))
-                    .collect()
-            })
-            .collect();
-        let cols: Vec<&[f64]> = measure_names
-            .iter()
-            .map(|n| table.measure(n).unwrap())
-            .collect();
-        let by_row: Vec<Vec<f64>> = (0..table.n_rows())
-            .map(|r| cols.iter().map(|c| c[r]).collect())
-            .collect();
-        live.try_append(&cats, &by_row).unwrap();
+        let table = sdd_datagen::retail(42);
+        let live = LiveTable::from_table(&table, &LiveTableConfig::in_memory(1024)).unwrap();
         let server = Server::bind_store(
             TableStore::from(Arc::new(live)),
             ServerConfig {
@@ -962,6 +902,75 @@ mod tests {
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("(streamed into 4 shards, spilled)"), "{out}");
         assert!(out.contains("smoke-scrape ok:"), "{out}");
+    }
+
+    /// `serve` with `args` plus the smoke-scrape flags; returns its output.
+    fn serve_smoke(args: &[&str]) -> String {
+        let mut args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
+        args.extend(["--addr", "127.0.0.1:0", "--http", "0", "--smoke-scrape"].map(str::to_owned));
+        let mut out = Vec::new();
+        serve(&args, &mut out).unwrap();
+        String::from_utf8(out).unwrap()
+    }
+
+    #[test]
+    fn smoke_scrape_over_a_live_tail_seeded_from_a_csv_a_demo_and_a_header() {
+        let dir = std::env::temp_dir().join(format!("sdd-cli-tail-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let csv = dir.join("rows.csv");
+        std::fs::write(&csv, sdd_table::csv::write_csv(&sdd_datagen::retail(42))).unwrap();
+        let header = dir.join("header.csv");
+        std::fs::write(&header, "Region,Product\n").unwrap();
+        let (csv, header, spill) = (
+            csv.display().to_string(),
+            header.display().to_string(),
+            dir.display().to_string(),
+        );
+        let cases: [(&[&str], &str); 3] = [
+            (
+                &["--open", &csv, "--tail", "128", "--spill", &spill],
+                "6000 rows × 4 columns (live, epoch 1, sealing every 128 rows, spilled)",
+            ),
+            (
+                &["--demo", "retail", "--tail", "512"],
+                "6000 rows × 3 columns (live, epoch 1, sealing every 512 rows)",
+            ),
+            (
+                &["--open", &header, "--tail", "128"],
+                "0 rows × 2 columns (live, epoch 0, sealing every 128 rows)",
+            ),
+        ];
+        for (args, banner) in cases {
+            let out = serve_smoke(args);
+            assert!(out.contains(banner), "{out}");
+            assert!(out.contains("smoke-scrape ok:"), "{out}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn serve_reports_a_malformed_tail_csv_by_line_and_leaves_no_spill_directory() {
+        let dir = std::env::temp_dir().join(format!("sdd-cli-bad-tail-{}", std::process::id()));
+        let spill = dir.join("spill");
+        std::fs::create_dir_all(&spill).unwrap();
+        let csv = dir.join("bad.csv");
+        std::fs::write(&csv, "a,b\n1,2\n3,4\n5\n").unwrap();
+        let out = serve_smoke(&[
+            "--open",
+            &csv.display().to_string(),
+            "--tail",
+            "1",
+            "--spill",
+            &spill.display().to_string(),
+        ]);
+        assert!(out.contains("csv error at line 4"), "{out}");
+        assert!(!out.contains("serving"), "{out}");
+        assert_eq!(
+            std::fs::read_dir(&spill).unwrap().count(),
+            0,
+            "spill left behind"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

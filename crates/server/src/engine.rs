@@ -418,9 +418,8 @@ impl Engine {
         let Some(live) = self.store.as_live() else {
             return Response::error("append rejected: the served table is frozen");
         };
-        // The wire carries measure *columns*; the live table wants one
-        // measure vector per *row* — transpose after checking the columns
-        // are rectangular (a ragged batch must not partially apply).
+        // The wire carries measure columns, as the live table takes them; a
+        // ragged column is named here, and the table rejects it whole too.
         if let Some(col) = measures.iter().find(|col| col.len() != rows.len()) {
             return Response::error(format!(
                 "measure column of {} values does not match the {}-row batch",
@@ -428,10 +427,7 @@ impl Engine {
                 rows.len()
             ));
         }
-        let by_row: Vec<Vec<f64>> = (0..rows.len())
-            .map(|r| measures.iter().map(|col| col[r]).collect())
-            .collect();
-        match live.live().try_append(rows, &by_row) {
+        match live.live().try_append(rows, measures) {
             Ok(snap) => Response::Appended {
                 epoch: snap.epoch,
                 rows: snap.table.n_rows(),

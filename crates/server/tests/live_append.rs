@@ -252,8 +252,9 @@ fn live_refresh_is_deferred_and_drained_off_the_request_path() {
 
 #[test]
 fn measured_appends_transpose_wire_columns_into_rows() {
-    // The wire carries measure *columns*; the live table wants per-row
-    // vectors — the engine transposes, and rejects ragged columns whole.
+    // The wire carries measure columns, the layout the live table takes
+    // them in: the engine hands them over as they are, and a ragged column
+    // is rejected whole.
     let schema = Schema::new(["Store", "Product"]).expect("schema");
     let live = LiveTable::new(
         schema,
@@ -297,4 +298,34 @@ fn empty_appends_still_bump_the_epoch() {
     engine.handle(&append_req(0, 16));
     let (resp, _) = engine.handle(&append_req(0, 0));
     assert_eq!(resp, Response::Appended { epoch: 2, rows: 16 });
+}
+
+#[test]
+fn appends_with_the_wrong_number_of_measure_columns_are_rejected() {
+    // A measured table takes exactly its measure columns, whatever the row
+    // count: three columns of no values do not fit a one-measure table.
+    let schema = Schema::new(["Store", "Product"]).expect("schema");
+    let live = LiveTable::new(
+        schema,
+        vec!["Sales".to_owned()],
+        &LiveTableConfig::in_memory(16),
+    )
+    .expect("live table");
+    let engine = Engine::with_store(
+        TableStore::from(Arc::new(live)),
+        EngineConfig {
+            tail: Some(TailConfig::default()),
+            ..EngineConfig::default()
+        },
+    );
+    for measures in [vec![vec![]; 3], vec![vec![1.0, 2.0], vec![3.0, 4.0]]] {
+        let rows = rows(0, measures[0].len());
+        let (resp, _) = engine.handle(&Request::Append { rows, measures });
+        assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
+        assert_eq!(engine.live_info(), Some((0, 0)), "the epoch moved");
+    }
+    // An empty batch that carries no measure columns is still the epoch
+    // bump, on a measured table too.
+    let (resp, _) = engine.handle(&append_req(0, 0));
+    assert_eq!(resp, Response::Appended { epoch: 1, rows: 0 });
 }

@@ -5,20 +5,20 @@
 //! and both `\n` and `\r\n` record separators. Deliberately hand-rolled to
 //! keep the workspace dependency-free.
 //!
-//! Both ingest surfaces run one record loop over one record parser
-//! ([`RecordReader`], a pull-based reader over any [`BufRead`]) and differ
+//! Every ingest surface runs one record loop over one record parser
+//! ([`RecordReader`], a pull-based reader over any [`BufRead`]) and differs
 //! only in where the loop puts each row: [`read_csv`] interns it into a
-//! [`TableBuilder`] for a monolithic [`Table`], and [`stream_csv_file`]
-//! interns it into the segment writer every sharded table is built with,
-//! which seals each segment as its last row arrives — never holding more
-//! than one unsealed segment (plus dictionaries) in memory.
+//! [`TableBuilder`] for a monolithic [`Table`], [`stream_csv_file`] into
+//! the segment writer every sharded table is built with, and
+//! [`stream_csv_live`] into a live table's append staging. The last two
+//! seal each segment as its last row arrives — never holding more than one
+//! unsealed segment (plus dictionaries) in memory.
 
-use crate::shard::{SegmentWriter, ShardConfig, ShardedTable};
+use crate::shard::{Batch, LiveTable, LiveTableConfig, SegmentWriter, ShardConfig, ShardedTable};
 use crate::view::chunk_spans;
 use crate::{Schema, Table, TableBuilder, TableError};
 use std::fs::File;
 use std::io::{BufRead, BufReader};
-use std::ops::Range;
 use std::sync::Arc;
 
 /// Parses CSV text (first record = header) into a [`Table`].
@@ -30,8 +30,8 @@ pub fn read_csv(input: &str) -> Result<Table, TableError> {
 }
 
 /// Where the record loop puts each row: its categorical values in schema
-/// order and its measure values in record order.
-trait RowSink {
+/// order and its measure values in declaration order.
+pub(crate) trait RowSink {
     fn push<'v>(
         &mut self,
         cats: impl Iterator<Item = &'v str>,
@@ -39,182 +39,90 @@ trait RowSink {
     ) -> Result<(), TableError>;
 }
 
-impl RowSink for TableBuilder {
-    fn push<'v>(
-        &mut self,
-        cats: impl Iterator<Item = &'v str>,
-        measures: &[f64],
-    ) -> Result<(), TableError> {
-        self.push_values(cats, measures);
-        Ok(())
-    }
+/// The one CSV record loop over a reader whose header is routed: the
+/// columns named as measures become measure columns, the rest the schema.
+struct CsvRows<R: BufRead> {
+    reader: RecordReader<R>,
+    cat_idx: Vec<usize>,
+    measure_idx: Vec<usize>,
 }
 
-/// The streamed surface's sink: the segment writer, sealing each span of
-/// the [`chunk_spans`] layout of the declared row count the moment its
-/// last row arrives. Each span's open columns are reserved once, at the
-/// span's length, so a resident seal moves them instead of copying. An
-/// abandoned build deletes the spill files it wrote.
-struct SegmentSink {
-    writer: SegmentWriter,
-    /// The layout: [`chunk_spans`] of the declared row count.
-    spans: Vec<Range<usize>>,
-}
-
-impl SegmentSink {
-    /// A sink for `rows` rows under `config`; `measures` names the measure
-    /// columns, which stay fully resident (8 bytes per row each).
-    fn new(
-        schema: Schema,
-        measures: Vec<String>,
-        rows: usize,
-        config: &ShardConfig,
-    ) -> Result<SegmentSink, TableError> {
-        schema.require_distinct_measures(measures.iter().map(String::as_str))?;
-        let dicts = (0..schema.n_columns()).map(|_| Arc::default()).collect();
-        let measures = measures
-            .into_iter()
-            .map(|n| (n, Vec::with_capacity(rows)))
-            .collect();
-        Ok(SegmentSink {
-            writer: SegmentWriter::new(schema, dicts, measures, config.spill_dir.as_deref())?,
-            spans: chunk_spans(rows, config.shards.max(1)),
-        })
-    }
-
-    /// The span the next row falls in, `None` once every span is sealed.
-    fn next_span(&self) -> Option<&Range<usize>> {
-        self.spans.get(self.writer.segments.spans.len())
-    }
-
-    /// The declared row count.
-    fn declared(&self) -> usize {
-        self.spans.last().map_or(0, |s| s.end)
-    }
-
-    /// Completes the build. Fails with [`TableError::RowCount`] when fewer
-    /// rows arrived than declared.
-    fn finish(mut self) -> Result<ShardedTable, TableError> {
-        let got = self.writer.segments.n_rows();
-        if got != self.declared() {
-            return Err(TableError::RowCount {
-                declared: self.declared(),
-                got,
-            });
+impl<R: BufRead> CsvRows<R> {
+    /// Reads the header of `input` and routes it: the loop, the schema and
+    /// the measure names.
+    fn new(input: R, measures: &[&str]) -> Result<(Self, Schema, Vec<String>), TableError> {
+        let mut reader = RecordReader::new(input);
+        let header = reader.next().ok_or(TableError::Empty)??;
+        if let Some(m) = measures.iter().find(|m| !header.iter().any(|h| h == *m)) {
+            return Err(TableError::UnknownMeasure((*m).to_owned()));
         }
-        // An empty table's single `0..0` span never fills: seal it here so
-        // the layout matches `from_table`'s.
-        while let Some(span) = self.next_span() {
-            self.writer.seal(span.len())?;
-        }
-        Ok(self.writer.freeze())
-    }
-}
-
-impl RowSink for SegmentSink {
-    fn push<'v>(
-        &mut self,
-        cats: impl Iterator<Item = &'v str>,
-        measures: &[f64],
-    ) -> Result<(), TableError> {
-        let rows = self.writer.segments.n_rows();
-        let Some(span) = self.next_span().filter(|s| s.end > rows).cloned() else {
-            return Err(TableError::RowCount {
-                declared: self.declared(),
-                got: rows + 1,
-            });
+        let (measure_idx, cat_idx): (Vec<usize>, Vec<usize>) =
+            (0..header.len()).partition(|&i| measures.contains(&header[i].as_str()));
+        let schema = Schema::new(cat_idx.iter().map(|&i| header[i].clone()))?;
+        let names = measure_idx.iter().map(|&i| header[i].clone()).collect();
+        let rows = CsvRows {
+            reader,
+            cat_idx,
+            measure_idx,
         };
-        let w = &mut self.writer;
-        if rows == span.start {
-            for col in &mut w.segments.open {
-                col.reserve(span.len());
+        Ok((rows, schema, names))
+    }
+
+    /// Checks each record's arity against the header, reporting the input
+    /// line the record started on, parses its measure fields and hands the
+    /// row to `sink`.
+    fn feed(mut self, sink: &mut impl RowSink) -> Result<(), TableError> {
+        let reader = &mut self.reader;
+        let width = self.cat_idx.len() + self.measure_idx.len();
+        let mut values: Vec<f64> = Vec::with_capacity(self.measure_idx.len());
+        while reader.read_record(true)? {
+            if reader.n_fields() != width {
+                return Err(TableError::Csv {
+                    line: reader.record_line(),
+                    message: format!("expected {width} fields, got {}", reader.n_fields()),
+                });
             }
-        }
-        w.segments.push(&mut w.dicts, cats);
-        w.push_measures(measures);
-        if span.end == rows + 1 {
-            w.seal(span.len())?;
+            values.clear();
+            for &i in &self.measure_idx {
+                let raw = reader.field(i).trim();
+                let v = raw
+                    .parse()
+                    .map_err(|_| TableError::ParseNumber(raw.to_owned()))?;
+                values.push(v);
+            }
+            sink.push(self.cat_idx.iter().map(|&i| reader.field(i)), &values)?;
         }
         Ok(())
     }
-}
-
-/// The one CSV record loop. Routes the header of `input` — the columns
-/// named in `measures` become measure columns, the rest the schema — and
-/// makes the sink from the schema and the measure names with `sink`. Then
-/// it checks each record's arity against the header, reporting the input
-/// line the record started on, parses its measure fields and hands the row
-/// to the sink.
-fn read_rows<R: BufRead, S: RowSink>(
-    input: R,
-    measures: &[&str],
-    sink: impl FnOnce(Schema, Vec<String>) -> Result<S, TableError>,
-) -> Result<S, TableError> {
-    let mut reader = RecordReader::new(input);
-    let header = reader.next().ok_or(TableError::Empty)??;
-    if let Some(m) = measures.iter().find(|m| !header.iter().any(|h| h == *m)) {
-        return Err(TableError::UnknownMeasure((*m).to_owned()));
-    }
-    let (measure_idx, cat_idx): (Vec<usize>, Vec<usize>) =
-        (0..header.len()).partition(|&i| measures.contains(&header[i].as_str()));
-    let schema = Schema::new(cat_idx.iter().map(|&i| header[i].clone()))?;
-    let mut sink = sink(
-        schema,
-        measure_idx.iter().map(|&i| header[i].clone()).collect(),
-    )?;
-    let mut values: Vec<f64> = Vec::with_capacity(measure_idx.len());
-    while reader.read_record(true)? {
-        if reader.n_fields() != header.len() {
-            return Err(TableError::Csv {
-                line: reader.record_line(),
-                message: format!(
-                    "expected {} fields, got {}",
-                    header.len(),
-                    reader.n_fields()
-                ),
-            });
-        }
-        values.clear();
-        for &i in &measure_idx {
-            let raw = reader.field(i).trim();
-            let v = raw
-                .parse()
-                .map_err(|_| TableError::ParseNumber(raw.to_owned()))?;
-            values.push(v);
-        }
-        sink.push(cat_idx.iter().map(|&i| reader.field(i)), &values)?;
-    }
-    Ok(sink)
 }
 
 /// Parses CSV text, routing the named columns into numeric measure columns
 /// instead of categorical columns.
 pub fn read_csv_with_measures(input: &str, measures: &[&str]) -> Result<Table, TableError> {
-    let builder = read_rows(input.as_bytes(), measures, |schema, names| {
-        // Size every column once: growing them by doubling leaves each
-        // outgrown copy behind as a hole in the heap, and those holes, not
-        // the table, set the ingest's peak memory. Every record but the last
-        // ends in a newline and spends at least a byte per field, so this
-        // bounds the rows from above, and a hostile input cannot make it
-        // reserve more than a few bytes per input byte.
-        let fields = schema.n_columns() + names.len();
-        let newlines = input.bytes().filter(|&b| b == b'\n').count();
-        let rows = newlines.min(input.len() / fields.max(1));
-        let mut builder = TableBuilder::new(schema);
-        builder.reserve(rows);
-        for name in names {
-            builder.add_measure(name, Vec::with_capacity(rows))?;
-        }
-        Ok(builder)
-    })?;
+    let (rows, schema, names) = CsvRows::new(input.as_bytes(), measures)?;
+    // Size every column once: growing them by doubling leaves each outgrown
+    // copy behind as a hole in the heap, and those holes, not the table, set
+    // the ingest's peak memory. Every record but the last ends in a newline
+    // and spends at least a byte per field, so this bounds the rows from
+    // above, and a hostile input cannot make it reserve more than a few
+    // bytes per input byte.
+    let fields = schema.n_columns() + names.len();
+    let newlines = input.bytes().filter(|&b| b == b'\n').count();
+    let n_rows = newlines.min(input.len() / fields.max(1));
+    let mut builder = TableBuilder::new(schema);
+    builder.reserve(n_rows);
+    for name in names {
+        builder.add_measure(name, Vec::with_capacity(n_rows))?;
+    }
+    rows.feed(&mut builder)?;
     builder.build()
 }
 
 /// Streams a CSV file into a [`ShardedTable`] without ever materializing
 /// the monolithic [`Table`] — the out-of-core ingest path.
 ///
-/// Pass 1 counts the data records with a field-free byte scan (quote
-/// structure errors surface here, everything else in pass 2); the count
+/// Pass 1 counts the data records with a field-free byte scan (header and
+/// quote structure errors surface here, everything else in pass 2); the count
 /// fixes the deterministic span layout. Pass 2 re-reads the file through
 /// the record loop [`read_csv`] uses and pushes each row into the one
 /// segment writer every sharded and live table is built with: it interns
@@ -238,15 +146,66 @@ pub fn stream_csv_file(
     let open = || -> Result<BufReader<File>, TableError> {
         Ok(BufReader::new(File::open(path.as_ref())?))
     };
-    // Pass 1: skip the header, count the records.
-    let mut reader = RecordReader::new(open()?);
-    reader.next().ok_or(TableError::Empty)??;
-    let rows = reader.count_remaining()?;
+    // Pass 1: route the header, count the records.
+    let n_rows = CsvRows::new(open()?, measures)?
+        .0
+        .reader
+        .count_remaining()?;
     // Pass 2: the record loop, into the segment writer.
-    let sink = read_rows(open()?, measures, |schema, names| {
-        SegmentSink::new(schema, names, rows, config)
-    })?;
-    sink.finish()
+    let (rows, schema, names) = CsvRows::new(open()?, measures)?;
+    stream_segments(schema, names, n_rows, config, |batch| rows.feed(batch))
+}
+
+/// The sharded table of the `n_rows` rows `fill` pushes into a fresh
+/// segment writer, which seals each span of [`chunk_spans`] the moment its
+/// last row arrives. Fails with [`TableError::RowCount`] when fewer or
+/// more rows arrive; an abandoned build deletes the spill files it wrote.
+/// The `measures` columns stay fully resident (8 bytes per row each).
+fn stream_segments(
+    schema: Schema,
+    measures: Vec<String>,
+    n_rows: usize,
+    config: &ShardConfig,
+    fill: impl FnOnce(&mut Batch<'_>) -> Result<(), TableError>,
+) -> Result<ShardedTable, TableError> {
+    schema.require_distinct_measures(measures.iter().map(String::as_str))?;
+    let dicts = (0..schema.n_columns()).map(|_| Arc::default()).collect();
+    let measures = measures
+        .into_iter()
+        .map(|n| (n, Vec::with_capacity(n_rows)))
+        .collect();
+    let mut writer = SegmentWriter::new(schema, dicts, measures, config.spill_dir.as_deref())?;
+    // The empty table's single `0..0` span takes no row: it seals after the
+    // stream, so that the layout matches `from_table`'s.
+    let spans = chunk_spans(n_rows, config.shards.max(1)).into_iter();
+    let plans = spans.filter(|s| !s.is_empty()).map(|s| (s.len(), s.len()));
+    writer.stage(Box::new(plans), fill)?;
+    let got = writer.segments.n_rows();
+    if got != n_rows {
+        return Err(TableError::RowCount {
+            declared: n_rows,
+            got,
+        });
+    }
+    if n_rows == 0 {
+        writer.seal(0)?;
+    }
+    Ok(writer.freeze())
+}
+
+/// Streams a CSV file into a new [`LiveTable`] in one pass, through the
+/// append staging: its records become epoch 1 (a header-only file leaves
+/// the table empty at epoch 0), each segment sealing as its last row
+/// arrives, so the file is never held whole. The table is the one a
+/// [`LiveTable::try_append`] of the same rows in one batch builds. A
+/// malformed record fails the build, and its spill directory goes with it.
+pub fn stream_csv_live(
+    path: impl AsRef<std::path::Path>,
+    measures: &[&str],
+    config: &LiveTableConfig,
+) -> Result<LiveTable, TableError> {
+    let (rows, schema, names) = CsvRows::new(BufReader::new(File::open(path)?), measures)?;
+    LiveTable::seeded(schema, names, config, |batch| rows.feed(batch))
 }
 
 /// Serializes a table (categorical columns then measures) to CSV text.
@@ -614,9 +573,14 @@ mod tests {
         b.build().unwrap()
     }
 
-    /// A segment sink for `rows` rows of two columns, no measures.
-    fn sink(rows: usize, config: &ShardConfig) -> SegmentSink {
-        SegmentSink::new(Schema::new(["A", "B"]).unwrap(), vec![], rows, config).unwrap()
+    /// A streamed build of `rows` rows of two columns, no measures, from
+    /// the rows `fill` pushes.
+    fn build(
+        rows: usize,
+        config: &ShardConfig,
+        fill: impl FnOnce(&mut Batch<'_>) -> Result<(), TableError>,
+    ) -> Result<ShardedTable, TableError> {
+        stream_segments(Schema::new(["A", "B"]).unwrap(), vec![], rows, config, fill)
     }
 
     /// Every span of the `chunk_spans` layout seals the moment its last row
@@ -632,18 +596,20 @@ mod tests {
                     ShardConfig::spilling(shards, 0, std::env::temp_dir()),
                 ] {
                     let spans = chunk_spans(n_rows, shards);
-                    let mut s = sink(n_rows, &config);
-                    for i in 0..n_rows {
-                        let (a, b) = (format!("v{}", i % 6), format!("w{}", i % 4));
-                        s.push([a.as_str(), b.as_str()].into_iter(), &[]).unwrap();
-                        let sealed = spans.iter().filter(|s| !s.is_empty() && s.end <= i + 1);
-                        assert_eq!(
-                            s.writer.segments.spans.len(),
-                            sealed.count(),
-                            "{n_rows} rows, {shards} shards: row {i} sealed off a span end"
-                        );
-                    }
-                    let st = s.finish().unwrap();
+                    let st = build(n_rows, &config, |s| {
+                        for i in 0..n_rows {
+                            let (a, b) = (format!("v{}", i % 6), format!("w{}", i % 4));
+                            s.push([a.as_str(), b.as_str()].into_iter(), &[])?;
+                            let sealed = spans.iter().filter(|s| !s.is_empty() && s.end <= i + 1);
+                            assert_eq!(
+                                s.staged.spans.len(),
+                                sealed.count(),
+                                "{n_rows} rows, {shards} shards: row {i} sealed off a span end"
+                            );
+                        }
+                        Ok(())
+                    })
+                    .unwrap();
                     assert_eq!(st.spans(), spans.as_slice());
                     for i in 0..st.n_shards() {
                         let Some(seg) = st.resident_segment(i) else {
@@ -664,27 +630,28 @@ mod tests {
     #[test]
     fn segment_sink_rejects_row_count_mismatch() {
         let config = ShardConfig::in_memory(2);
-        let mut s = sink(2, &config);
-        s.push(["x", "y"].into_iter(), &[]).unwrap();
         assert!(matches!(
-            s.finish(),
+            build(2, &config, |s| s.push(["x", "y"].into_iter(), &[])),
             Err(TableError::RowCount {
                 declared: 2,
                 got: 1
             })
         ));
         for declared in [0, 1] {
-            let mut s = sink(declared, &config);
-            for _ in 0..declared {
-                s.push(["x", "y"].into_iter(), &[]).unwrap();
-            }
-            assert_eq!(
-                s.push(["x", "y"].into_iter(), &[]).unwrap_err(),
-                TableError::RowCount {
-                    declared,
-                    got: declared + 1
+            build(declared, &config, |s| {
+                for _ in 0..declared {
+                    s.push(["x", "y"].into_iter(), &[]).unwrap();
                 }
-            );
+                assert_eq!(
+                    s.push(["x", "y"].into_iter(), &[]).unwrap_err(),
+                    TableError::RowCount {
+                        declared,
+                        got: declared + 1
+                    }
+                );
+                Ok(())
+            })
+            .unwrap();
         }
     }
 

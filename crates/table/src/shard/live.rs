@@ -6,8 +6,10 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use super::sharded::ShardedTable;
-use super::writer::SegmentWriter;
-use crate::{with_codes, Code, Codes, Dictionary, Schema, Table, TableError};
+use super::writer::{Batch, SegmentWriter};
+use crate::csv::RowSink;
+use crate::{with_codes, Code, Codes, RowId, Schema, Table, TableError};
+use std::iter::repeat;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -162,17 +164,19 @@ struct LiveState {
 ///   other build does), so a live table grown by any sequence of appends holds
 ///   the same codes — and byte-identical sealed spill files — as one grown
 ///   by a single append of all rows (the seal-boundary tests pin this).
-/// * An append is staged on a copy of the open rows and committed only
-///   once every segment it filled has spilled. A failed spill (I/O error)
-///   drops the copy, which deletes the files the batch wrote, and truncates
-///   the dictionaries to their prior lengths — a retry or a rebuild
-///   observes no trace of the failure.
+/// * An append is staged on a copy of the open rows, each segment sealing
+///   as its last row arrives, and committed once every row has arrived.
+///   Any failure (a malformed row or measure column, a failed spill) drops
+///   the copy, which deletes the files the batch wrote, and truncates the
+///   dictionaries and measure columns — a retry or a rebuild observes no
+///   trace of the failure. [`LiveTable::from_table`] and
+///   [`stream_csv_live`] seed a new table through the same staging.
 ///
 /// [`stream_csv_file`]: crate::csv::stream_csv_file
+/// [`stream_csv_live`]: crate::csv::stream_csv_live
 #[derive(Debug)]
 pub struct LiveTable {
     schema: Schema,
-    n_measures: usize,
     rows_per_segment: usize,
     /// Mirrors `state.current.epoch`; readable without the lock.
     epoch: AtomicU64,
@@ -186,21 +190,33 @@ impl LiveTable {
         measures: Vec<String>,
         config: &LiveTableConfig,
     ) -> Result<LiveTable, TableError> {
+        LiveTable::seeded(schema, measures, config, |_| Ok(()))
+    }
+
+    /// A new live table whose epoch 1 holds the rows `fill` pushes as one
+    /// batch — or which stays empty at epoch 0 when it pushes none.
+    pub(crate) fn seeded(
+        schema: Schema,
+        measures: Vec<String>,
+        config: &LiveTableConfig,
+        fill: impl FnOnce(&mut Batch<'_>) -> Result<(), TableError>,
+    ) -> Result<LiveTable, TableError> {
         schema.require_distinct_measures(measures.iter().map(String::as_str))?;
-        let n_measures = measures.len();
         let dicts = (0..schema.n_columns()).map(|_| Arc::default()).collect();
         let measures = measures.into_iter().map(|n| (n, Vec::new())).collect();
         let mut writer =
             SegmentWriter::new(schema.clone(), dicts, measures, config.spill_dir.as_deref())?;
+        let rows_per_segment = config.rows_per_segment.max(1);
+        writer.stage(Box::new(repeat((rows_per_segment, 0))), fill)?;
+        let epoch = u64::from(writer.segments.n_rows() > 0);
         let current = LiveSnapshot {
             table: Arc::new(writer.freeze()),
-            epoch: 0,
+            epoch,
         };
         Ok(LiveTable {
             schema,
-            n_measures,
-            rows_per_segment: config.rows_per_segment.max(1),
-            epoch: AtomicU64::new(0),
+            rows_per_segment,
+            epoch: AtomicU64::new(epoch),
             state: Mutex::new(LiveState {
                 writer,
                 current,
@@ -263,15 +279,15 @@ impl LiveTable {
 
     /// Appends a batch of rows, bumps the epoch, and returns the new
     /// snapshot. `cats[i]` are row `i`'s categorical values in schema
-    /// order; `measures[i]` its measure values in declaration order (pass
-    /// `&[]` when the table declares no measures). Appending an empty batch
-    /// still bumps the epoch (a deliberate no-op data change).
+    /// order; `measures[m]` is measure `m`'s column of one value per row
+    /// (pass `&[]` when the table declares no measures). Appending an empty
+    /// batch still bumps the epoch (a deliberate no-op data change).
     ///
     /// # Errors
     ///
-    /// [`TableError::ArityMismatch`] on a malformed row (checked before any
-    /// state changes); [`TableError::Io`] when sealing a segment fails —
-    /// the table stays at the previous epoch.
+    /// [`TableError::ArityMismatch`] on a malformed row or measure column
+    /// (an empty batch may carry none); [`TableError::Io`] when sealing a
+    /// segment fails. Either way the table stays at the previous epoch.
     pub fn try_append<R, S>(
         &self,
         cats: &[R],
@@ -281,58 +297,39 @@ impl LiveTable {
         R: AsRef<[S]>,
         S: AsRef<str>,
     {
-        let n_cols = self.schema.n_columns();
-        for row in cats {
-            if row.as_ref().len() != n_cols {
-                return Err(TableError::ArityMismatch {
-                    expected: n_cols,
-                    got: row.as_ref().len(),
-                });
-            }
-        }
-        if !(self.n_measures == 0 && measures.is_empty()) {
-            if measures.len() != cats.len() {
-                return Err(TableError::ArityMismatch {
-                    expected: cats.len(),
-                    got: measures.len(),
-                });
-            }
-            for m in measures {
-                if m.len() != self.n_measures {
-                    return Err(TableError::ArityMismatch {
-                        expected: self.n_measures,
-                        got: m.len(),
-                    });
-                }
-            }
-        }
-
         let mut guard = self.state();
         let state = &mut *guard;
         let w = &mut state.writer;
-        let dict_lens: Vec<usize> = w.dicts.iter().map(Dictionary::len).collect();
-        // Stage on a copy of the segments: their handles plus the open rows
-        // (fewer than `rows_per_segment`). Interning grows the dictionaries
-        // in place, which is all a failed spill has to undo.
-        let mut staged = w.segments.clone();
-        for row in cats {
-            staged.push(&mut w.dicts, row.as_ref().iter().map(AsRef::as_ref));
+        let n_measures = w.measures.len();
+        if measures.len() != n_measures && !(cats.is_empty() && measures.is_empty()) {
+            return Err(TableError::ArityMismatch {
+                expected: n_measures,
+                got: measures.len(),
+            });
         }
-        while staged.open_rows >= self.rows_per_segment {
-            if let Err(e) = staged.seal(w.spill_root.as_ref(), self.rows_per_segment) {
-                // Dropping `staged` deletes the files this batch spilled.
-                for (dict, &len) in w.dicts.iter_mut().zip(&dict_lens) {
-                    dict.truncate(len);
+        if let Some(col) = measures.iter().find(|col| col.len() != cats.len()) {
+            return Err(TableError::ArityMismatch {
+                expected: cats.len(),
+                got: col.len(),
+            });
+        }
+        let n_cols = self.schema.n_columns();
+        let mut values = Vec::with_capacity(measures.len());
+        w.stage(Box::new(repeat((self.rows_per_segment, 0))), |batch| {
+            for (r, row) in cats.iter().enumerate() {
+                let row = row.as_ref();
+                if row.len() != n_cols {
+                    return Err(TableError::ArityMismatch {
+                        expected: n_cols,
+                        got: row.len(),
+                    });
                 }
-                return Err(e.into());
+                values.clear();
+                values.extend(measures.iter().map(|col| col[r]));
+                batch.push(row.iter().map(AsRef::as_ref), &values)?;
             }
-        }
-
-        // Commit: adopt the staged segments, bump the epoch, publish.
-        w.segments = staged;
-        for m in measures {
-            w.push_measures(m);
-        }
+            Ok(())
+        })?;
         state.base_loads += state.current.table.loads();
         state.current = LiveSnapshot {
             table: Arc::new(w.freeze()),
@@ -340,6 +337,28 @@ impl LiveTable {
         };
         self.epoch.store(state.current.epoch, Ordering::Release);
         Ok(state.current.clone())
+    }
+
+    /// A live table holding `table`'s rows as epoch 1 (empty at epoch 0
+    /// when it has none), pushed through the append staging as one batch:
+    /// codes are interned afresh in first-appearance order, as every
+    /// append interns them.
+    pub fn from_table(table: &Table, config: &LiveTableConfig) -> Result<LiveTable, TableError> {
+        let names: Vec<String> = table.measure_names().map(str::to_owned).collect();
+        let cols = names
+            .iter()
+            .map(|n| table.measure(n))
+            .collect::<Result<Vec<_>, _>>()?;
+        let mut values = Vec::with_capacity(cols.len());
+        LiveTable::seeded(table.schema().clone(), names, config, |batch| {
+            for r in 0..table.n_rows() {
+                values.clear();
+                values.extend(cols.iter().map(|col| col[r]));
+                let row = (0..table.n_columns()).map(|c| table.value(r as RowId, c));
+                batch.push(row, &values)?;
+            }
+            Ok(())
+        })
     }
 }
 
@@ -404,9 +423,9 @@ mod tests {
         )
         .unwrap();
         let rows = live_rows(7);
-        let ms: Vec<Vec<f64>> = (0..7).map(|i| vec![i as f64 * 1.5]).collect();
-        live.try_append(&rows[..4], &ms[..4]).unwrap();
-        let snap = live.try_append(&rows[4..], &ms[4..]).unwrap();
+        let ms: Vec<f64> = (0..7).map(|i| i as f64 * 1.5).collect();
+        live.try_append(&rows[..4], &[ms[..4].to_vec()]).unwrap();
+        let snap = live.try_append(&rows[4..], &[ms[4..].to_vec()]).unwrap();
         let all: Vec<RowId> = (0..7).collect();
         let t = snap.table.try_gather_rows(&all).unwrap();
         let got = t.measure("m").unwrap();
@@ -428,7 +447,8 @@ mod tests {
             Err(TableError::ArityMismatch { .. })
         ));
         let rows = live_rows(2);
-        // Wrong measure arity.
+        // A measure column of the wrong length, and the wrong number of
+        // measure columns.
         assert!(matches!(
             live.try_append(&rows, &[vec![1.0]]),
             Err(TableError::ArityMismatch { .. })
@@ -605,6 +625,67 @@ mod tests {
         }
         let expect: Vec<Vec<String>> = rows.iter().map(|r| r.to_vec()).collect();
         assert_eq!(gather_all(&snap.table), expect);
+    }
+
+    /// A batch that seals a segment and then meets a malformed row keeps
+    /// nothing it staged: the epoch and rows are the prior epoch's, the
+    /// dictionaries and the measure column are un-grown, the segment it
+    /// sealed has no file, and a retry writes exactly what a one-shot
+    /// rebuild writes.
+    #[test]
+    fn live_append_failing_on_a_row_after_a_seal_keeps_nothing_it_staged() {
+        let c = 4usize;
+        let cfg = LiveTableConfig::spilling(c, spill_dir());
+        let new = || LiveTable::new(Schema::new(["A", "B"]).unwrap(), vec!["m".into()], &cfg);
+        let live = new().unwrap();
+        let rows: Vec<Vec<String>> = live_rows(2 * c + 1).iter().map(|r| r.to_vec()).collect();
+        let m: Vec<f64> = (0..rows.len()).map(|i| i as f64 * 0.5).collect();
+        live.try_append(&rows[..2], &[m[..2].to_vec()]).unwrap();
+        let dir = live.snapshot().table.spill_dir().unwrap().to_path_buf();
+
+        // Rows 2..6 seal segment 0 at row 3; row 6 interns two values no
+        // other row has; row 7 is one field short.
+        let mut bad = rows[2..6].to_vec();
+        bad.push(vec!["zz".into(), "yy".into()]);
+        bad.push(vec!["short".into()]);
+        let err = live.try_append(&bad, &[m[2..8].to_vec()]);
+        assert!(
+            matches!(err, Err(TableError::ArityMismatch { .. })),
+            "got {err:?}"
+        );
+        assert_eq!(
+            (live.epoch(), live.n_rows(), live.segments_sealed()),
+            (1, 2, 0)
+        );
+        {
+            let state = live.state();
+            let lens: Vec<usize> = state.writer.dicts.iter().map(|d| d.len()).collect();
+            assert_eq!(lens, [2, 2], "dictionaries grew");
+            assert_eq!(state.writer.measures[0].1.len(), 2, "measure column grew");
+        }
+        assert!(!dir.join(segment_file_name(0)).exists(), "segment 0 leaked");
+
+        let snap = live.try_append(&rows[2..], &[m[2..].to_vec()]).unwrap();
+        let rebuilt = new().unwrap();
+        let rsnap = rebuilt.try_append(&rows, std::slice::from_ref(&m)).unwrap();
+        for i in 0..2 {
+            assert_eq!(
+                std::fs::read(snap.table.spill_path(i).unwrap()).unwrap(),
+                std::fs::read(rsnap.table.spill_path(i).unwrap()).unwrap(),
+                "segment {i}: retry vs one-shot rebuild"
+            );
+        }
+        for col in 0..2 {
+            let (got, want) = (snap.table.dictionary(col), rsnap.table.dictionary(col));
+            assert!(
+                got.iter().eq(want.iter()),
+                "column {col}: dictionaries differ"
+            );
+        }
+        let all: Vec<RowId> = (0..rows.len() as RowId).collect();
+        let t = snap.table.try_gather_rows(&all).unwrap();
+        assert_eq!(t.measure("m").unwrap(), &m[..]);
+        assert_eq!(gather_all(&snap.table), rows);
     }
 
     /// A spill write that fails part-way (the file exists, the disk is

@@ -47,7 +47,7 @@
 //! segment the moment its span fills, so ingest peak memory is one segment
 //! plus dictionaries (see its docs for why the two builds are
 //! bit-identical); and [`LiveTable`] seals every `rows_per_segment` rows
-//! and freezes once per append.
+//! as the segment fills and freezes once per append or seed.
 //!
 //! ## Determinism contract
 //!
@@ -84,7 +84,7 @@ pub use live::{LiveSnapshot, LiveTable, LiveTableConfig};
 pub use sharded::{ShardConfig, ShardSegment, ShardedTable};
 pub use spill::RawColumn;
 pub use store::{LiveStore, TableStore};
-pub(crate) use writer::SegmentWriter;
+pub(crate) use writer::{Batch, SegmentWriter};
 
 #[cfg(test)]
 mod testutil {

@@ -7,15 +7,17 @@
 
 use super::sharded::{segment, Shard, ShardedTable};
 use super::spill::{spill_segment, SpillRoot};
+use crate::csv::RowSink;
 use crate::table::push_interned;
-use crate::{Codes, Dictionary, Schema, Table};
+use crate::{Codes, Dictionary, Schema, Table, TableError};
 use std::io;
+use std::iter::Peekable;
 use std::ops::Range;
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
 /// The sealed segments of a [`SegmentWriter`] and the open rows after them:
-/// the part of the writer a live append stages on a copy of.
+/// the part of the writer a batch stages on a copy of.
 #[derive(Debug, Clone)]
 pub(crate) struct Segments {
     /// The sealed spans, in row order.
@@ -36,17 +38,6 @@ impl Segments {
     /// Rows sealed or open.
     pub(crate) fn n_rows(&self) -> usize {
         self.spans.last().map_or(0, |s| s.end) + self.open_rows
-    }
-
-    /// Appends one row of categorical values (one per column) to the open
-    /// rows through the one interning push, [`push_interned`].
-    pub(crate) fn push<'v>(
-        &mut self,
-        dicts: &mut [Dictionary],
-        cats: impl Iterator<Item = &'v str>,
-    ) {
-        push_interned(&mut self.open, dicts, cats);
-        self.open_rows += 1;
     }
 
     /// Seals the first `len` open rows as the next segment. This is where
@@ -95,7 +86,7 @@ pub(crate) struct SegmentWriter {
     /// older handle is a prefix of every newer one.
     frozen_dicts: Vec<Arc<Dictionary>>,
     /// Every row's measure values, by measure name.
-    measures: Vec<(String, Vec<f64>)>,
+    pub(super) measures: Vec<(String, Vec<f64>)>,
     pub(crate) segments: Segments,
 }
 
@@ -130,16 +121,39 @@ impl SegmentWriter {
         })
     }
 
-    /// Appends one row of measure values, in declaration order.
-    pub(crate) fn push_measures(&mut self, values: &[f64]) {
-        for ((_, col), &v) in self.measures.iter_mut().zip(values) {
-            col.push(v);
-        }
-    }
-
     /// [`Segments::seal`] under this writer's spill root.
     pub(crate) fn seal(&mut self, len: usize) -> io::Result<()> {
         self.segments.seal(self.spill_root.as_ref(), len)
+    }
+
+    /// Runs `fill` over a [`Batch`] of this writer sealing the `spans`, and
+    /// adopts the batch's segments once every row has arrived. Any failure
+    /// rolls the batch back: dropping its copy deletes the files it spilled,
+    /// and the dictionaries and measure columns go back to their lengths
+    /// before it.
+    pub(crate) fn stage(
+        &mut self,
+        spans: Box<dyn Iterator<Item = (usize, usize)>>,
+        fill: impl FnOnce(&mut Batch<'_>) -> Result<(), TableError>,
+    ) -> Result<(), TableError> {
+        let dict_lens: Vec<usize> = self.dicts.iter().map(Dictionary::len).collect();
+        let rows = self.segments.n_rows();
+        let mut batch = Batch {
+            staged: self.segments.clone(),
+            writer: self,
+            spans: spans.peekable(),
+        };
+        if let Err(e) = fill(&mut batch) {
+            for (dict, &len) in batch.writer.dicts.iter_mut().zip(&dict_lens) {
+                dict.truncate(len);
+            }
+            for (_, col) in &mut batch.writer.measures {
+                col.truncate(rows);
+            }
+            return Err(e);
+        }
+        batch.writer.segments = batch.staged;
+        Ok(())
     }
 
     /// The table of every row so far: a header under fresh handles of the
@@ -188,5 +202,53 @@ impl SegmentWriter {
             spill_root: self.spill_root.clone(),
             loads: AtomicU64::new(0),
         }
+    }
+}
+
+/// Rows staged into a [`SegmentWriter`] by [`SegmentWriter::stage`]: they
+/// intern onto a copy of its open rows, and each span seals — spilling, or
+/// parked until the next freeze — the moment its last row arrives. Measure
+/// values go straight onto the writer's columns.
+pub(crate) struct Batch<'w> {
+    writer: &'w mut SegmentWriter,
+    /// The copy of the writer's segments the rows go to.
+    pub(crate) staged: Segments,
+    /// The spans still to seal, the next one first: each one's length and
+    /// the rows its open columns reserve as its first row arrives. A build
+    /// that knows its spans fill reserves each whole, so that a resident
+    /// seal moves the buffers instead of copying them.
+    spans: Peekable<Box<dyn Iterator<Item = (usize, usize)>>>,
+}
+
+impl RowSink for Batch<'_> {
+    /// Fails with [`TableError::RowCount`] once every span is sealed.
+    fn push<'v>(
+        &mut self,
+        cats: impl Iterator<Item = &'v str>,
+        measures: &[f64],
+    ) -> Result<(), TableError> {
+        let Some(&(len, reserve)) = self.spans.peek() else {
+            let declared = self.staged.n_rows();
+            return Err(TableError::RowCount {
+                declared,
+                got: declared + 1,
+            });
+        };
+        if self.staged.open_rows == 0 {
+            self.staged
+                .open
+                .iter_mut()
+                .for_each(|col| col.reserve(reserve));
+        }
+        push_interned(&mut self.staged.open, &mut self.writer.dicts, cats);
+        self.staged.open_rows += 1;
+        for ((_, col), &v) in self.writer.measures.iter_mut().zip(measures) {
+            col.push(v);
+        }
+        if self.staged.open_rows == len {
+            self.staged.seal(self.writer.spill_root.as_ref(), len)?;
+            self.spans.next();
+        }
+        Ok(())
     }
 }

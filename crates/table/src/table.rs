@@ -1,3 +1,4 @@
+use crate::csv::RowSink;
 use crate::view::{RowId, TableView};
 use crate::{with_codes, Code, Codes, Dictionary, Schema, TableError};
 use std::sync::Arc;
@@ -335,23 +336,7 @@ impl TableBuilder {
                 got: row.len(),
             });
         }
-        self.push_values(row.iter().map(AsRef::as_ref), &[]);
-        Ok(())
-    }
-
-    /// Appends one row from its values in schema order (the caller
-    /// guarantees there is one per column) and appends `measures` to the
-    /// measure columns added so far, in the order they were added.
-    pub(crate) fn push_values<'v>(
-        &mut self,
-        values: impl Iterator<Item = &'v str>,
-        measures: &[f64],
-    ) {
-        push_interned(&mut self.cols, &mut self.dicts, values);
-        for ((_, col), &v) in self.measures.iter_mut().zip(measures) {
-            col.push(v);
-        }
-        self.n_rows += 1;
+        self.push(row.iter().map(AsRef::as_ref), &[])
     }
 
     /// Number of rows pushed so far.
@@ -397,6 +382,23 @@ impl TableBuilder {
             measures: self.measures,
             n_rows: self.n_rows,
         })
+    }
+}
+
+/// The record loop's sink for a monolithic table: `measures` go onto the
+/// measure columns added so far, in the order they were added.
+impl RowSink for TableBuilder {
+    fn push<'v>(
+        &mut self,
+        cats: impl Iterator<Item = &'v str>,
+        measures: &[f64],
+    ) -> Result<(), TableError> {
+        push_interned(&mut self.cols, &mut self.dicts, cats);
+        for ((_, col), &v) in self.measures.iter_mut().zip(measures) {
+            col.push(v);
+        }
+        self.n_rows += 1;
+        Ok(())
     }
 }
 

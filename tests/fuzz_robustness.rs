@@ -7,11 +7,12 @@ use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{Rule, SizeWeight};
 use smart_drilldown::prelude::*;
 use smart_drilldown::sampling::PrefetchEntry;
-use smart_drilldown::server::Json;
+use smart_drilldown::server::{Engine, EngineConfig, Json, TailConfig};
 use smart_drilldown::table::bucketize::{equal_depth, equal_width, hierarchy};
 use smart_drilldown::table::csv::{read_csv, RecordReader};
-use smart_drilldown::table::TableError;
+use smart_drilldown::table::{LiveTable, LiveTableConfig, TableError, TableStore};
 use std::io::{self, BufRead, BufReader};
+use std::sync::Arc;
 
 /// The CSV record reader as it was before it walked buffered slices: one
 /// `fill_buf()`/`consume(1)` per byte, a `Vec<u8>` → `String` per field.
@@ -437,6 +438,84 @@ proptest! {
                 prop_assert!(r.rule.is_strict_super_rule_of(&parent.rule));
                 prop_assert!(r.count <= parent.count + 1e-9);
             }
+        }
+    }
+}
+
+/// One `append` line over a `Store,Product` table with one measure: `n_rows`
+/// rows, the one at `at` flawed by `kind` (a short or long row, a number or
+/// null cell, a row that is no array; kinds 5.. leave it whole), and
+/// measure columns of shape `shape` (none, one fitting column, one too long
+/// or too short, two, an empty list, a non-number value). Returns the line
+/// and whether the batch fits the table.
+fn append_line(n_rows: usize, (kind, at): (usize, usize), shape: usize) -> (String, bool) {
+    let at = at % n_rows.max(1);
+    let mut rows_fit = true;
+    let rows: Vec<String> = (0..n_rows)
+        .map(|r| {
+            let cells = format!("\"s{}\",\"p{}\"", r % 4, r % 7);
+            if r == at {
+                rows_fit = kind > 4;
+            }
+            match (r == at, kind) {
+                (true, 0) => format!("[\"s{}\"]", r % 4),
+                (true, 1) => format!("[{cells},\"x\"]"),
+                (true, 2) => format!("[\"s0\",{r}]"),
+                (true, 3) => "[null,\"p0\"]".to_owned(),
+                (true, 4) => "\"row\"".to_owned(),
+                _ => format!("[{cells}]"),
+            }
+        })
+        .collect();
+    let col = |len: usize| {
+        let values: Vec<String> = (0..len).map(|i| format!("{i}.5")).collect();
+        format!("[{}]", values.join(","))
+    };
+    let (measures, measures_fit) = match shape {
+        0 => (String::new(), n_rows == 0),
+        1..=3 => (format!(",\"measures\":[{}]", col(n_rows)), true),
+        4 => (format!(",\"measures\":[{}]", col(n_rows + 1)), false),
+        5 => (
+            format!(",\"measures\":[{}]", col(n_rows.saturating_sub(1))),
+            n_rows == 0,
+        ),
+        6 | 7 => (format!(",\"measures\":[{c},{c}]", c = col(n_rows)), false),
+        8 => (",\"measures\":[]".to_owned(), n_rows == 0),
+        _ => (",\"measures\":[[\"x\"]]".to_owned(), false),
+    };
+    let line = format!(r#"{{"op":"append","rows":[{}]{measures}}}"#, rows.join(","));
+    (line, rows_fit && measures_fit && n_rows <= 10_000)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `append` lines from a soup of ragged rows, non-string cells, measure
+    /// columns of the wrong length or count, and batches around the
+    /// 10 000-row cap never panic a live engine, and never half-apply: each
+    /// publishes exactly one epoch of exactly its rows when the batch fits
+    /// the table, and leaves the table as it was when it does not.
+    #[test]
+    fn live_append_lines_never_panic_or_half_apply(
+        batches in proptest::collection::vec(((0usize..10, 0usize..12), (any::<usize>(), 0usize..10)), 1..5),
+    ) {
+        let live = LiveTable::new(
+            Schema::new(["Store", "Product"]).unwrap(),
+            vec!["Sales".to_owned()],
+            &LiveTableConfig::in_memory(64),
+        )
+        .unwrap();
+        let config = EngineConfig { tail: Some(TailConfig::default()), ..EngineConfig::default() };
+        let engine = Engine::with_store(TableStore::from(Arc::new(live)), config);
+        for ((size, kind), (at, shape)) in batches {
+            // A few rows (none twice as often), or around the cap.
+            let n_rows = [0, 0, 1, 2, 3, 5, 9_998, 9_999, 10_000, 10_001][size];
+            let (line, fits) = append_line(n_rows, (kind, at), shape);
+            let (epoch, rows) = engine.live_info().unwrap();
+            let (resp, _) = engine.handle_line(&line);
+            let want = if fits { (epoch + 1, rows + n_rows) } else { (epoch, rows) };
+            prop_assert_eq!(engine.live_info(), Some(want), "{} rows, flaw {}, shape {}: {}", n_rows, kind, shape, resp);
+            prop_assert_eq!(resp.contains(r#""ok":true"#), fits, "{}", resp);
         }
     }
 }

@@ -15,8 +15,12 @@ use smart_drilldown::core::{
 };
 use smart_drilldown::datagen::{census, retail};
 use smart_drilldown::server::{Engine, EngineConfig, OpenOptions, Request};
-use smart_drilldown::table::csv::{read_csv_with_measures, stream_csv_file, write_csv};
-use smart_drilldown::table::{ShardConfig, ShardedTable, ShardedView, Table, TableStore};
+use smart_drilldown::table::csv::{
+    read_csv_with_measures, stream_csv_file, stream_csv_live, write_csv,
+};
+use smart_drilldown::table::{
+    LiveTable, LiveTableConfig, ShardConfig, ShardedTable, ShardedView, Table, TableStore,
+};
 use std::sync::{Arc, Barrier};
 
 /// Writes `table` as a CSV fixture under the temp dir, named uniquely per
@@ -352,4 +356,97 @@ fn csv_fixture_text(text: &str, tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!("sdd-ingest-err-{}-{tag}.csv", std::process::id()));
     std::fs::write(&path, text).expect("write CSV fixture");
     path
+}
+
+// ---------------------------------------------------------------------------
+// Live seeds
+// ---------------------------------------------------------------------------
+
+/// `a` and `b` hold the same spans, spill bytes, dictionaries, segment
+/// codes and measure columns.
+fn assert_same_store(a: &ShardedTable, b: &ShardedTable, label: &str) {
+    assert_eq!(a.spans(), b.spans(), "{label}: spans");
+    for i in 0..a.n_shards() {
+        match (a.spill_path(i), b.spill_path(i)) {
+            (Some(pa), Some(pb)) => assert_eq!(
+                std::fs::read(pa).expect("spill file"),
+                std::fs::read(pb).expect("spill file"),
+                "{label}: segment {i} spill bytes"
+            ),
+            (None, None) => {}
+            _ => panic!("{label}: segment {i} is spilled on one side only"),
+        }
+        let (sa, sb) = (a.try_segment(i).unwrap(), b.try_segment(i).unwrap());
+        for c in 0..a.n_columns() {
+            assert_eq!(sa.col(c), sb.col(c), "{label}: segment {i} column {c}");
+        }
+        for name in a.header().measure_names() {
+            assert_eq!(
+                sa.table().measure(name).unwrap(),
+                sb.table().measure(name).unwrap(),
+                "{label}: segment {i} measure {name}"
+            );
+        }
+    }
+    for c in 0..a.n_columns() {
+        assert!(
+            a.dictionary(c).iter().eq(b.dictionary(c).iter()),
+            "{label}: column {c} dictionaries"
+        );
+    }
+}
+
+/// The streamed `--tail` seed is the table one `try_append` of the same
+/// rows builds — and so is a live table seeded from the loaded table:
+/// same spans, spill bytes, dictionaries and measure columns, at epoch 1,
+/// for a segment size of 1, a divisor and a non-divisor of the row count,
+/// resident and spilled.
+#[test]
+fn a_streamed_live_seed_is_one_append_of_its_rows() {
+    let all: Vec<u32> = (0..90).collect();
+    let table = retail(42).gather_rows(&all);
+    let path = csv_fixture(&table, "live-seed");
+    let rows: Vec<Vec<&str>> = (0..table.n_rows() as u32)
+        .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
+        .collect();
+    let sales = vec![table.measure("Sales").unwrap().to_vec()];
+    for rows_per_segment in [1, 30, 37] {
+        for config in [
+            LiveTableConfig::in_memory(rows_per_segment),
+            LiveTableConfig::spilling(rows_per_segment, std::env::temp_dir()),
+        ] {
+            let label = format!("{rows_per_segment} rows per segment, {config:?}");
+            let appended = LiveTable::new(table.schema().clone(), vec!["Sales".into()], &config)
+                .unwrap()
+                .try_append(&rows, &sales)
+                .unwrap();
+            let streamed = stream_csv_live(&path, &["Sales"], &config).unwrap();
+            let seeded = LiveTable::from_table(&table, &config).unwrap();
+            for (live, how) in [(streamed, "streamed"), (seeded, "from_table")] {
+                let snap = live.snapshot();
+                assert_eq!(snap.epoch, 1, "{label}, {how}");
+                assert_same_store(&snap.table, &appended.table, &format!("{label}, {how}"));
+            }
+        }
+    }
+    let _ = std::fs::remove_file(&path);
+}
+
+/// A malformed record in a live seed fails it with the line the record
+/// starts on, after earlier rows sealed and spilled, and the failed build
+/// leaves no spill directory behind.
+#[test]
+fn a_malformed_live_seed_reports_its_line_and_leaves_no_spill_directory() {
+    use smart_drilldown::table::TableError;
+    let dir = std::env::temp_dir().join(format!("sdd-live-seed-err-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("spill dir");
+    let path = csv_fixture_text("a,b\n1,2\n3,4\n\n5,6\n7\n", "live-seed");
+    match stream_csv_live(&path, &[], &LiveTableConfig::spilling(2, &dir)) {
+        Err(TableError::Csv { line, .. }) => assert_eq!(line, 6),
+        other => panic!("unexpected result {other:?}"),
+    }
+    let left: Vec<_> = std::fs::read_dir(&dir).expect("spill dir").collect();
+    assert!(left.is_empty(), "the failed seed left {left:?}");
+    let _ = std::fs::remove_dir(&dir);
+    let _ = std::fs::remove_file(&path);
 }

@@ -561,11 +561,11 @@ fn a_synced_sample_is_the_sample_a_create_at_the_new_epoch_stores() {
             row
         })
         .collect();
-    let sales: Vec<Vec<f64>> = (0..total).map(|i| vec![i as f64 * 0.25]).collect();
+    let sales: Vec<f64> = (0..total).map(|i| i as f64 * 0.25).collect();
     let twin = {
         let mut b = Table::builder(retail.schema().clone());
         rows.iter().for_each(|row| b.push_row(row).unwrap());
-        b.add_measure("Sales", sales.concat()).unwrap();
+        b.add_measure("Sales", sales.clone()).unwrap();
         Arc::new(b.build().unwrap())
     };
     let config = SampleHandlerConfig {
@@ -593,7 +593,8 @@ fn a_synced_sample_is_the_sample_a_create_at_the_new_epoch_stores() {
     ] {
         let measures = vec!["Sales".to_owned()];
         let live = Arc::new(LiveTable::new(retail.schema().clone(), measures, &cfg).unwrap());
-        live.try_append(&rows[..base], &sales[..base]).unwrap();
+        live.try_append(&rows[..base], &[sales[..base].to_vec()])
+            .unwrap();
         let created = || {
             let mut h = SampleHandler::with_store(TableStore::from(live.clone()), config.clone());
             let requests = requests(h.table());
@@ -605,7 +606,9 @@ fn a_synced_sample_is_the_sample_a_create_at_the_new_epoch_stores() {
         let mut snap = live.snapshot();
         for lo in (base..total).step_by((total - base) / 4) {
             let hi = lo + (total - base) / 4;
-            snap = live.try_append(&rows[lo..hi], &sales[lo..hi]).unwrap();
+            snap = live
+                .try_append(&rows[lo..hi], &[sales[lo..hi].to_vec()])
+                .unwrap();
             stepped.try_sync_to_snapshot(&snap).unwrap();
         }
         assert_eq!(snap.epoch, 5, "{label}: four epochs past the handlers' pin");
