@@ -6,6 +6,7 @@ use crate::repl::{load, Source};
 use sdd_server::{Client, OpenOptions, Request, Response, Server, ServerConfig, TailConfig};
 use sdd_table::{LiveTable, LiveTableConfig, ShardConfig, ShardedTable, TableStore};
 use std::io::{BufRead, Write};
+use std::process::ExitCode;
 use std::sync::Arc;
 
 /// Usage text for `sdd serve`.
@@ -89,8 +90,23 @@ fn parse_flags(args: &[String]) -> Result<Vec<(String, Option<String>)>, String>
     Ok(out)
 }
 
+/// Writes a usage error and the usage text: exit status 2.
+fn usage_error(output: &mut impl Write, message: &str) -> std::io::Result<ExitCode> {
+    writeln!(output, "error: {message}\n{SERVE_USAGE}")?;
+    Ok(ExitCode::from(2))
+}
+
+/// Writes why the server could not start: exit status 1.
+fn start_failure(output: &mut impl Write, message: &str) -> std::io::Result<ExitCode> {
+    writeln!(output, "error: {message}")?;
+    Ok(ExitCode::FAILURE)
+}
+
 /// Runs `sdd serve` with command-line `args` (everything after `serve`).
-pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
+/// Returns the process exit status: 0 once serving ends, 2 on a bad,
+/// unknown or conflicting flag, 1 when the table, the token file or the
+/// smoke scrape fails. A malformed flag value is an `InvalidInput` error.
+pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<ExitCode> {
     let mut addr = "127.0.0.1:7878".to_owned();
     let mut source = Source::Demo("retail".to_owned(), None);
     let mut rows: Option<usize> = None;
@@ -103,10 +119,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
     let mut config = ServerConfig::default();
     let flags = match parse_flags(args) {
         Ok(f) => f,
-        Err(e) => {
-            writeln!(output, "error: {e}\n{SERVE_USAGE}")?;
-            return Ok(());
-        }
+        Err(e) => return usage_error(output, &e),
     };
     for (name, value) in flags {
         let need = |what: &str| -> Result<String, std::io::Error> {
@@ -157,10 +170,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
                 let path = need("file")?;
                 match sdd_server::TenantRegistry::load_token_file(std::path::Path::new(&path)) {
                     Ok(reg) => config.engine.tenants = Arc::new(reg),
-                    Err(e) => {
-                        writeln!(output, "error: {e}")?;
-                        return Ok(());
-                    }
+                    Err(e) => return start_failure(output, &e.to_string()),
                 }
             }
             "max-queue" => {
@@ -174,47 +184,34 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
                 })?)
             }
             "smoke-scrape" => smoke_scrape = true,
-            other => {
-                writeln!(output, "error: unknown flag --{other}\n{SERVE_USAGE}")?;
-                return Ok(());
-            }
+            other => return usage_error(output, &format!("unknown flag --{other}")),
         }
     }
     if let (Source::Demo(_, demo_rows), Some(n)) = (&mut source, rows) {
         *demo_rows = Some(n);
     }
     if tail.is_some() && shards.is_some() {
-        writeln!(
+        return usage_error(
             output,
-            "error: --tail conflicts with --shards (a live table manages its own segment layout)\n{SERVE_USAGE}"
-        )?;
-        return Ok(());
+            "--tail conflicts with --shards (a live table manages its own segment layout)",
+        );
     }
     if smoke_scrape && http_port.is_none() {
-        writeln!(
+        return usage_error(
             output,
-            "error: --smoke-scrape requires --http (it validates the /metrics endpoint)\n{SERVE_USAGE}"
-        )?;
-        return Ok(());
+            "--smoke-scrape requires --http (it validates the /metrics endpoint)",
+        );
     }
     if smoke_scrape && config.engine.tenants.auth_required() {
         // The smoke client scrapes anonymously; with auth mandatory it
         // would only ever prove the 401 path.
-        writeln!(
-            output,
-            "error: --smoke-scrape is incompatible with --tokens\n{SERVE_USAGE}"
-        )?;
-        return Ok(());
+        return usage_error(output, "--smoke-scrape is incompatible with --tokens");
     }
     if spill.is_some() && shards.is_none() && tail.is_none() {
         // A monolithic table has no shards to spill: serving it whole while
         // the operator expects disk relief is the one silent-OOM
         // combination, so reject it loudly.
-        writeln!(
-            output,
-            "error: --spill requires --shards or --tail\n{SERVE_USAGE}"
-        )?;
-        return Ok(());
+        return usage_error(output, "--spill requires --shards or --tail");
     }
     let shard_config = |n: usize| ShardConfig {
         shards: n,
@@ -265,10 +262,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
     };
     let (store, layout) = match built {
         Ok(built) => built,
-        Err(e) => {
-            writeln!(output, "error: {e}")?;
-            return Ok(());
-        }
+        Err(e) => return start_failure(output, &e),
     };
     if let Some(port) = http_port {
         let host = addr.rsplit_once(':').map_or("127.0.0.1", |(h, _)| h);
@@ -307,9 +301,9 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<()> {
         let handle = server.spawn()?;
         let result = run_smoke_scrape(&handle, store.as_sharded().is_some(), output);
         handle.shutdown();
-        return result;
+        return result.map(|()| ExitCode::SUCCESS);
     }
-    server.run()
+    server.run().map(|()| ExitCode::SUCCESS)
 }
 
 /// Drives one session over the HTTP front-end, scrapes `/metrics`, and
@@ -703,7 +697,8 @@ mod tests {
         // the one silent-OOM flag combination; it must be loud.
         let mut out = Vec::new();
         let dir = std::env::temp_dir().display().to_string();
-        serve(&["--spill".to_owned(), dir], &mut out).unwrap();
+        let status = serve(&["--spill".to_owned(), dir], &mut out).unwrap();
+        assert_eq!(status, ExitCode::from(2));
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("--spill requires --shards or --tail"), "{out}");
     }
@@ -711,7 +706,7 @@ mod tests {
     #[test]
     fn serve_reports_unreadable_ingest_file() {
         let mut out = Vec::new();
-        serve(
+        let status = serve(
             &[
                 "--open".to_owned(),
                 "/no/such/file.csv".to_owned(),
@@ -721,6 +716,7 @@ mod tests {
             &mut out,
         )
         .unwrap();
+        assert_eq!(status, ExitCode::FAILURE);
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("cannot ingest"), "{out}");
     }
@@ -779,7 +775,8 @@ mod tests {
                 .to_vec();
             args.extend(source.iter().map(|s| (*s).to_owned()));
             let mut out = Vec::new();
-            serve(&args, &mut out).unwrap();
+            let status = serve(&args, &mut out).unwrap();
+            assert_eq!(status, ExitCode::from(2));
             let out = String::from_utf8(out).unwrap();
             assert!(out.contains("--tail conflicts with --shards"), "{out}");
         }
@@ -824,7 +821,7 @@ mod tests {
     #[test]
     fn smoke_scrape_drives_http_and_validates_metrics() {
         let mut out = Vec::new();
-        serve(
+        let status = serve(
             &[
                 "--addr".to_owned(),
                 "127.0.0.1:0".to_owned(),
@@ -835,6 +832,7 @@ mod tests {
             &mut out,
         )
         .unwrap();
+        assert_eq!(status, ExitCode::SUCCESS);
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("http on 127.0.0.1:"), "{out}");
         assert!(out.contains("smoke-scrape ok:"), "{out}");
@@ -857,7 +855,8 @@ mod tests {
         ]
         .map(str::to_owned)
         .to_vec();
-        serve(&args, &mut out).unwrap();
+        let status = serve(&args, &mut out).unwrap();
+        assert_eq!(status, ExitCode::SUCCESS);
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("(8 shards, spilled)"), "{out}");
         assert!(out.contains("smoke-scrape ok:"), "{out}");
@@ -897,20 +896,22 @@ mod tests {
         ]
         .map(str::to_owned)
         .to_vec();
-        serve(&args, &mut out).unwrap();
+        let status = serve(&args, &mut out).unwrap();
         let _ = std::fs::remove_file(&csv_path);
+        assert_eq!(status, ExitCode::SUCCESS);
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("(streamed into 4 shards, spilled)"), "{out}");
         assert!(out.contains("smoke-scrape ok:"), "{out}");
     }
 
-    /// `serve` with `args` plus the smoke-scrape flags; returns its output.
-    fn serve_smoke(args: &[&str]) -> String {
+    /// `serve` with `args` plus the smoke-scrape flags; returns its exit
+    /// status and output.
+    fn serve_smoke(args: &[&str]) -> (ExitCode, String) {
         let mut args: Vec<String> = args.iter().map(|a| (*a).to_owned()).collect();
         args.extend(["--addr", "127.0.0.1:0", "--http", "0", "--smoke-scrape"].map(str::to_owned));
         let mut out = Vec::new();
-        serve(&args, &mut out).unwrap();
-        String::from_utf8(out).unwrap()
+        let status = serve(&args, &mut out).unwrap();
+        (status, String::from_utf8(out).unwrap())
     }
 
     #[test]
@@ -941,7 +942,8 @@ mod tests {
             ),
         ];
         for (args, banner) in cases {
-            let out = serve_smoke(args);
+            let (status, out) = serve_smoke(args);
+            assert_eq!(status, ExitCode::SUCCESS, "{out}");
             assert!(out.contains(banner), "{out}");
             assert!(out.contains("smoke-scrape ok:"), "{out}");
         }
@@ -955,7 +957,7 @@ mod tests {
         std::fs::create_dir_all(&spill).unwrap();
         let csv = dir.join("bad.csv");
         std::fs::write(&csv, "a,b\n1,2\n3,4\n5\n").unwrap();
-        let out = serve_smoke(&[
+        let (status, out) = serve_smoke(&[
             "--open",
             &csv.display().to_string(),
             "--tail",
@@ -963,6 +965,7 @@ mod tests {
             "--spill",
             &spill.display().to_string(),
         ]);
+        assert_eq!(status, ExitCode::FAILURE);
         assert!(out.contains("csv error at line 4"), "{out}");
         assert!(!out.contains("serving"), "{out}");
         assert_eq!(
@@ -976,7 +979,8 @@ mod tests {
     #[test]
     fn serve_rejects_smoke_scrape_without_http() {
         let mut out = Vec::new();
-        serve(&["--smoke-scrape".to_owned()], &mut out).unwrap();
+        let status = serve(&["--smoke-scrape".to_owned()], &mut out).unwrap();
+        assert_eq!(status, ExitCode::from(2));
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("--smoke-scrape requires --http"), "{out}");
     }
@@ -1001,7 +1005,8 @@ mod tests {
     #[test]
     fn serve_rejects_unknown_flags_gracefully() {
         let mut out = Vec::new();
-        serve(&["--bogus".to_owned()], &mut out).unwrap();
+        let status = serve(&["--bogus".to_owned()], &mut out).unwrap();
+        assert_eq!(status, ExitCode::from(2));
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("unknown flag"), "{out}");
         assert!(out.contains("usage"), "{out}");

@@ -22,7 +22,8 @@
 //!   safe miss.
 //!
 //! Keys are 128-bit digests ([`DrillKey`]); equality of digests is treated
-//! as equality of inputs. The digest is a two-lane SplitMix64 fold —
+//! as equality of inputs. The digest is a two-lane SplitMix64 fold (a
+//! view's content enters it through four lanes, [`view_digest`]) —
 //! deterministic across platforms and processes, with no unspecified
 //! iteration order anywhere (lint rule D001 applies to this crate).
 
@@ -32,7 +33,7 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use crate::Rule;
-use sdd_table::TableView;
+use sdd_table::{with_codes, Code, TableView};
 
 /// The canonical quiet-NaN bit pattern every NaN payload collapses to.
 pub const CANONICAL_NAN_BITS: u64 = 0x7FF8_0000_0000_0000;
@@ -97,12 +98,6 @@ impl KeyHasher {
         self.hi = splitmix64(self.hi ^ v.rotate_left(17));
     }
 
-    /// Absorbs one 32-bit word.
-    #[inline]
-    pub fn write_u32(&mut self, v: u32) {
-        self.write_u64(v as u64);
-    }
-
     /// Absorbs an `f64` by its canonical bits (see [`canonical_f64_bits`]).
     #[inline]
     pub fn write_f64(&mut self, v: f64) {
@@ -125,7 +120,7 @@ impl KeyHasher {
     pub fn write_rule(&mut self, rule: &Rule) {
         self.write_u64(rule.codes().len() as u64);
         for &code in rule.codes() {
-            self.write_u32(code);
+            self.write_u64(u64::from(code));
         }
     }
 
@@ -145,19 +140,37 @@ impl KeyHasher {
     }
 }
 
-/// Content digest of a view: length, per-row dictionary codes, and per-row
-/// weight bits (canonical). Two views digesting equal are bit-identical
-/// BRS inputs; comparing by content (not identity) is what lets replica
-/// sessions share results.
+/// Content digest of a view: codes column by column (widened to `u32`, two
+/// per word), weight bits (canonical), length and column count. Word `i` of
+/// a column or of the weights goes to SplitMix64 lane `i % 4`, and
+/// [`KeyHasher`] folds the four independent lanes. Two views digesting
+/// equal are bit-identical BRS inputs; comparing by content (not identity)
+/// is what lets replica sessions share results.
 pub fn view_digest(view: &TableView<'_>) -> [u64; 2] {
+    /// Absorbs `words` round-robin into the lanes, from lane 0.
+    fn absorb(lanes: &mut [u64; 4], words: impl Iterator<Item = u64>) {
+        for (i, word) in words.enumerate() {
+            lanes[i % 4] = splitmix64(lanes[i % 4] ^ word);
+        }
+    }
+    /// One or two codes, widened, as one word.
+    fn pack<T: Code>(pair: &[T]) -> u64 {
+        let hi = pair.get(1).map_or(0, |c| u64::from(c.wide()) << 32);
+        hi | u64::from(pair[0].wide())
+    }
+    let table = view.table();
+    let mut lanes = [0u64, 1, 2, 3].map(|i| splitmix64(0x51DD_71E3 ^ i));
+    for c in 0..table.n_columns() {
+        with_codes!(table.column(c), v => absorb(&mut lanes, v.chunks(2).map(pack)));
+    }
+    let weights = (0..view.len()).map(|i| canonical_f64_bits(view.weight_at(i)));
+    absorb(&mut lanes, weights);
     let mut h = KeyHasher::new(0x51DD_71E3);
     h.write_u64(view.len() as u64);
-    view.table().for_each_row_codes(|row, codes| {
-        for &c in codes {
-            h.write_u32(c);
-        }
-        h.write_f64(view.weight_at(row));
-    });
+    h.write_u64(table.n_columns() as u64);
+    for lane in lanes {
+        h.write_u64(lane);
+    }
     h.finish()
 }
 
@@ -295,28 +308,74 @@ mod tests {
         assert_ne!(all, view_digest(&weighted), "weights are content");
     }
 
-    #[test]
-    fn view_digest_hashes_each_row_in_order_at_every_width() {
-        // 700 rows (blocks of 256 plus a tail) over a one-byte and a
-        // two-byte column: the digest is the per-row hash of row_codes.
+    /// 700 rows (a multiple of neither the pair packing nor the lanes):
+    /// `A` holds 5 values, `B` one per row.
+    fn seven_hundred(n_b: usize) -> Table {
         let rows: Vec<[String; 2]> = (0..700)
-            .map(|i| [format!("a{}", i % 5), format!("b{i}")])
+            .map(|i| [format!("a{}", i % 5), format!("b{}", i % n_b)])
             .collect();
-        let table = Table::from_rows(Schema::new(["A", "B"]).unwrap(), &rows).unwrap();
-        assert_eq!((table.column(0).width(), table.column(1).width()), (1, 2));
+        Table::from_rows(Schema::new(["A", "B"]).unwrap(), &rows).unwrap()
+    }
+
+    #[test]
+    fn view_digest_ignores_code_width() {
+        // The same codes held one byte wide and, gathered from a table
+        // whose `B` has 700 values, two bytes wide.
+        let narrow = seven_hundred(200);
+        let wide = seven_hundred(700).gather_rows(&(0..700).map(|i| i % 200).collect::<Vec<_>>());
+        assert_eq!(narrow.column(1).width(), 1);
+        assert_eq!(wide.column(1).width(), 2);
+        let codes = |t: &Table| (0..2).map(|c| t.column(c).to_u32_vec()).collect::<Vec<_>>();
+        assert_eq!(codes(&narrow), codes(&wide));
+        let weights: Vec<f64> = (0..700).map(|i| 0.5 + i as f64).collect();
+        let (narrow, wide) = (
+            TableView::all_with_weights(&narrow, &weights),
+            TableView::all_with_weights(&wide, &weights),
+        );
+        assert_eq!(view_digest(&narrow), view_digest(&wide));
+    }
+
+    #[test]
+    fn view_digest_changes_with_order_columns_weights_and_length() {
+        let table = seven_hundred(700);
         let weights: Vec<f64> = (0..700).map(|i| 0.5 + i as f64).collect();
         let view = TableView::all_with_weights(&table, &weights);
-        let mut h = KeyHasher::new(0x51DD_71E3);
-        h.write_u64(view.len() as u64);
-        let mut codes = Vec::new();
-        for wr in view.iter() {
-            table.row_codes(wr.row, &mut codes);
-            for &c in &codes {
-                h.write_u32(c);
-            }
-            h.write_f64(wr.weight);
-        }
-        assert_eq!(view_digest(&view), h.finish());
+        let digest = view_digest(&view);
+        let mut order: Vec<u32> = (0..700).collect();
+        order.swap(3, 698);
+        let reordered = table.gather_rows(&order);
+        let mut reweighted = weights.clone();
+        reweighted.swap(3, 698);
+        assert_ne!(
+            digest,
+            view_digest(&TableView::all_with_weights(&reordered, &reweighted)),
+            "row order"
+        );
+        let rows: Vec<[String; 2]> = (0..700)
+            .map(|i| [format!("b{i}"), format!("a{}", i % 5)])
+            .collect();
+        let swapped = Table::from_rows(Schema::new(["B", "A"]).unwrap(), &rows).unwrap();
+        assert_ne!(
+            digest,
+            view_digest(&TableView::all_with_weights(&swapped, &weights)),
+            "column order"
+        );
+        reweighted = weights.clone();
+        reweighted[699] = 0.25;
+        assert_ne!(
+            digest,
+            view_digest(&TableView::all_with_weights(&table, &reweighted)),
+            "weights"
+        );
+        let shorter: Vec<u32> = (0..699).collect();
+        assert_ne!(
+            digest,
+            view_digest(&TableView::all_with_weights(
+                &table.gather_rows(&shorter),
+                &weights[..699]
+            )),
+            "length"
+        );
     }
 
     #[test]

@@ -52,8 +52,8 @@
 //! its table, and a search over a subset of rows is a search over the table
 //! gathered from them ([`sdd_table::TableView::gather`]), which keeps their
 //! order. [`SearchScratch`] holds buffers a search fills for its own `cov`;
-//! each search builds its own set `C` of counted candidates, a `Rule`-keyed
-//! map.
+//! each search builds its own set `C` of counted candidates, per level a
+//! sorted array of block-index tuples beside their stats (see `Level`).
 //!
 //! ## Rule scans over global codes
 //!
@@ -68,10 +68,10 @@
 
 use crate::accel::{self, EqPred};
 use crate::marginal::{BestMarginal, SearchOptions, SearchStats};
-use crate::{Rule, WeightFn};
-use rustc_hash::FxHashMap;
+use crate::{Rule, WeightFn, STAR};
 use sdd_table::{with_codes, Code, RowId, Table, TableView};
 use std::cell::OnceCell;
+use std::cmp::Ordering;
 
 /// Count/marginal/weight accumulator for one candidate rule (the paper's
 /// per-candidate state in set `C`).
@@ -97,7 +97,7 @@ const MAX_CLASSES: usize = 16;
 /// Pass 1 of one free column, fixed for a run: its per-code counts, the
 /// code → weight table of its candidates (`0.0` for codes that are
 /// unsupported or over the weight cap: their marginal slots go unread),
-/// and where its candidates sit in `RunIndex::level1`.
+/// and where its candidates sit in `RunIndex::blocks`.
 struct Pass1Column {
     col: usize,
     counts: Vec<f64>,
@@ -105,12 +105,57 @@ struct Pass1Column {
     rules: std::ops::Range<usize>,
 }
 
+/// One level of the set `C`, sorted: candidate `i` is the base plus blocks
+/// `tuples[i·size..(i + 1)·size]` (ascending), with its stats at `stats[i]`.
+/// Only the winner becomes a [`Rule`].
+struct Level {
+    size: usize,
+    tuples: Vec<u32>,
+    stats: Vec<CandStat>,
+}
+
+impl Level {
+    /// A level of `size`-block candidates `tuples`, not yet counted.
+    fn new(size: usize, tuples: Vec<u32>) -> Self {
+        let stats = Vec::with_capacity(tuples.len() / size);
+        Level {
+            size,
+            tuples,
+            stats,
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (&[u32], &CandStat)> {
+        self.tuples.chunks_exact(self.size).zip(&self.stats)
+    }
+
+    /// The stats of candidate `tuple`, if this level counted it: a direct
+    /// index at level 1, a binary search above it.
+    fn find(&self, tuple: &[u32]) -> Option<&CandStat> {
+        if self.size == 1 {
+            return self.stats.get(tuple[0] as usize);
+        }
+        let (mut lo, mut hi) = (0, self.stats.len());
+        while lo < hi {
+            let mid = (lo + hi) / 2;
+            match self.tuples[mid * self.size..][..self.size].cmp(tuple) {
+                Ordering::Less => lo = mid + 1,
+                Ordering::Greater => hi = mid,
+                Ordering::Equal => return self.stats.get(mid),
+            }
+        }
+        None
+    }
+}
+
 /// One a-priori generation step (Algorithm 2, step 3.3): filters the
 /// current level to survivors whose super-rule bound can still beat
 /// `best_h`, extends each with later building blocks, and applies the
-/// support/bound/weight prunes. Returns the next level's candidates (empty
-/// → the search is done), a survivor's adjacent, each with its origin:
-/// the survivor's index in `current`, the block extending it, its weight.
+/// support/bound/weight prunes. Returns the next level's tuples (no stats
+/// yet; empty → the search is done), a survivor's adjacent, each with its
+/// origin: the survivor's index in `current`, the block extending it, its
+/// weight. A sub-rule dropping one of the survivor's blocks is looked up in
+/// `current` (Agrawal & Srikant's apriori-gen prune).
 ///
 /// Pure candidate bookkeeping — no row access.
 ///
@@ -124,60 +169,58 @@ fn generate_level(
     table: &Table,
     base: &Rule,
     blocks: &[(usize, u32)],
-    current: &[Rule],
-    counted: &FxHashMap<Rule, CandStat>,
+    current: &Level,
     weight: &dyn WeightFn,
     opts: &SearchOptions,
     best_h: f64,
     stats: &mut SearchStats,
-) -> (Vec<Rule>, Vec<(usize, usize, f64)>) {
-    let survivors = current.iter().enumerate().filter(|(_, r)| {
-        let stat = counted[*r];
-        stat.count > 0.0 && (!opts.pruning || stat.super_rule_bound(opts.max_weight) >= best_h)
-    });
-
-    let mut next: Vec<Rule> = Vec::new();
+) -> (Level, Vec<(usize, usize, f64)>) {
+    let mw = opts.max_weight;
+    let mut next = Level::new(current.size + 1, Vec::new());
     let mut origins: Vec<(usize, usize, f64)> = Vec::new();
-    for (parent, r) in survivors {
-        let max_free = r
-            .instantiated_columns()
-            .filter(|c| base.is_star(*c))
-            .last()
-            .expect("survivor instantiates at least one free column");
-        for (block, &(c, v)) in blocks.iter().enumerate() {
-            if c <= max_free {
-                continue;
-            }
-            let cand = r.with_value(c, v);
+    let mut rule = base.clone();
+    let mut sub: Vec<u32> = Vec::with_capacity(current.size);
+    let survives = |(_, (_, s)): &(usize, (&[u32], &CandStat))| {
+        s.count > 0.0 && (!opts.pruning || s.super_rule_bound(mw) >= best_h)
+    };
+    for (parent, (tuple, stat)) in current.iter().enumerate().filter(survives) {
+        let last = *tuple.last().expect("a candidate has a block");
+        let later = blocks.partition_point(|&(c, _)| c <= blocks[last as usize].0);
+        for &b in tuple {
+            rule.set(blocks[b as usize].0, blocks[b as usize].1);
+        }
+        for (block, &(c, v)) in blocks.iter().enumerate().skip(later) {
             stats.generated += 1;
-
-            let mut bound = f64::INFINITY;
-            let mut all_present = true;
-            for sc in cand.instantiated_columns().filter(|c| base.is_star(*c)) {
-                let sub = cand.with_star(sc);
-                match counted.get(&sub) {
-                    Some(stat) => bound = bound.min(stat.super_rule_bound(opts.max_weight)),
-                    None => {
-                        all_present = false;
-                        break;
-                    }
-                }
-            }
-            if !all_present {
+            // The sub-rules by column; the survivor, the last, is counted.
+            let bound = (0..tuple.len()).try_fold(f64::INFINITY, |bound, drop| {
+                sub.clear();
+                sub.extend(tuple[..drop].iter().chain(&tuple[drop + 1..]));
+                sub.push(block as u32);
+                current
+                    .find(&sub)
+                    .map(|s| bound.min(s.super_rule_bound(mw)))
+            });
+            let Some(bound) = bound.map(|b| b.min(stat.super_rule_bound(mw))) else {
                 stats.pruned += 1;
                 continue;
-            }
+            };
             if opts.pruning && (bound < best_h || bound <= 0.0) {
                 stats.pruned += 1;
                 continue;
             }
-            let w = weight.weight(&cand, table);
-            if w > opts.max_weight + 1e-12 {
+            rule.set(c, v);
+            let w = weight.weight(&rule, table);
+            rule.set(c, STAR);
+            if w > mw + 1e-12 {
                 stats.pruned += 1;
                 continue;
             }
-            next.push(cand);
+            next.tuples.extend_from_slice(tuple);
+            next.tuples.push(block as u32);
             origins.push((parent, block, w));
+        }
+        for &b in tuple {
+            rule.set(blocks[b as usize].0, STAR);
         }
     }
     (next, origins)
@@ -373,9 +416,8 @@ pub(crate) struct RunIndex<'a> {
     max_size: usize,
     /// One per free column; none when there is nothing to search.
     columns: Vec<Pass1Column>,
-    /// The size-1 candidates in level order; candidate `b` is building
-    /// block `blocks[b]`, so `blocks` is sorted.
-    level1: Vec<Rule>,
+    /// The building blocks `(free column, code)`, sorted: the size-1
+    /// candidates in level order.
     blocks: Vec<(usize, u32)>,
     /// Pass 1's work counters.
     pass1: SearchStats,
@@ -412,7 +454,6 @@ impl<'a> RunIndex<'a> {
             base,
             max_size,
             columns: Vec::new(),
-            level1: Vec::new(),
             blocks: Vec::new(),
             pass1: SearchStats {
                 passes: 1,
@@ -427,7 +468,7 @@ impl<'a> RunIndex<'a> {
             let mut counts = vec![0.0f64; table.cardinality(col)];
             count_column(&view, col, &mut counts);
             let mut wtab = vec![0.0f64; counts.len()];
-            let start = index.level1.len();
+            let start = index.blocks.len();
             for (code, &count) in counts.iter().enumerate() {
                 if count <= 0.0 {
                     continue;
@@ -441,9 +482,8 @@ impl<'a> RunIndex<'a> {
                 }
                 wtab[code] = w;
                 index.blocks.push((col, code as u32));
-                index.level1.push(rule);
             }
-            let rules = start..index.level1.len();
+            let rules = start..index.blocks.len();
             index.columns.push(Pass1Column {
                 col,
                 counts,
@@ -451,30 +491,20 @@ impl<'a> RunIndex<'a> {
                 rules,
             });
         }
-        index.pass1.counted = index.level1.len();
+        index.pass1.counted = index.blocks.len();
         index
     }
 
-    /// The building blocks `rule` is made of, by column.
-    fn blocks_of<'r>(&'r self, rule: &'r Rule) -> impl Iterator<Item = usize> + 'r {
-        let free = rule
-            .instantiated_columns()
-            .filter(|&c| self.base.is_star(c));
-        free.map(|c| {
-            let block = self.blocks.binary_search(&(c, rule.code(c)));
-            block.expect("a candidate is built of blocks")
-        })
-    }
-
-    /// `rule`'s cover, compacted to its non-zero words, into `out`: the AND
-    /// of its blocks' masks, or, when it has a block held as a row list, the
-    /// rows of its shortest list that every other block holds.
-    fn cover(&self, vertical: &Vertical, rule: &Rule, out: &mut Cover) {
+    /// The cover of the candidate made of the blocks `tuple`, compacted to
+    /// its non-zero words, into `out`: the AND of its blocks' masks, or,
+    /// when it has a block held as a row list, the rows of its shortest
+    /// list that every other block holds.
+    fn cover(&self, vertical: &Vertical, tuple: &[u32], out: &mut Cover) {
         let (mut masks, mut lists) = (Vec::new(), Vec::new());
-        for b in self.blocks_of(rule) {
-            match vertical.block(b) {
+        for &b in tuple {
+            match vertical.block(b as usize) {
                 Block::Mask(mask) => masks.push(mask),
-                Block::Rows(rows) => lists.push((rows, self.blocks[b])),
+                Block::Rows(rows) => lists.push((rows, self.blocks[b as usize])),
             }
         }
         out.at.clear();
@@ -518,63 +548,60 @@ impl<'a> RunIndex<'a> {
             self.view.len(),
             "covered_weight must align with view"
         );
-        if self.level1.is_empty() {
+        if self.blocks.is_empty() {
             return None;
         }
-        let (view, base) = (&self.view, &self.base);
+        let view = &self.view;
         let mut stats = self.pass1;
-        let mut counted: FxHashMap<Rule, CandStat> = FxHashMap::default();
         let mut best_h = 0.0f64;
 
         // ---- Pass 1: one marginal sweep per free column. ----
+        let mut level = Level::new(1, (0..self.blocks.len() as u32).collect());
         for column in &self.columns {
             let marginals = &mut scratch.marginals;
             marginals.clear();
             marginals.resize(column.counts.len(), 0.0);
             marginal_column(view, column.col, cov, &column.wtab, marginals);
-            for rule in &self.level1[column.rules.clone()] {
-                let code = rule.code(column.col) as usize;
+            for &(_, code) in &self.blocks[column.rules.clone()] {
+                let code = code as usize;
                 let stat = CandStat {
                     count: column.counts[code],
                     marginal: marginals[code],
                     weight: column.wtab[code],
                 };
-                counted.insert(rule.clone(), stat);
-                if stat.marginal > best_h {
-                    best_h = stat.marginal;
-                }
+                level.stats.push(stat);
+                best_h = best_h.max(stat.marginal);
             }
         }
 
         // ---- Passes 2..: a-priori extension, vertical counting. ----
         let mut by_class: Option<bool> = None;
-        let mut owned: Vec<Rule>;
-        let mut current: &[Rule] = &self.level1;
+        let mut levels = vec![level];
         for _pass in 2..=self.max_size {
-            let (next, origins) = generate_level(
+            let current = levels.last().expect("level 1 is counted");
+            let (mut next, origins) = generate_level(
                 view.table(),
-                base,
+                &self.base,
                 &self.blocks,
                 current,
-                &counted,
                 self.weight,
                 self.opts,
                 best_h,
                 &mut stats,
             );
-            if next.is_empty() {
+            if origins.is_empty() {
                 break;
             }
             stats.passes += 1;
-            stats.counted += next.len();
+            stats.counted += origins.len();
 
             let vertical = self
                 .vertical
                 .get_or_init(|| Vertical::build(view, &self.columns, &self.blocks));
-            let mut rules = next.iter();
             for kids in origins.chunk_by(|a, b| a.0 == b.0) {
                 let cover = &mut scratch.parent;
-                self.cover(vertical, &current[kids[0].0], cover);
+                let parent = kids[0].0 * current.size..(kids[0].0 + 1) * current.size;
+                self.cover(vertical, &current.tuples[parent], cover);
                 // Class sums, which extend by masks only, cost a few popcounts
                 // per kid and non-zero word; a pass over the parent's rows costs a
                 // lookup per row and column.
@@ -596,8 +623,7 @@ impl<'a> RunIndex<'a> {
                         }
                     }
                 }
-                for (i, (&(_, block, weight), cand)) in kids.iter().zip(rules.by_ref()).enumerate()
-                {
+                for (i, &(_, block, weight)) in kids.iter().enumerate() {
                     let (count, marginal, lower) = match (scale, vertical.block(block)) {
                         (Some(s), Block::Mask(mask)) => {
                             let child = &mut scratch.child;
@@ -611,44 +637,78 @@ impl<'a> RunIndex<'a> {
                             (count, marginal, marginal)
                         }
                     };
-                    if lower > best_h {
-                        best_h = lower;
-                    }
-                    counted.insert(
-                        cand.clone(),
-                        CandStat {
-                            count,
-                            marginal,
-                            weight,
-                        },
-                    );
+                    best_h = best_h.max(lower);
+                    next.stats.push(CandStat {
+                        count,
+                        marginal,
+                        weight,
+                    });
                 }
             }
-            owned = next;
-            current = &owned;
+            levels.push(next);
         }
 
         // ---- Re-sum in row order every estimate that can still win. ----
         if let (Some(true), Some(vertical)) = (by_class, self.vertical.get()) {
-            let level2 = base.size() + 2;
-            for (rule, stat) in &mut counted {
-                if rule.size() >= level2 && stat.marginal > 0.0 && stat.marginal >= best_h {
-                    let cover = &mut scratch.parent;
-                    self.cover(vertical, rule, cover);
-                    // Every covered row holds the code of the rule's last block.
-                    let last = self
-                        .blocks_of(rule)
-                        .last()
-                        .expect("a candidate has a block");
-                    let kid = [(0, last, stat.weight)];
-                    project(view, cov, cover, &self.blocks, &kid, &mut scratch.project);
-                    stat.marginal = scratch.project.sums[0].1;
+            for level in &mut levels[1..] {
+                let tuples = level.tuples.chunks_exact(level.size);
+                for (tuple, stat) in tuples.zip(&mut level.stats) {
+                    if stat.marginal > 0.0 && stat.marginal >= best_h {
+                        let cover = &mut scratch.parent;
+                        self.cover(vertical, tuple, cover);
+                        // Every covered row holds the code of the last block.
+                        let last = *tuple.last().expect("a candidate has a block");
+                        let kid = [(0, last as usize, stat.weight)];
+                        project(view, cov, cover, &self.blocks, &kid, &mut scratch.project);
+                        stat.marginal = scratch.project.sums[0].1;
+                    }
                 }
             }
         }
 
-        pick_winner(&counted, stats)
+        self.pick_winner(&levels, stats)
     }
+
+    /// Selects the winner from the counted set: max marginal, ties broken
+    /// toward higher weight then lexicographically smaller codes (identical
+    /// to the reference implementation). Only the winner becomes a rule.
+    fn pick_winner(&self, levels: &[Level], stats: SearchStats) -> Option<BestMarginal> {
+        let key = |s: &CandStat| (s.marginal, s.weight);
+        let mut best: Option<(&[u32], &CandStat)> = None;
+        for (tuple, stat) in levels.iter().flat_map(Level::iter) {
+            if stat.marginal <= 0.0 {
+                continue;
+            }
+            let better =
+                best.is_none_or(|(btuple, bstat)| match key(stat).partial_cmp(&key(bstat)) {
+                    Some(Ordering::Equal) => codes_order(tuple, btuple) == Ordering::Less,
+                    order => order == Some(Ordering::Greater),
+                });
+            if better {
+                best = Some((tuple, stat));
+            }
+        }
+        let (tuple, stat) = best?;
+        let mut rule = self.base.clone();
+        for &b in tuple {
+            let (c, code) = self.blocks[b as usize];
+            rule.set(c, code);
+        }
+        Some(BestMarginal {
+            rule,
+            marginal_value: stat.marginal,
+            count: stat.count,
+            weight: stat.weight,
+            stats,
+        })
+    }
+}
+
+/// How the rules of block tuples `a` and `b` order by codes: as the tuples
+/// do with a last index past all blocks, as `STAR` is past all codes.
+fn codes_order(a: &[u32], b: &[u32]) -> Ordering {
+    let end = [u32::MAX];
+    a.iter().chain(&end).cmp(b.iter().chain(&end))
 }
 
 /// `counts[code] += w` over one column.
@@ -793,39 +853,6 @@ fn class_stat(
     let slack = 4.0 * (n + 8) as f64 * f64::EPSILON;
     let (upper, lower) = (estimate * (1.0 + slack), estimate * (1.0 - slack));
     (running[n], upper, lower)
-}
-
-/// Selects the winner from the counted set: max marginal, ties broken toward
-/// higher weight then lexicographically smaller codes (identical to the
-/// reference implementation).
-fn pick_winner(counted: &FxHashMap<Rule, CandStat>, stats: SearchStats) -> Option<BestMarginal> {
-    let mut best: Option<(&Rule, &CandStat)> = None;
-    for (rule, stat) in counted {
-        if stat.marginal <= 0.0 {
-            continue;
-        }
-        let better = match best {
-            None => true,
-            Some((brule, bstat)) => {
-                (stat.marginal, stat.weight, std::cmp::Reverse(rule.codes()))
-                    > (
-                        bstat.marginal,
-                        bstat.weight,
-                        std::cmp::Reverse(brule.codes()),
-                    )
-            }
-        };
-        if better {
-            best = Some((rule, stat));
-        }
-    }
-    best.map(|(rule, stat)| BestMarginal {
-        rule: rule.clone(),
-        marginal_value: stat.marginal,
-        count: stat.count,
-        weight: stat.weight,
-        stats,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -1025,6 +1052,36 @@ mod tests {
         assert!(vertical.bytes() <= bound, "{} > {bound}", vertical.bytes());
         assert!(matches!(vertical.block(0), Block::Mask(_)));
         assert_eq!(rows_of(&vertical, 3 + 7), [7]);
+    }
+
+    #[test]
+    fn block_tuples_order_as_their_rules_codes() {
+        let table = t();
+        let opts = SearchOptions::new(f64::INFINITY);
+        let index = RunIndex::new(table.view(), &SizeWeight, &opts);
+        // Every tuple of blocks on ascending columns, up to all three.
+        let mut tuples: Vec<Vec<u32>> = vec![vec![]];
+        for (b, &(c, _)) in index.blocks.iter().enumerate() {
+            let longer: Vec<Vec<u32>> = tuples
+                .iter()
+                .filter(|t| t.last().is_none_or(|&l| index.blocks[l as usize].0 < c))
+                .map(|t| t.iter().copied().chain([b as u32]).collect())
+                .collect();
+            tuples.extend(longer);
+        }
+        tuples.remove(0);
+        assert_eq!(tuples.len(), 4 * 4 * 3 - 1);
+        let rule = |t: &[u32]| {
+            let at = |b: &u32| index.blocks[*b as usize];
+            t.iter()
+                .fold(Rule::trivial(3), |r, b| r.with_value(at(b).0, at(b).1))
+        };
+        for a in &tuples {
+            for b in &tuples {
+                let want = rule(a).codes().cmp(rule(b).codes());
+                assert_eq!(codes_order(a, b), want, "{a:?} vs {b:?}");
+            }
+        }
     }
 
     #[test]

@@ -100,9 +100,7 @@ pub use marginal::{
 pub use mw_estimate::estimate_mw;
 pub use reduction::{McpInstance, McpWeight};
 pub use rule::{Rule, RuleValue, STAR};
-pub use score::{
-    rule_count, score_list, score_set, sort_by_weight_desc, top_assignment, ListScore, RuleScore,
-};
+pub use score::{rule_count, score_list, score_set, sort_by_weight_desc, ListScore, RuleScore};
 pub use shard::{
     try_count_rules_in_store, try_count_rules_sharded, try_covered_rows_sharded,
     try_covered_rows_sharded_range, try_find_best_marginal_rule_sharded, try_scan_rules_in_store,

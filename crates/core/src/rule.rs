@@ -147,6 +147,11 @@ impl Rule {
         Rule { values: v }
     }
 
+    /// Sets column `col` to `code` in place ([`STAR`] stars it out).
+    pub(crate) fn set(&mut self, col: usize, code: u32) {
+        self.values[col] = code;
+    }
+
     /// True if this rule covers the codes of one tuple (`t ∈ r`, §2.1).
     #[inline]
     pub fn covers_codes(&self, tuple: &[u32]) -> bool {

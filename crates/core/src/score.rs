@@ -9,7 +9,7 @@
 //! makes the same functions compute `Count`/`MCount` (unit weights),
 //! `Sum`/`MSum` (measure weights, §6.3), and scaled sample estimates (§4).
 
-use crate::{Rule, WeightFn};
+use crate::{covered_rows, Rule, WeightFn};
 use sdd_table::TableView;
 
 /// Per-rule breakdown of a scored rule list.
@@ -38,45 +38,41 @@ pub struct ListScore {
 }
 
 /// Scores `rules` **in the given order** against `view`.
+///
+/// det-order: a rule's rows come ascending from [`covered_rows`] and a
+/// bitmask marks the rows earlier rules took, so every sum adds its rows'
+/// weights in row order, as a loop over the rows testing each rule would.
 pub fn score_list(view: &TableView<'_>, weight: &dyn WeightFn, rules: &[Rule]) -> ListScore {
     let table = view.table();
-    let weights: Vec<f64> = rules.iter().map(|r| weight.weight(r, table)).collect();
-    let mut counts = vec![0.0f64; rules.len()];
-    let mut mcounts = vec![0.0f64; rules.len()];
-    let mut uncovered = 0.0f64;
-
-    table.for_each_row_codes(|row, codes| {
-        let weight = view.weight_at(row);
-        let mut assigned = false;
-        for (i, rule) in rules.iter().enumerate() {
-            if rule.covers_codes(codes) {
-                counts[i] += weight;
-                if !assigned {
-                    mcounts[i] += weight;
-                    assigned = true;
+    let mut assigned = vec![0u64; view.len().div_ceil(64)];
+    let rules: Vec<RuleScore> = rules
+        .iter()
+        .map(|rule| {
+            let (mut count, mut mcount) = (0.0f64, 0.0f64);
+            for r in covered_rows(table, rule) {
+                let (r, w) = (r as usize, view.weight_at(r as usize));
+                count += w;
+                let word = &mut assigned[r / 64];
+                if *word >> (r % 64) & 1 == 0 {
+                    *word |= 1 << (r % 64);
+                    mcount += w;
                 }
             }
-        }
-        if !assigned {
-            uncovered += weight;
-        }
-    });
-
-    let total = weights.iter().zip(&mcounts).map(|(w, m)| w * m).sum();
-    let rules = rules
-        .iter()
-        .zip(weights)
-        .zip(counts.iter().zip(&mcounts))
-        .map(|((rule, weight), (&count, &mcount))| RuleScore {
-            rule: rule.clone(),
-            weight,
-            count,
-            mcount,
+            RuleScore {
+                rule: rule.clone(),
+                weight: weight.weight(rule, table),
+                count,
+                mcount,
+            }
         })
         .collect();
+    let mut uncovered = 0.0f64;
+    for r in (0..view.len()).filter(|&r| assigned[r / 64] >> (r % 64) & 1 == 0) {
+        uncovered += view.weight_at(r);
+    }
     ListScore {
+        total: rules.iter().map(|s| s.weight * s.mcount).sum(),
         rules,
-        total,
         uncovered,
     }
 }
@@ -106,24 +102,10 @@ pub fn sort_by_weight_desc(
     keyed.into_iter().map(|(_, r)| r.clone()).collect()
 }
 
-/// `TOP(t, R)` for every view position: the index (into `rules`, which must
-/// already be in descending weight order) of the first rule covering each
-/// tuple, or `None`.
-pub fn top_assignment(view: &TableView<'_>, rules: &[Rule]) -> Vec<Option<usize>> {
-    let mut out = Vec::with_capacity(view.len());
-    view.table().for_each_row_codes(|_, codes| {
-        out.push(rules.iter().position(|r| r.covers_codes(codes)));
-    });
-    out
-}
-
 /// The (weighted) `Count` of a single rule over the view.
 pub fn rule_count(view: &TableView<'_>, rule: &Rule) -> f64 {
-    let table = view.table();
-    view.iter()
-        .filter(|wr| rule.covers_row(table, wr.row))
-        .map(|wr| wr.weight)
-        .sum()
+    let covered = covered_rows(view.table(), rule).into_iter();
+    covered.map(|r| view.weight_at(r as usize)).sum()
 }
 
 #[cfg(test)]
@@ -186,16 +168,116 @@ mod tests {
         assert_eq!(set_score.total, list_score.total);
     }
 
+    /// The row loop `score_list` once was: every row tests every rule in
+    /// list order.
+    fn score_list_rowwise(
+        view: &TableView<'_>,
+        weight: &dyn WeightFn,
+        rules: &[Rule],
+    ) -> ListScore {
+        let table = view.table();
+        let weights: Vec<f64> = rules.iter().map(|r| weight.weight(r, table)).collect();
+        let mut counts = vec![0.0f64; rules.len()];
+        let mut mcounts = vec![0.0f64; rules.len()];
+        let mut uncovered = 0.0f64;
+        for row in 0..view.len() {
+            let weight = view.weight_at(row);
+            let mut assigned = false;
+            for (i, rule) in rules.iter().enumerate() {
+                if rule.covers_row(table, row as u32) {
+                    counts[i] += weight;
+                    if !assigned {
+                        mcounts[i] += weight;
+                        assigned = true;
+                    }
+                }
+            }
+            if !assigned {
+                uncovered += weight;
+            }
+        }
+        let total = weights.iter().zip(&mcounts).map(|(w, m)| w * m).sum();
+        let rules = rules.iter().zip(weights).zip(counts.iter().zip(&mcounts));
+        let rules = rules
+            .map(|((rule, weight), (&count, &mcount))| RuleScore {
+                rule: rule.clone(),
+                weight,
+                count,
+                mcount,
+            })
+            .collect();
+        ListScore {
+            rules,
+            total,
+            uncovered,
+        }
+    }
+
+    /// Every float of a score, by bit pattern.
+    fn bits(s: &ListScore) -> Vec<u64> {
+        let per_rule = s.rules.iter().flat_map(|r| [r.weight, r.count, r.mcount]);
+        per_rule
+            .chain([s.total, s.uncovered])
+            .map(f64::to_bits)
+            .collect()
+    }
+
     #[test]
-    fn top_assignment_matches_first_covering_rule() {
-        let table = t();
-        let view = table.view();
-        let ax = rule(&table, &[("A", "a"), ("B", "x")]);
-        let a = rule(&table, &[("A", "a")]);
-        let tops = top_assignment(&view, &[ax, a]);
-        assert_eq!(tops[0], Some(0)); // (a,x) row
-        assert_eq!(tops[4], Some(1)); // (a,y) row
-        assert_eq!(tops[9], None); // (c,z) row
+    fn score_list_equals_the_row_loop_bit_for_bit() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5C0_4E11);
+        for trial in 0..300 {
+            // Up to 4 columns of up to 6 values; the last row holds values
+            // of its own and is never in the view, so a rule on it covers
+            // nothing.
+            let (n_cols, n_rows) = (rng.gen_range(1..5), rng.gen_range(0..1_500));
+            let mut rows: Vec<Vec<String>> = (0..n_rows)
+                .map(|_| {
+                    (0..n_cols)
+                        .map(|_| format!("v{}", rng.gen_range(0..6)))
+                        .collect()
+                })
+                .collect();
+            rows.push((0..n_cols).map(|_| "none".to_owned()).collect());
+            let names: Vec<String> = (0..n_cols).map(|c| format!("c{c}")).collect();
+            let table = Table::from_rows(Schema::new(names).unwrap(), &rows).unwrap();
+            let keep: Vec<u32> = (0..n_rows as u32)
+                .filter(|_| rng.gen_range(0..4) != 0)
+                .collect();
+            let view_table = table.gather_rows(&keep);
+            // Unit, one non-dyadic scale, or a weight per row.
+            let weights: Vec<f64> = match trial % 3 {
+                0 => Vec::new(),
+                1 => vec![1_000_000.0 / 5_003.0; keep.len()],
+                _ => (0..keep.len()).map(|_| rng.gen_range(0.1..3.0)).collect(),
+            };
+            let view = match trial % 3 {
+                0 => view_table.view(),
+                _ => TableView::all_with_weights(&view_table, &weights),
+            };
+            // Overlapping rules from random rows and column subsets, the
+            // trivial rule among them; sometimes the rule covering nothing.
+            let mut rules: Vec<Rule> = (0..rng.gen_range(0..6))
+                .map(|_| {
+                    let row = rng.gen_range(0..table.n_rows()) as u32;
+                    let cols: Vec<usize> =
+                        (0..n_cols).filter(|_| rng.gen_range(0..2) == 0).collect();
+                    Rule::from_row_columns(&table, row, &cols)
+                })
+                .collect();
+            if rng.gen_range(0..3) == 0 {
+                rules.push(Rule::from_row_columns(&table, n_rows as u32, &[0]));
+            }
+            let weight: &dyn WeightFn = if trial % 2 == 0 {
+                &SizeWeight
+            } else {
+                &crate::BitsWeight
+            };
+            let got = score_list(&view, weight, &rules);
+            let want = score_list_rowwise(&view, weight, &rules);
+            assert_eq!(got, want, "trial {trial}");
+            assert_eq!(bits(&got), bits(&want), "trial {trial}");
+        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use crate::csv::RowSink;
 use crate::view::{RowId, TableView};
-use crate::{with_codes, Code, Codes, Dictionary, Schema, TableError};
+use crate::{Codes, Dictionary, Schema, TableError};
 use std::sync::Arc;
 
 /// An immutable, dictionary-encoded, column-major relational table.
@@ -142,32 +142,6 @@ impl Table {
     pub fn row_codes(&self, row: RowId, buf: &mut Vec<u32>) {
         buf.clear();
         buf.extend(self.cols.iter().map(|c| c.at(row as usize)));
-    }
-
-    /// Calls `visit(row, codes)` for every row in order, `codes` holding the
-    /// row's code per column as [`Table::row_codes`] would. Rows are
-    /// transposed a block at a time, one column (and one loop per code
-    /// width) after another, so no code is read through a width match.
-    pub fn for_each_row_codes(&self, mut visit: impl FnMut(usize, &[u32])) {
-        /// Writes each of `codes` into slot `c` of its `stride`-wide row.
-        fn scatter<T: Code>(rows: &mut [u32], codes: &[T], c: usize, stride: usize) {
-            for (slot, &code) in rows.iter_mut().skip(c).step_by(stride).zip(codes) {
-                *slot = code.wide();
-            }
-        }
-        const BLOCK: usize = 256;
-        let n_cols = self.n_columns();
-        let mut block = vec![0u32; BLOCK * n_cols];
-        for lo in (0..self.n_rows).step_by(BLOCK) {
-            let hi = (lo + BLOCK).min(self.n_rows);
-            for (c, col) in self.cols.iter().enumerate() {
-                with_codes!(col, codes => scatter(&mut block, &codes[lo..hi], c, n_cols));
-            }
-            for row in lo..hi {
-                let at = (row - lo) * n_cols;
-                visit(row, &block[at..at + n_cols]);
-            }
-        }
     }
 
     /// Names of the measure columns, in declaration order.

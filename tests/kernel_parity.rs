@@ -11,6 +11,7 @@ use smart_drilldown::core::{
     find_best_marginal_rule_rowwise, BestMarginal, BitsWeight, Brs, Rule, SearchOptions,
     SearchStats, SizeWeight, WeightFn,
 };
+use smart_drilldown::datagen::census;
 use smart_drilldown::table::{OwnedTableView, Schema, Table, TableView};
 use std::sync::OnceLock;
 
@@ -316,22 +317,106 @@ const SCALE: f64 = 1_000_000.0 / 5_003.0;
 /// Runs up to four greedy steps of BRS by hand over `view`, asserting the
 /// search equals the row-at-a-time reference bitwise at each: `cov` is `0`
 /// for the first search and then holds the weights of one to three prior
-/// winners.
+/// winners. Returns the most passes a step took.
 fn assert_greedy_steps_match(
     label: &str,
     view: &TableView<'_>,
     weight: &dyn WeightFn,
     opts: &SearchOptions,
-) {
+) -> usize {
     let mut cov = vec![0.0f64; view.len()];
+    let mut passes = 0;
     for step in 0..4 {
         let reference = find_best_marginal_rule_rowwise(view, weight, &cov, opts);
         let got = find_best_marginal_rule(view, weight, &cov, opts);
         assert_bitwise_equal(&format!("{label}, step {step}"), &got, &reference);
         let Some(best) = reference else { break };
+        passes = passes.max(best.stats.passes);
         for p in covered_rows(view.table(), &best.rule) {
             let slot = &mut cov[p as usize];
             *slot = slot.max(best.weight);
+        }
+    }
+    passes
+}
+
+/// Census-shaped samples as the explorer searches them: `census` projected
+/// to its first 7 columns, 5 000 rows, with and without a base. Their
+/// searches reach level 4 and beyond, where each sub-rule of a candidate
+/// is found by binary search in the level below.
+///
+/// A Combine-shaped sample, two halves at two scales, is summed in row
+/// order throughout, so every bit matches the reference, work counters
+/// included. A one-scale sample takes class sums, whose widened bounds may
+/// keep candidates the reference prunes (see `sdd_core::kernel`): its
+/// winners match bit for bit, and its counters cover the reference's.
+#[test]
+fn census_sample_searches_match_rowwise_at_every_level() {
+    let table = census(20_000, 1990).project_first_columns(7);
+    let mut rng = StdRng::seed_from_u64(0xCE45_0507);
+    let mut rows: Vec<u32> = (0..table.n_rows() as u32)
+        .filter(|_| rng.gen_range(0..3) == 0)
+        .collect();
+    rows.truncate(5_000);
+    assert_eq!(rows.len(), 5_000);
+    let sample = table.gather_rows(&rows);
+    let combined: Vec<f64> = (0..rows.len())
+        .map(|i| {
+            if i < rows.len() / 2 {
+                SCALE
+            } else {
+                3.0 * SCALE / 7.0
+            }
+        })
+        .collect();
+    let one_scale = vec![SCALE; rows.len()];
+    let base = Rule::trivial(7).with_value(0, sample.code(0, 0));
+    let weights: [(&str, &dyn WeightFn, f64); 2] =
+        [("size", &SizeWeight, 5.0), ("bits", &BitsWeight, 12.0)];
+    for (name, weight, mw) in weights {
+        let whole = TableView::all_with_weights(&sample, &combined);
+        let based = filter_to_rule(&whole, &base);
+        let mut opts = SearchOptions::new(mw);
+        let deepest = assert_greedy_steps_match(&format!("{name}, no base"), &whole, weight, &opts);
+        assert!(
+            deepest >= 4,
+            "{name}: the root searches stop at level {deepest}"
+        );
+        opts.base = Some(base.clone());
+        let label = format!("{name}, under a base");
+        let deepest = assert_greedy_steps_match(&label, &based.as_view(), weight, &opts);
+        assert!(
+            deepest >= 3,
+            "{name}: the based searches stop at level {deepest}"
+        );
+
+        let whole = TableView::all_with_weights(&sample, &one_scale);
+        let based = filter_to_rule(&whole, &base);
+        for (view, base) in [(whole, None), (based.as_view(), Some(base.clone()))] {
+            opts.base = base;
+            let mut cov = vec![0.0f64; view.len()];
+            for step in 0..4 {
+                let label = format!("{name}, one scale, base {:?}, step {step}", opts.base);
+                let reference = find_best_marginal_rule_rowwise(&view, weight, &cov, &opts);
+                let got = find_best_marginal_rule(&view, weight, &cov, &opts);
+                let (Some(mut got), Some(reference)) = (got, reference) else {
+                    panic!("{label}: no winner");
+                };
+                let (work, want) = (got.stats, reference.stats);
+                assert!(want.passes >= 3, "{label}: stops at level {}", want.passes);
+                assert_eq!(work.passes, want.passes, "{label}");
+                assert!(
+                    work.generated >= want.generated,
+                    "{label}: {work:?} {want:?}"
+                );
+                assert!(work.counted >= want.counted, "{label}: {work:?} {want:?}");
+                got.stats = want;
+                assert_bitwise_equal(&label, &Some(got), &Some(reference.clone()));
+                for p in covered_rows(view.table(), &reference.rule) {
+                    let slot = &mut cov[p as usize];
+                    *slot = slot.max(reference.weight);
+                }
+            }
         }
     }
 }
