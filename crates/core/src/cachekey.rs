@@ -22,10 +22,9 @@
 //!   safe miss.
 //!
 //! Keys are 128-bit digests ([`DrillKey`]); equality of digests is treated
-//! as equality of inputs. The digest is a two-lane SplitMix64 fold (a
-//! view's content enters it through four lanes, [`view_digest`]) —
-//! deterministic across platforms and processes, with no unspecified
-//! iteration order anywhere (lint rule D001 applies to this crate).
+//! as equality of inputs. Keys are two-lane SplitMix64 folds ([`view_digest`]
+//! folds four) — deterministic across platforms and processes, with no
+//! unspecified iteration order anywhere (lint rule D001 applies here).
 
 // P001: no panics outside tests (docs/DETERMINISM.md).
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]

@@ -151,11 +151,11 @@ impl Level {
 /// One a-priori generation step (Algorithm 2, step 3.3): filters the
 /// current level to survivors whose super-rule bound can still beat
 /// `best_h`, extends each with later building blocks, and applies the
-/// support/bound/weight prunes. Returns the next level's tuples (no stats
-/// yet; empty → the search is done), a survivor's adjacent, each with its
+/// support/bound/weight prunes (a sub-rule is looked up in `current`:
+/// Agrawal & Srikant's apriori-gen prune). Returns the next level, uncounted
+/// (empty → the search is done), a survivor's adjacent, each with its
 /// origin: the survivor's index in `current`, the block extending it, its
-/// weight. A sub-rule dropping one of the survivor's blocks is looked up in
-/// `current` (Agrawal & Srikant's apriori-gen prune).
+/// weight.
 ///
 /// Pure candidate bookkeeping — no row access.
 ///
@@ -416,8 +416,7 @@ pub(crate) struct RunIndex<'a> {
     max_size: usize,
     /// One per free column; none when there is nothing to search.
     columns: Vec<Pass1Column>,
-    /// The building blocks `(free column, code)`, sorted: the size-1
-    /// candidates in level order.
+    /// The building blocks `(free column, code)`, sorted: level 1.
     blocks: Vec<(usize, u32)>,
     /// Pass 1's work counters.
     pass1: SearchStats,
@@ -495,10 +494,9 @@ impl<'a> RunIndex<'a> {
         index
     }
 
-    /// The cover of the candidate made of the blocks `tuple`, compacted to
-    /// its non-zero words, into `out`: the AND of its blocks' masks, or,
-    /// when it has a block held as a row list, the rows of its shortest
-    /// list that every other block holds.
+    /// The cover of blocks `tuple`, compacted to its non-zero words, into
+    /// `out`: the AND of its blocks' masks, or, when it has a block held as
+    /// a row list, the rows of its shortest list that every other block holds.
     fn cover(&self, vertical: &Vertical, tuple: &[u32], out: &mut Cover) {
         let (mut masks, mut lists) = (Vec::new(), Vec::new());
         for &b in tuple {
@@ -570,7 +568,9 @@ impl<'a> RunIndex<'a> {
                     weight: column.wtab[code],
                 };
                 level.stats.push(stat);
-                best_h = best_h.max(stat.marginal);
+                if stat.marginal > best_h {
+                    best_h = stat.marginal;
+                }
             }
         }
 
@@ -637,7 +637,9 @@ impl<'a> RunIndex<'a> {
                             (count, marginal, marginal)
                         }
                     };
-                    best_h = best_h.max(lower);
+                    if lower > best_h {
+                        best_h = lower;
+                    }
                     next.stats.push(CandStat {
                         count,
                         marginal,
