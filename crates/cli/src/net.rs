@@ -61,10 +61,9 @@ commands once connected:
   show                 render the current display
   rules                list visible rules as JSON
   refresh              replace estimates with exact counts
-  append <v1> <v2> ... [-- <m1> ...]
-                       append one row to a live table (values in schema
-                       order; measures after `--`); requires `sdd serve
-                       --tail` and, under --tokens, the ingest capability
+  append <v1> <v2> ...  append one row to a live table (values in schema
+                       order); requires `sdd serve --tail` and, under
+                       --tokens, the ingest capability
   stats                session + sampling counters
   help (?)             this text
   quit (q)             close the session and exit
@@ -233,7 +232,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<ExitCo
                 spill_dir: spill.clone(),
             };
             let live = match &source {
-                Source::Csv(path) => sdd_table::csv::stream_csv_live(path, &[], &live_config)
+                Source::Csv(path) => sdd_table::csv::stream_csv_live(path, &live_config)
                     .map_err(|e| format!("cannot ingest {path:?}: {e}")),
                 Source::Demo(..) => load(&source).and_then(|t| {
                     LiveTable::from_table(&t, &live_config).map_err(|e| e.to_string())
@@ -250,7 +249,7 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<ExitCo
         }
         // Out-of-core path: the monolithic table never exists.
         (None, Source::Csv(path), Some(n)) => {
-            sdd_table::csv::stream_csv_file(path, &[], &shard_config(n))
+            sdd_table::csv::stream_csv_file(path, &shard_config(n))
                 .map(|st| sharded(st, true))
                 .map_err(|e| format!("cannot ingest {path:?}: {e}"))
         }
@@ -530,29 +529,10 @@ pub fn connect<R: BufRead, W: Write>(
             "refresh" => Request::Refresh {
                 session: session.clone(),
             },
-            "append" if !rest.is_empty() => {
-                let split = rest.iter().position(|p| *p == "--").unwrap_or(rest.len());
-                let cats: Vec<String> = rest[..split].iter().map(|s| (*s).to_owned()).collect();
-                let measures: Result<Vec<Vec<f64>>, String> = rest[split..]
-                    .iter()
-                    .skip(1)
-                    .map(|m| {
-                        m.parse::<f64>()
-                            .map(|v| vec![v])
-                            .map_err(|_| format!("bad measure value {m:?}"))
-                    })
-                    .collect();
-                match measures {
-                    Ok(measures) => Request::Append {
-                        rows: vec![cats],
-                        measures,
-                    },
-                    Err(e) => {
-                        writeln!(output, "error: {e}")?;
-                        continue;
-                    }
-                }
-            }
+            "append" if !rest.is_empty() => Request::Append {
+                rows: vec![rest.iter().map(|s| (*s).to_owned()).collect()],
+                measures: Vec::new(),
+            },
             "stats" => Request::Stats {
                 session: session.clone(),
             },
@@ -732,11 +712,14 @@ mod tests {
             std::process::id(),
             &table as *const _ as usize
         ));
-        std::fs::write(&csv_path, sdd_table::csv::write_csv(&table)).unwrap();
+        // A sharded table keeps the categorical columns only, so its one
+        // segment is the file a streaming ingest reads back whole.
+        let plain = ShardedTable::from_table(&table, &ShardConfig::in_memory(1)).unwrap();
+        let text = sdd_table::csv::write_csv(plain.try_segment(0).unwrap().table());
+        std::fs::write(&csv_path, text).unwrap();
         let sharded = Arc::new(
             sdd_table::csv::stream_csv_file(
                 &csv_path,
-                &["Sales"],
                 &ShardConfig::spilling(8, 0, std::env::temp_dir()),
             )
             .unwrap(),
@@ -806,8 +789,7 @@ mod tests {
         .unwrap();
         let addr = server.addr().to_string();
         let mut out = Vec::new();
-        let script =
-            "expand\nappend Walmart bread online -- 9.5\nappend Walmart bread -- 9.5\nshow\nquit\n";
+        let script = "expand\nappend Walmart bread online\nappend Walmart bread\nshow\nquit\n";
         connect(&addr, Cursor::new(script), &mut out).unwrap();
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("6000 rows × 3 columns"), "{out}");

@@ -94,7 +94,7 @@ pub(crate) fn load(source: &Source) -> Result<Arc<Table>, String> {
             // Streamed into one resident shard, whose segment is then moved
             // out: the file's text is never held whole.
             let config = ShardConfig::in_memory(1);
-            let st = sdd_table::csv::stream_csv_file(path, &[], &config).map_err(|e| match e {
+            let st = sdd_table::csv::stream_csv_file(path, &config).map_err(|e| match e {
                 TableError::Io(e) => format!("cannot read {path:?}: {e}"),
                 e => e.to_string(),
             })?;

@@ -418,16 +418,10 @@ impl Engine {
         let Some(live) = self.store.as_live() else {
             return Response::error("append rejected: the served table is frozen");
         };
-        // The wire carries measure columns, as the live table takes them; a
-        // ragged column is named here, and the table rejects it whole too.
-        if let Some(col) = measures.iter().find(|col| col.len() != rows.len()) {
-            return Response::error(format!(
-                "measure column of {} values does not match the {}-row batch",
-                col.len(),
-                rows.len()
-            ));
+        if !measures.is_empty() {
+            return Response::error("append rejected: a live table carries no measures");
         }
-        match live.live().try_append(rows, measures) {
+        match live.live().try_append(rows, &[]) {
             Ok(snap) => Response::Appended {
                 epoch: snap.epoch,
                 rows: snap.table.n_rows(),

@@ -96,8 +96,9 @@ pub enum Request {
     Append {
         /// Rows in schema order, one `Vec<String>` of category values per row.
         rows: Vec<Vec<String>>,
-        /// Measure columns (one `Vec<f64>` per measure, each `rows.len()`
-        /// long). Empty when the table has no measures.
+        /// Measure columns (one `Vec<f64>` per measure). A live table carries
+        /// no measures, so the engine rejects any; the field stays because
+        /// the repository benchmark still builds it.
         measures: Vec<Vec<f64>>,
     },
     /// Liveness probe.

@@ -251,43 +251,27 @@ fn live_refresh_is_deferred_and_drained_off_the_request_path() {
 }
 
 #[test]
-fn measured_appends_transpose_wire_columns_into_rows() {
-    // The wire carries measure columns, the layout the live table takes
-    // them in: the engine hands them over as they are, and a ragged column
-    // is rejected whole.
-    let schema = Schema::new(["Store", "Product"]).expect("schema");
-    let live = LiveTable::new(
-        schema,
-        vec!["Sales".to_owned()],
-        &LiveTableConfig::in_memory(16),
-    )
-    .expect("live table");
-    let engine = Engine::with_store(
-        TableStore::from(Arc::new(live)),
-        EngineConfig {
-            tail: Some(TailConfig::default()),
-            ..EngineConfig::default()
-        },
-    );
-    let (resp, _) = engine.handle(&Request::Append {
-        rows: rows(0, 3),
-        measures: vec![vec![1.0, 2.0, 3.0]],
-    });
-    assert_eq!(resp, Response::Appended { epoch: 1, rows: 3 });
-
-    let (resp, _) = engine.handle(&Request::Append {
-        rows: rows(0, 2),
-        measures: vec![vec![1.0]],
-    });
-    match resp {
-        Response::Error { message } => assert!(
-            message.contains("measure column of 1 values does not match the 2-row batch"),
-            "{message}"
-        ),
-        other => panic!("unexpected {other:?}"),
+fn appends_carrying_measures_are_rejected() {
+    // A live table carries no measures: any measure column, ragged or
+    // fitting, one or many, fails the append whole with one named error.
+    let engine = live_engine(Some(TailConfig::default()));
+    engine.handle(&append_req(0, 3));
+    for (n_rows, measures) in [
+        (3, vec![vec![1.0, 2.0, 3.0]]),
+        (2, vec![vec![1.0]]),
+        (0, vec![vec![]; 3]),
+        (2, vec![vec![1.0, 2.0], vec![3.0, 4.0]]),
+    ] {
+        let rows = rows(0, n_rows);
+        let (resp, _) = engine.handle(&Request::Append { rows, measures });
+        assert_eq!(
+            resp,
+            Response::Error {
+                message: "append rejected: a live table carries no measures".to_owned()
+            }
+        );
+        assert_eq!(engine.live_info(), Some((1, 3)), "the epoch or rows moved");
     }
-    // Nothing partially applied: the table is still at epoch 1.
-    assert_eq!(engine.live_info(), Some((1, 3)));
 }
 
 #[test]
@@ -298,34 +282,4 @@ fn empty_appends_still_bump_the_epoch() {
     engine.handle(&append_req(0, 16));
     let (resp, _) = engine.handle(&append_req(0, 0));
     assert_eq!(resp, Response::Appended { epoch: 2, rows: 16 });
-}
-
-#[test]
-fn appends_with_the_wrong_number_of_measure_columns_are_rejected() {
-    // A measured table takes exactly its measure columns, whatever the row
-    // count: three columns of no values do not fit a one-measure table.
-    let schema = Schema::new(["Store", "Product"]).expect("schema");
-    let live = LiveTable::new(
-        schema,
-        vec!["Sales".to_owned()],
-        &LiveTableConfig::in_memory(16),
-    )
-    .expect("live table");
-    let engine = Engine::with_store(
-        TableStore::from(Arc::new(live)),
-        EngineConfig {
-            tail: Some(TailConfig::default()),
-            ..EngineConfig::default()
-        },
-    );
-    for measures in [vec![vec![]; 3], vec![vec![1.0, 2.0], vec![3.0, 4.0]]] {
-        let rows = rows(0, measures[0].len());
-        let (resp, _) = engine.handle(&Request::Append { rows, measures });
-        assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
-        assert_eq!(engine.live_info(), Some((0, 0)), "the epoch moved");
-    }
-    // An empty batch that carries no measure columns is still the epoch
-    // bump, on a measured table too.
-    let (resp, _) = engine.handle(&append_req(0, 0));
-    assert_eq!(resp, Response::Appended { epoch: 1, rows: 0 });
 }

@@ -12,9 +12,12 @@
 //! the segment writer every sharded table is built with, and
 //! [`stream_csv_live`] into a live table's append staging. The last two
 //! seal each segment as its last row arrives — never holding more than one
-//! unsealed segment (plus dictionaries) in memory.
+//! unsealed segment (plus dictionaries) in memory — and read every column
+//! as categorical: only a monolithic table ([`read_csv_with_measures`])
+//! carries measure columns.
 
 use crate::shard::{Batch, LiveTable, LiveTableConfig, SegmentWriter, ShardConfig, ShardedTable};
+use crate::table::is_weight;
 use crate::view::chunk_spans;
 use crate::{Schema, Table, TableBuilder, TableError};
 use std::fs::File;
@@ -29,14 +32,10 @@ pub fn read_csv(input: &str) -> Result<Table, TableError> {
     read_csv_with_measures(input, &[])
 }
 
-/// Where the record loop puts each row: its categorical values in schema
-/// order and its measure values in declaration order.
+/// Where the record loop puts each row's categorical values, in schema
+/// order.
 pub(crate) trait RowSink {
-    fn push<'v>(
-        &mut self,
-        cats: impl Iterator<Item = &'v str>,
-        measures: &[f64],
-    ) -> Result<(), TableError>;
+    fn push<'v>(&mut self, cats: impl Iterator<Item = &'v str>) -> Result<(), TableError>;
 }
 
 /// The one CSV record loop over a reader whose header is routed: the
@@ -69,28 +68,36 @@ impl<R: BufRead> CsvRows<R> {
     }
 
     /// Checks each record's arity against the header, reporting the input
-    /// line the record started on, parses its measure fields and hands the
-    /// row to `sink`.
-    fn feed(mut self, sink: &mut impl RowSink) -> Result<(), TableError> {
+    /// line the record started on, appends its measure fields to
+    /// `measures` (one column per measure name) and hands its categorical
+    /// fields to `sink`. A measure field must parse as a number that is
+    /// finite and non-negative: it weighs its row in a `Sum`.
+    fn feed(
+        mut self,
+        sink: &mut impl RowSink,
+        measures: &mut [Vec<f64>],
+    ) -> Result<(), TableError> {
+        debug_assert_eq!(measures.len(), self.measure_idx.len());
         let reader = &mut self.reader;
         let width = self.cat_idx.len() + self.measure_idx.len();
-        let mut values: Vec<f64> = Vec::with_capacity(self.measure_idx.len());
         while reader.read_record(true)? {
+            let line = reader.record_line();
             if reader.n_fields() != width {
-                return Err(TableError::Csv {
-                    line: reader.record_line(),
-                    message: format!("expected {width} fields, got {}", reader.n_fields()),
-                });
+                let message = format!("expected {width} fields, got {}", reader.n_fields());
+                return Err(TableError::Csv { line, message });
             }
-            values.clear();
-            for &i in &self.measure_idx {
+            for (&i, col) in self.measure_idx.iter().zip(measures.iter_mut()) {
                 let raw = reader.field(i).trim();
                 let v = raw
                     .parse()
                     .map_err(|_| TableError::ParseNumber(raw.to_owned()))?;
-                values.push(v);
+                if !is_weight(v) {
+                    let message = format!("measure value {raw:?} is negative, NaN or infinite");
+                    return Err(TableError::Csv { line, message });
+                }
+                col.push(v);
             }
-            sink.push(self.cat_idx.iter().map(|&i| reader.field(i)), &values)?;
+            sink.push(self.cat_idx.iter().map(|&i| reader.field(i)))?;
         }
         Ok(())
     }
@@ -111,15 +118,17 @@ pub fn read_csv_with_measures(input: &str, measures: &[&str]) -> Result<Table, T
     let n_rows = newlines.min(input.len() / fields.max(1));
     let mut builder = TableBuilder::new(schema);
     builder.reserve(n_rows);
-    for name in names {
-        builder.add_measure(name, Vec::with_capacity(n_rows))?;
+    let mut cols: Vec<Vec<f64>> = names.iter().map(|_| Vec::with_capacity(n_rows)).collect();
+    rows.feed(&mut builder, &mut cols)?;
+    for (name, col) in names.into_iter().zip(cols) {
+        builder.add_measure(name, col)?;
     }
-    rows.feed(&mut builder)?;
     builder.build()
 }
 
 /// Streams a CSV file into a [`ShardedTable`] without ever materializing
-/// the monolithic [`Table`] — the out-of-core ingest path.
+/// the monolithic [`Table`] — the out-of-core ingest path. Every column is
+/// categorical, as in [`read_csv`].
 ///
 /// Pass 1 counts the data records with a field-free byte scan (header and
 /// quote structure errors surface here, everything else in pass 2); the count
@@ -129,52 +138,40 @@ pub fn read_csv_with_measures(input: &str, measures: &[&str]) -> Result<Table, T
 /// global codes in first-appearance order and seals every segment the
 /// moment its last row arrives, through the same seal
 /// `ShardedTable::from_table` uses. Peak memory is therefore one unsealed
-/// segment plus the growing dictionaries and measure columns — never
-/// O(rows) — and a file whose record count changes between the passes is a
-/// [`TableError::RowCount`].
+/// segment plus the growing dictionaries — never O(rows) — and a file whose
+/// record count changes between the passes is a [`TableError::RowCount`].
 ///
 /// Because global codes are assigned in the same first-appearance order the
 /// materializing reader uses, the result is **bit-identical** (segment
 /// bytes, spill files, every downstream drill-down transcript) to
-/// `ShardedTable::from_table(&read_csv_with_measures(text, measures)?, config)`
-/// on the same input, for every shard count, resident or spilled.
+/// `ShardedTable::from_table(&read_csv(text)?, config)` on the same input,
+/// for every shard count, resident or spilled.
 pub fn stream_csv_file(
     path: impl AsRef<std::path::Path>,
-    measures: &[&str],
     config: &ShardConfig,
 ) -> Result<ShardedTable, TableError> {
     let open = || -> Result<BufReader<File>, TableError> {
         Ok(BufReader::new(File::open(path.as_ref())?))
     };
     // Pass 1: route the header, count the records.
-    let n_rows = CsvRows::new(open()?, measures)?
-        .0
-        .reader
-        .count_remaining()?;
+    let n_rows = CsvRows::new(open()?, &[])?.0.reader.count_remaining()?;
     // Pass 2: the record loop, into the segment writer.
-    let (rows, schema, names) = CsvRows::new(open()?, measures)?;
-    stream_segments(schema, names, n_rows, config, |batch| rows.feed(batch))
+    let (rows, schema, _) = CsvRows::new(open()?, &[])?;
+    stream_segments(schema, n_rows, config, |batch| rows.feed(batch, &mut []))
 }
 
 /// The sharded table of the `n_rows` rows `fill` pushes into a fresh
 /// segment writer, which seals each span of [`chunk_spans`] the moment its
 /// last row arrives. Fails with [`TableError::RowCount`] when fewer or
 /// more rows arrive; an abandoned build deletes the spill files it wrote.
-/// The `measures` columns stay fully resident (8 bytes per row each).
 fn stream_segments(
     schema: Schema,
-    measures: Vec<String>,
     n_rows: usize,
     config: &ShardConfig,
     fill: impl FnOnce(&mut Batch<'_>) -> Result<(), TableError>,
 ) -> Result<ShardedTable, TableError> {
-    schema.require_distinct_measures(measures.iter().map(String::as_str))?;
     let dicts = (0..schema.n_columns()).map(|_| Arc::default()).collect();
-    let measures = measures
-        .into_iter()
-        .map(|n| (n, Vec::with_capacity(n_rows)))
-        .collect();
-    let mut writer = SegmentWriter::new(schema, dicts, measures, config.spill_dir.as_deref())?;
+    let mut writer = SegmentWriter::new(schema, dicts, config.spill_dir.as_deref())?;
     // The empty table's single `0..0` span takes no row: it seals after the
     // stream, so that the layout matches `from_table`'s.
     let spans = chunk_spans(n_rows, config.shards.max(1)).into_iter();
@@ -197,15 +194,15 @@ fn stream_segments(
 /// append staging: its records become epoch 1 (a header-only file leaves
 /// the table empty at epoch 0), each segment sealing as its last row
 /// arrives, so the file is never held whole. The table is the one a
-/// [`LiveTable::try_append`] of the same rows in one batch builds. A
-/// malformed record fails the build, and its spill directory goes with it.
+/// [`LiveTable::try_append`] of the same rows in one batch builds. Every
+/// column is categorical, as in [`read_csv`]. A malformed record fails the
+/// build, and its spill directory goes with it.
 pub fn stream_csv_live(
     path: impl AsRef<std::path::Path>,
-    measures: &[&str],
     config: &LiveTableConfig,
 ) -> Result<LiveTable, TableError> {
-    let (rows, schema, names) = CsvRows::new(BufReader::new(File::open(path)?), measures)?;
-    LiveTable::seeded(schema, names, config, |batch| rows.feed(batch))
+    let (rows, schema, _) = CsvRows::new(BufReader::new(File::open(path)?), &[])?;
+    LiveTable::seeded(schema, config, |batch| rows.feed(batch, &mut []))
 }
 
 /// Serializes a table (categorical columns then measures) to CSV text.
@@ -562,25 +559,23 @@ mod tests {
         path
     }
 
-    fn t_measured(n: usize) -> Table {
+    fn t(n: usize) -> Table {
         let mut b = TableBuilder::new(Schema::new(["A", "B"]).unwrap());
         for i in 0..n {
             b.push_row(&[format!("a{}", i % 5), format!("b{}", i % 3)])
                 .unwrap();
         }
-        b.add_measure("m", (0..n).map(|i| i as f64 * 0.5).collect())
-            .unwrap();
         b.build().unwrap()
     }
 
-    /// A streamed build of `rows` rows of two columns, no measures, from
-    /// the rows `fill` pushes.
+    /// A streamed build of `rows` rows of two columns from the rows `fill`
+    /// pushes.
     fn build(
         rows: usize,
         config: &ShardConfig,
         fill: impl FnOnce(&mut Batch<'_>) -> Result<(), TableError>,
     ) -> Result<ShardedTable, TableError> {
-        stream_segments(Schema::new(["A", "B"]).unwrap(), vec![], rows, config, fill)
+        stream_segments(Schema::new(["A", "B"]).unwrap(), rows, config, fill)
     }
 
     /// Every span of the `chunk_spans` layout seals the moment its last row
@@ -599,7 +594,7 @@ mod tests {
                     let st = build(n_rows, &config, |s| {
                         for i in 0..n_rows {
                             let (a, b) = (format!("v{}", i % 6), format!("w{}", i % 4));
-                            s.push([a.as_str(), b.as_str()].into_iter(), &[])?;
+                            s.push([a.as_str(), b.as_str()].into_iter())?;
                             let sealed = spans.iter().filter(|s| !s.is_empty() && s.end <= i + 1);
                             assert_eq!(
                                 s.staged.spans.len(),
@@ -631,7 +626,7 @@ mod tests {
     fn segment_sink_rejects_row_count_mismatch() {
         let config = ShardConfig::in_memory(2);
         assert!(matches!(
-            build(2, &config, |s| s.push(["x", "y"].into_iter(), &[])),
+            build(2, &config, |s| s.push(["x", "y"].into_iter())),
             Err(TableError::RowCount {
                 declared: 2,
                 got: 1
@@ -640,10 +635,10 @@ mod tests {
         for declared in [0, 1] {
             build(declared, &config, |s| {
                 for _ in 0..declared {
-                    s.push(["x", "y"].into_iter(), &[]).unwrap();
+                    s.push(["x", "y"].into_iter()).unwrap();
                 }
                 assert_eq!(
-                    s.push(["x", "y"].into_iter(), &[]).unwrap_err(),
+                    s.push(["x", "y"].into_iter()).unwrap_err(),
                     TableError::RowCount {
                         declared,
                         got: declared + 1
@@ -657,7 +652,7 @@ mod tests {
 
     #[test]
     fn stream_matches_from_table_segments_and_spill_bytes() {
-        let table = t_measured(37);
+        let table = t(37);
         let path = csv_file(&write_csv(&table), "parity");
         for shards in [1, 3, 8] {
             for config in [
@@ -665,7 +660,7 @@ mod tests {
                 ShardConfig::spilling(shards, 0, std::env::temp_dir()),
             ] {
                 let a = ShardedTable::from_table(&table, &config).unwrap();
-                let b = stream_csv_file(&path, &["m"], &config).unwrap();
+                let b = stream_csv_file(&path, &config).unwrap();
                 assert_eq!(a.spans(), b.spans());
                 for i in 0..a.n_shards() {
                     if let (Some(pa), Some(pb)) = (a.spill_path(i), b.spill_path(i)) {
@@ -679,10 +674,6 @@ mod tests {
                     for c in 0..table.n_columns() {
                         assert_eq!(sa.col(c), sb.col(c), "shard {i} col {c}");
                     }
-                    assert_eq!(
-                        sa.table().measure("m").unwrap(),
-                        sb.table().measure("m").unwrap()
-                    );
                 }
                 for c in 0..table.n_columns() {
                     assert_eq!(a.cardinality(c), b.cardinality(c));
@@ -697,10 +688,10 @@ mod tests {
 
     #[test]
     fn stream_spills_each_segment_exactly_once_and_stays_cold() {
-        let table = t_measured(60);
+        let table = t(60);
         let path = csv_file(&write_csv(&table), "cold");
         let config = ShardConfig::spilling(6, 0, std::env::temp_dir());
-        let st = stream_csv_file(&path, &[], &config).unwrap();
+        let st = stream_csv_file(&path, &config).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(st.spills(), 6, "one spill write per shard");
         assert_eq!(st.loads(), 0, "a streaming build never reads back");
@@ -725,9 +716,9 @@ mod tests {
             ShardConfig::in_memory(3),
             ShardConfig::spilling(3, 0, std::env::temp_dir()),
         ] {
-            let st = stream_csv_file(&path, &[], &config).unwrap();
+            let st = stream_csv_file(&path, &config).unwrap();
             assert_eq!(st.n_rows(), 0);
-            let reference = ShardedTable::from_table(&t_measured(0), &config).unwrap();
+            let reference = ShardedTable::from_table(&t(0), &config).unwrap();
             assert_eq!(st.spans(), reference.spans());
             assert_eq!(st.spills(), reference.spills());
         }
@@ -739,9 +730,9 @@ mod tests {
     /// widths, same dictionaries.
     #[test]
     fn one_resident_shard_is_the_monolithic_table() {
-        let text = write_csv(&t_measured(300));
+        let text = write_csv(&t(300));
         let path = csv_file(&text, "whole");
-        let st = stream_csv_file(&path, &[], &ShardConfig::in_memory(1)).unwrap();
+        let st = stream_csv_file(&path, &ShardConfig::in_memory(1)).unwrap();
         std::fs::remove_file(&path).ok();
         let seg = st.try_segment(0).unwrap();
         drop(st);

@@ -26,6 +26,14 @@ pub enum TableError {
     },
     /// A value could not be parsed as a number where one was required.
     ParseNumber(String),
+    /// A measure value was negative, NaN or infinite: a `Sum` weight must
+    /// be finite and non-negative.
+    BadMeasure {
+        /// The measure column.
+        name: String,
+        /// The 0-based row holding the value.
+        row: usize,
+    },
     /// The table (or input) was empty where data was required.
     Empty,
     /// An I/O failure during streaming ingest or spill (message of the
@@ -80,6 +88,10 @@ impl fmt::Display for TableError {
             TableError::DuplicateColumn(name) => write!(f, "duplicate column name: {name:?}"),
             TableError::Csv { line, message } => write!(f, "csv error at line {line}: {message}"),
             TableError::ParseNumber(s) => write!(f, "cannot parse {s:?} as a number"),
+            TableError::BadMeasure { name, row } => write!(
+                f,
+                "measure {name:?} row {row}: a weight must be finite and non-negative"
+            ),
             TableError::Empty => write!(f, "input is empty"),
             TableError::Io(message) => write!(f, "i/o error: {message}"),
             TableError::Corrupt(message) => write!(f, "corrupt spill file: {message}"),

@@ -13,7 +13,8 @@
 //! * [`Schema`] / [`ColumnDef`] — column metadata,
 //! * [`Table`] / [`TableBuilder`] — immutable dictionary-encoded columnar
 //!   storage with optional numeric *measure* columns (for the `Sum` aggregate
-//!   of §6.3),
+//!   of §6.3; every value finite and non-negative, as a `Sum` weight must
+//!   be),
 //! * [`TableView`] / [`OwnedTableView`] — every row of a table with optional
 //!   per-tuple weights (the mechanism that lets one algorithm code path
 //!   serve Count, Sum, and scale-weighted samples); a subset of rows is a
@@ -24,7 +25,8 @@
 //! * [`csv`] — a small self-contained CSV reader/writer,
 //! * [`bucketize`] — equi-width / equi-depth bucketization of numeric data,
 //! * [`shard`] — the larger-than-memory tier: [`ShardedTable`] partitions
-//!   rows into fixed columnar shards, each resident (a decoded segment) or
+//!   the categorical columns (no measures: only a [`Table`] carries them)
+//!   into fixed columnar shards, each resident (a decoded segment) or
 //!   spilled (a file on disk, read on demand and never kept decoded),
 //!   [`csv::stream_csv_file`] streams a file in without materializing the
 //!   monolithic table, and [`TableStore`] lets the session stack hold either storage

@@ -49,18 +49,18 @@ impl LiveTableConfig {
 }
 
 /// One epoch's frozen view of a [`LiveTable`]: an ordinary immutable
-/// [`ShardedTable`] (every sharded scan, parity, and caching path works on
-/// it unchanged) plus the epoch it captures. The rows an epoch added are
-/// `older.table.n_rows()..newer.table.n_rows()` of two snapshots — the
-/// range the sampling layer's reservoir maintenance sweeps.
+/// [`ShardedTable`] of categorical columns (every sharded scan, parity, and
+/// caching path works on it unchanged) plus the epoch it captures. The rows
+/// an epoch added are `older.table.n_rows()..newer.table.n_rows()` of two
+/// snapshots — the range the sampling layer's reservoir maintenance sweeps.
 #[derive(Debug, Clone)]
 pub struct LiveSnapshot {
     /// The frozen table. A snapshot copies what its append changed and
     /// shares the rest with its predecessors by `Arc`: sealed segments
     /// (spill files, or the decoded tables of a resident table) and the
     /// dictionary of every column that interned nothing. Only the unsealed
-    /// tail (< `rows_per_segment` rows, always resident), the dictionaries
-    /// that grew and the measure columns are copied per snapshot.
+    /// tail (< `rows_per_segment` rows, always resident) and the
+    /// dictionaries that grew are copied per snapshot.
     pub table: Arc<ShardedTable>,
     /// The epoch this snapshot captures (number of appends so far).
     pub epoch: u64,
@@ -77,15 +77,6 @@ impl LiveSnapshot {
     /// dictionaries only append, so every kept code means what it meant.
     /// Nothing to write and no dictionary grown ⇒ `base` itself.
     pub fn patch_gathered(&self, base: &Arc<Table>, at: &[usize], fresh: &Table) -> Arc<Table> {
-        fn patched<T: Copy + Default>(base: &[T], n: usize, at: &[usize], fresh: &[T]) -> Vec<T> {
-            let mut out = Vec::with_capacity(n);
-            out.extend_from_slice(base);
-            out.resize(n, T::default());
-            for (&p, &v) in at.iter().zip(fresh) {
-                out[p] = v;
-            }
-            out
-        }
         /// `out` padded to `n` rows with row `i` of `fresh` at `at[i]`.
         fn patch_codes<S: Code, D: Code>(out: &mut Vec<D>, n: usize, at: &[usize], fresh: &[S]) {
             out.resize(n, D::default());
@@ -117,21 +108,8 @@ impl LiveSnapshot {
                 out
             })
             .collect();
-        let measures = base
-            .measure_names()
-            .filter_map(|name| {
-                let (old, new) = (base.measure(name).ok()?, fresh.measure(name).ok()?);
-                Some((name.to_owned(), patched(old, n_rows, at, new)))
-            })
-            .collect();
         let schema = header.schema().clone();
-        Arc::new(Table::from_parts(
-            schema,
-            dicts.to_vec(),
-            cols,
-            measures,
-            n_rows,
-        ))
+        Arc::new(Table::from_parts(schema, dicts.to_vec(), cols, n_rows))
     }
 }
 
@@ -145,8 +123,9 @@ struct LiveState {
     base_loads: u64,
 }
 
-/// An append-only table: rows arrive in batches, each batch bumps a
-/// monotonic **epoch** and publishes a new frozen [`LiveSnapshot`].
+/// An append-only table of categorical columns: rows arrive in batches,
+/// each batch bumps a monotonic **epoch** and publishes a new frozen
+/// [`LiveSnapshot`].
 ///
 /// * A live table drives the segment writer every [`ShardedTable`] is
 ///   built with: every `rows_per_segment` rows seal into an immutable
@@ -156,8 +135,8 @@ struct LiveState {
 ///   stays open in an always-resident tail.
 /// * Each append ends with one freeze of the writer. Snapshots are plain
 ///   [`ShardedTable`]s sharing the sealed segments and the unchanged
-///   dictionaries by `Arc`, so an append costs what it adds (tail, grown
-///   dictionaries, measure columns — see [`LiveSnapshot`]), every existing
+///   dictionaries by `Arc`, so an append costs what it adds (tail and grown
+///   dictionaries — see [`LiveSnapshot`]), every existing
 ///   sharded scan path works on them unchanged and a superseded snapshot
 ///   can outlive its successors without invalidating their files.
 /// * Global codes are interned in first-appearance order (exactly as every
@@ -166,11 +145,11 @@ struct LiveState {
 ///   by a single append of all rows (the seal-boundary tests pin this).
 /// * An append is staged on a copy of the open rows, each segment sealing
 ///   as its last row arrives, and committed once every row has arrived.
-///   Any failure (a malformed row or measure column, a failed spill) drops
-///   the copy, which deletes the files the batch wrote, and truncates the
-///   dictionaries and measure columns — a retry or a rebuild observes no
-///   trace of the failure. [`LiveTable::from_table`] and
-///   [`stream_csv_live`] seed a new table through the same staging.
+///   Any failure (a malformed row, a failed spill) drops the copy, which
+///   deletes the files the batch wrote, and truncates the dictionaries — a
+///   retry or a rebuild observes no trace of the failure.
+///   [`LiveTable::from_table`] and [`stream_csv_live`] seed a new table
+///   through the same staging.
 ///
 /// [`stream_csv_file`]: crate::csv::stream_csv_file
 /// [`stream_csv_live`]: crate::csv::stream_csv_live
@@ -183,29 +162,40 @@ pub struct LiveTable {
     state: Mutex<LiveState>,
 }
 
+/// A live table carries no measures: the measure arguments of
+/// [`LiveTable::new`] and [`LiveTable::try_append`], which the repository
+/// benchmark still passes, must be empty.
+fn no_measures<T>(measures: &[T]) -> Result<(), TableError> {
+    match measures.len() {
+        0 => Ok(()),
+        got => Err(TableError::ArityMismatch { expected: 0, got }),
+    }
+}
+
 impl LiveTable {
     /// Creates an empty live table at epoch 0.
+    ///
+    /// # Errors
+    ///
+    /// [`TableError::ArityMismatch`] for a non-empty `measures`.
     pub fn new(
         schema: Schema,
         measures: Vec<String>,
         config: &LiveTableConfig,
     ) -> Result<LiveTable, TableError> {
-        LiveTable::seeded(schema, measures, config, |_| Ok(()))
+        no_measures(&measures)?;
+        LiveTable::seeded(schema, config, |_| Ok(()))
     }
 
     /// A new live table whose epoch 1 holds the rows `fill` pushes as one
     /// batch — or which stays empty at epoch 0 when it pushes none.
     pub(crate) fn seeded(
         schema: Schema,
-        measures: Vec<String>,
         config: &LiveTableConfig,
         fill: impl FnOnce(&mut Batch<'_>) -> Result<(), TableError>,
     ) -> Result<LiveTable, TableError> {
-        schema.require_distinct_measures(measures.iter().map(String::as_str))?;
         let dicts = (0..schema.n_columns()).map(|_| Arc::default()).collect();
-        let measures = measures.into_iter().map(|n| (n, Vec::new())).collect();
-        let mut writer =
-            SegmentWriter::new(schema.clone(), dicts, measures, config.spill_dir.as_deref())?;
+        let mut writer = SegmentWriter::new(schema.clone(), dicts, config.spill_dir.as_deref())?;
         let rows_per_segment = config.rows_per_segment.max(1);
         writer.stage(Box::new(repeat((rows_per_segment, 0))), fill)?;
         let epoch = u64::from(writer.segments.n_rows() > 0);
@@ -279,15 +269,15 @@ impl LiveTable {
 
     /// Appends a batch of rows, bumps the epoch, and returns the new
     /// snapshot. `cats[i]` are row `i`'s categorical values in schema
-    /// order; `measures[m]` is measure `m`'s column of one value per row
-    /// (pass `&[]` when the table declares no measures). Appending an empty
-    /// batch still bumps the epoch (a deliberate no-op data change).
+    /// order; `measures` must be empty, as a live table carries none.
+    /// Appending an empty batch still bumps the epoch (a deliberate no-op
+    /// data change).
     ///
     /// # Errors
     ///
-    /// [`TableError::ArityMismatch`] on a malformed row or measure column
-    /// (an empty batch may carry none); [`TableError::Io`] when sealing a
-    /// segment fails. Either way the table stays at the previous epoch.
+    /// [`TableError::ArityMismatch`] on a malformed row or a non-empty
+    /// `measures`; [`TableError::Io`] when sealing a segment fails. Either
+    /// way the table stays at the previous epoch.
     pub fn try_append<R, S>(
         &self,
         cats: &[R],
@@ -297,26 +287,13 @@ impl LiveTable {
         R: AsRef<[S]>,
         S: AsRef<str>,
     {
+        no_measures(measures)?;
         let mut guard = self.state();
         let state = &mut *guard;
         let w = &mut state.writer;
-        let n_measures = w.measures.len();
-        if measures.len() != n_measures && !(cats.is_empty() && measures.is_empty()) {
-            return Err(TableError::ArityMismatch {
-                expected: n_measures,
-                got: measures.len(),
-            });
-        }
-        if let Some(col) = measures.iter().find(|col| col.len() != cats.len()) {
-            return Err(TableError::ArityMismatch {
-                expected: cats.len(),
-                got: col.len(),
-            });
-        }
         let n_cols = self.schema.n_columns();
-        let mut values = Vec::with_capacity(measures.len());
         w.stage(Box::new(repeat((self.rows_per_segment, 0))), |batch| {
-            for (r, row) in cats.iter().enumerate() {
+            for row in cats {
                 let row = row.as_ref();
                 if row.len() != n_cols {
                     return Err(TableError::ArityMismatch {
@@ -324,9 +301,7 @@ impl LiveTable {
                         got: row.len(),
                     });
                 }
-                values.clear();
-                values.extend(measures.iter().map(|col| col[r]));
-                batch.push(row.iter().map(AsRef::as_ref), &values)?;
+                batch.push(row.iter().map(AsRef::as_ref))?;
             }
             Ok(())
         })?;
@@ -339,23 +314,14 @@ impl LiveTable {
         Ok(state.current.clone())
     }
 
-    /// A live table holding `table`'s rows as epoch 1 (empty at epoch 0
-    /// when it has none), pushed through the append staging as one batch:
-    /// codes are interned afresh in first-appearance order, as every
-    /// append interns them.
+    /// A live table holding `table`'s categorical rows as epoch 1 (empty
+    /// at epoch 0 when it has none; its measures stay behind), pushed
+    /// through the append staging as one batch: codes are interned afresh
+    /// in first-appearance order, as every append interns them.
     pub fn from_table(table: &Table, config: &LiveTableConfig) -> Result<LiveTable, TableError> {
-        let names: Vec<String> = table.measure_names().map(str::to_owned).collect();
-        let cols = names
-            .iter()
-            .map(|n| table.measure(n))
-            .collect::<Result<Vec<_>, _>>()?;
-        let mut values = Vec::with_capacity(cols.len());
-        LiveTable::seeded(table.schema().clone(), names, config, |batch| {
-            for r in 0..table.n_rows() {
-                values.clear();
-                values.extend(cols.iter().map(|col| col[r]));
-                let row = (0..table.n_columns()).map(|c| table.value(r as RowId, c));
-                batch.push(row, &values)?;
+        LiveTable::seeded(table.schema().clone(), config, |batch| {
+            for r in 0..table.n_rows() as RowId {
+                batch.push((0..table.n_columns()).map(|c| table.value(r, c)))?;
             }
             Ok(())
         })
@@ -414,47 +380,47 @@ mod tests {
         assert_eq!((snap3.epoch, snap3.table.n_rows()), (3, 6));
     }
 
+    /// A live table carries no measures: a declared measure column fails
+    /// the build, and any measure column fails an append whole, whatever
+    /// its length.
     #[test]
-    fn live_append_carries_measures() {
-        let live = LiveTable::new(
-            Schema::new(["A", "B"]).unwrap(),
-            vec!["m".to_owned()],
-            &LiveTableConfig::in_memory(3),
-        )
-        .unwrap();
-        let rows = live_rows(7);
-        let ms: Vec<f64> = (0..7).map(|i| i as f64 * 1.5).collect();
-        live.try_append(&rows[..4], &[ms[..4].to_vec()]).unwrap();
-        let snap = live.try_append(&rows[4..], &[ms[4..].to_vec()]).unwrap();
-        let all: Vec<RowId> = (0..7).collect();
-        let t = snap.table.try_gather_rows(&all).unwrap();
-        let got = t.measure("m").unwrap();
-        let want: Vec<f64> = (0..7).map(|i| i as f64 * 1.5).collect();
-        assert_eq!(got, &want[..]);
+    fn live_tables_reject_measures() {
+        let schema = Schema::new(["A", "B"]).unwrap();
+        let config = LiveTableConfig::in_memory(4);
+        assert_eq!(
+            LiveTable::new(schema.clone(), vec!["m".to_owned()], &config).unwrap_err(),
+            TableError::ArityMismatch {
+                expected: 0,
+                got: 1
+            }
+        );
+        let live = LiveTable::new(schema, vec![], &config).unwrap();
+        let rows = live_rows(2);
+        for measures in [vec![vec![1.0, 2.0]], vec![vec![1.0]], vec![vec![]; 3]] {
+            for batch in [&rows[..], &[]] {
+                assert_eq!(
+                    live.try_append(batch, &measures).unwrap_err(),
+                    TableError::ArityMismatch {
+                        expected: 0,
+                        got: measures.len()
+                    }
+                );
+            }
+        }
+        assert_eq!((live.epoch(), live.n_rows()), (0, 0));
     }
 
     #[test]
     fn live_append_rejects_malformed_rows_without_state_change() {
         let live = LiveTable::new(
             Schema::new(["A", "B"]).unwrap(),
-            vec!["m".to_owned()],
+            vec![],
             &LiveTableConfig::in_memory(4),
         )
         .unwrap();
         let bad = vec![vec!["only-one".to_owned()]];
         assert!(matches!(
-            live.try_append(&bad, &[vec![1.0]]),
-            Err(TableError::ArityMismatch { .. })
-        ));
-        let rows = live_rows(2);
-        // A measure column of the wrong length, and the wrong number of
-        // measure columns.
-        assert!(matches!(
-            live.try_append(&rows, &[vec![1.0]]),
-            Err(TableError::ArityMismatch { .. })
-        ));
-        assert!(matches!(
-            live.try_append(&rows, &[vec![1.0, 2.0], vec![3.0, 4.0]]),
+            live.try_append(&bad, &[]),
             Err(TableError::ArityMismatch { .. })
         ));
         assert_eq!(live.epoch(), 0);
@@ -629,18 +595,16 @@ mod tests {
 
     /// A batch that seals a segment and then meets a malformed row keeps
     /// nothing it staged: the epoch and rows are the prior epoch's, the
-    /// dictionaries and the measure column are un-grown, the segment it
-    /// sealed has no file, and a retry writes exactly what a one-shot
-    /// rebuild writes.
+    /// dictionaries are un-grown, the segment it sealed has no file, and a
+    /// retry writes exactly what a one-shot rebuild writes.
     #[test]
     fn live_append_failing_on_a_row_after_a_seal_keeps_nothing_it_staged() {
         let c = 4usize;
         let cfg = LiveTableConfig::spilling(c, spill_dir());
-        let new = || LiveTable::new(Schema::new(["A", "B"]).unwrap(), vec!["m".into()], &cfg);
+        let new = || LiveTable::new(Schema::new(["A", "B"]).unwrap(), vec![], &cfg);
         let live = new().unwrap();
         let rows: Vec<Vec<String>> = live_rows(2 * c + 1).iter().map(|r| r.to_vec()).collect();
-        let m: Vec<f64> = (0..rows.len()).map(|i| i as f64 * 0.5).collect();
-        live.try_append(&rows[..2], &[m[..2].to_vec()]).unwrap();
+        live.try_append(&rows[..2], &[]).unwrap();
         let dir = live.snapshot().table.spill_dir().unwrap().to_path_buf();
 
         // Rows 2..6 seal segment 0 at row 3; row 6 interns two values no
@@ -648,7 +612,7 @@ mod tests {
         let mut bad = rows[2..6].to_vec();
         bad.push(vec!["zz".into(), "yy".into()]);
         bad.push(vec!["short".into()]);
-        let err = live.try_append(&bad, &[m[2..8].to_vec()]);
+        let err = live.try_append(&bad, &[]);
         assert!(
             matches!(err, Err(TableError::ArityMismatch { .. })),
             "got {err:?}"
@@ -661,13 +625,12 @@ mod tests {
             let state = live.state();
             let lens: Vec<usize> = state.writer.dicts.iter().map(|d| d.len()).collect();
             assert_eq!(lens, [2, 2], "dictionaries grew");
-            assert_eq!(state.writer.measures[0].1.len(), 2, "measure column grew");
         }
         assert!(!dir.join(segment_file_name(0)).exists(), "segment 0 leaked");
 
-        let snap = live.try_append(&rows[2..], &[m[2..].to_vec()]).unwrap();
+        let snap = live.try_append(&rows[2..], &[]).unwrap();
         let rebuilt = new().unwrap();
-        let rsnap = rebuilt.try_append(&rows, std::slice::from_ref(&m)).unwrap();
+        let rsnap = rebuilt.try_append(&rows, &[]).unwrap();
         for i in 0..2 {
             assert_eq!(
                 std::fs::read(snap.table.spill_path(i).unwrap()).unwrap(),
@@ -682,9 +645,6 @@ mod tests {
                 "column {col}: dictionaries differ"
             );
         }
-        let all: Vec<RowId> = (0..rows.len() as RowId).collect();
-        let t = snap.table.try_gather_rows(&all).unwrap();
-        assert_eq!(t.measure("m").unwrap(), &m[..]);
         assert_eq!(gather_all(&snap.table), rows);
     }
 

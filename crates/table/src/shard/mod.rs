@@ -1,7 +1,8 @@
 //! Sharded columnar storage for larger-than-memory drill-down.
 //!
-//! A [`ShardedTable`] partitions a table's rows into **fixed, deterministic
-//! contiguous segments** (the shard *layout* is [`chunk_spans`] of the row
+//! A [`ShardedTable`] partitions a table's rows — its categorical columns
+//! only: measures stay on the monolithic [`Table`] — into **fixed,
+//! deterministic contiguous segments** (the shard *layout* is [`chunk_spans`] of the row
 //! count and shard count — a pure function of both, never of machine or
 //! thread count). Each shard is, for the table's whole life, **resident or
 //! spilled**:
@@ -34,8 +35,8 @@
 //! A read of a spilled shard is **transient**: scans and gathers drop what
 //! they read, and [`ShardedTable::try_segment`] decodes a fresh segment on
 //! every call and hands it over. No spilled shard is ever decoded and kept,
-//! so a spilling table holds its header, its measure columns and its
-//! resident shards — nothing that grows with use.
+//! so a spilling table holds its header and its resident shards — nothing
+//! that grows with use.
 //!
 //! Every table is built by **one segment writer**, which interns rows,
 //! seals each full segment through one function that spills it or keeps
@@ -57,10 +58,6 @@
 //! concatenate and per-shard integer counts add up to exactly the
 //! monolithic result, for **any** shard count, resident or spilled: a
 //! spilled shard decodes to exactly the resident segment's bytes.
-//!
-//! Measure columns stay fully resident inside the [`ShardedTable`] (8 bytes
-//! per row per measure); only the dictionary-coded categorical columns
-//! shard and spill.
 //!
 //! [`chunk_spans`]: crate::chunk_spans
 //! [`stream_csv_file`]: crate::csv::stream_csv_file

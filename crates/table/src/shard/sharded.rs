@@ -102,7 +102,6 @@ pub(super) enum Shard {
 #[derive(Debug)]
 pub struct ShardedTable {
     pub(super) header: Arc<Table>,
-    pub(super) measures: Vec<(String, Vec<f64>)>,
     pub(super) spans: Vec<Range<usize>>,
     /// One per span, fixed at build.
     pub(super) shards: Vec<Shard>,
@@ -112,25 +111,15 @@ pub struct ShardedTable {
 }
 
 impl ShardedTable {
-    /// Partitions `table` according to `config`: with a spill directory
-    /// every shard is encoded to disk at once and spilled, without one every
+    /// Partitions `table`'s categorical columns according to `config` (a
+    /// sharded table carries no measures): with a spill directory every
+    /// shard is encoded to disk at once and spilled, without one every
     /// shard is resident. The shards are sealed by the same segment writer
     /// as a streaming build's, over `table`'s own dictionaries.
     pub fn from_table(table: &Table, config: &ShardConfig) -> io::Result<ShardedTable> {
-        let measures = table
-            .measure_names()
-            .filter_map(|n| {
-                // Listed names always resolve on their own table; the filter
-                // only exists to keep this path panic-free.
-                let m = table.measure(n);
-                debug_assert!(m.is_ok(), "measure {n} listed but missing");
-                Some((n.to_owned(), m.ok()?.to_vec()))
-            })
-            .collect();
         let mut writer = SegmentWriter::new(
             table.schema().clone(),
             table.dictionaries().to_vec(),
-            measures,
             config.spill_dir.as_deref(),
         )?;
         for span in chunk_spans(table.n_rows(), config.shards.max(1)) {
@@ -145,7 +134,7 @@ impl ShardedTable {
     }
 
     /// The always-resident header: a zero-row [`Table`] carrying the
-    /// schema, the global dictionaries, and the measure names. Weight
+    /// schema and the global dictionaries. Weight
     /// functions, rule construction, and display read only this.
     pub fn header(&self) -> &Arc<Table> {
         &self.header
@@ -229,7 +218,7 @@ impl ShardedTable {
             Shard::Resident(seg) => Ok(Arc::clone(seg)),
             Shard::Spilled(_) => {
                 let cols = globalize(&self.read_raw(i)?, &self.header);
-                Ok(segment(&self.header, &self.measures, &self.spans[i], cols))
+                Ok(segment(&self.header, &self.spans[i], cols))
             }
         }
     }
@@ -365,19 +354,10 @@ impl ShardedTable {
                     .enumerate()
                     .map(|(c, col)| Codes::from_u32(self.cardinality(c), col))
                     .collect();
-                let measures = self
-                    .measures
-                    .iter()
-                    .map(|(name, vals)| {
-                        let picked = rows.iter().map(|&r| vals[r as usize]).collect();
-                        (name.clone(), picked)
-                    })
-                    .collect();
                 Table::from_parts(
                     self.header.schema().clone(),
                     self.header.dictionaries().to_vec(),
                     cols,
-                    measures,
                     rows.len(),
                 )
             })
@@ -419,25 +399,15 @@ impl ShardedTable {
 }
 
 /// Builds the decoded segment of `span`: a resident [`Table`] of the
-/// global-coded columns plus the span's measure slices, sharing the
-/// header's schema and — by `Arc`, not by clone — its global dictionaries:
-/// every segment of a table holds pointer-identical dictionary handles, so
-/// segment count never multiplies dictionary memory.
-pub(super) fn segment(
-    header: &Table,
-    measures: &[(String, Vec<f64>)],
-    span: &Range<usize>,
-    cols: Vec<Codes>,
-) -> Arc<ShardSegment> {
-    let sliced: Vec<(String, Vec<f64>)> = measures
-        .iter()
-        .map(|(n, vals)| (n.clone(), vals[span.clone()].to_vec()))
-        .collect();
+/// global-coded columns, sharing the header's schema and — by `Arc`, not by
+/// clone — its global dictionaries: every segment of a table holds
+/// pointer-identical dictionary handles, so segment count never multiplies
+/// dictionary memory.
+pub(super) fn segment(header: &Table, span: &Range<usize>, cols: Vec<Codes>) -> Arc<ShardSegment> {
     let table = Table::from_parts(
         header.schema().clone(),
         header.dictionaries().to_vec(),
         cols,
-        sliced,
         span.len(),
     );
     Arc::new(ShardSegment {

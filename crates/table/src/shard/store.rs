@@ -112,8 +112,8 @@ impl TableStore {
     }
 
     /// The metadata table: the table itself for [`TableStore::Whole`], the
-    /// zero-row header for sharded and live storage. Carries schema,
-    /// dictionaries, and measure names — never rows; do not scan it.
+    /// zero-row header for sharded and live storage. Carries schema and
+    /// dictionaries — never rows; do not scan it.
     pub fn header(&self) -> &Arc<Table> {
         match self {
             TableStore::Whole(t) => t,

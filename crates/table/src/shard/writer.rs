@@ -85,20 +85,16 @@ pub(crate) struct SegmentWriter {
     /// column whose length did not move since keeps its handle and every
     /// older handle is a prefix of every newer one.
     frozen_dicts: Vec<Arc<Dictionary>>,
-    /// Every row's measure values, by measure name.
-    pub(super) measures: Vec<(String, Vec<f64>)>,
     pub(crate) segments: Segments,
 }
 
 impl SegmentWriter {
     /// A writer with no segments and no open rows whose dictionaries start
-    /// as `dicts` and whose measure columns start as `measures`; with
-    /// `spill_dir` it spills every segment into a private subdirectory of
-    /// that directory.
+    /// as `dicts`; with `spill_dir` it spills every segment into a private
+    /// subdirectory of that directory.
     pub(crate) fn new(
         schema: Schema,
         dicts: Vec<Arc<Dictionary>>,
-        measures: Vec<(String, Vec<f64>)>,
         spill_dir: Option<&std::path::Path>,
     ) -> io::Result<SegmentWriter> {
         let spill_root = spill_dir.map(SpillRoot::create).transpose()?;
@@ -117,7 +113,6 @@ impl SegmentWriter {
             spill_root,
             dicts: dicts.iter().map(|d| Dictionary::clone(d)).collect(),
             frozen_dicts: dicts,
-            measures,
         })
     }
 
@@ -129,15 +124,13 @@ impl SegmentWriter {
     /// Runs `fill` over a [`Batch`] of this writer sealing the `spans`, and
     /// adopts the batch's segments once every row has arrived. Any failure
     /// rolls the batch back: dropping its copy deletes the files it spilled,
-    /// and the dictionaries and measure columns go back to their lengths
-    /// before it.
+    /// and the dictionaries go back to their lengths before it.
     pub(crate) fn stage(
         &mut self,
         spans: Box<dyn Iterator<Item = (usize, usize)>>,
         fill: impl FnOnce(&mut Batch<'_>) -> Result<(), TableError>,
     ) -> Result<(), TableError> {
         let dict_lens: Vec<usize> = self.dicts.iter().map(Dictionary::len).collect();
-        let rows = self.segments.n_rows();
         let mut batch = Batch {
             staged: self.segments.clone(),
             writer: self,
@@ -147,9 +140,6 @@ impl SegmentWriter {
             for (dict, &len) in batch.writer.dicts.iter_mut().zip(&dict_lens) {
                 dict.truncate(len);
             }
-            for (_, col) in &mut batch.writer.measures {
-                col.truncate(rows);
-            }
             return Err(e);
         }
         batch.writer.segments = batch.staged;
@@ -157,31 +147,24 @@ impl SegmentWriter {
     }
 
     /// The table of every row so far: a header under fresh handles of the
-    /// dictionaries that grew since the last freeze, the measure columns
-    /// (cloned whole), the sealed segments — the parked ones made resident
-    /// here, once — and the open rows as a resident segment of their own.
+    /// dictionaries that grew since the last freeze, the sealed segments —
+    /// the parked ones made resident here, once — and the open rows as a
+    /// resident segment of their own.
     pub(crate) fn freeze(&mut self) -> ShardedTable {
         for (frozen, dict) in self.frozen_dicts.iter_mut().zip(&self.dicts) {
             if frozen.len() != dict.len() {
                 *frozen = Arc::new(dict.clone());
             }
         }
-        let header_measures = self
-            .measures
-            .iter()
-            .map(|(n, _)| (n.clone(), Vec::new()))
-            .collect();
         let header = Arc::new(Table::from_parts(
             self.schema.clone(),
             self.frozen_dicts.clone(),
             vec![Codes::for_cardinality(0); self.schema.n_columns()],
-            header_measures,
             0,
         ));
-        let measures = self.measures.clone();
         let segs = &mut self.segments;
         for cols in segs.parked.drain(..) {
-            let seg = segment(&header, &measures, &segs.spans[segs.sealed.len()], cols);
+            let seg = segment(&header, &segs.spans[segs.sealed.len()], cols);
             segs.sealed.push(Shard::Resident(seg));
         }
         let (mut spans, mut shards) = (segs.spans.clone(), segs.sealed.clone());
@@ -190,13 +173,12 @@ impl SegmentWriter {
         if segs.open_rows > 0 || spans.is_empty() {
             let start = spans.last().map_or(0, |s| s.end);
             let span = start..start + segs.open_rows;
-            let open = segment(&header, &measures, &span, segs.open.clone());
+            let open = segment(&header, &span, segs.open.clone());
             spans.push(span);
             shards.push(Shard::Resident(open));
         }
         ShardedTable {
             header,
-            measures,
             spans,
             shards,
             spill_root: self.spill_root.clone(),
@@ -207,8 +189,7 @@ impl SegmentWriter {
 
 /// Rows staged into a [`SegmentWriter`] by [`SegmentWriter::stage`]: they
 /// intern onto a copy of its open rows, and each span seals — spilling, or
-/// parked until the next freeze — the moment its last row arrives. Measure
-/// values go straight onto the writer's columns.
+/// parked until the next freeze — the moment its last row arrives.
 pub(crate) struct Batch<'w> {
     writer: &'w mut SegmentWriter,
     /// The copy of the writer's segments the rows go to.
@@ -222,11 +203,7 @@ pub(crate) struct Batch<'w> {
 
 impl RowSink for Batch<'_> {
     /// Fails with [`TableError::RowCount`] once every span is sealed.
-    fn push<'v>(
-        &mut self,
-        cats: impl Iterator<Item = &'v str>,
-        measures: &[f64],
-    ) -> Result<(), TableError> {
+    fn push<'v>(&mut self, cats: impl Iterator<Item = &'v str>) -> Result<(), TableError> {
         let Some(&(len, reserve)) = self.spans.peek() else {
             let declared = self.staged.n_rows();
             return Err(TableError::RowCount {
@@ -242,9 +219,6 @@ impl RowSink for Batch<'_> {
         }
         push_interned(&mut self.staged.open, &mut self.writer.dicts, cats);
         self.staged.open_rows += 1;
-        for ((_, col), &v) in self.writer.measures.iter_mut().zip(measures) {
-            col.push(v);
-        }
         if self.staged.open_rows == len {
             self.staged.seal(self.writer.spill_root.as_ref(), len)?;
             self.spans.next();

@@ -9,8 +9,10 @@ use std::sync::Arc;
 /// categorical (bucketize numeric data first, see [`crate::bucketize`]), and
 /// cell values are stored as dense dictionary codes for cache-friendly
 /// scans, each column at the narrowest width its dictionary fits ([`Codes`]:
-/// `u8` up to 256 values, `u16` up to 65 536, `u32` beyond). Optional *measure* columns hold raw `f64` values for the `Sum`
-/// aggregate of §6.3 — they are never instantiated by rules.
+/// `u8` up to 256 values, `u16` up to 65 536, `u32` beyond). Optional *measure* columns hold finite, non-negative `f64` values for the `Sum`
+/// aggregate of §6.3 — they are never instantiated by rules, and only a
+/// monolithic table carries them (sharded, spilled and live tables hold
+/// the categorical columns alone).
 ///
 /// Dictionaries are held by `Arc`, so derived tables that keep the same
 /// code space — shard segments, [`Table::gather_rows`] outputs, sharded
@@ -31,17 +33,16 @@ impl Table {
         TableBuilder::new(schema)
     }
 
-    /// Assembles a table from pre-validated parts (the sharded substrate's
-    /// segment loader). Callers guarantee that every code is within its
-    /// dictionary and all lengths equal `n_rows`. A column narrower than its
-    /// dictionary needs — codes sealed before the dictionary outgrew their
-    /// width — is widened here, so every table's columns are exactly as wide
-    /// as its dictionaries.
+    /// Assembles a measureless table from pre-validated parts (the sharded
+    /// substrate's segment loader). Callers guarantee that every code is
+    /// within its dictionary and all lengths equal `n_rows`. A column
+    /// narrower than its dictionary needs — codes sealed before the
+    /// dictionary outgrew their width — is widened here, so every table's
+    /// columns are exactly as wide as its dictionaries.
     pub(crate) fn from_parts(
         schema: Schema,
         dicts: Vec<Arc<Dictionary>>,
         mut cols: Vec<Codes>,
-        measures: Vec<(String, Vec<f64>)>,
         n_rows: usize,
     ) -> Table {
         for (col, dict) in cols.iter_mut().zip(&dicts) {
@@ -49,12 +50,11 @@ impl Table {
         }
         debug_assert_eq!(cols.len(), schema.n_columns());
         debug_assert!(cols.iter().all(|c| c.len() == n_rows));
-        debug_assert!(measures.iter().all(|(_, v)| v.len() == n_rows));
         Table {
             schema,
             dicts,
             cols,
-            measures,
+            measures: Vec::new(),
             n_rows,
         }
     }
@@ -165,7 +165,9 @@ impl Table {
 
     /// A view over all rows weighted by measure column `name`
     /// (`Sum` semantics, §6.3 of the paper). The view borrows the measure
-    /// column as its weights.
+    /// column as its weights, which are finite and non-negative: a table
+    /// holds no other measure value (see [`TableBuilder::build`]), and the
+    /// `mw` prune of BRS is sound only for such weights.
     pub fn view_weighted_by(&self, name: &str) -> Result<TableView<'_>, TableError> {
         Ok(TableView::all_with_weights(self, self.measure(name)?))
     }
@@ -310,7 +312,7 @@ impl TableBuilder {
                 got: row.len(),
             });
         }
-        self.push(row.iter().map(AsRef::as_ref), &[])
+        self.push(row.iter().map(AsRef::as_ref))
     }
 
     /// Number of rows pushed so far.
@@ -334,19 +336,25 @@ impl TableBuilder {
         Ok(())
     }
 
-    /// Finalizes the table, validating measure lengths.
+    /// Finalizes the table, validating measure lengths and values.
     ///
     /// # Errors
     ///
     /// [`TableError::ArityMismatch`] when a measure column does not hold
-    /// one value per row (`expected` rows, `got` values).
+    /// one value per row (`expected` rows, `got` values);
+    /// [`TableError::BadMeasure`] for the first negative, NaN or infinite
+    /// value, which no `Sum` weight may be.
     pub fn build(self) -> Result<Table, TableError> {
-        for (_, vals) in &self.measures {
+        for (name, vals) in &self.measures {
             if vals.len() != self.n_rows {
                 return Err(TableError::ArityMismatch {
                     expected: self.n_rows,
                     got: vals.len(),
                 });
+            }
+            if let Some(row) = vals.iter().position(|&v| !is_weight(v)) {
+                let name = name.clone();
+                return Err(TableError::BadMeasure { name, row });
             }
         }
         Ok(Table {
@@ -359,18 +367,16 @@ impl TableBuilder {
     }
 }
 
-/// The record loop's sink for a monolithic table: `measures` go onto the
-/// measure columns added so far, in the order they were added.
+/// Whether `v` can weigh a row: finite and non-negative, the precondition
+/// of the `mw` bound BRS prunes by.
+pub(crate) fn is_weight(v: f64) -> bool {
+    (0.0..f64::INFINITY).contains(&v)
+}
+
+/// The record loop's sink for a monolithic table.
 impl RowSink for TableBuilder {
-    fn push<'v>(
-        &mut self,
-        cats: impl Iterator<Item = &'v str>,
-        measures: &[f64],
-    ) -> Result<(), TableError> {
+    fn push<'v>(&mut self, cats: impl Iterator<Item = &'v str>) -> Result<(), TableError> {
         push_interned(&mut self.cols, &mut self.dicts, cats);
-        for ((_, col), &v) in self.measures.iter_mut().zip(measures) {
-            col.push(v);
-        }
         self.n_rows += 1;
         Ok(())
     }

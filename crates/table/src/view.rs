@@ -50,7 +50,11 @@ impl<'a> TableView<'a> {
 
     /// A view over every row of `table` with per-tuple weights.
     ///
-    /// Panics if `weights` does not hold one weight per row.
+    /// Every weight must be finite and non-negative: the `mw` prune of BRS
+    /// bounds a rule's score by its covered weight, which only holds for
+    /// such weights (a negative one can make the pruned search return a
+    /// worse list than the unpruned one). Panics if `weights` does not hold
+    /// one weight per row.
     pub fn all_with_weights(table: &'a Table, weights: &'a [f64]) -> Self {
         assert_eq!(
             table.n_rows(),
@@ -150,7 +154,8 @@ impl OwnedTableView {
         }
     }
 
-    /// A view over every row of `table` in order, with per-tuple weights.
+    /// A view over every row of `table` in order, with per-tuple weights,
+    /// each finite and non-negative (see [`TableView::all_with_weights`]).
     ///
     /// Panics if `weights` does not hold one weight per row.
     pub fn all_with_weights(table: Arc<Table>, weights: Vec<f64>) -> Self {

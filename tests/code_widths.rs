@@ -166,7 +166,7 @@ fn shards_are_as_narrow_as_their_dictionaries() {
         let st = ShardedTable::from_table(&table, &config).unwrap();
         assert_shards(&format!("from_table, {label}"), &st, &want);
 
-        let streamed = stream_csv_file(&csv, &[], &config).unwrap();
+        let streamed = stream_csv_file(&csv, &config).unwrap();
         assert_shards(&format!("stream_csv_file, {label}"), &streamed, &want);
     }
     std::fs::remove_file(&csv).ok();

@@ -16,7 +16,7 @@ use smart_drilldown::core::{
 use smart_drilldown::datagen::{census, retail};
 use smart_drilldown::server::{Engine, EngineConfig, OpenOptions, Request};
 use smart_drilldown::table::csv::{
-    read_csv_with_measures, stream_csv_file, stream_csv_live, write_csv,
+    read_csv, read_csv_with_measures, stream_csv_file, stream_csv_live, write_csv,
 };
 use smart_drilldown::table::{
     LiveTable, LiveTableConfig, ShardConfig, ShardedTable, ShardedView, Table, TableStore,
@@ -29,6 +29,15 @@ fn csv_fixture(table: &Table, tag: &str) -> std::path::PathBuf {
     let path = std::env::temp_dir().join(format!("sdd-ingest-{}-{tag}.csv", std::process::id()));
     std::fs::write(&path, write_csv(table)).expect("write CSV fixture");
     path
+}
+
+/// `table` without its measures, built row by row: what a streaming ingest
+/// of its CSV builds.
+fn without_measures(table: &Table) -> Table {
+    let rows: Vec<Vec<&str>> = (0..table.n_rows() as u32)
+        .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
+        .collect();
+    Table::from_rows(table.schema().clone(), &rows).expect("same schema")
 }
 
 fn spilling(shards: usize) -> ShardConfig {
@@ -54,7 +63,7 @@ fn nothing_decoded(st: &ShardedTable) -> bool {
 fn streaming_ingest_with_resident_one_is_memory_bound() {
     let table = census(8_000, 1990).project_first_columns(3);
     let path = csv_fixture(&table, "membound");
-    let st = stream_csv_file(&path, &[], &spilling(10)).expect("stream ingest");
+    let st = stream_csv_file(&path, &spilling(10)).expect("stream ingest");
     assert_eq!(st.n_rows(), table.n_rows());
     assert_eq!(st.n_shards(), 10);
 
@@ -249,21 +258,20 @@ fn session_script(name: &str) -> Vec<String> {
     reqs.iter().map(|r| r.to_json().to_string()).collect()
 }
 
-/// The full out-of-core pipeline on a real CSV file with a measure column:
-/// `stream_csv_file` must be bit-identical to `read_csv_with_measures` +
-/// `from_table` — segment columns, spill bytes, measures — and an [`Engine`]
-/// serving the streamed store must produce byte-identical transcripts to
-/// one serving the materialized monolithic table, while its storage
-/// counters show the spill tier actually carried the session.
+/// The full out-of-core pipeline on a real CSV file: `stream_csv_file` must
+/// be bit-identical to `read_csv` + `from_table` — segment columns, spill
+/// bytes — and an [`Engine`] serving the streamed store must produce
+/// byte-identical transcripts to one serving the materialized monolithic
+/// table, while its storage counters show the spill tier actually carried
+/// the session.
 #[test]
 fn csv_stream_ingest_matches_materialized_ingest_up_to_served_transcripts() {
-    let table = retail(42);
-    let path = csv_fixture(&table, "e2e");
+    let path = csv_fixture(&without_measures(&retail(42)), "e2e");
     let text = std::fs::read_to_string(&path).expect("fixture readable");
-    let materialized = read_csv_with_measures(&text, &["Sales"]).expect("parse CSV");
+    let materialized = read_csv(&text).expect("parse CSV");
 
     for cfg in [spilling(8), ShardConfig::in_memory(5), spilling(4)] {
-        let streamed = Arc::new(stream_csv_file(&path, &["Sales"], &cfg).expect("stream ingest"));
+        let streamed = Arc::new(stream_csv_file(&path, &cfg).expect("stream ingest"));
         let reference =
             Arc::new(ShardedTable::from_table(&materialized, &cfg).expect("shard build"));
         assert_eq!(streamed.spans(), reference.spans());
@@ -282,15 +290,6 @@ fn csv_stream_ingest_matches_materialized_ingest_up_to_served_transcripts() {
             for c in 0..streamed.n_columns() {
                 assert_eq!(sa.col(c), sb.col(c), "shard {i} col {c}");
             }
-            let (ma, mb) = (
-                sa.table().measure("Sales").unwrap(),
-                sb.table().measure("Sales").unwrap(),
-            );
-            assert_eq!(
-                ma.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                mb.iter().map(|v| v.to_bits()).collect::<Vec<_>>(),
-                "shard {i}: Sales bits differ"
-            );
         }
 
         // Served transcripts: streamed store vs the monolithic table.
@@ -324,31 +323,51 @@ fn csv_stream_ingest_matches_materialized_ingest_up_to_served_transcripts() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Structural and numeric CSV errors surface from the streaming path with
-/// the same classifications as the materializing reader, and a failed
-/// ingest cleans up after itself (no table, no panic).
+/// Structural CSV errors surface from the streaming path with the same
+/// classifications as the materializing reader, and a failed ingest cleans
+/// up after itself (no table, no panic).
 #[test]
 fn stream_ingest_surfaces_csv_errors() {
     use smart_drilldown::table::TableError;
     let cases: &[(&str, &str)] = &[
         ("a,b\n1,2\n3\n", "arity"),
         ("a\n\"oops\n", "quote"),
-        ("Store,Sales\nWalmart,lots\n", "measure"),
         ("", "empty"),
     ];
     for (text, what) in cases {
         let path = csv_fixture_text(text, what);
-        let measures: &[&str] = if *what == "measure" { &["Sales"] } else { &[] };
-        let got = stream_csv_file(&path, measures, &spilling(3));
+        let got = stream_csv_file(&path, &spilling(3));
         match (what, got) {
             (&"arity", Err(TableError::Csv { line, .. })) => assert_eq!(line, 3),
             (&"quote", Err(TableError::Csv { .. })) => {}
-            (&"measure", Err(TableError::ParseNumber(v))) => assert_eq!(v, "lots"),
             (&"empty", Err(TableError::Empty)) => {}
             (what, got) => panic!("{what}: unexpected result {got:?}"),
         }
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// A measure value weighs its row in a `Sum`, and BRS's `mw` bound holds
+/// only for finite, non-negative weights: a CSV measure field holding
+/// anything else fails the read with the line its record starts on.
+#[test]
+fn negative_nan_or_infinite_measures_fail_with_their_line() {
+    use smart_drilldown::table::TableError;
+    for v in ["-1", "NaN", "inf", "-inf", "-0.5"] {
+        // The bad record starts on line 5: a blank line and a quoted
+        // newline come before it.
+        let text = format!("Store,Sales\n\"Wal\nmart\",1\n\nTarget,{v}\nCostco,2\n");
+        match read_csv_with_measures(&text, &["Sales"]) {
+            Err(TableError::Csv { line, message }) => {
+                assert_eq!(line, 5, "{v}: {message}");
+                assert!(message.contains(v), "{v}: {message}");
+            }
+            other => panic!("{v}: unexpected result {other:?}"),
+        }
+    }
+    let text = "Store,Sales\nWalmart,0\nTarget,-0\nCostco,2.5\n";
+    let table = read_csv_with_measures(text, &["Sales"]).expect("non-negative weights");
+    assert_eq!(table.measure("Sales").unwrap(), &[0.0, 0.0, 2.5]);
 }
 
 fn csv_fixture_text(text: &str, tag: &str) -> std::path::PathBuf {
@@ -362,8 +381,8 @@ fn csv_fixture_text(text: &str, tag: &str) -> std::path::PathBuf {
 // Live seeds
 // ---------------------------------------------------------------------------
 
-/// `a` and `b` hold the same spans, spill bytes, dictionaries, segment
-/// codes and measure columns.
+/// `a` and `b` hold the same spans, spill bytes, dictionaries and segment
+/// codes.
 fn assert_same_store(a: &ShardedTable, b: &ShardedTable, label: &str) {
     assert_eq!(a.spans(), b.spans(), "{label}: spans");
     for i in 0..a.n_shards() {
@@ -380,13 +399,6 @@ fn assert_same_store(a: &ShardedTable, b: &ShardedTable, label: &str) {
         for c in 0..a.n_columns() {
             assert_eq!(sa.col(c), sb.col(c), "{label}: segment {i} column {c}");
         }
-        for name in a.header().measure_names() {
-            assert_eq!(
-                sa.table().measure(name).unwrap(),
-                sb.table().measure(name).unwrap(),
-                "{label}: segment {i} measure {name}"
-            );
-        }
     }
     for c in 0..a.n_columns() {
         assert!(
@@ -397,30 +409,29 @@ fn assert_same_store(a: &ShardedTable, b: &ShardedTable, label: &str) {
 }
 
 /// The streamed `--tail` seed is the table one `try_append` of the same
-/// rows builds — and so is a live table seeded from the loaded table:
-/// same spans, spill bytes, dictionaries and measure columns, at epoch 1,
-/// for a segment size of 1, a divisor and a non-divisor of the row count,
-/// resident and spilled.
+/// rows builds — and so is a live table seeded from the loaded table, whose
+/// `Sales` stays behind: same spans, spill bytes and dictionaries, at
+/// epoch 1, for a segment size of 1, a divisor and a non-divisor of the row
+/// count, resident and spilled.
 #[test]
 fn a_streamed_live_seed_is_one_append_of_its_rows() {
     let all: Vec<u32> = (0..90).collect();
     let table = retail(42).gather_rows(&all);
-    let path = csv_fixture(&table, "live-seed");
+    let path = csv_fixture(&without_measures(&table), "live-seed");
     let rows: Vec<Vec<&str>> = (0..table.n_rows() as u32)
         .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
         .collect();
-    let sales = vec![table.measure("Sales").unwrap().to_vec()];
     for rows_per_segment in [1, 30, 37] {
         for config in [
             LiveTableConfig::in_memory(rows_per_segment),
             LiveTableConfig::spilling(rows_per_segment, std::env::temp_dir()),
         ] {
             let label = format!("{rows_per_segment} rows per segment, {config:?}");
-            let appended = LiveTable::new(table.schema().clone(), vec!["Sales".into()], &config)
+            let appended = LiveTable::new(table.schema().clone(), vec![], &config)
                 .unwrap()
-                .try_append(&rows, &sales)
+                .try_append(&rows, &[])
                 .unwrap();
-            let streamed = stream_csv_live(&path, &["Sales"], &config).unwrap();
+            let streamed = stream_csv_live(&path, &config).unwrap();
             let seeded = LiveTable::from_table(&table, &config).unwrap();
             for (live, how) in [(streamed, "streamed"), (seeded, "from_table")] {
                 let snap = live.snapshot();
@@ -441,7 +452,7 @@ fn a_malformed_live_seed_reports_its_line_and_leaves_no_spill_directory() {
     let dir = std::env::temp_dir().join(format!("sdd-live-seed-err-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("spill dir");
     let path = csv_fixture_text("a,b\n1,2\n3,4\n\n5,6\n7\n", "live-seed");
-    match stream_csv_live(&path, &[], &LiveTableConfig::spilling(2, &dir)) {
+    match stream_csv_live(&path, &LiveTableConfig::spilling(2, &dir)) {
         Err(TableError::Csv { line, .. }) => assert_eq!(line, 6),
         other => panic!("unexpected result {other:?}"),
     }

@@ -2,13 +2,14 @@
 //! Lemmas 1–3 plus the Algorithm-2 ⇔ brute-force equivalence).
 
 use proptest::prelude::*;
+use rand::{rngs::StdRng, Rng, SeedableRng};
 use smart_drilldown::core::{
     drill_down_with, find_best_marginal_rule, find_best_marginal_rule_rowwise,
     marginal::brute_force_best_marginal, score_list, score_set, sort_by_weight_desc, BitsWeight,
     Brs, BrsResult, ColumnWeight, Rule, SearchOptions, SearchStats, SizeMinusOne, SizeWeight,
     WeightFn,
 };
-use smart_drilldown::table::{Schema, Table, TableView};
+use smart_drilldown::table::{Schema, Table, TableError, TableView};
 
 /// A random small categorical table: 3 columns with cardinalities ≤ 4.
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -240,5 +241,70 @@ proptest! {
             prop_assert!(gain <= prev_gain + 1e-9, "gain grew: {gain} after {prev_gain}");
             prev_gain = gain;
         }
+    }
+}
+
+/// A seeded 200-row table of three columns (cardinalities 2–6) weighted by
+/// measure `m`, its values drawn from `lo..10`.
+fn seeded_measured(seed: u64, lo: f64) -> Result<Table, TableError> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let cards: Vec<u32> = (0..3).map(|_| rng.gen_range(2..7)).collect();
+    let mut b = Table::builder(Schema::new(["A", "B", "C"]).unwrap());
+    for _ in 0..200 {
+        let row: Vec<String> = cards
+            .iter()
+            .map(|&card| format!("v{}", rng.gen_range(0..card)))
+            .collect();
+        b.push_row(&row).unwrap();
+    }
+    b.add_measure("m", (0..200).map(|_| rng.gen_range(lo..10.0)).collect())?;
+    b.build()
+}
+
+/// The `mw` prune of BRS bounds a rule's score by its covered weight,
+/// which holds only for finite, non-negative row weights. On 300 seeded tables
+/// weighted by a measure in [0, 10), BRS over `view_weighted_by` (k = 3,
+/// `mw` = 3) returns the same list with pruning and without, bit for bit;
+/// the same draws from [−5, 10), on which the pruned search can return a
+/// worse list, no longer make a table.
+#[test]
+fn sum_weighted_pruning_is_lossless_and_negative_measures_do_not_build() {
+    for seed in 0..300 {
+        let table = seeded_measured(seed, 0.0).unwrap();
+        let view = table.view_weighted_by("m").unwrap();
+        let brs = Brs::new(&SizeWeight).with_max_weight(3.0);
+        let pruned = brs.clone().run(&view, 3);
+        let unpruned = brs.with_pruning(false).run(&view, 3);
+        assert_eq!(pruned.rules_only(), unpruned.rules_only(), "seed {seed}");
+        assert_eq!(float_bits(&pruned), float_bits(&unpruned), "seed {seed}");
+        assert!(
+            matches!(
+                seeded_measured(seed, -5.0),
+                Err(TableError::BadMeasure { .. })
+            ),
+            "seed {seed}: a negative measure built"
+        );
+    }
+}
+
+/// `TableBuilder::build` names the first measure value that cannot weigh
+/// a row.
+#[test]
+fn a_builder_rejects_negative_nan_or_infinite_measures() {
+    for (row, bad) in [
+        (1, -1.0),
+        (0, f64::NAN),
+        (2, f64::INFINITY),
+        (1, f64::NEG_INFINITY),
+    ] {
+        let mut b = Table::builder(Schema::new(["A"]).unwrap());
+        for v in ["x", "y", "z"] {
+            b.push_row(&[v]).unwrap();
+        }
+        let mut m = vec![1.0, 0.0, 2.5];
+        m[row] = bad;
+        b.add_measure("m", m).unwrap();
+        let name = "m".to_owned();
+        assert_eq!(b.build().unwrap_err(), TableError::BadMeasure { name, row });
     }
 }

@@ -27,7 +27,7 @@ fn stream_rows<R: AsRef<[String]>>(rows: &[R], cfg: &ShardConfig) -> ShardedTabl
         std::thread::current().id()
     ));
     std::fs::write(&path, write_csv(&table)).unwrap();
-    let st = stream_csv_file(&path, &[], cfg).unwrap();
+    let st = stream_csv_file(&path, cfg).unwrap();
     std::fs::remove_file(&path).ok();
     st
 }

@@ -50,19 +50,31 @@ fn sharded(table: &Table, cfg: &ShardConfig) -> Arc<ShardedTable> {
     Arc::new(ShardedTable::from_table(table, cfg).expect("shard build"))
 }
 
-/// Builds the same sharded table by **streaming** `table`'s rows, written
-/// out as CSV, through [`stream_csv_file`] — the out-of-core ingest path.
-/// Codes are interned in first-appearance order by both paths, so the
-/// result must be bit-identical to [`ShardedTable::from_table`].
+/// `table`'s rows as their categorical values, in schema order.
+fn value_rows(table: &Table) -> Vec<Vec<&str>> {
+    (0..table.n_rows() as u32)
+        .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
+        .collect()
+}
+
+/// `table` without its measures, built row by row: the categorical columns
+/// every sharded, streamed and live build holds.
+fn without_measures(table: &Table) -> Table {
+    Table::from_rows(table.schema().clone(), &value_rows(table)).expect("same schema")
+}
+
+/// Builds the same sharded table by **streaming** `table`'s categorical
+/// rows, written out as CSV, through [`stream_csv_file`] — the out-of-core
+/// ingest path. Codes are interned in first-appearance order by both paths,
+/// so the result must be bit-identical to [`ShardedTable::from_table`].
 fn stream_built(table: &Table, cfg: &ShardConfig) -> Arc<ShardedTable> {
-    let measures: Vec<&str> = table.measure_names().collect();
     let path = std::env::temp_dir().join(format!(
         "sdd-shard-parity-{}-{:?}.csv",
         std::process::id(),
         std::thread::current().id()
     ));
-    std::fs::write(&path, write_csv(table)).expect("write CSV");
-    let built = stream_csv_file(&path, &measures, cfg).expect("stream ingest");
+    std::fs::write(&path, write_csv(&without_measures(table))).expect("write CSV");
+    let built = stream_csv_file(&path, cfg).expect("stream ingest");
     std::fs::remove_file(&path).ok();
     Arc::new(built)
 }
@@ -71,9 +83,7 @@ fn stream_built(table: &Table, cfg: &ShardConfig) -> Arc<ShardedTable> {
 /// batches: its snapshot has segments sealed at both epochs, dictionaries
 /// grown between them and — unless the rows divide evenly — a tail.
 fn grow_live(table: &Table, cfg: &LiveTableConfig) -> Arc<LiveTable> {
-    let rows: Vec<Vec<&str>> = (0..table.n_rows() as u32)
-        .map(|r| (0..table.n_columns()).map(|c| table.value(r, c)).collect())
-        .collect();
+    let rows = value_rows(table);
     let live = Arc::new(LiveTable::new(table.schema().clone(), vec![], cfg).expect("live table"));
     let (head, tail) = rows.split_at(rows.len() / 2);
     live.try_append(head, &[]).expect("append");
@@ -514,10 +524,10 @@ fn live_sync_touches_each_appended_segment_once() {
     }
 }
 
-/// Everything a stored sample's materialised table holds: columns,
-/// dictionary lengths, measure columns. `None` for a sample `peek_stored`
-/// does not serve (a drained zero-capacity one).
-type Materialised = (Vec<Vec<u32>>, Vec<usize>, Vec<Vec<f64>>);
+/// Everything a stored sample's materialised table holds: columns and
+/// dictionary lengths. `None` for a sample `peek_stored` does not serve (a
+/// drained zero-capacity one).
+type Materialised = (Vec<Vec<u32>>, Vec<usize>);
 
 fn materialised(h: &SampleHandler, filter: &Rule) -> Option<Materialised> {
     let view = h.peek_stored(filter)?.view;
@@ -526,15 +536,12 @@ fn materialised(h: &SampleHandler, filter: &Rule) -> Option<Materialised> {
     Some((
         cols.clone().map(|c| t.column(c).to_u32_vec()).collect(),
         cols.map(|c| t.cardinality(c)).collect(),
-        t.measure_names()
-            .map(|m| t.measure(m).unwrap().to_vec())
-            .collect(),
     ))
 }
 
 /// A sync patches the stored tables instead of re-gathering them — and
 /// what it leaves is, byte for byte, what a fresh handler Creates at the
-/// new epoch: row ids, scales, columns, dictionary lengths and measures.
+/// new epoch: row ids, scales, columns and dictionary lengths.
 /// One sync across four appends (18 000 rows) and a sync per append agree
 /// with it, over a resident
 /// and a spilling live table, for samples that are overwritten in place by
@@ -561,13 +568,7 @@ fn a_synced_sample_is_the_sample_a_create_at_the_new_epoch_stores() {
             row
         })
         .collect();
-    let sales: Vec<f64> = (0..total).map(|i| i as f64 * 0.25).collect();
-    let twin = {
-        let mut b = Table::builder(retail.schema().clone());
-        rows.iter().for_each(|row| b.push_row(row).unwrap());
-        b.add_measure("Sales", sales.clone()).unwrap();
-        Arc::new(b.build().unwrap())
-    };
+    let twin = Arc::new(Table::from_rows(retail.schema().clone(), &rows).unwrap());
     let config = SampleHandlerConfig {
         capacity: 50_000,
         min_sample_size: 50,
@@ -591,10 +592,8 @@ fn a_synced_sample_is_the_sample_a_create_at_the_new_epoch_stores() {
         (LiveTableConfig::in_memory(2_000), "resident"),
         (spill, "spilling"),
     ] {
-        let measures = vec!["Sales".to_owned()];
-        let live = Arc::new(LiveTable::new(retail.schema().clone(), measures, &cfg).unwrap());
-        live.try_append(&rows[..base], &[sales[..base].to_vec()])
-            .unwrap();
+        let live = Arc::new(LiveTable::new(retail.schema().clone(), vec![], &cfg).unwrap());
+        live.try_append(&rows[..base], &[]).unwrap();
         let created = || {
             let mut h = SampleHandler::with_store(TableStore::from(live.clone()), config.clone());
             let requests = requests(h.table());
@@ -606,9 +605,7 @@ fn a_synced_sample_is_the_sample_a_create_at_the_new_epoch_stores() {
         let mut snap = live.snapshot();
         for lo in (base..total).step_by((total - base) / 4) {
             let hi = lo + (total - base) / 4;
-            snap = live
-                .try_append(&rows[lo..hi], &[sales[lo..hi].to_vec()])
-                .unwrap();
+            snap = live.try_append(&rows[lo..hi], &[]).unwrap();
             stepped.try_sync_to_snapshot(&snap).unwrap();
         }
         assert_eq!(snap.epoch, 5, "{label}: four epochs past the handlers' pin");
@@ -833,8 +830,8 @@ fn server_transcripts_are_byte_identical_on_sharded_spilling_tables() {
 
 /// The structural half of the streaming contract: beyond producing equal
 /// *results*, a stream-built table holds byte-identical segments — decoded
-/// columns, spill files on disk, dictionaries, and measure slices — for
-/// every shard count, resident or spilled. (The transcript half is covered by the
+/// columns, spill files on disk and dictionaries — for every shard count,
+/// resident or spilled. (The transcript half is covered by the
 /// suites above, which run every case on both builds.)
 #[test]
 fn stream_built_tables_are_byte_identical_to_from_table() {
@@ -868,20 +865,61 @@ fn stream_built_tables_are_byte_identical_to_from_table() {
                     for c in 0..table.n_columns() {
                         assert_eq!(sa.col(c), sb.col(c), "{label}: shard {i} col {c}");
                     }
-                    for name in table.measure_names() {
-                        let (ma, mb) = (
-                            sa.table().measure(name).expect("measure"),
-                            sb.table().measure(name).expect("measure"),
-                        );
-                        let (ba, bb): (Vec<u64>, Vec<u64>) = (
-                            ma.iter().map(|v| v.to_bits()).collect(),
-                            mb.iter().map(|v| v.to_bits()).collect(),
-                        );
-                        assert_eq!(ba, bb, "{label}: shard {i} measure {name:?}");
-                    }
                 }
             }
         }
+    }
+}
+
+/// `a` and `b` hold the same spans, spill bytes, segment columns and
+/// dictionaries, and neither carries a measure.
+fn assert_same_categorical_store(a: &ShardedTable, b: &ShardedTable, label: &str) {
+    assert_eq!(a.spans(), b.spans(), "{label}: spans");
+    for i in 0..a.n_shards() {
+        assert_eq!(
+            a.spill_path(i)
+                .map(|p| std::fs::read(p).expect("spill readable")),
+            b.spill_path(i)
+                .map(|p| std::fs::read(p).expect("spill readable")),
+            "{label}: shard {i} spill bytes"
+        );
+        let (sa, sb) = (a.try_segment(i).unwrap(), b.try_segment(i).unwrap());
+        for c in 0..a.n_columns() {
+            assert_eq!(sa.col(c), sb.col(c), "{label}: shard {i} col {c}");
+        }
+        let measures = sa.table().measure_names().chain(sb.table().measure_names());
+        assert_eq!(measures.count(), 0, "{label}: shard {i} carries a measure");
+    }
+    for c in 0..a.n_columns() {
+        assert!(
+            a.dictionary(c).iter().eq(b.dictionary(c).iter()),
+            "{label}: column {c} dictionaries"
+        );
+    }
+    let measures = a.header().measure_names().chain(b.header().measure_names());
+    assert_eq!(measures.count(), 0, "{label}: a header names a measure");
+}
+
+/// Measures stop at the monolithic table: the sharded (resident and
+/// spilled) and live builds of `retail(42)`, which carries `Sales`, are
+/// byte for byte the builds of the same table without it.
+#[test]
+fn measured_tables_shard_and_go_live_as_their_categorical_columns() {
+    let table = retail(42);
+    assert!(table.measure("Sales").is_ok());
+    let plain = without_measures(&table);
+    for cfg in shard_configs(8) {
+        let label = cfg_label(&cfg);
+        assert_same_categorical_store(&sharded(&table, &cfg), &sharded(&plain, &cfg), &label);
+    }
+    for cfg in [
+        LiveTableConfig::in_memory(1_000),
+        LiveTableConfig::spilling(1_000, std::env::temp_dir()),
+    ] {
+        let a = LiveTable::from_table(&table, &cfg).unwrap().snapshot();
+        let b = LiveTable::from_table(&plain, &cfg).unwrap().snapshot();
+        assert_eq!((a.epoch, b.epoch), (1, 1));
+        assert_same_categorical_store(&a.table, &b.table, &format!("live, {cfg:?}"));
     }
 }
 
