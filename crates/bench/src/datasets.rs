@@ -17,7 +17,7 @@ pub fn marketing7() -> Arc<Table> {
 
 /// A census-shaped dataset with `n` rows, projected to 7 columns.
 pub fn census7(n: usize) -> Arc<Table> {
-    Arc::new(sdd_datagen::census(n, 1990).project_first_columns(7))
+    Arc::new(sdd_datagen::census_first_columns(n, 7, 1990))
 }
 
 #[cfg(test)]

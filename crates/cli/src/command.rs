@@ -1,34 +1,12 @@
-//! Command parsing for the REPL.
+//! The one command language of the local REPL and `sdd connect`.
 
-use std::fmt;
-
-/// Which built-in weighting function to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WeightKind {
-    /// `W(r) = Size(r)`.
-    Size,
-    /// `W(r) = Σ ⌈log2 |c|⌉` over instantiated columns.
-    Bits,
-    /// `W(r) = max(0, Size(r) − 1)`.
-    SizeMinusOne,
-}
-
-impl fmt::Display for WeightKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WeightKind::Size => write!(f, "size"),
-            WeightKind::Bits => write!(f, "bits"),
-            WeightKind::SizeMinusOne => write!(f, "size-1"),
-        }
-    }
-}
-
-/// One REPL command.
+/// One command line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
-    /// Load a CSV file.
+    /// Load a CSV file (local REPL only).
     Open(String),
-    /// Load a built-in demo dataset (`retail`, `marketing`, `census [rows]`).
+    /// Load a built-in demo dataset (`retail`, `marketing`, `census [rows]`;
+    /// local REPL only).
     Demo(String, Option<usize>),
     /// Expand the rule at a path (rule drill-down).
     Expand(Vec<usize>),
@@ -38,20 +16,23 @@ pub enum Command {
     Collapse(Vec<usize>),
     /// Render the current display.
     Show,
+    /// List the visible rules with their paths.
+    Rules,
     /// Replace estimates with exact counts (one scan).
     Refresh,
-    /// Switch the weighting function (resets expansions).
-    Weight(WeightKind),
+    /// Append one row, values in schema order, to a live served table.
+    Append(Vec<String>),
+    /// Switch the weighting function by name (resets expansions).
+    Weight(String),
     /// Change `k` (rules per expansion).
     SetK(usize),
     /// Change the `mw` optimizer parameter.
     SetMw(f64),
     /// Multiply a column's weight contribution (paper §2.2: "expressing a
-    /// higher preference for a column"). Resets expansions.
+    /// higher preference for a column"; `ignore` is a factor of 0,
+    /// "expressing indifference"). Resets expansions.
     Favor(String, f64),
-    /// Zero a column's weight contribution ("expressing indifference").
-    Ignore(String),
-    /// Print sampling-layer statistics.
+    /// Print session and sampling statistics.
     Stats,
     /// Print the help text.
     Help,
@@ -115,53 +96,43 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
             Ok(Command::Collapse(path))
         }
         "show" => Ok(Command::Show),
+        "rules" => Ok(Command::Rules),
         "refresh" => Ok(Command::Refresh),
+        "append" if !rest.is_empty() => Ok(Command::Append(
+            rest.iter().map(|v| (*v).to_owned()).collect(),
+        )),
+        "append" => Err("usage: append <v1> <v2> ...".to_owned()),
         "weight" | "w" => {
             need(1, "weight <size|bits|size-1>")?;
-            let kind = match rest[0].to_ascii_lowercase().as_str() {
-                "size" => WeightKind::Size,
-                "bits" => WeightKind::Bits,
-                "size-1" | "size-minus-one" => WeightKind::SizeMinusOne,
-                other => return Err(format!("unknown weight {other:?} (size|bits|size-1)")),
-            };
-            Ok(Command::Weight(kind))
+            Ok(Command::Weight(rest[0].to_ascii_lowercase()))
         }
         "k" => {
             need(1, "k <n>")?;
-            let k: usize = rest[0]
+            let k = rest[0]
                 .parse()
                 .map_err(|_| format!("bad k {:?}", rest[0]))?;
-            if k == 0 {
-                return Err("k must be positive".to_owned());
-            }
             Ok(Command::SetK(k))
         }
         "mw" => {
             need(1, "mw <weight>")?;
-            let mw: f64 = rest[0]
+            let mw = rest[0]
                 .parse()
                 .map_err(|_| format!("bad mw {:?}", rest[0]))?;
-            if mw <= 0.0 || mw.is_nan() {
-                return Err("mw must be positive".to_owned());
-            }
             Ok(Command::SetMw(mw))
         }
         "favor" => match rest.as_slice() {
             [col] => Ok(Command::Favor((*col).to_owned(), 3.0)),
             [col, factor] => {
-                let f: f64 = factor
+                let f = factor
                     .parse()
                     .map_err(|_| format!("bad factor {factor:?}"))?;
-                if f <= 0.0 || f.is_nan() {
-                    return Err("factor must be positive".to_owned());
-                }
                 Ok(Command::Favor((*col).to_owned(), f))
             }
             _ => Err("usage: favor <column> [factor]".to_owned()),
         },
         "ignore" => {
             need(1, "ignore <column>")?;
-            Ok(Command::Ignore(rest[0].to_owned()))
+            Ok(Command::Favor(rest[0].to_owned(), 0.0))
         }
         "stats" => Ok(Command::Stats),
         "help" | "?" => Ok(Command::Help),
@@ -170,24 +141,26 @@ pub fn parse_command(line: &str) -> Result<Command, String> {
     }
 }
 
-/// The help text.
+/// The help text of the local REPL and of `sdd connect`.
 pub const HELP: &str = "\
 commands:
-  open <file.csv>                 load a CSV table
+  open <file.csv>                 load a CSV table (local REPL only)
   demo <retail|marketing|census> [rows]
-                                  load a built-in synthetic dataset
+                                  load a built-in dataset (local REPL only)
   expand [path]   (e)             smart drill-down on the rule at path
                                   (path like 0.2; `root` or omitted = top)
   star <path> <column>  (s)       star drill-down on a ? column
   collapse [path] (c)             roll up an expanded rule
   show                            print the current display
+  rules                           list the visible rules with their paths
   refresh                         replace estimates with exact counts
   weight <size|bits|size-1> (w)   switch weighting (resets expansions)
   favor <column> [factor]         boost a column's weight (default 3x)
   ignore <column>                 zero a column's weight
   k <n>                           rules per expansion
   mw <w>                          optimizer max-weight parameter
-  stats                           sampling-layer statistics
+  append <v1> <v2> ...            append a row to a `sdd serve --tail` table
+  stats                           session and sampling statistics
   help (?)                        this text
   quit (q)                        exit
 ";
@@ -228,18 +201,30 @@ mod tests {
     #[test]
     fn parses_settings() {
         assert_eq!(
-            parse_command("weight bits").unwrap(),
-            Command::Weight(WeightKind::Bits)
-        );
-        assert_eq!(
-            parse_command("w size-1").unwrap(),
-            Command::Weight(WeightKind::SizeMinusOne)
+            parse_command("weight BITS").unwrap(),
+            Command::Weight("bits".to_owned())
         );
         assert_eq!(parse_command("k 5").unwrap(), Command::SetK(5));
         assert_eq!(parse_command("mw 4.5").unwrap(), Command::SetMw(4.5));
-        assert!(parse_command("k 0").is_err());
-        assert!(parse_command("mw -1").is_err());
-        assert!(parse_command("weight entropy").is_err());
+        assert_eq!(
+            parse_command("favor Region").unwrap(),
+            Command::Favor("Region".to_owned(), 3.0)
+        );
+        // Values are the engine's to judge; only malformed numbers fail here.
+        assert_eq!(parse_command("k 0").unwrap(), Command::SetK(0));
+        assert_eq!(parse_command("mw -1").unwrap(), Command::SetMw(-1.0));
+        assert!(parse_command("k -1").is_err());
+        assert!(parse_command("favor Region x").is_err());
+    }
+
+    #[test]
+    fn parses_connect_verbs() {
+        assert_eq!(parse_command("rules").unwrap(), Command::Rules);
+        assert_eq!(
+            parse_command("append Walmart bread online").unwrap(),
+            Command::Append(vec!["Walmart".into(), "bread".into(), "online".into()])
+        );
+        assert!(parse_command("append").is_err());
     }
 
     #[test]

@@ -39,9 +39,10 @@ fn main() -> ExitCode {
         }
         Some("help" | "--help" | "-h") => {
             print!(
-                "{USAGE}\n{}\n{}",
+                "{USAGE}\n{}\n{}\n{}",
                 sdd_cli::net::SERVE_USAGE,
-                sdd_cli::net::CONNECT_USAGE
+                sdd_cli::net::CONNECT_USAGE,
+                sdd_cli::command::HELP
             );
             Ok(ExitCode::SUCCESS)
         }

@@ -1,8 +1,11 @@
 //! The networked modes: `sdd serve` hosts the concurrent multi-session
-//! server; `sdd connect` is a thin REPL over the line protocol.
+//! server; `sdd connect` runs the local REPL's command loop
+//! ([`crate::repl::drive`]) against it, sending each command as protocol
+//! lines through a [`Client`]. Every command but the dataset verbs `open`
+//! and `demo` works over `connect`, the setting verbs (`weight`, `k`, `mw`,
+//! `favor`, `ignore`) included: they reopen the session with new options.
 
-use crate::command::parse_path;
-use crate::repl::{load, Source};
+use crate::repl::{drive, load, Session, Source};
 use sdd_server::{Client, OpenOptions, Request, Response, Server, ServerConfig, TailConfig};
 use sdd_table::{LiveTable, LiveTableConfig, ShardConfig, ShardedTable, TableStore};
 use std::io::{BufRead, Write};
@@ -51,23 +54,8 @@ usage: sdd serve [options]
                        incompatible with --tokens)
 ";
 
-/// Usage text for `sdd connect`.
-pub const CONNECT_USAGE: &str = "\
-usage: sdd connect [host:port]      (default 127.0.0.1:7878)
-commands once connected:
-  expand [path] (e)    smart drill-down at path (e.g. 0.2; omitted = root)
-  star <path> <column> star drill-down on a ? column
-  collapse [path] (c)  roll up
-  show                 render the current display
-  rules                list visible rules as JSON
-  refresh              replace estimates with exact counts
-  append <v1> <v2> ...  append one row to a live table (values in schema
-                       order); requires `sdd serve --tail` and, under
-                       --tokens, the ingest capability
-  stats                session + sampling counters
-  help (?)             this text
-  quit (q)             close the session and exit
-";
+/// Usage text for `sdd connect`; its commands are [`crate::command::HELP`].
+pub const CONNECT_USAGE: &str = "usage: sdd connect [host:port]      (default 127.0.0.1:7878)\n";
 
 fn parse_flags(args: &[String]) -> Result<Vec<(String, Option<String>)>, String> {
     let mut out = Vec::new();
@@ -87,6 +75,14 @@ fn parse_flags(args: &[String]) -> Result<Vec<(String, Option<String>)>, String>
         }
     }
     Ok(out)
+}
+
+/// The value of flag `--name`, parsed: an `InvalidInput` error when it is
+/// missing or malformed.
+fn flag<T: std::str::FromStr>(name: &str, value: Option<&str>, what: &str) -> std::io::Result<T> {
+    let invalid = |message| std::io::Error::new(std::io::ErrorKind::InvalidInput, message);
+    let value = value.ok_or_else(|| invalid(format!("--{name} needs a {what}")))?;
+    value.parse().map_err(|_| invalid(format!("bad --{name}")))
 }
 
 /// Writes a usage error and the usage text: exit status 2.
@@ -121,67 +117,27 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<ExitCo
         Err(e) => return usage_error(output, &e),
     };
     for (name, value) in flags {
-        let need = |what: &str| -> Result<String, std::io::Error> {
-            value.clone().ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("--{name} needs a {what}"),
-                )
-            })
-        };
+        let value = value.as_deref();
         match name.as_str() {
-            "addr" => addr = need("host:port")?,
-            "demo" => source = Source::Demo(need("name")?, None),
-            "open" => source = Source::Csv(need("path")?),
-            "rows" => {
-                rows = Some(need("count")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --rows")
-                })?)
-            }
-            "threads" => {
-                config.threads = need("count")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --threads")
-                })?
-            }
-            "shards" => {
-                shards = Some(need("count")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --shards")
-                })?)
-            }
-            "spill" => spill = Some(need("dir")?.into()),
-            "tail" => {
-                tail = Some(need("rows-per-segment")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --tail")
-                })?)
-            }
-            "cache" => {
-                let mib: usize = need("MiB")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --cache")
-                })?;
-                config.engine.cache_bytes = mib << 20;
-            }
-            "http" => {
-                http_port = Some(need("port")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --http")
-                })?)
-            }
+            "addr" => addr = flag(&name, value, "host:port")?,
+            "demo" => source = Source::Demo(flag(&name, value, "name")?, None),
+            "open" => source = Source::Csv(flag(&name, value, "path")?),
+            "rows" => rows = Some(flag(&name, value, "count")?),
+            "threads" => config.threads = flag(&name, value, "count")?,
+            "shards" => shards = Some(flag(&name, value, "count")?),
+            "spill" => spill = Some(flag::<String>(&name, value, "dir")?.into()),
+            "tail" => tail = Some(flag(&name, value, "rows-per-segment")?),
+            "cache" => config.engine.cache_bytes = flag::<usize>(&name, value, "MiB")? << 20,
+            "http" => http_port = Some(flag(&name, value, "port")?),
             "tokens" => {
-                let path = need("file")?;
+                let path: String = flag(&name, value, "file")?;
                 match sdd_server::TenantRegistry::load_token_file(std::path::Path::new(&path)) {
                     Ok(reg) => config.engine.tenants = Arc::new(reg),
                     Err(e) => return start_failure(output, &e.to_string()),
                 }
             }
-            "max-queue" => {
-                config.max_queue = need("count")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --max-queue")
-                })?
-            }
-            "idle-timeout" => {
-                idle_timeout = Some(need("seconds")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --idle-timeout")
-                })?)
-            }
+            "max-queue" => config.max_queue = flag(&name, value, "count")?,
+            "idle-timeout" => idle_timeout = Some(flag(&name, value, "seconds")?),
             "smoke-scrape" => smoke_scrape = true,
             other => return usage_error(output, &format!("unknown flag --{other}")),
         }
@@ -305,10 +261,11 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<ExitCo
     server.run().map(|()| ExitCode::SUCCESS)
 }
 
-/// Drives one session over the HTTP front-end, scrapes `/metrics`, and
-/// checks the exposition is well-formed Prometheus text with every core
-/// family present — and the storage families when the store is
-/// `segmented`. Used by `--smoke-scrape` (the CI self-test).
+/// Drives one session, tailored with a `favor` on the served table's first
+/// column, over the HTTP front-end, scrapes `/metrics`, and checks the
+/// exposition is well-formed Prometheus text with every core family
+/// present — and the storage families when the store is `segmented`. Used
+/// by `--smoke-scrape` (the CI self-test).
 fn run_smoke_scrape(
     handle: &sdd_server::ServerHandle,
     segmented: bool,
@@ -320,10 +277,14 @@ fn run_smoke_scrape(
         .ok_or_else(|| bail("no HTTP listener".to_owned()))?;
     let mut client = sdd_server::HttpClient::connect(http_addr)?;
     let session = "smoke-scrape".to_owned();
+    let first_column = handle.engine().store().schema().column_name(0).to_owned();
     for req in [
         Request::Open {
             session: session.clone(),
-            options: OpenOptions::default(),
+            options: OpenOptions {
+                favor: vec![(first_column, 2.0)],
+                ..OpenOptions::default()
+            },
         },
         Request::Expand {
             session: session.clone(),
@@ -392,12 +353,13 @@ fn validate_prometheus(text: &str, segmented: bool) -> Result<(usize, usize), St
         if !help.contains(family) || !typed.contains(family) {
             return Err(format!("sample {name} missing # HELP/# TYPE for {family}"));
         }
-        let value = line
+        if line
             .rsplit(' ')
             .next()
-            .filter(|v| v.parse::<f64>().is_ok())
-            .ok_or(format!("unparsable value in {line:?}"))?;
-        let _ = value;
+            .is_none_or(|v| v.parse::<f64>().is_err())
+        {
+            return Err(format!("unparsable value in {line:?}"));
+        }
         samples += 1;
     }
     let storage: &[&str] = if segmented {
@@ -449,139 +411,30 @@ pub fn connect<R: BufRead, W: Write>(
     )?;
 
     // One session per connect invocation. The pid alone collides across
-    // hosts, so mix in a per-process random tag. (Abandoned sessions no
-    // longer accumulate server-side — the server reaps a connection's
-    // sessions when it drops — but two live clients must still not
-    // collide on a name.)
+    // hosts, so mix in a per-process random tag: two live clients must not
+    // collide on a name.
     let tag = {
         use std::hash::{BuildHasher, Hasher};
         std::collections::hash_map::RandomState::new()
             .build_hasher()
             .finish()
     };
-    let session = format!("cli-{}-{:08x}", std::process::id(), tag as u32);
-    match client.call(&Request::Open {
-        session: session.clone(),
-        options: OpenOptions::default(),
-    })? {
-        Response::Opened { .. } => writeln!(output, "session {session:?} opened")?,
-        Response::Error { message } => {
-            writeln!(output, "error: {message}")?;
-            return Ok(());
-        }
-        other => writeln!(output, "unexpected reply: {other:?}")?,
+    let mut session = Session::new(format!("cli-{}-{:08x}", std::process::id(), tag as u32));
+    let mut call = |req: &Request| client.call(req);
+    if !session.reopen(&mut call, OpenOptions::default(), output)? {
+        return Ok(());
     }
-
-    let mut line = String::new();
-    loop {
-        write!(output, "> ")?;
-        output.flush()?;
-        line.clear();
-        if input.read_line(&mut line)? == 0 {
-            break;
-        }
-        let mut parts = line.split_whitespace();
-        let Some(verb) = parts.next() else { continue };
-        let rest: Vec<&str> = parts.collect();
-        let request = match verb.to_ascii_lowercase().as_str() {
-            "quit" | "exit" | "q" => break,
-            "help" | "?" => {
-                writeln!(output, "{CONNECT_USAGE}")?;
-                continue;
-            }
-            "expand" | "e" => match parse_path(rest.first().copied().unwrap_or("root")) {
-                Ok(path) => Request::Expand {
-                    session: session.clone(),
-                    path,
-                },
-                Err(e) => {
-                    writeln!(output, "error: {e}")?;
-                    continue;
-                }
-            },
-            "star" | "s" if rest.len() == 2 => match parse_path(rest[0]) {
-                Ok(path) => Request::Star {
-                    session: session.clone(),
-                    path,
-                    column: rest[1].to_owned(),
-                },
-                Err(e) => {
-                    writeln!(output, "error: {e}")?;
-                    continue;
-                }
-            },
-            "collapse" | "c" => match parse_path(rest.first().copied().unwrap_or("root")) {
-                Ok(path) => Request::Collapse {
-                    session: session.clone(),
-                    path,
-                },
-                Err(e) => {
-                    writeln!(output, "error: {e}")?;
-                    continue;
-                }
-            },
-            "show" => Request::Render {
-                session: session.clone(),
-            },
-            "rules" => Request::Rules {
-                session: session.clone(),
-            },
-            "refresh" => Request::Refresh {
-                session: session.clone(),
-            },
-            "append" if !rest.is_empty() => Request::Append {
-                rows: vec![rest.iter().map(|s| (*s).to_owned()).collect()],
-                measures: Vec::new(),
-            },
-            "stats" => Request::Stats {
-                session: session.clone(),
-            },
-            _ => {
-                writeln!(output, "error: unknown command — try `help`")?;
-                continue;
-            }
-        };
-        match client.call(&request)? {
-            Response::Rendered { text } => writeln!(output, "{text}")?,
-            Response::Expanded { rules } | Response::RuleList { rules } => {
-                for r in rules {
-                    let ci = if r.exact {
-                        "exact".to_owned()
-                    } else {
-                        format!("[{:.0}, {:.0}]", r.ci.0, r.ci.1)
-                    };
-                    writeln!(
-                        output,
-                        "{} {}  count={:.0} ({ci}) weight={:.0}",
-                        format_path(&r.path),
-                        r.rule,
-                        r.count,
-                        r.weight
-                    )?;
-                }
-            }
-            Response::Stats { stats } => writeln!(output, "{stats:?}")?,
-            Response::Appended { epoch, rows } => {
-                writeln!(output, "appended — epoch {epoch}, {rows} rows")?
-            }
-            Response::Collapsed => writeln!(output, "collapsed")?,
-            Response::Error { message } => writeln!(output, "error: {message}")?,
-            other => writeln!(output, "{other:?}")?,
-        }
+    writeln!(output, "session {:?} opened", session.name())?;
+    while drive(&mut call, &mut session, &mut input, output)?.is_some() {
+        writeln!(
+            output,
+            "error: `open` and `demo` load a dataset in the local REPL only"
+        )?;
     }
-    let _ = client.call(&Request::Close { session });
+    let _ = call(&Request::Close {
+        session: session.name(),
+    });
     Ok(())
-}
-
-fn format_path(path: &[usize]) -> String {
-    if path.is_empty() {
-        "root".to_owned()
-    } else {
-        path.iter()
-            .map(usize::to_string)
-            .collect::<Vec<_>>()
-            .join(".")
-    }
 }
 
 #[cfg(test)]
@@ -635,6 +488,37 @@ mod tests {
         let out = String::from_utf8(out).unwrap();
         assert!(out.contains("no node at path [7]"), "{out}");
         assert!(out.contains("unknown column"), "{out}");
+        server.shutdown();
+    }
+
+    #[test]
+    fn connect_reopens_on_settings_and_survives_rejected_ones() {
+        let server = spawn_server();
+        let addr = server.addr().to_string();
+        let mut out = Vec::new();
+        let script = "expand\nfavor NoSuchColumn\nmw -1\nfavor Region -1\nshow\n\
+                      demo retail\nk 2\nexpand\nrules\nquit\n";
+        connect(&addr, Cursor::new(script), &mut out).unwrap();
+        let out = String::from_utf8(out).unwrap();
+        assert!(
+            out.contains("error: unknown column: \"NoSuchColumn\""),
+            "{out}"
+        );
+        assert!(out.contains("error: mw must be positive"), "{out}");
+        assert!(out.contains("must be finite, ≥ 0"), "{out}");
+        assert!(out.contains("local REPL only"), "{out}");
+        // `show` after the rejected settings still has the first expansion.
+        let shown = out.split("≥ 0").nth(1).unwrap();
+        assert_eq!(
+            shown.split("k = 2").next().unwrap().matches("\n. ").count(),
+            4,
+            "{out}"
+        );
+        // The reopened session expands two rules at a time.
+        assert!(out.contains("k = 2; display reset"), "{out}");
+        assert!(out.contains("root (?, ?, ?)"), "{out}");
+        assert!(out.contains("\n1 ("), "{out}");
+        assert!(!out.contains("\n2 ("), "{out}");
         server.shutdown();
     }
 

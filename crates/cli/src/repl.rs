@@ -1,41 +1,39 @@
-//! The REPL loop, generic over input/output for testability.
+//! The command loop both front-ends run, and the local REPL around an
+//! in-process [`Engine`].
 
-use crate::command::{parse_command, Command, WeightKind, HELP};
-use sdd_core::{BitsWeight, SizeMinusOne, SizeWeight, WeightFn};
-use sdd_explorer::{Explorer, ExplorerConfig};
+use crate::command::{parse_command, Command, HELP};
+use sdd_server::{Engine, EngineConfig, OpenOptions, Request, Response};
 use sdd_table::{ShardConfig, ShardSegment, Table, TableError};
-use std::io::{BufRead, Write};
+use std::io::{self, BufRead, Write};
 use std::sync::Arc;
 
 /// What dataset to (re)load next.
-pub(crate) enum Source {
+pub enum Source {
     /// A CSV file on disk.
     Csv(String),
     /// A built-in demo dataset (name, optional row count).
     Demo(String, Option<usize>),
 }
 
-enum Outcome {
-    Quit,
-    Reload(Source),
-}
-
-/// Runs the REPL until the input ends or the user quits.
+/// Runs the local REPL until the input ends or the user quits.
 ///
 /// `input` lines are commands (see [`crate::command::HELP`]); all output is
-/// written to `output`. Designed so tests can drive a whole session from a
-/// string.
-pub fn run<R: BufRead, W: Write>(mut input: R, output: &mut W) -> std::io::Result<()> {
+/// written to `output`. Each loaded dataset gets its own in-process
+/// [`Engine`], driven by [`drive`] exactly as `sdd connect` drives a
+/// server.
+pub fn run<R: BufRead, W: Write>(mut input: R, output: &mut W) -> io::Result<()> {
     writeln!(output, "smart drill-down explorer — `help` for commands")?;
-    let mut pending: Option<Source> = None;
-
+    let mut engine: Option<Engine> = None;
+    let mut session = Session::new("repl");
     loop {
-        let source = match pending.take() {
-            Some(s) => s,
-            None => match read_source(&mut input, output)? {
-                Some(s) => s,
-                None => return Ok(()),
-            },
+        let mut call = |req: &Request| {
+            Ok(engine.as_ref().map_or_else(
+                || Response::error("load a dataset first: `open <csv>` or `demo retail`"),
+                |e| e.handle(req).0,
+            ))
+        };
+        let Some(source) = drive(&mut call, &mut session, &mut input, output)? else {
+            return Ok(());
         };
         let table = match load(&source) {
             Ok(t) => t,
@@ -44,47 +42,15 @@ pub fn run<R: BufRead, W: Write>(mut input: R, output: &mut W) -> std::io::Resul
                 continue;
             }
         };
-        writeln!(
-            output,
-            "loaded {} rows × {} columns",
-            table.n_rows(),
-            table.n_columns()
-        )?;
-        match explore(&table, &mut input, output)? {
-            Outcome::Quit => return Ok(()),
-            Outcome::Reload(next) => pending = Some(next),
+        let (rows, columns) = (table.n_rows(), table.n_columns());
+        writeln!(output, "loaded {rows} rows × {columns} columns")?;
+        let loaded = Engine::new(table, EngineConfig::default());
+        let mut call = |req: &Request| Ok(loaded.handle(req).0);
+        session = Session::new("repl");
+        if session.reopen(&mut call, OpenOptions::default(), output)? {
+            show(&mut call, &session, output)?;
         }
-    }
-}
-
-/// Reads commands until one provides a dataset (or input ends / quits).
-fn read_source<R: BufRead, W: Write>(
-    input: &mut R,
-    output: &mut W,
-) -> std::io::Result<Option<Source>> {
-    let mut line = String::new();
-    loop {
-        write!(output, "> ")?;
-        output.flush()?;
-        line.clear();
-        if input.read_line(&mut line)? == 0 {
-            return Ok(None);
-        }
-        let trimmed = line.trim();
-        if trimmed.is_empty() {
-            continue;
-        }
-        match parse_command(trimmed) {
-            Ok(Command::Open(path)) => return Ok(Some(Source::Csv(path))),
-            Ok(Command::Demo(name, rows)) => return Ok(Some(Source::Demo(name, rows))),
-            Ok(Command::Quit) => return Ok(None),
-            Ok(Command::Help) => writeln!(output, "{HELP}")?,
-            Ok(_) => writeln!(
-                output,
-                "load a dataset first: `open <csv>` or `demo retail`"
-            )?,
-            Err(e) => writeln!(output, "error: {e}")?,
-        }
+        engine = Some(loaded);
     }
 }
 
@@ -105,85 +71,162 @@ pub(crate) fn load(source: &Source) -> Result<Arc<Table>, String> {
         Source::Demo(name, rows) => match name.to_ascii_lowercase().as_str() {
             "retail" => sdd_datagen::retail(42),
             "marketing" => sdd_datagen::marketing(2016).project_first_columns(7),
-            "census" => sdd_datagen::census(rows.unwrap_or(100_000), 1990).project_first_columns(7),
+            "census" => sdd_datagen::census_first_columns(rows.unwrap_or(100_000), 7, 1990),
             other => return Err(format!("unknown demo {other:?} (retail|marketing|census)")),
         },
     };
     Ok(Arc::new(table))
 }
 
-/// The active weighting: a base kind plus per-column multipliers (the
-/// paper's §2.2 favor/ignore adjustments). Monotone and non-negative for
-/// any non-negative multipliers.
-struct AdjustedWeight {
-    base: WeightKind,
-    multipliers: Vec<f64>,
+/// The analyst's session as the command loop sees it: the options it was
+/// opened with, under the name `<base>-<n>` of its `n`-th opening.
+pub struct Session {
+    base: String,
+    opened: usize,
+    options: OpenOptions,
 }
 
-impl WeightFn for AdjustedWeight {
-    fn weight(&self, rule: &sdd_core::Rule, table: &Table) -> f64 {
-        let sum: f64 = rule
-            .instantiated_columns()
-            .map(|c| {
-                let base = match self.base {
-                    WeightKind::Size | WeightKind::SizeMinusOne => 1.0,
-                    WeightKind::Bits => (table.cardinality(c).max(1) as f64).log2().ceil(),
+impl Session {
+    /// A session not opened yet; [`Session::reopen`] opens it.
+    pub fn new(base: impl Into<String>) -> Self {
+        Self {
+            base: base.into(),
+            opened: 0,
+            options: OpenOptions::default(),
+        }
+    }
+
+    /// The session's current name on the engine.
+    pub fn name(&self) -> String {
+        format!("{}-{}", self.base, self.opened)
+    }
+
+    /// Opens `options` under a fresh name, then closes the session it
+    /// replaces. When the engine rejects the options, writes its error and
+    /// returns `false`: the current session stays as it was.
+    pub fn reopen<W: Write>(
+        &mut self,
+        call: &mut impl FnMut(&Request) -> io::Result<Response>,
+        options: OpenOptions,
+        output: &mut W,
+    ) -> io::Result<bool> {
+        let open = Request::Open {
+            session: format!("{}-{}", self.base, self.opened + 1),
+            options: options.clone(),
+        };
+        let reply = call(&open)?;
+        if !matches!(reply, Response::Opened { .. }) {
+            print_reply(reply, output)?;
+            return Ok(false);
+        }
+        if self.opened > 0 {
+            call(&Request::Close {
+                session: self.name(),
+            })?;
+        }
+        self.opened += 1;
+        self.options = options;
+        Ok(true)
+    }
+}
+
+/// Writes the session's rendered display.
+fn show<W: Write>(
+    call: &mut impl FnMut(&Request) -> io::Result<Response>,
+    session: &Session,
+    output: &mut W,
+) -> io::Result<()> {
+    let render = Request::Render {
+        session: session.name(),
+    };
+    print_reply(call(&render)?, output)
+}
+
+/// Writes a reply that needs no follow-up request.
+fn print_reply<W: Write>(reply: Response, output: &mut W) -> io::Result<()> {
+    match reply {
+        Response::Rendered { text } => writeln!(output, "{text}"),
+        Response::RuleList { rules } => {
+            for r in rules {
+                let path: Vec<String> = r.path.iter().map(usize::to_string).collect();
+                let path = if path.is_empty() {
+                    "root".to_owned()
+                } else {
+                    path.join(".")
                 };
-                base * self.multipliers.get(c).copied().unwrap_or(1.0)
-            })
-            .sum();
-        match self.base {
-            WeightKind::SizeMinusOne => (sum - 1.0).max(0.0),
-            _ => sum,
+                let ci = if r.exact {
+                    "exact".to_owned()
+                } else {
+                    format!("[{:.0}, {:.0}]", r.ci.0, r.ci.1)
+                };
+                let (rule, count, weight) = (r.rule, r.count, r.weight);
+                writeln!(
+                    output,
+                    "{path} {rule}  count={count:.0} ({ci}) weight={weight:.0}"
+                )?;
+            }
+            Ok(())
         }
-    }
-
-    fn name(&self) -> &str {
-        "adjusted"
+        Response::Stats { stats } => writeln!(output, "{stats:?}"),
+        Response::Appended { epoch, rows } => {
+            writeln!(output, "appended — epoch {epoch}, {rows} rows")
+        }
+        Response::Error { message } => writeln!(output, "error: {message}"),
+        other => writeln!(output, "unexpected reply: {other:?}"),
     }
 }
 
-fn make_weight(kind: WeightKind, multipliers: &[f64]) -> Box<dyn WeightFn> {
-    if multipliers.iter().all(|&m| (m - 1.0).abs() < 1e-12) {
-        match kind {
-            WeightKind::Size => Box::new(SizeWeight),
-            WeightKind::Bits => Box::new(BitsWeight),
-            WeightKind::SizeMinusOne => Box::new(SizeMinusOne),
+/// Applies a setting verb to `options` and returns its confirmation, or
+/// `None` for any other command.
+fn apply_setting(command: &Command, options: &mut OpenOptions) -> Option<String> {
+    Some(match command {
+        Command::Weight(w) => {
+            options.weight = Some(w.clone());
+            format!("weighting = {w}; display reset")
         }
-    } else {
-        Box::new(AdjustedWeight {
-            base: kind,
-            multipliers: multipliers.to_vec(),
-        })
-    }
+        Command::SetK(k) => {
+            options.k = Some(*k);
+            format!("k = {k}; display reset")
+        }
+        Command::SetMw(mw) => {
+            options.max_weight = Some(*mw);
+            format!("mw = {mw}; display reset")
+        }
+        Command::Favor(column, factor) => {
+            options.favor.retain(|(c, _)| c != column);
+            options.favor.push((column.clone(), *factor));
+            if *factor == 0.0 {
+                format!("column {column:?} ignored; display reset")
+            } else {
+                format!("column {column:?} weighted ×{factor}; display reset")
+            }
+        }
+        _ => return None,
+    })
 }
 
-/// The exploration loop over one loaded table.
-fn explore<R: BufRead, W: Write>(
-    table: &Arc<Table>,
+/// The command loop of both front-ends: reads commands from `input`, sends
+/// each to the engine through `call` as protocol requests on `session`,
+/// and writes the replies to `output`. The local REPL passes
+/// [`Engine::handle`], `sdd connect` passes [`sdd_server::Client::call`].
+///
+/// Setting verbs (`weight`, `k`, `mw`, `favor`, `ignore`) reopen the
+/// session with the updated options. Returns the dataset an `open` or
+/// `demo` line asks for, or `None` once the input ends or the analyst
+/// quits; `session` stays open either way.
+pub fn drive<R: BufRead, W: Write>(
+    call: &mut impl FnMut(&Request) -> io::Result<Response>,
+    session: &mut Session,
     input: &mut R,
     output: &mut W,
-) -> std::io::Result<Outcome> {
-    let mut weight_kind = WeightKind::Size;
-    let mut multipliers = vec![1.0f64; table.n_columns()];
-    let mut config = ExplorerConfig {
-        k: 4,
-        ..ExplorerConfig::default()
-    };
-    let mut explorer = Explorer::new(
-        table.clone(),
-        make_weight(weight_kind, &multipliers),
-        config.clone(),
-    );
-    writeln!(output, "{}", explorer.render())?;
-
+) -> io::Result<Option<Source>> {
     let mut line = String::new();
     loop {
         write!(output, "> ")?;
         output.flush()?;
         line.clear();
         if input.read_line(&mut line)? == 0 {
-            return Ok(Outcome::Quit);
+            return Ok(None);
         }
         let trimmed = line.trim();
         if trimmed.is_empty() {
@@ -196,96 +239,71 @@ fn explore<R: BufRead, W: Write>(
                 continue;
             }
         };
-        match command {
-            Command::Quit => return Ok(Outcome::Quit),
-            Command::Open(path) => return Ok(Outcome::Reload(Source::Csv(path))),
-            Command::Demo(name, rows) => return Ok(Outcome::Reload(Source::Demo(name, rows))),
-            Command::Help => writeln!(output, "{HELP}")?,
-            Command::Show => writeln!(output, "{}", explorer.render())?,
-            Command::Stats => match explorer.try_drain_pending_prefetch() {
-                Ok(()) => {
-                    writeln!(output, "handler: {:?}", explorer.handler_stats())?;
-                    writeln!(output, "explorer: {:?}", explorer.stats)?;
+        let mut options = session.options.clone();
+        if let Some(confirmation) = apply_setting(&command, &mut options) {
+            if session.reopen(call, options, output)? {
+                writeln!(output, "{confirmation}")?;
+                if matches!(command, Command::Weight(_)) {
+                    show(call, session, output)?;
                 }
-                Err(e) => writeln!(output, "error: {e}")?,
-            },
-            Command::Refresh => match explorer.try_refresh_exact_counts() {
-                Ok(()) => writeln!(output, "counts refreshed (exact)\n{}", explorer.render())?,
-                Err(e) => writeln!(output, "error: {e}")?,
-            },
-            Command::Expand(path) => match explorer.expand(&path) {
-                Ok(_) => writeln!(output, "{}", explorer.render())?,
-                Err(e) => writeln!(output, "error: {e}")?,
-            },
-            Command::Star(path, column) => match table.schema().index_of(&column) {
-                Ok(col) => match explorer.expand_star(&path, col) {
-                    Ok(_) => writeln!(output, "{}", explorer.render())?,
-                    Err(e) => writeln!(output, "error: {e}")?,
-                },
-                Err(e) => writeln!(output, "error: {e}")?,
-            },
-            Command::Collapse(path) => match explorer.collapse(&path) {
-                Ok(()) => writeln!(output, "{}", explorer.render())?,
-                Err(e) => writeln!(output, "error: {e}")?,
-            },
-            Command::Weight(kind) => {
-                weight_kind = kind;
-                explorer = Explorer::new(
-                    table.clone(),
-                    make_weight(weight_kind, &multipliers),
-                    config.clone(),
-                );
-                writeln!(
-                    output,
-                    "weighting = {kind}; display reset\n{}",
-                    explorer.render()
-                )?;
             }
-            Command::Favor(column, factor) => match table.schema().index_of(&column) {
-                Ok(col) => {
-                    multipliers[col] = factor;
-                    explorer = Explorer::new(
-                        table.clone(),
-                        make_weight(weight_kind, &multipliers),
-                        config.clone(),
-                    );
-                    writeln!(
-                        output,
-                        "column {column:?} weighted ×{factor}; display reset"
-                    )?;
+            continue;
+        }
+        let session_name = session.name();
+        let request = match command {
+            Command::Quit => return Ok(None),
+            Command::Open(path) => return Ok(Some(Source::Csv(path))),
+            Command::Demo(name, rows) => return Ok(Some(Source::Demo(name, rows))),
+            Command::Help => {
+                writeln!(output, "{HELP}")?;
+                continue;
+            }
+            Command::Show => Request::Render {
+                session: session_name,
+            },
+            Command::Rules => Request::Rules {
+                session: session_name,
+            },
+            Command::Refresh => Request::Refresh {
+                session: session_name,
+            },
+            Command::Stats => Request::Stats {
+                session: session_name,
+            },
+            Command::Expand(path) => Request::Expand {
+                session: session_name,
+                path,
+            },
+            Command::Star(path, column) => Request::Star {
+                session: session_name,
+                path,
+                column,
+            },
+            Command::Collapse(path) => Request::Collapse {
+                session: session_name,
+                path,
+            },
+            Command::Append(values) => Request::Append {
+                rows: vec![values],
+                measures: Vec::new(),
+            },
+            // Applied above.
+            Command::Weight(_) | Command::SetK(_) | Command::SetMw(_) | Command::Favor(..) => {
+                continue
+            }
+        };
+        match call(&request)? {
+            Response::Expanded { .. } | Response::Collapsed => show(call, session, output)?,
+            // Over a live table the engine schedules the refresh instead.
+            Response::RuleList { rules } if matches!(request, Request::Refresh { .. }) => {
+                if rules.iter().all(|r| r.exact) {
+                    writeln!(output, "counts refreshed (exact)")?;
+                } else {
+                    writeln!(output, "exact counts scheduled")?;
                 }
-                Err(e) => writeln!(output, "error: {e}")?,
-            },
-            Command::Ignore(column) => match table.schema().index_of(&column) {
-                Ok(col) => {
-                    multipliers[col] = 0.0;
-                    explorer = Explorer::new(
-                        table.clone(),
-                        make_weight(weight_kind, &multipliers),
-                        config.clone(),
-                    );
-                    writeln!(output, "column {column:?} ignored; display reset")?;
-                }
-                Err(e) => writeln!(output, "error: {e}")?,
-            },
-            Command::SetK(k) => {
-                config.k = k;
-                explorer = Explorer::new(
-                    table.clone(),
-                    make_weight(weight_kind, &multipliers),
-                    config.clone(),
-                );
-                writeln!(output, "k = {k}; display reset")?;
+                show(call, session, output)?;
             }
-            Command::SetMw(mw) => {
-                config.max_weight = Some(mw);
-                explorer = Explorer::new(
-                    table.clone(),
-                    make_weight(weight_kind, &multipliers),
-                    config.clone(),
-                );
-                writeln!(output, "mw = {mw}; display reset")?;
-            }
+            reply => print_reply(reply, output)?,
         }
     }
 }
@@ -295,7 +313,7 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
-    fn drive(script: &str) -> String {
+    fn run_script(script: &str) -> String {
         let mut out = Vec::new();
         run(Cursor::new(script), &mut out).expect("io on buffers cannot fail");
         String::from_utf8(out).expect("utf8 output")
@@ -303,19 +321,19 @@ mod tests {
 
     #[test]
     fn quit_immediately() {
-        let out = drive("quit\n");
+        let out = run_script("quit\n");
         assert!(out.contains("help"));
     }
 
     #[test]
     fn help_before_loading() {
-        let out = drive("help\nquit\n");
+        let out = run_script("help\nquit\n");
         assert!(out.contains("smart drill-down on the rule at path"));
     }
 
     #[test]
     fn demo_retail_walkthrough() {
-        let out = drive("demo retail\nexpand\nexpand 2\nshow\nquit\n");
+        let out = run_script("demo retail\nexpand\nexpand 2\nshow\nquit\n");
         assert!(out.contains("loaded 6000 rows × 3 columns"), "{out}");
         assert!(out.contains("Walmart"), "{out}");
         assert!(out.contains("comforters"), "{out}");
@@ -325,27 +343,27 @@ mod tests {
 
     #[test]
     fn star_command_by_column_name() {
-        let out = drive("demo retail\nexpand\nstar 2 Region\nquit\n");
+        let out = run_script("demo retail\nexpand\nstar 2 Region\nquit\n");
         // Expanding the Walmart rule's Region: CA-1/WA-5 surface.
         assert!(out.contains("CA-1") || out.contains("WA-5"), "{out}");
     }
 
     #[test]
     fn refresh_marks_counts_exact() {
-        let out = drive("demo retail\nexpand\nrefresh\nquit\n");
+        let out = run_script("demo retail\nexpand\nrefresh\nquit\n");
         assert!(out.contains("counts refreshed"), "{out}");
         assert!(out.contains("exact"), "{out}");
     }
 
     #[test]
     fn weight_switch_resets_display() {
-        let out = drive("demo retail\nexpand\nweight bits\nquit\n");
+        let out = run_script("demo retail\nexpand\nweight bits\nquit\n");
         assert!(out.contains("weighting = bits"), "{out}");
     }
 
     #[test]
     fn bad_commands_are_reported_not_fatal() {
-        let out = drive("demo retail\nfrobnicate\nexpand 9.9\nstar 0 NoSuchColumn\nquit\n");
+        let out = run_script("demo retail\nfrobnicate\nexpand 9.9\nstar 0 NoSuchColumn\nquit\n");
         assert!(out.contains("unknown command"), "{out}");
         assert!(out.contains("no node at path"), "{out}");
         assert!(out.contains("unknown column"), "{out}");
@@ -355,7 +373,7 @@ mod tests {
     fn ignore_column_removes_it_from_rules() {
         // Ignoring Store: zero weight for Store values, so the summary must
         // not instantiate Store anywhere.
-        let out = drive("demo retail\nignore Store\nexpand\nquit\n");
+        let out = run_script("demo retail\nignore Store\nexpand\nquit\n");
         assert!(out.contains("ignored"), "{out}");
         let after = out.split("ignored").nth(1).unwrap();
         assert!(!after.contains("Walmart"), "{out}");
@@ -367,7 +385,7 @@ mod tests {
 
     #[test]
     fn favor_column_steers_rules_toward_it() {
-        let out = drive("demo retail\nfavor Region 10\nexpand\nquit\n");
+        let out = run_script("demo retail\nfavor Region 10\nexpand\nquit\n");
         assert!(out.contains("weighted ×10"), "{out}");
         // Region-instantiating rules dominate after the boost.
         let after = out.split("weighted").nth(1).unwrap();
@@ -376,19 +394,19 @@ mod tests {
 
     #[test]
     fn favor_unknown_column_reports_error() {
-        let out = drive("demo retail\nfavor Price\nquit\n");
+        let out = run_script("demo retail\nfavor Price\nquit\n");
         assert!(out.contains("unknown column"), "{out}");
     }
 
     #[test]
     fn open_missing_file_reports_error() {
-        let out = drive("open /no/such/file.csv\nquit\n");
+        let out = run_script("open /no/such/file.csv\nquit\n");
         assert!(out.contains("cannot read"), "{out}");
     }
 
     #[test]
     fn eof_terminates_cleanly() {
-        let out = drive("demo retail\n");
+        let out = run_script("demo retail\n");
         assert!(out.contains("loaded 6000"));
     }
 
@@ -402,15 +420,41 @@ mod tests {
         )
         .unwrap();
         let script = format!("open {}\nexpand\nquit\n", path.display());
-        let out = drive(&script);
+        let out = run_script(&script);
         std::fs::remove_file(&path).ok();
         assert!(out.contains("loaded 3 rows × 2 columns"), "{out}");
         assert!(out.contains("cookies"), "{out}");
     }
 
     #[test]
+    fn settings_reopen_the_session_and_close_the_one_replaced() {
+        let engine = Engine::new(Arc::new(sdd_datagen::retail(42)), EngineConfig::default());
+        let mut call = |req: &Request| Ok(engine.handle(req).0);
+        let mut session = Session::new("t");
+        let mut out = Vec::new();
+        assert!(session
+            .reopen(&mut call, OpenOptions::default(), &mut out)
+            .unwrap());
+        let mut script = Cursor::new("weight bits\nk 3\nmw 5\nfavor Region\nignore Store\nk 0\n");
+        let next = drive(&mut call, &mut session, &mut script, &mut out).unwrap();
+        assert!(next.is_none());
+        assert_eq!(engine.n_sessions(), 1);
+        // Five accepted settings, one rejected.
+        assert_eq!(session.name(), "t-6");
+        let favor = vec![("Region".to_owned(), 3.0), ("Store".to_owned(), 0.0)];
+        let expected = OpenOptions {
+            k: Some(3),
+            max_weight: Some(5.0),
+            weight: Some("bits".to_owned()),
+            favor,
+            ..OpenOptions::default()
+        };
+        assert_eq!(session.options, expected);
+    }
+
+    #[test]
     fn reload_switches_datasets_mid_session() {
-        let out = drive("demo retail\nexpand\ndemo marketing\nquit\n");
+        let out = run_script("demo retail\nexpand\ndemo marketing\nquit\n");
         assert!(out.contains("loaded 6000 rows × 3 columns"), "{out}");
         assert!(out.contains("loaded 9409 rows × 7 columns"), "{out}");
     }

@@ -152,8 +152,30 @@ pub fn census(n_rows: usize, seed: u64) -> Table {
     })
 }
 
+/// [`census`] with only its first `n_cols` columns: every RNG draw of the
+/// 68-column table is made, in the same order, so the result equals
+/// `census(n_rows, seed).project_first_columns(n_cols)` without ever
+/// holding the other columns.
+pub fn census_first_columns(n_rows: usize, n_cols: usize, seed: u64) -> Table {
+    generate(
+        &CensusConfig {
+            n_rows,
+            seed,
+            ..CensusConfig::default()
+        },
+        n_cols,
+    )
+}
+
 /// Generates with full control over the mixture parameters.
 pub fn census_with(cfg: CensusConfig) -> Table {
+    generate(&cfg, COLUMNS.len())
+}
+
+/// The one census loop: draws every column of every row and pushes the
+/// first `keep` of them.
+fn generate(cfg: &CensusConfig, keep: usize) -> Table {
+    let keep = keep.min(COLUMNS.len());
     assert!(cfg.n_profiles > 0, "need at least one profile");
     assert!(
         (0.0..=1.0).contains(&cfg.coherence),
@@ -182,10 +204,10 @@ pub fn census_with(cfg: CensusConfig) -> Table {
         .map(|c| Zipf::new(cardinality(c), cfg.skew))
         .collect();
 
-    let schema = Schema::new(COLUMNS).expect("unique names");
+    let schema = Schema::new(COLUMNS[..keep].iter().copied()).expect("unique names");
     let mut b = Table::builder(schema);
     b.reserve(cfg.n_rows);
-    let mut row: Vec<&str> = Vec::with_capacity(n_cols);
+    let mut row: Vec<&str> = Vec::with_capacity(keep);
     for _ in 0..cfg.n_rows {
         let p = profile_z.sample(&mut rng);
         row.clear();
@@ -195,9 +217,11 @@ pub fn census_with(cfg: CensusConfig) -> Table {
             } else {
                 noise_z[c].sample(&mut rng)
             };
-            row.push(&labels[c][v]);
+            if c < keep {
+                row.push(&labels[c][v]);
+            }
         }
-        b.push_row(&row).expect("68 fields");
+        b.push_row(&row).expect("one field per kept column");
     }
     b.build().expect("no measures")
 }
@@ -255,6 +279,25 @@ mod tests {
         for r in 0..300u32 {
             for c in 0..68 {
                 assert_eq!(a.code(r, c), b.code(r, c));
+            }
+        }
+    }
+
+    #[test]
+    fn first_columns_equal_the_projected_full_table() {
+        let full = census(3000, 1990).project_first_columns(7);
+        let first = census_first_columns(3000, 7, 1990);
+        assert_eq!(first.n_columns(), 7);
+        assert_eq!(first.n_rows(), 3000);
+        for c in 0..7 {
+            assert_eq!(first.schema().column_name(c), full.schema().column_name(c));
+            assert_eq!(first.cardinality(c), full.cardinality(c));
+            for v in 0..full.cardinality(c) as u32 {
+                let (a, b) = (first.dictionary(c), full.dictionary(c));
+                assert_eq!(a.value_of(v), b.value_of(v), "column {c}");
+            }
+            for r in 0..3000u32 {
+                assert_eq!(first.code(r, c), full.code(r, c), "row {r} column {c}");
             }
         }
     }

@@ -19,6 +19,6 @@ pub mod marketing;
 pub mod retail;
 pub mod zipf;
 
-pub use census::census;
+pub use census::{census, census_first_columns};
 pub use marketing::marketing;
 pub use retail::retail;

@@ -26,12 +26,12 @@
 use crate::auth::TenantRegistry;
 use crate::cache::{CacheCounters, SearchCache, TenantCacheView};
 use crate::predict::{PredictCounters, TransitionModel};
-use crate::protocol::{Request, Response, RuleInfo, StatsInfo};
+use crate::protocol::{OpenOptions, Request, Response, RuleInfo, StatsInfo};
 use crate::registry::{Registry, RegistryError, TenantId, ANONYMOUS_TENANT};
 use sdd_core::{BitsWeight, SizeMinusOne, SizeWeight, WeightFn};
 use sdd_explorer::{DisplayedRule, Explorer, ExplorerConfig, ResultCache, SharedResultCache};
 use sdd_sampling::PrefetchJob;
-use sdd_table::{Table, TableStore};
+use sdd_table::{Schema, Table, TableStore};
 use std::sync::Arc;
 
 /// Stripe count of the session registry, the result cache and the
@@ -430,12 +430,7 @@ impl Engine {
         }
     }
 
-    fn open(
-        &self,
-        session: &str,
-        options: &crate::protocol::OpenOptions,
-        tenant: TenantId,
-    ) -> Response {
+    fn open(&self, session: &str, options: &OpenOptions, tenant: TenantId) -> Response {
         if session.is_empty() || session.len() > 128 {
             return Response::error("session name must be 1..=128 characters");
         }
@@ -459,19 +454,10 @@ impl Engine {
 
     /// The validation + construction half of `open`, running with the
     /// tenant's session slot already claimed.
-    fn open_claimed(
-        &self,
-        session: &str,
-        options: &crate::protocol::OpenOptions,
-        tenant: TenantId,
-    ) -> Response {
-        let weight: Box<dyn WeightFn> = match options.weight.as_deref() {
-            None | Some("size") => Box::new(SizeWeight),
-            Some("bits") => Box::new(BitsWeight),
-            Some("size-1") | Some("size-minus-one") => Box::new(SizeMinusOne),
-            Some(other) => {
-                return Response::error(format!("unknown weight {other:?} (size|bits|size-1)"))
-            }
+    fn open_claimed(&self, session: &str, options: &OpenOptions, tenant: TenantId) -> Response {
+        let weight = match make_weight(options, self.store.schema()) {
+            Ok(w) => w,
+            Err(e) => return Response::error(e),
         };
         let mut cfg = self.config.session.clone();
         if let Some(k) = options.k {
@@ -629,6 +615,60 @@ impl Engine {
             self.transitions.note_speculation();
         }
     }
+}
+
+/// A base weight whose per-column terms are scaled by `favor` multipliers.
+/// Monotone and non-negative for non-negative multipliers. It has no cache
+/// tag: sessions that differ only in their multipliers share no entry.
+struct AdjustedWeight {
+    bits: bool,
+    minus_one: bool,
+    multipliers: Vec<f64>,
+}
+
+impl WeightFn for AdjustedWeight {
+    fn weight(&self, rule: &sdd_core::Rule, table: &Table) -> f64 {
+        let bits = |c: usize| (table.cardinality(c).max(1) as f64).log2().ceil();
+        let sum: f64 = rule
+            .instantiated_columns()
+            .map(|c| self.multipliers[c] * if self.bits { bits(c) } else { 1.0 })
+            .sum();
+        if self.minus_one {
+            (sum - 1.0).max(0.0)
+        } else {
+            sum
+        }
+    }
+
+    fn name(&self) -> &str {
+        "adjusted"
+    }
+}
+
+/// The weight `options` name, adjusted by its `favor`. With every
+/// multiplier 1 it is exactly [`SizeWeight`], [`BitsWeight`] or [`SizeMinusOne`].
+fn make_weight(options: &OpenOptions, schema: &Schema) -> Result<Box<dyn WeightFn>, String> {
+    let (plain, bits, minus_one): (Box<dyn WeightFn>, _, _) = match options.weight.as_deref() {
+        None | Some("size") => (Box::new(SizeWeight), false, false),
+        Some("bits") => (Box::new(BitsWeight), true, false),
+        Some("size-1" | "size-minus-one") => (Box::new(SizeMinusOne), false, true),
+        Some(other) => return Err(format!("unknown weight {other:?} (size|bits|size-1)")),
+    };
+    let mut multipliers = vec![1.0; schema.n_columns()];
+    for (column, m) in &options.favor {
+        if !(m.is_finite() && *m >= 0.0) {
+            return Err(format!("favor {m} for {column:?} must be finite, ≥ 0"));
+        }
+        multipliers[schema.index_of(column).map_err(|e| e.to_string())?] = *m;
+    }
+    if multipliers.iter().all(|&m| m == 1.0) {
+        return Ok(plain);
+    }
+    Ok(Box::new(AdjustedWeight {
+        bits,
+        minus_one,
+        multipliers,
+    }))
 }
 
 fn rule_info(path: Vec<usize>, info: &DisplayedRule, table: &Table) -> RuleInfo {

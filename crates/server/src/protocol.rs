@@ -30,6 +30,10 @@ pub struct OpenOptions {
     pub capacity: Option<usize>,
     /// Minimum sample size `minSS`.
     pub min_ss: Option<usize>,
+    /// Weight multipliers by column name (§2.2's favor, and ignore as 0):
+    /// each finite and non-negative, columns not named keep 1. A JSON
+    /// object on the wire, omitted when empty.
+    pub favor: Vec<(String, f64)>,
 }
 
 /// One protocol request.
@@ -151,6 +155,13 @@ impl Request {
                 if let Some(m) = options.min_ss {
                     push("min_ss", Json::num(m as f64));
                 }
+                if !options.favor.is_empty() {
+                    let favor = options
+                        .favor
+                        .iter()
+                        .map(|(c, m)| (c.clone(), Json::num(*m)));
+                    push("favor", Json::Obj(favor.collect()));
+                }
             }
             Request::Expand { session, path } | Request::Collapse { session, path } => {
                 push("session", Json::str(session.clone()));
@@ -253,6 +264,15 @@ impl Request {
                     },
                     capacity: get_usize("capacity")?,
                     min_ss: get_usize("min_ss")?,
+                    favor: match v.get("favor") {
+                        None => Vec::new(),
+                        Some(Json::Obj(pairs)) => pairs
+                            .iter()
+                            .map(|(c, m)| Some((c.clone(), m.as_f64()?)))
+                            .collect::<Option<_>>()
+                            .ok_or("bad number in field \"favor\"")?,
+                        Some(_) => return Err("bad object field \"favor\"".to_owned()),
+                    },
                 };
                 Ok(Request::Open {
                     session: session()?,

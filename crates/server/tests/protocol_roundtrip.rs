@@ -40,6 +40,7 @@ fn every_request_variant_round_trips() {
                 seed: Some(12345),
                 capacity: Some(20_000),
                 min_ss: Some(1_000),
+                favor: vec![("Region".to_owned(), 10.0), ("Store".to_owned(), 0.0)],
             },
         },
         Request::Expand {
@@ -277,6 +278,11 @@ fn malformed_requests_are_rejected_with_reasons() {
         (r#"{"op":"star","session":"s","path":[]}"#, "column"),
         (r#"{"op":"open","session":"s","k":-1}"#, "k"),
         (r#"{"op":"open","session":"s","mw":"big"}"#, "mw"),
+        (r#"{"op":"open","session":"s","favor":["Region"]}"#, "favor"),
+        (
+            r#"{"op":"open","session":"s","favor":{"Region":"x"}}"#,
+            "favor",
+        ),
         (r#"{"op":"append"}"#, "rows"),
         (r#"{"op":"append","rows":[["a"],7]}"#, "bad row"),
         (

@@ -20,6 +20,7 @@ fn open_opts(seed: u64) -> OpenOptions {
         seed: Some(seed),
         capacity: Some(20_000),
         min_ss: Some(1_000),
+        ..OpenOptions::default()
     }
 }
 

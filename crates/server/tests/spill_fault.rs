@@ -34,6 +34,7 @@ fn open(engine: &Engine, session: &str) -> Response {
                 seed: Some(7),
                 capacity: Some(20_000),
                 min_ss: Some(1_000),
+                ..OpenOptions::default()
             },
         })
         .0

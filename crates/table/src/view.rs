@@ -39,6 +39,20 @@ pub struct TableView<'a> {
     weights: Option<&'a [f64]>,
 }
 
+/// The contract of a weighted view: one finite, non-negative weight per
+/// row of `table`.
+fn check_weights(table: &Table, weights: &[f64]) {
+    assert_eq!(
+        table.n_rows(),
+        weights.len(),
+        "rows/weights length mismatch"
+    );
+    assert!(
+        weights.iter().all(|w| w.is_finite() && *w >= 0.0),
+        "row weights must be finite and non-negative"
+    );
+}
+
 impl<'a> TableView<'a> {
     /// A view over every row of `table`, unit weights.
     pub fn all(table: &'a Table) -> Self {
@@ -54,13 +68,9 @@ impl<'a> TableView<'a> {
     /// bounds a rule's score by its covered weight, which only holds for
     /// such weights (a negative one can make the pruned search return a
     /// worse list than the unpruned one). Panics if `weights` does not hold
-    /// one weight per row.
+    /// one such weight per row.
     pub fn all_with_weights(table: &'a Table, weights: &'a [f64]) -> Self {
-        assert_eq!(
-            table.n_rows(),
-            weights.len(),
-            "rows/weights length mismatch"
-        );
+        check_weights(table, weights);
         Self {
             table,
             weights: Some(weights),
@@ -157,13 +167,9 @@ impl OwnedTableView {
     /// A view over every row of `table` in order, with per-tuple weights,
     /// each finite and non-negative (see [`TableView::all_with_weights`]).
     ///
-    /// Panics if `weights` does not hold one weight per row.
+    /// Panics if `weights` does not hold one such weight per row.
     pub fn all_with_weights(table: Arc<Table>, weights: Vec<f64>) -> Self {
-        assert_eq!(
-            table.n_rows(),
-            weights.len(),
-            "rows/weights length mismatch"
-        );
+        check_weights(&table, &weights);
         Self {
             table,
             weights: Some(weights),
@@ -310,6 +316,24 @@ mod tests {
     fn mismatched_weights_panic() {
         let table = t();
         let _ = TableView::all_with_weights(&table, &[1.0]);
+    }
+
+    #[test]
+    fn negative_nan_or_infinite_weights_panic() {
+        let table = Arc::new(t());
+        let n = table.n_rows();
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let mut weights = vec![1.0; n];
+            weights[n - 1] = bad;
+            let borrowed = std::panic::catch_unwind(|| {
+                TableView::all_with_weights(&table, &weights);
+            });
+            assert!(borrowed.is_err(), "{bad} accepted");
+            let owned = std::panic::catch_unwind(|| {
+                OwnedTableView::all_with_weights(table.clone(), weights.clone());
+            });
+            assert!(owned.is_err(), "{bad} accepted");
+        }
     }
 
     #[test]

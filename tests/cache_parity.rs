@@ -66,6 +66,7 @@ fn open_opts(seed: u64) -> OpenOptions {
         seed: Some(seed),
         capacity: Some(20_000),
         min_ss: Some(1_000),
+        ..OpenOptions::default()
     }
 }
 
@@ -150,6 +151,46 @@ fn assert_cache_transparent(cell: &str, build_store: impl Fn() -> TableStore) {
         counters.inserts > 0,
         "{cell}: first visit never populated the cache ({counters:?})"
     );
+}
+
+/// `replay` with `favor` multipliers in the visit's `open`.
+fn replay_favored(engine: &Engine, session: &str, favor: &[(&str, f64)]) -> Vec<String> {
+    let mut requests = script(session, 7);
+    if let Request::Open { options, .. } = &mut requests[0] {
+        options.favor = favor.iter().map(|&(c, m)| (c.to_owned(), m)).collect();
+    }
+    requests
+        .iter()
+        .map(|req| engine.handle_line(&req.to_json().to_string()).0)
+        .collect()
+}
+
+/// A session whose `favor` moves any multiplier off 1 has a weight with
+/// no cache tag: its visits neither insert into nor hit the shared cache,
+/// so two sessions that differ only in their multipliers can never share
+/// an entry. A favor of exactly 1 is the plain weight and shares the plain
+/// session's entries.
+#[test]
+fn favor_sessions_neither_insert_into_nor_hit_the_shared_cache() {
+    let engine = engine_for(TableStore::Whole(Arc::new(retail(42))), 64 << 20);
+    let plain = replay(&engine, "plain", 7);
+    let warm = engine.cache_counters().expect("cache is on");
+    assert!(warm.inserts > 0, "{warm:?}");
+
+    let ignored = replay_favored(&engine, "ignored", &[("Store", 0.0)]);
+    let again = replay_favored(&engine, "again", &[("Store", 0.0)]);
+    let favored = replay_favored(&engine, "favored", &[("Store", 0.5)]);
+    let counters = engine.cache_counters().expect("cache is on");
+    assert_eq!(counters, warm, "a favor session touched the cache");
+    // Transcripts from the first expansion on; `open` echoes the name.
+    assert_eq!(ignored[1..], again[1..]);
+    assert_ne!(ignored[1..], plain[1..], "ignoring Store changed nothing");
+    assert_ne!(ignored[1..], favored[1..], "multipliers 0 and 0.5 agree");
+
+    let neutral = replay_favored(&engine, "neutral", &[("Store", 1.0)]);
+    assert_eq!(neutral[1..], plain[1..]);
+    let counters = engine.cache_counters().expect("cache is on");
+    assert!(counters.hits > warm.hits, "{counters:?}");
 }
 
 #[test]

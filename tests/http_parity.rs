@@ -70,9 +70,15 @@ impl Rng {
     }
 }
 
-/// One scripted session: open → mixed commands (expands, stars — including
-/// a bogus column for error parity — collapses, rules, stats) → close.
-fn drive_session(transport: &mut dyn Transport, name: &str, seed: u64) -> Vec<String> {
+/// One scripted session: open (with `favor` multipliers, when given) →
+/// mixed commands (expands, stars — including a bogus column for error
+/// parity — collapses, rules, stats) → close.
+fn drive_session(
+    transport: &mut dyn Transport,
+    name: &str,
+    seed: u64,
+    favor: &[(&str, f64)],
+) -> Vec<String> {
     let mut transcript = Vec::new();
     let mut send = |transport: &mut dyn Transport, req: &Request| -> String {
         let line = transport.call_line(&req.to_json().to_string());
@@ -91,6 +97,7 @@ fn drive_session(transport: &mut dyn Transport, name: &str, seed: u64) -> Vec<St
                 seed: Some(seed),
                 capacity: Some(20_000),
                 min_ss: Some(1_000),
+                favor: favor.iter().map(|&(c, m)| (c.to_owned(), m)).collect(),
             },
         },
     );
@@ -149,12 +156,15 @@ fn http_tcp_and_inprocess_transcripts_are_byte_identical() {
     .expect("spawn http server");
     let engine = Engine::new(Arc::clone(&table), EngineConfig::default());
 
-    for seed in [3u64, 11, 29] {
-        let name = format!("parity-{seed}");
+    // The last session is tailored: Region favored, Store ignored.
+    let tailored: &[(&str, f64)] = &[("Region", 10.0), ("Store", 0.0)];
+    for (seed, favor) in [(3u64, &[][..]), (11, &[]), (29, &[]), (29, tailored)] {
+        let name = format!("parity-{seed}-{}", favor.len());
         let tcp = drive_session(
             &mut Tcp(Client::connect(tcp_server.addr()).expect("tcp connect")),
             &name,
             seed,
+            favor,
         );
         let http = drive_session(
             &mut Http(
@@ -163,14 +173,19 @@ fn http_tcp_and_inprocess_transcripts_are_byte_identical() {
             ),
             &name,
             seed,
+            favor,
         );
-        let direct = drive_session(&mut Direct(&engine), &name, seed);
+        let direct = drive_session(&mut Direct(&engine), &name, seed, favor);
         assert_eq!(tcp, http, "HTTP transcript diverged for seed {seed}");
         assert_eq!(
             tcp, direct,
             "in-process transcript diverged for seed {seed}"
         );
     }
+    // The tailored session answers differently from the plain one.
+    let plain = drive_session(&mut Direct(&engine), "plain", 29, &[]);
+    let favored = drive_session(&mut Direct(&engine), "favored", 29, tailored);
+    assert_ne!(plain[1..], favored[1..], "favor changed nothing");
 }
 
 #[test]
@@ -203,8 +218,9 @@ fn auth_and_quotas_never_touch_response_bytes() {
         &mut AuthedHttp(HttpClient::connect(server.http_addr().unwrap()).unwrap()),
         "parity-a",
         17,
+        &[],
     );
-    let direct = drive_session(&mut Direct(&engine), "parity-a", 17);
+    let direct = drive_session(&mut Direct(&engine), "parity-a", 17, &[]);
     assert_eq!(via_tenant, direct);
     // And the unauthenticated view of the same server is a clean 401.
     let (status, _) = client.call_line(None, "{\"op\":\"table_info\"}").unwrap();

@@ -234,6 +234,7 @@ fn session_script(name: &str) -> Vec<String> {
                 seed: Some(11),
                 capacity: Some(20_000),
                 min_ss: Some(1_000),
+                ..OpenOptions::default()
             },
         },
         Request::Expand {

@@ -9,7 +9,7 @@ use smart_drilldown::core::{
     Brs, BrsResult, ColumnWeight, Rule, SearchOptions, SearchStats, SizeMinusOne, SizeWeight,
     WeightFn,
 };
-use smart_drilldown::table::{Schema, Table, TableError, TableView};
+use smart_drilldown::table::{OwnedTableView, Schema, Table, TableError, TableView};
 
 /// A random small categorical table: 3 columns with cardinalities ≤ 4.
 fn arb_table() -> impl Strategy<Value = Table> {
@@ -284,6 +284,34 @@ fn sum_weighted_pruning_is_lossless_and_negative_measures_do_not_build() {
             ),
             "seed {seed}: a negative measure built"
         );
+    }
+}
+
+/// The same contract on views weighted directly: on 300 seeded tables with
+/// row weights from [0, 10), BRS (k = 3, `mw` = 3) returns the same list
+/// with pruning and without, bit for bit; weights from [−5, 10) no longer
+/// make a view, borrowed or owned.
+#[test]
+fn weighted_view_pruning_is_lossless_and_negative_weights_do_not_build() {
+    let draw = |seed: u64, lo: f64| -> Vec<f64> {
+        let mut rng = StdRng::seed_from_u64(seed.wrapping_add(1 << 32));
+        (0..200).map(|_| rng.gen_range(lo..10.0)).collect()
+    };
+    for seed in 0..300 {
+        let table = seeded_measured(seed, 0.0).unwrap();
+        let weights = draw(seed, 0.0);
+        let view = TableView::all_with_weights(&table, &weights);
+        let brs = Brs::new(&SizeWeight).with_max_weight(3.0);
+        let pruned = brs.clone().run(&view, 3);
+        let unpruned = brs.with_pruning(false).run(&view, 3);
+        assert_eq!(pruned.rules_only(), unpruned.rules_only(), "seed {seed}");
+        assert_eq!(float_bits(&pruned), float_bits(&unpruned), "seed {seed}");
+        let bad = draw(seed, -5.0);
+        let borrowed = std::panic::catch_unwind(|| TableView::all_with_weights(&table, &bad).len());
+        assert!(borrowed.is_err(), "seed {seed}: a negative weight built");
+        let shared = std::sync::Arc::new(table.clone());
+        let owned = std::panic::catch_unwind(|| OwnedTableView::all_with_weights(shared, bad));
+        assert!(owned.is_err(), "seed {seed}: a negative weight built");
     }
 }
 

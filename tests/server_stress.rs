@@ -85,6 +85,7 @@ fn drive_session(transport: &mut dyn Transport, name: &str, seed: u64) -> Vec<St
             seed: Some(seed),
             capacity: Some(20_000),
             min_ss: Some(1_000),
+            ..OpenOptions::default()
         },
     };
     send(transport, &open);
