@@ -204,6 +204,10 @@ mod tests {
             parse_command("weight BITS").unwrap(),
             Command::Weight("bits".to_owned())
         );
+        assert_eq!(
+            parse_command("w size-1").unwrap(),
+            Command::Weight("size-1".to_owned())
+        );
         assert_eq!(parse_command("k 5").unwrap(), Command::SetK(5));
         assert_eq!(parse_command("mw 4.5").unwrap(), Command::SetMw(4.5));
         assert_eq!(

@@ -77,14 +77,6 @@ fn parse_flags(args: &[String]) -> Result<Vec<(String, Option<String>)>, String>
     Ok(out)
 }
 
-/// The value of flag `--name`, parsed: an `InvalidInput` error when it is
-/// missing or malformed.
-fn flag<T: std::str::FromStr>(name: &str, value: Option<&str>, what: &str) -> std::io::Result<T> {
-    let invalid = |message| std::io::Error::new(std::io::ErrorKind::InvalidInput, message);
-    let value = value.ok_or_else(|| invalid(format!("--{name} needs a {what}")))?;
-    value.parse().map_err(|_| invalid(format!("bad --{name}")))
-}
-
 /// Writes a usage error and the usage text: exit status 2.
 fn usage_error(output: &mut impl Write, message: &str) -> std::io::Result<ExitCode> {
     writeln!(output, "error: {message}\n{SERVE_USAGE}")?;
@@ -117,27 +109,67 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<ExitCo
         Err(e) => return usage_error(output, &e),
     };
     for (name, value) in flags {
-        let value = value.as_deref();
+        let need = |what: &str| -> Result<String, std::io::Error> {
+            value.clone().ok_or_else(|| {
+                std::io::Error::new(
+                    std::io::ErrorKind::InvalidInput,
+                    format!("--{name} needs a {what}"),
+                )
+            })
+        };
         match name.as_str() {
-            "addr" => addr = flag(&name, value, "host:port")?,
-            "demo" => source = Source::Demo(flag(&name, value, "name")?, None),
-            "open" => source = Source::Csv(flag(&name, value, "path")?),
-            "rows" => rows = Some(flag(&name, value, "count")?),
-            "threads" => config.threads = flag(&name, value, "count")?,
-            "shards" => shards = Some(flag(&name, value, "count")?),
-            "spill" => spill = Some(flag::<String>(&name, value, "dir")?.into()),
-            "tail" => tail = Some(flag(&name, value, "rows-per-segment")?),
-            "cache" => config.engine.cache_bytes = flag::<usize>(&name, value, "MiB")? << 20,
-            "http" => http_port = Some(flag(&name, value, "port")?),
+            "addr" => addr = need("host:port")?,
+            "demo" => source = Source::Demo(need("name")?, None),
+            "open" => source = Source::Csv(need("path")?),
+            "rows" => {
+                rows = Some(need("count")?.parse().map_err(|_| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --rows")
+                })?)
+            }
+            "threads" => {
+                config.threads = need("count")?.parse().map_err(|_| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --threads")
+                })?
+            }
+            "shards" => {
+                shards = Some(need("count")?.parse().map_err(|_| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --shards")
+                })?)
+            }
+            "spill" => spill = Some(need("dir")?.into()),
+            "tail" => {
+                tail = Some(need("rows-per-segment")?.parse().map_err(|_| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --tail")
+                })?)
+            }
+            "cache" => {
+                let mib: usize = need("MiB")?.parse().map_err(|_| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --cache")
+                })?;
+                config.engine.cache_bytes = mib << 20;
+            }
+            "http" => {
+                http_port = Some(need("port")?.parse().map_err(|_| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --http")
+                })?)
+            }
             "tokens" => {
-                let path: String = flag(&name, value, "file")?;
+                let path = need("file")?;
                 match sdd_server::TenantRegistry::load_token_file(std::path::Path::new(&path)) {
                     Ok(reg) => config.engine.tenants = Arc::new(reg),
                     Err(e) => return start_failure(output, &e.to_string()),
                 }
             }
-            "max-queue" => config.max_queue = flag(&name, value, "count")?,
-            "idle-timeout" => idle_timeout = Some(flag(&name, value, "seconds")?),
+            "max-queue" => {
+                config.max_queue = need("count")?.parse().map_err(|_| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --max-queue")
+                })?
+            }
+            "idle-timeout" => {
+                idle_timeout = Some(need("seconds")?.parse().map_err(|_| {
+                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --idle-timeout")
+                })?)
+            }
             "smoke-scrape" => smoke_scrape = true,
             other => return usage_error(output, &format!("unknown flag --{other}")),
         }
@@ -353,13 +385,12 @@ fn validate_prometheus(text: &str, segmented: bool) -> Result<(usize, usize), St
         if !help.contains(family) || !typed.contains(family) {
             return Err(format!("sample {name} missing # HELP/# TYPE for {family}"));
         }
-        if line
+        let value = line
             .rsplit(' ')
             .next()
-            .is_none_or(|v| v.parse::<f64>().is_err())
-        {
-            return Err(format!("unparsable value in {line:?}"));
-        }
+            .filter(|v| v.parse::<f64>().is_ok())
+            .ok_or(format!("unparsable value in {line:?}"))?;
+        let _ = value;
         samples += 1;
     }
     let storage: &[&str] = if segmented {

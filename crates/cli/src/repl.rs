@@ -35,6 +35,8 @@ pub fn run<R: BufRead, W: Write>(mut input: R, output: &mut W) -> io::Result<()>
         let Some(source) = drive(&mut call, &mut session, &mut input, output)? else {
             return Ok(());
         };
+        // The old dataset goes first: a reload never holds two tables.
+        engine = None;
         let table = match load(&source) {
             Ok(t) => t,
             Err(e) => {
@@ -294,13 +296,9 @@ pub fn drive<R: BufRead, W: Write>(
         };
         match call(&request)? {
             Response::Expanded { .. } | Response::Collapsed => show(call, session, output)?,
-            // Over a live table the engine schedules the refresh instead.
-            Response::RuleList { rules } if matches!(request, Request::Refresh { .. }) => {
-                if rules.iter().all(|r| r.exact) {
-                    writeln!(output, "counts refreshed (exact)")?;
-                } else {
-                    writeln!(output, "exact counts scheduled")?;
-                }
+            // Over a live table the refresh is scheduled; the render drains it.
+            Response::RuleList { .. } if matches!(request, Request::Refresh { .. }) => {
+                writeln!(output, "counts refreshed (exact)")?;
                 show(call, session, output)?;
             }
             reply => print_reply(reply, output)?,
@@ -359,6 +357,25 @@ mod tests {
     fn weight_switch_resets_display() {
         let out = run_script("demo retail\nexpand\nweight bits\nquit\n");
         assert!(out.contains("weighting = bits"), "{out}");
+    }
+
+    #[test]
+    fn size_minus_one_weighting_skips_single_value_rules() {
+        // Size-1 weighs a rule with one instantiated column 0, so every
+        // rule the expansion picks instantiates at least two.
+        let out = run_script("demo retail\nw size-1\nexpand\nrules\nquit\n");
+        assert!(out.contains("weighting = size-1; display reset"), "{out}");
+        let listed: Vec<&str> = out
+            .lines()
+            .filter(|l| l.contains(" weight=") && !l.contains("root ("))
+            .collect();
+        assert!(!listed.is_empty(), "{out}");
+        for line in listed {
+            let weight: f64 = line.rsplit("weight=").next().unwrap().parse().unwrap();
+            let rule = &line[line.find('(').unwrap()..line.find(')').unwrap()];
+            let values = rule.split(", ").filter(|v| !v.ends_with('?')).count();
+            assert!(weight >= 1.0 && values >= 2, "{line}\n{out}");
+        }
     }
 
     #[test]
