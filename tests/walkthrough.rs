@@ -281,6 +281,7 @@ fn displayed_score_matches_recomputation() {
 #[test]
 fn sum_aggregate_walkthrough() {
     let table = Arc::new(retail(42));
+    let sales = table.measure("Sales").unwrap();
     let view = table.view_weighted_by("Sales").unwrap();
     let result = Brs::new(&SizeWeight).run(&view, 3);
     // Same rule shapes win under Sum (sales are uniform-ish per tuple).
@@ -294,6 +295,30 @@ fn sum_aggregate_walkthrough() {
     for s in &result.rules {
         assert!(s.count >= 40.0 * 100.0);
     }
+    // The Sum is pinned bit for bit: each rule's summed Sales, and a fold
+    // of the Sales column's bits (the weights every sum is taken over).
+    // The sums are 45 852, 132 871 and 226 490.
+    let sums: Vec<u64> = result.rules.iter().map(|s| s.count.to_bits()).collect();
+    assert_eq!(
+        shown,
+        [
+            "(Target, bicycles, ?)",
+            "(?, comforters, MA-3)",
+            "(Walmart, ?, ?)"
+        ]
+    );
+    assert_eq!(
+        sums,
+        [
+            0x40e6_6380_0000_0000,
+            0x4100_3838_0000_0000,
+            0x410b_a5d0_0000_0000
+        ]
+    );
+    let fold = sales
+        .iter()
+        .fold(0u64, |h, v| h.rotate_left(5) ^ v.to_bits());
+    assert_eq!(fold, 0xb0db_5bee_22c0_b535);
 }
 
 #[test]
