@@ -10,10 +10,11 @@
 use sdd_bench::report::{print_table, write_csv};
 use sdd_bench::{row, timing};
 use sdd_core::{BitsWeight, Brs, SizeWeight, WeightFn};
+use sdd_table::TableView;
 
 fn main() {
     let reps = sdd_bench::reps();
-    let retail = sdd_bench::datasets::retail();
+    let (retail, sales) = sdd_datagen::retail_with_sales(42);
     let marketing = sdd_bench::datasets::marketing7();
 
     let mut rows = vec![row![
@@ -25,16 +26,16 @@ fn main() {
         "pruned_candidates"
     ]];
 
-    // `measure` names the `Sum` path's row weights (paper §6.3); `None`
-    // counts rows.
-    for (dataset, table, measure, weight, mw) in [
+    // `sum` holds the `Sum` path's row weights (paper §6.3); `None` counts
+    // rows.
+    for (dataset, table, sum, weight, mw) in [
         ("retail", &retail, None, &SizeWeight as &dyn WeightFn, 3.0),
-        ("retail/Sales", &retail, Some("Sales"), &SizeWeight, 3.0),
-        ("marketing", &marketing, None, &SizeWeight, 5.0),
-        ("marketing", &marketing, None, &BitsWeight, 20.0),
+        ("retail/Sales", &retail, Some(&sales[..]), &SizeWeight, 3.0),
+        ("marketing", &*marketing, None, &SizeWeight, 5.0),
+        ("marketing", &*marketing, None, &BitsWeight, 20.0),
     ] {
-        let view = match measure {
-            Some(name) => table.view_weighted_by(name).expect("a measure column"),
+        let view = match sum {
+            Some(weights) => TableView::all_with_weights(table, weights),
             None => table.view(),
         };
         let mut answers = Vec::new();

@@ -5,7 +5,7 @@
 use sdd_table::Table;
 use std::sync::Arc;
 
-/// The walkthrough retail table (6000 rows, 3 columns + Sales).
+/// The walkthrough retail table (6000 rows, 3 columns).
 pub fn retail() -> Arc<Table> {
     Arc::new(sdd_datagen::retail(42))
 }

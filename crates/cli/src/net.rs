@@ -827,7 +827,7 @@ mod tests {
         let cases: [(&[&str], &str); 3] = [
             (
                 &["--open", &csv, "--tail", "128", "--spill", &spill],
-                "6000 rows × 4 columns (live, epoch 1, sealing every 128 rows, spilled)",
+                "6000 rows × 3 columns (live, epoch 1, sealing every 128 rows, spilled)",
             ),
             (
                 &["--demo", "retail", "--tail", "512"],

@@ -366,15 +366,14 @@ mod tests {
 
     #[test]
     fn sum_aggregate_via_weighted_view() {
-        // §6.3: Sum over a measure column = per-tuple weights.
-        let mut b = Table::builder(Schema::new(["Store"]).unwrap());
-        for (store, sales) in [("walmart", 100.0), ("walmart", 50.0), ("target", 10.0)] {
-            b.push_row(&[store]).unwrap();
-            let _ = sales;
-        }
-        b.add_measure("Sales", vec![100.0, 50.0, 10.0]).unwrap();
-        let table = b.build().unwrap();
-        let view = table.view_weighted_by("Sales").unwrap();
+        // §6.3: Sum over a numeric column = per-tuple weights.
+        let table = Table::from_rows(
+            Schema::new(["Store"]).unwrap(),
+            &[["walmart"], ["walmart"], ["target"]],
+        )
+        .unwrap();
+        let sales = [100.0, 50.0, 10.0];
+        let view = TableView::all_with_weights(&table, &sales);
         let res = Brs::new(&SizeWeight).run(&view, 1);
         assert_eq!(res.rules[0].rule.display(&table), "(walmart)");
         assert_eq!(res.rules[0].count, 150.0);

@@ -39,7 +39,7 @@ impl McpInstance {
                 .collect();
             b.push_row(&row).expect("arity matches");
         }
-        b.build().expect("no measures")
+        b.build()
     }
 
     /// Exact MCP solver (brute force over all `C(m, k)` choices).

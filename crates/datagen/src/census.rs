@@ -223,7 +223,7 @@ fn generate(cfg: &CensusConfig, keep: usize) -> Table {
         }
         b.push_row(&row).expect("one field per kept column");
     }
-    b.build().expect("no measures")
+    b.build()
 }
 
 #[cfg(test)]

@@ -21,4 +21,4 @@ pub mod zipf;
 
 pub use census::{census, census_first_columns};
 pub use marketing::marketing;
-pub use retail::retail;
+pub use retail::{retail, retail_with_sales};

@@ -55,7 +55,7 @@ pub fn marketing_sized(n_rows: usize, seed: u64) -> Table {
         let row = sample_person(&mut rng);
         b.push_row(&row).expect("14 fields");
     }
-    b.build().expect("no measures")
+    b.build()
 }
 
 fn sample_person(rng: &mut StdRng) -> [&'static str; 14] {

@@ -1,7 +1,7 @@
 //! The department-store walkthrough dataset (paper §1, Tables 1–3).
 //!
-//! 6000 rows of (Store, Product, Region) + a Sales measure, with the
-//! paper's patterns planted **exactly**:
+//! 6000 rows of (Store, Product, Region), with the paper's patterns
+//! planted **exactly**:
 //!
 //! * 200 × (Target, bicycles, ?)
 //! * 600 × (?, comforters, MA-3)
@@ -14,16 +14,25 @@
 //!
 //! Expanding the trivial rule with `k = 3` under Size weighting reproduces
 //! Table 2; drilling into the Walmart rule reproduces Table 3.
+//! [`retail_with_sales`] adds one Sales figure per row for the `Sum`
+//! aggregate of §6.3.
 
 use crate::zipf::Zipf;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use sdd_table::{Schema, Table};
 
+/// Generates the walkthrough table. Deterministic per `seed`.
+pub fn retail(seed: u64) -> Table {
+    retail_with_sales(seed).0
+}
+
 /// Total number of rows (the paper's 6000-tuple answer table).
 pub const N_ROWS: usize = 6000;
 
-/// Generates the walkthrough table. Deterministic per `seed`.
-pub fn retail(seed: u64) -> Table {
+/// The walkthrough table of [`retail`] and each row's Sales, drawn from
+/// the same RNG stream after the rows: a whole number in 40..=400, a
+/// valid `Sum` weight for `TableView::all_with_weights`.
+pub fn retail_with_sales(seed: u64) -> (Table, Vec<f64>) {
     let mut rng = StdRng::seed_from_u64(seed);
 
     // Disjoint pools for background noise: planted values never appear here.
@@ -97,14 +106,14 @@ pub fn retail(seed: u64) -> Table {
             .expect("arity 3");
         sales.push(rng.gen_range(40.0f64..400.0).round());
     }
-    b.add_measure("Sales", sales).expect("fresh name");
-    b.build().expect("measure aligned")
+    (b.build(), sales)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use sdd_core::{rule_count, Rule};
+    use sdd_table::csv::write_csv;
 
     #[test]
     fn planted_counts_match_the_paper_exactly() {
@@ -169,8 +178,8 @@ mod tests {
 
     #[test]
     fn has_sales_measure() {
-        let t = retail(42);
-        let sales = t.measure("Sales").unwrap();
+        let (t, sales) = retail_with_sales(42);
+        assert_eq!(write_csv(&t), write_csv(&retail(42)));
         assert_eq!(sales.len(), N_ROWS);
         assert!(sales.iter().all(|&s| (40.0..=400.0).contains(&s)));
     }

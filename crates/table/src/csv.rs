@@ -12,13 +12,13 @@
 //! the segment writer every sharded table is built with, and
 //! [`stream_csv_live`] into a live table's append staging. The last two
 //! seal each segment as its last row arrives — never holding more than one
-//! unsealed segment (plus dictionaries) in memory — and read every column
-//! as categorical: only a monolithic table ([`read_csv_with_measures`])
-//! carries measure columns.
+//! unsealed segment (plus dictionaries) in memory. A table holds categorical
+//! columns only: [`read_csv_with_measures`] is the one place where numeric
+//! input becomes row weights, returned beside the table for the `Sum`
+//! aggregate's [`crate::TableView::all_with_weights`].
 
 use crate::shard::{Batch, LiveTable, LiveTableConfig, SegmentWriter, ShardConfig, ShardedTable};
-use crate::table::is_weight;
-use crate::view::chunk_spans;
+use crate::view::{chunk_spans, is_weight};
 use crate::{Schema, Table, TableBuilder, TableError};
 use std::fs::File;
 use std::io::{BufRead, BufReader};
@@ -26,10 +26,10 @@ use std::sync::Arc;
 
 /// Parses CSV text (first record = header) into a [`Table`].
 ///
-/// Every column is ingested as categorical. To treat a numeric column as a
-/// measure (for `Sum` aggregates), use [`read_csv_with_measures`].
+/// Every column is ingested as categorical. To read a numeric column as
+/// row weights (for `Sum` aggregates), use [`read_csv_with_measures`].
 pub fn read_csv(input: &str) -> Result<Table, TableError> {
-    read_csv_with_measures(input, &[])
+    Ok(read_csv_with_measures(input, &[])?.0)
 }
 
 /// Where the record loop puts each row's categorical values, in schema
@@ -39,39 +39,46 @@ pub(crate) trait RowSink {
 }
 
 /// The one CSV record loop over a reader whose header is routed: the
-/// columns named as measures become measure columns, the rest the schema.
+/// columns named as measures become row weights, the rest the schema.
 struct CsvRows<R: BufRead> {
     reader: RecordReader<R>,
+    width: usize,
     cat_idx: Vec<usize>,
     measure_idx: Vec<usize>,
 }
 
 impl<R: BufRead> CsvRows<R> {
-    /// Reads the header of `input` and routes it: the loop, the schema and
-    /// the measure names.
-    fn new(input: R, measures: &[&str]) -> Result<(Self, Schema, Vec<String>), TableError> {
+    /// Reads the header of `input` and routes it: the loop and the schema.
+    /// Each measure name must appear in the header exactly once.
+    fn new(input: R, measures: &[&str]) -> Result<(Self, Schema), TableError> {
         let mut reader = RecordReader::new(input);
         let header = reader.next().ok_or(TableError::Empty)??;
-        if let Some(m) = measures.iter().find(|m| !header.iter().any(|h| h == *m)) {
-            return Err(TableError::UnknownMeasure((*m).to_owned()));
-        }
-        let (measure_idx, cat_idx): (Vec<usize>, Vec<usize>) =
-            (0..header.len()).partition(|&i| measures.contains(&header[i].as_str()));
+        let find = |m: &&str| match header.iter().position(|h| h == m) {
+            None => Err(TableError::UnknownMeasure((*m).to_owned())),
+            Some(i) if header[i + 1..].iter().any(|h| h == m) => {
+                Err(TableError::DuplicateColumn((*m).to_owned()))
+            }
+            Some(i) => Ok(i),
+        };
+        let measure_idx = measures.iter().map(find).collect::<Result<Vec<_>, _>>()?;
+        let cat_idx: Vec<usize> = (0..header.len())
+            .filter(|i| !measure_idx.contains(i))
+            .collect();
         let schema = Schema::new(cat_idx.iter().map(|&i| header[i].clone()))?;
-        let names = measure_idx.iter().map(|&i| header[i].clone()).collect();
         let rows = CsvRows {
             reader,
+            width: header.len(),
             cat_idx,
             measure_idx,
         };
-        Ok((rows, schema, names))
+        Ok((rows, schema))
     }
 
     /// Checks each record's arity against the header, reporting the input
     /// line the record started on, appends its measure fields to
-    /// `measures` (one column per measure name) and hands its categorical
-    /// fields to `sink`. A measure field must parse as a number that is
-    /// finite and non-negative: it weighs its row in a `Sum`.
+    /// `measures` (one column per requested name) and hands its categorical
+    /// fields to `sink`. A measure field must parse as a number that is a
+    /// valid weight (finite and non-negative): it weighs its row in a `Sum`.
     fn feed(
         mut self,
         sink: &mut impl RowSink,
@@ -79,7 +86,7 @@ impl<R: BufRead> CsvRows<R> {
     ) -> Result<(), TableError> {
         debug_assert_eq!(measures.len(), self.measure_idx.len());
         let reader = &mut self.reader;
-        let width = self.cat_idx.len() + self.measure_idx.len();
+        let width = self.width;
         while reader.read_record(true)? {
             let line = reader.record_line();
             if reader.n_fields() != width {
@@ -103,27 +110,40 @@ impl<R: BufRead> CsvRows<R> {
     }
 }
 
-/// Parses CSV text, routing the named columns into numeric measure columns
-/// instead of categorical columns.
-pub fn read_csv_with_measures(input: &str, measures: &[&str]) -> Result<Table, TableError> {
-    let (rows, schema, names) = CsvRows::new(input.as_bytes(), measures)?;
+/// Parses CSV text, reading the named columns as numbers instead of
+/// categorical columns: the table of the other columns, and one weight
+/// column per name in `measures`, in that order. Weigh the table by one of
+/// them with [`crate::TableView::all_with_weights`] (the `Sum` aggregate,
+/// §6.3).
+///
+/// # Errors
+///
+/// [`TableError::UnknownMeasure`] for a name the header lacks,
+/// [`TableError::DuplicateColumn`] for one it holds twice,
+/// [`TableError::ParseNumber`] for a measure field that is not a number,
+/// and [`TableError::Csv`] naming the line of the first negative, NaN or
+/// infinite one, which no weight may be.
+pub fn read_csv_with_measures(
+    input: &str,
+    measures: &[&str],
+) -> Result<(Table, Vec<Vec<f64>>), TableError> {
+    let (rows, schema) = CsvRows::new(input.as_bytes(), measures)?;
     // Size every column once: growing them by doubling leaves each outgrown
     // copy behind as a hole in the heap, and those holes, not the table, set
     // the ingest's peak memory. Every record but the last ends in a newline
     // and spends at least a byte per field, so this bounds the rows from
     // above, and a hostile input cannot make it reserve more than a few
     // bytes per input byte.
-    let fields = schema.n_columns() + names.len();
     let newlines = input.bytes().filter(|&b| b == b'\n').count();
-    let n_rows = newlines.min(input.len() / fields.max(1));
+    let n_rows = newlines.min(input.len() / rows.width.max(1));
     let mut builder = TableBuilder::new(schema);
     builder.reserve(n_rows);
-    let mut cols: Vec<Vec<f64>> = names.iter().map(|_| Vec::with_capacity(n_rows)).collect();
+    let mut cols: Vec<Vec<f64>> = measures
+        .iter()
+        .map(|_| Vec::with_capacity(n_rows))
+        .collect();
     rows.feed(&mut builder, &mut cols)?;
-    for (name, col) in names.into_iter().zip(cols) {
-        builder.add_measure(name, col)?;
-    }
-    builder.build()
+    Ok((builder.build(), cols))
 }
 
 /// Streams a CSV file into a [`ShardedTable`] without ever materializing
@@ -156,7 +176,7 @@ pub fn stream_csv_file(
     // Pass 1: route the header, count the records.
     let n_rows = CsvRows::new(open()?, &[])?.0.reader.count_remaining()?;
     // Pass 2: the record loop, into the segment writer.
-    let (rows, schema, _) = CsvRows::new(open()?, &[])?;
+    let (rows, schema) = CsvRows::new(open()?, &[])?;
     stream_segments(schema, n_rows, config, |batch| rows.feed(batch, &mut []))
 }
 
@@ -201,63 +221,33 @@ pub fn stream_csv_live(
     path: impl AsRef<std::path::Path>,
     config: &LiveTableConfig,
 ) -> Result<LiveTable, TableError> {
-    let (rows, schema, _) = CsvRows::new(BufReader::new(File::open(path)?), &[])?;
+    let (rows, schema) = CsvRows::new(BufReader::new(File::open(path)?), &[])?;
     LiveTable::seeded(schema, config, |batch| rows.feed(batch, &mut []))
 }
 
-/// Serializes a table (categorical columns then measures) to CSV text.
+/// Serializes a table to CSV text, header first.
 pub fn write_csv(table: &Table) -> String {
     let mut out = String::new();
-    let n_cat = table.n_columns();
-    let measure_names: Vec<&str> = table.measure_names().collect();
-
-    for c in 0..n_cat {
-        if c > 0 {
-            out.push(',');
-        }
-        write_field(&mut out, table.schema().column_name(c));
-    }
-    for name in &measure_names {
-        if n_cat > 0 || !out.is_empty() {
-            out.push(',');
-        }
-        write_field(&mut out, name);
-    }
-    out.push('\n');
-
-    let measures: Vec<&[f64]> = measure_names
-        .iter()
-        .map(|n| table.measure(n).expect("name came from the table"))
-        .collect();
-
+    let names = table.schema().columns().iter().map(|c| c.name());
+    write_record(&mut out, names);
     for row in 0..table.n_rows() as u32 {
-        let mut first = true;
-        for c in 0..n_cat {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            write_field(&mut out, table.value(row, c));
-        }
-        for m in &measures {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let v = m[row as usize];
-            out.push_str(&format_number(v));
-        }
-        out.push('\n');
+        write_record(
+            &mut out,
+            (0..table.n_columns()).map(|c| table.value(row, c)),
+        );
     }
     out
 }
 
-fn format_number(v: f64) -> String {
-    if v.fract() == 0.0 && v.abs() < 1e15 {
-        format!("{}", v as i64)
-    } else {
-        format!("{v}")
+/// Appends one record of `fields` and its newline.
+fn write_record<'a>(out: &mut String, fields: impl Iterator<Item = &'a str>) {
+    for (i, field) in fields.enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_field(out, field);
     }
+    out.push('\n');
 }
 
 fn write_field(out: &mut String, field: &str) {
@@ -565,7 +555,7 @@ mod tests {
             b.push_row(&[format!("a{}", i % 5), format!("b{}", i % 3)])
                 .unwrap();
         }
-        b.build().unwrap()
+        b.build()
     }
 
     /// A streamed build of `rows` rows of two columns from the rows `fill`
@@ -807,9 +797,21 @@ mod tests {
     #[test]
     fn measures_are_parsed_as_numbers() {
         let csv = "Store,Sales\nWalmart,100\nTarget,250.5\n";
-        let t = read_csv_with_measures(csv, &["Sales"]).unwrap();
+        let (t, sales) = read_csv_with_measures(csv, &["Sales"]).unwrap();
         assert_eq!(t.n_columns(), 1);
-        assert_eq!(t.measure("Sales").unwrap(), &[100.0, 250.5]);
+        assert_eq!(sales, [[100.0, 250.5]]);
+    }
+
+    #[test]
+    fn measures_come_in_request_order_and_once_per_header_name() {
+        let csv = "A,Sales,Store,Cost\na,1,x,2\n";
+        let (t, m) = read_csv_with_measures(csv, &["Cost", "Sales"]).unwrap();
+        assert_eq!(t.schema(), &Schema::new(["A", "Store"]).unwrap());
+        assert_eq!(m, [[2.0], [1.0]]);
+        assert_eq!(
+            read_csv_with_measures("Sales,Sales\n1,2\n", &["Sales"]).unwrap_err(),
+            TableError::DuplicateColumn("Sales".to_owned())
+        );
     }
 
     #[test]
@@ -844,14 +846,6 @@ mod tests {
             read_csv("a\nfoo\"bar\n"),
             Err(TableError::Csv { .. })
         ));
-    }
-
-    #[test]
-    fn measure_roundtrip_in_write_csv() {
-        let csv = "Store,Sales\nWalmart,100\n";
-        let t = read_csv_with_measures(csv, &["Sales"]).unwrap();
-        let out = write_csv(&t);
-        assert_eq!(out, "Store,Sales\nWalmart,100\n");
     }
 
     #[test]

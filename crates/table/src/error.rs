@@ -3,19 +3,20 @@ use std::fmt;
 /// Errors produced by table construction and I/O.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TableError {
-    /// A row had a different number of fields than the schema, or a
-    /// measure column a different number of values than the table has rows.
+    /// A row had a different number of fields than the schema, or a live
+    /// table was handed measure columns (it takes none).
     ArityMismatch {
-        /// Number of values expected (columns, or rows for a measure).
+        /// Number of values expected (columns, or no measure columns).
         expected: usize,
-        /// Number of values the offending row or measure carried.
+        /// Number of values the offending row carried, or of measure
+        /// columns passed.
         got: usize,
     },
     /// A column name was referenced that does not exist in the schema.
     UnknownColumn(String),
-    /// A measure column was referenced that does not exist.
+    /// A measure column was requested that the CSV header does not name.
     UnknownMeasure(String),
-    /// Two columns (or measures) were declared with the same name.
+    /// Two columns were declared with the same name.
     DuplicateColumn(String),
     /// The CSV input was structurally malformed.
     Csv {
@@ -26,14 +27,6 @@ pub enum TableError {
     },
     /// A value could not be parsed as a number where one was required.
     ParseNumber(String),
-    /// A measure value was negative, NaN or infinite: a `Sum` weight must
-    /// be finite and non-negative.
-    BadMeasure {
-        /// The measure column.
-        name: String,
-        /// The 0-based row holding the value.
-        row: usize,
-    },
     /// The table (or input) was empty where data was required.
     Empty,
     /// An I/O failure during streaming ingest or spill (message of the
@@ -88,10 +81,6 @@ impl fmt::Display for TableError {
             TableError::DuplicateColumn(name) => write!(f, "duplicate column name: {name:?}"),
             TableError::Csv { line, message } => write!(f, "csv error at line {line}: {message}"),
             TableError::ParseNumber(s) => write!(f, "cannot parse {s:?} as a number"),
-            TableError::BadMeasure { name, row } => write!(
-                f,
-                "measure {name:?} row {row}: a weight must be finite and non-negative"
-            ),
             TableError::Empty => write!(f, "input is empty"),
             TableError::Io(message) => write!(f, "i/o error: {message}"),
             TableError::Corrupt(message) => write!(f, "corrupt spill file: {message}"),

@@ -12,12 +12,12 @@
 //!   `u16` or `u32`) its dictionary fits,
 //! * [`Schema`] / [`ColumnDef`] — column metadata,
 //! * [`Table`] / [`TableBuilder`] — immutable dictionary-encoded columnar
-//!   storage with optional numeric *measure* columns (for the `Sum` aggregate
-//!   of §6.3; every value finite and non-negative, as a `Sum` weight must
-//!   be),
+//!   storage of categorical columns, nothing else,
 //! * [`TableView`] / [`OwnedTableView`] — every row of a table with optional
 //!   per-tuple weights (the mechanism that lets one algorithm code path
-//!   serve Count, Sum, and scale-weighted samples); a subset of rows is a
+//!   serve Count, Sum, and scale-weighted samples; a `Sum` weighs each row
+//!   by a numeric column read beside the table,
+//!   [`csv::read_csv_with_measures`]); a subset of rows is a
 //!   gathered small table ([`Table::gather_rows`]) viewed whole, never an
 //!   index vector,
 //! * [`stats`] — per-column frequency statistics used by weighting functions
@@ -25,8 +25,7 @@
 //! * [`csv`] — a small self-contained CSV reader/writer,
 //! * [`bucketize`] — equi-width / equi-depth bucketization of numeric data,
 //! * [`shard`] — the larger-than-memory tier: [`ShardedTable`] partitions
-//!   the categorical columns (no measures: only a [`Table`] carries them)
-//!   into fixed columnar shards, each resident (a decoded segment) or
+//!   a table into fixed columnar shards, each resident (a decoded segment) or
 //!   spilled (a file on disk, read on demand and never kept decoded),
 //!   [`csv::stream_csv_file`] streams a file in without materializing the
 //!   monolithic table, and [`TableStore`] lets the session stack hold either storage

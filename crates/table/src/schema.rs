@@ -65,23 +65,6 @@ impl Schema {
             .position(|c| c.name() == name)
             .ok_or_else(|| TableError::UnknownColumn(name.to_owned()))
     }
-
-    /// Checks that the measure names differ from every column and from
-    /// each other: the first that does not is a
-    /// [`TableError::DuplicateColumn`].
-    pub(crate) fn require_distinct_measures<'a>(
-        &self,
-        measures: impl IntoIterator<Item = &'a str>,
-    ) -> Result<(), TableError> {
-        let mut seen: Vec<&str> = Vec::new();
-        for name in measures {
-            if self.index_of(name).is_ok() || seen.contains(&name) {
-                return Err(TableError::DuplicateColumn(name.to_owned()));
-            }
-            seen.push(name);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]

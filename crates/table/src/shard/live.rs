@@ -314,8 +314,8 @@ impl LiveTable {
         Ok(state.current.clone())
     }
 
-    /// A live table holding `table`'s categorical rows as epoch 1 (empty
-    /// at epoch 0 when it has none; its measures stay behind), pushed
+    /// A live table holding `table`'s rows as epoch 1 (empty at epoch 0
+    /// when it has none), pushed
     /// through the append staging as one batch: codes are interned afresh
     /// in first-appearance order, as every append interns them.
     pub fn from_table(table: &Table, config: &LiveTableConfig) -> Result<LiveTable, TableError> {

@@ -1,7 +1,6 @@
 //! Sharded columnar storage for larger-than-memory drill-down.
 //!
-//! A [`ShardedTable`] partitions a table's rows — its categorical columns
-//! only: measures stay on the monolithic [`Table`] — into **fixed,
+//! A [`ShardedTable`] partitions a table's rows into **fixed,
 //! deterministic contiguous segments** (the shard *layout* is [`chunk_spans`] of the row
 //! count and shard count — a pure function of both, never of machine or
 //! thread count). Each shard is, for the table's whole life, **resident or

@@ -111,11 +111,11 @@ pub struct ShardedTable {
 }
 
 impl ShardedTable {
-    /// Partitions `table`'s categorical columns according to `config` (a
-    /// sharded table carries no measures): with a spill directory every
-    /// shard is encoded to disk at once and spilled, without one every
-    /// shard is resident. The shards are sealed by the same segment writer
-    /// as a streaming build's, over `table`'s own dictionaries.
+    /// Partitions `table`'s rows according to `config`: with a spill
+    /// directory every shard is encoded to disk at once and spilled,
+    /// without one every shard is resident. The shards are sealed by the
+    /// same segment writer as a streaming build's, over `table`'s own
+    /// dictionaries.
     pub fn from_table(table: &Table, config: &ShardConfig) -> io::Result<ShardedTable> {
         let mut writer = SegmentWriter::new(
             table.schema().clone(),

@@ -9,10 +9,11 @@ use std::sync::Arc;
 /// categorical (bucketize numeric data first, see [`crate::bucketize`]), and
 /// cell values are stored as dense dictionary codes for cache-friendly
 /// scans, each column at the narrowest width its dictionary fits ([`Codes`]:
-/// `u8` up to 256 values, `u16` up to 65 536, `u32` beyond). Optional *measure* columns hold finite, non-negative `f64` values for the `Sum`
-/// aggregate of §6.3 — they are never instantiated by rules, and only a
-/// monolithic table carries them (sharded, spilled and live tables hold
-/// the categorical columns alone).
+/// `u8` up to 256 values, `u16` up to 65 536, `u32` beyond). A table holds
+/// the categorical columns and nothing else: the `Sum` aggregate of §6.3
+/// weighs each row by a number read beside the table
+/// ([`crate::csv::read_csv_with_measures`]) through
+/// [`TableView::all_with_weights`].
 ///
 /// Dictionaries are held by `Arc`, so derived tables that keep the same
 /// code space — shard segments, [`Table::gather_rows`] outputs, sharded
@@ -23,7 +24,6 @@ pub struct Table {
     schema: Schema,
     dicts: Vec<Arc<Dictionary>>,
     cols: Vec<Codes>,
-    measures: Vec<(String, Vec<f64>)>,
     n_rows: usize,
 }
 
@@ -33,7 +33,7 @@ impl Table {
         TableBuilder::new(schema)
     }
 
-    /// Assembles a measureless table from pre-validated parts (the sharded
+    /// Assembles a table from pre-validated parts (the sharded
     /// substrate's segment loader). Callers guarantee that every code is
     /// within its dictionary and all lengths equal `n_rows`. A column
     /// narrower than its dictionary needs — codes sealed before the
@@ -54,7 +54,6 @@ impl Table {
             schema,
             dicts,
             cols,
-            measures: Vec::new(),
             n_rows,
         }
     }
@@ -77,7 +76,7 @@ impl Table {
         for row in rows {
             b.push_row(row.as_ref())?;
         }
-        b.build()
+        Ok(b.build())
     }
 
     /// The table's schema.
@@ -144,37 +143,14 @@ impl Table {
         buf.extend(self.cols.iter().map(|c| c.at(row as usize)));
     }
 
-    /// Names of the measure columns, in declaration order.
-    pub fn measure_names(&self) -> impl Iterator<Item = &str> {
-        self.measures.iter().map(|(n, _)| n.as_str())
-    }
-
-    /// The values of measure column `name` (one per row).
-    pub fn measure(&self, name: &str) -> Result<&[f64], TableError> {
-        self.measures
-            .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| v.as_slice())
-            .ok_or_else(|| TableError::UnknownMeasure(name.to_owned()))
-    }
-
     /// A view over all rows with unit weights (plain `Count` semantics).
     pub fn view(&self) -> TableView<'_> {
         TableView::all(self)
     }
 
-    /// A view over all rows weighted by measure column `name`
-    /// (`Sum` semantics, §6.3 of the paper). The view borrows the measure
-    /// column as its weights, which are finite and non-negative: a table
-    /// holds no other measure value (see [`TableBuilder::build`]), and the
-    /// `mw` prune of BRS is sound only for such weights.
-    pub fn view_weighted_by(&self, name: &str) -> Result<TableView<'_>, TableError> {
-        Ok(TableView::all_with_weights(self, self.measure(name)?))
-    }
-
     /// Materializes a new `Table` keeping only the first `n` columns —
     /// the paper's display convention ("we restrict the tables to the first
-    /// 7 columns", §5). Measures are carried over.
+    /// 7 columns", §5).
     pub fn project_first_columns(&self, n: usize) -> Table {
         let n = n.min(self.n_columns());
         let schema = Schema::new((0..n).map(|c| self.schema.column_name(c).to_owned()))
@@ -189,11 +165,7 @@ impl Table {
             }
             b.push_row(&row).expect("arity preserved");
         }
-        for (name, vals) in &self.measures {
-            b.add_measure(name.clone(), vals.clone())
-                .expect("measure names stay unique");
-        }
-        b.build().expect("lengths preserved")
+        b.build()
     }
 
     /// Materializes a new `Table` containing only `rows` (in the given
@@ -236,24 +208,10 @@ impl Table {
                 col.extend_gather(src.column(c), rows);
             }
         }
-        let measures = first
-            .measures
-            .iter()
-            .enumerate()
-            .map(|(mi, (name, _))| {
-                let mut vals = Vec::with_capacity(total);
-                for (src, rows) in parts {
-                    let (_, src_vals) = &src.measures[mi];
-                    vals.extend(rows.iter().map(|&r| src_vals[r as usize]));
-                }
-                (name.clone(), vals)
-            })
-            .collect();
         Table {
             schema: first.schema.clone(),
             dicts: first.dicts.clone(),
             cols,
-            measures,
             n_rows: total,
         }
     }
@@ -280,7 +238,6 @@ pub struct TableBuilder {
     schema: Schema,
     dicts: Vec<Dictionary>,
     cols: Vec<Codes>,
-    measures: Vec<(String, Vec<f64>)>,
     n_rows: usize,
 }
 
@@ -292,7 +249,6 @@ impl TableBuilder {
             schema,
             dicts: vec![Dictionary::new(); n],
             cols: vec![Codes::for_cardinality(0); n],
-            measures: Vec::new(),
             n_rows: 0,
         }
     }
@@ -320,57 +276,15 @@ impl TableBuilder {
         self.n_rows
     }
 
-    /// Attaches a numeric measure column (length checked at [`build`]).
-    ///
-    /// [`build`]: TableBuilder::build
-    pub fn add_measure(
-        &mut self,
-        name: impl Into<String>,
-        values: Vec<f64>,
-    ) -> Result<(), TableError> {
-        let name = name.into();
-        let names = self.measures.iter().map(|(n, _)| n.as_str());
-        self.schema
-            .require_distinct_measures(names.chain([name.as_str()]))?;
-        self.measures.push((name, values));
-        Ok(())
-    }
-
-    /// Finalizes the table, validating measure lengths and values.
-    ///
-    /// # Errors
-    ///
-    /// [`TableError::ArityMismatch`] when a measure column does not hold
-    /// one value per row (`expected` rows, `got` values);
-    /// [`TableError::BadMeasure`] for the first negative, NaN or infinite
-    /// value, which no `Sum` weight may be.
-    pub fn build(self) -> Result<Table, TableError> {
-        for (name, vals) in &self.measures {
-            if vals.len() != self.n_rows {
-                return Err(TableError::ArityMismatch {
-                    expected: self.n_rows,
-                    got: vals.len(),
-                });
-            }
-            if let Some(row) = vals.iter().position(|&v| !is_weight(v)) {
-                let name = name.clone();
-                return Err(TableError::BadMeasure { name, row });
-            }
-        }
-        Ok(Table {
+    /// Finalizes the table.
+    pub fn build(self) -> Table {
+        Table {
             schema: self.schema,
             dicts: self.dicts.into_iter().map(Arc::new).collect(),
             cols: self.cols,
-            measures: self.measures,
             n_rows: self.n_rows,
-        })
+        }
     }
-}
-
-/// Whether `v` can weigh a row: finite and non-negative, the precondition
-/// of the `mw` bound BRS prunes by.
-pub(crate) fn is_weight(v: f64) -> bool {
-    (0.0..f64::INFINITY).contains(&v)
 }
 
 /// The record loop's sink for a monolithic table.
@@ -431,49 +345,15 @@ mod tests {
     }
 
     #[test]
-    fn measures_roundtrip_and_validate() {
-        let mut b = TableBuilder::new(Schema::new(["Store"]).unwrap());
-        b.push_row(&["Walmart"]).unwrap();
-        b.push_row(&["Target"]).unwrap();
-        b.add_measure("Sales", vec![10.0, 20.0]).unwrap();
-        let t = b.build().unwrap();
-        assert_eq!(t.measure("Sales").unwrap(), &[10.0, 20.0]);
-        assert!(t.measure("Profit").is_err());
-        assert_eq!(t.measure_names().collect::<Vec<_>>(), vec!["Sales"]);
-    }
-
-    #[test]
-    fn measure_length_mismatch_fails_build() {
-        let mut b = TableBuilder::new(Schema::new(["Store"]).unwrap());
-        b.push_row(&["Walmart"]).unwrap();
-        b.add_measure("Sales", vec![1.0, 2.0]).unwrap();
-        assert_eq!(
-            b.build().unwrap_err(),
-            TableError::ArityMismatch {
-                expected: 1,
-                got: 2
-            }
-        );
-    }
-
-    #[test]
-    fn measure_name_clashing_with_column_rejected() {
-        let mut b = TableBuilder::new(Schema::new(["Store"]).unwrap());
-        assert!(b.add_measure("Store", vec![]).is_err());
-    }
-
-    #[test]
-    fn project_first_columns_keeps_prefix_and_measures() {
+    fn project_first_columns_keeps_prefix() {
         let mut b = TableBuilder::new(Schema::new(["a", "b", "c"]).unwrap());
         b.push_row(&["1", "2", "3"]).unwrap();
         b.push_row(&["4", "5", "6"]).unwrap();
-        b.add_measure("m", vec![9.0, 8.0]).unwrap();
-        let t = b.build().unwrap();
+        let t = b.build();
         let p = t.project_first_columns(2);
         assert_eq!(p.n_columns(), 2);
         assert_eq!(p.n_rows(), 2);
         assert_eq!(p.value(1, 1), "5");
-        assert_eq!(p.measure("m").unwrap(), &[9.0, 8.0]);
         // Over-asking is clamped.
         assert_eq!(t.project_first_columns(99).n_columns(), 3);
     }

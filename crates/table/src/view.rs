@@ -13,7 +13,8 @@ pub struct WeightedRow {
     /// Per-tuple weight.
     ///
     /// * `1.0` for plain `Count` semantics,
-    /// * the measure value for `Sum` semantics (paper §6.3),
+    /// * the row's value of a numeric column for `Sum` semantics (paper
+    ///   §6.3),
     /// * the sample scale factor `N_s` when scanning combined samples
     ///   (paper §4.3), so count estimates stay unbiased even when samples
     ///   with different rates are merged.
@@ -39,7 +40,14 @@ pub struct TableView<'a> {
     weights: Option<&'a [f64]>,
 }
 
-/// The contract of a weighted view: one finite, non-negative weight per
+/// Whether `w` can weigh a row: finite and non-negative, the precondition
+/// of the `mw` bound BRS prunes by. The one definition of a valid weight:
+/// [`check_weights`] and the CSV reader's measure fields both apply it.
+pub(crate) fn is_weight(w: f64) -> bool {
+    (0.0..f64::INFINITY).contains(&w)
+}
+
+/// The contract of a weighted view: one valid weight ([`is_weight`]) per
 /// row of `table`.
 fn check_weights(table: &Table, weights: &[f64]) {
     assert_eq!(
@@ -48,7 +56,7 @@ fn check_weights(table: &Table, weights: &[f64]) {
         "rows/weights length mismatch"
     );
     assert!(
-        weights.iter().all(|w| w.is_finite() && *w >= 0.0),
+        weights.iter().all(|&w| is_weight(w)),
         "row weights must be finite and non-negative"
     );
 }
@@ -62,7 +70,10 @@ impl<'a> TableView<'a> {
         }
     }
 
-    /// A view over every row of `table` with per-tuple weights.
+    /// A view over every row of `table` with per-tuple weights: the `Sum`
+    /// aggregate of §6.3 when `weights` is a numeric column read beside the
+    /// table ([`crate::csv::read_csv_with_measures`]), a sample's scale
+    /// factors when it is a materialised sample.
     ///
     /// Every weight must be finite and non-negative: the `mw` prune of BRS
     /// bounds a rule's score by its covered weight, which only holds for

@@ -10,7 +10,8 @@
 use smart_drilldown::prelude::*;
 
 fn main() {
-    let table = std::sync::Arc::new(retail(42));
+    let (table, sales) = retail_with_sales(42);
+    let table = std::sync::Arc::new(table);
     let config = ExplorerConfig {
         k: 3,
         ..ExplorerConfig::exact(table.n_rows())
@@ -44,7 +45,7 @@ fn main() {
 
     // Bonus: the same exploration by total Sales instead of tuple count
     // (the paper's Sum aggregate, §6.3).
-    let view = table.view_weighted_by("Sales").expect("measure exists");
+    let view = TableView::all_with_weights(&table, &sales);
     let result = Brs::new(&SizeWeight).run(&view, 3);
     println!("== Top rules by total Sales (Sum aggregate) ==");
     for s in &result.rules {

@@ -61,7 +61,7 @@ pub mod prelude {
         drill_down, star_drill_down, BitsWeight, Brs, BrsResult, DrillDownKind, Rule, RuleValue,
         ScoredRule, SizeMinusOne, SizeWeight, WeightFn,
     };
-    pub use sdd_datagen::{census, marketing, retail};
+    pub use sdd_datagen::{census, marketing, retail, retail_with_sales};
     pub use sdd_explorer::{Explorer, ExplorerConfig};
     pub use sdd_olap::TraditionalDrillDown;
     pub use sdd_sampling::{SampleHandler, SampleHandlerConfig};

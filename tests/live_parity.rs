@@ -83,7 +83,7 @@ fn frozen_reference(epoch: usize) -> Engine {
     for i in 0..epoch * BATCH {
         b.push_row(&row(i)).expect("row arity");
     }
-    let table = Arc::new(b.build().expect("frozen build"));
+    let table = Arc::new(b.build());
     Engine::with_store(
         TableStore::Whole(table),
         EngineConfig {

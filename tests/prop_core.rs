@@ -9,6 +9,7 @@ use smart_drilldown::core::{
     Brs, BrsResult, ColumnWeight, Rule, SearchOptions, SearchStats, SizeMinusOne, SizeWeight,
     WeightFn,
 };
+use smart_drilldown::table::csv::read_csv_with_measures;
 use smart_drilldown::table::{OwnedTableView, Schema, Table, TableError, TableView};
 
 /// A random small categorical table: 3 columns with cardinalities ≤ 4.
@@ -244,34 +245,46 @@ proptest! {
     }
 }
 
-/// A seeded 200-row table of three columns (cardinalities 2–6) weighted by
-/// measure `m`, its values drawn from `lo..10`.
-fn seeded_measured(seed: u64, lo: f64) -> Result<Table, TableError> {
+/// A seeded 200-row table of three columns (cardinalities 2–6) written as
+/// CSV text with a fourth column `m` of numbers drawn from `lo..10`.
+fn seeded_sum_csv(seed: u64, lo: f64) -> String {
     let mut rng = StdRng::seed_from_u64(seed);
     let cards: Vec<u32> = (0..3).map(|_| rng.gen_range(2..7)).collect();
-    let mut b = Table::builder(Schema::new(["A", "B", "C"]).unwrap());
-    for _ in 0..200 {
-        let row: Vec<String> = cards
-            .iter()
-            .map(|&card| format!("v{}", rng.gen_range(0..card)))
-            .collect();
-        b.push_row(&row).unwrap();
+    let rows: Vec<String> = (0..200)
+        .map(|_| {
+            let cells: Vec<String> = cards
+                .iter()
+                .map(|&card| format!("v{}", rng.gen_range(0..card)))
+                .collect();
+            cells.join(",")
+        })
+        .collect();
+    let mut text = "A,B,C,m\n".to_owned();
+    for row in rows {
+        text += &format!("{row},{}\n", rng.gen_range(lo..10.0));
     }
-    b.add_measure("m", (0..200).map(|_| rng.gen_range(lo..10.0)).collect())?;
-    b.build()
+    text
+}
+
+/// The seeded table of [`seeded_sum_csv`], without its `m` column.
+fn seeded_table(seed: u64) -> Table {
+    read_csv_with_measures(&seeded_sum_csv(seed, 0.0), &["m"])
+        .unwrap()
+        .0
 }
 
 /// The `mw` prune of BRS bounds a rule's score by its covered weight,
-/// which holds only for finite, non-negative row weights. On 300 seeded tables
-/// weighted by a measure in [0, 10), BRS over `view_weighted_by` (k = 3,
-/// `mw` = 3) returns the same list with pruning and without, bit for bit;
-/// the same draws from [−5, 10), on which the pruned search can return a
-/// worse list, no longer make a table.
+/// which holds only for finite, non-negative row weights. On 300 seeded
+/// tables read from CSV with a `Sum` column in [0, 10), BRS over the table
+/// weighted by that column (k = 3, `mw` = 3) returns the same list with
+/// pruning and without, bit for bit; the same draws from [−5, 10), on
+/// which the pruned search can return a worse list, fail the read.
 #[test]
 fn sum_weighted_pruning_is_lossless_and_negative_measures_do_not_build() {
     for seed in 0..300 {
-        let table = seeded_measured(seed, 0.0).unwrap();
-        let view = table.view_weighted_by("m").unwrap();
+        let text = seeded_sum_csv(seed, 0.0);
+        let (table, sums) = read_csv_with_measures(&text, &["m"]).unwrap();
+        let view = TableView::all_with_weights(&table, &sums[0]);
         let brs = Brs::new(&SizeWeight).with_max_weight(3.0);
         let pruned = brs.clone().run(&view, 3);
         let unpruned = brs.with_pruning(false).run(&view, 3);
@@ -279,10 +292,10 @@ fn sum_weighted_pruning_is_lossless_and_negative_measures_do_not_build() {
         assert_eq!(float_bits(&pruned), float_bits(&unpruned), "seed {seed}");
         assert!(
             matches!(
-                seeded_measured(seed, -5.0),
-                Err(TableError::BadMeasure { .. })
+                read_csv_with_measures(&seeded_sum_csv(seed, -5.0), &["m"]),
+                Err(TableError::Csv { .. })
             ),
-            "seed {seed}: a negative measure built"
+            "seed {seed}: a negative measure was read"
         );
     }
 }
@@ -298,7 +311,7 @@ fn weighted_view_pruning_is_lossless_and_negative_weights_do_not_build() {
         (0..200).map(|_| rng.gen_range(lo..10.0)).collect()
     };
     for seed in 0..300 {
-        let table = seeded_measured(seed, 0.0).unwrap();
+        let table = seeded_table(seed);
         let weights = draw(seed, 0.0);
         let view = TableView::all_with_weights(&table, &weights);
         let brs = Brs::new(&SizeWeight).with_max_weight(3.0);
@@ -315,24 +328,25 @@ fn weighted_view_pruning_is_lossless_and_negative_weights_do_not_build() {
     }
 }
 
-/// `TableBuilder::build` names the first measure value that cannot weigh
-/// a row.
+/// No weighted view, borrowed or owned, takes a negative, NaN or infinite
+/// weight, wherever in the rows it sits: a weight in a `Sum` is finite and
+/// non-negative, or the view does not build.
 #[test]
 fn a_builder_rejects_negative_nan_or_infinite_measures() {
+    let table = Table::from_rows(Schema::new(["A"]).unwrap(), &[["x"], ["y"], ["z"]]).unwrap();
+    let shared = std::sync::Arc::new(table.clone());
     for (row, bad) in [
         (1, -1.0),
         (0, f64::NAN),
         (2, f64::INFINITY),
         (1, f64::NEG_INFINITY),
     ] {
-        let mut b = Table::builder(Schema::new(["A"]).unwrap());
-        for v in ["x", "y", "z"] {
-            b.push_row(&[v]).unwrap();
-        }
         let mut m = vec![1.0, 0.0, 2.5];
         m[row] = bad;
-        b.add_measure("m", m).unwrap();
-        let name = "m".to_owned();
-        assert_eq!(b.build().unwrap_err(), TableError::BadMeasure { name, row });
+        let borrowed = std::panic::catch_unwind(|| TableView::all_with_weights(&table, &m).len());
+        assert!(borrowed.is_err(), "{bad} in row {row} built a view");
+        let owned =
+            std::panic::catch_unwind(|| OwnedTableView::all_with_weights(shared.clone(), m));
+        assert!(owned.is_err(), "{bad} in row {row} built an owned view");
     }
 }

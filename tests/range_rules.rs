@@ -33,7 +33,7 @@ fn sales_table() -> (Table, f64, f64) {
         b.push_row(&[cat, &h.labels[0][i], &h.labels[1][i]])
             .unwrap();
     }
-    (b.build().unwrap(), 40.0, 60.0)
+    (b.build(), 40.0, 60.0)
 }
 
 fn parse_range(label: &str) -> (f64, f64) {

@@ -21,7 +21,7 @@ use smart_drilldown::core::{
     try_find_best_marginal_rule_sharded, try_scan_rules_in_store, view_digest, BitsWeight, Rule,
     SearchOptions, SearchScratch, SizeWeight, WeightFn,
 };
-use smart_drilldown::datagen::retail;
+use smart_drilldown::datagen::{retail, retail_with_sales};
 use smart_drilldown::explorer::{Explorer, ExplorerConfig, PrefetchMode};
 use smart_drilldown::sampling::{
     FetchMechanism, SampleHandler, SampleHandlerConfig, StoredSampleInfo,
@@ -57,12 +57,6 @@ fn value_rows(table: &Table) -> Vec<Vec<&str>> {
         .collect()
 }
 
-/// `table` without its measures, built row by row: the categorical columns
-/// every sharded, streamed and live build holds.
-fn without_measures(table: &Table) -> Table {
-    Table::from_rows(table.schema().clone(), &value_rows(table)).expect("same schema")
-}
-
 /// Builds the same sharded table by **streaming** `table`'s categorical
 /// rows, written out as CSV, through [`stream_csv_file`] — the out-of-core
 /// ingest path. Codes are interned in first-appearance order by both paths,
@@ -73,7 +67,7 @@ fn stream_built(table: &Table, cfg: &ShardConfig) -> Arc<ShardedTable> {
         std::process::id(),
         std::thread::current().id()
     ));
-    std::fs::write(&path, write_csv(&without_measures(table))).expect("write CSV");
+    std::fs::write(&path, write_csv(table)).expect("write CSV");
     let built = stream_csv_file(&path, cfg).expect("stream ingest");
     std::fs::remove_file(&path).ok();
     Arc::new(built)
@@ -873,7 +867,7 @@ fn stream_built_tables_are_byte_identical_to_from_table() {
 }
 
 /// `a` and `b` hold the same spans, spill bytes, segment columns and
-/// dictionaries, and neither carries a measure.
+/// dictionaries.
 fn assert_same_categorical_store(a: &ShardedTable, b: &ShardedTable, label: &str) {
     assert_eq!(a.spans(), b.spans(), "{label}: spans");
     for i in 0..a.n_shards() {
@@ -888,8 +882,6 @@ fn assert_same_categorical_store(a: &ShardedTable, b: &ShardedTable, label: &str
         for c in 0..a.n_columns() {
             assert_eq!(sa.col(c), sb.col(c), "{label}: shard {i} col {c}");
         }
-        let measures = sa.table().measure_names().chain(sb.table().measure_names());
-        assert_eq!(measures.count(), 0, "{label}: shard {i} carries a measure");
     }
     for c in 0..a.n_columns() {
         assert!(
@@ -897,18 +889,19 @@ fn assert_same_categorical_store(a: &ShardedTable, b: &ShardedTable, label: &str
             "{label}: column {c} dictionaries"
         );
     }
-    let measures = a.header().measure_names().chain(b.header().measure_names());
-    assert_eq!(measures.count(), 0, "{label}: a header names a measure");
 }
 
-/// Measures stop at the monolithic table: the sharded (resident and
-/// spilled) and live builds of `retail(42)`, which carries `Sales`, are
-/// byte for byte the builds of the same table without it.
+/// A `Sum`'s weights live beside the table, never in it: the sharded
+/// (resident and spilled) and live builds of the table
+/// `retail_with_sales(42)` weighs by its Sales are byte for byte the builds
+/// of the walkthrough table `retail(42)` rebuilt row by row.
 #[test]
 fn measured_tables_shard_and_go_live_as_their_categorical_columns() {
-    let table = retail(42);
-    assert!(table.measure("Sales").is_ok());
-    let plain = without_measures(&table);
+    let (table, sales) = retail_with_sales(42);
+    assert_eq!(sales.len(), table.n_rows());
+    let walkthrough = retail(42);
+    let plain = Table::from_rows(walkthrough.schema().clone(), &value_rows(&walkthrough))
+        .expect("same schema");
     for cfg in shard_configs(8) {
         let label = cfg_label(&cfg);
         assert_same_categorical_store(&sharded(&table, &cfg), &sharded(&plain, &cfg), &label);

@@ -280,9 +280,9 @@ fn displayed_score_matches_recomputation() {
 
 #[test]
 fn sum_aggregate_walkthrough() {
-    let table = Arc::new(retail(42));
-    let sales = table.measure("Sales").unwrap();
-    let view = table.view_weighted_by("Sales").unwrap();
+    let (table, sales) = retail_with_sales(42);
+    let table = Arc::new(table);
+    let view = TableView::all_with_weights(&table, &sales);
     let result = Brs::new(&SizeWeight).run(&view, 3);
     // Same rule shapes win under Sum (sales are uniform-ish per tuple).
     let shown: Vec<String> = result
