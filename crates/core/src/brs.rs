@@ -168,7 +168,9 @@ impl<'w> Brs<'w> {
         opts.base = base;
 
         let mut covered = vec![0.0f64; view.len()];
-        let mut selection: Vec<Rule> = Vec::with_capacity(k);
+        // Not `with_capacity(k)`: `k` is the caller's, the rules a view
+        // holds are far fewer.
+        let mut selection: Vec<Rule> = Vec::new();
         let mut stats = SearchStats::default();
         // The k searches share what does not depend on `covered`: pass 1's
         // counts and the blocks' rows, built for this one view and dropped

@@ -30,6 +30,7 @@ use crate::protocol::{OpenOptions, Request, Response, RuleInfo, StatsInfo};
 use crate::registry::{Registry, RegistryError, TenantId, ANONYMOUS_TENANT};
 use sdd_core::{BitsWeight, SizeMinusOne, SizeWeight, WeightFn};
 use sdd_explorer::{DisplayedRule, Explorer, ExplorerConfig, ResultCache, SharedResultCache};
+use sdd_sampling::alloc_dp::MAX_GROUP_CHILDREN;
 use sdd_sampling::PrefetchJob;
 use sdd_table::{Schema, Table, TableStore};
 use std::sync::Arc;
@@ -460,9 +461,16 @@ impl Engine {
             Err(e) => return Response::error(e),
         };
         let mut cfg = self.config.session.clone();
+        // `k` and `capacity` size what a session allocates: a drill-down's
+        // children feed one group of the prefetch DP, which takes at most
+        // `MAX_GROUP_CHILDREN`, and the DP and the reservoirs grow with
+        // the sample memory, which this server's own `M` bounds.
         if let Some(k) = options.k {
             if k == 0 {
                 return Response::error("k must be positive");
+            }
+            if k > MAX_GROUP_CHILDREN {
+                return Response::error(format!("k must be at most {MAX_GROUP_CHILDREN}"));
             }
             cfg.k = k;
         }
@@ -476,6 +484,12 @@ impl Engine {
             cfg.handler.seed = seed;
         }
         if let Some(capacity) = options.capacity {
+            let max = self.config.session.handler.capacity;
+            if capacity > max {
+                return Response::error(format!(
+                    "capacity must be at most {max}, this server's sample memory"
+                ));
+            }
             cfg.handler.capacity = capacity;
         }
         if let Some(min_ss) = options.min_ss {

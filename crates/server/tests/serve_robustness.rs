@@ -14,6 +14,8 @@
 //!    worker in `read` forever; enough of them starved the pool. With
 //!    `ServerConfig::idle_timeout`, the silent connection is disconnected,
 //!    the worker freed, and connection-scoped sessions reaped.
+//!
+//! It also pins the bounds `open` puts on what one session may allocate.
 
 use sdd_server::{Client, OpenOptions, Request, Response, Server, ServerConfig};
 use std::io::{BufRead, BufReader, Write};
@@ -192,4 +194,55 @@ fn tcp_connections_queued_past_max_queue_are_served_not_shed() {
         stream.shutdown(std::net::Shutdown::Both).unwrap();
     }
     server.shutdown();
+}
+
+/// `open` bounds what a session allocates. A `k` of 13 would make the
+/// prefetch DP panic on a 13-child group, and a `k` or `capacity` of 2^52
+/// would make the next `expand` abort the process on a failed allocation:
+/// each is refused at `open`, naming its bound, and the engine answers on.
+/// A `k` at the bound survives a drill-down and its prefetch. The aborting
+/// `expand` is never sent.
+#[test]
+fn open_refuses_a_k_or_capacity_no_session_can_allocate() {
+    let engine = sdd_server::Engine::new(
+        Arc::new(sdd_datagen::retail(42)),
+        sdd_server::EngineConfig::default(),
+    );
+    let refusals = [
+        (r#""k":13"#, "k must be at most 12"),
+        (r#""k":4503599627370496"#, "k must be at most 12"),
+        (
+            r#""capacity":4503599627370496,"min_ss":4503599627370496"#,
+            "capacity must be at most 50000",
+        ),
+    ];
+    for (i, (field, bound)) in refusals.into_iter().enumerate() {
+        let (reply, _) =
+            engine.handle_line(&format!(r#"{{"op":"open","session":"s{i}",{field}}}"#));
+        assert!(
+            reply.contains(r#""ok":false"#) && reply.contains(bound),
+            "{field}: {reply}"
+        );
+        let (pong, _) = engine.handle_line(r#"{"op":"ping"}"#);
+        assert!(pong.contains("pong"), "{field}: {pong}");
+    }
+    assert_eq!(engine.n_sessions(), 0);
+
+    let (opened, _) = engine.handle_line(r#"{"op":"open","session":"top","k":12}"#);
+    assert!(opened.contains(r#""ok":true"#), "{opened}");
+    for line in [
+        r#"{"op":"expand","session":"top","path":[]}"#,
+        r#"{"op":"expand","session":"top","path":[0]}"#,
+        r#"{"op":"stats","session":"top"}"#,
+    ] {
+        let (reply, _) = engine.handle_line(line);
+        assert!(reply.contains(r#""ok":true"#), "{line}: {reply}");
+    }
+
+    // BRS itself reserves nothing for `k`: it stops when no rule gains.
+    let rows: Vec<[String; 1]> = (0..10).map(|i| [format!("v{}", i % 3)]).collect();
+    let schema = sdd_table::Schema::new(["A"]).unwrap();
+    let table = sdd_table::Table::from_rows(schema, &rows).unwrap();
+    let result = sdd_core::Brs::new(&sdd_core::SizeWeight).run(&table.view(), usize::MAX);
+    assert_eq!(result.rules.len(), 3);
 }
