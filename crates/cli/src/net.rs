@@ -89,6 +89,14 @@ fn start_failure(output: &mut impl Write, message: &str) -> std::io::Result<Exit
     Ok(ExitCode::FAILURE)
 }
 
+/// Flag `--name`'s value as a `T`: `--name needs a <what>` when it has
+/// none, `bad --name` when it is not a `T`.
+fn flag<T: std::str::FromStr>(name: &str, value: Option<&str>, what: &str) -> std::io::Result<T> {
+    let invalid = |message| std::io::Error::new(std::io::ErrorKind::InvalidInput, message);
+    let raw = value.ok_or_else(|| invalid(format!("--{name} needs a {what}")))?;
+    raw.parse().map_err(|_| invalid(format!("bad --{name}")))
+}
+
 /// Runs `sdd serve` with command-line `args` (everything after `serve`).
 /// Returns the process exit status: 0 once serving ends, 2 on a bad,
 /// unknown or conflicting flag, 1 when the table, the token file or the
@@ -109,67 +117,27 @@ pub fn serve(args: &[String], output: &mut impl Write) -> std::io::Result<ExitCo
         Err(e) => return usage_error(output, &e),
     };
     for (name, value) in flags {
-        let need = |what: &str| -> Result<String, std::io::Error> {
-            value.clone().ok_or_else(|| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidInput,
-                    format!("--{name} needs a {what}"),
-                )
-            })
-        };
-        match name.as_str() {
-            "addr" => addr = need("host:port")?,
-            "demo" => source = Source::Demo(need("name")?, None),
-            "open" => source = Source::Csv(need("path")?),
-            "rows" => {
-                rows = Some(need("count")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --rows")
-                })?)
-            }
-            "threads" => {
-                config.threads = need("count")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --threads")
-                })?
-            }
-            "shards" => {
-                shards = Some(need("count")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --shards")
-                })?)
-            }
-            "spill" => spill = Some(need("dir")?.into()),
-            "tail" => {
-                tail = Some(need("rows-per-segment")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --tail")
-                })?)
-            }
-            "cache" => {
-                let mib: usize = need("MiB")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --cache")
-                })?;
-                config.engine.cache_bytes = mib << 20;
-            }
-            "http" => {
-                http_port = Some(need("port")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --http")
-                })?)
-            }
+        let (n, v) = (name.as_str(), value.as_deref());
+        match n {
+            "addr" => addr = flag(n, v, "host:port")?,
+            "demo" => source = Source::Demo(flag(n, v, "name")?, None),
+            "open" => source = Source::Csv(flag(n, v, "path")?),
+            "rows" => rows = Some(flag(n, v, "count")?),
+            "threads" => config.threads = flag(n, v, "count")?,
+            "shards" => shards = Some(flag(n, v, "count")?),
+            "spill" => spill = Some(flag(n, v, "dir")?),
+            "tail" => tail = Some(flag(n, v, "rows-per-segment")?),
+            "cache" => config.engine.cache_bytes = flag::<usize>(n, v, "MiB")? << 20,
+            "http" => http_port = Some(flag(n, v, "port")?),
             "tokens" => {
-                let path = need("file")?;
-                match sdd_server::TenantRegistry::load_token_file(std::path::Path::new(&path)) {
+                let path: std::path::PathBuf = flag(n, v, "file")?;
+                match sdd_server::TenantRegistry::load_token_file(&path) {
                     Ok(reg) => config.engine.tenants = Arc::new(reg),
                     Err(e) => return start_failure(output, &e.to_string()),
                 }
             }
-            "max-queue" => {
-                config.max_queue = need("count")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --max-queue")
-                })?
-            }
-            "idle-timeout" => {
-                idle_timeout = Some(need("seconds")?.parse().map_err(|_| {
-                    std::io::Error::new(std::io::ErrorKind::InvalidInput, "bad --idle-timeout")
-                })?)
-            }
+            "max-queue" => config.max_queue = flag(n, v, "count")?,
+            "idle-timeout" => idle_timeout = Some(flag(n, v, "seconds")?),
             "smoke-scrape" => smoke_scrape = true,
             other => return usage_error(output, &format!("unknown flag --{other}")),
         }
