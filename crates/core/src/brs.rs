@@ -168,8 +168,8 @@ impl<'w> Brs<'w> {
         opts.base = base;
 
         let mut covered = vec![0.0f64; view.len()];
-        // Not `with_capacity(k)`: `k` is the caller's, the rules a view
-        // holds are far fewer.
+        // Grown as rules are found: `k` comes from the caller and may be
+        // far above the rules a view holds.
         let mut selection: Vec<Rule> = Vec::new();
         let mut stats = SearchStats::default();
         // The k searches share what does not depend on `covered`: pass 1's

@@ -21,13 +21,13 @@ use crate::zipf::Zipf;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use sdd_table::{Schema, Table};
 
+/// Total number of rows (the paper's 6000-tuple answer table).
+pub const N_ROWS: usize = 6000;
+
 /// Generates the walkthrough table. Deterministic per `seed`.
 pub fn retail(seed: u64) -> Table {
     retail_with_sales(seed).0
 }
-
-/// Total number of rows (the paper's 6000-tuple answer table).
-pub const N_ROWS: usize = 6000;
 
 /// The walkthrough table of [`retail`] and each row's Sales, drawn from
 /// the same RNG stream after the rows: a whole number in 40..=400, a
