@@ -41,20 +41,49 @@ struct Group {
 
 /// Solves Problem 5 with the paper's DP (§4.1).
 ///
+/// One group — all a prefetch ever plans — needs no knapsack: its
+/// dominance-kept configurations all fit the budget and rise in value, so
+/// the last one is the best, and it is taken in O(1).
+///
 /// # Panics
 /// If the problem fails [`AllocationProblem::validate`] or a group has more
 /// than [`MAX_GROUP_CHILDREN`] leaf children.
 pub fn solve_dp(problem: &AllocationProblem) -> Allocation {
     problem.validate().expect("invalid allocation problem");
     let groups = build_groups(problem);
-    let n_nodes = problem.parent.len();
-    let m = problem.capacity;
+    let picks = match groups.as_slice() {
+        [group] => vec![group.configs.last()],
+        _ => knapsack(&groups, problem.capacity),
+    };
+    let sizes = sample_sizes(problem.parent.len(), &groups, picks);
+    let achieved = problem.step_value(&sizes);
+    Allocation {
+        sizes,
+        value: achieved,
+    }
+}
 
-    // Multiple-choice knapsack over groups.
+/// The sample size of each of `n_nodes` nodes when each group takes its
+/// pick: a parent the largest its groups ask, a child its own.
+fn sample_sizes(n_nodes: usize, groups: &[Group], picks: Vec<Option<&GroupConfig>>) -> Vec<usize> {
+    let mut sizes = vec![0usize; n_nodes];
+    for (group, cfg) in groups.iter().zip(picks) {
+        let Some(cfg) = cfg else { continue };
+        sizes[group.parent] = sizes[group.parent].max(cfg.parent_size);
+        for (child, &cs) in group.children.iter().zip(&cfg.child_sizes) {
+            sizes[*child] = cs;
+        }
+    }
+    sizes
+}
+
+/// The multiple-choice knapsack over the groups' menus within budget `m`:
+/// the configuration each group takes, if any.
+fn knapsack(groups: &[Group], m: usize) -> Vec<Option<&GroupConfig>> {
     // value[j] = best value with budget j; choice[g][j] = config index used.
     let mut value = vec![0.0f64; m + 1];
     let mut choices: Vec<Vec<usize>> = Vec::with_capacity(groups.len());
-    for group in &groups {
+    for group in groups {
         let mut next = value.clone();
         let mut choice = vec![usize::MAX; m + 1]; // MAX = "skip" (config cost 0 value 0 implicit)
         for (ci, cfg) in group.configs.iter().enumerate() {
@@ -81,35 +110,19 @@ pub fn solve_dp(problem: &AllocationProblem) -> Allocation {
         choices.push(choice);
     }
 
-    // Reconstruct: walk groups backwards. Because of the monotone fill above
-    // we re-derive the budget split by replaying choices greedily.
-    let mut sizes = vec![0usize; n_nodes];
+    // Reconstruct: walk groups backwards, using the choice recorded for
+    // group g at the budget left after the groups behind it.
+    let mut picks = vec![None; groups.len()];
     let mut budget = m;
-    // Recompute DP tables per prefix is wasteful; instead store them: we
-    // already have `choices[g]` keyed by the budget *after* processing group
-    // g. Walk back using recorded choice at the current budget.
     for (g, group) in groups.iter().enumerate().rev() {
-        // Find the choice made at this budget level. The monotone fill can
-        // leave stale markers; walk down to the first budget where the value
-        // is achieved.
-        let choice = choices[g][budget];
-        if choice != usize::MAX && choice < group.configs.len() {
-            let cfg = &group.configs[choice];
+        if let Some(cfg) = group.configs.get(choices[g][budget]) {
             if cfg.cost <= budget {
-                sizes[group.parent] = sizes[group.parent].max(cfg.parent_size);
-                for (child, &cs) in group.children.iter().zip(&cfg.child_sizes) {
-                    sizes[*child] = cs;
-                }
+                picks[g] = Some(cfg);
                 budget -= cfg.cost;
             }
         }
     }
-
-    let achieved = problem.step_value(&sizes);
-    Allocation {
-        sizes,
-        value: achieved,
-    }
+    picks
 }
 
 fn build_groups(problem: &AllocationProblem) -> Vec<Group> {
@@ -138,18 +151,23 @@ fn build_groups(problem: &AllocationProblem) -> Vec<Group> {
         });
     }
 
-    // A root that is itself a leaf: a degenerate one-node group.
+    // A root that is itself a leaf: a degenerate one-node group, whose one
+    // configuration is kept, like every group's, only if it fits.
     if children[0].is_empty() && problem.prob[0] > 0.0 {
         let min_ss = problem.min_ss;
+        let config = GroupConfig {
+            cost: min_ss,
+            value: problem.prob[0],
+            parent_size: min_ss,
+            child_sizes: vec![],
+        };
         groups.push(Group {
             parent: 0,
             children: vec![],
-            configs: vec![GroupConfig {
-                cost: min_ss,
-                value: problem.prob[0],
-                parent_size: min_ss,
-                child_sizes: vec![],
-            }],
+            configs: (min_ss <= problem.capacity)
+                .then_some(config)
+                .into_iter()
+                .collect(),
         });
     }
     groups
@@ -391,6 +409,53 @@ mod tests {
         // leaf 3 own 100 → cost 255, value 1.0.
         assert!((a.value - 1.0).abs() < 1e-9, "{a:?}");
         assert!(p.used(&a.sizes) <= p.capacity);
+    }
+
+    /// One group takes exactly what the knapsack over that group would:
+    /// seeded problems of 0–8 leaves (0 is the root-leaf tree) with
+    /// selectivities that include 0 and 1 and budgets from none to all.
+    #[test]
+    fn one_group_takes_what_the_knapsack_takes() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        for seed in 0..600 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let d = rng.gen_range(0..=8usize);
+            let min_ss = rng.gen_range(1..1000usize);
+            let mut parent = vec![None];
+            let mut prob = vec![if d == 0 { 1.0 } else { 0.0 }];
+            let mut selectivity = vec![1.0];
+            let mut rest = 1.0f64;
+            for _ in 0..d {
+                parent.push(Some(0));
+                let p = rng.gen_range(0.0..=rest);
+                rest -= p;
+                prob.push(p);
+                selectivity.push(match rng.gen_range(0..6) {
+                    0 => 0.0,
+                    1 => 1.0,
+                    _ => rng.gen_range(0.0..1.0),
+                });
+            }
+            let problem = AllocationProblem {
+                parent,
+                prob,
+                selectivity,
+                capacity: rng.gen_range(0..=(d + 1) * min_ss),
+                min_ss,
+            };
+            let groups = build_groups(&problem);
+            assert_eq!(groups.len(), 1, "seed {seed}");
+            let by_knapsack = sample_sizes(
+                problem.parent.len(),
+                &groups,
+                knapsack(&groups, problem.capacity),
+            );
+            assert_eq!(
+                solve_dp(&problem).sizes,
+                by_knapsack,
+                "seed {seed}: {problem:?}"
+            );
+        }
     }
 
     #[test]

@@ -287,10 +287,13 @@ macro_rules! read_trace {
 }
 
 /// Pieces of CSV: mostly well-formed fields and separators (so records run
-/// long), every line ending, quoted fields holding commas, newlines, CRs and
-/// doubled quotes, a two-byte UTF-8 sequence (which a small buffer splits),
-/// and the breakage — a stray quote, an invalid byte.
-const CSV_SOUP: [&[u8]; 16] = [
+/// long), plain runs just under, at and over one and two 8-byte words (the
+/// reader scans a word at a time), every line ending, quoted fields holding
+/// commas, newlines, CRs and doubled quotes, a two-byte UTF-8 sequence
+/// (which a small buffer splits) and a three-byte one after seven plain
+/// bytes (so it straddles a word), and the breakage — a stray quote, an
+/// invalid byte, a lone continuation byte.
+const CSV_SOUP: [&[u8]; 24] = [
     b"a",
     b"bc",
     b" ",
@@ -307,6 +310,14 @@ const CSV_SOUP: [&[u8]; 16] = [
     b"\n\n",
     b"\"",
     b"\xFF",
+    b"1234567",
+    b"12345678",
+    b"123456789",
+    b"123456789abcdef",
+    b"123456789abcdefg",
+    b"123456789abcdefgh",
+    b"1234567\xE2\x82\xAC",
+    b"\xA9",
 ];
 
 /// Pieces of the JSON grammar and its breakage — truncated literals and
@@ -349,7 +360,7 @@ proptest! {
     #[test]
     fn csv_reader_matches_the_per_byte_oracle(picks in proptest::collection::vec(0usize..CSV_SOUP.len(), 0..60)) {
         let input: Vec<u8> = picks.iter().flat_map(|&i| CSV_SOUP[i]).copied().collect();
-        for cap in [1usize, 2, 3, 7, 8192] {
+        for cap in [1usize, 2, 3, 7, 8, 9, 16, 8192] {
             let want: ReadTrace = read_trace!(OracleReader, input.as_slice(), cap);
             let got: ReadTrace = read_trace!(RecordReader, input.as_slice(), cap);
             prop_assert_eq!(&got, &want, "buffer of {}, input {:?}", cap, String::from_utf8_lossy(&input));
