@@ -85,7 +85,7 @@
 #![cfg_attr(not(test), deny(clippy::todo, clippy::unimplemented))]
 
 use crate::alloc::{Allocation, AllocationProblem};
-use crate::alloc_dp::{solve_dp, MAX_GROUP_CHILDREN};
+use crate::alloc_dp::solve_dp;
 use crate::reservoir::Reservoir;
 use sdd_core::cachekey::splitmix64;
 use sdd_core::Rule;
@@ -190,19 +190,6 @@ pub struct PrefetchEntry {
     /// `S(parent, rule)`: fraction of parent-covered tuples this rule
     /// covers. Estimated from displayed counts.
     pub selectivity: f64,
-}
-
-/// The indices, in display order, of the entries a prefetch plans for: all
-/// of them, or the [`MAX_GROUP_CHILDREN`] most probable (a stable sort, so
-/// a tie goes to the one displayed first).
-fn planned(entries: &[PrefetchEntry]) -> Vec<usize> {
-    let mut picked: Vec<usize> = (0..entries.len()).collect();
-    if picked.len() > MAX_GROUP_CHILDREN {
-        picked.sort_by(|&a, &b| entries[b].probability.total_cmp(&entries[a].probability));
-        picked.truncate(MAX_GROUP_CHILDREN);
-        picked.sort_unstable();
-    }
-    picked
 }
 
 /// A prefetch request handed off to a background worker (§4.3's
@@ -590,17 +577,14 @@ impl SampleHandler {
     }
 
     /// Builds the §4.1 allocation problem for a parent rule and its likely
-    /// next drill-downs. The drill-downs are one group of the DP, which
-    /// takes at most [`MAX_GROUP_CHILDREN`] of them: past that, the most
-    /// probable ones, ties going to the one displayed first.
+    /// next drill-downs: one group of the DP, the drill-downs its leaves.
     pub fn plan(&self, entries: &[PrefetchEntry]) -> AllocationProblem {
-        let planned = planned(entries);
         let mut parent = vec![None];
         let mut prob = vec![0.0];
         let mut selectivity = vec![1.0];
-        parent.extend(std::iter::repeat_n(Some(0), planned.len()));
-        prob.extend(planned.iter().map(|&i| entries[i].probability));
-        selectivity.extend(planned.iter().map(|&i| entries[i].selectivity));
+        parent.extend(std::iter::repeat_n(Some(0), entries.len()));
+        prob.extend(entries.iter().map(|e| e.probability));
+        selectivity.extend(entries.iter().map(|e| e.selectivity));
         AllocationProblem {
             parent,
             prob,
@@ -635,9 +619,9 @@ impl SampleHandler {
         if alloc.sizes[0] > 0 {
             requests.push((parent.clone(), alloc.sizes[0]));
         }
-        for (&i, &size) in planned(entries).iter().zip(&alloc.sizes[1..]) {
+        for (entry, &size) in entries.iter().zip(&alloc.sizes[1..]) {
             if size > 0 {
-                requests.push((entries[i].rule.clone(), size));
+                requests.push((entry.rule.clone(), size));
             }
         }
         if !requests.is_empty() {
@@ -753,30 +737,6 @@ mod tests {
                 seed: 7,
             },
         )
-    }
-
-    /// Past one DP group's worth of drill-downs, a plan keeps the most
-    /// probable, a tie going to the one displayed first, in display order;
-    /// up to it, a plan keeps every drill-down.
-    #[test]
-    fn a_plan_keeps_the_most_probable_drill_downs_in_display_order() {
-        let entry = |probability| PrefetchEntry {
-            rule: Rule::trivial(3),
-            probability,
-            selectivity: 0.5,
-        };
-        let probs: Vec<f64> = (0..20).map(|i| [0.01, 0.05, 0.02, 0.05][i % 4]).collect();
-        let entries: Vec<PrefetchEntry> = probs.iter().map(|&p| entry(p)).collect();
-        // The ten 0.05s (1, 3, …, 19), then the first two 0.02s (2, 6).
-        let want = [1, 2, 3, 5, 6, 7, 9, 11, 13, 15, 17, 19];
-        assert_eq!(planned(&entries), want);
-        let plan = handler(&Arc::new(retail(1))).plan(&entries);
-        let want_prob: Vec<f64> = want.iter().map(|&i| probs[i]).collect();
-        assert_eq!(plan.prob[1..], want_prob[..]);
-        assert_eq!(
-            planned(&entries[..MAX_GROUP_CHILDREN]),
-            (0..MAX_GROUP_CHILDREN).collect::<Vec<_>>()
-        );
     }
 
     #[test]

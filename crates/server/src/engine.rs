@@ -30,7 +30,6 @@ use crate::protocol::{OpenOptions, Request, Response, RuleInfo, StatsInfo};
 use crate::registry::{Registry, RegistryError, TenantId, ANONYMOUS_TENANT};
 use sdd_core::{BitsWeight, SizeMinusOne, SizeWeight, WeightFn};
 use sdd_explorer::{DisplayedRule, Explorer, ExplorerConfig, ResultCache, SharedResultCache};
-use sdd_sampling::alloc_dp::MAX_GROUP_CHILDREN;
 use sdd_sampling::PrefetchJob;
 use sdd_table::{Schema, Table, TableStore};
 use std::sync::Arc;
@@ -48,6 +47,12 @@ const MAX_SESSIONS: usize = 10_000;
 /// unbounded allocation; 10 000 rows comfortably fit the protocol's
 /// line-length budget.
 const MAX_APPEND_ROWS: usize = 10_000;
+
+/// Largest accepted `k`. An expand runs `k` greedy searches and its
+/// prefetch allocates over `k` drill-downs, so `k` sets a request's work;
+/// this bounds what outside input can ask for until requests carry a work
+/// budget of their own.
+const MAX_K: usize = 12;
 
 /// Tail-ingest opt-in: accepting `append` requests against a live
 /// (appendable) served table. Absent from [`EngineConfig`] by default —
@@ -461,16 +466,16 @@ impl Engine {
             Err(e) => return Response::error(e),
         };
         let mut cfg = self.config.session.clone();
-        // `k` and `capacity` size what a session allocates: a drill-down's
-        // children feed one group of the prefetch DP, which takes at most
-        // `MAX_GROUP_CHILDREN`, and the DP and the reservoirs grow with
-        // the sample memory, which this server's own `M` bounds.
+        // `k` and `capacity` size what a session's requests do: `k` sets
+        // their work (`MAX_K`), and the prefetch allocation and the
+        // reservoirs grow with the sample memory, which this server's own
+        // `M` bounds.
         if let Some(k) = options.k {
             if k == 0 {
                 return Response::error("k must be positive");
             }
-            if k > MAX_GROUP_CHILDREN {
-                return Response::error(format!("k must be at most {MAX_GROUP_CHILDREN}"));
+            if k > MAX_K {
+                return Response::error(format!("k must be at most {MAX_K}"));
             }
             cfg.k = k;
         }

@@ -423,11 +423,10 @@ fn eviction_under_pressure_keeps_serving_correct_samples() {
     assert!(handler.stats.evictions > 0);
 }
 
-/// A drill-down wider than one DP group (`k` > `MAX_GROUP_CHILDREN`)
-/// prefetches for its most probable children instead of panicking.
+/// A drill-down wider than the server's `k` bound (12) plans a prefetch
+/// for every displayed child and drains it.
 #[test]
 fn a_wide_drill_down_prefetches_without_panicking() {
-    use smart_drilldown::sampling::alloc_dp::MAX_GROUP_CHILDREN;
     let table = Arc::new(retail(42));
     for k in [13, 32] {
         let mut ex = Explorer::new(
@@ -440,12 +439,13 @@ fn a_wide_drill_down_prefetches_without_panicking() {
         );
         ex.expand(&[]).expect("root expansion");
         let shown = ex.children_at(&[]).unwrap().len();
-        assert!(shown > MAX_GROUP_CHILDREN, "k = {k}: {shown} children");
+        assert!(shown > 12, "k = {k}: {shown} children");
         let job = ex.take_pending_prefetch().expect("a prefetch job");
         assert_eq!(job.entries.len(), shown);
+        // The plan covers every displayed child, and the drain succeeds.
+        let planned = ex.handler().plan(&job.entries);
+        assert_eq!(planned.parent.len(), 1 + shown, "k = {k}");
         ex.try_run_prefetch(&job).unwrap();
         ex.try_drain_pending_prefetch().unwrap();
-        let planned = ex.handler().plan(&job.entries);
-        assert_eq!(planned.parent.len(), 1 + MAX_GROUP_CHILDREN, "k = {k}");
     }
 }
